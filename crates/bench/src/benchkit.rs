@@ -1,12 +1,11 @@
-//! Shared utilities for the Criterion benches: fixed small-scale datasets
-//! so `cargo bench --workspace` completes in minutes while exercising the
-//! same code paths as the full experiment harness.
+//! Fixed small-scale datasets that exercise the same code paths as the
+//! full experiment harness in seconds.
 
 use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::runner::{run_cell, PreparedDataset};
 
-/// Scale used by Criterion benches (`CLUGP_BENCH_SCALE` to override).
+/// The reduced dataset scale (`CLUGP_BENCH_SCALE` to override).
 pub fn bench_scale() -> f64 {
     std::env::var("CLUGP_BENCH_SCALE")
         .ok()

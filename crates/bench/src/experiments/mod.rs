@@ -48,7 +48,7 @@ impl Default for ExpContext {
 }
 
 impl ExpContext {
-    /// A reduced context for smoke tests and Criterion benches: small
+    /// A reduced context for smoke tests: small
     /// datasets, short k sweep.
     pub fn quick() -> Self {
         ExpContext {

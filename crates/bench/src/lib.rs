@@ -14,8 +14,7 @@
 //! * [`experiments`] — one entry point per paper table/figure
 //!   (`table1`, `table3`, `fig3` … `fig11`).
 //!
-//! The `experiments` binary dispatches to these; the Criterion benches
-//! reuse the same modules at reduced scale.
+//! The `experiments` binary dispatches to these.
 
 #![warn(missing_docs)]
 

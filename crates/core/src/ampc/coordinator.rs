@@ -33,130 +33,31 @@ use super::proto::{
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
-use super::worker::{migration_tag, unexpected, T_CPART, T_MAIN};
+use super::worker::{unexpected, with_edge_kernel, T_CPART, T_MAIN};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
 };
-use crate::baselines::{dbh, grid, hashing, HdrfConfig, MintConfig};
+use crate::baselines::kernel::EdgeKernel;
 use crate::clugp::cluster_graph::{merge_weighted, ClusterGraph};
 use crate::clugp::clustering::{compact_clusters, NO_CLUSTER};
 use crate::clugp::transform::load_cap;
 use crate::clugp::{greedy_assign, solve_game, ClugpConfig, ClusterAssignMode};
 use crate::error::{FaultKind, PartitionError, Result};
 use crate::partition::Partitioning;
-use crate::vertex_table::{cap_error, VertexTable, DEFAULT_MAX_VERTICES};
+use crate::vertex_table::{check_cap, VertexTable};
 use clugp_graph::pack::ShardedPackReader;
 use clugp_obs::{self as obs, TraceRecord};
 use rustc_hash::FxHashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+pub use super::algo::DistAlgo;
+
 /// Host-provided factory for a replacement worker link: kills whatever is
 /// left of worker `i`, brings up a fresh one (thread or process), and
 /// returns the coordinator's end of its transport, ready for `Configure`.
 pub type Respawner<'a> = &'a mut dyn FnMut(u32) -> Result<Box<dyn Transport>>;
-
-/// Which partitioner a distributed run executes.
-///
-/// Every variant is driven through the same per-edge kernel as its
-/// monolithic counterpart, so a single-worker run is bit-identical to
-/// the corresponding `Partitioner` implementation.
-#[derive(Debug, Clone)]
-pub enum DistAlgo {
-    /// PowerGraph random vertex-cut.
-    Hashing {
-        /// Hash seed (monolith default when built via [`DistAlgo::hashing`]).
-        seed: u64,
-    },
-    /// 2D constrained hashing.
-    Grid {
-        /// Hash seed.
-        seed: u64,
-    },
-    /// Degree-based hashing.
-    Dbh {
-        /// Hash seed.
-        seed: u64,
-        /// Vertex-id cap (see [`DEFAULT_MAX_VERTICES`]).
-        max_vertices: u64,
-    },
-    /// PowerGraph oblivious greedy.
-    Greedy {
-        /// Vertex-id cap.
-        max_vertices: u64,
-    },
-    /// High-Degree Replicated First.
-    Hdrf(HdrfConfig),
-    /// Quasi-streaming game partitioning.
-    Mint(MintConfig),
-    /// The paper's three-pass pipeline.
-    Clugp(ClugpConfig),
-}
-
-impl DistAlgo {
-    /// Hashing with the monolith's default seed.
-    pub fn hashing() -> Self {
-        DistAlgo::Hashing {
-            seed: hashing::DEFAULT_SEED,
-        }
-    }
-
-    /// Grid with the monolith's default seed.
-    pub fn grid() -> Self {
-        DistAlgo::Grid {
-            seed: grid::DEFAULT_SEED,
-        }
-    }
-
-    /// DBH with the monolith's defaults.
-    pub fn dbh() -> Self {
-        DistAlgo::Dbh {
-            seed: dbh::DEFAULT_SEED,
-            max_vertices: DEFAULT_MAX_VERTICES,
-        }
-    }
-
-    /// Greedy with the monolith's defaults.
-    pub fn greedy() -> Self {
-        DistAlgo::Greedy {
-            max_vertices: DEFAULT_MAX_VERTICES,
-        }
-    }
-
-    /// HDRF with the monolith's defaults.
-    pub fn hdrf() -> Self {
-        DistAlgo::Hdrf(HdrfConfig::default())
-    }
-
-    /// Mint with the monolith's defaults.
-    pub fn mint() -> Self {
-        DistAlgo::Mint(MintConfig::default())
-    }
-
-    /// CLUGP with the monolith's defaults.
-    pub fn clugp() -> Self {
-        DistAlgo::Clugp(ClugpConfig::default())
-    }
-
-    /// The display name, matching the monolithic `Partitioner::name`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DistAlgo::Hashing { .. } => "Hashing",
-            DistAlgo::Grid { .. } => "Grid",
-            DistAlgo::Dbh { .. } => "DBH",
-            DistAlgo::Greedy { .. } => "Greedy",
-            DistAlgo::Hdrf(_) => "HDRF",
-            DistAlgo::Mint(_) => "Mint",
-            DistAlgo::Clugp(cfg) => match (cfg.splitting, cfg.assign_mode) {
-                (true, ClusterAssignMode::Game) => "CLUGP",
-                (false, ClusterAssignMode::Game) => "CLUGP-S",
-                (true, ClusterAssignMode::Greedy) => "CLUGP-G",
-                (false, ClusterAssignMode::Greedy) => "CLUGP-SG",
-            },
-        }
-    }
-}
 
 /// The result of a distributed run.
 #[derive(Debug)]
@@ -931,14 +832,26 @@ pub fn run_coordinator(
     })
 }
 
-/// Monolith-parity check for the vertex-id cap: the monolith fails when
-/// its table hint exceeds the (clamped) cap, before streaming an edge.
-fn check_cap(n_hint: u64, limit: u64, what: &str) -> Result<()> {
-    let cap = limit.min(DEFAULT_MAX_VERTICES);
-    if n_hint > cap {
-        return Err(cap_error(what, n_hint, cap));
+/// What the coordinator needs to know of a baseline, read off its
+/// [`EdgeKernel`]: the sharded table defs (all on `layout`) and whether
+/// relaxed workers run epoch rounds. Applies each table's own sizing check
+/// to `n_hint` — monolith parity: the monolith fails on an oversized hint
+/// before streaming an edge.
+fn describe_kernel<K: EdgeKernel>(
+    mut kernel: K,
+    n_hint: u64,
+    layout: Layout,
+) -> Result<(Vec<TableDef>, bool)> {
+    let mut defs = Vec::with_capacity(K::TABLES);
+    for slot in 0..K::TABLES {
+        let table = kernel.table(slot);
+        table.check_hint(n_hint)?;
+        defs.push(TableDef {
+            layout,
+            width: table.width() as u32,
+        });
     }
-    Ok(())
+    Ok((defs, K::EPOCH_SYNCED))
 }
 
 fn drive(
@@ -987,85 +900,23 @@ fn drive(
         }
     };
 
-    match algo {
-        DistAlgo::Dbh { max_vertices, .. } => {
-            check_cap(n_hint, *max_vertices, "num_vertices hint")?
-        }
-        DistAlgo::Greedy { max_vertices } => check_cap(n_hint, *max_vertices, "num_vertices")?,
-        DistAlgo::Hdrf(cfg) => check_cap(n_hint, cfg.max_vertices, "num_vertices hint")?,
-        DistAlgo::Clugp(cfg) => check_cap(n_hint, cfg.max_vertices, "num_vertices hint")?,
-        _ => {}
-    }
-
     let vrange = Layout::range_for(n_hint, workers);
-    let striped = Layout::Striped {
-        stripe: DEFAULT_STRIPE,
-    };
-    let replica_width = ((k as usize).div_ceil(64).max(1)) as u32;
-    let tables: Vec<TableDef> = match algo {
-        DistAlgo::Hashing { .. } | DistAlgo::Grid { .. } | DistAlgo::Mint(_) => Vec::new(),
-        DistAlgo::Dbh { .. } => vec![TableDef {
-            layout: vrange,
-            width: 1,
-        }],
-        DistAlgo::Greedy { .. } => vec![TableDef {
-            layout: vrange,
-            width: replica_width,
-        }],
-        DistAlgo::Hdrf(_) => vec![
-            TableDef {
-                layout: vrange,
-                width: replica_width,
-            },
-            TableDef {
-                layout: vrange,
-                width: 1,
-            },
-        ],
-        DistAlgo::Clugp(_) => vec![
-            TableDef {
-                layout: vrange,
-                width: 3,
-            },
-            TableDef {
-                layout: striped,
-                width: 1,
-            },
-            TableDef {
-                layout: striped,
-                width: 1,
-            },
-        ],
-    };
-
-    let algo_spec = match algo {
-        DistAlgo::Hashing { seed } => AlgoSpec::Hashing { seed: *seed },
-        DistAlgo::Grid { seed } => AlgoSpec::Grid { seed: *seed },
-        DistAlgo::Dbh { seed, max_vertices } => AlgoSpec::Dbh {
-            seed: *seed,
-            max_vertices: *max_vertices,
-        },
-        DistAlgo::Greedy { max_vertices } => AlgoSpec::Greedy {
-            max_vertices: *max_vertices,
-        },
-        DistAlgo::Hdrf(cfg) => AlgoSpec::Hdrf {
-            lambda: cfg.lambda,
-            epsilon: cfg.epsilon,
-            max_vertices: cfg.max_vertices,
-        },
-        DistAlgo::Mint(cfg) => AlgoSpec::Mint {
-            batch: cfg.batch_size as u64,
-            wave: cfg.wave_width as u64,
-            threads: cfg.threads as u64,
-            rounds: cfg.max_rounds as u64,
-            alpha: cfg.balance_weight,
-            seed: cfg.seed,
-        },
-        DistAlgo::Clugp(cfg) => AlgoSpec::Clugp {
-            splitting: cfg.splitting,
-            migration: migration_tag(cfg.migration),
-            max_vertices: cfg.max_vertices,
-        },
+    let algo_spec = algo.spec();
+    let (tables, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
+        check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
+        let striped = Layout::Striped {
+            stripe: DEFAULT_STRIPE,
+        };
+        let table = |layout, width| TableDef { layout, width };
+        // T_MAIN, T_VOL, T_CPART.
+        let defs = vec![table(vrange, 3), table(striped, 1), table(striped, 1)];
+        (defs, false)
+    } else {
+        // Mint shares nothing and never epoch-syncs.
+        with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(
+            kernel, n_hint, vrange
+        )?)
+        .unwrap_or_default()
     };
 
     let heartbeat_ms = cfg.supervise.heartbeat_ms();
@@ -1129,7 +980,7 @@ fn drive(
             DistAlgo::Clugp(cfg) => {
                 clugp_flow(sup, cfg, n_hint, m_hint, k, resume.as_ref(), mode, epoch)
             }
-            _ => baseline_flow(sup, algo, n_hint, k, resume.as_ref(), mode, epoch),
+            _ => baseline_flow(sup, epoch_synced, n_hint, k, resume.as_ref(), mode, epoch),
         };
         match attempt {
             Ok(p) => return Ok(p),
@@ -1147,7 +998,7 @@ fn drive(
 #[allow(clippy::too_many_arguments)]
 fn baseline_flow(
     sup: &mut Supervisor<'_>,
-    algo: &DistAlgo,
+    epoch_synced: bool,
     n_hint: u64,
     k: u32,
     resume: Option<&Checkpoint>,
@@ -1166,16 +1017,9 @@ fn baseline_flow(
         AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments, None)?,
         AmpcMode::Relaxed => {
             sup.coord.broadcast_stage(stage, &token0, epoch)?;
-            // Epoch-synced algos exchange deltas mid-stage; stateless ones
-            // (Hashing, Mint) just stream to StageDone and the coordinator
-            // sums their load tallies.
-            let epoch_synced = matches!(
-                algo,
-                DistAlgo::Grid { .. }
-                    | DistAlgo::Dbh { .. }
-                    | DistAlgo::Greedy { .. }
-                    | DistAlgo::Hdrf(_)
-            );
+            // Epoch-synced kernels exchange deltas mid-stage; those that
+            // share nothing (Hashing, Mint) just stream to StageDone and
+            // the coordinator sums their load tallies.
             if epoch_synced {
                 let defs = sup.table_defs.clone();
                 sup.coord.run_epoch_rounds(k as usize, &defs)?;
@@ -1186,15 +1030,11 @@ fn baseline_flow(
     };
     sup.coord
         .span("pass:baseline", t0, assignments.len() as u64);
-    let num_vertices = match algo {
-        DistAlgo::Dbh { .. } | DistAlgo::Greedy { .. } | DistAlgo::Hdrf(_) => {
-            n_hint.max(token.table_len)
-        }
-        _ => n_hint,
-    };
     Ok(Partitioning {
         k,
-        num_vertices,
+        // `table_len` is the kernel's vertex-table watermark (0 without
+        // tables), so this is the monolith's `n.max(table.len())`.
+        num_vertices: n_hint.max(token.table_len),
         assignments,
         loads: token.loads,
     })

@@ -31,6 +31,7 @@
 //! worker count. See DESIGN.md §7 for the sequenced contract and §11 for
 //! the consistency dial.
 
+pub mod algo;
 pub mod checkpoint;
 pub mod coordinator;
 pub mod fault;

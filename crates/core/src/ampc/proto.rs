@@ -39,6 +39,7 @@
 use super::table::{Layout, MergeOp};
 use super::wire::{Rd, Wr};
 use super::AmpcMode;
+use crate::baselines::{HdrfConfig, MintConfig};
 use crate::error::{PartitionError, Result};
 use clugp_graph::types::Edge;
 use clugp_obs::{Event, EventKind};
@@ -207,30 +208,11 @@ pub enum AlgoSpec {
         /// Vertex-id cap.
         max_vertices: u64,
     },
-    /// HDRF.
-    Hdrf {
-        /// Replication-score weight λ.
-        lambda: f64,
-        /// Load-imbalance guard ε.
-        epsilon: f64,
-        /// Vertex-id cap.
-        max_vertices: u64,
-    },
-    /// Mint game-theoretic batches.
-    Mint {
-        /// Edges per batch.
-        batch: u64,
-        /// Batches solved concurrently per wave.
-        wave: u64,
-        /// Rayon threads (0 = global pool).
-        threads: u64,
-        /// Best-response round cap.
-        rounds: u64,
-        /// Balance weight.
-        alpha: f64,
-        /// Initial-placement seed.
-        seed: u64,
-    },
+    /// HDRF (on the wire: λ, ε, vertex-id cap).
+    Hdrf(HdrfConfig),
+    /// Mint game-theoretic batches (on the wire: batch size, wave width,
+    /// threads, round cap — as `u64` — then balance weight and seed).
+    Mint(MintConfig),
     /// CLUGP passes 1 and 3 (pass 2 runs at the coordinator).
     Clugp {
         /// Splitting enabled.
@@ -604,31 +586,20 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
             w.u8(3);
             w.u64(*max_vertices);
         }
-        AlgoSpec::Hdrf {
-            lambda,
-            epsilon,
-            max_vertices,
-        } => {
+        AlgoSpec::Hdrf(cfg) => {
             w.u8(4);
-            w.f64(*lambda);
-            w.f64(*epsilon);
-            w.u64(*max_vertices);
+            w.f64(cfg.lambda);
+            w.f64(cfg.epsilon);
+            w.u64(cfg.max_vertices);
         }
-        AlgoSpec::Mint {
-            batch,
-            wave,
-            threads,
-            rounds,
-            alpha,
-            seed,
-        } => {
+        AlgoSpec::Mint(cfg) => {
             w.u8(5);
-            w.u64(*batch);
-            w.u64(*wave);
-            w.u64(*threads);
-            w.u64(*rounds);
-            w.f64(*alpha);
-            w.u64(*seed);
+            w.u64(cfg.batch_size as u64);
+            w.u64(cfg.wave_width as u64);
+            w.u64(cfg.threads as u64);
+            w.u64(cfg.max_rounds as u64);
+            w.f64(cfg.balance_weight);
+            w.u64(cfg.seed);
         }
         AlgoSpec::Clugp {
             splitting,
@@ -683,19 +654,19 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
         3 => AlgoSpec::Greedy {
             max_vertices: r.u64()?,
         },
-        4 => AlgoSpec::Hdrf {
+        4 => AlgoSpec::Hdrf(HdrfConfig {
             lambda: r.f64()?,
             epsilon: r.f64()?,
             max_vertices: r.u64()?,
-        },
-        5 => AlgoSpec::Mint {
-            batch: r.u64()?,
-            wave: r.u64()?,
-            threads: r.u64()?,
-            rounds: r.u64()?,
-            alpha: r.f64()?,
+        }),
+        5 => AlgoSpec::Mint(MintConfig {
+            batch_size: r.u64()? as usize,
+            wave_width: r.u64()? as usize,
+            threads: r.u64()? as usize,
+            max_rounds: r.u64()? as usize,
+            balance_weight: r.f64()?,
             seed: r.u64()?,
-        },
+        }),
         6 => AlgoSpec::Clugp {
             splitting: r.bool()?,
             migration: r.u8()?,
@@ -1233,11 +1204,11 @@ mod tests {
             k: 8,
             chunk: 4096,
             heartbeat_ms: 250,
-            algo: AlgoSpec::Hdrf {
+            algo: AlgoSpec::Hdrf(HdrfConfig {
                 lambda: 1.0,
                 epsilon: 1.5,
                 max_vertices: 1 << 20,
-            },
+            }),
             input: InputSpec::Inline {
                 edges: vec![Edge::new(0, 1), Edge::new(2, 2)],
             },

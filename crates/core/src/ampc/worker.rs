@@ -31,32 +31,66 @@ use super::proto::{
 use super::table::{Layout, MergeOp, StateShard};
 use super::transport::Transport;
 use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
+use crate::baselines::kernel::{EdgeKernel, SharedTable};
 use crate::baselines::mint::{self, MintConfig, DEFAULT_WAVE_WIDTH};
-use crate::baselines::{dbh, greedy, grid, hashing, hdrf};
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::{pass1_edge, NO_CLUSTER};
 use crate::clugp::config::MigrationPolicy;
 use crate::clugp::transform::transform_edge;
 use crate::error::{PartitionError, Result};
-use crate::state::{PartitionLoads, ReplicaTable};
+use crate::state::PartitionLoads;
 use crate::vertex_table::VertexTable;
 use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
 use clugp_obs::{self as obs, Event, EventBuf};
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Table slot 0: the algorithm's main per-vertex table (degree for DBH,
-/// replica rows for Greedy/HDRF, the packed vertex state for CLUGP).
+/// Table slot 0 for CLUGP: the packed per-vertex state. (A baseline's
+/// slots are the indices of its [`EdgeKernel`] tables.)
 pub(crate) const T_MAIN: u8 = 0;
-/// Table slot 1 for HDRF: partial degrees.
-pub(crate) const T_DEGREE: u8 = 1;
 /// Table slot 1 for CLUGP: raw-cluster volumes (pass 1 only).
 pub(crate) const T_VOL: u8 = 1;
 /// Table slot 2 for CLUGP: dense cluster → partition.
 pub(crate) const T_CPART: u8 = 2;
+
+/// The baseline registry: binds `$kernel` to the [`EdgeKernel`] the wire
+/// spec names — tables empty, as a worker's scratch starts — and
+/// evaluates `$body` once, monomorphised for that kernel. `None` for the
+/// algorithms that are not edge kernels (Mint, CLUGP). A new baseline is
+/// its kernel plus one arm here.
+macro_rules! with_edge_kernel {
+    ($spec:expr, $k:expr, |$kernel:ident| $body:expr) => {{
+        use $crate::baselines::{dbh, greedy, grid, hashing, hdrf};
+        match *$spec {
+            AlgoSpec::Hashing { seed } => {
+                let $kernel = hashing::HashingKernel { seed, k: $k };
+                Some($body)
+            }
+            AlgoSpec::Grid { seed } => {
+                let $kernel = grid::GridKernel::new(seed, $k);
+                Some($body)
+            }
+            AlgoSpec::Dbh { seed, max_vertices } => {
+                let $kernel = dbh::DbhKernel::new(seed, $k, 0, max_vertices)?;
+                Some($body)
+            }
+            AlgoSpec::Greedy { max_vertices } => {
+                let $kernel = greedy::GreedyKernel::new($k, 0, max_vertices)?;
+                Some($body)
+            }
+            AlgoSpec::Hdrf(ref config) => {
+                let $kernel = hdrf::HdrfKernel::new(config, $k, 0)?;
+                Some($body)
+            }
+            AlgoSpec::Mint(_) | AlgoSpec::Clugp { .. } => None,
+        }
+    }};
+}
+pub(crate) use with_edge_kernel;
 
 pub(crate) fn unexpected(m: &Msg) -> PartitionError {
     PartitionError::InvalidParam(format!("unexpected protocol message: {}", m.kind()))
@@ -661,244 +695,62 @@ impl Wk {
         epoch: usize,
     ) -> Result<StageOut> {
         let algo = self.setup.algo.clone();
-        let (token, assignments) = match algo {
-            // Hashing is stateless: the relaxed run is the sequenced run.
-            AlgoSpec::Hashing { seed } => self.run_hashing(seed, token, source)?,
-            AlgoSpec::Grid { seed } => {
+        let (token, assignments) = if let AlgoSpec::Mint(cfg) = &algo {
+            self.run_mint(cfg, token, source, relaxed)?
+        } else {
+            with_edge_kernel!(&algo, self.setup.k, |kernel| {
                 if relaxed {
-                    self.run_grid_relaxed(seed, token, source, epoch)?
+                    self.run_relaxed(kernel, token, source, epoch)?
                 } else {
-                    self.run_grid(seed, token, source)?
+                    self.run_sequenced(kernel, token, source)?
                 }
-            }
-            AlgoSpec::Dbh { seed, max_vertices } => {
-                if relaxed {
-                    self.run_dbh_relaxed(seed, max_vertices, token, source, epoch)?
-                } else {
-                    self.run_dbh(seed, max_vertices, token, source)?
-                }
-            }
-            AlgoSpec::Greedy { max_vertices } => {
-                if relaxed {
-                    self.run_greedy_relaxed(max_vertices, token, source, epoch)?
-                } else {
-                    self.run_greedy(max_vertices, token, source)?
-                }
-            }
-            AlgoSpec::Hdrf {
-                lambda,
-                epsilon,
-                max_vertices,
-            } => {
-                if relaxed {
-                    self.run_hdrf_relaxed(lambda, epsilon, max_vertices, token, source, epoch)?
-                } else {
-                    self.run_hdrf(lambda, epsilon, max_vertices, token, source)?
-                }
-            }
-            AlgoSpec::Mint {
-                batch,
-                wave,
-                threads,
-                rounds,
-                alpha,
-                seed,
-            } => {
-                let cfg = MintConfig {
-                    batch_size: batch as usize,
-                    wave_width: wave as usize,
-                    threads: threads as usize,
-                    max_rounds: rounds as usize,
-                    balance_weight: alpha,
-                    seed,
-                };
-                self.run_mint(&cfg, token, source, relaxed)?
-            }
-            AlgoSpec::Clugp { .. } => {
-                return Err(PartitionError::InvalidParam(
-                    "CLUGP algo cannot run the baseline stage".into(),
-                ))
-            }
+            })
+            .ok_or_else(|| {
+                PartitionError::InvalidParam("CLUGP algo cannot run the baseline stage".into())
+            })?
         };
         Ok((token, assignments, None))
     }
 
-    fn run_hashing(
+    /// The sequenced driver: per chunk, overwrite the kernel's scratch rows
+    /// for the chunk's endpoints with the authoritative ones from the owning
+    /// shards, step the chunk, and write the rows back. The loads travel in
+    /// the token.
+    fn run_sequenced<K: EdgeKernel>(
         &mut self,
-        seed: u64,
+        mut kernel: K,
         mut token: Token,
         source: &mut Source,
     ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = hashing::hashing_assign(e, seed, k);
-                token.loads[p as usize] += 1;
-                assignments.push(p);
-            }
-        }
-        Ok((token, assignments))
-    }
-
-    fn run_grid(
-        &mut self,
-        seed: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let r = grid::grid_dim(k);
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut assignments = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
+        let slots: Vec<u8> = (0..K::TABLES as u8).collect();
+        let mut keys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = grid::grid_edge(e, seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
+            if K::TABLES > 0 {
+                distinct_endpoints(&buf, &mut keys);
+                let fetched = self.fetch_group(&slots, &keys)?;
+                for (slot, rows) in fetched.iter().enumerate() {
+                    import_rows(kernel.table(slot), &keys, rows)?;
+                }
+            }
+            kernel.step_chunk(&buf, &mut loads, &mut assignments)?;
+            if K::TABLES > 0 {
+                let back: Vec<Vec<u64>> = (0..K::TABLES)
+                    .map(|slot| export_rows(kernel.table(slot), &keys))
+                    .collect();
+                let puts: Vec<(u8, MergeOp, &[u64])> = slots
+                    .iter()
+                    .zip(&back)
+                    .map(|(&slot, rows)| (slot, MergeOp::Put, rows.as_slice()))
+                    .collect();
+                self.publish_group(&keys, &puts)?;
             }
         }
         token.loads = loads.into_vec();
-        Ok((token, assignments))
-    }
-
-    fn run_dbh(
-        &mut self,
-        seed: u64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let rows = self.fetch(T_MAIN, &keys)?;
-            for (i, &key) in keys.iter().enumerate() {
-                let v = key as u32;
-                degree.ensure(v)?;
-                degree[v] = rows[i] as u32;
-            }
-            for &e in &buf {
-                let p = dbh::dbh_edge(e, seed, k, &mut degree)?;
-                token.loads[p as usize] += 1;
-                assignments.push(p);
-            }
-            let back: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32]))
-                .collect();
-            self.publish(T_MAIN, MergeOp::Put, &keys, &back)?;
-        }
-        token.table_len = token.table_len.max(degree.len());
-        Ok((token, assignments))
-    }
-
-    fn run_greedy(
-        &mut self,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let rows = self.fetch(T_MAIN, &keys)?;
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.ensure_vertices(key + 1)?;
-                replicas.import_row(key as u32, &rows[i * wr..(i + 1) * wr]);
-            }
-            for &e in &buf {
-                let p = greedy::greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            let mut back = vec![0u64; keys.len() * wr];
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut back[i * wr..(i + 1) * wr]);
-            }
-            self.publish(T_MAIN, MergeOp::Put, &keys, &back)?;
-        }
-        token.loads = loads.into_vec();
-        token.table_len = token.table_len.max(replicas.num_vertices());
-        Ok((token, assignments))
-    }
-
-    fn run_hdrf(
-        &mut self,
-        lambda: f64,
-        epsilon: f64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let mut fetched = self.fetch_group(&[T_MAIN, T_DEGREE], &keys)?;
-            let drows = fetched.pop().expect("two tables fetched");
-            let rrows = fetched.pop().expect("two tables fetched");
-            for (i, &key) in keys.iter().enumerate() {
-                let v = key as u32;
-                replicas.ensure_vertices(key + 1)?;
-                replicas.import_row(v, &rrows[i * wr..(i + 1) * wr]);
-                degree.ensure(v)?;
-                degree[v] = drows[i] as u32;
-            }
-            for &e in &buf {
-                let p = hdrf::hdrf_edge(
-                    e,
-                    lambda,
-                    epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            let mut back = vec![0u64; keys.len() * wr];
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut back[i * wr..(i + 1) * wr]);
-            }
-            let dback: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32]))
-                .collect();
-            self.publish_group(
-                &keys,
-                &[
-                    (T_MAIN, MergeOp::Put, &back),
-                    (T_DEGREE, MergeOp::Put, &dback),
-                ],
-            )?;
-        }
-        token.loads = loads.into_vec();
-        token.table_len = token.table_len.max(replicas.num_vertices());
+        token.table_len = token.table_len.max(table_len(&mut kernel));
         Ok((token, assignments))
     }
 
@@ -1028,280 +880,54 @@ impl Wk {
         Ok(committed)
     }
 
-    /// Relaxed Grid: stream the whole range locally, reconciling the load
-    /// vector (the only shared state Grid reads) at epoch barriers.
-    fn run_grid_relaxed(
+    /// The relaxed driver: step the whole range against worker-local
+    /// tables, and every `epoch` chunks ship what changed — load deltas,
+    /// plus each shared table's rows for the keys touched since the last
+    /// barrier, merged fleet-wide under the table's [`MergeOp`] — and adopt
+    /// the committed state the coordinator broadcasts back.
+    fn run_relaxed<K: EdgeKernel>(
         &mut self,
-        seed: u64,
+        mut kernel: K,
         mut token: Token,
         source: &mut Source,
         epoch: usize,
     ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let r = grid::grid_dim(k);
+        if !K::EPOCH_SYNCED {
+            // A kernel that shares nothing (Hashing) has nothing to relax:
+            // it streams to `StageDone` and the coordinator sums the loads.
+            return self.run_sequenced(kernel, token, source);
+        }
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut assignments = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let mut base = loads.as_slice().to_vec();
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
-        let mut since = 0usize;
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = grid::grid_edge(e, seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, _) = self.epoch_exchange(false, delta, Vec::new())?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-            }
-        }
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, Vec::new(), |_| Ok(()))?;
-        Ok((token, assignments))
-    }
-
-    /// Relaxed DBH: partial degrees are commutative sums, so each epoch
-    /// ships `degree - baseline` deltas under [`MergeOp::Add`] and adopts
-    /// the committed totals the coordinator broadcasts back.
-    fn run_dbh_relaxed(
-        &mut self,
-        seed: u64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut base = loads.clone();
-        let mut baseline: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut touched = Touched::default();
         let mut keys: Vec<u64> = Vec::new();
         let mut since = 0usize;
-        let flush = |baseline: &mut FxHashMap<u64, u32>, degree: &VertexTable<u32>| {
-            let mut keys: Vec<u64> = baseline.keys().copied().collect();
-            keys.sort_unstable();
-            let rows: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32].wrapping_sub(baseline[&key])))
-                .collect();
-            baseline.clear();
-            vec![EpochTable {
-                table: T_MAIN,
-                merge: MergeOp::Add,
-                keys,
-                rows,
-            }]
-        };
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                let v = key as u32;
-                degree.ensure(v)?;
-                baseline.entry(key).or_insert(degree[v]);
+            if K::TABLES > 0 {
+                distinct_endpoints(&buf, &mut keys);
+                touched.note(&mut kernel, &keys)?;
             }
-            for &e in &buf {
-                let p = dbh::dbh_edge(e, seed, k, &mut degree)?;
-                loads[p as usize] += 1;
-                assignments.push(p);
-            }
+            kernel.step_chunk(&buf, &mut loads, &mut assignments)?;
             since += 1;
             if since >= epoch {
                 since = 0;
-                let tables = flush(&mut baseline, &degree);
-                let delta = loads_delta(&loads, &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
+                let tables = touched.flush(&mut kernel);
+                let delta = loads_delta(loads.as_slice(), &base);
+                let (_, merged, synced) = self.epoch_exchange(false, delta, tables)?;
                 base.clone_from(&merged);
-                loads = merged;
-                for t in &mtabs {
-                    apply_degree_sync(&mut degree, t)?;
+                loads = PartitionLoads::from_vec(merged);
+                for t in &synced {
+                    apply_sync(&mut kernel, t)?;
                 }
             }
         }
-        let tables = flush(&mut baseline, &degree);
-        let delta = loads_delta(&loads, &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply_degree_sync(&mut degree, t))?;
-        token.table_len = token.table_len.max(degree.len());
-        Ok((token, assignments))
-    }
-
-    /// Relaxed Greedy: replica masks are monotone under OR, so each epoch
-    /// ships the current full rows of every vertex touched since the last
-    /// barrier under [`MergeOp::BitOr`] (idempotent — no baseline needed)
-    /// plus load deltas, and adopts the committed union.
-    fn run_greedy_relaxed(
-        &mut self,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut touched: Vec<u64> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        let flush = |touched: &mut Vec<u64>, replicas: &ReplicaTable| {
-            touched.sort_unstable();
-            touched.dedup();
-            let mut rows = vec![0u64; touched.len() * wr];
-            for (i, &key) in touched.iter().enumerate() {
-                replicas.export_row(key as u32, &mut rows[i * wr..(i + 1) * wr]);
-            }
-            let keys = std::mem::take(touched);
-            vec![EpochTable {
-                table: T_MAIN,
-                merge: MergeOp::BitOr,
-                keys,
-                rows,
-            }]
-        };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                replicas.ensure_vertices(key + 1)?;
-            }
-            touched.extend_from_slice(&keys);
-            for &e in &buf {
-                let p = greedy::greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = flush(&mut touched, &replicas);
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-                for t in &mtabs {
-                    apply_mask_sync(&mut replicas, t)?;
-                }
-            }
-        }
-        let tables = flush(&mut touched, &replicas);
+        let tables = touched.flush(&mut kernel);
         let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply_mask_sync(&mut replicas, t))?;
-        token.table_len = token.table_len.max(replicas.num_vertices());
-        Ok((token, assignments))
-    }
-
-    /// Relaxed HDRF: combines the Greedy mask union (T_MAIN, BitOr) with
-    /// the DBH degree sums (T_DEGREE, Add) — one touched-key set serves
-    /// both tables — plus load deltas for the balance term.
-    fn run_hdrf_relaxed(
-        &mut self,
-        lambda: f64,
-        epsilon: f64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut baseline: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        let flush = |baseline: &mut FxHashMap<u64, u32>,
-                     degree: &VertexTable<u32>,
-                     replicas: &ReplicaTable| {
-            let mut keys: Vec<u64> = baseline.keys().copied().collect();
-            keys.sort_unstable();
-            let mut mask_rows = vec![0u64; keys.len() * wr];
-            let mut deg_rows = Vec::with_capacity(keys.len());
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut mask_rows[i * wr..(i + 1) * wr]);
-                deg_rows.push(u64::from(degree[key as u32].wrapping_sub(baseline[&key])));
-            }
-            baseline.clear();
-            vec![
-                EpochTable {
-                    table: T_MAIN,
-                    merge: MergeOp::BitOr,
-                    keys: keys.clone(),
-                    rows: mask_rows,
-                },
-                EpochTable {
-                    table: T_DEGREE,
-                    merge: MergeOp::Add,
-                    keys,
-                    rows: deg_rows,
-                },
-            ]
-        };
-        let apply = |degree: &mut VertexTable<u32>,
-                     replicas: &mut ReplicaTable,
-                     t: &EpochTable|
-         -> Result<()> {
-            match t.table {
-                T_MAIN => apply_mask_sync(replicas, t),
-                T_DEGREE => apply_degree_sync(degree, t),
-                other => Err(PartitionError::InvalidParam(format!(
-                    "epoch sync for unknown table slot {other}"
-                ))),
-            }
-        };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                let v = key as u32;
-                replicas.ensure_vertices(key + 1)?;
-                degree.ensure(v)?;
-                baseline.entry(key).or_insert(degree[v]);
-            }
-            for &e in &buf {
-                let p = hdrf::hdrf_edge(
-                    e,
-                    lambda,
-                    epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = flush(&mut baseline, &degree, &replicas);
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-                for t in &mtabs {
-                    apply(&mut degree, &mut replicas, t)?;
-                }
-            }
-        }
-        let tables = flush(&mut baseline, &degree, &replicas);
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply(&mut degree, &mut replicas, t))?;
-        token.table_len = token.table_len.max(replicas.num_vertices());
+        token.loads = self.epoch_drain(delta, tables, |t| apply_sync(&mut kernel, t))?;
+        token.table_len = token.table_len.max(table_len(&mut kernel));
         Ok((token, assignments))
     }
 
@@ -1513,7 +1139,7 @@ impl Wk {
                     &mut loads,
                     &mut cursor,
                     &mut reroutes,
-                );
+                )?;
                 assignments.push(p);
             }
         }
@@ -1725,7 +1351,10 @@ impl Wk {
             }
             for &e in &buf {
                 if placed == u64::from(k) * lmax {
+                    // Every partition just regained a slot, including the
+                    // ones the monotone reroute cursor already passed.
                     lmax += 1;
+                    cursor = 0;
                 }
                 placed += 1;
                 let p = transform_edge(
@@ -1739,7 +1368,7 @@ impl Wk {
                     &mut loads,
                     &mut cursor,
                     &mut reroutes,
-                );
+                )?;
                 assignments.push(p);
             }
         }
@@ -1771,34 +1400,109 @@ fn loads_delta(cur: &[u64], base: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Adopts committed width-1 degree totals from an epoch-sync frame.
-fn apply_degree_sync(degree: &mut VertexTable<u32>, t: &EpochTable) -> Result<()> {
-    if t.rows.len() != t.keys.len() {
+/// Vertex-table watermark of a kernel: one past the highest id any of its
+/// tables covers (0 for a kernel without tables).
+fn table_len<K: EdgeKernel>(kernel: &mut K) -> u64 {
+    (0..K::TABLES)
+        .map(|slot| kernel.table(slot).len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Overwrites `table`'s rows for `keys` with `rows` (flattened, key order).
+fn import_rows(table: &mut dyn SharedTable, keys: &[u64], rows: &[u64]) -> Result<()> {
+    let width = table.width();
+    if rows.len() != keys.len() * width {
         return Err(PartitionError::InvalidParam(
-            "epoch sync payload does not match key count".into(),
+            "table row payload does not match key count".into(),
         ));
     }
-    for (i, &key) in t.keys.iter().enumerate() {
-        let v = key as u32;
-        degree.ensure(v)?;
-        degree[v] = t.rows[i] as u32;
+    for (i, &key) in keys.iter().enumerate() {
+        table.ensure(key as u32)?;
+        table.import(key as u32, &rows[i * width..(i + 1) * width]);
     }
     Ok(())
 }
 
-/// Adopts committed replica-mask rows from an epoch-sync frame. The
-/// committed row is a superset of the local one (OR-merge of a set this
-/// worker contributed to), so overwriting never loses local bits.
-fn apply_mask_sync(replicas: &mut ReplicaTable, t: &EpochTable) -> Result<()> {
-    let wr = replicas.words_per_row();
-    if t.rows.len() != t.keys.len() * wr {
-        return Err(PartitionError::InvalidParam(
-            "epoch sync payload does not match key count".into(),
-        ));
+/// `table`'s current rows for `keys`, flattened in key order.
+fn export_rows(table: &dyn SharedTable, keys: &[u64]) -> Vec<u64> {
+    let width = table.width();
+    let mut rows = vec![0u64; keys.len() * width];
+    for (i, &key) in keys.iter().enumerate() {
+        table.export(key as u32, &mut rows[i * width..(i + 1) * width]);
     }
-    for (i, &key) in t.keys.iter().enumerate() {
-        replicas.ensure_vertices(key + 1)?;
-        replicas.import_row(key as u32, &t.rows[i * wr..(i + 1) * wr]);
+    rows
+}
+
+/// Adopts the committed rows of one epoch-sync table. For an OR-merged
+/// table the committed row is a superset of the local one (this worker
+/// contributed to it), so overwriting never loses local bits.
+fn apply_sync<K: EdgeKernel>(kernel: &mut K, t: &EpochTable) -> Result<()> {
+    if t.table as usize >= K::TABLES {
+        return Err(PartitionError::InvalidParam(format!(
+            "epoch sync for unknown table slot {}",
+            t.table
+        )));
     }
-    Ok(())
+    import_rows(kernel.table(t.table as usize), &t.keys, &t.rows)
+}
+
+/// The keys a relaxed worker touched since the last epoch barrier, each
+/// with the rows its `Add`-merged tables held at first touch (slot order):
+/// sums ship `current − first`, the idempotent merges ship the current row.
+#[derive(Default)]
+struct Touched {
+    first: FxHashMap<u64, Vec<u64>>,
+}
+
+impl Touched {
+    fn note<K: EdgeKernel>(&mut self, kernel: &mut K, keys: &[u64]) -> Result<()> {
+        for &key in keys {
+            if let Entry::Vacant(first) = self.first.entry(key) {
+                let mut rows = Vec::new();
+                for slot in 0..K::TABLES {
+                    let table = kernel.table(slot);
+                    table.ensure(key as u32)?;
+                    if table.merge() == MergeOp::Add {
+                        let at = rows.len();
+                        rows.resize(at + table.width(), 0);
+                        table.export(key as u32, &mut rows[at..]);
+                    }
+                }
+                first.insert(rows);
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains the touched set into one [`EpochTable`] per slot (keys
+    /// ascending) and starts the next epoch's set.
+    fn flush<K: EdgeKernel>(&mut self, kernel: &mut K) -> Vec<EpochTable> {
+        let mut keys: Vec<u64> = self.first.keys().copied().collect();
+        keys.sort_unstable();
+        // Offset of the current `Add` table within a first-touch record.
+        let mut at = 0;
+        let mut tables = Vec::with_capacity(K::TABLES);
+        for slot in 0..K::TABLES {
+            let table = kernel.table(slot);
+            let (width, merge) = (table.width(), table.merge());
+            let mut rows = export_rows(table, &keys);
+            if merge == MergeOp::Add {
+                for (row, key) in rows.chunks_mut(width).zip(&keys) {
+                    for (word, was) in row.iter_mut().zip(&self.first[key][at..]) {
+                        *word = word.wrapping_sub(*was);
+                    }
+                }
+                at += width;
+            }
+            tables.push(EpochTable {
+                table: slot as u8,
+                merge,
+                keys: keys.clone(),
+                rows,
+            });
+        }
+        self.first.clear();
+        tables
+    }
 }

@@ -6,30 +6,56 @@
 //! graphs. Degrees are the partial degrees observed so far in the stream
 //! (the streaming adaptation; the original assumes a degree oracle).
 
+use super::kernel::{run_local, EdgeKernel, SharedTable};
 use crate::error::Result;
-use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
 use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
+use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
 
-/// Per-edge DBH kernel: bumps partial degrees and picks the partition by
-/// hashing the lower-degree endpoint. Shared by the monolithic loop and
-/// the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn dbh_edge(e: Edge, seed: u64, k: u32, degree: &mut VertexTable<u32>) -> Result<u32> {
-    degree.ensure(e.src.max(e.dst))?;
-    degree[e.src] += 1;
-    degree[e.dst] += 1;
-    // Hash the lower-degree endpoint (cut the higher-degree one).
-    let key = if degree[e.src] <= degree[e.dst] {
-        e.src
-    } else {
-        e.dst
-    };
-    Ok((mix64(u64::from(key) ^ seed) % u64::from(k)) as u32)
+/// The DBH kernel: one shared table (partial degrees), never reads loads.
+pub(crate) struct DbhKernel {
+    seed: u64,
+    k: u32,
+    degree: VertexTable<u32>,
+}
+
+impl DbhKernel {
+    /// `n` pre-sizes the degree table (0 for an AMPC worker's scratch).
+    pub(crate) fn new(seed: u64, k: u32, n: u64, max_vertices: u64) -> Result<Self> {
+        Ok(DbhKernel {
+            seed,
+            k,
+            degree: VertexTable::with_limit(n, 0, max_vertices)?,
+        })
+    }
+}
+
+impl EdgeKernel for DbhKernel {
+    const TABLES: usize = 1;
+    const READS_LOADS: bool = false;
+
+    fn table(&mut self, _slot: usize) -> &mut dyn SharedTable {
+        &mut self.degree
+    }
+
+    /// Bumps partial degrees and hashes the lower-degree endpoint (cutting
+    /// the higher-degree one).
+    #[inline]
+    fn step(&mut self, e: Edge, _loads: &PartitionLoads) -> Result<u32> {
+        let degree = &mut self.degree;
+        degree.ensure(e.src.max(e.dst))?;
+        degree[e.src] += 1;
+        degree[e.dst] += 1;
+        let key = if degree[e.src] <= degree[e.dst] {
+            e.src
+        } else {
+            e.dst
+        };
+        Ok((mix64(u64::from(key) ^ self.seed) % u64::from(self.k)) as u32)
+    }
 }
 
 /// Default hash seed (shared with the distributed engine so
@@ -70,33 +96,8 @@ impl Partitioner for Dbh {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n, 0, self.max_vertices)?;
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = dbh_edge(e, self.seed, k, &mut degree)?;
-                assignments.push(p);
-                loads.add(p);
-            }
-            Ok(())
-        })?;
-        let mut memory = MemoryReport::new();
-        memory.add("degrees", degree.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(degree.len()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
+        run_local(stream, k, |n| {
+            DbhKernel::new(self.seed, k, n, self.max_vertices)
         })
     }
 }

@@ -10,62 +10,79 @@
 //! The replica table is the "global status table" the paper blames for the
 //! heuristics' cost: every decision reads it and every placement writes it.
 
+use super::kernel::{run_local, EdgeKernel, SharedTable};
 use crate::error::Result;
-use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::Partitioner;
 use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
+use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
 
-/// Per-edge greedy kernel: the four-case PowerGraph rule over the replica
-/// table and loads, inserting both endpoints and returning the partition.
-/// Shared by the monolithic loop and the distributed worker so both paths
-/// stay bit-identical.
-#[inline]
-pub(crate) fn greedy_edge(
-    e: Edge,
-    replicas: &mut ReplicaTable,
-    loads: &mut PartitionLoads,
-) -> Result<u32> {
-    replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-    let cu = replicas.count(e.src);
-    let cv = replicas.count(e.dst);
-    let p = if cu > 0 && cv > 0 {
-        let both = loads.argmin_among(
-            replicas
-                .partitions_of(e.src)
-                .filter(|&p| replicas.contains(e.dst, p)),
-        );
-        match both {
-            Some(p) => p, // case 1: intersection
-            None => {
-                // case 2: union of the two replica sets
-                loads
-                    .argmin_among(
-                        replicas
-                            .partitions_of(e.src)
-                            .chain(replicas.partitions_of(e.dst)),
-                    )
-                    .expect("both sets nonempty")
+/// The greedy kernel: one shared table (replica masks), reads the loads.
+pub(crate) struct GreedyKernel {
+    replicas: ReplicaTable,
+}
+
+impl GreedyKernel {
+    /// `n` pre-sizes the replica table (0 for an AMPC worker's scratch).
+    pub(crate) fn new(k: u32, n: u64, max_vertices: u64) -> Result<Self> {
+        Ok(GreedyKernel {
+            replicas: ReplicaTable::with_limit(n, k, max_vertices)?,
+        })
+    }
+}
+
+impl EdgeKernel for GreedyKernel {
+    const TABLES: usize = 1;
+    const READS_LOADS: bool = true;
+
+    fn table(&mut self, _slot: usize) -> &mut dyn SharedTable {
+        &mut self.replicas
+    }
+
+    /// The four-case PowerGraph rule over the replica table and loads,
+    /// inserting both endpoints.
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &PartitionLoads) -> Result<u32> {
+        let replicas = &mut self.replicas;
+        replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+        let cu = replicas.count(e.src);
+        let cv = replicas.count(e.dst);
+        let p = if cu > 0 && cv > 0 {
+            let both = loads.argmin_among(
+                replicas
+                    .partitions_of(e.src)
+                    .filter(|&p| replicas.contains(e.dst, p)),
+            );
+            match both {
+                Some(p) => p, // case 1: intersection
+                None => {
+                    // case 2: union of the two replica sets
+                    loads
+                        .argmin_among(
+                            replicas
+                                .partitions_of(e.src)
+                                .chain(replicas.partitions_of(e.dst)),
+                        )
+                        .expect("both sets nonempty")
+                }
             }
-        }
-    } else if cu > 0 {
-        loads
-            .argmin_among(replicas.partitions_of(e.src))
-            .expect("A(u) nonempty")
-    } else if cv > 0 {
-        loads
-            .argmin_among(replicas.partitions_of(e.dst))
-            .expect("A(v) nonempty")
-    } else {
-        loads.argmin() // case 4: fresh edge
-    };
-    replicas.insert(e.src, p);
-    replicas.insert(e.dst, p);
-    loads.add(p);
-    Ok(p)
+        } else if cu > 0 {
+            loads
+                .argmin_among(replicas.partitions_of(e.src))
+                .expect("A(u) nonempty")
+        } else if cv > 0 {
+            loads
+                .argmin_among(replicas.partitions_of(e.dst))
+                .expect("A(v) nonempty")
+        } else {
+            loads.argmin() // case 4: fresh edge
+        };
+        replicas.insert(e.src, p);
+        replicas.insert(e.dst, p);
+        Ok(p)
+    }
 }
 
 /// The PowerGraph greedy (oblivious) partitioner.
@@ -102,36 +119,7 @@ impl Partitioner for Greedy {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut replicas = ReplicaTable::with_limit(n, k, self.max_vertices)?;
-        let mut loads = PartitionLoads::new(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            Ok(())
-        })?;
-
-        let mut memory = MemoryReport::new();
-        memory.add("replica-table", replicas.memory_bytes());
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(replicas.num_vertices()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        run_local(stream, k, |n| GreedyKernel::new(k, n, self.max_vertices))
     }
 }
 

@@ -10,13 +10,13 @@
 //! `2r − 1 ≈ 2√k` per vertex — better worst-case than hashing, no global
 //! state beyond the load array.
 
+use super::kernel::{run_local, EdgeKernel};
 use crate::error::Result;
-use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
-use clugp_graph::types::VertexId;
+use clugp_graph::stream::RestreamableStream;
+use clugp_graph::types::{Edge, VertexId};
 
 /// Default hash seed (shared with the distributed engine so
 /// `DistAlgo::grid()` matches `Grid::default()`).
@@ -41,33 +41,47 @@ impl Default for Grid {
     }
 }
 
-/// Per-edge grid kernel: least-loaded partition in the intersection of the
-/// endpoints' constraint sets, union as fallback. Shared by the monolithic
-/// loop and the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn grid_edge(
-    e: clugp_graph::types::Edge,
+/// The grid kernel: no tables; reads the loads to pick the least-loaded
+/// partition of the endpoints' constraint sets.
+pub(crate) struct GridKernel {
     seed: u64,
+    /// Grid dimension `ceil(sqrt(k))`.
     r: u64,
     k: u32,
-    loads: &PartitionLoads,
-    cs_u: &mut Vec<u32>,
-    cs_v: &mut Vec<u32>,
-) -> u32 {
-    constraint_set(e.src, seed, r, k, cs_u);
-    constraint_set(e.dst, seed, r, k, cs_v);
-    loads
-        .argmin_among(cs_u.iter().copied().filter(|p| cs_v.contains(p)))
-        // Overhung grids may have disjoint sets; fall back to the
-        // union (still bounded replication).
-        .or_else(|| loads.argmin_among(cs_u.iter().chain(cs_v.iter()).copied()))
-        .expect("constraint sets are never empty")
+    cs_u: Vec<u32>,
+    cs_v: Vec<u32>,
 }
 
-/// Grid dimension for `k` partitions.
-#[inline]
-pub(crate) fn grid_dim(k: u32) -> u64 {
-    (f64::from(k)).sqrt().ceil() as u64
+impl GridKernel {
+    pub(crate) fn new(seed: u64, k: u32) -> Self {
+        let r = (f64::from(k)).sqrt().ceil() as u64;
+        GridKernel {
+            seed,
+            r,
+            k,
+            cs_u: Vec::with_capacity(2 * r as usize),
+            cs_v: Vec::with_capacity(2 * r as usize),
+        }
+    }
+}
+
+impl EdgeKernel for GridKernel {
+    const READS_LOADS: bool = true;
+
+    /// Least-loaded partition in the intersection of the endpoints'
+    /// constraint sets, union as fallback.
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &PartitionLoads) -> Result<u32> {
+        let (cs_u, cs_v) = (&mut self.cs_u, &mut self.cs_v);
+        constraint_set(e.src, self.seed, self.r, self.k, cs_u);
+        constraint_set(e.dst, self.seed, self.r, self.k, cs_v);
+        Ok(loads
+            .argmin_among(cs_u.iter().copied().filter(|p| cs_v.contains(p)))
+            // Overhung grids may have disjoint sets; fall back to the
+            // union (still bounded replication).
+            .or_else(|| loads.argmin_among(cs_u.iter().chain(cs_v.iter()).copied()))
+            .expect("constraint sets are never empty"))
+    }
 }
 
 /// Constraint set of `v`: all partitions in the same grid row or column as
@@ -103,35 +117,7 @@ impl Partitioner for Grid {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let r = grid_dim(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
-        for_each_chunk(stream, chunk_edges(), |chunk| {
-            for &e in chunk {
-                let p = grid_edge(e, self.seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
-            }
-        });
-        let mut memory = MemoryReport::new();
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n,
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        run_local(stream, k, |_| Ok(GridKernel::new(self.seed, k)))
     }
 }
 

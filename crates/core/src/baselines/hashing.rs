@@ -4,20 +4,28 @@
 //! exactly why the paper's Fig. 6 shows it at ~0 memory — and the quality
 //! floor every heuristic is compared against.
 
+use super::kernel::{run_local, EdgeKernel};
 use crate::error::Result;
-use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
+use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
 
-/// Per-edge hashing kernel (stateless). Shared by the monolithic loop and
-/// the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn hashing_assign(e: Edge, seed: u64, k: u32) -> u32 {
-    let key = (u64::from(e.src) << 32) | u64::from(e.dst);
-    (mix64(key ^ seed) % u64::from(k)) as u32
+/// The hashing kernel: no tables, no loads — `hash(src, dst) mod k`.
+pub(crate) struct HashingKernel {
+    pub(crate) seed: u64,
+    pub(crate) k: u32,
+}
+
+impl EdgeKernel for HashingKernel {
+    const READS_LOADS: bool = false;
+
+    #[inline]
+    fn step(&mut self, e: Edge, _loads: &PartitionLoads) -> Result<u32> {
+        let key = (u64::from(e.src) << 32) | u64::from(e.dst);
+        Ok((mix64(key ^ self.seed) % u64::from(self.k)) as u32)
+    }
 }
 
 /// Default hash seed (shared with the distributed engine so
@@ -49,30 +57,7 @@ impl Partitioner for Hashing {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        for_each_chunk(stream, chunk_edges(), |chunk| {
-            for &e in chunk {
-                let p = hashing_assign(e, self.seed, k);
-                assignments.push(p);
-                loads.add(p);
-            }
-        });
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n,
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory: MemoryReport::new(), // a hash function needs no state
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        run_local(stream, k, |_| Ok(HashingKernel { seed: self.seed, k }))
     }
 }
 

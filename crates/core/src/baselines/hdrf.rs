@@ -13,63 +13,86 @@
 //! the *lower*-degree endpoint's presence more valuable, so high-degree
 //! vertices end up replicated — the "replicate high-degree first" rule.
 
+use super::kernel::{run_local, EdgeKernel, SharedTable};
 use crate::error::Result;
-use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::Partitioner;
 use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
+use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
 
-/// Per-edge HDRF kernel: scores every partition and inserts both
-/// endpoints. Shared by the monolithic loop and the distributed worker so
-/// both paths stay bit-identical.
-#[inline]
-pub(crate) fn hdrf_edge(
-    e: Edge,
-    lambda: f64,
-    epsilon: f64,
+/// The HDRF kernel: two shared tables — replica masks (slot 0) and partial
+/// degrees (slot 1) — and the loads for the balance term.
+pub(crate) struct HdrfKernel {
+    config: HdrfConfig,
     k: u32,
-    degree: &mut VertexTable<u32>,
-    replicas: &mut ReplicaTable,
-    loads: &mut PartitionLoads,
-) -> Result<u32> {
-    degree.ensure(e.src.max(e.dst))?;
-    replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-    degree[e.src] += 1;
-    degree[e.dst] += 1;
-    let du = f64::from(degree[e.src]);
-    let dv = f64::from(degree[e.dst]);
-    let theta_u = du / (du + dv);
-    let theta_v = 1.0 - theta_u;
-    let (maxload, minload) = (loads.max() as f64, loads.min() as f64);
-    let denom = epsilon + maxload - minload;
+    replicas: ReplicaTable,
+    degree: VertexTable<u32>,
+}
 
-    let mut best_p = 0u32;
-    let mut best_score = f64::NEG_INFINITY;
-    for p in 0..k {
-        let mut score = 0.0;
-        if replicas.contains(e.src, p) {
-            score += 1.0 + (1.0 - theta_u);
-        }
-        if replicas.contains(e.dst, p) {
-            score += 1.0 + (1.0 - theta_v);
-        }
-        score += lambda * (maxload - loads.get(p) as f64) / denom;
-        if score > best_score {
-            best_score = score;
-            best_p = p;
+impl HdrfKernel {
+    /// `n` pre-sizes both tables (0 for an AMPC worker's scratch).
+    pub(crate) fn new(config: &HdrfConfig, k: u32, n: u64) -> Result<Self> {
+        Ok(HdrfKernel {
+            config: config.clone(),
+            k,
+            replicas: ReplicaTable::with_limit(n, k, config.max_vertices)?,
+            degree: VertexTable::with_limit(n, 0, config.max_vertices)?,
+        })
+    }
+}
+
+impl EdgeKernel for HdrfKernel {
+    const TABLES: usize = 2;
+    const READS_LOADS: bool = true;
+
+    fn table(&mut self, slot: usize) -> &mut dyn SharedTable {
+        match slot {
+            0 => &mut self.replicas,
+            _ => &mut self.degree,
         }
     }
-    replicas.insert(e.src, best_p);
-    replicas.insert(e.dst, best_p);
-    loads.add(best_p);
-    Ok(best_p)
+
+    /// Scores every partition and inserts both endpoints.
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &PartitionLoads) -> Result<u32> {
+        let (degree, replicas) = (&mut self.degree, &mut self.replicas);
+        degree.ensure(e.src.max(e.dst))?;
+        replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+        degree[e.src] += 1;
+        degree[e.dst] += 1;
+        let du = f64::from(degree[e.src]);
+        let dv = f64::from(degree[e.dst]);
+        let theta_u = du / (du + dv);
+        let theta_v = 1.0 - theta_u;
+        let (maxload, minload) = (loads.max() as f64, loads.min() as f64);
+        let denom = self.config.epsilon + maxload - minload;
+
+        let mut best_p = 0u32;
+        let mut best_score = f64::NEG_INFINITY;
+        for p in 0..self.k {
+            let mut score = 0.0;
+            if replicas.contains(e.src, p) {
+                score += 1.0 + (1.0 - theta_u);
+            }
+            if replicas.contains(e.dst, p) {
+                score += 1.0 + (1.0 - theta_v);
+            }
+            score += self.config.lambda * (maxload - loads.get(p) as f64) / denom;
+            if score > best_score {
+                best_score = score;
+                best_p = p;
+            }
+        }
+        replicas.insert(e.src, best_p);
+        replicas.insert(e.dst, best_p);
+        Ok(best_p)
+    }
 }
 
 /// Tunables of HDRF.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HdrfConfig {
     /// Balance weight `λ_bal`; the original paper's default is 1.0 (quality
     /// close to optimal, balance enforced softly).
@@ -109,47 +132,7 @@ impl Partitioner for Hdrf {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let cap = self.config.max_vertices;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n, 0, cap)?;
-        let mut replicas = ReplicaTable::with_limit(n, k, cap)?;
-        let mut loads = PartitionLoads::new(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = hdrf_edge(
-                    e,
-                    self.config.lambda,
-                    self.config.epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            Ok(())
-        })?;
-
-        let mut memory = MemoryReport::new();
-        memory.add("replica-table", replicas.memory_bytes());
-        memory.add("degrees", degree.memory_bytes());
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(replicas.num_vertices()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        run_local(stream, k, |n| HdrfKernel::new(&self.config, k, n))
     }
 }
 

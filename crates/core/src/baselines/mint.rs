@@ -29,7 +29,7 @@ use rustc_hash::FxHashMap;
 pub const DEFAULT_WAVE_WIDTH: usize = 8;
 
 /// Tunables of Mint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MintConfig {
     /// Edges per batch game.
     pub batch_size: usize,

@@ -15,6 +15,7 @@ pub(crate) mod greedy;
 pub(crate) mod grid;
 pub(crate) mod hashing;
 pub(crate) mod hdrf;
+pub(crate) mod kernel;
 pub(crate) mod mint;
 
 pub use dbh::Dbh;

@@ -87,13 +87,10 @@ use clugp::ampc::{
     run_coordinator, run_distributed, run_worker, AmpcMode, DistConfig, DistInput, NetStats,
     SuperviseConfig, Transport, TransportKind, UnixTransport,
 };
-use clugp::baselines::{Dbh, Greedy, Grid, Hashing, Hdrf, Mint, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig};
 use clugp::error::{FaultKind, PartitionError};
 use clugp::metrics::PartitionQuality;
 use clugp::obs;
 use clugp::partition::Partitioning;
-use clugp::partitioner::Partitioner;
 use clugp::state::ReplicaTable;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::io::binary::read_binary_graph;
@@ -386,46 +383,21 @@ fn distributed(opts: &Options) -> bool {
     opts.workers > 1 || opts.transport == "unix"
 }
 
-fn build_partitioner(opts: &Options) -> Result<Box<dyn Partitioner>, String> {
-    Ok(match opts.algo.as_str() {
-        "clugp" => Box::new(Clugp::new(ClugpConfig {
-            tau: opts.tau,
-            threads: opts.threads,
-            ..Default::default()
-        })),
-        "hdrf" => Box::new(Hdrf::default()),
-        "greedy" => Box::new(Greedy::new()),
-        "hashing" => Box::new(Hashing::default()),
-        "dbh" => Box::new(Dbh::default()),
-        "grid" => Box::new(Grid::default()),
-        "mint" => Box::new(Mint::new(MintConfig {
-            threads: opts.threads,
-            ..Default::default()
-        })),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
-}
-
-/// The distributed mirror of [`build_partitioner`]: same defaults, same
-/// knobs, so either path produces the same partitions.
-fn build_dist_algo(opts: &Options) -> Result<DistAlgo, String> {
-    Ok(match opts.algo.as_str() {
-        "clugp" => DistAlgo::Clugp(ClugpConfig {
-            tau: opts.tau,
-            threads: opts.threads,
-            ..Default::default()
-        }),
-        "hdrf" => DistAlgo::hdrf(),
-        "greedy" => DistAlgo::greedy(),
-        "hashing" => DistAlgo::hashing(),
-        "dbh" => DistAlgo::dbh(),
-        "grid" => DistAlgo::grid(),
-        "mint" => DistAlgo::Mint(MintConfig {
-            threads: opts.threads,
-            ..Default::default()
-        }),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
+/// The algorithm `--algo` names, with the CLI's knobs applied. The
+/// single-process path runs its [`DistAlgo::monolith`], so either path
+/// produces the same partitions.
+fn build_algo(opts: &Options) -> Result<DistAlgo, String> {
+    let mut algo = DistAlgo::by_name(&opts.algo)
+        .ok_or_else(|| format!("unknown algorithm {:?}", opts.algo))?;
+    match &mut algo {
+        DistAlgo::Clugp(cfg) => {
+            cfg.tau = opts.tau;
+            cfg.threads = opts.threads;
+        }
+        DistAlgo::Mint(cfg) => cfg.threads = opts.threads,
+        _ => {}
+    }
+    Ok(algo)
 }
 
 fn parse_order(name: &str) -> Result<StreamOrder, String> {
@@ -453,7 +425,7 @@ fn run_sparse(opts: &Options) -> Result<(), String> {
         opts.input,
         stream.id_map().memory_bytes() as f64 / 1024.0,
     );
-    let mut partitioner = build_partitioner(opts)?;
+    let mut partitioner = build_algo(opts)?.monolith();
     let run = partitioner
         .partition(&mut stream, opts.k)
         .map_err(|e| e.to_string())?;
@@ -538,7 +510,7 @@ fn run(opts: &Options) -> Result<(), String> {
     );
 
     let partitioning = if distributed(opts) {
-        let algo = build_dist_algo(opts)?;
+        let algo = build_algo(opts)?;
         let input = DistInput::Edges {
             num_vertices: n,
             edges: &edges,
@@ -568,7 +540,7 @@ fn run(opts: &Options) -> Result<(), String> {
         out.partitioning
     } else {
         let mut stream = InMemoryStream::new(n, edges.clone());
-        let mut partitioner = build_partitioner(opts)?;
+        let mut partitioner = build_algo(opts)?.monolith();
         let run = partitioner
             .partition(&mut stream, opts.k)
             .map_err(|e| e.to_string())?;
@@ -1169,7 +1141,7 @@ mod tests {
                 algo: algo.into(),
                 ..Options::default()
             };
-            assert!(build_partitioner(&opts).is_ok(), "{algo}");
+            assert!(build_algo(&opts).is_ok(), "{algo}");
         }
         let bad = Options {
             input: "x".into(),
@@ -1177,7 +1149,7 @@ mod tests {
             algo: "metis".into(),
             ..Options::default()
         };
-        assert!(build_partitioner(&bad).is_err());
+        assert!(build_algo(&bad).is_err());
     }
 
     #[test]

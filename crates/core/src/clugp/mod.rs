@@ -17,7 +17,6 @@
 pub mod cluster_graph;
 pub mod clustering;
 pub mod config;
-pub mod distributed;
 pub mod game;
 pub mod greedy_assign;
 pub mod transform;
@@ -25,7 +24,6 @@ pub mod transform;
 pub use cluster_graph::ClusterGraph;
 pub use clustering::{stream_clustering, stream_clustering_with, ClusteringResult};
 pub use config::{ClugpConfig, ClusterAssignMode, LambdaMode, MigrationPolicy};
-pub use distributed::ShardedClugp;
 pub use game::{solve_game, GameOutcome};
 
 use crate::error::Result;

@@ -19,7 +19,7 @@
 use super::clustering::{ClusteringResult, NO_CLUSTER};
 use crate::error::{PartitionError, Result};
 use crate::vertex_table::VertexTable;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, EdgeStream};
+use clugp_graph::stream::{chunk_edges, try_for_each_chunk, EdgeStream};
 use clugp_graph::types::Edge;
 
 /// Per-edge transformation kernel (Algorithm 1's loop body) over the
@@ -38,8 +38,7 @@ pub(crate) fn transform_edge(
     loads: &mut [u64],
     cursor: &mut u32,
     balance_reroutes: &mut u64,
-) -> u32 {
-    let _ = k; // used by the debug assertion below only
+) -> Result<u32> {
     let (u, v) = (e.src, e.dst);
     let cu = cluster_of[u];
     let cv = cluster_of[v];
@@ -55,9 +54,14 @@ pub(crate) fn transform_edge(
         } else if loads[pv as usize] < lmax {
             pv
         } else {
-            while loads[*cursor as usize] >= lmax {
+            while *cursor < k && loads[*cursor as usize] >= lmax {
                 *cursor += 1;
-                debug_assert!(*cursor < k, "no partition under Lmax: infeasible cap");
+            }
+            if *cursor >= k {
+                return Err(PartitionError::InvalidParam(format!(
+                    "no partition has room under the load cap {lmax}: \
+                     the stream holds more edges than the cap was sized for"
+                )));
             }
             *cursor
         }
@@ -93,7 +97,7 @@ pub(crate) fn transform_edge(
         }
     };
     loads[p as usize] += 1;
-    p
+    Ok(p)
 }
 
 /// `Lmax = ceil(τ|E|/k)` — ceil so `k·Lmax ≥ |E|` always holds and the
@@ -129,6 +133,11 @@ pub fn transform(
             "tau must be >= 1, got {tau}"
         )));
     }
+    if let Some(&p) = cluster_partition.iter().find(|&&p| p >= k) {
+        return Err(PartitionError::InvalidParam(format!(
+            "cluster map names partition {p}, but k is {k}"
+        )));
+    }
     let lmax = load_cap(tau, num_edges, k);
     let mut loads = vec![0u64; k as usize];
     let mut assignments = Vec::with_capacity(num_edges as usize);
@@ -137,7 +146,7 @@ pub fn transform(
     // grow, so full partitions stay full and the scan is O(1) amortized.
     let mut cursor = 0u32;
 
-    for_each_chunk(stream, chunk_edges(), |chunk| {
+    try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
         for &e in chunk {
             let p = transform_edge(
                 e,
@@ -150,10 +159,11 @@ pub fn transform(
                 &mut loads,
                 &mut cursor,
                 &mut balance_reroutes,
-            );
+            )?;
             assignments.push(p);
         }
-    });
+        Ok(())
+    })?;
 
     Ok(TransformResult {
         assignments,
@@ -315,6 +325,23 @@ mod tests {
         s.reset().unwrap();
         let err = transform(&mut s, &clustering, &[0], 2, 0.5, 1);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn understated_edge_count_is_a_typed_error_not_an_index_panic() {
+        // Lmax is sized from `num_edges`; a stream holding more edges than
+        // that fills every partition and the reroute scan has nowhere to go.
+        let edges: Vec<Edge> = (0..40u32).map(|i| Edge::new(i, (i + 1) % 40)).collect();
+        let mut s = InMemoryStream::from_edges(edges);
+        let clustering = stream_clustering(&mut s, 1000, true).unwrap();
+        let map = vec![0u32; clustering.num_clusters as usize];
+        s.reset().unwrap();
+        let err = transform(&mut s, &clustering, &map, 4, 1.0, 8).unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        // A cluster map pointing past k is rejected before any edge is read.
+        s.reset().unwrap();
+        let bad = vec![4u32; clustering.num_clusters as usize];
+        assert!(transform(&mut s, &clustering, &bad, 4, 1.0, 40).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (`P(v)` sets) and partition load tracking.
 
 use crate::error::Result;
-use crate::vertex_table::{cap_error, DEFAULT_MAX_VERTICES};
+use crate::vertex_table::{check_cap, DEFAULT_MAX_VERTICES};
 use clugp_graph::types::VertexId;
 
 /// Per-vertex replica counts at the narrowest width that can hold `k`:
@@ -135,9 +135,7 @@ impl ReplicaTable {
     /// Creates an empty table with an explicit `max_vertices` growth limit.
     pub fn with_limit(num_vertices: u64, k: u32, limit: u64) -> Result<Self> {
         let limit = limit.min(DEFAULT_MAX_VERTICES);
-        if num_vertices > limit {
-            return Err(cap_error("num_vertices", num_vertices, limit));
-        }
+        check_cap("num_vertices", num_vertices, limit)?;
         let words_per_row = (k as usize).div_ceil(64).max(1);
         let words = checked_words(words_per_row, num_vertices, k)?;
         Ok(ReplicaTable {
@@ -161,6 +159,11 @@ impl ReplicaTable {
         self.counts.len() as u64
     }
 
+    /// The configured growth limit.
+    pub fn limit(&self) -> u64 {
+        self.limit
+    }
+
     /// Grows the table to cover at least `num_vertices` vertices.
     ///
     /// # Errors
@@ -177,9 +180,7 @@ impl ReplicaTable {
 
     #[cold]
     fn grow(&mut self, num_vertices: u64) -> Result<()> {
-        if num_vertices > self.limit {
-            return Err(cap_error("num_vertices", num_vertices, self.limit));
-        }
+        check_cap("num_vertices", num_vertices, self.limit)?;
         let words = checked_words(self.words_per_row, num_vertices, self.k)?;
         self.counts.resize(num_vertices as usize);
         self.bits.resize(words, 0);

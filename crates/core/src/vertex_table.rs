@@ -33,6 +33,17 @@ pub(crate) fn cap_error(what: &str, value: u64, limit: u64) -> PartitionError {
     ))
 }
 
+/// Rejects a vertex count `n` above `limit` (itself clamped to
+/// [`DEFAULT_MAX_VERTICES`]): the sizing check every per-vertex table
+/// applies before it allocates.
+pub(crate) fn check_cap(what: &str, n: u64, limit: u64) -> Result<()> {
+    let limit = limit.min(DEFAULT_MAX_VERTICES);
+    if n > limit {
+        return Err(cap_error(what, n, limit));
+    }
+    Ok(())
+}
+
 /// Dense per-vertex state keyed by internal [`VertexId`], with pre-sizing
 /// from stream hints, capped grow-on-demand, and honest memory accounting.
 #[derive(Debug, Clone)]
@@ -57,9 +68,7 @@ impl<T: Clone> VertexTable<T> {
     /// [`DEFAULT_MAX_VERTICES`] — internal ids are `u32`).
     pub fn with_limit(hint: u64, fill: T, limit: u64) -> Result<Self> {
         let limit = limit.min(DEFAULT_MAX_VERTICES);
-        if hint > limit {
-            return Err(cap_error("num_vertices hint", hint, limit));
-        }
+        check_cap("num_vertices hint", hint, limit)?;
         // hint <= limit <= u32::MAX always fits usize on supported targets,
         // but keep the conversion checked for 16/32-bit-usize safety.
         let len = usize::try_from(hint).map_err(|_| cap_error("num_vertices hint", hint, limit))?;
@@ -94,9 +103,7 @@ impl<T: Clone> VertexTable<T> {
 
     /// Grows the table to at least `n` entries (hint-driven growth).
     pub fn ensure_len(&mut self, n: u64) -> Result<()> {
-        if n > self.limit {
-            return Err(cap_error("num_vertices", n, self.limit));
-        }
+        check_cap("num_vertices", n, self.limit)?;
         if n as usize > self.data.len() {
             self.data.resize(n as usize, self.fill.clone());
         }

@@ -9,60 +9,37 @@
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::table::{Layout, MergeOp, StateShard};
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::{Dbh, Greedy, Grid, Hashing, Hdrf, Mint, MintConfig};
+use clugp::baselines::{Hashing, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
 use clugp_graph::stream::InMemoryStream;
 use clugp_repro::test_web_graph;
 
-/// Monolith/distributed pairs under test.
+/// Monolith/distributed pairs under test: every registered algorithm and
+/// its monolith, plus the CLUGP ablations.
 fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
-    vec![
-        (
-            "Hashing",
-            Box::new(Hashing::default()) as Box<dyn Partitioner>,
-            DistAlgo::hashing(),
-        ),
-        ("Grid", Box::new(Grid::default()), DistAlgo::grid()),
-        ("DBH", Box::new(Dbh::default()), DistAlgo::dbh()),
-        ("Greedy", Box::new(Greedy::new()), DistAlgo::greedy()),
-        ("HDRF", Box::new(Hdrf::default()), DistAlgo::hdrf()),
-        // Small batches so wave boundaries cross worker-range boundaries.
-        (
-            "Mint",
-            Box::new(Mint::new(MintConfig {
-                batch_size: 97,
-                ..Default::default()
-            })),
-            DistAlgo::Mint(MintConfig {
-                batch_size: 97,
-                ..Default::default()
-            }),
-        ),
-        ("CLUGP", Box::new(Clugp::default()), DistAlgo::clugp()),
-        (
-            "CLUGP-S",
-            Box::new(Clugp::new(ClugpConfig {
-                splitting: false,
-                ..Default::default()
-            })),
-            DistAlgo::Clugp(ClugpConfig {
-                splitting: false,
-                ..Default::default()
-            }),
-        ),
-        (
-            "CLUGP-G",
-            Box::new(Clugp::new(ClugpConfig {
-                assign_mode: ClusterAssignMode::Greedy,
-                ..Default::default()
-            })),
-            DistAlgo::Clugp(ClugpConfig {
-                assign_mode: ClusterAssignMode::Greedy,
-                ..Default::default()
-            }),
-        ),
-    ]
+    let mut algos: Vec<DistAlgo> = ["hashing", "grid", "dbh", "greedy", "hdrf", "mint", "clugp"]
+        .iter()
+        .map(|name| DistAlgo::by_name(name).expect("registered algorithm"))
+        .collect();
+    for algo in &mut algos {
+        if let DistAlgo::Mint(cfg) = algo {
+            // Small batches so wave boundaries cross worker-range boundaries.
+            cfg.batch_size = 97;
+        }
+    }
+    algos.push(DistAlgo::Clugp(ClugpConfig {
+        splitting: false,
+        ..Default::default()
+    }));
+    algos.push(DistAlgo::Clugp(ClugpConfig {
+        assign_mode: ClusterAssignMode::Greedy,
+        ..Default::default()
+    }));
+    algos
+        .into_iter()
+        .map(|algo| (algo.name(), algo.monolith(), algo))
+        .collect()
 }
 
 fn monolith(
@@ -121,6 +98,28 @@ fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
                 }
             }
         }
+        // Relaxed mode at one worker reconciles only with itself: every
+        // epoch sync hands back exactly what the worker shipped, so it too
+        // must equal the monolith.
+        let out = run_distributed(
+            &algo,
+            DistInput::Edges {
+                num_vertices: n,
+                edges: &edges,
+            },
+            k,
+            &relaxed_cfg(1),
+        )
+        .unwrap_or_else(|e| panic!("{name}: relaxed, 1 worker: {e}"));
+        assert_eq!(
+            (
+                out.partitioning.assignments,
+                out.partitioning.loads,
+                out.partitioning.num_vertices
+            ),
+            reference,
+            "{name}: relaxed mode at 1 worker diverged from the monolith"
+        );
     }
 }
 
@@ -456,6 +455,67 @@ fn relaxed_mode_is_deterministic_and_transport_independent() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of an assignment vector.
+fn fnv1a(assignments: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in assignments.iter().flat_map(|p| p.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn relaxed_baselines_match_their_recorded_golden_hashes() {
+    // Relaxed runs are otherwise only compared with themselves, so a driver
+    // rewrite could change their bits unnoticed. These hashes were recorded
+    // from the hand-written per-algorithm relaxed drivers (PR 11) and pin
+    // the generic relaxed driver to the same placements.
+    let (n, edges) = test_web_graph(1_500, 46);
+    let golden: [(&str, DistAlgo, [u64; 2]); 4] = [
+        (
+            "Grid",
+            DistAlgo::grid(),
+            [0x82b8_ef01_56c3_4b01, 0xb53d_98fa_813e_1bd5],
+        ),
+        (
+            "DBH",
+            DistAlgo::dbh(),
+            [0xdd13_84e2_e043_ceb0, 0x9674_6736_939a_b5d4],
+        ),
+        (
+            "Greedy",
+            DistAlgo::greedy(),
+            [0xf65d_a515_1458_35c2, 0xdb3c_d890_46f7_5451],
+        ),
+        (
+            "HDRF",
+            DistAlgo::hdrf(),
+            [0xbf39_8954_e2c5_4bc5, 0x1c8e_998b_d210_d382],
+        ),
+    ];
+    for (name, algo, hashes) in golden {
+        for (workers, want) in [2u32, 4].into_iter().zip(hashes) {
+            let out = run_distributed(
+                &algo,
+                DistInput::Edges {
+                    num_vertices: n,
+                    edges: &edges,
+                },
+                8,
+                &relaxed_cfg(workers),
+            )
+            .unwrap_or_else(|e| panic!("{name}: relaxed, {workers} workers: {e}"));
+            assert_eq!(
+                fnv1a(&out.partitioning.assignments),
+                want,
+                "{name}: relaxed {workers}-worker placement changed \
+                 (got {:#018x})",
+                fnv1a(&out.partitioning.assignments)
+            );
+        }
+    }
+}
+
 #[test]
 fn relaxed_hashing_is_bit_identical_to_sequenced() {
     // Stateless placement consults no shared tables, so the consistency
@@ -550,6 +610,47 @@ fn relaxed_mode_drift_is_bounded_and_outputs_are_consistent() {
             ref_quality.replication_factor
         );
     }
+}
+
+#[test]
+fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
+    // Regression: with an odd block count, two workers get uneven block
+    // ranges, the larger share saturates its slice of the load cap, the
+    // slice grows — and the monotone reroute cursor, already past the
+    // partitions that just regained room, used to run off the load array.
+    use clugp_graph::pack::{write_pack, PackOptions, ShardedPackReader};
+    let (n, edges) = test_web_graph(1_500, 50);
+    let dir = std::env::temp_dir().join("clugp_dist_relaxed_pack");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("uneven.clugpz");
+    write_pack(
+        &path,
+        n,
+        &edges,
+        &PackOptions {
+            block_bytes: 8192,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
+    assert_eq!(blocks % 2, 1, "need an odd block count, got {blocks}");
+
+    let k = 8;
+    let out = run_distributed(
+        &DistAlgo::clugp(),
+        DistInput::Pack(&path),
+        k,
+        &DistConfig {
+            workers: 2,
+            mode: AmpcMode::Relaxed,
+            ..Default::default()
+        },
+    )
+    .expect("relaxed CLUGP over an unevenly shared pack");
+    out.partitioning.validate().unwrap();
+    assert_eq!(out.partitioning.assignments.len(), edges.len());
+    std::fs::remove_file(&path).ok();
 }
 
 /// Splitmix-style generator so the permutation property test is seeded and

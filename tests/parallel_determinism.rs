@@ -9,7 +9,7 @@
 //! reordered) execution fails these tests; CI runs them on every push.
 
 use clugp::baselines::{Mint, MintConfig};
-use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGraph, ShardedClugp};
+use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGraph};
 use clugp::partitioner::Partitioner;
 use clugp_graph::stream::{InMemoryStream, RestreamableStream};
 use clugp_repro::test_web_graph;
@@ -67,26 +67,6 @@ fn full_clugp_pipeline_is_bit_identical_across_thread_counts() {
     let baseline = run(1, &mut s);
     for threads in THREAD_COUNTS {
         assert_eq!(run(threads, &mut s), baseline, "threads={threads}");
-    }
-}
-
-#[test]
-fn sharded_clugp_is_bit_identical_across_pool_widths() {
-    // The shard fan-out (`par_chunks`) uses the ambient pool; scope it to
-    // each width with `ThreadPool::install` and demand identical output.
-    let (n, edges) = test_web_graph(3_000, 11);
-    let mut s = InMemoryStream::new(n, edges);
-    let run = |threads: usize, s: &mut InMemoryStream| {
-        let mut algo = ShardedClugp::new(ClugpConfig::default(), 4);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| algo.partition(s, 8).unwrap().partitioning.assignments)
-    };
-    let baseline = run(1, &mut s);
-    for threads in THREAD_COUNTS {
-        assert_eq!(run(threads, &mut s), baseline, "pool width {threads}");
     }
 }
 
