@@ -1506,3 +1506,58 @@ impl Touched {
         tables
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ampc::transport::channel_pair;
+    use crate::baselines::HdrfConfig;
+
+    #[test]
+    fn a_worker_handed_a_nan_hdrf_spec_reports_a_typed_error() {
+        // `Configure` carries lambda and epsilon as two raw f64s, so a
+        // corrupt frame reaches the worker unvalidated; the kernel's
+        // constructor is where it stops.
+        for (lambda, epsilon) in [(f64::NAN, 1.0), (-2.0, 1.0), (1.0, 0.0)] {
+            let (mut coord, worker) = channel_pair(8);
+            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+            let setup = WorkerSetup {
+                worker: 0,
+                workers: 1,
+                k: 4,
+                chunk: 64,
+                heartbeat_ms: 0,
+                algo: AlgoSpec::Hdrf(HdrfConfig {
+                    lambda,
+                    epsilon,
+                    ..Default::default()
+                }),
+                input: InputSpec::Inline {
+                    edges: vec![Edge::new(0, 1), Edge::new(1, 2)],
+                },
+                tables: Vec::new(),
+                trace: false,
+            };
+            coord
+                .send(&Msg::Configure(Box::new(setup)).encode())
+                .unwrap();
+            assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
+            let run = Msg::RunStage {
+                stage: Stage::Baseline,
+                token: Token {
+                    loads: vec![0; 4],
+                    ..Default::default()
+                },
+                mode: AmpcMode::Sequenced,
+                epoch: 0,
+            };
+            coord.send(&run.encode()).unwrap();
+            match recv(&mut coord).unwrap() {
+                Msg::Err { msg } => assert!(msg.contains("HDRF"), "{msg}"),
+                other => panic!("expected Err, got {}", other.kind()),
+            }
+            let err = handle.join().expect("worker thread").unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        }
+    }
+}

@@ -4,6 +4,7 @@
 use crate::error::Result;
 use crate::vertex_table::{check_cap, DEFAULT_MAX_VERTICES};
 use clugp_graph::types::VertexId;
+use std::cell::Cell;
 
 /// Per-vertex replica counts at the narrowest width that can hold `k`:
 /// `u16` rows when `k ≤ u16::MAX` (every experiment in the paper), `u32`
@@ -259,6 +260,15 @@ impl ReplicaTable {
         self.words_per_row
     }
 
+    /// `v`'s bitset row: bit `p` of the row is set iff partition `p` holds
+    /// a replica of `v`, and no bit at a position `>= k` is ever set
+    /// (`insert` takes `p < k`, `import_row` clears the rest).
+    #[inline]
+    pub(crate) fn row(&self, v: VertexId) -> &[u64] {
+        let row = v as usize * self.words_per_row;
+        &self.bits[row..row + self.words_per_row]
+    }
+
     /// Copies `v`'s bitset row into `out` (`words_per_row()` words).
     ///
     /// # Panics
@@ -271,23 +281,24 @@ impl ReplicaTable {
 
     /// Overwrites `v`'s bitset row with `words`, fixing the per-vertex count
     /// and the global replica/touched tallies. This is the bulk ingress used
-    /// by the sharded state service and the placement snapshot loader; bits
-    /// at positions `>= k` must be clear.
+    /// by the sharded state service and the placement snapshot loader, both
+    /// of which read rows off a wire or a file, so bits at positions `>= k`
+    /// are cleared on the way in: no reader of a row ever sees a partition
+    /// that does not exist.
     ///
     /// # Panics
     ///
     /// Panics if `v` is beyond the table or `words` is too short.
     pub fn import_row(&mut self, v: VertexId, words: &[u64]) {
         let row = v as usize * self.words_per_row;
-        let old: u32 = self.bits[row..row + self.words_per_row]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum();
-        let new: u32 = words[..self.words_per_row]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum();
-        self.bits[row..row + self.words_per_row].copy_from_slice(&words[..self.words_per_row]);
+        let dst = &mut self.bits[row..row + self.words_per_row];
+        let old: u32 = dst.iter().map(|w| w.count_ones()).sum();
+        dst.copy_from_slice(&words[..self.words_per_row]);
+        let tail_bits = self.k as usize - (self.words_per_row - 1) * 64;
+        if tail_bits < 64 {
+            dst[self.words_per_row - 1] &= (1u64 << tail_bits) - 1;
+        }
+        let new: u32 = dst.iter().map(|w| w.count_ones()).sum();
         self.counts.set(v as usize, new);
         self.total_replicas = self.total_replicas - u64::from(old) + u64::from(new);
         match (old, new) {
@@ -327,30 +338,50 @@ impl Iterator for BitIter {
     }
 }
 
-/// Per-partition edge counts with O(1) max/min queries maintained lazily.
+/// Per-partition edge counts with O(1) `max` / `min` / `argmin` queries.
 ///
-/// `k` is at most a few hundred in all experiments, so a linear rescan on
-/// demand is cheap; the struct exists to keep that policy in one place.
+/// [`add`](Self::add) is the only mutator and raises one load by one, so
+/// the maximum is a compare there. The minimum costs `add` nothing: the
+/// tracker remembers the first minimum-load partition it last reported,
+/// and because loads only grow, that answer is still right for as long as
+/// that partition still holds that load — one compare per query. Once it
+/// has moved on, every lower index was already above the minimum, so the
+/// search resumes behind it, and only when no partition is left at the old
+/// minimum is the vector rescanned. The minimum rises at most `total / k`
+/// times over a run, so queries are amortised O(1) however they interleave
+/// with `add`, and a caller that never asks pays nothing.
 #[derive(Debug, Clone)]
 pub struct PartitionLoads {
     loads: Vec<u64>,
     total: u64,
+    max: u64,
+    /// `(min, lowest index holding it)` as of the last query (`(0, 0)`
+    /// when there are no partitions).
+    first_min: Cell<(u64, u32)>,
+}
+
+/// `(min, lowest index holding it)` of `loads`; `(0, 0)` when empty.
+fn first_min(loads: &[u64]) -> (u64, u32) {
+    let min = loads.iter().copied().min().unwrap_or(0);
+    let argmin = loads.iter().position(|&l| l == min).unwrap_or(0);
+    (min, argmin as u32)
 }
 
 impl PartitionLoads {
     /// Creates `k` empty partitions.
     pub fn new(k: u32) -> Self {
-        PartitionLoads {
-            loads: vec![0; k as usize],
-            total: 0,
-        }
+        Self::from_vec(vec![0; k as usize])
     }
 
     /// Rebuilds the tracker from a load vector (one entry per partition),
     /// e.g. when a distributed worker resumes from a token's loads.
     pub(crate) fn from_vec(loads: Vec<u64>) -> Self {
-        let total = loads.iter().sum();
-        PartitionLoads { loads, total }
+        PartitionLoads {
+            total: loads.iter().sum(),
+            max: loads.iter().copied().max().unwrap_or(0),
+            first_min: Cell::new(first_min(&loads)),
+            loads,
+        }
     }
 
     /// Number of partitions.
@@ -361,8 +392,10 @@ impl PartitionLoads {
     /// Adds one edge to partition `p`.
     #[inline]
     pub fn add(&mut self, p: u32) {
-        self.loads[p as usize] += 1;
+        let load = self.loads[p as usize] + 1;
+        self.loads[p as usize] = load;
         self.total += 1;
+        self.max = self.max.max(load);
     }
 
     /// Edge count of partition `p`.
@@ -377,24 +410,41 @@ impl PartitionLoads {
     }
 
     /// Maximum partition load.
+    #[inline]
     pub fn max(&self) -> u64 {
-        self.loads.iter().copied().max().unwrap_or(0)
+        self.max
     }
 
     /// Minimum partition load.
+    #[inline]
     pub fn min(&self) -> u64 {
-        self.loads.iter().copied().min().unwrap_or(0)
+        self.current_first_min().0
     }
 
     /// Index of a least-loaded partition (lowest id wins ties).
+    #[inline]
     pub fn argmin(&self) -> u32 {
-        let mut best = 0usize;
-        for (i, &l) in self.loads.iter().enumerate() {
-            if l < self.loads[best] {
-                best = i;
-            }
+        self.current_first_min().1
+    }
+
+    #[inline]
+    fn current_first_min(&self) -> (u64, u32) {
+        let (min, at) = self.first_min.get();
+        if self.loads.get(at as usize) == Some(&min) {
+            return (min, at);
         }
-        best as u32
+        self.advance_first_min(min, at as usize)
+    }
+
+    /// The remembered first minimum-load partition `at` has left `min`.
+    fn advance_first_min(&self, min: u64, at: usize) -> (u64, u32) {
+        let behind = self.loads.get(at + 1..).unwrap_or_default();
+        let found = match behind.iter().position(|&l| l == min) {
+            Some(offset) => (min, (at + 1 + offset) as u32),
+            None => first_min(&self.loads),
+        };
+        self.first_min.set(found);
+        found
     }
 
     /// Least-loaded partition among `candidates` (first wins ties);
@@ -568,6 +618,89 @@ mod tests {
         assert_eq!(l.max(), 2);
         assert_eq!(l.min(), 0);
         assert_eq!(l.argmin(), 0);
+    }
+
+    /// `max`, `min` and the lowest index holding `min`, from scratch.
+    fn extrema(loads: &[u64]) -> (u64, u64, u32) {
+        let max = loads.iter().copied().max().unwrap_or(0);
+        let min = loads.iter().copied().min().unwrap_or(0);
+        let argmin = loads.iter().position(|&l| l == min).unwrap_or(0);
+        (max, min, argmin as u32)
+    }
+
+    fn assert_extrema(l: &PartitionLoads) {
+        assert_eq!(
+            (l.max(), l.min(), l.argmin()),
+            extrema(l.as_slice()),
+            "{:?}",
+            l.as_slice()
+        );
+        assert_eq!(l.total(), l.as_slice().iter().sum::<u64>());
+    }
+
+    #[test]
+    fn extrema_equal_a_recomputation_however_queries_interleave_with_adds() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(17);
+        // The minimum is settled at query time, so query after every add
+        // and after runs of adds that may move it several times over.
+        for query_every in [1u32, 7] {
+            for k in [1u32, 2, 3, 7, 64, 65] {
+                let mut l = PartitionLoads::new(k);
+                assert_extrema(&l);
+                let mut least = 0;
+                for step in 0..40 * k {
+                    // Thirds: uniform adds, adds to the last reported
+                    // arg-min (what moves it), adds piled on one partition.
+                    let p = match step % 3 {
+                        0 => rng.gen_range(0..k),
+                        1 => least,
+                        _ => k - 1,
+                    };
+                    l.add(p);
+                    if step % query_every == 0 {
+                        assert_extrema(&l);
+                        least = l.argmin();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_vec_recomputes_the_extrema() {
+        for loads in [
+            vec![],
+            vec![9],
+            vec![4, 4, 4, 4],
+            vec![5, 2, 8, 2, 2],
+            vec![7, 6, 5, 0],
+        ] {
+            let mut l = PartitionLoads::from_vec(loads.clone());
+            assert_eq!(l.k() as usize, loads.len());
+            assert_extrema(&l);
+            // ... and stays right when the run continues from there.
+            for p in 0..l.k() {
+                l.add(p);
+                l.add(l.argmin());
+                assert_extrema(&l);
+            }
+        }
+    }
+
+    #[test]
+    fn import_row_clears_bits_beyond_k() {
+        // Rows arrive off the wire and from snapshot files; a set bit past
+        // k would name a partition that does not exist.
+        let mut t = ReplicaTable::new(2, 70).unwrap();
+        t.import_row(1, &[u64::MAX, u64::MAX]);
+        assert_eq!(t.count(1), 70);
+        assert_eq!(t.row(1), &[u64::MAX, (1u64 << 6) - 1]);
+        assert_eq!(t.total_replicas(), 70);
+        let mut full = ReplicaTable::new(1, 64).unwrap();
+        full.import_row(0, &[u64::MAX]);
+        assert_eq!(full.count(0), 64);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::table::{Layout, MergeOp, StateShard};
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::{Hashing, MintConfig};
+use clugp::baselines::{Hashing, Hdrf, HdrfConfig, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
+use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
+use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
 use clugp_repro::test_web_graph;
 
@@ -511,6 +513,96 @@ fn relaxed_baselines_match_their_recorded_golden_hashes() {
                 "{name}: relaxed {workers}-worker placement changed \
                  (got {:#018x})",
                 fnv1a(&out.partitioning.assignments)
+            );
+        }
+    }
+}
+
+#[test]
+fn hdrf_monolith_matches_its_recorded_golden_hashes() {
+    // Every other HDRF check compares the kernel with itself (monolith vs
+    // sequenced, relaxed vs relaxed), so a scoring rewrite could move all of
+    // them together. These hashes were recorded from the per-partition
+    // scoring loop at c58322d, before the class-representative kernel
+    // replaced it, and pin the monolith to that loop's placements. In BFS
+    // order every edge meets a placed endpoint, so at lambda <= 1 the
+    // replication term always wins and the whole stream lands on partition
+    // 0 (one hash for six cells); the random order is the one that
+    // exercises the balance term.
+    let g = generate_web_crawl(&WebCrawlConfig {
+        vertices: 1_500,
+        seed: 46,
+        ..Default::default()
+    });
+    let golden: [(StreamOrder, u32, [u64; 3]); 6] = [
+        (
+            StreamOrder::Bfs,
+            4,
+            [
+                0x093a_c462_7974_7f55,
+                0x093a_c462_7974_7f55,
+                0xee18_f02a_6b9f_ca36,
+            ],
+        ),
+        (
+            StreamOrder::Bfs,
+            32,
+            [
+                0x093a_c462_7974_7f55,
+                0x093a_c462_7974_7f55,
+                0x4cd3_3603_0fa0_4dca,
+            ],
+        ),
+        (
+            StreamOrder::Bfs,
+            130,
+            [
+                0x093a_c462_7974_7f55,
+                0x093a_c462_7974_7f55,
+                0x6dcd_a58f_d57e_eb24,
+            ],
+        ),
+        (
+            StreamOrder::Random(46),
+            4,
+            [
+                0xc0a2_411f_06de_8a85,
+                0x7411_01fd_3aeb_e0b4,
+                0xd6f0_1e7b_7644_6496,
+            ],
+        ),
+        (
+            StreamOrder::Random(46),
+            32,
+            [
+                0xef74_9081_c50e_7e44,
+                0xa2d1_eb26_b859_3169,
+                0x06c5_ed0b_9347_e12b,
+            ],
+        ),
+        (
+            StreamOrder::Random(46),
+            130,
+            [
+                0x4189_3629_f5c1_726f,
+                0x2d2c_7b8d_a575_dbfa,
+                0xeb98_df50_669c_041a,
+            ],
+        ),
+    ];
+    for (order, k, hashes) in golden {
+        let edges = ordered_edges(&g, order);
+        for (lambda, want) in [0.1, 1.0, 10.0].into_iter().zip(hashes) {
+            let mut hdrf = Hdrf::new(HdrfConfig {
+                lambda,
+                ..Default::default()
+            });
+            let (assignments, _, _) = monolith(&mut hdrf, g.num_vertices(), &edges, k);
+            assert_eq!(
+                fnv1a(&assignments),
+                want,
+                "HDRF {order:?} k={k} lambda={lambda}: monolithic placement changed (got {:#018x})",
+                fnv1a(&assignments)
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants: arbitrary edge
 //! multisets through every layer of the stack.
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint};
+use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, HdrfConfig, Mint};
 use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGraph};
 use clugp::metrics::PartitionQuality;
 use clugp::partitioner::Partitioner;
@@ -84,8 +84,73 @@ fn assert_decoders_agree(edges: &[Edge], tag: &str) {
     }
 }
 
+/// HDRF exactly as published: every partition scored per edge in ascending
+/// order, the first strictly greatest score wins. Written against plain
+/// vectors so it shares nothing with the crate's kernel.
+fn reference_hdrf(edges: &[Edge], k: u32, lambda: f64, epsilon: f64) -> Vec<u32> {
+    let n = edges
+        .iter()
+        .map(|e| e.src.max(e.dst) + 1)
+        .max()
+        .unwrap_or(0) as usize;
+    let k = k as usize;
+    let mut holds = vec![vec![false; k]; n];
+    let mut degree = vec![0u32; n];
+    let mut loads = vec![0u64; k];
+    let mut assignments = Vec::with_capacity(edges.len());
+    for e in edges {
+        let (u, v) = (e.src as usize, e.dst as usize);
+        degree[u] += 1;
+        degree[v] += 1;
+        let (du, dv) = (f64::from(degree[u]), f64::from(degree[v]));
+        let theta_u = du / (du + dv);
+        let theta_v = 1.0 - theta_u;
+        let maxload = *loads.iter().max().unwrap() as f64;
+        let minload = *loads.iter().min().unwrap() as f64;
+        let denom = epsilon + maxload - minload;
+        let (mut best_p, mut best_score) = (0usize, f64::NEG_INFINITY);
+        for p in 0..k {
+            let mut score = 0.0;
+            if holds[u][p] {
+                score += 1.0 + (1.0 - theta_u);
+            }
+            if holds[v][p] {
+                score += 1.0 + (1.0 - theta_v);
+            }
+            score += lambda * (maxload - loads[p] as f64) / denom;
+            if score > best_score {
+                best_score = score;
+                best_p = p;
+            }
+        }
+        holds[u][best_p] = true;
+        holds[v][best_p] = true;
+        loads[best_p] += 1;
+        assignments.push(best_p as u32);
+    }
+    assignments
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// HDRF's class-representative kernel places every edge where the
+    /// published per-partition scan does, on multigraphs with self-loops
+    /// and duplicate edges, including lambdas at which balance terms tie.
+    #[test]
+    fn hdrf_equals_the_published_scan(
+        edges in arb_edges(),
+        k in 1u32..80,
+        lambda in (0usize..7).prop_map(|i| [0.0, 1e-300, 0.1, 1.0, 10.0, 1e18, 1e300][i]),
+    ) {
+        let config = HdrfConfig { lambda, ..Default::default() };
+        let mut stream = InMemoryStream::from_edges(edges.clone());
+        let run = Hdrf::new(config.clone()).partition(&mut stream, k).unwrap();
+        prop_assert_eq!(
+            run.partitioning.assignments,
+            reference_hdrf(&edges, k, lambda, config.epsilon)
+        );
+    }
 
     /// Every partitioner assigns every edge exactly once with in-range ids.
     #[test]
