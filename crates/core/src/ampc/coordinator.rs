@@ -33,7 +33,10 @@ use super::proto::{
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
-use super::worker::{unexpected, with_edge_kernel, T_CPART, T_MAIN};
+use super::worker::{
+    import_vertex_rows, pack_vertex_row, unexpected, unpack_vertex_row, with_edge_kernel, T_CPART,
+    T_MAIN,
+};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
@@ -1095,13 +1098,11 @@ fn merge_pass1_frontiers(
             cluster_of.ensure(v)?;
             degree.ensure(v)?;
             divided.ensure(v)?;
-            let w0 = p.rows[3 * i];
-            let d = p.rows[3 * i + 1] as u32;
-            let dv = p.rows[3 * i + 2] != 0;
+            let (local, d, dv) = unpack_vertex_row(&p.rows[3 * i..3 * i + 3]);
             degree[v] = degree[v].saturating_add(d);
             divided[v] |= dv;
-            if w0 != 0 {
-                let c = (base + (w0 - 1)) as u32;
+            if local != NO_CLUSTER {
+                let c = (base + u64::from(local)) as u32;
                 let cv = vols[c as usize];
                 let cur = best_vol.get(&v).copied();
                 if cur.is_none_or(|b| cv > b) {
@@ -1201,16 +1202,7 @@ fn clugp_flow(
             let token = sup.coord.run_stage(stage, token0, &mut no_assign, None)?;
             for w in 0..workers as usize {
                 let (keys, rows) = sup.coord.scan(w, T_MAIN)?;
-                for (i, &key) in keys.iter().enumerate() {
-                    let v = key as u32;
-                    cluster_of.ensure(v)?;
-                    degree.ensure(v)?;
-                    divided.ensure(v)?;
-                    let w0 = rows[3 * i];
-                    cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                    degree[v] = rows[3 * i + 1] as u32;
-                    divided[v] = rows[3 * i + 2] != 0;
-                }
+                import_vertex_rows(&keys, &rows, &mut cluster_of, &mut degree, &mut divided)?;
             }
             token.next_raw as usize
         };
@@ -1230,13 +1222,10 @@ fn clugp_flow(
         for v in 0..cluster_of.len() {
             let owner = vlayout.owner(v, workers) as usize;
             let vid = v as u32;
-            let c = cluster_of[vid];
             by_owner[owner].0.push(v);
             by_owner[owner]
                 .1
-                .push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-            by_owner[owner].1.push(u64::from(degree[vid]));
-            by_owner[owner].1.push(u64::from(divided[vid]));
+                .extend(pack_vertex_row(cluster_of[vid], degree[vid], divided[vid]));
         }
         for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
             if keys.is_empty() {

@@ -17,9 +17,10 @@
 //! cannot finish with state writes still in flight.
 //!
 //! [`Msg::RouteBatch`] is the windowed, batched form of that relay
-//! (DESIGN.md §11): one frame per chunk per owner carries every get and
-//! writeback for that owner, with delta-encoded keys (varint gaps over
-//! the sorted endpoint set) and varint value runs. Pure-writeback batches
+//! (DESIGN.md §11): one frame per owner carries the gets of a chunk's
+//! first-touched keys, or a slice of the stage-end writeback, for every
+//! table of the group, with delta-encoded keys (varint gaps over the
+//! sorted key set) and varint value runs. Pure-writeback batches
 //! are unacknowledged — frame ordering through the coordinator guarantees
 //! they are applied before any later dependent read — which is what lets
 //! the worker keep several of them in flight behind the transport's

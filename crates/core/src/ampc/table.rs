@@ -7,6 +7,7 @@
 //! to all-zero words, so tables encode "absent" as zero (e.g. the CLUGP
 //! vertex table stores `cluster + 1` in word 0).
 
+use crate::error::{PartitionError, Result};
 use crate::vertex_table::VertexTable;
 use rustc_hash::FxHashMap;
 
@@ -121,8 +122,8 @@ impl MergeOp {
 
 /// One worker's slice of a sharded table: fixed-width rows of `u64`
 /// words, keyed by the global key. Range shards store rows densely in a
-/// [`VertexTable`] offset by the shard base; striped shards use a hash
-/// map because their key set is interleaved.
+/// [`VertexTable`] offset by the shard base; striped shards index one flat
+/// row vector through a hash map because their key set is interleaved.
 #[derive(Debug)]
 pub struct StateShard {
     width: usize,
@@ -131,8 +132,15 @@ pub struct StateShard {
 
 #[derive(Debug)]
 enum Store {
-    Range { lo: u64, rows: VertexTable<u64> },
-    Striped { rows: FxHashMap<u64, Vec<u64>> },
+    Range {
+        lo: u64,
+        rows: VertexTable<u64>,
+    },
+    /// `index[key]` is the word offset of `key`'s row in `rows`.
+    Striped {
+        index: FxHashMap<u64, usize>,
+        rows: Vec<u64>,
+    },
 }
 
 impl StateShard {
@@ -152,7 +160,8 @@ impl StateShard {
         StateShard {
             width: width.max(1),
             store: Store::Striped {
-                rows: FxHashMap::default(),
+                index: FxHashMap::default(),
+                rows: Vec::new(),
             },
         }
     }
@@ -164,51 +173,72 @@ impl StateShard {
 
     /// Reads `key`'s row into `out` (appending `width` words); absent rows
     /// read as zeros.
-    pub fn get_into(&self, key: u64, out: &mut Vec<u64>) {
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::InvalidParam`] if `key` lies below a range shard's
+    /// base — keys arrive off the wire, so a misrouted or forged one must
+    /// not abort the worker.
+    pub fn get_into(&self, key: u64, out: &mut Vec<u64>) -> Result<()> {
         match &self.store {
             Store::Range { lo, rows } => {
-                let start = (key - lo) * self.width as u64;
-                let end = start + self.width as u64;
-                if end <= rows.len() {
-                    let s = start as usize;
-                    out.extend_from_slice(&rows.as_slice()[s..s + self.width]);
-                } else {
-                    out.resize(out.len() + self.width, 0);
+                // A row whose offset overflows cannot be stored: it is absent.
+                match row_end(key, *lo, self.width)?.filter(|&end| end <= rows.len()) {
+                    Some(end) => {
+                        let e = end as usize;
+                        out.extend_from_slice(&rows.as_slice()[e - self.width..e]);
+                    }
+                    None => out.resize(out.len() + self.width, 0),
                 }
             }
-            Store::Striped { rows } => match rows.get(&key) {
-                Some(row) => out.extend_from_slice(row),
+            Store::Striped { index, rows } => match index.get(&key) {
+                Some(&at) => out.extend_from_slice(&rows[at..at + self.width]),
                 None => out.resize(out.len() + self.width, 0),
             },
         }
+        Ok(())
     }
 
     /// Merges one row into the shard.
-    pub fn upsert(&mut self, key: u64, merge: MergeOp, vals: &[u64]) {
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::InvalidParam`] if `key` lies below a range shard's
+    /// base or its row would land past the vertex-table limit.
+    pub fn upsert(&mut self, key: u64, merge: MergeOp, vals: &[u64]) -> Result<()> {
         let width = self.width;
         debug_assert_eq!(vals.len(), width);
         match &mut self.store {
             Store::Range { lo, rows } => {
-                let start = (key - *lo) * width as u64;
-                rows.ensure_len(start + width as u64)
-                    .expect("shard row storage exceeds the vertex-table limit");
-                let s = start as usize;
-                merge.apply(&mut rows.as_mut_slice()[s..s + width], vals);
+                let past_limit = || bad_key(key, "is past the vertex-table limit");
+                let end = row_end(key, *lo, width)?.ok_or_else(past_limit)?;
+                rows.ensure_len(end).map_err(|_| past_limit())?;
+                let e = end as usize;
+                merge.apply(&mut rows.as_mut_slice()[e - width..e], vals);
             }
-            Store::Striped { rows } => {
-                let row = rows.entry(key).or_insert_with(|| vec![0; width]);
-                merge.apply(row, vals);
+            Store::Striped { index, rows } => {
+                let at = *index.entry(key).or_insert_with(|| {
+                    rows.resize(rows.len() + width, 0);
+                    rows.len() - width
+                });
+                merge.apply(&mut rows[at..at + width], vals);
             }
         }
+        Ok(())
     }
 
     /// Merges a batch: `rows` is `keys.len()` rows of `width` words,
     /// flattened. This is the unit the wire protocol ships.
-    pub fn upsert_batch(&mut self, merge: MergeOp, keys: &[u64], rows: &[u64]) {
+    ///
+    /// # Errors
+    ///
+    /// The first [`StateShard::upsert`] failure; rows before it stay merged.
+    pub fn upsert_batch(&mut self, merge: MergeOp, keys: &[u64], rows: &[u64]) -> Result<()> {
         debug_assert_eq!(rows.len(), keys.len() * self.width);
         for (i, &key) in keys.iter().enumerate() {
-            self.upsert(key, merge, &rows[i * self.width..(i + 1) * self.width]);
+            self.upsert(key, merge, &rows[i * self.width..(i + 1) * self.width])?;
         }
+        Ok(())
     }
 
     /// Visits every stored row in ascending key order.
@@ -221,11 +251,11 @@ impl StateShard {
                     f(lo + r as u64, &flat[r * self.width..(r + 1) * self.width]);
                 }
             }
-            Store::Striped { rows } => {
-                let mut keys: Vec<u64> = rows.keys().copied().collect();
+            Store::Striped { index, rows } => {
+                let mut keys: Vec<(u64, usize)> = index.iter().map(|(&k, &at)| (k, at)).collect();
                 keys.sort_unstable();
-                for key in keys {
-                    f(key, &rows[&key]);
+                for (key, at) in keys {
+                    f(key, &rows[at..at + self.width]);
                 }
             }
         }
@@ -235,9 +265,22 @@ impl StateShard {
     pub fn rows(&self) -> u64 {
         match &self.store {
             Store::Range { rows, .. } => rows.len() / self.width as u64,
-            Store::Striped { rows } => rows.len() as u64,
+            Store::Striped { index, .. } => index.len() as u64,
         }
     }
+}
+
+fn bad_key(key: u64, why: &str) -> PartitionError {
+    PartitionError::InvalidParam(format!("state key {key} {why}"))
+}
+
+/// One past the last word of `key`'s row in a range shard based at `lo`: an
+/// error below the base, `None` when the offset does not fit `u64`.
+fn row_end(key: u64, lo: u64, width: usize) -> Result<Option<u64>> {
+    let rel = key
+        .checked_sub(lo)
+        .ok_or_else(|| bad_key(key, &format!("is below the shard base {lo}")))?;
+    Ok(rel.checked_add(1).and_then(|r| r.checked_mul(width as u64)))
 }
 
 #[cfg(test)]
@@ -267,36 +310,56 @@ mod tests {
     fn absent_rows_read_as_zero() {
         let shard = StateShard::range(100, 2);
         let mut out = Vec::new();
-        shard.get_into(105, &mut out);
+        shard.get_into(105, &mut out).unwrap();
         assert_eq!(out, vec![0, 0]);
     }
 
     #[test]
     fn upsert_merges_per_word() {
         let mut s = StateShard::striped(2);
-        s.upsert(7, MergeOp::Add, &[3, 1]);
-        s.upsert(7, MergeOp::Add, &[4, 0]);
-        s.upsert(7, MergeOp::Max, &[5, 9]);
-        s.upsert(7, MergeOp::BitOr, &[0b1000, 0]);
+        s.upsert(7, MergeOp::Add, &[3, 1]).unwrap();
+        s.upsert(7, MergeOp::Add, &[4, 0]).unwrap();
+        s.upsert(7, MergeOp::Max, &[5, 9]).unwrap();
+        s.upsert(7, MergeOp::BitOr, &[0b1000, 0]).unwrap();
         let mut out = Vec::new();
-        s.get_into(7, &mut out);
+        s.get_into(7, &mut out).unwrap();
         assert_eq!(out, vec![7 | 0b1000, 9]);
     }
 
     #[test]
     fn scan_is_ascending_for_both_stores() {
         let mut r = StateShard::range(10, 1);
-        r.upsert(12, MergeOp::Put, &[2]);
-        r.upsert(10, MergeOp::Put, &[1]);
+        r.upsert(12, MergeOp::Put, &[2]).unwrap();
+        r.upsert(10, MergeOp::Put, &[1]).unwrap();
         let mut seen = Vec::new();
         r.scan(|k, row| seen.push((k, row[0])));
         assert_eq!(seen, vec![(10, 1), (11, 0), (12, 2)]);
 
         let mut s = StateShard::striped(1);
-        s.upsert(40, MergeOp::Put, &[4]);
-        s.upsert(8, MergeOp::Put, &[1]);
+        s.upsert(40, MergeOp::Put, &[4]).unwrap();
+        s.upsert(8, MergeOp::Put, &[1]).unwrap();
         let mut seen = Vec::new();
         s.scan(|k, row| seen.push((k, row[0])));
         assert_eq!(seen, vec![(8, 1), (40, 4)]);
+    }
+
+    #[test]
+    fn out_of_range_keys_are_typed_errors_not_panics() {
+        let mut shard = StateShard::range(100, 3);
+        let mut out = Vec::new();
+        let below = shard.get_into(99, &mut out).unwrap_err();
+        assert!(
+            below.to_string().contains("below the shard base"),
+            "{below}"
+        );
+        assert!(shard.upsert(0, MergeOp::Put, &[1, 2, 3]).is_err());
+        // Past the limit: reads as absent, cannot be written.
+        shard.get_into(u64::MAX, &mut out).unwrap();
+        assert_eq!(out, vec![0, 0, 0]);
+        let past = shard
+            .upsert(u64::MAX, MergeOp::Put, &[1, 2, 3])
+            .unwrap_err();
+        assert!(past.to_string().contains("vertex-table limit"), "{past}");
+        assert_eq!(shard.rows(), 0);
     }
 }

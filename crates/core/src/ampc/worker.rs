@@ -7,16 +7,20 @@
 //! kernels the monolithic partitioners use*, which is what keeps every
 //! distributed configuration bit-identical to the monolith.
 //!
-//! Remote state is handled per chunk: the worker collects the distinct
-//! keys a chunk touches, fetches the authoritative rows from the owning
-//! shards (one delta-encoded [`Msg::RouteBatch`] per owner, relayed
-//! through the coordinator), overwrites its dense scratch tables, runs
-//! the kernel over the chunk, and writes the touched rows back
-//! (fire-and-forget `Put` batches — frame ordering through the
-//! coordinator's star links guarantees they land before any later
-//! dependent read). Scratch entries outside the fetched set are never
-//! read, so the scratch tables can stay full-size and dense — same
-//! types, same indexing as the monolith.
+//! In sequenced mode the dense scratch tables are resident for the stage.
+//! While this worker holds the token nobody else writes any table, so a row
+//! it has fetched stays authoritative until it sends `StageDone`: a chunk
+//! asks the owning shards only for the keys the worker touches for the
+//! first time this stage (one delta-encoded [`Msg::RouteBatch`] per remote
+//! owner, relayed through the coordinator; no frame when nothing is new),
+//! and every touched row is written back once, after the last chunk, in
+//! bounded fire-and-forget `Put` batches — frame ordering through the
+//! coordinator's star links lands them before the next token holder's
+//! first read. `Resident`, `Wk::admit` and `Wk::flush` are that
+//! bookkeeping, shared by the baseline driver and the CLUGP stages.
+//! Scratch entries outside the seen set are never read, so the scratch
+//! tables can stay full-size and dense — same types, same indexing as the
+//! monolith.
 //!
 //! In [`AmpcMode::Relaxed`] there is no per-chunk routing at all: every
 //! worker streams its whole range against worker-local tables and
@@ -39,7 +43,7 @@ use crate::clugp::config::MigrationPolicy;
 use crate::clugp::transform::transform_edge;
 use crate::error::{PartitionError, Result};
 use crate::state::PartitionLoads;
-use crate::vertex_table::VertexTable;
+use crate::vertex_table::{cap_error, VertexTable};
 use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
@@ -56,6 +60,129 @@ pub(crate) const T_MAIN: u8 = 0;
 pub(crate) const T_VOL: u8 = 1;
 /// Table slot 2 for CLUGP: dense cluster → partition.
 pub(crate) const T_CPART: u8 = 2;
+
+/// Packs one width-3 [`T_MAIN`] row, `(cluster + 1, degree, divided)`. Word 0
+/// is biased so that the all-zero row an empty shard reads back is a vertex
+/// nobody has touched.
+pub(crate) fn pack_vertex_row(cluster: u32, degree: u32, divided: bool) -> [u64; 3] {
+    let c = if cluster == NO_CLUSTER {
+        0
+    } else {
+        u64::from(cluster) + 1
+    };
+    [c, u64::from(degree), u64::from(divided)]
+}
+
+/// Inverse of [`pack_vertex_row`]; `row` holds the three words.
+pub(crate) fn unpack_vertex_row(row: &[u64]) -> (u32, u32, bool) {
+    let cluster = if row[0] == 0 {
+        NO_CLUSTER
+    } else {
+        (row[0] - 1) as u32
+    };
+    (cluster, row[1] as u32, row[2] != 0)
+}
+
+/// Overwrites the three CLUGP vertex tables at `keys` with the flattened
+/// [`T_MAIN`] `rows`, growing them to cover every key.
+pub(crate) fn import_vertex_rows(
+    keys: &[u64],
+    rows: &[u64],
+    cluster_of: &mut VertexTable<u32>,
+    degree: &mut VertexTable<u32>,
+    divided: &mut VertexTable<bool>,
+) -> Result<()> {
+    if rows.len() != keys.len() * 3 {
+        return Err(PartitionError::InvalidParam(
+            "vertex row payload does not match key count".into(),
+        ));
+    }
+    for (&key, row) in keys.iter().zip(rows.chunks_exact(3)) {
+        let v = key as u32;
+        cluster_of.ensure(v)?;
+        degree.ensure(v)?;
+        divided.ensure(v)?;
+        (cluster_of[v], degree[v], divided[v]) = unpack_vertex_row(row);
+    }
+    Ok(())
+}
+
+/// Keys per stage-end write-back slice ([`Wk::flush`]): no `Put` frame
+/// carries more, however many keys the stage touched.
+const FLUSH_KEYS: usize = 4096;
+
+/// One stage's residency record for a group of sharded tables that share a
+/// layout and a key space.
+///
+/// While this worker holds the sequenced token nobody else writes any
+/// table, so a row it has fetched into its dense scratch stays
+/// authoritative until it sends `StageDone`. `seen` says for which keys
+/// that holds: a chunk fetches only the keys it touches first
+/// ([`Wk::admit`]) and the stage writes every seen key back once, at its
+/// end ([`Wk::flush`]).
+struct Resident {
+    /// The group's table slots.
+    tables: Vec<u8>,
+    /// The key space's cap: a key at or past it is refused, so the bitmap
+    /// never outgrows what the dense scratch itself may hold.
+    limit: u64,
+    /// Bit `key` is set once `key`'s scratch rows are authoritative.
+    seen: Vec<u64>,
+    /// The current chunk's first-touched keys (reused buffer).
+    fresh: Vec<u64>,
+}
+
+impl Resident {
+    fn new(tables: Vec<u8>, limit: u64) -> Resident {
+        Resident {
+            tables,
+            limit,
+            seen: Vec::new(),
+            fresh: Vec::new(),
+        }
+    }
+
+    fn has(&self, key: u64) -> bool {
+        self.seen
+            .get((key >> 6) as usize)
+            .is_some_and(|word| word >> (key & 63) & 1 != 0)
+    }
+
+    /// Declares `key` (below the cap) resident.
+    fn mark(&mut self, key: u64) {
+        let word = (key >> 6) as usize;
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        self.seen[word] |= 1 << (key & 63);
+    }
+
+    /// Marks an unseen `key` and queues it in `fresh`. Out of line: the
+    /// per-endpoint loop of [`Wk::admit`] takes this path once per key and
+    /// stage, and is a third faster without it inlined.
+    #[cold]
+    fn first_touch(&mut self, key: u64) -> Result<()> {
+        if key >= self.limit {
+            return Err(cap_error("vertex id", key, self.limit));
+        }
+        self.mark(key);
+        self.fresh.push(key);
+        Ok(())
+    }
+
+    /// Every resident key, ascending.
+    fn keys(&self) -> Vec<u64> {
+        let mut keys = Vec::new();
+        for (i, &word) in self.seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                keys.push((i as u64) << 6 | u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        keys
+    }
+}
 
 /// The baseline registry: binds `$kernel` to the [`EdgeKernel`] the wire
 /// spec names — tables empty, as a worker's scratch starts — and
@@ -162,11 +289,13 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
     loop {
         match recv(wk.conn.as_mut())? {
             Msg::StateReq { table, op } => {
-                let rows = wk.apply_local(table, &op)?;
+                let served = wk.apply_local(table, &op);
+                let rows = wk.reported(served)?;
                 wk.send_msg(&Msg::StateResp { rows })?;
             }
             Msg::StateReqBatch { keys, ops } => {
-                if let Some(rows) = wk.serve_batch(&keys, &ops)? {
+                let served = wk.serve_batch(&keys, &ops);
+                if let Some(rows) = wk.reported(served)? {
                     wk.send_msg(&Msg::StateRespBatch { rows })?;
                 }
             }
@@ -191,17 +320,15 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 token,
                 mode,
                 epoch,
-            } => match wk.run_stage(stage, token, mode, epoch) {
-                Ok((token, assignments, pairs)) => wk.send_msg(&Msg::StageDone {
+            } => {
+                let out = wk.run_stage(stage, token, mode, epoch);
+                let (token, assignments, pairs) = wk.reported(out)?;
+                wk.send_msg(&Msg::StageDone {
                     token,
                     assignments,
                     pairs,
-                })?,
-                Err(e) => {
-                    let _ = wk.send_msg(&Msg::Err { msg: e.to_string() });
-                    return Err(e);
-                }
-            },
+                })?;
+            }
             Msg::Shutdown => return Ok(()),
             other => return Err(unexpected(&other)),
         }
@@ -301,6 +428,16 @@ impl Wk {
         res
     }
 
+    /// Tells the coordinator about a failure (as [`Msg::Err`], best effort)
+    /// before the worker returns it: a request this worker cannot serve is a
+    /// deterministic error for the run, not a dead link to respawn.
+    fn reported<T>(&mut self, res: Result<T>) -> Result<T> {
+        if let Err(e) = &res {
+            let _ = self.send_msg(&Msg::Err { msg: e.to_string() });
+        }
+        res
+    }
+
     /// Pulls the next chunk of the stage's edge range, first emitting a
     /// keep-alive [`Msg::Heartbeat`] when the configured interval has
     /// elapsed — without it, a stateless kernel (e.g. hashing) sends
@@ -351,7 +488,7 @@ impl Wk {
             StateOp::Get { keys } => {
                 let mut out = Vec::with_capacity(keys.len() * shard.width());
                 for &key in keys {
-                    shard.get_into(key, &mut out);
+                    shard.get_into(key, &mut out)?;
                 }
                 Ok(out)
             }
@@ -361,7 +498,7 @@ impl Wk {
                         "upsert row payload does not match key count".into(),
                     ));
                 }
-                shard.upsert_batch(*merge, keys, rows);
+                shard.upsert_batch(*merge, keys, rows)?;
                 Ok(Vec::new())
             }
         }
@@ -391,7 +528,7 @@ impl Wk {
                     let out = reply.get_or_insert_with(Vec::new);
                     out.reserve(keys.len() * shard.width());
                     for &key in keys {
-                        shard.get_into(key, out);
+                        shard.get_into(key, out)?;
                     }
                 }
                 BatchOp::Put { table, merge, vals } => {
@@ -402,7 +539,7 @@ impl Wk {
                             "batched put payload does not match key count".into(),
                         ));
                     }
-                    shard.upsert_batch(*merge, keys, vals);
+                    shard.upsert_batch(*merge, keys, vals)?;
                 }
             }
         }
@@ -493,12 +630,51 @@ impl Wk {
         Ok(outs)
     }
 
-    /// Fetches `keys` from `table`, returning rows flattened in key order.
-    fn fetch(&mut self, table: u8, keys: &[u64]) -> Result<Vec<u64>> {
-        Ok(self
-            .fetch_group(&[table], keys)?
-            .pop()
-            .expect("fetch_group returns one vector per table"))
+    /// Makes `keys` resident for the rest of the stage. Those `res` has not
+    /// seen yet are marked and fetched from their owners — sorted first, and
+    /// no frame at all when nothing is new — and handed to `import`, one
+    /// flattened row vector per table of the group.
+    fn admit(
+        &mut self,
+        res: &mut Resident,
+        keys: impl Iterator<Item = u64>,
+        import: impl FnOnce(&[u64], &[Vec<u64>]) -> Result<()>,
+    ) -> Result<()> {
+        res.fresh.clear();
+        for key in keys {
+            if !res.has(key) {
+                res.first_touch(key)?;
+            }
+        }
+        if !res.fresh.is_empty() {
+            res.fresh.sort_unstable();
+            let rows = self.fetch_group(&res.tables, &res.fresh)?;
+            import(&res.fresh, &rows)?;
+        }
+        Ok(())
+    }
+
+    /// Stage end: writes every resident key's rows back to the owning
+    /// shards, [`FLUSH_KEYS`] keys at a time; `export(i, keys)` flattens the
+    /// scratch rows of the group's `i`-th table. The frames leave ahead of
+    /// `StageDone`, so on the ordered star links they reach their owners
+    /// before anything the next token holder (or a barrier scan) asks.
+    fn flush(
+        &mut self,
+        res: &Resident,
+        mut export: impl FnMut(usize, &[u64]) -> Vec<u64>,
+    ) -> Result<()> {
+        for keys in res.keys().chunks(FLUSH_KEYS) {
+            let rows: Vec<Vec<u64>> = (0..res.tables.len()).map(|i| export(i, keys)).collect();
+            let puts: Vec<(u8, MergeOp, &[u64])> = res
+                .tables
+                .iter()
+                .zip(&rows)
+                .map(|(&table, rows)| (table, MergeOp::Put, rows.as_slice()))
+                .collect();
+            self.publish_group(keys, &puts)?;
+        }
+        Ok(())
     }
 
     /// Writes rows for `keys` back to one or more tables (all sharing one
@@ -549,11 +725,6 @@ impl Wk {
             }
         }
         Ok(())
-    }
-
-    /// Writes `keys.len()` flattened rows back to `table` under `merge`.
-    fn publish(&mut self, table: u8, merge: MergeOp, keys: &[u64], rows: &[u64]) -> Result<()> {
-        self.publish_group(keys, &[(table, merge, rows)])
     }
 
     fn chunk_cap(&self) -> usize {
@@ -712,10 +883,11 @@ impl Wk {
         Ok((token, assignments, None))
     }
 
-    /// The sequenced driver: per chunk, overwrite the kernel's scratch rows
-    /// for the chunk's endpoints with the authoritative ones from the owning
-    /// shards, step the chunk, and write the rows back. The loads travel in
-    /// the token.
+    /// The sequenced driver: the kernel's tables are resident for the stage
+    /// — a chunk fetches only the endpoints this worker has not touched yet,
+    /// the chunk is stepped against the scratch, and every touched row goes
+    /// back to its owner once, after the last chunk. The loads travel in the
+    /// token.
     fn run_sequenced<K: EdgeKernel>(
         &mut self,
         mut kernel: K,
@@ -726,28 +898,26 @@ impl Wk {
         let mut buf = Vec::with_capacity(cap);
         let mut assignments = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let slots: Vec<u8> = (0..K::TABLES as u8).collect();
-        let mut keys: Vec<u64> = Vec::new();
+        let limit = (0..K::TABLES)
+            .map(|slot| kernel.table(slot).limit())
+            .min()
+            .unwrap_or(0);
+        let mut resident = Resident::new((0..K::TABLES as u8).collect(), limit);
         while self.next_chunk(source, &mut buf, cap)? != 0 {
             if K::TABLES > 0 {
-                distinct_endpoints(&buf, &mut keys);
-                let fetched = self.fetch_group(&slots, &keys)?;
-                for (slot, rows) in fetched.iter().enumerate() {
-                    import_rows(kernel.table(slot), &keys, rows)?;
-                }
+                self.admit(&mut resident, endpoints(&buf), |keys, rows| {
+                    for (slot, rows) in rows.iter().enumerate() {
+                        import_rows(kernel.table(slot), keys, rows)?;
+                    }
+                    Ok(())
+                })?;
             }
             kernel.step_chunk(&buf, &mut loads, &mut assignments)?;
-            if K::TABLES > 0 {
-                let back: Vec<Vec<u64>> = (0..K::TABLES)
-                    .map(|slot| export_rows(kernel.table(slot), &keys))
-                    .collect();
-                let puts: Vec<(u8, MergeOp, &[u64])> = slots
-                    .iter()
-                    .zip(&back)
-                    .map(|(&slot, rows)| (slot, MergeOp::Put, rows.as_slice()))
-                    .collect();
-                self.publish_group(&keys, &puts)?;
-            }
+        }
+        if K::TABLES > 0 {
+            self.flush(&resident, |slot, keys| {
+                export_rows(kernel.table(slot), keys)
+            })?;
         }
         token.loads = loads.into_vec();
         token.table_len = token.table_len.max(table_len(&mut kernel));
@@ -933,10 +1103,11 @@ impl Wk {
 
     /// CLUGP pass 1. The raw-volume scratch is kept at the full global
     /// length (the token's raw-id watermark) so `vol.push` allocates the
-    /// same raw ids as the monolith. Per chunk, the touched-cluster set is
-    /// closed under the kernel's operations: every volume it reads or
-    /// writes belongs to a fetched chunk vertex's cluster or to a cluster
-    /// created in the chunk.
+    /// same raw ids as the monolith. The resident cluster set is closed
+    /// under the kernel's operations: every volume it reads or writes
+    /// belongs to the cluster a vertex had when it was fetched, to a cluster
+    /// minted in this stage, or — a migration's destination — to the
+    /// cluster of the edge's other, resident, endpoint.
     fn stage_clugp_pass1(
         &mut self,
         vmax: u64,
@@ -963,34 +1134,27 @@ impl Wk {
         let mut vol: Vec<u64> = vec![0; token.next_raw as usize];
         let mut splits = token.splits;
         let mut migrations = token.migrations;
-        let mut vkeys: Vec<u64> = Vec::new();
+        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
+        let mut clusters = Resident::new(vec![T_VOL], u64::from(NO_CLUSTER));
+        let mut ckeys: Vec<u64> = Vec::new();
+        let mut minted_from = vol.len();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                degree.ensure(v)?;
-                divided.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                degree[v] = rows[3 * i + 1] as u32;
-                divided[v] = rows[3 * i + 2] != 0;
-            }
-            let mut ckeys: Vec<u64> = vkeys
-                .iter()
-                .filter_map(|&key| {
-                    let c = cluster_of[key as u32];
-                    (c != NO_CLUSTER).then_some(u64::from(c))
-                })
-                .collect();
-            ckeys.sort_unstable();
-            ckeys.dedup();
-            let crows = self.fetch(T_VOL, &ckeys)?;
-            for (i, &ck) in ckeys.iter().enumerate() {
-                vol[ck as usize] = crows[i];
-            }
-            let created_from = vol.len();
+            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+                import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
+                ckeys.extend(keys.iter().filter_map(|&key| cluster_key(&cluster_of, key)));
+                Ok(())
+            })?;
+            self.admit(&mut clusters, ckeys.drain(..), |keys, rows| {
+                for (&c, &volume) in keys.iter().zip(&rows[0]) {
+                    let Some(slot) = vol.get_mut(c as usize) else {
+                        return Err(PartitionError::InvalidParam(format!(
+                            "vertex row names raw cluster {c} past the watermark"
+                        )));
+                    };
+                    *slot = volume;
+                }
+                Ok(())
+            })?;
             for &e in &buf {
                 pass1_edge(
                     e,
@@ -1005,20 +1169,25 @@ impl Wk {
                     &mut migrations,
                 )?;
             }
-            let mut vrows = Vec::with_capacity(vkeys.len() * 3);
-            for &key in &vkeys {
-                let v = key as u32;
-                let c = cluster_of[v];
-                vrows.push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-                vrows.push(u64::from(degree[v]));
-                vrows.push(u64::from(divided[v]));
+            // A cluster minted here has no owner row yet: it is resident by
+            // construction, and must be marked before a later chunk could
+            // fetch zeros over its live volume.
+            for c in minted_from..vol.len() {
+                clusters.mark(c as u64);
             }
-            self.publish(T_MAIN, MergeOp::Put, &vkeys, &vrows)?;
-            let mut wkeys = ckeys;
-            wkeys.extend((created_from..vol.len()).map(|c| c as u64));
-            let wrows: Vec<u64> = wkeys.iter().map(|&c| vol[c as usize]).collect();
-            self.publish(T_VOL, MergeOp::Put, &wkeys, &wrows)?;
+            minted_from = vol.len();
         }
+        self.flush(&vertices, |_, keys| {
+            keys.iter()
+                .flat_map(|&key| {
+                    let v = key as u32;
+                    pack_vertex_row(cluster_of[v], degree[v], divided[v])
+                })
+                .collect()
+        })?;
+        self.flush(&clusters, |_, keys| {
+            keys.iter().map(|&c| vol[c as usize]).collect()
+        })?;
         token.next_raw = vol.len() as u64;
         token.splits = splits;
         token.migrations = migrations;
@@ -1044,16 +1213,15 @@ impl Wk {
         let mut cluster_of: VertexTable<u32> =
             VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
         let mut sink = PairSink::new(num_clusters as usize);
-        let mut vkeys: Vec<u64> = Vec::new();
+        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-            }
+            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+                for (&key, row) in keys.iter().zip(rows[0].chunks_exact(3)) {
+                    cluster_of.ensure(key as u32)?;
+                    cluster_of[key as u32] = unpack_vertex_row(row).0;
+                }
+                Ok(())
+            })?;
             for &e in &buf {
                 sink.push(cluster_of[e.src], cluster_of[e.dst]);
             }
@@ -1071,9 +1239,10 @@ impl Wk {
         Ok((token, Vec::new(), Some(pairs)))
     }
 
-    /// CLUGP pass 3: per chunk, fetch the dense vertex rows plus the
-    /// cluster→partition entries those vertices reference, then run the
-    /// transformation kernel. No writebacks — the pass only consumes state.
+    /// CLUGP pass 3: fetch each dense vertex row, and the cluster→partition
+    /// entry it references, the first time the range touches it, then run
+    /// the transformation kernel. Nothing is written back — the pass only
+    /// consumes state.
     fn stage_clugp_transform(
         &mut self,
         lmax: u64,
@@ -1097,36 +1266,24 @@ impl Wk {
         let mut loads = std::mem::take(&mut token.loads);
         let mut cursor = token.cursor;
         let mut reroutes = token.reroutes;
-        let mut vkeys: Vec<u64> = Vec::new();
+        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
+        let mut clusters = Resident::new(vec![T_CPART], u64::from(NO_CLUSTER));
+        let mut ckeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                degree.ensure(v)?;
-                divided.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                degree[v] = rows[3 * i + 1] as u32;
-                divided[v] = rows[3 * i + 2] != 0;
-            }
-            let mut ckeys: Vec<u64> = vkeys
-                .iter()
-                .filter_map(|&key| {
-                    let c = cluster_of[key as u32];
-                    (c != NO_CLUSTER).then_some(u64::from(c))
-                })
-                .collect();
-            ckeys.sort_unstable();
-            ckeys.dedup();
-            let crows = self.fetch(T_CPART, &ckeys)?;
-            for (i, &ck) in ckeys.iter().enumerate() {
-                if ck as usize >= cpart.len() {
-                    cpart.resize(ck as usize + 1, 0);
+            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+                import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
+                ckeys.extend(keys.iter().filter_map(|&key| cluster_key(&cluster_of, key)));
+                Ok(())
+            })?;
+            self.admit(&mut clusters, ckeys.drain(..), |keys, rows| {
+                for (&c, &part) in keys.iter().zip(&rows[0]) {
+                    if c as usize >= cpart.len() {
+                        cpart.resize(c as usize + 1, 0);
+                    }
+                    cpart[c as usize] = part as u32;
                 }
-                cpart[ck as usize] = crows[i] as u32;
-            }
+                Ok(())
+            })?;
             for &e in &buf {
                 let p = transform_edge(
                     e,
@@ -1214,9 +1371,7 @@ impl Wk {
                 continue;
             }
             keys.push(key);
-            rows.push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-            rows.push(u64::from(d));
-            rows.push(u64::from(dv));
+            rows.extend(pack_vertex_row(c, d, dv));
         }
         token.next_raw = vol.len() as u64;
         token.splits = splits;
@@ -1237,25 +1392,11 @@ impl Wk {
                 "relaxed CLUGP stage started without a table cast".into(),
             ));
         };
-        if rows.len() != keys.len() * 3 {
-            return Err(PartitionError::InvalidParam(
-                "table cast payload does not match key count".into(),
-            ));
-        }
         let mut cluster_of: VertexTable<u32> =
             VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
         let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
         let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        for (i, &key) in keys.iter().enumerate() {
-            let v = key as u32;
-            cluster_of.ensure(v)?;
-            degree.ensure(v)?;
-            divided.ensure(v)?;
-            let w0 = rows[3 * i];
-            cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-            degree[v] = rows[3 * i + 1] as u32;
-            divided[v] = rows[3 * i + 2] != 0;
-        }
+        import_vertex_rows(&keys, &rows, &mut cluster_of, &mut degree, &mut divided)?;
         Ok((cluster_of, degree, divided))
     }
 
@@ -1380,13 +1521,22 @@ impl Wk {
     }
 }
 
+/// Every endpoint id of a chunk, in stream order (with repeats).
+fn endpoints(buf: &[Edge]) -> impl Iterator<Item = u64> + '_ {
+    buf.iter()
+        .flat_map(|e| [u64::from(e.src), u64::from(e.dst)])
+}
+
+/// The cluster-table key vertex `key` references, if it has a cluster.
+fn cluster_key(cluster_of: &VertexTable<u32>, key: u64) -> Option<u64> {
+    let c = cluster_of[key as u32];
+    (c != NO_CLUSTER).then_some(u64::from(c))
+}
+
 /// Collects the distinct endpoint ids of a chunk, sorted ascending.
 fn distinct_endpoints(buf: &[Edge], keys: &mut Vec<u64>) {
     keys.clear();
-    for e in buf {
-        keys.push(u64::from(e.src));
-        keys.push(u64::from(e.dst));
-    }
+    keys.extend(endpoints(buf));
     keys.sort_unstable();
     keys.dedup();
 }
@@ -1554,6 +1704,58 @@ mod tests {
             coord.send(&run.encode()).unwrap();
             match recv(&mut coord).unwrap() {
                 Msg::Err { msg } => assert!(msg.contains("HDRF"), "{msg}"),
+                other => panic!("expected Err, got {}", other.kind()),
+            }
+            let err = handle.join().expect("worker thread").unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_forged_state_frame_is_a_typed_error_not_a_worker_panic() {
+        // Worker 1 of 2 owns keys >= 100 of a width-3 range table. A key
+        // below that base, or a row past the vertex-table limit, used to
+        // reach unchecked arithmetic / an `expect` in the shard.
+        use crate::ampc::proto::TableDef;
+        let below_base = Msg::StateReqBatch {
+            keys: vec![5],
+            ops: vec![BatchOp::Get { table: 0 }],
+        };
+        let past_limit = Msg::StateReq {
+            table: 0,
+            op: StateOp::Upsert {
+                merge: MergeOp::Put,
+                keys: vec![u64::MAX],
+                rows: vec![1, 2, 3],
+            },
+        };
+        for (frame, needle) in [
+            (below_base, "below the shard base"),
+            (past_limit, "vertex-table limit"),
+        ] {
+            let (mut coord, worker) = channel_pair(8);
+            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+            let setup = WorkerSetup {
+                worker: 1,
+                workers: 2,
+                k: 4,
+                chunk: 64,
+                heartbeat_ms: 0,
+                algo: AlgoSpec::Hashing { seed: 0 },
+                input: InputSpec::Inline { edges: Vec::new() },
+                tables: vec![TableDef {
+                    layout: Layout::Range { span: 100 },
+                    width: 3,
+                }],
+                trace: false,
+            };
+            coord
+                .send(&Msg::Configure(Box::new(setup)).encode())
+                .unwrap();
+            assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
+            coord.send(&frame.encode()).unwrap();
+            match recv(&mut coord).unwrap() {
+                Msg::Err { msg } => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("expected Err, got {}", other.kind()),
             }
             let err = handle.join().expect("worker thread").unwrap_err();

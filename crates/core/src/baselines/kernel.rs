@@ -9,8 +9,9 @@
 //!
 //! * [`run_local`] (here): tables in-process — the monolithic
 //!   `Partitioner::partition` of every baseline;
-//! * the *sequenced* AMPC driver (`ampc::worker`): fetch the chunk's rows
-//!   from the owning shards, import, step, export, publish;
+//! * the *sequenced* AMPC driver (`ampc::worker`): tables resident for the
+//!   stage — import a row from its owning shard at first touch, step, and
+//!   export every touched row once at the end;
 //! * the *relaxed* AMPC driver (`ampc::worker`): step against local
 //!   tables, ship per-epoch deltas merged under each table's `MergeOp`.
 //!
@@ -39,6 +40,8 @@ pub(crate) trait SharedTable {
     /// The sizing check the table's constructor applies to a vertex-count
     /// hint, for callers that size nothing (the AMPC coordinator).
     fn check_hint(&self, n: u64) -> Result<()>;
+    /// The `max_vertices` cap: `ensure` fails for ids at or past it.
+    fn limit(&self) -> u64;
     /// Grows the table to cover `v`.
     fn ensure(&mut self, v: VertexId) -> Result<()>;
     /// Overwrites `v`'s row (`v` must be ensured).
@@ -61,6 +64,9 @@ impl SharedTable for VertexTable<u32> {
     }
     fn check_hint(&self, n: u64) -> Result<()> {
         check_cap("num_vertices hint", n, self.limit())
+    }
+    fn limit(&self) -> u64 {
+        VertexTable::limit(self)
     }
     fn ensure(&mut self, v: VertexId) -> Result<()> {
         VertexTable::ensure(self, v)
@@ -89,6 +95,9 @@ impl SharedTable for ReplicaTable {
     }
     fn check_hint(&self, n: u64) -> Result<()> {
         check_cap("num_vertices", n, self.limit())
+    }
+    fn limit(&self) -> u64 {
+        ReplicaTable::limit(self)
     }
     fn ensure(&mut self, v: VertexId) -> Result<()> {
         self.ensure_vertices(u64::from(v) + 1)

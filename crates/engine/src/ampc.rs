@@ -48,7 +48,12 @@ impl ReplicaScatter {
             let mut shard = StateShard::range(layout.base(s as u32), words);
             handles.push(std::thread::spawn(move || {
                 while let Ok((keys, rows)) = rx.recv() {
-                    shard.upsert_batch(MergeOp::BitOr, &keys, &rows);
+                    // `insert` routes by the shard's own layout, so no key
+                    // is below the base; past the vertex-table limit this
+                    // thread dies as it always has.
+                    shard
+                        .upsert_batch(MergeOp::BitOr, &keys, &rows)
+                        .expect("scattered rows fit the owning shard");
                 }
                 shard
             }));

@@ -150,6 +150,109 @@ fn multi_worker_runs_actually_exchange_state() {
     );
 }
 
+/// Bytes and frames the coordinator links carried under protocol verb `name`.
+fn verb_traffic(out: &clugp::ampc::DistOutcome, name: &str) -> (u64, u64) {
+    let slot = (0..out.net.by_verb.len())
+        .find(|&tag| clugp::ampc::proto::Msg::verb_name(tag) == name)
+        .expect("known verb");
+    (out.net.by_verb[slot].bytes, out.net.by_verb[slot].frames)
+}
+
+#[test]
+fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
+    // Stage residency (DESIGN.md §7): a worker fetches a row once per stage
+    // and writes it back once, so what the routing verbs carry follows the
+    // keys a range touches. Counts only — nothing here is timed.
+    let (n, edges) = test_web_graph(1_500, 41);
+    let input = DistInput::Edges {
+        num_vertices: n,
+        edges: &edges,
+    };
+    let k = 8;
+    for name in ["clugp", "hdrf"] {
+        let algo = DistAlgo::by_name(name).expect("registered algorithm");
+        let reference = monolith(algo.monolith().as_mut(), n, &edges, k).0;
+        let run = |workers: u32, chunk_edges: usize| {
+            let cfg = DistConfig {
+                workers,
+                chunk_edges,
+                ..Default::default()
+            };
+            let out = run_distributed(&algo, input, k, &cfg)
+                .unwrap_or_else(|e| panic!("{name}: {workers}w/chunk {chunk_edges}: {e}"));
+            assert_eq!(
+                out.partitioning.assignments, reference,
+                "{name}: {workers}w/chunk {chunk_edges} diverged from the monolith"
+            );
+            out
+        };
+        // One worker owns every key: nothing is ever routed.
+        let alone = run(1, 64);
+        assert_eq!(
+            verb_traffic(&alone, "RouteBatch"),
+            (0, 0),
+            "{name}: a lone worker routed state through the coordinator"
+        );
+        // With per-chunk fetch and write-back the routed bytes grew with the
+        // number of chunks (64x more of them here); resident, only the
+        // per-frame headers do.
+        for workers in [2u32, 4] {
+            let routed = |out: &clugp::ampc::DistOutcome| {
+                verb_traffic(out, "RouteBatch").0 + verb_traffic(out, "StateReqBatch").0
+            };
+            let (small, large) = (routed(&run(workers, 64)), routed(&run(workers, 4096)));
+            assert!(large > 0, "{name}: {workers} workers exchanged no state");
+            assert!(
+                small <= 2 * large,
+                "{name}: {workers} workers routed {small} B at 64-edge chunks, \
+                 more than twice the {large} B at 4096-edge chunks"
+            );
+        }
+    }
+}
+
+#[test]
+fn clusters_minted_on_one_worker_are_read_on_the_next() {
+    // A small Vmax makes pass 1 split and migrate constantly, so worker 0
+    // mints most raw clusters and its deferred T_VOL write-back is what
+    // worker 1's first-touch fetches must see — volumes of clusters that
+    // did not exist when the stage began included.
+    let (n, edges) = test_web_graph(1_500, 45);
+    let k = 8;
+    for vmax_factor in [0.02, 0.2] {
+        let config = ClugpConfig {
+            vmax_factor,
+            ..Default::default()
+        };
+        let reference = monolith(&mut Clugp::new(config.clone()), n, &edges, k);
+        for (workers, chunk_edges) in [(2u32, 0usize), (2, 37), (3, 173)] {
+            let out = run_distributed(
+                &DistAlgo::Clugp(config.clone()),
+                DistInput::Edges {
+                    num_vertices: n,
+                    edges: &edges,
+                },
+                k,
+                &DistConfig {
+                    workers,
+                    chunk_edges,
+                    ..Default::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("vmax x{vmax_factor}: {workers}w: {e}"));
+            assert_eq!(
+                (
+                    out.partitioning.assignments,
+                    out.partitioning.loads,
+                    out.partitioning.num_vertices
+                ),
+                reference,
+                "vmax x{vmax_factor}: {workers} workers / chunk {chunk_edges} diverged"
+            );
+        }
+    }
+}
+
 #[test]
 fn pack_input_matches_monolith_on_the_same_pack_stream() {
     // Pack streams replay the canonical (src, dst) order, so the monolith
@@ -795,7 +898,7 @@ fn commutative_upsert_batch_order_cannot_change_table_state() {
                     };
                     for &b in order {
                         let (keys, rows) = &batches[b];
-                        shard.upsert_batch(merge, keys, rows);
+                        shard.upsert_batch(merge, keys, rows).unwrap();
                     }
                     let mut out = Vec::new();
                     shard.scan(|key, row| {
