@@ -257,6 +257,21 @@ mod tests {
         assert_eq!(Checkpoint::decode(&ck.encode()).unwrap(), ck);
     }
 
+    /// Format pin, recorded with the byte-at-a-time `crc32` (commit
+    /// 77db6d0): the CRC footer and FNV-1a of a whole encoded checkpoint.
+    /// A checkpoint persisted by a build on either side of the slicing-by-16
+    /// kernel must `--resume` on the other.
+    #[test]
+    fn encoded_bytes_are_pinned_across_crc_kernels() {
+        let bytes = sample().encode();
+        let footer = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
+        assert_eq!(footer, 0x9D11_AB0F, "{footer:#010X}");
+        let fnv = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(fnv, 0x55A0_9014_3BC5_4D55, "{fnv:#018X}");
+    }
+
     #[test]
     fn corrupt_or_truncated_bytes_rejected() {
         let bytes = sample().encode();

@@ -1290,6 +1290,44 @@ mod tests {
         out
     }
 
+    /// Format pin, recorded with the byte-at-a-time `crc32` (commit
+    /// 77db6d0) before the slicing-by-16 kernel replaced it: FNV-1a over
+    /// every byte `write_pack` emits for a fixed 1 500-vertex web graph —
+    /// header, blocks, index (one and many entries), footer, and the CRC in
+    /// each. A kernel that returned a different checksum anywhere would
+    /// change these hashes, and a pack written at either commit would stop
+    /// opening under `ChecksumPolicy::Full` at the other.
+    #[test]
+    fn pack_bytes_are_pinned_across_crc_kernels() {
+        let g = crate::gen::generate_web_crawl(&crate::gen::WebCrawlConfig {
+            vertices: 1_500,
+            seed: 15,
+            ..Default::default()
+        });
+        let edges: Vec<Edge> = g.edges().collect();
+        assert_eq!(edges.len(), 17_679);
+        for (block_bytes, blocks, pin) in [
+            (DEFAULT_BLOCK_BYTES, 1, 0xDE7A_F529_1D4C_465Du64),
+            (4096, 10, 0x9431_6C78_82D8_5BA3),
+        ] {
+            let path = tmp(&format!("pin{block_bytes}.clugpz"));
+            let opts = PackOptions {
+                block_bytes,
+                ..Default::default()
+            };
+            let stats = write_pack(&path, g.num_vertices(), &edges, &opts).unwrap();
+            assert_eq!(stats.num_blocks, blocks, "block_bytes={block_bytes}");
+            let bytes = std::fs::read(&path).unwrap();
+            let fnv = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            assert_eq!(fnv, pin, "block_bytes={block_bytes}: {fnv:#018X}");
+            let mut s = PackedEdgeStream::open(&path).unwrap();
+            assert_eq!(collect_stream(&mut s), canonical_order(&edges));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn round_trip_is_canonical_order() {
         let edges = web_like(5_000);

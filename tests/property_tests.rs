@@ -419,6 +419,23 @@ proptest! {
         std::fs::remove_file(&b).ok();
     }
 
+    /// The format's CRC32 is the reflected IEEE polynomial division, bit by
+    /// bit, whatever table layout `crc32` uses to get there: arbitrary
+    /// bytes, lengths on both sides of the 16-byte slicing stride.
+    #[test]
+    fn crc32_equals_bitwise_polynomial_division(
+        bytes in prop::collection::vec(0u8..=255, 0..300),
+    ) {
+        let mut want = 0xFFFF_FFFFu32;
+        for &b in &bytes {
+            want ^= u32::from(b);
+            for _ in 0..8 {
+                want = (want >> 1) ^ (0xEDB8_8320 & (want & 1).wrapping_neg());
+            }
+        }
+        prop_assert_eq!(clugp_graph::pack::crc32(&bytes), !want);
+    }
+
     /// Binary I/O round-trips arbitrary graphs.
     #[test]
     fn binary_io_round_trip(edges in arb_edges()) {
