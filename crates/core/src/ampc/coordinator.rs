@@ -28,8 +28,8 @@
 use super::checkpoint::{load_latest, write_checkpoint, Checkpoint, TableDump};
 use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, Stage, StateOp, TableDef, Token,
-    WorkerSetup,
+    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, StateOp, TableDef,
+    Token, WorkerSetup,
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
@@ -105,6 +105,10 @@ fn tag_worker(w: usize, e: PartitionError) -> PartitionError {
 
 struct Coord {
     conns: Vec<Box<dyn Transport>>,
+    /// Partition count; every id a worker reports must be below it.
+    k: u32,
+    /// Edges in each worker's range, as handed out with `Configure`.
+    range_edges: Vec<u64>,
     /// Stats of links replaced by respawns (their traffic still counts).
     retired: NetStats,
     /// Reused encode buffer for every outgoing frame.
@@ -220,6 +224,36 @@ impl Coord {
         }
     }
 
+    /// Holds worker `w`'s `StageDone` against what the coordinator handed
+    /// out, then widens the part onto `assignments`: an assigning stage
+    /// accounts for every edge of the worker's range (plus the Mint carry it
+    /// was handed, less the one it passes on), any other stage for none, and
+    /// every id is below `k`.
+    fn accept_part(
+        &self,
+        w: usize,
+        stage: Stage,
+        carry_in: usize,
+        token: &Token,
+        part: &PartIds,
+        assignments: &mut Vec<u32>,
+    ) -> Result<()> {
+        let named = |what: String| PartitionError::InvalidParam(format!("worker {w}: {what}"));
+        let expect = if stage.assigns() {
+            self.range_edges[w] + carry_in as u64
+        } else {
+            0
+        };
+        let got = (part.len() + token.carry.len()) as u64;
+        if got != expect {
+            return Err(named(format!(
+                "StageDone accounts for {got} edges, its range holds {expect}"
+            )));
+        }
+        part.append_to(self.k, assignments)
+            .map_err(|e| named(e.to_string()))
+    }
+
     /// Runs one stage as a barrier: the token travels worker 0‥N−1, and
     /// while worker `w` streams, the coordinator relays its routing
     /// traffic to the owning shards.
@@ -231,6 +265,7 @@ impl Coord {
         mut pairs_out: Option<&mut Vec<PairsPayload>>,
     ) -> Result<Token> {
         for w in 0..self.conns.len() {
+            let carry_in = token.carry.len();
             let msg = Msg::RunStage {
                 stage,
                 token,
@@ -279,7 +314,8 @@ impl Coord {
                         assignments: part,
                         pairs,
                     } => {
-                        assignments.extend(part);
+                        self.accept_part(w, stage, carry_in, &token, &part, assignments)?;
+                        check_loads(format_args!("worker {w}"), &token, assignments.len())?;
                         if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
                             out.push(p);
                         }
@@ -313,6 +349,7 @@ impl Coord {
     /// is what makes relaxed merges deterministic), returning the tokens.
     fn collect_stage_done(
         &mut self,
+        stage: Stage,
         assignments: &mut Vec<u32>,
         mut pairs_out: Option<&mut Vec<PairsPayload>>,
     ) -> Result<Vec<Token>> {
@@ -326,7 +363,7 @@ impl Coord {
                         assignments: part,
                         pairs,
                     } => {
-                        assignments.extend(part);
+                        self.accept_part(w, stage, 0, &token, &part, assignments)?;
                         if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
                             out.push(p);
                         }
@@ -460,6 +497,17 @@ impl Coord {
     }
 }
 
+/// The loads a stage hands back must add up to the edges it assigned.
+fn check_loads(who: std::fmt::Arguments<'_>, token: &Token, placed: usize) -> Result<()> {
+    let sum = token.loads.iter().fold(0u64, |a, &l| a.wrapping_add(l));
+    if sum != placed as u64 {
+        return Err(PartitionError::InvalidParam(format!(
+            "{who}: token loads sum to {sum}, {placed} edges are assigned"
+        )));
+    }
+    Ok(())
+}
+
 /// One worker's locally-clustered pass-1 result (relaxed mode).
 struct Pass1Part {
     keys: Vec<u64>,
@@ -510,7 +558,6 @@ struct Supervisor<'a> {
     // distinct "<name>+relaxed" fingerprint: their checkpoints are not
     // interchangeable with sequenced ones.
     algo_name: String,
-    k: u32,
     m: u64,
     n_hint: u64,
 }
@@ -540,6 +587,8 @@ impl<'a> Supervisor<'a> {
         Supervisor {
             coord: Coord {
                 conns,
+                k: 0,
+                range_edges: Vec::new(),
                 retired: NetStats::default(),
                 scratch: Vec::new(),
                 trace_on: cfg.trace,
@@ -559,7 +608,6 @@ impl<'a> Supervisor<'a> {
             ckpt_restore_us: 0,
             ckpt_restores: 0,
             algo_name,
-            k: 0,
             m: 0,
             n_hint: 0,
         }
@@ -706,7 +754,7 @@ impl<'a> Supervisor<'a> {
             stage,
             token: token.clone(),
             algo: self.algo_name.clone(),
-            k: self.k,
+            k: self.coord.k,
             m: self.m,
             n_hint: self.n_hint,
             m_real,
@@ -922,6 +970,13 @@ fn drive(
         .unwrap_or_default()
     };
 
+    let range_edges = inputs
+        .iter()
+        .map(|input| match input {
+            InputSpec::Inline { edges } => edges.len() as u64,
+            InputSpec::Pack { edges, .. } => *edges,
+        })
+        .collect();
     let heartbeat_ms = cfg.supervise.heartbeat_ms();
     let mut setups = Vec::with_capacity(workers as usize);
     for (w, input) in inputs.into_iter().enumerate() {
@@ -949,7 +1004,8 @@ fn drive(
     }
 
     sup.table_defs = tables;
-    sup.k = k;
+    sup.coord.k = k;
+    sup.coord.range_edges = range_edges;
     sup.m = m_hint;
     sup.n_hint = n_hint;
     if sup.policy.max_retries > 0 {
@@ -1027,8 +1083,10 @@ fn baseline_flow(
                 let defs = sup.table_defs.clone();
                 sup.coord.run_epoch_rounds(k as usize, &defs)?;
             }
-            let tokens = sup.coord.collect_stage_done(&mut assignments, None)?;
-            merge_relaxed_tokens(tokens, !epoch_synced)
+            let tokens = sup
+                .coord
+                .collect_stage_done(stage, &mut assignments, None)?;
+            merge_relaxed_tokens(tokens, !epoch_synced, assignments.len())?
         }
     };
     sup.coord
@@ -1045,8 +1103,9 @@ fn baseline_flow(
 
 /// Folds per-worker relaxed tokens into one, in worker order. Loads are
 /// summed only when the stage did not epoch-sync them (epoch-synced
-/// stages already return the committed totals in every token).
-fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool) -> Token {
+/// stages already return the committed totals in every token); either way
+/// they must add up to the `placed` edges the workers assigned.
+fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool, placed: usize) -> Result<Token> {
     let mut iter = tokens.into_iter();
     let mut merged = iter.next().unwrap_or_default();
     for t in iter {
@@ -1062,7 +1121,8 @@ fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool) -> Token {
         merged.reroutes += t.reroutes;
         merged.table_len = merged.table_len.max(t.table_len);
     }
-    merged
+    check_loads(format_args!("relaxed stage"), &merged, placed)?;
+    Ok(merged)
 }
 
 /// Merges locally-clustered pass-1 frontiers into global vertex state.
@@ -1196,7 +1256,7 @@ fn clugp_flow(
         let raw_count = if relaxed {
             sup.coord.broadcast_stage(stage, &token0, epoch)?;
             let parts = sup.coord.collect_pass1_frontiers()?;
-            sup.coord.collect_stage_done(&mut no_assign, None)?;
+            sup.coord.collect_stage_done(stage, &mut no_assign, None)?;
             merge_pass1_frontiers(parts, &mut cluster_of, &mut degree, &mut divided)? as usize
         } else {
             let token = sup.coord.run_stage(stage, token0, &mut no_assign, None)?;
@@ -1260,7 +1320,7 @@ fn clugp_flow(
             cast_table(sup, T_MAIN)?;
             sup.coord.broadcast_stage(stage, &token0, epoch)?;
             sup.coord
-                .collect_stage_done(&mut no_assign, Some(&mut pairs))?;
+                .collect_stage_done(stage, &mut no_assign, Some(&mut pairs))?;
         } else {
             sup.coord
                 .run_stage(stage, token0, &mut no_assign, Some(&mut pairs))?;
@@ -1327,8 +1387,10 @@ fn clugp_flow(
         cast_table(sup, T_MAIN)?;
         cast_table(sup, T_CPART)?;
         sup.coord.broadcast_stage(stage, &token0, epoch)?;
-        let tokens = sup.coord.collect_stage_done(&mut assignments, None)?;
-        merge_relaxed_tokens(tokens, true)
+        let tokens = sup
+            .coord
+            .collect_stage_done(stage, &mut assignments, None)?;
+        merge_relaxed_tokens(tokens, true, assignments.len())?
     } else {
         sup.coord.run_stage(stage, token0, &mut assignments, None)?
     };
@@ -1344,4 +1406,98 @@ fn clugp_flow(
         assignments,
         loads: token.loads,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::proto::forged_stage_done;
+    use super::super::transport::channel_pair;
+    use super::*;
+    use clugp_graph::types::Edge;
+
+    fn stage_done(loads: Vec<u64>, width: u8, count: u64, ids: &[u8]) -> Vec<u8> {
+        let token = Token {
+            loads,
+            ..Default::default()
+        };
+        forged_stage_done(&token, width, count, ids)
+    }
+
+    /// Runs the coordinator (hashing, k = 4, four edges, no supervision)
+    /// against a worker that acks `Configure` and answers `RunStage` with
+    /// `reply`.
+    fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
+        let (coord, mut worker) = channel_pair(8);
+        let forger = std::thread::spawn(move || {
+            let configure = Msg::decode(&worker.recv().unwrap()).unwrap();
+            assert_eq!(configure.kind(), "Configure");
+            worker.send(&Msg::ConfigureOk.encode()).unwrap();
+            let run = Msg::decode(&worker.recv().unwrap()).unwrap();
+            assert_eq!(run.kind(), "RunStage");
+            worker.send(&reply).unwrap();
+            // `Shutdown`, whatever the coordinator made of the reply.
+            let _ = worker.recv();
+        });
+        let edges: Vec<Edge> = (0..4).map(|i| Edge::new(i, i + 1)).collect();
+        let out = run_coordinator(
+            vec![Box::new(coord)],
+            &DistAlgo::by_name("hashing").expect("registered"),
+            DistInput::Edges {
+                num_vertices: 5,
+                edges: &edges,
+            },
+            4,
+            &DistConfig::default(),
+            None,
+        );
+        forger.join().expect("forged worker");
+        out
+    }
+
+    #[test]
+    fn a_forged_stage_done_is_a_typed_error_naming_the_worker() {
+        let honest = run_against(stage_done(vec![1, 1, 1, 1], 1, 4, &[0, 1, 2, 3])).unwrap();
+        assert_eq!(honest.partitioning.assignments, [0, 1, 2, 3]);
+
+        // What a worker reports is held against what it was handed: a part
+        // shorter than its range, an id that is not below k, loads that do
+        // not add up to the edges assigned.
+        for (reply, needle) in [
+            (
+                stage_done(vec![1, 1, 1, 0], 1, 3, &[0, 1, 2]),
+                "accounts for 3 edges, its range holds 4",
+            ),
+            (
+                stage_done(vec![1, 1, 1, 1], 1, 4, &[0, 1, 2, 4]),
+                "partition id 4 is not below k = 4",
+            ),
+            (
+                stage_done(vec![1, 1, 1, 2], 1, 4, &[0, 1, 2, 3]),
+                "loads sum to 5, 4 edges are assigned",
+            ),
+        ] {
+            match run_against(reply).unwrap_err() {
+                PartitionError::InvalidParam(msg) => {
+                    assert!(msg.contains("worker 0") && msg.contains(needle), "{msg}");
+                }
+                other => panic!("expected InvalidParam, got {other}"),
+            }
+        }
+
+        // A frame that is not a `StageDone` at all — an id width no encoder
+        // writes, a count the frame cannot back (refused before a byte is
+        // copied) — is the link's fault, typed as such.
+        for reply in [
+            stage_done(vec![1, 1, 1, 1], 3, 4, &[0; 12]),
+            stage_done(vec![1, 1, 1, 1], 1, 1 << 40, &[0, 1, 2, 3]),
+        ] {
+            match run_against(reply).unwrap_err() {
+                PartitionError::Fault { kind, detail } => {
+                    assert_eq!(kind, FaultKind::Corrupt);
+                    assert!(detail.contains("worker 0"), "{detail}");
+                }
+                other => panic!("expected a Corrupt fault, got {other}"),
+            }
+        }
+    }
 }

@@ -18,10 +18,14 @@ use std::time::Duration;
 /// One scripted perturbation of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Swallow the frame. On send the call reports success without
-    /// transmitting; on recv the arrived frame is discarded and the next
-    /// one awaited. The resulting silence surfaces at the peer as a
-    /// deadline timeout.
+    /// Swallow the frame and every later one in the same direction: the
+    /// link goes half-open. On send the calls report success without
+    /// transmitting; on recv arriving frames are discarded until the
+    /// deadline expires. A [`Transport`] is an ordered reliable pipe, so
+    /// loss never skips a single frame — the engine's unacknowledged
+    /// write-backs lean on exactly that — it silences everything behind
+    /// it, and the silence surfaces as a deadline timeout at whoever next
+    /// awaits a reply over the link.
     DropFrame,
     /// Stall the operation for the given duration, then let it through.
     Delay(Duration),
@@ -152,6 +156,13 @@ impl FaultInjectingTransport {
         list.iter().find(|(at, _)| *at == ordinal).map(|(_, a)| *a)
     }
 
+    /// Whether a scripted [`FaultAction::DropFrame`] at or before `ordinal`
+    /// has silenced the direction `list` scripts.
+    fn silenced(list: &[(u64, FaultAction)], ordinal: u64) -> bool {
+        list.iter()
+            .any(|&(at, a)| a == FaultAction::DropFrame && at <= ordinal)
+    }
+
     /// Drops the wrapped link (the peer observes EOF / hangup).
     fn sever(&mut self, what: &str) -> PartitionError {
         if let Some(t) = self.inner.take() {
@@ -178,8 +189,10 @@ impl Transport for FaultInjectingTransport {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         let ordinal = self.sent;
         self.sent += 1;
+        if Self::silenced(&self.script.on_send, ordinal) {
+            return Ok(());
+        }
         match Self::action(&self.script.on_send, ordinal) {
-            Some(FaultAction::DropFrame) => Ok(()),
             Some(FaultAction::Delay(d)) => {
                 std::thread::sleep(d);
                 self.link("send")?.send(frame)
@@ -192,35 +205,34 @@ impl Transport for FaultInjectingTransport {
                 self.link("send")?.send(&bad)
             }
             Some(FaultAction::Disconnect) => Err(self.sever("send")),
-            None => self.link("send")?.send(frame),
+            Some(FaultAction::DropFrame) | None => self.link("send")?.send(frame),
         }
     }
 
     fn recv(&mut self) -> Result<Vec<u8>> {
-        loop {
-            let ordinal = self.received;
-            self.received += 1;
-            match Self::action(&self.script.on_recv, ordinal) {
-                Some(FaultAction::DropFrame) => {
-                    // Consume and discard the arrived frame, then keep
-                    // waiting for the next one.
-                    let _ = self.link("recv")?.recv()?;
-                    continue;
-                }
-                Some(FaultAction::Delay(d)) => {
-                    std::thread::sleep(d);
-                    return self.link("recv")?.recv();
-                }
-                Some(FaultAction::CorruptFrame) => {
-                    let mut frame = self.link("recv")?.recv()?;
-                    if let Some(b) = frame.first_mut() {
-                        *b ^= 0xFF;
-                    }
-                    return Ok(frame);
-                }
-                Some(FaultAction::Disconnect) => return Err(self.sever("recv")),
-                None => return self.link("recv")?.recv(),
+        let ordinal = self.received;
+        self.received += 1;
+        if Self::silenced(&self.script.on_recv, ordinal) {
+            // Consume and discard whatever arrives; the wrapped link's
+            // deadline (or the peer hanging up) ends the wait.
+            loop {
+                self.link("recv")?.recv()?;
             }
+        }
+        match Self::action(&self.script.on_recv, ordinal) {
+            Some(FaultAction::Delay(d)) => {
+                std::thread::sleep(d);
+                self.link("recv")?.recv()
+            }
+            Some(FaultAction::CorruptFrame) => {
+                let mut frame = self.link("recv")?.recv()?;
+                if let Some(b) = frame.first_mut() {
+                    *b ^= 0xFF;
+                }
+                Ok(frame)
+            }
+            Some(FaultAction::Disconnect) => Err(self.sever("recv")),
+            Some(FaultAction::DropFrame) | None => self.link("recv")?.recv(),
         }
     }
 
@@ -251,29 +263,50 @@ mod tests {
     #[test]
     fn drop_and_corrupt_on_send() {
         let mut script = FaultScript::default();
-        script.on_send.push((1, FaultAction::DropFrame));
-        script.on_send.push((2, FaultAction::CorruptFrame));
+        script.on_send.push((1, FaultAction::CorruptFrame));
+        script.on_send.push((2, FaultAction::DropFrame));
         let (mut a, mut b) = wrap(script);
         a.send(b"one").unwrap();
-        a.send(b"two").unwrap(); // dropped
-        a.send(b"three").unwrap(); // corrupted
+        a.send(b"two").unwrap(); // corrupted
+        a.send(b"three").unwrap(); // dropped: the direction goes silent
+        a.send(b"four").unwrap(); // swallowed behind it
         assert_eq!(b.recv().unwrap(), b"one");
         let corrupted = b.recv().unwrap();
         assert_eq!(corrupted[0], b't' ^ 0xFF);
-        assert_eq!(&corrupted[1..], b"hree");
+        assert_eq!(&corrupted[1..], b"wo");
+        b.set_deadline(Some(Duration::from_millis(20)));
+        assert!(matches!(
+            b.recv().unwrap_err(),
+            PartitionError::Fault {
+                kind: FaultKind::Timeout,
+                ..
+            }
+        ));
+        // The other direction still works: the link is half-open.
+        b.send(b"back").unwrap();
+        assert_eq!(a.recv().unwrap(), b"back");
     }
 
     #[test]
-    fn drop_on_recv_skips_one_frame() {
+    fn drop_on_recv_silences_the_link_until_the_deadline() {
         let mut script = FaultScript::default();
-        script.on_recv.push((0, FaultAction::DropFrame));
-        let (mut a, _b) = {
-            let (a, mut b) = channel_pair(8);
-            b.send(b"lost").unwrap();
-            b.send(b"kept").unwrap();
-            (FaultInjectingTransport::new(Box::new(a), script), b)
-        };
+        script.on_recv.push((1, FaultAction::DropFrame));
+        let (a, mut b) = channel_pair(8);
+        let mut a = FaultInjectingTransport::new(Box::new(a), script);
+        a.set_deadline(Some(Duration::from_millis(20)));
+        for frame in [&b"kept"[..], b"lost", b"lost too"] {
+            b.send(frame).unwrap();
+        }
         assert_eq!(a.recv().unwrap(), b"kept");
+        // Nothing skips ahead of a lost frame on an ordered pipe.
+        assert!(matches!(
+            a.recv().unwrap_err(),
+            PartitionError::Fault {
+                kind: FaultKind::Timeout,
+                ..
+            }
+        ));
+        assert!(a.recv().is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   [`table::Layout`]) exposing get / upsert-batch / scan.
 //! * [`worker`] — owns a contiguous range of the edge stream and drives
 //!   the *same per-edge kernels as the monolith* against local shards,
-//!   fetching remote rows in per-chunk batches.
+//!   fetching remote rows in one batch per admission window.
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
 //!   relays cross-worker state traffic (star topology), runs the
 //!   coordinator-side CLUGP stages (compaction, cluster graph, game), and

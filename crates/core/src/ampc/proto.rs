@@ -17,16 +17,27 @@
 //! cannot finish with state writes still in flight.
 //!
 //! [`Msg::RouteBatch`] is the windowed, batched form of that relay
-//! (DESIGN.md §11): one frame per owner carries the gets of a chunk's
-//! first-touched keys, or a slice of the stage-end writeback, for every
-//! table of the group, with delta-encoded keys (varint gaps over the
+//! (DESIGN.md §11): one frame per owner carries the gets of an admission
+//! window's first-touched keys, or a slice of the stage-end writeback, for
+//! every table of the group, with delta-encoded keys (varint gaps over the
 //! sorted key set) and varint value runs. Pure-writeback batches
 //! are unacknowledged — frame ordering through the coordinator guarantees
 //! they are applied before any later dependent read — which is what lets
 //! the worker keep several of them in flight behind the transport's
 //! bounded window. The `Epoch*` messages and [`Msg::TableCast`] belong to
 //! the relaxed concurrent mode, where every worker streams at once and
-//! state is reconciled at epoch barriers instead of per chunk.
+//! state is reconciled at epoch barriers instead of per window.
+//!
+//! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
+//! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
+//! holds `k − 1`), a `u64` count, then `count × width` little-endian id
+//! bytes — and a flag byte followed by the [`PairsPayload`] when set. It is
+//! the one verb that still moved fixed-width words in bulk — 4 bytes per
+//! edge, most of what a sequenced CLUGP run exchanged — while the routing
+//! verbs were varint/delta coded already, so only this layout changed. The decoder rejects any other width byte and holds
+//! the count against the rest of the frame before it copies anything; what
+//! the ids *mean* — one per edge of the range, all below `k` — is the
+//! coordinator's to check, against what it handed out.
 //!
 //! [`Msg::TraceEvents`] is the observability side-channel (DESIGN.md
 //! §12): when the run is traced, workers flush their buffered
@@ -126,6 +137,14 @@ pub enum Stage {
         /// Per-partition load cap `Lmax`.
         lmax: u64,
     },
+}
+
+impl Stage {
+    /// Whether the stage assigns the edges it streams; the others send an
+    /// empty [`PartIds`] with `StageDone`.
+    pub fn assigns(self) -> bool {
+        matches!(self, Stage::Baseline | Stage::ClugpTransform { .. })
+    }
 }
 
 /// Streaming state threaded through the sequenced workers within one
@@ -253,6 +272,111 @@ pub struct WorkerSetup {
     pub trace: bool,
 }
 
+/// The partition ids a stage assigned to a worker's edge range, in stream
+/// order, as `StageDone` carries them: little-endian at the narrowest of 1, 2
+/// or 4 bytes per id that holds `k - 1` (1 byte up to k = 256). The in-memory
+/// [`crate::partition::Partitioning`] stays `Vec<u32>`; only the frame is
+/// narrow, and the coordinator widens it straight into its own vector
+/// ([`PartIds::append_to`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartIds {
+    /// Bytes per id: 1, 2 or 4.
+    width: u8,
+    /// `len * width` id bytes.
+    bytes: Vec<u8>,
+}
+
+impl PartIds {
+    /// An empty run at the id width of a `k`-way partition.
+    pub fn for_k(k: u32) -> PartIds {
+        let width = match k.saturating_sub(1) {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            _ => 4,
+        };
+        PartIds {
+            width,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// `ids` at the width of a `k`-way partition.
+    pub fn from_ids(k: u32, ids: &[u32]) -> PartIds {
+        let mut part = PartIds::for_k(k);
+        part.extend_from_slice(ids);
+        part
+    }
+
+    /// Ids held.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width as usize
+    }
+
+    /// Whether no id is held.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Appends `ids`, each of which must fit the width.
+    pub fn extend_from_slice(&mut self, ids: &[u32]) {
+        let width = self.width as usize;
+        debug_assert!(ids.iter().all(|&p| u64::from(p) >> (8 * width) == 0));
+        if width == 1 {
+            self.bytes.extend(ids.iter().map(|&p| p as u8));
+        } else {
+            self.bytes.reserve(ids.len() * width);
+            for &p in ids {
+                self.bytes.extend_from_slice(&p.to_le_bytes()[..width]);
+            }
+        }
+    }
+
+    /// Widens the ids onto the end of `out`. An id that is not below `k`
+    /// is an error and leaves `out` as it was.
+    pub fn append_to(&self, k: u32, out: &mut Vec<u32>) -> Result<()> {
+        let start = out.len();
+        let mut max = 0u32;
+        let mut note = |p: u32| {
+            max = max.max(p);
+            p
+        };
+        if self.width == 1 {
+            out.extend(self.bytes.iter().map(|&b| note(u32::from(b))));
+        } else {
+            out.extend(self.bytes.chunks_exact(self.width as usize).map(|c| {
+                let mut le = [0u8; 4];
+                le[..c.len()].copy_from_slice(c);
+                note(u32::from_le_bytes(le))
+            }));
+        }
+        if max >= k {
+            out.truncate(start);
+            return Err(PartitionError::InvalidParam(format!(
+                "partition id {max} is not below k = {k}"
+            )));
+        }
+        Ok(())
+    }
+
+    fn put(&self, w: &mut Wr) {
+        w.u8(self.width);
+        w.u64(self.len() as u64);
+        w.bytes(&self.bytes);
+    }
+
+    fn get(r: &mut Rd<'_>) -> Result<PartIds> {
+        let width = r.u8()?;
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(bad("partition id width"));
+        }
+        // `len` holds the count against what is left of the frame, so the
+        // copy below is never larger than the frame itself.
+        let n = r.len(width as usize)?;
+        let bytes = r.take(n * width as usize)?.to_vec();
+        Ok(PartIds { width, bytes })
+    }
+}
+
 /// A worker's partial cluster-graph aggregation (CLUGP pairs stage).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PairsPayload {
@@ -291,8 +415,9 @@ pub enum Msg {
     StageDone {
         /// Updated streaming state.
         token: Token,
-        /// Assignments produced for this worker's edges, in stream order.
-        assignments: Vec<u32>,
+        /// Assignments produced for this worker's edges, in stream order
+        /// (empty for the stages that assign nothing).
+        assignments: PartIds,
         /// Cluster-graph partials (CLUGP pairs stage only).
         pairs: Option<PairsPayload>,
     },
@@ -984,7 +1109,7 @@ impl Msg {
             } => {
                 w.u8(4);
                 put_token(w, token);
-                w.u32s(assignments);
+                assignments.put(w);
                 match pairs {
                     Some(p) => {
                         w.bool(true);
@@ -1107,7 +1232,7 @@ impl Msg {
             }
             4 => {
                 let token = get_token(&mut r)?;
-                let assignments = r.u32s()?;
+                let assignments = PartIds::get(&mut r)?;
                 let pairs = if r.bool()? {
                     Some(get_pairs(&mut r)?)
                 } else {
@@ -1187,6 +1312,20 @@ impl Msg {
     }
 }
 
+/// A `StageDone` frame written field by field, so that a test can make it
+/// lie about its ids: any width byte, any count, any id bytes.
+#[cfg(test)]
+pub(crate) fn forged_stage_done(token: &Token, width: u8, count: u64, ids: &[u8]) -> Vec<u8> {
+    let mut w = Wr::new();
+    w.u8(4);
+    put_token(&mut w, token);
+    w.u8(width);
+    w.u64(count);
+    w.bytes(ids);
+    w.bool(false);
+    w.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1243,7 +1382,7 @@ mod tests {
         });
         round_trip(Msg::StageDone {
             token: Token::default(),
-            assignments: vec![0, 1, 0, 2],
+            assignments: PartIds::from_ids(3, &[0, 1, 0, 2]),
             pairs: Some(PairsPayload {
                 intra: vec![(0, 3), (5, 1)],
                 agg: vec![(1 << 32 | 2, 4)],
@@ -1273,6 +1412,67 @@ mod tests {
         round_trip(Msg::Heartbeat);
         round_trip(Msg::ResetTables);
         round_trip(Msg::ResetOk);
+    }
+
+    #[test]
+    fn stage_done_ids_are_as_narrow_as_k_allows_and_round_trip() {
+        let frame = |assignments: PartIds| {
+            Msg::StageDone {
+                token: Token::default(),
+                assignments,
+                pairs: None,
+            }
+            .encode()
+        };
+        for (k, width) in [(1u32, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            let ids = [0, k - 1, (k - 1) / 2, 0, k - 1];
+            let bytes = frame(PartIds::from_ids(k, &ids));
+            assert_eq!(
+                bytes.len() - frame(PartIds::for_k(k)).len(),
+                ids.len() * width,
+                "k = {k}"
+            );
+            let Msg::StageDone { assignments, .. } = Msg::decode(&bytes).unwrap() else {
+                panic!("k = {k}: not a StageDone");
+            };
+            assert_eq!(assignments.len(), ids.len());
+            // Widened onto the end of what the coordinator already holds.
+            let mut out = vec![7];
+            assignments.append_to(k, &mut out).unwrap();
+            assert_eq!(out[0], 7);
+            assert_eq!(out[1..], ids, "k = {k}");
+            // An id that is not below k is refused and nothing is appended.
+            let forged = PartIds::from_ids(k + 1, &[0, k]);
+            let err = forged.append_to(k, &mut out).unwrap_err().to_string();
+            assert!(err.contains(&format!("partition id {k}")), "{err}");
+            assert_eq!(out.len(), 1 + ids.len());
+        }
+    }
+
+    #[test]
+    fn stage_done_rejects_foreign_widths_and_lengths_past_the_frame() {
+        let forged =
+            |width, count, ids: &[u8]| forged_stage_done(&Token::default(), width, count, ids);
+        assert!(Msg::decode(&forged(1, 3, &[0, 1, 2])).is_ok());
+        assert!(Msg::decode(&forged(2, 1, &[0, 1])).is_ok());
+        for width in [0u8, 3, 5, 8, 255] {
+            let err = Msg::decode(&forged(width, 1, &[0; 8])).unwrap_err();
+            assert!(err.to_string().contains("partition id width"), "{err}");
+        }
+        // A count the frame cannot back is refused before anything is
+        // copied: by the length bound when it is absurd, by the slice when
+        // it is off by one.
+        for count in [u64::MAX, u64::MAX / 4, 1 << 40, 5, 4] {
+            assert!(
+                Msg::decode(&forged(1, count, &[0, 1, 2])).is_err(),
+                "{count}"
+            );
+            assert!(Msg::decode(&forged(4, count, &[0; 12])).is_err(), "{count}");
+        }
+        let good = forged(2, 3, &[0; 6]);
+        for cut in 1..good.len() {
+            assert!(Msg::decode(&good[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

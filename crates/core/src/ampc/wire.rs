@@ -64,12 +64,9 @@ impl Wr {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed `u32` sequence.
-    pub fn u32s(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
-        }
+    /// Appends raw bytes, no prefix (the caller frames them).
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed `u64` sequence.
@@ -144,7 +141,8 @@ impl<'a> Rd<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// Reads `n` raw bytes, lent from the frame.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or_else(short)?;
         if end > self.buf.len() {
             return Err(short());
@@ -196,16 +194,6 @@ impl<'a> Rd<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| PartitionError::InvalidParam("non-UTF-8 string in frame".into()))
-    }
-
-    /// Reads a length-prefixed `u32` sequence.
-    pub fn u32s(&mut self) -> Result<Vec<u32>> {
-        let n = self.len(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
     }
 
     /// Reads a length-prefixed `u64` sequence.
@@ -282,7 +270,8 @@ mod tests {
         w.u64(u64::MAX - 3);
         w.f64(2.5);
         w.str("shard");
-        w.u32s(&[1, 2, 3]);
+        w.u64s(&[1, 2, 3]);
+        w.bytes(&[4, 5]);
         w.u64s(&[]);
         let bytes = w.into_bytes();
         let mut r = Rd::new(&bytes);
@@ -292,7 +281,8 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.str().unwrap(), "shard");
-        assert_eq!(r.u32s().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.u64s().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.take(2).unwrap(), [4, 5]);
         assert!(r.u64s().unwrap().is_empty());
         assert!(r.done());
     }
@@ -312,7 +302,7 @@ mod tests {
         w.u64(u64::MAX); // claims ~2^64 elements
         let bytes = w.into_bytes();
         let mut r = Rd::new(&bytes);
-        assert!(r.u32s().is_err());
+        assert!(r.u64s().is_err());
     }
 
     #[test]

@@ -9,20 +9,27 @@
 //!
 //! In sequenced mode the dense scratch tables are resident for the stage.
 //! While this worker holds the token nobody else writes any table, so a row
-//! it has fetched stays authoritative until it sends `StageDone`: a chunk
-//! asks the owning shards only for the keys the worker touches for the
-//! first time this stage (one delta-encoded [`Msg::RouteBatch`] per remote
-//! owner, relayed through the coordinator; no frame when nothing is new),
-//! and every touched row is written back once, after the last chunk, in
-//! bounded fire-and-forget `Put` batches — frame ordering through the
-//! coordinator's star links lands them before the next token holder's
-//! first read. `Resident`, `Wk::admit` and `Wk::flush` are that
-//! bookkeeping, shared by the baseline driver and the CLUGP stages.
-//! Scratch entries outside the seen set are never read, so the scratch
-//! tables can stay full-size and dense — same types, same indexing as the
-//! monolith.
+//! it has fetched stays authoritative until it sends `StageDone`. The unit
+//! of exchange is the **admission window**, a run of `WINDOW_CHUNKS` (64)
+//! streaming chunks pulled into one reused buffer: the window's endpoints
+//! are probed against the seen set (a source once per run of equal
+//! sources), the owning shards are asked — in one round — only for the keys
+//! the worker touches for the first time this stage (one delta-encoded
+//! [`Msg::RouteBatch`] per remote owner, relayed through the coordinator;
+//! no frame when nothing is new), and then the kernel is stepped over the
+//! window. Admitting ahead of stepping changes nothing a kernel can see:
+//! the token holder is the only writer, and an owner row cannot name a
+//! cluster minted in this stage. Every touched row is written back once,
+//! after the last window, in bounded fire-and-forget `Put` batches — frame
+//! ordering through the coordinator's star links lands them before the next
+//! token holder's first read — and the assignments leave with `StageDone`
+//! as [`PartIds`], narrowed window by window. `Resident`, `Wk::admit` and
+//! `Wk::flush` are that bookkeeping, shared by the baseline driver and the
+//! CLUGP stages. Scratch entries outside the seen set are never read, so
+//! the scratch tables can stay full-size and dense — same types, same
+//! indexing as the monolith.
 //!
-//! In [`AmpcMode::Relaxed`] there is no per-chunk routing at all: every
+//! In [`AmpcMode::Relaxed`] there is no routing at all: every
 //! worker streams its whole range against worker-local tables and
 //! reconciles with the fleet at epoch barriers ([`Msg::EpochDone`] /
 //! [`Msg::EpochSync`]), or — for the CLUGP stages — against read-only
@@ -30,7 +37,8 @@
 //! [`Msg::Pass1Frontier`] for the coordinator to merge.
 
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, Stage, StateOp, Token, WorkerSetup,
+    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, StateOp, Token,
+    WorkerSetup,
 };
 use super::table::{Layout, MergeOp, StateShard};
 use super::transport::Transport;
@@ -111,13 +119,19 @@ pub(crate) fn import_vertex_rows(
 /// carries more, however many keys the stage touched.
 const FLUSH_KEYS: usize = 4096;
 
+/// Streaming chunks per sequenced admission window. The chunk (32 KiB at the
+/// default) is sized for the decoder; a fetch round costs a relay through the
+/// coordinator, so the sequenced drivers admit a run of chunks at a time —
+/// 2 MiB of edges at the default chunk, and `--chunk-size` scales it.
+const WINDOW_CHUNKS: usize = 64;
+
 /// One stage's residency record for a group of sharded tables that share a
 /// layout and a key space.
 ///
 /// While this worker holds the sequenced token nobody else writes any
 /// table, so a row it has fetched into its dense scratch stays
 /// authoritative until it sends `StageDone`. `seen` says for which keys
-/// that holds: a chunk fetches only the keys it touches first
+/// that holds: a window fetches only the keys it touches first
 /// ([`Wk::admit`]) and the stage writes every seen key back once, at its
 /// end ([`Wk::flush`]).
 struct Resident {
@@ -128,7 +142,7 @@ struct Resident {
     limit: u64,
     /// Bit `key` is set once `key`'s scratch rows are authoritative.
     seen: Vec<u64>,
-    /// The current chunk's first-touched keys (reused buffer).
+    /// The current window's first-touched keys (reused buffer).
     fresh: Vec<u64>,
 }
 
@@ -158,8 +172,8 @@ impl Resident {
     }
 
     /// Marks an unseen `key` and queues it in `fresh`. Out of line: the
-    /// per-endpoint loop of [`Wk::admit`] takes this path once per key and
-    /// stage, and is a third faster without it inlined.
+    /// per-endpoint loop of [`Resident::touch_endpoints`] takes this path
+    /// once per key and stage, and is a third faster without it inlined.
     #[cold]
     fn first_touch(&mut self, key: u64) -> Result<()> {
         if key >= self.limit {
@@ -167,6 +181,34 @@ impl Resident {
         }
         self.mark(key);
         self.fresh.push(key);
+        Ok(())
+    }
+
+    /// Declares that the window reads `key`: unless it is resident already,
+    /// the next [`Wk::admit`] fetches it.
+    #[inline]
+    fn touch(&mut self, key: u64) -> Result<()> {
+        if self.has(key) {
+            Ok(())
+        } else {
+            self.first_touch(key)
+        }
+    }
+
+    /// [`Resident::touch`] for every endpoint of a window — a source once
+    /// per run of equal sources (a canonical pack repeats each some 36
+    /// times), which halves the probes. No order is assumed: an unsorted
+    /// stream just has short runs, and a run the previous window ended in
+    /// starts over here, where its source is resident already.
+    fn touch_endpoints(&mut self, edges: &[Edge]) -> Result<()> {
+        let mut run = None;
+        for e in edges {
+            if run != Some(e.src) {
+                run = Some(e.src);
+                self.touch(u64::from(e.src))?;
+            }
+            self.touch(u64::from(e.dst))?;
+        }
         Ok(())
     }
 
@@ -351,7 +393,7 @@ fn build_shards(setup: &WorkerSetup) -> Vec<StateShard> {
 
 /// Output of one stage run: updated token, assignments in stream order,
 /// and the CLUGP pairs partial (pairs stage only).
-type StageOut = (Token, Vec<u32>, Option<PairsPayload>);
+type StageOut = (Token, PartIds, Option<PairsPayload>);
 
 /// The worker's edge range, reopened for every stage.
 enum Source {
@@ -368,17 +410,18 @@ enum Source {
 }
 
 impl Source {
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
+    /// Lends the next chunk of up to `cap` edges; empty at the end of the
+    /// range. A pack lends from its decoded block, so a chunk never spans
+    /// two blocks.
+    fn next_slice(&mut self, cap: usize) -> &[Edge] {
         match self {
             Source::Inline { edges, pos } => {
-                buf.clear();
                 let take = cap.max(1).min(edges.len() - *pos);
-                buf.extend_from_slice(&edges[*pos..*pos + take]);
                 *pos += take;
-                take
+                &edges[*pos - take..*pos]
             }
-            Source::Pack(stream) => stream.next_chunk(buf, cap),
-            Source::PipelinedPack(stream) => stream.next_chunk(buf, cap),
+            Source::Pack(stream) => stream.next_slice(cap).unwrap_or_default(),
+            Source::PipelinedPack(stream) => stream.next_slice(cap).unwrap_or_default(),
         }
     }
 
@@ -438,36 +481,61 @@ impl Wk {
         res
     }
 
-    /// Pulls the next chunk of the stage's edge range, first emitting a
+    /// Pulls the next `run` chunks (up to `cap` edges each) of the stage's
+    /// edge range into `buf` and returns how many edges that is, 0 at the
+    /// end of the range: one chunk for the relaxed drivers and Mint
+    /// ([`Wk::next_chunk`]), an admission window of [`WINDOW_CHUNKS`] for the
+    /// sequenced ones ([`Wk::next_window`]). Ahead of every chunk it emits a
     /// keep-alive [`Msg::Heartbeat`] when the configured interval has
     /// elapsed — without it, a stateless kernel (e.g. hashing) sends
     /// nothing for the whole stage and the coordinator's deadline could
     /// not tell "working" from "dead".
+    fn next_chunks(
+        &mut self,
+        source: &mut Source,
+        buf: &mut Vec<Edge>,
+        cap: usize,
+        run: usize,
+    ) -> Result<usize> {
+        if self.setup.trace && self.chunk_ts != 0 {
+            // Close the previous unit's span here, before blocking on the
+            // next decode — stall time is attributed separately.
+            self.obs
+                .push(Event::span_since("chunk", self.chunk_ts, self.chunk_edges));
+            self.chunk_ts = 0;
+        }
+        buf.clear();
+        for _ in 0..run {
+            if let Some(interval) = self.hb_interval {
+                if self.hb_last.elapsed() >= interval {
+                    self.send_msg(&Msg::Heartbeat)?;
+                    self.hb_last = Instant::now();
+                }
+            }
+            let chunk = source.next_slice(cap);
+            if chunk.is_empty() {
+                break;
+            }
+            buf.extend_from_slice(chunk);
+        }
+        if self.setup.trace && !buf.is_empty() {
+            self.chunk_ts = obs::now_us();
+            self.chunk_edges = buf.len() as u64;
+        }
+        Ok(buf.len())
+    }
+
     fn next_chunk(
         &mut self,
         source: &mut Source,
         buf: &mut Vec<Edge>,
         cap: usize,
     ) -> Result<usize> {
-        if let Some(interval) = self.hb_interval {
-            if self.hb_last.elapsed() >= interval {
-                self.send_msg(&Msg::Heartbeat)?;
-                self.hb_last = Instant::now();
-            }
-        }
-        if self.setup.trace && self.chunk_ts != 0 {
-            // Close the previous chunk's span here, before blocking on the
-            // next decode — stall time is attributed separately.
-            self.obs
-                .push(Event::span_since("chunk", self.chunk_ts, self.chunk_edges));
-            self.chunk_ts = 0;
-        }
-        let n = source.next_chunk(buf, cap);
-        if self.setup.trace && n != 0 {
-            self.chunk_ts = obs::now_us();
-            self.chunk_edges = n as u64;
-        }
-        Ok(n)
+        self.next_chunks(source, buf, cap, 1)
+    }
+
+    fn next_window(&mut self, source: &mut Source, buf: &mut Vec<Edge>) -> Result<usize> {
+        self.next_chunks(source, buf, self.chunk_cap(), WINDOW_CHUNKS)
     }
 
     fn slot(&self, table: u8) -> Result<usize> {
@@ -623,33 +691,27 @@ impl Wk {
             }
         }
         if self.setup.trace && had_remote {
-            // One span per chunk fetch that actually crossed the wire.
+            // One span per window fetch that actually crossed the wire.
             self.obs
                 .push(Event::span_since("route_batch", t_route, keys.len() as u64));
         }
         Ok(outs)
     }
 
-    /// Makes `keys` resident for the rest of the stage. Those `res` has not
-    /// seen yet are marked and fetched from their owners — sorted first, and
-    /// no frame at all when nothing is new — and handed to `import`, one
-    /// flattened row vector per table of the group.
+    /// Makes the keys the window touched first resident for the rest of
+    /// the stage: one fetch round to their owners — sorted first, and no
+    /// frame at all when nothing is new — handed to `import`, one flattened
+    /// row vector per table of the group.
     fn admit(
         &mut self,
         res: &mut Resident,
-        keys: impl Iterator<Item = u64>,
         import: impl FnOnce(&[u64], &[Vec<u64>]) -> Result<()>,
     ) -> Result<()> {
-        res.fresh.clear();
-        for key in keys {
-            if !res.has(key) {
-                res.first_touch(key)?;
-            }
-        }
         if !res.fresh.is_empty() {
             res.fresh.sort_unstable();
             let rows = self.fetch_group(&res.tables, &res.fresh)?;
             import(&res.fresh, &rows)?;
+            res.fresh.clear();
         }
         Ok(())
     }
@@ -867,7 +929,8 @@ impl Wk {
     ) -> Result<StageOut> {
         let algo = self.setup.algo.clone();
         let (token, assignments) = if let AlgoSpec::Mint(cfg) = &algo {
-            self.run_mint(cfg, token, source, relaxed)?
+            let (token, wide) = self.run_mint(cfg, token, source, relaxed)?;
+            (token, PartIds::from_ids(self.setup.k, &wide))
         } else {
             with_edge_kernel!(&algo, self.setup.k, |kernel| {
                 if relaxed {
@@ -884,35 +947,38 @@ impl Wk {
     }
 
     /// The sequenced driver: the kernel's tables are resident for the stage
-    /// — a chunk fetches only the endpoints this worker has not touched yet,
-    /// the chunk is stepped against the scratch, and every touched row goes
-    /// back to its owner once, after the last chunk. The loads travel in the
-    /// token.
+    /// — a window fetches only the endpoints this worker has not touched
+    /// yet, in one round, the window is stepped against the scratch, and
+    /// every touched row goes back to its owner once, after the last window.
+    /// The loads travel in the token.
     fn run_sequenced<K: EdgeKernel>(
         &mut self,
         mut kernel: K,
         mut token: Token,
         source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
+    ) -> Result<(Token, PartIds)> {
+        let mut buf = Vec::new();
+        let mut assignments = PartIds::for_k(self.setup.k);
+        let mut wide = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let limit = (0..K::TABLES)
             .map(|slot| kernel.table(slot).limit())
             .min()
             .unwrap_or(0);
         let mut resident = Resident::new((0..K::TABLES as u8).collect(), limit);
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
+        while self.next_window(source, &mut buf)? != 0 {
             if K::TABLES > 0 {
-                self.admit(&mut resident, endpoints(&buf), |keys, rows| {
+                resident.touch_endpoints(&buf)?;
+                self.admit(&mut resident, |keys, rows| {
                     for (slot, rows) in rows.iter().enumerate() {
                         import_rows(kernel.table(slot), keys, rows)?;
                     }
                     Ok(())
                 })?;
             }
-            kernel.step_chunk(&buf, &mut loads, &mut assignments)?;
+            wide.clear();
+            kernel.step_chunk(&buf, &mut loads, &mut wide)?;
+            assignments.extend_from_slice(&wide);
         }
         if K::TABLES > 0 {
             self.flush(&resident, |slot, keys| {
@@ -1061,7 +1127,7 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
         epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
+    ) -> Result<(Token, PartIds)> {
         if !K::EPOCH_SYNCED {
             // A kernel that shares nothing (Hashing) has nothing to relax:
             // it streams to `StageDone` and the coordinator sums the loads.
@@ -1098,7 +1164,7 @@ impl Wk {
         let delta = loads_delta(loads.as_slice(), &base);
         token.loads = self.epoch_drain(delta, tables, |t| apply_sync(&mut kernel, t))?;
         token.table_len = token.table_len.max(table_len(&mut kernel));
-        Ok((token, assignments))
+        Ok((token, PartIds::from_ids(self.setup.k, &assignments)))
     }
 
     /// CLUGP pass 1. The raw-volume scratch is kept at the full global
@@ -1125,8 +1191,7 @@ impl Wk {
             ));
         };
         let migration = migration_from_tag(migration)?;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
+        let mut buf = Vec::new();
         let mut cluster_of: VertexTable<u32> =
             VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
         let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
@@ -1136,15 +1201,14 @@ impl Wk {
         let mut migrations = token.migrations;
         let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
         let mut clusters = Resident::new(vec![T_VOL], u64::from(NO_CLUSTER));
-        let mut ckeys: Vec<u64> = Vec::new();
         let mut minted_from = vol.len();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+        while self.next_window(source, &mut buf)? != 0 {
+            vertices.touch_endpoints(&buf)?;
+            self.admit(&mut vertices, |keys, rows| {
                 import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
-                ckeys.extend(keys.iter().filter_map(|&key| cluster_key(&cluster_of, key)));
-                Ok(())
+                touch_clusters(&mut clusters, &cluster_of, keys)
             })?;
-            self.admit(&mut clusters, ckeys.drain(..), |keys, rows| {
+            self.admit(&mut clusters, |keys, rows| {
                 for (&c, &volume) in keys.iter().zip(&rows[0]) {
                     let Some(slot) = vol.get_mut(c as usize) else {
                         return Err(PartitionError::InvalidParam(format!(
@@ -1170,7 +1234,7 @@ impl Wk {
                 )?;
             }
             // A cluster minted here has no owner row yet: it is resident by
-            // construction, and must be marked before a later chunk could
+            // construction, and must be marked before a later window could
             // fetch zeros over its live volume.
             for c in minted_from..vol.len() {
                 clusters.mark(c as u64);
@@ -1192,7 +1256,7 @@ impl Wk {
         token.splits = splits;
         token.migrations = migrations;
         token.table_len = token.table_len.max(cluster_of.len());
-        Ok((token, Vec::new(), None))
+        Ok((token, PartIds::for_k(self.setup.k), None))
     }
 
     /// CLUGP pairs: stream the range once against the (now dense) cluster
@@ -1208,14 +1272,14 @@ impl Wk {
                 "pairs stage requires the CLUGP algo".into(),
             ));
         };
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
+        let mut buf = Vec::new();
         let mut cluster_of: VertexTable<u32> =
             VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
         let mut sink = PairSink::new(num_clusters as usize);
         let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+        while self.next_window(source, &mut buf)? != 0 {
+            vertices.touch_endpoints(&buf)?;
+            self.admit(&mut vertices, |keys, rows| {
                 for (&key, row) in keys.iter().zip(rows[0].chunks_exact(3)) {
                     cluster_of.ensure(key as u32)?;
                     cluster_of[key as u32] = unpack_vertex_row(row).0;
@@ -1236,7 +1300,7 @@ impl Wk {
                 .collect(),
             agg,
         };
-        Ok((token, Vec::new(), Some(pairs)))
+        Ok((token, PartIds::for_k(self.setup.k), Some(pairs)))
     }
 
     /// CLUGP pass 3: fetch each dense vertex row, and the cluster→partition
@@ -1255,9 +1319,9 @@ impl Wk {
             ));
         };
         let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
+        let mut buf = Vec::new();
+        let mut assignments = PartIds::for_k(k);
+        let mut wide = Vec::new();
         let mut cluster_of: VertexTable<u32> =
             VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
         let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
@@ -1268,14 +1332,13 @@ impl Wk {
         let mut reroutes = token.reroutes;
         let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
         let mut clusters = Resident::new(vec![T_CPART], u64::from(NO_CLUSTER));
-        let mut ckeys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            self.admit(&mut vertices, endpoints(&buf), |keys, rows| {
+        while self.next_window(source, &mut buf)? != 0 {
+            vertices.touch_endpoints(&buf)?;
+            self.admit(&mut vertices, |keys, rows| {
                 import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
-                ckeys.extend(keys.iter().filter_map(|&key| cluster_key(&cluster_of, key)));
-                Ok(())
+                touch_clusters(&mut clusters, &cluster_of, keys)
             })?;
-            self.admit(&mut clusters, ckeys.drain(..), |keys, rows| {
+            self.admit(&mut clusters, |keys, rows| {
                 for (&c, &part) in keys.iter().zip(&rows[0]) {
                     if c as usize >= cpart.len() {
                         cpart.resize(c as usize + 1, 0);
@@ -1284,6 +1347,7 @@ impl Wk {
                 }
                 Ok(())
             })?;
+            wide.clear();
             for &e in &buf {
                 let p = transform_edge(
                     e,
@@ -1297,8 +1361,9 @@ impl Wk {
                     &mut cursor,
                     &mut reroutes,
                 )?;
-                assignments.push(p);
+                wide.push(p);
             }
+            assignments.extend_from_slice(&wide);
         }
         token.loads = loads;
         token.cursor = cursor;
@@ -1378,7 +1443,7 @@ impl Wk {
         token.migrations = migrations;
         token.table_len = token.table_len.max(cluster_of.len());
         self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
-        Ok((token, Vec::new(), None))
+        Ok((token, PartIds::for_k(self.setup.k), None))
     }
 
     /// Decodes the T_MAIN cast (width-3 vertex rows) the coordinator
@@ -1433,7 +1498,7 @@ impl Wk {
                 .collect(),
             agg,
         };
-        Ok((token, Vec::new(), Some(pairs)))
+        Ok((token, PartIds::for_k(self.setup.k), Some(pairs)))
     }
 
     /// Relaxed CLUGP pass 3: vertex rows and the cluster→partition map
@@ -1517,26 +1582,33 @@ impl Wk {
         token.cursor = cursor;
         token.reroutes = reroutes;
         token.table_len = token.table_len.max(cluster_of.len());
-        Ok((token, assignments, None))
+        Ok((token, PartIds::from_ids(k, &assignments), None))
     }
 }
 
-/// Every endpoint id of a chunk, in stream order (with repeats).
-fn endpoints(buf: &[Edge]) -> impl Iterator<Item = u64> + '_ {
-    buf.iter()
-        .flat_map(|e| [u64::from(e.src), u64::from(e.dst)])
-}
-
-/// The cluster-table key vertex `key` references, if it has a cluster.
-fn cluster_key(cluster_of: &VertexTable<u32>, key: u64) -> Option<u64> {
-    let c = cluster_of[key as u32];
-    (c != NO_CLUSTER).then_some(u64::from(c))
+/// Touches the cluster-table key of every vertex in `keys` that has a
+/// cluster: the rows just imported name the clusters the window reads.
+fn touch_clusters(
+    clusters: &mut Resident,
+    cluster_of: &VertexTable<u32>,
+    keys: &[u64],
+) -> Result<()> {
+    for &key in keys {
+        let c = cluster_of[key as u32];
+        if c != NO_CLUSTER {
+            clusters.touch(u64::from(c))?;
+        }
+    }
+    Ok(())
 }
 
 /// Collects the distinct endpoint ids of a chunk, sorted ascending.
 fn distinct_endpoints(buf: &[Edge], keys: &mut Vec<u64>) {
     keys.clear();
-    keys.extend(endpoints(buf));
+    keys.extend(
+        buf.iter()
+            .flat_map(|e| [u64::from(e.src), u64::from(e.dst)]),
+    );
     keys.sort_unstable();
     keys.dedup();
 }

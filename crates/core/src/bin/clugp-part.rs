@@ -7,13 +7,14 @@
 //!                   flat binary format (CLUGPGR1), or a compressed pack
 //!                   (CLUGPZ01, written by clugp-pack) — detected by magic
 //!                   bytes, never by extension
-//! --k <K>           number of partitions (required)
+//! --k <K>           number of partitions (required, at most 2^20)
 //! --algo <name>     clugp (default) | hdrf | greedy | hashing | dbh | mint | grid
 //! --order <name>    bfs (default) | dfs | random | asis
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
-//! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
-//!                   knob only — partitions are chunking-invariant
+//! --chunk-size <N>  edges per stream chunk pull (default 4096), and x64 per
+//!                   sequenced AMPC admission window; a tuning knob only —
+//!                   partitions are chunking-invariant
 //! --decode-threads <N>
 //!                   decode packed (CLUGPZ) input on N pipeline worker
 //!                   threads running ahead of the consumer (default:
@@ -82,7 +83,7 @@
 //! ```
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::ampc::proto::Msg;
+use clugp::ampc::proto::{Msg, Stage};
 use clugp::ampc::{
     run_coordinator, run_distributed, run_worker, AmpcMode, DistConfig, DistInput, NetStats,
     SuperviseConfig, Transport, TransportKind, UnixTransport,
@@ -90,7 +91,7 @@ use clugp::ampc::{
 use clugp::error::{FaultKind, PartitionError};
 use clugp::metrics::PartitionQuality;
 use clugp::obs;
-use clugp::partition::Partitioning;
+use clugp::partition::{Partitioning, MAX_PARTITIONS};
 use clugp::state::ReplicaTable;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::io::binary::read_binary_graph;
@@ -300,8 +301,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         [] => return Err("missing input file".into()),
         _ => return Err("expected exactly one input file".into()),
     }
-    if opts.k == 0 {
-        return Err("--k is required and must be >= 1".into());
+    if opts.k == 0 || opts.k > MAX_PARTITIONS {
+        return Err(format!(
+            "--k is required and must be within 1..={MAX_PARTITIONS}"
+        ));
     }
     if opts.sparse && order_set {
         return Err(
@@ -965,21 +968,35 @@ fn run_multiprocess(
 /// until `remaining` inbound frames have been consumed, then dies as
 /// abruptly as SIGKILL would — no unwinding, no `Err` frame, the
 /// coordinator sees only a dead link. Frame ordinals are deterministic,
-/// so the crash lands at the same protocol point every run.
+/// so the crash lands at the same protocol point every run — and the last
+/// line on stderr says which point that was, so a fixture can assert it
+/// instead of trusting an ordinal.
 struct KillAtTransport {
     inner: UnixTransport,
     remaining: u64,
+    /// The `RunStage` this worker has not answered with `StageDone` yet.
+    holding: Option<Stage>,
 }
 
 impl Transport for KillAtTransport {
     fn send(&mut self, frame: &[u8]) -> clugp::error::Result<()> {
+        if Msg::verb_name(NetStats::verb_slot(frame)) == "StageDone" {
+            self.holding = None;
+        }
         self.inner.send(frame)
     }
 
     fn recv(&mut self) -> clugp::error::Result<Vec<u8>> {
         let frame = self.inner.recv()?;
+        if let Ok(Msg::RunStage { stage, .. }) = Msg::decode(&frame) {
+            self.holding = Some(stage);
+        }
         self.remaining = self.remaining.saturating_sub(1);
         if self.remaining == 0 {
+            match self.holding {
+                Some(stage) => eprintln!("kill switch fired: holding the token of {stage:?}"),
+                None => eprintln!("kill switch fired: not holding a token"),
+            }
             std::process::abort();
         }
         Ok(frame)
@@ -1006,6 +1023,7 @@ fn run_ampc_worker(socket: &str, index: u32, kill_at: Option<u64>) -> Result<(),
         Some(frames) => run_worker(Box::new(KillAtTransport {
             inner: t,
             remaining: frames,
+            holding: None,
         })),
         None => run_worker(Box::new(t)),
     }
@@ -1128,6 +1146,9 @@ mod tests {
         assert!(parse_args(&strs(&["--k", "8"])).is_err()); // no file
         assert!(parse_args(&strs(&["g.txt"])).is_err()); // no k
         assert!(parse_args(&strs(&["g.txt", "--k", "0"])).is_err());
+        // `k` sizes load vectors everywhere downstream: capped at the parse.
+        assert!(parse_args(&strs(&["g.txt", "--k", "1048577"])).is_err());
+        assert!(parse_args(&strs(&["g.txt", "--k", "1048576"])).is_ok());
         assert!(parse_args(&strs(&["g.txt", "--k", "4", "--bogus"])).is_err());
         assert!(parse_args(&strs(&["a.txt", "b.txt", "--k", "4"])).is_err());
     }

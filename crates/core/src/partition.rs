@@ -4,6 +4,11 @@
 use crate::memory::MemoryReport;
 use std::time::Duration;
 
+/// The most partitions a partitioning file or the CLI's `--k` may name. `k`
+/// sizes the load vector, so a reader holds the four header bytes against
+/// this before it allocates (2^20 loads are 8 MiB; the paper runs k ≤ 256).
+pub const MAX_PARTITIONS: u32 = 1 << 20;
+
 /// The output of a vertex-cut streaming partitioner.
 ///
 /// `assignments[i]` is the partition of the `i`-th edge *in stream order*

@@ -24,7 +24,7 @@
 //! an allocation.
 
 use crate::error::{PartitionError, Result};
-use crate::partition::Partitioning;
+use crate::partition::{Partitioning, MAX_PARTITIONS};
 use crate::state::ReplicaTable;
 use clugp_graph::GraphError;
 use std::fs::File;
@@ -65,6 +65,7 @@ fn rt_header(k: u32, n: u64) -> Vec<u8> {
 
 /// Writes `partitioning` to `path`.
 pub fn write_partitioning(path: &Path, partitioning: &Partitioning) -> Result<()> {
+    check_k(partitioning.k)?;
     let mut file = File::create(path).map_err(io_err)?;
     let header = pa_header(
         partitioning.k,
@@ -83,6 +84,20 @@ pub fn write_partitioning(path: &Path, partitioning: &Partitioning) -> Result<()
     Ok(())
 }
 
+/// `k` sizes the load vector: a partitioning file names between 1 and
+/// [`MAX_PARTITIONS`] of them, on the way out and on the way in.
+fn check_k(k: u32) -> Result<()> {
+    if k == 0 {
+        return Err(format_err("k must be positive"));
+    }
+    if k > MAX_PARTITIONS {
+        return Err(format_err(&format!(
+            "k = {k} is above the {MAX_PARTITIONS} partitions a partitioning file may name"
+        )));
+    }
+    Ok(())
+}
+
 /// Reads a partitioning; recomputes the load vector and validates ids.
 pub fn read_partitioning(path: &Path) -> Result<Partitioning> {
     let mut file = File::open(path).map_err(io_err)?;
@@ -92,9 +107,7 @@ pub fn read_partitioning(path: &Path) -> Result<Partitioning> {
         return Err(format_err("bad magic bytes"));
     }
     let k = le_u32(&header[8..12]);
-    if k == 0 {
-        return Err(format_err("k must be positive"));
-    }
+    check_k(k)?;
     let num_vertices = le_u64(&header[12..20]);
     let m = le_u64(&header[20..28]);
     check_file_len(&file, PA_HEADER, m.checked_mul(4))?;
@@ -389,6 +402,22 @@ mod tests {
             let msg = format_message(read_partitioning(&path).unwrap_err());
             assert!(msg.contains("truncated"), "m={m}: {msg}");
         }
+        // k alone inflated: 28 bytes that would size a 32 GiB load vector.
+        for k in [u32::MAX, MAX_PARTITIONS + 1] {
+            std::fs::write(&path, pa_header(k, 10, 0)).unwrap();
+            let msg = format_message(read_partitioning(&path).unwrap_err());
+            assert!(msg.contains("partitions"), "k={k}: {msg}");
+            let forged = Partitioning {
+                k,
+                num_vertices: 10,
+                assignments: Vec::new(),
+                loads: Vec::new(),
+            };
+            let msg = format_message(write_partitioning(&path, &forged).unwrap_err());
+            assert!(msg.contains("partitions"), "k={k}: {msg}");
+        }
+        std::fs::write(&path, pa_header(MAX_PARTITIONS, 10, 0)).unwrap();
+        assert_eq!(read_partitioning(&path).unwrap().k, MAX_PARTITIONS);
         let mut trailing = pa_header(3, 10, 2);
         trailing.extend_from_slice(&[0; 8 + 5]);
         std::fs::write(&path, &trailing).unwrap();

@@ -162,21 +162,27 @@ fn verb_traffic(out: &clugp::ampc::DistOutcome, name: &str) -> (u64, u64) {
 fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
     // Stage residency (DESIGN.md §7): a worker fetches a row once per stage
     // and writes it back once, so what the routing verbs carry follows the
-    // keys a range touches. Counts only — nothing here is timed.
-    let (n, edges) = test_web_graph(1_500, 41);
-    let input = DistInput::Edges {
-        num_vertices: n,
-        edges: &edges,
-    };
+    // keys a range touches — and a fetch round is paid per admission window
+    // (64 chunks), not per chunk. Counts only — nothing here is timed.
     let k = 8;
+    let routing = [
+        "RouteBatch",
+        "StateReqBatch",
+        "RouteReply",
+        "StateRespBatch",
+    ];
     for name in ["clugp", "hdrf"] {
         let algo = DistAlgo::by_name(name).expect("registered algorithm");
-        let reference = monolith(algo.monolith().as_mut(), n, &edges, k).0;
-        let run = |workers: u32, chunk_edges: usize| {
+        let run = |n: u64, edges: &[clugp_graph::types::Edge], workers: u32, chunk_edges: usize| {
+            let reference = monolith(algo.monolith().as_mut(), n, edges, k).0;
             let cfg = DistConfig {
                 workers,
                 chunk_edges,
                 ..Default::default()
+            };
+            let input = DistInput::Edges {
+                num_vertices: n,
+                edges,
             };
             let out = run_distributed(&algo, input, k, &cfg)
                 .unwrap_or_else(|e| panic!("{name}: {workers}w/chunk {chunk_edges}: {e}"));
@@ -187,28 +193,142 @@ fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
             out
         };
         // One worker owns every key: nothing is ever routed.
-        let alone = run(1, 64);
+        let (n, edges) = test_web_graph(1_500, 41);
+        let alone = run(n, &edges, 1, 64);
         assert_eq!(
             verb_traffic(&alone, "RouteBatch"),
             (0, 0),
             "{name}: a lone worker routed state through the coordinator"
         );
-        // With per-chunk fetch and write-back the routed bytes grew with the
-        // number of chunks (64x more of them here); resident, only the
-        // per-frame headers do.
+        // At one window size the chunk is invisible on the wire. Every range
+        // of this graph fits the 4 096-edge window of 64-edge chunks, so both
+        // chunk sizes admit a range in a single window: the routing verbs
+        // carry the same frames and the same bytes, not "fewer than 2x".
+        let (n, edges) = test_web_graph(500, 41);
         for workers in [2u32, 4] {
-            let routed = |out: &clugp::ampc::DistOutcome| {
-                verb_traffic(out, "RouteBatch").0 + verb_traffic(out, "StateReqBatch").0
-            };
-            let (small, large) = (routed(&run(workers, 64)), routed(&run(workers, 4096)));
-            assert!(large > 0, "{name}: {workers} workers exchanged no state");
-            assert!(
-                small <= 2 * large,
-                "{name}: {workers} workers routed {small} B at 64-edge chunks, \
-                 more than twice the {large} B at 4096-edge chunks"
-            );
+            assert!(edges.len().div_ceil(workers as usize) <= 64 * 64);
+            let (small, large) = (run(n, &edges, workers, 64), run(n, &edges, workers, 4096));
+            for verb in routing {
+                let (bytes, frames) = verb_traffic(&large, verb);
+                assert!(frames > 0, "{name}: {workers} workers sent no {verb}");
+                assert_eq!(
+                    verb_traffic(&small, verb),
+                    (bytes, frames),
+                    "{name}: {workers} workers, {verb}: 64-edge chunks against 4096-edge chunks"
+                );
+            }
+        }
+        // Across window sizes the rounds follow the windows and the bytes
+        // the touched keys: 1-edge chunks make 64-edge windows, hundreds per
+        // range, and still route less than twice the bytes of one window —
+        // only the per-frame headers grow.
+        let (n, edges) = test_web_graph(1_500, 41);
+        let routed = |out: &clugp::ampc::DistOutcome| {
+            verb_traffic(out, "RouteBatch").0 + verb_traffic(out, "StateReqBatch").0
+        };
+        let (small, large) = (
+            routed(&run(n, &edges, 2, 1)),
+            routed(&run(n, &edges, 2, 4096)),
+        );
+        assert!(
+            small <= 2 * large,
+            "{name}: routed {small} B in 64-edge windows, more than twice the {large} B of one"
+        );
+    }
+}
+
+#[test]
+fn a_window_boundary_inside_a_source_run_fetches_the_source_once() {
+    // The admission probe skips a source id that repeats the previous
+    // edge's (a canonical pack repeats each some 36 times). That memory is
+    // per window: a run the boundary cuts in two probes its source again on
+    // the far side, finds it resident, and fetches nothing — never twice,
+    // and never zero times for a source whose run *starts* a window. This
+    // test plays the coordinator for worker 0 of 2, which owns keys < 100;
+    // the sources live on worker 1, so every fetch crosses the wire.
+    use clugp::ampc::proto::{
+        AlgoSpec, BatchOp, InputSpec, Msg, Stage, TableDef, Token, WorkerSetup,
+    };
+    use clugp::ampc::{channel_pair, run_worker, Transport};
+    use clugp_graph::types::Edge;
+
+    // 1-edge chunks: 64-edge windows. Source 500 runs over the first
+    // boundary (edges 0..100), 501 fills the second window to its brim, 502
+    // starts the third.
+    let run = |src: u32, len: u32| (0..len).map(move |dst| Edge::new(src, dst));
+    let edges: Vec<Edge> = run(500, 100)
+        .chain(run(501, 28))
+        .chain(run(502, 10))
+        .collect();
+    assert_eq!((edges.len(), edges[128].src), (138, 502));
+
+    let (mut coord, worker) = channel_pair(8);
+    let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+    let send = |coord: &mut dyn Transport, msg: Msg| coord.send(&msg.encode()).unwrap();
+    send(
+        &mut coord,
+        Msg::Configure(Box::new(WorkerSetup {
+            worker: 0,
+            workers: 2,
+            k: 4,
+            chunk: 1,
+            heartbeat_ms: 0,
+            algo: AlgoSpec::Dbh {
+                seed: 7,
+                max_vertices: 1 << 20,
+            },
+            input: InputSpec::Inline { edges },
+            tables: vec![TableDef {
+                layout: Layout::Range { span: 100 },
+                width: 1,
+            }],
+            trace: false,
+        })),
+    );
+    send(
+        &mut coord,
+        Msg::RunStage {
+            stage: Stage::Baseline,
+            token: Token {
+                loads: vec![0; 4],
+                ..Default::default()
+            },
+            mode: AmpcMode::Sequenced,
+            epoch: 0,
+        },
+    );
+    // Worker 1's shard, as this test serves it: source 500 arrives with a
+    // partial degree of 1 000 from an earlier range.
+    let stored = |key: u64| if key == 500 { 1_000 } else { 0 };
+    let (mut fetched, mut written) = (Vec::new(), Vec::new());
+    loop {
+        match Msg::decode(&coord.recv().unwrap()).unwrap() {
+            Msg::ConfigureOk => {}
+            Msg::RouteBatch { to: 1, keys, ops } => match ops.as_slice() {
+                [BatchOp::Get { table: 0 }] => {
+                    let rows = keys.iter().map(|&key| stored(key)).collect();
+                    fetched.push(keys);
+                    send(&mut coord, Msg::RouteReply { rows });
+                }
+                [BatchOp::Put { table: 0, vals, .. }] => {
+                    written.extend(keys.into_iter().zip(vals.iter().copied()));
+                }
+                other => panic!("unexpected batch {other:?}"),
+            },
+            Msg::StageDone { assignments, .. } => {
+                assert_eq!(assignments.len(), 138);
+                break;
+            }
+            other => panic!("unexpected {}", other.kind()),
         }
     }
+    send(&mut coord, Msg::Shutdown);
+    handle.join().expect("worker thread").expect("worker");
+    // One fetch per source, in the window its run starts in; the second
+    // half of 500's run fetched nothing.
+    assert_eq!(fetched, vec![vec![500], vec![501], vec![502]]);
+    // And the fetched row was the one the kernel counted on: 1 000 + 100.
+    assert_eq!(written, vec![(500, 1_100), (501, 28), (502, 10)]);
 }
 
 #[test]

@@ -43,6 +43,47 @@ fn supervised(timeout_ms: u64, retries: u32) -> SuperviseConfig {
     }
 }
 
+/// Where the first fault of a traced run surfaced, read off the merged
+/// trace instead of trusted to a frame ordinal: the pass the supervisor had
+/// to replay (the first coordinator `pass:*` span that starts after the
+/// first `retry` instant) and the worker that held its token (workers finish
+/// a sequenced stage in index order and flush their `stage:*` span just
+/// before `StageDone`, so the holder is the number of such spans that ended
+/// before the retry; `workers` when the token had already come home and the
+/// coordinator was doing the between-pass work). `None`: nothing was retried.
+fn first_fault(out: &clugp::ampc::DistOutcome) -> Option<(String, usize)> {
+    let events = &out.trace.events;
+    let retry = events
+        .iter()
+        .filter(|(_, e)| e.name == "retry")
+        .map(|(_, e)| e.ts_us)
+        .min()?;
+    let pass = events
+        .iter()
+        .filter(|(_, e)| e.name.starts_with("pass:") && e.ts_us > retry)
+        .min_by_key(|(_, e)| e.ts_us)
+        .map(|(_, e)| e.name["pass:".len()..].to_string())
+        .expect("a recovered run replays a pass");
+    let stage = format!("stage:{pass}");
+    let holder = events
+        .iter()
+        .filter(|(_, e)| e.name == stage && e.ts_us + e.dur_us < retry)
+        .count();
+    Some((pass, holder))
+}
+
+/// Whether every action `plan` scripts (for 3 workers' first links) is a
+/// mere delay, which no run needs to recover from.
+fn delays_only(plan: &FaultPlan) -> bool {
+    (0..3).filter_map(|w| plan.script(w, 0)).all(|script| {
+        script
+            .on_send
+            .iter()
+            .chain(&script.on_recv)
+            .all(|(_, action)| matches!(action, FaultAction::Delay(_)))
+    })
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("clugp_fault_tolerance")
@@ -58,15 +99,20 @@ fn scripted_faults_recover_bit_identically() {
     let k = 8;
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
 
-    // (case, faulted worker, script, minimum recoveries). Ordinal 0 on
-    // either direction is the Configure/ConfigureOk exchange; every script
-    // here fires later, i.e. mid-flow, after the first barrier committed.
-    let cases: Vec<(&str, u32, FaultScript, u32)> = vec![
+    // (case, faulted worker, script, where it must surface: the replayed
+    // pass and the worker holding its token, `None` for no recovery at
+    // all). Ordinal 0 on either direction is the Configure/ConfigureOk
+    // exchange; every script here fires later, i.e. mid-flow, after the
+    // first barrier committed. A range of this graph fits one admission
+    // window, so a worker's stage is one fetch round per key group, its
+    // write-back, and `StageDone`.
+    type Surfaced = Option<(&'static str, usize)>;
+    let cases: Vec<(&str, u32, FaultScript, Surfaced)> = vec![
         (
             "link severed while the coordinator sends",
             1,
             FaultScript::disconnect_at_send(3),
-            1,
+            Some(("pass1", 0)),
         ),
         (
             "link severed while the coordinator receives",
@@ -75,7 +121,7 @@ fn scripted_faults_recover_bit_identically() {
                 on_recv: vec![(1, FaultAction::Disconnect)],
                 on_send: Vec::new(),
             },
-            1,
+            Some(("pass1", 0)),
         ),
         (
             "inbound frame corrupted in flight",
@@ -84,7 +130,7 @@ fn scripted_faults_recover_bit_identically() {
                 on_recv: vec![(1, FaultAction::CorruptFrame)],
                 on_send: Vec::new(),
             },
-            1,
+            Some(("pass1", 0)),
         ),
         (
             "inbound frame swallowed (surfaces as a deadline timeout)",
@@ -93,7 +139,19 @@ fn scripted_faults_recover_bit_identically() {
                 on_recv: vec![(1, FaultAction::DropFrame)],
                 on_send: Vec::new(),
             },
+            Some(("pass1", 0)),
+        ),
+        (
+            "link severed under the worker that holds the pass-1 token",
             1,
+            FaultScript::disconnect_at_send(5),
+            Some(("pass1", 1)),
+        ),
+        (
+            "link severed in the last pass, the last worker streaming",
+            2,
+            FaultScript::disconnect_at_send(26),
+            Some(("transform", 2)),
         ),
         (
             "frame merely delayed (no recovery needed)",
@@ -102,17 +160,19 @@ fn scripted_faults_recover_bit_identically() {
                 on_send: vec![(2, FaultAction::Delay(Duration::from_millis(30)))],
                 on_recv: Vec::new(),
             },
-            0,
+            None,
         ),
     ];
 
-    for (case, worker, script, min_recoveries) in cases {
+    for (case, worker, script, surfaced) in cases {
+        let min_recoveries = u32::from(surfaced.is_some());
         let mut faults = FaultPlan::none();
         faults.push(worker, 0, script);
         let cfg = DistConfig {
             workers: 3,
             supervise: supervised(600, 3),
             faults,
+            trace: true,
             ..Default::default()
         };
         let out = run_distributed(
@@ -133,6 +193,11 @@ fn scripted_faults_recover_bit_identically() {
         if min_recoveries == 0 {
             assert_eq!(out.recoveries, 0, "{case}: spurious recovery");
         }
+        assert_eq!(
+            first_fault(&out),
+            surfaced.map(|(pass, holder)| (pass.to_string(), holder)),
+            "{case}: the fault did not surface where the script aims"
+        );
         assert_eq!(
             (
                 out.partitioning.assignments,
@@ -184,8 +249,9 @@ fn every_incarnation_faulty_exhausts_retries_into_typed_error() {
 #[test]
 fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // Randomized-but-deterministic single-fault plans: whatever the fault
-    // is (drop, delay, corrupt, disconnect — either direction), the run
-    // either recovers bit-identically or terminates with a typed error.
+    // is (drop, delay, corrupt, disconnect — either direction, on an awaited
+    // frame or on an unacknowledged write-back), the run either recovers
+    // bit-identically or terminates with a typed error.
     // The deadline keeps "terminates" bounded; the test finishing at all
     // is the no-hang assertion.
     let (n, edges) = test_web_graph(500, 53);
@@ -196,6 +262,7 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
             workers: 3,
             supervise: supervised(600, 2),
             faults: FaultPlan::seeded(seed, 3),
+            trace: true,
             ..Default::default()
         };
         match run_distributed(
@@ -207,15 +274,26 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
             k,
             &cfg,
         ) {
-            Ok(out) => assert_eq!(
-                (
-                    out.partitioning.assignments,
-                    out.partitioning.loads,
-                    out.partitioning.num_vertices
-                ),
-                reference,
-                "seed {seed}: recovered run diverged from the monolith"
-            ),
+            Ok(out) => {
+                // The plan's ordinal (2..26) must lie within the frames a
+                // link of this run carries: anything but a delay surfaces.
+                assert_eq!(
+                    first_fault(&out).is_some(),
+                    !delays_only(&cfg.faults),
+                    "seed {seed}: {:?} surfaced at {:?}",
+                    cfg.faults,
+                    first_fault(&out)
+                );
+                assert_eq!(
+                    (
+                        out.partitioning.assignments,
+                        out.partitioning.loads,
+                        out.partitioning.num_vertices
+                    ),
+                    reference,
+                    "seed {seed}: recovered run diverged from the monolith"
+                )
+            }
             // A corrupt coordinator->worker frame is reported back by the
             // worker and stays fatal (deterministic errors are not
             // retried); anything else must be a typed transport fault.
@@ -239,6 +317,7 @@ fn faults_recover_over_unix_sockets_too() {
         transport: TransportKind::Unix,
         supervise: supervised(600, 2),
         faults,
+        trace: true,
         ..Default::default()
     };
     let out = run_distributed(
@@ -252,6 +331,11 @@ fn faults_recover_over_unix_sockets_too() {
     )
     .expect("unix-transport run must recover");
     assert!(out.recoveries >= 1, "fault did not trigger a recovery");
+    assert_eq!(
+        first_fault(&out),
+        Some(("pass1".to_string(), 0)),
+        "the severed link must surface in pass 1, worker 0 holding the token"
+    );
     assert_eq!(
         (
             out.partitioning.assignments,
@@ -276,6 +360,7 @@ fn baseline_algorithms_recover_too() {
         workers: 3,
         supervise: supervised(600, 2),
         faults,
+        trace: true,
         ..Default::default()
     };
     let out = run_distributed(
@@ -289,6 +374,11 @@ fn baseline_algorithms_recover_too() {
     )
     .expect("HDRF run must recover");
     assert!(out.recoveries >= 1);
+    assert_eq!(
+        first_fault(&out),
+        Some(("baseline".to_string(), 0)),
+        "the severed link must surface mid-pass, worker 0 holding the token"
+    );
     assert_eq!(
         (
             out.partitioning.assignments,
@@ -318,6 +408,7 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
             epoch_chunks: 2,
             supervise: supervised(600, 3),
             faults,
+            trace: true,
             ..Default::default()
         };
         let reference = run_distributed(
@@ -360,6 +451,14 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
             assert!(
                 out.recoveries >= 1,
                 "{name}/{case}: the scripted fault never fired"
+            );
+            // Relaxed workers stream at once, so only the pass is named.
+            let pass = first_fault(&out).map(|(pass, _)| pass);
+            let first_pass = if name == "HDRF" { "baseline" } else { "pass1" };
+            assert_eq!(
+                pass.as_deref(),
+                Some(first_pass),
+                "{name}/{case}: the fault must surface in the first pass"
             );
             assert_eq!(
                 (
@@ -508,6 +607,11 @@ fn traced_faulted_run_records_recovery_events_and_stays_bit_identical() {
     .expect("traced faulted run must recover");
     assert!(out.recoveries >= 1, "the scripted fault never fired");
     assert_eq!(
+        first_fault(&out),
+        Some(("pass1".to_string(), 0)),
+        "the severed link must surface in pass 1, worker 0 holding the token"
+    );
+    assert_eq!(
         (
             out.partitioning.assignments,
             out.partitioning.loads,
@@ -571,6 +675,7 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
         supervise: supervised(600, 2),
         faults,
         checkpoint_dir: Some(dir.clone()),
+        trace: true,
         ..Default::default()
     };
     let out = run_distributed(
@@ -585,6 +690,11 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
     .expect("checkpointed run must recover");
     assert!(out.recoveries >= 1);
     assert_eq!(
+        first_fault(&out),
+        Some(("pass1".to_string(), 0)),
+        "the severed link must surface in pass 1, worker 0 holding the token"
+    );
+    assert_eq!(
         (
             out.partitioning.assignments,
             out.partitioning.loads,
@@ -598,9 +708,9 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
 
 // ---------------------------------------------------------------------------
 // Multi-process tests: the real `clugp-part` binary, worker processes over
-// Unix sockets. Located relative to the test binary; when only this test
-// target was built (`cargo test --test fault_tolerance` before any build of
-// the bins) the tests skip with a note instead of failing.
+// Unix sockets. Located in the target directory of the test binary; when
+// only this test target was built (`cargo test --test fault_tolerance` before
+// any build of the bins) the tests skip with a note instead of failing.
 // ---------------------------------------------------------------------------
 
 fn clugp_part_exe() -> Option<PathBuf> {
@@ -609,8 +719,19 @@ fn clugp_part_exe() -> Option<PathBuf> {
     if dir.ends_with("deps") {
         dir.pop();
     }
-    let exe = dir.join(format!("clugp-part{}", std::env::consts::EXE_SUFFIX));
-    exe.exists().then_some(exe)
+    // `cargo test` at the root does not rebuild a workspace member's bins,
+    // so the one beside this test binary may predate the source; tier-1
+    // builds the release profile first. Take whichever was built last.
+    let target = dir.parent()?;
+    ["debug", "release"]
+        .iter()
+        .map(|profile| {
+            target
+                .join(profile)
+                .join(format!("clugp-part{}", std::env::consts::EXE_SUFFIX))
+        })
+        .filter(|exe| exe.exists())
+        .max_by_key(|exe| exe.metadata().and_then(|m| m.modified()).ok())
 }
 
 fn write_edge_fixture(dir: &std::path::Path, vertices: u64, seed: u64) -> PathBuf {
@@ -641,10 +762,12 @@ fn killed_unix_worker_process_recovers_bit_identically() {
             "8".into(),
             "--order".into(),
             "asis".into(),
-            // Small chunks => many state-exchange rounds, so the kill
-            // ordinal below lands mid-pass.
+            // An admission window is 64 chunks: 16-edge chunks cut each
+            // worker's ~3 900 edges into four windows, so a stage is a
+            // dozen frames long and the kill ordinal below has room to land
+            // inside one.
             "--chunk-size".into(),
-            "64".into(),
+            "16".into(),
             "--output".into(),
             out.to_string_lossy().into_owned(),
         ]
@@ -663,12 +786,13 @@ fn killed_unix_worker_process_recovers_bit_identically() {
 
     // 4 worker processes; worker 1 is armed to die abruptly (SIGABRT, no
     // goodbye frame — indistinguishable from SIGKILL on the link) after
-    // its 40th received frame, deterministically mid-pass.
+    // its 14th received frame: it holds the pass-1 token from its 8th to
+    // its 22nd, and says where it died on stderr.
     let out = Command::new(&exe)
         .args(common(&kill_tsv))
         .args(["--workers", "4", "--transport", "unix"])
         .args(["--socket-dir", &dir.join("socks").to_string_lossy()])
-        .env("CLUGP_AMPC_KILL_AT", "1:40")
+        .env("CLUGP_AMPC_KILL_AT", "1:14")
         .output()
         .expect("spawn clugp-part");
     assert!(
@@ -688,6 +812,11 @@ fn killed_unix_worker_process_recovers_bit_identically() {
         })
         .unwrap_or_else(|| panic!("no recoveries line in:\n{stdout}"));
     assert!(recoveries >= 1, "the armed kill never fired:\n{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("kill switch fired: holding the token of ClugpPass1"),
+        "the kill must land in pass 1 with worker 1 streaming:\n{stderr}"
+    );
 
     let reference = std::fs::read(&ref_tsv).expect("reference TSV");
     let recovered = std::fs::read(&kill_tsv).expect("recovered TSV");
