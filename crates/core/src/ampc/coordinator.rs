@@ -3,11 +3,17 @@
 //! The coordinator owns no edge data. It splits the input into
 //! contiguous per-worker ranges, declares the state-table layouts,
 //! sequences the passes as barriers (the streaming token travels worker
-//! 0‥N−1 inside each pass), relays cross-worker state traffic (the
-//! transports form a star, so a worker reaches a remote shard via a
-//! coordinator-forwarded [`Msg::Route`]), and runs the pass-2 work the
-//! monolith does between streams: cluster compaction, the cluster graph,
-//! and the game/greedy cluster assignment.
+//! 0‥N−1 inside each pass that writes shared state), relays cross-worker
+//! state traffic (the transports form a star, so the token holder reaches a
+//! remote shard via a coordinator-forwarded [`Msg::RouteBatch`]), hands the
+//! stages that only read a table the whole of it up front (`cast_table`:
+//! scan every shard, broadcast one [`Msg::TableCast`]), and runs the pass-2
+//! work the monolith does between streams: cluster compaction, the cluster
+//! graph, and the game/greedy cluster assignment.
+//!
+//! Whatever a worker reports is held against what the coordinator handed
+//! out before it is indexed with (`Coord::accept_part`, `merge_pairs`, the
+//! frontier merge, the compaction): a typed error, not a panic.
 //!
 //! # Fault tolerance
 //!
@@ -33,10 +39,7 @@ use super::proto::{
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
-use super::worker::{
-    import_vertex_rows, pack_vertex_row, unexpected, unpack_vertex_row, with_edge_kernel, T_CPART,
-    T_MAIN,
-};
+use super::worker::{unexpected, with_edge_kernel, T_CPART, T_MAIN};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
@@ -44,11 +47,12 @@ use super::{
 use crate::baselines::kernel::EdgeKernel;
 use crate::clugp::cluster_graph::{merge_weighted, ClusterGraph};
 use crate::clugp::clustering::{compact_clusters, NO_CLUSTER};
+use crate::clugp::stage::{VertexState, ROW_WIDTH};
 use crate::clugp::transform::load_cap;
 use crate::clugp::{greedy_assign, solve_game, ClugpConfig, ClusterAssignMode};
 use crate::error::{FaultKind, PartitionError, Result};
 use crate::partition::Partitioning;
-use crate::vertex_table::{check_cap, VertexTable};
+use crate::vertex_table::check_cap;
 use clugp_graph::pack::ShardedPackReader;
 use clugp_obs::{self as obs, TraceRecord};
 use rustc_hash::FxHashMap;
@@ -109,6 +113,10 @@ struct Coord {
     k: u32,
     /// Edges in each worker's range, as handed out with `Configure`.
     range_edges: Vec<u64>,
+    /// How the workers make progress within a pass, and the chunks a
+    /// relaxed worker streams between epoch barriers.
+    mode: AmpcMode,
+    epoch: u32,
     /// Stats of links replaced by respawns (their traffic still counts).
     retired: NetStats,
     /// Reused encode buffer for every outgoing frame.
@@ -208,20 +216,21 @@ impl Coord {
         }
     }
 
-    fn state_req(&mut self, to: usize, table: u8, op: StateOp) -> Result<Vec<u64>> {
-        self.send(to, &Msg::StateReq { table, op })?;
-        match self.recv(to)? {
-            Msg::StateResp { rows } => Ok(rows),
-            other => Err(unexpected(&other)),
+    /// The whole of `table`: every worker's shard scanned, in worker order,
+    /// and concatenated as `(keys, flattened rows)`.
+    fn scan_all(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
+        let (mut all_keys, mut all_rows) = (Vec::new(), Vec::new());
+        for w in 0..self.conns.len() {
+            self.send(w, &Msg::Scan { table })?;
+            match self.recv(w)? {
+                Msg::ScanResp { keys, rows } => {
+                    all_keys.extend(keys);
+                    all_rows.extend(rows);
+                }
+                other => return Err(unexpected(&other)),
+            }
         }
-    }
-
-    fn scan(&mut self, to: usize, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
-        self.send(to, &Msg::Scan { table })?;
-        match self.recv(to)? {
-            Msg::ScanResp { keys, rows } => Ok((keys, rows)),
-            other => Err(unexpected(&other)),
-        }
+        Ok((all_keys, all_rows))
     }
 
     /// Holds worker `w`'s `StageDone` against what the coordinator handed
@@ -262,7 +271,6 @@ impl Coord {
         stage: Stage,
         mut token: Token,
         assignments: &mut Vec<u32>,
-        mut pairs_out: Option<&mut Vec<PairsPayload>>,
     ) -> Result<Token> {
         for w in 0..self.conns.len() {
             let carry_in = token.carry.len();
@@ -275,16 +283,6 @@ impl Coord {
             self.send(w, &msg)?;
             token = loop {
                 match self.recv(w)? {
-                    Msg::Route { to, table, op } => {
-                        let to = to as usize;
-                        if to >= self.conns.len() {
-                            return Err(PartitionError::InvalidParam(format!(
-                                "route target {to} out of range"
-                            )));
-                        }
-                        let rows = self.state_req(to, table, op)?;
-                        self.send(w, &Msg::StateResp { rows })?;
-                    }
                     Msg::RouteBatch { to, keys, ops } => {
                         let to = to as usize;
                         if to >= self.conns.len() {
@@ -312,13 +310,10 @@ impl Coord {
                     Msg::StageDone {
                         token,
                         assignments: part,
-                        pairs,
+                        ..
                     } => {
                         self.accept_part(w, stage, carry_in, &token, &part, assignments)?;
                         check_loads(format_args!("worker {w}"), &token, assignments.len())?;
-                        if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
-                            out.push(p);
-                        }
                         break token;
                     }
                     other => return Err(unexpected(&other)),
@@ -328,25 +323,22 @@ impl Coord {
         Ok(token)
     }
 
-    /// Relaxed mode: starts `stage` on every worker at once (each gets a
-    /// clone of `token0`).
-    fn broadcast_stage(&mut self, stage: Stage, token0: &Token, epoch: u32) -> Result<()> {
-        for w in 0..self.conns.len() {
-            self.send(
-                w,
-                &Msg::RunStage {
-                    stage,
-                    token: token0.clone(),
-                    mode: AmpcMode::Relaxed,
-                    epoch,
-                },
-            )?;
-        }
-        Ok(())
+    /// Starts `stage` on every worker at once (each gets a clone of
+    /// `token0`): every relaxed stage, and the CLUGP pairs stage in either
+    /// mode — it reads a cast and writes nothing.
+    fn broadcast_stage(&mut self, stage: Stage, token0: &Token) -> Result<()> {
+        let msg = Msg::RunStage {
+            stage,
+            token: token0.clone(),
+            mode: self.mode,
+            epoch: self.epoch,
+        };
+        (0..self.conns.len()).try_for_each(|w| self.send(w, &msg))
     }
 
     /// Collects one [`Msg::StageDone`] per worker, in worker order (which
-    /// is what makes relaxed merges deterministic), returning the tokens.
+    /// is what makes the merges of a broadcast stage deterministic),
+    /// returning the tokens.
     fn collect_stage_done(
         &mut self,
         stage: Stage,
@@ -472,29 +464,6 @@ impl Coord {
             }
         }
     }
-
-    /// Collects one [`Msg::Pass1Frontier`] per worker, in worker order.
-    fn collect_pass1_frontiers(&mut self) -> Result<Vec<Pass1Part>> {
-        let mut parts = Vec::with_capacity(self.conns.len());
-        for w in 0..self.conns.len() {
-            loop {
-                match self.recv(w)? {
-                    Msg::Heartbeat => {}
-                    Msg::Pass1Frontier { keys, rows, vol } => {
-                        if rows.len() != keys.len() * 3 {
-                            return Err(PartitionError::InvalidParam(
-                                "pass-1 frontier payload does not match key count".into(),
-                            ));
-                        }
-                        parts.push(Pass1Part { keys, rows, vol });
-                        break;
-                    }
-                    other => return Err(unexpected(&other)),
-                }
-            }
-        }
-        Ok(parts)
-    }
 }
 
 /// The loads a stage hands back must add up to the edges it assigned.
@@ -506,13 +475,6 @@ fn check_loads(who: std::fmt::Arguments<'_>, token: &Token, placed: usize) -> Re
         )));
     }
     Ok(())
-}
-
-/// One worker's locally-clustered pass-1 result (relaxed mode).
-struct Pass1Part {
-    keys: Vec<u64>,
-    rows: Vec<u64>,
-    vol: Vec<u64>,
 }
 
 /// Applies the scripted fault wrapper for `(worker, incarnation)`, if any.
@@ -589,6 +551,11 @@ impl<'a> Supervisor<'a> {
                 conns,
                 k: 0,
                 range_edges: Vec::new(),
+                mode: cfg.mode,
+                epoch: match cfg.epoch_chunks {
+                    0 => DEFAULT_EPOCH_CHUNKS,
+                    chunks => chunks,
+                },
                 retired: NetStats::default(),
                 scratch: Vec::new(),
                 trace_on: cfg.trace,
@@ -729,25 +696,17 @@ impl<'a> Supervisor<'a> {
         if !self.checkpointing() {
             return Ok(());
         }
-        let workers = self.coord.conns.len();
-        let defs = self.table_defs.clone();
-        let mut tables = Vec::with_capacity(defs.len());
-        for (t, def) in defs.iter().enumerate() {
-            let mut dump = TableDump {
-                width: def.width,
-                keys: Vec::new(),
-                rows: Vec::new(),
-            };
+        let mut tables = Vec::with_capacity(self.table_defs.len());
+        for t in 0..self.table_defs.len() {
             // At the first barrier every table is still factory-empty, so
             // an empty dump (restore = plain reset) is exact.
-            if seq > 1 {
-                for w in 0..workers {
-                    let (keys, rows) = self.coord.scan(w, t as u8)?;
-                    dump.keys.extend(keys);
-                    dump.rows.extend(rows);
-                }
-            }
-            tables.push(dump);
+            let (keys, rows) = if seq > 1 {
+                self.coord.scan_all(t as u8)?
+            } else {
+                Default::default()
+            };
+            let width = self.table_defs[t].width;
+            tables.push(TableDump { width, keys, rows });
         }
         let ck = Checkpoint {
             seq,
@@ -780,46 +739,53 @@ impl<'a> Supervisor<'a> {
     fn restore(&mut self, ck: &Checkpoint) -> Result<()> {
         let t0 = self.coord.t0();
         let started = Instant::now();
-        let workers = self.coord.conns.len();
-        for w in 0..workers {
+        for w in 0..self.coord.conns.len() {
             self.probe_reset(w)?;
         }
-        let defs = self.table_defs.clone();
         for (t, dump) in ck.tables.iter().enumerate() {
-            let Some(def) = defs.get(t) else {
+            let fits = |def: &TableDef| dump.rows.len() == dump.keys.len() * def.width as usize;
+            let Some(def) = self.table_defs.get(t).copied().filter(fits) else {
                 return Err(PartitionError::InvalidParam(format!(
-                    "checkpoint has {} tables but the run declares {}",
-                    ck.tables.len(),
-                    defs.len()
+                    "checkpoint table {t} does not fit the tables the run declares"
                 )));
             };
             let width = def.width as usize;
-            let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); workers];
-            for (i, &key) in dump.keys.iter().enumerate() {
-                let owner = def.layout.owner(key, workers as u32) as usize;
-                by_owner[owner].0.push(key);
-                by_owner[owner]
-                    .1
-                    .extend_from_slice(&dump.rows[i * width..(i + 1) * width]);
-            }
-            for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-                if keys.is_empty() {
-                    continue;
-                }
-                self.coord.state_req(
-                    owner,
-                    t as u8,
-                    StateOp::Upsert {
-                        merge: MergeOp::Put,
-                        keys,
-                        rows,
-                    },
-                )?;
-            }
+            let rows = dump.keys.iter().copied().zip(dump.rows.chunks_exact(width));
+            self.put_rows(t as u8, rows)?;
         }
         self.ckpt_restore_us += started.elapsed().as_micros() as u64;
         self.ckpt_restores += 1;
         self.coord.span("checkpoint:restore", t0, ck.seq);
+        Ok(())
+    }
+
+    /// Overwrites rows of `table`, each on the shard that owns its key: one
+    /// acknowledged `Upsert` per owner.
+    fn put_rows<R: AsRef<[u64]>>(
+        &mut self,
+        table: u8,
+        rows: impl Iterator<Item = (u64, R)>,
+    ) -> Result<()> {
+        let workers = self.coord.conns.len();
+        let layout = self.table_defs[table as usize].layout;
+        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); workers];
+        for (key, row) in rows {
+            let (keys, flat) = &mut by_owner[layout.owner(key, workers as u32) as usize];
+            keys.push(key);
+            flat.extend_from_slice(row.as_ref());
+        }
+        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
+            if keys.is_empty() {
+                continue;
+            }
+            let merge = MergeOp::Put;
+            let op = StateOp::Upsert { merge, keys, rows };
+            self.coord.send(owner, &Msg::StateReq { table, op })?;
+            match self.coord.recv(owner)? {
+                Msg::StateResp { .. } => {}
+                other => return Err(unexpected(&other)),
+            }
+        }
         Ok(())
     }
 
@@ -960,7 +926,8 @@ fn drive(
         };
         let table = |layout, width| TableDef { layout, width };
         // T_MAIN, T_VOL, T_CPART.
-        let defs = vec![table(vrange, 3), table(striped, 1), table(striped, 1)];
+        let main = table(vrange, ROW_WIDTH as u32);
+        let defs = vec![main, table(striped, 1), table(striped, 1)];
         (defs, false)
     } else {
         // Mint shares nothing and never epoch-syncs.
@@ -1024,22 +991,13 @@ fn drive(
         None
     };
 
-    let mode = cfg.mode;
-    let epoch = if cfg.epoch_chunks == 0 {
-        DEFAULT_EPOCH_CHUNKS
-    } else {
-        cfg.epoch_chunks
-    };
-
     // The recovery loop: replay the flow from the last committed barrier
     // until it finishes, a fault exhausts the retry budget, or a fatal
     // (deterministic) error surfaces.
     loop {
         let attempt = match algo {
-            DistAlgo::Clugp(cfg) => {
-                clugp_flow(sup, cfg, n_hint, m_hint, k, resume.as_ref(), mode, epoch)
-            }
-            _ => baseline_flow(sup, epoch_synced, n_hint, k, resume.as_ref(), mode, epoch),
+            DistAlgo::Clugp(cfg) => clugp_flow(sup, cfg, n_hint, m_hint, k, resume.as_ref()),
+            _ => baseline_flow(sup, epoch_synced, n_hint, k, resume.as_ref()),
         };
         match attempt {
             Ok(p) => return Ok(p),
@@ -1054,15 +1012,12 @@ fn drive(
 
 /// Single-stage baselines behind one barrier: a replay restarts the whole
 /// (only) pass from an empty-table state.
-#[allow(clippy::too_many_arguments)]
 fn baseline_flow(
     sup: &mut Supervisor<'_>,
     epoch_synced: bool,
     n_hint: u64,
     k: u32,
     resume: Option<&Checkpoint>,
-    mode: AmpcMode,
-    epoch: u32,
 ) -> Result<Partitioning> {
     let stage = Stage::Baseline;
     let fresh = Token {
@@ -1072,10 +1027,10 @@ fn baseline_flow(
     let token0 = sup.enter_segment(1, stage, fresh, resume, 0, 0)?;
     let t0 = sup.coord.t0();
     let mut assignments = Vec::new();
-    let token = match mode {
-        AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments, None)?,
+    let token = match sup.coord.mode {
+        AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments)?,
         AmpcMode::Relaxed => {
-            sup.coord.broadcast_stage(stage, &token0, epoch)?;
+            sup.coord.broadcast_stage(stage, &token0)?;
             // Epoch-synced kernels exchange deltas mid-stage; those that
             // share nothing (Hashing, Mint) just stream to StageDone and
             // the coordinator sums their load tallies.
@@ -1125,7 +1080,8 @@ fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool, placed: usize) -> R
     Ok(merged)
 }
 
-/// Merges locally-clustered pass-1 frontiers into global vertex state.
+/// Collects one locally-clustered [`Msg::Pass1Frontier`] per worker and
+/// merges it into the global vertex state, in worker order.
 ///
 /// Each worker's raw cluster ids are offset by the running total, so ids
 /// stay distinct. A vertex claimed by several workers (it appears in more
@@ -1133,85 +1089,116 @@ fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool, placed: usize) -> R
 /// the lower-indexed worker (strict `>` while scanning workers in
 /// ascending order); degrees sum and divided-flags OR across claims.
 /// Returns the global raw-cluster count.
-fn merge_pass1_frontiers(
-    parts: Vec<Pass1Part>,
-    cluster_of: &mut VertexTable<u32>,
-    degree: &mut VertexTable<u32>,
-    divided: &mut VertexTable<bool>,
-) -> Result<u64> {
-    let total: u64 = parts.iter().map(|p| p.vol.len() as u64).sum();
-    if total >= u64::from(NO_CLUSTER) {
-        return Err(PartitionError::InvalidParam(format!(
-            "relaxed pass 1 produced {total} raw clusters, above the id limit"
-        )));
-    }
-    let mut vols: Vec<u64> = Vec::with_capacity(total as usize);
-    for p in &parts {
-        vols.extend_from_slice(&p.vol);
-    }
+fn merge_pass1_frontiers(coord: &mut Coord, state: &mut VertexState) -> Result<u64> {
     // The winning claim's volume per vertex, keyed by vertex id.
     let mut best_vol: FxHashMap<u32, u64> = FxHashMap::default();
     let mut base = 0u64;
-    for p in &parts {
-        for (i, &key) in p.keys.iter().enumerate() {
-            let v = key as u32;
-            cluster_of.ensure(v)?;
-            degree.ensure(v)?;
-            divided.ensure(v)?;
-            let (local, d, dv) = unpack_vertex_row(&p.rows[3 * i..3 * i + 3]);
-            degree[v] = degree[v].saturating_add(d);
-            divided[v] |= dv;
+    for w in 0..coord.conns.len() {
+        let named = |what: String| PartitionError::InvalidParam(format!("worker {w}: {what}"));
+        let (keys, rows, vol) = loop {
+            match coord.recv(w)? {
+                Msg::Heartbeat => {}
+                Msg::Pass1Frontier { keys, rows, vol } => break (keys, rows, vol),
+                other => return Err(unexpected(&other)),
+            }
+        };
+        if rows.len() != keys.len() * ROW_WIDTH {
+            return Err(named("frontier payload does not match key count".into()));
+        }
+        let total = base + vol.len() as u64;
+        if total >= u64::from(NO_CLUSTER) {
+            return Err(named(format!(
+                "relaxed pass 1 produced {total} raw clusters, above the id limit"
+            )));
+        }
+        for (&key, row) in keys.iter().zip(rows.chunks_exact(ROW_WIDTH)) {
+            let v = state.ensure_key(key)?;
+            let (local, d, dv) = VertexState::unpack(row);
+            state.degree[v] = state.degree[v].saturating_add(d);
+            state.divided[v] |= dv;
             if local != NO_CLUSTER {
-                let c = (base + u64::from(local)) as u32;
-                let cv = vols[c as usize];
-                let cur = best_vol.get(&v).copied();
-                if cur.is_none_or(|b| cv > b) {
+                let Some(&cv) = vol.get(local as usize) else {
+                    return Err(named(format!(
+                        "frontier row of vertex {key} names local cluster {local}, \
+                         the frontier holds {} volumes",
+                        vol.len()
+                    )));
+                };
+                if best_vol.get(&v).is_none_or(|&b| cv > b) {
                     best_vol.insert(v, cv);
-                    cluster_of[v] = c;
+                    state.cluster_of[v] = base as u32 + local;
                 }
             }
         }
-        base += p.vol.len() as u64;
+        base = total;
     }
-    Ok(total)
+    Ok(base)
 }
 
-/// Scans a striped/ranged table off every worker's shards and broadcasts
-/// the concatenation to the whole fleet as a read-only [`Msg::TableCast`]
-/// mirror for the next relaxed stage.
-fn cast_table(sup: &mut Supervisor<'_>, table: u8) -> Result<()> {
-    let workers = sup.coord.conns.len();
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for w in 0..workers {
-        let (k, r) = sup.coord.scan(w, table)?;
-        keys.extend(k);
-        rows.extend(r);
+/// Merges the workers' cluster-graph partials, in worker (= stream) order.
+/// A partial is indexed with: every cluster id it names must be a dense id
+/// of this run, its `agg` the strictly ascending `lo < hi` key list the
+/// merge and the CSR build assume, and no summed weight may overflow.
+fn merge_pairs(parts: &[PairsPayload], num_clusters: u64) -> Result<ClusterGraph> {
+    let mut intra = vec![0u64; num_clusters as usize];
+    let mut agg: Vec<(u64, u32)> = Vec::new();
+    for (w, part) in parts.iter().enumerate() {
+        let named = |what: String| {
+            PartitionError::InvalidParam(format!("worker {w}: pairs partial {what}"))
+        };
+        for &(c, n) in &part.intra {
+            let Some(count) = intra.get_mut(c as usize) else {
+                return Err(named(format!("names cluster {c} of {num_clusters}")));
+            };
+            *count += n;
+        }
+        let mut prev = None;
+        for &(key, _) in &part.agg {
+            let (lo, hi) = (key >> 32, key & 0xFFFF_FFFF);
+            if lo >= hi || hi >= num_clusters {
+                return Err(named(format!(
+                    "names the cluster pair ({lo}, {hi}) of {num_clusters}"
+                )));
+            }
+            if prev.replace(key).is_some_and(|p| p >= key) {
+                return Err(named("is not sorted by cluster pair".into()));
+            }
+        }
+        agg = merge_weighted(&agg, &part.agg)
+            .ok_or_else(|| named("overflows a cluster pair's weight".into()))?;
     }
-    for w in 0..workers {
-        sup.coord.send(
-            w,
-            &Msg::TableCast {
-                table,
-                keys: keys.clone(),
-                rows: rows.clone(),
-            },
-        )?;
+    Ok(ClusterGraph::from_parts(num_clusters as u32, intra, &agg))
+}
+
+/// Scans `table` off every worker's shards and broadcasts the concatenation
+/// to the whole fleet as a read-only [`Msg::TableCast`] mirror for the next
+/// stage. The frame is encoded once, whatever the worker count.
+fn cast_table(sup: &mut Supervisor<'_>, table: u8) -> Result<()> {
+    let (keys, rows) = sup.coord.scan_all(table)?;
+    let frame = Msg::TableCast { table, keys, rows }.encode();
+    for (w, conn) in sup.coord.conns.iter_mut().enumerate() {
+        conn.send(&frame).map_err(|e| tag_worker(w, e))?;
     }
     Ok(())
 }
 
 /// The CLUGP three-pass flow: pass 1 streams clustering through the
 /// sharded vertex/volume tables; the coordinator then compacts clusters
-/// (recomputing dense volumes from degrees), republishes dense rows,
-/// collects the sharded cluster-graph partials, solves the game, pushes
-/// the cluster→partition map, and runs the transformation pass.
+/// (recomputing dense volumes from degrees), republishes dense rows, casts
+/// them for the pairs stage, merges the cluster-graph partials, solves the
+/// game, publishes the cluster→partition map, casts both tables and runs
+/// the transformation pass.
+///
+/// Pass 1 writes the shared tables, so the mode decides how it runs (the
+/// sequenced token, or local clustering and a frontier merge). The other
+/// two stages only read them, through `cast_table` in both modes; the
+/// transformation still travels the token when sequenced, to keep the load
+/// cap hard, and that is all the mode changes about them.
 ///
 /// The flow is segmented at three barriers (before pass 1, pass 2a, and
 /// pass 3); `resume` — from crash recovery or `--resume` — skips segments
 /// the checkpoint already finished, carrying `m_real` / `num_clusters`
 /// from it instead of recomputing them.
-#[allow(clippy::too_many_arguments)]
 fn clugp_flow(
     sup: &mut Supervisor<'_>,
     cfg: &ClugpConfig,
@@ -1219,11 +1206,8 @@ fn clugp_flow(
     m_hint: u64,
     k: u32,
     resume: Option<&Checkpoint>,
-    mode: AmpcMode,
-    epoch: u32,
 ) -> Result<Partitioning> {
-    let workers = sup.workers();
-    let relaxed = mode == AmpcMode::Relaxed;
+    let relaxed = sup.coord.mode == AmpcMode::Relaxed;
     let target = resume.map_or(0, |ck| ck.seq);
     let m_real: u64;
     let num_clusters: u64;
@@ -1247,60 +1231,37 @@ fn clugp_flow(
         // Assemble the authoritative vertex state: sequenced runs scan the
         // sharded tables; relaxed runs merge the locally-clustered
         // frontiers every worker ships ahead of StageDone.
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(n_hint, NO_CLUSTER, cfg.max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n_hint, 0, cfg.max_vertices)?;
-        let mut divided: VertexTable<bool> =
-            VertexTable::with_limit(n_hint, false, cfg.max_vertices)?;
+        let mut state = VertexState::new(n_hint, cfg.max_vertices)?;
         let mut no_assign = Vec::new();
         let raw_count = if relaxed {
-            sup.coord.broadcast_stage(stage, &token0, epoch)?;
-            let parts = sup.coord.collect_pass1_frontiers()?;
+            sup.coord.broadcast_stage(stage, &token0)?;
+            let raw_count = merge_pass1_frontiers(&mut sup.coord, &mut state)?;
             sup.coord.collect_stage_done(stage, &mut no_assign, None)?;
-            merge_pass1_frontiers(parts, &mut cluster_of, &mut degree, &mut divided)? as usize
+            raw_count
         } else {
-            let token = sup.coord.run_stage(stage, token0, &mut no_assign, None)?;
-            for w in 0..workers as usize {
-                let (keys, rows) = sup.coord.scan(w, T_MAIN)?;
-                import_vertex_rows(&keys, &rows, &mut cluster_of, &mut degree, &mut divided)?;
-            }
-            token.next_raw as usize
+            let token = sup.coord.run_stage(stage, token0, &mut no_assign)?;
+            let (keys, rows) = sup.coord.scan_all(T_MAIN)?;
+            state.import(&keys, &rows)?;
+            token.next_raw
         };
         // Exact edge count, independent of the hint (each edge added 2).
-        m_real = degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+        m_real = state.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+        // An edge mints at most four clusters (two allocations, two splits);
+        // the watermark sizes vectors, so it is held to that first.
+        if raw_count > m_real.saturating_mul(4) {
+            return Err(PartitionError::InvalidParam(format!(
+                "pass 1 reports {raw_count} raw clusters for {m_real} edges"
+            )));
+        }
 
         // Pass 2a prelude: dense cluster ids (volumes recomputed from
         // degrees, so the raw volume table is no longer needed).
-        let (nc, _volumes) = compact_clusters(&mut cluster_of, &degree, raw_count);
+        let (nc, _volumes) = compact_clusters(&mut state, raw_count as usize)?;
         num_clusters = u64::from(nc);
 
-        // Republish dense width-3 rows for every vertex so passes 2b/3
-        // see dense ids wherever they fetch from.
-        let vlayout = sup.table_defs[0].layout;
-        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for v in 0..cluster_of.len() {
-            let owner = vlayout.owner(v, workers) as usize;
-            let vid = v as u32;
-            by_owner[owner].0.push(v);
-            by_owner[owner]
-                .1
-                .extend(pack_vertex_row(cluster_of[vid], degree[vid], divided[vid]));
-        }
-        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            sup.coord.state_req(
-                owner,
-                T_MAIN,
-                StateOp::Upsert {
-                    merge: MergeOp::Put,
-                    keys,
-                    rows,
-                },
-            )?;
-        }
+        // Republish dense rows for every vertex: they are what the casts
+        // of the next two stages (and the barrier checkpoints) scan.
+        sup.put_rows(T_MAIN, (0..state.len()).map(|v| (v, state.row(v as u32))))?;
         // Pass 1 proper plus the coordinator's compaction/republish work
         // between passes — the "streaming clustering" half of Fig. 10.
         sup.coord.span("pass:pass1", t0, m_real);
@@ -1308,60 +1269,29 @@ fn clugp_flow(
 
     if target <= 2 {
         // Pass 2a: the cluster graph, from per-worker partials merged in
-        // worker (= stream) order.
+        // worker (= stream) order. A partial is a pure function of a range
+        // and the dense cluster ids, so the workers stream at once in
+        // either mode.
         let stage = Stage::ClugpPairs { num_clusters };
         let token0 = sup.enter_segment(2, stage, Token::default(), resume, m_real, num_clusters)?;
         let t0 = sup.coord.t0();
         let mut no_assign = Vec::new();
         let mut pairs: Vec<PairsPayload> = Vec::new();
-        if relaxed {
-            // The cast must follow enter_segment: a resumed run restores
-            // the shards first, and the scan reads the restored rows.
-            cast_table(sup, T_MAIN)?;
-            sup.coord.broadcast_stage(stage, &token0, epoch)?;
-            sup.coord
-                .collect_stage_done(stage, &mut no_assign, Some(&mut pairs))?;
-        } else {
-            sup.coord
-                .run_stage(stage, token0, &mut no_assign, Some(&mut pairs))?;
-        }
-        let mut intra = vec![0u64; num_clusters as usize];
-        let mut agg: Vec<(u64, u32)> = Vec::new();
-        for part in &pairs {
-            for &(c, w) in &part.intra {
-                intra[c as usize] += w;
-            }
-            agg = merge_weighted(&agg, &part.agg);
-        }
-        let cg = ClusterGraph::from_parts(num_clusters as u32, intra, &agg);
+        // A cast must follow enter_segment: a resumed run restores the
+        // shards first, and the scan reads the restored rows.
+        cast_table(sup, T_MAIN)?;
+        sup.coord.broadcast_stage(stage, &token0)?;
+        sup.coord
+            .collect_stage_done(stage, &mut no_assign, Some(&mut pairs))?;
+        let cg = merge_pairs(&pairs, num_clusters)?;
 
         // Pass 2b: cluster → partition.
         let cluster_partition = match cfg.assign_mode {
             ClusterAssignMode::Game => solve_game(&cg, k, cfg)?.partition_of,
             ClusterAssignMode::Greedy => greedy_assign::greedy_assign(&cg, k),
         };
-        let claylout = sup.table_defs[T_CPART as usize].layout;
-        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (c, &p) in cluster_partition.iter().enumerate() {
-            let owner = claylout.owner(c as u64, workers) as usize;
-            by_owner[owner].0.push(c as u64);
-            by_owner[owner].1.push(u64::from(p));
-        }
-        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            sup.coord.state_req(
-                owner,
-                T_CPART,
-                StateOp::Upsert {
-                    merge: MergeOp::Put,
-                    keys,
-                    rows,
-                },
-            )?;
-        }
+        let rows = cluster_partition.iter().enumerate();
+        sup.put_rows(T_CPART, rows.map(|(c, &p)| (c as u64, [u64::from(p)])))?;
         // Cluster graph + game/greedy assignment + map publish — the
         // "partitioning" half of Fig. 10.
         sup.coord.span("pass:pairs", t0, num_clusters);
@@ -1383,16 +1313,16 @@ fn clugp_flow(
     )?;
     let t0 = sup.coord.t0();
     let mut assignments = Vec::new();
+    cast_table(sup, T_MAIN)?;
+    cast_table(sup, T_CPART)?;
     let token = if relaxed {
-        cast_table(sup, T_MAIN)?;
-        cast_table(sup, T_CPART)?;
-        sup.coord.broadcast_stage(stage, &token0, epoch)?;
+        sup.coord.broadcast_stage(stage, &token0)?;
         let tokens = sup
             .coord
             .collect_stage_done(stage, &mut assignments, None)?;
         merge_relaxed_tokens(tokens, true, assignments.len())?
     } else {
-        sup.coord.run_stage(stage, token0, &mut assignments, None)?
+        sup.coord.run_stage(stage, token0, &mut assignments)?
     };
     sup.coord
         .span("pass:transform", t0, assignments.len() as u64);
@@ -1423,35 +1353,114 @@ mod tests {
         forged_stage_done(&token, width, count, ids)
     }
 
-    /// Runs the coordinator (hashing, k = 4, four edges, no supervision)
-    /// against a worker that acks `Configure` and answers `RunStage` with
-    /// `reply`.
-    fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
+    /// Runs the coordinator (`algo`, k = 4, four edges, no supervision)
+    /// against a hand-played worker that acks `Configure`, answers `RunStage`
+    /// with the frames `reply` makes of the stage, and serves every scan
+    /// vertices 0, 1, 2 at degree 2, one raw cluster each.
+    fn play(
+        algo: DistAlgo,
+        mode: AmpcMode,
+        reply: impl Fn(Stage) -> Vec<Vec<u8>> + Send + 'static,
+    ) -> Result<DistOutcome> {
         let (coord, mut worker) = channel_pair(8);
-        let forger = std::thread::spawn(move || {
-            let configure = Msg::decode(&worker.recv().unwrap()).unwrap();
-            assert_eq!(configure.kind(), "Configure");
-            worker.send(&Msg::ConfigureOk.encode()).unwrap();
-            let run = Msg::decode(&worker.recv().unwrap()).unwrap();
-            assert_eq!(run.kind(), "RunStage");
-            worker.send(&reply).unwrap();
-            // `Shutdown`, whatever the coordinator made of the reply.
-            let _ = worker.recv();
+        let forger = std::thread::spawn(move || loop {
+            let replies = match Msg::decode(&worker.recv().unwrap()).unwrap() {
+                Msg::Configure(_) => vec![Msg::ConfigureOk.encode()],
+                Msg::RunStage { stage, .. } => reply(stage),
+                Msg::Scan { .. } => {
+                    let (keys, rows) = (vec![0, 1, 2], vec![1, 2, 0, 2, 2, 0, 3, 2, 0]);
+                    vec![Msg::ScanResp { keys, rows }.encode()]
+                }
+                Msg::StateReq { .. } => vec![Msg::StateResp { rows: Vec::new() }.encode()],
+                Msg::TableCast { .. } => Vec::new(),
+                // `Shutdown`, whatever the coordinator made of the replies.
+                _ => return,
+            };
+            for frame in replies {
+                worker.send(&frame).unwrap();
+            }
         });
         let edges: Vec<Edge> = (0..4).map(|i| Edge::new(i, i + 1)).collect();
-        let out = run_coordinator(
-            vec![Box::new(coord)],
-            &DistAlgo::by_name("hashing").expect("registered"),
-            DistInput::Edges {
-                num_vertices: 5,
-                edges: &edges,
-            },
-            4,
-            &DistConfig::default(),
-            None,
-        );
+        let input = DistInput::Edges {
+            num_vertices: 5,
+            edges: &edges,
+        };
+        let cfg = DistConfig {
+            mode,
+            ..Default::default()
+        };
+        let out = run_coordinator(vec![Box::new(coord)], &algo, input, 4, &cfg, None);
         forger.join().expect("forged worker");
         out
+    }
+
+    fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
+        let algo = DistAlgo::by_name("hashing").expect("registered");
+        play(algo, AmpcMode::Sequenced, move |_| vec![reply.clone()])
+    }
+
+    #[test]
+    fn a_forged_pairs_partial_or_frontier_is_a_typed_error_naming_the_worker() {
+        fn done(next_raw: u64, pairs: Option<PairsPayload>) -> Vec<u8> {
+            let token = Token {
+                next_raw,
+                ..Default::default()
+            };
+            let assignments = PartIds::for_k(4);
+            Msg::StageDone {
+                token,
+                assignments,
+                pairs,
+            }
+            .encode()
+        }
+        fn failure(
+            mode: AmpcMode,
+            reply: impl Fn(Stage) -> Vec<Vec<u8>> + Send + 'static,
+        ) -> String {
+            let err = play(DistAlgo::clugp(), mode, reply).expect_err("forged reply");
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            err.to_string()
+        }
+        // Three dense clusters. The coordinator indexes with every cluster id
+        // a pairs partial names, and merges `agg` as a sorted key list.
+        let pair = |lo: u64, hi: u64| (lo << 32 | hi, 1u32);
+        let partial = |intra: &[(u64, u64)], agg: &[(u64, u32)]| PairsPayload {
+            intra: intra.to_vec(),
+            agg: agg.to_vec(),
+        };
+        for (pairs, needle) in [
+            (partial(&[(3, 1)], &[]), "names cluster 3 of 3"),
+            (partial(&[], &[pair(1, 3)]), "the cluster pair (1, 3) of 3"),
+            (partial(&[], &[pair(2, 1)]), "the cluster pair (2, 1) of 3"),
+            (partial(&[], &[pair(1, 2), pair(0, 1)]), "not sorted"),
+        ] {
+            let reply = move |stage| match stage {
+                Stage::ClugpPass1 { .. } => vec![done(3, None)],
+                _ => vec![done(0, Some(pairs.clone()))],
+            };
+            let msg = failure(AmpcMode::Sequenced, reply);
+            assert!(msg.contains("worker 0") && msg.contains(needle), "{msg}");
+        }
+        // A relaxed frontier names clusters local to its own `vol`.
+        let frontier = |_| {
+            let (keys, rows, vol) = (vec![0], vec![2, 1, 0], vec![5]);
+            vec![
+                Msg::Pass1Frontier { keys, rows, vol }.encode(),
+                done(1, None),
+            ]
+        };
+        let msg = failure(AmpcMode::Relaxed, frontier);
+        assert!(
+            msg.contains("worker 0") && msg.contains("names local cluster 1"),
+            "{msg}"
+        );
+        // A token's raw-id watermark bounds the scanned rows' cluster ids, and
+        // sizes the compaction's vectors.
+        for (next_raw, needle) in [(2, "names raw cluster 2"), (1 << 40, "raw clusters for 3")] {
+            let msg = failure(AmpcMode::Sequenced, move |_| vec![done(next_raw, None)]);
+            assert!(msg.contains(needle), "{msg}");
+        }
     }
 
     #[test]

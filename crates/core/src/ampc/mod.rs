@@ -7,19 +7,21 @@
 //!   over [`crate::vertex_table::VertexTable`], routed by
 //!   [`table::Layout`]) exposing get / upsert-batch / scan.
 //! * [`worker`] — owns a contiguous range of the edge stream and drives
-//!   the *same per-edge kernels as the monolith* against local shards,
-//!   fetching remote rows in one batch per admission window.
+//!   the *same per-edge kernels as the monolith* against local shards: a
+//!   stage that writes shared tables fetches remote rows in one batch per
+//!   admission window, one that only reads them is handed the whole table.
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
-//!   relays cross-worker state traffic (star topology), runs the
-//!   coordinator-side CLUGP stages (compaction, cluster graph, game), and
-//!   assembles the final [`crate::partition::Partitioning`].
+//!   relays cross-worker state traffic (star topology), casts read-only
+//!   tables, runs the coordinator-side CLUGP stages (compaction, cluster
+//!   graph, game), and assembles the final
+//!   [`crate::partition::Partitioning`].
 //! * [`transport`] / [`proto`] / [`wire`] — the exchange: in-process
 //!   bounded channels or length-prefixed Unix sockets carrying the same
 //!   hand-rolled little-endian frames.
 //!
-//! Execution model: within each pass the workers run **sequenced** by
-//! default — a streaming token travels worker 0‥N−1, so exactly one
-//! worker streams edges at a time while the others answer state
+//! Execution model: within each pass that writes shared state the workers
+//! run **sequenced** by default — a streaming token travels worker 0‥N−1, so
+//! exactly one worker streams edges at a time while the others answer state
 //! requests. That is what makes every configuration (any worker count,
 //! any chunk size, either transport) bit-identical to the monolithic
 //! partitioner, which is the correctness anchor

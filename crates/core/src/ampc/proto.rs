@@ -1,43 +1,55 @@
 //! Coordinator ↔ worker message set.
 //!
 //! Every exchange is a [`Msg`] encoded with the [`super::wire`] codec and
-//! shipped as one transport frame. The conversation is strictly
-//! request/reply from the coordinator's point of view:
+//! shipped as one transport frame. Outside a stage the conversation is
+//! request/reply from the coordinator's point of view; while a stage runs
+//! the worker drives it:
 //!
 //! ```text
-//! coordinator → worker:  Configure, RunStage, StateReq, Scan, Shutdown
+//! coordinator → worker:  Configure, RunStage, StateReq, StateReqBatch,
+//!                        Scan, TableCast, EpochSync, RouteReply,
+//!                        ResetTables, Shutdown
 //! worker → coordinator:  Hello, ConfigureOk, StageDone, StateResp,
-//!                        ScanResp, Route (only while running a stage), Err
+//!                        StateRespBatch, ScanResp, ResetOk, Err, and — only
+//!                        while running a stage — RouteBatch, EpochDone,
+//!                        Pass1Frontier, Heartbeat, TraceEvents
 //! ```
 //!
-//! `Route` is the star-topology relay: the active worker asks the
-//! coordinator to forward a [`StateOp`] to the worker owning a remote key
-//! range; the coordinator issues the matching `StateReq` and forwards the
-//! `StateResp` back. Upserts are acked (empty `StateResp`) so a stage
-//! cannot finish with state writes still in flight.
+//! [`Msg::RouteBatch`] is the star-topology relay (DESIGN.md §11): the
+//! worker holding the sequenced token asks the coordinator to forward a
+//! batch to the worker owning a remote key range, as [`Msg::StateReqBatch`],
+//! and gets the owner's [`Msg::StateRespBatch`] back as [`Msg::RouteReply`].
+//! One frame per owner carries the gets of an admission window's
+//! first-touched keys, or a slice of the stage-end writeback, for every table
+//! of the group, with delta-encoded keys (varint gaps over the sorted key
+//! set) and varint value runs. Pure-writeback batches are unacknowledged —
+//! frame ordering through the coordinator guarantees they are applied before
+//! any later dependent read — which is what lets the worker keep several of
+//! them in flight behind the transport's bounded window. Only stages that
+//! *write* shared tables route (the baselines, CLUGP pass 1). (Tag 7, the
+//! one-op-per-frame `Route` this replaced, stays reserved.)
 //!
-//! [`Msg::RouteBatch`] is the windowed, batched form of that relay
-//! (DESIGN.md §11): one frame per owner carries the gets of an admission
-//! window's first-touched keys, or a slice of the stage-end writeback, for
-//! every table of the group, with delta-encoded keys (varint gaps over the
-//! sorted key set) and varint value runs. Pure-writeback batches
-//! are unacknowledged — frame ordering through the coordinator guarantees
-//! they are applied before any later dependent read — which is what lets
-//! the worker keep several of them in flight behind the transport's
-//! bounded window. The `Epoch*` messages and [`Msg::TableCast`] belong to
-//! the relaxed concurrent mode, where every worker streams at once and
-//! state is reconciled at epoch barriers instead of per window.
+//! A stage that only *reads* a table gets it whole, ahead of its `RunStage`,
+//! as a [`Msg::TableCast`] — in both modes: the coordinator scans every shard
+//! ([`Msg::Scan`] → [`Msg::ScanResp`]) and broadcasts the concatenation.
+//! `ScanResp` is therefore the payload `TableCast` forwards, and both carry
+//! it in one coding: keys as zigzag varint deltas (ascending within a shard;
+//! the sign keeps the non-monotone concatenation of striped shards legal),
+//! rows as varints. A cast is one frame, so a table is bounded by the
+//! transport's frame cap (DESIGN.md §11). The `Epoch*` messages and
+//! [`Msg::Pass1Frontier`] belong to the relaxed concurrent mode, where every
+//! worker streams at once and state is reconciled at epoch barriers instead
+//! of per window.
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
 //! holds `k − 1`), a `u64` count, then `count × width` little-endian id
-//! bytes — and a flag byte followed by the [`PairsPayload`] when set. It is
-//! the one verb that still moved fixed-width words in bulk — 4 bytes per
-//! edge, most of what a sequenced CLUGP run exchanged — while the routing
-//! verbs were varint/delta coded already, so only this layout changed. The decoder rejects any other width byte and holds
-//! the count against the rest of the frame before it copies anything; what
-//! the ids *mean* — one per edge of the range, all below `k` — is the
-//! coordinator's to check, against what it handed out.
+//! bytes — and a flag byte followed by the [`PairsPayload`] when set. The
+//! decoder rejects any other width byte and holds the count against the rest
+//! of the frame before it copies anything; what the ids *mean* — one per edge
+//! of the range, all below `k` — is the coordinator's to check, against what
+//! it handed out, as are the cluster ids of a pairs partial and of a
+//! [`Msg::Pass1Frontier`].
 //!
 //! [`Msg::TraceEvents`] is the observability side-channel (DESIGN.md
 //! §12): when the run is traced, workers flush their buffered
@@ -407,8 +419,8 @@ pub enum Msg {
         token: Token,
         /// Consistency mode for this stage.
         mode: AmpcMode,
-        /// Relaxed mode: chunks streamed between epoch barriers (0 in
-        /// sequenced mode and for stages that do not epoch-sync).
+        /// Relaxed mode: chunks streamed between epoch barriers (unread in
+        /// sequenced mode and by stages that do not epoch-sync).
         epoch: u32,
     },
     /// Stage finished.
@@ -434,21 +446,12 @@ pub enum Msg {
         /// Flattened row words.
         rows: Vec<u64>,
     },
-    /// Active worker → coordinator: forward `op` to worker `to`.
-    Route {
-        /// Target worker.
-        to: u32,
-        /// Table slot index.
-        table: u8,
-        /// Operation.
-        op: StateOp,
-    },
     /// Dump the receiver's shard of `table`.
     Scan {
         /// Table slot index.
         table: u8,
     },
-    /// Scan reply.
+    /// Scan reply, in the coding of the [`Msg::TableCast`] it feeds.
     ScanResp {
         /// Row keys, ascending.
         keys: Vec<u64>,
@@ -538,13 +541,14 @@ pub enum Msg {
         /// Volume per local raw cluster id.
         vol: Vec<u64>,
     },
-    /// Relaxed mode, coordinator → worker: a read-only mirror of one
-    /// whole table for the next stage (cluster maps for the CLUGP pairs
-    /// and transform stages), replacing per-chunk fetches.
+    /// Coordinator → worker, either mode: a read-only mirror of one whole
+    /// table for the next stage (the vertex rows for the CLUGP pairs stage,
+    /// those and the cluster → partition map for the transform), which
+    /// therefore never routes.
     TableCast {
         /// Table slot index.
         table: u8,
-        /// Row keys, ascending.
+        /// Row keys: the workers' scans concatenated, each ascending.
         keys: Vec<u64>,
         /// Flattened row words.
         rows: Vec<u64>,
@@ -939,6 +943,19 @@ fn get_batch_ops(r: &mut Rd<'_>) -> Result<Vec<BatchOp>> {
     Ok(ops)
 }
 
+/// The rows of a table as [`Msg::ScanResp`] and [`Msg::TableCast`] carry
+/// them: keys as zigzag varint deltas, rows as varints.
+fn put_table_rows(w: &mut Wr, keys: &[u64], rows: &[u64]) {
+    w.delta_u64s(keys);
+    w.vu64s(rows);
+}
+
+/// Inverse of [`put_table_rows`]. Both counts are held against what is left
+/// of the frame before anything is allocated.
+fn get_table_rows(r: &mut Rd<'_>) -> Result<(Vec<u64>, Vec<u64>)> {
+    Ok((r.delta_u64s()?, r.vu64s()?))
+}
+
 fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
     w.vu64(tables.len() as u64);
     for t in tables {
@@ -1010,7 +1027,6 @@ impl Msg {
             Msg::StageDone { .. } => "StageDone",
             Msg::StateReq { .. } => "StateReq",
             Msg::StateResp { .. } => "StateResp",
-            Msg::Route { .. } => "Route",
             Msg::Scan { .. } => "Scan",
             Msg::ScanResp { .. } => "ScanResp",
             Msg::Shutdown => "Shutdown",
@@ -1127,20 +1143,13 @@ impl Msg {
                 w.u8(6);
                 w.u64s(rows);
             }
-            Msg::Route { to, table, op } => {
-                w.u8(7);
-                w.u32(*to);
-                w.u8(*table);
-                put_op(w, op);
-            }
             Msg::Scan { table } => {
                 w.u8(8);
                 w.u8(*table);
             }
             Msg::ScanResp { keys, rows } => {
                 w.u8(9);
-                w.u64s(keys);
-                w.u64s(rows);
+                put_table_rows(w, keys, rows);
             }
             Msg::Shutdown => w.u8(10),
             Msg::Err { msg } => {
@@ -1198,8 +1207,7 @@ impl Msg {
             Msg::TableCast { table, keys, rows } => {
                 w.u8(22);
                 w.u8(*table);
-                w.delta_u64s(keys);
-                w.vu64s(rows);
+                put_table_rows(w, keys, rows);
             }
             Msg::TraceEvents {
                 now_us,
@@ -1249,16 +1257,11 @@ impl Msg {
                 op: get_op(&mut r)?,
             },
             6 => Msg::StateResp { rows: r.u64s()? },
-            7 => Msg::Route {
-                to: r.u32()?,
-                table: r.u8()?,
-                op: get_op(&mut r)?,
-            },
             8 => Msg::Scan { table: r.u8()? },
-            9 => Msg::ScanResp {
-                keys: r.u64s()?,
-                rows: r.u64s()?,
-            },
+            9 => {
+                let (keys, rows) = get_table_rows(&mut r)?;
+                Msg::ScanResp { keys, rows }
+            }
             10 => Msg::Shutdown,
             11 => Msg::Err { msg: r.str()? },
             12 => Msg::Heartbeat,
@@ -1290,11 +1293,11 @@ impl Msg {
                 rows: r.vu64s()?,
                 vol: r.vu64s()?,
             },
-            22 => Msg::TableCast {
-                table: r.u8()?,
-                keys: r.delta_u64s()?,
-                rows: r.vu64s()?,
-            },
+            22 => {
+                let table = r.u8()?;
+                let (keys, rows) = get_table_rows(&mut r)?;
+                Msg::TableCast { table, keys, rows }
+            }
             23 => {
                 let (now_us, dropped, events) = get_trace_events(&mut r)?;
                 Msg::TraceEvents {
@@ -1393,15 +1396,6 @@ mod tests {
             op: StateOp::Get { keys: vec![5, 6] },
         });
         round_trip(Msg::StateResp { rows: vec![1, 0] });
-        round_trip(Msg::Route {
-            to: 2,
-            table: 1,
-            op: StateOp::Upsert {
-                merge: MergeOp::Add,
-                keys: vec![8],
-                rows: vec![3],
-            },
-        });
         round_trip(Msg::Scan { table: 2 });
         round_trip(Msg::ScanResp {
             keys: vec![0, 4],
@@ -1593,6 +1587,38 @@ mod tests {
     fn rejects_unknown_tag() {
         assert!(Msg::decode(&[250]).is_err());
         assert!(Msg::decode(&[]).is_err());
+        // Tag 7 was `Route`: retired, reserved, and no longer a message.
+        let err = Msg::decode(&[7, 1, 0, 0, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("message tag"), "{err}");
+    }
+
+    #[test]
+    fn scan_replies_share_the_cast_coding() {
+        // A striped table's scans concatenate into keys that step back at
+        // every shard boundary; a range shard's last row may hold full words.
+        let table = || {
+            (
+                vec![512, 513, 1536, 0, 1, 1024, 700, 3],
+                vec![1, 0, u64::MAX, 7],
+            )
+        };
+        let (keys, rows) = table();
+        let scan = Msg::ScanResp { keys, rows };
+        round_trip(scan.clone());
+        let (table, (keys, rows)) = (4, table());
+        let (scan, cast) = (scan.encode(), Msg::TableCast { table, keys, rows }.encode());
+        assert_eq!(scan[1..], cast[2..], "one body, behind tag / tag + slot");
+        for cut in 1..scan.len() {
+            assert!(Msg::decode(&scan[..cut]).is_err(), "cut {cut}");
+        }
+        // A count the frame cannot back is refused before it sizes a vector.
+        for claimed in [9u64, 1 << 40, u64::MAX] {
+            let mut w = Wr::new();
+            w.u8(9);
+            w.vu64(claimed);
+            w.bytes(&[2; 8]);
+            assert!(Msg::decode(&w.into_bytes()).is_err(), "{claimed} keys");
+        }
     }
 
     #[test]

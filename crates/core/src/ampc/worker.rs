@@ -7,7 +7,8 @@
 //! kernels the monolithic partitioners use*, which is what keeps every
 //! distributed configuration bit-identical to the monolith.
 //!
-//! In sequenced mode the dense scratch tables are resident for the stage.
+//! A stage that *writes* shared tables under the sequenced token (every
+//! baseline, CLUGP pass 1) keeps its dense scratch resident for the stage.
 //! While this worker holds the token nobody else writes any table, so a row
 //! it has fetched stays authoritative until it sends `StageDone`. The unit
 //! of exchange is the **admission window**, a run of `WINDOW_CHUNKS` (64)
@@ -24,17 +25,24 @@
 //! ordering through the coordinator's star links lands them before the next
 //! token holder's first read — and the assignments leave with `StageDone`
 //! as [`PartIds`], narrowed window by window. `Resident`, `Wk::admit` and
-//! `Wk::flush` are that bookkeeping, shared by the baseline driver and the
-//! CLUGP stages. Scratch entries outside the seen set are never read, so
-//! the scratch tables can stay full-size and dense — same types, same
-//! indexing as the monolith.
+//! `Wk::flush` are that bookkeeping, shared by the baseline driver and
+//! pass 1. Scratch entries outside the seen set are never read, so the
+//! scratch tables can stay full-size and dense — same types, same indexing
+//! as the monolith.
 //!
-//! In [`AmpcMode::Relaxed`] there is no routing at all: every
-//! worker streams its whole range against worker-local tables and
-//! reconciles with the fleet at epoch barriers ([`Msg::EpochDone`] /
-//! [`Msg::EpochSync`]), or — for the CLUGP stages — against read-only
-//! [`Msg::TableCast`] mirrors, shipping a locally-clustered
-//! [`Msg::Pass1Frontier`] for the coordinator to merge.
+//! A stage that only *reads* them (the CLUGP pairs and transform stages)
+//! never routes, in either mode: the coordinator broadcasts the tables it
+//! reads as [`Msg::TableCast`] mirrors ahead of `RunStage`, and the worker
+//! streams its whole range against them — the semi-external pass, an O(n)
+//! table held while the edges stream by.
+//!
+//! In [`AmpcMode::Relaxed`] nothing routes at all: every worker streams its
+//! whole range against worker-local tables and reconciles with the fleet at
+//! epoch barriers ([`Msg::EpochDone`] / [`Msg::EpochSync`]); CLUGP pass 1
+//! clusters locally and ships a [`Msg::Pass1Frontier`] for the coordinator
+//! to merge, and the transform enforces a growing per-worker slice of the
+//! load cap where the sequenced token enforces the hard one. Those two are
+//! all that the mode changes about a CLUGP stage.
 
 use super::proto::{
     AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, StateOp, Token,
@@ -44,14 +52,14 @@ use super::table::{Layout, MergeOp, StateShard};
 use super::transport::Transport;
 use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
 use crate::baselines::kernel::{EdgeKernel, SharedTable};
-use crate::baselines::mint::{self, MintConfig, DEFAULT_WAVE_WIDTH};
+use crate::baselines::mint::{MintConfig, Waves};
 use crate::clugp::cluster_graph::PairSink;
-use crate::clugp::clustering::{pass1_edge, NO_CLUSTER};
+use crate::clugp::clustering::NO_CLUSTER;
 use crate::clugp::config::MigrationPolicy;
-use crate::clugp::transform::transform_edge;
+use crate::clugp::stage::{Balancer, Pass1, VertexState};
 use crate::error::{PartitionError, Result};
 use crate::state::PartitionLoads;
-use crate::vertex_table::{cap_error, VertexTable};
+use crate::vertex_table::cap_error;
 use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
@@ -61,59 +69,13 @@ use std::collections::hash_map::Entry;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Table slot 0 for CLUGP: the packed per-vertex state. (A baseline's
-/// slots are the indices of its [`EdgeKernel`] tables.)
+/// Table slot 0 for CLUGP: the [`VertexState`] rows. (A baseline's slots
+/// are the indices of its [`EdgeKernel`] tables.)
 pub(crate) const T_MAIN: u8 = 0;
 /// Table slot 1 for CLUGP: raw-cluster volumes (pass 1 only).
 pub(crate) const T_VOL: u8 = 1;
 /// Table slot 2 for CLUGP: dense cluster → partition.
 pub(crate) const T_CPART: u8 = 2;
-
-/// Packs one width-3 [`T_MAIN`] row, `(cluster + 1, degree, divided)`. Word 0
-/// is biased so that the all-zero row an empty shard reads back is a vertex
-/// nobody has touched.
-pub(crate) fn pack_vertex_row(cluster: u32, degree: u32, divided: bool) -> [u64; 3] {
-    let c = if cluster == NO_CLUSTER {
-        0
-    } else {
-        u64::from(cluster) + 1
-    };
-    [c, u64::from(degree), u64::from(divided)]
-}
-
-/// Inverse of [`pack_vertex_row`]; `row` holds the three words.
-pub(crate) fn unpack_vertex_row(row: &[u64]) -> (u32, u32, bool) {
-    let cluster = if row[0] == 0 {
-        NO_CLUSTER
-    } else {
-        (row[0] - 1) as u32
-    };
-    (cluster, row[1] as u32, row[2] != 0)
-}
-
-/// Overwrites the three CLUGP vertex tables at `keys` with the flattened
-/// [`T_MAIN`] `rows`, growing them to cover every key.
-pub(crate) fn import_vertex_rows(
-    keys: &[u64],
-    rows: &[u64],
-    cluster_of: &mut VertexTable<u32>,
-    degree: &mut VertexTable<u32>,
-    divided: &mut VertexTable<bool>,
-) -> Result<()> {
-    if rows.len() != keys.len() * 3 {
-        return Err(PartitionError::InvalidParam(
-            "vertex row payload does not match key count".into(),
-        ));
-    }
-    for (&key, row) in keys.iter().zip(rows.chunks_exact(3)) {
-        let v = key as u32;
-        cluster_of.ensure(v)?;
-        degree.ensure(v)?;
-        divided.ensure(v)?;
-        (cluster_of[v], degree[v], divided[v]) = unpack_vertex_row(row);
-    }
-    Ok(())
-}
 
 /// Keys per stage-end write-back slice ([`Wk::flush`]): no `Put` frame
 /// carries more, however many keys the stage touched.
@@ -346,7 +308,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.send_msg(&Msg::ScanResp { keys, rows })?;
             }
             Msg::TableCast { table, keys, rows } => {
-                // Read-only mirror for the next relaxed stage; no ack
+                // Read-only mirror for the next stage that reads it; no ack
                 // (ordered links deliver it before the RunStage behind it).
                 wk.casts.insert(table, (keys, rows));
             }
@@ -446,8 +408,9 @@ struct Wk {
     hb_last: Instant,
     /// Reused encode buffer for every outgoing frame.
     scratch: Vec<u8>,
-    /// Read-only table mirrors received via [`Msg::TableCast`] (relaxed
-    /// CLUGP stages), keyed by table slot: `(keys, flattened rows)`.
+    /// Read-only table mirrors received via [`Msg::TableCast`] (the CLUGP
+    /// pairs and transform stages), keyed by table slot: `(keys, flattened
+    /// rows)`.
     casts: FxHashMap<u8, (Vec<u64>, Vec<u64>)>,
     /// Trace events recorded during the current stage, shipped to the
     /// coordinator as one [`Msg::TraceEvents`] frame right before
@@ -483,9 +446,9 @@ impl Wk {
 
     /// Pulls the next `run` chunks (up to `cap` edges each) of the stage's
     /// edge range into `buf` and returns how many edges that is, 0 at the
-    /// end of the range: one chunk for the relaxed drivers and Mint
-    /// ([`Wk::next_chunk`]), an admission window of [`WINDOW_CHUNKS`] for the
-    /// sequenced ones ([`Wk::next_window`]). Ahead of every chunk it emits a
+    /// end of the range: one chunk for the relaxed baseline driver, whose
+    /// epochs count them, a window of [`WINDOW_CHUNKS`] for everything else
+    /// ([`Wk::next_window`]). Ahead of every chunk it emits a
     /// keep-alive [`Msg::Heartbeat`] when the configured interval has
     /// elapsed — without it, a stateless kernel (e.g. hashing) sends
     /// nothing for the whole stage and the coordinator's deadline could
@@ -523,15 +486,6 @@ impl Wk {
             self.chunk_edges = buf.len() as u64;
         }
         Ok(buf.len())
-    }
-
-    fn next_chunk(
-        &mut self,
-        source: &mut Source,
-        buf: &mut Vec<Edge>,
-        cap: usize,
-    ) -> Result<usize> {
-        self.next_chunks(source, buf, cap, 1)
     }
 
     fn next_window(&mut self, source: &mut Source, buf: &mut Vec<Edge>) -> Result<usize> {
@@ -857,26 +811,12 @@ impl Wk {
         let mut source = self.open_source()?;
         let mut out = match stage {
             Stage::Baseline => self.stage_baseline(token, &mut source, relaxed, epoch),
-            Stage::ClugpPass1 { vmax } => {
-                if relaxed {
-                    self.stage_clugp_pass1_relaxed(vmax, token, &mut source)
-                } else {
-                    self.stage_clugp_pass1(vmax, token, &mut source)
-                }
-            }
+            Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source, relaxed),
             Stage::ClugpPairs { num_clusters } => {
-                if relaxed {
-                    self.stage_clugp_pairs_relaxed(num_clusters, token, &mut source)
-                } else {
-                    self.stage_clugp_pairs(num_clusters, token, &mut source)
-                }
+                self.stage_clugp_pairs(num_clusters, token, &mut source)
             }
             Stage::ClugpTransform { lmax } => {
-                if relaxed {
-                    self.stage_clugp_transform_relaxed(lmax, token, &mut source)
-                } else {
-                    self.stage_clugp_transform(lmax, token, &mut source)
-                }
+                self.stage_clugp_transform(lmax, token, &mut source, relaxed)
             }
         };
         if out.is_ok() {
@@ -885,8 +825,8 @@ impl Wk {
             }
         }
         self.restore_source(source);
-        // Casts are per-stage: the coordinator re-broadcasts fresh mirrors
-        // before every relaxed stage that needs them.
+        // Casts are per-stage: the coordinator broadcasts fresh mirrors
+        // before every stage that reads them.
         self.casts.clear();
         if self.setup.trace && out.is_ok() {
             // The condvar wait in the pipelined pack stream runs on this
@@ -1004,57 +944,19 @@ impl Wk {
         source: &mut Source,
         relaxed: bool,
     ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let wave_width = if cfg.wave_width == 0 {
-            DEFAULT_WAVE_WIDTH
-        } else {
-            cfg.wave_width
-        };
-        if cfg.batch_size == 0 {
-            return Err(PartitionError::InvalidParam(
-                "batch_size must be positive".into(),
-            ));
+        let loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
+        let carry = std::mem::take(&mut token.carry);
+        let mut waves = Waves::new(cfg, self.setup.k, loads, carry)?;
+        let mut buf = Vec::new();
+        while self.next_window(source, &mut buf)? != 0 {
+            waves.push(&buf);
         }
-        let wave_edges = wave_width * cfg.batch_size;
-        let pool = mint::build_pool(cfg.threads)?;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut pending = std::mem::take(&mut token.carry);
-        let commit =
-            |pending_wave: &[Edge], loads: &mut PartitionLoads, assignments: &mut Vec<u32>| {
-                let wave: Vec<Vec<Edge>> = pending_wave
-                    .chunks(cfg.batch_size)
-                    .map(<[Edge]>::to_vec)
-                    .collect();
-                let snapshot: Vec<u64> = loads.as_slice().to_vec();
-                let outcomes = mint::solve_wave(&wave, k, &snapshot, cfg, pool.as_ref());
-                for outcome in outcomes {
-                    for &p in &outcome.assignments {
-                        loads.add(p);
-                    }
-                    assignments.extend(outcome.assignments);
-                }
-            };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            pending.extend_from_slice(&buf);
-            while pending.len() >= wave_edges {
-                let rest = pending.split_off(wave_edges);
-                commit(&pending, &mut loads, &mut assignments);
-                pending = rest;
-            }
+        if relaxed || self.setup.worker + 1 == self.setup.workers {
+            waves.drain();
         }
-        let last = relaxed || self.setup.worker + 1 == self.setup.workers;
-        if last {
-            if !pending.is_empty() {
-                commit(&pending, &mut loads, &mut assignments);
-            }
-            pending = Vec::new();
-        }
-        token.carry = pending;
-        token.loads = loads.into_vec();
-        Ok((token, assignments))
+        token.carry = waves.pending;
+        token.loads = waves.loads.into_vec();
+        Ok((token, waves.assignments))
     }
 
     /// One relaxed-mode epoch barrier: ship this worker's deltas, block
@@ -1141,7 +1043,7 @@ impl Wk {
         let mut touched = Touched::default();
         let mut keys: Vec<u64> = Vec::new();
         let mut since = 0usize;
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
+        while self.next_chunks(source, &mut buf, cap, 1)? != 0 {
             if K::TABLES > 0 {
                 distinct_endpoints(&buf, &mut keys);
                 touched.note(&mut kernel, &keys)?;
@@ -1167,127 +1069,143 @@ impl Wk {
         Ok((token, PartIds::from_ids(self.setup.k, &assignments)))
     }
 
-    /// CLUGP pass 1. The raw-volume scratch is kept at the full global
-    /// length (the token's raw-id watermark) so `vol.push` allocates the
-    /// same raw ids as the monolith. The resident cluster set is closed
-    /// under the kernel's operations: every volume it reads or writes
-    /// belongs to the cluster a vertex had when it was fetched, to a cluster
-    /// minted in this stage, or — a migration's destination — to the
-    /// cluster of the edge's other, resident, endpoint.
+    /// The CLUGP parameters of this worker's `Configure`: `(splitting,
+    /// migration, max_vertices)`.
+    fn clugp_spec(&self) -> Result<(bool, MigrationPolicy, u64)> {
+        match self.setup.algo {
+            AlgoSpec::Clugp {
+                splitting,
+                migration,
+                max_vertices,
+            } => Ok((splitting, migration_from_tag(migration)?, max_vertices)),
+            _ => Err(PartitionError::InvalidParam(
+                "a CLUGP stage requires the CLUGP algo".into(),
+            )),
+        }
+    }
+
+    /// Takes the [`Msg::TableCast`] of `table` the coordinator broadcast
+    /// ahead of this stage: `(keys, flattened rows)`.
+    fn take_cast(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
+        self.casts.remove(&table).ok_or_else(|| {
+            PartitionError::InvalidParam(format!(
+                "stage started without the cast of table slot {table}"
+            ))
+        })
+    }
+
+    /// The [`T_MAIN`] cast as the tables the read-only stages index.
+    fn cast_vertices(&mut self) -> Result<VertexState> {
+        let (_, _, max_vertices) = self.clugp_spec()?;
+        let (keys, rows) = self.take_cast(T_MAIN)?;
+        let mut vertices = VertexState::new(0, max_vertices)?;
+        vertices.import(&keys, &rows)?;
+        Ok(vertices)
+    }
+
+    /// CLUGP pass 1, the one stage that writes. Sequenced, the window's
+    /// vertex rows and the volumes of the clusters they name are admitted
+    /// from their owners and everything touched goes back at the end; the
+    /// raw-volume scratch is kept at the full global length (the token's
+    /// raw-id watermark) so a minted cluster gets the monolith's raw id. The
+    /// resident cluster set is closed under the step: every volume it reads
+    /// or writes belongs to the cluster a vertex had when it was fetched, to
+    /// a cluster minted in this stage, or — a migration's destination — to
+    /// the cluster of the edge's other, resident, endpoint. Relaxed, the
+    /// range is clustered entirely locally (raw ids are worker-local, volumes
+    /// start from zero) and the whole frontier — every touched vertex row
+    /// plus the local volumes — leaves as one [`Msg::Pass1Frontier`] for the
+    /// coordinator to merge deterministically across workers.
     fn stage_clugp_pass1(
         &mut self,
         vmax: u64,
         mut token: Token,
         source: &mut Source,
+        relaxed: bool,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp {
+        let (splitting, migration, max_vertices) = self.clugp_spec()?;
+        let watermark = if relaxed { 0 } else { token.next_raw as usize };
+        let mut pass = Pass1 {
+            vertices: VertexState::new(0, max_vertices)?,
+            vol: vec![0; watermark],
+            splits: token.splits,
+            migrations: token.migrations,
+            vmax,
             splitting,
             migration,
-            max_vertices,
-        } = self.setup.algo
-        else {
-            return Err(PartitionError::InvalidParam(
-                "pass-1 stage requires the CLUGP algo".into(),
-            ));
         };
-        let migration = migration_from_tag(migration)?;
-        let mut buf = Vec::new();
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        let mut vol: Vec<u64> = vec![0; token.next_raw as usize];
-        let mut splits = token.splits;
-        let mut migrations = token.migrations;
-        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
+        let mut vertices = Resident::new(vec![T_MAIN], pass.vertices.cluster_of.limit());
         let mut clusters = Resident::new(vec![T_VOL], u64::from(NO_CLUSTER));
-        let mut minted_from = vol.len();
+        let mut buf = Vec::new();
         while self.next_window(source, &mut buf)? != 0 {
-            vertices.touch_endpoints(&buf)?;
-            self.admit(&mut vertices, |keys, rows| {
-                import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
-                touch_clusters(&mut clusters, &cluster_of, keys)
-            })?;
-            self.admit(&mut clusters, |keys, rows| {
-                for (&c, &volume) in keys.iter().zip(&rows[0]) {
-                    let Some(slot) = vol.get_mut(c as usize) else {
-                        return Err(PartitionError::InvalidParam(format!(
-                            "vertex row names raw cluster {c} past the watermark"
-                        )));
-                    };
-                    *slot = volume;
-                }
-                Ok(())
-            })?;
+            let minted_from = pass.vol.len();
+            if !relaxed {
+                vertices.touch_endpoints(&buf)?;
+                self.admit(&mut vertices, |keys, rows| {
+                    pass.vertices.import(keys, &rows[0])?;
+                    touch_clusters(&mut clusters, &pass.vertices, keys)
+                })?;
+                self.admit(&mut clusters, |keys, rows| {
+                    for (&c, &volume) in keys.iter().zip(&rows[0]) {
+                        let Some(slot) = pass.vol.get_mut(c as usize) else {
+                            return Err(PartitionError::InvalidParam(format!(
+                                "vertex row names raw cluster {c} past the watermark"
+                            )));
+                        };
+                        *slot = volume;
+                    }
+                    Ok(())
+                })?;
+            }
             for &e in &buf {
-                pass1_edge(
-                    e,
-                    vmax,
-                    splitting,
-                    migration,
-                    &mut cluster_of,
-                    &mut degree,
-                    &mut divided,
-                    &mut vol,
-                    &mut splits,
-                    &mut migrations,
-                )?;
+                pass.step(e)?;
             }
             // A cluster minted here has no owner row yet: it is resident by
             // construction, and must be marked before a later window could
             // fetch zeros over its live volume.
-            for c in minted_from..vol.len() {
-                clusters.mark(c as u64);
+            if !relaxed {
+                for c in minted_from..pass.vol.len() {
+                    clusters.mark(c as u64);
+                }
             }
-            minted_from = vol.len();
         }
-        self.flush(&vertices, |_, keys| {
-            keys.iter()
-                .flat_map(|&key| {
-                    let v = key as u32;
-                    pack_vertex_row(cluster_of[v], degree[v], divided[v])
-                })
-                .collect()
-        })?;
-        self.flush(&clusters, |_, keys| {
-            keys.iter().map(|&c| vol[c as usize]).collect()
-        })?;
-        token.next_raw = vol.len() as u64;
-        token.splits = splits;
-        token.migrations = migrations;
-        token.table_len = token.table_len.max(cluster_of.len());
+        token.next_raw = pass.vol.len() as u64;
+        token.splits = pass.splits;
+        token.migrations = pass.migrations;
+        token.table_len = token.table_len.max(pass.vertices.len());
+        if relaxed {
+            // Every vertex the pass touched has a cluster.
+            let keys: Vec<u64> = (0..pass.vertices.len())
+                .filter(|&v| pass.vertices.cluster_of[v as u32] != NO_CLUSTER)
+                .collect();
+            let rows = pass.vertices.export(&keys);
+            let vol = pass.vol;
+            self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
+        } else {
+            self.flush(&vertices, |_, keys| pass.vertices.export(keys))?;
+            self.flush(&clusters, |_, keys| {
+                keys.iter().map(|&c| pass.vol[c as usize]).collect()
+            })?;
+        }
         Ok((token, PartIds::for_k(self.setup.k), None))
     }
 
-    /// CLUGP pairs: stream the range once against the (now dense) cluster
-    /// ids and aggregate the worker's partial cluster graph.
+    /// CLUGP pairs: stream the range once against the cast of the (now
+    /// dense) cluster ids and aggregate the worker's partial cluster graph —
+    /// a pure function of the range and the table, so the workers run it at
+    /// once in either mode.
     fn stage_clugp_pairs(
         &mut self,
         num_clusters: u64,
         token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "pairs stage requires the CLUGP algo".into(),
-            ));
-        };
-        let mut buf = Vec::new();
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
+        let vertices = self.cast_vertices()?;
         let mut sink = PairSink::new(num_clusters as usize);
-        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
+        let mut buf = Vec::new();
         while self.next_window(source, &mut buf)? != 0 {
-            vertices.touch_endpoints(&buf)?;
-            self.admit(&mut vertices, |keys, rows| {
-                for (&key, row) in keys.iter().zip(rows[0].chunks_exact(3)) {
-                    cluster_of.ensure(key as u32)?;
-                    cluster_of[key as u32] = unpack_vertex_row(row).0;
-                }
-                Ok(())
-            })?;
             for &e in &buf {
-                sink.push(cluster_of[e.src], cluster_of[e.dst]);
+                sink.push(vertices.cluster_of[e.src], vertices.cluster_of[e.dst]);
             }
         }
         let (intra, agg) = sink.finish();
@@ -1303,298 +1221,78 @@ impl Wk {
         Ok((token, PartIds::for_k(self.setup.k), Some(pairs)))
     }
 
-    /// CLUGP pass 3: fetch each dense vertex row, and the cluster→partition
-    /// entry it references, the first time the range touches it, then run
-    /// the transformation kernel. Nothing is written back — the pass only
-    /// consumes state.
+    /// CLUGP pass 3: run the transformation step over the range against the
+    /// casts of the vertex rows and the cluster → partition map. The mode
+    /// selects the cap policy and nothing else. Sequenced, the loads travel
+    /// in the token and the global cap is hard. Relaxed, each worker gets an
+    /// even slice of it; the slice can be infeasible for this worker's share
+    /// of the stream (contiguous edge ranges are not perfectly even), so it
+    /// grows one slot per partition whenever every local partition is
+    /// saturated — the edge always has somewhere to go, and the global cap
+    /// drifts by at most one slot per overflow.
     fn stage_clugp_transform(
         &mut self,
         lmax: u64,
         mut token: Token,
         source: &mut Source,
+        relaxed: bool,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "transform stage requires the CLUGP algo".into(),
-            ));
-        };
         let k = self.setup.k;
-        let mut buf = Vec::new();
-        let mut assignments = PartIds::for_k(k);
-        let mut wide = Vec::new();
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        let mut cpart: Vec<u32> = Vec::new();
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut cursor = token.cursor;
-        let mut reroutes = token.reroutes;
-        let mut vertices = Resident::new(vec![T_MAIN], cluster_of.limit());
-        let mut clusters = Resident::new(vec![T_CPART], u64::from(NO_CLUSTER));
-        while self.next_window(source, &mut buf)? != 0 {
-            vertices.touch_endpoints(&buf)?;
-            self.admit(&mut vertices, |keys, rows| {
-                import_vertex_rows(keys, &rows[0], &mut cluster_of, &mut degree, &mut divided)?;
-                touch_clusters(&mut clusters, &cluster_of, keys)
-            })?;
-            self.admit(&mut clusters, |keys, rows| {
-                for (&c, &part) in keys.iter().zip(&rows[0]) {
-                    if c as usize >= cpart.len() {
-                        cpart.resize(c as usize + 1, 0);
-                    }
-                    cpart[c as usize] = part as u32;
-                }
-                Ok(())
-            })?;
-            wide.clear();
-            for &e in &buf {
-                let p = transform_edge(
-                    e,
-                    &cluster_of,
-                    &degree,
-                    &divided,
-                    &cpart,
-                    lmax,
-                    k,
-                    &mut loads,
-                    &mut cursor,
-                    &mut reroutes,
-                )?;
-                wide.push(p);
-            }
-            assignments.extend_from_slice(&wide);
-        }
-        token.loads = loads;
-        token.cursor = cursor;
-        token.reroutes = reroutes;
-        token.table_len = token.table_len.max(cluster_of.len());
-        Ok((token, assignments, None))
-    }
-
-    /// Relaxed CLUGP pass 1: cluster the worker's range entirely locally
-    /// (raw cluster ids are worker-local, volumes start from zero), then
-    /// ship the whole frontier — per-vertex rows plus the local volume
-    /// array — as one [`Msg::Pass1Frontier`] for the coordinator to merge
-    /// deterministically across workers.
-    fn stage_clugp_pass1_relaxed(
-        &mut self,
-        vmax: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<StageOut> {
-        let AlgoSpec::Clugp {
-            splitting,
-            migration,
-            max_vertices,
-        } = self.setup.algo
-        else {
-            return Err(PartitionError::InvalidParam(
-                "pass-1 stage requires the CLUGP algo".into(),
-            ));
-        };
-        let migration = migration_from_tag(migration)?;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        let mut vol: Vec<u64> = Vec::new();
-        let mut splits = token.splits;
-        let mut migrations = token.migrations;
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let m = e.src.max(e.dst);
-                cluster_of.ensure(m)?;
-                degree.ensure(m)?;
-                divided.ensure(m)?;
-            }
-            for &e in &buf {
-                pass1_edge(
-                    e,
-                    vmax,
-                    splitting,
-                    migration,
-                    &mut cluster_of,
-                    &mut degree,
-                    &mut divided,
-                    &mut vol,
-                    &mut splits,
-                    &mut migrations,
-                )?;
-            }
-        }
-        let mut keys = Vec::new();
-        let mut rows = Vec::new();
-        for key in 0..cluster_of.len() {
-            let v = key as u32;
-            let c = cluster_of[v];
-            let d = degree[v];
-            let dv = divided[v];
-            if c == NO_CLUSTER && d == 0 && !dv {
-                continue;
-            }
-            keys.push(key);
-            rows.extend(pack_vertex_row(c, d, dv));
-        }
-        token.next_raw = vol.len() as u64;
-        token.splits = splits;
-        token.migrations = migrations;
-        token.table_len = token.table_len.max(cluster_of.len());
-        self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
-        Ok((token, PartIds::for_k(self.setup.k), None))
-    }
-
-    /// Decodes the T_MAIN cast (width-3 vertex rows) the coordinator
-    /// broadcast ahead of a relaxed CLUGP stage.
-    fn cast_cluster_of(
-        &mut self,
-        max_vertices: u64,
-    ) -> Result<(VertexTable<u32>, VertexTable<u32>, VertexTable<bool>)> {
-        let Some((keys, rows)) = self.casts.remove(&T_MAIN) else {
-            return Err(PartitionError::InvalidParam(
-                "relaxed CLUGP stage started without a table cast".into(),
-            ));
-        };
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        import_vertex_rows(&keys, &rows, &mut cluster_of, &mut degree, &mut divided)?;
-        Ok((cluster_of, degree, divided))
-    }
-
-    /// Relaxed CLUGP pairs: the dense cluster ids arrive as a read-only
-    /// cast before the stage, so the stream never routes at all.
-    fn stage_clugp_pairs_relaxed(
-        &mut self,
-        num_clusters: u64,
-        token: Token,
-        source: &mut Source,
-    ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "pairs stage requires the CLUGP algo".into(),
-            ));
-        };
-        let (mut cluster_of, _, _) = self.cast_cluster_of(max_vertices)?;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut sink = PairSink::new(num_clusters as usize);
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                cluster_of.ensure(e.src.max(e.dst))?;
-                sink.push(cluster_of[e.src], cluster_of[e.dst]);
-            }
-        }
-        let (intra, agg) = sink.finish();
-        let pairs = PairsPayload {
-            intra: intra
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u64, c))
-                .collect(),
-            agg,
-        };
-        Ok((token, PartIds::for_k(self.setup.k), Some(pairs)))
-    }
-
-    /// Relaxed CLUGP pass 3: vertex rows and the cluster→partition map
-    /// both arrive as casts; each worker enforces a proportional share of
-    /// the global load cap so the summed loads respect it.
-    fn stage_clugp_transform_relaxed(
-        &mut self,
-        lmax: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "transform stage requires the CLUGP algo".into(),
-            ));
-        };
-        let k = self.setup.k;
-        let (mut cluster_of, mut degree, mut divided) = self.cast_cluster_of(max_vertices)?;
-        let Some((ckeys, crows)) = self.casts.remove(&T_CPART) else {
-            return Err(PartitionError::InvalidParam(
-                "relaxed transform stage started without a cluster-partition cast".into(),
-            ));
-        };
+        let vertices = self.cast_vertices()?;
+        let (ckeys, crows) = self.take_cast(T_CPART)?;
         if crows.len() != ckeys.len() {
             return Err(PartitionError::InvalidParam(
                 "cluster-partition cast payload does not match key count".into(),
             ));
         }
         let mut cpart: Vec<u32> = Vec::new();
-        for (i, &ck) in ckeys.iter().enumerate() {
-            if ck as usize >= cpart.len() {
-                cpart.resize(ck as usize + 1, 0);
+        for (&c, &part) in ckeys.iter().zip(&crows) {
+            if c as usize >= cpart.len() {
+                cpart.resize(c as usize + 1, 0);
             }
-            cpart[ck as usize] = crows[i] as u32;
+            cpart[c as usize] = part as u32;
         }
-        // Each worker gets an even slice of the global cap. The slice can be
-        // infeasible for this worker's share of the stream (contiguous edge
-        // ranges are not perfectly even), so the cap grows one slot per
-        // partition whenever every local partition is saturated — the edge
-        // always has somewhere to go, and the global cap drifts by at most
-        // one slot per overflow. Sequenced mode keeps the hard cap.
-        let mut lmax = lmax.div_ceil(u64::from(self.setup.workers)).max(1);
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut cursor = token.cursor;
-        let mut reroutes = token.reroutes;
-        let mut placed: u64 = loads.as_slice().iter().sum();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
+        let mut balancer = Balancer {
+            lmax: if relaxed {
+                lmax.div_ceil(u64::from(self.setup.workers)).max(1)
+            } else {
+                lmax
+            },
+            loads: std::mem::take(&mut token.loads),
+            cursor: token.cursor,
+            reroutes: token.reroutes,
+        };
+        let mut placed: u64 = balancer.loads.iter().sum();
+        let mut buf = Vec::new();
+        let mut assignments = PartIds::for_k(k);
+        let mut wide = Vec::new();
+        while self.next_window(source, &mut buf)? != 0 {
+            wide.clear();
             for &e in &buf {
-                let m = e.src.max(e.dst);
-                cluster_of.ensure(m)?;
-                degree.ensure(m)?;
-                divided.ensure(m)?;
-            }
-            for &e in &buf {
-                if placed == u64::from(k) * lmax {
+                if relaxed && placed == u64::from(k) * balancer.lmax {
                     // Every partition just regained a slot, including the
                     // ones the monotone reroute cursor already passed.
-                    lmax += 1;
-                    cursor = 0;
+                    balancer.lmax += 1;
+                    balancer.cursor = 0;
                 }
                 placed += 1;
-                let p = transform_edge(
-                    e,
-                    &cluster_of,
-                    &degree,
-                    &divided,
-                    &cpart,
-                    lmax,
-                    k,
-                    &mut loads,
-                    &mut cursor,
-                    &mut reroutes,
-                )?;
-                assignments.push(p);
+                wide.push(balancer.step(e, &vertices, &cpart)?);
             }
+            assignments.extend_from_slice(&wide);
         }
-        token.loads = loads;
-        token.cursor = cursor;
-        token.reroutes = reroutes;
-        token.table_len = token.table_len.max(cluster_of.len());
-        Ok((token, PartIds::from_ids(k, &assignments), None))
+        token.loads = balancer.loads;
+        token.cursor = balancer.cursor;
+        token.reroutes = balancer.reroutes;
+        token.table_len = token.table_len.max(vertices.len());
+        Ok((token, assignments, None))
     }
 }
 
 /// Touches the cluster-table key of every vertex in `keys` that has a
 /// cluster: the rows just imported name the clusters the window reads.
-fn touch_clusters(
-    clusters: &mut Resident,
-    cluster_of: &VertexTable<u32>,
-    keys: &[u64],
-) -> Result<()> {
+fn touch_clusters(clusters: &mut Resident, vertices: &VertexState, keys: &[u64]) -> Result<()> {
     for &key in keys {
-        let c = cluster_of[key as u32];
+        let c = vertices.cluster_of[key as u32];
         if c != NO_CLUSTER {
             clusters.touch(u64::from(c))?;
         }

@@ -20,7 +20,7 @@ use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{mix64, start_run, Partitioner};
 use crate::state::PartitionLoads;
-use clugp_graph::stream::{EdgeStream, RestreamableStream};
+use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
 use rustc_hash::FxHashMap;
 
@@ -83,83 +83,20 @@ impl Partitioner for Mint {
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
         let start = std::time::Instant::now();
         let (n, m) = start_run(stream, k)?;
-        if self.config.batch_size == 0 {
-            return Err(crate::error::PartitionError::InvalidParam(
-                "batch_size must be positive".into(),
-            ));
-        }
-        let mut loads = PartitionLoads::new(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-        let wave_width = if self.config.wave_width == 0 {
-            DEFAULT_WAVE_WIDTH
-        } else {
-            self.config.wave_width
-        };
-        let pool = build_pool(self.config.threads)?;
-
-        let mut peak_wave_state = 0usize;
-        let mut scratch: Vec<Edge> = Vec::new();
-        let mut exhausted = false;
-        while !exhausted {
-            // Pull up to `wave_width` batches for one parallel wave. Batches
-            // are filled through chunked pulls; batch boundaries depend only
-            // on `batch_size`, never on the source's chunk granularity, so
-            // the equilibria (and assignments) stay bit-identical for any
-            // chunking of the same stream.
-            let mut wave: Vec<Vec<Edge>> = Vec::with_capacity(wave_width);
-            for _ in 0..wave_width {
-                let mut batch = Vec::with_capacity(self.config.batch_size);
-                exhausted = fill_batch(stream, self.config.batch_size, &mut batch, &mut scratch);
-                if batch.is_empty() {
-                    break;
-                }
-                wave.push(batch);
-                if exhausted {
-                    break;
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            // Each batch plays against a snapshot of the committed loads;
-            // results are merged in batch order, so the outcome is
-            // deterministic regardless of thread scheduling.
-            let snapshot: Vec<u64> = loads.as_slice().to_vec();
-            let results = solve_wave(&wave, k, &snapshot, &self.config, pool.as_ref());
-            // At most `concurrency` batch games are live at once (each
-            // worker solves its batches one after another), so the state
-            // charged to this wave is the sum of its `concurrency` largest
-            // batch states — a final partial wave is charged only for the
-            // batches it held, and a narrow pool under a wide wave is not
-            // charged for games it never ran concurrently.
-            let concurrency = match &pool {
-                Some(pool) => pool.current_num_threads(),
-                None => rayon::current_num_threads(),
-            }
-            .clamp(1, wave.len());
-            let mut batch_states = Vec::with_capacity(wave.len());
-            for (batch, outcome) in wave.iter().zip(results) {
-                debug_assert_eq!(batch.len(), outcome.assignments.len());
-                for &p in &outcome.assignments {
-                    loads.add(p);
-                }
-                assignments.extend(outcome.assignments);
-                batch_states.push(outcome.state_bytes);
-            }
-            batch_states.sort_unstable_by(|a, b| b.cmp(a));
-            let wave_state: usize = batch_states[..concurrency].iter().sum();
-            peak_wave_state = peak_wave_state.max(wave_state);
-        }
+        let mut waves = Waves::new(&self.config, k, PartitionLoads::new(k), Vec::new())?;
+        waves.assignments.reserve(m as usize);
+        for_each_chunk(stream, chunk_edges(), |chunk| waves.push(chunk));
+        waves.drain();
 
         let mut memory = MemoryReport::new();
-        memory.add("batch-state", peak_wave_state);
-        memory.add("loads", loads.memory_bytes());
+        memory.add("batch-state", waves.peak_state);
+        memory.add("loads", waves.loads.memory_bytes());
         Ok(PartitionRun {
             partitioning: Partitioning {
                 k,
                 num_vertices: n,
-                assignments,
-                loads: loads.into_vec(),
+                assignments: waves.assignments,
+                loads: waves.loads.into_vec(),
             },
             memory,
             timings: Timings {
@@ -170,13 +107,131 @@ impl Partitioner for Mint {
     }
 }
 
-pub(crate) struct BatchOutcome {
+/// Mint's wave loop: buffers streamed edges and, whenever a full wave —
+/// `wave_width` batches of `batch_size` edges — is pending, plays its batch
+/// games and commits them. Batch and wave boundaries depend only on the
+/// running edge count, never on how the stream was chunked into
+/// [`Waves::push`] calls, so the equilibria (and assignments) are
+/// bit-identical for any chunking of the same stream; the monolith and the
+/// distributed worker (which carries `pending` to the next worker in its
+/// token) both drive this.
+pub(crate) struct Waves<'a> {
+    cfg: &'a MintConfig,
+    k: u32,
+    wave_edges: usize,
+    pool: Option<rayon::ThreadPool>,
+    /// Streamed edges no wave has solved yet: fewer than a wave's worth
+    /// between calls.
+    pub(crate) pending: Vec<Edge>,
+    /// Committed loads.
+    pub(crate) loads: PartitionLoads,
+    /// Committed assignments, in stream order.
     pub(crate) assignments: Vec<u32>,
-    pub(crate) state_bytes: usize,
+    /// The largest solver state any wave held at once, in bytes.
+    pub(crate) peak_state: usize,
+}
+
+impl<'a> Waves<'a> {
+    /// A wave loop continuing from `loads` with `pending` edges already
+    /// streamed (fewer than a wave's worth).
+    pub(crate) fn new(
+        cfg: &'a MintConfig,
+        k: u32,
+        loads: PartitionLoads,
+        pending: Vec<Edge>,
+    ) -> Result<Waves<'a>> {
+        if cfg.batch_size == 0 {
+            return Err(crate::error::PartitionError::InvalidParam(
+                "batch_size must be positive".into(),
+            ));
+        }
+        let wave_width = if cfg.wave_width == 0 {
+            DEFAULT_WAVE_WIDTH
+        } else {
+            cfg.wave_width
+        };
+        Ok(Waves {
+            cfg,
+            k,
+            wave_edges: wave_width.saturating_mul(cfg.batch_size),
+            pool: build_pool(cfg.threads)?,
+            pending,
+            loads,
+            assignments: Vec::new(),
+            peak_state: 0,
+        })
+    }
+
+    /// Streams `edges` in, solving every wave they complete.
+    pub(crate) fn push(&mut self, mut edges: &[Edge]) {
+        loop {
+            let room = self.wave_edges.saturating_sub(self.pending.len());
+            if edges.len() < room {
+                break;
+            }
+            let (head, rest) = edges.split_at(room);
+            self.pending.extend_from_slice(head);
+            edges = rest;
+            self.drain();
+        }
+        self.pending.extend_from_slice(edges);
+    }
+
+    /// Solves whatever is pending as one (possibly partial) wave: the end of
+    /// the stream.
+    pub(crate) fn drain(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let wave: Vec<&[Edge]> = self.pending.chunks(self.cfg.batch_size).collect();
+        // Each batch plays against a snapshot of the committed loads, in
+        // parallel; results are merged in batch order, so the outcome is
+        // deterministic regardless of thread scheduling.
+        let snapshot: Vec<u64> = self.loads.as_slice().to_vec();
+        let solve = || -> Vec<BatchOutcome> {
+            use rayon::prelude::*;
+            wave.par_iter()
+                .map(|batch| solve_batch(batch, self.k, &snapshot, self.cfg))
+                .collect()
+        };
+        let outcomes = match &self.pool {
+            Some(pool) => pool.install(solve),
+            None => solve(),
+        };
+        // At most `concurrency` batch games are live at once (each worker
+        // solves its batches one after another), so the state charged to
+        // this wave is the sum of its `concurrency` largest batch states — a
+        // final partial wave is charged only for the batches it held, and a
+        // narrow pool under a wide wave is not charged for games it never
+        // ran concurrently.
+        let concurrency = match &self.pool {
+            Some(pool) => pool.current_num_threads(),
+            None => rayon::current_num_threads(),
+        }
+        .clamp(1, wave.len());
+        let mut batch_states = Vec::with_capacity(wave.len());
+        for (batch, outcome) in wave.iter().zip(outcomes) {
+            debug_assert_eq!(batch.len(), outcome.assignments.len());
+            for &p in &outcome.assignments {
+                self.loads.add(p);
+            }
+            self.assignments.extend(outcome.assignments);
+            batch_states.push(outcome.state_bytes);
+        }
+        batch_states.sort_unstable_by(|a, b| b.cmp(a));
+        let wave_state: usize = batch_states[..concurrency].iter().sum();
+        self.peak_state = self.peak_state.max(wave_state);
+        self.pending.clear();
+    }
+}
+
+struct BatchOutcome {
+    assignments: Vec<u32>,
+    state_bytes: usize,
 }
 
 /// Builds the dedicated wave-solving pool (`None` = use the global pool).
-pub(crate) fn build_pool(threads: usize) -> Result<Option<rayon::ThreadPool>> {
+fn build_pool(threads: usize) -> Result<Option<rayon::ThreadPool>> {
     if threads == 0 {
         return Ok(None);
     }
@@ -185,73 +240,6 @@ pub(crate) fn build_pool(threads: usize) -> Result<Option<rayon::ThreadPool>> {
         .build()
         .map(Some)
         .map_err(|e| crate::error::PartitionError::InvalidParam(format!("thread pool: {e}")))
-}
-
-/// Solves one wave: every batch plays against the same committed-load
-/// `snapshot`, in parallel under `pool` (or the global pool). Outcomes are
-/// returned in batch order, so the commit is deterministic regardless of
-/// thread scheduling. Shared by the monolithic loop and the distributed
-/// worker so both paths stay bit-identical.
-pub(crate) fn solve_wave(
-    wave: &[Vec<Edge>],
-    k: u32,
-    snapshot: &[u64],
-    cfg: &MintConfig,
-    pool: Option<&rayon::ThreadPool>,
-) -> Vec<BatchOutcome> {
-    let solve = || -> Vec<BatchOutcome> {
-        use rayon::prelude::*;
-        wave.par_iter()
-            .map(|batch| solve_batch(batch, k, snapshot, cfg))
-            .collect()
-    };
-    match pool {
-        Some(pool) => pool.install(solve),
-        None => solve(),
-    }
-}
-
-/// Fills `batch` with exactly `target` edges (or fewer at end-of-stream)
-/// using chunked pulls: zero-copy slices when the source lends them,
-/// otherwise block copies through `scratch`. Returns `true` once the stream
-/// is exhausted.
-///
-/// Mirrors `clugp_graph::stream::for_each_chunk`'s drain structure exactly —
-/// one borrow-scoped `next_slice` attempt, and after the first `None`
-/// (a source either always or never lends, per the trait contract) the rest
-/// of the stream goes through the copying `next_chunk` pull — so the two
-/// consumers of the dual-path ABI cannot diverge in exhaustion semantics.
-fn fill_batch<S: EdgeStream + ?Sized>(
-    stream: &mut S,
-    target: usize,
-    batch: &mut Vec<Edge>,
-    scratch: &mut Vec<Edge>,
-) -> bool {
-    batch.clear();
-    while batch.len() < target {
-        let want = target - batch.len();
-        let lent = match stream.next_slice(want) {
-            Some(slice) => {
-                if slice.is_empty() {
-                    return true;
-                }
-                batch.extend_from_slice(slice);
-                true
-            }
-            None => false,
-        };
-        if !lent {
-            // Copying path for the rest of the stream.
-            while batch.len() < target {
-                if stream.next_chunk(scratch, target - batch.len()) == 0 {
-                    return true;
-                }
-                batch.extend_from_slice(scratch);
-            }
-            return false;
-        }
-    }
-    false
 }
 
 /// Plays one batch game to (local) equilibrium.

@@ -219,8 +219,9 @@ impl PairSink {
 /// weights on key collisions — how the coordinator combines workers'
 /// partial cluster graphs. Weight-preserving by the same multiset
 /// invariant `flush_boundaries_do_not_change_aggregate` pins for
-/// [`flush_pairs`].
-pub(crate) fn merge_weighted(a: &[(u64, u32)], b: &[(u64, u32)]) -> Vec<(u64, u32)> {
+/// [`flush_pairs`]. `None` if a summed weight does not fit `u32` (the
+/// partials come off the wire).
+pub(crate) fn merge_weighted(a: &[(u64, u32)], b: &[(u64, u32)]) -> Option<Vec<(u64, u32)>> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut ai, mut bi) = (0usize, 0usize);
     while ai < a.len() || bi < b.len() {
@@ -231,12 +232,12 @@ pub(crate) fn merge_weighted(a: &[(u64, u32)], b: &[(u64, u32)]) -> Vec<(u64, u3
             out.push(b[bi]);
             bi += 1;
         } else {
-            out.push((a[ai].0, a[ai].1 + b[bi].1));
+            out.push((a[ai].0, a[ai].1.checked_add(b[bi].1)?));
             ai += 1;
             bi += 1;
         }
     }
-    out
+    Some(out)
 }
 
 /// Sorts the raw pair buffer and merges its run-length-encoded runs into the
@@ -446,8 +447,14 @@ mod tests {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             super::flush_pairs(&mut left, &mut a);
             super::flush_pairs(&mut right, &mut b);
-            assert_eq!(super::merge_weighted(&a, &b), reference, "split={split}");
+            assert_eq!(
+                super::merge_weighted(&a, &b),
+                Some(reference.clone()),
+                "split={split}"
+            );
         }
+        // Partials come off the wire: a weight sum past `u32` is refused.
+        assert_eq!(super::merge_weighted(&[(7, u32::MAX)], &[(7, 1)]), None);
     }
 
     #[test]

@@ -25,29 +25,20 @@
 //! notes).
 
 use super::config::MigrationPolicy;
-use crate::error::Result;
-use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
+use super::stage::{Pass1, VertexState};
+use crate::error::{PartitionError, Result};
+use crate::vertex_table::DEFAULT_MAX_VERTICES;
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, EdgeStream};
-use clugp_graph::types::VertexId;
 
 /// Sentinel for "no cluster assigned yet".
 pub const NO_CLUSTER: u32 = u32::MAX;
 
-/// Output of the streaming-clustering pass.
-///
-/// The per-vertex tables are [`VertexTable`]s keyed by compact internal
-/// ids — index them with a bare [`VertexId`] (`result.cluster_of[v]`).
+/// Output of the streaming-clustering pass. Derefs to its [`VertexState`]:
+/// `result.cluster_of[v]`, `result.degree`, `result.divided`.
 #[derive(Debug, Clone)]
 pub struct ClusteringResult {
-    /// Vertex → dense cluster id (`NO_CLUSTER` for vertices absent from the
-    /// stream). This is the paper's vertex-cluster mapping table.
-    pub cluster_of: VertexTable<u32>,
-    /// Per-vertex degree observed by the pass (the paper's `deg[]`,
-    /// consumed by the transformation pass).
-    pub degree: VertexTable<u32>,
-    /// Vertices marked *divided* (they triggered a split and therefore have
-    /// mirror vertices).
-    pub divided: VertexTable<bool>,
+    /// The per-vertex tables, cluster ids dense.
+    pub vertices: VertexState,
     /// Number of dense clusters.
     pub num_clusters: u32,
     /// Final volume per dense cluster (sum of member degrees).
@@ -56,6 +47,14 @@ pub struct ClusteringResult {
     pub splits: u64,
     /// Diagnostics: number of migration operations performed.
     pub migrations: u64,
+}
+
+impl std::ops::Deref for ClusteringResult {
+    type Target = VertexState;
+
+    fn deref(&self) -> &VertexState {
+        &self.vertices
+    }
 }
 
 impl ClusteringResult {
@@ -112,155 +111,56 @@ pub fn stream_clustering_capped(
     max_vertices: u64,
 ) -> Result<ClusteringResult> {
     let n_hint = stream.num_vertices_hint().unwrap_or(0);
-    let mut cluster_of: VertexTable<u32> =
-        VertexTable::with_limit(n_hint, NO_CLUSTER, max_vertices)?;
-    let mut degree: VertexTable<u32> = VertexTable::with_limit(n_hint, 0, max_vertices)?;
-    let mut divided: VertexTable<bool> = VertexTable::with_limit(n_hint, false, max_vertices)?;
-    // Raw (pre-compaction) cluster volumes; ids grow monotonically in
-    // creation order, which preserves stream locality for batching.
-    let mut vol: Vec<u64> = Vec::with_capacity(n_hint as usize / 4 + 16);
-    let mut splits = 0u64;
-    let mut migrations = 0u64;
-
+    let mut pass = Pass1 {
+        vertices: VertexState::new(n_hint, max_vertices)?,
+        // Raw (pre-compaction) cluster volumes; ids grow monotonically in
+        // creation order, which preserves stream locality for batching.
+        vol: Vec::with_capacity(n_hint as usize / 4 + 16),
+        splits: 0,
+        migrations: 0,
+        vmax,
+        splitting,
+        migration,
+    };
     // Chunked drain: one virtual dispatch per block of edges, then a tight
     // loop — chunk boundaries carry no semantics, so the result is
     // bit-identical to the per-edge pull for any chunking.
     try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
         for &e in chunk {
-            pass1_edge(
-                e,
-                vmax,
-                splitting,
-                migration,
-                &mut cluster_of,
-                &mut degree,
-                &mut divided,
-                &mut vol,
-                &mut splits,
-                &mut migrations,
-            )?;
+            pass.step(e)?;
         }
         Ok(())
     })?;
 
-    let (next_dense, volumes) = compact_clusters(&mut cluster_of, &degree, vol.len());
-
+    let mut vertices = pass.vertices;
+    let (num_clusters, volumes) = compact_clusters(&mut vertices, pass.vol.len())?;
     Ok(ClusteringResult {
-        cluster_of,
-        degree,
-        divided,
-        num_clusters: next_dense,
+        vertices,
+        num_clusters,
         volumes,
-        splits,
-        migrations,
+        splits: pass.splits,
+        migrations: pass.migrations,
     })
-}
-
-/// Per-edge allocation–splitting–migration kernel (Algorithm 2's loop
-/// body). `vol` is indexed by *raw* cluster id; fresh clusters are
-/// allocated by pushing onto it, so its length is the raw id watermark.
-/// Shared by the monolithic loop and the distributed worker so both paths
-/// stay bit-identical.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the pass state one-to-one
-pub(crate) fn pass1_edge(
-    e: clugp_graph::types::Edge,
-    vmax: u64,
-    splitting: bool,
-    migration: MigrationPolicy,
-    cluster_of: &mut VertexTable<u32>,
-    degree: &mut VertexTable<u32>,
-    divided: &mut VertexTable<bool>,
-    vol: &mut Vec<u64>,
-    splits: &mut u64,
-    migrations: &mut u64,
-) -> Result<()> {
-    let new_cluster = |vol: &mut Vec<u64>| -> u32 {
-        vol.push(0);
-        (vol.len() - 1) as u32
-    };
-    let (u, v) = (e.src, e.dst);
-    let hi = u.max(v);
-    cluster_of.ensure(hi)?;
-    degree.ensure(hi)?;
-    divided.ensure(hi)?;
-
-    // Allocation.
-    if cluster_of[u] == NO_CLUSTER {
-        cluster_of[u] = new_cluster(vol);
-    }
-    if cluster_of[v] == NO_CLUSTER {
-        cluster_of[v] = new_cluster(vol);
-    }
-    degree[u] += 1;
-    degree[v] += 1;
-    vol[cluster_of[u] as usize] += 1;
-    vol[cluster_of[v] as usize] += 1;
-
-    // Splitting: evict the endpoint whose cluster just overflowed into
-    // a fresh cluster, carrying its degree with it.
-    if splitting {
-        if vol[cluster_of[u] as usize] >= vmax {
-            split_vertex(u, cluster_of, degree, vol, divided, || {
-                *splits += 1;
-            });
-        }
-        if v != u && vol[cluster_of[v] as usize] >= vmax {
-            split_vertex(v, cluster_of, degree, vol, divided, || {
-                *splits += 1;
-            });
-        }
-    }
-
-    // Migration: pull an endpoint of the smaller cluster into the
-    // bigger one, provided neither cluster is full. The policy decides
-    // which vertices may move:
-    //  * Paper    — Algorithm 2 verbatim, no further conditions; lets
-    //    migrations overfill clusters, which parks them at Vmax and
-    //    turns every subsequent member edge into a spurious split.
-    //  * Headroom — Hollocou's original guard (destination stays ≤ Vmax).
-    //  * Anchored — Headroom plus: only vertices alone in their cluster
-    //    (anchor 0) move, so a single cross edge cannot yank an
-    //    established vertex out of its community (churn guard).
-    let cu = cluster_of[u];
-    let cv = cluster_of[v];
-    if cu != cv && vol[cu as usize] < vmax && vol[cv as usize] < vmax {
-        let du = u64::from(degree[u]);
-        let dv = u64::from(degree[v]);
-        let (mover, mover_deg, dest) = if vol[cu as usize] <= vol[cv as usize] {
-            (u, du, cv)
-        } else {
-            (v, dv, cu)
-        };
-        let anchor = vol[cluster_of[mover] as usize] - mover_deg;
-        let headroom_ok = vol[dest as usize] + mover_deg <= vmax;
-        let allowed = match migration {
-            MigrationPolicy::Paper => true,
-            MigrationPolicy::Headroom => headroom_ok,
-            MigrationPolicy::Anchored => anchor == 0 && headroom_ok,
-        };
-        if allowed {
-            migrate(mover, dest, cluster_of, degree, vol);
-            *migrations += 1;
-        }
-    }
-    Ok(())
 }
 
 /// Compacts raw cluster ids (dropping emptied ones) in creation order, so
 /// dense ids keep the stream-locality property §V-D relies on. Rewrites
 /// `cluster_of` in place; returns the dense cluster count and the dense
 /// per-cluster volumes (sum of member degrees). `raw_len` is the raw id
-/// watermark (the length of the pass's `vol` vec).
+/// watermark (the length of the pass's `vol` vec); a vertex naming a cluster
+/// at or past it — state assembled from workers' rows can — is an error.
 pub(crate) fn compact_clusters(
-    cluster_of: &mut VertexTable<u32>,
-    degree: &VertexTable<u32>,
+    vertices: &mut VertexState,
     raw_len: usize,
-) -> (u32, Vec<u64>) {
+) -> Result<(u32, Vec<u64>)> {
     let mut used = vec![false; raw_len];
-    for &c in cluster_of.iter() {
+    for (v, &c) in vertices.cluster_of.iter().enumerate() {
         if c != NO_CLUSTER {
-            used[c as usize] = true;
+            *used.get_mut(c as usize).ok_or_else(|| {
+                PartitionError::InvalidParam(format!(
+                    "vertex {v} names raw cluster {c}, the watermark is {raw_len}"
+                ))
+            })? = true;
         }
     }
     let mut raw_to_dense: Vec<u32> = vec![NO_CLUSTER; raw_len];
@@ -272,8 +172,8 @@ pub(crate) fn compact_clusters(
         }
     }
     let mut volumes = vec![0u64; next_dense as usize];
-    let degrees = degree.as_slice();
-    for (vtx, c) in cluster_of.as_mut_slice().iter_mut().enumerate() {
+    let degrees = vertices.degree.as_slice();
+    for (vtx, c) in vertices.cluster_of.as_mut_slice().iter_mut().enumerate() {
         if *c != NO_CLUSTER {
             let dense = raw_to_dense[*c as usize];
             debug_assert_ne!(dense, NO_CLUSTER);
@@ -281,47 +181,7 @@ pub(crate) fn compact_clusters(
             volumes[dense as usize] += u64::from(degrees[vtx]);
         }
     }
-    (next_dense, volumes)
-}
-
-fn split_vertex(
-    w: VertexId,
-    cluster_of: &mut VertexTable<u32>,
-    degree: &VertexTable<u32>,
-    vol: &mut Vec<u64>,
-    divided: &mut VertexTable<bool>,
-    mut on_split: impl FnMut(),
-) {
-    let old = cluster_of[w] as usize;
-    let d = u64::from(degree[w]);
-    debug_assert!(vol[old] >= d, "cluster volume below member degree");
-    // A vertex alone in its cluster would be evicted into a fresh cluster
-    // identical to the one it left: the mapping is unchanged, but the raw
-    // vol vec grows and the splits/divided diagnostics inflate on every
-    // further edge of a saturated hub. Skip the vacuous self-split.
-    if vol[old] <= d {
-        return;
-    }
-    vol[old] -= d;
-    vol.push(d);
-    cluster_of[w] = (vol.len() - 1) as u32;
-    divided[w] = true;
-    on_split();
-}
-
-fn migrate(
-    w: VertexId,
-    into: u32,
-    cluster_of: &mut VertexTable<u32>,
-    degree: &VertexTable<u32>,
-    vol: &mut [u64],
-) {
-    let from = cluster_of[w] as usize;
-    let d = u64::from(degree[w]);
-    debug_assert!(vol[from] >= d, "cluster volume below member degree");
-    vol[from] -= d;
-    vol[into as usize] += d;
-    cluster_of[w] = into;
+    Ok((next_dense, volumes))
 }
 
 #[cfg(test)]

@@ -12,19 +12,24 @@
 //!   (Algorithm 1).
 //!
 //! [`Clugp`] wires the passes together behind the common
-//! [`crate::partitioner::Partitioner`] interface.
+//! [`crate::partitioner::Partitioner`] interface. The per-vertex tables the
+//! passes share ([`VertexState`]) and the per-edge steps of passes 1 and 3
+//! live once, in the crate-private `stage` module, so that the monolith here
+//! and the distributed workers (`crate::ampc`) run the very same code.
 
 pub mod cluster_graph;
 pub mod clustering;
 pub mod config;
 pub mod game;
 pub mod greedy_assign;
+pub(crate) mod stage;
 pub mod transform;
 
 pub use cluster_graph::ClusterGraph;
 pub use clustering::{stream_clustering, stream_clustering_with, ClusteringResult};
 pub use config::{ClugpConfig, ClusterAssignMode, LambdaMode, MigrationPolicy};
 pub use game::{solve_game, GameOutcome};
+pub use stage::VertexState;
 
 use crate::error::Result;
 use crate::memory::MemoryReport;

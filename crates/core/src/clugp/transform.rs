@@ -16,89 +16,10 @@
 //! The pass keeps only the `k`-element load array (O(1) extra space) and
 //! costs O(1) per edge.
 
-use super::clustering::{ClusteringResult, NO_CLUSTER};
+use super::clustering::ClusteringResult;
+use super::stage::Balancer;
 use crate::error::{PartitionError, Result};
-use crate::vertex_table::VertexTable;
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, EdgeStream};
-use clugp_graph::types::Edge;
-
-/// Per-edge transformation kernel (Algorithm 1's loop body) over the
-/// pass-1 tables and the cluster→partition map. Shared by the monolithic
-/// loop and the distributed worker so both paths stay bit-identical.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the pass state one-to-one
-pub(crate) fn transform_edge(
-    e: Edge,
-    cluster_of: &VertexTable<u32>,
-    degree: &VertexTable<u32>,
-    divided: &VertexTable<bool>,
-    cluster_partition: &[u32],
-    lmax: u64,
-    k: u32,
-    loads: &mut [u64],
-    cursor: &mut u32,
-    balance_reroutes: &mut u64,
-) -> Result<u32> {
-    let (u, v) = (e.src, e.dst);
-    let cu = cluster_of[u];
-    let cv = cluster_of[v];
-    debug_assert_ne!(cu, NO_CLUSTER, "pass 3 saw a vertex pass 1 did not");
-    debug_assert_ne!(cv, NO_CLUSTER, "pass 3 saw a vertex pass 1 did not");
-    let pu = cluster_partition[cu as usize];
-    let pv = cluster_partition[cv as usize];
-
-    let p = if loads[pu as usize] >= lmax || loads[pv as usize] >= lmax {
-        *balance_reroutes += 1;
-        if loads[pu as usize] < lmax {
-            pu
-        } else if loads[pv as usize] < lmax {
-            pv
-        } else {
-            while *cursor < k && loads[*cursor as usize] >= lmax {
-                *cursor += 1;
-            }
-            if *cursor >= k {
-                return Err(PartitionError::InvalidParam(format!(
-                    "no partition has room under the load cap {lmax}: \
-                     the stream holds more edges than the cap was sized for"
-                )));
-            }
-            *cursor
-        }
-    } else if pu == pv {
-        pu
-    } else {
-        let du = degree[u];
-        let dv = degree[v];
-        match (divided[u], divided[v]) {
-            // Both already replicated: cut the higher-degree one, i.e.
-            // follow the lower-degree endpoint (§IV note on divided
-            // vertices).
-            (true, true) => {
-                if du <= dv {
-                    pu
-                } else {
-                    pv
-                }
-            }
-            (true, false) => pv, // u has mirrors: cutting it again is cheap
-            (false, true) => pu,
-            (false, false) => {
-                if dv > du {
-                    pu // cut v, the higher-degree endpoint
-                } else if du > dv {
-                    pv
-                } else if loads[pu as usize] <= loads[pv as usize] {
-                    pu
-                } else {
-                    pv
-                }
-            }
-        }
-    };
-    loads[p as usize] += 1;
-    Ok(p)
-}
 
 /// `Lmax = ceil(τ|E|/k)` — ceil so `k·Lmax ≥ |E|` always holds and the
 /// balance scan cannot fail.
@@ -138,37 +59,24 @@ pub fn transform(
             "cluster map names partition {p}, but k is {k}"
         )));
     }
-    let lmax = load_cap(tau, num_edges, k);
-    let mut loads = vec![0u64; k as usize];
+    let mut balancer = Balancer {
+        lmax: load_cap(tau, num_edges, k),
+        loads: vec![0u64; k as usize],
+        cursor: 0,
+        reroutes: 0,
+    };
     let mut assignments = Vec::with_capacity(num_edges as usize);
-    let mut balance_reroutes = 0u64;
-    // Monotone cursor over partitions for the overflow scan: loads only
-    // grow, so full partitions stay full and the scan is O(1) amortized.
-    let mut cursor = 0u32;
-
     try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
         for &e in chunk {
-            let p = transform_edge(
-                e,
-                &clustering.cluster_of,
-                &clustering.degree,
-                &clustering.divided,
-                cluster_partition,
-                lmax,
-                k,
-                &mut loads,
-                &mut cursor,
-                &mut balance_reroutes,
-            )?;
-            assignments.push(p);
+            assignments.push(balancer.step(e, clustering, cluster_partition)?);
         }
         Ok(())
     })?;
 
     Ok(TransformResult {
         assignments,
-        loads,
-        balance_reroutes,
+        loads: balancer.loads,
+        balance_reroutes: balancer.reroutes,
     })
 }
 

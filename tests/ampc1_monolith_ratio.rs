@@ -93,8 +93,9 @@ fn one_worker_ampc_stays_within_a_constant_factor_of_the_monolith() {
 }
 
 /// The count that goes with the ratio, checked in every build: a sequenced
-/// stage pays a fetch round per admission window (64 chunks) and key group,
-/// not per chunk. Same graph, two workers, 64-edge chunks so that a range is
+/// stage that writes shared tables pays a fetch round per admission window
+/// (64 chunks) and key group, not per chunk, and one that only reads them
+/// pays none. Same graph, two workers, 64-edge chunks so that a range is
 /// some sixty 4 096-edge windows — or 3 700 chunks.
 #[test]
 fn sequenced_frames_follow_windows_not_chunks() {
@@ -122,21 +123,23 @@ fn sequenced_frames_follow_windows_not_chunks() {
             .expect("known verb");
         out.net.by_verb[slot].frames
     };
-    // Five key groups are admitted per window over the three stages (pass 1
-    // and the transform fetch vertex rows and the cluster rows they name,
-    // the pairs stage vertex rows only), each at most one round to the one
-    // remote owner.
+    // Two key groups are admitted per window, both by pass 1 (vertex rows
+    // and the volumes of the clusters they name), each at most one round to
+    // the one remote owner; the pairs and transform stages read casts and
+    // fetch nothing.
     let rounds = frames("RouteReply");
     assert!(
-        rounds <= 5 * windows,
-        "{rounds} fetch rounds for {windows} windows: is admission per chunk again?"
+        rounds <= 2 * windows,
+        "{rounds} fetch rounds for {windows} windows: is admission per chunk again, \
+         or a read-only stage fetching?"
     );
     // A round is four frames (worker → coordinator → owner and back); what
     // is left — handshake, tokens, stage-end write-back in 4 096-key slices,
-    // scans and republish between passes — does not grow with the stream.
+    // scans, casts and republish between passes — does not grow with the
+    // stream.
     let total = out.net.frames_sent + out.net.frames_received;
     assert!(
-        total <= 4 * 5 * windows + 128,
+        total <= 4 * 2 * windows + 128,
         "{total} frames for {windows} windows"
     );
 }

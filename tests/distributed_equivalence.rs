@@ -10,7 +10,7 @@ use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::table::{Layout, MergeOp, StateShard};
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
 use clugp::baselines::{Hashing, Hdrf, HdrfConfig, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
+use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
 use clugp::partitioner::Partitioner;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
@@ -18,7 +18,8 @@ use clugp_graph::stream::InMemoryStream;
 use clugp_repro::test_web_graph;
 
 /// Monolith/distributed pairs under test: every registered algorithm and
-/// its monolith, plus the CLUGP ablations.
+/// its monolith, plus the CLUGP ablations and the two non-default migration
+/// policies (so every `MigrationPolicy` wire tag crosses a `Configure`).
 fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
     let mut algos: Vec<DistAlgo> = ["hashing", "grid", "dbh", "greedy", "hdrf", "mint", "clugp"]
         .iter()
@@ -38,9 +39,21 @@ fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
         assign_mode: ClusterAssignMode::Greedy,
         ..Default::default()
     }));
-    algos
+    let mut named: Vec<(&'static str, DistAlgo)> =
+        algos.into_iter().map(|algo| (algo.name(), algo)).collect();
+    for (name, migration) in [
+        ("CLUGP/headroom", MigrationPolicy::Headroom),
+        ("CLUGP/paper", MigrationPolicy::Paper),
+    ] {
+        let config = ClugpConfig {
+            migration,
+            ..Default::default()
+        };
+        named.push((name, DistAlgo::Clugp(config)));
+    }
+    named
         .into_iter()
-        .map(|algo| (algo.name(), algo.monolith(), algo))
+        .map(|(name, algo)| (name, algo.monolith(), algo))
         .collect()
 }
 
@@ -692,11 +705,14 @@ fn fnv1a(assignments: &[u32]) -> u64 {
 #[test]
 fn relaxed_baselines_match_their_recorded_golden_hashes() {
     // Relaxed runs are otherwise only compared with themselves, so a driver
-    // rewrite could change their bits unnoticed. These hashes were recorded
-    // from the hand-written per-algorithm relaxed drivers (PR 11) and pin
-    // the generic relaxed driver to the same placements.
+    // rewrite could change their bits unnoticed. The baseline hashes were
+    // recorded from the hand-written per-algorithm relaxed drivers (PR 11)
+    // and pin the generic relaxed driver to the same placements; the CLUGP
+    // and Mint ones at 7b32848, before the read-only CLUGP stages and Mint's
+    // wave loop were rewritten.
     let (n, edges) = test_web_graph(1_500, 46);
-    let golden: [(&str, DistAlgo, [u64; 2]); 4] = [
+    let clugp = |config: ClugpConfig| DistAlgo::Clugp(config);
+    let golden: [(&str, DistAlgo, [u64; 2]); 10] = [
         (
             "Grid",
             DistAlgo::grid(),
@@ -716,6 +732,51 @@ fn relaxed_baselines_match_their_recorded_golden_hashes() {
             "HDRF",
             DistAlgo::hdrf(),
             [0xbf39_8954_e2c5_4bc5, 0x1c8e_998b_d210_d382],
+        ),
+        (
+            "CLUGP",
+            DistAlgo::clugp(),
+            [0x784d_a5bd_8541_5212, 0xa3c5_cf6f_04cb_b0f1],
+        ),
+        (
+            "CLUGP-S",
+            clugp(ClugpConfig {
+                splitting: false,
+                ..Default::default()
+            }),
+            [0x55ea_f5bc_9058_4dd2, 0x2980_052f_9e99_43c2],
+        ),
+        (
+            "CLUGP-G",
+            clugp(ClugpConfig {
+                assign_mode: ClusterAssignMode::Greedy,
+                ..Default::default()
+            }),
+            [0x5b9e_4826_6592_41c2, 0x172f_7e4c_3148_2ea3],
+        ),
+        (
+            "CLUGP/headroom",
+            clugp(ClugpConfig {
+                migration: MigrationPolicy::Headroom,
+                ..Default::default()
+            }),
+            [0x2e9c_f39c_cc5b_f850, 0xa19d_bd7d_4573_3092],
+        ),
+        (
+            "CLUGP/paper",
+            clugp(ClugpConfig {
+                migration: MigrationPolicy::Paper,
+                ..Default::default()
+            }),
+            [0x0053_9d18_84bb_7182, 0xfb32_9b1d_48dd_c2d2],
+        ),
+        (
+            "Mint",
+            DistAlgo::Mint(MintConfig {
+                batch_size: 97,
+                ..Default::default()
+            }),
+            [0xd75f_a53a_1ce4_b2d1, 0x4bdc_025c_0ebd_aac7],
         ),
     ];
     for (name, algo, hashes) in golden {

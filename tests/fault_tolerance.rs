@@ -150,7 +150,7 @@ fn scripted_faults_recover_bit_identically() {
         (
             "link severed in the last pass, the last worker streaming",
             2,
-            FaultScript::disconnect_at_send(26),
+            FaultScript::disconnect_at_send(25),
             Some(("transform", 2)),
         ),
         (
