@@ -387,6 +387,15 @@ impl Source {
         }
     }
 
+    /// Edges in the range.
+    fn len(&self) -> u64 {
+        match self {
+            Source::Inline { edges, .. } => edges.len() as u64,
+            Source::Pack(stream) => stream.len_hint().unwrap_or(0),
+            Source::PipelinedPack(stream) => stream.len_hint().unwrap_or(0),
+        }
+    }
+
     /// A decode/IO error parked by a pack-backed stream, if any. Inline
     /// sources cannot fail.
     fn pack_error(&self) -> Option<&clugp_graph::error::GraphError> {
@@ -1201,7 +1210,7 @@ impl Wk {
         source: &mut Source,
     ) -> Result<StageOut> {
         let vertices = self.cast_vertices()?;
-        let mut sink = PairSink::new(num_clusters as usize);
+        let mut sink = PairSink::new(num_clusters as usize, source.len());
         let mut buf = Vec::new();
         while self.next_window(source, &mut buf)? != 0 {
             for &e in &buf {

@@ -22,7 +22,7 @@ use crate::ampc::table::MergeOp;
 use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::start_run;
+use crate::partitioner::{finish_run, start_run};
 use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::{check_cap, VertexTable};
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
@@ -170,6 +170,7 @@ pub(crate) fn run_local<K: EdgeKernel>(
     try_for_each_chunk(stream, chunk_edges(), |chunk| {
         kernel.step_chunk(chunk, &mut loads, &mut assignments)
     })?;
+    finish_run(stream, m, assignments.len())?;
     let mut memory = MemoryReport::new();
     let mut num_vertices = n;
     for slot in 0..K::TABLES {

@@ -18,7 +18,7 @@
 use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partitioner::{finish_run, mix64, start_run, Partitioner};
 use crate::state::PartitionLoads;
 use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
@@ -87,6 +87,7 @@ impl Partitioner for Mint {
         waves.assignments.reserve(m as usize);
         for_each_chunk(stream, chunk_edges(), |chunk| waves.push(chunk));
         waves.drain();
+        finish_run(stream, m, waves.assignments.len())?;
 
         let mut memory = MemoryReport::new();
         memory.add("batch-state", waves.peak_state);

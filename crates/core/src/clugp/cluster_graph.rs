@@ -6,6 +6,11 @@
 //! `w(c_i, c_j) = |e(c_i,c_j)| + |e(c_j,c_i)|`. The game's edge-cut cost
 //! `½(|e(c_i,V\a_i)| + |e(V\a_i,c_i)|)` only ever needs the symmetric sums,
 //! so directions are merged at build time.
+//!
+//! The scan counts through `PairSink`, shared with the distributed workers:
+//! an `m × m` matrix while the contracted graph is small next to the stream
+//! (the semi-external licence: the *contracted* graph may sit in internal
+//! memory), a sort of bounded pair buffers otherwise — same aggregate.
 
 use super::clustering::{ClusteringResult, NO_CLUSTER};
 use clugp_graph::stream::{chunk_edges, for_each_chunk, EdgeStream};
@@ -38,7 +43,8 @@ impl ClusterGraph {
     /// Builds the cluster graph from one pass of `stream` using pass 1's
     /// vertex→cluster table.
     pub fn build(stream: &mut dyn EdgeStream, clustering: &ClusteringResult) -> Self {
-        let mut sink = PairSink::new(clustering.num_clusters as usize);
+        let edges = stream.len_hint().unwrap_or(0);
+        let mut sink = PairSink::new(clustering.num_clusters as usize, edges);
         for_each_chunk(stream, chunk_edges(), |chunk| {
             for &e in chunk {
                 let cu = clustering.cluster_of[e.src];
@@ -153,15 +159,29 @@ impl ClusterGraph {
             + self.offsets.capacity() * 8
             + self.neighbors.capacity() * 8
             + self.total_external.capacity() * 8
+            + self.size.capacity() * 8
     }
 }
+
+/// Most cells the dense count matrix may have: 16 MiB of `u32`.
+const DENSE_MAX_CELLS: usize = 1 << 22;
 
 /// Streaming accumulator for the cluster graph's two halves: dense
 /// per-cluster intra counts and the sorted symmetric inter-pair aggregate.
 ///
-/// Sort-based symmetric aggregation keyed by the packed (min, max)
-/// cluster pair: raw pairs accumulate in a bounded buffer; when it
-/// fills, the buffer is sorted and run-length-merged into the sorted
+/// While the contracted graph fits in memory it is an array, not a sort:
+/// with `m² ≤ min(edges, DENSE_MAX_CELLS)` and `edges ≤ u32::MAX` the sink
+/// counts directed pairs into a row-major `m × m` matrix — one add per edge,
+/// the diagonal is the intra count, the row of a source run stays in L1 —
+/// and [`PairSink::finish`] folds `w(i,j) + w(j,i)` for `i < j` into the
+/// aggregate. Cells per edge, so zeroing and folding the O(m²) matrix stays
+/// noise beside the scan; MiB, so the transient is a fixed allowance; and
+/// `edges ≤ u32::MAX`, so no cell or symmetric sum can wrap.
+///
+/// Past the bound (many clusters, an unknown stream length) the general
+/// path runs: sort-based symmetric aggregation keyed by the packed
+/// (min, max) cluster pair. Raw pairs accumulate in a bounded buffer; when
+/// it fills, the buffer is sorted and run-length-merged into the sorted
 /// `(pair, weight)` aggregate. Profiled against the previous
 /// `FxHashMap` accumulation (pre-sized from `m`) on the bench
 /// generator mix (uk-s web crawl and twitter-s BA analogues, BFS
@@ -176,6 +196,8 @@ impl ClusterGraph {
 /// `max(4m, 64Ki)` keys or the aggregate's own size, whichever is
 /// larger — never the raw |E_inter| pair list.
 pub(crate) struct PairSink {
+    /// The `m × m` directed counts; empty on the sort path.
+    dense: Vec<u32>,
     flush_base: usize,
     buf: Vec<u64>,
     intra: Vec<u64>,
@@ -183,12 +205,21 @@ pub(crate) struct PairSink {
 }
 
 impl PairSink {
-    /// Accumulator for `m` clusters.
-    pub(crate) fn new(m: usize) -> PairSink {
+    /// Accumulator for `m` clusters over a stream of `edges` edges (0 when
+    /// the length is unknown).
+    pub(crate) fn new(m: usize, edges: u64) -> PairSink {
+        PairSink::new_with(m, edges, DENSE_MAX_CELLS)
+    }
+
+    fn new_with(m: usize, edges: u64, max_cells: usize) -> PairSink {
+        let cells = m.saturating_mul(m);
+        let fits = cells as u64 <= edges.min(max_cells as u64) && edges <= u64::from(u32::MAX);
+        let dense = if fits { vec![0u32; cells] } else { Vec::new() };
         let flush_base = (4 * m).max(1 << 16);
         PairSink {
             flush_base,
-            buf: Vec::with_capacity(flush_base),
+            buf: Vec::with_capacity(if dense.is_empty() { flush_base } else { 0 }),
+            dense,
             intra: vec![0u64; m],
             agg: Vec::new(),
         }
@@ -197,7 +228,10 @@ impl PairSink {
     /// Records one edge whose endpoints sit in clusters `cu` and `cv`.
     #[inline]
     pub(crate) fn push(&mut self, cu: u32, cv: u32) {
-        if cu == cv {
+        if !self.dense.is_empty() {
+            let m = self.intra.len();
+            self.dense[cu as usize * m..][..m][cv as usize] += 1;
+        } else if cu == cv {
             self.intra[cu as usize] += 1;
         } else {
             let (lo, hi) = if cu < cv { (cu, cv) } else { (cv, cu) };
@@ -210,6 +244,18 @@ impl PairSink {
 
     /// Final flush; returns `(intra, sorted aggregate)`.
     pub(crate) fn finish(mut self) -> (Vec<u64>, Vec<(u64, u32)>) {
+        if !self.dense.is_empty() {
+            let m = self.intra.len();
+            for i in 0..m {
+                self.intra[i] = u64::from(self.dense[i * m + i]);
+                for j in i + 1..m {
+                    let w = self.dense[i * m + j] + self.dense[j * m + i];
+                    if w > 0 {
+                        self.agg.push(((i as u64) << 32 | j as u64, w));
+                    }
+                }
+            }
+        }
         flush_pairs(&mut self.buf, &mut self.agg);
         (self.intra, self.agg)
     }
@@ -429,6 +475,69 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(ids, sorted, "cluster {c} neighbors unsorted");
         }
+    }
+
+    #[test]
+    fn memory_bytes_counts_all_five_vectors() {
+        let edges: Vec<Edge> = (0..400u32)
+            .map(|i| Edge::new((i * 13) % 61, (i * 7 + 1) % 61))
+            .collect();
+        let (_, cg) = build(edges, 12);
+        assert!(cg.num_clusters > 1 && !cg.neighbors.is_empty());
+        let by_field = cg.intra.capacity() * 8
+            + cg.offsets.capacity() * 8
+            + cg.neighbors.capacity() * std::mem::size_of::<(u32, u32)>()
+            + cg.total_external.capacity() * 8
+            + cg.size.capacity() * 8;
+        assert_eq!(cg.memory_bytes(), by_field);
+    }
+
+    #[test]
+    fn dense_and_sort_paths_give_the_same_halves() {
+        // The same pair sequence through the matrix (`max_cells` unbounded,
+        // `edges` large enough for any m here) and through the sort.
+        for m in [1u32, 2, 61, 300] {
+            for self_pairs in [false, true] {
+                let pairs: Vec<(u32, u32)> = (0..20_000u32)
+                    .map(|i| ((i * 7 + i / 13) % m, (i * 31 + i / 5 + 1) % m))
+                    .filter(|&(cu, cv)| self_pairs || cu != cv)
+                    .collect();
+                let run = |max_cells: usize| {
+                    let mut sink = PairSink::new_with(m as usize, u64::from(u32::MAX), max_cells);
+                    assert_eq!(sink.dense.is_empty(), max_cells == 0);
+                    for &(cu, cv) in &pairs {
+                        sink.push(cu, cv);
+                    }
+                    sink.finish()
+                };
+                let (intra, agg) = run(usize::MAX);
+                assert_eq!((intra.clone(), agg.clone()), run(0), "m={m}");
+                assert!(agg.windows(2).all(|w| w[0].0 < w[1].0), "m={m}");
+                assert!(agg
+                    .iter()
+                    .all(|&(key, w)| key >> 32 < key & 0xFFFF_FFFF && w > 0));
+                let counted =
+                    intra.iter().sum::<u64>() + agg.iter().map(|&(_, w)| u64::from(w)).sum::<u64>();
+                assert_eq!(counted, pairs.len() as u64, "m={m}");
+                assert_eq!(
+                    intra.iter().any(|&c| c > 0),
+                    self_pairs && !pairs.is_empty()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_runs_only_inside_its_bound() {
+        let dense = |m: usize, edges: u64| !PairSink::new(m, edges).dense.is_empty();
+        assert!(dense(61, 61 * 61));
+        assert!(dense(2_048, 1 << 22));
+        // Unknown length, more cells than edges, more cells than the cap, a
+        // count a `u32` cell could not hold.
+        assert!(!dense(61, 0));
+        assert!(!dense(61, 61 * 61 - 1));
+        assert!(!dense(2_049, u64::from(u32::MAX)));
+        assert!(!dense(61, u64::from(u32::MAX) + 1));
     }
 
     #[test]

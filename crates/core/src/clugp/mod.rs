@@ -34,7 +34,7 @@ pub use stage::VertexState;
 use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{start_run, Partitioner};
+use crate::partitioner::{finish_run, start_run, Partitioner};
 use clugp_graph::stream::RestreamableStream;
 use std::time::Instant;
 
@@ -107,6 +107,7 @@ impl Clugp {
         stream.reset()?;
         let transform =
             transform::transform(stream, &clustering, &cluster_partition, k, cfg.tau, m_real)?;
+        finish_run(stream, m, transform.assignments.len())?;
         let transform_time = t.elapsed();
 
         let mut memory = MemoryReport::new();

@@ -9,6 +9,12 @@
 //! path and the coordinator's between-pass work call these and nothing else,
 //! which is what keeps all of them bit-identical; [`VertexState`] also owns
 //! the width-3 row its three tables travel as between workers.
+//!
+//! Both run once per streamed edge: [`Pass1::step`] keeps each endpoint's
+//! cluster in a local (only a split changes it), and [`Balancer::step`] folds
+//! Algorithm 1's lines 15-22 into one comparison of the keys `(divided,
+//! degree)` — the rule is in [`super::transform`]'s module docs, the case
+//! analysis it replaced is the oracle of this module's tests.
 
 use super::clustering::NO_CLUSTER;
 use super::config::MigrationPolicy;
@@ -130,27 +136,39 @@ impl Pass1 {
         self.vertices.ensure(u.max(v))?;
         let vmax = self.vmax;
 
-        // Allocation.
-        for w in [u, v] {
-            if self.vertices.cluster_of[w] == NO_CLUSTER {
+        // Allocation. The endpoints' clusters live in locals from here on:
+        // only a split changes them, and `&mut self` would otherwise re-read
+        // both tables around every volume update.
+        let mut allocate = |w: VertexId| {
+            let c = &mut self.vertices.cluster_of[w];
+            if *c == NO_CLUSTER {
+                *c = self.vol.len() as u32;
                 self.vol.push(0);
-                self.vertices.cluster_of[w] = (self.vol.len() - 1) as u32;
             }
-        }
+            *c
+        };
+        let (mut cu, mut cv) = (allocate(u), allocate(v));
         self.vertices.degree[u] += 1;
         self.vertices.degree[v] += 1;
-        self.vol[self.vertices.cluster_of[u] as usize] += 1;
-        self.vol[self.vertices.cluster_of[v] as usize] += 1;
+        self.vol[cu as usize] += 1;
+        self.vol[cv as usize] += 1;
 
         // Splitting: evict the endpoint whose cluster just overflowed into
         // a fresh cluster, carrying its degree with it.
         if self.splitting {
-            if self.vol[self.vertices.cluster_of[u] as usize] >= vmax {
+            if self.vol[cu as usize] >= vmax {
                 self.split(u);
+                cu = self.vertices.cluster_of[u];
             }
-            if v != u && self.vol[self.vertices.cluster_of[v] as usize] >= vmax {
+            if v == u {
+                cv = cu;
+            } else if self.vol[cv as usize] >= vmax {
                 self.split(v);
+                cv = self.vertices.cluster_of[v];
             }
+        }
+        if cu == cv {
+            return Ok(());
         }
 
         // Migration: pull an endpoint of the smaller cluster into the
@@ -163,10 +181,8 @@ impl Pass1 {
         //  * Anchored — Headroom plus: only vertices alone in their cluster
         //    (anchor 0) move, so a single cross edge cannot yank an
         //    established vertex out of its community (churn guard).
-        let cu = self.vertices.cluster_of[u];
-        let cv = self.vertices.cluster_of[v];
         let (vol_u, vol_v) = (self.vol[cu as usize], self.vol[cv as usize]);
-        if cu != cv && vol_u < vmax && vol_v < vmax {
+        if vol_u < vmax && vol_v < vmax {
             let (mover, from, into) = if vol_u <= vol_v {
                 (u, cu, cv)
             } else {
@@ -258,6 +274,63 @@ impl Balancer {
                 }
                 self.cursor
             }
+        } else {
+            // Lines 15-22 as one comparison of the keys (divided, degree):
+            // follow the endpoint with the smaller key, so the one that has
+            // mirrors already, or is the bigger hub, is cut. Equal keys: a
+            // divided pair follows `u`, an undivided pair the lighter
+            // partition (`u` on equal loads). `pu == pv` needs no case of its
+            // own: both answers are that partition.
+            let key = |w| u64::from(vertices.divided[w]) << 32 | u64::from(vertices.degree[w]);
+            let (ku, kv) = (key(u), key(v));
+            let follow_u = if ku == kv {
+                vertices.divided[u] || loads[pu as usize] <= loads[pv as usize]
+            } else {
+                ku < kv
+            };
+            if follow_u {
+                pu
+            } else {
+                pv
+            }
+        };
+        loads[p as usize] += 1;
+        Ok(p)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Algorithm 1's loop body with lines 15-22 spelled out case by case, as
+    /// the paper lists them: the oracle [`Balancer::step`] is held to.
+    fn spelled_out_step(
+        b: &mut Balancer,
+        e: Edge,
+        vertices: &VertexState,
+        cluster_partition: &[u32],
+    ) -> Result<u32> {
+        let (u, v) = (e.src, e.dst);
+        let pu = cluster_partition[vertices.cluster_of[u] as usize];
+        let pv = cluster_partition[vertices.cluster_of[v] as usize];
+        let (lmax, loads) = (b.lmax, &mut b.loads);
+        let p = if loads[pu as usize] >= lmax || loads[pv as usize] >= lmax {
+            b.reroutes += 1;
+            if loads[pu as usize] < lmax {
+                pu
+            } else if loads[pv as usize] < lmax {
+                pv
+            } else {
+                let k = loads.len() as u32;
+                while b.cursor < k && loads[b.cursor as usize] >= lmax {
+                    b.cursor += 1;
+                }
+                if b.cursor >= k {
+                    return Err(PartitionError::InvalidParam("no room".into()));
+                }
+                b.cursor
+            }
         } else if pu == pv {
             pu
         } else {
@@ -291,5 +364,53 @@ impl Balancer {
         };
         loads[p as usize] += 1;
         Ok(p)
+    }
+
+    #[test]
+    fn balancer_step_matches_the_spelled_out_cases() {
+        // Vertices 0 and 1 sit in clusters 0 and 1; partition 2 is where the
+        // overflow scan can land.
+        let mut vertices = VertexState::new(2, 2).unwrap();
+        (vertices.cluster_of[0], vertices.cluster_of[1]) = (0, 1);
+        let lmax = 5;
+        for (divided_u, divided_v) in [(false, false), (false, true), (true, false), (true, true)] {
+            for (degree_u, degree_v) in (0..9u32).map(|i| (i / 3, i % 3)) {
+                (vertices.divided[0], vertices.divided[1]) = (divided_u, divided_v);
+                (vertices.degree[0], vertices.degree[1]) = (degree_u, degree_v);
+                // Every load order of the two partitions, below the cap and
+                // at it, with the spare partition open or full.
+                for loads in [[1, 2], [2, 2], [2, 1], [5, 2], [2, 5], [5, 5]] {
+                    for spare in [0, lmax] {
+                        for cluster_partition in [[0u32, 1], [1, 0], [0, 0], [1, 1]] {
+                            for e in [Edge::new(0, 1), Edge::new(1, 0)] {
+                                let fresh = || Balancer {
+                                    lmax,
+                                    loads: vec![loads[0], loads[1], spare],
+                                    cursor: 0,
+                                    reroutes: 0,
+                                };
+                                let (mut got, mut want) = (fresh(), fresh());
+                                let p = got.step(e, &vertices, &cluster_partition).ok();
+                                let q =
+                                    spelled_out_step(&mut want, e, &vertices, &cluster_partition)
+                                        .ok();
+                                let case = format!(
+                                    "divided ({divided_u}, {divided_v}) degree ({degree_u}, \
+                                     {degree_v}) loads {loads:?} spare {spare} map \
+                                     {cluster_partition:?} edge {e:?}"
+                                );
+                                assert_eq!(p, q, "{case}");
+                                assert_eq!(got.loads, want.loads, "{case}");
+                                assert_eq!(
+                                    (got.cursor, got.reroutes),
+                                    (want.cursor, want.reroutes),
+                                    "{case}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,6 +13,13 @@
 //!   lower-degree endpoint's partition (lines 21-22, the power-law rule
 //!   shared with HDRF/DBH).
 //!
+//! `Balancer::step` decides lines 15-22 with one comparison: order the
+//! endpoints by the key `(divided, degree)` and follow the smaller. Undivided
+//! sorts before divided (lines 18-19), a lower degree before a higher one
+//! (lines 21-22, and between two divided endpoints); on equal keys a divided
+//! pair follows `u` and an undivided pair the lighter partition, `u` on equal
+//! loads; with both endpoints in one partition either answer is it (15-16).
+//!
 //! The pass keeps only the `k`-element load array (O(1) extra space) and
 //! costs O(1) per edge.
 

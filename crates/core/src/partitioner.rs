@@ -34,6 +34,25 @@ pub(crate) fn start_run(stream: &mut dyn RestreamableStream, k: u32) -> Result<(
     Ok((n, m))
 }
 
+/// Closes a run after the drain of its last pass. A stream that meets a
+/// decode or I/O error ends early and parks the error for its next `reset`,
+/// so a run that never resets again would hand back a short `Ok`: this is
+/// that reset. A stream that announced its length (`len_hint`, 0 = none) must
+/// also have delivered exactly that many edges.
+pub(crate) fn finish_run(
+    stream: &mut dyn RestreamableStream,
+    len_hint: u64,
+    assigned: usize,
+) -> Result<()> {
+    stream.reset()?;
+    if len_hint != 0 && assigned as u64 != len_hint {
+        return Err(PartitionError::InvalidParam(format!(
+            "the stream announced {len_hint} edges and delivered {assigned}"
+        )));
+    }
+    Ok(())
+}
+
 /// 64-bit mix (splitmix64 finalizer) used by the hashing-based partitioners;
 /// seedable so that Hashing runs are reproducible but not trivially aligned
 /// with vertex ids.
@@ -67,6 +86,18 @@ mod tests {
         let (n, m) = start_run(&mut s, 4).unwrap();
         assert_eq!((n, m), (5, 2));
         assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
+    }
+
+    #[test]
+    fn finish_run_holds_the_stream_to_its_hint() {
+        let mut s = InMemoryStream::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
+        finish_run(&mut s, 2, 2).unwrap();
+        finish_run(&mut s, 0, 5).unwrap(); // no hint, nothing to hold it to
+        let err = finish_run(&mut s, 2, 1).unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        assert!(err
+            .to_string()
+            .contains("announced 2 edges and delivered 1"));
     }
 
     #[test]

@@ -238,3 +238,28 @@ fn multi_pass_partitioner_surfaces_a_worker_thread_error() {
     assert!(err.to_string().contains("checksum"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn no_partitioner_returns_a_short_ok_from_a_damaged_pack() {
+    // A one-pass partitioner never resets after its only drain, a multi-pass
+    // one never after its last: each must still surface the error the reader
+    // parked, not hand back the assignments of the good prefix.
+    let (path, good_prefix) = corrupt_middle_block("corrupt_roster.clugpz");
+    assert!(good_prefix > 0, "a short Ok must have something to return");
+    let mut serial = PackedEdgeStream::open(&path).unwrap();
+    let mut pipelined = PipelinedPackStream::open(&path, opts(4, 4)).unwrap();
+    for (name, mut p) in roster() {
+        let readers: [(&str, &mut dyn RestreamableStream); 2] =
+            [("serial", &mut serial), ("pipelined", &mut pipelined)];
+        for (reader, stream) in readers {
+            match p.partition(stream, 8) {
+                Ok(run) => panic!(
+                    "{name} over the {reader} reader: Ok with {} assignments",
+                    run.partitioning.assignments.len()
+                ),
+                Err(err) => assert!(err.to_string().contains("checksum"), "{name}: {err}"),
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
