@@ -8,7 +8,7 @@
 //! ```
 //!
 //! ids: table1 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-//! orders parallel throughput memory io ampc all
+//! orders parallel memory io ampc all
 //!
 //! Environment: `CLUGP_SCALE` (dataset scale multiplier, default 1.0),
 //! `CLUGP_KS` (comma-separated partition counts), `CLUGP_RESULTS_DIR`
@@ -26,7 +26,7 @@ fn main() {
         .collect();
     if ids.is_empty() {
         eprintln!(
-            "usage: experiments [--quick] <table1|table3|fig3|...|fig11|orders|parallel|throughput|memory|io|ampc|all>"
+            "usage: experiments [--quick] <table1|table3|fig3|...|fig11|orders|parallel|memory|io|ampc|all>"
         );
         std::process::exit(2);
     }
@@ -57,7 +57,6 @@ fn main() {
             "fig11" => experiments::quality::fig11(&ctx),
             "orders" => experiments::orders::orders(&ctx),
             "parallel" => experiments::scalability::parallel(&ctx),
-            "throughput" => experiments::throughput::throughput(&ctx),
             "memory" => experiments::memory::memory(&ctx),
             "io" => experiments::io::io(&ctx),
             "ampc" => experiments::ampc::ampc(&ctx),

@@ -14,7 +14,6 @@
 //! | [`scalability::fig10`] | Fig. 10 | parallelization: threads, compute-vs-I/O, batch size |
 //! | [`scalability::parallel`] | Fig. 10(a) claim | measured game thread-scaling curve (`BENCH_parallel.json`) |
 //! | [`quality::fig11`] | Fig. 11 | imbalance factor τ and relative weight sweeps |
-//! | [`throughput::throughput`] | perf trajectory | per-edge vs chunked streaming throughput (`BENCH_throughput.json`) |
 //! | [`memory::memory`] | Fig. 6 claim + id-space layer | memory trajectory + sparse-web remap leg (`BENCH_memory.json`) |
 //! | [`io::io`] | Fig. 10(a) claim + storage layer | bytes/edge + decode throughput, text vs binary vs packed, sharded reads (`BENCH_io.json`) |
 //! | [`ampc::ampc`] | §V deployment claim | coordinator/worker engine: wall-clock + bytes-exchanged vs worker count, both transports (`BENCH_ampc.json`) |
@@ -27,7 +26,6 @@ pub mod quality;
 pub mod scalability;
 pub mod system;
 pub mod tables;
-pub mod throughput;
 
 /// Shared experiment context.
 #[derive(Debug, Clone)]
@@ -73,7 +71,6 @@ pub fn run_all(ctx: &ExpContext) {
     quality::fig11(ctx);
     orders::orders(ctx);
     scalability::parallel(ctx);
-    throughput::throughput(ctx);
     memory::memory(ctx);
     io::io(ctx);
     ampc::ampc(ctx);

@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod benchkit;
 pub mod datasets;
 pub mod experiments;
 pub mod report;

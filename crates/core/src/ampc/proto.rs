@@ -72,15 +72,10 @@ fn bad(what: &str) -> PartitionError {
     PartitionError::InvalidParam(format!("malformed protocol frame: {what}"))
 }
 
-/// A read or merge request against one table's shard.
+/// A merge request against one table's shard. (Op tag 0 was `Get`: retired
+/// and reserved — reads travel as [`BatchOp::Get`] or a [`Msg::TableCast`].)
 #[derive(Debug, Clone, PartialEq)]
 pub enum StateOp {
-    /// Fetch rows for `keys`; the reply is `keys.len() * width` words
-    /// (absent rows read as zeros).
-    Get {
-        /// Keys to fetch.
-        keys: Vec<u64>,
-    },
     /// Merge a batch of rows (`keys.len() * width` words, flattened).
     Upsert {
         /// Word-wise combine rule.
@@ -440,10 +435,9 @@ pub enum Msg {
         /// Operation.
         op: StateOp,
     },
-    /// State service reply: flattened rows for `Get`, empty ack for
-    /// `Upsert`.
+    /// State service reply: the ack of an `Upsert`.
     StateResp {
-        /// Flattened row words.
+        /// Always empty; it stays so that the frame's bytes do not change.
         rows: Vec<u64>,
     },
     /// Dump the receiver's shard of `table`.
@@ -588,23 +582,15 @@ fn get_edges(r: &mut Rd<'_>) -> Result<Vec<Edge>> {
 }
 
 fn put_op(w: &mut Wr, op: &StateOp) {
-    match op {
-        StateOp::Get { keys } => {
-            w.u8(0);
-            w.u64s(keys);
-        }
-        StateOp::Upsert { merge, keys, rows } => {
-            w.u8(1);
-            w.u8(merge.tag());
-            w.u64s(keys);
-            w.u64s(rows);
-        }
-    }
+    let StateOp::Upsert { merge, keys, rows } = op;
+    w.u8(1);
+    w.u8(merge.tag());
+    w.u64s(keys);
+    w.u64s(rows);
 }
 
 fn get_op(r: &mut Rd<'_>) -> Result<StateOp> {
     Ok(match r.u8()? {
-        0 => StateOp::Get { keys: r.u64s()? },
         1 => {
             let merge = MergeOp::from_tag(r.u8()?).ok_or_else(|| bad("merge op"))?;
             StateOp::Upsert {
@@ -1393,7 +1379,11 @@ mod tests {
         });
         round_trip(Msg::StateReq {
             table: 0,
-            op: StateOp::Get { keys: vec![5, 6] },
+            op: StateOp::Upsert {
+                merge: MergeOp::Add,
+                keys: vec![5, 6],
+                rows: vec![1, 0],
+            },
         });
         round_trip(Msg::StateResp { rows: vec![1, 0] });
         round_trip(Msg::Scan { table: 2 });
@@ -1590,6 +1580,9 @@ mod tests {
         // Tag 7 was `Route`: retired, reserved, and no longer a message.
         let err = Msg::decode(&[7, 1, 0, 0, 0, 0]).unwrap_err();
         assert!(err.to_string().contains("message tag"), "{err}");
+        // So is state op 0, `Get`: a `StateReq` of table 0 asking for no keys.
+        let err = Msg::decode(&[5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("state op tag"), "{err}");
     }
 
     #[test]

@@ -294,8 +294,8 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         match recv(wk.conn.as_mut())? {
             Msg::StateReq { table, op } => {
                 let served = wk.apply_local(table, &op);
-                let rows = wk.reported(served)?;
-                wk.send_msg(&Msg::StateResp { rows })?;
+                wk.reported(served)?;
+                wk.send_msg(&Msg::StateResp { rows: Vec::new() })?;
             }
             Msg::StateReqBatch { keys, ops } => {
                 let served = wk.serve_batch(&keys, &ops);
@@ -382,8 +382,8 @@ impl Source {
                 *pos += take;
                 &edges[*pos - take..*pos]
             }
-            Source::Pack(stream) => stream.next_slice(cap).unwrap_or_default(),
-            Source::PipelinedPack(stream) => stream.next_slice(cap).unwrap_or_default(),
+            Source::Pack(stream) => stream.next_chunk(cap),
+            Source::PipelinedPack(stream) => stream.next_chunk(cap),
         }
     }
 
@@ -512,27 +512,16 @@ impl Wk {
     }
 
     /// Executes a state op against the local shard of `table`.
-    fn apply_local(&mut self, table: u8, op: &StateOp) -> Result<Vec<u64>> {
+    fn apply_local(&mut self, table: u8, op: &StateOp) -> Result<()> {
         let i = self.slot(table)?;
         let shard = &mut self.shards[i];
-        match op {
-            StateOp::Get { keys } => {
-                let mut out = Vec::with_capacity(keys.len() * shard.width());
-                for &key in keys {
-                    shard.get_into(key, &mut out)?;
-                }
-                Ok(out)
-            }
-            StateOp::Upsert { merge, keys, rows } => {
-                if rows.len() != keys.len() * shard.width() {
-                    return Err(PartitionError::InvalidParam(
-                        "upsert row payload does not match key count".into(),
-                    ));
-                }
-                shard.upsert_batch(*merge, keys, rows)?;
-                Ok(Vec::new())
-            }
+        let StateOp::Upsert { merge, keys, rows } = op;
+        if rows.len() != keys.len() * shard.width() {
+            return Err(PartitionError::InvalidParam(
+                "upsert row payload does not match key count".into(),
+            ));
         }
+        shard.upsert_batch(*merge, keys, rows)
     }
 
     fn scan_local(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
@@ -1045,7 +1034,7 @@ impl Wk {
             return self.run_sequenced(kernel, token, source);
         }
         let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
+        let mut buf = Vec::new();
         let mut assignments = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let mut base = loads.as_slice().to_vec();

@@ -124,7 +124,7 @@ pub fn stream_clustering_capped(
     };
     // Chunked drain: one virtual dispatch per block of edges, then a tight
     // loop — chunk boundaries carry no semantics, so the result is
-    // bit-identical to the per-edge pull for any chunking.
+    // bit-identical for any chunking.
     try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
         for &e in chunk {
             pass.step(e)?;

@@ -82,10 +82,10 @@ mod tests {
     fn start_run_resets_and_reports_hints() {
         let mut s = InMemoryStream::new(5, vec![Edge::new(0, 1), Edge::new(1, 2)]);
         // Drain the stream first; start_run must rewind it.
-        while s.next_edge().is_some() {}
+        while !s.next_chunk(1).is_empty() {}
         let (n, m) = start_run(&mut s, 4).unwrap();
         assert_eq!((n, m), (5, 2));
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
+        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::ampc::ReplicaScatter;
 use clugp::Partitioning;
-use clugp_graph::stream::{chunk_edges, EdgeStream};
+use clugp_graph::stream::{chunk_edges, for_each_chunk, EdgeStream};
 use clugp_graph::types::{Edge, VertexId};
 
 /// Sentinel for "vertex not present on this machine".
@@ -89,21 +89,19 @@ impl DistributedGraph {
                 is_master: Vec::new(),
             })
             .collect();
-        let cap = chunk_edges();
-        let mut buf = Vec::with_capacity(cap);
         let mut seen = 0usize;
-        while stream.next_chunk(&mut buf, cap) != 0 {
+        for_each_chunk(stream, chunk_edges(), |chunk| {
             assert!(
-                seen + buf.len() <= partitioning.assignments.len(),
+                seen + chunk.len() <= partitioning.assignments.len(),
                 "edges and assignments must align"
             );
-            for (e, &p) in buf.iter().zip(&partitioning.assignments[seen..]) {
+            for (e, &p) in chunk.iter().zip(&partitioning.assignments[seen..]) {
                 scatter.insert(u64::from(e.src), p);
                 scatter.insert(u64::from(e.dst), p);
                 machines[p as usize].edges.push((e.src, e.dst));
             }
-            seen += buf.len();
-        }
+            seen += chunk.len();
+        });
         assert_eq!(
             seen,
             partitioning.assignments.len(),
@@ -205,20 +203,10 @@ struct SliceStream<'a> {
 }
 
 impl EdgeStream for SliceStream<'_> {
-    fn next_edge(&mut self) -> Option<Edge> {
-        let e = self.edges.get(self.pos).copied();
-        if e.is_some() {
-            self.pos += 1;
-        }
-        e
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
         let take = cap.max(1).min(self.edges.len() - self.pos);
-        buf.extend_from_slice(&self.edges[self.pos..self.pos + take]);
         self.pos += take;
-        take
+        &self.edges[self.pos - take..self.pos]
     }
 
     fn len_hint(&self) -> Option<u64> {

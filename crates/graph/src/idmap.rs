@@ -25,8 +25,9 @@
 //!
 //! [`RemappedStream`] is the adapter that puts a map under any
 //! [`RawEdgeStream`]: it builds the map in one eager pass (remap mode),
-//! then yields internal [`Edge`]s through the standard chunked
-//! [`EdgeStream`] ABI, with `len_hint`/`num_vertices_hint` flowing through —
+//! then lends internal [`Edge`]s through [`EdgeStream::next_chunk`] from a
+//! buffer it translates each raw chunk into, with
+//! `len_hint`/`num_vertices_hint` flowing through —
 //! `num_vertices_hint` becomes the *exact distinct-vertex count*, which is
 //! tighter than the `max id + 1` convention of dense sources. Partition
 //! output translates back through [`IdMap::external_of`].
@@ -221,25 +222,12 @@ pub fn scramble_edges(edges: &[Edge]) -> Vec<RawEdge> {
 }
 
 /// A single-pass stream of [`RawEdge`]s over external 64-bit ids — the raw
-/// side of the id-space layer. Mirrors [`EdgeStream`]'s chunked ABI: only
-/// [`next_raw`](RawEdgeStream::next_raw) and the hints are required.
+/// side of the id-space layer. Mirrors [`EdgeStream`]: one lending pull and
+/// the hints.
 pub trait RawEdgeStream {
-    /// Returns the next raw edge, or `None` when exhausted.
-    fn next_raw(&mut self) -> Option<RawEdge>;
-
-    /// Pulls up to `cap` raw edges into `buf` (cleared first); `0` means
-    /// exhaustion. The default loops [`next_raw`](RawEdgeStream::next_raw).
-    fn next_raw_chunk(&mut self, buf: &mut Vec<RawEdge>, cap: usize) -> usize {
-        let cap = cap.max(1);
-        buf.clear();
-        while buf.len() < cap {
-            match self.next_raw() {
-                Some(e) => buf.push(e),
-                None => break,
-            }
-        }
-        buf.len()
-    }
+    /// Lends the next block of up to `cap` raw edges (`cap == 0` reads as
+    /// 1); an empty slice means exhaustion, a short one means nothing.
+    fn next_raw_chunk(&mut self, cap: usize) -> &[RawEdge];
 
     /// Total number of raw edges over a full pass, if known.
     fn len_hint(&self) -> Option<u64>;
@@ -268,19 +256,11 @@ impl RawInMemoryStream {
 }
 
 impl RawEdgeStream for RawInMemoryStream {
-    #[inline]
-    fn next_raw(&mut self) -> Option<RawEdge> {
-        let e = *self.edges.get(self.cursor)?;
-        self.cursor += 1;
-        Some(e)
-    }
-
-    fn next_raw_chunk(&mut self, buf: &mut Vec<RawEdge>, cap: usize) -> usize {
-        buf.clear();
+    fn next_raw_chunk(&mut self, cap: usize) -> &[RawEdge] {
         let n = cap.max(1).min(self.edges.len() - self.cursor);
-        buf.extend_from_slice(&self.edges[self.cursor..self.cursor + n]);
+        let s = &self.edges[self.cursor..self.cursor + n];
         self.cursor += n;
-        n
+        s
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -311,7 +291,9 @@ impl RawEdgeStream for RawInMemoryStream {
 pub struct RemappedStream<S> {
     inner: S,
     map: IdMap,
-    raw: Vec<RawEdge>,
+    /// The translation of the raw chunk last pulled — what `next_chunk`
+    /// lends.
+    buf: Vec<Edge>,
     error: Option<GraphError>,
 }
 
@@ -331,13 +313,12 @@ impl<S: RawEdgeStream> RemappedStream<S> {
     pub fn remap_with_cap(mut inner: S, max_vertices: u64) -> Result<Self> {
         inner.reset()?;
         let mut map = IdMap::remap_with_cap(max_vertices);
-        let mut buf: Vec<RawEdge> = Vec::with_capacity(chunk_edges());
         loop {
-            let n = inner.next_raw_chunk(&mut buf, chunk_edges());
-            if n == 0 {
+            let chunk = inner.next_raw_chunk(chunk_edges());
+            if chunk.is_empty() {
                 break;
             }
-            for e in &buf {
+            for e in chunk {
                 map.intern(e.src)?;
                 map.intern(e.dst)?;
             }
@@ -346,7 +327,7 @@ impl<S: RawEdgeStream> RemappedStream<S> {
         Ok(RemappedStream {
             inner,
             map,
-            raw: Vec::new(),
+            buf: Vec::new(),
             error: None,
         })
     }
@@ -363,7 +344,7 @@ impl<S: RawEdgeStream> RemappedStream<S> {
         RemappedStream {
             inner,
             map: IdMap::identity_with_cap(max_vertices),
-            raw: Vec::new(),
+            buf: Vec::new(),
             error: None,
         }
     }
@@ -383,69 +364,42 @@ impl<S: RawEdgeStream> RemappedStream<S> {
     pub fn into_parts(self) -> (S, IdMap) {
         (self.inner, self.map)
     }
+}
 
-    /// Translates one raw edge; parks the error and ends the stream on
-    /// failure. A remap-mode lookup can only fail if the raw source yields
-    /// different edges across passes, which the parked `Format` error makes
-    /// loud instead of silently mispartitioning.
-    #[inline]
-    fn translate(&mut self, e: RawEdge) -> Option<Edge> {
-        if self.map.is_identity() {
-            let src = match self.map.intern(e.src) {
-                Ok(i) => i,
-                Err(err) => {
-                    self.error = Some(err);
-                    return None;
-                }
-            };
-            let dst = match self.map.intern(e.dst) {
-                Ok(i) => i,
-                Err(err) => {
-                    self.error = Some(err);
-                    return None;
-                }
-            };
-            return Some(Edge::new(src, dst));
-        }
-        match (self.map.resolve(e.src), self.map.resolve(e.dst)) {
-            (Some(src), Some(dst)) => Some(Edge::new(src, dst)),
-            _ => {
-                self.error = Some(GraphError::Format(format!(
-                    "raw source yielded edge {e} with an id absent from the remap \
-                     table built on the first pass (non-deterministic source?)"
-                )));
-                None
-            }
-        }
+/// Translates one raw edge through `map`. A remap-mode lookup can only fail
+/// if the raw source yields different edges across passes, which the
+/// `Format` error makes loud instead of silently mispartitioning.
+#[inline]
+fn translate(map: &mut IdMap, e: RawEdge) -> Result<Edge> {
+    if map.is_identity() {
+        return Ok(Edge::new(map.intern(e.src)?, map.intern(e.dst)?));
+    }
+    match (map.resolve(e.src), map.resolve(e.dst)) {
+        (Some(src), Some(dst)) => Ok(Edge::new(src, dst)),
+        _ => Err(GraphError::Format(format!(
+            "raw source yielded edge {e} with an id absent from the remap \
+             table built on the first pass (non-deterministic source?)"
+        ))),
     }
 }
 
 impl<S: RawEdgeStream> EdgeStream for RemappedStream<S> {
-    fn next_edge(&mut self) -> Option<Edge> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        self.buf.clear();
         if self.error.is_some() {
-            return None;
+            return &self.buf;
         }
-        let e = self.inner.next_raw()?;
-        self.translate(e)
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
-        if self.error.is_some() {
-            return 0;
-        }
-        let mut raw = std::mem::take(&mut self.raw);
-        let n = self.inner.next_raw_chunk(&mut raw, cap.max(1));
-        buf.reserve(n);
-        for &r in raw.iter().take(n) {
-            match self.translate(r) {
-                Some(e) => buf.push(e),
+        for &r in self.inner.next_raw_chunk(cap) {
+            match translate(&mut self.map, r) {
+                Ok(e) => self.buf.push(e),
                 // Park-and-truncate: the translated prefix is still valid.
-                None => break,
+                Err(err) => {
+                    self.error = Some(err);
+                    break;
+                }
             }
         }
-        self.raw = raw;
-        buf.len()
+        &self.buf
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -558,16 +512,18 @@ mod tests {
     fn identity_rejects_u64_max_and_parks_the_error() {
         let raw = vec![RawEdge::new(0, 1), RawEdge::new(u64::MAX, 0)];
         let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
-        assert_eq!(s.next_edge(), None);
+        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
+        assert!(s.next_chunk(1).is_empty());
         assert!(matches!(
             s.error(),
             Some(GraphError::TooManyVertices { .. })
         ));
         // The next reset surfaces the parked error...
         assert!(s.reset().is_err());
-        // ...after which the stream replays the valid prefix.
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
+        // ...after which the stream replays the valid prefix, which a pull
+        // spanning the bad edge still delivers before it parks again.
+        assert_eq!(s.next_chunk(4096), [Edge::new(0, 1)]);
+        assert!(s.error().is_some());
     }
 
     #[test]
@@ -585,7 +541,7 @@ mod tests {
     fn identity_cap_is_configurable() {
         let raw = vec![RawEdge::new(0, 500)];
         let mut s = RemappedStream::identity_with_cap(RawInMemoryStream::new(raw), 100);
-        assert_eq!(s.next_edge(), None);
+        assert!(s.next_chunk(1).is_empty());
         assert!(s.error().is_some());
     }
 
@@ -593,11 +549,8 @@ mod tests {
     fn chunked_pulls_match_per_edge_pulls() {
         for cap in [1usize, 2, 4096] {
             let mut s = RemappedStream::remap(RawInMemoryStream::new(sparse_raw())).unwrap();
-            let mut buf = Vec::new();
             let mut seen = Vec::new();
-            while s.next_chunk(&mut buf, cap) != 0 {
-                seen.extend_from_slice(&buf);
-            }
+            crate::stream::for_each_chunk(&mut s, cap, |chunk| seen.extend_from_slice(chunk));
             assert_eq!(
                 seen,
                 vec![Edge::new(0, 1), Edge::new(2, 0), Edge::new(1, 3)],
@@ -638,34 +591,7 @@ mod tests {
     #[test]
     fn empty_raw_stream() {
         let mut s = RemappedStream::remap(RawInMemoryStream::new(vec![])).unwrap();
-        assert_eq!(s.next_edge(), None);
+        assert!(s.next_chunk(16).is_empty());
         assert_eq!(s.num_vertices_hint(), Some(0));
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 16), 0);
-    }
-
-    #[test]
-    fn default_raw_chunk_loops_next_raw() {
-        struct Two(u8);
-        impl RawEdgeStream for Two {
-            fn next_raw(&mut self) -> Option<RawEdge> {
-                if self.0 == 0 {
-                    return None;
-                }
-                self.0 -= 1;
-                Some(RawEdge::new(u64::from(self.0), 99))
-            }
-            fn len_hint(&self) -> Option<u64> {
-                None
-            }
-            fn reset(&mut self) -> Result<()> {
-                self.0 = 2;
-                Ok(())
-            }
-        }
-        let mut buf = Vec::new();
-        assert_eq!(Two(2).next_raw_chunk(&mut buf, 10), 2);
-        let mut s = RemappedStream::remap(Two(2)).unwrap();
-        assert_eq!(collect_stream(&mut s).len(), 2);
     }
 }

@@ -98,12 +98,13 @@ fn read_header<R: Read>(r: &mut R) -> Result<(u64, u64)> {
 
 /// A resettable edge stream backed by a binary graph file.
 ///
-/// Chunked pulls ([`EdgeStream::next_chunk`]) read whole blocks of records
-/// in bulk `read` calls into a reused scratch buffer and decode them in a
-/// tight loop; the per-edge path reads 8-byte records through the
-/// [`BufReader`]. `reset` seeks back to the start of the edge payload. This
-/// is the source used by the Figure 10(a) compute/I-O breakdown, where
-/// CLUGP's three passes really do read the file three times.
+/// A pull ([`EdgeStream::next_chunk`]) reads a whole block of records in
+/// bulk `read` calls into a reused scratch buffer, decodes it in a tight
+/// loop into the edge buffer the stream owns, and lends that — both buffers
+/// hold at most what the file has left, whatever `cap` says. `reset` seeks
+/// back to the start of the edge payload. This is the source used by the
+/// Figure 10(a) compute/I-O breakdown, where CLUGP's three passes really do
+/// read the file three times.
 ///
 /// A truncated or size-mismatched file is rejected at [`FileEdgeStream::open`]
 /// with the dedicated [`GraphError::TruncatedPayload`] (exact expected-vs-
@@ -123,6 +124,8 @@ pub struct FileEdgeStream {
     yielded: u64,
     /// Scratch for block decodes; grown to one chunk's bytes and reused.
     raw: Vec<u8>,
+    /// The chunk last decoded — what `next_chunk` lends.
+    buf: Vec<Edge>,
     error: Option<GraphError>,
 }
 
@@ -146,6 +149,7 @@ impl FileEdgeStream {
             num_edges,
             yielded: 0,
             raw: Vec::new(),
+            buf: Vec::new(),
             error: None,
         })
     }
@@ -184,43 +188,14 @@ impl FileEdgeStream {
 }
 
 impl EdgeStream for FileEdgeStream {
-    fn next_edge(&mut self) -> Option<Edge> {
-        if self.yielded >= self.num_edges || self.error.is_some() {
-            return None;
-        }
-        let mut rec = [0u8; 8];
-        match self.reader.read_exact(&mut rec) {
-            Ok(()) => {
-                self.yielded += 1;
-                let mut cursor = &rec[..];
-                let src = cursor.get_u32_le();
-                let dst = cursor.get_u32_le();
-                Some(Edge { src, dst })
-            }
-            // File shrank after open: end the stream with the dedicated
-            // truncation error parked (open validated the original size).
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                self.park_truncation(0);
-                None
-            }
-            // Real I/O failure: end the stream and park the error for
-            // error()/reset().
-            Err(e) => {
-                self.error = Some(GraphError::from(e));
-                None
-            }
-        }
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
-        if self.error.is_some() {
-            return 0;
-        }
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        self.buf.clear();
+        // Open held `num_edges` to the file's real length, so a block is
+        // bounded by the bytes on disk.
         let remaining = (self.num_edges - self.yielded) as usize;
         let want = cap.max(1).min(remaining);
-        if want == 0 {
-            return 0;
+        if self.error.is_some() || want == 0 {
+            return &self.buf;
         }
         let want_bytes = want * 8;
         self.raw.resize(want_bytes, 0);
@@ -241,17 +216,17 @@ impl EdgeStream for FileEdgeStream {
                 }
             }
         }
-        // A trailing partial record (truncated file) is dropped, matching
-        // the per-edge path's end-early behavior.
+        // A trailing partial record (truncated file) is dropped: the stream
+        // ends early on whole edges.
         let complete = filled / 8;
-        buf.reserve(complete);
+        self.buf.reserve(complete);
         for rec in self.raw[..complete * 8].chunks_exact(8) {
             let src = u32::from_le_bytes(rec[..4].try_into().expect("4-byte field"));
             let dst = u32::from_le_bytes(rec[4..].try_into().expect("4-byte field"));
-            buf.push(Edge { src, dst });
+            self.buf.push(Edge { src, dst });
         }
         self.yielded += complete as u64;
-        complete
+        &self.buf
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -318,7 +293,7 @@ mod tests {
         assert_eq!(s.len_hint(), Some(4));
         assert_eq!(s.num_vertices_hint(), Some(3));
         assert_eq!(collect_stream(&mut s), sample());
-        assert_eq!(s.next_edge(), None);
+        assert!(s.next_chunk(1).is_empty());
     }
 
     #[test]
@@ -448,14 +423,14 @@ mod tests {
         // The parked error is cleared by the reporting reset.
         assert!(s.error().is_none());
 
-        // Same contract on the per-edge pull path.
+        // Same contract when the records are pulled one at a time.
         let path2 = tmp("shrink_per_edge.bin");
         write_binary_graph(&path2, 2_001, &edges).unwrap();
         let mut s = FileEdgeStream::open(&path2).unwrap();
         let data = std::fs::read(&path2).unwrap();
         std::fs::write(&path2, &data[..data.len() - 4]).unwrap();
         let mut seen = 0;
-        while s.next_edge().is_some() {
+        while !s.next_chunk(1).is_empty() {
             seen += 1;
         }
         assert_eq!(seen, 1_999);
@@ -473,10 +448,7 @@ mod tests {
         for cap in [1usize, 7, 256, 4096] {
             let mut s = FileEdgeStream::open(&path).unwrap();
             let mut seen = Vec::new();
-            let mut buf = Vec::new();
-            while s.next_chunk(&mut buf, cap) != 0 {
-                seen.extend_from_slice(&buf);
-            }
+            crate::stream::for_each_chunk(&mut s, cap, |chunk| seen.extend_from_slice(chunk));
             assert_eq!(seen, edges, "cap={cap}");
         }
     }
@@ -490,11 +462,8 @@ mod tests {
         let mut s = FileEdgeStream::open(&path).unwrap();
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 4]).unwrap();
-        let mut buf = Vec::new();
         let mut seen = Vec::new();
-        while s.next_chunk(&mut buf, 4096) != 0 {
-            seen.extend_from_slice(&buf);
-        }
+        crate::stream::for_each_chunk(&mut s, 4096, |chunk| seen.extend_from_slice(chunk));
         assert_eq!(seen.len(), 1_999, "whole records of this pull decode");
         assert_eq!(seen, edges[..1_999]);
         assert!(matches!(

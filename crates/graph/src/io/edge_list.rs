@@ -65,9 +65,10 @@ fn parse_field_u64(field: Option<&str>, line: u64) -> Result<u64> {
 /// A resettable edge stream over a text edge list, parsing lazily so the
 /// whole file never has to sit in memory.
 ///
-/// Lines are pulled through a [`BufReader`] (real buffered block reads);
-/// chunked pulls ([`EdgeStream::next_chunk`]) parse a block of lines per
-/// virtual dispatch. Comment (`#`/`%`) and blank lines are skipped.
+/// Lines are pulled through a [`BufReader`] (real buffered block reads); a
+/// pull ([`EdgeStream::next_chunk`]) parses a block of lines into the edge
+/// buffer the stream owns and lends it. Comment (`#`/`%`) and blank lines
+/// are skipped.
 ///
 /// [`TextEdgeStream::open`] validates the whole file up front (one extra
 /// buffered pass) so a malformed line fails loudly at open time — never as
@@ -87,6 +88,8 @@ pub struct TextEdgeStream {
     line: String,
     line_no: u64,
     done: bool,
+    /// The chunk last parsed — what `next_chunk` lends.
+    buf: Vec<Edge>,
     error: Option<GraphError>,
     num_edges: Option<u64>,
     num_vertices: Option<u64>,
@@ -129,6 +132,7 @@ impl TextEdgeStream {
             line: String::new(),
             line_no: 0,
             done: false,
+            buf: Vec::new(),
             error: None,
             num_edges: None,
             num_vertices: None,
@@ -185,13 +189,16 @@ impl TextEdgeStream {
 }
 
 impl EdgeStream for TextEdgeStream {
-    // `next_chunk` is deliberately not overridden: the trait default loops
-    // `next_edge`, which statically dispatches to `parse_next` here — an
-    // override would duplicate it byte for byte. The chunking win for this
-    // source is the BufReader's block reads plus one virtual dispatch per
-    // chunk at the consumer, both of which the default already provides.
-    fn next_edge(&mut self) -> Option<Edge> {
-        self.parse_next()
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        let cap = cap.max(1);
+        self.buf.clear();
+        while self.buf.len() < cap {
+            match self.parse_next() {
+                Some(e) => self.buf.push(e),
+                None => break,
+            }
+        }
+        &self.buf
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -245,6 +252,8 @@ pub struct RawTextEdgeStream {
     line: String,
     line_no: u64,
     done: bool,
+    /// The chunk last parsed — what `next_raw_chunk` lends.
+    buf: Vec<RawEdge>,
     error: Option<GraphError>,
     num_edges: u64,
 }
@@ -263,6 +272,7 @@ impl RawTextEdgeStream {
             line: String::new(),
             line_no: 0,
             done: false,
+            buf: Vec::new(),
             error: None,
             num_edges: 0,
         };
@@ -312,22 +322,24 @@ impl RawTextEdgeStream {
 }
 
 impl RawEdgeStream for RawTextEdgeStream {
-    fn next_raw(&mut self) -> Option<RawEdge> {
-        // The validating open proved every line parses; a failure here can
-        // only be a racing file mutation. Park it so the next reset reports
-        // it instead of letting a restreaming consumer silently loop over a
-        // truncated stream.
-        if self.error.is_some() {
-            return None;
-        }
-        match self.parse_next() {
-            Ok(e) => e,
-            Err(err) => {
-                self.done = true;
-                self.error = Some(err);
-                None
+    fn next_raw_chunk(&mut self, cap: usize) -> &[RawEdge] {
+        let cap = cap.max(1);
+        self.buf.clear();
+        while self.buf.len() < cap && self.error.is_none() {
+            match self.parse_next() {
+                Ok(Some(e)) => self.buf.push(e),
+                Ok(None) => break,
+                // The validating open proved every line parses; a failure
+                // here can only be a racing file mutation. Park it so the
+                // next reset reports it instead of letting a restreaming
+                // consumer silently loop over a truncated stream.
+                Err(err) => {
+                    self.done = true;
+                    self.error = Some(err);
+                }
             }
         }
+        &self.buf
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -449,12 +461,9 @@ mod tests {
         let path = tmp("comments.txt");
         std::fs::write(&path, "# header\n0 1\n\n% note\n2 3\n4 5\n").unwrap();
         let mut s = TextEdgeStream::open(&path).unwrap();
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 2), 2);
-        assert_eq!(buf, vec![Edge::new(0, 1), Edge::new(2, 3)]);
-        assert_eq!(s.next_chunk(&mut buf, 2), 1);
-        assert_eq!(buf, vec![Edge::new(4, 5)]);
-        assert_eq!(s.next_chunk(&mut buf, 2), 0);
+        assert_eq!(s.next_chunk(2), [Edge::new(0, 1), Edge::new(2, 3)]);
+        assert_eq!(s.next_chunk(2), [Edge::new(4, 5)]);
+        assert!(s.next_chunk(2).is_empty());
     }
 
     #[test]
@@ -470,8 +479,8 @@ mod tests {
         let path = tmp("bad.txt");
         std::fs::write(&path, "0 1\nnot numbers\n2 3\n").unwrap();
         let mut s = TextEdgeStream::open_lazy(&path).unwrap();
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
-        assert_eq!(s.next_edge(), None);
+        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
+        assert!(s.next_chunk(1).is_empty());
         assert!(matches!(s.error(), Some(GraphError::Parse { line: 2, .. })));
         // The next reset surfaces the parked error (a restreaming consumer
         // cannot silently loop over the truncated stream)...
@@ -479,7 +488,7 @@ mod tests {
         assert!(matches!(err, GraphError::Parse { line: 2, .. }));
         // ...after which the stream is rewound and replays the good prefix.
         assert!(s.error().is_none());
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
+        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
     }
 
     #[test]
@@ -495,12 +504,13 @@ mod tests {
         .unwrap();
         let mut s = RawTextEdgeStream::open(&path).unwrap();
         assert_eq!(RawEdgeStream::len_hint(&s), Some(2));
-        assert_eq!(s.next_raw(), Some(RawEdge::new(u64::MAX, 9_000_000_000)));
-        assert_eq!(s.next_raw(), Some(RawEdge::new(9_000_000_000, 1 << 40)));
-        assert_eq!(s.next_raw(), None);
+        let first = RawEdge::new(u64::MAX, 9_000_000_000);
+        assert_eq!(s.next_raw_chunk(1), [first]);
+        assert_eq!(s.next_raw_chunk(7), [RawEdge::new(9_000_000_000, 1 << 40)]);
+        assert!(s.next_raw_chunk(1).is_empty());
         // Resets for multi-pass consumption.
         RawEdgeStream::reset(&mut s).unwrap();
-        assert_eq!(s.next_raw(), Some(RawEdge::new(u64::MAX, 9_000_000_000)));
+        assert_eq!(s.next_raw_chunk(1), [first]);
     }
 
     #[test]
@@ -529,10 +539,10 @@ mod tests {
         let good: String = (0..4000u64).map(|i| format!("{i} {}\n", i + 1)).collect();
         std::fs::write(&path, &good).unwrap();
         let mut s = RawTextEdgeStream::open(&path).unwrap();
-        assert_eq!(s.next_raw(), Some(RawEdge::new(0, 1)));
+        assert_eq!(s.next_raw_chunk(1), [RawEdge::new(0, 1)]);
         // Same-length garbage so reads keep succeeding but parsing fails.
         std::fs::write(&path, good.replace(' ', "x")).unwrap();
-        while s.next_raw().is_some() {}
+        while !s.next_raw_chunk(1).is_empty() {}
         assert!(s.error().is_some(), "mutation must park an error");
         assert!(
             RawEdgeStream::reset(&mut s).is_err(),

@@ -63,11 +63,11 @@
 //! # Readers
 //!
 //! [`PackedEdgeStream`] implements [`EdgeStream`] + [`RestreamableStream`]:
-//! one block is decoded per refill and lent to chunked consumers through
-//! the zero-copy `next_slice` fast path, so CLUGP's three passes and every
-//! baseline consume a pack unchanged (equivalence pinned by
-//! `tests/chunked_equivalence.rs`). [`PipelinedPackStream`] is its
-//! staged-pipeline twin: same chunk sequence, decode on worker threads.
+//! one block is decoded per refill and `next_chunk` lends slices of it, so
+//! CLUGP's three passes and every baseline consume a pack unchanged
+//! (equivalence pinned by `tests/chunked_equivalence.rs`).
+//! [`PipelinedPackStream`] is its staged-pipeline twin: same chunk
+//! sequence, decode on worker threads.
 //! [`ShardedPackReader`] splits the block range into per-thread shards
 //! balanced by edge count; each shard is its own stream (serial or
 //! pipelined) over a private file handle.
@@ -648,15 +648,41 @@ pub(crate) fn open_validated(
     Ok((file, header, PackIndex { entries }))
 }
 
+/// Reads the block `entry` names from `file` through the scratch `raw`,
+/// holds it to its stored checksum when `policy` verifies payloads, and
+/// decodes it into `out` — the one per-block read both pack readers share.
+fn load_block(
+    file: &mut File,
+    raw: &mut Vec<u8>,
+    entry: &BlockEntry,
+    policy: ChecksumPolicy,
+    out: &mut Vec<Edge>,
+) -> Result<()> {
+    raw.resize(entry.byte_len as usize, 0);
+    file.seek(SeekFrom::Start(entry.byte_offset))?;
+    file.read_exact(raw)?;
+    if policy.verify_payload() {
+        let computed = crc32(raw);
+        if computed != entry.crc {
+            return Err(GraphError::Format(format!(
+                "block at offset {} failed its checksum: stored {:#010x}, computed {computed:#010x}",
+                entry.byte_offset, entry.crc
+            )));
+        }
+    }
+    BlockDecoder.decode(raw, entry, out)
+}
+
 // ---------------------------------------------------------------------------
 // PackedEdgeStream.
 // ---------------------------------------------------------------------------
 
 /// A resettable edge stream over a `CLUGPZ` pack (or a block range of one).
 ///
-/// One block is decoded per refill into an internal buffer that chunked
-/// consumers drain zero-copy through [`EdgeStream::next_slice`]; payload
-/// checksums are verified as blocks stream (under [`ChecksumPolicy::Full`]).
+/// One block is decoded per refill into an internal buffer that
+/// [`EdgeStream::next_chunk`] lends from, so a chunk never spans two blocks;
+/// payload checksums are verified as blocks stream (under
+/// [`ChecksumPolicy::Full`]).
 /// Decode/IO failures park an error, end the stream, and surface on the
 /// next [`RestreamableStream::reset`] — so a restreaming consumer cannot
 /// silently loop over a damaged pack.
@@ -750,34 +776,27 @@ impl PackedEdgeStream {
             return false;
         }
         let entry = self.index.entries()[self.next_block];
-        match self.read_block(entry) {
+        let loaded = load_block(
+            &mut self.file,
+            &mut self.raw,
+            &entry,
+            self.policy,
+            &mut self.decoded,
+        );
+        self.pos = 0;
+        match loaded {
             Ok(()) => {
                 self.next_block += 1;
                 true
             }
             Err(e) => {
+                // A block that failed mid-decode leaves a partial buffer:
+                // drop it, so pulls past the early end keep lending nothing.
+                self.decoded.clear();
                 self.error = Some(e);
                 false
             }
         }
-    }
-
-    fn read_block(&mut self, entry: BlockEntry) -> Result<()> {
-        self.raw.resize(entry.byte_len as usize, 0);
-        self.file.seek(SeekFrom::Start(entry.byte_offset))?;
-        self.file.read_exact(&mut self.raw)?;
-        if self.policy.verify_payload() {
-            let computed = crc32(&self.raw);
-            if computed != entry.crc {
-                return Err(GraphError::Format(format!(
-                    "block at offset {} failed its checksum: stored {:#010x}, computed {computed:#010x}",
-                    entry.byte_offset, entry.crc
-                )));
-            }
-        }
-        BlockDecoder.decode(&self.raw, &entry, &mut self.decoded)?;
-        self.pos = 0;
-        Ok(())
     }
 
     #[inline]
@@ -787,34 +806,14 @@ impl PackedEdgeStream {
 }
 
 impl EdgeStream for PackedEdgeStream {
-    fn next_edge(&mut self) -> Option<Edge> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
         if self.remaining() == 0 && !self.load_next_block() {
-            return None;
-        }
-        let e = self.decoded[self.pos];
-        self.pos += 1;
-        Some(e)
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
-        if self.remaining() == 0 && !self.load_next_block() {
-            return 0;
-        }
-        let n = cap.max(1).min(self.remaining());
-        buf.extend_from_slice(&self.decoded[self.pos..self.pos + n]);
-        self.pos += n;
-        n
-    }
-
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        if self.remaining() == 0 && !self.load_next_block() {
-            return Some(&[]);
+            return &[];
         }
         let n = cap.max(1).min(self.remaining());
         let s = &self.decoded[self.pos..self.pos + n];
         self.pos += n;
-        Some(s)
+        s
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -1258,7 +1257,7 @@ pub fn canonical_order(edges: &[Edge]) -> Vec<Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{collect_stream, InMemoryStream};
+    use crate::stream::{collect_stream, for_each_chunk, InMemoryStream};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("clugp_pack_test");
@@ -1479,24 +1478,18 @@ mod tests {
         .unwrap();
         for cap in [1usize, 7, 256, 4096] {
             let mut s = PackedEdgeStream::open(&path).unwrap();
-            let mut buf = Vec::new();
             let mut seen = Vec::new();
-            loop {
-                let n = s.next_chunk(&mut buf, cap);
-                if n == 0 {
-                    break;
-                }
-                assert!(n <= cap.max(1));
-                seen.extend_from_slice(&buf);
-            }
+            for_each_chunk(&mut s, cap, |chunk| {
+                assert!(chunk.len() <= cap);
+                seen.extend_from_slice(chunk);
+            });
             assert_eq!(seen, canonical_order(&edges), "cap={cap}");
         }
-        // Mixed pull styles keep the cursor coherent.
+        // Pulls of different sizes keep the cursor coherent.
         let mut s = PackedEdgeStream::open(&path).unwrap();
         let want = canonical_order(&edges);
-        assert_eq!(s.next_edge(), Some(want[0]));
-        let slice = s.next_slice(3).unwrap().to_vec();
-        assert_eq!(slice, want[1..4].to_vec());
+        assert_eq!(s.next_chunk(1), &want[..1]);
+        assert_eq!(s.next_chunk(3), &want[1..4]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1714,6 +1707,7 @@ mod tests {
         let pristine = std::fs::read(&path).unwrap();
         let reader = ShardedPackReader::open(&path).unwrap();
         let num_blocks = reader.index().num_blocks();
+        let second = reader.index().entries()[1];
         drop(reader);
         let mut data = pristine.clone();
         let index_start = data.len() - FOOTER_LEN as usize - num_blocks * INDEX_ENTRY_LEN;
@@ -1734,6 +1728,17 @@ mod tests {
             assert_eq!(collect_stream(&mut s), want, "{policy:?}");
             assert!(s.error().is_none(), "{policy:?}");
         }
+
+        // A payload the codec refuses (an over-long varint, unverified under
+        // Off) ends the stream on the block before it, parks the error, and
+        // pulls past that early end keep lending nothing.
+        let mut data = pristine.clone();
+        let start = second.byte_offset as usize;
+        data[start..start + 11].fill(0xFF);
+        std::fs::write(&path, &data).unwrap();
+        let mut s = PackedEdgeStream::open_with(&path, ChecksumPolicy::Off).unwrap();
+        assert_eq!(collect_stream(&mut s), want[..second.edge_offset as usize]);
+        assert!(s.error().is_some() && s.next_chunk(7).is_empty());
 
         // Tamper with the *header CRC*: Full/HeaderAndIndex reject at open,
         // Off still opens (magic + structure intact).

@@ -21,9 +21,9 @@
 //!
 //! Workers may finish out of order; the consumer delivers blocks strictly by
 //! index through an ordered reassembly map. The chunk sequence out of
-//! [`EdgeStream::next_chunk`]/[`EdgeStream::next_slice`] is therefore
-//! byte-identical to the serial [`super::PackedEdgeStream`] at every thread
-//! count and prefetch depth — pinned by `tests/pipelined_equivalence.rs`.
+//! [`EdgeStream::next_chunk`] is therefore byte-identical to the serial
+//! [`super::PackedEdgeStream`] at every thread count and prefetch depth —
+//! pinned by `tests/pipelined_equivalence.rs`.
 //!
 //! # Failure contract
 //!
@@ -34,15 +34,13 @@
 //! the error — the same park-error/reset-reports contract as every other
 //! file-backed stream in this crate, held across threads.
 
-use super::checksum::{crc32, ChecksumPolicy};
-use super::codec::BlockDecoder;
-use super::{open_validated, PackHeader, PackIndex};
+use super::checksum::ChecksumPolicy;
+use super::{load_block, open_validated, PackHeader, PackIndex};
 use crate::error::{GraphError, Result};
 use crate::stream::{EdgeStream, RestreamableStream};
 use crate::types::Edge;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -154,7 +152,6 @@ impl PipeShared {
     fn worker_loop(&self) {
         let mut file: Option<File> = None;
         let mut raw: Vec<u8> = Vec::new();
-        let decoder = BlockDecoder;
         loop {
             let (block, epoch, mut buf) = {
                 let mut st = self.state.lock().expect("pipeline lock poisoned");
@@ -172,7 +169,7 @@ impl PipeShared {
                     st = self.work_cv.wait(st).expect("pipeline lock poisoned");
                 }
             };
-            let result = self.decode_one(&mut file, &mut raw, block, &mut buf, &decoder);
+            let result = self.decode_one(&mut file, &mut raw, block, &mut buf);
             let mut st = self.state.lock().expect("pipeline lock poisoned");
             if st.epoch == epoch {
                 let payload = match result {
@@ -198,7 +195,6 @@ impl PipeShared {
         raw: &mut Vec<u8>,
         block: usize,
         buf: &mut Vec<Edge>,
-        decoder: &BlockDecoder,
     ) -> Result<()> {
         // Each worker opens its own handle lazily so shards decode without
         // seek contention; an open failure surfaces per claimed block.
@@ -206,20 +202,7 @@ impl PipeShared {
             *file = Some(File::open(&self.path)?);
         }
         let f = file.as_mut().expect("just opened");
-        let entry = self.index.entries()[block];
-        raw.resize(entry.byte_len as usize, 0);
-        f.seek(SeekFrom::Start(entry.byte_offset))?;
-        f.read_exact(raw)?;
-        if self.policy.verify_payload() {
-            let computed = crc32(raw);
-            if computed != entry.crc {
-                return Err(GraphError::Format(format!(
-                    "block at offset {} failed its checksum: stored {:#010x}, computed {computed:#010x}",
-                    entry.byte_offset, entry.crc
-                )));
-            }
-        }
-        decoder.decode(raw, &entry, buf)
+        load_block(f, raw, &self.index.entries()[block], self.policy, buf)
     }
 }
 
@@ -401,34 +384,14 @@ impl PipelinedPackStream {
 }
 
 impl EdgeStream for PipelinedPackStream {
-    fn next_edge(&mut self) -> Option<Edge> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
         if self.remaining() == 0 && !self.load_next_block() {
-            return None;
-        }
-        let e = self.decoded[self.pos];
-        self.pos += 1;
-        Some(e)
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
-        if self.remaining() == 0 && !self.load_next_block() {
-            return 0;
-        }
-        let n = cap.max(1).min(self.remaining());
-        buf.extend_from_slice(&self.decoded[self.pos..self.pos + n]);
-        self.pos += n;
-        n
-    }
-
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        if self.remaining() == 0 && !self.load_next_block() {
-            return Some(&[]);
+            return &[];
         }
         let n = cap.max(1).min(self.remaining());
         let s = &self.decoded[self.pos..self.pos + n];
         self.pos += n;
-        Some(s)
+        s
     }
 
     fn len_hint(&self) -> Option<u64> {

@@ -5,31 +5,29 @@
 //! three-pass restreaming architecture additionally needs
 //! [`RestreamableStream::reset`] to rewind the stream between passes.
 //!
-//! # Chunked pulls
+//! # One pull
 //!
-//! The ABI is *chunked*: the hot path is [`EdgeStream::next_chunk`] (copy a
-//! block of edges into a caller buffer) with an optional zero-copy
-//! [`EdgeStream::next_slice`] fast path for memory-backed sources. The
-//! per-edge [`EdgeStream::next_edge`] remains for convenience and as the
-//! compatibility default — `next_chunk` has a default implementation that
-//! loops `next_edge`, so a third-party stream that only implements the
-//! per-edge method keeps working unchanged. Consumers drive streams with
-//! [`for_each_chunk`] and iterate tight `&[Edge]` loops, paying one virtual
-//! dispatch per *chunk* instead of one per *edge*.
+//! The model has one operation — read the next edges of the stream — and so
+//! has the trait: [`EdgeStream::next_chunk`] *lends* the next block of edges
+//! as a slice of storage the source already holds (the vector of an
+//! [`InMemoryStream`], the decoded block of a pack) or owns and fills (the
+//! record buffer of a file reader). Nothing is copied on the way to the
+//! consumer, and no buffer is sized by the number the consumer asks for.
+//! Consumers drive streams with [`for_each_chunk`] and iterate tight
+//! `&[Edge]` loops, paying one virtual dispatch per *chunk*.
 //!
-//! Chunk boundaries are **not semantic**: a source may return fewer than the
+//! Chunk boundaries are **not semantic**: a source may lend fewer than the
 //! requested number of edges at any time (block boundaries, internal buffer
 //! sizes); only an empty chunk means exhaustion. Consumers must therefore be
 //! insensitive to where chunks split — all in-tree consumers produce
 //! bit-identical results for any chunking of the same edge sequence (see
 //! `tests/chunked_equivalence.rs`).
 //!
-//! Two concrete sources are provided: [`InMemoryStream`] over a `Vec<Edge>`
-//! and `FileEdgeStream` (in [`crate::io::binary`]) over the on-disk binary
-//! format. The latter is what the Figure 10(a) experiment uses to separate
-//! I/O cost from computation cost. [`PerEdgeStream`] and [`ChunkLimited`]
-//! wrap any stream to force the legacy per-edge pull path or an arbitrary
-//! chunk granularity — the A/B levers of the throughput benchmark and the
+//! Two concrete sources are provided here and in [`crate::io::binary`]:
+//! [`InMemoryStream`] over a `Vec<Edge>` and `FileEdgeStream` over the
+//! on-disk binary format. The latter is what the Figure 10(a) experiment
+//! uses to separate I/O cost from computation cost. [`ChunkLimited`] wraps
+//! any stream to force an arbitrary chunk granularity — the lever of the
 //! equivalence suite.
 //!
 //! Because only the *empty* chunk is semantic, a source is free to produce
@@ -46,8 +44,8 @@ use crate::types::Edge;
 ///
 /// 4096 edges = 32 KiB of `Edge` payload — large enough to amortize the
 /// virtual dispatch and buffer bookkeeping to noise, small enough to stay
-/// L1/L2-resident while the consumer's tables are hot. The throughput
-/// experiment (`experiments throughput`) sweeps sizes around this value.
+/// L1/L2-resident while the consumer's tables are hot (the committed sweep,
+/// `results/BENCH_throughput.json`, is flat from 64 edges per pull up).
 ///
 /// Consumers read the effective size through [`chunk_edges`], which starts
 /// at this constant and can be overridden process-wide (the `clugp-part
@@ -87,53 +85,18 @@ pub fn set_chunk_edges(edges: usize) -> Result<()> {
 /// Implementors yield edges in *stream order*; the order is significant
 /// (the paper evaluates BFS order for CLUGP/Mint and random order for the
 /// other baselines).
-///
-/// Only [`next_edge`](EdgeStream::next_edge) and the hints are required;
-/// [`next_chunk`](EdgeStream::next_chunk) and
-/// [`next_slice`](EdgeStream::next_slice) have compatibility defaults, so an
-/// implementor written against the per-edge ABI compiles and behaves
-/// identically under chunked consumers.
 pub trait EdgeStream {
-    /// Returns the next edge, or `None` when the stream is exhausted.
-    fn next_edge(&mut self) -> Option<Edge>;
-
-    /// Pulls the next block of up to `cap` edges into `buf`.
+    /// Lends the next block of up to `cap` edges and advances past it.
     ///
-    /// `buf` is cleared first; the return value equals `buf.len()`. A return
-    /// of `0` means the stream is exhausted — implementations treat
+    /// An empty slice means the stream is exhausted — implementations treat
     /// `cap == 0` as 1, so an empty chunk *always* means exhaustion, even
-    /// for consumers that compute `cap` dynamically. A source **may** return
+    /// for consumers that compute `cap` dynamically. A source **may** lend
     /// fewer than `cap` edges while more remain (e.g. at an internal block
     /// boundary) — consumers must keep pulling until an empty chunk and must
-    /// not attach meaning to chunk boundaries.
-    ///
-    /// The default implementation loops [`next_edge`](EdgeStream::next_edge),
-    /// preserving the per-edge ABI for implementors that don't override it.
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        let cap = cap.max(1);
-        buf.clear();
-        while buf.len() < cap {
-            match self.next_edge() {
-                Some(e) => buf.push(e),
-                None => break,
-            }
-        }
-        buf.len()
-    }
-
-    /// Zero-copy variant of [`next_chunk`](EdgeStream::next_chunk): lends a
-    /// slice of up to `cap` edges directly from the source's backing storage
-    /// and advances the cursor past it.
-    ///
-    /// Returns `None` if this source cannot lend slices (the answer must not
-    /// change over the stream's lifetime); `Some(&[])` means the stream is
-    /// exhausted. As with `next_chunk`, implementations treat `cap == 0` as
-    /// 1 so the exhaustion signal is unambiguous. The default returns
-    /// `None`.
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        let _ = cap;
-        None
-    }
+    /// not attach meaning to chunk boundaries. The slice lives in storage
+    /// the source holds; a source that fills a buffer grows it by what its
+    /// input yields, never to `cap`.
+    fn next_chunk(&mut self, cap: usize) -> &[Edge];
 
     /// Total number of edges this stream will yield over a full pass, if
     /// known. Partitioners use it to pre-size tables (e.g. `Vmax = |E|/k`).
@@ -154,18 +117,8 @@ pub trait RestreamableStream: EdgeStream {
 
 impl<T: EdgeStream + ?Sized> EdgeStream for &mut T {
     #[inline]
-    fn next_edge(&mut self) -> Option<Edge> {
-        (**self).next_edge()
-    }
-
-    #[inline]
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        (**self).next_chunk(buf, cap)
-    }
-
-    #[inline]
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        (**self).next_slice(cap)
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        (**self).next_chunk(cap)
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -186,10 +139,8 @@ impl<T: RestreamableStream + ?Sized> RestreamableStream for &mut T {
 /// Drives `stream` to exhaustion in chunks of (at most) `cap` edges, calling
 /// `f` on each non-empty chunk.
 ///
-/// This is the consumer-side hot loop of the chunked ABI: one virtual
-/// dispatch per chunk, then a tight borrow-checked iteration over `&[Edge]`.
-/// Sources that lend slices ([`EdgeStream::next_slice`]) are drained
-/// zero-copy; everything else goes through one reused copy buffer.
+/// This is the consumer-side hot loop: one virtual dispatch per chunk, then
+/// a tight borrow-checked iteration over the lent `&[Edge]`.
 pub fn for_each_chunk(stream: &mut dyn EdgeStream, cap: usize, mut f: impl FnMut(&[Edge])) {
     // One drain loop to maintain: the infallible version is the fallible
     // one at an uninhabited error type (compiles to the same code).
@@ -211,35 +162,19 @@ pub fn try_for_each_chunk<E>(
     cap: usize,
     mut f: impl FnMut(&[Edge]) -> std::result::Result<(), E>,
 ) -> std::result::Result<(), E> {
-    let cap = cap.max(1);
     loop {
-        // Borrow-scoped slice attempt; `None` (source can't lend) drops to
-        // the copying path for the rest of the stream.
-        let lent = match stream.next_slice(cap) {
-            Some(slice) => {
-                if slice.is_empty() {
-                    return Ok(());
-                }
-                f(slice)?;
-                true
-            }
-            None => false,
-        };
-        if !lent {
-            let mut buf: Vec<Edge> = Vec::with_capacity(cap);
-            while stream.next_chunk(&mut buf, cap) != 0 {
-                f(&buf)?;
-            }
+        let chunk = stream.next_chunk(cap);
+        if chunk.is_empty() {
             return Ok(());
         }
+        f(chunk)?;
     }
 }
 
 /// In-memory stream over an owned edge vector.
 ///
 /// The cheapest resettable source; all experiments except the I/O-cost
-/// breakdown use it. Chunked consumers drain it zero-copy through
-/// [`EdgeStream::next_slice`].
+/// breakdown use it. Chunks are lent straight out of the vector.
 #[derive(Debug, Clone)]
 pub struct InMemoryStream {
     edges: Vec<Edge>,
@@ -276,29 +211,11 @@ impl InMemoryStream {
 
 impl EdgeStream for InMemoryStream {
     #[inline]
-    fn next_edge(&mut self) -> Option<Edge> {
-        // Single bounds check: `get` both tests and fetches; the cursor bump
-        // only happens on the hit path.
-        let e = *self.edges.get(self.cursor)?;
-        self.cursor += 1;
-        Some(e)
-    }
-
-    #[inline]
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        buf.clear();
-        let n = cap.max(1).min(self.edges.len() - self.cursor);
-        buf.extend_from_slice(&self.edges[self.cursor..self.cursor + n]);
-        self.cursor += n;
-        n
-    }
-
-    #[inline]
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
         let n = cap.max(1).min(self.edges.len() - self.cursor);
         let s = &self.edges[self.cursor..self.cursor + n];
         self.cursor += n;
-        Some(s)
+        s
     }
 
     #[inline]
@@ -334,9 +251,9 @@ pub fn collect_stream(stream: &mut dyn EdgeStream) -> Vec<Edge> {
 /// A stream wrapper that counts wall-clock time spent *inside* the source,
 /// separating I/O cost from the consumer's computation (Figure 10a).
 ///
-/// Time is accumulated per *pull*: chunked consumers pay one `Instant`
-/// read-pair per chunk rather than one per edge, so the accounting overhead
-/// no longer distorts the I/O share it is meant to measure.
+/// Time is accumulated per *pull*: one `Instant` read-pair per chunk, so the
+/// accounting overhead does not distort the I/O share it is meant to
+/// measure.
 pub struct TimedStream<S> {
     inner: S,
     io_time: std::time::Duration,
@@ -363,25 +280,11 @@ impl<S: EdgeStream> TimedStream<S> {
 }
 
 impl<S: EdgeStream> EdgeStream for TimedStream<S> {
-    fn next_edge(&mut self) -> Option<Edge> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
         let t = std::time::Instant::now();
-        let e = self.inner.next_edge();
+        let chunk = self.inner.next_chunk(cap);
         self.io_time += t.elapsed();
-        e
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        let t = std::time::Instant::now();
-        let n = self.inner.next_chunk(buf, cap);
-        self.io_time += t.elapsed();
-        n
-    }
-
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        let t = std::time::Instant::now();
-        let s = self.inner.next_slice(cap);
-        self.io_time += t.elapsed();
-        s
+        chunk
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -402,62 +305,8 @@ impl<S: RestreamableStream> RestreamableStream for TimedStream<S> {
     }
 }
 
-/// Forces the legacy per-edge pull path over any stream.
-///
-/// Hides the inner stream's `next_chunk`/`next_slice` overrides: every chunk
-/// pull yields at most **one** edge, so a chunked consumer pays one virtual
-/// dispatch, one branch, and one buffer round-trip per edge — the cost model
-/// of the pre-chunking ABI. This is the "per-edge" leg of the throughput
-/// benchmark and the baseline of the equivalence suite.
-#[derive(Debug, Clone)]
-pub struct PerEdgeStream<S>(S);
-
-impl<S> PerEdgeStream<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
-        PerEdgeStream(inner)
-    }
-
-    /// Returns the wrapped stream.
-    pub fn into_inner(self) -> S {
-        self.0
-    }
-}
-
-impl<S: EdgeStream> EdgeStream for PerEdgeStream<S> {
-    #[inline]
-    fn next_edge(&mut self) -> Option<Edge> {
-        self.0.next_edge()
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, _cap: usize) -> usize {
-        buf.clear();
-        if let Some(e) = self.0.next_edge() {
-            buf.push(e);
-        }
-        buf.len()
-    }
-
-    // next_slice deliberately not overridden: stays `None`, so chunked
-    // consumers fall back to the copying path above.
-
-    fn len_hint(&self) -> Option<u64> {
-        self.0.len_hint()
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        self.0.num_vertices_hint()
-    }
-}
-
-impl<S: RestreamableStream> RestreamableStream for PerEdgeStream<S> {
-    fn reset(&mut self) -> Result<()> {
-        self.0.reset()
-    }
-}
-
-/// Caps every chunk or slice pull at `limit` edges, regardless of what the
-/// consumer asks for.
+/// Caps every pull at `limit` edges, regardless of what the consumer asks
+/// for.
 ///
 /// Simulates a source with its own block granularity (a sharded reader, a
 /// small I/O buffer). Consumers must produce identical results under any
@@ -484,17 +333,8 @@ impl<S> ChunkLimited<S> {
 }
 
 impl<S: EdgeStream> EdgeStream for ChunkLimited<S> {
-    #[inline]
-    fn next_edge(&mut self) -> Option<Edge> {
-        self.inner.next_edge()
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Edge>, cap: usize) -> usize {
-        self.inner.next_chunk(buf, cap.min(self.limit))
-    }
-
-    fn next_slice(&mut self, cap: usize) -> Option<&[Edge]> {
-        self.inner.next_slice(cap.min(self.limit))
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        self.inner.next_chunk(cap.min(self.limit))
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -515,19 +355,27 @@ impl<S: RestreamableStream> RestreamableStream for ChunkLimited<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idmap::{RawInMemoryStream, RemappedStream};
+    use crate::types::RawEdge;
 
     fn sample_edges() -> Vec<Edge> {
         vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 0)]
     }
 
+    /// The path 0 → 1 → … → n as raw and as internal edges.
+    fn dense_path(n: u32) -> (Vec<RawEdge>, Vec<Edge>) {
+        let raw = (0..u64::from(n)).map(|i| RawEdge::new(i, i + 1)).collect();
+        (raw, (0..n).map(|i| Edge::new(i, i + 1)).collect())
+    }
+
     #[test]
     fn in_memory_yields_in_order() {
         let mut s = InMemoryStream::from_edges(sample_edges());
-        assert_eq!(s.next_edge(), Some(Edge::new(0, 1)));
-        assert_eq!(s.next_edge(), Some(Edge::new(1, 2)));
-        assert_eq!(s.next_edge(), Some(Edge::new(2, 0)));
-        assert_eq!(s.next_edge(), None);
-        assert_eq!(s.next_edge(), None);
+        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
+        assert_eq!(s.next_chunk(1), [Edge::new(1, 2)]);
+        assert_eq!(s.next_chunk(1), [Edge::new(2, 0)]);
+        assert!(s.next_chunk(1).is_empty());
+        assert!(s.next_chunk(1).is_empty());
     }
 
     #[test]
@@ -556,12 +404,9 @@ mod tests {
     #[test]
     fn empty_stream() {
         let mut s = InMemoryStream::from_edges(vec![]);
-        assert_eq!(s.next_edge(), None);
+        assert!(s.next_chunk(4096).is_empty());
         assert_eq!(s.len_hint(), Some(0));
         assert_eq!(s.num_vertices_hint(), Some(0));
-        assert_eq!(s.next_slice(4096), Some(&[][..]));
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 4096), 0);
     }
 
     #[test]
@@ -569,79 +414,21 @@ mod tests {
         // A dynamically computed cap can reach 0 mid-drain; that must not
         // read as "exhausted" while edges remain.
         let mut s = InMemoryStream::from_edges(sample_edges());
-        assert_eq!(s.next_slice(0).map(<[Edge]>::len), Some(1));
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 0), 1);
-        // The default impl (per-edge implementors) clamps too.
-        struct One(bool);
-        impl EdgeStream for One {
-            fn next_edge(&mut self) -> Option<Edge> {
-                std::mem::take(&mut self.0).then_some(Edge::new(0, 1))
-            }
-            fn len_hint(&self) -> Option<u64> {
-                None
-            }
-            fn num_vertices_hint(&self) -> Option<u64> {
-                None
-            }
-        }
-        assert_eq!(One(true).next_chunk(&mut buf, 0), 1);
-    }
-
-    #[test]
-    fn in_memory_chunk_pull_matches_per_edge() {
-        let edges = sample_edges();
-        let mut s = InMemoryStream::from_edges(edges.clone());
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 2), 2);
-        assert_eq!(buf, &edges[..2]);
-        assert_eq!(s.next_chunk(&mut buf, 2), 1);
-        assert_eq!(buf, &edges[2..]);
-        assert_eq!(s.next_chunk(&mut buf, 2), 0);
-        assert!(buf.is_empty());
+        assert_eq!(s.next_chunk(0).len(), 1);
+        assert_eq!(ChunkLimited::new(s, 7).next_chunk(0).len(), 1);
     }
 
     #[test]
     fn in_memory_slice_is_zero_copy_view() {
         let edges = sample_edges();
         let mut s = InMemoryStream::from_edges(edges.clone());
-        assert_eq!(s.next_slice(2), Some(&edges[..2]));
-        assert_eq!(s.next_slice(10), Some(&edges[2..]));
-        assert_eq!(s.next_slice(10), Some(&[][..]));
-        // Mixing pull styles keeps the single cursor coherent.
+        assert_eq!(s.next_chunk(2), &edges[..2]);
+        assert_eq!(s.next_chunk(10), &edges[2..]);
+        assert!(s.next_chunk(10).is_empty());
+        // Pulls of different sizes share the single cursor.
         s.reset().unwrap();
-        assert_eq!(s.next_edge(), Some(edges[0]));
-        assert_eq!(s.next_slice(10), Some(&edges[1..]));
-    }
-
-    #[test]
-    fn default_next_chunk_loops_next_edge() {
-        // A minimal implementor that only provides the per-edge method: the
-        // compatibility contract of the chunked ABI.
-        struct Countdown(u32);
-        impl EdgeStream for Countdown {
-            fn next_edge(&mut self) -> Option<Edge> {
-                if self.0 == 0 {
-                    return None;
-                }
-                self.0 -= 1;
-                Some(Edge::new(self.0, self.0 + 1))
-            }
-            fn len_hint(&self) -> Option<u64> {
-                None
-            }
-            fn num_vertices_hint(&self) -> Option<u64> {
-                None
-            }
-        }
-        let mut s = Countdown(5);
-        assert_eq!(s.next_slice(8), None);
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 3), 3);
-        assert_eq!(s.next_chunk(&mut buf, 3), 2);
-        assert_eq!(s.next_chunk(&mut buf, 3), 0);
-        let collected = collect_stream(&mut Countdown(7));
-        assert_eq!(collected.len(), 7);
+        assert_eq!(s.next_chunk(1), &edges[..1]);
+        assert_eq!(s.next_chunk(10), &edges[1..]);
     }
 
     #[test]
@@ -653,6 +440,18 @@ mod tests {
             for_each_chunk(&mut s, cap, |chunk| seen.extend_from_slice(chunk));
             assert_eq!(seen, edges, "cap={cap}");
         }
+    }
+
+    #[test]
+    fn no_buffer_is_sized_by_the_cap() {
+        // A source that fills its own buffer grows it by what its input
+        // yields: the largest cap a caller can name drains it like any other
+        // (a buffer of `cap` edges would be a "capacity overflow" panic).
+        let (raw, edges) = dense_path(100);
+        let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
+        let mut seen = Vec::new();
+        for_each_chunk(&mut s, usize::MAX, |chunk| seen.extend_from_slice(chunk));
+        assert_eq!(seen, edges);
     }
 
     #[test]
@@ -684,27 +483,6 @@ mod tests {
                 assert!(consumed < 100, "cap={cap}: error must stop the drain");
             }
         }
-        // The per-edge fallback path propagates too.
-        let mut legacy = PerEdgeStream::new(InMemoryStream::from_edges(edges));
-        let err: std::result::Result<(), u8> = try_for_each_chunk(&mut legacy, 4096, |_| Err(7));
-        assert_eq!(err, Err(7));
-    }
-
-    #[test]
-    fn per_edge_wrapper_forces_singleton_chunks() {
-        let edges = sample_edges();
-        let mut s = PerEdgeStream::new(InMemoryStream::from_edges(edges.clone()));
-        assert_eq!(s.next_slice(100), None, "slices must be hidden");
-        let mut buf = Vec::new();
-        assert_eq!(s.next_chunk(&mut buf, 100), 1);
-        assert_eq!(buf, &edges[..1]);
-        s.reset().unwrap();
-        let mut seen = Vec::new();
-        for_each_chunk(&mut s, 4096, |chunk| {
-            assert_eq!(chunk.len(), 1);
-            seen.extend_from_slice(chunk);
-        });
-        assert_eq!(seen, edges);
     }
 
     #[test]
@@ -736,9 +514,8 @@ mod tests {
     #[test]
     fn timed_stream_times_chunk_pulls() {
         let mut timed = TimedStream::new(InMemoryStream::from_edges(sample_edges()));
-        let mut buf = Vec::new();
-        assert_eq!(timed.next_chunk(&mut buf, 2), 2);
-        assert_eq!(timed.next_slice(10), Some(&sample_edges()[2..]));
+        assert_eq!(timed.next_chunk(2).len(), 2);
+        assert_eq!(timed.next_chunk(10), &sample_edges()[2..]);
         let _ = timed.io_time();
     }
 
@@ -752,6 +529,12 @@ mod tests {
         // with concurrently running tests.
         set_chunk_edges(777).unwrap();
         assert_eq!(chunk_edges(), 777);
+        // `collect_stream` and the remap build pull at the process-wide
+        // size; no number typed there sizes a buffer either.
+        set_chunk_edges(usize::MAX).unwrap();
+        let (raw, edges) = dense_path(100);
+        let mut s = RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap();
+        assert_eq!(collect_stream(&mut s), edges);
         set_chunk_edges(DEFAULT_CHUNK_EDGES).unwrap();
         assert_eq!(chunk_edges(), DEFAULT_CHUNK_EDGES);
     }

@@ -1,16 +1,14 @@
-//! Chunked-vs-per-edge equivalence: every partitioner must produce
-//! byte-identical `PartitionRun` assignments whether its stream is drained
-//! through the zero-copy slice fast path, the legacy per-edge pull path, or
-//! chunk granularities of 1, 7, and 4096 edges — and the empty stream must
-//! behave the same everywhere. This is the contract that lets the chunked
-//! ABI claim "same partitions, fewer virtual dispatches".
+//! Chunking equivalence: every partitioner must produce byte-identical
+//! `PartitionRun` assignments whether its stream lends whole chunks or
+//! source chunk granularities of 1 (an edge at a time), 7, and 4096 edges —
+//! and the empty stream must behave the same everywhere. Every source must
+//! in turn deliver one edge sequence whatever the consumer asks for. This is
+//! the contract behind "chunk boundaries are not semantic".
 
 use clugp::baselines::{Dbh, Greedy, Grid, Hashing, Hdrf, Mint, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
-use clugp_graph::stream::{
-    ChunkLimited, EdgeStream, InMemoryStream, PerEdgeStream, RestreamableStream,
-};
+use clugp_graph::stream::{ChunkLimited, InMemoryStream, RestreamableStream};
 use clugp_graph::types::Edge;
 use clugp_repro::test_web_graph;
 
@@ -62,20 +60,12 @@ fn per_edge_and_chunked_paths_are_bit_identical() {
     let (n, edges) = test_web_graph(2_000, 31);
     let k = 8;
     for (name, mut p) in roster() {
-        // Reference: the native zero-copy slice path.
+        // Reference: whole chunks lent by the native source.
         let mut native = InMemoryStream::new(n, edges.clone());
         let reference = run(p.as_mut(), &mut native, k);
         assert_eq!(reference.0.len(), edges.len(), "{name}: wrong edge count");
 
-        // Legacy per-edge pull path (one virtual dispatch per edge).
-        let mut per_edge = PerEdgeStream::new(InMemoryStream::new(n, edges.clone()));
-        assert_eq!(
-            run(p.as_mut(), &mut per_edge, k),
-            reference,
-            "{name}: per-edge path diverged from the slice path"
-        );
-
-        // Arbitrary source chunk granularities.
+        // Arbitrary source chunk granularities; 1 is an edge per pull.
         for limit in [1usize, 7, 4096] {
             let mut limited = ChunkLimited::new(InMemoryStream::new(n, edges.clone()), limit);
             assert_eq!(
@@ -98,8 +88,6 @@ fn empty_stream_is_identical_on_every_path() {
         );
         assert_eq!(reference.1, vec![0; 4], "{name}: empty stream has load");
 
-        let mut per_edge = PerEdgeStream::new(InMemoryStream::new(0, vec![]));
-        assert_eq!(run(p.as_mut(), &mut per_edge, 4), reference, "{name}");
         for limit in [1usize, 7, 4096] {
             let mut limited = ChunkLimited::new(InMemoryStream::new(0, vec![]), limit);
             assert_eq!(run(p.as_mut(), &mut limited, 4), reference, "{name}");
@@ -184,13 +172,6 @@ fn packed_input_partitions_bit_identical_to_flat_binary() {
             "{name}: packed stream diverged from flat binary"
         );
 
-        let mut per_edge = PerEdgeStream::new(PackedEdgeStream::open(&pack_path).unwrap());
-        assert_eq!(
-            run(p.as_mut(), &mut per_edge, 8),
-            reference,
-            "{name}: per-edge pull over the pack diverged"
-        );
-
         for limit in [1usize, 7, 4096] {
             let mut limited = ChunkLimited::new(PackedEdgeStream::open(&pack_path).unwrap(), limit);
             assert_eq!(
@@ -228,7 +209,7 @@ fn sparse_remapped_stream_matches_dense_relabeled_run_bit_for_bit() {
     // ids through the remap layer must equal partitioning the equivalent
     // pre-relabeled dense graph (remap interns ids in first-appearance
     // order, which IS the dense relabeling of the stream) — for every
-    // algorithm, on every pull path, at every source chunk granularity.
+    // algorithm, at every source chunk granularity.
     use clugp_graph::idmap::{scramble_edges, IdMap, RawInMemoryStream, RemappedStream};
     let (_, edges) = test_web_graph(1_500, 35);
     let raw = scramble_edges(&edges);
@@ -254,12 +235,6 @@ fn sparse_remapped_stream_matches_dense_relabeled_run_bit_for_bit() {
             run(p.as_mut(), &mut sparse, 8),
             reference,
             "{name}: remapped sparse stream diverged from dense relabeling"
-        );
-        let mut per_edge = PerEdgeStream::new(remap());
-        assert_eq!(
-            run(p.as_mut(), &mut per_edge, 8),
-            reference,
-            "{name}: per-edge pull over the remap layer diverged"
         );
         for limit in [1usize, 7, 4096] {
             let mut limited = ChunkLimited::new(remap(), limit);
@@ -289,53 +264,73 @@ fn sparse_ids_error_cleanly_without_the_remap_layer() {
     );
 }
 
-/// A third-party stream written against the *pre-chunking* trait surface:
-/// only `next_edge` and the hints are implemented. It must compile unchanged
-/// and partition identically to the native source — the default-impl
-/// compatibility contract of `next_chunk`/`next_slice`.
-struct LegacyStream {
-    edges: Vec<Edge>,
-    cursor: usize,
-    n: u64,
-}
-
-impl EdgeStream for LegacyStream {
-    fn next_edge(&mut self) -> Option<Edge> {
-        let e = self.edges.get(self.cursor).copied();
-        if e.is_some() {
-            self.cursor += 1;
-        }
-        e
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.edges.len() as u64)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.n)
-    }
-}
-
-impl RestreamableStream for LegacyStream {
-    fn reset(&mut self) -> clugp_graph::Result<()> {
-        self.cursor = 0;
-        Ok(())
-    }
-}
-
 #[test]
-fn external_per_edge_implementor_still_works() {
-    let (n, edges) = test_web_graph(1_000, 34);
-    let mut legacy = LegacyStream {
-        edges: edges.clone(),
-        cursor: 0,
-        n,
+fn every_source_delivers_one_sequence_at_any_cap() {
+    // The pull contract, source by source: the same graph comes out as the
+    // same edge sequence whatever `cap` the consumer names (0 reads as 1,
+    // `usize::MAX` sizes nothing), no chunk is empty before the end or
+    // longer than `cap`, and a `reset` replays it.
+    use clugp_graph::idmap::{RawInMemoryStream, RemappedStream};
+    use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
+    use clugp_graph::io::edge_list::{write_edge_list, TextEdgeStream};
+    use clugp_graph::pack::{
+        canonical_order, write_pack, DecodeOptions, PackOptions, PackedEdgeStream,
+        PipelinedPackStream,
     };
-    let mut native = InMemoryStream::new(n, edges);
-    for (name, mut p) in roster() {
-        let a = run(p.as_mut(), &mut legacy, 4);
-        let b = run(p.as_mut(), &mut native, 4);
-        assert_eq!(a, b, "{name}: legacy implementor diverged");
+    use clugp_graph::types::RawEdge;
+    let (n, edges) = test_web_graph(1_000, 37);
+    // A pack stores the canonical order, so every source gets that one.
+    let want = canonical_order(&edges);
+    let dir = std::env::temp_dir().join("clugp_source_table");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (flat, text, pack) = (dir.join("g.bin"), dir.join("g.txt"), dir.join("g.clugpz"));
+    write_binary_graph(&flat, n, &want).unwrap();
+    write_edge_list(&text, &want).unwrap();
+    let small_blocks = PackOptions {
+        block_bytes: 2048,
+        ..Default::default()
+    };
+    write_pack(&pack, n, &want, &small_blocks).unwrap();
+    let two_threads = DecodeOptions {
+        threads: 2,
+        ..Default::default()
+    };
+    let raw = want
+        .iter()
+        .map(|e| RawEdge::new(e.src.into(), e.dst.into()))
+        .collect();
+    let sources: Vec<(&str, Box<dyn RestreamableStream>)> = vec![
+        ("memory", Box::new(InMemoryStream::new(n, want.clone()))),
+        ("binary", Box::new(FileEdgeStream::open(&flat).unwrap())),
+        ("text", Box::new(TextEdgeStream::open(&text).unwrap())),
+        ("pack", Box::new(PackedEdgeStream::open(&pack).unwrap())),
+        (
+            "pipelined pack",
+            Box::new(PipelinedPackStream::open(&pack, two_threads).unwrap()),
+        ),
+        (
+            "remapped",
+            Box::new(RemappedStream::identity(RawInMemoryStream::new(raw))),
+        ),
+    ];
+    for (name, mut s) in sources {
+        for cap in [0usize, 1, 7, 4096, usize::MAX] {
+            for pass in 0..2 {
+                let mut seen = Vec::with_capacity(want.len());
+                while seen.len() < want.len() {
+                    let chunk = s.next_chunk(cap);
+                    assert!(!chunk.is_empty(), "{name} cap={cap}: empty before the end");
+                    assert!(chunk.len() <= cap.max(1), "{name} cap={cap}: over the cap");
+                    seen.extend_from_slice(chunk);
+                }
+                assert_eq!(seen, want, "{name} cap={cap} pass={pass}");
+                assert!(
+                    s.next_chunk(cap).is_empty(),
+                    "{name} cap={cap}: past the end"
+                );
+                s.reset().unwrap();
+            }
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -923,6 +923,32 @@ fn relaxed_hashing_is_bit_identical_to_sequenced() {
 }
 
 #[test]
+fn relaxed_chunk_size_sizes_no_buffer() {
+    // The largest chunk the wire carries is a granularity, not an
+    // allocation: it behaves as any chunk that already covers a worker's
+    // whole range (a buffer of `cap` edges would be 32 GiB per worker).
+    let (n, edges) = test_web_graph(1_200, 48);
+    let run = |chunk_edges: usize| {
+        let input = DistInput::Edges {
+            num_vertices: n,
+            edges: &edges,
+        };
+        let cfg = DistConfig {
+            chunk_edges,
+            ..relaxed_cfg(2)
+        };
+        run_distributed(&DistAlgo::hdrf(), input, 8, &cfg)
+            .unwrap_or_else(|e| panic!("relaxed hdrf, chunk {chunk_edges}: {e}"))
+            .partitioning
+    };
+    let (huge, whole) = (run(u32::MAX as usize), run(edges.len()));
+    assert_eq!(
+        (huge.assignments, huge.loads),
+        (whole.assignments, whole.loads)
+    );
+}
+
+#[test]
 fn relaxed_mode_drift_is_bounded_and_outputs_are_consistent() {
     // Every relaxed run must still be a *valid* partition of the full edge
     // stream — every edge placed, loads exactly the assignment histogram —

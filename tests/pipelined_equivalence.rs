@@ -118,16 +118,13 @@ fn edge_and_chunk_sequences_match_serial_at_every_thread_count() {
             for cap in [1usize, 7, 333] {
                 let mut serial = PackedEdgeStream::open(&path).unwrap();
                 let mut piped = PipelinedPackStream::open(&path, opts(threads, prefetch)).unwrap();
-                let (mut a, mut b) = (Vec::new(), Vec::new());
                 loop {
-                    let na = serial.next_chunk(&mut a, cap);
-                    let nb = piped.next_chunk(&mut b, cap);
+                    let (a, b) = (serial.next_chunk(cap), piped.next_chunk(cap));
                     assert_eq!(
-                        (na, &a),
-                        (nb, &b),
+                        a, b,
                         "chunk diverged: threads={threads} prefetch={prefetch} cap={cap}"
                     );
-                    if na == 0 {
+                    if a.is_empty() {
                         break;
                     }
                 }
