@@ -2,7 +2,8 @@
 //!
 //! At every pass barrier the coordinator snapshots the complete
 //! distributed state — the sequencing [`Token`], the stage about to run,
-//! and every worker's table shards — into one [`Checkpoint`]. The
+//! and the tables, which it owns whenever they are not empty — into one
+//! [`Checkpoint`]. The
 //! supervisor keeps the latest one in memory to replay a failed pass;
 //! with `--checkpoint-dir` it is also persisted so a later run can
 //! `--resume` past already-finished passes.
@@ -33,12 +34,12 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"CLUGPCK1";
 
-/// One table slot's full contents across all workers.
+/// One table slot's full contents.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableDump {
     /// Words per row.
     pub width: u32,
-    /// Row keys (concatenated worker scans; each worker's range sorted).
+    /// Row keys: ascending as written today, in any order to a reader.
     pub keys: Vec<u64>,
     /// Flattened rows, `keys.len() * width` words.
     pub rows: Vec<u64>,

@@ -5,11 +5,12 @@
 //! sequences the passes as barriers (the streaming token travels worker
 //! 0‥N−1 inside each pass that writes shared state), relays cross-worker
 //! state traffic (the transports form a star, so the token holder reaches a
-//! remote shard via a coordinator-forwarded [`Msg::RouteBatch`]), hands the
-//! stages that only read a table the whole of it up front (`cast_table`:
-//! scan every shard, broadcast one [`Msg::TableCast`]), and runs the pass-2
-//! work the monolith does between streams: cluster compaction, the cluster
-//! graph, and the game/greedy cluster assignment.
+//! remote shard via a coordinator-forwarded [`Msg::RouteBatch`]), and runs the
+//! pass-2 work the monolith does between streams: cluster compaction, the
+//! cluster graph, and the game/greedy cluster assignment. From the end of
+//! pass 1 it owns the CLUGP tables ([`ClugpTables`]): a stage that only reads
+//! one is cast the whole of it up front (`cast_table`, one
+//! [`Msg::TableCast`]) and a barrier dumps them, both from memory.
 //!
 //! Whatever a worker reports is held against what the coordinator handed
 //! out before it is indexed with (`Coord::accept_part`, `merge_pairs`, the
@@ -19,27 +20,27 @@
 //!
 //! With supervision enabled ([`SuperviseConfig::max_retries`] > 0) the
 //! coordinator runs as a [`Supervisor`]: at every pass barrier it commits
-//! a [`Checkpoint`] (token + every worker's shards), and when a worker
-//! link fails retryably mid-pass — EOF, io error, deadline timeout,
+//! a [`Checkpoint`] (token + tables), and when a worker link fails
+//! retryably mid-pass — EOF, io error, deadline timeout,
 //! undecodable frame — it heals the fleet (probes every worker with
 //! `ResetTables`, respawns the dead ones through the host-provided
 //! [`Respawner`], reconfigures them) and replays the flow from the last
 //! committed barrier. Replay is exact because the pass kernels are
-//! deterministic and every worker's state is restored, so a recovered
-//! run stays bit-identical to an undisturbed one. Worker-*reported*
-//! errors ([`Msg::Err`], e.g. a corrupt pack block) stay fatal: they are
-//! deterministic and would only recur. The coordinator itself is not
-//! survivable — it holds the only copy of the in-flight pass results.
+//! deterministic, every worker restarts empty and the coordinator reloads its
+//! tables, so a recovered run stays bit-identical to an undisturbed one.
+//! Worker-*reported* errors ([`Msg::Err`], e.g. a corrupt pack block) stay
+//! fatal: they are deterministic and would only recur. The coordinator itself
+//! is not survivable — it holds the only copy of the in-flight pass results.
 
 use super::checkpoint::{load_latest, write_checkpoint, Checkpoint, TableDump};
 use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, StateOp, TableDef,
-    Token, WorkerSetup,
+    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, TableDef, Token,
+    WorkerSetup,
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
-use super::worker::{unexpected, with_edge_kernel, T_CPART, T_MAIN};
+use super::worker::{cluster_partition_map, unexpected, with_edge_kernel, T_CPART, T_MAIN};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
@@ -85,8 +86,8 @@ pub struct DistOutcome {
     pub ckpt_write_us: u64,
     /// Checkpoints persisted to disk.
     pub ckpt_writes: u64,
-    /// Total microseconds spent restoring checkpointed state into the
-    /// fleet (reset probes + row republish).
+    /// Total microseconds spent resetting the fleet to a checkpointed
+    /// barrier (one probe per worker; no row travels back).
     pub ckpt_restore_us: u64,
     /// Checkpoint restores performed (resumes and recoveries).
     pub ckpt_restores: u64,
@@ -214,23 +215,6 @@ impl Coord {
                 }
             }
         }
-    }
-
-    /// The whole of `table`: every worker's shard scanned, in worker order,
-    /// and concatenated as `(keys, flattened rows)`.
-    fn scan_all(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
-        let (mut all_keys, mut all_rows) = (Vec::new(), Vec::new());
-        for w in 0..self.conns.len() {
-            self.send(w, &Msg::Scan { table })?;
-            match self.recv(w)? {
-                Msg::ScanResp { keys, rows } => {
-                    all_keys.extend(keys);
-                    all_rows.extend(rows);
-                }
-                other => return Err(unexpected(&other)),
-            }
-        }
-        Ok((all_keys, all_rows))
     }
 
     /// Holds worker `w`'s `StageDone` against what the coordinator handed
@@ -661,52 +645,51 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Enters barrier `seq`: on a resume targeting exactly this barrier,
-    /// restores the checkpointed state and token; otherwise commits a
-    /// fresh checkpoint of the current state and hands back `fresh`.
+    /// resets the fleet and hands back the checkpointed token; otherwise
+    /// commits a fresh checkpoint of the current state and hands back `fresh`.
     fn enter_segment(
         &mut self,
         seq: u64,
         stage: Stage,
         fresh: Token,
         resume: Option<&Checkpoint>,
-        m_real: u64,
-        num_clusters: u64,
+        tables: Option<&ClugpTables>,
     ) -> Result<Token> {
         if let Some(ck) = resume {
             if ck.seq == seq {
-                self.restore(ck)?;
+                self.restore(seq)?;
                 return Ok(ck.token.clone());
             }
         }
-        self.barrier(seq, stage, &fresh, m_real, num_clusters)?;
+        self.barrier(seq, stage, &fresh, tables)?;
         Ok(fresh)
     }
 
-    /// Commits a checkpoint of the complete distributed state. `m_real`
-    /// and `num_clusters` carry the coordinator-side scalars a replay
-    /// needs to skip finished segments.
+    /// Commits a checkpoint of the complete distributed state, from memory:
+    /// every declared table is factory-empty at a first barrier, and what
+    /// lives past CLUGP's pass 1 is in `tables` (the raw volumes do not:
+    /// `compact_clusters` recomputed them from the degrees).
     fn barrier(
         &mut self,
         seq: u64,
         stage: Stage,
         token: &Token,
-        m_real: u64,
-        num_clusters: u64,
+        tables: Option<&ClugpTables>,
     ) -> Result<()> {
         if !self.checkpointing() {
             return Ok(());
         }
-        let mut tables = Vec::with_capacity(self.table_defs.len());
-        for t in 0..self.table_defs.len() {
-            // At the first barrier every table is still factory-empty, so
-            // an empty dump (restore = plain reset) is exact.
-            let (keys, rows) = if seq > 1 {
-                self.coord.scan_all(t as u8)?
-            } else {
-                Default::default()
-            };
-            let width = self.table_defs[t].width;
-            tables.push(TableDump { width, keys, rows });
+        let empty = |def: &TableDef| TableDump {
+            width: def.width,
+            ..Default::default()
+        };
+        let mut dumps: Vec<TableDump> = self.table_defs.iter().map(empty).collect();
+        let (mut m_real, mut num_clusters) = (0, 0);
+        if let Some(tables) = tables {
+            (m_real, num_clusters) = (tables.m_real, tables.num_clusters);
+            let (main, map) = (T_MAIN as usize, T_CPART as usize);
+            (dumps[main].keys, dumps[main].rows) = tables.vertex_rows();
+            (dumps[map].keys, dumps[map].rows) = tables.cluster_partition_rows();
         }
         let ck = Checkpoint {
             seq,
@@ -718,7 +701,7 @@ impl<'a> Supervisor<'a> {
             n_hint: self.n_hint,
             m_real,
             num_clusters,
-            tables,
+            tables: dumps,
         };
         if let Some(dir) = &self.ckpt_dir {
             let t0 = self.coord.t0();
@@ -732,60 +715,20 @@ impl<'a> Supervisor<'a> {
         Ok(())
     }
 
-    /// Resets every worker and republishes the checkpointed rows to the
-    /// owning shards. A mid-pass failure leaves *all* workers dirty (the
-    /// sequenced earlier workers already published), so restore always
-    /// rebuilds the whole fleet, not just the respawned links.
-    fn restore(&mut self, ck: &Checkpoint) -> Result<()> {
+    /// Resets every worker: no row travels back, a first barrier has none and
+    /// the later ones' are the coordinator's to reload and cast. A mid-pass
+    /// failure leaves *all* workers dirty (the sequenced earlier workers
+    /// already published), so restore always resets the whole fleet, not
+    /// just the respawned links.
+    fn restore(&mut self, seq: u64) -> Result<()> {
         let t0 = self.coord.t0();
         let started = Instant::now();
         for w in 0..self.coord.conns.len() {
             self.probe_reset(w)?;
         }
-        for (t, dump) in ck.tables.iter().enumerate() {
-            let fits = |def: &TableDef| dump.rows.len() == dump.keys.len() * def.width as usize;
-            let Some(def) = self.table_defs.get(t).copied().filter(fits) else {
-                return Err(PartitionError::InvalidParam(format!(
-                    "checkpoint table {t} does not fit the tables the run declares"
-                )));
-            };
-            let width = def.width as usize;
-            let rows = dump.keys.iter().copied().zip(dump.rows.chunks_exact(width));
-            self.put_rows(t as u8, rows)?;
-        }
         self.ckpt_restore_us += started.elapsed().as_micros() as u64;
         self.ckpt_restores += 1;
-        self.coord.span("checkpoint:restore", t0, ck.seq);
-        Ok(())
-    }
-
-    /// Overwrites rows of `table`, each on the shard that owns its key: one
-    /// acknowledged `Upsert` per owner.
-    fn put_rows<R: AsRef<[u64]>>(
-        &mut self,
-        table: u8,
-        rows: impl Iterator<Item = (u64, R)>,
-    ) -> Result<()> {
-        let workers = self.coord.conns.len();
-        let layout = self.table_defs[table as usize].layout;
-        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); workers];
-        for (key, row) in rows {
-            let (keys, flat) = &mut by_owner[layout.owner(key, workers as u32) as usize];
-            keys.push(key);
-            flat.extend_from_slice(row.as_ref());
-        }
-        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            let merge = MergeOp::Put;
-            let op = StateOp::Upsert { merge, keys, rows };
-            self.coord.send(owner, &Msg::StateReq { table, op })?;
-            match self.coord.recv(owner)? {
-                Msg::StateResp { .. } => {}
-                other => return Err(unexpected(&other)),
-            }
-        }
+        self.coord.span("checkpoint:restore", t0, seq);
         Ok(())
     }
 
@@ -1024,7 +967,7 @@ fn baseline_flow(
         loads: vec![0; k as usize],
         ..Default::default()
     };
-    let token0 = sup.enter_segment(1, stage, fresh, resume, 0, 0)?;
+    let token0 = sup.enter_segment(1, stage, fresh, resume, None)?;
     let t0 = sup.coord.t0();
     let mut assignments = Vec::new();
     let token = match sup.coord.mode {
@@ -1135,6 +1078,19 @@ fn merge_pass1_frontiers(coord: &mut Coord, state: &mut VertexState) -> Result<u
     Ok(base)
 }
 
+/// Sequenced pass 1's hand-over, and the only scan of a run: every worker's
+/// shard of the vertex rows, imported in worker order.
+fn scan_vertex_rows(coord: &mut Coord, state: &mut VertexState) -> Result<()> {
+    for w in 0..coord.conns.len() {
+        coord.send(w, &Msg::Scan { table: T_MAIN })?;
+        match coord.recv(w)? {
+            Msg::ScanResp { keys, rows } => state.import(&keys, &rows)?,
+            other => return Err(unexpected(&other)),
+        }
+    }
+    Ok(())
+}
+
 /// Merges the workers' cluster-graph partials, in worker (= stream) order.
 /// A partial is indexed with: every cluster id it names must be a dense id
 /// of this run, its `agg` the strictly ascending `lo < hi` key list the
@@ -1170,35 +1126,116 @@ fn merge_pairs(parts: &[PairsPayload], num_clusters: u64) -> Result<ClusterGraph
     Ok(ClusterGraph::from_parts(num_clusters as u32, intra, &agg))
 }
 
-/// Scans `table` off every worker's shards and broadcasts the concatenation
-/// to the whole fleet as a read-only [`Msg::TableCast`] mirror for the next
-/// stage. The frame is encoded once, whatever the worker count.
-fn cast_table(sup: &mut Supervisor<'_>, table: u8) -> Result<()> {
-    let (keys, rows) = sup.coord.scan_all(table)?;
+/// The CLUGP tables from the end of pass 1 on. Nothing writes them after
+/// `compact_clusters`, so the coordinator is their one owner: a barrier dumps
+/// them and a cast encodes them from here, never from the shards.
+struct ClugpTables {
+    /// Exact edge count, independent of the hint (each edge added 2 degrees).
+    m_real: u64,
+    num_clusters: u64,
+    /// [`T_MAIN`]: the compacted vertex rows.
+    vertices: VertexState,
+    /// [`T_CPART`]: dense cluster → partition; empty until pass 2b.
+    cluster_partition: Vec<u32>,
+}
+
+impl ClugpTables {
+    /// [`T_MAIN`] as `(keys, flattened rows)`: every vertex, ascending.
+    fn vertex_rows(&self) -> (Vec<u64>, Vec<u64>) {
+        let keys: Vec<u64> = (0..self.vertices.len()).collect();
+        let rows = self.vertices.export(&keys);
+        (keys, rows)
+    }
+
+    /// [`T_CPART`] as `(keys, rows)`: every dense cluster, ascending.
+    fn cluster_partition_rows(&self) -> (Vec<u64>, Vec<u64>) {
+        let parts = self.cluster_partition.iter().map(|&p| u64::from(p));
+        let keys = 0..self.cluster_partition.len() as u64;
+        (keys.collect(), parts.collect())
+    }
+
+    /// Reloads the tables a checkpoint of barrier 2 or 3 holds. The file is
+    /// outside input and its rows are cast and indexed with as they are, so
+    /// each is held to the run first: a vertex below the cap and in a cluster
+    /// the run has, a cluster count some vertex set backs, one partition below
+    /// `k` per dense cluster. Raw volumes (`T_VOL` rows, which older builds
+    /// dumped) are not read. An error names the file a barrier is written to.
+    fn from_checkpoint(
+        ck: &Checkpoint,
+        n_hint: u64,
+        max_vertices: u64,
+        k: u32,
+    ) -> Result<ClugpTables> {
+        let file = Checkpoint::file_name(ck.seq);
+        let bad = |what: String| PartitionError::InvalidParam(format!("{file}: {what}"));
+        if ck.seq > 3 || ck.tables.len() <= T_CPART as usize {
+            let tables = ck.tables.len();
+            return Err(bad(format!(
+                "barrier {} with {tables} tables: a CLUGP run has three of each",
+                ck.seq
+            )));
+        }
+        let (main, map) = (&ck.tables[T_MAIN as usize], &ck.tables[T_CPART as usize]);
+        let mut vertices = VertexState::new(n_hint, max_vertices)?;
+        vertices
+            .import(&main.keys, &main.rows)
+            .map_err(|e| bad(format!("vertex table: {e}")))?;
+        // Word 0 is `cluster + 1`, read before `unpack` narrows it. Every
+        // dense cluster has a member, which bounds what the count may size.
+        let n = ck.num_clusters;
+        let mut rows = main.rows.chunks_exact(ROW_WIDTH);
+        if n > main.keys.len() as u64 || rows.any(|row| row[0] > n) {
+            let vertices = main.keys.len();
+            return Err(bad(format!(
+                "vertex table: {vertices} rows do not name {n} dense clusters"
+            )));
+        }
+        let mut cluster_partition = Vec::new();
+        if ck.seq == 3 {
+            let named = |what| bad(format!("cluster map of {n}: {what}"));
+            if map.keys.len() as u64 != n {
+                return Err(named(format!("{} keys", map.keys.len())));
+            }
+            cluster_partition =
+                cluster_partition_map(&map.keys, &map.rows, k).map_err(|e| named(e.to_string()))?;
+        }
+        Ok(ClugpTables {
+            m_real: ck.m_real,
+            num_clusters: n,
+            vertices,
+            cluster_partition,
+        })
+    }
+}
+
+/// Broadcasts `table` to the whole fleet as a read-only [`Msg::TableCast`]
+/// mirror, which a worker keeps until it is reset. The frame is encoded once,
+/// whatever the worker count.
+fn cast_table(coord: &mut Coord, table: u8, (keys, rows): (Vec<u64>, Vec<u64>)) -> Result<()> {
     let frame = Msg::TableCast { table, keys, rows }.encode();
-    for (w, conn) in sup.coord.conns.iter_mut().enumerate() {
+    for (w, conn) in coord.conns.iter_mut().enumerate() {
         conn.send(&frame).map_err(|e| tag_worker(w, e))?;
     }
     Ok(())
 }
 
 /// The CLUGP three-pass flow: pass 1 streams clustering through the
-/// sharded vertex/volume tables; the coordinator then compacts clusters
-/// (recomputing dense volumes from degrees), republishes dense rows, casts
-/// them for the pairs stage, merges the cluster-graph partials, solves the
-/// game, publishes the cluster→partition map, casts both tables and runs
-/// the transformation pass.
+/// sharded vertex/volume tables; the coordinator then assembles the vertex
+/// state, compacts clusters (recomputing dense volumes from degrees) and
+/// from there on owns the tables ([`ClugpTables`]): it casts the vertex rows
+/// for the pairs stage, merges the cluster-graph partials, solves the game,
+/// casts the cluster → partition map and runs the transformation pass.
 ///
 /// Pass 1 writes the shared tables, so the mode decides how it runs (the
-/// sequenced token, or local clustering and a frontier merge). The other
-/// two stages only read them, through `cast_table` in both modes; the
-/// transformation still travels the token when sequenced, to keep the load
-/// cap hard, and that is all the mode changes about them.
+/// sequenced token and one scan, or local clustering and a frontier merge).
+/// The other two stages only read them, through `cast_table` in both modes;
+/// the transformation still travels the token when sequenced, to keep the
+/// load cap hard, and that is all the mode changes about them.
 ///
 /// The flow is segmented at three barriers (before pass 1, pass 2a, and
 /// pass 3); `resume` — from crash recovery or `--resume` — skips segments
-/// the checkpoint already finished, carrying `m_real` / `num_clusters`
-/// from it instead of recomputing them.
+/// the checkpoint already finished, reloading the tables from it instead of
+/// recomputing them.
 fn clugp_flow(
     sup: &mut Supervisor<'_>,
     cfg: &ClugpConfig,
@@ -1209,13 +1246,10 @@ fn clugp_flow(
 ) -> Result<Partitioning> {
     let relaxed = sup.coord.mode == AmpcMode::Relaxed;
     let target = resume.map_or(0, |ck| ck.seq);
-    let m_real: u64;
-    let num_clusters: u64;
 
-    if target > 1 {
+    let mut tables = if target > 1 {
         let ck = resume.expect("target > 1 implies a checkpoint");
-        m_real = ck.m_real;
-        num_clusters = ck.num_clusters;
+        ClugpTables::from_checkpoint(ck, n_hint, cfg.max_vertices, k)?
     } else {
         // Pass 1 (same hint rule as the monolith: no length hint disables
         // splitting by an effectively infinite vmax).
@@ -1225,7 +1259,7 @@ fn clugp_flow(
             u64::MAX
         };
         let stage = Stage::ClugpPass1 { vmax };
-        let token0 = sup.enter_segment(1, stage, Token::default(), resume, 0, 0)?;
+        let token0 = sup.enter_segment(1, stage, Token::default(), resume, None)?;
         let t0 = sup.coord.t0();
 
         // Assemble the authoritative vertex state: sequenced runs scan the
@@ -1240,12 +1274,10 @@ fn clugp_flow(
             raw_count
         } else {
             let token = sup.coord.run_stage(stage, token0, &mut no_assign)?;
-            let (keys, rows) = sup.coord.scan_all(T_MAIN)?;
-            state.import(&keys, &rows)?;
+            scan_vertex_rows(&mut sup.coord, &mut state)?;
             token.next_raw
         };
-        // Exact edge count, independent of the hint (each edge added 2).
-        m_real = state.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+        let m_real = state.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
         // An edge mints at most four clusters (two allocations, two splits);
         // the watermark sizes vectors, so it is held to that first.
         if raw_count > m_real.saturating_mul(4) {
@@ -1256,65 +1288,63 @@ fn clugp_flow(
 
         // Pass 2a prelude: dense cluster ids (volumes recomputed from
         // degrees, so the raw volume table is no longer needed).
-        let (nc, _volumes) = compact_clusters(&mut state, raw_count as usize)?;
-        num_clusters = u64::from(nc);
-
-        // Republish dense rows for every vertex: they are what the casts
-        // of the next two stages (and the barrier checkpoints) scan.
-        sup.put_rows(T_MAIN, (0..state.len()).map(|v| (v, state.row(v as u32))))?;
-        // Pass 1 proper plus the coordinator's compaction/republish work
+        let (num_clusters, _volumes) = compact_clusters(&mut state, raw_count as usize)?;
+        // Pass 1 proper plus the coordinator's assembly and compaction
         // between passes — the "streaming clustering" half of Fig. 10.
         sup.coord.span("pass:pass1", t0, m_real);
-    }
+        ClugpTables {
+            m_real,
+            num_clusters: u64::from(num_clusters),
+            vertices: state,
+            cluster_partition: Vec::new(),
+        }
+    };
 
     if target <= 2 {
         // Pass 2a: the cluster graph, from per-worker partials merged in
         // worker (= stream) order. A partial is a pure function of a range
         // and the dense cluster ids, so the workers stream at once in
         // either mode.
+        let num_clusters = tables.num_clusters;
         let stage = Stage::ClugpPairs { num_clusters };
-        let token0 = sup.enter_segment(2, stage, Token::default(), resume, m_real, num_clusters)?;
+        let token0 = sup.enter_segment(2, stage, Token::default(), resume, Some(&tables))?;
         let t0 = sup.coord.t0();
         let mut no_assign = Vec::new();
         let mut pairs: Vec<PairsPayload> = Vec::new();
-        // A cast must follow enter_segment: a resumed run restores the
-        // shards first, and the scan reads the restored rows.
-        cast_table(sup, T_MAIN)?;
+        // A cast must follow enter_segment: a resumed run resets the fleet
+        // first, mirrors included.
+        cast_table(&mut sup.coord, T_MAIN, tables.vertex_rows())?;
         sup.coord.broadcast_stage(stage, &token0)?;
         sup.coord
             .collect_stage_done(stage, &mut no_assign, Some(&mut pairs))?;
         let cg = merge_pairs(&pairs, num_clusters)?;
 
         // Pass 2b: cluster → partition.
-        let cluster_partition = match cfg.assign_mode {
+        tables.cluster_partition = match cfg.assign_mode {
             ClusterAssignMode::Game => solve_game(&cg, k, cfg)?.partition_of,
             ClusterAssignMode::Greedy => greedy_assign::greedy_assign(&cg, k),
         };
-        let rows = cluster_partition.iter().enumerate();
-        sup.put_rows(T_CPART, rows.map(|(c, &p)| (c as u64, [u64::from(p)])))?;
-        // Cluster graph + game/greedy assignment + map publish — the
-        // "partitioning" half of Fig. 10.
+        // Cluster graph + game/greedy assignment — the "partitioning" half
+        // of Fig. 10.
         sup.coord.span("pass:pairs", t0, num_clusters);
     }
 
     // Pass 3: partition transformation under the balance cap.
-    let lmax = load_cap(cfg.tau, m_real, k);
+    let lmax = load_cap(cfg.tau, tables.m_real, k);
     let stage = Stage::ClugpTransform { lmax };
-    let token0 = sup.enter_segment(
-        3,
-        stage,
-        Token {
-            loads: vec![0; k as usize],
-            ..Default::default()
-        },
-        resume,
-        m_real,
-        num_clusters,
-    )?;
+    let fresh = Token {
+        loads: vec![0; k as usize],
+        ..Default::default()
+    };
+    let token0 = sup.enter_segment(3, stage, fresh, resume, Some(&tables))?;
     let t0 = sup.coord.t0();
     let mut assignments = Vec::new();
-    cast_table(sup, T_MAIN)?;
-    cast_table(sup, T_CPART)?;
+    // The workers keep the vertex rows of the pairs stage. A run resumed
+    // here has not run one, and its fleet was just reset.
+    if target == 3 {
+        cast_table(&mut sup.coord, T_MAIN, tables.vertex_rows())?;
+    }
+    cast_table(&mut sup.coord, T_CPART, tables.cluster_partition_rows())?;
     let token = if relaxed {
         sup.coord.broadcast_stage(stage, &token0)?;
         let tokens = sup
@@ -1331,7 +1361,7 @@ fn clugp_flow(
         // `table_len` is the max vertex id (+1) any worker saw — the same
         // quantity the monolith reads off its table — so this matches the
         // pre-supervision `n_hint.max(cluster_of.len())` while staying
-        // computable on a resumed run that never scanned pass-1 state.
+        // computable on a resumed run that never ran pass 1.
         num_vertices: n_hint.max(token.table_len),
         assignments,
         loads: token.loads,
@@ -1342,6 +1372,7 @@ fn clugp_flow(
 mod tests {
     use super::super::proto::forged_stage_done;
     use super::super::transport::channel_pair;
+    use super::super::worker::T_VOL;
     use super::*;
     use clugp_graph::types::Edge;
 
@@ -1371,7 +1402,6 @@ mod tests {
                     let (keys, rows) = (vec![0, 1, 2], vec![1, 2, 0, 2, 2, 0, 3, 2, 0]);
                     vec![Msg::ScanResp { keys, rows }.encode()]
                 }
-                Msg::StateReq { .. } => vec![Msg::StateResp { rows: Vec::new() }.encode()],
                 Msg::TableCast { .. } => Vec::new(),
                 // `Shutdown`, whatever the coordinator made of the replies.
                 _ => return,
@@ -1465,6 +1495,99 @@ mod tests {
             let msg = failure(AmpcMode::Sequenced, move |_| vec![done(next_raw, None)]);
             assert!(msg.contains(needle), "{msg}");
         }
+    }
+
+    #[test]
+    fn a_forged_checkpoint_is_a_typed_error_naming_the_file_at_load() {
+        use super::super::run_distributed;
+        let edges: Vec<Edge> = (0..40u32)
+            .map(|i| Edge::new(i % 13, (i * 7 + 1) % 13))
+            .collect();
+        let input = DistInput::Edges {
+            num_vertices: 13,
+            edges: &edges,
+        };
+        let algo = DistAlgo::Clugp(ClugpConfig {
+            max_vertices: 64,
+            ..Default::default()
+        });
+        let dir = std::env::temp_dir().join(format!("clugpck-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = |resume| DistConfig {
+            workers: 2,
+            checkpoint_dir: Some(dir.clone()),
+            resume,
+            ..Default::default()
+        };
+        let fresh = run_distributed(&algo, input, 4, &cfg(false)).unwrap();
+        let file = |seq| dir.join(Checkpoint::file_name(seq));
+        let honest = Checkpoint::decode(&std::fs::read(file(3)).unwrap()).unwrap();
+        assert!(
+            honest.tables[T_VOL as usize].keys.is_empty(),
+            "dead table dumped"
+        );
+        let resumed_from = |ck: &Checkpoint| {
+            std::fs::write(file(ck.seq), ck.encode()).unwrap();
+            run_distributed(&algo, input, 4, &cfg(true))
+        };
+
+        // What a build before the coordinator owned the tables wrote still
+        // resumes: raw volumes beside the vertex rows (ignored), the map in
+        // the order of the shard scans rather than ascending.
+        let mut old = honest.clone();
+        old.tables[T_VOL as usize] = TableDump {
+            width: 1,
+            keys: vec![0, 1],
+            rows: vec![9, 9],
+        };
+        old.tables[T_CPART as usize].keys.reverse();
+        old.tables[T_CPART as usize].rows.reverse();
+        let out = resumed_from(&old).expect("an older build's checkpoint");
+        assert_eq!(out.partitioning.assignments, fresh.partitioning.assignments);
+
+        // CRC-valid, and wrong about the run: each is refused when loaded,
+        // before a row of it is cast or indexed with.
+        type Forge = fn(&mut Checkpoint);
+        let cases: [(Forge, &str); 9] = [
+            (
+                |ck| ck.tables[0].rows.truncate(4),
+                "does not match key count",
+            ),
+            (
+                |ck| ck.tables[0].keys[3] = 64,
+                "exceeds the max_vertices cap 64",
+            ),
+            (
+                |ck| ck.tables[0].rows[0] = ck.num_clusters + 1,
+                "13 rows do not name",
+            ),
+            (|ck| ck.num_clusters = 1 << 40, "13 rows do not name"),
+            (|ck| ck.tables.truncate(2), "with 2 tables"),
+            (|ck| ck.tables[2].keys.clear(), ": 0 keys"),
+            (|ck| ck.tables[2].rows.truncate(1), "do not give each"),
+            (|ck| ck.tables[2].rows[0] = 4, "one of 4 partitions"),
+            (
+                |ck| ck.tables[2].keys[0] = ck.tables[2].keys[1],
+                "do not give each",
+            ),
+        ];
+        for (forge, needle) in cases {
+            let mut ck = honest.clone();
+            forge(&mut ck);
+            let err = resumed_from(&ck).expect_err(needle);
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("ckpt-00003.clugpck") && msg.contains(needle),
+                "{needle}: {msg}"
+            );
+        }
+        // A barrier the flow does not have.
+        let mut ck = honest.clone();
+        ck.seq = 4;
+        let err = resumed_from(&ck).expect_err("barrier 4").to_string();
+        assert!(err.contains("ckpt-00004.clugpck: barrier 4"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

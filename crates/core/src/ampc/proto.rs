@@ -6,13 +6,13 @@
 //! the worker drives it:
 //!
 //! ```text
-//! coordinator → worker:  Configure, RunStage, StateReq, StateReqBatch,
-//!                        Scan, TableCast, EpochSync, RouteReply,
-//!                        ResetTables, Shutdown
-//! worker → coordinator:  Hello, ConfigureOk, StageDone, StateResp,
-//!                        StateRespBatch, ScanResp, ResetOk, Err, and — only
-//!                        while running a stage — RouteBatch, EpochDone,
-//!                        Pass1Frontier, Heartbeat, TraceEvents
+//! coordinator → worker:  Configure, RunStage, StateReqBatch, Scan,
+//!                        TableCast, EpochSync, RouteReply, ResetTables,
+//!                        Shutdown
+//! worker → coordinator:  Hello, ConfigureOk, StageDone, StateRespBatch,
+//!                        ScanResp, ResetOk, Err, and — only while running a
+//!                        stage — RouteBatch, EpochDone, Pass1Frontier,
+//!                        Heartbeat, TraceEvents
 //! ```
 //!
 //! [`Msg::RouteBatch`] is the star-topology relay (DESIGN.md §11): the
@@ -26,20 +26,24 @@
 //! frame ordering through the coordinator guarantees they are applied before
 //! any later dependent read — which is what lets the worker keep several of
 //! them in flight behind the transport's bounded window. Only stages that
-//! *write* shared tables route (the baselines, CLUGP pass 1). (Tag 7, the
-//! one-op-per-frame `Route` this replaced, stays reserved.)
+//! *write* shared tables route (the baselines, CLUGP pass 1). (Tags 5 to 7 —
+//! `StateReq` and `StateResp`, the coordinator's own one-table `Upsert` and
+//! its ack, and the one-op-per-frame `Route` — are retired and stay reserved.)
 //!
-//! A stage that only *reads* a table gets it whole, ahead of its `RunStage`,
-//! as a [`Msg::TableCast`] — in both modes: the coordinator scans every shard
-//! ([`Msg::Scan`] → [`Msg::ScanResp`]) and broadcasts the concatenation.
-//! `ScanResp` is therefore the payload `TableCast` forwards, and both carry
-//! it in one coding: keys as zigzag varint deltas (ascending within a shard;
-//! the sign keeps the non-monotone concatenation of striped shards legal),
-//! rows as varints. A cast is one frame, so a table is bounded by the
-//! transport's frame cap (DESIGN.md §11). The `Epoch*` messages and
-//! [`Msg::Pass1Frontier`] belong to the relaxed concurrent mode, where every
-//! worker streams at once and state is reconciled at epoch barriers instead
-//! of per window.
+//! The shards are read back whole exactly once: after sequenced CLUGP pass 1
+//! the coordinator scans the vertex rows off every worker ([`Msg::Scan`] →
+//! [`Msg::ScanResp`]) and is their one owner from then on. A stage that only
+//! *reads* a table gets it whole, ahead of its `RunStage`, as a
+//! [`Msg::TableCast`] — in both modes, encoded once from the coordinator's
+//! copy, and kept by the worker until `ResetTables`, so the vertex rows
+//! travel once for the pairs stage and the transform. `ScanResp` and
+//! `TableCast` carry a table in one coding: keys as zigzag varint deltas
+//! (ascending within a shard; the sign keeps the non-monotone concatenation
+//! of striped shards legal), rows as varints. A cast is one frame, so a table
+//! is bounded by the transport's frame cap (DESIGN.md §11). The `Epoch*`
+//! messages and [`Msg::Pass1Frontier`] belong to the relaxed concurrent mode,
+//! where every worker streams at once and state is reconciled at epoch
+//! barriers instead of per window.
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
@@ -70,21 +74,6 @@ use clugp_obs::{Event, EventKind};
 
 fn bad(what: &str) -> PartitionError {
     PartitionError::InvalidParam(format!("malformed protocol frame: {what}"))
-}
-
-/// A merge request against one table's shard. (Op tag 0 was `Get`: retired
-/// and reserved — reads travel as [`BatchOp::Get`] or a [`Msg::TableCast`].)
-#[derive(Debug, Clone, PartialEq)]
-pub enum StateOp {
-    /// Merge a batch of rows (`keys.len() * width` words, flattened).
-    Upsert {
-        /// Word-wise combine rule.
-        merge: MergeOp,
-        /// Row keys.
-        keys: Vec<u64>,
-        /// Flattened row payload.
-        rows: Vec<u64>,
-    },
 }
 
 /// One operation inside a [`Msg::RouteBatch`] / [`Msg::StateReqBatch`],
@@ -270,7 +259,7 @@ pub struct WorkerSetup {
     pub algo: AlgoSpec,
     /// Edge range source.
     pub input: InputSpec,
-    /// Table slots, referenced by index in [`StateOp`] messages.
+    /// Table slots, referenced by index in [`BatchOp`]s and casts.
     pub tables: Vec<TableDef>,
     /// Record spans/instants and flush them as [`Msg::TraceEvents`]
     /// frames before every `StageDone`. Off by default; carried in the
@@ -428,24 +417,12 @@ pub enum Msg {
         /// Cluster-graph partials (CLUGP pairs stage only).
         pairs: Option<PairsPayload>,
     },
-    /// State service request against the receiver's shard of `table`.
-    StateReq {
-        /// Table slot index.
-        table: u8,
-        /// Operation.
-        op: StateOp,
-    },
-    /// State service reply: the ack of an `Upsert`.
-    StateResp {
-        /// Always empty; it stays so that the frame's bytes do not change.
-        rows: Vec<u64>,
-    },
     /// Dump the receiver's shard of `table`.
     Scan {
         /// Table slot index.
         table: u8,
     },
-    /// Scan reply, in the coding of the [`Msg::TableCast`] it feeds.
+    /// Scan reply, in the coding a [`Msg::TableCast`] shares.
     ScanResp {
         /// Row keys, ascending.
         keys: Vec<u64>,
@@ -542,7 +519,7 @@ pub enum Msg {
     TableCast {
         /// Table slot index.
         table: u8,
-        /// Row keys: the workers' scans concatenated, each ascending.
+        /// Row keys, in the coordinator's order (ascending today).
         keys: Vec<u64>,
         /// Flattened row words.
         rows: Vec<u64>,
@@ -579,28 +556,6 @@ fn get_edges(r: &mut Rd<'_>) -> Result<Vec<Edge>> {
         edges.push(Edge::new(src, dst));
     }
     Ok(edges)
-}
-
-fn put_op(w: &mut Wr, op: &StateOp) {
-    let StateOp::Upsert { merge, keys, rows } = op;
-    w.u8(1);
-    w.u8(merge.tag());
-    w.u64s(keys);
-    w.u64s(rows);
-}
-
-fn get_op(r: &mut Rd<'_>) -> Result<StateOp> {
-    Ok(match r.u8()? {
-        1 => {
-            let merge = MergeOp::from_tag(r.u8()?).ok_or_else(|| bad("merge op"))?;
-            StateOp::Upsert {
-                merge,
-                keys: r.u64s()?,
-                rows: r.u64s()?,
-            }
-        }
-        _ => return Err(bad("state op tag")),
-    })
 }
 
 pub(crate) fn put_token(w: &mut Wr, t: &Token) {
@@ -1011,8 +966,6 @@ impl Msg {
             Msg::ConfigureOk => "ConfigureOk",
             Msg::RunStage { .. } => "RunStage",
             Msg::StageDone { .. } => "StageDone",
-            Msg::StateReq { .. } => "StateReq",
-            Msg::StateResp { .. } => "StateResp",
             Msg::Scan { .. } => "Scan",
             Msg::ScanResp { .. } => "ScanResp",
             Msg::Shutdown => "Shutdown",
@@ -1119,15 +1072,6 @@ impl Msg {
                     }
                     None => w.bool(false),
                 }
-            }
-            Msg::StateReq { table, op } => {
-                w.u8(5);
-                w.u8(*table);
-                put_op(w, op);
-            }
-            Msg::StateResp { rows } => {
-                w.u8(6);
-                w.u64s(rows);
             }
             Msg::Scan { table } => {
                 w.u8(8);
@@ -1238,11 +1182,6 @@ impl Msg {
                     pairs,
                 }
             }
-            5 => Msg::StateReq {
-                table: r.u8()?,
-                op: get_op(&mut r)?,
-            },
-            6 => Msg::StateResp { rows: r.u64s()? },
             8 => Msg::Scan { table: r.u8()? },
             9 => {
                 let (keys, rows) = get_table_rows(&mut r)?;
@@ -1377,15 +1316,6 @@ mod tests {
                 agg: vec![(1 << 32 | 2, 4)],
             }),
         });
-        round_trip(Msg::StateReq {
-            table: 0,
-            op: StateOp::Upsert {
-                merge: MergeOp::Add,
-                keys: vec![5, 6],
-                rows: vec![1, 0],
-            },
-        });
-        round_trip(Msg::StateResp { rows: vec![1, 0] });
         round_trip(Msg::Scan { table: 2 });
         round_trip(Msg::ScanResp {
             keys: vec![0, 4],
@@ -1580,9 +1510,13 @@ mod tests {
         // Tag 7 was `Route`: retired, reserved, and no longer a message.
         let err = Msg::decode(&[7, 1, 0, 0, 0, 0]).unwrap_err();
         assert!(err.to_string().contains("message tag"), "{err}");
-        // So is state op 0, `Get`: a `StateReq` of table 0 asking for no keys.
-        let err = Msg::decode(&[5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
-        assert!(err.to_string().contains("state op tag"), "{err}");
+        // So are tags 5 and 6, `StateReq` and `StateResp`: an `Upsert` of no
+        // keys into table 0, and its empty ack.
+        let upsert = [&[5u8, 0, 1, 0][..], &[0; 16]].concat();
+        for frame in [&upsert[..], &[6, 0, 0, 0, 0, 0, 0, 0, 0]] {
+            let err = Msg::decode(frame).unwrap_err();
+            assert!(err.to_string().contains("message tag"), "{err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A worker owns one contiguous range of the edge stream and a
 //! [`StateShard`] per table. After `Configure` it sits in a serve loop:
-//! it answers `StateReq`/`Scan` against its local shards, and on
+//! it answers `StateReqBatch`/`Scan` against its local shards, and on
 //! `RunStage` it streams its edge range through *the same per-edge
 //! kernels the monolithic partitioners use*, which is what keeps every
 //! distributed configuration bit-identical to the monolith.
@@ -34,7 +34,9 @@
 //! never routes, in either mode: the coordinator broadcasts the tables it
 //! reads as [`Msg::TableCast`] mirrors ahead of `RunStage`, and the worker
 //! streams its whole range against them — the semi-external pass, an O(n)
-//! table held while the edges stream by.
+//! table held while the edges stream by. A mirror is built once, when its
+//! frame arrives, and kept until `ResetTables` ([`Casts`]): the vertex rows
+//! cast for the pairs stage serve the transform too.
 //!
 //! In [`AmpcMode::Relaxed`] nothing routes at all: every worker streams its
 //! whole range against worker-local tables and reconciles with the fleet at
@@ -45,8 +47,7 @@
 //! all that the mode changes about a CLUGP stage.
 
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, StateOp, Token,
-    WorkerSetup,
+    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
 use super::table::{Layout, MergeOp, StateShard};
 use super::transport::Transport;
@@ -284,7 +285,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         hb_interval,
         hb_last: Instant::now(),
         scratch: Vec::new(),
-        casts: FxHashMap::default(),
+        casts: Casts::default(),
         obs: EventBuf::new(),
         chunk_ts: 0,
         chunk_edges: 0,
@@ -292,11 +293,6 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
     wk.send_msg(&Msg::ConfigureOk)?;
     loop {
         match recv(wk.conn.as_mut())? {
-            Msg::StateReq { table, op } => {
-                let served = wk.apply_local(table, &op);
-                wk.reported(served)?;
-                wk.send_msg(&Msg::StateResp { rows: Vec::new() })?;
-            }
             Msg::StateReqBatch { keys, ops } => {
                 let served = wk.serve_batch(&keys, &ops);
                 if let Some(rows) = wk.reported(served)? {
@@ -308,15 +304,16 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.send_msg(&Msg::ScanResp { keys, rows })?;
             }
             Msg::TableCast { table, keys, rows } => {
-                // Read-only mirror for the next stage that reads it; no ack
+                // Read-only mirror for the stages that read it; no ack
                 // (ordered links deliver it before the RunStage behind it).
-                wk.casts.insert(table, (keys, rows));
+                let built = wk.import_cast(table, &keys, &rows);
+                wk.reported(built)?;
             }
             Msg::ResetTables => {
-                // Recovery: drop every shard and rebuild empty; the
-                // coordinator restores checkpointed rows right after.
+                // Recovery: drop every shard and mirror; the coordinator
+                // casts again what the replayed stages read.
                 wk.shards = build_shards(&wk.setup);
-                wk.casts.clear();
+                wk.casts = Casts::default();
                 wk.send_msg(&Msg::ResetOk)?;
             }
             Msg::RunStage {
@@ -407,6 +404,49 @@ impl Source {
     }
 }
 
+/// The read-only table mirrors received via [`Msg::TableCast`], as the
+/// tables the CLUGP pairs and transform stages index. Built when the frame
+/// arrives and kept until `ResetTables`, so each is cast once per worker
+/// incarnation.
+#[derive(Default)]
+struct Casts {
+    /// [`T_MAIN`]: the compacted vertex rows.
+    vertices: Option<VertexState>,
+    /// [`T_CPART`]: dense cluster → partition.
+    cluster_partition: Option<Vec<u32>>,
+}
+
+/// The mirror of `table` a stage reads.
+fn cast<T>(mirror: &Option<T>, table: u8) -> Result<&T> {
+    mirror.as_ref().ok_or_else(|| {
+        PartitionError::InvalidParam(format!(
+            "stage started without the cast of table slot {table}"
+        ))
+    })
+}
+
+/// The dense cluster → partition map that `(keys, rows)` carry in a cast or
+/// a checkpoint: one partition below `k` for each of `keys.len()` clusters,
+/// in any key order. Anything else would index out of a table.
+pub(crate) fn cluster_partition_map(keys: &[u64], rows: &[u64], k: u32) -> Result<Vec<u32>> {
+    let mut map = vec![u32::MAX; keys.len()];
+    let mut pairs = keys.iter().zip(rows);
+    let fits = pairs.all(|(&c, &part)| match map.get_mut(c as usize) {
+        Some(slot) if *slot == u32::MAX && part < u64::from(k) => {
+            *slot = part as u32;
+            true
+        }
+        _ => false,
+    });
+    if !fits || rows.len() != keys.len() {
+        return Err(PartitionError::InvalidParam(format!(
+            "cluster-partition rows do not give each of {} clusters one of {k} partitions",
+            keys.len()
+        )));
+    }
+    Ok(map)
+}
+
 struct Wk {
     conn: Box<dyn Transport>,
     setup: WorkerSetup,
@@ -417,10 +457,8 @@ struct Wk {
     hb_last: Instant,
     /// Reused encode buffer for every outgoing frame.
     scratch: Vec<u8>,
-    /// Read-only table mirrors received via [`Msg::TableCast`] (the CLUGP
-    /// pairs and transform stages), keyed by table slot: `(keys, flattened
-    /// rows)`.
-    casts: FxHashMap<u8, (Vec<u64>, Vec<u64>)>,
+    /// What the coordinator cast to this incarnation.
+    casts: Casts,
     /// Trace events recorded during the current stage, shipped to the
     /// coordinator as one [`Msg::TraceEvents`] frame right before
     /// `StageDone` (empty unless [`WorkerSetup::trace`]).
@@ -509,19 +547,6 @@ impl Wk {
             )));
         }
         Ok(i)
-    }
-
-    /// Executes a state op against the local shard of `table`.
-    fn apply_local(&mut self, table: u8, op: &StateOp) -> Result<()> {
-        let i = self.slot(table)?;
-        let shard = &mut self.shards[i];
-        let StateOp::Upsert { merge, keys, rows } = op;
-        if rows.len() != keys.len() * shard.width() {
-            return Err(PartitionError::InvalidParam(
-                "upsert row payload does not match key count".into(),
-            ));
-        }
-        shard.upsert_batch(*merge, keys, rows)
     }
 
     fn scan_local(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
@@ -807,25 +832,25 @@ impl Wk {
         self.chunk_edges = 0;
         let t_stage = if self.setup.trace { obs::now_us() } else { 0 };
         let mut source = self.open_source()?;
+        // The mirrors are lent to the stage, which sends through `self`.
+        let casts = std::mem::take(&mut self.casts);
         let mut out = match stage {
             Stage::Baseline => self.stage_baseline(token, &mut source, relaxed, epoch),
             Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source, relaxed),
             Stage::ClugpPairs { num_clusters } => {
-                self.stage_clugp_pairs(num_clusters, token, &mut source)
+                self.stage_clugp_pairs(num_clusters, token, &mut source, &casts)
             }
             Stage::ClugpTransform { lmax } => {
-                self.stage_clugp_transform(lmax, token, &mut source, relaxed)
+                self.stage_clugp_transform(lmax, token, &mut source, relaxed, &casts)
             }
         };
+        self.casts = casts;
         if out.is_ok() {
             if let Some(e) = source.pack_error() {
                 out = Err(PartitionError::InvalidParam(format!("pack stream: {e}")));
             }
         }
         self.restore_source(source);
-        // Casts are per-stage: the coordinator broadcasts fresh mirrors
-        // before every stage that reads them.
-        self.casts.clear();
         if self.setup.trace && out.is_ok() {
             // The condvar wait in the pipelined pack stream runs on this
             // thread, so the thread-local stall counter is exactly this
@@ -1082,23 +1107,27 @@ impl Wk {
         }
     }
 
-    /// Takes the [`Msg::TableCast`] of `table` the coordinator broadcast
-    /// ahead of this stage: `(keys, flattened rows)`.
-    fn take_cast(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
-        self.casts.remove(&table).ok_or_else(|| {
-            PartitionError::InvalidParam(format!(
-                "stage started without the cast of table slot {table}"
-            ))
-        })
-    }
-
-    /// The [`T_MAIN`] cast as the tables the read-only stages index.
-    fn cast_vertices(&mut self) -> Result<VertexState> {
+    /// Builds the mirror a [`Msg::TableCast`] of `table` carries, replacing
+    /// any earlier one.
+    fn import_cast(&mut self, table: u8, keys: &[u64], rows: &[u64]) -> Result<()> {
         let (_, _, max_vertices) = self.clugp_spec()?;
-        let (keys, rows) = self.take_cast(T_MAIN)?;
-        let mut vertices = VertexState::new(0, max_vertices)?;
-        vertices.import(&keys, &rows)?;
-        Ok(vertices)
+        match table {
+            T_MAIN => {
+                let mut vertices = VertexState::new(0, max_vertices)?;
+                vertices.import(keys, rows)?;
+                self.casts.vertices = Some(vertices);
+            }
+            T_CPART => {
+                let map = cluster_partition_map(keys, rows, self.setup.k)?;
+                self.casts.cluster_partition = Some(map);
+            }
+            _ => {
+                return Err(PartitionError::InvalidParam(format!(
+                    "no stage reads a cast of table slot {table}"
+                )))
+            }
+        }
+        Ok(())
     }
 
     /// CLUGP pass 1, the one stage that writes. Sequenced, the window's
@@ -1197,8 +1226,9 @@ impl Wk {
         num_clusters: u64,
         token: Token,
         source: &mut Source,
+        casts: &Casts,
     ) -> Result<StageOut> {
-        let vertices = self.cast_vertices()?;
+        let vertices = cast(&casts.vertices, T_MAIN)?;
         let mut sink = PairSink::new(num_clusters as usize, source.len());
         let mut buf = Vec::new();
         while self.next_window(source, &mut buf)? != 0 {
@@ -1234,22 +1264,11 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
         relaxed: bool,
+        casts: &Casts,
     ) -> Result<StageOut> {
         let k = self.setup.k;
-        let vertices = self.cast_vertices()?;
-        let (ckeys, crows) = self.take_cast(T_CPART)?;
-        if crows.len() != ckeys.len() {
-            return Err(PartitionError::InvalidParam(
-                "cluster-partition cast payload does not match key count".into(),
-            ));
-        }
-        let mut cpart: Vec<u32> = Vec::new();
-        for (&c, &part) in ckeys.iter().zip(&crows) {
-            if c as usize >= cpart.len() {
-                cpart.resize(c as usize + 1, 0);
-            }
-            cpart[c as usize] = part as u32;
-        }
+        let vertices = cast(&casts.vertices, T_MAIN)?;
+        let cpart = cast(&casts.cluster_partition, T_CPART)?;
         let mut balancer = Balancer {
             lmax: if relaxed {
                 lmax.div_ceil(u64::from(self.setup.workers)).max(1)
@@ -1274,7 +1293,7 @@ impl Wk {
                     balancer.cursor = 0;
                 }
                 placed += 1;
-                wide.push(balancer.step(e, &vertices, &cpart)?);
+                wide.push(balancer.step(e, vertices, cpart)?);
             }
             assignments.extend_from_slice(&wide);
         }
@@ -1489,13 +1508,13 @@ mod tests {
             keys: vec![5],
             ops: vec![BatchOp::Get { table: 0 }],
         };
-        let past_limit = Msg::StateReq {
-            table: 0,
-            op: StateOp::Upsert {
+        let past_limit = Msg::StateReqBatch {
+            keys: vec![u64::MAX],
+            ops: vec![BatchOp::Put {
+                table: 0,
                 merge: MergeOp::Put,
-                keys: vec![u64::MAX],
-                rows: vec![1, 2, 3],
-            },
+                vals: vec![1, 2, 3],
+            }],
         };
         for (frame, needle) in [
             (below_base, "below the shard base"),

@@ -150,7 +150,7 @@ fn scripted_faults_recover_bit_identically() {
         (
             "link severed in the last pass, the last worker streaming",
             2,
-            FaultScript::disconnect_at_send(25),
+            FaultScript::disconnect_at_send(14),
             Some(("transform", 2)),
         ),
         (
@@ -253,13 +253,16 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // frame or on an unacknowledged write-back), the run either recovers
     // bit-identically or terminates with a typed error.
     // The deadline keeps "terminates" bounded; the test finishing at all
-    // is the no-hang assertion.
+    // is the no-hang assertion. 8-edge chunks make a range a few admission
+    // windows long: with one window a link carries some 17 frames each way,
+    // fewer than a plan's ordinal can ask for.
     let (n, edges) = test_web_graph(500, 53);
     let k = 8;
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
     for seed in 1..=10u64 {
         let cfg = DistConfig {
             workers: 3,
+            chunk_edges: 8,
             supervise: supervised(600, 2),
             faults: FaultPlan::seeded(seed, 3),
             trace: true,
@@ -421,17 +424,21 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
             &cfg(FaultPlan::none()),
         )
         .unwrap_or_else(|e| panic!("{name}: fault-free relaxed run: {e}"));
+        // HDRF's one stage is a run of epoch rounds; CLUGP's first is two
+        // frames out (`Configure`, `RunStage`) and three back (`ConfigureOk`,
+        // the frontier, `StageDone`).
+        let (sent, received) = if name == "HDRF" { (4, 3) } else { (1, 2) };
         for (case, worker, script) in [
             (
                 "link severed mid-send",
                 1,
-                FaultScript::disconnect_at_send(4),
+                FaultScript::disconnect_at_send(sent),
             ),
             (
                 "inbound frame swallowed",
                 2,
                 FaultScript {
-                    on_recv: vec![(3, FaultAction::DropFrame)],
+                    on_recv: vec![(received, FaultAction::DropFrame)],
                     on_send: Vec::new(),
                 },
             ),
@@ -573,6 +580,133 @@ fn checkpoints_persist_and_resume_bit_identically() {
         "unexpected error: {err}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a over the little-endian bytes of an assignment vector (the hash of
+/// `distributed_equivalence`'s golden table).
+fn fnv1a(assignments: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in assignments.iter().flat_map(|p| p.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
+    // The workers keep the vertex rows of the pairs stage for the transform,
+    // so the coordinator casts them once per invocation. A link that dies on
+    // the transform's `RunStage` — the pairs stage ran in the same invocation
+    // — makes the replay start at barrier 3 with a fleet that was just reset,
+    // live workers included: it must be handed the rows again, never start
+    // the stage without them. One recovery, the undisturbed bits.
+    let (n, edges) = test_web_graph(1_500, 46);
+    let k = 8;
+    let input = DistInput::Edges {
+        num_vertices: n,
+        edges: &edges,
+    };
+    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    // (mode, chunk, epoch, faulted worker, ordinal of the transform's
+    // `RunStage` among the frames sent to it, the hash to land on). The
+    // relaxed configuration and hash are `distributed_equivalence`'s golden
+    // 2-worker CLUGP row; a relaxed worker is sent `Configure`, then a cast
+    // and a `RunStage` per read-only stage behind pass 1's `RunStage`.
+    for (mode, chunk_edges, epoch_chunks, worker, ordinal, want) in [
+        (AmpcMode::Sequenced, 0, 0, 0, 11, fnv1a(&reference.0)),
+        (AmpcMode::Relaxed, 173, 2, 1, 5, 0x784d_a5bd_8541_5212),
+    ] {
+        let mut faults = FaultPlan::none();
+        faults.push(worker, 0, FaultScript::disconnect_at_send(ordinal));
+        let cfg = DistConfig {
+            workers: 2,
+            mode,
+            chunk_edges,
+            epoch_chunks,
+            supervise: supervised(600, 2),
+            faults,
+            trace: true,
+            ..Default::default()
+        };
+        let out = run_distributed(&DistAlgo::clugp(), input, k, &cfg)
+            .unwrap_or_else(|e| panic!("{mode:?}: run did not recover: {e}"));
+        assert_eq!(
+            first_fault(&out).map(|(pass, _)| pass).as_deref(),
+            Some("transform"),
+            "{mode:?}: the fault must surface in the transform"
+        );
+        assert_eq!(out.recoveries, 1, "{mode:?}");
+        assert_eq!(
+            out.trace.count("pass:pairs"),
+            1,
+            "{mode:?}: the replay must start at barrier 3"
+        );
+        assert_eq!(
+            fnv1a(&out.partitioning.assignments),
+            want,
+            "{mode:?}: recovered run diverged (got {:#018x})",
+            fnv1a(&out.partitioning.assignments)
+        );
+    }
+}
+
+#[test]
+fn checkpoints_resume_under_another_worker_count() {
+    // Worker count is not part of a checkpoint's fingerprint: from barrier 2
+    // on it holds the coordinator's tables, which no worker layout shaped.
+    // Checkpoints written by 2 workers resume at barrier 2 and at barrier 3
+    // under 1 and under 3 workers, on the monolith's bits.
+    let (n, edges) = test_web_graph(700, 63);
+    let k = 8;
+    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    let input = DistInput::Edges {
+        num_vertices: n,
+        edges: &edges,
+    };
+    let written = tmp("recount_written");
+    let cfg = DistConfig {
+        workers: 2,
+        checkpoint_dir: Some(written.clone()),
+        ..Default::default()
+    };
+    run_distributed(&DistAlgo::clugp(), input, k, &cfg).expect("checkpointed run");
+    for barrier in [2u64, 3] {
+        for workers in [1u32, 3] {
+            // A resumed run commits the barriers it passes: each gets its
+            // own copy of the files up to the one it resumes at.
+            let dir = tmp(&format!("recount_{barrier}_{workers}"));
+            for seq in 1..=barrier {
+                let name = format!("ckpt-{seq:05}.clugpck");
+                std::fs::copy(written.join(&name), dir.join(&name)).unwrap();
+            }
+            let cfg = DistConfig {
+                workers,
+                checkpoint_dir: Some(dir.clone()),
+                resume: true,
+                trace: true,
+                ..Default::default()
+            };
+            let out = run_distributed(&DistAlgo::clugp(), input, k, &cfg)
+                .unwrap_or_else(|e| panic!("barrier {barrier}, {workers} workers: {e}"));
+            let ran = |pass: &str| out.trace.count(pass);
+            assert_eq!(
+                (ran("pass:pass1"), ran("pass:pairs"), ran("pass:transform")),
+                (0, usize::from(barrier == 2), 1),
+                "barrier {barrier}, {workers} workers: finished passes must be skipped"
+            );
+            assert_eq!(
+                (
+                    out.partitioning.assignments,
+                    out.partitioning.loads,
+                    out.partitioning.num_vertices
+                ),
+                reference,
+                "barrier {barrier}, {workers} workers: resumed run diverged from the monolith"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    std::fs::remove_dir_all(&written).ok();
 }
 
 #[test]
