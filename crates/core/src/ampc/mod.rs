@@ -296,29 +296,27 @@ pub fn split_ranges(total: u64, workers: u32) -> Vec<(u64, u64)> {
 
 /// Builds per-worker [`proto::InputSpec`]s for a pack file, handing each
 /// worker a contiguous block range (padding with empty ranges when the
-/// pack has fewer blocks than workers).
+/// pack has fewer blocks than workers) and this process's
+/// [`clugp_graph::pack::decode_options`], read here once.
 pub fn pack_input_specs(path: &Path, workers: u32) -> Result<Vec<proto::InputSpec>> {
     let reader = ShardedPackReader::open(path)?;
     let shards = reader.shards(workers.max(1) as usize);
-    let path_str = path.to_string_lossy().into_owned();
+    let decode = clugp_graph::pack::decode_options();
+    let spec = |blocks: std::ops::Range<usize>, edges| proto::InputSpec::Pack {
+        path: path.to_string_lossy().into_owned(),
+        block_start: blocks.start as u64,
+        block_end: blocks.end as u64,
+        edges,
+        decode,
+    };
     let mut specs: Vec<proto::InputSpec> = shards
         .iter()
-        .map(|s| proto::InputSpec::Pack {
-            path: path_str.clone(),
-            block_start: s.blocks.start as u64,
-            block_end: s.blocks.end as u64,
-            edges: s.edges,
-        })
+        .map(|s| spec(s.blocks.clone(), s.edges))
         .collect();
-    let blocks = reader.index().num_blocks() as u64;
-    while specs.len() < workers as usize {
-        specs.push(proto::InputSpec::Pack {
-            path: path_str.clone(),
-            block_start: blocks,
-            block_end: blocks,
-            edges: 0,
-        });
-    }
+    let blocks = reader.index().num_blocks();
+    specs.resize_with(specs.len().max(workers as usize), || {
+        spec(blocks..blocks, 0)
+    });
     Ok(specs)
 }
 

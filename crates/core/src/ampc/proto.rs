@@ -69,6 +69,7 @@ use super::wire::{Rd, Wr};
 use super::AmpcMode;
 use crate::baselines::{HdrfConfig, MintConfig};
 use crate::error::{PartitionError, Result};
+use clugp_graph::pack::{ChecksumPolicy, DecodeOptions};
 use clugp_graph::types::Edge;
 use clugp_obs::{Event, EventKind};
 
@@ -195,6 +196,9 @@ pub enum InputSpec {
         block_end: u64,
         /// Edge count of the range.
         edges: u64,
+        /// How to decode it: the coordinator's process-wide options, so
+        /// that worker processes need no flags of their own.
+        decode: DecodeOptions,
     },
 }
 
@@ -693,12 +697,16 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
             block_start,
             block_end,
             edges,
+            decode,
         } => {
             w.u8(1);
             w.str(path);
             w.u64(*block_start);
             w.u64(*block_end);
             w.u64(*edges);
+            w.u64(decode.threads as u64);
+            w.u64(decode.prefetch as u64);
+            w.u8(decode.checksums.tag());
         }
     }
     w.u64(s.tables.len() as u64);
@@ -754,6 +762,15 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
             block_start: r.u64()?,
             block_end: r.u64()?,
             edges: r.u64()?,
+            decode: DecodeOptions {
+                threads: r.u64()? as usize,
+                prefetch: match r.u64()? {
+                    0 => return Err(bad("prefetch of 0 blocks")),
+                    d => d as usize,
+                },
+                checksums: ChecksumPolicy::from_tag(r.u8()?)
+                    .ok_or_else(|| bad("checksum policy tag"))?,
+            },
         },
         _ => return Err(bad("input tag")),
     };
@@ -1481,7 +1498,7 @@ mod tests {
 
     #[test]
     fn pack_input_round_trips() {
-        round_trip(Msg::Configure(Box::new(WorkerSetup {
+        let setup = Msg::Configure(Box::new(WorkerSetup {
             worker: 0,
             workers: 2,
             k: 4,
@@ -1497,10 +1514,30 @@ mod tests {
                 block_start: 3,
                 block_end: 9,
                 edges: 5000,
+                decode: DecodeOptions {
+                    threads: 3,
+                    prefetch: 7,
+                    checksums: ChecksumPolicy::HeaderAndIndex,
+                },
             },
             tables: Vec::new(),
             trace: false,
-        })));
+        }));
+        round_trip(setup.clone());
+
+        // The frame ends: prefetch u64, policy tag u8, table count u64,
+        // trace u8. Neither a pipeline of no blocks nor an unknown policy
+        // is a default in disguise.
+        let good = setup.encode();
+        let (prefetch, policy) = (good.len() - 18, good.len() - 10);
+        assert_eq!((good[prefetch], good[policy]), (7, 1));
+        for (at, value, what) in [(prefetch, 0, "prefetch"), (policy, 3, "checksum policy")] {
+            let mut frame = good.clone();
+            frame[at] = value;
+            let err = Msg::decode(&frame).unwrap_err().to_string();
+            assert!(err.contains("malformed protocol frame"), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
     }
 
     #[test]

@@ -786,12 +786,12 @@ impl Wk {
                 block_start,
                 block_end,
                 edges,
+                decode,
             } => {
-                let opts = clugp_graph::pack::decode_options();
-                let reader = ShardedPackReader::open_with(Path::new(&path), opts.checksums)?;
+                let reader = ShardedPackReader::open_with(Path::new(&path), decode.checksums)?;
                 let range = block_start as usize..block_end as usize;
-                let source = if opts.threads > 0 {
-                    Source::PipelinedPack(reader.open_pipelined_block_range(range, opts)?)
+                let source = if decode.threads > 0 {
+                    Source::PipelinedPack(reader.open_pipelined_block_range(range, decode)?)
                 } else {
                     Source::Pack(reader.open_block_range(range)?)
                 };
@@ -800,6 +800,7 @@ impl Wk {
                     block_start,
                     block_end,
                     edges,
+                    decode,
                 };
                 Ok(source)
             }

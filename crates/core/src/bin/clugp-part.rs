@@ -9,7 +9,10 @@
 //!                   bytes, never by extension
 //! --k <K>           number of partitions (required, at most 2^20)
 //! --algo <name>     clugp (default) | hdrf | greedy | hashing | dbh | mint | grid
-//! --order <name>    bfs (default) | dfs | random | asis
+//! --order <name>    bfs (default) | dfs | random | asis. `asis` is the order
+//!                   the input's graph is stored in: a pack's own (canonical
+//!                   `(src, dst)`) order, and CSR order — a stable sort of
+//!                   the file's edges by source — for text and flat binary
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
 //! --chunk-size <N>  edges per stream chunk pull (default 4096), and x64 per
@@ -27,8 +30,9 @@
 //! --sparse          treat the input as a text edge list with arbitrary
 //!                   (sparse) 64-bit vertex ids — hashed URLs, crawl ids —
 //!                   remapped onto the dense internal space during the
-//!                   first pass; output is translated back to the external
-//!                   ids. Streams in file order.
+//!                   first pass; the output TSV is translated back to the
+//!                   external ids (a placement directory holds the internal
+//!                   ones). Streams in file order.
 //! --output <file>   write per-edge assignment as "src dst partition" TSV
 //! --workers <N>     shard the run across N workers through the
 //!                   coordinator/worker engine (default 1; results are
@@ -81,6 +85,17 @@
 //!                   write a placement directory (assignment snapshot +
 //!                   replica table) consumable by the engine crate
 //! ```
+//!
+//! Every run is one sequence — open the input as a stream, partition it,
+//! replay it once for the replica table, report — and what it holds follows
+//! from what it was asked, never from a flag. A pack in `asis` order is
+//! streamed from the file on every pass (sequenced `--workers` open their
+//! own block ranges of it) and `--sparse` streams the text file through its
+//! id map: O(|V|) tables plus 4 B/edge of assignment stay resident. Every
+//! other run holds the ordered edges, and says so on stderr: `bfs|dfs|random`
+//! are computed over the whole graph, `asis` of a text or binary file is a
+//! sort, and relaxed workers split by edge count where a pack splits by
+//! block. stderr ends with `peak rss = N MiB` (Linux).
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::proto::{Msg, Stage};
@@ -89,17 +104,20 @@ use clugp::ampc::{
     SuperviseConfig, Transport, TransportKind, UnixTransport,
 };
 use clugp::error::{FaultKind, PartitionError};
-use clugp::metrics::PartitionQuality;
+use clugp::metrics::{replay_replicas, PartitionQuality};
 use clugp::obs;
-use clugp::partition::{Partitioning, MAX_PARTITIONS};
-use clugp::state::ReplicaTable;
+use clugp::partition::MAX_PARTITIONS;
+use clugp::partition_io::write_placement_dir;
 use clugp_graph::csr::CsrGraph;
+use clugp_graph::idmap::RemappedStream;
 use clugp_graph::io::binary::read_binary_graph;
-use clugp_graph::io::edge_list::read_edge_list;
+use clugp_graph::io::edge_list::{read_edge_list, RawTextEdgeStream};
 use clugp_graph::io::{open_edge_stream, open_sparse_edge_stream, sniff_format, GraphFileFormat};
 use clugp_graph::order::{ordered_edges, StreamOrder};
-use clugp_graph::pack::{ChecksumPolicy, DecodeOptions, DEFAULT_PREFETCH_BLOCKS};
-use clugp_graph::stream::{collect_stream, InMemoryStream, RestreamableStream};
+use clugp_graph::pack::DecodeOptions;
+use clugp_graph::stream::{
+    chunk_edges, collect_stream, EdgeStream, InMemoryStream, RestreamableStream,
+};
 use clugp_graph::types::Edge;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -115,9 +133,7 @@ struct Options {
     tau: f64,
     threads: usize,
     chunk_size: Option<usize>,
-    decode_threads: usize,
-    prefetch: usize,
-    checksums: ChecksumPolicy,
+    decode: DecodeOptions,
     sparse: bool,
     output: Option<String>,
     workers: u32,
@@ -146,9 +162,7 @@ impl Default for Options {
             tau: 1.0,
             threads: 0,
             chunk_size: None,
-            decode_threads: 0,
-            prefetch: DEFAULT_PREFETCH_BLOCKS,
-            checksums: ChecksumPolicy::Full,
+            decode: DecodeOptions::default(),
             sparse: false,
             output: None,
             workers: 1,
@@ -205,20 +219,20 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.chunk_size = Some(n);
             }
             "--decode-threads" => {
-                opts.decode_threads = value("--decode-threads")?
+                opts.decode.threads = value("--decode-threads")?
                     .parse()
                     .map_err(|e| format!("--decode-threads: {e}"))?;
-                if opts.decode_threads == 0 {
+                if opts.decode.threads == 0 {
                     return Err(
                         "--decode-threads must be >= 1 (omit the flag for serial decode)".into(),
                     );
                 }
             }
             "--prefetch" => {
-                opts.prefetch = value("--prefetch")?
+                opts.decode.prefetch = value("--prefetch")?
                     .parse()
                     .map_err(|e| format!("--prefetch: {e}"))?;
-                if opts.prefetch == 0 {
+                if opts.decode.prefetch == 0 {
                     return Err(
                         "--prefetch must be >= 1 (the pipeline needs at least one block in flight)"
                             .into(),
@@ -226,7 +240,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--checksums" => {
-                opts.checksums = value("--checksums")?
+                opts.decode.checksums = value("--checksums")?
                     .parse()
                     .map_err(|e| format!("--checksums: {e}"))?;
             }
@@ -413,57 +427,87 @@ fn parse_order(name: &str) -> Result<StreamOrder, String> {
     })
 }
 
-/// Sparse-id mode: the input is a text edge list of arbitrary 64-bit ids.
-/// The remap layer compacts them during its build pass (in file order, so
-/// internal ids are the first-appearance relabeling), the partitioner runs
-/// over internal ids, and the output TSV is translated back to the external
-/// ids through the map.
-fn run_sparse(opts: &Options) -> Result<(), String> {
-    let mut stream =
-        open_sparse_edge_stream(Path::new(&opts.input)).map_err(|e| format!("--sparse: {e}"))?;
-    let distinct = stream.id_map().len();
-    eprintln!(
-        "loaded {} (sparse ids): |V|={distinct} distinct, id map {:.1} KiB \
-         (order: file)",
-        opts.input,
-        stream.id_map().memory_bytes() as f64 / 1024.0,
-    );
-    let mut partitioner = build_algo(opts)?.monolith();
-    let run = partitioner
-        .partition(&mut stream, opts.k)
-        .map_err(|e| e.to_string())?;
-    stream.reset().map_err(|e| e.to_string())?;
-    let edges = collect_stream(&mut stream);
-    let quality = PartitionQuality::compute(&edges, &run.partitioning);
+/// The opened input: the one stream partition, replay and TSV pull from.
+enum Source {
+    /// A pack in its own order, read from the file on every pass.
+    Pack(Box<dyn RestreamableStream>),
+    /// `--sparse`: the text file in file order, ids ranked by its id map.
+    Sparse(Box<RemappedStream<RawTextEdgeStream>>),
+    /// The reordered edges, held.
+    Mem(InMemoryStream),
+}
 
-    println!("algorithm          = {}", partitioner.name());
-    println!("k                  = {}", opts.k);
-    println!("distinct vertices  = {distinct}");
-    println!("replication factor = {:.4}", quality.replication_factor);
-    println!("relative balance   = {:.4}", quality.relative_balance);
-    println!("mirrors            = {}", quality.mirrors);
-    println!("partition time     = {:?}", run.timings.total);
-    println!("working memory     = {}", run.memory);
-
-    if let Some(out) = &opts.output {
-        let map = stream.id_map();
-        let mut w =
-            std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?);
-        for (e, p) in edges.iter().zip(&run.partitioning.assignments) {
-            // Translate internal ids back to the input's external ids.
-            writeln!(
-                w,
-                "{}\t{}\t{}",
-                map.external_of(e.src),
-                map.external_of(e.dst),
-                p
-            )
-            .map_err(|e| e.to_string())?;
+impl Source {
+    fn stream(&mut self) -> &mut dyn RestreamableStream {
+        match self {
+            Source::Pack(s) => s.as_mut(),
+            Source::Sparse(s) => s.as_mut(),
+            Source::Mem(s) => s,
         }
-        w.flush().map_err(|e| e.to_string())?;
-        eprintln!("assignment written to {out} (external ids)");
     }
-    Ok(())
+}
+
+/// Opens the input as the stream the run partitions (which inputs are one
+/// already and which are held, and why: the header). The raw edges and the
+/// CSR of a held order are gone before the partitioner starts.
+fn open(opts: &Options) -> Result<Source, String> {
+    let path = Path::new(&opts.input);
+    if opts.sparse {
+        let stream = open_sparse_edge_stream(path).map_err(|e| format!("--sparse: {e}"))?;
+        eprintln!(
+            "loaded {} (sparse ids): |V|={} distinct, id map {:.1} KiB (order: file)",
+            opts.input,
+            stream.id_map().len(),
+            stream.id_map().memory_bytes() as f64 / 1024.0,
+        );
+        return Ok(Source::Sparse(Box::new(stream)));
+    }
+    let order = parse_order(&opts.order)?;
+    let err = |e: clugp_graph::GraphError| e.to_string();
+    // Format is sniffed from the magic bytes, never the extension.
+    let (n, raw_edges) = match sniff_format(path).map_err(err)? {
+        GraphFileFormat::Binary => read_binary_graph(path).map_err(err)?,
+        GraphFileFormat::Packed => {
+            // Serial or pipelined per --decode-threads; both deliver the
+            // same chunk sequence, so the partitions cannot differ.
+            let mut s = open_edge_stream(path).map_err(err)?;
+            if order == StreamOrder::AsIs && opts.ampc_mode == AmpcMode::Sequenced {
+                eprintln!(
+                    "opened {}: streamed from the pack (order: asis)",
+                    opts.input
+                );
+                return Ok(Source::Pack(s));
+            }
+            let n = s
+                .num_vertices_hint()
+                .ok_or_else(|| "pack header is missing its vertex count".to_string())?;
+            let edges = collect_stream(s.as_mut());
+            s.reset().map_err(err)?; // surface parked decode errors
+            (n, edges)
+        }
+        GraphFileFormat::Text => {
+            let edges = read_edge_list(path).map_err(err)?;
+            (clugp_graph::types::implied_num_vertices(&edges), edges)
+        }
+    };
+    let graph = CsrGraph::from_edges(n, &raw_edges).map_err(err)?;
+    drop(raw_edges);
+    let edges = ordered_edges(&graph, order);
+    drop(graph);
+    eprintln!(
+        "loaded {}: |V|={n} |E|={} (order: {}, held in memory)",
+        opts.input,
+        edges.len(),
+        opts.order
+    );
+    Ok(Source::Mem(InMemoryStream::new(n, edges)))
+}
+
+/// `VmHWM` of this process in MiB; `None` where `/proc` does not say.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kib.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()? / 1024.0)
 }
 
 fn run(opts: &Options) -> Result<(), String> {
@@ -472,104 +516,115 @@ fn run(opts: &Options) -> Result<(), String> {
         // pulls with; partitions are chunking-invariant.
         clugp_graph::stream::set_chunk_edges(n).map_err(|e| e.to_string())?;
     }
-    // Process-wide decode knobs: `open_edge_stream` (here and inside AMPC
-    // workers) picks serial vs pipelined pack decode from these.
-    clugp_graph::pack::set_decode_options(DecodeOptions {
-        threads: opts.decode_threads,
-        prefetch: opts.prefetch,
-        checksums: opts.checksums,
-    });
-    if opts.sparse {
-        return run_sparse(opts);
-    }
-    let path = Path::new(&opts.input);
-    // Format is sniffed from the magic bytes, never the extension.
-    let (n, raw_edges) = match sniff_format(path).map_err(|e| e.to_string())? {
-        GraphFileFormat::Binary => read_binary_graph(path).map_err(|e| e.to_string())?,
-        GraphFileFormat::Packed => {
-            // Serial or pipelined per --decode-threads; both deliver the
-            // same chunk sequence, so the partitions cannot differ.
-            let mut s = open_edge_stream(path).map_err(|e| e.to_string())?;
-            let n = s
-                .num_vertices_hint()
-                .ok_or_else(|| "pack header is missing its vertex count".to_string())?;
-            let edges = collect_stream(s.as_mut());
-            s.reset().map_err(|e| e.to_string())?; // surface parked decode errors
-            (n, edges)
-        }
-        GraphFileFormat::Text => {
-            let edges = read_edge_list(path).map_err(|e| e.to_string())?;
-            (clugp_graph::types::implied_num_vertices(&edges), edges)
-        }
-    };
-    let graph = CsrGraph::from_edges(n, &raw_edges).map_err(|e| e.to_string())?;
-    let order = parse_order(&opts.order)?;
-    let edges = ordered_edges(&graph, order);
-    eprintln!(
-        "loaded {}: |V|={n} |E|={} (order: {})",
-        opts.input,
-        edges.len(),
-        opts.order
-    );
+    // Process-wide decode knobs: `open_edge_stream` reads them here, the
+    // coordinator hands them to its workers with their block ranges.
+    clugp_graph::pack::set_decode_options(opts.decode);
+    let err = |e: PartitionError| e.to_string();
+    let algo = build_algo(opts)?;
+    let mut source = open(opts)?;
 
-    let partitioning = if distributed(opts) {
-        let algo = build_algo(opts)?;
-        let input = DistInput::Edges {
-            num_vertices: n,
-            edges: &edges,
+    let (partitioning, time, engine_lines) = if distributed(opts) {
+        let input = match &source {
+            Source::Pack(_) => DistInput::Pack(Path::new(&opts.input)),
+            Source::Mem(mem) => DistInput::Edges {
+                num_vertices: mem.num_vertices_hint().unwrap_or(0),
+                edges: mem.edges(),
+            },
+            Source::Sparse(_) => unreachable!("parse_args rejects --sparse with workers"),
         };
         let cfg = dist_config(opts);
         let start = Instant::now();
         let out = if opts.transport == "unix" {
             run_multiprocess(&algo, input, opts, &cfg)?
         } else {
-            run_distributed(&algo, input, opts.k, &cfg).map_err(|e| e.to_string())?
+            run_distributed(&algo, input, opts.k, &cfg).map_err(err)?
         };
-        let quality = PartitionQuality::compute(&edges, &out.partitioning);
-        println!("algorithm          = {}", algo.name());
-        println!("k                  = {}", opts.k);
-        println!("replication factor = {:.4}", quality.replication_factor);
-        println!("relative balance   = {:.4}", quality.relative_balance);
-        println!("mirrors            = {}", quality.mirrors);
-        println!("partition time     = {:?}", start.elapsed());
-        println!("workers            = {} ({})", out.workers, opts.transport);
-        println!("ampc mode          = {}", opts.ampc_mode.name());
-        println!("recoveries         = {}", out.recoveries);
-        println!(
-            "bytes exchanged    = {} ({} frames)",
-            out.net.bytes_sent, out.net.frames_sent
+        let time = start.elapsed();
+        report_observability(opts, &out, time)?;
+        let lines = format!(
+            "workers            = {} ({})\n\
+             ampc mode          = {}\n\
+             recoveries         = {}\n\
+             bytes exchanged    = {} ({} frames)\n",
+            out.workers,
+            opts.transport,
+            opts.ampc_mode.name(),
+            out.recoveries,
+            out.net.bytes_sent,
+            out.net.frames_sent
         );
-        report_observability(opts, &out, start.elapsed())?;
-        out.partitioning
+        (out.partitioning, time, lines)
     } else {
-        let mut stream = InMemoryStream::new(n, edges.clone());
-        let mut partitioner = build_algo(opts)?.monolith();
-        let run = partitioner
-            .partition(&mut stream, opts.k)
-            .map_err(|e| e.to_string())?;
-        let quality = PartitionQuality::compute(&edges, &run.partitioning);
-        println!("algorithm          = {}", partitioner.name());
-        println!("k                  = {}", opts.k);
-        println!("replication factor = {:.4}", quality.replication_factor);
-        println!("relative balance   = {:.4}", quality.relative_balance);
-        println!("mirrors            = {}", quality.mirrors);
-        println!("partition time     = {:?}", run.timings.total);
-        println!("working memory     = {}", run.memory);
-        run.partitioning
+        let run = algo
+            .monolith()
+            .partition(source.stream(), opts.k)
+            .map_err(err)?;
+        let lines = format!("working memory     = {}\n", run.memory);
+        (run.partitioning, run.timings.total, lines)
     };
 
+    // One replay of the stream gives the one replica table that quality,
+    // the placement directory and the mirrors line are all read from.
+    let replicas = replay_replicas(source.stream(), &partitioning).map_err(err)?;
+    let quality = PartitionQuality::of(&replicas, &partitioning);
+    println!("algorithm          = {}", algo.name());
+    println!("k                  = {}", opts.k);
+    if let Source::Sparse(s) = &source {
+        println!("distinct vertices  = {}", s.id_map().len());
+    }
+    println!("replication factor = {:.4}", quality.replication_factor);
+    println!("relative balance   = {:.4}", quality.relative_balance);
+    println!("mirrors            = {}", quality.mirrors);
+    println!("partition time     = {time:?}");
+    print!("{engine_lines}");
+    let m = partitioning.num_edges();
+    if opts.k > 1 && m > 0 && quality.loads.iter().max() == Some(&m) {
+        let order = if opts.sparse { "file" } else { &opts.order };
+        eprintln!(
+            "warning: {} put all {m} edges on one of {} partitions in {order} order; \
+             try --order random",
+            algo.name(),
+            opts.k
+        );
+    }
+
     if let Some(dir) = &opts.emit_placement {
-        emit_placement(Path::new(dir), &edges, &partitioning)?;
-        eprintln!("placement written to {dir}");
+        write_placement_dir(Path::new(dir), &partitioning, &replicas).map_err(err)?;
+        let ids = if opts.sparse { " (internal ids)" } else { "" };
+        eprintln!("placement written to {dir}{ids}");
     }
     if let Some(out) = &opts.output {
         let mut w =
             std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?);
-        for (e, p) in edges.iter().zip(&partitioning.assignments) {
-            writeln!(w, "{}\t{}\t{}", e.src, e.dst, p).map_err(|e| e.to_string())?;
+        let mut parts = partitioning.assignments.iter();
+        // The chunk is copied out of the stream so that a sparse run can
+        // read the id map the stream owns while it writes.
+        let mut chunk: Vec<Edge> = Vec::new();
+        source.stream().reset().map_err(|e| e.to_string())?;
+        loop {
+            chunk.clear();
+            chunk.extend_from_slice(source.stream().next_chunk(chunk_edges()));
+            if chunk.is_empty() {
+                break;
+            }
+            let ids = match &source {
+                Source::Sparse(s) => Some(s.id_map()),
+                _ => None,
+            };
+            // Back to the input's own ids.
+            let ext = |v: u32| ids.map_or(u64::from(v), |map| map.external_of(v));
+            for (e, p) in chunk.iter().zip(parts.by_ref()) {
+                writeln!(w, "{}\t{}\t{}", ext(e.src), ext(e.dst), p).map_err(|e| e.to_string())?;
+            }
         }
+        // A source that failed mid-pass ended early and parked the error.
+        source.stream().reset().map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
-        eprintln!("assignment written to {out}");
+        let ids = if opts.sparse { " (external ids)" } else { "" };
+        eprintln!("assignment written to {out}{ids}");
+    }
+    if let Some(mib) = peak_rss_mib() {
+        eprintln!("peak rss = {mib:.1} MiB");
     }
     Ok(())
 }
@@ -692,22 +747,6 @@ fn metrics_json(out: &clugp::ampc::DistOutcome, wall: Duration) -> String {
         .finish()
 }
 
-/// Derives the replica table from the assignment and writes the placement
-/// directory (`partition_io::write_placement_dir`).
-fn emit_placement(dir: &Path, edges: &[Edge], partitioning: &Partitioning) -> Result<(), String> {
-    let mut replicas =
-        ReplicaTable::new(partitioning.num_vertices, partitioning.k).map_err(|e| e.to_string())?;
-    for (e, &p) in edges.iter().zip(&partitioning.assignments) {
-        replicas
-            .ensure_vertices(u64::from(e.src.max(e.dst)) + 1)
-            .map_err(|e| e.to_string())?;
-        replicas.insert(e.src, p);
-        replicas.insert(e.dst, p);
-    }
-    clugp::partition_io::write_placement_dir(dir, partitioning, &replicas)
-        .map_err(|e| e.to_string())
-}
-
 /// The worker-process fleet for multi-process mode: spawns `--workers`
 /// copies of this binary, slots their connections by `Hello{index}`, and
 /// — through the coordinator's respawner hook — replaces workers that die
@@ -718,8 +757,6 @@ struct WorkerFleet {
     sock: PathBuf,
     listener: std::os::unix::net::UnixListener,
     children: Vec<Option<std::process::Child>>,
-    /// Decode knobs forwarded to every worker process.
-    forward: Vec<String>,
     /// `CLUGP_AMPC_KILL_AT="<worker>:<frames>"` — arm worker `<worker>`
     /// (first incarnation only) to die abruptly after receiving
     /// `<frames>` frames. A deterministic crash injection for tests.
@@ -755,22 +792,11 @@ impl WorkerFleet {
             let (w, n) = s.split_once(':')?;
             Some((w.parse().ok()?, n.parse().ok()?))
         });
-        // Worker processes don't see our process-wide decode options, so
-        // the knobs ride along explicitly.
-        let forward = vec![
-            "--ampc-decode-threads".into(),
-            opts.decode_threads.to_string(),
-            "--ampc-prefetch".into(),
-            opts.prefetch.to_string(),
-            "--ampc-checksums".into(),
-            opts.checksums.name().into(),
-        ];
         Ok(WorkerFleet {
             exe,
             sock,
             listener,
             children: (0..opts.workers).map(|_| None).collect(),
-            forward,
             kill_at,
             accept_timeout,
         })
@@ -781,8 +807,7 @@ impl WorkerFleet {
         cmd.arg("--ampc-worker")
             .arg(&self.sock)
             .arg("--ampc-index")
-            .arg(i.to_string())
-            .args(&self.forward);
+            .arg(i.to_string());
         if arm_kill {
             if let Some((w, frames)) = self.kill_at {
                 if w == i {
@@ -1042,19 +1067,6 @@ fn main() -> ExitCode {
         };
         let index = lookup("--ampc-index").and_then(|v| v.parse::<u32>().ok());
         let kill_at = lookup("--ampc-kill-at").and_then(|v| v.parse::<u64>().ok());
-        // Decode knobs forwarded by the parent (absent when spawned by an
-        // older parent: defaults apply).
-        let mut decode = DecodeOptions::default();
-        if let Some(t) = lookup("--ampc-decode-threads").and_then(|v| v.parse::<usize>().ok()) {
-            decode.threads = t;
-        }
-        if let Some(d) = lookup("--ampc-prefetch").and_then(|v| v.parse::<usize>().ok()) {
-            decode.prefetch = d.max(1);
-        }
-        if let Some(p) = lookup("--ampc-checksums").and_then(|v| v.parse().ok()) {
-            decode.checksums = p;
-        }
-        clugp_graph::pack::set_decode_options(decode);
         return match (socket, index) {
             (Some(socket), Some(index)) => match run_ampc_worker(&socket, index, kill_at) {
                 Ok(()) => ExitCode::SUCCESS,
@@ -1245,6 +1257,37 @@ mod tests {
     }
 
     #[test]
+    fn sparse_mode_emits_a_placement_of_internal_ids() {
+        let dir = std::env::temp_dir().join("clugp_part_cli_sparse_placement_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("in.txt");
+        let placement = dir.join("placement");
+        std::fs::write(&input, "900 7000000000\n7000000000 55\n55 900\n").unwrap();
+        let opts = Options {
+            input: input.to_string_lossy().into_owned(),
+            k: 2,
+            algo: "hdrf".into(),
+            threads: 1,
+            sparse: true,
+            emit_placement: Some(placement.to_string_lossy().into_owned()),
+            ..Options::default()
+        };
+        run(&opts).unwrap();
+        let (p, replicas) = clugp::partition_io::read_placement_dir(&placement).unwrap();
+        assert_eq!((p.k, p.num_vertices, p.assignments.len()), (2, 3, 3));
+        // Internal ids are first-appearance ranks: 900 → 0, 7000000000 → 1, 55 → 2.
+        for ((src, dst), &part) in [(0, 1), (1, 2), (2, 0)].into_iter().zip(&p.assignments) {
+            for v in [src, dst] {
+                assert!(
+                    replicas.partitions_of(v).any(|q| q == part),
+                    "vertex {v} missing replica on partition {part}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn sparse_flag_parses_and_rejects_explicit_order() {
         let o = parse_args(&strs(&["g.txt", "--k", "4", "--sparse"])).unwrap();
         assert!(o.sparse);
@@ -1280,15 +1323,16 @@ mod tests {
             "header",
         ]))
         .unwrap();
-        assert_eq!(o.decode_threads, 3);
-        assert_eq!(o.prefetch, 8);
-        assert_eq!(o.checksums, ChecksumPolicy::HeaderAndIndex);
+        assert_eq!(o.decode.threads, 3);
+        assert_eq!(o.decode.prefetch, 8);
+        assert_eq!(
+            o.decode.checksums,
+            clugp_graph::pack::ChecksumPolicy::HeaderAndIndex
+        );
 
         // Defaults: serial decode, standard prefetch, full verification.
         let o = parse_args(&strs(&["g.txt", "--k", "4"])).unwrap();
-        assert_eq!(o.decode_threads, 0);
-        assert_eq!(o.prefetch, DEFAULT_PREFETCH_BLOCKS);
-        assert_eq!(o.checksums, ChecksumPolicy::Full);
+        assert_eq!(o.decode, DecodeOptions::default());
 
         let err = parse_args(&strs(&["g.txt", "--k", "4", "--decode-threads", "0"])).unwrap_err();
         assert!(err.contains("--decode-threads"), "{err}");
@@ -1321,8 +1365,11 @@ mod tests {
             order: "asis".into(),
             threads: 1,
             chunk_size: Some(2), // exercise the override end to end
-            decode_threads: 2,   // and the staged decode pipeline
-            prefetch: 2,
+            decode: DecodeOptions {
+                threads: 2, // and the staged decode pipeline
+                prefetch: 2,
+                ..Default::default()
+            },
             output: Some(output.to_string_lossy().into_owned()),
             ..Options::default()
         };

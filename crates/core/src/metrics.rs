@@ -3,8 +3,10 @@
 //! measurement is identical for every algorithm regardless of what internal
 //! state it kept.
 
+use crate::error::{PartitionError, Result};
 use crate::partition::Partitioning;
 use crate::state::ReplicaTable;
+use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
 use serde::Serialize;
 
@@ -27,6 +29,48 @@ pub struct PartitionQuality {
     pub loads: Vec<u64>,
 }
 
+/// Records the replicas `edges` place when edge `i` goes to `parts[i]`.
+fn place(table: &mut ReplicaTable, edges: &[Edge], parts: &[u32]) -> Result<()> {
+    for (e, &p) in edges.iter().zip(parts) {
+        table.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+        table.insert(e.src, p);
+        table.insert(e.dst, p);
+    }
+    Ok(())
+}
+
+/// Replays `stream` from its start against `partitioning` and returns the
+/// replica table the assignment implies — the one table quality and the
+/// placement directory are both read from, built without holding the edges.
+///
+/// # Errors
+///
+/// A stream that fails, or yields another number of edges than the
+/// assignment has entries; an endpoint past the table's vertex cap.
+pub fn replay_replicas(
+    stream: &mut dyn RestreamableStream,
+    partitioning: &Partitioning,
+) -> Result<ReplicaTable> {
+    let parts = &partitioning.assignments;
+    let mut table = ReplicaTable::new(partitioning.num_vertices, partitioning.k)?;
+    let mut seen = 0usize;
+    stream.reset()?;
+    try_for_each_chunk(stream, chunk_edges(), |chunk| {
+        let of_chunk = parts.get(seen..).unwrap_or_default();
+        seen += chunk.len();
+        place(&mut table, chunk, of_chunk)
+    })?;
+    // A stream that met a decode error ended early and parked it.
+    stream.reset()?;
+    if seen != parts.len() {
+        return Err(PartitionError::InvalidParam(format!(
+            "the stream yielded {seen} edges, the assignment has {}",
+            parts.len()
+        )));
+    }
+    Ok(table)
+}
+
 impl PartitionQuality {
     /// Computes quality for `partitioning` over `edges` (which must be in
     /// the same stream order the partitioner consumed).
@@ -45,17 +89,18 @@ impl PartitionQuality {
         );
         let mut table = ReplicaTable::new(partitioning.num_vertices, partitioning.k)
             .expect("partitioning dimensions exceed the internal id space");
-        for (e, &p) in edges.iter().zip(&partitioning.assignments) {
-            table
-                .ensure_vertices(u64::from(e.src.max(e.dst)) + 1)
-                .expect("edge id exceeds the internal id space");
-            table.insert(e.src, p);
-            table.insert(e.dst, p);
-        }
-        let total = table.total_replicas();
-        let touched = table.touched_vertices();
+        place(&mut table, edges, &partitioning.assignments)
+            .expect("edge id exceeds the internal id space");
+        Self::of(&table, partitioning)
+    }
+
+    /// Quality read off the replica table of `partitioning`
+    /// ([`replay_replicas`]).
+    pub fn of(replicas: &ReplicaTable, partitioning: &Partitioning) -> Self {
+        let total = replicas.total_replicas();
+        let touched = replicas.touched_vertices();
         PartitionQuality {
-            replication_factor: table.replication_factor(),
+            replication_factor: replicas.replication_factor(),
             relative_balance: partitioning.relative_balance(),
             total_replicas: total,
             touched_vertices: touched,
@@ -123,6 +168,36 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_lengths() {
         let _ = PartitionQuality::compute(&triangle(), &partitioning(2, vec![0]));
+    }
+
+    #[test]
+    fn replay_builds_the_table_compute_reads() {
+        use clugp_graph::stream::{ChunkLimited, InMemoryStream};
+        let p = partitioning(3, vec![0, 1, 2]);
+        // Two-edge pulls: a chunk boundary inside the assignment.
+        let mut stream = ChunkLimited::new(InMemoryStream::new(3, triangle()), 2);
+        let table = replay_replicas(&mut stream, &p).unwrap();
+        let (q, direct) = (
+            PartitionQuality::of(&table, &p),
+            PartitionQuality::compute(&triangle(), &p),
+        );
+        assert_eq!(q.total_replicas, direct.total_replicas);
+        assert_eq!(q.mirrors, 3);
+        assert_eq!(q.replication_factor, direct.replication_factor);
+        assert!(table.partitions_of(0).eq([0, 2]));
+    }
+
+    #[test]
+    fn replay_rejects_a_stream_of_another_length_or_past_the_cap() {
+        use clugp_graph::stream::InMemoryStream;
+        let mut stream = InMemoryStream::new(3, triangle());
+        let err = replay_replicas(&mut stream, &partitioning(2, vec![0, 1])).unwrap_err();
+        assert!(err.to_string().contains("yielded 3 edges"), "{err}");
+        let err = replay_replicas(&mut stream, &partitioning(2, vec![0, 1, 0, 1])).unwrap_err();
+        assert!(err.to_string().contains("the assignment has 4"), "{err}");
+        let mut stream = InMemoryStream::new(3, vec![Edge::new(0, u32::MAX)]);
+        let err = replay_replicas(&mut stream, &partitioning(2, vec![0])).unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
     }
 
     #[test]

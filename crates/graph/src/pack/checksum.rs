@@ -49,6 +49,26 @@ impl ChecksumPolicy {
         matches!(self, ChecksumPolicy::Full)
     }
 
+    /// One-byte tag: what the process-wide decode options store and the
+    /// AMPC handshake carries.
+    pub fn tag(self) -> u8 {
+        match self {
+            ChecksumPolicy::Full => 0,
+            ChecksumPolicy::HeaderAndIndex => 1,
+            ChecksumPolicy::Off => 2,
+        }
+    }
+
+    /// Decodes [`ChecksumPolicy::tag`]; `None` for any other byte.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Some(match tag {
+            0 => ChecksumPolicy::Full,
+            1 => ChecksumPolicy::HeaderAndIndex,
+            2 => ChecksumPolicy::Off,
+            _ => return None,
+        })
+    }
+
     /// Short name for logs, CLI echo, and bench artifacts.
     pub fn name(self) -> &'static str {
         match self {

@@ -81,29 +81,14 @@ static DECODE_THREADS: AtomicUsize = AtomicUsize::new(0);
 static DECODE_PREFETCH: AtomicUsize = AtomicUsize::new(DEFAULT_PREFETCH_BLOCKS);
 static DECODE_CHECKSUMS: AtomicU8 = AtomicU8::new(0);
 
-fn policy_to_u8(p: ChecksumPolicy) -> u8 {
-    match p {
-        ChecksumPolicy::Full => 0,
-        ChecksumPolicy::HeaderAndIndex => 1,
-        ChecksumPolicy::Off => 2,
-    }
-}
-
-fn policy_from_u8(v: u8) -> ChecksumPolicy {
-    match v {
-        1 => ChecksumPolicy::HeaderAndIndex,
-        2 => ChecksumPolicy::Off,
-        _ => ChecksumPolicy::Full,
-    }
-}
-
 /// The process-wide [`DecodeOptions`] honored by
 /// [`crate::io::open_edge_stream`] for packed inputs.
 pub fn decode_options() -> DecodeOptions {
     DecodeOptions {
         threads: DECODE_THREADS.load(Ordering::Relaxed),
         prefetch: DECODE_PREFETCH.load(Ordering::Relaxed).max(1),
-        checksums: policy_from_u8(DECODE_CHECKSUMS.load(Ordering::Relaxed)),
+        checksums: ChecksumPolicy::from_tag(DECODE_CHECKSUMS.load(Ordering::Relaxed))
+            .unwrap_or_default(),
     }
 }
 
@@ -111,7 +96,7 @@ pub fn decode_options() -> DecodeOptions {
 pub fn set_decode_options(opts: DecodeOptions) {
     DECODE_THREADS.store(opts.threads, Ordering::Relaxed);
     DECODE_PREFETCH.store(opts.prefetch.max(1), Ordering::Relaxed);
-    DECODE_CHECKSUMS.store(policy_to_u8(opts.checksums), Ordering::Relaxed);
+    DECODE_CHECKSUMS.store(opts.checksums.tag(), Ordering::Relaxed);
 }
 
 /// One decoded block in flight, or the error that killed it.

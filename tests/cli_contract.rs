@@ -305,3 +305,36 @@ fn every_cell_matches_the_recorded_bytes() {
         wrong.join("\n")
     );
 }
+
+/// HDRF and Greedy follow a locality-ordered stream into one partition
+/// (rf 1.0000, balance = k): that stays exit 0, and is said on stderr.
+#[test]
+fn one_partition_holding_every_edge_warns_and_exits_zero() {
+    let Some(exe) = clugp_part_exe() else {
+        eprintln!("skipping: clugp-part binary not built");
+        return;
+    };
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_contract_warning");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ring: String = (0..64).map(|v| format!("{v} {}\n", (v + 1) % 64)).collect();
+    std::fs::write(dir.join("ring.txt"), ring).unwrap();
+    let stderr_of = |order: &str| {
+        let out = Command::new(&exe)
+            .arg(dir.join("ring.txt"))
+            .args(["--k", "4", "--algo", "hdrf", "--order", order])
+            .output()
+            .expect("spawn clugp-part");
+        assert!(out.status.success(), "--order {order}: {:?}", out.status);
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let bfs = stderr_of("bfs");
+    assert!(
+        bfs.contains("warning: HDRF put all 64 edges on one of 4 partitions in bfs order"),
+        "{bfs}"
+    );
+    assert!(bfs.contains("--order random"), "{bfs}");
+    assert!(!stderr_of("random").contains("warning:"));
+    if cfg!(target_os = "linux") {
+        assert!(bfs.contains("peak rss = "), "{bfs}");
+    }
+}

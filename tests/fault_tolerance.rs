@@ -7,6 +7,8 @@
 //! with worker processes over Unix sockets, kill one mid-pass, and diff
 //! the recovered TSV byte-for-byte.
 
+mod common;
+
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{
     run_distributed, AmpcMode, DistConfig, DistInput, FaultAction, FaultPlan, FaultScript,
@@ -18,6 +20,7 @@ use clugp::partitioner::Partitioner;
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::Edge;
 use clugp_repro::test_web_graph;
+use common::clugp_part_exe;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -841,32 +844,11 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process tests: the real `clugp-part` binary, worker processes over
-// Unix sockets. Located in the target directory of the test binary; when
-// only this test target was built (`cargo test --test fault_tolerance` before
-// any build of the bins) the tests skip with a note instead of failing.
+// Multi-process tests: the real `clugp-part` binary (`clugp_part_exe`),
+// worker processes over Unix sockets. When only this test target was built
+// (`cargo test --test fault_tolerance` before any build of the bins) the
+// tests skip with a note instead of failing.
 // ---------------------------------------------------------------------------
-
-fn clugp_part_exe() -> Option<PathBuf> {
-    let mut dir = std::env::current_exe().ok()?;
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    // `cargo test` at the root does not rebuild a workspace member's bins,
-    // so the one beside this test binary may predate the source; tier-1
-    // builds the release profile first. Take whichever was built last.
-    let target = dir.parent()?;
-    ["debug", "release"]
-        .iter()
-        .map(|profile| {
-            target
-                .join(profile)
-                .join(format!("clugp-part{}", std::env::consts::EXE_SUFFIX))
-        })
-        .filter(|exe| exe.exists())
-        .max_by_key(|exe| exe.metadata().and_then(|m| m.modified()).ok())
-}
 
 fn write_edge_fixture(dir: &std::path::Path, vertices: u64, seed: u64) -> PathBuf {
     let (_, edges) = test_web_graph(vertices, seed);
@@ -958,6 +940,44 @@ fn killed_unix_worker_process_recovers_bit_identically() {
         reference, recovered,
         "recovered multi-process run is not byte-identical to the monolith"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The decode knobs reach worker processes in the handshake, with their
+/// block ranges: a flipped payload byte is the checksum error of the worker
+/// that met it under the default policy, and is not looked for under
+/// `--checksums header`.
+#[test]
+fn damaged_pack_over_unix_workers_names_the_checksum() {
+    use clugp_graph::pack::{write_pack, PackOptions};
+    let Some(exe) = clugp_part_exe() else {
+        eprintln!("skipping: clugp-part binary not built");
+        return;
+    };
+    let dir = tmp("damaged_pack");
+    let (n, edges) = test_web_graph(400, 61);
+    let pack = dir.join("graph.clugpz");
+    write_pack(&pack, n, &edges, &PackOptions::default()).unwrap();
+    let mut bytes = std::fs::read(&pack).unwrap();
+    bytes[36 + 1000] ^= 0x40; // header is 36 bytes; this is payload
+    std::fs::write(&pack, bytes).unwrap();
+    let run = |extra: &[&str]| {
+        Command::new(&exe)
+            .arg(&pack)
+            .args(["--k", "4", "--order", "asis", "--workers", "2"])
+            .args(["--transport", "unix"])
+            .args(["--socket-dir", &dir.join("socks").to_string_lossy()])
+            .args(extra)
+            .output()
+            .expect("spawn clugp-part")
+    };
+    let out = run(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed its checksum"), "{stderr}");
+    let out = run(&["--checksums", "header"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("failed its checksum"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
