@@ -8,9 +8,9 @@
 //!    the six competitors over the uk-s/twitter-s mix across the k sweep.
 //!    Each row also carries `seed_layout_bytes`: what the pre-refactor
 //!    layout would have held for the same run — identical except that the
-//!    replica table's per-vertex counts were fixed 4-byte values, where the
-//!    `VertexTable` layer now stores 2-byte rows whenever `k ≤ u16::MAX`
-//!    (every k in the sweep). `no_worse_than_seed` must hold everywhere;
+//!    replica table kept a 4-byte count beside every row, where a row is now
+//!    its own count (2-byte counts in between; the committed artifact was
+//!    written then). `no_worse_than_seed` must hold everywhere;
 //!    `narrow_counts_smaller` must hold for the replica-table algorithms
 //!    (Greedy, HDRF).
 //! 2. **Sparse-web** — the dataset the seed code cannot run at all: uk-s
@@ -82,7 +82,7 @@ pub struct MemoryReport {
     /// True iff `state_bytes <= seed_layout_bytes` on every row.
     pub no_worse_than_seed: bool,
     /// True iff the replica-table algorithms (Greedy, HDRF) are strictly
-    /// smaller than the seed layout on every row (the narrow-count win).
+    /// smaller than the seed layout on every row (the count column's bytes).
     pub narrow_counts_smaller: bool,
     /// Sparse-web dataset name.
     pub sparse_dataset: String,
@@ -102,11 +102,12 @@ pub struct MemoryReport {
 }
 
 /// Pre-refactor layout model: the seed layout differed only in the replica
-/// table's per-vertex count width, so the delta applies to the algorithms
+/// table's per-vertex count (a `u32` beside each row; a row is its own count
+/// today), so the delta applies to the algorithms
 /// that keep a replica table (Greedy, HDRF) and is zero for everything
 /// else. The delta itself is measured off a probe [`ReplicaTable`] with the
 /// run's dimensions — `ReplicaTable::memory_bytes_seed_layout` is the
-/// single definition of the seed model, so a future count-width change
+/// single definition of the seed model, so a change to the table's layout
 /// cannot drift this comparison.
 fn seed_layout_bytes(algo: Algorithm, state_bytes: usize, vertices: u64, k: u32) -> usize {
     if !matches!(algo, Algorithm::Greedy | Algorithm::Hdrf) {
@@ -284,14 +285,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seed_layout_model_charges_narrow_counts_only() {
-        // Replica-table algorithms at small k: 2 bytes/vertex saved.
-        assert_eq!(seed_layout_bytes(Algorithm::Greedy, 1000, 100, 32), 1200);
-        assert_eq!(seed_layout_bytes(Algorithm::Hdrf, 1000, 100, 32), 1200);
-        // Beyond u16::MAX partitions the widths coincide.
+    fn seed_layout_model_charges_the_count_column_only() {
+        // Replica-table algorithms: the seed's `u32` count per vertex is
+        // gone, 4 bytes/vertex saved at any k.
+        assert_eq!(seed_layout_bytes(Algorithm::Greedy, 1000, 100, 32), 1400);
+        assert_eq!(seed_layout_bytes(Algorithm::Hdrf, 1000, 100, 32), 1400);
         assert_eq!(
             seed_layout_bytes(Algorithm::Greedy, 1000, 100, 70_000),
-            1000
+            1400
         );
         // No replica table, no delta.
         assert_eq!(seed_layout_bytes(Algorithm::Dbh, 1000, 100, 32), 1000);

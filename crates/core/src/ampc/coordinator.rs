@@ -3,18 +3,22 @@
 //! The coordinator owns no edge data. It splits the input into
 //! contiguous per-worker ranges, declares the state-table layouts,
 //! sequences the passes as barriers (the streaming token travels worker
-//! 0‥N−1 inside each pass that writes shared state), relays cross-worker
-//! state traffic (the transports form a star, so the token holder reaches a
-//! remote shard via a coordinator-forwarded [`Msg::RouteBatch`]), and runs the
-//! pass-2 work the monolith does between streams: cluster compaction, the
-//! cluster graph, and the game/greedy cluster assignment. From the end of
-//! pass 1 it owns the CLUGP tables ([`ClugpTables`]): a stage that only reads
-//! one is cast the whole of it up front (`cast_table`, one
-//! [`Msg::TableCast`]) and a barrier dumps them, both from memory.
+//! 0‥N−1 inside each pass that writes shared state), relays the baselines'
+//! cross-worker state traffic (the transports form a star, so the token
+//! holder reaches a remote shard via a coordinator-forwarded
+//! [`Msg::RouteBatch`]), and runs the pass-2 work the monolith does between
+//! streams: cluster compaction, the cluster graph, and the game/greedy
+//! cluster assignment. CLUGP's tables are never paged: sequenced pass 1
+//! hands the whole state from turn to turn (`Coord::run_stage` forwards one
+//! [`Msg::Pass1Frontier`] per hand-off), and from the end of pass 1
+//! the coordinator owns them ([`ClugpTables`]): a stage that only reads one
+//! is cast the whole of it up front (`cast_table`, one [`Msg::TableCast`])
+//! and a barrier dumps them, both from memory.
 //!
 //! Whatever a worker reports is held against what the coordinator handed
-//! out before it is indexed with (`Coord::accept_part`, `merge_pairs`, the
-//! frontier merge, the compaction): a typed error, not a panic.
+//! out before it is indexed with (`Coord::accept_part`, `merge_pairs`,
+//! `import_turn_state`, the frontier merge, the compaction): a typed error,
+//! not a panic.
 //!
 //! # Fault tolerance
 //!
@@ -38,9 +42,11 @@ use super::proto::{
     AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, TableDef, Token,
     WorkerSetup,
 };
-use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
+use super::table::{Layout, MergeOp};
 use super::transport::{NetStats, Transport};
-use super::worker::{cluster_partition_map, unexpected, with_edge_kernel, T_CPART, T_MAIN};
+use super::worker::{
+    cluster_partition_map, import_turn_state, unexpected, with_edge_kernel, T_CPART, T_MAIN,
+};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
@@ -190,30 +196,43 @@ impl Coord {
 
     fn recv(&mut self, from: usize) -> Result<Msg> {
         loop {
-            let frame = self.conns[from].recv().map_err(|e| tag_worker(from, e))?;
-            match Msg::decode(&frame) {
-                // The observability side-channel piggybacks on every recv
-                // path: absorb it and keep waiting for the frame this call
-                // was actually after.
-                Ok(Msg::TraceEvents {
-                    now_us,
-                    dropped,
-                    events,
-                }) => self.absorb_trace(from, now_us, dropped, events),
-                // A worker-reported error is deterministic (bad input,
-                // corrupt pack): replaying it would only fail again, so it
-                // stays fatal.
-                Ok(Msg::Err { msg }) => return Err(PartitionError::InvalidParam(msg)),
-                Ok(msg) => return Ok(msg),
-                // An undecodable frame means the link itself mangled data:
-                // a respawn gets a clean stream, so this is retryable.
-                Err(e) => {
-                    return Err(PartitionError::fault(
-                        FaultKind::Corrupt,
-                        format!("worker {from}: undecodable frame: {e}"),
-                    ))
-                }
+            let frame = self.recv_frame(from)?;
+            if let Some(msg) = self.decode(from, &frame)? {
+                return Ok(msg);
             }
+        }
+    }
+
+    fn recv_frame(&mut self, from: usize) -> Result<Vec<u8>> {
+        self.conns[from].recv().map_err(|e| tag_worker(from, e))
+    }
+
+    /// Decodes a frame worker `from` sent; `None` for one that was absorbed
+    /// here and is not what the caller is waiting for.
+    fn decode(&mut self, from: usize, frame: &[u8]) -> Result<Option<Msg>> {
+        match Msg::decode(frame) {
+            // The observability side-channel piggybacks on every recv
+            // path: absorb it and keep waiting for the frame this call
+            // was actually after.
+            Ok(Msg::TraceEvents {
+                now_us,
+                dropped,
+                events,
+            }) => {
+                self.absorb_trace(from, now_us, dropped, events);
+                Ok(None)
+            }
+            // A worker-reported error is deterministic (bad input,
+            // corrupt pack): replaying it would only fail again, so it
+            // stays fatal.
+            Ok(Msg::Err { msg }) => Err(PartitionError::InvalidParam(msg)),
+            Ok(msg) => Ok(Some(msg)),
+            // An undecodable frame means the link itself mangled data:
+            // a respawn gets a clean stream, so this is retryable.
+            Err(e) => Err(PartitionError::fault(
+                FaultKind::Corrupt,
+                format!("worker {from}: undecodable frame: {e}"),
+            )),
         }
     }
 
@@ -249,15 +268,24 @@ impl Coord {
 
     /// Runs one stage as a barrier: the token travels worker 0‥N−1, and
     /// while worker `w` streams, the coordinator relays its routing
-    /// traffic to the owning shards.
+    /// traffic to the owning shards. State a stage hands on whole rides the
+    /// turn too: the [`Msg::Pass1Frontier`] worker `w` sends ahead of
+    /// `StageDone` is forwarded to worker `w + 1` ahead of its `RunStage`, as
+    /// it was received — the worker that imports it holds it to the run —
+    /// and the last one is returned, undecoded, beside the token.
     fn run_stage(
         &mut self,
         stage: Stage,
         mut token: Token,
         assignments: &mut Vec<u32>,
-    ) -> Result<Token> {
+    ) -> Result<(Token, Option<Vec<u8>>)> {
+        let counters = |t: &Token| [t.next_raw, t.splits, t.migrations, t.reroutes, t.table_len];
+        let mut frontier: Option<Vec<u8>> = None;
         for w in 0..self.conns.len() {
-            let carry_in = token.carry.len();
+            if let Some(seed) = frontier.take() {
+                self.conns[w].send(&seed).map_err(|e| tag_worker(w, e))?;
+            }
+            let (carry_in, handed) = (token.carry.len(), counters(&token));
             let msg = Msg::RunStage {
                 stage,
                 token,
@@ -266,8 +294,13 @@ impl Coord {
             };
             self.send(w, &msg)?;
             token = loop {
-                match self.recv(w)? {
-                    Msg::RouteBatch { to, keys, ops } => {
+                let frame = self.recv_frame(w)?;
+                if Msg::is_pass1_frontier(&frame) {
+                    frontier = Some(frame);
+                    continue;
+                }
+                match self.decode(w, &frame)? {
+                    Some(Msg::RouteBatch { to, keys, ops }) => {
                         let to = to as usize;
                         if to >= self.conns.len() {
                             return Err(PartitionError::InvalidParam(format!(
@@ -288,23 +321,33 @@ impl Coord {
                             }
                         }
                     }
-                    // Proof of life from a quiet worker: resets the recv
-                    // deadline simply by having arrived.
-                    Msg::Heartbeat => {}
-                    Msg::StageDone {
+                    // A trace frame, absorbed; or proof of life from a quiet
+                    // worker, which resets the recv deadline by arriving.
+                    None | Some(Msg::Heartbeat) => {}
+                    Some(Msg::StageDone {
                         token,
                         assignments: part,
                         ..
-                    } => {
+                    }) => {
                         self.accept_part(w, stage, carry_in, &token, &part, assignments)?;
                         check_loads(format_args!("worker {w}"), &token, assignments.len())?;
                         break token;
                     }
-                    other => return Err(unexpected(&other)),
+                    Some(other) => return Err(unexpected(&other)),
                 }
             };
+            // Along a sequenced stage the token's counters only ever grow.
+            if counters(&token)
+                .iter()
+                .zip(&handed)
+                .any(|(now, was)| now < was)
+            {
+                return Err(PartitionError::InvalidParam(format!(
+                    "worker {w}: StageDone carries a counter below the one it was handed"
+                )));
+            }
         }
-        Ok(token)
+        Ok((token, frontier))
     }
 
     /// Starts `stage` on every worker at once (each gets a clone of
@@ -717,9 +760,10 @@ impl<'a> Supervisor<'a> {
 
     /// Resets every worker: no row travels back, a first barrier has none and
     /// the later ones' are the coordinator's to reload and cast. A mid-pass
-    /// failure leaves *all* workers dirty (the sequenced earlier workers
-    /// already published), so restore always resets the whole fleet, not
-    /// just the respawned links.
+    /// failure can leave any worker dirty — a baseline's earlier token
+    /// holders wrote their rows back to the shards; CLUGP publishes nothing
+    /// mid-pass, a reset only drops seeds and casts — so restore always
+    /// resets the whole fleet, not just the respawned links.
     fn restore(&mut self, seq: u64) -> Result<()> {
         let t0 = self.coord.t0();
         let started = Instant::now();
@@ -864,14 +908,14 @@ fn drive(
     let algo_spec = algo.spec();
     let (tables, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
         check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
-        let striped = Layout::Striped {
-            stripe: DEFAULT_STRIPE,
+        // What a `CLUGPCK1` barrier lists, by row width: T_MAIN, the raw
+        // volumes pass 1 once paged (dumped empty), T_CPART. No worker shards
+        // any of them, so the layout is moot.
+        let table = |width| TableDef {
+            layout: vrange,
+            width,
         };
-        let table = |layout, width| TableDef { layout, width };
-        // T_MAIN, T_VOL, T_CPART.
-        let main = table(vrange, ROW_WIDTH as u32);
-        let defs = vec![main, table(striped, 1), table(striped, 1)];
-        (defs, false)
+        (vec![table(ROW_WIDTH as u32), table(1), table(1)], false)
     } else {
         // Mint shares nothing and never epoch-syncs.
         with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(
@@ -898,7 +942,11 @@ fn drive(
             heartbeat_ms,
             algo: algo_spec.clone(),
             input,
-            tables: tables.clone(),
+            // CLUGP's tables travel whole, never through the state service.
+            tables: match algo {
+                DistAlgo::Clugp(_) => Vec::new(),
+                _ => tables.clone(),
+            },
             trace: cfg.trace,
         });
     }
@@ -971,7 +1019,7 @@ fn baseline_flow(
     let t0 = sup.coord.t0();
     let mut assignments = Vec::new();
     let token = match sup.coord.mode {
-        AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments)?,
+        AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments)?.0,
         AmpcMode::Relaxed => {
             sup.coord.broadcast_stage(stage, &token0)?;
             // Epoch-synced kernels exchange deltas mid-stage; those that
@@ -1078,17 +1126,28 @@ fn merge_pass1_frontiers(coord: &mut Coord, state: &mut VertexState) -> Result<u
     Ok(base)
 }
 
-/// Sequenced pass 1's hand-over, and the only scan of a run: every worker's
-/// shard of the vertex rows, imported in worker order.
-fn scan_vertex_rows(coord: &mut Coord, state: &mut VertexState) -> Result<()> {
-    for w in 0..coord.conns.len() {
-        coord.send(w, &Msg::Scan { table: T_MAIN })?;
-        match coord.recv(w)? {
-            Msg::ScanResp { keys, rows } => state.import(&keys, &rows)?,
-            other => return Err(unexpected(&other)),
-        }
-    }
-    Ok(())
+/// Sequenced pass 1's result: the frontier of the last turn *is* the state —
+/// there was one writer at a time, so there is no merge rule — held to the run
+/// (it ends with `next_raw` raw clusters) as it is decoded into `state`.
+/// Returns the raw-cluster count.
+fn import_last_frontier(
+    coord: &mut Coord,
+    frontier: Option<Vec<u8>>,
+    next_raw: u64,
+    state: &mut VertexState,
+) -> Result<u64> {
+    let last = coord.conns.len().saturating_sub(1);
+    let decoded = match frontier {
+        Some(frame) => coord.decode(last, &frame)?,
+        None => None,
+    };
+    let Some(Msg::Pass1Frontier { keys, rows, vol }) = decoded else {
+        return Err(PartitionError::InvalidParam(format!(
+            "worker {last}: pass 1 ended without its frontier"
+        )));
+    };
+    import_turn_state(last, state, (&keys, &rows, &vol), next_raw)?;
+    Ok(vol.len() as u64)
 }
 
 /// Merges the workers' cluster-graph partials, in worker (= stream) order.
@@ -1158,7 +1217,7 @@ impl ClugpTables {
     /// outside input and its rows are cast and indexed with as they are, so
     /// each is held to the run first: a vertex below the cap and in a cluster
     /// the run has, a cluster count some vertex set backs, one partition below
-    /// `k` per dense cluster. Raw volumes (`T_VOL` rows, which older builds
+    /// `k` per dense cluster. Raw volumes (slot 1's rows, which older builds
     /// dumped) are not read. An error names the file a barrier is written to.
     fn from_checkpoint(
         ck: &Checkpoint,
@@ -1219,15 +1278,17 @@ fn cast_table(coord: &mut Coord, table: u8, (keys, rows): (Vec<u64>, Vec<u64>)) 
     Ok(())
 }
 
-/// The CLUGP three-pass flow: pass 1 streams clustering through the
-/// sharded vertex/volume tables; the coordinator then assembles the vertex
-/// state, compacts clusters (recomputing dense volumes from degrees) and
-/// from there on owns the tables ([`ClugpTables`]): it casts the vertex rows
-/// for the pairs stage, merges the cluster-graph partials, solves the game,
-/// casts the cluster → partition map and runs the transformation pass.
+/// The CLUGP three-pass flow: pass 1 clusters each range against the whole
+/// vertex/volume tables, which every worker ships as a frontier; the
+/// coordinator then assembles the vertex state, compacts clusters
+/// (recomputing dense volumes from degrees) and from there on owns the tables
+/// ([`ClugpTables`]): it casts the vertex rows for the pairs stage, merges the
+/// cluster-graph partials, solves the game, casts the cluster → partition map
+/// and runs the transformation pass.
 ///
-/// Pass 1 writes the shared tables, so the mode decides how it runs (the
-/// sequenced token and one scan, or local clustering and a frontier merge).
+/// Pass 1 writes the tables, so the mode decides how it runs: seeded, one
+/// worker at a time, the last frontier the result (`import_last_frontier`),
+/// or unseeded, all at once, the frontiers merged (`merge_pass1_frontiers`).
 /// The other two stages only read them, through `cast_table` in both modes;
 /// the transformation still travels the token when sequenced, to keep the
 /// load cap hard, and that is all the mode changes about them.
@@ -1262,20 +1323,19 @@ fn clugp_flow(
         let token0 = sup.enter_segment(1, stage, Token::default(), resume, None)?;
         let t0 = sup.coord.t0();
 
-        // Assemble the authoritative vertex state: sequenced runs scan the
-        // sharded tables; relaxed runs merge the locally-clustered
-        // frontiers every worker ships ahead of StageDone.
+        // Assemble the authoritative vertex state from the frontiers the
+        // workers ship ahead of StageDone: sequenced, each turn is seeded
+        // with the one before it and the last is the state; relaxed, all
+        // start empty at once and the frontiers are merged.
         let mut state = VertexState::new(n_hint, cfg.max_vertices)?;
-        let mut no_assign = Vec::new();
         let raw_count = if relaxed {
             sup.coord.broadcast_stage(stage, &token0)?;
             let raw_count = merge_pass1_frontiers(&mut sup.coord, &mut state)?;
-            sup.coord.collect_stage_done(stage, &mut no_assign, None)?;
+            sup.coord.collect_stage_done(stage, &mut Vec::new(), None)?;
             raw_count
         } else {
-            let token = sup.coord.run_stage(stage, token0, &mut no_assign)?;
-            scan_vertex_rows(&mut sup.coord, &mut state)?;
-            token.next_raw
+            let (token, last) = sup.coord.run_stage(stage, token0, &mut Vec::new())?;
+            import_last_frontier(&mut sup.coord, last, token.next_raw, &mut state)?
         };
         let m_real = state.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
         // An edge mints at most four clusters (two allocations, two splits);
@@ -1352,7 +1412,7 @@ fn clugp_flow(
             .collect_stage_done(stage, &mut assignments, None)?;
         merge_relaxed_tokens(tokens, true, assignments.len())?
     } else {
-        sup.coord.run_stage(stage, token0, &mut assignments)?
+        sup.coord.run_stage(stage, token0, &mut assignments)?.0
     };
     sup.coord
         .span("pass:transform", t0, assignments.len() as u64);
@@ -1372,7 +1432,7 @@ fn clugp_flow(
 mod tests {
     use super::super::proto::forged_stage_done;
     use super::super::transport::channel_pair;
-    use super::super::worker::T_VOL;
+    use super::super::worker::tests::triangle_frontier;
     use super::*;
     use clugp_graph::types::Edge;
 
@@ -1384,36 +1444,42 @@ mod tests {
         forged_stage_done(&token, width, count, ids)
     }
 
+    /// Checkpoint slot 1: the raw volumes older builds dumped, empty today.
+    const T_VOL: u8 = 1;
+
     /// Runs the coordinator (`algo`, k = 4, four edges, no supervision)
-    /// against a hand-played worker that acks `Configure`, answers `RunStage`
-    /// with the frames `reply` makes of the stage, and serves every scan
-    /// vertices 0, 1, 2 at degree 2, one raw cluster each.
+    /// against `workers` hand-played workers that ack `Configure` and answer
+    /// `RunStage` with the frames `reply` makes of their index and the stage.
     fn play(
         algo: DistAlgo,
         mode: AmpcMode,
-        reply: impl Fn(Stage) -> Vec<Vec<u8>> + Send + 'static,
+        workers: usize,
+        reply: impl Fn(usize, Stage) -> Vec<Vec<u8>> + Send + Sync + 'static,
     ) -> Result<DistOutcome> {
-        let (coord, mut worker) = channel_pair(8);
-        let forger = std::thread::spawn(move || loop {
-            let replies = match Msg::decode(&worker.recv().unwrap()).unwrap() {
-                Msg::Configure(_) => vec![Msg::ConfigureOk.encode()],
-                Msg::RunStage { stage, .. } => reply(stage),
-                Msg::Scan { .. } => {
-                    let (keys, rows) = (vec![0, 1, 2], vec![1, 2, 0, 2, 2, 0, 3, 2, 0]);
-                    vec![Msg::ScanResp { keys, rows }.encode()]
-                }
-                Msg::TableCast { .. } => Vec::new(),
-                // `Shutdown`, whatever the coordinator made of the replies.
-                _ => return,
-            };
-            for frame in replies {
-                // A coordinator that refused the first frame of a reply has
-                // hung up by the time the second is sent.
-                if worker.send(&frame).is_err() {
-                    return;
-                }
-            }
-        });
+        let reply = std::sync::Arc::new(reply);
+        let (conns, forgers): (Vec<Box<dyn Transport>>, Vec<_>) = (0..workers)
+            .map(|w| {
+                let (coord, mut worker) = channel_pair(8);
+                let reply = reply.clone();
+                let forger = std::thread::spawn(move || loop {
+                    let replies = match Msg::decode(&worker.recv().unwrap()).unwrap() {
+                        Msg::Configure(_) => vec![Msg::ConfigureOk.encode()],
+                        Msg::RunStage { stage, .. } => reply(w, stage),
+                        Msg::TableCast { .. } | Msg::Pass1Frontier { .. } => Vec::new(),
+                        // `Shutdown`, whatever the coordinator made of the replies.
+                        _ => return,
+                    };
+                    for frame in replies {
+                        // A coordinator that refused the first frame of a reply
+                        // has hung up by the time the second is sent.
+                        if worker.send(&frame).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (Box::new(coord) as Box<dyn Transport>, forger)
+            })
+            .unzip();
         let edges: Vec<Edge> = (0..4).map(|i| Edge::new(i, i + 1)).collect();
         let input = DistInput::Edges {
             num_vertices: 5,
@@ -1423,39 +1489,51 @@ mod tests {
             mode,
             ..Default::default()
         };
-        let out = run_coordinator(vec![Box::new(coord)], &algo, input, 4, &cfg, None);
-        forger.join().expect("forged worker");
+        let out = run_coordinator(conns, &algo, input, 4, &cfg, None);
+        for forger in forgers {
+            forger.join().expect("forged worker");
+        }
         out
     }
 
     fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
         let algo = DistAlgo::by_name("hashing").expect("registered");
-        play(algo, AmpcMode::Sequenced, move |_| vec![reply.clone()])
+        play(
+            algo,
+            AmpcMode::Sequenced,
+            1,
+            move |_, _| vec![reply.clone()],
+        )
+    }
+
+    /// A pass-1 `StageDone` (no assignments) whose token carries `next_raw`.
+    fn pass1_done(next_raw: u64, pairs: Option<PairsPayload>) -> Vec<u8> {
+        let token = Token {
+            next_raw,
+            ..Default::default()
+        };
+        let assignments = PartIds::for_k(4);
+        Msg::StageDone {
+            token,
+            assignments,
+            pairs,
+        }
+        .encode()
+    }
+
+    /// The error of a CLUGP run over forged replies, which must be typed.
+    fn clugp_failure(
+        mode: AmpcMode,
+        workers: usize,
+        reply: impl Fn(usize, Stage) -> Vec<Vec<u8>> + Send + Sync + 'static,
+    ) -> String {
+        let err = play(DistAlgo::clugp(), mode, workers, reply).expect_err("forged reply");
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        err.to_string()
     }
 
     #[test]
     fn a_forged_pairs_partial_or_frontier_is_a_typed_error_naming_the_worker() {
-        fn done(next_raw: u64, pairs: Option<PairsPayload>) -> Vec<u8> {
-            let token = Token {
-                next_raw,
-                ..Default::default()
-            };
-            let assignments = PartIds::for_k(4);
-            Msg::StageDone {
-                token,
-                assignments,
-                pairs,
-            }
-            .encode()
-        }
-        fn failure(
-            mode: AmpcMode,
-            reply: impl Fn(Stage) -> Vec<Vec<u8>> + Send + 'static,
-        ) -> String {
-            let err = play(DistAlgo::clugp(), mode, reply).expect_err("forged reply");
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
-            err.to_string()
-        }
         // Three dense clusters. The coordinator indexes with every cluster id
         // a pairs partial names, and merges `agg` as a sorted key list.
         let pair = |lo: u64, hi: u64| (lo << 32 | hi, 1u32);
@@ -1469,32 +1547,77 @@ mod tests {
             (partial(&[], &[pair(2, 1)]), "the cluster pair (2, 1) of 3"),
             (partial(&[], &[pair(1, 2), pair(0, 1)]), "not sorted"),
         ] {
-            let reply = move |stage| match stage {
-                Stage::ClugpPass1 { .. } => vec![done(3, None)],
-                _ => vec![done(0, Some(pairs.clone()))],
+            let reply = move |_, stage| match stage {
+                Stage::ClugpPass1 { .. } => {
+                    let (keys, rows, vol) = triangle_frontier();
+                    vec![
+                        Msg::Pass1Frontier { keys, rows, vol }.encode(),
+                        pass1_done(3, None),
+                    ]
+                }
+                _ => vec![pass1_done(0, Some(pairs.clone()))],
             };
-            let msg = failure(AmpcMode::Sequenced, reply);
+            let msg = clugp_failure(AmpcMode::Sequenced, 1, reply);
             assert!(msg.contains("worker 0") && msg.contains(needle), "{msg}");
         }
         // A relaxed frontier names clusters local to its own `vol`.
-        let frontier = |_| {
+        let frontier = |_, _| {
             let (keys, rows, vol) = (vec![0], vec![2, 1, 0], vec![5]);
             vec![
                 Msg::Pass1Frontier { keys, rows, vol }.encode(),
-                done(1, None),
+                pass1_done(1, None),
             ]
         };
-        let msg = failure(AmpcMode::Relaxed, frontier);
+        let msg = clugp_failure(AmpcMode::Relaxed, 1, frontier);
         assert!(
             msg.contains("worker 0") && msg.contains("names local cluster 1"),
             "{msg}"
         );
-        // A token's raw-id watermark bounds the scanned rows' cluster ids, and
-        // sizes the compaction's vectors.
-        for (next_raw, needle) in [(2, "names raw cluster 2"), (1 << 40, "raw clusters for 3")] {
-            let msg = failure(AmpcMode::Sequenced, move |_| vec![done(next_raw, None)]);
-            assert!(msg.contains(needle), "{msg}");
+    }
+
+    #[test]
+    fn a_forged_sequenced_frontier_is_a_typed_error_naming_the_worker() {
+        // The last turn's frontier becomes the coordinator's vertex table and
+        // its volume count sizes the compaction: it is held to the run
+        // (`import_turn_state`, whose own test has every way of being wrong)
+        // before anything is indexed with it.
+        let reply = |(cluster, next_raw): (u64, u64)| {
+            move |_, _| {
+                let (keys, mut rows, vol) = triangle_frontier();
+                rows[3] = cluster + 1;
+                vec![
+                    Msg::Pass1Frontier { keys, rows, vol }.encode(),
+                    pass1_done(next_raw, None),
+                ]
+            }
+        };
+        for (forged, needle) in [
+            (
+                (3, 3),
+                "pass-1 state names raw cluster 3, it holds 3 volumes",
+            ),
+            (
+                (1, 5),
+                "pass-1 state holds 3 volumes, 5 raw clusters were handed",
+            ),
+        ] {
+            let msg = clugp_failure(AmpcMode::Sequenced, 1, reply(forged));
+            assert!(msg.contains("worker 0") && msg.contains(needle), "{msg}");
         }
+        // A turn that ends without handing its state on.
+        let msg = clugp_failure(AmpcMode::Sequenced, 1, |_, _| vec![pass1_done(3, None)]);
+        assert!(msg.contains("worker 0: pass 1 ended without"), "{msg}");
+        // The counters of the token only ever grow from turn to turn: worker
+        // 1 is handed 3 raw clusters and claims to have ended with 2.
+        let backwards = move |w, stage| match w {
+            0 => reply((1, 3))(w, stage),
+            _ => reply((1, 2))(w, stage),
+        };
+        let msg = clugp_failure(AmpcMode::Sequenced, 2, backwards);
+        assert!(
+            msg.contains("worker 1: StageDone carries a counter"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   over [`crate::vertex_table::VertexTable`], routed by
 //!   [`table::Layout`]) exposing get / upsert-batch / scan.
 //! * [`worker`] — owns a contiguous range of the edge stream and drives
-//!   the *same per-edge kernels as the monolith* against local shards: a
-//!   stage that writes shared tables fetches remote rows in one batch per
-//!   admission window, one that only reads them is handed the whole table.
+//!   the *same per-edge kernels as the monolith*: a one-pass baseline pages
+//!   its O(nk/64) rows through the shards, fetching remote ones in one batch
+//!   per admission window; a CLUGP stage is lent or cast its O(n) tables
+//!   whole.
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
 //!   relays cross-worker state traffic (star topology), casts read-only
 //!   tables, runs the coordinator-side CLUGP stages (compaction, cluster
@@ -22,7 +23,8 @@
 //! Execution model: within each pass that writes shared state the workers
 //! run **sequenced** by default — a streaming token travels worker 0‥N−1, so
 //! exactly one worker streams edges at a time while the others answer state
-//! requests. That is what makes every configuration (any worker count,
+//! requests (baselines) or wait for the state to come down the turns (CLUGP
+//! pass 1). That is what makes every configuration (any worker count,
 //! any chunk size, either transport) bit-identical to the monolithic
 //! partitioner, which is the correctness anchor
 //! `tests/distributed_equivalence.rs` pins. [`AmpcMode::Relaxed`] trades

@@ -6,13 +6,13 @@
 //! the worker drives it:
 //!
 //! ```text
-//! coordinator → worker:  Configure, RunStage, StateReqBatch, Scan,
-//!                        TableCast, EpochSync, RouteReply, ResetTables,
+//! coordinator → worker:  Configure, RunStage, StateReqBatch, TableCast,
+//!                        Pass1Frontier, EpochSync, RouteReply, ResetTables,
 //!                        Shutdown
 //! worker → coordinator:  Hello, ConfigureOk, StageDone, StateRespBatch,
-//!                        ScanResp, ResetOk, Err, and — only while running a
-//!                        stage — RouteBatch, EpochDone, Pass1Frontier,
-//!                        Heartbeat, TraceEvents
+//!                        ResetOk, Err, and — only while running a stage —
+//!                        RouteBatch, EpochDone, Pass1Frontier, Heartbeat,
+//!                        TraceEvents
 //! ```
 //!
 //! [`Msg::RouteBatch`] is the star-topology relay (DESIGN.md §11): the
@@ -25,25 +25,31 @@
 //! set) and varint value runs. Pure-writeback batches are unacknowledged —
 //! frame ordering through the coordinator guarantees they are applied before
 //! any later dependent read — which is what lets the worker keep several of
-//! them in flight behind the transport's bounded window. Only stages that
-//! *write* shared tables route (the baselines, CLUGP pass 1). (Tags 5 to 7 —
-//! `StateReq` and `StateResp`, the coordinator's own one-table `Upsert` and
-//! its ack, and the one-op-per-frame `Route` — are retired and stay reserved.)
+//! them in flight behind the transport's bounded window. Only the one-pass
+//! baselines route: their O(nk/64) replica rows are what paging is for.
+//! (Tags 5 to 9 — `StateReq` and `StateResp`, the coordinator's own one-table
+//! `Upsert` and its ack, the one-op-per-frame `Route`, and `Scan`/`ScanResp`,
+//! the whole-shard dump sequenced CLUGP pass 1 ended with — are retired and
+//! stay reserved.)
 //!
-//! The shards are read back whole exactly once: after sequenced CLUGP pass 1
-//! the coordinator scans the vertex rows off every worker ([`Msg::Scan`] →
-//! [`Msg::ScanResp`]) and is their one owner from then on. A stage that only
-//! *reads* a table gets it whole, ahead of its `RunStage`, as a
+//! CLUGP's O(n) tables are never paged; they travel whole. Pass 1 hands its
+//! state on as a [`Msg::Pass1Frontier`] — every touched vertex row plus the
+//! raw-cluster volumes. Sequenced, the frame rides the turn: worker *w*
+//! receives the one worker *w − 1* sent (nothing for worker 0) ahead of its
+//! `RunStage`, clusters its range on top of it and sends its own ahead of
+//! `StageDone`; the coordinator forwards each frame as received and imports
+//! the last. Relaxed, every worker starts empty and the coordinator merges
+//! the frontiers. Whoever indexes with a frontier holds it to the run first.
+//! From the end of pass 1 the coordinator owns the tables, and a stage that
+//! only *reads* one gets it whole, ahead of its `RunStage`, as a
 //! [`Msg::TableCast`] — in both modes, encoded once from the coordinator's
 //! copy, and kept by the worker until `ResetTables`, so the vertex rows
-//! travel once for the pairs stage and the transform. `ScanResp` and
-//! `TableCast` carry a table in one coding: keys as zigzag varint deltas
-//! (ascending within a shard; the sign keeps the non-monotone concatenation
-//! of striped shards legal), rows as varints. A cast is one frame, so a table
-//! is bounded by the transport's frame cap (DESIGN.md §11). The `Epoch*`
-//! messages and [`Msg::Pass1Frontier`] belong to the relaxed concurrent mode,
-//! where every worker streams at once and state is reconciled at epoch
-//! barriers instead of per window.
+//! travel once for the pairs stage and the transform: keys as zigzag varint
+//! deltas (the sign keeps a non-monotone key order legal), rows as varints.
+//! A cast or a frontier is one frame, so a table is bounded by the
+//! transport's frame cap (DESIGN.md §11). The `Epoch*` messages belong to the
+//! relaxed concurrent mode, where every worker streams at once and state is
+//! reconciled at epoch barriers instead of per window.
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
@@ -421,18 +427,6 @@ pub enum Msg {
         /// Cluster-graph partials (CLUGP pairs stage only).
         pairs: Option<PairsPayload>,
     },
-    /// Dump the receiver's shard of `table`.
-    Scan {
-        /// Table slot index.
-        table: u8,
-    },
-    /// Scan reply, in the coding a [`Msg::TableCast`] shares.
-    ScanResp {
-        /// Row keys, ascending.
-        keys: Vec<u64>,
-        /// Flattened row words.
-        rows: Vec<u64>,
-    },
     /// Tear down the worker.
     Shutdown,
     /// Fatal worker-side error.
@@ -504,16 +498,18 @@ pub enum Msg {
         /// Merged rows (applied as overwrites).
         tables: Vec<EpochTable>,
     },
-    /// Relaxed CLUGP pass 1, worker → coordinator (just before
-    /// `StageDone`): the worker's locally-clustered frontier — per
-    /// touched vertex a width-3 row (local cluster id + 1 or 0, partial
-    /// degree, divided flag) plus the local raw-cluster volume table.
+    /// CLUGP pass 1's state, worker → coordinator just before `StageDone`:
+    /// per touched vertex a width-3 row (raw cluster id + 1 or 0, degree,
+    /// divided flag) plus the raw-cluster volume table. Relaxed, it is the
+    /// worker's locally-clustered frontier, for the coordinator to merge.
+    /// Sequenced, it is the whole state so far, and also travels
+    /// coordinator → worker: the next turn's seed, ahead of its `RunStage`.
     Pass1Frontier {
         /// Touched vertex ids, ascending.
         keys: Vec<u64>,
         /// Flattened width-3 rows.
         rows: Vec<u64>,
-        /// Volume per local raw cluster id.
+        /// Volume per raw cluster id.
         vol: Vec<u64>,
     },
     /// Coordinator → worker, either mode: a read-only mirror of one whole
@@ -901,19 +897,6 @@ fn get_batch_ops(r: &mut Rd<'_>) -> Result<Vec<BatchOp>> {
     Ok(ops)
 }
 
-/// The rows of a table as [`Msg::ScanResp`] and [`Msg::TableCast`] carry
-/// them: keys as zigzag varint deltas, rows as varints.
-fn put_table_rows(w: &mut Wr, keys: &[u64], rows: &[u64]) {
-    w.delta_u64s(keys);
-    w.vu64s(rows);
-}
-
-/// Inverse of [`put_table_rows`]. Both counts are held against what is left
-/// of the frame before anything is allocated.
-fn get_table_rows(r: &mut Rd<'_>) -> Result<(Vec<u64>, Vec<u64>)> {
-    Ok((r.delta_u64s()?, r.vu64s()?))
-}
-
 fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
     w.vu64(tables.len() as u64);
     for t in tables {
@@ -983,8 +966,6 @@ impl Msg {
             Msg::ConfigureOk => "ConfigureOk",
             Msg::RunStage { .. } => "RunStage",
             Msg::StageDone { .. } => "StageDone",
-            Msg::Scan { .. } => "Scan",
-            Msg::ScanResp { .. } => "ScanResp",
             Msg::Shutdown => "Shutdown",
             Msg::Err { .. } => "Err",
             Msg::Heartbeat => "Heartbeat",
@@ -1090,14 +1071,6 @@ impl Msg {
                     None => w.bool(false),
                 }
             }
-            Msg::Scan { table } => {
-                w.u8(8);
-                w.u8(*table);
-            }
-            Msg::ScanResp { keys, rows } => {
-                w.u8(9);
-                put_table_rows(w, keys, rows);
-            }
             Msg::Shutdown => w.u8(10),
             Msg::Err { msg } => {
                 w.u8(11);
@@ -1154,7 +1127,8 @@ impl Msg {
             Msg::TableCast { table, keys, rows } => {
                 w.u8(22);
                 w.u8(*table);
-                put_table_rows(w, keys, rows);
+                w.delta_u64s(keys);
+                w.vu64s(rows);
             }
             Msg::TraceEvents {
                 now_us,
@@ -1165,6 +1139,12 @@ impl Msg {
                 put_trace_events(w, *now_us, *dropped, events);
             }
         }
+    }
+
+    /// Whether `frame` is a [`Msg::Pass1Frontier`], by its tag byte alone:
+    /// the coordinator forwards a sequenced turn's state without decoding it.
+    pub fn is_pass1_frontier(frame: &[u8]) -> bool {
+        frame.first() == Some(&21)
     }
 
     /// Decodes one frame.
@@ -1199,11 +1179,6 @@ impl Msg {
                     pairs,
                 }
             }
-            8 => Msg::Scan { table: r.u8()? },
-            9 => {
-                let (keys, rows) = get_table_rows(&mut r)?;
-                Msg::ScanResp { keys, rows }
-            }
             10 => Msg::Shutdown,
             11 => Msg::Err { msg: r.str()? },
             12 => Msg::Heartbeat,
@@ -1235,11 +1210,13 @@ impl Msg {
                 rows: r.vu64s()?,
                 vol: r.vu64s()?,
             },
-            22 => {
-                let table = r.u8()?;
-                let (keys, rows) = get_table_rows(&mut r)?;
-                Msg::TableCast { table, keys, rows }
-            }
+            // Both counts of a table are held against what is left of the
+            // frame before anything is allocated.
+            22 => Msg::TableCast {
+                table: r.u8()?,
+                keys: r.delta_u64s()?,
+                rows: r.vu64s()?,
+            },
             23 => {
                 let (now_us, dropped, events) = get_trace_events(&mut r)?;
                 Msg::TraceEvents {
@@ -1332,11 +1309,6 @@ mod tests {
                 intra: vec![(0, 3), (5, 1)],
                 agg: vec![(1 << 32 | 2, 4)],
             }),
-        });
-        round_trip(Msg::Scan { table: 2 });
-        round_trip(Msg::ScanResp {
-            keys: vec![0, 4],
-            rows: vec![7, 8],
         });
         round_trip(Msg::Shutdown);
         round_trip(Msg::Err { msg: "boom".into() });
@@ -1487,10 +1459,13 @@ mod tests {
 
     #[test]
     fn verb_names_cover_every_tag() {
-        for tag in 0..24usize {
+        // One histogram slot per tag, retired ones included, and the bucket
+        // for everything else behind them.
+        use super::super::transport::VERB_SLOTS;
+        for tag in 0..VERB_SLOTS - 1 {
             assert_ne!(Msg::verb_name(tag), "unknown", "tag {tag}");
         }
-        assert_eq!(Msg::verb_name(24), "unknown");
+        assert_eq!(Msg::verb_name(VERB_SLOTS - 1), "unknown");
         assert_eq!(Msg::verb_name(7), "Route");
         assert_eq!(Msg::verb_name(15), "RouteBatch");
         assert_eq!(Msg::verb_name(23), "TraceEvents");
@@ -1550,35 +1525,43 @@ mod tests {
         // So are tags 5 and 6, `StateReq` and `StateResp`: an `Upsert` of no
         // keys into table 0, and its empty ack.
         let upsert = [&[5u8, 0, 1, 0][..], &[0; 16]].concat();
-        for frame in [&upsert[..], &[6, 0, 0, 0, 0, 0, 0, 0, 0]] {
+        // And 8 and 9, `Scan` and `ScanResp`: a dump of table 0, and the
+        // empty shard it read back.
+        for frame in [
+            &upsert[..],
+            &[6, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[8, 0],
+            &[9, 0, 0],
+        ] {
             let err = Msg::decode(frame).unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
             assert!(err.to_string().contains("message tag"), "{err}");
         }
+        // The names stay in the histogram, slot for slot with the tags.
+        assert_eq!(Msg::verb_name(8), "Scan");
+        assert_eq!(Msg::verb_name(9), "ScanResp");
+        assert_eq!(Msg::verb_name(21), "Pass1Frontier");
     }
 
     #[test]
-    fn scan_replies_share_the_cast_coding() {
-        // A striped table's scans concatenate into keys that step back at
-        // every shard boundary; a range shard's last row may hold full words.
-        let table = || {
-            (
-                vec![512, 513, 1536, 0, 1, 1024, 700, 3],
-                vec![1, 0, u64::MAX, 7],
-            )
+    fn a_cast_round_trips_any_key_order_and_refuses_counts_past_the_frame() {
+        // Keys that step back (a checkpoint an older build wrote lists the
+        // cluster map in shard order); a last row of full words.
+        let cast = Msg::TableCast {
+            table: 4,
+            keys: vec![512, 513, 1536, 0, 1, 1024, 700, 3],
+            rows: vec![1, 0, u64::MAX, 7],
         };
-        let (keys, rows) = table();
-        let scan = Msg::ScanResp { keys, rows };
-        round_trip(scan.clone());
-        let (table, (keys, rows)) = (4, table());
-        let (scan, cast) = (scan.encode(), Msg::TableCast { table, keys, rows }.encode());
-        assert_eq!(scan[1..], cast[2..], "one body, behind tag / tag + slot");
-        for cut in 1..scan.len() {
-            assert!(Msg::decode(&scan[..cut]).is_err(), "cut {cut}");
+        round_trip(cast.clone());
+        let cast = cast.encode();
+        for cut in 1..cast.len() {
+            assert!(Msg::decode(&cast[..cut]).is_err(), "cut {cut}");
         }
         // A count the frame cannot back is refused before it sizes a vector.
         for claimed in [9u64, 1 << 40, u64::MAX] {
             let mut w = Wr::new();
-            w.u8(9);
+            w.u8(22);
+            w.u8(4);
             w.vu64(claimed);
             w.bytes(&[2; 8]);
             assert!(Msg::decode(&w.into_bytes()).is_err(), "{claimed} keys");

@@ -1,14 +1,15 @@
 //! The worker half of the coordinator/worker engine.
 //!
 //! A worker owns one contiguous range of the edge stream and a
-//! [`StateShard`] per table. After `Configure` it sits in a serve loop:
-//! it answers `StateReqBatch`/`Scan` against its local shards, and on
+//! [`StateShard`] per paged table. After `Configure` it sits in a serve loop:
+//! it answers `StateReqBatch` against its local shards, and on
 //! `RunStage` it streams its edge range through *the same per-edge
 //! kernels the monolithic partitioners use*, which is what keeps every
 //! distributed configuration bit-identical to the monolith.
 //!
-//! A stage that *writes* shared tables under the sequenced token (every
-//! baseline, CLUGP pass 1) keeps its dense scratch resident for the stage.
+//! A one-pass baseline pages its tables — O(nk/64) replica rows, more than
+//! one worker should hold — through the keyspace-sharded state service, and
+//! under the sequenced token keeps its dense scratch resident for the stage.
 //! While this worker holds the token nobody else writes any table, so a row
 //! it has fetched stays authoritative until it sends `StageDone`. The unit
 //! of exchange is the **admission window**, a run of `WINDOW_CHUNKS` (64)
@@ -19,30 +20,33 @@
 //! [`Msg::RouteBatch`] per remote owner, relayed through the coordinator;
 //! no frame when nothing is new), and then the kernel is stepped over the
 //! window. Admitting ahead of stepping changes nothing a kernel can see:
-//! the token holder is the only writer, and an owner row cannot name a
-//! cluster minted in this stage. Every touched row is written back once,
+//! the token holder is the only writer. Every touched row is written back once,
 //! after the last window, in bounded fire-and-forget `Put` batches — frame
 //! ordering through the coordinator's star links lands them before the next
 //! token holder's first read — and the assignments leave with `StageDone`
 //! as [`PartIds`], narrowed window by window. `Resident`, `Wk::admit` and
-//! `Wk::flush` are that bookkeeping, shared by the baseline driver and
-//! pass 1. Scratch entries outside the seen set are never read, so the
+//! `Wk::flush` are that bookkeeping, and the baseline driver is their one
+//! caller. Scratch entries outside the seen set are never read, so the
 //! scratch tables can stay full-size and dense — same types, same indexing
 //! as the monolith.
 //!
-//! A stage that only *reads* them (the CLUGP pairs and transform stages)
-//! never routes, in either mode: the coordinator broadcasts the tables it
-//! reads as [`Msg::TableCast`] mirrors ahead of `RunStage`, and the worker
-//! streams its whole range against them — the semi-external pass, an O(n)
-//! table held while the edges stream by. A mirror is built once, when its
-//! frame arrives, and kept until `ResetTables` ([`Casts`]): the vertex rows
-//! cast for the pairs stage serve the transform too.
+//! CLUGP pages nothing. Its tables are O(n), every stage holds them whole
+//! while the edges stream by — the semi-external pass — and steps each chunk
+//! the source lends, as the monolith does. Pass 1, the one stage that writes
+//! them, is *lent* the state: it starts from the [`Msg::Pass1Frontier`] the
+//! coordinator sent ahead of `RunStage` (the previous sequenced turn's; none
+//! for worker 0, and none in relaxed mode), runs [`Pass1::step`] over its
+//! range and ships its own frontier ahead of `StageDone`. The pairs and
+//! transform stages only read: the coordinator broadcasts the tables they
+//! index as [`Msg::TableCast`] mirrors ahead of `RunStage`. A mirror is built
+//! once, when its frame arrives, and kept until `ResetTables` ([`Casts`]): the
+//! vertex rows cast for the pairs stage serve the transform too.
 //!
 //! In [`AmpcMode::Relaxed`] nothing routes at all: every worker streams its
 //! whole range against worker-local tables and reconciles with the fleet at
 //! epoch barriers ([`Msg::EpochDone`] / [`Msg::EpochSync`]); CLUGP pass 1
-//! clusters locally and ships a [`Msg::Pass1Frontier`] for the coordinator
-//! to merge, and the transform enforces a growing per-worker slice of the
+//! runs unseeded on every worker at once and the coordinator merges the
+//! frontiers, and the transform enforces a growing per-worker slice of the
 //! load cap where the sequenced token enforces the hard one. Those two are
 //! all that the mode changes about a CLUGP stage.
 
@@ -57,7 +61,7 @@ use crate::baselines::mint::{MintConfig, Waves};
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
 use crate::clugp::config::MigrationPolicy;
-use crate::clugp::stage::{Balancer, Pass1, VertexState};
+use crate::clugp::stage::{Balancer, Pass1, VertexState, ROW_WIDTH};
 use crate::error::{PartitionError, Result};
 use crate::state::PartitionLoads;
 use crate::vertex_table::cap_error;
@@ -70,12 +74,12 @@ use std::collections::hash_map::Entry;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Table slot 0 for CLUGP: the [`VertexState`] rows. (A baseline's slots
-/// are the indices of its [`EdgeKernel`] tables.)
+/// Table slot 0 for CLUGP, in a cast and in a checkpoint: the
+/// [`VertexState`] rows. (A baseline's slots are the indices of its
+/// [`EdgeKernel`] tables.)
 pub(crate) const T_MAIN: u8 = 0;
-/// Table slot 1 for CLUGP: raw-cluster volumes (pass 1 only).
-pub(crate) const T_VOL: u8 = 1;
-/// Table slot 2 for CLUGP: dense cluster → partition.
+/// Table slot 2 for CLUGP: dense cluster → partition. (Slot 1 held the raw
+/// cluster volumes while pass 1 paged them; `CLUGPCK1` keeps it, empty.)
 pub(crate) const T_CPART: u8 = 2;
 
 /// Keys per stage-end write-back slice ([`Wk::flush`]): no `Put` frame
@@ -84,8 +88,8 @@ const FLUSH_KEYS: usize = 4096;
 
 /// Streaming chunks per sequenced admission window. The chunk (32 KiB at the
 /// default) is sized for the decoder; a fetch round costs a relay through the
-/// coordinator, so the sequenced drivers admit a run of chunks at a time —
-/// 2 MiB of edges at the default chunk, and `--chunk-size` scales it.
+/// coordinator, so the sequenced baseline driver admits a run of chunks at a
+/// time — 2 MiB of edges at the default chunk, and `--chunk-size` scales it.
 const WINDOW_CHUNKS: usize = 64;
 
 /// One stage's residency record for a group of sharded tables that share a
@@ -125,15 +129,6 @@ impl Resident {
             .is_some_and(|word| word >> (key & 63) & 1 != 0)
     }
 
-    /// Declares `key` (below the cap) resident.
-    fn mark(&mut self, key: u64) {
-        let word = (key >> 6) as usize;
-        if word >= self.seen.len() {
-            self.seen.resize(word + 1, 0);
-        }
-        self.seen[word] |= 1 << (key & 63);
-    }
-
     /// Marks an unseen `key` and queues it in `fresh`. Out of line: the
     /// per-endpoint loop of [`Resident::touch_endpoints`] takes this path
     /// once per key and stage, and is a third faster without it inlined.
@@ -142,7 +137,11 @@ impl Resident {
         if key >= self.limit {
             return Err(cap_error("vertex id", key, self.limit));
         }
-        self.mark(key);
+        let word = (key >> 6) as usize;
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        self.seen[word] |= 1 << (key & 63);
         self.fresh.push(key);
         Ok(())
     }
@@ -286,6 +285,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         hb_last: Instant::now(),
         scratch: Vec::new(),
         casts: Casts::default(),
+        seed: None,
         obs: EventBuf::new(),
         chunk_ts: 0,
         chunk_edges: 0,
@@ -299,10 +299,9 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                     wk.send_msg(&Msg::StateRespBatch { rows })?;
                 }
             }
-            Msg::Scan { table } => {
-                let (keys, rows) = wk.scan_local(table)?;
-                wk.send_msg(&Msg::ScanResp { keys, rows })?;
-            }
+            // The previous sequenced turn's pass-1 state, for the `RunStage`
+            // behind it to hold to the run and start from.
+            Msg::Pass1Frontier { keys, rows, vol } => wk.seed = Some((keys, rows, vol)),
             Msg::TableCast { table, keys, rows } => {
                 // Read-only mirror for the stages that read it; no ack
                 // (ordered links deliver it before the RunStage behind it).
@@ -310,10 +309,11 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.reported(built)?;
             }
             Msg::ResetTables => {
-                // Recovery: drop every shard and mirror; the coordinator
-                // casts again what the replayed stages read.
+                // Recovery: drop every shard, mirror and seed; the coordinator
+                // sends again what the replayed stages start from.
                 wk.shards = build_shards(&wk.setup);
                 wk.casts = Casts::default();
+                wk.seed = None;
                 wk.send_msg(&Msg::ResetOk)?;
             }
             Msg::RunStage {
@@ -459,6 +459,9 @@ struct Wk {
     scratch: Vec<u8>,
     /// What the coordinator cast to this incarnation.
     casts: Casts,
+    /// The `(keys, rows, vol)` of a [`Msg::Pass1Frontier`] the coordinator
+    /// sent: where this worker's sequenced pass-1 turn starts from.
+    seed: Option<(Vec<u64>, Vec<u64>, Vec<u64>)>,
     /// Trace events recorded during the current stage, shipped to the
     /// coordinator as one [`Msg::TraceEvents`] frame right before
     /// `StageDone` (empty unless [`WorkerSetup::trace`]).
@@ -491,52 +494,67 @@ impl Wk {
         res
     }
 
-    /// Pulls the next `run` chunks (up to `cap` edges each) of the stage's
-    /// edge range into `buf` and returns how many edges that is, 0 at the
-    /// end of the range: one chunk for the relaxed baseline driver, whose
-    /// epochs count them, a window of [`WINDOW_CHUNKS`] for everything else
-    /// ([`Wk::next_window`]). Ahead of every chunk it emits a
-    /// keep-alive [`Msg::Heartbeat`] when the configured interval has
-    /// elapsed — without it, a stateless kernel (e.g. hashing) sends
-    /// nothing for the whole stage and the coordinator's deadline could
-    /// not tell "working" from "dead".
-    fn next_chunks(
-        &mut self,
-        source: &mut Source,
-        buf: &mut Vec<Edge>,
-        cap: usize,
-        run: usize,
-    ) -> Result<usize> {
+    /// Closes the `chunk` span of the unit just processed. Called before
+    /// blocking on the next decode — stall time is attributed separately.
+    fn end_chunk_span(&mut self) {
         if self.setup.trace && self.chunk_ts != 0 {
-            // Close the previous unit's span here, before blocking on the
-            // next decode — stall time is attributed separately.
             self.obs
                 .push(Event::span_since("chunk", self.chunk_ts, self.chunk_edges));
             self.chunk_ts = 0;
         }
-        buf.clear();
-        for _ in 0..run {
-            if let Some(interval) = self.hb_interval {
-                if self.hb_last.elapsed() >= interval {
-                    self.send_msg(&Msg::Heartbeat)?;
-                    self.hb_last = Instant::now();
-                }
+    }
+
+    /// Opens the `chunk` span of a unit of `edges` edges (none for 0).
+    fn begin_chunk_span(&mut self, edges: usize) {
+        if self.setup.trace && edges != 0 {
+            self.chunk_ts = obs::now_us();
+            self.chunk_edges = edges as u64;
+        }
+    }
+
+    /// Emits a keep-alive [`Msg::Heartbeat`] when the configured interval
+    /// has elapsed. Called ahead of every chunk pulled — without it, a stage
+    /// that routes nothing sends nothing until `StageDone` and the
+    /// coordinator's deadline could not tell "working" from "dead".
+    fn heartbeat(&mut self) -> Result<()> {
+        if let Some(interval) = self.hb_interval {
+            if self.hb_last.elapsed() >= interval {
+                self.send_msg(&Msg::Heartbeat)?;
+                self.hb_last = Instant::now();
             }
+        }
+        Ok(())
+    }
+
+    /// The next chunk of the stage's edge range as the source lends it, up to
+    /// [`Wk::chunk_cap`] edges; `None` at the end of the range. The unit of
+    /// every driver that admits nothing: one heartbeat check, one `chunk` span.
+    fn lend_chunk<'s>(&mut self, source: &'s mut Source) -> Result<Option<&'s [Edge]>> {
+        self.end_chunk_span();
+        self.heartbeat()?;
+        let chunk = source.next_slice(self.chunk_cap());
+        self.begin_chunk_span(chunk.len());
+        Ok(Some(chunk).filter(|chunk| !chunk.is_empty()))
+    }
+
+    /// Copies the next [`WINDOW_CHUNKS`] chunks of the stage's edge range
+    /// into `buf` and returns how many edges that is, 0 at the end of the
+    /// range: the sequenced baseline driver's admission window, one `chunk`
+    /// span for the whole of it.
+    fn next_window(&mut self, source: &mut Source, buf: &mut Vec<Edge>) -> Result<usize> {
+        self.end_chunk_span();
+        buf.clear();
+        let cap = self.chunk_cap();
+        for _ in 0..WINDOW_CHUNKS {
+            self.heartbeat()?;
             let chunk = source.next_slice(cap);
             if chunk.is_empty() {
                 break;
             }
             buf.extend_from_slice(chunk);
         }
-        if self.setup.trace && !buf.is_empty() {
-            self.chunk_ts = obs::now_us();
-            self.chunk_edges = buf.len() as u64;
-        }
+        self.begin_chunk_span(buf.len());
         Ok(buf.len())
-    }
-
-    fn next_window(&mut self, source: &mut Source, buf: &mut Vec<Edge>) -> Result<usize> {
-        self.next_chunks(source, buf, self.chunk_cap(), WINDOW_CHUNKS)
     }
 
     fn slot(&self, table: u8) -> Result<usize> {
@@ -547,17 +565,6 @@ impl Wk {
             )));
         }
         Ok(i)
-    }
-
-    fn scan_local(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
-        let i = self.slot(table)?;
-        let mut keys = Vec::new();
-        let mut rows = Vec::new();
-        self.shards[i].scan(|key, row| {
-            keys.push(key);
-            rows.extend_from_slice(row);
-        });
-        Ok((keys, rows))
     }
 
     /// Executes a batch of ops (each over the same `keys`) against the
@@ -837,7 +844,7 @@ impl Wk {
         let casts = std::mem::take(&mut self.casts);
         let mut out = match stage {
             Stage::Baseline => self.stage_baseline(token, &mut source, relaxed, epoch),
-            Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source, relaxed),
+            Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source),
             Stage::ClugpPairs { num_clusters } => {
                 self.stage_clugp_pairs(num_clusters, token, &mut source, &casts)
             }
@@ -971,9 +978,8 @@ impl Wk {
         let loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let carry = std::mem::take(&mut token.carry);
         let mut waves = Waves::new(cfg, self.setup.k, loads, carry)?;
-        let mut buf = Vec::new();
-        while self.next_window(source, &mut buf)? != 0 {
-            waves.push(&buf);
+        while let Some(chunk) = self.lend_chunk(source)? {
+            waves.push(chunk);
         }
         if relaxed || self.setup.worker + 1 == self.setup.workers {
             waves.drain();
@@ -1059,20 +1065,18 @@ impl Wk {
             // it streams to `StageDone` and the coordinator sums the loads.
             return self.run_sequenced(kernel, token, source);
         }
-        let cap = self.chunk_cap();
-        let mut buf = Vec::new();
         let mut assignments = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let mut base = loads.as_slice().to_vec();
         let mut touched = Touched::default();
         let mut keys: Vec<u64> = Vec::new();
         let mut since = 0usize;
-        while self.next_chunks(source, &mut buf, cap, 1)? != 0 {
+        while let Some(chunk) = self.lend_chunk(source)? {
             if K::TABLES > 0 {
-                distinct_endpoints(&buf, &mut keys);
+                distinct_endpoints(chunk, &mut keys);
                 touched.note(&mut kernel, &keys)?;
             }
-            kernel.step_chunk(&buf, &mut loads, &mut assignments)?;
+            kernel.step_chunk(chunk, &mut loads, &mut assignments)?;
             since += 1;
             if since >= epoch {
                 since = 0;
@@ -1131,90 +1135,54 @@ impl Wk {
         Ok(())
     }
 
-    /// CLUGP pass 1, the one stage that writes. Sequenced, the window's
-    /// vertex rows and the volumes of the clusters they name are admitted
-    /// from their owners and everything touched goes back at the end; the
-    /// raw-volume scratch is kept at the full global length (the token's
-    /// raw-id watermark) so a minted cluster gets the monolith's raw id. The
-    /// resident cluster set is closed under the step: every volume it reads
-    /// or writes belongs to the cluster a vertex had when it was fetched, to
-    /// a cluster minted in this stage, or — a migration's destination — to
-    /// the cluster of the edge's other, resident, endpoint. Relaxed, the
-    /// range is clustered entirely locally (raw ids are worker-local, volumes
-    /// start from zero) and the whole frontier — every touched vertex row
-    /// plus the local volumes — leaves as one [`Msg::Pass1Frontier`] for the
-    /// coordinator to merge deterministically across workers.
+    /// CLUGP pass 1, the one stage that writes: the monolith's loop over this
+    /// worker's range, against its own full tables. It starts from the seed
+    /// the coordinator sent ahead of `RunStage` — the state as the previous
+    /// sequenced turn left it, so a minted cluster gets the monolith's raw id;
+    /// nothing for worker 0, and nothing in relaxed mode, where raw ids are
+    /// worker-local and volumes start from zero — and the whole state — every
+    /// touched vertex row plus the volumes — leaves as one
+    /// [`Msg::Pass1Frontier`], for the coordinator to hand to the next turn
+    /// or keep (sequenced: there is one writer at a time), or to merge
+    /// deterministically across workers (relaxed).
     fn stage_clugp_pass1(
         &mut self,
         vmax: u64,
         mut token: Token,
         source: &mut Source,
-        relaxed: bool,
     ) -> Result<StageOut> {
         let (splitting, migration, max_vertices) = self.clugp_spec()?;
-        let watermark = if relaxed { 0 } else { token.next_raw as usize };
+        let mut vertices = VertexState::new(0, max_vertices)?;
+        let (keys, rows, vol) = self.seed.take().unwrap_or_default();
+        let me = self.setup.worker as usize;
+        import_turn_state(me, &mut vertices, (&keys, &rows, &vol), token.next_raw)?;
+        // The tables hold them now; the range streams without the wire copy.
+        drop((keys, rows));
         let mut pass = Pass1 {
-            vertices: VertexState::new(0, max_vertices)?,
-            vol: vec![0; watermark],
+            vertices,
+            vol,
             splits: token.splits,
             migrations: token.migrations,
             vmax,
             splitting,
             migration,
         };
-        let mut vertices = Resident::new(vec![T_MAIN], pass.vertices.cluster_of.limit());
-        let mut clusters = Resident::new(vec![T_VOL], u64::from(NO_CLUSTER));
-        let mut buf = Vec::new();
-        while self.next_window(source, &mut buf)? != 0 {
-            let minted_from = pass.vol.len();
-            if !relaxed {
-                vertices.touch_endpoints(&buf)?;
-                self.admit(&mut vertices, |keys, rows| {
-                    pass.vertices.import(keys, &rows[0])?;
-                    touch_clusters(&mut clusters, &pass.vertices, keys)
-                })?;
-                self.admit(&mut clusters, |keys, rows| {
-                    for (&c, &volume) in keys.iter().zip(&rows[0]) {
-                        let Some(slot) = pass.vol.get_mut(c as usize) else {
-                            return Err(PartitionError::InvalidParam(format!(
-                                "vertex row names raw cluster {c} past the watermark"
-                            )));
-                        };
-                        *slot = volume;
-                    }
-                    Ok(())
-                })?;
-            }
-            for &e in &buf {
+        while let Some(chunk) = self.lend_chunk(source)? {
+            for &e in chunk {
                 pass.step(e)?;
-            }
-            // A cluster minted here has no owner row yet: it is resident by
-            // construction, and must be marked before a later window could
-            // fetch zeros over its live volume.
-            if !relaxed {
-                for c in minted_from..pass.vol.len() {
-                    clusters.mark(c as u64);
-                }
             }
         }
         token.next_raw = pass.vol.len() as u64;
         token.splits = pass.splits;
         token.migrations = pass.migrations;
         token.table_len = token.table_len.max(pass.vertices.len());
-        if relaxed {
-            // Every vertex the pass touched has a cluster.
-            let keys: Vec<u64> = (0..pass.vertices.len())
-                .filter(|&v| pass.vertices.cluster_of[v as u32] != NO_CLUSTER)
-                .collect();
-            let rows = pass.vertices.export(&keys);
-            let vol = pass.vol;
-            self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
-        } else {
-            self.flush(&vertices, |_, keys| pass.vertices.export(keys))?;
-            self.flush(&clusters, |_, keys| {
-                keys.iter().map(|&c| pass.vol[c as usize]).collect()
-            })?;
-        }
+        // Every vertex the pass touched, on any turn so far, has a cluster.
+        let keys: Vec<u64> = (0..pass.vertices.len())
+            .filter(|&v| pass.vertices.cluster_of[v as u32] != NO_CLUSTER)
+            .collect();
+        let rows = pass.vertices.export(&keys);
+        let vol = pass.vol;
+        self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
         Ok((token, PartIds::for_k(self.setup.k), None))
     }
 
@@ -1231,9 +1199,8 @@ impl Wk {
     ) -> Result<StageOut> {
         let vertices = cast(&casts.vertices, T_MAIN)?;
         let mut sink = PairSink::new(num_clusters as usize, source.len());
-        let mut buf = Vec::new();
-        while self.next_window(source, &mut buf)? != 0 {
-            for &e in &buf {
+        while let Some(chunk) = self.lend_chunk(source)? {
+            for &e in chunk {
                 sink.push(vertices.cluster_of[e.src], vertices.cluster_of[e.dst]);
             }
         }
@@ -1281,12 +1248,11 @@ impl Wk {
             reroutes: token.reroutes,
         };
         let mut placed: u64 = balancer.loads.iter().sum();
-        let mut buf = Vec::new();
         let mut assignments = PartIds::for_k(k);
         let mut wide = Vec::new();
-        while self.next_window(source, &mut buf)? != 0 {
+        while let Some(chunk) = self.lend_chunk(source)? {
             wide.clear();
-            for &e in &buf {
+            for &e in chunk {
                 if relaxed && placed == u64::from(k) * balancer.lmax {
                     // Every partition just regained a slot, including the
                     // ones the monotone reroute cursor already passed.
@@ -1306,14 +1272,44 @@ impl Wk {
     }
 }
 
-/// Touches the cluster-table key of every vertex in `keys` that has a
-/// cluster: the rows just imported name the clusters the window reads.
-fn touch_clusters(clusters: &mut Resident, vertices: &VertexState, keys: &[u64]) -> Result<()> {
-    for &key in keys {
-        let c = vertices.cluster_of[key as u32];
-        if c != NO_CLUSTER {
-            clusters.touch(u64::from(c))?;
-        }
+/// Builds onto `vertices` (fresh tables) the pass-1 state a sequenced turn
+/// hands on — a [`Msg::Pass1Frontier`], whichever way it travels — holding it
+/// to the run before anything is indexed with it: one row per key, at least
+/// the `next_raw` volumes handed out before it was written, every row's raw
+/// cluster among them, every key below the vertex cap, and at most four raw
+/// clusters per edge the degrees count (two allocations, two splits). An
+/// error names `worker`, at whose end of the link the state was read.
+pub(crate) fn import_turn_state(
+    worker: usize,
+    vertices: &mut VertexState,
+    (keys, rows, vol): (&[u64], &[u64], &[u64]),
+    next_raw: u64,
+) -> Result<()> {
+    let named = |what: String| {
+        PartitionError::InvalidParam(format!("worker {worker}: pass-1 state {what}"))
+    };
+    if rows.len() != keys.len() * ROW_WIDTH {
+        return Err(named("does not match its key count".into()));
+    }
+    let raw = vol.len() as u64;
+    if raw < next_raw {
+        return Err(named(format!(
+            "holds {raw} volumes, {next_raw} raw clusters were handed out"
+        )));
+    }
+    // Word 0 is `cluster + 1`, read before `unpack` narrows it.
+    if let Some(row) = rows.chunks_exact(ROW_WIDTH).find(|row| row[0] > raw) {
+        return Err(named(format!(
+            "names raw cluster {}, it holds {raw} volumes",
+            row[0] - 1
+        )));
+    }
+    vertices
+        .import(keys, rows)
+        .map_err(|e| named(e.to_string()))?;
+    let edges = vertices.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+    if raw > edges.saturating_mul(4) {
+        return Err(named(format!("holds {raw} raw clusters for {edges} edges")));
     }
     Ok(())
 }
@@ -1446,10 +1442,57 @@ impl Touched {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ampc::proto::TableDef;
     use crate::ampc::transport::channel_pair;
     use crate::baselines::HdrfConfig;
+
+    /// Worker 1 of 2 over `edges`, k = 4, 64-edge chunks.
+    fn setup(algo: AlgoSpec, edges: Vec<Edge>, tables: Vec<TableDef>) -> WorkerSetup {
+        WorkerSetup {
+            worker: 1,
+            workers: 2,
+            k: 4,
+            chunk: 64,
+            heartbeat_ms: 0,
+            algo,
+            input: InputSpec::Inline { edges },
+            tables,
+            trace: false,
+        }
+    }
+
+    /// Plays the coordinator to a worker configured with `setup`: sends it
+    /// `frames` and returns the error it reports — a `Msg::Err`, and a typed
+    /// error out of `run_worker`, never a panic.
+    fn reported_error(setup: WorkerSetup, frames: Vec<Msg>) -> String {
+        let (mut coord, worker) = channel_pair(8);
+        let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+        coord
+            .send(&Msg::Configure(Box::new(setup)).encode())
+            .unwrap();
+        assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
+        for frame in frames {
+            coord.send(&frame.encode()).unwrap();
+        }
+        let reply = recv(&mut coord).unwrap();
+        let err = handle.join().expect("worker thread").unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        match reply {
+            Msg::Err { msg } => msg,
+            other => panic!("expected Err, got {}", other.kind()),
+        }
+    }
+
+    fn run_stage(stage: Stage, token: Token) -> Msg {
+        Msg::RunStage {
+            stage,
+            token,
+            mode: AmpcMode::Sequenced,
+            epoch: 0,
+        }
+    }
 
     #[test]
     fn a_worker_handed_a_nan_hdrf_spec_reports_a_typed_error() {
@@ -1457,46 +1500,30 @@ mod tests {
         // corrupt frame reaches the worker unvalidated; the kernel's
         // constructor is where it stops.
         for (lambda, epsilon) in [(f64::NAN, 1.0), (-2.0, 1.0), (1.0, 0.0)] {
-            let (mut coord, worker) = channel_pair(8);
-            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
-            let setup = WorkerSetup {
-                worker: 0,
-                workers: 1,
-                k: 4,
-                chunk: 64,
-                heartbeat_ms: 0,
-                algo: AlgoSpec::Hdrf(HdrfConfig {
-                    lambda,
-                    epsilon,
-                    ..Default::default()
-                }),
-                input: InputSpec::Inline {
-                    edges: vec![Edge::new(0, 1), Edge::new(1, 2)],
-                },
-                tables: Vec::new(),
-                trace: false,
+            let algo = AlgoSpec::Hdrf(HdrfConfig {
+                lambda,
+                epsilon,
+                ..Default::default()
+            });
+            let edges = vec![Edge::new(0, 1), Edge::new(1, 2)];
+            let token = Token {
+                loads: vec![0; 4],
+                ..Default::default()
             };
-            coord
-                .send(&Msg::Configure(Box::new(setup)).encode())
-                .unwrap();
-            assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
-            let run = Msg::RunStage {
-                stage: Stage::Baseline,
-                token: Token {
-                    loads: vec![0; 4],
-                    ..Default::default()
-                },
-                mode: AmpcMode::Sequenced,
-                epoch: 0,
-            };
-            coord.send(&run.encode()).unwrap();
-            match recv(&mut coord).unwrap() {
-                Msg::Err { msg } => assert!(msg.contains("HDRF"), "{msg}"),
-                other => panic!("expected Err, got {}", other.kind()),
-            }
-            let err = handle.join().expect("worker thread").unwrap_err();
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            let run = run_stage(Stage::Baseline, token);
+            let msg = reported_error(setup(algo, edges, Vec::new()), vec![run]);
+            assert!(msg.contains("HDRF"), "{msg}");
         }
+    }
+
+    /// Vertices 0, 1, 2 at degree 2, one raw cluster each: the pass-1 state
+    /// after a triangle, as `(keys, rows, vol)`.
+    pub(crate) fn triangle_frontier() -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        (
+            vec![0, 1, 2],
+            vec![1, 2, 0, 2, 2, 0, 3, 2, 0],
+            vec![2, 2, 2],
+        )
     }
 
     #[test]
@@ -1504,7 +1531,6 @@ mod tests {
         // Worker 1 of 2 owns keys >= 100 of a width-3 range table. A key
         // below that base, or a row past the vertex-table limit, used to
         // reach unchecked arithmetic / an `expect` in the shard.
-        use crate::ampc::proto::TableDef;
         let below_base = Msg::StateReqBatch {
             keys: vec![5],
             ops: vec![BatchOp::Get { table: 0 }],
@@ -1521,33 +1547,93 @@ mod tests {
             (below_base, "below the shard base"),
             (past_limit, "vertex-table limit"),
         ] {
-            let (mut coord, worker) = channel_pair(8);
-            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
-            let setup = WorkerSetup {
-                worker: 1,
-                workers: 2,
-                k: 4,
-                chunk: 64,
-                heartbeat_ms: 0,
-                algo: AlgoSpec::Hashing { seed: 0 },
-                input: InputSpec::Inline { edges: Vec::new() },
-                tables: vec![TableDef {
-                    layout: Layout::Range { span: 100 },
-                    width: 3,
-                }],
-                trace: false,
+            let tables = vec![TableDef {
+                layout: Layout::Range { span: 100 },
+                width: 3,
+            }];
+            let setup = setup(AlgoSpec::Hashing { seed: 0 }, Vec::new(), tables);
+            let msg = reported_error(setup, vec![frame]);
+            assert!(msg.contains(needle), "{msg}");
+        }
+        // The pass-1 state the coordinator forwards unread is held to the run
+        // where it is imported: a seed one volume short of the token's three
+        // raw clusters, and no seed at all.
+        let clugp = AlgoSpec::Clugp {
+            splitting: true,
+            migration: 0,
+            max_vertices: 64,
+        };
+        let (keys, rows, mut vol) = triangle_frontier();
+        vol.pop();
+        for (seed, needle) in [
+            (
+                Some(Msg::Pass1Frontier { keys, rows, vol }),
+                "holds 2 volumes",
+            ),
+            (None, "holds 0 volumes, 3 raw clusters were handed out"),
+        ] {
+            let token = Token {
+                next_raw: 3,
+                ..Default::default()
             };
-            coord
-                .send(&Msg::Configure(Box::new(setup)).encode())
-                .unwrap();
-            assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
-            coord.send(&frame.encode()).unwrap();
-            match recv(&mut coord).unwrap() {
-                Msg::Err { msg } => assert!(msg.contains(needle), "{msg}"),
-                other => panic!("expected Err, got {}", other.kind()),
+            let run = run_stage(Stage::ClugpPass1 { vmax: 100 }, token);
+            let frames = seed.into_iter().chain([run]).collect();
+            let setup = setup(clugp.clone(), vec![Edge::new(2, 3)], Vec::new());
+            let msg = reported_error(setup, frames);
+            assert!(msg.contains("worker 1: pass-1 state"), "{msg}");
+            assert!(msg.contains(needle), "{needle}: {msg}");
+        }
+    }
+
+    #[test]
+    fn pass1_state_is_held_to_the_run_before_it_is_indexed_with() {
+        type Forge = fn(&mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>);
+        let cases: [(Forge, u64, &str); 7] = [
+            (|_, _, _| {}, 3, ""),
+            (
+                |_, _, _| {},
+                4,
+                "holds 3 volumes, 4 raw clusters were handed",
+            ),
+            (|_, rows, _| rows.truncate(8), 3, "does not match its key"),
+            (
+                |keys, _, _| keys[2] = 1 << 40,
+                3,
+                "exceeds the max_vertices",
+            ),
+            (
+                |_, rows, _| rows[3] = 4,
+                3,
+                "names raw cluster 3, it holds 3",
+            ),
+            // Read before `unpack` would narrow it onto cluster 0.
+            (
+                |_, rows, _| rows[3] = (1 << 32) + 1,
+                3,
+                "cluster 4294967296",
+            ),
+            (
+                |_, _, vol| vol.resize(13, 0),
+                3,
+                "13 raw clusters for 3 edges",
+            ),
+        ];
+        for (forge, next_raw, needle) in cases {
+            let (mut keys, mut rows, mut vol) = triangle_frontier();
+            forge(&mut keys, &mut rows, &mut vol);
+            let mut vertices = VertexState::new(0, 64).unwrap();
+            match import_turn_state(7, &mut vertices, (&keys, &rows, &vol), next_raw) {
+                Ok(()) => assert!(needle.is_empty(), "{needle}: accepted"),
+                Err(e) => {
+                    assert!(matches!(e, PartitionError::InvalidParam(_)), "{e}");
+                    let msg = e.to_string();
+                    assert!(msg.contains("worker 7: pass-1 state"), "{msg}");
+                    assert!(
+                        !needle.is_empty() && msg.contains(needle),
+                        "{needle}: {msg}"
+                    );
+                }
             }
-            let err = handle.join().expect("worker thread").unwrap_err();
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
         }
     }
 }

@@ -111,7 +111,11 @@ impl VertexState {
 
     /// The flattened rows of `keys`.
     pub(crate) fn export(&self, keys: &[u64]) -> Vec<u64> {
-        keys.iter().flat_map(|&key| self.row(key as u32)).collect()
+        let mut rows = Vec::with_capacity(keys.len() * ROW_WIDTH);
+        for &key in keys {
+            rows.extend_from_slice(&self.row(key as u32));
+        }
+        rows
     }
 }
 

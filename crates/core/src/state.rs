@@ -6,86 +6,10 @@ use crate::vertex_table::{check_cap, DEFAULT_MAX_VERTICES};
 use clugp_graph::types::VertexId;
 use std::cell::Cell;
 
-/// Per-vertex replica counts at the narrowest width that can hold `k`:
-/// `u16` rows when `k ≤ u16::MAX` (every experiment in the paper), `u32`
-/// rows beyond. A count is bounded by `k`, so the width is decided once at
-/// construction — half the count bytes on the common path, still safe for
-/// `k > 65535`.
-#[derive(Debug, Clone)]
-enum Counts {
-    Narrow(Vec<u16>),
-    Wide(Vec<u32>),
-}
-
-impl Counts {
-    fn with_len(len: usize, k: u32) -> Self {
-        if k <= u32::from(u16::MAX) {
-            Counts::Narrow(vec![0; len])
-        } else {
-            Counts::Wide(vec![0; len])
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Counts::Narrow(v) => v.len(),
-            Counts::Wide(v) => v.len(),
-        }
-    }
-
-    fn resize(&mut self, len: usize) {
-        match self {
-            Counts::Narrow(v) => v.resize(len, 0),
-            Counts::Wide(v) => v.resize(len, 0),
-        }
-    }
-
-    #[inline]
-    fn get(&self, v: usize) -> u32 {
-        match self {
-            Counts::Narrow(c) => u32::from(c[v]),
-            Counts::Wide(c) => c[v],
-        }
-    }
-
-    /// Increments the count of `v`, returning the previous value.
-    #[inline]
-    fn bump(&mut self, v: usize) -> u32 {
-        match self {
-            // Cannot wrap: counts are bounded by k ≤ u16::MAX in this arm.
-            Counts::Narrow(c) => {
-                let prev = c[v];
-                c[v] = prev + 1;
-                u32::from(prev)
-            }
-            Counts::Wide(c) => {
-                let prev = c[v];
-                c[v] = prev + 1;
-                prev
-            }
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, v: usize, c: u32) {
-        match self {
-            // Safe: counts are bounded by k ≤ u16::MAX in this arm.
-            Counts::Narrow(vec) => vec[v] = c as u16,
-            Counts::Wide(vec) => vec[v] = c,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            Counts::Narrow(v) => v.capacity() * 2,
-            Counts::Wide(v) => v.capacity() * 4,
-        }
-    }
-}
-
 /// Tracks, for every vertex, the set of partitions holding a replica of it —
 /// the `P(v)` of the paper — as one bitset row of `ceil(k/64)` words per
-/// vertex plus a per-vertex count.
+/// vertex. A row is its own count: `|P(v)|` is its popcount, and the
+/// table-wide tallies are one popcount scan, which a run asks for once.
 ///
 /// This is simultaneously (a) the evaluation structure behind the
 /// replication factor and (b) the "global status table" that the
@@ -101,10 +25,7 @@ pub struct ReplicaTable {
     words_per_row: usize,
     k: u32,
     bits: Vec<u64>,
-    counts: Counts,
     limit: u64,
-    total_replicas: u64,
-    touched_vertices: u64,
 }
 
 /// Checked `words_per_row × num_vertices`, failing cleanly when the product
@@ -143,10 +64,7 @@ impl ReplicaTable {
             words_per_row,
             k,
             bits: vec![0; words],
-            counts: Counts::with_len(num_vertices as usize, k),
             limit,
-            total_replicas: 0,
-            touched_vertices: 0,
         })
     }
 
@@ -157,7 +75,7 @@ impl ReplicaTable {
 
     /// Number of vertices this table was sized for.
     pub fn num_vertices(&self) -> u64 {
-        self.counts.len() as u64
+        (self.bits.len() / self.words_per_row) as u64
     }
 
     /// The configured growth limit.
@@ -173,7 +91,8 @@ impl ReplicaTable {
     /// the `max_vertices` limit or overflows addressable memory.
     #[inline]
     pub fn ensure_vertices(&mut self, num_vertices: u64) -> Result<()> {
-        if num_vertices as usize <= self.counts.len() {
+        // Per edge on the replay path: a multiply, not `num_vertices()`'s divide.
+        if (num_vertices as usize).saturating_mul(self.words_per_row) <= self.bits.len() {
             return Ok(());
         }
         self.grow(num_vertices)
@@ -183,7 +102,6 @@ impl ReplicaTable {
     fn grow(&mut self, num_vertices: u64) -> Result<()> {
         check_cap("num_vertices", num_vertices, self.limit)?;
         let words = checked_words(self.words_per_row, num_vertices, self.k)?;
-        self.counts.resize(num_vertices as usize);
         self.bits.resize(words, 0);
         Ok(())
     }
@@ -204,42 +122,36 @@ impl ReplicaTable {
         let row = v as usize * self.words_per_row;
         let word = &mut self.bits[row + (p as usize >> 6)];
         let mask = 1u64 << (p & 63);
-        if *word & mask != 0 {
-            return false;
-        }
+        let new = *word & mask == 0;
         *word |= mask;
-        if self.counts.bump(v as usize) == 0 {
-            self.touched_vertices += 1;
-        }
-        self.total_replicas += 1;
-        true
+        new
     }
 
     /// `|P(v)|`: the number of partitions holding `v`.
     #[inline]
     pub fn count(&self, v: VertexId) -> u32 {
-        self.counts.get(v as usize)
+        self.row(v).iter().map(|w| w.count_ones()).sum()
     }
 
-    /// `Σ_v |P(v)|` over all vertices.
+    /// `Σ_v |P(v)|` over all vertices: a scan of the table.
     pub fn total_replicas(&self) -> u64 {
-        self.total_replicas
+        self.bits.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Number of vertices with at least one replica (i.e. that appeared in
-    /// the stream).
+    /// the stream): a scan of the table.
     pub fn touched_vertices(&self) -> u64 {
-        self.touched_vertices
+        let rows = self.bits.chunks_exact(self.words_per_row);
+        rows.filter(|row| row.iter().any(|&w| w != 0)).count() as u64
     }
 
     /// Replication factor with the touched-vertex denominator (isolated
     /// vertices never enter any partition; see DESIGN.md). Returns 0.0 if no
     /// vertex was touched.
     pub fn replication_factor(&self) -> f64 {
-        if self.touched_vertices == 0 {
-            0.0
-        } else {
-            self.total_replicas as f64 / self.touched_vertices as f64
+        match self.touched_vertices() {
+            0 => 0.0,
+            touched => self.total_replicas() as f64 / touched as f64,
         }
     }
 
@@ -279,8 +191,7 @@ impl ReplicaTable {
         out[..self.words_per_row].copy_from_slice(&self.bits[row..row + self.words_per_row]);
     }
 
-    /// Overwrites `v`'s bitset row with `words`, fixing the per-vertex count
-    /// and the global replica/touched tallies. This is the bulk ingress used
+    /// Overwrites `v`'s bitset row with `words`. This is the bulk ingress used
     /// by the sharded state service and the placement snapshot loader, both
     /// of which read rows off a wire or a file, so bits at positions `>= k`
     /// are cleared on the way in: no reader of a row ever sees a partition
@@ -292,32 +203,23 @@ impl ReplicaTable {
     pub fn import_row(&mut self, v: VertexId, words: &[u64]) {
         let row = v as usize * self.words_per_row;
         let dst = &mut self.bits[row..row + self.words_per_row];
-        let old: u32 = dst.iter().map(|w| w.count_ones()).sum();
         dst.copy_from_slice(&words[..self.words_per_row]);
         let tail_bits = self.k as usize - (self.words_per_row - 1) * 64;
         if tail_bits < 64 {
             dst[self.words_per_row - 1] &= (1u64 << tail_bits) - 1;
         }
-        let new: u32 = dst.iter().map(|w| w.count_ones()).sum();
-        self.counts.set(v as usize, new);
-        self.total_replicas = self.total_replicas - u64::from(old) + u64::from(new);
-        match (old, new) {
-            (0, n) if n > 0 => self.touched_vertices += 1,
-            (o, 0) if o > 0 => self.touched_vertices -= 1,
-            _ => {}
-        }
     }
 
     /// Bytes of heap memory held by the table.
     pub fn memory_bytes(&self) -> usize {
-        self.bits.capacity() * 8 + self.counts.memory_bytes()
+        self.bits.capacity() * 8
     }
 
-    /// What the pre-compaction dense layout (fixed `u32` counts) would have
-    /// held for the same dimensions — the honest comparison point of the
-    /// `experiments memory` trajectory artifact.
+    /// What the seed's dense layout (a `u32` count beside every row) would
+    /// have held for the same dimensions — the honest comparison point of
+    /// the `experiments memory` trajectory artifact.
     pub fn memory_bytes_seed_layout(&self) -> usize {
-        self.bits.capacity() * 8 + self.counts.len() * 4
+        self.bits.capacity() * 8 + self.num_vertices() as usize * 4
     }
 }
 
@@ -548,13 +450,17 @@ mod tests {
     #[test]
     fn memory_bytes_nonzero() {
         let t = ReplicaTable::new(100, 64).unwrap();
-        assert!(t.memory_bytes() >= 100 * 8 + 100 * 2);
+        assert!(t.memory_bytes() >= 100 * 8);
+        // The rows are all there is: the seed layout charged a `u32` count
+        // beside each.
+        assert_eq!(t.memory_bytes_seed_layout() - t.memory_bytes(), 100 * 4);
     }
 
     #[test]
     fn count_survives_k_beyond_u16() {
         // A u16 count silently wrapped once |P(v)| exceeded 65535; with
         // k > u16::MAX a single vertex can legitimately reach such counts.
+        // A popcount of the row has no width to outgrow.
         let k = u32::from(u16::MAX) + 5;
         let mut t = ReplicaTable::new(1, k).unwrap();
         for p in 0..k {
@@ -590,20 +496,6 @@ mod tests {
         t.ensure_vertices(100).unwrap();
         assert!(t.ensure_vertices(101).is_err());
         assert!(ReplicaTable::with_limit(101, 8, 100).is_err());
-    }
-
-    #[test]
-    fn counts_are_narrow_for_small_k_and_wide_beyond_u16() {
-        // k ≤ u16::MAX → 2-byte counts; the seed layout charged 4 bytes.
-        let narrow = ReplicaTable::new(1000, 64).unwrap();
-        assert!(narrow.memory_bytes() < narrow.memory_bytes_seed_layout());
-        assert_eq!(
-            narrow.memory_bytes_seed_layout() - narrow.memory_bytes(),
-            1000 * 2
-        );
-        // k > u16::MAX → 4-byte counts; identical to the seed layout.
-        let wide = ReplicaTable::new(10, u32::from(u16::MAX) + 5).unwrap();
-        assert_eq!(wide.memory_bytes(), wide.memory_bytes_seed_layout());
     }
 
     #[test]
@@ -697,7 +589,11 @@ mod tests {
         t.import_row(1, &[u64::MAX, u64::MAX]);
         assert_eq!(t.count(1), 70);
         assert_eq!(t.row(1), &[u64::MAX, (1u64 << 6) - 1]);
-        assert_eq!(t.total_replicas(), 70);
+        assert_eq!((t.total_replicas(), t.touched_vertices()), (70, 1));
+        // Overwriting: the tallies follow the rows, up and down.
+        t.import_row(1, &[0, 0]);
+        t.import_row(0, &[0b101, 0]);
+        assert_eq!((t.total_replicas(), t.touched_vertices()), (2, 1));
         let mut full = ReplicaTable::new(1, 64).unwrap();
         full.import_row(0, &[u64::MAX]);
         assert_eq!(full.count(0), 64);

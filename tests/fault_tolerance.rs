@@ -106,20 +106,22 @@ fn scripted_faults_recover_bit_identically() {
     // pass and the worker holding its token, `None` for no recovery at
     // all). Ordinal 0 on either direction is the Configure/ConfigureOk
     // exchange; every script here fires later, i.e. mid-flow, after the
-    // first barrier committed. A range of this graph fits one admission
-    // window, so a worker's stage is one fetch round per key group, its
-    // write-back, and `StageDone`.
+    // first barrier committed. A CLUGP link is quiet outside its worker's
+    // turn. The coordinator sends worker 0 `RunStage`, a cast, `RunStage`,
+    // a cast, `RunStage` (ordinals 1–5; every later worker the pass-1 seed
+    // first, so 1–6) and receives, traced, the frontier, then a trace frame
+    // and `StageDone` per stage (ordinals 1–7).
     type Surfaced = Option<(&'static str, usize)>;
     let cases: Vec<(&str, u32, FaultScript, Surfaced)> = vec![
         (
             "link severed while the coordinator sends",
-            1,
-            FaultScript::disconnect_at_send(3),
+            0,
+            FaultScript::disconnect_at_send(1),
             Some(("pass1", 0)),
         ),
         (
             "link severed while the coordinator receives",
-            2,
+            0,
             FaultScript {
                 on_recv: vec![(1, FaultAction::Disconnect)],
                 on_send: Vec::new(),
@@ -137,23 +139,35 @@ fn scripted_faults_recover_bit_identically() {
         ),
         (
             "inbound frame swallowed (surfaces as a deadline timeout)",
-            1,
+            0,
             FaultScript {
                 on_recv: vec![(1, FaultAction::DropFrame)],
                 on_send: Vec::new(),
             },
             Some(("pass1", 0)),
         ),
+        // The second worker's turn: it was sent worker 0's frontier as its
+        // seed and `RunStage`, imports the one and streams; the link dies
+        // before its own frontier reaches the coordinator.
         (
             "link severed under the worker that holds the pass-1 token",
             1,
-            FaultScript::disconnect_at_send(5),
+            FaultScript {
+                on_recv: vec![(1, FaultAction::Disconnect)],
+                on_send: Vec::new(),
+            },
+            Some(("pass1", 1)),
+        ),
+        (
+            "link severed as the pass-1 turn is handed on, behind the seed",
+            1,
+            FaultScript::disconnect_at_send(2),
             Some(("pass1", 1)),
         ),
         (
             "link severed in the last pass, the last worker streaming",
             2,
-            FaultScript::disconnect_at_send(14),
+            FaultScript::disconnect_at_send(6),
             Some(("transform", 2)),
         ),
         (
@@ -256,23 +270,26 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // frame or on an unacknowledged write-back), the run either recovers
     // bit-identically or terminates with a typed error.
     // The deadline keeps "terminates" bounded; the test finishing at all
-    // is the no-hang assertion. 8-edge chunks make a range a few admission
-    // windows long: with one window a link carries some 17 frames each way,
-    // fewer than a plan's ordinal can ask for.
+    // is the no-hang assertion. The algorithm is one that pages its rows: a
+    // CLUGP link carries six or seven frames each way whatever the chunk (the
+    // scripted cases above aim at most of them), HDRF's a fetch round per
+    // admission window, and 4-edge chunks make a range half a dozen windows
+    // long — more frames each way than a plan's ordinal can ask for.
+    use clugp::baselines::Hdrf;
     let (n, edges) = test_web_graph(500, 53);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    let reference = monolith(&mut Hdrf::default(), n, &edges, k);
     for seed in 1..=10u64 {
         let cfg = DistConfig {
             workers: 3,
-            chunk_edges: 8,
+            chunk_edges: 4,
             supervise: supervised(600, 2),
             faults: FaultPlan::seeded(seed, 3),
             trace: true,
             ..Default::default()
         };
         match run_distributed(
-            &DistAlgo::clugp(),
+            &DistAlgo::hdrf(),
             DistInput::Edges {
                 num_vertices: n,
                 edges: &edges,
@@ -317,7 +334,7 @@ fn faults_recover_over_unix_sockets_too() {
     let k = 8;
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
     let mut faults = FaultPlan::none();
-    faults.push(0, 0, FaultScript::disconnect_at_send(2));
+    faults.push(0, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
         workers: 2,
         transport: TransportKind::Unix,
@@ -613,10 +630,11 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
     // (mode, chunk, epoch, faulted worker, ordinal of the transform's
     // `RunStage` among the frames sent to it, the hash to land on). The
     // relaxed configuration and hash are `distributed_equivalence`'s golden
-    // 2-worker CLUGP row; a relaxed worker is sent `Configure`, then a cast
-    // and a `RunStage` per read-only stage behind pass 1's `RunStage`.
+    // 2-worker CLUGP row; a relaxed worker, and the first sequenced one, is
+    // sent `Configure`, then a cast and a `RunStage` per read-only stage
+    // behind pass 1's `RunStage`.
     for (mode, chunk_edges, epoch_chunks, worker, ordinal, want) in [
-        (AmpcMode::Sequenced, 0, 0, 0, 11, fnv1a(&reference.0)),
+        (AmpcMode::Sequenced, 0, 0, 0, 5, fnv1a(&reference.0)),
         (AmpcMode::Relaxed, 173, 2, 1, 5, 0x784d_a5bd_8541_5212),
     ] {
         let mut faults = FaultPlan::none();
@@ -723,7 +741,7 @@ fn traced_faulted_run_records_recovery_events_and_stays_bit_identical() {
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
     let dir = tmp("traced_fault");
     let mut faults = FaultPlan::none();
-    faults.push(1, 0, FaultScript::disconnect_at_send(3));
+    faults.push(0, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
         workers: 2,
         supervise: supervised(600, 2),
@@ -806,7 +824,7 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
     let dir = tmp("crash_ckpt");
     let mut faults = FaultPlan::none();
-    faults.push(1, 0, FaultScript::disconnect_at_send(3));
+    faults.push(0, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
         workers: 2,
         supervise: supervised(600, 2),
@@ -878,12 +896,6 @@ fn killed_unix_worker_process_recovers_bit_identically() {
             "8".into(),
             "--order".into(),
             "asis".into(),
-            // An admission window is 64 chunks: 16-edge chunks cut each
-            // worker's ~3 900 edges into four windows, so a stage is a
-            // dozen frames long and the kill ordinal below has room to land
-            // inside one.
-            "--chunk-size".into(),
-            "16".into(),
             "--output".into(),
             out.to_string_lossy().into_owned(),
         ]
@@ -901,14 +913,15 @@ fn killed_unix_worker_process_recovers_bit_identically() {
     );
 
     // 4 worker processes; worker 1 is armed to die abruptly (SIGABRT, no
-    // goodbye frame — indistinguishable from SIGKILL on the link) after
-    // its 14th received frame: it holds the pass-1 token from its 8th to
-    // its 22nd, and says where it died on stderr.
+    // goodbye frame — indistinguishable from SIGKILL on the link) on its 3rd
+    // received frame: `Configure`, worker 0's frontier as its seed, and the
+    // `RunStage` that makes the pass-1 turn its own — the one frame it is
+    // sent while it holds it. It says where it died on stderr.
     let out = Command::new(&exe)
         .args(common(&kill_tsv))
         .args(["--workers", "4", "--transport", "unix"])
         .args(["--socket-dir", &dir.join("socks").to_string_lossy()])
-        .env("CLUGP_AMPC_KILL_AT", "1:14")
+        .env("CLUGP_AMPC_KILL_AT", "1:3")
         .output()
         .expect("spawn clugp-part");
     assert!(
