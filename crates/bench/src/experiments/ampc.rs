@@ -478,7 +478,8 @@ fn quality_of(assignments: &[u32], n: u64, k: u32, edges: &[Edge]) -> PartitionQ
 
 /// The fault leg: checkpoint overhead of an undisturbed supervised run,
 /// then seeded single-fault injections (drop / delay / corrupt /
-/// disconnect, either direction) against a 4-worker CLUGP run on uk-s.
+/// disconnect, either direction) against a 4-worker CLUGP run on uk-s,
+/// aimed at the four frames every one of its links carries each way.
 /// Every completed run is asserted bit-identical to the monolith; every
 /// failed run must have failed with a typed error, not a hang (the
 /// supervision deadline bounds the probe).
@@ -542,7 +543,7 @@ fn fault_leg(ctx: &ExpContext, k: u32) -> (f64, f64, Vec<FaultProbe>) {
         let cfg = DistConfig {
             workers,
             supervise: supervise.clone(),
-            faults: FaultPlan::seeded(seed, workers),
+            faults: FaultPlan::seeded(seed, workers, 4),
             ..Default::default()
         };
         let t = std::time::Instant::now();

@@ -269,10 +269,11 @@ impl Coord {
     /// Runs one stage as a barrier: the token travels worker 0‥N−1, and
     /// while worker `w` streams, the coordinator relays its routing
     /// traffic to the owning shards. State a stage hands on whole rides the
-    /// turn too: the [`Msg::Pass1Frontier`] worker `w` sends ahead of
-    /// `StageDone` is forwarded to worker `w + 1` ahead of its `RunStage`, as
-    /// it was received — the worker that imports it holds it to the run —
-    /// and the last one is returned, undecoded, beside the token.
+    /// turn too: the one [`Msg::Pass1Frontier`] worker `w` sends ahead of
+    /// `StageDone` in CLUGP pass 1 is forwarded to worker `w + 1` ahead of its
+    /// `RunStage`, as it was received — the worker that imports it holds it to
+    /// the run — and the last one is returned, undecoded, beside the token. In
+    /// any other stage, or a second time in a turn, the verb is refused.
     fn run_stage(
         &mut self,
         stage: Stage,
@@ -280,6 +281,7 @@ impl Coord {
         assignments: &mut Vec<u32>,
     ) -> Result<(Token, Option<Vec<u8>>)> {
         let counters = |t: &Token| [t.next_raw, t.splits, t.migrations, t.reroutes, t.table_len];
+        let hands_on_state = matches!(stage, Stage::ClugpPass1 { .. });
         let mut frontier: Option<Vec<u8>> = None;
         for w in 0..self.conns.len() {
             if let Some(seed) = frontier.take() {
@@ -295,7 +297,7 @@ impl Coord {
             self.send(w, &msg)?;
             token = loop {
                 let frame = self.recv_frame(w)?;
-                if Msg::is_pass1_frontier(&frame) {
+                if hands_on_state && frontier.is_none() && Msg::is_pass1_frontier(&frame) {
                     frontier = Some(frame);
                     continue;
                 }
@@ -493,6 +495,10 @@ impl Coord {
     }
 }
 
+/// Row widths of the tables a CLUGP barrier lists: `T_MAIN`, the raw volumes
+/// pass 1 once paged (dumped empty ever since), `T_CPART`.
+const CLUGPCK1_WIDTHS: [u32; 3] = [ROW_WIDTH as u32, 1, 1];
+
 /// The loads a stage hands back must add up to the edges it assigned.
 fn check_loads(who: std::fmt::Arguments<'_>, token: &Token, placed: usize) -> Result<()> {
     let sum = token.loads.iter().fold(0u64, |a, &l| a.wrapping_add(l));
@@ -532,6 +538,8 @@ struct Supervisor<'a> {
     setups: Vec<WorkerSetup>,
     incarnation: Vec<u32>,
     table_defs: Vec<TableDef>,
+    /// Row width of each table a barrier lists.
+    ckpt_widths: Vec<u32>,
     /// Last committed checkpoint; recovery replays the flow from here.
     last: Option<Checkpoint>,
     ckpt_dir: Option<PathBuf>,
@@ -594,6 +602,7 @@ impl<'a> Supervisor<'a> {
             setups: Vec::new(),
             incarnation: vec![0; n],
             table_defs: Vec::new(),
+            ckpt_widths: Vec::new(),
             last: None,
             ckpt_dir: cfg.checkpoint_dir.clone(),
             recoveries: 0,
@@ -722,11 +731,11 @@ impl<'a> Supervisor<'a> {
         if !self.checkpointing() {
             return Ok(());
         }
-        let empty = |def: &TableDef| TableDump {
-            width: def.width,
+        let empty = |&width: &u32| TableDump {
+            width,
             ..Default::default()
         };
-        let mut dumps: Vec<TableDump> = self.table_defs.iter().map(empty).collect();
+        let mut dumps: Vec<TableDump> = self.ckpt_widths.iter().map(empty).collect();
         let (mut m_real, mut num_clusters) = (0, 0);
         if let Some(tables) = tables {
             (m_real, num_clusters) = (tables.m_real, tables.num_clusters);
@@ -908,14 +917,8 @@ fn drive(
     let algo_spec = algo.spec();
     let (tables, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
         check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
-        // What a `CLUGPCK1` barrier lists, by row width: T_MAIN, the raw
-        // volumes pass 1 once paged (dumped empty), T_CPART. No worker shards
-        // any of them, so the layout is moot.
-        let table = |width| TableDef {
-            layout: vrange,
-            width,
-        };
-        (vec![table(ROW_WIDTH as u32), table(1), table(1)], false)
+        // CLUGP's tables travel whole, never through the state service.
+        (Vec::new(), false)
     } else {
         // Mint shares nothing and never epoch-syncs.
         with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(
@@ -942,11 +945,7 @@ fn drive(
             heartbeat_ms,
             algo: algo_spec.clone(),
             input,
-            // CLUGP's tables travel whole, never through the state service.
-            tables: match algo {
-                DistAlgo::Clugp(_) => Vec::new(),
-                _ => tables.clone(),
-            },
+            tables: tables.clone(),
             trace: cfg.trace,
         });
     }
@@ -961,6 +960,10 @@ fn drive(
         }
     }
 
+    sup.ckpt_widths = match algo {
+        DistAlgo::Clugp(_) => CLUGPCK1_WIDTHS.to_vec(),
+        _ => tables.iter().map(|t| t.width).collect(),
+    };
     sup.table_defs = tables;
     sup.coord.k = k;
     sup.coord.range_edges = range_edges;
@@ -1617,6 +1620,28 @@ mod tests {
         assert!(
             msg.contains("worker 1: StageDone carries a counter"),
             "{msg}"
+        );
+        // The verb is one frame of a pass-1 turn: a second one in the turn,
+        // and one out of any other stage, is a stray verb and refused as
+        // such, never parked with the next worker.
+        let twice = move |w, stage| {
+            let mut frames = reply((1, 3))(w, stage);
+            frames.insert(0, frames[0].clone());
+            frames
+        };
+        let msg = clugp_failure(AmpcMode::Sequenced, 2, twice);
+        assert!(msg.contains("unexpected protocol message: Pass1F"), "{msg}");
+        let hashing = DistAlgo::by_name("hashing").expect("registered");
+        let err = play(hashing, AmpcMode::Sequenced, 2, move |w, stage| {
+            let mut frames = reply((1, 3))(w, stage);
+            frames[1] = stage_done(vec![1, 1, 0, 0], 1, 2, &[0, 1]);
+            frames
+        })
+        .expect_err("a frontier out of a baseline stage");
+        assert!(
+            matches!(&err, PartitionError::InvalidParam(msg)
+                if msg.contains("unexpected protocol message: Pass1F")),
+            "{err}"
         );
     }
 

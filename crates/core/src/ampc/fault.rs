@@ -93,12 +93,17 @@ impl FaultPlan {
     }
 
     /// Generates a single-fault plan from a seed: one pseudo-random
-    /// action on a pseudo-random worker's first link at a small frame
-    /// ordinal. Deterministic for a given `(seed, workers)`.
-    pub fn seeded(seed: u64, workers: u32) -> FaultPlan {
-        let mut rng = XorShift64(seed.max(1));
+    /// action on a pseudo-random worker's first link at a frame ordinal in
+    /// `1..=frames` — the frames a link of the run carries each way behind
+    /// the handshake, so that the plan lands on one: a CLUGP link carries a
+    /// handful whatever the input, a link that pages rows a few per
+    /// admission window. Deterministic for a given `(seed, workers, frames)`.
+    pub fn seeded(seed: u64, workers: u32, frames: u64) -> FaultPlan {
+        // Small seeds leave xorshift's first outputs nearly linear in the
+        // seed (seeds 1..=16 all drew worker 0): scramble the state first.
+        let mut rng = XorShift64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let worker = (rng.next() % u64::from(workers.max(1))) as u32;
-        let ordinal = 2 + rng.next() % 24;
+        let ordinal = 1 + rng.next() % frames.max(1);
         let action = match rng.next() % 4 {
             0 => FaultAction::DropFrame,
             1 => FaultAction::Delay(Duration::from_millis(5 + (rng.next() % 40))),
@@ -333,8 +338,8 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        let p1 = FaultPlan::seeded(42, 4);
-        let p2 = FaultPlan::seeded(42, 4);
+        let p1 = FaultPlan::seeded(42, 4, 6);
+        let p2 = FaultPlan::seeded(42, 4, 6);
         assert!(!p1.is_empty());
         for w in 0..4 {
             let (a, b) = (p1.script(w, 0), p2.script(w, 0));
@@ -348,5 +353,19 @@ mod tests {
             }
         }
         assert!(p1.script(0, 1).is_none());
+        // Every plan lands behind the handshake and within the link's frames.
+        for seed in 0..64 {
+            let plan = FaultPlan::seeded(seed, 4, 6);
+            let mut scripted = (0..4).filter_map(|w| plan.script(w, 0));
+            let script = scripted.next().expect("one scripted link");
+            assert!(scripted.next().is_none());
+            let ordinals: Vec<u64> = script
+                .on_send
+                .iter()
+                .chain(&script.on_recv)
+                .map(|f| f.0)
+                .collect();
+            assert!(matches!(ordinals[..], [1..=6]), "seed {seed}: {ordinals:?}");
+        }
     }
 }

@@ -1276,9 +1276,11 @@ impl Wk {
 /// hands on — a [`Msg::Pass1Frontier`], whichever way it travels — holding it
 /// to the run before anything is indexed with it: one row per key, at least
 /// the `next_raw` volumes handed out before it was written, every row's raw
-/// cluster among them, every key below the vertex cap, and at most four raw
-/// clusters per edge the degrees count (two allocations, two splits). An
-/// error names `worker`, at whose end of the link the state was read.
+/// cluster among them, every key below the vertex cap, every volume the sum
+/// of its members' degrees (what [`Pass1::step`] subtracts from it), and at
+/// most four raw clusters per edge the degrees count (two allocations, two
+/// splits). An error names `worker`, at whose end of the link the state was
+/// read.
 pub(crate) fn import_turn_state(
     worker: usize,
     vertices: &mut VertexState,
@@ -1297,17 +1299,38 @@ pub(crate) fn import_turn_state(
             "holds {raw} volumes, {next_raw} raw clusters were handed out"
         )));
     }
-    // Word 0 is `cluster + 1`, read before `unpack` narrows it.
-    if let Some(row) = rows.chunks_exact(ROW_WIDTH).find(|row| row[0] > raw) {
-        return Err(named(format!(
-            "names raw cluster {}, it holds {raw} volumes",
-            row[0] - 1
-        )));
+    // Word 0 is `cluster + 1` and word 1 the degree, which the next edge
+    // bumps: both are read before `unpack` narrows them.
+    for row in rows.chunks_exact(ROW_WIDTH) {
+        if row[0] > raw {
+            return Err(named(format!(
+                "names raw cluster {}, it holds {raw} volumes",
+                row[0] - 1
+            )));
+        }
+        if row[1] >= u64::from(u32::MAX) {
+            return Err(named(format!("carries the degree {}", row[1])));
+        }
     }
     vertices
         .import(keys, rows)
         .map_err(|e| named(e.to_string()))?;
-    let edges = vertices.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+    let mut members = vec![0u64; vol.len()];
+    for v in (0..vertices.len()).map(|v| v as u32) {
+        let d = u64::from(vertices.degree[v]);
+        match vertices.cluster_of[v] {
+            NO_CLUSTER if d == 0 => {}
+            NO_CLUSTER => return Err(named(format!("gives vertex {v} a degree and no cluster"))),
+            c => members[c as usize] += d,
+        }
+    }
+    if let Some(c) = (0..vol.len()).find(|&c| vol[c] != members[c]) {
+        return Err(named(format!(
+            "gives raw cluster {c} the volume {}, its members' degrees add up to {}",
+            vol[c], members[c]
+        )));
+    }
+    let edges = members.iter().sum::<u64>() / 2;
     if raw > edges.saturating_mul(4) {
         return Err(named(format!("holds {raw} raw clusters for {edges} edges")));
     }
@@ -1588,7 +1611,7 @@ pub(crate) mod tests {
     #[test]
     fn pass1_state_is_held_to_the_run_before_it_is_indexed_with() {
         type Forge = fn(&mut Vec<u64>, &mut Vec<u64>, &mut Vec<u64>);
-        let cases: [(Forge, u64, &str); 7] = [
+        let cases: [(Forge, u64, &str); 12] = [
             (|_, _, _| {}, 3, ""),
             (
                 |_, _, _| {},
@@ -1616,6 +1639,29 @@ pub(crate) mod tests {
                 |_, _, vol| vol.resize(13, 0),
                 3,
                 "13 raw clusters for 3 edges",
+            ),
+            // `Pass1::step` subtracts a mover's degree from its cluster's
+            // volume and adds one to the degree of every endpoint.
+            (
+                |_, rows, _| rows[4] = 7,
+                3,
+                "raw cluster 1 the volume 2, its members' degrees add up to 7",
+            ),
+            (|_, _, vol| vol[2] = u64::MAX, 3, "raw cluster 2 the volume"),
+            (
+                |_, rows, _| rows[7] = u64::from(u32::MAX),
+                3,
+                "carries the degree 4294967295",
+            ),
+            (
+                |_, rows, _| rows[7] = (1 << 32) + 2,
+                3,
+                "carries the degree 4294967298",
+            ),
+            (
+                |_, rows, vol| (rows[6], vol[2]) = (0, 0),
+                3,
+                "gives vertex 2 a degree and no cluster",
             ),
         ];
         for (forge, next_raw, needle) in cases {

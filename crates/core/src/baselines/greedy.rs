@@ -47,38 +47,14 @@ impl EdgeKernel for GreedyKernel {
     fn step(&mut self, e: Edge, loads: &PartitionLoads) -> Result<u32> {
         let replicas = &mut self.replicas;
         replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-        let cu = replicas.count(e.src);
-        let cv = replicas.count(e.dst);
-        let p = if cu > 0 && cv > 0 {
-            let both = loads.argmin_among(
-                replicas
-                    .partitions_of(e.src)
-                    .filter(|&p| replicas.contains(e.dst, p)),
-            );
-            match both {
-                Some(p) => p, // case 1: intersection
-                None => {
-                    // case 2: union of the two replica sets
-                    loads
-                        .argmin_among(
-                            replicas
-                                .partitions_of(e.src)
-                                .chain(replicas.partitions_of(e.dst)),
-                        )
-                        .expect("both sets nonempty")
-                }
-            }
-        } else if cu > 0 {
-            loads
-                .argmin_among(replicas.partitions_of(e.src))
-                .expect("A(u) nonempty")
-        } else if cv > 0 {
-            loads
-                .argmin_among(replicas.partitions_of(e.dst))
-                .expect("A(v) nonempty")
-        } else {
-            loads.argmin() // case 4: fresh edge
-        };
+        // The cases fall through one another, so neither set is sized first:
+        // an empty set yields no candidate, and the union of one empty set is
+        // the other (case 3).
+        let (of_u, of_v) = (replicas.partitions_of(e.src), replicas.partitions_of(e.dst));
+        let p = loads
+            .argmin_among(of_u.filter(|&p| replicas.contains(e.dst, p))) // case 1
+            .or_else(|| loads.argmin_among(replicas.partitions_of(e.src).chain(of_v))) // 2, 3
+            .unwrap_or_else(|| loads.argmin()); // case 4: fresh edge
         replicas.insert(e.src, p);
         replicas.insert(e.dst, p);
         Ok(p)

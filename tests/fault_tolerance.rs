@@ -75,16 +75,27 @@ fn first_fault(out: &clugp::ampc::DistOutcome) -> Option<(String, usize)> {
     Some((pass, holder))
 }
 
-/// Whether every action `plan` scripts (for 3 workers' first links) is a
-/// mere delay, which no run needs to recover from.
-fn delays_only(plan: &FaultPlan) -> bool {
-    (0..3).filter_map(|w| plan.script(w, 0)).all(|script| {
-        script
-            .on_send
-            .iter()
-            .chain(&script.on_recv)
-            .all(|(_, action)| matches!(action, FaultAction::Delay(_)))
-    })
+/// The one fault a [`FaultPlan::seeded`] plan for 3 workers scripts: the
+/// worker whose first link it sits on, whether it perturbs a frame the
+/// coordinator sends (or one it receives), the frame's ordinal, the action.
+fn seeded_fault(plan: &FaultPlan) -> (u32, bool, u64, FaultAction) {
+    let mut faults = (0..3).flat_map(|w| {
+        let script = plan.script(w, 0).into_iter();
+        script.flat_map(move |s| {
+            let sent = s
+                .on_send
+                .iter()
+                .map(move |&(at, action)| (w, true, at, action));
+            sent.chain(
+                s.on_recv
+                    .iter()
+                    .map(move |&(at, action)| (w, false, at, action)),
+            )
+        })
+    });
+    let fault = faults.next().expect("a seeded plan scripts a fault");
+    assert!(faults.next().is_none(), "a seeded plan scripts one fault");
+    fault
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -267,62 +278,97 @@ fn every_incarnation_faulty_exhausts_retries_into_typed_error() {
 fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // Randomized-but-deterministic single-fault plans: whatever the fault
     // is (drop, delay, corrupt, disconnect — either direction, on an awaited
-    // frame or on an unacknowledged write-back), the run either recovers
+    // frame or on an unacknowledged one), the run either recovers
     // bit-identically or terminates with a typed error.
     // The deadline keeps "terminates" bounded; the test finishing at all
-    // is the no-hang assertion. The algorithm is one that pages its rows: a
-    // CLUGP link carries six or seven frames each way whatever the chunk (the
-    // scripted cases above aim at most of them), HDRF's a fetch round per
-    // admission window, and 4-edge chunks make a range half a dozen windows
-    // long — more frames each way than a plan's ordinal can ask for.
+    // is the no-hang assertion. A plan draws its ordinal from the frames a
+    // link of its algorithm carries behind the handshake. CLUGP's carries the
+    // same few whatever the chunk: to worker 0 `RunStage`, a cast, `RunStage`,
+    // a cast, `RunStage` (1–5), to a later worker the pass-1 seed ahead of
+    // them (1–6), then `Shutdown`, whose fate nobody waits for; back, traced,
+    // the frontier, then a trace frame and `StageDone` per stage (1–7). HDRF
+    // pages its rows, a fetch round per admission window, and 4-edge chunks
+    // make a range half a dozen windows long: more frames each way than the
+    // 25 its plans may ask for.
     use clugp::baselines::Hdrf;
     let (n, edges) = test_web_graph(500, 53);
     let k = 8;
-    let reference = monolith(&mut Hdrf::default(), n, &edges, k);
-    for seed in 1..=10u64 {
-        let cfg = DistConfig {
-            workers: 3,
-            chunk_edges: 4,
-            supervise: supervised(600, 2),
-            faults: FaultPlan::seeded(seed, 3),
-            trace: true,
-            ..Default::default()
-        };
-        match run_distributed(
-            &DistAlgo::hdrf(),
-            DistInput::Edges {
+    // (algorithm, monolith, chunk, frames a plan draws from, whether the
+    // ordinal names a frame of the flow on that worker's link).
+    type Lands = fn(u32, bool, u64) -> bool;
+    let clugp_lands: Lands = |worker, sent, at| match sent {
+        true => at <= 5 + u64::from(worker > 0),
+        false => at <= 7,
+    };
+    let algos: [(DistAlgo, Reference, usize, u64, Lands); 2] = [
+        (
+            DistAlgo::clugp(),
+            monolith(&mut Clugp::default(), n, &edges, k),
+            0,
+            7,
+            clugp_lands,
+        ),
+        (
+            DistAlgo::hdrf(),
+            monolith(&mut Hdrf::default(), n, &edges, k),
+            4,
+            25,
+            |_, _, _| true,
+        ),
+    ];
+    for (algo, reference, chunk_edges, frames, lands) in algos {
+        let name = algo.name();
+        let mut surfaced = 0;
+        for seed in 1..=16u64 {
+            let cfg = DistConfig {
+                workers: 3,
+                chunk_edges,
+                supervise: supervised(600, 2),
+                faults: FaultPlan::seeded(seed, 3, frames),
+                trace: true,
+                ..Default::default()
+            };
+            let (worker, sent, at, action) = seeded_fault(&cfg.faults);
+            let input = DistInput::Edges {
                 num_vertices: n,
                 edges: &edges,
-            },
-            k,
-            &cfg,
-        ) {
-            Ok(out) => {
-                // The plan's ordinal (2..26) must lie within the frames a
-                // link of this run carries: anything but a delay surfaces.
-                assert_eq!(
-                    first_fault(&out).is_some(),
-                    !delays_only(&cfg.faults),
-                    "seed {seed}: {:?} surfaced at {:?}",
-                    cfg.faults,
-                    first_fault(&out)
-                );
-                assert_eq!(
-                    (
-                        out.partitioning.assignments,
-                        out.partitioning.loads,
-                        out.partitioning.num_vertices
-                    ),
-                    reference,
-                    "seed {seed}: recovered run diverged from the monolith"
-                )
+            };
+            match run_distributed(&algo, input, k, &cfg) {
+                Ok(out) => {
+                    // Anything but a delay surfaces, on a frame of the flow.
+                    let fired = first_fault(&out);
+                    assert_eq!(
+                        fired.is_some(),
+                        lands(worker, sent, at) && !matches!(action, FaultAction::Delay(_)),
+                        "{name}, seed {seed}: {:?} surfaced at {fired:?}",
+                        cfg.faults,
+                    );
+                    surfaced += usize::from(fired.is_some());
+                    assert_eq!(
+                        (
+                            out.partitioning.assignments,
+                            out.partitioning.loads,
+                            out.partitioning.num_vertices
+                        ),
+                        reference,
+                        "{name}, seed {seed}: recovered run diverged from the monolith"
+                    )
+                }
+                // A corrupt coordinator->worker frame is reported back by the
+                // worker and stays fatal (deterministic errors are not
+                // retried); anything else must be a typed transport fault.
+                Err(PartitionError::Fault { .. }) | Err(PartitionError::InvalidParam(_)) => {
+                    assert!(
+                        lands(worker, sent, at),
+                        "{name}, seed {seed}: {:?}",
+                        cfg.faults
+                    );
+                    surfaced += 1;
+                }
+                Err(other) => panic!("{name}, seed {seed}: untyped failure: {other}"),
             }
-            // A corrupt coordinator->worker frame is reported back by the
-            // worker and stays fatal (deterministic errors are not
-            // retried); anything else must be a typed transport fault.
-            Err(PartitionError::Fault { .. }) | Err(PartitionError::InvalidParam(_)) => {}
-            Err(other) => panic!("seed {seed}: untyped failure: {other}"),
         }
+        assert!(surfaced >= 8, "{name}: {surfaced} of 16 plans fired");
     }
 }
 
