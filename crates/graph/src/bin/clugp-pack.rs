@@ -15,8 +15,9 @@
 //! --checksums <p>   full (default) | header | off — CRC verification when
 //!                   the *input* is itself a pack
 //! --trace-out <f>   write a single-lane Chrome trace-event JSON of the
-//!                   pack run (encode span, spill counter); loads in
-//!                   Perfetto or chrome://tracing
+//!                   pack run (pack:drain_spill and pack:merge_encode
+//!                   spans, spill counter); loads in Perfetto or
+//!                   chrome://tracing
 //!
 //! clugp-pack info <file.clugpz> [--checksums p]
 //!                   header + block statistics, bytes/edge; echoes the
@@ -37,10 +38,11 @@ use clugp_graph::pack::{
     pack_edge_stream, read_pack_summary_with, set_decode_options, verify_pack_report,
     ChecksumPolicy, DecodeOptions, PackOptions, PackStats,
 };
-use clugp_graph::stream::RestreamableStream;
+use clugp_graph::stream::{EdgeStream, RestreamableStream};
 use clugp_obs as obs;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 #[derive(Debug, Clone)]
 struct PackArgs {
@@ -135,13 +137,12 @@ fn run_pack(args: &PackArgs) -> Result<(), String> {
     if args.trace_out.is_some() {
         obs::set_enabled(true);
     }
-    let t_encode = obs::now_us();
     if args.sparse {
         let mut stream = open_sparse_edge_stream(input).map_err(|e| format!("--sparse: {e}"))?;
         let distinct = stream.id_map().len();
-        let stats = pack_edge_stream(&mut stream, output, &opts).map_err(|e| e.to_string())?;
+        let (stats, secs) = timed_pack(&mut stream, output, &opts)?;
         surface_stream_errors(&mut stream, output)?;
-        trace_pack(&stats, t_encode);
+        report_cost(&stats, secs);
         report_stats(&stats, Some(distinct));
     } else {
         let fmt = sniff_format(input).map_err(|e| e.to_string())?;
@@ -153,9 +154,9 @@ fn run_pack(args: &PackArgs) -> Result<(), String> {
             ..DecodeOptions::default()
         });
         let mut stream = open_edge_stream(input).map_err(|e| e.to_string())?;
-        let stats = pack_edge_stream(stream.as_mut(), output, &opts).map_err(|e| e.to_string())?;
+        let (stats, secs) = timed_pack(stream.as_mut(), output, &opts)?;
         surface_stream_errors(stream.as_mut(), output)?;
-        trace_pack(&stats, t_encode);
+        report_cost(&stats, secs);
         report_stats(&stats, None);
     }
     if let Some(path) = &args.trace_out {
@@ -165,10 +166,28 @@ fn run_pack(args: &PackArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Records the pack run's spans into the process-wide sink (no-op unless
-/// `--trace-out` enabled recording).
-fn trace_pack(stats: &PackStats, t_encode: u64) {
-    obs::record_span("pack:encode", t_encode, stats.num_edges);
+/// `pack_edge_stream`, and the seconds it took.
+fn timed_pack(
+    stream: &mut dyn EdgeStream,
+    output: &Path,
+    opts: &PackOptions,
+) -> Result<(PackStats, f64), String> {
+    let started = Instant::now();
+    let stats = pack_edge_stream(stream, output, opts).map_err(|e| e.to_string())?;
+    Ok((stats, started.elapsed().as_secs_f64()))
+}
+
+/// Says on stderr what the `pack_edge_stream` call cost, and records the
+/// spill counter beside the `pack:drain_spill` / `pack:merge_encode` spans
+/// the call left in the process-wide sink (no-op unless `--trace-out`
+/// enabled recording).
+fn report_cost(stats: &PackStats, secs: f64) {
+    eprintln!(
+        "packed {} edges in {secs:.3} s ({:.0} edges/s), spill runs = {}",
+        stats.num_edges,
+        stats.num_edges as f64 / secs.max(1e-9),
+        stats.spill_runs
+    );
     obs::record_instant("spill_runs", stats.spill_runs as u64);
 }
 
@@ -552,7 +571,9 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&trace).unwrap();
         obs::json::validate(&json).unwrap_or_else(|e| panic!("trace not valid JSON: {e}"));
-        assert!(json.contains("\"pack:encode\""), "encode span missing");
+        for span in ["pack:drain_spill", "pack:merge_encode"] {
+            assert!(json.contains(&format!("\"{span}\"")), "{span} span missing");
+        }
         assert!(json.contains("\"spill_runs\""), "spill counter missing");
         for p in [input, output, trace] {
             std::fs::remove_file(p).ok();

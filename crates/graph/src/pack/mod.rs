@@ -58,7 +58,13 @@
 //! [`EdgeStream`]: it buffers up to [`PackOptions::spill_edges`] edges,
 //! sorts each buffer, spills it as a raw run file next to the output, and
 //! k-way merges the runs at write time — classic external sort, so packing
-//! never holds more than one spill buffer of edges in memory.
+//! never holds more than one spill buffer of edges in memory, plus one
+//! 64 KiB slab per run while they merge. A buffer whose sources already
+//! ascend only has each adjacency list sorted; the last buffer is merged
+//! from memory, never written out; and the merge lets the run with the
+//! least head emit until the runner-up's head overtakes it, so runs that do
+//! not interleave (a source-ascending input) concatenate at two heap
+//! operations apiece (`DESIGN.md` §6).
 //!
 //! # Readers
 //!
@@ -93,9 +99,10 @@ pub use pipeline::{
 use crate::error::{GraphError, Result};
 use crate::stream::{chunk_edges, EdgeStream, RestreamableStream};
 use crate::types::Edge;
-use codec::put_varint;
+use clugp_obs as obs;
+use codec::put_record;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -313,13 +320,21 @@ impl<W: Write> BlockEncoder<W> {
         }
     }
 
+    /// Encodes a canonically-ordered slice, closing blocks as they fill.
+    fn push_run(&mut self, edges: &[Edge]) -> Result<()> {
+        for &e in edges {
+            self.push(e)?;
+        }
+        Ok(())
+    }
+
+    #[inline]
     fn push(&mut self, e: Edge) -> Result<()> {
         match self.prev {
             None => {
                 // Block opens with absolute coordinates.
                 self.first_src = e.src;
-                put_varint(&mut self.block, u64::from(e.src));
-                put_varint(&mut self.block, u64::from(e.dst));
+                put_record(&mut self.block, e.src, e.dst);
             }
             Some(p) => {
                 debug_assert!(
@@ -327,12 +342,8 @@ impl<W: Write> BlockEncoder<W> {
                     "encoder fed unsorted edges"
                 );
                 let src_gap = e.src - p.src;
-                put_varint(&mut self.block, u64::from(src_gap));
-                if src_gap == 0 {
-                    put_varint(&mut self.block, u64::from(e.dst - p.dst));
-                } else {
-                    put_varint(&mut self.block, u64::from(e.dst));
-                }
+                let field = if src_gap == 0 { e.dst - p.dst } else { e.dst };
+                put_record(&mut self.block, src_gap, field);
             }
         }
         self.prev = Some(e);
@@ -372,69 +383,191 @@ impl<W: Write> BlockEncoder<W> {
     }
 }
 
-/// A sorted spill run on disk: raw 8-byte edge records, read back through a
-/// buffered cursor during the merge.
-struct RunReader {
-    reader: BufReader<File>,
-    head: Option<Edge>,
+/// Edges per spill-run slab: runs are written and read back 64 KiB at a time.
+const SLAB_EDGES: usize = 8 * 1024;
+/// Bytes of one raw spill-run record (`src`, `dst`, little-endian).
+const RECORD_LEN: usize = 8;
+
+/// Sorts `edges` into canonical `(src, dst)` order — the one sort of the
+/// writer, spilled run or not.
+///
+/// One scan decides how. A buffer whose sources already ascend (a CSR dump,
+/// an adjacency-list file, a re-pack, a WebGraph-style corpus) only needs
+/// each source's run ordered by `dst`; anything else is one sort over the
+/// packed `src << 32 | dst` keys.
+fn sort_canonical(edges: &mut [Edge]) {
+    if edges.windows(2).all(|w| w[0].src <= w[1].src) {
+        for run in edges.chunk_by_mut(|a, b| a.src == b.src) {
+            run.sort_unstable_by_key(|e| e.dst);
+        }
+    } else {
+        edges.sort_unstable_by_key(|e| u64::from(e.src) << 32 | u64::from(e.dst));
+    }
 }
 
-impl RunReader {
-    fn open(path: &Path) -> Result<Self> {
-        let mut r = RunReader {
-            reader: BufReader::with_capacity(1 << 16, File::open(path)?),
-            head: None,
-        };
-        r.advance()?;
-        Ok(r)
+/// Length of the prefix of the sorted `slab` on which `le` holds, found by
+/// doubling probes and a binary search between the last two: O(log prefix)
+/// compares, so a short prefix (interleaved runs) and a whole slab (disjoint
+/// runs) are both cheap.
+fn gallop(slab: &[Edge], le: impl Fn(&Edge) -> bool) -> usize {
+    let (mut lo, mut step) = (0usize, 1usize);
+    while lo + step <= slab.len() && le(&slab[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(slab.len());
+    lo + slab[lo..hi].partition_point(le)
+}
+
+/// One sorted run of the external sort, held a slab at a time: a spill file
+/// of raw records, or the in-memory tail (no file — its slab is the whole
+/// buffer).
+struct Run {
+    slab: Vec<Edge>,
+    pos: usize,
+    file: Option<File>,
+    /// Edges the file has yet to hand over.
+    owed: u64,
+}
+
+impl Run {
+    fn in_memory(sorted: Vec<Edge>) -> Self {
+        Run {
+            slab: sorted,
+            pos: 0,
+            file: None,
+            owed: 0,
+        }
     }
 
-    fn advance(&mut self) -> Result<()> {
-        let mut rec = [0u8; 8];
-        self.head = match self.reader.read_exact(&mut rec) {
-            Ok(()) => Some(Edge {
+    /// Opens the spill file at `path` and loads its first slab. A file that
+    /// is not exactly the `edges` records spilled to it is an error: a
+    /// truncated run must never merge into a shorter graph.
+    fn open(path: &Path, edges: u64, scratch: &mut Vec<u8>) -> Result<Self> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len != edges * RECORD_LEN as u64 {
+            return Err(GraphError::Format(format!(
+                "spill run {} is {len} bytes, the {edges} edges spilled to it are {}",
+                path.display(),
+                edges * RECORD_LEN as u64
+            )));
+        }
+        let mut run = Run {
+            slab: Vec::with_capacity(edges.min(SLAB_EDGES as u64) as usize),
+            pos: 0,
+            file: Some(file),
+            owed: edges,
+        };
+        run.refill(scratch)?;
+        Ok(run)
+    }
+
+    /// Replaces the spent slab with the next one; `false` once the run is
+    /// drained.
+    fn refill(&mut self, scratch: &mut Vec<u8>) -> Result<bool> {
+        self.slab.clear();
+        self.pos = 0;
+        if self.owed == 0 {
+            return Ok(false);
+        }
+        let file = self.file.as_mut().expect("only a spill file owes edges");
+        let want = self.owed.min(SLAB_EDGES as u64) as usize;
+        scratch.resize(want * RECORD_LEN, 0);
+        file.read_exact(scratch)?;
+        self.slab
+            .extend(scratch.chunks_exact(RECORD_LEN).map(|rec| Edge {
                 src: u32::from_le_bytes(rec[..4].try_into().expect("4-byte field")),
                 dst: u32::from_le_bytes(rec[4..].try_into().expect("4-byte field")),
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => None,
-            Err(e) => return Err(GraphError::from(e)),
-        };
-        Ok(())
+            }));
+        self.owed -= want as u64;
+        Ok(true)
     }
+
+    /// Merge key of the run's next edge; ties between runs go to the lower
+    /// run index, which keeps the merge stable.
+    fn head_key(&self, index: usize) -> (u32, u32, usize) {
+        let e = self.slab[self.pos];
+        (e.src, e.dst, index)
+    }
+}
+
+/// K-way merges `runs` into `enc`. The run with the least head keeps
+/// emitting while its head stays at or below the runner-up's key, so the
+/// heap is touched once per run *switch*, not per edge: disjoint runs (a
+/// source-ascending input) cost two heap operations each.
+fn merge_runs<W: Write>(
+    runs: &mut [Run],
+    scratch: &mut Vec<u8>,
+    enc: &mut BlockEncoder<W>,
+) -> Result<()> {
+    use std::cmp::Reverse;
+    let mut heap: std::collections::BinaryHeap<_> = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.slab.is_empty())
+        .map(|(i, r)| Reverse(r.head_key(i)))
+        .collect();
+    while let Some(Reverse((_, _, i))) = heap.pop() {
+        let floor = heap.peek().map(|r| r.0);
+        let run = &mut runs[i];
+        loop {
+            let rest = &run.slab[run.pos..];
+            let n = match floor {
+                Some(floor) => gallop(rest, |e| (e.src, e.dst, i) <= floor),
+                None => rest.len(),
+            };
+            enc.push_run(&rest[..n])?;
+            run.pos += n;
+            if run.pos < run.slab.len() {
+                heap.push(Reverse(run.head_key(i)));
+                break;
+            }
+            if !run.refill(scratch)? {
+                break;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Spill-run files beside the output; removed when packing completes or is
 /// dropped on an error path.
 struct SpillRuns {
-    base: PathBuf,
-    paths: Vec<PathBuf>,
+    output: PathBuf,
+    /// Path and edge count of every run spilled so far.
+    files: Vec<(PathBuf, u64)>,
+    /// The bytes of the slab being written.
+    scratch: Vec<u8>,
 }
 
 impl SpillRuns {
     fn new(output: &Path) -> Self {
         SpillRuns {
-            base: output.to_path_buf(),
-            paths: Vec::new(),
+            output: output.to_path_buf(),
+            files: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
+    /// Sorts `edges` and writes them out as the next run, a slab per write.
     fn spill(&mut self, edges: &mut Vec<Edge>) -> Result<()> {
-        edges.sort_unstable_by_key(|e| (e.src, e.dst));
-        let path = self
-            .base
-            .with_extension(format!("run{}.tmp", self.paths.len()));
-        let mut w = BufWriter::with_capacity(1 << 16, File::create(&path)?);
-        self.paths.push(path);
-        let mut buf = Vec::with_capacity(8 * 1024);
-        for chunk in edges.chunks(1024) {
-            buf.clear();
-            for e in chunk {
-                buf.extend_from_slice(&e.src.to_le_bytes());
-                buf.extend_from_slice(&e.dst.to_le_bytes());
+        sort_canonical(edges);
+        // Appended to the whole file name: `web.clugpz` and `web.bin` packed
+        // side by side must not share `web.run0.tmp`.
+        let mut name = self.output.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".run{}.tmp", self.files.len()));
+        let path = self.output.with_file_name(name);
+        let mut file = File::create(&path)?;
+        self.files.push((path, edges.len() as u64));
+        for slab in edges.chunks(SLAB_EDGES) {
+            self.scratch.clear();
+            for e in slab {
+                self.scratch.extend_from_slice(&e.src.to_le_bytes());
+                self.scratch.extend_from_slice(&e.dst.to_le_bytes());
             }
-            w.write_all(&buf)?;
+            file.write_all(&self.scratch)?;
         }
-        w.flush()?;
         edges.clear();
         Ok(())
     }
@@ -442,7 +575,7 @@ impl SpillRuns {
 
 impl Drop for SpillRuns {
     fn drop(&mut self) {
-        for p in &self.paths {
+        for (p, _) in &self.files {
             std::fs::remove_file(p).ok();
         }
     }
@@ -457,7 +590,9 @@ impl Drop for SpillRuns {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors writing the pack or its spill runs.
+/// Fails on I/O errors writing the pack or its spill runs — a failed final
+/// `fsync` included — and with [`GraphError::Format`] when a spill run read
+/// back is not the run that was written. No output file is left behind.
 pub fn pack_edge_stream(
     stream: &mut dyn EdgeStream,
     path: &Path,
@@ -466,60 +601,81 @@ pub fn pack_edge_stream(
     let spill_cap = opts.spill_edges.max(1);
     let mut runs = SpillRuns::new(path);
     let mut buffer: Vec<Edge> = Vec::with_capacity(spill_cap.min(DEFAULT_SPILL_EDGES));
-    let mut implied_n = 0u64;
-    crate::stream::try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-        for &e in chunk {
-            implied_n = implied_n.max(u64::from(e.src.max(e.dst)) + 1);
-            buffer.push(e);
+    let (mut drained, mut max_id) = (0u64, 0u32);
+    let t_drain = obs::now_us();
+    crate::stream::try_for_each_chunk(stream, chunk_edges(), |mut chunk| -> Result<()> {
+        drained += chunk.len() as u64;
+        max_id = chunk.iter().fold(max_id, |m, e| m.max(e.src).max(e.dst));
+        while !chunk.is_empty() {
+            let (head, rest) = chunk.split_at(chunk.len().min(spill_cap - buffer.len()));
+            buffer.extend_from_slice(head);
+            chunk = rest;
             if buffer.len() >= spill_cap {
                 runs.spill(&mut buffer)?;
             }
         }
         Ok(())
     })?;
+    // The tail run stays in memory: it is merged from the buffer it sits in.
+    sort_canonical(&mut buffer);
+    obs::record_span("pack:drain_spill", t_drain, drained);
+    let implied_n = if drained == 0 {
+        0
+    } else {
+        u64::from(max_id) + 1
+    };
     let num_vertices = stream.num_vertices_hint().unwrap_or(0).max(implied_n);
 
+    let t_merge = obs::now_us();
     let file = File::create(path)?;
+    let written = merge_encode(file, &runs.files, buffer, drained, num_vertices, opts);
+    match &written {
+        Ok(stats) => obs::record_span("pack:merge_encode", t_merge, stats.num_edges),
+        // Only ever a regular file: `/dev/null` refuses the final fsync.
+        Err(_) if path.metadata().is_ok_and(|m| m.is_file()) => {
+            std::fs::remove_file(path).ok();
+        }
+        Err(_) => {}
+    }
+    written
+}
+
+/// The second half of [`pack_edge_stream`]: merges the spilled `runs` and the
+/// sorted in-memory `tail` through the block encoder into `file`, holds the
+/// edges encoded to the `drained` the stream handed over, then writes index,
+/// footer and the real header, and syncs.
+fn merge_encode(
+    file: File,
+    runs: &[(PathBuf, u64)],
+    tail: Vec<Edge>,
+    drained: u64,
+    num_vertices: u64,
+    opts: &PackOptions,
+) -> Result<PackStats> {
+    let mut scratch = Vec::new();
     let mut w = BufWriter::with_capacity(1 << 16, file);
     // Header is rewritten with real counts at the end (m is unknown for
     // hint-less streams until the drain completes).
     w.write_all(&[0u8; HEADER_LEN as usize])?;
     let mut enc = BlockEncoder::new(w, opts.block_bytes, HEADER_LEN);
 
-    let spill_runs = runs.paths.len() + usize::from(!buffer.is_empty() && !runs.paths.is_empty());
-    if runs.paths.is_empty() {
-        // Everything fit in one buffer: sort and encode directly.
-        buffer.sort_unstable_by_key(|e| (e.src, e.dst));
-        for &e in &buffer {
-            enc.push(e)?;
-        }
-    } else {
-        // Spill the tail run too, then k-way merge. The run index breaks
-        // ties so the merge is stable (irrelevant for identical 8-byte
-        // records, but it keeps the loop's invariant obvious).
-        if !buffer.is_empty() {
-            runs.spill(&mut buffer)?;
-        }
-        let mut readers: Vec<RunReader> = runs
-            .paths
-            .iter()
-            .map(|p| RunReader::open(p))
-            .collect::<Result<_>>()?;
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32, usize)>> = readers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.head.map(|e| std::cmp::Reverse((e.src, e.dst, i))))
-            .collect();
-        while let Some(std::cmp::Reverse((src, dst, i))) = heap.pop() {
-            enc.push(Edge { src, dst })?;
-            readers[i].advance()?;
-            if let Some(e) = readers[i].head {
-                heap.push(std::cmp::Reverse((e.src, e.dst, i)));
-            }
-        }
+    let mut sources = runs
+        .iter()
+        .map(|(p, edges)| Run::open(p, *edges, &mut scratch))
+        .collect::<Result<Vec<Run>>>()?;
+    if !tail.is_empty() {
+        sources.push(Run::in_memory(tail));
     }
+    let spill_runs = if runs.is_empty() { 0 } else { sources.len() };
+    merge_runs(&mut sources, &mut scratch, &mut enc)?;
 
     let (index, num_edges, payload_end, mut w) = enc.finish()?;
+    if num_edges != drained {
+        return Err(GraphError::Format(format!(
+            "packing drained {drained} edges from the stream but encoded {num_edges} \
+             out of its {spill_runs} spill runs"
+        )));
+    }
     // Trailing index + footer.
     let mut index_bytes = Vec::with_capacity(index.len() * INDEX_ENTRY_LEN);
     for entry in &index {
@@ -547,15 +703,14 @@ pub fn pack_edge_stream(
     };
     file.seek(SeekFrom::Start(0))?;
     file.write_all(&header.to_bytes())?;
-    file.sync_data().ok();
-    let file_bytes = payload_end + index_bytes.len() as u64 + FOOTER_LEN;
-
+    // A pack reported written is durable, or the caller hears why not.
+    file.sync_data()?;
     Ok(PackStats {
         num_vertices,
         num_edges,
         num_blocks: index.len() as u64,
         payload_bytes: payload_end - HEADER_LEN,
-        file_bytes,
+        file_bytes: payload_end + index_bytes.len() as u64 + FOOTER_LEN,
         spill_runs,
     })
 }
@@ -1397,6 +1552,221 @@ mod tests {
             .to_string_lossy()
             .contains(".run")));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A private directory per spilling test: `external_sort_spill_path_…`
+    /// asserts that the shared one holds no `.run` file.
+    fn tmp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("clugp_pack_test_{name}"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn dir_names(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// Fisher–Yates over a fixed LCG.
+    fn shuffled(mut edges: Vec<Edge>, seed: u64) -> Vec<Edge> {
+        let mut state = seed;
+        for i in (1..edges.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            edges.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        edges
+    }
+
+    /// The whole vector ordered by the standard library's stable tuple sort
+    /// — nothing of the writer's — and encoded as one in-memory run.
+    fn reference_pack(edges: &[Edge], block_bytes: usize, path: &Path) -> Vec<u8> {
+        let mut sorted = edges.to_vec();
+        sorted.sort_by_key(|e| (e.src, e.dst));
+        let opts = PackOptions {
+            block_bytes,
+            spill_edges: usize::MAX,
+        };
+        let stats = write_pack(path, 0, &sorted, &opts).unwrap();
+        assert_eq!(stats.spill_runs, 0);
+        let mut s = PackedEdgeStream::open(path).unwrap();
+        assert_eq!(collect_stream(&mut s), sorted, "reference does not decode");
+        std::fs::read(path).unwrap()
+    }
+
+    #[test]
+    fn every_sort_and_merge_leg_writes_the_reference_bytes() {
+        let dir = tmp_dir("legs");
+        let canonical = canonical_order(&web_like(8_547)); // 11 × 777: an empty tail run
+        let mut ascending = canonical.clone();
+        for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
+            list.reverse();
+        }
+        // Four distinct edges, thousands of copies: ties straddle every run
+        // boundary at every spill size.
+        let duplicates: Vec<Edge> = (0..6_000u32).map(|i| Edge::new(i % 2, i % 4 / 2)).collect();
+        let one_source: Vec<Edge> = (0..5_000u32)
+            .map(|i| Edge::new(9, (i * 7_919) % 1_000))
+            .collect();
+        let inputs: [(&str, Vec<Edge>); 7] = [
+            ("canonical", canonical.clone()),
+            ("ascending", ascending),
+            ("shuffled", shuffled(canonical.clone(), 3)),
+            ("reversed", canonical.iter().rev().copied().collect()),
+            ("duplicates", shuffled(duplicates, 5)),
+            ("one_source", one_source),
+            ("empty", Vec::new()),
+        ];
+        for (name, edges) in &inputs {
+            for spill_edges in [1usize, 7, 777, 4096, usize::MAX] {
+                // One file per run is open during the merge: a few hundred
+                // edges are plenty for the one- and seven-edge runs.
+                let edges = &edges[..edges.len().min(spill_edges.saturating_mul(300))];
+                for block_bytes in [1usize, 64, DEFAULT_BLOCK_BYTES] {
+                    let want = reference_pack(edges, block_bytes, &dir.join("want.clugpz"));
+                    let opts = PackOptions {
+                        block_bytes,
+                        spill_edges,
+                    };
+                    let path = dir.join("got.clugpz");
+                    let stats = write_pack(&path, 0, edges, &opts).unwrap();
+                    let tag = format!("{name} spill={spill_edges} block={block_bytes}");
+                    assert_eq!(stats.num_edges, edges.len() as u64, "{tag}");
+                    // The parent's count: runs on disk plus a non-empty tail,
+                    // 0 when nothing was spilled.
+                    let (full, tail) = (edges.len() / spill_edges, edges.len() % spill_edges);
+                    let runs = if full == 0 {
+                        0
+                    } else {
+                        full + usize::from(tail > 0)
+                    };
+                    assert_eq!(stats.spill_runs, runs, "{tag}");
+                    assert!(std::fs::read(&path).unwrap() == want, "{tag}: bytes differ");
+                }
+            }
+        }
+        assert!(dir_names(&dir).iter().all(|f| !f.contains(".run")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sort_canonical_takes_both_legs_to_the_same_order() {
+        let sorted = canonical_order(&web_like(3_000));
+        let mut ascending = sorted.clone();
+        for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
+            list.reverse();
+        }
+        assert_ne!(ascending, sorted);
+        for mut input in [
+            sorted.clone(),
+            ascending,
+            shuffled(sorted.clone(), 1),
+            Vec::new(),
+        ] {
+            let want = canonical_order(&input);
+            sort_canonical(&mut input);
+            assert_eq!(input, want);
+        }
+    }
+
+    #[test]
+    fn gallop_finds_the_prefix_a_linear_scan_finds() {
+        let slab: Vec<Edge> = (0..100u32).map(|i| Edge::new(i / 3, i % 3)).collect();
+        for len in [0usize, 1, 2, 3, 7, 64, 100] {
+            for bound in 0..=len + 1 {
+                let le = |e: &Edge| ((e.src * 3 + e.dst) as usize) < bound;
+                let want = slab[..len].iter().take_while(|e| le(e)).count();
+                assert_eq!(gallop(&slab[..len], le), want, "len={len} bound={bound}");
+            }
+        }
+    }
+
+    /// Hands out its edges, and cuts `victim` short just before it reports
+    /// exhaustion — between the spill and the merge.
+    struct TruncatingStream {
+        inner: InMemoryStream,
+        victim: PathBuf,
+        cut_to: u64,
+    }
+
+    impl EdgeStream for TruncatingStream {
+        fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+            let chunk = self.inner.next_chunk(cap);
+            if chunk.is_empty() {
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&self.victim)
+                    .unwrap();
+                f.set_len(self.cut_to).unwrap();
+            }
+            chunk
+        }
+        fn len_hint(&self) -> Option<u64> {
+            self.inner.len_hint()
+        }
+        fn num_vertices_hint(&self) -> Option<u64> {
+            self.inner.num_vertices_hint()
+        }
+    }
+
+    #[test]
+    fn truncated_spill_run_is_a_typed_error_and_leaves_nothing_behind() {
+        let edges = web_like(2_000);
+        let opts = PackOptions {
+            spill_edges: 600,
+            ..Default::default()
+        };
+        // Inside a record, and on a record boundary.
+        for cut_to in [8 * 100 + 3, 8 * 100] {
+            let dir = tmp_dir(&format!("truncated{cut_to}"));
+            let path = dir.join("web.clugpz");
+            let mut s = TruncatingStream {
+                inner: InMemoryStream::new(0, edges.clone()),
+                victim: dir.join("web.clugpz.run1.tmp"),
+                cut_to,
+            };
+            let err = pack_edge_stream(&mut s, &path, &opts).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("web.clugpz.run1.tmp"), "{msg}");
+            assert!(msg.contains(&format!("{cut_to} bytes")), "{msg}");
+            assert_eq!(dir_names(&dir), Vec::<String>::new(), "cut_to={cut_to}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn spill_runs_are_named_after_the_whole_output_file_name() {
+        let dir = tmp_dir("names");
+        let edges = web_like(100);
+        let mut runs: Vec<SpillRuns> = ["web.clugpz", "web.bin", "web"]
+            .iter()
+            .map(|name| SpillRuns::new(&dir.join(name)))
+            .collect();
+        for r in &mut runs {
+            r.spill(&mut edges.clone()).unwrap();
+            r.spill(&mut edges.clone()).unwrap();
+        }
+        let mut names = dir_names(&dir);
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "web.bin.run0.tmp",
+                "web.bin.run1.tmp",
+                "web.clugpz.run0.tmp",
+                "web.clugpz.run1.tmp",
+                "web.run0.tmp",
+                "web.run1.tmp",
+            ]
+        );
+        drop(runs);
+        assert!(dir_names(&dir).is_empty(), "runs outlive their owner");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

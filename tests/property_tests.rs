@@ -419,6 +419,48 @@ proptest! {
         std::fs::remove_file(&b).ok();
     }
 
+    /// Every leg of the writer — adjacency-list sort or packed-key sort, no
+    /// run, many runs, an in-memory tail or an empty one — writes the bytes
+    /// of the reference: the vector ordered by the standard library's tuple
+    /// sort, encoded as one in-memory run.
+    #[test]
+    fn pack_bytes_equal_the_one_run_reference_in_any_order(edges in arb_edges()) {
+        use clugp_graph::pack::{write_pack, PackOptions, DEFAULT_BLOCK_BYTES};
+        let dir = std::env::temp_dir().join("clugp_prop_pack_legs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut canonical = edges.clone();
+        canonical.sort_by_key(|e| (e.src, e.dst));
+        // Stable by source alone: sources ascend, adjacency lists as drawn.
+        let mut ascending = edges.clone();
+        ascending.sort_by_key(|e| e.src);
+        let reversed: Vec<Edge> = canonical.iter().rev().copied().collect();
+        let one_source: Vec<Edge> = edges.iter().map(|e| Edge::new(5, e.dst)).collect();
+        let (want, got) = (dir.join(format!("want{}.clugpz", edges.len())),
+                           dir.join(format!("got{}.clugpz", edges.len())));
+        for block_bytes in [1usize, 64, DEFAULT_BLOCK_BYTES] {
+            for (name, input) in [("drawn", &edges), ("canonical", &canonical),
+                                  ("ascending", &ascending), ("reversed", &reversed),
+                                  ("one source", &one_source)] {
+                let mut sorted = input.clone();
+                sorted.sort_by_key(|e| (e.src, e.dst));
+                write_pack(&want, 64, &sorted, &PackOptions {
+                    block_bytes,
+                    spill_edges: usize::MAX,
+                }).unwrap();
+                let want_bytes = std::fs::read(&want).unwrap();
+                for spill_edges in [1usize, 7, 777, 4096, usize::MAX] {
+                    write_pack(&got, 64, input, &PackOptions { block_bytes, spill_edges }).unwrap();
+                    prop_assert!(
+                        std::fs::read(&got).unwrap() == want_bytes,
+                        "{} spill={} block={}", name, spill_edges, block_bytes
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(&want).ok();
+        std::fs::remove_file(&got).ok();
+    }
+
     /// The format's CRC32 is the reflected IEEE polynomial division, bit by
     /// bit, whatever table layout `crc32` uses to get there: arbitrary
     /// bytes, lengths on both sides of the 16-byte slicing stride.
