@@ -82,7 +82,7 @@ pub struct AmpcRun {
 /// One non-zero row of the per-message-type traffic histogram.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct VerbStat {
-    /// Protocol verb name (e.g. `RouteBatch`, `StateRespBatch`).
+    /// Protocol verb name (e.g. `TurnState`, `StageDone`).
     pub verb: String,
     /// Frames with this tag, sent + received over all links.
     pub frames: u64,

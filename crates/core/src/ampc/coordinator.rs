@@ -1,19 +1,17 @@
 //! The coordinator half of the coordinator/worker engine.
 //!
 //! The coordinator owns no edge data. It splits the input into
-//! contiguous per-worker ranges, declares the state-table layouts,
-//! sequences the passes as barriers (the streaming token travels worker
-//! 0‥N−1 inside each pass that writes shared state), relays the baselines'
-//! cross-worker state traffic (the transports form a star, so the token
-//! holder reaches a remote shard via a coordinator-forwarded
-//! [`Msg::RouteBatch`]), and runs the pass-2 work the monolith does between
-//! streams: cluster compaction, the cluster graph, and the game/greedy
-//! cluster assignment. CLUGP's tables are never paged: sequenced pass 1
-//! hands the whole state from turn to turn (`Coord::run_stage` forwards one
-//! [`Msg::Pass1Frontier`] per hand-off), and from the end of pass 1
-//! the coordinator owns them ([`ClugpTables`]): a stage that only reads one
-//! is cast the whole of it up front (`cast_table`, one [`Msg::TableCast`])
-//! and a barrier dumps them, both from memory.
+//! contiguous per-worker ranges, sequences the passes as barriers (the
+//! streaming token travels worker 0‥N−1 inside each pass that writes shared
+//! state), and runs the pass-2 work the monolith does between streams:
+//! cluster compaction, the cluster graph, and the game/greedy cluster
+//! assignment. No table is paged. A sequenced stage that writes hands its
+//! whole state from turn to turn — `Coord::run_stage` forwards one
+//! [`Msg::TurnState`] (a baseline) or [`Msg::Pass1Frontier`] (CLUGP pass 1)
+//! per hand-off, as received — and from the end of pass 1 the coordinator
+//! owns CLUGP's tables ([`ClugpTables`]): a stage that only reads one is cast
+//! the whole of it up front (`cast_table`, one [`Msg::TableCast`]) and a
+//! barrier dumps them, both from memory.
 //!
 //! Whatever a worker reports is held against what the coordinator handed
 //! out before it is indexed with (`Coord::accept_part`, `merge_pairs`,
@@ -39,10 +37,9 @@
 use super::checkpoint::{load_latest, write_checkpoint, Checkpoint, TableDump};
 use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, TableDef, Token,
-    WorkerSetup,
+    AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
-use super::table::{Layout, MergeOp};
+use super::table::MergeOp;
 use super::transport::{NetStats, Transport};
 use super::worker::{
     cluster_partition_map, import_turn_state, unexpected, with_edge_kernel, T_CPART, T_MAIN,
@@ -266,14 +263,14 @@ impl Coord {
             .map_err(|e| named(e.to_string()))
     }
 
-    /// Runs one stage as a barrier: the token travels worker 0‥N−1, and
-    /// while worker `w` streams, the coordinator relays its routing
-    /// traffic to the owning shards. State a stage hands on whole rides the
-    /// turn too: the one [`Msg::Pass1Frontier`] worker `w` sends ahead of
-    /// `StageDone` in CLUGP pass 1 is forwarded to worker `w + 1` ahead of its
-    /// `RunStage`, as it was received — the worker that imports it holds it to
-    /// the run — and the last one is returned, undecoded, beside the token. In
-    /// any other stage, or a second time in a turn, the verb is refused.
+    /// Runs one stage as a barrier: the token travels worker 0‥N−1, and the
+    /// state a stage writes rides the turn with it. The one frame worker `w`
+    /// sends ahead of `StageDone` under the stage's [`Msg::hand_on_tag`] — a
+    /// [`Msg::Pass1Frontier`] in CLUGP pass 1, a [`Msg::TurnState`] in a
+    /// baseline — is forwarded to worker `w + 1` ahead of its `RunStage`, as
+    /// it was received: the worker that imports it holds it to the run. The
+    /// last one is returned, undecoded, beside the token. Out of any other
+    /// stage, or a second time in a turn, the verb is refused.
     fn run_stage(
         &mut self,
         stage: Stage,
@@ -281,10 +278,10 @@ impl Coord {
         assignments: &mut Vec<u32>,
     ) -> Result<(Token, Option<Vec<u8>>)> {
         let counters = |t: &Token| [t.next_raw, t.splits, t.migrations, t.reroutes, t.table_len];
-        let hands_on_state = matches!(stage, Stage::ClugpPass1 { .. });
-        let mut frontier: Option<Vec<u8>> = None;
+        let hand_on = Msg::hand_on_tag(stage);
+        let mut state: Option<Vec<u8>> = None;
         for w in 0..self.conns.len() {
-            if let Some(seed) = frontier.take() {
+            if let Some(seed) = state.take() {
                 self.conns[w].send(&seed).map_err(|e| tag_worker(w, e))?;
             }
             let (carry_in, handed) = (token.carry.len(), counters(&token));
@@ -297,32 +294,11 @@ impl Coord {
             self.send(w, &msg)?;
             token = loop {
                 let frame = self.recv_frame(w)?;
-                if hands_on_state && frontier.is_none() && Msg::is_pass1_frontier(&frame) {
-                    frontier = Some(frame);
+                if state.is_none() && hand_on.is_some() && frame.first() == hand_on.as_ref() {
+                    state = Some(frame);
                     continue;
                 }
                 match self.decode(w, &frame)? {
-                    Some(Msg::RouteBatch { to, keys, ops }) => {
-                        let to = to as usize;
-                        if to >= self.conns.len() {
-                            return Err(PartitionError::InvalidParam(format!(
-                                "route target {to} out of range"
-                            )));
-                        }
-                        // Pure-Put batches are fire-and-forget: the owner
-                        // applies them without replying, and frame order on
-                        // the star links keeps them ahead of later reads.
-                        let wants_reply = ops.iter().any(|op| matches!(op, BatchOp::Get { .. }));
-                        self.send(to, &Msg::StateReqBatch { keys, ops })?;
-                        if wants_reply {
-                            match self.recv(to)? {
-                                Msg::StateRespBatch { rows } => {
-                                    self.send(w, &Msg::RouteReply { rows })?;
-                                }
-                                other => return Err(unexpected(&other)),
-                            }
-                        }
-                    }
                     // A trace frame, absorbed; or proof of life from a quiet
                     // worker, which resets the recv deadline by arriving.
                     None | Some(Msg::Heartbeat) => {}
@@ -349,7 +325,7 @@ impl Coord {
                 )));
             }
         }
-        Ok((token, frontier))
+        Ok((token, state))
     }
 
     /// Starts `stage` on every worker at once (each gets a clone of
@@ -403,13 +379,13 @@ impl Coord {
     /// into the committed state, and broadcasts the merged rows for every
     /// key the round touched. Runs until all workers have reported their
     /// final epoch.
-    fn run_epoch_rounds(&mut self, k: usize, defs: &[TableDef]) -> Result<()> {
+    fn run_epoch_rounds(&mut self, k: usize, widths: &[u32]) -> Result<()> {
         let workers = self.conns.len();
         let mut committed_loads = vec![0u64; k];
-        let mut committed: Vec<FxHashMap<u64, Vec<u64>>> = vec![FxHashMap::default(); defs.len()];
+        let mut committed: Vec<FxHashMap<u64, Vec<u64>>> = vec![FxHashMap::default(); widths.len()];
         loop {
             let mut all_last = true;
-            let mut touched: Vec<Vec<u64>> = vec![Vec::new(); defs.len()];
+            let mut touched: Vec<Vec<u64>> = vec![Vec::new(); widths.len()];
             for w in 0..workers {
                 let (last, loads, tables) = loop {
                     match self.recv(w)? {
@@ -433,13 +409,13 @@ impl Coord {
                 }
                 for t in tables {
                     let slot = t.table as usize;
-                    let Some(def) = defs.get(slot) else {
+                    let Some(&width) = widths.get(slot) else {
                         return Err(PartitionError::InvalidParam(format!(
                             "epoch sync for unknown table slot {}",
                             t.table
                         )));
                     };
-                    let width = def.width as usize;
+                    let width = width as usize;
                     if t.rows.len() != t.keys.len() * width {
                         return Err(PartitionError::InvalidParam(
                             "epoch delta payload does not match key count".into(),
@@ -461,7 +437,7 @@ impl Coord {
                 }
                 keys.sort_unstable();
                 keys.dedup();
-                let width = defs[slot].width as usize;
+                let width = widths[slot] as usize;
                 let mut rows = Vec::with_capacity(keys.len() * width);
                 for key in keys.iter() {
                     rows.extend_from_slice(&committed[slot][key]);
@@ -537,9 +513,9 @@ struct Supervisor<'a> {
     /// edge stream).
     setups: Vec<WorkerSetup>,
     incarnation: Vec<u32>,
-    table_defs: Vec<TableDef>,
-    /// Row width of each table a barrier lists.
-    ckpt_widths: Vec<u32>,
+    /// Row width of each table slot, as a barrier lists them: a baseline
+    /// kernel's (relaxed epochs merge by them too), or CLUGPCK1's three.
+    widths: Vec<u32>,
     /// Last committed checkpoint; recovery replays the flow from here.
     last: Option<Checkpoint>,
     ckpt_dir: Option<PathBuf>,
@@ -601,8 +577,7 @@ impl<'a> Supervisor<'a> {
             respawn,
             setups: Vec::new(),
             incarnation: vec![0; n],
-            table_defs: Vec::new(),
-            ckpt_widths: Vec::new(),
+            widths: Vec::new(),
             last: None,
             ckpt_dir: cfg.checkpoint_dir.clone(),
             recoveries: 0,
@@ -735,7 +710,7 @@ impl<'a> Supervisor<'a> {
             width,
             ..Default::default()
         };
-        let mut dumps: Vec<TableDump> = self.ckpt_widths.iter().map(empty).collect();
+        let mut dumps: Vec<TableDump> = self.widths.iter().map(empty).collect();
         let (mut m_real, mut num_clusters) = (0, 0);
         if let Some(tables) = tables {
             (m_real, num_clusters) = (tables.m_real, tables.num_clusters);
@@ -769,10 +744,8 @@ impl<'a> Supervisor<'a> {
 
     /// Resets every worker: no row travels back, a first barrier has none and
     /// the later ones' are the coordinator's to reload and cast. A mid-pass
-    /// failure can leave any worker dirty — a baseline's earlier token
-    /// holders wrote their rows back to the shards; CLUGP publishes nothing
-    /// mid-pass, a reset only drops seeds and casts — so restore always
-    /// resets the whole fleet, not just the respawned links.
+    /// failure can leave any worker holding a forwarded turn state or a cast,
+    /// so restore always resets the whole fleet, not just the respawned links.
     fn restore(&mut self, seq: u64) -> Result<()> {
         let t0 = self.coord.t0();
         let started = Instant::now();
@@ -846,25 +819,17 @@ pub fn run_coordinator(
 }
 
 /// What the coordinator needs to know of a baseline, read off its
-/// [`EdgeKernel`]: the sharded table defs (all on `layout`) and whether
-/// relaxed workers run epoch rounds. Applies each table's own sizing check
-/// to `n_hint` — monolith parity: the monolith fails on an oversized hint
-/// before streaming an edge.
-fn describe_kernel<K: EdgeKernel>(
-    mut kernel: K,
-    n_hint: u64,
-    layout: Layout,
-) -> Result<(Vec<TableDef>, bool)> {
-    let mut defs = Vec::with_capacity(K::TABLES);
+/// [`EdgeKernel`]: each table's row width and whether relaxed workers run
+/// epoch rounds. Applies each table's own sizing check to `n_hint` — monolith
+/// parity: the monolith fails on an oversized hint before streaming an edge.
+fn describe_kernel<K: EdgeKernel>(mut kernel: K, n_hint: u64) -> Result<(Vec<u32>, bool)> {
+    let mut widths = Vec::with_capacity(K::TABLES);
     for slot in 0..K::TABLES {
         let table = kernel.table(slot);
         table.check_hint(n_hint)?;
-        defs.push(TableDef {
-            layout,
-            width: table.width() as u32,
-        });
+        widths.push(table.width() as u32);
     }
-    Ok((defs, K::EPOCH_SYNCED))
+    Ok((widths, K::EPOCH_SYNCED))
 }
 
 fn drive(
@@ -913,18 +878,14 @@ fn drive(
         }
     };
 
-    let vrange = Layout::range_for(n_hint, workers);
     let algo_spec = algo.spec();
-    let (tables, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
+    let (widths, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
         check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
-        // CLUGP's tables travel whole, never through the state service.
-        (Vec::new(), false)
+        (CLUGPCK1_WIDTHS.to_vec(), false)
     } else {
         // Mint shares nothing and never epoch-syncs.
-        with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(
-            kernel, n_hint, vrange
-        )?)
-        .unwrap_or_default()
+        with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(kernel, n_hint)?)
+            .unwrap_or_default()
     };
 
     let range_edges = inputs
@@ -945,7 +906,6 @@ fn drive(
             heartbeat_ms,
             algo: algo_spec.clone(),
             input,
-            tables: tables.clone(),
             trace: cfg.trace,
         });
     }
@@ -960,11 +920,7 @@ fn drive(
         }
     }
 
-    sup.ckpt_widths = match algo {
-        DistAlgo::Clugp(_) => CLUGPCK1_WIDTHS.to_vec(),
-        _ => tables.iter().map(|t| t.width).collect(),
-    };
-    sup.table_defs = tables;
+    sup.widths = widths;
     sup.coord.k = k;
     sup.coord.range_edges = range_edges;
     sup.m = m_hint;
@@ -1029,8 +985,8 @@ fn baseline_flow(
             // share nothing (Hashing, Mint) just stream to StageDone and
             // the coordinator sums their load tallies.
             if epoch_synced {
-                let defs = sup.table_defs.clone();
-                sup.coord.run_epoch_rounds(k as usize, &defs)?;
+                let widths = sup.widths.clone();
+                sup.coord.run_epoch_rounds(k as usize, &widths)?;
             }
             let tokens = sup
                 .coord
@@ -1190,7 +1146,7 @@ fn merge_pairs(parts: &[PairsPayload], num_clusters: u64) -> Result<ClusterGraph
 
 /// The CLUGP tables from the end of pass 1 on. Nothing writes them after
 /// `compact_clusters`, so the coordinator is their one owner: a barrier dumps
-/// them and a cast encodes them from here, never from the shards.
+/// them and a cast encodes them from here.
 struct ClugpTables {
     /// Exact edge count, independent of the hint (each edge added 2 degrees).
     m_real: u64,

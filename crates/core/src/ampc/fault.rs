@@ -95,9 +95,9 @@ impl FaultPlan {
     /// Generates a single-fault plan from a seed: one pseudo-random
     /// action on a pseudo-random worker's first link at a frame ordinal in
     /// `1..=frames` — the frames a link of the run carries each way behind
-    /// the handshake, so that the plan lands on one: a CLUGP link carries a
-    /// handful whatever the input, a link that pages rows a few per
-    /// admission window. Deterministic for a given `(seed, workers, frames)`.
+    /// the handshake, so that the plan lands on one: every link carries a
+    /// handful whatever the input and the chunking. Deterministic for a given
+    /// `(seed, workers, frames)`.
     pub fn seeded(seed: u64, workers: u32, frames: u64) -> FaultPlan {
         // Small seeds leave xorshift's first outputs nearly linear in the
         // seed (seeds 1..=16 all drew worker 0): scramble the state first.

@@ -1,32 +1,29 @@
 //! Coordinator/worker distributed partitioning (AMPC-style).
 //!
-//! This module shards the streaming placement pipeline across workers
-//! behind a transport-agnostic state service (ROADMAP item 5):
+//! This module shards the streaming placement pipeline across workers:
 //!
-//! * [`table`] — the keyspace-sharded state tables ([`table::StateShard`]
-//!   over [`crate::vertex_table::VertexTable`], routed by
-//!   [`table::Layout`]) exposing get / upsert-batch / scan.
 //! * [`worker`] — owns a contiguous range of the edge stream and drives
-//!   the *same per-edge kernels as the monolith*: a one-pass baseline pages
-//!   its O(nk/64) rows through the shards, fetching remote ones in one batch
-//!   per admission window; a CLUGP stage is lent or cast its O(n) tables
-//!   whole.
+//!   the *same per-edge kernels as the monolith* against whole, dense
+//!   tables: a sequenced stage that writes them is lent them by the turn
+//!   before (a one-pass baseline's O(nk/64) rows and CLUGP pass 1's O(n)
+//!   ones alike), a stage that only reads them is cast them.
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
-//!   relays cross-worker state traffic (star topology), casts read-only
-//!   tables, runs the coordinator-side CLUGP stages (compaction, cluster
-//!   graph, game), and assembles the final
-//!   [`crate::partition::Partitioning`].
+//!   forwards each turn's state to the next turn, casts read-only tables,
+//!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
+//!   game), and assembles the final [`crate::partition::Partitioning`].
+//! * [`table`] — [`table::MergeOp`], how rows combine at a relaxed epoch
+//!   barrier, and the range-sharded [`table::StateShard`] the engine's
+//!   replica scatter builds on.
 //! * [`transport`] / [`proto`] / [`wire`] — the exchange: in-process
 //!   bounded channels or length-prefixed Unix sockets carrying the same
 //!   hand-rolled little-endian frames.
 //!
 //! Execution model: within each pass that writes shared state the workers
 //! run **sequenced** by default — a streaming token travels worker 0‥N−1, so
-//! exactly one worker streams edges at a time while the others answer state
-//! requests (baselines) or wait for the state to come down the turns (CLUGP
-//! pass 1). That is what makes every configuration (any worker count,
-//! any chunk size, either transport) bit-identical to the monolithic
-//! partitioner, which is the correctness anchor
+//! exactly one worker streams edges at a time while the others wait for the
+//! state to come down the turns. That is what makes every configuration (any
+//! worker count, any chunk size, either transport) bit-identical to the
+//! monolithic partitioner, which is the correctness anchor
 //! `tests/distributed_equivalence.rs` pins. [`AmpcMode::Relaxed`] trades
 //! that anchor for concurrency: workers stream their ranges
 //! simultaneously against worker-local tables and reconcile at periodic

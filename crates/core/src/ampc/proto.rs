@@ -6,50 +6,41 @@
 //! the worker drives it:
 //!
 //! ```text
-//! coordinator → worker:  Configure, RunStage, StateReqBatch, TableCast,
-//!                        Pass1Frontier, EpochSync, RouteReply, ResetTables,
-//!                        Shutdown
-//! worker → coordinator:  Hello, ConfigureOk, StageDone, StateRespBatch,
-//!                        ResetOk, Err, and — only while running a stage —
-//!                        RouteBatch, EpochDone, Pass1Frontier, Heartbeat,
-//!                        TraceEvents
+//! coordinator → worker:  Configure, RunStage, TableCast, Pass1Frontier,
+//!                        TurnState, EpochSync, ResetTables, Shutdown
+//! worker → coordinator:  Hello, ConfigureOk, StageDone, ResetOk, Err, and —
+//!                        only while running a stage — EpochDone,
+//!                        Pass1Frontier, TurnState, Heartbeat, TraceEvents
 //! ```
 //!
-//! [`Msg::RouteBatch`] is the star-topology relay (DESIGN.md §11): the
-//! worker holding the sequenced token asks the coordinator to forward a
-//! batch to the worker owning a remote key range, as [`Msg::StateReqBatch`],
-//! and gets the owner's [`Msg::StateRespBatch`] back as [`Msg::RouteReply`].
-//! One frame per owner carries the gets of an admission window's
-//! first-touched keys, or a slice of the stage-end writeback, for every table
-//! of the group, with delta-encoded keys (varint gaps over the sorted key
-//! set) and varint value runs. Pure-writeback batches are unacknowledged —
-//! frame ordering through the coordinator guarantees they are applied before
-//! any later dependent read — which is what lets the worker keep several of
-//! them in flight behind the transport's bounded window. Only the one-pass
-//! baselines route: their O(nk/64) replica rows are what paging is for.
-//! (Tags 5 to 9 — `StateReq` and `StateResp`, the coordinator's own one-table
-//! `Upsert` and its ack, the one-op-per-frame `Route`, and `Scan`/`ScanResp`,
-//! the whole-shard dump sequenced CLUGP pass 1 ended with — are retired and
-//! stay reserved.)
+//! No table is paged: a stage holds every table it writes whole while the
+//! edges stream by. A sequenced stage that writes hands its state on with
+//! the token — CLUGP pass 1 as a [`Msg::Pass1Frontier`] (every touched vertex
+//! row plus the raw-cluster volumes), a one-pass baseline as a
+//! [`Msg::TurnState`] (every non-zero row of each of its kernel's tables, one
+//! [`EpochTable`] per slot). The frame rides the turn: worker *w* receives the
+//! one worker *w − 1* sent (nothing for worker 0) ahead of its `RunStage`,
+//! steps its range on top of it and sends its own ahead of `StageDone`; the
+//! coordinator forwards each frame as received, by its tag byte alone
+//! ([`Msg::hand_on_tag`]), and imports CLUGP's last one. A baseline's last
+//! turn sends none: nothing reads it. Relaxed, every worker starts empty and
+//! the coordinator merges CLUGP's frontiers. Whoever indexes with a turn's
+//! state holds it to the run first. (Tags 5 to 9 and 15 to 18 — `StateReq`
+//! and `StateResp`, the coordinator's own one-table `Upsert` and its ack, the
+//! one-op-per-frame `Route`, `Scan`/`ScanResp`, and the four-verb batched
+//! relay the baselines once paged their rows through — are retired and stay
+//! reserved, their names kept in [`Msg::verb_name`].)
 //!
-//! CLUGP's O(n) tables are never paged; they travel whole. Pass 1 hands its
-//! state on as a [`Msg::Pass1Frontier`] — every touched vertex row plus the
-//! raw-cluster volumes. Sequenced, the frame rides the turn: worker *w*
-//! receives the one worker *w − 1* sent (nothing for worker 0) ahead of its
-//! `RunStage`, clusters its range on top of it and sends its own ahead of
-//! `StageDone`; the coordinator forwards each frame as received and imports
-//! the last. Relaxed, every worker starts empty and the coordinator merges
-//! the frontiers. Whoever indexes with a frontier holds it to the run first.
 //! From the end of pass 1 the coordinator owns the tables, and a stage that
 //! only *reads* one gets it whole, ahead of its `RunStage`, as a
 //! [`Msg::TableCast`] — in both modes, encoded once from the coordinator's
 //! copy, and kept by the worker until `ResetTables`, so the vertex rows
 //! travel once for the pairs stage and the transform: keys as zigzag varint
 //! deltas (the sign keeps a non-monotone key order legal), rows as varints.
-//! A cast or a frontier is one frame, so a table is bounded by the
-//! transport's frame cap (DESIGN.md §11). The `Epoch*` messages belong to the
-//! relaxed concurrent mode, where every worker streams at once and state is
-//! reconciled at epoch barriers instead of per window.
+//! A cast, a frontier or a turn state is one frame, so a table is bounded by
+//! the transport's frame cap (DESIGN.md §11). The `Epoch*` messages belong to
+//! the relaxed concurrent mode, where every worker streams at once and state
+//! is reconciled at epoch barriers instead of turn by turn.
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
@@ -70,7 +61,7 @@
 //! lanes onto its own timeline. The verb is fire-and-forget and carries
 //! no partitioning state, so tracing cannot perturb placement decisions.
 
-use super::table::{Layout, MergeOp};
+use super::table::MergeOp;
 use super::wire::{Rd, Wr};
 use super::AmpcMode;
 use crate::baselines::{HdrfConfig, MintConfig};
@@ -83,30 +74,16 @@ fn bad(what: &str) -> PartitionError {
     PartitionError::InvalidParam(format!("malformed protocol frame: {what}"))
 }
 
-/// One operation inside a [`Msg::RouteBatch`] / [`Msg::StateReqBatch`],
-/// applied against the batch's shared key set.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchOp {
-    /// Fetch the batch keys' rows from `table`.
-    Get {
-        /// Table slot index.
-        table: u8,
-    },
-    /// Merge one flattened row per batch key into `table`.
-    Put {
-        /// Table slot index.
-        table: u8,
-        /// Word-wise combine rule.
-        merge: MergeOp,
-        /// Flattened rows, `keys.len() * width` words.
-        vals: Vec<u64>,
-    },
-}
+/// Tag byte of a [`Msg::Pass1Frontier`].
+const TAG_PASS1_FRONTIER: u8 = 21;
+/// Tag byte of a [`Msg::TurnState`].
+const TAG_TURN_STATE: u8 = 24;
 
-/// One table's contribution to an epoch exchange (relaxed mode): the
-/// keys a worker touched this epoch and either its local deltas
-/// ([`Msg::EpochDone`], folded under `merge`) or the merged authoritative
-/// rows ([`Msg::EpochSync`], always overwritten).
+/// One table's rows as a message carries them: the keys a relaxed worker
+/// touched this epoch and either its local deltas ([`Msg::EpochDone`],
+/// folded under `merge`) or the merged authoritative rows
+/// ([`Msg::EpochSync`], always overwritten); or a sequenced baseline's whole
+/// table ([`Msg::TurnState`], `Put`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTable {
     /// Table slot index.
@@ -114,7 +91,7 @@ pub struct EpochTable {
     /// How the rows fold into the committed state (`Add` deltas for
     /// counters, `BitOr` for replica masks).
     pub merge: MergeOp,
-    /// Touched keys, sorted ascending.
+    /// Row keys, sorted ascending.
     pub keys: Vec<u64>,
     /// Flattened rows, `keys.len() * width` words.
     pub rows: Vec<u64>,
@@ -172,15 +149,6 @@ pub struct Token {
     pub table_len: u64,
     /// Edges carried into the next worker's range (Mint partial waves).
     pub carry: Vec<Edge>,
-}
-
-/// Sharding descriptor for one named table slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TableDef {
-    /// Key → worker mapping.
-    pub layout: Layout,
-    /// Words per row.
-    pub width: u32,
 }
 
 /// Where a worker's edge range comes from.
@@ -269,8 +237,6 @@ pub struct WorkerSetup {
     pub algo: AlgoSpec,
     /// Edge range source.
     pub input: InputSpec,
-    /// Table slots, referenced by index in [`BatchOp`]s and casts.
-    pub tables: Vec<TableDef>,
     /// Record spans/instants and flush them as [`Msg::TraceEvents`]
     /// frames before every `StageDone`. Off by default; carried in the
     /// handshake (not a CLI flag on respawned processes) so every
@@ -438,44 +404,12 @@ pub enum Msg {
     /// other traffic; the coordinator's recv deadline treats it as proof
     /// of life and keeps waiting.
     Heartbeat,
-    /// Coordinator → worker: drop all table shards and rebuild them
-    /// empty from the configured [`TableDef`]s (recovery restores rows
-    /// afterwards from a checkpoint). Doubles as the supervisor's
-    /// liveness probe.
+    /// Coordinator → worker: drop every cast mirror and any turn state
+    /// forwarded ahead of a stage (recovery casts again what the replayed
+    /// stages read). Doubles as the supervisor's liveness probe.
     ResetTables,
     /// Worker ack for `ResetTables`.
     ResetOk,
-    /// Active worker → coordinator: forward every op in the batch to
-    /// worker `to`, against the shared (delta-encoded) key set. Batches
-    /// containing a `Get` are answered with one [`Msg::RouteReply`];
-    /// pure-writeback batches are unacknowledged.
-    RouteBatch {
-        /// Target worker.
-        to: u32,
-        /// Shared key set, sorted ascending.
-        keys: Vec<u64>,
-        /// Operations against those keys.
-        ops: Vec<BatchOp>,
-    },
-    /// Coordinator → owning worker: the relayed body of a
-    /// [`Msg::RouteBatch`].
-    StateReqBatch {
-        /// Shared key set.
-        keys: Vec<u64>,
-        /// Operations against those keys.
-        ops: Vec<BatchOp>,
-    },
-    /// Owning worker → coordinator: rows for each `Get` in the batch,
-    /// concatenated in op order. Only sent when the batch held a `Get`.
-    StateRespBatch {
-        /// Flattened row words.
-        rows: Vec<u64>,
-    },
-    /// Coordinator → active worker: the relayed [`Msg::StateRespBatch`].
-    RouteReply {
-        /// Flattened row words.
-        rows: Vec<u64>,
-    },
     /// Relaxed mode, worker → coordinator: this worker reached an epoch
     /// barrier; here are its per-partition load deltas and per-table
     /// local contributions since the last barrier.
@@ -536,6 +470,14 @@ pub enum Msg {
         dropped: u64,
         /// The buffered events, oldest first.
         events: Vec<Event>,
+    },
+    /// A sequenced baseline's tables, worker → coordinator just before
+    /// `StageDone` and then coordinator → the next worker, ahead of its
+    /// `RunStage`: one [`EpochTable`] per kernel slot, in slot order, holding
+    /// every non-zero row. The last worker of a stage sends none.
+    TurnState {
+        /// The kernel's tables.
+        tables: Vec<EpochTable>,
     },
 }
 
@@ -612,27 +554,6 @@ pub(crate) fn get_stage(r: &mut Rd<'_>) -> Result<Stage> {
     })
 }
 
-fn put_layout(w: &mut Wr, l: Layout) {
-    match l {
-        Layout::Range { span } => {
-            w.u8(0);
-            w.u64(span);
-        }
-        Layout::Striped { stripe } => {
-            w.u8(1);
-            w.u64(stripe);
-        }
-    }
-}
-
-fn get_layout(r: &mut Rd<'_>) -> Result<Layout> {
-    Ok(match r.u8()? {
-        0 => Layout::Range { span: r.u64()? },
-        1 => Layout::Striped { stripe: r.u64()? },
-        _ => return Err(bad("layout tag")),
-    })
-}
-
 fn put_setup(w: &mut Wr, s: &WorkerSetup) {
     w.u32(s.worker);
     w.u32(s.workers);
@@ -705,11 +626,6 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
             w.u8(decode.checksums.tag());
         }
     }
-    w.u64(s.tables.len() as u64);
-    for t in &s.tables {
-        put_layout(w, t.layout);
-        w.u32(t.width);
-    }
     w.bool(s.trace);
 }
 
@@ -770,15 +686,6 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
         },
         _ => return Err(bad("input tag")),
     };
-    let n_tables = r.len(9)?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        let layout = get_layout(r)?;
-        tables.push(TableDef {
-            layout,
-            width: r.u32()?,
-        });
-    }
     let trace = r.bool()?;
     Ok(WorkerSetup {
         worker,
@@ -788,7 +695,6 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
         heartbeat_ms,
         algo,
         input,
-        tables,
         trace,
     })
 }
@@ -851,50 +757,6 @@ fn get_trace_events(r: &mut Rd<'_>) -> Result<(u64, u64, Vec<Event>)> {
         });
     }
     Ok((now_us, dropped, events))
-}
-
-fn put_batch_ops(w: &mut Wr, ops: &[BatchOp]) {
-    w.vu64(ops.len() as u64);
-    for op in ops {
-        match op {
-            BatchOp::Get { table } => {
-                w.u8(0);
-                w.u8(*table);
-            }
-            BatchOp::Put { table, merge, vals } => {
-                w.u8(1);
-                w.u8(*table);
-                w.u8(merge.tag());
-                w.vu64s(vals);
-            }
-        }
-    }
-}
-
-fn get_batch_ops(r: &mut Rd<'_>) -> Result<Vec<BatchOp>> {
-    let n = r.vu64()?;
-    if n > 512 {
-        // A batch touches at most a handful of tables; a larger count can
-        // only be a corrupt frame.
-        return Err(bad("batch op count"));
-    }
-    let mut ops = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        ops.push(match r.u8()? {
-            0 => BatchOp::Get { table: r.u8()? },
-            1 => {
-                let table = r.u8()?;
-                let merge = MergeOp::from_tag(r.u8()?).ok_or_else(|| bad("merge op"))?;
-                BatchOp::Put {
-                    table,
-                    merge,
-                    vals: r.vu64s()?,
-                }
-            }
-            _ => return Err(bad("batch op tag")),
-        });
-    }
-    Ok(ops)
 }
 
 fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
@@ -971,24 +833,22 @@ impl Msg {
             Msg::Heartbeat => "Heartbeat",
             Msg::ResetTables => "ResetTables",
             Msg::ResetOk => "ResetOk",
-            Msg::RouteBatch { .. } => "RouteBatch",
-            Msg::StateReqBatch { .. } => "StateReqBatch",
-            Msg::StateRespBatch { .. } => "StateRespBatch",
-            Msg::RouteReply { .. } => "RouteReply",
             Msg::EpochDone { .. } => "EpochDone",
             Msg::EpochSync { .. } => "EpochSync",
             Msg::Pass1Frontier { .. } => "Pass1Frontier",
             Msg::TableCast { .. } => "TableCast",
             Msg::TraceEvents { .. } => "TraceEvents",
+            Msg::TurnState { .. } => "TurnState",
         }
     }
 
     /// The wire name of tag byte `tag` (the [`NetStats`] per-verb
-    /// histogram slot), or `"unknown"` for out-of-protocol tags.
+    /// histogram slot), or `"unknown"` for out-of-protocol tags. Retired
+    /// tags keep their names.
     ///
     /// [`NetStats`]: super::transport::NetStats
     pub fn verb_name(tag: usize) -> &'static str {
-        const NAMES: [&str; 24] = [
+        const NAMES: [&str; 25] = [
             "Hello",
             "Configure",
             "ConfigureOk",
@@ -1013,6 +873,7 @@ impl Msg {
             "Pass1Frontier",
             "TableCast",
             "TraceEvents",
+            "TurnState",
         ];
         NAMES.get(tag).copied().unwrap_or("unknown")
     }
@@ -1024,8 +885,8 @@ impl Msg {
         w.into_bytes()
     }
 
-    /// Encodes into `buf`, reusing its allocation (per-link scratch on
-    /// the relay hot path).
+    /// Encodes into `buf`, reusing its allocation (one scratch buffer per
+    /// link end).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let mut w = Wr::from_vec(std::mem::take(buf));
         self.put(&mut w);
@@ -1079,25 +940,6 @@ impl Msg {
             Msg::Heartbeat => w.u8(12),
             Msg::ResetTables => w.u8(13),
             Msg::ResetOk => w.u8(14),
-            Msg::RouteBatch { to, keys, ops } => {
-                w.u8(15);
-                w.u32(*to);
-                w.delta_u64s(keys);
-                put_batch_ops(w, ops);
-            }
-            Msg::StateReqBatch { keys, ops } => {
-                w.u8(16);
-                w.delta_u64s(keys);
-                put_batch_ops(w, ops);
-            }
-            Msg::StateRespBatch { rows } => {
-                w.u8(17);
-                w.vu64s(rows);
-            }
-            Msg::RouteReply { rows } => {
-                w.u8(18);
-                w.vu64s(rows);
-            }
             Msg::EpochDone {
                 last,
                 loads,
@@ -1119,7 +961,7 @@ impl Msg {
                 put_epoch_tables(w, tables);
             }
             Msg::Pass1Frontier { keys, rows, vol } => {
-                w.u8(21);
+                w.u8(TAG_PASS1_FRONTIER);
                 w.delta_u64s(keys);
                 w.vu64s(rows);
                 w.vu64s(vol);
@@ -1138,13 +980,23 @@ impl Msg {
                 w.u8(23);
                 put_trace_events(w, *now_us, *dropped, events);
             }
+            Msg::TurnState { tables } => {
+                w.u8(TAG_TURN_STATE);
+                put_epoch_tables(w, tables);
+            }
         }
     }
 
-    /// Whether `frame` is a [`Msg::Pass1Frontier`], by its tag byte alone:
-    /// the coordinator forwards a sequenced turn's state without decoding it.
-    pub fn is_pass1_frontier(frame: &[u8]) -> bool {
-        frame.first() == Some(&21)
+    /// The tag byte of the frame in which a sequenced turn of `stage` hands
+    /// its state on — [`Msg::Pass1Frontier`] for CLUGP pass 1,
+    /// [`Msg::TurnState`] for a baseline — or `None` for a stage that hands
+    /// nothing on: the coordinator forwards the frame without decoding it.
+    pub fn hand_on_tag(stage: Stage) -> Option<u8> {
+        match stage {
+            Stage::Baseline => Some(TAG_TURN_STATE),
+            Stage::ClugpPass1 { .. } => Some(TAG_PASS1_FRONTIER),
+            Stage::ClugpPairs { .. } | Stage::ClugpTransform { .. } => None,
+        }
     }
 
     /// Decodes one frame.
@@ -1184,17 +1036,6 @@ impl Msg {
             12 => Msg::Heartbeat,
             13 => Msg::ResetTables,
             14 => Msg::ResetOk,
-            15 => Msg::RouteBatch {
-                to: r.u32()?,
-                keys: r.delta_u64s()?,
-                ops: get_batch_ops(&mut r)?,
-            },
-            16 => Msg::StateReqBatch {
-                keys: r.delta_u64s()?,
-                ops: get_batch_ops(&mut r)?,
-            },
-            17 => Msg::StateRespBatch { rows: r.vu64s()? },
-            18 => Msg::RouteReply { rows: r.vu64s()? },
             19 => Msg::EpochDone {
                 last: r.bool()?,
                 loads: r.vu64s()?,
@@ -1205,7 +1046,7 @@ impl Msg {
                 loads: r.vu64s()?,
                 tables: get_epoch_tables(&mut r)?,
             },
-            21 => Msg::Pass1Frontier {
+            TAG_PASS1_FRONTIER => Msg::Pass1Frontier {
                 keys: r.delta_u64s()?,
                 rows: r.vu64s()?,
                 vol: r.vu64s()?,
@@ -1225,6 +1066,9 @@ impl Msg {
                     events,
                 }
             }
+            TAG_TURN_STATE => Msg::TurnState {
+                tables: get_epoch_tables(&mut r)?,
+            },
             _ => return Err(bad("message tag")),
         };
         if !r.done() {
@@ -1274,16 +1118,6 @@ mod tests {
             input: InputSpec::Inline {
                 edges: vec![Edge::new(0, 1), Edge::new(2, 2)],
             },
-            tables: vec![
-                TableDef {
-                    layout: Layout::Range { span: 100 },
-                    width: 2,
-                },
-                TableDef {
-                    layout: Layout::Striped { stripe: 512 },
-                    width: 1,
-                },
-            ],
             trace: true,
         })));
         round_trip(Msg::ConfigureOk);
@@ -1378,30 +1212,45 @@ mod tests {
         }
     }
 
+    /// An HDRF turn's state at k = 4: replica masks in slot 0, degrees in 1.
+    fn turn_state() -> Msg {
+        let table = |table, merge, rows: Vec<u64>| EpochTable {
+            table,
+            merge,
+            keys: vec![4, 9, 10, 4000],
+            rows,
+        };
+        Msg::TurnState {
+            tables: vec![
+                table(0, MergeOp::Put, vec![0b1, 0b11, 0b1000, 0b10]),
+                table(1, MergeOp::Put, vec![3, 1, u64::MAX, 17]),
+            ],
+        }
+    }
+
     #[test]
     fn batched_relay_messages_round_trip() {
-        let ops = vec![
-            BatchOp::Get { table: 0 },
-            BatchOp::Get { table: 1 },
-            BatchOp::Put {
-                table: 0,
-                merge: MergeOp::Put,
-                vals: vec![3, 0, u64::MAX, 17],
-            },
-        ];
-        round_trip(Msg::RouteBatch {
-            to: 2,
-            keys: vec![4, 9, 10, 4000],
-            ops: ops.clone(),
-        });
-        round_trip(Msg::StateReqBatch {
-            keys: vec![0, 1],
-            ops,
-        });
-        round_trip(Msg::StateRespBatch {
-            rows: vec![1, 2, 3],
-        });
-        round_trip(Msg::RouteReply { rows: Vec::new() });
+        // The two frames the coordinator relays from one sequenced turn to
+        // the next, and each is told apart by its tag byte alone.
+        round_trip(turn_state());
+        round_trip(Msg::TurnState { tables: Vec::new() });
+        let frontier = Msg::Pass1Frontier {
+            keys: vec![0, 3, 4],
+            rows: vec![1, 2, 0, 0, 1, 1, 2, 4, 0],
+            vol: vec![6, 4],
+        };
+        round_trip(frontier.clone());
+        for (msg, stage) in [
+            (turn_state(), Stage::Baseline),
+            (frontier, Stage::ClugpPass1 { vmax: 9 }),
+        ] {
+            assert_eq!(msg.encode().first().copied(), Msg::hand_on_tag(stage));
+        }
+        assert_eq!(
+            Msg::hand_on_tag(Stage::ClugpPairs { num_clusters: 2 }),
+            None
+        );
+        assert_eq!(Msg::hand_on_tag(Stage::ClugpTransform { lmax: 2 }), None);
     }
 
     #[test]
@@ -1444,11 +1293,7 @@ mod tests {
 
     #[test]
     fn encode_into_matches_encode_and_reuses_the_buffer() {
-        let msg = Msg::RouteBatch {
-            to: 1,
-            keys: vec![10, 11, 12],
-            ops: vec![BatchOp::Get { table: 0 }],
-        };
+        let msg = turn_state();
         let mut buf = Msg::Heartbeat.encode();
         msg.encode_into(&mut buf);
         assert_eq!(buf, msg.encode());
@@ -1469,6 +1314,7 @@ mod tests {
         assert_eq!(Msg::verb_name(7), "Route");
         assert_eq!(Msg::verb_name(15), "RouteBatch");
         assert_eq!(Msg::verb_name(23), "TraceEvents");
+        assert_eq!(Msg::verb_name(24), "TurnState");
     }
 
     #[test]
@@ -1495,16 +1341,15 @@ mod tests {
                     checksums: ChecksumPolicy::HeaderAndIndex,
                 },
             },
-            tables: Vec::new(),
             trace: false,
         }));
         round_trip(setup.clone());
 
-        // The frame ends: prefetch u64, policy tag u8, table count u64,
-        // trace u8. Neither a pipeline of no blocks nor an unknown policy
-        // is a default in disguise.
+        // The frame ends: prefetch u64, policy tag u8, trace u8. Neither a
+        // pipeline of no blocks nor an unknown policy is a default in
+        // disguise.
         let good = setup.encode();
-        let (prefetch, policy) = (good.len() - 18, good.len() - 10);
+        let (prefetch, policy) = (good.len() - 10, good.len() - 2);
         assert_eq!((good[prefetch], good[policy]), (7, 1));
         for (at, value, what) in [(prefetch, 0, "prefetch"), (policy, 3, "checksum policy")] {
             let mut frame = good.clone();
@@ -1526,12 +1371,18 @@ mod tests {
         // keys into table 0, and its empty ack.
         let upsert = [&[5u8, 0, 1, 0][..], &[0; 16]].concat();
         // And 8 and 9, `Scan` and `ScanResp`: a dump of table 0, and the
-        // empty shard it read back.
+        // empty shard it read back. And 15 to 18, the batched relay the
+        // baselines paged through: a batch of one `Get` to worker 1, the
+        // request it was relayed as, and the empty rows of the two replies.
         for frame in [
             &upsert[..],
             &[6, 0, 0, 0, 0, 0, 0, 0, 0],
             &[8, 0],
             &[9, 0, 0],
+            &[15, 1, 0, 0, 0, 1, 0, 1, 0, 0],
+            &[16, 1, 0, 1, 0, 0],
+            &[17, 0],
+            &[18, 0],
         ] {
             let err = Msg::decode(frame).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
@@ -1540,6 +1391,7 @@ mod tests {
         // The names stay in the histogram, slot for slot with the tags.
         assert_eq!(Msg::verb_name(8), "Scan");
         assert_eq!(Msg::verb_name(9), "ScanResp");
+        assert_eq!(Msg::verb_name(18), "RouteReply");
         assert_eq!(Msg::verb_name(21), "Pass1Frontier");
     }
 

@@ -25,7 +25,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted frame payload (1 GiB). Every legitimate frame —
-/// control messages, chunk routes, inline edge ranges — is far below
+/// control messages, a turn's state, inline edge ranges — is far below
 /// this; a length prefix beyond it can only come from a desynchronized
 /// or corrupted stream.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
@@ -33,7 +33,7 @@ pub const MAX_FRAME_BYTES: usize = 1 << 30;
 /// Message-tag slots tracked by the per-verb histogram: one per protocol
 /// tag byte (see [`super::proto::Msg`]) plus a trailing "unknown" bucket
 /// for tags outside the protocol (e.g. a fault-corrupted first byte).
-pub const VERB_SLOTS: usize = 25;
+pub const VERB_SLOTS: usize = 26;
 
 /// Per-verb traffic tally (sent + received combined, per endpoint).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,49 +1,29 @@
 //! The worker half of the coordinator/worker engine.
 //!
-//! A worker owns one contiguous range of the edge stream and a
-//! [`StateShard`] per paged table. After `Configure` it sits in a serve loop:
-//! it answers `StateReqBatch` against its local shards, and on
-//! `RunStage` it streams its edge range through *the same per-edge
-//! kernels the monolithic partitioners use*, which is what keeps every
-//! distributed configuration bit-identical to the monolith.
+//! A worker owns one contiguous range of the edge stream. After `Configure`
+//! it waits for stages, and on `RunStage` it streams its edge range through
+//! *the same per-edge kernels the monolithic partitioners use*, which is what
+//! keeps every distributed configuration bit-identical to the monolith.
 //!
-//! A one-pass baseline pages its tables — O(nk/64) replica rows, more than
-//! one worker should hold — through the keyspace-sharded state service, and
-//! under the sequenced token keeps its dense scratch resident for the stage.
-//! While this worker holds the token nobody else writes any table, so a row
-//! it has fetched stays authoritative until it sends `StageDone`. The unit
-//! of exchange is the **admission window**, a run of `WINDOW_CHUNKS` (64)
-//! streaming chunks pulled into one reused buffer: the window's endpoints
-//! are probed against the seen set (a source once per run of equal
-//! sources), the owning shards are asked — in one round — only for the keys
-//! the worker touches for the first time this stage (one delta-encoded
-//! [`Msg::RouteBatch`] per remote owner, relayed through the coordinator;
-//! no frame when nothing is new), and then the kernel is stepped over the
-//! window. Admitting ahead of stepping changes nothing a kernel can see:
-//! the token holder is the only writer. Every touched row is written back once,
-//! after the last window, in bounded fire-and-forget `Put` batches — frame
-//! ordering through the coordinator's star links lands them before the next
-//! token holder's first read — and the assignments leave with `StageDone`
-//! as [`PartIds`], narrowed window by window. `Resident`, `Wk::admit` and
-//! `Wk::flush` are that bookkeeping, and the baseline driver is their one
-//! caller. Scratch entries outside the seen set are never read, so the
-//! scratch tables can stay full-size and dense — same types, same indexing
-//! as the monolith.
+//! No stage pages a row. Every table a stage indexes is held whole, full-size
+//! and dense — same types, same indexing as the monolith — while the edges
+//! stream by (the semi-external pass), and each chunk is stepped as the
+//! source lends it. A sequenced stage that writes its tables is *lent* them:
+//! it starts from the state the coordinator forwarded ahead of `RunStage` (the
+//! previous turn's; none for worker 0, and none in relaxed mode), steps its
+//! range and ships the state on ahead of `StageDone` — CLUGP pass 1 as a
+//! [`Msg::Pass1Frontier`] ([`Pass1::step`] over the vertex rows and volumes),
+//! a one-pass baseline as a [`Msg::TurnState`] (its kernel's non-zero rows;
+//! the last turn of a stage sends none, nothing reads it). While a worker
+//! holds the token nobody else writes, so what it was lent is the whole truth
+//! for its turn. The CLUGP pairs and transform stages only read: the
+//! coordinator broadcasts the tables they index as [`Msg::TableCast`] mirrors
+//! ahead of `RunStage`. A mirror is built once, when its frame arrives, and
+//! kept until `ResetTables` ([`Casts`]): the vertex rows cast for the pairs
+//! stage serve the transform too.
 //!
-//! CLUGP pages nothing. Its tables are O(n), every stage holds them whole
-//! while the edges stream by — the semi-external pass — and steps each chunk
-//! the source lends, as the monolith does. Pass 1, the one stage that writes
-//! them, is *lent* the state: it starts from the [`Msg::Pass1Frontier`] the
-//! coordinator sent ahead of `RunStage` (the previous sequenced turn's; none
-//! for worker 0, and none in relaxed mode), runs [`Pass1::step`] over its
-//! range and ships its own frontier ahead of `StageDone`. The pairs and
-//! transform stages only read: the coordinator broadcasts the tables they
-//! index as [`Msg::TableCast`] mirrors ahead of `RunStage`. A mirror is built
-//! once, when its frame arrives, and kept until `ResetTables` ([`Casts`]): the
-//! vertex rows cast for the pairs stage serve the transform too.
-//!
-//! In [`AmpcMode::Relaxed`] nothing routes at all: every worker streams its
-//! whole range against worker-local tables and reconciles with the fleet at
+//! In [`AmpcMode::Relaxed`] no turn hands anything on: every worker streams
+//! its whole range against worker-local tables and reconciles with the fleet at
 //! epoch barriers ([`Msg::EpochDone`] / [`Msg::EpochSync`]); CLUGP pass 1
 //! runs unseeded on every worker at once and the coordinator merges the
 //! frontiers, and the transform enforces a growing per-worker slice of the
@@ -51,9 +31,9 @@
 //! all that the mode changes about a CLUGP stage.
 
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
+    AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
-use super::table::{Layout, MergeOp, StateShard};
+use super::table::MergeOp;
 use super::transport::Transport;
 use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
 use crate::baselines::kernel::{EdgeKernel, SharedTable};
@@ -81,112 +61,6 @@ pub(crate) const T_MAIN: u8 = 0;
 /// Table slot 2 for CLUGP: dense cluster → partition. (Slot 1 held the raw
 /// cluster volumes while pass 1 paged them; `CLUGPCK1` keeps it, empty.)
 pub(crate) const T_CPART: u8 = 2;
-
-/// Keys per stage-end write-back slice ([`Wk::flush`]): no `Put` frame
-/// carries more, however many keys the stage touched.
-const FLUSH_KEYS: usize = 4096;
-
-/// Streaming chunks per sequenced admission window. The chunk (32 KiB at the
-/// default) is sized for the decoder; a fetch round costs a relay through the
-/// coordinator, so the sequenced baseline driver admits a run of chunks at a
-/// time — 2 MiB of edges at the default chunk, and `--chunk-size` scales it.
-const WINDOW_CHUNKS: usize = 64;
-
-/// One stage's residency record for a group of sharded tables that share a
-/// layout and a key space.
-///
-/// While this worker holds the sequenced token nobody else writes any
-/// table, so a row it has fetched into its dense scratch stays
-/// authoritative until it sends `StageDone`. `seen` says for which keys
-/// that holds: a window fetches only the keys it touches first
-/// ([`Wk::admit`]) and the stage writes every seen key back once, at its
-/// end ([`Wk::flush`]).
-struct Resident {
-    /// The group's table slots.
-    tables: Vec<u8>,
-    /// The key space's cap: a key at or past it is refused, so the bitmap
-    /// never outgrows what the dense scratch itself may hold.
-    limit: u64,
-    /// Bit `key` is set once `key`'s scratch rows are authoritative.
-    seen: Vec<u64>,
-    /// The current window's first-touched keys (reused buffer).
-    fresh: Vec<u64>,
-}
-
-impl Resident {
-    fn new(tables: Vec<u8>, limit: u64) -> Resident {
-        Resident {
-            tables,
-            limit,
-            seen: Vec::new(),
-            fresh: Vec::new(),
-        }
-    }
-
-    fn has(&self, key: u64) -> bool {
-        self.seen
-            .get((key >> 6) as usize)
-            .is_some_and(|word| word >> (key & 63) & 1 != 0)
-    }
-
-    /// Marks an unseen `key` and queues it in `fresh`. Out of line: the
-    /// per-endpoint loop of [`Resident::touch_endpoints`] takes this path
-    /// once per key and stage, and is a third faster without it inlined.
-    #[cold]
-    fn first_touch(&mut self, key: u64) -> Result<()> {
-        if key >= self.limit {
-            return Err(cap_error("vertex id", key, self.limit));
-        }
-        let word = (key >> 6) as usize;
-        if word >= self.seen.len() {
-            self.seen.resize(word + 1, 0);
-        }
-        self.seen[word] |= 1 << (key & 63);
-        self.fresh.push(key);
-        Ok(())
-    }
-
-    /// Declares that the window reads `key`: unless it is resident already,
-    /// the next [`Wk::admit`] fetches it.
-    #[inline]
-    fn touch(&mut self, key: u64) -> Result<()> {
-        if self.has(key) {
-            Ok(())
-        } else {
-            self.first_touch(key)
-        }
-    }
-
-    /// [`Resident::touch`] for every endpoint of a window — a source once
-    /// per run of equal sources (a canonical pack repeats each some 36
-    /// times), which halves the probes. No order is assumed: an unsorted
-    /// stream just has short runs, and a run the previous window ended in
-    /// starts over here, where its source is resident already.
-    fn touch_endpoints(&mut self, edges: &[Edge]) -> Result<()> {
-        let mut run = None;
-        for e in edges {
-            if run != Some(e.src) {
-                run = Some(e.src);
-                self.touch(u64::from(e.src))?;
-            }
-            self.touch(u64::from(e.dst))?;
-        }
-        Ok(())
-    }
-
-    /// Every resident key, ascending.
-    fn keys(&self) -> Vec<u64> {
-        let mut keys = Vec::new();
-        for (i, &word) in self.seen.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                keys.push((i as u64) << 6 | u64::from(bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
-        }
-        keys
-    }
-}
 
 /// The baseline registry: binds `$kernel` to the [`EdgeKernel`] the wire
 /// spec names — tables empty, as a worker's scratch starts — and
@@ -265,22 +139,20 @@ fn recv(conn: &mut dyn Transport) -> Result<Msg> {
 
 /// Runs a worker over `conn` until `Shutdown`.
 ///
-/// The worker expects `Configure` first, acks it, then serves state
-/// requests and stages on demand. A fatal stage error is reported to the
-/// coordinator as [`Msg::Err`] before the function returns it.
+/// The worker expects `Configure` first, acks it, then runs stages on
+/// demand. A fatal stage error is reported to the coordinator as
+/// [`Msg::Err`] before the function returns it.
 pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
     let setup = match recv(conn.as_mut())? {
         Msg::Configure(setup) => *setup,
         Msg::Shutdown => return Ok(()),
         other => return Err(unexpected(&other)),
     };
-    let shards = build_shards(&setup);
     let hb_interval =
         (setup.heartbeat_ms > 0).then(|| Duration::from_millis(u64::from(setup.heartbeat_ms)));
     let mut wk = Wk {
         conn,
         setup,
-        shards,
         hb_interval,
         hb_last: Instant::now(),
         scratch: Vec::new(),
@@ -293,15 +165,9 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
     wk.send_msg(&Msg::ConfigureOk)?;
     loop {
         match recv(wk.conn.as_mut())? {
-            Msg::StateReqBatch { keys, ops } => {
-                let served = wk.serve_batch(&keys, &ops);
-                if let Some(rows) = wk.reported(served)? {
-                    wk.send_msg(&Msg::StateRespBatch { rows })?;
-                }
-            }
-            // The previous sequenced turn's pass-1 state, for the `RunStage`
-            // behind it to hold to the run and start from.
-            Msg::Pass1Frontier { keys, rows, vol } => wk.seed = Some((keys, rows, vol)),
+            // The previous sequenced turn's state, for the `RunStage` behind
+            // it to hold to the run and start from.
+            seed @ (Msg::Pass1Frontier { .. } | Msg::TurnState { .. }) => wk.seed = Some(seed),
             Msg::TableCast { table, keys, rows } => {
                 // Read-only mirror for the stages that read it; no ack
                 // (ordered links deliver it before the RunStage behind it).
@@ -309,9 +175,8 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.reported(built)?;
             }
             Msg::ResetTables => {
-                // Recovery: drop every shard, mirror and seed; the coordinator
-                // sends again what the replayed stages start from.
-                wk.shards = build_shards(&wk.setup);
+                // Recovery: drop every mirror and seed; the coordinator sends
+                // again what the replayed stages start from.
                 wk.casts = Casts::default();
                 wk.seed = None;
                 wk.send_msg(&Msg::ResetOk)?;
@@ -334,20 +199,6 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
             other => return Err(unexpected(&other)),
         }
     }
-}
-
-/// Builds the (empty) per-table shards `setup` describes.
-fn build_shards(setup: &WorkerSetup) -> Vec<StateShard> {
-    setup
-        .tables
-        .iter()
-        .map(|t| match t.layout {
-            Layout::Range { .. } => {
-                StateShard::range(t.layout.base(setup.worker), t.width as usize)
-            }
-            Layout::Striped { .. } => StateShard::striped(t.width as usize),
-        })
-        .collect()
 }
 
 /// Output of one stage run: updated token, assignments in stream order,
@@ -450,7 +301,6 @@ pub(crate) fn cluster_partition_map(keys: &[u64], rows: &[u64], k: u32) -> Resul
 struct Wk {
     conn: Box<dyn Transport>,
     setup: WorkerSetup,
-    shards: Vec<StateShard>,
     /// Keep-alive interval (None = heartbeats off).
     hb_interval: Option<Duration>,
     /// When the last heartbeat (or any stage start) was sent.
@@ -459,9 +309,9 @@ struct Wk {
     scratch: Vec<u8>,
     /// What the coordinator cast to this incarnation.
     casts: Casts,
-    /// The `(keys, rows, vol)` of a [`Msg::Pass1Frontier`] the coordinator
-    /// sent: where this worker's sequenced pass-1 turn starts from.
-    seed: Option<(Vec<u64>, Vec<u64>, Vec<u64>)>,
+    /// The [`Msg::Pass1Frontier`] or [`Msg::TurnState`] the coordinator
+    /// forwarded: where this worker's sequenced turn starts from.
+    seed: Option<Msg>,
     /// Trace events recorded during the current stage, shipped to the
     /// coordinator as one [`Msg::TraceEvents`] frame right before
     /// `StageDone` (empty unless [`WorkerSetup::trace`]).
@@ -475,7 +325,7 @@ struct Wk {
 
 impl Wk {
     /// Encodes and sends `msg`, reusing the worker's scratch buffer so
-    /// hot-path sends (routing, heartbeats, epoch frames) do not allocate.
+    /// repeated sends (heartbeats, epoch frames) do not allocate.
     fn send_msg(&mut self, msg: &Msg) -> Result<()> {
         let mut buf = std::mem::take(&mut self.scratch);
         msg.encode_into(&mut buf);
@@ -528,249 +378,13 @@ impl Wk {
 
     /// The next chunk of the stage's edge range as the source lends it, up to
     /// [`Wk::chunk_cap`] edges; `None` at the end of the range. The unit of
-    /// every driver that admits nothing: one heartbeat check, one `chunk` span.
+    /// every driver: one heartbeat check, one `chunk` span.
     fn lend_chunk<'s>(&mut self, source: &'s mut Source) -> Result<Option<&'s [Edge]>> {
         self.end_chunk_span();
         self.heartbeat()?;
         let chunk = source.next_slice(self.chunk_cap());
         self.begin_chunk_span(chunk.len());
         Ok(Some(chunk).filter(|chunk| !chunk.is_empty()))
-    }
-
-    /// Copies the next [`WINDOW_CHUNKS`] chunks of the stage's edge range
-    /// into `buf` and returns how many edges that is, 0 at the end of the
-    /// range: the sequenced baseline driver's admission window, one `chunk`
-    /// span for the whole of it.
-    fn next_window(&mut self, source: &mut Source, buf: &mut Vec<Edge>) -> Result<usize> {
-        self.end_chunk_span();
-        buf.clear();
-        let cap = self.chunk_cap();
-        for _ in 0..WINDOW_CHUNKS {
-            self.heartbeat()?;
-            let chunk = source.next_slice(cap);
-            if chunk.is_empty() {
-                break;
-            }
-            buf.extend_from_slice(chunk);
-        }
-        self.begin_chunk_span(buf.len());
-        Ok(buf.len())
-    }
-
-    fn slot(&self, table: u8) -> Result<usize> {
-        let i = table as usize;
-        if i >= self.shards.len() {
-            return Err(PartitionError::InvalidParam(format!(
-                "unknown table slot {table}"
-            )));
-        }
-        Ok(i)
-    }
-
-    /// Executes a batch of ops (each over the same `keys`) against the
-    /// local shards. Returns the concatenated `Get` results, or `None`
-    /// when the batch was pure `Put`s and there is nothing to reply.
-    fn serve_batch(&mut self, keys: &[u64], ops: &[BatchOp]) -> Result<Option<Vec<u64>>> {
-        let mut reply: Option<Vec<u64>> = None;
-        for op in ops {
-            match op {
-                BatchOp::Get { table } => {
-                    let i = self.slot(*table)?;
-                    let shard = &mut self.shards[i];
-                    let out = reply.get_or_insert_with(Vec::new);
-                    out.reserve(keys.len() * shard.width());
-                    for &key in keys {
-                        shard.get_into(key, out)?;
-                    }
-                }
-                BatchOp::Put { table, merge, vals } => {
-                    let i = self.slot(*table)?;
-                    let shard = &mut self.shards[i];
-                    if vals.len() != keys.len() * shard.width() {
-                        return Err(PartitionError::InvalidParam(
-                            "batched put payload does not match key count".into(),
-                        ));
-                    }
-                    shard.upsert_batch(*merge, keys, vals)?;
-                }
-            }
-        }
-        Ok(reply)
-    }
-
-    /// Fetches `keys` from every table in `tables` (all sharing one
-    /// layout), returning one flattened row vector per table, in key
-    /// order. Remote owners are serviced with a single delta-encoded
-    /// [`Msg::RouteBatch`] each; all requests go out before the first
-    /// reply is awaited, so the relay legs overlap.
-    fn fetch_group(&mut self, tables: &[u8], keys: &[u64]) -> Result<Vec<Vec<u64>>> {
-        let t_route = if self.setup.trace { obs::now_us() } else { 0 };
-        let defs: Vec<_> = tables
-            .iter()
-            .map(|&t| self.slot(t).map(|i| self.setup.tables[i]))
-            .collect::<Result<_>>()?;
-        let layout = defs[0].layout;
-        debug_assert!(defs.iter().all(|d| d.layout == layout));
-        let workers = self.setup.workers;
-        let mut outs: Vec<Vec<u64>> = defs
-            .iter()
-            .map(|d| vec![0u64; keys.len() * d.width as usize])
-            .collect();
-        let mut by_owner: Vec<(Vec<u64>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (i, &key) in keys.iter().enumerate() {
-            let owner = layout.owner(key, workers) as usize;
-            by_owner[owner].0.push(key);
-            by_owner[owner].1.push(i);
-        }
-        let me = self.setup.worker as usize;
-        // Fire every remote request first, then collect replies in the
-        // same order — the coordinator answers per-owner in send order.
-        let mut pending: Vec<usize> = Vec::new();
-        for (owner, (okeys, _)) in by_owner.iter().enumerate() {
-            if owner == me || okeys.is_empty() {
-                continue;
-            }
-            let ops: Vec<BatchOp> = tables.iter().map(|&t| BatchOp::Get { table: t }).collect();
-            self.send_msg(&Msg::RouteBatch {
-                to: owner as u32,
-                keys: okeys.clone(),
-                ops,
-            })?;
-            pending.push(owner);
-        }
-        let scatter = |owner: usize, rows: &[u64], outs: &mut [Vec<u64>]| -> Result<()> {
-            let (okeys, opos) = &by_owner[owner];
-            let total: usize = defs.iter().map(|d| okeys.len() * d.width as usize).sum();
-            if rows.len() != total {
-                return Err(PartitionError::InvalidParam(
-                    "batched fetch reply does not match request".into(),
-                ));
-            }
-            let mut off = 0;
-            for (t, d) in defs.iter().enumerate() {
-                let width = d.width as usize;
-                for (j, &pos) in opos.iter().enumerate() {
-                    outs[t][pos * width..(pos + 1) * width]
-                        .copy_from_slice(&rows[off + j * width..off + (j + 1) * width]);
-                }
-                off += okeys.len() * width;
-            }
-            Ok(())
-        };
-        if !by_owner[me].0.is_empty() {
-            let okeys = by_owner[me].0.clone();
-            let ops: Vec<BatchOp> = tables.iter().map(|&t| BatchOp::Get { table: t }).collect();
-            let rows = self
-                .serve_batch(&okeys, &ops)?
-                .expect("get batch always yields rows");
-            scatter(me, &rows, &mut outs)?;
-        }
-        let had_remote = !pending.is_empty();
-        for owner in pending {
-            match recv(self.conn.as_mut())? {
-                Msg::RouteReply { rows } => scatter(owner, &rows, &mut outs)?,
-                Msg::Err { msg } => return Err(PartitionError::InvalidParam(msg)),
-                other => return Err(unexpected(&other)),
-            }
-        }
-        if self.setup.trace && had_remote {
-            // One span per window fetch that actually crossed the wire.
-            self.obs
-                .push(Event::span_since("route_batch", t_route, keys.len() as u64));
-        }
-        Ok(outs)
-    }
-
-    /// Makes the keys the window touched first resident for the rest of
-    /// the stage: one fetch round to their owners — sorted first, and no
-    /// frame at all when nothing is new — handed to `import`, one flattened
-    /// row vector per table of the group.
-    fn admit(
-        &mut self,
-        res: &mut Resident,
-        import: impl FnOnce(&[u64], &[Vec<u64>]) -> Result<()>,
-    ) -> Result<()> {
-        if !res.fresh.is_empty() {
-            res.fresh.sort_unstable();
-            let rows = self.fetch_group(&res.tables, &res.fresh)?;
-            import(&res.fresh, &rows)?;
-            res.fresh.clear();
-        }
-        Ok(())
-    }
-
-    /// Stage end: writes every resident key's rows back to the owning
-    /// shards, [`FLUSH_KEYS`] keys at a time; `export(i, keys)` flattens the
-    /// scratch rows of the group's `i`-th table. The frames leave ahead of
-    /// `StageDone`, so on the ordered star links they reach their owners
-    /// before anything the next token holder (or a barrier scan) asks.
-    fn flush(
-        &mut self,
-        res: &Resident,
-        mut export: impl FnMut(usize, &[u64]) -> Vec<u64>,
-    ) -> Result<()> {
-        for keys in res.keys().chunks(FLUSH_KEYS) {
-            let rows: Vec<Vec<u64>> = (0..res.tables.len()).map(|i| export(i, keys)).collect();
-            let puts: Vec<(u8, MergeOp, &[u64])> = res
-                .tables
-                .iter()
-                .zip(&rows)
-                .map(|(&table, rows)| (table, MergeOp::Put, rows.as_slice()))
-                .collect();
-            self.publish_group(keys, &puts)?;
-        }
-        Ok(())
-    }
-
-    /// Writes rows for `keys` back to one or more tables (all sharing one
-    /// layout) with a single fire-and-forget [`Msg::RouteBatch`] per
-    /// remote owner. No acks: the frames traverse the coordinator's
-    /// ordered star links, so each Put is applied at its owner before any
-    /// later dependent read from this worker can arrive there.
-    fn publish_group(&mut self, keys: &[u64], puts: &[(u8, MergeOp, &[u64])]) -> Result<()> {
-        let defs: Vec<_> = puts
-            .iter()
-            .map(|&(t, _, _)| self.slot(t).map(|i| self.setup.tables[i]))
-            .collect::<Result<_>>()?;
-        let layout = defs[0].layout;
-        debug_assert!(defs.iter().all(|d| d.layout == layout));
-        let workers = self.setup.workers;
-        let mut by_owner: Vec<(Vec<u64>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (i, &key) in keys.iter().enumerate() {
-            let owner = layout.owner(key, workers) as usize;
-            by_owner[owner].0.push(key);
-            by_owner[owner].1.push(i);
-        }
-        let me = self.setup.worker as usize;
-        for (owner, (okeys, opos)) in by_owner.into_iter().enumerate() {
-            if okeys.is_empty() {
-                continue;
-            }
-            let ops: Vec<BatchOp> = puts
-                .iter()
-                .zip(&defs)
-                .map(|(&(table, merge, rows), d)| {
-                    let width = d.width as usize;
-                    let mut vals = Vec::with_capacity(okeys.len() * width);
-                    for &pos in &opos {
-                        vals.extend_from_slice(&rows[pos * width..(pos + 1) * width]);
-                    }
-                    BatchOp::Put { table, merge, vals }
-                })
-                .collect();
-            if owner == me {
-                self.serve_batch(&okeys, &ops)?;
-            } else {
-                self.send_msg(&Msg::RouteBatch {
-                    to: owner as u32,
-                    keys: okeys,
-                    ops,
-                })?;
-            }
-        }
-        Ok(())
     }
 
     fn chunk_cap(&self) -> usize {
@@ -917,10 +531,12 @@ impl Wk {
         Ok((token, assignments, None))
     }
 
-    /// The sequenced driver: the kernel's tables are resident for the stage
-    /// — a window fetches only the endpoints this worker has not touched
-    /// yet, in one round, the window is stepped against the scratch, and
-    /// every touched row goes back to its owner once, after the last window.
+    /// The sequenced driver, shaped as CLUGP pass 1: the kernel starts from
+    /// the [`Msg::TurnState`] the coordinator forwarded (every turn but
+    /// worker 0's has one), held to the run first, steps each chunk the
+    /// source lends against its whole tables, and hands them on — every
+    /// non-zero row, keys ascending — ahead of `StageDone`. The stage's last
+    /// turn hands nothing on: a baseline has no barrier after its one stage.
     /// The loads travel in the token.
     fn run_sequenced<K: EdgeKernel>(
         &mut self,
@@ -928,33 +544,34 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<(Token, PartIds)> {
-        let mut buf = Vec::new();
+        let (me, workers) = (self.setup.worker, self.setup.workers);
+        if K::TABLES > 0 {
+            match (self.seed.take(), me) {
+                (None, 0) => {}
+                (Some(Msg::TurnState { tables }), 1..) => {
+                    import_kernel_state(me as usize, &mut kernel, &tables, &token.loads)?;
+                }
+                (None, _) => {
+                    return Err(PartitionError::InvalidParam(format!(
+                        "worker {me}: turn started without the previous turn's state"
+                    )))
+                }
+                (Some(other), _) => return Err(unexpected(&other)),
+            }
+        }
         let mut assignments = PartIds::for_k(self.setup.k);
         let mut wide = Vec::new();
         let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let limit = (0..K::TABLES)
-            .map(|slot| kernel.table(slot).limit())
-            .min()
-            .unwrap_or(0);
-        let mut resident = Resident::new((0..K::TABLES as u8).collect(), limit);
-        while self.next_window(source, &mut buf)? != 0 {
-            if K::TABLES > 0 {
-                resident.touch_endpoints(&buf)?;
-                self.admit(&mut resident, |keys, rows| {
-                    for (slot, rows) in rows.iter().enumerate() {
-                        import_rows(kernel.table(slot), keys, rows)?;
-                    }
-                    Ok(())
-                })?;
-            }
+        while let Some(chunk) = self.lend_chunk(source)? {
             wide.clear();
-            kernel.step_chunk(&buf, &mut loads, &mut wide)?;
+            kernel.step_chunk(chunk, &mut loads, &mut wide)?;
             assignments.extend_from_slice(&wide);
         }
-        if K::TABLES > 0 {
-            self.flush(&resident, |slot, keys| {
-                export_rows(kernel.table(slot), keys)
-            })?;
+        if K::TABLES > 0 && me + 1 < workers {
+            let tables = (0..K::TABLES)
+                .map(|slot| nonzero_rows(kernel.table(slot), slot))
+                .collect();
+            self.send_msg(&Msg::TurnState { tables })?;
         }
         token.loads = loads.into_vec();
         token.table_len = token.table_len.max(table_len(&mut kernel));
@@ -1153,7 +770,11 @@ impl Wk {
     ) -> Result<StageOut> {
         let (splitting, migration, max_vertices) = self.clugp_spec()?;
         let mut vertices = VertexState::new(0, max_vertices)?;
-        let (keys, rows, vol) = self.seed.take().unwrap_or_default();
+        let (keys, rows, vol) = match self.seed.take() {
+            Some(Msg::Pass1Frontier { keys, rows, vol }) => (keys, rows, vol),
+            None => Default::default(),
+            Some(other) => return Err(unexpected(&other)),
+        };
         let me = self.setup.worker as usize;
         import_turn_state(me, &mut vertices, (&keys, &rows, &vol), token.next_raw)?;
         // The tables hold them now; the range streams without the wire copy.
@@ -1337,6 +958,46 @@ pub(crate) fn import_turn_state(
     Ok(())
 }
 
+/// Builds onto `kernel`'s fresh tables the state a sequenced baseline turn
+/// hands on — the `tables` of a [`Msg::TurnState`] — holding it to the run
+/// before the kernel steps an edge with it: one table per kernel slot, in slot
+/// order; every row the table's width and every key below its cap
+/// ([`import_rows`]); and every `Add`-merged table — the partial degrees of
+/// DBH and HDRF, which each edge bumps at both ends — summing to twice the
+/// edges the token's `loads` count. An error names `worker`.
+pub(crate) fn import_kernel_state<K: EdgeKernel>(
+    worker: usize,
+    kernel: &mut K,
+    tables: &[EpochTable],
+    loads: &[u64],
+) -> Result<()> {
+    let named =
+        |what: String| PartitionError::InvalidParam(format!("worker {worker}: turn state {what}"));
+    let slots = tables.iter().map(|t| usize::from(t.table));
+    if !slots.eq(0..K::TABLES) {
+        return Err(named(format!(
+            "does not list the kernel's {} tables in slot order",
+            K::TABLES
+        )));
+    }
+    // Summed wide: a forged row cannot wrap its way to the expected total.
+    let sum = |words: &[u64]| words.iter().map(|&w| u128::from(w)).sum::<u128>();
+    let edges = sum(loads);
+    for t in tables {
+        let table = kernel.table(usize::from(t.table));
+        import_rows(table, &t.keys, &t.rows).map_err(|e| named(e.to_string()))?;
+        if table.merge() == MergeOp::Add && sum(&t.rows) != 2 * edges {
+            return Err(named(format!(
+                "has degrees in table slot {} summing to {}, \
+                 not twice the {edges} edges the loads count",
+                t.table,
+                sum(&t.rows)
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Collects the distinct endpoint ids of a chunk, sorted ascending.
 fn distinct_endpoints(buf: &[Edge], keys: &mut Vec<u64>) {
     keys.clear();
@@ -1366,19 +1027,48 @@ fn table_len<K: EdgeKernel>(kernel: &mut K) -> u64 {
         .unwrap_or(0)
 }
 
-/// Overwrites `table`'s rows for `keys` with `rows` (flattened, key order).
+/// Overwrites `table`'s rows for `keys` with `rows` (flattened, key order):
+/// the one way rows off the wire — a turn state, an epoch sync — reach a
+/// kernel's tables. A key at or past the table's cap is refused before it is
+/// narrowed to a vertex id.
 fn import_rows(table: &mut dyn SharedTable, keys: &[u64], rows: &[u64]) -> Result<()> {
     let width = table.width();
     if rows.len() != keys.len() * width {
-        return Err(PartitionError::InvalidParam(
-            "table row payload does not match key count".into(),
-        ));
+        return Err(PartitionError::InvalidParam(format!(
+            "rows of {} words do not match {} keys of width {width}",
+            rows.len(),
+            keys.len()
+        )));
     }
-    for (i, &key) in keys.iter().enumerate() {
+    for (&key, row) in keys.iter().zip(rows.chunks_exact(width)) {
+        if key >= table.limit() {
+            return Err(cap_error("vertex id", key, table.limit()));
+        }
         table.ensure(key as u32)?;
-        table.import(key as u32, &rows[i * width..(i + 1) * width]);
+        table.import(key as u32, row);
     }
     Ok(())
+}
+
+/// Every non-zero row of `table`, keys ascending, as slot `slot` of a
+/// [`Msg::TurnState`]: a vertex the turns have not touched reads as zeros.
+fn nonzero_rows(table: &dyn SharedTable, slot: usize) -> EpochTable {
+    let width = table.width();
+    let (mut keys, mut rows) = (Vec::new(), Vec::new());
+    let mut row = vec![0u64; width];
+    for key in 0..table.len() {
+        table.export(key as u32, &mut row);
+        if row.iter().any(|&word| word != 0) {
+            keys.push(key);
+            rows.extend_from_slice(&row);
+        }
+    }
+    EpochTable {
+        table: slot as u8,
+        merge: MergeOp::Put,
+        keys,
+        rows,
+    }
 }
 
 /// `table`'s current rows for `keys`, flattened in key order.
@@ -1467,12 +1157,12 @@ impl Touched {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ampc::proto::TableDef;
     use crate::ampc::transport::channel_pair;
+    use crate::baselines::hdrf::HdrfKernel;
     use crate::baselines::HdrfConfig;
 
     /// Worker 1 of 2 over `edges`, k = 4, 64-edge chunks.
-    fn setup(algo: AlgoSpec, edges: Vec<Edge>, tables: Vec<TableDef>) -> WorkerSetup {
+    fn setup(algo: AlgoSpec, edges: Vec<Edge>) -> WorkerSetup {
         WorkerSetup {
             worker: 1,
             workers: 2,
@@ -1481,7 +1171,6 @@ pub(crate) mod tests {
             heartbeat_ms: 0,
             algo,
             input: InputSpec::Inline { edges },
-            tables,
             trace: false,
         }
     }
@@ -1534,7 +1223,7 @@ pub(crate) mod tests {
                 ..Default::default()
             };
             let run = run_stage(Stage::Baseline, token);
-            let msg = reported_error(setup(algo, edges, Vec::new()), vec![run]);
+            let msg = reported_error(setup(algo, edges), vec![run]);
             assert!(msg.contains("HDRF"), "{msg}");
         }
     }
@@ -1549,34 +1238,64 @@ pub(crate) mod tests {
         )
     }
 
+    /// An HDRF turn's state after the triangle 0-1-2, k = 4, all on
+    /// partition 0: replica masks in slot 0, degrees in slot 1, as the
+    /// `tables` of a [`Msg::TurnState`] and the token's loads.
+    fn triangle_turn_state() -> (Vec<EpochTable>, Vec<u64>) {
+        let table = |table, rows| EpochTable {
+            table,
+            merge: MergeOp::Put,
+            keys: vec![0, 1, 2],
+            rows,
+        };
+        let tables = vec![table(0, vec![1, 1, 1]), table(1, vec![2, 2, 2])];
+        (tables, vec![3, 0, 0, 0])
+    }
+
+    fn hdrf_kernel() -> HdrfKernel {
+        let config = HdrfConfig {
+            max_vertices: 64,
+            ..Default::default()
+        };
+        HdrfKernel::new(&config, 4, 0).unwrap()
+    }
+
     #[test]
     fn a_forged_state_frame_is_a_typed_error_not_a_worker_panic() {
-        // Worker 1 of 2 owns keys >= 100 of a width-3 range table. A key
-        // below that base, or a row past the vertex-table limit, used to
-        // reach unchecked arithmetic / an `expect` in the shard.
-        let below_base = Msg::StateReqBatch {
-            keys: vec![5],
-            ops: vec![BatchOp::Get { table: 0 }],
-        };
-        let past_limit = Msg::StateReqBatch {
-            keys: vec![u64::MAX],
-            ops: vec![BatchOp::Put {
-                table: 0,
-                merge: MergeOp::Put,
-                vals: vec![1, 2, 3],
-            }],
-        };
-        for (frame, needle) in [
-            (below_base, "below the shard base"),
-            (past_limit, "vertex-table limit"),
+        // A baseline turn after the first starts from the state the previous
+        // one handed on, held to the run where it is imported: a key that
+        // would narrow onto vertex 5, no state at all, and the wrong verb.
+        let hdrf = AlgoSpec::Hdrf(HdrfConfig {
+            max_vertices: 64,
+            ..Default::default()
+        });
+        let (mut tables, loads) = triangle_turn_state();
+        tables[0].keys[2] = (1 << 32) + 5;
+        let (keys, rows, vol) = triangle_frontier();
+        for (seed, needle) in [
+            (
+                Some(Msg::TurnState { tables }),
+                "vertex id 4294967301 exceeds the max_vertices cap 64",
+            ),
+            (
+                None,
+                "worker 1: turn started without the previous turn's state",
+            ),
+            (
+                Some(Msg::Pass1Frontier { keys, rows, vol }),
+                "unexpected protocol message: Pass1Frontier",
+            ),
         ] {
-            let tables = vec![TableDef {
-                layout: Layout::Range { span: 100 },
-                width: 3,
-            }];
-            let setup = setup(AlgoSpec::Hashing { seed: 0 }, Vec::new(), tables);
-            let msg = reported_error(setup, vec![frame]);
-            assert!(msg.contains(needle), "{msg}");
+            let token = Token {
+                loads: loads.clone(),
+                ..Default::default()
+            };
+            let frames = seed.into_iter().chain([run_stage(Stage::Baseline, token)]);
+            let setup = setup(hdrf.clone(), vec![Edge::new(2, 3)]);
+            let msg = reported_error(setup, frames.collect());
+            assert!(msg.contains(needle), "{needle}: {msg}");
+            let named = msg.contains("worker 1: turn");
+            assert!(named || needle.starts_with("unexpected"), "{msg}");
         }
         // The pass-1 state the coordinator forwards unread is held to the run
         // where it is imported: a seed one volume short of the token's three
@@ -1601,7 +1320,7 @@ pub(crate) mod tests {
             };
             let run = run_stage(Stage::ClugpPass1 { vmax: 100 }, token);
             let frames = seed.into_iter().chain([run]).collect();
-            let setup = setup(clugp.clone(), vec![Edge::new(2, 3)], Vec::new());
+            let setup = setup(clugp.clone(), vec![Edge::new(2, 3)]);
             let msg = reported_error(setup, frames);
             assert!(msg.contains("worker 1: pass-1 state"), "{msg}");
             assert!(msg.contains(needle), "{needle}: {msg}");
@@ -1681,5 +1400,62 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn baseline_turn_state_is_held_to_the_run_before_it_is_indexed_with() {
+        type Forge = fn(&mut Vec<EpochTable>, &mut Vec<u64>);
+        let cases: [(Forge, &str); 7] = [
+            (|_, _| {}, ""),
+            (
+                |tables, _| tables[0].rows.truncate(2),
+                "rows of 2 words do not match 3 keys of width 1",
+            ),
+            (
+                |tables, _| tables[1].keys[2] = 1 << 32,
+                "vertex id 4294967296 exceeds the max_vertices cap 64",
+            ),
+            (
+                |tables, _| tables[0].keys[2] = 64,
+                "vertex id 64 exceeds the max_vertices cap 64",
+            ),
+            (
+                |tables, _| tables[1].rows[2] = 3,
+                "degrees in table slot 1 summing to 7, not twice the 3 edges",
+            ),
+            (
+                |_, loads| loads[3] = u64::MAX,
+                "summing to 6, not twice the 18446744073709551618 edges",
+            ),
+            (
+                |tables, _| tables.swap(0, 1),
+                "does not list the kernel's 2 tables in slot order",
+            ),
+        ];
+        for (forge, needle) in cases {
+            let (mut tables, mut loads) = triangle_turn_state();
+            forge(&mut tables, &mut loads);
+            let mut kernel = hdrf_kernel();
+            match import_kernel_state(7, &mut kernel, &tables, &loads) {
+                Ok(()) => assert!(needle.is_empty(), "{needle}: accepted"),
+                Err(e) => {
+                    assert!(matches!(e, PartitionError::InvalidParam(_)), "{e}");
+                    let msg = e.to_string();
+                    assert!(msg.contains("worker 7: turn state"), "{msg}");
+                    assert!(
+                        !needle.is_empty() && msg.contains(needle),
+                        "{needle}: {msg}"
+                    );
+                }
+            }
+        }
+        // What an honest turn state imports is what the next turn reads back.
+        let (tables, loads) = triangle_turn_state();
+        let mut kernel = hdrf_kernel();
+        import_kernel_state(7, &mut kernel, &tables, &loads).unwrap();
+        let handed_on: Vec<EpochTable> = (0..HdrfKernel::TABLES)
+            .map(|slot| nonzero_rows(kernel.table(slot), slot))
+            .collect();
+        assert_eq!(handed_on, tables);
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! * [`run_local`] (here): tables in-process — the monolithic
 //!   `Partitioner::partition` of every baseline;
-//! * the *sequenced* AMPC driver (`ampc::worker`): tables resident for the
-//!   stage — import a row from its owning shard at first touch, step, and
-//!   export every touched row once at the end;
+//! * the *sequenced* AMPC driver (`ampc::worker`): tables lent by the turn
+//!   before — import every row it handed on, step, and hand every non-zero
+//!   row on to the next turn;
 //! * the *relaxed* AMPC driver (`ampc::worker`): step against local
 //!   tables, ship per-epoch deltas merged under each table's `MergeOp`.
 //!

@@ -15,9 +15,8 @@
 //!                   the file's edges by source — for text and flat binary
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
-//! --chunk-size <N>  edges per stream chunk pull (default 4096), and x64 per
-//!                   sequenced AMPC admission window; a tuning knob only —
-//!                   partitions are chunking-invariant
+//! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
+//!                   knob only — partitions are chunking-invariant
 //! --decode-threads <N>
 //!                   decode packed (CLUGPZ) input on N pipeline worker
 //!                   threads running ahead of the consumer (default:
@@ -1570,14 +1569,14 @@ mod tests {
         );
         let json = std::fs::read_to_string(&trace).unwrap();
         obs::json::validate(&json).unwrap_or_else(|e| panic!("trace not valid JSON: {e}"));
-        // Coordinator pass span, worker stage spans, and per-chunk routing
+        // Coordinator pass span, worker stage spans, and per-chunk spans
         // all made it into the merged record.
         assert!(
             json.contains("\"pass:baseline\""),
             "coordinator span missing"
         );
         assert!(json.contains("\"stage:baseline\""), "worker span missing");
-        assert!(json.contains("\"route_batch\""), "routing span missing");
+        assert!(json.contains("\"chunk\""), "chunk span missing");
         assert!(
             json.contains("\"clugpMetrics\""),
             "embedded metrics missing"

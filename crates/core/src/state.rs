@@ -192,8 +192,8 @@ impl ReplicaTable {
     }
 
     /// Overwrites `v`'s bitset row with `words`. This is the bulk ingress used
-    /// by the sharded state service and the placement snapshot loader, both
-    /// of which read rows off a wire or a file, so bits at positions `>= k`
+    /// by the AMPC turn state and epoch sync and the placement snapshot
+    /// loader, which read rows off a wire or a file, so bits at positions `>= k`
     /// are cleared on the way in: no reader of a row ever sees a partition
     /// that does not exist.
     ///

@@ -7,7 +7,7 @@
 //! placement pipeline, never a semantic change.
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::ampc::table::{Layout, MergeOp, StateShard};
+use clugp::ampc::table::{MergeOp, StateShard};
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
 use clugp::baselines::{Hashing, Hdrf, HdrfConfig, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
@@ -173,186 +173,67 @@ fn verb_traffic(out: &clugp::ampc::DistOutcome, name: &str) -> (u64, u64) {
 
 #[test]
 fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
-    // Stage residency (DESIGN.md §7): a worker fetches a row once per stage
-    // and writes it back once, so what the routing verbs carry follows the
-    // keys a range touches — and a fetch round is paid per admission window
-    // (64 chunks), not per chunk. That is the one-pass baselines' bill: CLUGP
-    // holds its O(n) tables whole and routes nothing, whatever the chunking.
-    // Counts only — nothing here is timed.
+    // Every sequenced stage is lent its tables (DESIGN.md §7): the state a
+    // turn writes rides the token as one frame, so what the wire carries
+    // follows the keys the ranges touch and never the chunking, and no row is
+    // paged — no run of any algorithm or mode sends a frame under the retired
+    // relay tags 15 to 18. Counts only — nothing here is timed.
+    use clugp::ampc::proto::Msg;
+    let (n, edges) = test_web_graph(500, 41);
     let k = 8;
-    let routing = [
-        "RouteBatch",
-        "StateReqBatch",
-        "RouteReply",
-        "StateRespBatch",
-    ];
-    for name in ["clugp", "hdrf"] {
-        let algo = DistAlgo::by_name(name).expect("registered algorithm");
-        let run = |n: u64, edges: &[clugp_graph::types::Edge], workers: u32, chunk_edges: usize| {
-            let reference = monolith(algo.monolith().as_mut(), n, edges, k).0;
-            let cfg = DistConfig {
-                workers,
-                chunk_edges,
-                ..Default::default()
-            };
-            let input = DistInput::Edges {
-                num_vertices: n,
-                edges,
-            };
-            let out = run_distributed(&algo, input, k, &cfg)
-                .unwrap_or_else(|e| panic!("{name}: {workers}w/chunk {chunk_edges}: {e}"));
-            assert_eq!(
-                out.partitioning.assignments, reference,
-                "{name}: {workers}w/chunk {chunk_edges} diverged from the monolith"
-            );
-            if name == "clugp" {
-                for verb in routing {
-                    assert_eq!(verb_traffic(&out, verb), (0, 0), "clugp sent {verb}");
-                }
-            }
-            out
-        };
-        // One worker owns every key: nothing is ever routed.
-        let (n, edges) = test_web_graph(1_500, 41);
-        let alone = run(n, &edges, 1, 64);
-        assert_eq!(
-            verb_traffic(&alone, "RouteBatch"),
-            (0, 0),
-            "{name}: a lone worker routed state through the coordinator"
-        );
-        // At one window size the chunk is invisible on the wire. Every range
-        // of this graph fits the 4 096-edge window of 64-edge chunks, so both
-        // chunk sizes admit a range in a single window: the routing verbs
-        // carry the same frames and the same bytes, not "fewer than 2x".
-        let (n, edges) = test_web_graph(500, 41);
-        for workers in [2u32, 4] {
-            assert!(edges.len().div_ceil(workers as usize) <= 64 * 64);
-            let (small, large) = (run(n, &edges, workers, 64), run(n, &edges, workers, 4096));
-            for verb in routing {
-                let (bytes, frames) = verb_traffic(&large, verb);
-                assert_eq!(
-                    frames > 0,
-                    name == "hdrf",
-                    "{name}: {workers} workers, {verb}"
-                );
-                assert_eq!(
-                    verb_traffic(&small, verb),
-                    (bytes, frames),
-                    "{name}: {workers} workers, {verb}: 64-edge chunks against 4096-edge chunks"
-                );
-            }
-        }
-        // Across window sizes the rounds follow the windows and the bytes
-        // the touched keys: 1-edge chunks make 64-edge windows, hundreds per
-        // range, and still route less than twice the bytes of one window —
-        // only the per-frame headers grow.
-        let (n, edges) = test_web_graph(1_500, 41);
-        let routed = |out: &clugp::ampc::DistOutcome| {
-            verb_traffic(out, "RouteBatch").0 + verb_traffic(out, "StateReqBatch").0
-        };
-        let (small, large) = (
-            routed(&run(n, &edges, 2, 1)),
-            routed(&run(n, &edges, 2, 4096)),
-        );
-        assert!(
-            small <= 2 * large,
-            "{name}: routed {small} B in 64-edge windows, more than twice the {large} B of one"
-        );
-    }
-}
-
-#[test]
-fn a_window_boundary_inside_a_source_run_fetches_the_source_once() {
-    // The admission probe skips a source id that repeats the previous
-    // edge's (a canonical pack repeats each some 36 times). That memory is
-    // per window: a run the boundary cuts in two probes its source again on
-    // the far side, finds it resident, and fetches nothing — never twice,
-    // and never zero times for a source whose run *starts* a window. This
-    // test plays the coordinator for worker 0 of 2, which owns keys < 100;
-    // the sources live on worker 1, so every fetch crosses the wire.
-    use clugp::ampc::proto::{
-        AlgoSpec, BatchOp, InputSpec, Msg, Stage, TableDef, Token, WorkerSetup,
+    let input = DistInput::Edges {
+        num_vertices: n,
+        edges: &edges,
     };
-    use clugp::ampc::{channel_pair, run_worker, Transport};
-    use clugp_graph::types::Edge;
-
-    // 1-edge chunks: 64-edge windows. Source 500 runs over the first
-    // boundary (edges 0..100), 501 fills the second window to its brim, 502
-    // starts the third.
-    let run = |src: u32, len: u32| (0..len).map(move |dst| Edge::new(src, dst));
-    let edges: Vec<Edge> = run(500, 100)
-        .chain(run(501, 28))
-        .chain(run(502, 10))
-        .collect();
-    assert_eq!((edges.len(), edges[128].src), (138, 502));
-
-    let (mut coord, worker) = channel_pair(8);
-    let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
-    let send = |coord: &mut dyn Transport, msg: Msg| coord.send(&msg.encode()).unwrap();
-    send(
-        &mut coord,
-        Msg::Configure(Box::new(WorkerSetup {
-            worker: 0,
-            workers: 2,
-            k: 4,
-            chunk: 1,
-            heartbeat_ms: 0,
-            algo: AlgoSpec::Dbh {
-                seed: 7,
-                max_vertices: 1 << 20,
-            },
-            input: InputSpec::Inline { edges },
-            tables: vec![TableDef {
-                layout: Layout::Range { span: 100 },
-                width: 1,
-            }],
-            trace: false,
-        })),
-    );
-    send(
-        &mut coord,
-        Msg::RunStage {
-            stage: Stage::Baseline,
-            token: Token {
-                loads: vec![0; 4],
-                ..Default::default()
-            },
-            mode: AmpcMode::Sequenced,
-            epoch: 0,
-        },
-    );
-    // Worker 1's shard, as this test serves it: source 500 arrives with a
-    // partial degree of 1 000 from an earlier range.
-    let stored = |key: u64| if key == 500 { 1_000 } else { 0 };
-    let (mut fetched, mut written) = (Vec::new(), Vec::new());
-    loop {
-        match Msg::decode(&coord.recv().unwrap()).unwrap() {
-            Msg::ConfigureOk => {}
-            Msg::RouteBatch { to: 1, keys, ops } => match ops.as_slice() {
-                [BatchOp::Get { table: 0 }] => {
-                    let rows = keys.iter().map(|&key| stored(key)).collect();
-                    fetched.push(keys);
-                    send(&mut coord, Msg::RouteReply { rows });
-                }
-                [BatchOp::Put { table: 0, vals, .. }] => {
-                    written.extend(keys.into_iter().zip(vals.iter().copied()));
-                }
-                other => panic!("unexpected batch {other:?}"),
-            },
-            Msg::StageDone { assignments, .. } => {
-                assert_eq!(assignments.len(), 138);
-                break;
+    for name in ["hashing", "grid", "dbh", "greedy", "hdrf", "mint", "clugp"] {
+        let algo = DistAlgo::by_name(name).expect("registered algorithm");
+        let reference = monolith(algo.monolith().as_mut(), n, &edges, k).0;
+        let run = |cfg: DistConfig| {
+            let what = format!(
+                "{name}: {:?}, {}w/chunk {}",
+                cfg.mode, cfg.workers, cfg.chunk_edges
+            );
+            let out =
+                run_distributed(&algo, input, k, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+            for tag in 15..=18 {
+                let verb = Msg::verb_name(tag);
+                assert_eq!(out.net.by_verb[tag].frames, 0, "{what} sent {verb}");
             }
-            other => panic!("unexpected {}", other.kind()),
+            (what, out)
+        };
+        let (what, out) = run(relaxed_cfg(2));
+        assert!(!out.partitioning.assignments.is_empty(), "{what}");
+        for workers in [1u32, 2, 4] {
+            let mut traffic = Vec::new();
+            for chunk_edges in [1usize, 64, 4096] {
+                let (what, out) = run(DistConfig {
+                    workers,
+                    chunk_edges,
+                    ..Default::default()
+                });
+                assert_eq!(out.partitioning.assignments, reference, "{what}: diverged");
+                // One hand-off per turn but the last, each received from one
+                // worker and sent on to the next.
+                let hands_on = matches!(name, "dbh" | "greedy" | "hdrf");
+                let turns = if hands_on { u64::from(workers - 1) } else { 0 };
+                assert_eq!(verb_traffic(&out, "TurnState").1, 2 * turns, "{what}");
+                let per_verb: Vec<_> = out
+                    .net
+                    .by_verb
+                    .iter()
+                    .map(|v| (v.bytes, v.frames))
+                    .collect();
+                traffic.push((what, per_verb));
+            }
+            for (what, per_verb) in &traffic[1..] {
+                assert_eq!(
+                    per_verb, &traffic[0].1,
+                    "{what}: bytes and frames per verb differ from {}",
+                    traffic[0].0
+                );
+            }
         }
     }
-    send(&mut coord, Msg::Shutdown);
-    handle.join().expect("worker thread").expect("worker");
-    // One fetch per source, in the window its run starts in; the second
-    // half of 500's run fetched nothing.
-    assert_eq!(fetched, vec![vec![500], vec![501], vec![502]]);
-    // And the fetched row was the one the kernel counted on: 1 000 + 100.
-    assert_eq!(written, vec![(500, 1_100), (501, 28), (502, 10)]);
 }
 
 #[test]
@@ -1096,44 +977,38 @@ fn commutative_upsert_batch_order_cannot_change_table_state() {
     let mut rng = XorShift(0xA11CE5);
     for trial in 0..50 {
         for merge in [MergeOp::Add, MergeOp::Max, MergeOp::BitOr] {
-            for layout in [Layout::Range { span: 64 }, Layout::Striped { stripe: 8 }] {
-                // A batch workload of (key, row) updates over a small keyspace
-                // so collisions are common.
-                let batches: Vec<(Vec<u64>, Vec<u64>)> = (0..12)
-                    .map(|_| {
-                        let keys: Vec<u64> = (0..(1 + rng.next() % 16))
-                            .map(|_| rng.next() % 256)
-                            .collect();
-                        let rows: Vec<u64> =
-                            (0..keys.len() * 2).map(|_| rng.next() % 1024).collect();
-                        (keys, rows)
-                    })
-                    .collect();
-                let build = |order: &[usize]| {
-                    let mut shard = match layout {
-                        Layout::Range { .. } => StateShard::range(0, 2),
-                        Layout::Striped { .. } => StateShard::striped(2),
-                    };
-                    for &b in order {
-                        let (keys, rows) = &batches[b];
-                        shard.upsert_batch(merge, keys, rows).unwrap();
-                    }
-                    let mut out = Vec::new();
-                    shard.scan(|key, row| {
-                        out.push((key, row.to_vec()));
-                    });
-                    out
-                };
-                let forward: Vec<usize> = (0..batches.len()).collect();
-                let reference = build(&forward);
-                let mut shuffled = forward.clone();
-                rng.shuffle(&mut shuffled);
-                assert_eq!(
-                    build(&shuffled),
-                    reference,
-                    "trial {trial}: {merge:?}/{layout:?}: batch order changed the table"
-                );
-            }
+            // A batch workload of (key, row) updates over a small keyspace
+            // so collisions are common.
+            let batches: Vec<(Vec<u64>, Vec<u64>)> = (0..12)
+                .map(|_| {
+                    let keys: Vec<u64> = (0..(1 + rng.next() % 16))
+                        .map(|_| rng.next() % 256)
+                        .collect();
+                    let rows: Vec<u64> = (0..keys.len() * 2).map(|_| rng.next() % 1024).collect();
+                    (keys, rows)
+                })
+                .collect();
+            let build = |order: &[usize]| {
+                let mut shard = StateShard::range(0, 2);
+                for &b in order {
+                    let (keys, rows) = &batches[b];
+                    shard.upsert_batch(merge, keys, rows).unwrap();
+                }
+                let mut out = Vec::new();
+                shard.scan(|key, row| {
+                    out.push((key, row.to_vec()));
+                });
+                out
+            };
+            let forward: Vec<usize> = (0..batches.len()).collect();
+            let reference = build(&forward);
+            let mut shuffled = forward.clone();
+            rng.shuffle(&mut shuffled);
+            assert_eq!(
+                build(&shuffled),
+                reference,
+                "trial {trial}: {merge:?}: batch order changed the table"
+            );
         }
     }
 }

@@ -282,14 +282,15 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // bit-identically or terminates with a typed error.
     // The deadline keeps "terminates" bounded; the test finishing at all
     // is the no-hang assertion. A plan draws its ordinal from the frames a
-    // link of its algorithm carries behind the handshake. CLUGP's carries the
-    // same few whatever the chunk: to worker 0 `RunStage`, a cast, `RunStage`,
-    // a cast, `RunStage` (1–5), to a later worker the pass-1 seed ahead of
-    // them (1–6), then `Shutdown`, whose fate nobody waits for; back, traced,
-    // the frontier, then a trace frame and `StageDone` per stage (1–7). HDRF
-    // pages its rows, a fetch round per admission window, and 4-edge chunks
-    // make a range half a dozen windows long: more frames each way than the
-    // 25 its plans may ask for.
+    // link of its algorithm carries behind the handshake, the same few
+    // whatever the chunk. CLUGP's: to worker 0 `RunStage`, a cast,
+    // `RunStage`, a cast, `RunStage` (1–5), to a later worker the pass-1 seed
+    // ahead of them (1–6), then `Shutdown`, whose fate nobody waits for; back,
+    // traced, the frontier, then a trace frame and `StageDone` per stage
+    // (1–7). HDRF's: to worker 0 `RunStage` (1), to a later worker the turn
+    // state ahead of it (1–2), then `Shutdown`; back, the turn state it hands
+    // on, a trace frame and `StageDone` (1–3), the last of the three workers
+    // handing nothing on (1–2).
     use clugp::baselines::Hdrf;
     let (n, edges) = test_web_graph(500, 53);
     let k = 8;
@@ -299,6 +300,10 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     let clugp_lands: Lands = |worker, sent, at| match sent {
         true => at <= 5 + u64::from(worker > 0),
         false => at <= 7,
+    };
+    let hdrf_lands: Lands = |worker, sent, at| match sent {
+        true => at <= 1 + u64::from(worker > 0),
+        false => at <= 2 + u64::from(worker < 2),
     };
     let algos: [(DistAlgo, Reference, usize, u64, Lands); 2] = [
         (
@@ -312,8 +317,8 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
             DistAlgo::hdrf(),
             monolith(&mut Hdrf::default(), n, &edges, k),
             4,
-            25,
-            |_, _, _| true,
+            3,
+            hdrf_lands,
         ),
     ];
     for (algo, reference, chunk_edges, frames, lands) in algos {
@@ -418,13 +423,15 @@ fn faults_recover_over_unix_sockets_too() {
 
 #[test]
 fn baseline_algorithms_recover_too() {
-    // The single-barrier baseline flow shares the recovery machinery.
+    // The single-barrier baseline flow shares the recovery machinery. Worker
+    // 1's link dies on the first frame sent behind the handshake: the turn
+    // state worker 0 handed on, in flight between the two turns.
     use clugp::baselines::Hdrf;
     let (n, edges) = test_web_graph(500, 55);
     let k = 8;
     let reference = monolith(&mut Hdrf::default(), n, &edges, k);
     let mut faults = FaultPlan::none();
-    faults.push(1, 0, FaultScript::disconnect_at_send(2));
+    faults.push(1, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
         workers: 3,
         supervise: supervised(600, 2),
@@ -445,8 +452,8 @@ fn baseline_algorithms_recover_too() {
     assert!(out.recoveries >= 1);
     assert_eq!(
         first_fault(&out),
-        Some(("baseline".to_string(), 0)),
-        "the severed link must surface mid-pass, worker 0 holding the token"
+        Some(("baseline".to_string(), 1)),
+        "the severed link must surface mid-pass, worker 0's turn done"
     );
     assert_eq!(
         (

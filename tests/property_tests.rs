@@ -550,30 +550,4 @@ proptest! {
         prop_assert_eq!(back.assignments, run.partitioning.assignments);
         prop_assert_eq!(back.loads, run.partitioning.loads);
     }
-
-    /// METIS write/read round-trips the undirected simple graph underlying
-    /// arbitrary edge lists.
-    #[test]
-    fn metis_round_trip(edges in arb_edges()) {
-        use clugp_graph::io::metis::{read_metis, write_metis};
-        let g = CsrGraph::from_edges_auto(&edges);
-        let dir = std::env::temp_dir().join("clugp_prop_metis");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g{}.graph", edges.len()));
-        write_metis(&path, &g).unwrap();
-        let back = read_metis(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        // The canonical undirected simple edge set must be preserved.
-        let canon = |g: &CsrGraph| {
-            let mut set: Vec<(u32, u32)> = g
-                .edges()
-                .filter(|e| !e.is_self_loop())
-                .map(|e| e.canonical())
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            set
-        };
-        prop_assert_eq!(canon(&g), canon(&back));
-    }
 }
