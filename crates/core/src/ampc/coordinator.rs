@@ -9,19 +9,19 @@
 //! whole state from turn to turn — `Coord::run_stage` forwards one
 //! [`Msg::TurnState`] (a baseline) or [`Msg::Pass1Frontier`] (CLUGP pass 1)
 //! per hand-off, as received — and from the end of pass 1 the coordinator
-//! owns CLUGP's tables ([`ClugpTables`]): a stage that only reads one is cast
+//! owns CLUGP's tables (`ClugpTables`): a stage that only reads one is cast
 //! the whole of it up front (`cast_table`, one [`Msg::TableCast`]) and a
 //! barrier dumps them, both from memory.
 //!
 //! Whatever a worker reports is held against what the coordinator handed
-//! out before it is indexed with (`Coord::accept_part`, `merge_pairs`,
-//! `import_turn_state`, the frontier merge, the compaction): a typed error,
-//! not a panic.
+//! out before it is indexed with (`Coord::accept_part`, `check_epoch_done`,
+//! `merge_pairs`, `import_turn_state`, the frontier merge, the compaction): a
+//! typed error naming the worker, not a panic.
 //!
 //! # Fault tolerance
 //!
 //! With supervision enabled ([`SuperviseConfig::max_retries`] > 0) the
-//! coordinator runs as a [`Supervisor`]: at every pass barrier it commits
+//! coordinator runs as a `Supervisor`: at every pass barrier it commits
 //! a [`Checkpoint`] (token + tables), and when a worker link fails
 //! retryably mid-pass — EOF, io error, deadline timeout,
 //! undecodable frame — it heals the fleet (probes every worker with
@@ -39,7 +39,6 @@ use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{
     AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
-use super::table::MergeOp;
 use super::transport::{NetStats, Transport};
 use super::worker::{
     cluster_partition_map, import_turn_state, unexpected, with_edge_kernel, T_CPART, T_MAIN,
@@ -48,7 +47,7 @@ use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
 };
-use crate::baselines::kernel::EdgeKernel;
+use crate::baselines::kernel::{EdgeKernel, MergeOp};
 use crate::clugp::cluster_graph::{merge_weighted, ClusterGraph};
 use crate::clugp::clustering::{compact_clusters, NO_CLUSTER};
 use crate::clugp::stage::{VertexState, ROW_WIDTH};
@@ -376,16 +375,16 @@ impl Coord {
 
     /// Drives the epoch barriers of a relaxed stage: each round collects
     /// one [`Msg::EpochDone`] per worker in worker order, folds the deltas
-    /// into the committed state, and broadcasts the merged rows for every
-    /// key the round touched. Runs until all workers have reported their
-    /// final epoch.
-    fn run_epoch_rounds(&mut self, k: usize, widths: &[u32]) -> Result<()> {
+    /// into the committed state under the merge each slot's kernel table
+    /// declares, and broadcasts the merged rows for every key the round
+    /// touched. Runs until all workers have reported their final epoch.
+    fn run_epoch_rounds(&mut self, k: usize, slots: &[Slot]) -> Result<()> {
         let workers = self.conns.len();
         let mut committed_loads = vec![0u64; k];
-        let mut committed: Vec<FxHashMap<u64, Vec<u64>>> = vec![FxHashMap::default(); widths.len()];
+        let mut committed: Vec<FxHashMap<u64, Vec<u64>>> = vec![FxHashMap::default(); slots.len()];
         loop {
             let mut all_last = true;
-            let mut touched: Vec<Vec<u64>> = vec![Vec::new(); widths.len()];
+            let mut touched: Vec<Vec<u64>> = vec![Vec::new(); slots.len()];
             for w in 0..workers {
                 let (last, loads, tables) = loop {
                     match self.recv(w)? {
@@ -398,34 +397,19 @@ impl Coord {
                         other => return Err(unexpected(&other)),
                     }
                 };
+                check_epoch_done(w, k, slots, &loads, &tables)?;
                 all_last &= last;
-                if loads.len() != k {
-                    return Err(PartitionError::InvalidParam(
-                        "epoch loads do not match partition count".into(),
-                    ));
-                }
                 for (c, d) in committed_loads.iter_mut().zip(&loads) {
                     *c = c.wrapping_add(*d);
                 }
                 for t in tables {
-                    let slot = t.table as usize;
-                    let Some(&width) = widths.get(slot) else {
-                        return Err(PartitionError::InvalidParam(format!(
-                            "epoch sync for unknown table slot {}",
-                            t.table
-                        )));
-                    };
-                    let width = width as usize;
-                    if t.rows.len() != t.keys.len() * width {
-                        return Err(PartitionError::InvalidParam(
-                            "epoch delta payload does not match key count".into(),
-                        ));
-                    }
-                    for (i, &key) in t.keys.iter().enumerate() {
+                    let slot = usize::from(t.table);
+                    let Slot { width, merge, .. } = slots[slot];
+                    for (&key, row) in t.keys.iter().zip(t.rows.chunks_exact(width)) {
                         let dst = committed[slot]
                             .entry(key)
                             .or_insert_with(|| vec![0u64; width]);
-                        t.merge.apply(dst, &t.rows[i * width..(i + 1) * width]);
+                        merge.apply(dst, row);
                     }
                     touched[slot].extend_from_slice(&t.keys);
                 }
@@ -437,14 +421,12 @@ impl Coord {
                 }
                 keys.sort_unstable();
                 keys.dedup();
-                let width = widths[slot] as usize;
-                let mut rows = Vec::with_capacity(keys.len() * width);
+                let mut rows = Vec::with_capacity(keys.len() * slots[slot].width);
                 for key in keys.iter() {
                     rows.extend_from_slice(&committed[slot][key]);
                 }
                 sync_tables.push(EpochTable {
                     table: slot as u8,
-                    merge: MergeOp::Put,
                     keys: std::mem::take(keys),
                     rows,
                 });
@@ -474,6 +456,68 @@ impl Coord {
 /// Row widths of the tables a CLUGP barrier lists: `T_MAIN`, the raw volumes
 /// pass 1 once paged (dumped empty ever since), `T_CPART`.
 const CLUGPCK1_WIDTHS: [u32; 3] = [ROW_WIDTH as u32, 1, 1];
+
+/// A baseline kernel's shared table as the coordinator sees it: what
+/// [`describe_kernel`] reads off the kernel a worker builds from the same
+/// spec.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Words per row.
+    width: usize,
+    /// How relaxed workers' rows fold into the committed state.
+    merge: MergeOp,
+    /// The table's `max_vertices` cap: every key is below it.
+    limit: u64,
+}
+
+/// Holds one relaxed worker's [`Msg::EpochDone`] to the run before anything
+/// is folded: a load per partition, tables in ascending slot order and each
+/// a slot of the kernel, a row of the slot's width per key, keys strictly
+/// ascending (a repeated key would fold twice) and below the slot's cap (a
+/// forged one would be broadcast to every worker).
+fn check_epoch_done(
+    w: usize,
+    k: usize,
+    slots: &[Slot],
+    loads: &[u64],
+    tables: &[EpochTable],
+) -> Result<()> {
+    let named = |what: String| PartitionError::InvalidParam(format!("worker {w}: {what}"));
+    if loads.len() != k {
+        let listed = loads.len();
+        return Err(named(format!(
+            "epoch loads list {listed} partitions, the run has {k}"
+        )));
+    }
+    let mut prev_slot = None;
+    for t in tables {
+        let id = t.table;
+        let Some(slot) = slots.get(usize::from(id)) else {
+            return Err(named(format!("epoch sync for unknown table slot {id}")));
+        };
+        if prev_slot.replace(id).is_some_and(|p| p >= id) {
+            return Err(named(format!("epoch tables list slot {id} out of order")));
+        }
+        if t.rows.len() != t.keys.len() * slot.width {
+            return Err(named(format!(
+                "epoch delta payload of table slot {id} does not match key count"
+            )));
+        }
+        if t.keys.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(named(format!(
+                "epoch delta keys of table slot {id} are not strictly ascending"
+            )));
+        }
+        // Ascending, so the last key is the largest.
+        if let Some(&key) = t.keys.last().filter(|&&key| key >= slot.limit) {
+            return Err(named(format!(
+                "epoch delta key {key} of table slot {id} is not below the cap {}",
+                slot.limit
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// The loads a stage hands back must add up to the edges it assigned.
 fn check_loads(who: std::fmt::Arguments<'_>, token: &Token, placed: usize) -> Result<()> {
@@ -514,8 +558,11 @@ struct Supervisor<'a> {
     setups: Vec<WorkerSetup>,
     incarnation: Vec<u32>,
     /// Row width of each table slot, as a barrier lists them: a baseline
-    /// kernel's (relaxed epochs merge by them too), or CLUGPCK1's three.
+    /// kernel's, or CLUGPCK1's three.
     widths: Vec<u32>,
+    /// A baseline kernel's tables, which relaxed epochs fold by (none for
+    /// CLUGP and Mint).
+    slots: Vec<Slot>,
     /// Last committed checkpoint; recovery replays the flow from here.
     last: Option<Checkpoint>,
     ckpt_dir: Option<PathBuf>,
@@ -578,6 +625,7 @@ impl<'a> Supervisor<'a> {
             setups: Vec::new(),
             incarnation: vec![0; n],
             widths: Vec::new(),
+            slots: Vec::new(),
             last: None,
             ckpt_dir: cfg.checkpoint_dir.clone(),
             recoveries: 0,
@@ -819,17 +867,22 @@ pub fn run_coordinator(
 }
 
 /// What the coordinator needs to know of a baseline, read off its
-/// [`EdgeKernel`]: each table's row width and whether relaxed workers run
-/// epoch rounds. Applies each table's own sizing check to `n_hint` — monolith
-/// parity: the monolith fails on an oversized hint before streaming an edge.
-fn describe_kernel<K: EdgeKernel>(mut kernel: K, n_hint: u64) -> Result<(Vec<u32>, bool)> {
-    let mut widths = Vec::with_capacity(K::TABLES);
+/// [`EdgeKernel`]: each table's width, merge and cap, and whether relaxed
+/// workers run epoch rounds. Applies each table's own sizing check to `n_hint`
+/// — monolith parity: the monolith fails on an oversized hint before
+/// streaming an edge.
+fn describe_kernel<K: EdgeKernel>(mut kernel: K, n_hint: u64) -> Result<(Vec<Slot>, bool)> {
+    let mut slots = Vec::with_capacity(K::TABLES);
     for slot in 0..K::TABLES {
         let table = kernel.table(slot);
         table.check_hint(n_hint)?;
-        widths.push(table.width() as u32);
+        slots.push(Slot {
+            width: table.width(),
+            merge: table.merge(),
+            limit: table.limit(),
+        });
     }
-    Ok((widths, K::EPOCH_SYNCED))
+    Ok((slots, K::EPOCH_SYNCED))
 }
 
 fn drive(
@@ -879,13 +932,16 @@ fn drive(
     };
 
     let algo_spec = algo.spec();
-    let (widths, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
+    let (widths, slots, epoch_synced) = if let DistAlgo::Clugp(cfg) = algo {
         check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
-        (CLUGPCK1_WIDTHS.to_vec(), false)
+        (CLUGPCK1_WIDTHS.to_vec(), Vec::new(), false)
     } else {
         // Mint shares nothing and never epoch-syncs.
-        with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(kernel, n_hint)?)
-            .unwrap_or_default()
+        let (slots, synced): (Vec<Slot>, bool) =
+            with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(kernel, n_hint)?)
+                .unwrap_or_default();
+        let widths = slots.iter().map(|slot| slot.width as u32).collect();
+        (widths, slots, synced)
     };
 
     let range_edges = inputs
@@ -921,6 +977,7 @@ fn drive(
     }
 
     sup.widths = widths;
+    sup.slots = slots;
     sup.coord.k = k;
     sup.coord.range_edges = range_edges;
     sup.m = m_hint;
@@ -985,8 +1042,7 @@ fn baseline_flow(
             // share nothing (Hashing, Mint) just stream to StageDone and
             // the coordinator sums their load tallies.
             if epoch_synced {
-                let widths = sup.widths.clone();
-                sup.coord.run_epoch_rounds(k as usize, &widths)?;
+                sup.coord.run_epoch_rounds(k as usize, &sup.slots)?;
             }
             let tokens = sup
                 .coord
@@ -1692,6 +1748,73 @@ mod tests {
         let err = resumed_from(&ck).expect_err("barrier 4").to_string();
         assert!(err.contains("ckpt-00004.clugpck: barrier 4"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_forged_epoch_done_is_a_typed_error_naming_the_worker() {
+        // Relaxed HDRF at k = 4, two edges a worker: slot 0 holds replica
+        // masks, slot 1 degrees, each a word wide and capped at u32::MAX.
+        let table = |table, rows: Vec<u64>| EpochTable {
+            table,
+            keys: vec![0, 1],
+            rows,
+        };
+        type Forge = fn(&mut Vec<u64>, &mut Vec<EpochTable>);
+        let play_forged = |forge: Forge| {
+            play(DistAlgo::hdrf(), AmpcMode::Relaxed, 2, move |w, _| {
+                let mut loads = vec![1, 1, 0, 0];
+                let mut tables = vec![table(0, vec![0b1, 0b11]), table(1, vec![1, 1])];
+                if w == 1 {
+                    forge(&mut loads, &mut tables);
+                }
+                let last = true;
+                vec![
+                    Msg::EpochDone {
+                        last,
+                        loads,
+                        tables,
+                    }
+                    .encode(),
+                    stage_done(vec![2, 2, 0, 0], 1, 2, &[0, 1]),
+                ]
+            })
+        };
+        let honest = play_forged(|_, _| {}).expect("an honest epoch");
+        assert_eq!(honest.partitioning.loads, [2, 2, 0, 0]);
+
+        // Each is refused before a row of it is folded or broadcast.
+        let cases: [(Forge, &str); 7] = [
+            (|_, t| t[1].table = 2, "unknown table slot 2"),
+            (|_, t| t.swap(0, 1), "list slot 0 out of order"),
+            (
+                |_, t| t[0].rows.truncate(1),
+                "payload of table slot 0 does not match",
+            ),
+            (
+                |_, t| t[1].keys[1] = u64::from(u32::MAX),
+                "key 4294967295 of table slot 1 is not below the cap 4294967295",
+            ),
+            (
+                |_, t| t[0].keys[1] = (1 << 32) + 5,
+                "key 4294967301 of table slot 0 is not below the cap",
+            ),
+            (
+                |_, t| t[1].keys[1] = 0,
+                "keys of table slot 1 are not strictly ascending",
+            ),
+            (
+                |l, _| l.truncate(3),
+                "epoch loads list 3 partitions, the run has 4",
+            ),
+        ];
+        for (forge, needle) in cases {
+            let err = play_forged(forge).expect_err(needle);
+            assert!(
+                matches!(&err, PartitionError::InvalidParam(msg)
+                    if msg.contains("worker 1: ") && msg.contains(needle)),
+                "{needle}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
 //!   forwards each turn's state to the next turn, casts read-only tables,
 //!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
-//!   game), and assembles the final [`crate::partition::Partitioning`].
-//! * [`table`] — [`table::MergeOp`], how rows combine at a relaxed epoch
-//!   barrier, and the range-sharded [`table::StateShard`] the engine's
-//!   replica scatter builds on.
+//!   game), and assembles the final [`crate::partition::Partitioning`]. At a
+//!   relaxed epoch barrier it folds each worker's rows under the merge the
+//!   baseline's kernel declares for that table.
 //! * [`transport`] / [`proto`] / [`wire`] — the exchange: in-process
 //!   bounded channels or length-prefixed Unix sockets carrying the same
 //!   hand-rolled little-endian frames.
@@ -37,14 +36,12 @@ pub mod checkpoint;
 pub mod coordinator;
 pub mod fault;
 pub mod proto;
-pub mod table;
 pub mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use coordinator::{run_coordinator, DistOutcome, Respawner};
 pub use fault::{FaultAction, FaultInjectingTransport, FaultPlan, FaultScript};
-pub use table::{Layout, MergeOp, StateShard};
 pub use transport::{channel_pair, NetStats, Transport, UnixTransport, MAX_FRAME_BYTES};
 pub use worker::run_worker;
 

@@ -61,7 +61,6 @@
 //! lanes onto its own timeline. The verb is fire-and-forget and carries
 //! no partitioning state, so tracing cannot perturb placement decisions.
 
-use super::table::MergeOp;
 use super::wire::{Rd, Wr};
 use super::AmpcMode;
 use crate::baselines::{HdrfConfig, MintConfig};
@@ -80,17 +79,17 @@ const TAG_PASS1_FRONTIER: u8 = 21;
 const TAG_TURN_STATE: u8 = 24;
 
 /// One table's rows as a message carries them: the keys a relaxed worker
-/// touched this epoch and either its local deltas ([`Msg::EpochDone`],
-/// folded under `merge`) or the merged authoritative rows
-/// ([`Msg::EpochSync`], always overwritten); or a sequenced baseline's whole
-/// table ([`Msg::TurnState`], `Put`).
+/// touched this epoch and either its local contributions
+/// ([`Msg::EpochDone`], which the coordinator folds under the merge the
+/// kernel declares for the slot — deltas for degrees, current rows for
+/// replica masks) or the merged authoritative rows ([`Msg::EpochSync`],
+/// always overwritten); or a sequenced baseline's whole table
+/// ([`Msg::TurnState`], imported as it is). The frame names no merge: the
+/// slot alone decides how its rows combine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTable {
     /// Table slot index.
     pub table: u8,
-    /// How the rows fold into the committed state (`Add` deltas for
-    /// counters, `BitOr` for replica masks).
-    pub merge: MergeOp,
     /// Row keys, sorted ascending.
     pub keys: Vec<u64>,
     /// Flattened rows, `keys.len() * width` words.
@@ -763,7 +762,6 @@ fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
     w.vu64(tables.len() as u64);
     for t in tables {
         w.u8(t.table);
-        w.u8(t.merge.tag());
         w.delta_u64s(&t.keys);
         w.vu64s(&t.rows);
     }
@@ -776,11 +774,8 @@ fn get_epoch_tables(r: &mut Rd<'_>) -> Result<Vec<EpochTable>> {
     }
     let mut tables = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let table = r.u8()?;
-        let merge = MergeOp::from_tag(r.u8()?).ok_or_else(|| bad("merge op"))?;
         tables.push(EpochTable {
-            table,
-            merge,
+            table: r.u8()?,
             keys: r.delta_u64s()?,
             rows: r.vu64s()?,
         });
@@ -1214,16 +1209,15 @@ mod tests {
 
     /// An HDRF turn's state at k = 4: replica masks in slot 0, degrees in 1.
     fn turn_state() -> Msg {
-        let table = |table, merge, rows: Vec<u64>| EpochTable {
+        let table = |table, rows: Vec<u64>| EpochTable {
             table,
-            merge,
             keys: vec![4, 9, 10, 4000],
             rows,
         };
         Msg::TurnState {
             tables: vec![
-                table(0, MergeOp::Put, vec![0b1, 0b11, 0b1000, 0b10]),
-                table(1, MergeOp::Put, vec![3, 1, u64::MAX, 17]),
+                table(0, vec![0b1, 0b11, 0b1000, 0b10]),
+                table(1, vec![3, 1, u64::MAX, 17]),
             ],
         }
     }
@@ -1258,13 +1252,11 @@ mod tests {
         let tables = vec![
             EpochTable {
                 table: 1,
-                merge: MergeOp::Add,
                 keys: vec![2, 5, 6],
                 rows: vec![1, 1, 4],
             },
             EpochTable {
                 table: 0,
-                merge: MergeOp::BitOr,
                 keys: vec![9],
                 rows: vec![0b1010],
             },

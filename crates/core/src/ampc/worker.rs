@@ -12,14 +12,14 @@
 //! it starts from the state the coordinator forwarded ahead of `RunStage` (the
 //! previous turn's; none for worker 0, and none in relaxed mode), steps its
 //! range and ships the state on ahead of `StageDone` — CLUGP pass 1 as a
-//! [`Msg::Pass1Frontier`] ([`Pass1::step`] over the vertex rows and volumes),
+//! [`Msg::Pass1Frontier`] (`Pass1::step` over the vertex rows and volumes),
 //! a one-pass baseline as a [`Msg::TurnState`] (its kernel's non-zero rows;
 //! the last turn of a stage sends none, nothing reads it). While a worker
 //! holds the token nobody else writes, so what it was lent is the whole truth
 //! for its turn. The CLUGP pairs and transform stages only read: the
 //! coordinator broadcasts the tables they index as [`Msg::TableCast`] mirrors
 //! ahead of `RunStage`. A mirror is built once, when its frame arrives, and
-//! kept until `ResetTables` ([`Casts`]): the vertex rows cast for the pairs
+//! kept until `ResetTables` (`Casts`): the vertex rows cast for the pairs
 //! stage serve the transform too.
 //!
 //! In [`AmpcMode::Relaxed`] no turn hands anything on: every worker streams
@@ -33,10 +33,9 @@
 use super::proto::{
     AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
-use super::table::MergeOp;
 use super::transport::Transport;
 use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
-use crate::baselines::kernel::{EdgeKernel, SharedTable};
+use crate::baselines::kernel::{EdgeKernel, MergeOp, SharedTable};
 use crate::baselines::mint::{MintConfig, Waves};
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
@@ -1065,7 +1064,6 @@ fn nonzero_rows(table: &dyn SharedTable, slot: usize) -> EpochTable {
     }
     EpochTable {
         table: slot as u8,
-        merge: MergeOp::Put,
         keys,
         rows,
     }
@@ -1144,7 +1142,6 @@ impl Touched {
             }
             tables.push(EpochTable {
                 table: slot as u8,
-                merge,
                 keys: keys.clone(),
                 rows,
             });
@@ -1244,7 +1241,6 @@ pub(crate) mod tests {
     fn triangle_turn_state() -> (Vec<EpochTable>, Vec<u64>) {
         let table = |table, rows| EpochTable {
             table,
-            merge: MergeOp::Put,
             keys: vec![0, 1, 2],
             rows,
         };

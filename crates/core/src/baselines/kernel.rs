@@ -18,7 +18,6 @@
 //! Because all three call the same `step`, every configuration the
 //! sequenced driver runs is bit-identical to the monolith.
 
-use crate::ampc::table::MergeOp;
 use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
@@ -27,6 +26,29 @@ use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::{check_cap, VertexTable};
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
 use clugp_graph::types::{Edge, VertexId};
+
+/// How relaxed workers' rows of one table combine at an epoch barrier, word
+/// by word. Both ops are commutative and associative, so the committed row
+/// does not depend on the order contributions fold in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MergeOp {
+    /// Wrapping per-word addition (partial degrees).
+    Add,
+    /// Per-word bitwise OR (replica masks).
+    BitOr,
+}
+
+impl MergeOp {
+    /// Folds `src` into `dst`.
+    pub(crate) fn apply(self, dst: &mut [u64], src: &[u64]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = match self {
+                MergeOp::Add => d.wrapping_add(s),
+                MergeOp::BitOr => *d | s,
+            };
+        }
+    }
+}
 
 /// A per-vertex table a kernel shares across workers: rows of `width`
 /// words keyed by vertex id.
@@ -194,4 +216,32 @@ pub(crate) fn run_local<K: EdgeKernel>(
             ..Default::default()
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MergeOp;
+
+    #[test]
+    fn merge_ops_apply_per_word_in_any_order() {
+        let mut row = [3, 1];
+        MergeOp::Add.apply(&mut row, &[4, u64::MAX]);
+        assert_eq!(row, [7, 0], "Add wraps per word");
+        MergeOp::BitOr.apply(&mut row, &[0b1000, 0b10]);
+        assert_eq!(row, [7 | 0b1000, 0b10]);
+        // The coordinator folds each worker's contribution as it arrives: a
+        // commutative op makes the committed row independent of that order.
+        let rows: [[u64; 2]; 4] = [[5, 1 << 63], [9, 3], [u64::MAX, 0b100], [2, 7]];
+        for op in [MergeOp::Add, MergeOp::BitOr] {
+            let fold = |order: [usize; 4]| {
+                let mut row = [0u64; 2];
+                order.iter().for_each(|&i| op.apply(&mut row, &rows[i]));
+                row
+            };
+            let forward = fold([0, 1, 2, 3]);
+            for order in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+                assert_eq!(fold(order), forward, "{op:?} {order:?}");
+            }
+        }
+    }
 }

@@ -34,7 +34,7 @@ pub struct MintConfig {
     /// Edges per batch game.
     pub batch_size: usize,
     /// Batches ingested per wave; every batch of a wave plays against the
-    /// same committed-load snapshot (0 = [`DEFAULT_WAVE_WIDTH`]). This is a
+    /// same committed-load snapshot (0 = `DEFAULT_WAVE_WIDTH`, 8). This is a
     /// semantic knob — it changes the equilibria — so it is deliberately
     /// independent of `threads`.
     pub wave_width: usize,

@@ -630,7 +630,7 @@ fn run(opts: &Options) -> Result<(), String> {
 
 /// Emits the post-run observability artifacts the CLI flags asked for:
 /// the per-verb traffic table, the metrics snapshot, the Chrome trace, and
-/// the human span summary. All of them are derived from [`DistOutcome`]
+/// the human span summary. All of them are derived from [`clugp::ampc::DistOutcome`]
 /// after the partition is already fixed, so none can perturb the result.
 fn report_observability(
     opts: &Options,

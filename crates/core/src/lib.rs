@@ -10,14 +10,15 @@
 //!   (no splitting) and CLUGP-G (greedy cluster assignment).
 //! * [`baselines`] — Hashing, DBH, Grid, Greedy (PowerGraph oblivious),
 //!   HDRF, and Mint, implemented from their original papers.
-//! * [`edgecut`] — the complementary edge-cut family (LDG, FENNEL) with cut
-//!   metrics, making the paper's §II-C power-law argument testable.
 //! * [`partitioner::Partitioner`] — the common streaming interface; every
 //!   algorithm consumes a [`clugp_graph::stream::RestreamableStream`] and
 //!   produces a [`partition::PartitionRun`] bundling the edge assignment,
 //!   wall-clock phase timings, and an honest memory report.
 //! * [`metrics`] — replication factor and relative load balance (paper
-//!   §II-B), computed from the edge assignment.
+//!   §II-B), computed from the edge assignment through the one replica
+//!   recorder, [`state::ReplicaTable::record`].
+//! * [`ampc`] — the coordinator/worker engine that runs the same kernels
+//!   over several workers, bit-identical to the monolith when sequenced.
 //!
 //! # Quickstart
 //!
@@ -48,7 +49,6 @@
 pub mod ampc;
 pub mod baselines;
 pub mod clugp;
-pub mod edgecut;
 pub mod error;
 pub mod memory;
 pub mod metrics;

@@ -29,16 +29,6 @@ pub struct PartitionQuality {
     pub loads: Vec<u64>,
 }
 
-/// Records the replicas `edges` place when edge `i` goes to `parts[i]`.
-fn place(table: &mut ReplicaTable, edges: &[Edge], parts: &[u32]) -> Result<()> {
-    for (e, &p) in edges.iter().zip(parts) {
-        table.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-        table.insert(e.src, p);
-        table.insert(e.dst, p);
-    }
-    Ok(())
-}
-
 /// Replays `stream` from its start against `partitioning` and returns the
 /// replica table the assignment implies — the one table quality and the
 /// placement directory are both read from, built without holding the edges.
@@ -58,7 +48,7 @@ pub fn replay_replicas(
     try_for_each_chunk(stream, chunk_edges(), |chunk| {
         let of_chunk = parts.get(seen..).unwrap_or_default();
         seen += chunk.len();
-        place(&mut table, chunk, of_chunk)
+        table.record(chunk, of_chunk)
     })?;
     // A stream that met a decode error ended early and parked it.
     stream.reset()?;
@@ -89,7 +79,8 @@ impl PartitionQuality {
         );
         let mut table = ReplicaTable::new(partitioning.num_vertices, partitioning.k)
             .expect("partitioning dimensions exceed the internal id space");
-        place(&mut table, edges, &partitioning.assignments)
+        table
+            .record(edges, &partitioning.assignments)
             .expect("edge id exceeds the internal id space");
         Self::of(&table, partitioning)
     }

@@ -3,7 +3,7 @@
 
 use crate::error::Result;
 use crate::vertex_table::{check_cap, DEFAULT_MAX_VERTICES};
-use clugp_graph::types::VertexId;
+use clugp_graph::types::{Edge, VertexId};
 use std::cell::Cell;
 
 /// Tracks, for every vertex, the set of partitions holding a replica of it —
@@ -125,6 +125,25 @@ impl ReplicaTable {
         let new = *word & mask == 0;
         *word |= mask;
         new
+    }
+
+    /// Records the replicas `edges` place when edge `i` goes to partition
+    /// `parts[i]` (both endpoints join it), growing the table to cover each
+    /// edge; pairs stop at the shorter slice. The one way a finished
+    /// assignment becomes a replica table: quality, the placement directory
+    /// and the engine's placement all read theirs off this.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::error::PartitionError::InvalidParam`] for an endpoint past
+    /// the growth limit; the edges before it stay recorded.
+    pub fn record(&mut self, edges: &[Edge], parts: &[u32]) -> Result<()> {
+        for (e, &p) in edges.iter().zip(parts) {
+            self.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+            self.insert(e.src, p);
+            self.insert(e.dst, p);
+        }
+        Ok(())
     }
 
     /// `|P(v)|`: the number of partitions holding `v`.

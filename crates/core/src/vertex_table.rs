@@ -101,15 +101,6 @@ impl<T: Clone> VertexTable<T> {
         Ok(())
     }
 
-    /// Grows the table to at least `n` entries (hint-driven growth).
-    pub fn ensure_len(&mut self, n: u64) -> Result<()> {
-        check_cap("num_vertices", n, self.limit)?;
-        if n as usize > self.data.len() {
-            self.data.resize(n as usize, self.fill.clone());
-        }
-        Ok(())
-    }
-
     /// Number of entries (= one past the highest ensured id).
     pub fn len(&self) -> u64 {
         self.data.len() as u64
@@ -189,8 +180,6 @@ mod tests {
         assert!(!t[4]);
         t.ensure(2).unwrap(); // no-op
         assert_eq!(t.len(), 5);
-        t.ensure_len(10).unwrap();
-        assert_eq!(t.len(), 10);
     }
 
     #[test]
@@ -200,7 +189,6 @@ mod tests {
         let err = t.ensure(100).unwrap_err();
         assert!(matches!(err, PartitionError::InvalidParam(_)));
         assert!(err.to_string().contains("max_vertices cap 100"));
-        assert!(t.ensure_len(101).is_err());
         // The table is still usable below the cap.
         assert_eq!(t.len(), 100);
     }

@@ -8,7 +8,8 @@
 //!
 //! * [`placement`] — builds the per-machine subgraphs from a real
 //!   vertex-cut [`clugp::Partitioning`]: each edge lives on exactly one
-//!   machine, each vertex has one *master* and `|P(v)|−1` *mirror* replicas.
+//!   machine, each vertex has one *master* and `|P(v)|−1` *mirror* replicas,
+//!   read off the same replica table partition quality is computed from.
 //! * [`runtime`] — executes vertex programs in bulk-synchronous supersteps
 //!   with the exact PowerGraph message pattern: mirrors send partial gather
 //!   accumulators to masters, masters apply and synchronize the new vertex
@@ -17,7 +18,7 @@
 //!   message volumes into wall-clock estimates under a configurable
 //!   compute/bandwidth/latency model (the PUMBA RTT sweep of Fig. 8(c)).
 //! * [`apps`] — PageRank, Connected Components, single-source BFS/SSSP and
-//!   degree counting, each verified against sequential references.
+//!   label propagation, each verified against sequential references.
 //!
 //! Computation results are *exact* (not approximated by the cost model):
 //! the engine really gathers along in-edges machine by machine, so tests can
@@ -25,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ampc;
 pub mod apps;
 pub mod cost;
 pub mod placement;

@@ -1,9 +1,8 @@
 //! Master/mirror placement: turning a vertex-cut partitioning into
 //! per-machine subgraphs (PowerGraph §3: "vertex-cut" representation).
 
-use crate::ampc::ReplicaScatter;
+use clugp::state::ReplicaTable;
 use clugp::Partitioning;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, EdgeStream};
 use clugp_graph::types::{Edge, VertexId};
 
 /// Sentinel for "vertex not present on this machine".
@@ -60,28 +59,17 @@ impl DistributedGraph {
     /// for a `Partitioning` produced by an in-tree partitioner, whose own
     /// `max_vertices` caps are checked first — see `clugp::vertex_table`).
     pub fn place(edges: &[Edge], partitioning: &Partitioning) -> Self {
-        let mut stream = SliceStream { edges, pos: 0 };
-        Self::place_stream(&mut stream, partitioning)
-    }
+        let (k, parts) = (partitioning.k, &partitioning.assignments);
+        assert_eq!(edges.len(), parts.len(), "edges and assignments must align");
+        // The replica table quality reads, sized to the declared vertex count
+        // so isolated vertices read as replica-free.
+        let too_big = "partitioning dimensions exceed the internal id space";
+        let mut replicas = ReplicaTable::new(partitioning.num_vertices, k).expect(too_big);
+        replicas.record(edges, parts).expect(too_big);
+        let n = replicas.num_vertices() as usize;
 
-    /// Places a streamed edge sequence according to `partitioning` —
-    /// bounded-memory: the input is drained in chunks (never materialized
-    /// whole), replica presence is scattered to keyspace-sharded state
-    /// shards in parallel (see [`crate::ampc`]), and only the per-machine
-    /// output subgraphs are held. Produces exactly the same placement as
-    /// [`DistributedGraph::place`] over the equivalent edge slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`DistributedGraph::place`].
-    pub fn place_stream(stream: &mut dyn EdgeStream, partitioning: &Partitioning) -> Self {
-        let k = partitioning.k;
-        let n = partitioning.num_vertices as usize;
-
-        // Single pass: scatter replica bits to the shard threads and stage
-        // each edge's endpoints on its machine (still as global ids — local
-        // indices exist only after master selection below).
-        let mut scatter = ReplicaScatter::new(n as u64, k, placement_shards());
+        // Stage each edge's endpoints on its machine, still as global ids:
+        // local indices exist only after master selection below.
         let mut machines: Vec<MachineSubgraph> = (0..k)
             .map(|_| MachineSubgraph {
                 vertices: Vec::new(),
@@ -89,33 +77,9 @@ impl DistributedGraph {
                 is_master: Vec::new(),
             })
             .collect();
-        let mut seen = 0usize;
-        for_each_chunk(stream, chunk_edges(), |chunk| {
-            assert!(
-                seen + chunk.len() <= partitioning.assignments.len(),
-                "edges and assignments must align"
-            );
-            for (e, &p) in chunk.iter().zip(&partitioning.assignments[seen..]) {
-                scatter.insert(u64::from(e.src), p);
-                scatter.insert(u64::from(e.dst), p);
-                machines[p as usize].edges.push((e.src, e.dst));
-            }
-            seen += chunk.len();
-        });
-        assert_eq!(
-            seen,
-            partitioning.assignments.len(),
-            "edges and assignments must align"
-        );
-        let mut replicas = scatter
-            .finish()
-            .expect("partitioning dimensions exceed the internal id space");
-        // The scatter only covers touched vertices; pad to the declared
-        // vertex count so isolated vertices read as replica-free.
-        replicas
-            .ensure_vertices(n as u64)
-            .expect("partitioning dimensions exceed the internal id space");
-        let n = n.max(replicas.num_vertices() as usize);
+        for (e, &p) in edges.iter().zip(parts) {
+            machines[p as usize].edges.push((e.src, e.dst));
+        }
 
         // Master selection: least master-loaded machine among replicas.
         let mut master_of = vec![NOT_LOCAL; n];
@@ -183,38 +147,6 @@ impl DistributedGraph {
     /// Total edges across machines (must equal the input edge count).
     pub fn total_edges(&self) -> u64 {
         self.machines.iter().map(|m| m.edges.len() as u64).sum()
-    }
-}
-
-/// Shard-thread count for the replica scatter. The result is identical at
-/// any count (BitOr merges are commutative); this only tunes parallelism.
-fn placement_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
-/// Borrowed-slice adapter so the legacy `place(&edges, ..)` signature rides
-/// the streamed path without copying the input.
-struct SliceStream<'a> {
-    edges: &'a [Edge],
-    pos: usize,
-}
-
-impl EdgeStream for SliceStream<'_> {
-    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
-        let take = cap.max(1).min(self.edges.len() - self.pos);
-        self.pos += take;
-        &self.edges[self.pos - take..self.pos]
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.edges.len() as u64)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        None
     }
 }
 

@@ -6,25 +6,21 @@
 //! site-structured crawl generator ([`generate_web_crawl`]) and the Kumar
 //! copying model ([`generate_copying_model`]) stand in for the web corpora,
 //! and Barabási–Albert preferential attachment ([`generate_ba`]) stands in
-//! for Twitter. Chung-Lu ([`generate_chung_lu`]), R-MAT ([`generate_rmat`]),
-//! and Erdős–Rényi ([`generate_er`]) widen test/bench coverage.
+//! for Twitter. Erdős–Rényi ([`generate_er`]) is the structureless graph
+//! the Grid, BFS and connected-components tests run on.
 //!
 //! All generators are deterministic for a fixed seed and label vertices in
 //! creation (crawl) order, so `StreamOrder::AsIs` approximates the crawl
 //! stream and `StreamOrder::Bfs` re-derives a strict BFS order.
 
 mod ba;
-mod chung_lu;
 mod copying;
 mod degree;
 mod er;
-mod rmat;
 mod web_crawl;
 
 pub use ba::{generate_ba, BaConfig};
-pub use chung_lu::{generate_chung_lu, ChungLuConfig};
 pub use copying::{generate_copying_model, CopyingModelConfig};
 pub use degree::{CalibratedPowerLaw, PowerLawDegrees};
 pub use er::{generate_er, ErConfig};
-pub use rmat::{generate_rmat, RmatConfig};
 pub use web_crawl::{generate_web_crawl, site_boundaries, WebCrawlConfig};

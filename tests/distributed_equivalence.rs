@@ -7,14 +7,15 @@
 //! placement pipeline, never a semantic change.
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::ampc::table::{MergeOp, StateShard};
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
 use clugp::baselines::{Hashing, Hdrf, HdrfConfig, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
 use clugp::partitioner::Partitioner;
+use clugp::state::ReplicaTable;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
+use clugp_graph::types::{Edge, VertexId};
 use clugp_repro::test_web_graph;
 
 /// Monolith/distributed pairs under test: every registered algorithm and
@@ -57,12 +58,7 @@ fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
         .collect()
 }
 
-fn monolith(
-    p: &mut dyn Partitioner,
-    n: u64,
-    edges: &[clugp_graph::types::Edge],
-    k: u32,
-) -> (Vec<u32>, Vec<u64>, u64) {
+fn monolith(p: &mut dyn Partitioner, n: u64, edges: &[Edge], k: u32) -> (Vec<u32>, Vec<u64>, u64) {
     let mut s = InMemoryStream::new(n, edges.to_vec());
     let run = p.partition(&mut s, k).expect("monolith partition");
     (
@@ -968,47 +964,76 @@ impl XorShift {
     }
 }
 
+/// The non-zero rows of `table`, ascending by vertex: rows a table was never
+/// grown to and rows nothing was recorded in both read as absent.
+fn replica_rows(table: &ReplicaTable) -> Vec<(VertexId, Vec<u64>)> {
+    let mut row = vec![0; table.words_per_row()];
+    (0..table.num_vertices() as VertexId)
+        .filter_map(|v| {
+            table.export_row(v, &mut row);
+            row.iter().any(|&w| w != 0).then(|| (v, row.clone()))
+        })
+        .collect()
+}
+
 #[test]
 fn commutative_upsert_batch_order_cannot_change_table_state() {
-    // Property: for the commutative merge ops the engine uses for
-    // cross-worker accumulation (Add / Max / BitOr), the order in which
-    // upsert batches land on a shard must not change the final table — so
-    // any interleaving of worker state traffic yields the same scan.
+    // Property: replica masks only ever gain bits, so the order in which
+    // batches of placed edges land on a `ReplicaTable` — recorded directly,
+    // or recorded on a worker's own table and OR-folded in row by row as
+    // the relaxed epoch fold does — must not change the final table.
+    let k = 70; // two words per row
     let mut rng = XorShift(0xA11CE5);
     for trial in 0..50 {
-        for merge in [MergeOp::Add, MergeOp::Max, MergeOp::BitOr] {
-            // A batch workload of (key, row) updates over a small keyspace
-            // so collisions are common.
-            let batches: Vec<(Vec<u64>, Vec<u64>)> = (0..12)
-                .map(|_| {
-                    let keys: Vec<u64> = (0..(1 + rng.next() % 16))
-                        .map(|_| rng.next() % 256)
-                        .collect();
-                    let rows: Vec<u64> = (0..keys.len() * 2).map(|_| rng.next() % 1024).collect();
-                    (keys, rows)
-                })
-                .collect();
-            let build = |order: &[usize]| {
-                let mut shard = StateShard::range(0, 2);
-                for &b in order {
-                    let (keys, rows) = &batches[b];
-                    shard.upsert_batch(merge, keys, rows).unwrap();
+        // A batch workload over a small keyspace so collisions are common.
+        let batches: Vec<(Vec<Edge>, Vec<u32>)> = (0..12)
+            .map(|_| {
+                let len = 1 + rng.next() % 16;
+                let edges: Vec<Edge> = (0..len)
+                    .map(|_| Edge::new((rng.next() % 256) as u32, (rng.next() % 256) as u32))
+                    .collect();
+                let parts: Vec<u32> = (0..len)
+                    .map(|_| (rng.next() % u64::from(k)) as u32)
+                    .collect();
+                (edges, parts)
+            })
+            .collect();
+        let recorded = |order: &[usize]| {
+            let mut table = ReplicaTable::new(0, k).unwrap();
+            for &b in order {
+                let (edges, parts) = &batches[b];
+                table.record(edges, parts).unwrap();
+            }
+            replica_rows(&table)
+        };
+        let folded = |order: &[usize]| {
+            let mut table = ReplicaTable::new(256, k).unwrap();
+            let mut acc = vec![0; table.words_per_row()];
+            for &b in order {
+                let (edges, parts) = &batches[b];
+                let mut worker = ReplicaTable::new(0, k).unwrap();
+                worker.record(edges, parts).unwrap();
+                for (v, row) in replica_rows(&worker) {
+                    table.export_row(v, &mut acc);
+                    acc.iter_mut().zip(&row).for_each(|(a, &w)| *a |= w);
+                    table.import_row(v, &acc);
                 }
-                let mut out = Vec::new();
-                shard.scan(|key, row| {
-                    out.push((key, row.to_vec()));
-                });
-                out
-            };
-            let forward: Vec<usize> = (0..batches.len()).collect();
-            let reference = build(&forward);
-            let mut shuffled = forward.clone();
-            rng.shuffle(&mut shuffled);
-            assert_eq!(
-                build(&shuffled),
-                reference,
-                "trial {trial}: {merge:?}: batch order changed the table"
-            );
-        }
+            }
+            replica_rows(&table)
+        };
+        let forward: Vec<usize> = (0..batches.len()).collect();
+        let reference = recorded(&forward);
+        let mut shuffled = forward.clone();
+        rng.shuffle(&mut shuffled);
+        assert_eq!(
+            recorded(&shuffled),
+            reference,
+            "trial {trial}: record order changed the table"
+        );
+        assert_eq!(
+            folded(&shuffled),
+            reference,
+            "trial {trial}: fold order changed the table"
+        );
     }
 }

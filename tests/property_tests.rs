@@ -520,21 +520,6 @@ proptest! {
         prop_assert!(q.replication_factor <= 2.0 * r - 1.0 + 1e-9);
     }
 
-    /// Edge-cut partitioners assign every streamed vertex and the cut
-    /// fraction is a valid probability.
-    #[test]
-    fn edgecut_assigns_everything(edges in arb_edges(), k in 1u32..8) {
-        use clugp::edgecut::{vertex_stream_from_graph, EdgeCutQuality, Fennel, Ldg, VertexPartitioner};
-        let g = CsrGraph::from_edges_auto(&edges);
-        let mut s = vertex_stream_from_graph(&g);
-        for p in [&mut Ldg as &mut dyn VertexPartitioner, &mut Fennel::default()] {
-            let part = p.partition(&mut s, k).unwrap();
-            prop_assert!(part.assignment.iter().all(|&a| a < k), "{}", p.name());
-            let q = EdgeCutQuality::compute(&g, &part);
-            prop_assert!((0.0..=1.0).contains(&q.cut_fraction));
-        }
-    }
-
     /// Partitioning snapshots round-trip through the binary format.
     #[test]
     fn partitioning_snapshot_round_trip(edges in arb_edges(), k in 1u32..8) {
