@@ -21,15 +21,14 @@
 //!   pool of the same width, verifying the shards cover the file exactly
 //!   once and recording the scaling curve (on a single-core container the
 //!   honest speedup ceiling is ~1.0×, as with `BENCH_parallel`);
-//! * a **pipelined-decode leg**: the staged decode pipeline
-//!   (`PipelinedPackStream`) drains the pack at decode-thread counts
-//!   {1, 2, 4, 8} under every checksum policy (full/header/off),
+//! * a **pipelined-decode leg**: decode-ahead (`PipelinedPackStream`, one
+//!   decode thread) drains the pack at ring depths {1, 2, 4, 8} under
+//!   every checksum policy (full/header/off),
 //!   interleaved best-of against the serial reader, with the
-//!   position-sensitive checksum proving bit-identity at every cell; plus
-//!   pipelined-vs-serial *partition* cells (CLUGP, HDRF) over the packed
-//!   input. The same single-core caveat applies: decode-ahead cannot beat
-//!   the serial reader without a second core, so the honest expectation
-//!   here is parity (low single-thread overhead), not speedup.
+//!   position-sensitive checksum proving bit-identity at every cell. The
+//!   same single-core caveat applies: decode-ahead cannot beat the serial
+//!   reader without a second core. What it saves a partitioner is
+//!   `benchmark/`'s to measure, end to end.
 //!
 //! The committed artifact is the storage-trajectory baseline: compression
 //! regressions show up as `bytes_per_edge` growth and decode regressions as
@@ -105,17 +104,17 @@ pub struct ShardPoint {
 }
 
 /// One cell of the pipelined-decode leg: a `(dataset, checksum policy,
-/// decode threads)` drain of the pack through `PipelinedPackStream`,
-/// measured interleaved with the serial reader under the same policy.
+/// ring depth)` drain of the pack through `PipelinedPackStream`, measured
+/// interleaved with the serial reader under the same policy.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct PipelinePoint {
     /// Dataset name.
     pub dataset: String,
     /// Checksum policy (`full` | `header` | `off`).
     pub checksums: String,
-    /// Decode worker threads (0 = the serial in-consumer reader).
+    /// Decode threads (0 = the serial in-consumer reader, else 1).
     pub threads: usize,
-    /// Blocks the pipeline may run ahead (0 for the serial row).
+    /// Ring depth: blocks decoded ahead (0 for the serial row).
     pub prefetch: usize,
     /// Best-of-repeats full-drain wall clock, seconds.
     pub secs: f64,
@@ -125,25 +124,6 @@ pub struct PipelinePoint {
     /// (1.0 for the serial row itself).
     pub speedup_vs_serial: f64,
     /// Whether the drained sequence checksum matched the serial reader's.
-    pub bit_identical: bool,
-}
-
-/// One pipelined-vs-serial *partition* cell over the packed input.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct PipelinePartitionCell {
-    /// Dataset name.
-    pub dataset: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Decode worker threads of the pipelined run.
-    pub threads: usize,
-    /// Best-of-repeats partition wall clock over the serial pack stream.
-    pub serial_secs: f64,
-    /// Best-of-repeats partition wall clock over the pipelined stream.
-    pub pipelined_secs: f64,
-    /// `serial_secs / pipelined_secs` (> 1.0 means the pipeline won).
-    pub speedup: f64,
-    /// Whether both runs produced byte-identical assignments and loads.
     pub bit_identical: bool,
 }
 
@@ -177,14 +157,12 @@ pub struct IoReport {
     pub sharded: Vec<ShardPoint>,
     /// The pipelined-decode leg (serial rows carry `threads = 0`).
     pub pipelined: Vec<PipelinePoint>,
-    /// The pipelined-vs-serial partition cells.
-    pub pipelined_partition: Vec<PipelinePartitionCell>,
-    /// True iff every pipelined cell — decode and partition — was
-    /// bit-identical to its serial counterpart.
+    /// True iff every pipelined cell was bit-identical to its serial
+    /// counterpart.
     pub pipelined_bit_identical: bool,
-    /// Worst-case single-thread pipeline overhead across datasets and
-    /// policies: `1 - speedup_vs_serial` of the `threads = 1, full` cells
-    /// (the honest 1-core cost of the staging machinery).
+    /// Worst-case decode-ahead overhead across datasets and ring depths:
+    /// `1 - speedup_vs_serial` of the `full` cells (against an idle
+    /// consumer, the cost of the hand-off).
     pub pipeline_single_thread_overhead: f64,
 }
 
@@ -242,7 +220,6 @@ pub fn io(ctx: &ExpContext) {
     let mut partition_checks: Vec<PartitionCheck> = Vec::new();
     let mut sharded: Vec<ShardPoint> = Vec::new();
     let mut pipelined: Vec<PipelinePoint> = Vec::new();
-    let mut pipelined_partition: Vec<PipelinePartitionCell> = Vec::new();
     let mut streams_identical = true;
     let mut packed_web_bpe = f64::NAN;
 
@@ -409,12 +386,11 @@ pub fn io(ctx: &ExpContext) {
                 consistent,
             });
         }
-        // Pipelined-decode leg: decode threads × checksum policy, measured
+        // Pipelined-decode leg: ring depth × checksum policy, measured
         // interleaved with the serial reader (each repeat times the serial
-        // drain and every thread count back to back, so drift hits all
-        // cells equally).
-        let prefetch = clugp_graph::pack::DEFAULT_PREFETCH_BLOCKS;
-        let thread_counts = [1usize, 2, 4, 8];
+        // drain and every depth back to back, so drift hits all cells
+        // equally).
+        let depths = [1usize, 2, 4, 8];
         for policy in [
             ChecksumPolicy::Full,
             ChecksumPolicy::HeaderAndIndex,
@@ -431,12 +407,12 @@ pub fn io(ctx: &ExpContext) {
                 serial_best = serial_best.min(t.elapsed().as_secs_f64());
                 assert_eq!(count, m, "serial drain lost edges");
                 serial_hash = h;
-                for (i, &threads) in thread_counts.iter().enumerate() {
+                for (i, &prefetch) in depths.iter().enumerate() {
                     let t = std::time::Instant::now();
                     let mut s = PipelinedPackStream::open(
                         &pack_path,
                         DecodeOptions {
-                            threads,
+                            threads: 1,
                             prefetch,
                             checksums: policy,
                         },
@@ -457,12 +433,12 @@ pub fn io(ctx: &ExpContext) {
                 speedup_vs_serial: 1.0,
                 bit_identical: true,
             });
-            for (i, &threads) in thread_counts.iter().enumerate() {
+            for (i, &prefetch) in depths.iter().enumerate() {
                 let (count, h) = piped_out[i];
                 pipelined.push(PipelinePoint {
                     dataset: ds.name().to_string(),
                     checksums: policy.name().to_string(),
-                    threads,
+                    threads: 1,
                     prefetch,
                     secs: piped_best[i],
                     eps: m as f64 / piped_best[i].max(f64::EPSILON),
@@ -470,55 +446,6 @@ pub fn io(ctx: &ExpContext) {
                     bit_identical: count == m && h == serial_hash,
                 });
             }
-        }
-
-        // Pipelined-vs-serial partition cells: same pack, same algorithm,
-        // the only difference is which stream feeds it.
-        for (name, mut p) in [
-            (
-                "CLUGP",
-                Box::new(clugp::clugp::Clugp::new(clugp::clugp::ClugpConfig {
-                    threads: 1,
-                    ..Default::default()
-                })) as Box<dyn Partitioner>,
-            ),
-            ("HDRF", Box::new(clugp::baselines::Hdrf::default())),
-        ] {
-            let threads = 2usize;
-            let mut serial_secs = f64::INFINITY;
-            let mut piped_secs = f64::INFINITY;
-            let mut serial_run = None;
-            let mut piped_run = None;
-            for _ in 0..repeats {
-                let mut s = PackedEdgeStream::open(&pack_path).unwrap();
-                let t = std::time::Instant::now();
-                let run = p.partition(&mut s, 32).expect("serial packed partition");
-                serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-                serial_run = Some(run.partitioning);
-                let mut s = PipelinedPackStream::open(
-                    &pack_path,
-                    DecodeOptions {
-                        threads,
-                        prefetch,
-                        checksums: ChecksumPolicy::Full,
-                    },
-                )
-                .unwrap();
-                let t = std::time::Instant::now();
-                let run = p.partition(&mut s, 32).expect("pipelined packed partition");
-                piped_secs = piped_secs.min(t.elapsed().as_secs_f64());
-                piped_run = Some(run.partitioning);
-            }
-            let (a, b) = (serial_run.unwrap(), piped_run.unwrap());
-            pipelined_partition.push(PipelinePartitionCell {
-                dataset: ds.name().to_string(),
-                algorithm: name.to_string(),
-                threads,
-                serial_secs,
-                pipelined_secs: piped_secs,
-                speedup: serial_secs / piped_secs.max(f64::EPSILON),
-                bit_identical: a.assignments == b.assignments && a.loads == b.loads,
-            });
         }
 
         for p in [&text_path, &bin_path, &pack_path] {
@@ -557,7 +484,7 @@ pub fn io(ctx: &ExpContext) {
         &[
             "Dataset",
             "Checksums",
-            "Threads",
+            "Depth",
             "Secs",
             "Edges/s",
             "Speedup",
@@ -571,7 +498,7 @@ pub fn io(ctx: &ExpContext) {
             if p.threads == 0 {
                 "serial".into()
             } else {
-                p.threads.to_string()
+                p.prefetch.to_string()
             },
             crate::report::fmt_secs(p.secs),
             format!("{:.2}M/s", p.eps / 1e6),
@@ -580,30 +507,6 @@ pub fn io(ctx: &ExpContext) {
         ]);
     }
     pipe_table.print();
-    let mut pp_table = Table::new(
-        "BENCH_io — pipelined vs serial packed-input partitioning",
-        &[
-            "Dataset",
-            "Algorithm",
-            "Threads",
-            "Serial",
-            "Pipelined",
-            "Speedup",
-            "Identical",
-        ],
-    );
-    for c in &pipelined_partition {
-        pp_table.row(vec![
-            c.dataset.clone(),
-            c.algorithm.clone(),
-            c.threads.to_string(),
-            crate::report::fmt_secs(c.serial_secs),
-            crate::report::fmt_secs(c.pipelined_secs),
-            format!("{:.2}x", c.speedup),
-            c.bit_identical.to_string(),
-        ]);
-    }
-    pp_table.print();
     table.save_csv(&results_dir().join("BENCH_io.csv")).ok();
 
     let packed_smaller_than_flat = datasets.iter().all(|ds| {
@@ -615,8 +518,7 @@ pub fn io(ctx: &ExpContext) {
         runs.iter()
             .any(|r| r.dataset == ds.name() && r.format == "packed" && r.bytes_per_edge < flat)
     });
-    let pipelined_bit_identical = pipelined.iter().all(|p| p.bit_identical)
-        && pipelined_partition.iter().all(|c| c.bit_identical);
+    let pipelined_bit_identical = pipelined.iter().all(|p| p.bit_identical);
     let pipeline_single_thread_overhead = pipelined
         .iter()
         .filter(|p| p.threads == 1 && p.checksums == "full")
@@ -635,7 +537,6 @@ pub fn io(ctx: &ExpContext) {
         partition_checks,
         sharded,
         pipelined,
-        pipelined_partition,
         pipelined_bit_identical,
         pipeline_single_thread_overhead,
     };
@@ -658,8 +559,8 @@ pub fn io(ctx: &ExpContext) {
     );
     assert!(
         report.pipelined_bit_identical,
-        "the decode pipeline must be bit-identical to the serial reader \
-         at every thread count, policy, and partition cell"
+        "decode-ahead must be bit-identical to the serial reader at every \
+         ring depth and policy"
     );
 }
 

@@ -293,11 +293,17 @@ pub fn split_ranges(total: u64, workers: u32) -> Vec<(u64, u64)> {
 /// Builds per-worker [`proto::InputSpec`]s for a pack file, handing each
 /// worker a contiguous block range (padding with empty ranges when the
 /// pack has fewer blocks than workers) and this process's
-/// [`clugp_graph::pack::decode_options`], read here once.
+/// [`clugp_graph::pack::decode_options`], read here once. A worker decodes
+/// ahead only when a binary set the threads: under
+/// [`clugp_graph::pack::DecodeOptions::AUTO`] the coordinator's CPU count
+/// says nothing of a spare core per worker, so the ranges read serially.
 pub fn pack_input_specs(path: &Path, workers: u32) -> Result<Vec<proto::InputSpec>> {
     let reader = ShardedPackReader::open(path)?;
     let shards = reader.shards(workers.max(1) as usize);
-    let decode = clugp_graph::pack::decode_options();
+    let mut decode = clugp_graph::pack::decode_options();
+    if decode.threads == clugp_graph::pack::DecodeOptions::AUTO {
+        decode.threads = 0;
+    }
     let spec = |blocks: std::ops::Range<usize>, edges| proto::InputSpec::Pack {
         path: path.to_string_lossy().into_owned(),
         block_start: blocks.start as u64,
@@ -325,5 +331,31 @@ mod tests {
         assert_eq!(split_ranges(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
         assert_eq!(split_ranges(2, 4), vec![(0, 1), (1, 2), (2, 2), (2, 2)]);
         assert_eq!(split_ranges(0, 2), vec![(0, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn worker_ranges_decode_ahead_only_when_asked() {
+        use clugp_graph::pack::{set_decode_options, write_pack, DecodeOptions, PackOptions};
+        let dir = std::env::temp_dir().join("clugp_pack_input_specs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("specs.clugpz");
+        let edges: Vec<_> = (0..64)
+            .map(|v| clugp_graph::types::Edge::new(v, v + 1))
+            .collect();
+        write_pack(&path, 65, &edges, &PackOptions::default()).unwrap();
+        for (threads, want) in [(DecodeOptions::AUTO, 0), (0, 0), (1, 1)] {
+            set_decode_options(DecodeOptions {
+                threads,
+                ..DecodeOptions::default()
+            });
+            for spec in pack_input_specs(&path, 3).unwrap() {
+                let proto::InputSpec::Pack { decode, .. } = spec else {
+                    panic!("a pack spec expected, got {spec:?}");
+                };
+                assert_eq!(decode.threads, want, "process-wide threads = {threads}");
+            }
+        }
+        set_decode_options(DecodeOptions::default());
+        std::fs::remove_file(&path).ok();
     }
 }

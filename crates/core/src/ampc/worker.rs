@@ -211,10 +211,11 @@ enum Source {
         pos: usize,
     },
     Pack(clugp_graph::pack::PackedEdgeStream),
-    /// Same block range as `Pack`, decoded ahead of the stage on pipeline
-    /// workers (selected by the process-wide
-    /// [`clugp_graph::pack::decode_options`]). Chunk-for-chunk identical
-    /// to the serial variant, so stages cannot tell them apart.
+    /// Same block range as `Pack`, decoded ahead of the stage on one more
+    /// thread (selected by the `DecodeOptions` of the handshake, serial
+    /// unless the coordinator's binary asked for decode-ahead).
+    /// Chunk-for-chunk identical to the serial variant, so stages cannot
+    /// tell them apart.
     PipelinedPack(clugp_graph::pack::PipelinedPackStream),
 }
 

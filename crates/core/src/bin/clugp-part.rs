@@ -17,13 +17,15 @@
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
 //! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
 //!                   knob only — partitions are chunking-invariant
-//! --decode-threads <N>
-//!                   decode packed (CLUGPZ) input on N pipeline worker
-//!                   threads running ahead of the consumer (default:
-//!                   serial in-consumer decode; results are bit-identical
-//!                   either way)
-//! --prefetch <D>    blocks the decode pipeline may run ahead (default 4;
-//!                   bounds pipeline memory at O(D × block))
+//! --decode-threads <0|1>
+//!                   0 decodes packed (CLUGPZ) input in the consumer, 1 on
+//!                   one more thread running ahead of it — a stream takes
+//!                   one spare core or none (default: 1 when the process
+//!                   may use two CPUs or more, else 0, and 0 for the block
+//!                   ranges of --workers; results are bit-identical either
+//!                   way)
+//! --prefetch <D>    blocks decoded ahead of the consumer (default 4;
+//!                   bounds decode-ahead memory at O(D × block))
 //! --checksums <p>   full (default) | header | off — how much CRC
 //!                   verification pack reads perform
 //! --sparse          treat the input as a text edge list with arbitrary
@@ -221,10 +223,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.decode.threads = value("--decode-threads")?
                     .parse()
                     .map_err(|e| format!("--decode-threads: {e}"))?;
-                if opts.decode.threads == 0 {
-                    return Err(
-                        "--decode-threads must be >= 1 (omit the flag for serial decode)".into(),
-                    );
+                if opts.decode.threads > 1 {
+                    return Err(format!(
+                        "--decode-threads must be 0 or 1, got {} (a pack stream decodes on \
+                         one spare core or none)",
+                        opts.decode.threads
+                    ));
                 }
             }
             "--prefetch" => {
@@ -467,8 +471,8 @@ fn open(opts: &Options) -> Result<Source, String> {
     let (n, raw_edges) = match sniff_format(path).map_err(err)? {
         GraphFileFormat::Binary => read_binary_graph(path).map_err(err)?,
         GraphFileFormat::Packed => {
-            // Serial or pipelined per --decode-threads; both deliver the
-            // same chunk sequence, so the partitions cannot differ.
+            // Serial or decoded ahead per --decode-threads; both deliver
+            // the same chunk sequence, so the partitions cannot differ.
             let mut s = open_edge_stream(path).map_err(err)?;
             if order == StreamOrder::AsIs && opts.ampc_mode == AmpcMode::Sequenced {
                 eprintln!(
@@ -1084,7 +1088,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: clugp-part <edges-file> --k <K> [--algo clugp|hdrf|greedy|hashing|dbh|mint|grid] \
              [--order bfs|dfs|random|asis] [--tau F] [--threads N] [--chunk-size N] \
-             [--decode-threads N] [--prefetch D] [--checksums full|header|off] [--sparse] \
+             [--decode-threads 0|1] [--prefetch D] [--checksums full|header|off] [--sparse] \
              [--output file] [--workers N] [--transport channel|unix] [--socket-dir dir] \
              [--ampc-mode sequenced|relaxed] [--ampc-epoch-chunks N] \
              [--worker-timeout S] [--max-retries N] [--checkpoint-dir dir] [--resume] \
@@ -1315,26 +1319,33 @@ mod tests {
             "--k",
             "4",
             "--decode-threads",
-            "3",
+            "1",
             "--prefetch",
             "8",
             "--checksums",
             "header",
         ]))
         .unwrap();
-        assert_eq!(o.decode.threads, 3);
+        assert_eq!(o.decode.threads, 1);
         assert_eq!(o.decode.prefetch, 8);
         assert_eq!(
             o.decode.checksums,
             clugp_graph::pack::ChecksumPolicy::HeaderAndIndex
         );
 
-        // Defaults: serial decode, standard prefetch, full verification.
+        // Defaults: decode-ahead iff a second CPU is there, standard
+        // prefetch, full verification.
         let o = parse_args(&strs(&["g.txt", "--k", "4"])).unwrap();
         assert_eq!(o.decode, DecodeOptions::default());
 
-        let err = parse_args(&strs(&["g.txt", "--k", "4", "--decode-threads", "0"])).unwrap_err();
-        assert!(err.contains("--decode-threads"), "{err}");
+        // 0 is the serial reader; one stream never takes two spare cores.
+        let o = parse_args(&strs(&["g.txt", "--k", "4", "--decode-threads", "0"])).unwrap();
+        assert_eq!(o.decode.threads, 0);
+        let err = parse_args(&strs(&["g.txt", "--k", "4", "--decode-threads", "2"])).unwrap_err();
+        assert!(
+            err.contains("--decode-threads") && err.contains("one spare core"),
+            "{err}"
+        );
         let err = parse_args(&strs(&["g.txt", "--k", "4", "--prefetch", "0"])).unwrap_err();
         assert!(err.contains("--prefetch"), "{err}");
         let err = parse_args(&strs(&["g.txt", "--k", "4", "--checksums", "some"])).unwrap_err();
@@ -1365,7 +1376,7 @@ mod tests {
             threads: 1,
             chunk_size: Some(2), // exercise the override end to end
             decode: DecodeOptions {
-                threads: 2, // and the staged decode pipeline
+                threads: 1, // and decode-ahead
                 prefetch: 2,
                 ..Default::default()
             },
@@ -1374,7 +1385,7 @@ mod tests {
         };
         run(&opts).unwrap();
         // Restore the defaults so concurrently running tests keep the
-        // standard granularity and serial decode.
+        // standard granularity and decode.
         clugp_graph::stream::set_chunk_edges(clugp_graph::stream::DEFAULT_CHUNK_EDGES).unwrap();
         clugp_graph::pack::set_decode_options(DecodeOptions::default());
         let written = std::fs::read_to_string(&output).unwrap();

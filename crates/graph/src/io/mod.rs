@@ -68,9 +68,10 @@ pub fn sniff_format(path: &Path) -> Result<GraphFileFormat> {
 /// Opens any on-disk edge file as a resettable stream, sniffing the format
 /// by magic: flat binary → [`FileEdgeStream`], pack →
 /// [`crate::pack::PackedEdgeStream`] or [`crate::pack::PipelinedPackStream`]
-/// per the process-wide [`crate::pack::decode_options`] (serial decode with
-/// 0 threads, staged pipeline otherwise — so every `for_each_chunk` consumer
-/// inherits pipelined decode without changing), everything else →
+/// per the process-wide [`crate::pack::decode_options`]
+/// ([`crate::pack::DecodeOptions::decodes_ahead`] — by default, whenever the
+/// process may use a second CPU — so every `for_each_chunk` consumer
+/// inherits decode-ahead without changing), everything else →
 /// [`TextEdgeStream`] (validated eagerly). This is the auto-detecting entry
 /// point of `clugp-part` and the bench dataset layer.
 pub fn open_edge_stream(path: &Path) -> Result<Box<dyn RestreamableStream>> {
@@ -78,7 +79,7 @@ pub fn open_edge_stream(path: &Path) -> Result<Box<dyn RestreamableStream>> {
         GraphFileFormat::Binary => Box::new(FileEdgeStream::open(path)?),
         GraphFileFormat::Packed => {
             let opts = crate::pack::decode_options();
-            if opts.threads > 0 {
+            if opts.decodes_ahead() {
                 Box::new(crate::pack::PipelinedPackStream::open(path, opts)?)
             } else {
                 Box::new(crate::pack::PackedEdgeStream::open_with(
@@ -179,14 +180,16 @@ mod tests {
         let edges = sample();
         let packed = tmp("auto_pipelined.clugpz");
         crate::pack::write_pack(&packed, 3, &edges, &crate::pack::PackOptions::default()).unwrap();
-        set_decode_options(DecodeOptions {
-            threads: 2,
-            prefetch: 2,
-            checksums: ChecksumPolicy::Full,
-        });
-        let mut s = open_edge_stream(&packed).unwrap();
-        assert_eq!(collect_stream(s.as_mut()), edges);
-        s.reset().unwrap();
+        for threads in [0, 1] {
+            set_decode_options(DecodeOptions {
+                threads,
+                prefetch: 2,
+                checksums: ChecksumPolicy::Full,
+            });
+            let mut s = open_edge_stream(&packed).unwrap();
+            assert_eq!(collect_stream(s.as_mut()), edges, "threads={threads}");
+            s.reset().unwrap();
+        }
         set_decode_options(DecodeOptions::default());
         std::fs::remove_file(packed).ok();
     }

@@ -14,7 +14,7 @@
 //! - [`checksum`] — CRC32 and the read-side [`ChecksumPolicy`]
 //! - [`codec`] — varints and the per-block [`BlockDecoder`]
 //! - [`pipeline`] — [`PipelinedPackStream`], decode running ahead of the
-//!   consumer on worker threads (see `DESIGN.md` §9)
+//!   consumer on one thread (see `DESIGN.md` §9)
 //! - this file — on-disk format, writer, serial readers, verification
 //!
 //! # File layout (all little-endian)
@@ -72,8 +72,8 @@
 //! one block is decoded per refill and `next_chunk` lends slices of it, so
 //! CLUGP's three passes and every baseline consume a pack unchanged
 //! (equivalence pinned by `tests/chunked_equivalence.rs`).
-//! [`PipelinedPackStream`] is its staged-pipeline twin: same chunk
-//! sequence, decode on worker threads.
+//! [`PipelinedPackStream`] is its decode-ahead twin: same chunk
+//! sequence, decode on one more thread.
 //! [`ShardedPackReader`] splits the block range into per-thread shards
 //! balanced by edge count; each shard is its own stream (serial or
 //! pipelined) over a private file handle.
@@ -1107,7 +1107,7 @@ impl ShardedPackReader {
     }
 
     /// Opens one shard as a [`PipelinedPackStream`]: the shard's blocks
-    /// decode on `opts.threads` dedicated workers ahead of the consumer.
+    /// decode on one thread ahead of the consumer, `opts.prefetch` deep.
     /// The reader's checksum policy wins over `opts.checksums` (the shard
     /// cannot be stricter than the metadata validation already performed).
     pub fn open_pipelined_shard(
@@ -1117,6 +1117,7 @@ impl ShardedPackReader {
     ) -> Result<PipelinedPackStream> {
         Ok(PipelinedPackStream::over_range(
             self.path.clone(),
+            File::open(&self.path)?,
             self.header,
             Arc::clone(&self.index),
             spec.blocks.clone(),
@@ -2137,24 +2138,18 @@ mod tests {
         )
         .unwrap();
         let want = canonical_order(&edges);
-        for threads in [1usize, 2, 4] {
-            for prefetch in [1usize, 4] {
-                let opts = DecodeOptions {
-                    threads,
-                    prefetch,
-                    checksums: ChecksumPolicy::Full,
-                };
-                let mut s = PipelinedPackStream::open(&path, opts).unwrap();
-                assert_eq!(s.len_hint(), Some(edges.len() as u64));
-                assert_eq!(
-                    collect_stream(&mut s),
-                    want,
-                    "threads={threads} prefetch={prefetch}"
-                );
-                // Restream: reset reports clean and the second pass agrees.
-                s.reset().unwrap();
-                assert_eq!(collect_stream(&mut s), want, "second pass");
-            }
+        for prefetch in [1usize, 2, 4] {
+            let opts = DecodeOptions {
+                threads: 1,
+                prefetch,
+                checksums: ChecksumPolicy::Full,
+            };
+            let mut s = PipelinedPackStream::open(&path, opts).unwrap();
+            assert_eq!(s.len_hint(), Some(edges.len() as u64));
+            assert_eq!(collect_stream(&mut s), want, "prefetch={prefetch}");
+            // Restream: reset reports clean and the second pass agrees.
+            s.reset().unwrap();
+            assert_eq!(collect_stream(&mut s), want, "second pass");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -2186,7 +2181,7 @@ mod tests {
             .map(|e| u64::from(e.edge_count))
             .sum();
         let opts = DecodeOptions {
-            threads: 2,
+            threads: 1,
             prefetch: 4,
             checksums: ChecksumPolicy::Full,
         };
@@ -2222,7 +2217,7 @@ mod tests {
         let reader = ShardedPackReader::open(&path).unwrap();
         let want = canonical_order(&edges);
         let opts = DecodeOptions {
-            threads: 2,
+            threads: 1,
             prefetch: 2,
             checksums: ChecksumPolicy::Full,
         };

@@ -1,8 +1,8 @@
 //! Decode prefetch-stall accounting.
 //!
-//! The pipelined pack decoder hands blocks to its consumer through a
-//! condvar; whenever the consumer arrives before the decode threads have
-//! the next block ready, it blocks. That wait always happens *on the
+//! The pipelined pack decoder hands blocks to its consumer through a ring;
+//! whenever the consumer arrives before the decode thread has the next
+//! block ready, it waits. That wait always happens *on the
 //! consumer's own thread* — in AMPC runs, the worker serve loop — so a
 //! thread-local accumulator attributes stall time exactly, in both
 //! in-process (thread-per-worker) and multi-process (process-per-worker)

@@ -291,8 +291,8 @@ fn every_source_delivers_one_sequence_at_any_cap() {
         ..Default::default()
     };
     write_pack(&pack, n, &want, &small_blocks).unwrap();
-    let two_threads = DecodeOptions {
-        threads: 2,
+    let decode_ahead = DecodeOptions {
+        threads: 1,
         ..Default::default()
     };
     let raw = want
@@ -306,7 +306,7 @@ fn every_source_delivers_one_sequence_at_any_cap() {
         ("pack", Box::new(PackedEdgeStream::open(&pack).unwrap())),
         (
             "pipelined pack",
-            Box::new(PipelinedPackStream::open(&pack, two_threads).unwrap()),
+            Box::new(PipelinedPackStream::open(&pack, decode_ahead).unwrap()),
         ),
         (
             "remapped",

@@ -17,6 +17,14 @@ use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::{Edge, VertexId};
 use clugp_repro::test_web_graph;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test that sets the process-wide decode options, so each
+/// runs the decode path it names while the others wait.
+fn decode_options_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Monolith/distributed pairs under test: every registered algorithm and
 /// its monolith, plus the CLUGP ablations and the two non-default migration
@@ -325,12 +333,13 @@ fn pack_input_matches_monolith_on_the_same_pack_stream() {
 #[test]
 fn pack_input_with_pipelined_decode_matches_serial_decode() {
     // The AMPC worker's pack source honors the process-wide decode
-    // options: with pipeline workers enabled, every worker decodes its
-    // block range ahead of its stages — and the partitions must stay
-    // bit-identical to the serial-decode run.
+    // options: with decode-ahead on, every worker decodes its block range
+    // ahead of its stages — and the partitions must stay bit-identical to
+    // the serial-decode run.
     use clugp_graph::pack::{
         set_decode_options, write_pack, ChecksumPolicy, DecodeOptions, PackOptions,
     };
+    let _decode = decode_options_lock();
     let (n, edges) = test_web_graph(1_000, 47);
     let dir = std::env::temp_dir().join("clugp_dist_equiv_pipelined");
     std::fs::create_dir_all(&dir).unwrap();
@@ -351,11 +360,11 @@ fn pack_input_with_pipelined_decode_matches_serial_decode() {
             workers: 3,
             ..Default::default()
         };
-        set_decode_options(DecodeOptions::default()); // serial reference
+        set_decode_options(DecodeOptions::for_cpus(1)); // serial reference
         let serial = run_distributed(&algo, DistInput::Pack(&path), 8, &config)
             .unwrap_or_else(|e| panic!("{name}: serial decode: {e}"));
         set_decode_options(DecodeOptions {
-            threads: 2,
+            threads: 1,
             prefetch: 2,
             checksums: ChecksumPolicy::Full,
         });
@@ -908,7 +917,11 @@ fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
     // ranges, the larger share saturates its slice of the load cap, the
     // slice grows — and the monotone reroute cursor, already past the
     // partitions that just regained room, used to run off the load array.
-    use clugp_graph::pack::{write_pack, PackOptions, ShardedPackReader};
+    // Every worker decodes ahead here, so on a 2-CPU host 4 workers put 4
+    // decode threads beside them, whose waits must give way by parking.
+    use clugp_graph::pack::{
+        set_decode_options, write_pack, DecodeOptions, PackOptions, ShardedPackReader,
+    };
     let (n, edges) = test_web_graph(1_500, 50);
     let dir = std::env::temp_dir().join("clugp_dist_relaxed_pack");
     std::fs::create_dir_all(&dir).unwrap();
@@ -926,20 +939,32 @@ fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
     let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
     assert_eq!(blocks % 2, 1, "need an odd block count, got {blocks}");
 
-    let k = 8;
-    let out = run_distributed(
-        &DistAlgo::clugp(),
-        DistInput::Pack(&path),
-        k,
-        &DistConfig {
-            workers: 2,
-            mode: AmpcMode::Relaxed,
-            ..Default::default()
-        },
-    )
-    .expect("relaxed CLUGP over an unevenly shared pack");
-    out.partitioning.validate().unwrap();
-    assert_eq!(out.partitioning.assignments.len(), edges.len());
+    let _decode = decode_options_lock();
+    set_decode_options(DecodeOptions::for_cpus(2));
+    for workers in [2, 4] {
+        let run = || {
+            let out = run_distributed(
+                &DistAlgo::clugp(),
+                DistInput::Pack(&path),
+                8,
+                &DistConfig {
+                    workers,
+                    mode: AmpcMode::Relaxed,
+                    ..Default::default()
+                },
+            )
+            .expect("relaxed CLUGP over an unevenly shared pack");
+            out.partitioning.validate().unwrap();
+            assert_eq!(out.partitioning.assignments.len(), edges.len());
+            out.partitioning.assignments
+        };
+        assert_eq!(
+            run(),
+            run(),
+            "{workers} relaxed workers are not deterministic"
+        );
+    }
+    set_decode_options(DecodeOptions::default());
     std::fs::remove_file(&path).ok();
 }
 
