@@ -35,19 +35,40 @@
 //!    balance term too small or too large for `f64` to separate adjacent
 //!    loads) a higher-load member with a lower index can tie, so that one
 //!    edge is decided by the scan itself.
-//! 3. **"Neither" needs no walk.** Its minimum-load member would be the
+//! 3. **Walk only the classes that can still win.** No partition loads
+//!    less than the global minimum `minload`, so by the same monotonicity
+//!    no member of a class scores above its bound
+//!    `EdgeScore::of(holds_u, holds_v, minload)`. The classes are visited
+//!    in descending order of bound — both endpoints, the lower-degree
+//!    endpoint alone (the larger `g`), the other alone, neither — and a
+//!    class is walked only if its bound is not *strictly* below the best
+//!    representative score found so far. That best is the score of a real
+//!    partition, so every member of a skipped class scores strictly below
+//!    some partition and is not the scan's pick. A skipped class therefore
+//!    needs no strict step either: the step only licenses a representative
+//!    to speak for its class, and a class none of whose members can win
+//!    has nothing to speak for. Each skip is its own strict comparison
+//!    against a best that only grows, so the order decides how much is
+//!    walked, never the answer; a `NaN` or infinite bound is never
+//!    skipped. On a web graph the shared class, which holds the few bits
+//!    of the low-degree endpoint, nearly always wins outright and a hub's
+//!    row is never walked.
+//! 4. **"Neither" needs no walk.** Its minimum-load member would be the
 //!    global first minimum-load partition `m` (`PartitionLoads::argmin`).
 //!    If `m` holds neither endpoint it *is* the representative. If it holds
-//!    one, `m` is its own class's representative, and its strict step from
-//!    (2) already rules every "neither" partition `q` out: with `g > 0` the
-//!    class constant and `bal` the balance term, `q` at `minload` lies
-//!    behind `m` and scores `bal(minload) ≤ g + bal(minload)`, not the
-//!    strictly greater score a later index needs; `q` above `minload`
+//!    an endpoint, `m` leads its own class and "neither" cannot win:
+//!    with `g > 0` that class's constant and `bal` the balance term, a
+//!    "neither" partition `q` scores at most `bal(minload) ≤ g +
+//!    bal(minload)`, the bound of `m`'s class. If that class was skipped,
+//!    `q` is below the best. If it was walked, `m`'s strict step from (2)
+//!    rules `q` out: `q` at `minload` lies behind `m` and does not score
+//!    the strictly greater score a later index needs; `q` above `minload`
 //!    scores at most `bal(minload + 1) ≤ g + bal(minload + 1) <
-//!    g + bal(minload)`. The class is skipped.
-//! 4. **Best of at most four.** The scan picks the lowest index among the
-//!    partitions with the greatest score; that is the greatest-scoring
-//!    class pick, the lower index on equal scores.
+//!    g + bal(minload)`.
+//! 5. **Best of the walked classes.** The scan picks the lowest index
+//!    among the partitions with the greatest score; that is the
+//!    greatest-scoring representative of a walked class, the lower index
+//!    on equal scores.
 //!
 //! Both paths evaluate one expression, `EdgeScore::of`, so they cannot
 //! drift apart in operation order, and the strict step is tested per edge
@@ -163,31 +184,40 @@ fn scan_all_partitions(
     best_p
 }
 
-/// Lowest-index minimum-load partition of each replica class, as
-/// `(load, partition)`: `[A(u)∩A(v), A(u)∖A(v), A(v)∖A(u)]`. A hand-rolled
-/// walk on purpose: through `partitions_of`-style iterator chains and
-/// `argmin_among` this loop, the kernel's hottest, ran 1.4–1.6x slower.
-#[inline]
-fn class_minima(row_u: &[u64], row_v: &[u64], loads: &[u64]) -> [Option<(u64, u32)>; 3] {
-    let mut minima = [None; 3];
+/// Lowest-index minimum-load member of the replica class whose members
+/// hold `u` iff `holds_u` and `v` iff `holds_v`, as `(load, partition)`.
+/// Not for "neither": a complemented word has bits set at and past `k`.
+/// A hand-rolled walk on purpose: through `partitions_of`-style iterator
+/// chains and `argmin_among` this loop, the kernel's hottest, ran 1.4–1.6x
+/// slower.
+#[inline(always)]
+fn class_min(
+    row_u: &[u64],
+    row_v: &[u64],
+    (holds_u, holds_v): (bool, bool),
+    loads: &[u64],
+) -> Option<(u64, u32)> {
+    // XOR with `!0` complements an endpoint's row.
+    let flip = |holds: bool| if holds { 0 } else { !0 };
+    let (flip_u, flip_v) = (flip(holds_u), flip(holds_v));
+    let mut least: Option<(u64, u32)> = None;
     for (word, (&a, &b)) in row_u.iter().zip(row_v).enumerate() {
-        for (class, mut bits) in [a & b, a & !b, b & !a].into_iter().enumerate() {
-            while bits != 0 {
-                let p = word as u32 * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                let load = loads[p as usize];
-                if minima[class].is_none_or(|(least, _)| load < least) {
-                    minima[class] = Some((load, p));
-                }
+        let mut bits = (a ^ flip_u) & (b ^ flip_v);
+        while bits != 0 {
+            let p = word as u32 * 64 + bits.trailing_zeros();
+            bits &= bits - 1;
+            let load = loads[p as usize];
+            if least.is_none_or(|(l, _)| load < l) {
+                least = Some((load, p));
             }
         }
     }
-    minima
+    least
 }
 
-/// The scan's pick from one representative per class, or `None` when a
-/// representative's score is not strictly above the score one load higher
-/// (module doc, step 2).
+/// The scan's pick from one representative per class that can still win,
+/// or `None` when a walked representative's score is not strictly above
+/// the score one load higher (module doc, steps 2–5).
 #[inline]
 fn pick_by_class(
     score: &EdgeScore,
@@ -195,9 +225,32 @@ fn pick_by_class(
     e: Edge,
     loads: &PartitionLoads,
 ) -> Option<u32> {
-    const CLASSES: [(bool, bool); 3] = [(true, true), (true, false), (false, true)];
+    // `(holds_u, holds_v)` in descending order of bound: both endpoints,
+    // the lower-degree one (the larger `g`), the other, neither. Only the
+    // speed depends on the order (module doc, step 3).
+    let (u_first, v_first) = ((true, false), (false, true));
+    let (second, third) = if score.g_u >= score.g_v {
+        (u_first, v_first)
+    } else {
+        (v_first, u_first)
+    };
+    let minload = loads.min();
+    let (row_u, row_v) = (replicas.row(e.src), replicas.row(e.dst));
     let mut best: Option<(f64, u32)> = None;
-    let mut offer = |holds_u: bool, holds_v: bool, load: u64, p: u32| {
+    for (holds_u, holds_v) in [(true, true), second, third, (false, false)] {
+        // No member loads less than `minload`, so none scores above the
+        // bound; strict, so a tie, an infinity or NaN is walked.
+        let bound = score.of(holds_u, holds_v, minload);
+        if best.is_some_and(|(bs, _)| bound < bs) {
+            continue;
+        }
+        let rep = if holds_u || holds_v {
+            class_min(row_u, row_v, (holds_u, holds_v), loads.as_slice())
+        } else {
+            let m = loads.argmin();
+            (!replicas.contains(e.src, m) && !replicas.contains(e.dst, m)).then_some((minload, m))
+        };
+        let Some((load, p)) = rep else { continue };
         let s = score.of(holds_u, holds_v, load);
         // False for a tie, a pair of infinities and anything NaN.
         let strict_step = score.of(holds_u, holds_v, load.saturating_add(1)) < s;
@@ -207,17 +260,6 @@ fn pick_by_class(
         if best.is_none_or(|(bs, bp)| s > bs || (s == bs && p < bp)) {
             best = Some((s, p));
         }
-        Some(())
-    };
-    let minima = class_minima(replicas.row(e.src), replicas.row(e.dst), loads.as_slice());
-    for ((holds_u, holds_v), rep) in CLASSES.into_iter().zip(minima) {
-        if let Some((load, p)) = rep {
-            offer(holds_u, holds_v, load, p)?;
-        }
-    }
-    let m = loads.argmin();
-    if !replicas.contains(e.src, m) && !replicas.contains(e.dst, m) {
-        offer(false, false, loads.min(), m)?;
     }
     best.map(|(_, p)| p)
 }
@@ -339,6 +381,8 @@ mod tests {
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::InMemoryStream;
     use clugp_graph::types::Edge;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Streams `edges` through a fresh kernel, every edge decided by `pick`.
     fn assignments_by(
@@ -423,9 +467,86 @@ mod tests {
         }
     }
 
+    /// `pick_by_class` against the scan for the edge `(0, 1)` on drawn
+    /// replica rows, with `(du, dv)` the partial degrees after the step and
+    /// the score constants taken from `step_by`. Whether the pick answered.
+    fn pick_matches_the_scan(
+        config: &HdrfConfig,
+        loads: &PartitionLoads,
+        (du, dv): (u32, u32),
+        rng: &mut SmallRng,
+    ) -> bool {
+        let e = Edge::new(0, 1);
+        let mut kernel = HdrfKernel::new(config, loads.k(), 2).unwrap();
+        // Per endpoint: no replica, a few, about half, all.
+        for v in [e.src, e.dst] {
+            let density = [0u32, 1, 4, 8][rng.gen_range(0..4usize)];
+            for p in (0..loads.k()).filter(|_| rng.gen_range(0..8u32) < density) {
+                kernel.replicas.insert(v, p);
+            }
+        }
+        kernel.degree[e.src] = du - 1;
+        kernel.degree[e.dst] = dv - 1;
+        let mut answered = false;
+        kernel
+            .step_by(e, loads, |score, replicas| {
+                let want = scan_all_partitions(score, replicas, e, loads);
+                if let Some(p) = pick_by_class(score, replicas, e, loads) {
+                    assert_eq!(
+                        p,
+                        want,
+                        "{config:?} degrees ({du}, {dv}) loads {:?}",
+                        loads.as_slice()
+                    );
+                    answered = true;
+                }
+                want
+            })
+            .unwrap();
+        answered
+    }
+
+    #[test]
+    fn pick_by_class_equals_the_scan_on_states_a_stream_never_reaches() {
+        // HDRF keeps its own loads nearly balanced, so the streamed tests
+        // never see the spreads the class bounds depend on: wide, all
+        // equal, one outlier. Degrees put θ_u near 0, at ½ and near 1.
+        let mut rng = SmallRng::seed_from_u64(31);
+        let configs = [0.0, 1e-300, 1e-12, 1.0, 1e6, 1e300]
+            .into_iter()
+            .flat_map(|lambda| {
+                [1.0, 1e-300].map(|epsilon| HdrfConfig {
+                    lambda,
+                    epsilon,
+                    ..Default::default()
+                })
+            })
+            .collect::<Vec<_>>();
+        let mut answered = 0;
+        for k in [1u32, 2, 31, 64, 65, 130] {
+            for _ in 0..8 {
+                let base = rng.gen_range(0..1u64 << 40);
+                let mut outlier = vec![base; k as usize];
+                outlier[rng.gen_range(0..k) as usize] = rng.gen_range(0..1u64 << 41);
+                let wide = (0..k).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+                for loads in [wide, vec![base; k as usize], outlier].map(PartitionLoads::from_vec) {
+                    for degrees in [(1, 1_000_000), (6, 6), (1_000_000, 1)] {
+                        for config in &configs {
+                            let ok = pick_matches_the_scan(config, &loads, degrees, &mut rng);
+                            // The default separates any spread below 2^48.
+                            assert!(ok || *config != HdrfConfig::default(), "k={k}");
+                            answered += u32::from(ok);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(answered > 0);
+    }
+
     #[test]
     fn the_default_configuration_never_needs_the_scan() {
-        for order in [StreamOrder::Random(9), StreamOrder::Bfs] {
+        for order in [StreamOrder::Random(9), StreamOrder::Bfs, StreamOrder::AsIs] {
             let edges = web_edges(order);
             for k in [1u32, 8, 32, 130] {
                 assignments_by(
