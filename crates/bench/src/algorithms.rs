@@ -1,10 +1,10 @@
-//! The roster of partitioners under evaluation, each paired with its best
-//! stream order ("for a fair comparison, we choose default settings and
-//! best streaming orders for each of the competitors": random for HDRF,
-//! Greedy, Hashing, DBH; BFS for Mint and CLUGP).
+//! The partitioners under evaluation: the headline six and the CLUGP
+//! ablations, each one entry of the core's roster ([`DistAlgo`]), which
+//! builds it and names the stream order the paper grants it.
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
+use clugp::ampc::coordinator::DistAlgo;
+use clugp::baselines::MintConfig;
+use clugp::clugp::{ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
 use clugp_graph::order::StreamOrder;
 
@@ -61,17 +61,28 @@ impl Algorithm {
         }
     }
 
-    /// The stream order the paper grants this algorithm.
-    pub fn stream_order(&self) -> StreamOrder {
+    /// The roster entry this algorithm runs as, with the sweep's
+    /// overrides applied.
+    pub fn dist_algo(&self, opts: &BuildOptions) -> DistAlgo {
         match self {
-            Algorithm::Hashing | Algorithm::Dbh | Algorithm::Greedy | Algorithm::Hdrf => {
-                StreamOrder::Random(0x5EED)
-            }
-            Algorithm::Mint
-            | Algorithm::Clugp
-            | Algorithm::ClugpNoSplit
-            | Algorithm::ClugpGreedyAssign => StreamOrder::Bfs,
+            Algorithm::Hashing => DistAlgo::hashing(),
+            Algorithm::Dbh => DistAlgo::dbh(),
+            Algorithm::Greedy => DistAlgo::greedy(),
+            Algorithm::Hdrf => DistAlgo::hdrf(),
+            Algorithm::Mint => DistAlgo::Mint(MintConfig {
+                threads: opts.threads,
+                ..Default::default()
+            }),
+            Algorithm::Clugp => DistAlgo::Clugp(opts.clugp_config(true, true)),
+            Algorithm::ClugpNoSplit => DistAlgo::Clugp(opts.clugp_config(false, true)),
+            Algorithm::ClugpGreedyAssign => DistAlgo::Clugp(opts.clugp_config(true, false)),
         }
+    }
+
+    /// The stream order the paper grants this algorithm
+    /// ([`DistAlgo::stream_order`]).
+    pub fn stream_order(&self) -> StreamOrder {
+        self.dist_algo(&BuildOptions::default()).stream_order()
     }
 
     /// Instantiates the partitioner with the paper's default parameters.
@@ -82,19 +93,7 @@ impl Algorithm {
     /// Instantiates with overrides (thread counts, batch size, τ, weight —
     /// the knobs the parameter-study figures sweep).
     pub fn build_with(&self, opts: &BuildOptions) -> Box<dyn Partitioner> {
-        match self {
-            Algorithm::Hashing => Box::new(Hashing::default()),
-            Algorithm::Dbh => Box::new(Dbh::default()),
-            Algorithm::Greedy => Box::new(Greedy::new()),
-            Algorithm::Hdrf => Box::new(Hdrf::default()),
-            Algorithm::Mint => Box::new(Mint::new(MintConfig {
-                threads: opts.threads,
-                ..Default::default()
-            })),
-            Algorithm::Clugp => Box::new(Clugp::new(opts.clugp_config(true, true))),
-            Algorithm::ClugpNoSplit => Box::new(Clugp::new(opts.clugp_config(false, true))),
-            Algorithm::ClugpGreedyAssign => Box::new(Clugp::new(opts.clugp_config(true, false))),
-        }
+        self.dist_algo(opts).monolith()
     }
 }
 
@@ -157,12 +156,18 @@ mod tests {
 
     #[test]
     fn stream_orders_match_paper() {
-        assert!(matches!(
-            Algorithm::Hdrf.stream_order(),
-            StreamOrder::Random(_)
-        ));
-        assert!(matches!(Algorithm::Clugp.stream_order(), StreamOrder::Bfs));
-        assert!(matches!(Algorithm::Mint.stream_order(), StreamOrder::Bfs));
+        let random = StreamOrder::Random(clugp_graph::order::RANDOM_ORDER_SEED);
+        for a in [
+            Algorithm::Hdrf,
+            Algorithm::Greedy,
+            Algorithm::Hashing,
+            Algorithm::Dbh,
+        ] {
+            assert_eq!(a.stream_order(), random, "{}", a.name());
+        }
+        for a in [Algorithm::Mint].into_iter().chain(Algorithm::ABLATIONS) {
+            assert_eq!(a.stream_order(), StreamOrder::Bfs, "{}", a.name());
+        }
     }
 
     #[test]

@@ -169,8 +169,6 @@ pub fn relabel_first_appearance(edges: &[Edge]) -> (u64, Vec<Edge>) {
 /// Opens an on-disk dataset file as a resettable edge stream, auto-detecting
 /// the format from its magic bytes (`CLUGPGR1` flat binary, `CLUGPZ01`
 /// compressed pack, anything else text) — extensions are never consulted.
-/// This is how the bench harness consumes materialized dataset files (the
-/// `experiments io` sweep drives all three formats through it).
 pub fn open_edge_stream(
     path: &std::path::Path,
 ) -> clugp_graph::Result<Box<dyn clugp_graph::stream::RestreamableStream>> {

@@ -201,7 +201,6 @@ pub fn memory(ctx: &ExpContext) {
     let roster: Vec<(&str, Box<dyn Partitioner>)> = vec![
         ("Hashing", Box::new(clugp::baselines::Hashing::default())),
         ("DBH", Box::new(clugp::baselines::Dbh::default())),
-        ("Grid", Box::new(clugp::baselines::Grid::default())),
         ("Greedy", Box::new(clugp::baselines::Greedy::new())),
         ("HDRF", Box::new(clugp::baselines::Hdrf::default())),
         ("Mint", Box::new(clugp::baselines::Mint::default())),

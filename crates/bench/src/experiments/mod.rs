@@ -15,11 +15,9 @@
 //! | [`scalability::parallel`] | Fig. 10(a) claim | measured game thread-scaling curve (`BENCH_parallel.json`) |
 //! | [`quality::fig11`] | Fig. 11 | imbalance factor τ and relative weight sweeps |
 //! | [`memory::memory`] | Fig. 6 claim + id-space layer | memory trajectory + sparse-web remap leg (`BENCH_memory.json`) |
-//! | [`io::io`] | Fig. 10(a) claim + storage layer | bytes/edge + decode throughput, text vs binary vs packed, sharded reads (`BENCH_io.json`) |
 //! | [`ampc::ampc`] | §V deployment claim | coordinator/worker engine: wall-clock + bytes-exchanged vs worker count, both transports (`BENCH_ampc.json`) |
 
 pub mod ampc;
-pub mod io;
 pub mod memory;
 pub mod orders;
 pub mod quality;
@@ -72,6 +70,5 @@ pub fn run_all(ctx: &ExpContext) {
     orders::orders(ctx);
     scalability::parallel(ctx);
     memory::memory(ctx);
-    io::io(ctx);
     ampc::ampc(ctx);
 }

@@ -3,15 +3,16 @@
 //! The paper grants each algorithm its *best* order (footnote in §VI-A) but
 //! never shows the cross-product. This sweep measures every algorithm under
 //! every order — the experiment that justifies the per-algorithm order
-//! table in [`crate::algorithms`], and a direct replication of the
-//! order-sensitivity methodology of Abbas et al. (VLDB'18).
+//! table ([`clugp::ampc::coordinator::DistAlgo::stream_order`]), and a
+//! direct replication of the order-sensitivity methodology of Abbas et al.
+//! (VLDB'18).
 
 use super::ExpContext;
 use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::report::{results_dir, save_json, Table};
 use clugp::metrics::PartitionQuality;
-use clugp_graph::order::{ordered_edges, StreamOrder};
+use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::InMemoryStream;
 use serde::Serialize;
 
@@ -30,7 +31,7 @@ pub fn orders(ctx: &ExpContext) {
     let orders: [(&'static str, StreamOrder); 4] = [
         ("BFS", StreamOrder::Bfs),
         ("DFS", StreamOrder::Dfs),
-        ("Random", StreamOrder::Random(0x5EED)),
+        ("Random", StreamOrder::Random(RANDOM_ORDER_SEED)),
         ("AsIs", StreamOrder::AsIs),
     ];
     let mut table = Table::new_owned("Extra — RF vs stream order (uk-s, k=32)", {

@@ -114,7 +114,7 @@ pub fn fig5(ctx: &ExpContext) {
 
 /// Fig. 9 — ablation study on the it-2004 analogue: CLUGP vs CLUGP-S (no
 /// splitting) vs CLUGP-G (greedy assignment), plus the migration-policy
-/// design ablation (paper-verbatim vs headroom vs anchored migration).
+/// design ablation (paper-verbatim vs anchored migration).
 pub fn fig9(ctx: &ExpContext) {
     let prep = PreparedDataset::load(Dataset::ItS, ctx.scale);
     let mut table = Table::new_owned(
@@ -141,7 +141,6 @@ pub fn fig9(ctx: &ExpContext) {
     );
     for (label, policy) in [
         ("Anchored(default)", MigrationPolicy::Anchored),
-        ("Headroom(Holl)", MigrationPolicy::Headroom),
         ("Paper(verbatim)", MigrationPolicy::Paper),
     ] {
         let mut row = vec![label.to_string()];

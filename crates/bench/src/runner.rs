@@ -5,7 +5,7 @@ use crate::algorithms::{Algorithm, BuildOptions};
 use crate::datasets::Dataset;
 use clugp::metrics::PartitionQuality;
 use clugp_graph::csr::CsrGraph;
-use clugp_graph::order::{ordered_edges, StreamOrder};
+use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::Edge;
 use serde::Serialize;
@@ -32,7 +32,7 @@ impl PreparedDataset {
     /// Prepares an arbitrary graph (used by the sampling experiment).
     pub fn from_graph(name: &str, graph: Arc<CsrGraph>) -> Self {
         let bfs = ordered_edges(&graph, StreamOrder::Bfs);
-        let random = ordered_edges(&graph, StreamOrder::Random(0x5EED));
+        let random = ordered_edges(&graph, StreamOrder::Random(RANDOM_ORDER_SEED));
         PreparedDataset {
             name: name.to_string(),
             graph,

@@ -1,17 +1,16 @@
-//! The algorithm registry of the coordinator/worker engine: which
-//! partitioners a distributed run can execute, the monolith each one is
-//! bit-identical to, and the wire spec a worker builds its kernel from.
-//! This is the only place the engine's coordinator side enumerates
-//! algorithms; everything else reads the kernel description.
+//! The roster of the paper's algorithms: which partitioners exist, the
+//! monolith each one is built as, the stream order it is granted by
+//! default, and the wire spec a worker builds its kernel from. The CLI,
+//! the experiment harness and the coordinator/worker engine all read it;
+//! nothing else enumerates algorithms.
 
 use super::proto::AlgoSpec;
 use super::worker::migration_tag;
-use crate::baselines::{
-    dbh, grid, hashing, Dbh, Greedy, Grid, Hashing, Hdrf, HdrfConfig, Mint, MintConfig,
-};
+use crate::baselines::{dbh, hashing, Dbh, Greedy, Hashing, Hdrf, HdrfConfig, Mint, MintConfig};
 use crate::clugp::{Clugp, ClugpConfig};
 use crate::partitioner::Partitioner;
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
+use clugp_graph::order::{StreamOrder, RANDOM_ORDER_SEED};
 
 /// Which partitioner a distributed run executes.
 ///
@@ -23,11 +22,6 @@ pub enum DistAlgo {
     /// PowerGraph random vertex-cut.
     Hashing {
         /// Hash seed (monolith default when built via [`DistAlgo::hashing`]).
-        seed: u64,
-    },
-    /// 2D constrained hashing.
-    Grid {
-        /// Hash seed.
         seed: u64,
     },
     /// Degree-based hashing.
@@ -55,13 +49,6 @@ impl DistAlgo {
     pub fn hashing() -> Self {
         DistAlgo::Hashing {
             seed: hashing::DEFAULT_SEED,
-        }
-    }
-
-    /// Grid with the monolith's default seed.
-    pub fn grid() -> Self {
-        DistAlgo::Grid {
-            seed: grid::DEFAULT_SEED,
         }
     }
 
@@ -96,11 +83,10 @@ impl DistAlgo {
     }
 
     /// The algorithm behind a command-line name (`clugp`, `hdrf`,
-    /// `greedy`, `hashing`, `dbh`, `grid`, `mint`), at its defaults.
+    /// `greedy`, `hashing`, `dbh`, `mint`), at its defaults.
     pub fn by_name(name: &str) -> Option<Self> {
         Some(match name {
             "hashing" => DistAlgo::hashing(),
-            "grid" => DistAlgo::grid(),
             "dbh" => DistAlgo::dbh(),
             "greedy" => DistAlgo::greedy(),
             "hdrf" => DistAlgo::hdrf(),
@@ -115,7 +101,6 @@ impl DistAlgo {
     pub fn monolith(&self) -> Box<dyn Partitioner> {
         match self {
             DistAlgo::Hashing { seed } => Box::new(Hashing::new(*seed)),
-            DistAlgo::Grid { seed } => Box::new(Grid::new(*seed)),
             DistAlgo::Dbh { seed, max_vertices } => {
                 Box::new(Dbh::with_max_vertices(*seed, *max_vertices))
             }
@@ -123,6 +108,21 @@ impl DistAlgo {
             DistAlgo::Hdrf(cfg) => Box::new(Hdrf::new(cfg.clone())),
             DistAlgo::Mint(cfg) => Box::new(Mint::new(cfg.clone())),
             DistAlgo::Clugp(cfg) => Box::new(Clugp::new(cfg.clone())),
+        }
+    }
+
+    /// The stream order the paper grants this algorithm ("for a fair
+    /// comparison, we choose default settings and best streaming orders
+    /// for each of the competitors"): random for Hashing, DBH, Greedy and
+    /// HDRF, BFS for Mint and CLUGP with its ablations. Under BFS, HDRF and
+    /// Greedy follow the crawl's locality onto one partition.
+    pub fn stream_order(&self) -> StreamOrder {
+        match self {
+            DistAlgo::Hashing { .. }
+            | DistAlgo::Dbh { .. }
+            | DistAlgo::Greedy { .. }
+            | DistAlgo::Hdrf(_) => StreamOrder::Random(RANDOM_ORDER_SEED),
+            DistAlgo::Mint(_) | DistAlgo::Clugp(_) => StreamOrder::Bfs,
         }
     }
 
@@ -136,7 +136,6 @@ impl DistAlgo {
     pub(crate) fn spec(&self) -> AlgoSpec {
         match self {
             DistAlgo::Hashing { seed } => AlgoSpec::Hashing { seed: *seed },
-            DistAlgo::Grid { seed } => AlgoSpec::Grid { seed: *seed },
             DistAlgo::Dbh { seed, max_vertices } => AlgoSpec::Dbh {
                 seed: *seed,
                 max_vertices: *max_vertices,

@@ -98,7 +98,7 @@ pub struct EpochTable {
 /// One barrier-delimited pass over a worker's edge range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stage {
-    /// Single-pass baselines (hashing/grid/dbh/greedy/hdrf/mint).
+    /// Single-pass baselines (hashing/dbh/greedy/hdrf/mint).
     Baseline,
     /// CLUGP streaming clustering (pass 1).
     ClugpPass1 {
@@ -181,11 +181,6 @@ pub enum AlgoSpec {
         /// Hash seed.
         seed: u64,
     },
-    /// Grid / constrained hashing.
-    Grid {
-        /// Hash seed.
-        seed: u64,
-    },
     /// Degree-based hashing.
     Dbh {
         /// Hash seed.
@@ -207,7 +202,7 @@ pub enum AlgoSpec {
     Clugp {
         /// Splitting enabled.
         splitting: bool,
-        /// `MigrationPolicy` as a wire tag (0 Anchored, 1 Headroom, 2 Paper).
+        /// `MigrationPolicy` as a wire tag (0 Anchored, 2 Paper).
         migration: u8,
         /// Vertex-id cap.
         max_vertices: u64,
@@ -556,13 +551,10 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
     w.u32(s.k);
     w.u32(s.chunk);
     w.u32(s.heartbeat_ms);
+    // Algo tag 1 is retired (it was Grid): do not reuse it.
     match &s.algo {
         AlgoSpec::Hashing { seed } => {
             w.u8(0);
-            w.u64(*seed);
-        }
-        AlgoSpec::Grid { seed } => {
-            w.u8(1);
             w.u64(*seed);
         }
         AlgoSpec::Dbh { seed, max_vertices } => {
@@ -627,9 +619,9 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
     let k = r.u32()?;
     let chunk = r.u32()?;
     let heartbeat_ms = r.u32()?;
+    // Algo tag 1 is retired (it was Grid): do not reuse it.
     let algo = match r.u8()? {
         0 => AlgoSpec::Hashing { seed: r.u64()? },
-        1 => AlgoSpec::Grid { seed: r.u64()? },
         2 => AlgoSpec::Dbh {
             seed: r.u64()?,
             max_vertices: r.u64()?,
@@ -1128,6 +1120,32 @@ mod tests {
         round_trip(Msg::Heartbeat);
         round_trip(Msg::ResetTables);
         round_trip(Msg::ResetOk);
+    }
+
+    #[test]
+    fn retired_algo_tag_is_a_typed_error() {
+        let frame = Msg::Configure(Box::new(WorkerSetup {
+            worker: 0,
+            workers: 2,
+            k: 4,
+            chunk: 64,
+            heartbeat_ms: 0,
+            algo: AlgoSpec::Hashing { seed: 7 },
+            input: InputSpec::Inline { edges: Vec::new() },
+            trace: false,
+        }))
+        .encode();
+        // Message tag, then five u32s, then the algo tag.
+        const ALGO_TAG_AT: usize = 1 + 5 * 4;
+        assert_eq!(frame[ALGO_TAG_AT], 0, "Hashing's tag");
+        // Tag 1 (Grid) is retired: it decodes as no algorithm at all.
+        for tag in [1u8, 7, 255] {
+            let mut forged = frame.clone();
+            forged[ALGO_TAG_AT] = tag;
+            let err = Msg::decode(&forged).unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            assert!(err.to_string().contains("algo tag"), "tag {tag}: {err}");
+        }
     }
 
     #[test]

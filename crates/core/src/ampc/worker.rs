@@ -68,14 +68,10 @@ pub(crate) const T_CPART: u8 = 2;
 /// its kernel plus one arm here.
 macro_rules! with_edge_kernel {
     ($spec:expr, $k:expr, |$kernel:ident| $body:expr) => {{
-        use $crate::baselines::{dbh, greedy, grid, hashing, hdrf};
+        use $crate::baselines::{dbh, greedy, hashing, hdrf};
         match *$spec {
             AlgoSpec::Hashing { seed } => {
                 let $kernel = hashing::HashingKernel { seed, k: $k };
-                Some($body)
-            }
-            AlgoSpec::Grid { seed } => {
-                let $kernel = grid::GridKernel::new(seed, $k);
                 Some($body)
             }
             AlgoSpec::Dbh { seed, max_vertices } => {
@@ -101,9 +97,9 @@ pub(crate) fn unexpected(m: &Msg) -> PartitionError {
 }
 
 pub(crate) fn migration_from_tag(tag: u8) -> Result<MigrationPolicy> {
+    // Migration tag 1 is retired (it was Headroom): do not reuse it.
     Ok(match tag {
         0 => MigrationPolicy::Anchored,
-        1 => MigrationPolicy::Headroom,
         2 => MigrationPolicy::Paper,
         other => {
             return Err(PartitionError::InvalidParam(format!(
@@ -114,9 +110,9 @@ pub(crate) fn migration_from_tag(tag: u8) -> Result<MigrationPolicy> {
 }
 
 pub(crate) fn migration_tag(policy: MigrationPolicy) -> u8 {
+    // Migration tag 1 is retired (it was Headroom): do not reuse it.
     match policy {
         MigrationPolicy::Anchored => 0,
-        MigrationPolicy::Headroom => 1,
         MigrationPolicy::Paper => 2,
     }
 }
@@ -1172,6 +1168,19 @@ pub(crate) mod tests {
             token,
             mode: AmpcMode::Sequenced,
             epoch: 0,
+        }
+    }
+
+    #[test]
+    fn retired_migration_tag_is_a_typed_error() {
+        for policy in [MigrationPolicy::Anchored, MigrationPolicy::Paper] {
+            assert_eq!(migration_from_tag(migration_tag(policy)).unwrap(), policy);
+        }
+        // Tag 1 (Headroom) maps to no policy, and neither does any unused tag.
+        for tag in [1u8, 3, 255] {
+            let err = migration_from_tag(tag).unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            assert!(err.to_string().contains("migration policy tag"), "{err}");
         }
     }
 

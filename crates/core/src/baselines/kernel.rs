@@ -1,6 +1,6 @@
 //! The one description every one-pass baseline is written against.
 //!
-//! Hashing, Grid, DBH, Greedy and HDRF all have the same shape: per edge,
+//! Hashing, DBH, Greedy and HDRF all have the same shape: per edge,
 //! read a little per-vertex state plus the load vector, pick a partition,
 //! update. An [`EdgeKernel`] states exactly that — which vertex tables it
 //! shares ([`SharedTable`]: row width, relaxed [`MergeOp`], row

@@ -8,11 +8,13 @@
 //!                   (CLUGPZ01, written by clugp-pack) — detected by magic
 //!                   bytes, never by extension
 //! --k <K>           number of partitions (required, at most 2^20)
-//! --algo <name>     clugp (default) | hdrf | greedy | hashing | dbh | mint | grid
-//! --order <name>    bfs (default) | dfs | random | asis. `asis` is the order
-//!                   the input's graph is stored in: a pack's own (canonical
-//!                   `(src, dst)`) order, and CSR order — a stable sort of
-//!                   the file's edges by source — for text and flat binary
+//! --algo <name>     clugp (default) | hdrf | greedy | hashing | dbh | mint
+//! --order <name>    bfs | dfs | random | asis (default: the algorithm's own —
+//!                   random for hdrf, greedy, hashing and dbh, bfs for clugp
+//!                   and mint). `asis` is the order the input's graph is
+//!                   stored in: a pack's own (canonical `(src, dst)`) order,
+//!                   and CSR order — a stable sort of the file's edges by
+//!                   source — for text and flat binary
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
 //! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
@@ -105,7 +107,7 @@ use clugp_graph::idmap::RemappedStream;
 use clugp_graph::io::binary::read_binary_graph;
 use clugp_graph::io::edge_list::{read_edge_list, RawTextEdgeStream};
 use clugp_graph::io::{open_edge_stream, open_sparse_edge_stream, sniff_format, GraphFileFormat};
-use clugp_graph::order::{ordered_edges, StreamOrder};
+use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::{
     chunk_edges, collect_stream, EdgeStream, InMemoryStream, RestreamableStream,
 };
@@ -283,6 +285,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--k is required and must be within 1..={MAX_PARTITIONS}"
         ));
     }
+    let algo = build_algo(&opts)?;
+    if !order_set {
+        opts.order = order_name(algo.stream_order()).into();
+    }
+    parse_order(&opts.order)?;
     if opts.sparse && order_set {
         return Err(
             "--sparse streams in file order (ids are remapped on the fly); \
@@ -380,14 +387,29 @@ fn build_algo(opts: &Options) -> Result<DistAlgo, String> {
     Ok(algo)
 }
 
+/// `--order`'s names for the orders it streams in.
+const ORDERS: [(&str, StreamOrder); 4] = [
+    ("bfs", StreamOrder::Bfs),
+    ("dfs", StreamOrder::Dfs),
+    ("random", StreamOrder::Random(RANDOM_ORDER_SEED)),
+    ("asis", StreamOrder::AsIs),
+];
+
 fn parse_order(name: &str) -> Result<StreamOrder, String> {
-    Ok(match name {
-        "bfs" => StreamOrder::Bfs,
-        "dfs" => StreamOrder::Dfs,
-        "random" => StreamOrder::Random(0x5EED),
-        "asis" => StreamOrder::AsIs,
-        other => return Err(format!("unknown order {other:?}")),
-    })
+    ORDERS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, order)| order)
+        .ok_or_else(|| format!("unknown order {name:?}"))
+}
+
+/// The `--order` name of an algorithm's own order.
+fn order_name(order: StreamOrder) -> &'static str {
+    ORDERS
+        .iter()
+        .find(|(_, o)| *o == order)
+        .map(|&(name, _)| name)
+        .expect("every algorithm's own order has an --order name")
 }
 
 /// The opened input: the one stream partition, replay and TSV pull from.
@@ -1034,8 +1056,9 @@ fn main() -> ExitCode {
     }
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: clugp-part <edges-file> --k <K> [--algo clugp|hdrf|greedy|hashing|dbh|mint|grid] \
-             [--order bfs|dfs|random|asis] [--tau F] [--threads N] [--chunk-size N] \
+            "usage: clugp-part <edges-file> --k <K> [--algo clugp|hdrf|greedy|hashing|dbh|mint] \
+             [--order bfs|dfs|random|asis (default: the algorithm's own)] \
+             [--tau F] [--threads N] [--chunk-size N] \
              [--sparse] \
              [--output file] [--workers N] [--transport channel|unix] [--socket-dir dir] \
              [--ampc-mode sequenced|relaxed] [--ampc-epoch-chunks N] \
@@ -1076,6 +1099,15 @@ mod tests {
         assert_eq!(o.k, 8);
         assert_eq!(o.algo, "clugp");
         assert_eq!(o.order, "bfs");
+        // Without --order each algorithm streams in its own order.
+        for (algo, order) in [("hdrf", "random"), ("greedy", "random"), ("mint", "bfs")] {
+            let o = parse_args(&strs(&["graph.txt", "--k", "8", "--algo", algo])).unwrap();
+            assert_eq!(o.order, order, "{algo}");
+        }
+        let o = parse_args(&strs(&[
+            "g.txt", "--k", "8", "--algo", "hdrf", "--order", "bfs",
+        ]));
+        assert_eq!(o.unwrap().order, "bfs");
     }
 
     #[test]
@@ -1124,22 +1156,27 @@ mod tests {
 
     #[test]
     fn algorithm_roster_builds() {
-        for algo in ["clugp", "hdrf", "greedy", "hashing", "dbh", "mint", "grid"] {
+        for algo in ["clugp", "hdrf", "greedy", "hashing", "dbh", "mint"] {
             let opts = Options {
                 input: "x".into(),
                 k: 4,
                 algo: algo.into(),
                 ..Options::default()
             };
-            assert!(build_algo(&opts).is_ok(), "{algo}");
+            let built = build_algo(&opts).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            // Its own order is one --order can name.
+            assert_eq!(
+                parse_order(order_name(built.stream_order())),
+                Ok(built.stream_order())
+            );
         }
-        let bad = Options {
-            input: "x".into(),
-            k: 4,
-            algo: "metis".into(),
-            ..Options::default()
-        };
-        assert!(build_algo(&bad).is_err());
+        // A name outside the roster is a usage error.
+        for algo in ["metis", "grid"] {
+            let err = parse_args(&strs(&["g.txt", "--k", "4", "--algo", algo])).unwrap_err();
+            assert!(err.contains("unknown algorithm"), "{err}");
+        }
+        let err = parse_args(&strs(&["g.txt", "--k", "4", "--order", "sorted"])).unwrap_err();
+        assert!(err.contains("unknown order"), "{err}");
     }
 
     #[test]

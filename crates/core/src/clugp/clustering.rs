@@ -12,9 +12,8 @@
 //!    (Theorems 1-2).
 //! 3. **Migration**: an endpoint of the smaller cluster migrates into the
 //!    bigger one, pulling communities together. The exact rule is governed
-//!    by [`MigrationPolicy`] (the paper's verbatim rule, Hollocou's
-//!    headroom-guarded rule, or our anchored default — see the policy docs
-//!    and the fig9 ablation).
+//!    by [`MigrationPolicy`] (the paper's verbatim rule, or our anchored
+//!    default — see the policy docs and the fig9 ablation).
 //!
 //! With `splitting = false` step 2 is skipped and the algorithm degenerates
 //! to Hollocou's allocation–migration (the paper's CLUGP-S ablation and

@@ -21,9 +21,6 @@ pub enum MigrationPolicy {
     /// both migration-overfill split cascades and community churn from
     /// popular vertices being yanked by single cross edges.
     Anchored,
-    /// Hollocou's original rule: any vertex in the smaller cluster migrates
-    /// if the destination keeps headroom.
-    Headroom,
     /// Algorithm 2 verbatim: any vertex in the smaller cluster migrates
     /// whenever both clusters are under `Vmax` (no headroom check).
     Paper,

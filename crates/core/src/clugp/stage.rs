@@ -181,10 +181,10 @@ impl Pass1 {
         //  * Paper    — Algorithm 2 verbatim, no further conditions; lets
         //    migrations overfill clusters, which parks them at Vmax and
         //    turns every subsequent member edge into a spurious split.
-        //  * Headroom — Hollocou's original guard (destination stays ≤ Vmax).
-        //  * Anchored — Headroom plus: only vertices alone in their cluster
-        //    (anchor 0) move, so a single cross edge cannot yank an
-        //    established vertex out of its community (churn guard).
+        //  * Anchored — only vertices alone in their cluster (anchor 0)
+        //    move, so a single cross edge cannot yank an established vertex
+        //    out of its community (churn guard), and only while the
+        //    destination stays ≤ Vmax (Hollocou's headroom guard).
         let (vol_u, vol_v) = (self.vol[cu as usize], self.vol[cv as usize]);
         if vol_u < vmax && vol_v < vmax {
             let (mover, from, into) = if vol_u <= vol_v {
@@ -197,7 +197,6 @@ impl Pass1 {
             let headroom_ok = self.vol[into as usize] + d <= vmax;
             let allowed = match self.migration {
                 MigrationPolicy::Paper => true,
-                MigrationPolicy::Headroom => headroom_ok,
                 MigrationPolicy::Anchored => anchor == 0 && headroom_ok,
             };
             if allowed {

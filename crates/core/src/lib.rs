@@ -8,7 +8,7 @@
 //!   game-theoretic cluster partitioning (Algorithm 3), and partition
 //!   transformation (Algorithm 1). Ablation switches reproduce CLUGP-S
 //!   (no splitting) and CLUGP-G (greedy cluster assignment).
-//! * [`baselines`] — Hashing, DBH, Grid, Greedy (PowerGraph oblivious),
+//! * [`baselines`] — Hashing, DBH, Greedy (PowerGraph oblivious),
 //!   HDRF, and Mint, implemented from their original papers.
 //! * [`partitioner::Partitioner`] — the common streaming interface; every
 //!   algorithm consumes a [`clugp_graph::stream::RestreamableStream`] and

@@ -7,7 +7,7 @@
 //! copying model ([`generate_copying_model`]) stand in for the web corpora,
 //! and Barabási–Albert preferential attachment ([`generate_ba`]) stands in
 //! for Twitter. Erdős–Rényi ([`generate_er`]) is the structureless graph
-//! the Grid, BFS and connected-components tests run on.
+//! the BFS and connected-components tests run on.
 //!
 //! All generators are deterministic for a fixed seed and label vertices in
 //! creation (crawl) order, so `StreamOrder::AsIs` approximates the crawl

@@ -2,8 +2,9 @@
 //!
 //! The paper assumes web-graph streams arrive in BFS (crawl) order
 //! (footnote 1, following Mint and Gemini), and gives each baseline its best
-//! order: random for Hashing/DBH/Greedy/HDRF, BFS for Mint/CLUGP. This
-//! module produces both orders from a materialized graph, plus the BFS vertex
+//! order: random for Hashing/DBH/Greedy/HDRF, BFS for Mint/CLUGP (the core
+//! crate's `DistAlgo::stream_order` is that one table). This module
+//! produces both orders from a materialized graph, plus the BFS vertex
 //! relabeling a crawler would induce.
 
 use crate::csr::CsrGraph;
@@ -12,6 +13,10 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+
+/// The seed of every [`StreamOrder::Random`] an algorithm is granted by
+/// default, and of the CLI's `--order random`.
+pub const RANDOM_ORDER_SEED: u64 = 0x5EED;
 
 /// The stream orders evaluated in the paper's experiments (plus DFS, used
 /// by the stream-order sensitivity studies of Abbas et al., VLDB'18).

@@ -7,9 +7,10 @@
 //! slicing-by-16 kernel (sixteen 256-entry tables, sixteen input bytes per
 //! step, safe and portable; every value equals the byte-at-a-time walk it
 //! replaced, so packs and `CLUGPCK1` checkpoints of any age stay valid).
-//! `BENCH_io` measures what verification still costs: a `full` drain runs at
-//! 0.85–0.9x the speed of an unchecked one, where the per-byte walk ran at
-//! about 0.5x.
+//! What verification still costs is recorded in `results/BENCH_io.json`:
+//! a `full` drain ran at 0.85–0.9x the speed of an unchecked one, where the
+//! per-byte walk ran at about 0.5x (`benchmark/` now reports it as
+//! `pack.crc_s`).
 
 use std::str::FromStr;
 

@@ -1,7 +1,7 @@
 //! The block codec: LEB128 varints and the [`BlockDecoder`] turning one raw
 //! block payload into edges.
 //!
-//! Decode is the replay hot loop (`BENCH_io`: packs decode ~4× slower than
+//! Decode is the replay hot loop (`results/BENCH_io.json`: packs decode ~4× slower than
 //! flat binary, CPU-bound), so the production decoder is *batched*: edges
 //! are materialized through plain `u32` locals into a small stack batch that
 //! is appended per group, with a single-byte fast path for the varint reads

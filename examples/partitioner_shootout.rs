@@ -5,10 +5,8 @@
 //! cargo run --release --example partitioner_shootout [vertices] [k]
 //! ```
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint};
-use clugp::clugp::Clugp;
+use clugp::ampc::coordinator::DistAlgo;
 use clugp::metrics::PartitionQuality;
-use clugp::partitioner::Partitioner;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
@@ -22,8 +20,6 @@ fn main() {
         vertices,
         ..Default::default()
     });
-    let bfs = ordered_edges(&graph, StreamOrder::Bfs);
-    let random = ordered_edges(&graph, StreamOrder::Random(0x5EED));
     println!(
         "web graph: |V|={} |E|={} k={k}\n",
         graph.num_vertices(),
@@ -35,27 +31,23 @@ fn main() {
     );
 
     // Each algorithm gets its best stream order, as in the paper.
-    let mut contenders: Vec<(Box<dyn Partitioner>, &[_])> = vec![
-        (Box::new(Hdrf::default()), random.as_slice()),
-        (Box::new(Greedy::new()), random.as_slice()),
-        (Box::new(Hashing::default()), random.as_slice()),
-        (Box::new(Dbh::default()), random.as_slice()),
-        (Box::new(Mint::default()), bfs.as_slice()),
-        (Box::new(Clugp::default()), bfs.as_slice()),
-    ];
-
-    for (partitioner, edges) in contenders.iter_mut() {
-        let mut stream = InMemoryStream::new(graph.num_vertices(), edges.to_vec());
-        let run = partitioner.partition(&mut stream, k).expect("run failed");
-        let q = PartitionQuality::compute(edges, &run.partitioning);
-        let order = if std::ptr::eq(edges.as_ptr(), bfs.as_ptr()) {
-            "BFS"
-        } else {
-            "random"
+    for name in ["hdrf", "greedy", "hashing", "dbh", "mint", "clugp"] {
+        let algo = DistAlgo::by_name(name).expect("registered algorithm");
+        let order = algo.stream_order();
+        let edges = ordered_edges(&graph, order);
+        let mut stream = InMemoryStream::new(graph.num_vertices(), edges.clone());
+        let run = algo
+            .monolith()
+            .partition(&mut stream, k)
+            .expect("run failed");
+        let q = PartitionQuality::compute(&edges, &run.partitioning);
+        let order = match order {
+            StreamOrder::Bfs => "BFS",
+            _ => "random",
         };
         println!(
             "{:<10} {:>6} {:>10.3} {:>9.3} {:>12?} {:>12.2}",
-            partitioner.name(),
+            algo.name(),
             order,
             q.replication_factor,
             q.relative_balance,

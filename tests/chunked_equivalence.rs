@@ -5,7 +5,7 @@
 //! in turn deliver one edge sequence whatever the consumer asks for. This is
 //! the contract behind "chunk boundaries are not semantic".
 
-use clugp::baselines::{Dbh, Greedy, Grid, Hashing, Hdrf, Mint, MintConfig};
+use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
 use clugp_graph::stream::{ChunkLimited, InMemoryStream, RestreamableStream};
@@ -17,7 +17,6 @@ fn roster() -> Vec<(&'static str, Box<dyn Partitioner>)> {
     vec![
         ("Hashing", Box::new(Hashing::default())),
         ("DBH", Box::new(Dbh::default())),
-        ("Grid", Box::new(Grid::default())),
         ("Greedy", Box::new(Greedy::new())),
         ("HDRF", Box::new(Hdrf::default())),
         // Small batches so batch boundaries interleave with chunk limits.
@@ -134,7 +133,7 @@ fn mint_batch_boundaries_survive_any_chunking() {
 fn packed_input_partitions_bit_identical_to_flat_binary() {
     // The storage contract of the CLUGPZ pack: for the same logical edge
     // sequence (a pack stores the canonical (src, dst) order), every
-    // partitioner — CLUGP with ablations and all six baselines — must
+    // partitioner — CLUGP with ablations and all five baselines — must
     // produce byte-identical partitions whether it streams the flat binary
     // file or decodes the compressed pack, at any source chunk granularity.
     use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};

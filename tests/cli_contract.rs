@@ -1,7 +1,7 @@
 //! The CLI contract of `clugp-part`, pinned at the bytes it emits.
 //!
 //! Drives the real binary over one small generated web-crawl graph written
-//! as text, flat binary (`CLUGPGR1`) and pack (`CLUGPZ`): 7 algorithms × 4
+//! as text, flat binary (`CLUGPGR1`) and pack (`CLUGPZ`): 6 algorithms × 4
 //! orders × 3 formats × {monolith, `--workers 2`, `--workers 2 --transport
 //! unix`, `--workers 2 --ampc-mode relaxed`}, plus `--sparse`, two
 //! `--chunk-size` values and the 4-worker unix / relaxed runs CI used to
@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cli_contract.golden");
 
-const ALGOS: [&str; 7] = ["clugp", "hdrf", "greedy", "hashing", "dbh", "mint", "grid"];
+const ALGOS: [&str; 6] = ["clugp", "hdrf", "greedy", "hashing", "dbh", "mint"];
 const ORDERS: [&str; 4] = ["bfs", "dfs", "random", "asis"];
 const FORMATS: [(&str, &str); 3] = [
     ("text", "web.txt"),
@@ -337,4 +337,53 @@ fn one_partition_holding_every_edge_warns_and_exits_zero() {
     if cfg!(target_os = "linux") {
         assert!(bfs.contains("peak rss = "), "{bfs}");
     }
+}
+
+/// Without `--order` each algorithm streams in its own order
+/// (`DistAlgo::stream_order`): HDRF and Greedy get the random order that
+/// spreads the crawl, where BFS follows its locality onto one partition
+/// (all but five edges of this fixture; the ring above gets the warning).
+#[test]
+fn default_order_is_the_algorithms_own() {
+    let Some(exe) = clugp_part_exe() else {
+        eprintln!("skipping: clugp-part binary not built");
+        return;
+    };
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_contract_default_order");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (_, edges) = test_web_graph(1500, 22);
+    write_edge_list(&dir.join("web.txt"), &edges).unwrap();
+    // Exit code, stderr and relative balance of one run at k = 16.
+    let run = |flags: &[&str]| {
+        let out = Command::new(&exe)
+            .arg(dir.join("web.txt"))
+            .args(["--k", "16"])
+            .args(flags)
+            .output()
+            .expect("spawn clugp-part");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let balance = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("relative balance"))
+            .and_then(|v| v.trim_start_matches([' ', '=']).parse::<f64>().ok());
+        (out.status.code(), stderr, balance)
+    };
+    for algo in ["hdrf", "greedy"] {
+        let (code, stderr, balance) = run(&["--algo", algo]);
+        assert_eq!(code, Some(0), "{algo}: {stderr}");
+        assert!(!stderr.contains("warning:"), "{algo}: {stderr}");
+        assert!(stderr.contains("(order: random,"), "{algo}: {stderr}");
+        assert!(balance.is_some_and(|b| b < 1.10), "{algo}: {balance:?}");
+
+        let (code, stderr, balance) = run(&["--algo", algo, "--order", "bfs"]);
+        assert_eq!(code, Some(0), "{algo} --order bfs: {stderr}");
+        assert!(
+            balance.is_some_and(|b| b > 15.0),
+            "{algo} --order bfs: {balance:?}"
+        );
+    }
+    let (code, stderr, _) = run(&["--algo", "grid"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown algorithm \"grid\""), "{stderr}");
 }

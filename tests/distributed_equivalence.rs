@@ -1,6 +1,6 @@
 //! Distributed-vs-monolith equivalence: the coordinator/worker engine must
 //! produce byte-identical partitions to the monolithic partitioners — for
-//! CLUGP (and ablations) plus all six vertex-cut baselines, at every worker
+//! CLUGP (and ablations) plus all five vertex-cut baselines, at every worker
 //! count, over either transport, at any streaming chunk size. This is the
 //! correctness anchor of the AMPC engine: sharding the state tables and
 //! sequencing the stream across workers is a pure refactoring of the
@@ -19,10 +19,10 @@ use clugp_graph::types::{Edge, VertexId};
 use clugp_repro::test_web_graph;
 
 /// Monolith/distributed pairs under test: every registered algorithm and
-/// its monolith, plus the CLUGP ablations and the two non-default migration
-/// policies (so every `MigrationPolicy` wire tag crosses a `Configure`).
+/// its monolith, plus the CLUGP ablations and the non-default migration
+/// policy (so every `MigrationPolicy` wire tag crosses a `Configure`).
 fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
-    let mut algos: Vec<DistAlgo> = ["hashing", "grid", "dbh", "greedy", "hdrf", "mint", "clugp"]
+    let mut algos: Vec<DistAlgo> = ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"]
         .iter()
         .map(|name| DistAlgo::by_name(name).expect("registered algorithm"))
         .collect();
@@ -42,16 +42,11 @@ fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
     }));
     let mut named: Vec<(&'static str, DistAlgo)> =
         algos.into_iter().map(|algo| (algo.name(), algo)).collect();
-    for (name, migration) in [
-        ("CLUGP/headroom", MigrationPolicy::Headroom),
-        ("CLUGP/paper", MigrationPolicy::Paper),
-    ] {
-        let config = ClugpConfig {
-            migration,
-            ..Default::default()
-        };
-        named.push((name, DistAlgo::Clugp(config)));
-    }
+    let paper = ClugpConfig {
+        migration: MigrationPolicy::Paper,
+        ..Default::default()
+    };
+    named.push(("CLUGP/paper", DistAlgo::Clugp(paper)));
     named
         .into_iter()
         .map(|(name, algo)| (name, algo.monolith(), algo))
@@ -181,7 +176,7 @@ fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
         num_vertices: n,
         edges: &edges,
     };
-    for name in ["hashing", "grid", "dbh", "greedy", "hdrf", "mint", "clugp"] {
+    for name in ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"] {
         let algo = DistAlgo::by_name(name).expect("registered algorithm");
         let reference = monolith(algo.monolith().as_mut(), n, &edges, k).0;
         let run = |cfg: DistConfig| {
@@ -551,12 +546,7 @@ fn relaxed_baselines_match_their_recorded_golden_hashes() {
     // wave loop were rewritten.
     let (n, edges) = test_web_graph(1_500, 46);
     let clugp = |config: ClugpConfig| DistAlgo::Clugp(config);
-    let golden: [(&str, DistAlgo, [u64; 2]); 10] = [
-        (
-            "Grid",
-            DistAlgo::grid(),
-            [0x82b8_ef01_56c3_4b01, 0xb53d_98fa_813e_1bd5],
-        ),
+    let golden: [(&str, DistAlgo, [u64; 2]); 8] = [
         (
             "DBH",
             DistAlgo::dbh(),
@@ -592,14 +582,6 @@ fn relaxed_baselines_match_their_recorded_golden_hashes() {
                 ..Default::default()
             }),
             [0x5b9e_4826_6592_41c2, 0x172f_7e4c_3148_2ea3],
-        ),
-        (
-            "CLUGP/headroom",
-            clugp(ClugpConfig {
-                migration: MigrationPolicy::Headroom,
-                ..Default::default()
-            }),
-            [0x2e9c_f39c_cc5b_f850, 0xa19d_bd7d_4573_3092],
         ),
         (
             "CLUGP/paper",

@@ -189,7 +189,7 @@ fn k_exceeding_edge_count() {
     }
 }
 
-/// Migration policies are all safe; the anchored default never does worse
+/// Both migration policies are safe; the anchored default never does worse
 /// than the verbatim-paper policy on a locality-rich crawl.
 #[test]
 fn migration_policy_comparison() {
@@ -205,8 +205,7 @@ fn migration_policy_comparison() {
     };
     let anchored = rf_of(MigrationPolicy::Anchored, &mut stream);
     let paper = rf_of(MigrationPolicy::Paper, &mut stream);
-    let headroom = rf_of(MigrationPolicy::Headroom, &mut stream);
-    assert!(anchored >= 1.0 && paper >= 1.0 && headroom >= 1.0);
+    assert!(anchored >= 1.0 && paper >= 1.0);
     assert!(
         anchored <= paper * 1.02,
         "anchored {anchored} should not lose to paper-verbatim {paper}"

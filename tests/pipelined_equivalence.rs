@@ -10,7 +10,7 @@
 //! error — ordered prefix delivered, early end, error reported by the next
 //! `reset`.
 
-use clugp::baselines::{Dbh, Greedy, Grid, Hashing, Hdrf, Mint, MintConfig};
+use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
 use clugp::partitioner::Partitioner;
 use clugp_graph::pack::{
@@ -26,7 +26,6 @@ fn roster() -> Vec<(&'static str, Box<dyn Partitioner>)> {
     vec![
         ("Hashing", Box::new(Hashing::default())),
         ("DBH", Box::new(Dbh::default())),
-        ("Grid", Box::new(Grid::default())),
         ("Greedy", Box::new(Greedy::new())),
         ("HDRF", Box::new(Hdrf::default())),
         (

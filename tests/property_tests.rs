@@ -508,18 +508,6 @@ proptest! {
         }
     }
 
-    /// Grid's replication bound `|P(v)| ≤ 2⌈√k⌉ − 1` holds for arbitrary
-    /// inputs.
-    #[test]
-    fn grid_replication_bound(edges in arb_edges(), k in 1u32..20) {
-        use clugp::baselines::Grid;
-        let mut stream = InMemoryStream::from_edges(edges.clone());
-        let run = Grid::default().partition(&mut stream, k).unwrap();
-        let q = PartitionQuality::compute(&edges, &run.partitioning);
-        let r = (f64::from(k)).sqrt().ceil();
-        prop_assert!(q.replication_factor <= 2.0 * r - 1.0 + 1e-9);
-    }
-
     /// Partitioning snapshots round-trip through the binary format.
     #[test]
     fn partitioning_snapshot_round_trip(edges in arb_edges(), k in 1u32..8) {
