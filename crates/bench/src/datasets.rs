@@ -18,8 +18,6 @@
 
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::gen::{generate_ba, generate_web_crawl, BaConfig, WebCrawlConfig};
-use clugp_graph::idmap::{scramble_edges, IdMap};
-use clugp_graph::types::{Edge, RawEdge};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -130,42 +128,6 @@ impl Dataset {
     }
 }
 
-/// Name of the sparse-id web dataset (see [`sparse_web_raw`]).
-pub const SPARSE_WEB: &str = "sparse-web";
-
-/// The `sparse-web` dataset: the uk-s web-crawl analogue in BFS stream
-/// order, with every vertex id scrambled to a sparse pseudo-random 64-bit
-/// external id (standing in for hashed URLs / crawl ids, the form web
-/// corpora actually ship in). The scramble is bijective, so the graph is
-/// isomorphic to the dense uk-s stream — which is what makes the
-/// remap-vs-dense bit-identity check meaningful.
-///
-/// The seed code could not run this dataset at all: ids beyond `u32` do not
-/// fit the dense grow-on-demand tables (a naive dense layout would need
-/// `(max id + 1) × 4` bytes ≈ tens of exabytes). It partitions through
-/// `clugp_graph::idmap::RemappedStream`.
-pub fn sparse_web_raw(scale: f64) -> Vec<RawEdge> {
-    use clugp_graph::order::{ordered_edges, StreamOrder};
-    let g = load(Dataset::UkS, scale);
-    scramble_edges(&ordered_edges(&g, StreamOrder::Bfs))
-}
-
-/// First-appearance dense relabeling of a dense edge stream: the reference
-/// a remapped sparse run must match bit-for-bit (remap interns external ids
-/// in exactly this order). Returns `(distinct vertices, relabeled edges)`.
-pub fn relabel_first_appearance(edges: &[Edge]) -> (u64, Vec<Edge>) {
-    let mut map = IdMap::remap();
-    let relabeled: Vec<Edge> = edges
-        .iter()
-        .map(|e| {
-            let src = map.intern(u64::from(e.src)).expect("within default cap");
-            let dst = map.intern(u64::from(e.dst)).expect("within default cap");
-            Edge::new(src, dst)
-        })
-        .collect();
-    (map.len(), relabeled)
-}
-
 /// Opens an on-disk dataset file as a resettable edge stream, auto-detecting
 /// the format from its magic bytes (`CLUGPGR1` flat binary, `CLUGPZ01`
 /// compressed pack, anything else text) — extensions are never consulted.
@@ -175,16 +137,15 @@ pub fn open_edge_stream(
     clugp_graph::io::open_edge_stream(path)
 }
 
-/// The global scale factor, read once from `CLUGP_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    static SCALE: OnceLock<f64> = OnceLock::new();
-    *SCALE.get_or_init(|| {
-        std::env::var("CLUGP_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|s: &f64| *s > 0.0)
-            .unwrap_or(1.0)
-    })
+/// Parses a dataset scale (the value of `CLUGP_SCALE`): a finite number
+/// above zero.
+pub fn parse_scale(value: &str) -> Result<f64, String> {
+    match value.trim().parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "CLUGP_SCALE={value:?}: expected a number above zero, e.g. 0.05"
+        )),
+    }
 }
 
 /// Cached graph access: generates once per `(dataset, permille-scale)` and
@@ -230,34 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn sparse_web_ids_are_sparse_and_isomorphic() {
-        let raw = sparse_web_raw(0.02);
-        assert!(!raw.is_empty());
-        // Hashed ids leave the u32 range (the seed layout cannot hold them).
-        assert!(raw
-            .iter()
-            .any(|e| e.src > u64::from(u32::MAX) || e.dst > u64::from(u32::MAX)));
-        // Bijective scramble: distinct raw ids == distinct dense ids.
-        let mut ids: Vec<u64> = raw.iter().flat_map(|e| [e.src, e.dst]).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        use clugp_graph::order::{ordered_edges, StreamOrder};
-        let g = load(Dataset::UkS, 0.02);
-        let dense = ordered_edges(&g, StreamOrder::Bfs);
-        let (distinct, relabeled) = relabel_first_appearance(&dense);
-        assert_eq!(ids.len() as u64, distinct);
-        assert_eq!(relabeled.len(), raw.len());
-    }
-
-    #[test]
-    fn relabel_is_dense_and_order_preserving() {
-        let edges = vec![Edge::new(9, 4), Edge::new(4, 9), Edge::new(7, 9)];
-        let (n, relabeled) = relabel_first_appearance(&edges);
-        assert_eq!(n, 3);
-        assert_eq!(
-            relabeled,
-            vec![Edge::new(0, 1), Edge::new(1, 0), Edge::new(2, 0)]
-        );
+    fn scale_parses_positive_numbers_only() {
+        assert_eq!(parse_scale("0.05"), Ok(0.05));
+        assert_eq!(parse_scale(" 2 "), Ok(2.0));
+        for bad in ["0,1", "", "abc", "0", "-1", "inf", "NaN"] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.starts_with("CLUGP_SCALE="), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -12,13 +12,9 @@
 //! | [`system::fig8`] | Fig. 8 | PageRank on the GAS simulator: comm volume, runtime, latency sweep |
 //! | [`quality::fig9`] | Fig. 9 | ablations CLUGP / CLUGP-S / CLUGP-G (+ migration policies) |
 //! | [`scalability::fig10`] | Fig. 10 | parallelization: threads, compute-vs-I/O, batch size |
-//! | [`scalability::parallel`] | Fig. 10(a) claim | measured game thread-scaling curve (`BENCH_parallel.json`) |
 //! | [`quality::fig11`] | Fig. 11 | imbalance factor τ and relative weight sweeps |
-//! | [`memory::memory`] | Fig. 6 claim + id-space layer | memory trajectory + sparse-web remap leg (`BENCH_memory.json`) |
-//! | [`ampc::ampc`] | §V deployment claim | coordinator/worker engine: wall-clock + bytes-exchanged vs worker count, both transports (`BENCH_ampc.json`) |
+//! | [`orders::orders`] | §VI-A footnote | every algorithm under every stream order |
 
-pub mod ampc;
-pub mod memory;
 pub mod orders;
 pub mod quality;
 pub mod scalability;
@@ -34,16 +30,24 @@ pub struct ExpContext {
     pub ks: Vec<u32>,
 }
 
-impl Default for ExpContext {
-    fn default() -> Self {
-        ExpContext {
-            scale: crate::datasets::scale(),
-            ks: crate::runner::k_sweep(),
-        }
-    }
-}
-
 impl ExpContext {
+    /// The full-scale context: scale 1.0 and [`crate::runner::k_sweep`],
+    /// unless `CLUGP_SCALE` or `CLUGP_KS` says otherwise. A variable that is
+    /// set but cannot be used is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Ok(ExpContext {
+            scale: match var("CLUGP_SCALE") {
+                Some(value) => crate::datasets::parse_scale(&value)?,
+                None => 1.0,
+            },
+            ks: match var("CLUGP_KS") {
+                Some(value) => crate::runner::parse_ks(&value)?,
+                None => crate::runner::k_sweep(),
+            },
+        })
+    }
+
     /// A reduced context for smoke tests: small
     /// datasets, short k sweep.
     pub fn quick() -> Self {
@@ -54,21 +58,28 @@ impl ExpContext {
     }
 }
 
+/// The entry point of one table or figure.
+pub type Experiment = fn(&ExpContext);
+
+/// Every experiment id with its entry point, in paper order.
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("table3", tables::table3),
+    ("table1", tables::table1),
+    ("fig3", quality::fig3),
+    ("fig4", quality::fig4),
+    ("fig5", quality::fig5),
+    ("fig6", scalability::fig6),
+    ("fig7", scalability::fig7),
+    ("fig8", system::fig8),
+    ("fig9", quality::fig9),
+    ("fig10", scalability::fig10),
+    ("fig11", quality::fig11),
+    ("orders", orders::orders),
+];
+
 /// Runs every experiment in paper order.
 pub fn run_all(ctx: &ExpContext) {
-    tables::table3(ctx);
-    tables::table1(ctx);
-    quality::fig3(ctx);
-    quality::fig4(ctx);
-    quality::fig5(ctx);
-    scalability::fig6(ctx);
-    scalability::fig7(ctx);
-    system::fig8(ctx);
-    quality::fig9(ctx);
-    scalability::fig10(ctx);
-    quality::fig11(ctx);
-    orders::orders(ctx);
-    scalability::parallel(ctx);
-    memory::memory(ctx);
-    ampc::ampc(ctx);
+    for (_, run) in EXPERIMENTS {
+        run(ctx);
+    }
 }

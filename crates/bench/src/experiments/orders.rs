@@ -63,6 +63,6 @@ pub fn orders(ctx: &ExpContext) {
     }
     println!("(cells are RF/balance; the paper's per-algorithm best orders are the diagonal of this study)");
     table.print();
-    table.save_csv(&results_dir().join("extra_orders.csv")).ok();
-    save_json("extra_orders", &json).ok();
+    table.save_csv(&results_dir().join("extra_orders.csv"));
+    save_json("extra_orders", &json);
 }

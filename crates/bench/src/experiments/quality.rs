@@ -32,11 +32,9 @@ pub fn fig3(ctx: &ExpContext) {
             table.row(row);
         }
         table.print();
-        table
-            .save_csv(&results_dir().join(format!("fig3_{}.csv", ds.name())))
-            .ok();
+        table.save_csv(&results_dir().join(format!("fig3_{}.csv", ds.name())));
     }
-    save_json("fig3", &all).ok();
+    save_json("fig3", &all);
 }
 
 /// Fig. 4 — the social-graph counterpoint: (a) RF of HDRF vs CLUGP on the
@@ -59,7 +57,7 @@ pub fn fig4(ctx: &ExpContext) {
         table.row(row);
     }
     table.print();
-    table.save_csv(&results_dir().join("fig4a.csv")).ok();
+    table.save_csv(&results_dir().join("fig4a.csv"));
 
     let mut table_b = Table::new(
         "Fig 4(b) — total task runtime at k=32 (twitter-s): partition + simulated PageRank",
@@ -75,8 +73,8 @@ pub fn fig4(ctx: &ExpContext) {
         ]);
     }
     table_b.print();
-    table_b.save_csv(&results_dir().join("fig4b.csv")).ok();
-    save_json("fig4", &all).ok();
+    table_b.save_csv(&results_dir().join("fig4b.csv"));
+    save_json("fig4", &all);
 }
 
 /// Fig. 5 — RF vs sampled graph size: nested edge samples of the uk-2002
@@ -108,8 +106,8 @@ pub fn fig5(ctx: &ExpContext) {
         table.row(row);
     }
     table.print();
-    table.save_csv(&results_dir().join("fig5.csv")).ok();
-    save_json("fig5", &all).ok();
+    table.save_csv(&results_dir().join("fig5.csv"));
+    save_json("fig5", &all);
 }
 
 /// Fig. 9 — ablation study on the it-2004 analogue: CLUGP vs CLUGP-S (no
@@ -132,7 +130,7 @@ pub fn fig9(ctx: &ExpContext) {
         table.row(row);
     }
     table.print();
-    table.save_csv(&results_dir().join("fig9.csv")).ok();
+    table.save_csv(&results_dir().join("fig9.csv"));
 
     // Extension: migration-policy ablation (DESIGN.md §4 divergence note).
     let mut table_m = Table::new_owned(
@@ -158,9 +156,7 @@ pub fn fig9(ctx: &ExpContext) {
         table_m.row(row);
     }
     table_m.print();
-    table_m
-        .save_csv(&results_dir().join("fig9_migration.csv"))
-        .ok();
+    table_m.save_csv(&results_dir().join("fig9_migration.csv"));
 
     // Extension: Vmax sensitivity (the paper fixes Vmax = |E|/k following
     // Hollocou's suggestion; this sweep verifies that choice).
@@ -184,8 +180,8 @@ pub fn fig9(ctx: &ExpContext) {
         table_v.row(row);
     }
     table_v.print();
-    table_v.save_csv(&results_dir().join("fig9_vmax.csv")).ok();
-    save_json("fig9", &all).ok();
+    table_v.save_csv(&results_dir().join("fig9_vmax.csv"));
+    save_json("fig9", &all);
 }
 
 /// Fig. 11 — (a) RF vs imbalance factor τ; (b) RF vs relative weight w.
@@ -217,7 +213,7 @@ pub fn fig11(ctx: &ExpContext) {
         table_a.row(row);
     }
     table_a.print();
-    table_a.save_csv(&results_dir().join("fig11a.csv")).ok();
+    table_a.save_csv(&results_dir().join("fig11a.csv"));
 
     let weights = [0.1, 0.3, 0.5, 0.7, 0.9];
     let mut table_b = Table::new_owned("Fig 11(b) — RF vs relative weight (k=32)", {
@@ -244,8 +240,8 @@ pub fn fig11(ctx: &ExpContext) {
         table_b.row(row);
     }
     table_b.print();
-    table_b.save_csv(&results_dir().join("fig11b.csv")).ok();
-    save_json("fig11", &all).ok();
+    table_b.save_csv(&results_dir().join("fig11b.csv"));
+    save_json("fig11", &all);
 }
 
 fn header_with_ks(ks: &[u32]) -> Vec<String> {

@@ -1,13 +1,11 @@
-//! Scalability figures: Fig. 6 (memory), Fig. 7 (runtime), Fig. 10
-//! (parallelization & batch size), and the thread-scaling curve behind
-//! Fig. 10(a) ([`parallel`], written to `results/BENCH_parallel.json`).
+//! Scalability figures: Fig. 6 (memory), Fig. 7 (runtime) and Fig. 10
+//! (parallelization & batch size).
 
 use super::ExpContext;
 use crate::algorithms::{Algorithm, BuildOptions};
 use crate::datasets::Dataset;
 use crate::report::{fmt_secs, results_dir, save_json, Table};
 use crate::runner::{run_cell, run_cell_with, PreparedDataset};
-use clugp::metrics::PartitionQuality;
 use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
 use clugp_graph::stream::TimedStream;
 
@@ -34,8 +32,8 @@ pub fn fig6(ctx: &ExpContext) {
         table.row(row);
     }
     table.print();
-    table.save_csv(&results_dir().join("fig6.csv")).ok();
-    save_json("fig6", &all).ok();
+    table.save_csv(&results_dir().join("fig6.csv"));
+    save_json("fig6", &all);
 }
 
 /// Fig. 7 — partitioning runtime vs number of partitions on the uk-2002 and
@@ -62,11 +60,9 @@ pub fn fig7(ctx: &ExpContext) {
             table.row(row);
         }
         table.print();
-        table
-            .save_csv(&results_dir().join(format!("fig7_{}.csv", ds.name())))
-            .ok();
+        table.save_csv(&results_dir().join(format!("fig7_{}.csv", ds.name())));
     }
-    save_json("fig7", &all).ok();
+    save_json("fig7", &all);
 }
 
 /// Fig. 10 — parallelization: (a) runtime split into computation vs I/O for
@@ -150,8 +146,8 @@ pub fn fig10(ctx: &ExpContext) {
         );
     }
     table.print();
-    table.save_csv(&results_dir().join("fig10a.csv")).ok();
-    save_json("fig10a", &rows_json).ok();
+    table.save_csv(&results_dir().join("fig10a.csv"));
+    save_json("fig10a", &rows_json);
 
     // (b) batch size sweep: B = 640 × {1..10}.
     let mut table_b = Table::new(
@@ -178,187 +174,6 @@ pub fn fig10(ctx: &ExpContext) {
         json_b.push(cell);
     }
     table_b.print();
-    table_b.save_csv(&results_dir().join("fig10b.csv")).ok();
-    save_json("fig10b", &json_b).ok();
-}
-
-/// One row of the thread-scaling report.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ParallelRun {
-    /// Configured pool width.
-    pub threads: usize,
-    /// Distinct OS threads a probe observed doing work in a pool this wide.
-    pub os_threads_engaged: usize,
-    /// Best-of-repeats wall clock of the game phase, seconds.
-    pub game_secs: f64,
-    /// Best-of-repeats end-to-end wall clock, seconds.
-    pub total_secs: f64,
-    /// Game-phase speedup over the 1-thread run.
-    pub game_speedup: f64,
-    /// End-to-end speedup over the 1-thread run.
-    pub total_speedup: f64,
-}
-
-/// The `results/BENCH_parallel.json` payload.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ParallelReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Edge count of the measured stream.
-    pub edges: u64,
-    /// Number of partitions.
-    pub k: u32,
-    /// Game batch size (clusters per independent game).
-    pub batch_size: usize,
-    /// Timing repeats per thread count (best is reported).
-    pub repeats: usize,
-    /// Whether every thread count produced bit-identical assignments.
-    pub bit_identical: bool,
-    /// One row per thread count.
-    pub runs: Vec<ParallelRun>,
-}
-
-/// Counts the distinct OS threads a pool of the given width actually
-/// engages (direct evidence that the vendored rayon runs real threads).
-fn os_threads_engaged(threads: usize) -> usize {
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    let ids = std::sync::Mutex::new(std::collections::HashSet::new());
-    let items: Vec<u32> = (0..(threads as u32) * 8).collect();
-    let _: Vec<()> = pool.install(|| {
-        items
-            .par_iter()
-            .map(|_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            })
-            .collect()
-    });
-    let n = ids.lock().unwrap().len();
-    n
-}
-
-/// BENCH_parallel — the measured thread-scaling curve of the batched game
-/// (the claim behind Fig. 10(a)): partitions the uk-s analogue with CLUGP
-/// at 1/2/4/8 threads, records game-phase and end-to-end wall clock plus
-/// speedups, probes how many OS threads each pool engages, and checks that
-/// assignments are bit-identical across thread counts.
-pub fn parallel(ctx: &ExpContext) {
-    let prep = PreparedDataset::load(Dataset::UkS, ctx.scale);
-    let k = 32u32;
-    // Small batches so the game fans out over many independent sub-solves
-    // even at reduced dataset scales.
-    let batch_size = 128usize;
-    let repeats = 3usize;
-    let edges = prep.edges_for(Algorithm::Clugp);
-
-    let mut table = Table::new(
-        "BENCH_parallel — game thread scaling (uk-s, k=32)",
-        &[
-            "Threads",
-            "OS thr",
-            "Game",
-            "Game speedup",
-            "Total",
-            "Total speedup",
-            "Identical",
-        ],
-    );
-    let mut runs: Vec<ParallelRun> = Vec::new();
-    let mut baseline: Option<(f64, f64, Vec<u32>)> = None;
-    let mut bit_identical = true;
-    for threads in [1usize, 2, 4, 8] {
-        let engaged = os_threads_engaged(threads);
-        let mut best_game = f64::INFINITY;
-        let mut best_total = f64::INFINITY;
-        let mut assignments: Vec<u32> = Vec::new();
-        for _ in 0..repeats {
-            let mut stream =
-                clugp_graph::stream::InMemoryStream::new(prep.graph.num_vertices(), edges.to_vec());
-            let mut algo = Algorithm::Clugp.build_with(&BuildOptions {
-                threads,
-                batch_size,
-                ..Default::default()
-            });
-            let run = algo.partition(&mut stream, k).expect("partition");
-            let game = run
-                .timings
-                .phase("game")
-                .expect("game phase timing")
-                .as_secs_f64();
-            best_game = best_game.min(game);
-            best_total = best_total.min(run.timings.total.as_secs_f64());
-            assignments = run.partitioning.assignments;
-        }
-        let (game1, total1, base_assign) =
-            baseline.get_or_insert_with(|| (best_game, best_total, assignments.clone()));
-        let identical = assignments == *base_assign;
-        bit_identical &= identical;
-        let run = ParallelRun {
-            threads,
-            os_threads_engaged: engaged,
-            game_secs: best_game,
-            total_secs: best_total,
-            game_speedup: *game1 / best_game.max(f64::EPSILON),
-            total_speedup: *total1 / best_total.max(f64::EPSILON),
-        };
-        table.row(vec![
-            threads.to_string(),
-            engaged.to_string(),
-            fmt_secs(run.game_secs),
-            format!("{:.2}x", run.game_speedup),
-            fmt_secs(run.total_secs),
-            format!("{:.2}x", run.total_speedup),
-            identical.to_string(),
-        ]);
-        runs.push(run);
-    }
-    table.print();
-    table
-        .save_csv(&results_dir().join("BENCH_parallel.csv"))
-        .ok();
-    let report = ParallelReport {
-        dataset: prep.name.clone(),
-        edges: prep.num_edges(),
-        k,
-        batch_size,
-        repeats,
-        bit_identical,
-        runs,
-    };
-    save_json("BENCH_parallel", &report).ok();
-    assert!(
-        report.bit_identical,
-        "thread counts must not change the partition"
-    );
-}
-
-/// Helper shared with the quality module: measures RF under a thread count
-/// (used by tests).
-pub fn clugp_rf_with_threads(prep: &PreparedDataset, k: u32, threads: usize) -> f64 {
-    let edges = prep.edges_for(Algorithm::Clugp);
-    let mut stream =
-        clugp_graph::stream::InMemoryStream::new(prep.graph.num_vertices(), edges.to_vec());
-    let mut algo = Algorithm::Clugp.build_with(&BuildOptions {
-        threads,
-        ..Default::default()
-    });
-    let run = algo.partition(&mut stream, k).expect("partition");
-    PartitionQuality::compute(edges, &run.partitioning).replication_factor
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thread_count_does_not_change_quality() {
-        let prep = PreparedDataset::load(Dataset::UkS, 0.02);
-        let a = clugp_rf_with_threads(&prep, 8, 1);
-        let b = clugp_rf_with_threads(&prep, 8, 4);
-        assert!((a - b).abs() < 1e-12, "rf {a} vs {b}");
-    }
+    table_b.save_csv(&results_dir().join("fig10b.csv"));
+    save_json("fig10b", &json_b);
 }

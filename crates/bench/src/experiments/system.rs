@@ -81,8 +81,8 @@ pub fn fig8(ctx: &ExpContext) {
     }
     table_a.print();
     table_b.print();
-    table_a.save_csv(&results_dir().join("fig8a.csv")).ok();
-    table_b.save_csv(&results_dir().join("fig8b.csv")).ok();
+    table_a.save_csv(&results_dir().join("fig8a.csv"));
+    table_b.save_csv(&results_dir().join("fig8b.csv"));
 
     // (c) latency sweep on it-s.
     let prep = PreparedDataset::load(Dataset::ItS, ctx.scale);
@@ -102,8 +102,8 @@ pub fn fig8(ctx: &ExpContext) {
         table_c.row(row);
     }
     table_c.print();
-    table_c.save_csv(&results_dir().join("fig8c.csv")).ok();
-    save_json("fig8", &json).ok();
+    table_c.save_csv(&results_dir().join("fig8c.csv"));
+    save_json("fig8", &json);
 }
 
 #[cfg(test)]

@@ -51,8 +51,8 @@ pub fn table1(ctx: &ExpContext) {
         ]);
     }
     table.print();
-    table.save_csv(&results_dir().join("table1.csv")).ok();
-    save_json("table1", &cells).ok();
+    table.save_csv(&results_dir().join("table1.csv"));
+    save_json("table1", &cells);
 }
 
 /// Table III — the synthetic dataset inventory, with the paper's original
@@ -93,8 +93,8 @@ pub fn table3(ctx: &ExpContext) {
         summaries.push((ds.name(), summary));
     }
     table.print();
-    table.save_csv(&results_dir().join("table3.csv")).ok();
-    save_json("table3", &summaries).ok();
+    table.save_csv(&results_dir().join("table3.csv"));
+    save_json("table3", &summaries);
 }
 
 fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {

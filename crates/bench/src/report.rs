@@ -4,7 +4,6 @@
 //! paper reports") and writes a CSV plus a JSON provenance blob under
 //! `results/`.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
@@ -82,17 +81,27 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV.
-    pub fn save_csv(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        f.flush()
+    /// Writes the table as CSV, creating the parent directory.
+    ///
+    /// # Panics
+    ///
+    /// If the file cannot be written: the message names the path and the
+    /// I/O error, so a run never ends without its artifact.
+    pub fn save_csv(&self, path: &Path) {
+        let csv: String = std::iter::once(&self.headers)
+            .chain(&self.rows)
+            .map(|row| row.join(",") + "\n")
+            .collect();
+        write_result(path, csv.as_bytes());
+    }
+}
+
+/// Writes one result file, creating its directory; panics naming the path
+/// and the I/O error.
+fn write_result(path: &Path, contents: &[u8]) {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, contents)) {
+        panic!("cannot write result {}: {e}", path.display());
     }
 }
 
@@ -105,13 +114,14 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Saves any serializable payload as pretty JSON under the results dir.
-pub fn save_json<T: serde::Serialize>(name: &str, payload: &T) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
+///
+/// # Panics
+///
+/// If the file cannot be written, naming the path and the I/O error.
+pub fn save_json<T: serde::Serialize>(name: &str, payload: &T) {
+    let path = results_dir().join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(payload).expect("serializable payload");
-    std::fs::write(&path, json)?;
-    Ok(path)
+    write_result(&path, json.as_bytes());
 }
 
 /// Formats seconds with adaptive precision.
@@ -166,9 +176,26 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
         let dir = std::env::temp_dir().join("clugp_report_test");
         let path = dir.join("t.csv");
-        t.save_csv(&path).unwrap();
+        t.save_csv(&path);
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn unwritable_result_panics_naming_its_path() {
+        let dir = std::env::temp_dir().join("clugp_report_unwritable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("regular-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let path = file.join("t.csv");
+        let t = Table::new("x", &["a"]);
+        let panic = std::panic::catch_unwind(|| t.save_csv(&path)).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            msg.contains(&path.display().to_string()),
+            "message does not name {}: {msg}",
+            path.display()
+        );
     }
 
     #[test]

@@ -112,20 +112,24 @@ pub fn run_cell_with(
     }
 }
 
-/// The k sweep of the paper's figures, overridable via `CLUGP_KS`
-/// (comma-separated).
+/// The k sweep of the paper's figures (`CLUGP_KS` replaces it, see
+/// [`parse_ks`]).
 pub fn k_sweep() -> Vec<u32> {
-    if let Ok(ks) = std::env::var("CLUGP_KS") {
-        let parsed: Vec<u32> = ks
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .filter(|&x| x > 0)
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
     vec![4, 8, 16, 32, 64, 128, 256]
+}
+
+/// Parses a k sweep (the value of `CLUGP_KS`): comma-separated partition
+/// counts, each at least 1.
+pub fn parse_ks(value: &str) -> Result<Vec<u32>, String> {
+    value
+        .split(',')
+        .map(|k| match k.trim().parse::<u32>() {
+            Ok(k) if k > 0 => Ok(k),
+            _ => Err(format!(
+                "CLUGP_KS={value:?}: {k:?} is not a partition count; expected e.g. 4,16,64"
+            )),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -165,10 +169,16 @@ mod tests {
 
     #[test]
     fn default_k_sweep() {
-        // Only check the default path (env-dependent branches are covered
-        // by the binary's own integration usage).
-        if std::env::var("CLUGP_KS").is_err() {
-            assert_eq!(k_sweep(), vec![4, 8, 16, 32, 64, 128, 256]);
+        assert_eq!(k_sweep(), vec![4, 8, 16, 32, 64, 128, 256]);
+    }
+
+    #[test]
+    fn ks_parse_every_entry_or_fail() {
+        assert_eq!(parse_ks("4"), Ok(vec![4]));
+        assert_eq!(parse_ks(" 4, 16 ,64"), Ok(vec![4, 16, 64]));
+        for bad in ["4,x", "abc", "", "4,,16", "0", "-4", "4;16"] {
+            let err = parse_ks(bad).unwrap_err();
+            assert!(err.starts_with("CLUGP_KS="), "{bad:?}: {err}");
         }
     }
 }

@@ -568,8 +568,8 @@ struct Supervisor<'a> {
     ckpt_dir: Option<PathBuf>,
     recoveries: u32,
     /// Checkpoint persist/restore durations, accumulated on every run
-    /// (the metrics snapshot and the bench fault leg report them even
-    /// when event tracing is off).
+    /// (the metrics snapshot and [`DistOutcome`] report them even when
+    /// event tracing is off).
     ckpt_write_us: u64,
     ckpt_writes: u64,
     ckpt_restore_us: u64,

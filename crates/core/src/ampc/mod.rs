@@ -159,7 +159,7 @@ pub struct DistConfig {
     pub chunk_edges: usize,
     /// Worker supervision / recovery policy.
     pub supervise: SuperviseConfig,
-    /// Scripted transport faults (tests and the bench fault leg only).
+    /// Scripted transport faults (tests only).
     pub faults: FaultPlan,
     /// Where barrier checkpoints are persisted (`CLUGPCK1` files). With
     /// supervision enabled but no directory, checkpoints stay in memory.

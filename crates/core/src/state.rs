@@ -233,13 +233,6 @@ impl ReplicaTable {
     pub fn memory_bytes(&self) -> usize {
         self.bits.capacity() * 8
     }
-
-    /// What the seed's dense layout (a `u32` count beside every row) would
-    /// have held for the same dimensions — the honest comparison point of
-    /// the `experiments memory` trajectory artifact.
-    pub fn memory_bytes_seed_layout(&self) -> usize {
-        self.bits.capacity() * 8 + self.num_vertices() as usize * 4
-    }
 }
 
 struct BitIter {
@@ -468,11 +461,13 @@ mod tests {
 
     #[test]
     fn memory_bytes_nonzero() {
-        let t = ReplicaTable::new(100, 64).unwrap();
-        assert!(t.memory_bytes() >= 100 * 8);
-        // The rows are all there is: the seed layout charged a `u32` count
-        // beside each.
-        assert_eq!(t.memory_bytes_seed_layout() - t.memory_bytes(), 100 * 4);
+        // The rows are all there is: a row is its own count, so a table
+        // built at its final size holds rows × ⌈k/64⌉ words and nothing else.
+        for (rows, k) in [(100u64, 64u32), (100, 65), (7, 130), (1, 1)] {
+            let t = ReplicaTable::new(rows, k).unwrap();
+            let words = rows as usize * (k as usize).div_ceil(64);
+            assert_eq!(t.memory_bytes(), words * 8, "{rows} rows, k = {k}");
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! `crc_decode_ratio` — so that neither sits on the line and neither hides
 //! behind the other's.
 //!
+//! The same file holds the bound on what tracing costs a 4-worker run.
+//!
 //! `#[ignore]`d because a timing is only meaningful in a release build:
 //! `cargo test --release --test ampc1_monolith_ratio -- --ignored`. The
-//! frame count next to it needs no clock and runs in every build.
+//! frame count next to them needs no clock and runs in every build.
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::proto::Msg;
@@ -32,7 +34,11 @@ use clugp::partitioner::Partitioner;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// Held by each timed test, so that the two never share the host's CPUs.
+static TIMING: Mutex<()> = Mutex::new(());
 
 /// Stream orders measured, each with its highest accepted `AMPC-1 seconds /
 /// monolith seconds`.
@@ -44,6 +50,7 @@ const ORDERS: [(&str, StreamOrder, f64); 2] = [
 #[test]
 #[ignore = "timing: run with --release -- --ignored"]
 fn one_worker_ampc_stays_within_a_constant_factor_of_the_monolith() {
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let g = generate_web_crawl(&WebCrawlConfig {
         vertices: 40_000,
         seed: 13,
@@ -94,6 +101,60 @@ fn one_worker_ampc_stays_within_a_constant_factor_of_the_monolith() {
              {max_ratio}): is a CLUGP stage paging rows, or copying its chunks, again?"
         );
     }
+}
+
+/// Tracing is compiled in and costs at most 5 % when on (DESIGN.md §12):
+/// sequenced CLUGP at four workers over `channel`, best of three with
+/// tracing off against best of three with it on, interleaved, plus 0.05 s
+/// for the scheduler's noise. The traced run must also place every edge as
+/// the untraced one does.
+#[test]
+#[ignore = "timing: run with --release -- --ignored"]
+fn tracing_costs_at_most_five_percent() {
+    let _timing = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let g = generate_web_crawl(&WebCrawlConfig {
+        vertices: 40_000,
+        seed: 13,
+        ..Default::default()
+    });
+    let edges = ordered_edges(&g, StreamOrder::Bfs);
+    let run = |trace: bool| {
+        let input = DistInput::Edges {
+            num_vertices: g.num_vertices(),
+            edges: &edges,
+        };
+        let cfg = DistConfig {
+            workers: 4,
+            trace,
+            ..Default::default()
+        };
+        let t = Instant::now();
+        let out = run_distributed(&DistAlgo::clugp(), input, 32, &cfg).expect("AMPC-4");
+        (t.elapsed().as_secs_f64(), out)
+    };
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (secs_off, untraced) = run(false);
+        let (secs_on, traced) = run(true);
+        assert!(
+            !traced.trace.events.is_empty(),
+            "tracing on recorded nothing"
+        );
+        assert!(
+            traced.partitioning.assignments == untraced.partitioning.assignments,
+            "tracing changed the partition"
+        );
+        off = off.min(secs_off);
+        on = on.min(secs_on);
+    }
+    println!(
+        "AMPC-4 CLUGP: tracing off {off:.4} s, on {on:.4} s = {:.3}",
+        on / off
+    );
+    assert!(
+        on <= off * 1.05 + 0.05,
+        "tracing costs more than 5 %: off {off:.4} s, on {on:.4} s"
+    );
 }
 
 /// The count that goes with the ratio, checked in every build: a sequenced

@@ -154,6 +154,94 @@ fn multi_worker_runs_actually_exchange_state() {
     );
 }
 
+#[test]
+fn sequenced_exchange_stays_under_a_third_of_the_old_relay() {
+    // The one-op-per-frame relay the lent tables replaced moved, at 4
+    // workers and k = 32, 160.6 (HDRF) and 127.7 (CLUGP) bytes per edge on a
+    // web crawl and 193.3 and 180.6 on a BA graph, counting every byte sent
+    // and received over every coordinator link. The exchange must stay under
+    // a third of that. Density is per edge, so a small graph is comparable.
+    // Counts only — nothing here is timed.
+    use clugp_graph::gen::{generate_ba, BaConfig};
+    let (web_n, web) = test_web_graph(1_500, 47);
+    let ba = generate_ba(&BaConfig {
+        vertices: 1_500,
+        edges_per_vertex: 16,
+        seed: 47,
+    });
+    let social = ordered_edges(&ba, StreamOrder::Bfs);
+    let cells = [
+        ("web", web_n, &web, [("hdrf", 53.5), ("clugp", 42.6)]),
+        (
+            "social",
+            ba.num_vertices(),
+            &social,
+            [("hdrf", 64.4), ("clugp", 60.2)],
+        ),
+    ];
+    for (graph, n, edges, caps) in cells {
+        for (name, cap) in caps {
+            let algo = DistAlgo::by_name(name).expect("registered algorithm");
+            let input = DistInput::Edges {
+                num_vertices: n,
+                edges,
+            };
+            let cfg = DistConfig {
+                workers: 4,
+                ..Default::default()
+            };
+            let out = run_distributed(&algo, input, 32, &cfg)
+                .unwrap_or_else(|e| panic!("{graph}/{name}: {e}"));
+            let bytes = out.net.bytes_sent + out.net.bytes_received;
+            let density = bytes as f64 / edges.len() as f64;
+            eprintln!("{graph}/{name}: {density:.1} bytes/edge (cap {cap})");
+            assert!(
+                density <= cap,
+                "{graph}/{name}: {density:.1} bytes/edge at 4 workers, above a third \
+                 of the old relay's ({cap})"
+            );
+        }
+    }
+}
+
+#[test]
+fn tracing_records_nothing_when_off_and_changes_no_bits_when_on() {
+    // Tracing is off by default and inert (DESIGN.md §12): off, not one
+    // event is recorded; on, events are, and the partition is the same.
+    let (n, edges) = test_web_graph(1_000, 48);
+    for name in ["hdrf", "clugp"] {
+        let algo = DistAlgo::by_name(name).expect("registered algorithm");
+        let run = |trace: bool| {
+            let input = DistInput::Edges {
+                num_vertices: n,
+                edges: &edges,
+            };
+            let cfg = DistConfig {
+                workers: 4,
+                trace,
+                ..Default::default()
+            };
+            run_distributed(&algo, input, 8, &cfg)
+                .unwrap_or_else(|e| panic!("{name}, trace {trace}: {e}"))
+        };
+        let (off, on) = (run(false), run(true));
+        assert!(
+            off.trace.events.is_empty(),
+            "{name}: tracing off recorded {} events",
+            off.trace.events.len()
+        );
+        assert!(
+            !on.trace.events.is_empty(),
+            "{name}: tracing on recorded nothing"
+        );
+        assert_eq!(
+            (on.partitioning.assignments, on.partitioning.loads),
+            (off.partitioning.assignments, off.partitioning.loads),
+            "{name}: tracing changed the partition"
+        );
+    }
+}
+
 /// Bytes and frames the coordinator links carried under protocol verb `name`.
 fn verb_traffic(out: &clugp::ampc::DistOutcome, name: &str) -> (u64, u64) {
     let slot = (0..out.net.by_verb.len())
@@ -824,7 +912,8 @@ fn relaxed_mode_drift_is_bounded_and_outputs_are_consistent() {
         );
         // Epoch-stale replica views inflate replication: workers duplicate
         // placements the sequenced run would have shared. 3x is the sanity
-        // ceiling; the experiments quantify the real per-algorithm drift.
+        // ceiling; `clugp-part --ampc-mode relaxed --workers N` prints the
+        // replication factor of a real graph to set against the sequenced run.
         assert!(
             quality.replication_factor <= ref_quality.replication_factor * 3.0,
             "{name}: relaxed replication factor {:.3} drifted beyond 3x the \
