@@ -104,6 +104,7 @@ use codec::put_record;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -720,9 +721,10 @@ fn merge_encode(
 // ---------------------------------------------------------------------------
 
 /// Opens `path` and validates its metadata under `policy`: magic bytes and
-/// structural consistency (contiguous block offsets, non-empty blocks,
-/// totals matching the header) always; header/index/footer CRC comparisons
-/// only when [`ChecksumPolicy::verifies`] holds.
+/// structural consistency (contiguous block offsets, non-empty blocks, at
+/// most one edge per two payload bytes, totals matching the header) always;
+/// header/index/footer CRC comparisons only when
+/// [`ChecksumPolicy::verifies`] holds.
 pub(crate) fn open_validated(
     path: &Path,
     policy: ChecksumPolicy,
@@ -789,6 +791,18 @@ pub(crate) fn open_validated(
                 entries.len()
             )));
         }
+        // Every record is two varints of at least a byte each. Without this
+        // bound a forged count sizes a reader's buffer: u32::MAX edges asked
+        // a 32 GiB allocation of a 400-byte file.
+        if u64::from(e.edge_count) > u64::from(e.byte_len) / 2 {
+            return Err(GraphError::Format(format!(
+                "block index entry {} claims {} edges in {} payload bytes \
+                 (a record takes at least 2)",
+                entries.len(),
+                e.edge_count,
+                e.byte_len
+            )));
+        }
         expect_edge += u64::from(e.edge_count);
         expect_byte += u64::from(e.byte_len);
         entries.push(e);
@@ -806,16 +820,16 @@ pub(crate) fn open_validated(
 /// Reads the block `entry` names from `file` through the scratch `raw`,
 /// holds it to its stored checksum when `policy` verifies, and
 /// decodes it into `out` — the one per-block read both pack readers share.
+/// A positional read moves no file cursor, so threads can share one handle.
 fn load_block(
-    file: &mut File,
+    file: &File,
     raw: &mut Vec<u8>,
     entry: &BlockEntry,
     policy: ChecksumPolicy,
     out: &mut Vec<Edge>,
 ) -> Result<()> {
     raw.resize(entry.byte_len as usize, 0);
-    file.seek(SeekFrom::Start(entry.byte_offset))?;
-    file.read_exact(raw)?;
+    file.read_exact_at(raw, entry.byte_offset)?;
     if policy.verifies() {
         let computed = crc32(raw);
         if computed != entry.crc {
@@ -932,7 +946,7 @@ impl PackedEdgeStream {
         }
         let entry = self.index.entries()[self.next_block];
         let loaded = load_block(
-            &mut self.file,
+            &self.file,
             &mut self.raw,
             &entry,
             self.policy,
@@ -2189,6 +2203,46 @@ mod tests {
         let err = PackedEdgeStream::open(&path).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
         assert!(PackedEdgeStream::open_with(&path, ChecksumPolicy::Off).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_forged_edge_count_is_a_typed_error_not_an_allocation() {
+        // A one-block pack whose entry and header both claim u32::MAX edges,
+        // every CRC recomputed: only the structure can give it away.
+        let edges = web_like(150);
+        let path = tmp("forged_count.clugpz");
+        write_pack(&path, 0, &edges, &PackOptions::default()).unwrap();
+        let mut data = std::fs::read(&path).unwrap();
+        let len = data.len();
+        let footer = len - FOOTER_LEN as usize;
+        let index = u64::from_le_bytes(data[footer..footer + 8].try_into().unwrap()) as usize;
+        assert_eq!(footer - index, INDEX_ENTRY_LEN, "one block");
+        data[16..24].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        let crc = crc32(&data[..32]);
+        data[32..36].copy_from_slice(&crc.to_le_bytes());
+        data[index + 4..index + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&data[index..footer]);
+        data[footer + 16..footer + 20].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc32(&data[footer..footer + 20]);
+        data[footer + 20..footer + 24].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+
+        let errors = [
+            PackedEdgeStream::open(&path).err(),
+            PipelinedPackStream::open(&path, DecodeOptions::default()).err(),
+            read_pack_summary_with(&path, ChecksumPolicy::Off).err(),
+            verify_pack_report(&path).err(),
+        ];
+        for (reader, err) in ["serial", "decode-ahead", "summary", "verify"]
+            .into_iter()
+            .zip(errors)
+        {
+            match err {
+                Some(GraphError::Format(msg)) => assert!(msg.contains("edges"), "{reader}: {msg}"),
+                other => panic!("{reader}: want a format error, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,20 +1,34 @@
 //! Decode-ahead: a pack stream whose blocks decode on one thread running
-//! ahead of the consumer, so partitioning no longer waits on the codec.
+//! ahead of the consumer, and on the consumer too whenever it would
+//! otherwise wait, so partitioning no longer waits on the codec.
 //!
 //! # Shape
 //!
 //! ```text
-//!                seek + read + CRC + BlockDecoder
-//! decode thread ──────────────────────────────────▶ ready blocks ──▶ consumer
-//!       ▲                                                               │
-//!       └──────────────── free buffers ◀── the buffer it drained ───────┘
+//!                 claim the next unclaimed block
+//!                ╱                              ╲
+//! decode thread ──▶ ready blocks, by index ──▶ consumer ──▶ chunks
+//!       ▲                                       │  decodes an unclaimed
+//!       └── free buffers ◀── the drained one ───┘  block when it would wait
 //! ```
 //!
-//! One producer decodes strictly in block order, at most `prefetch` blocks
-//! ahead; the consumer takes the oldest block by swapping in the buffer it
-//! has drained. The thread that opens the stream allocates the `prefetch`
-//! buffers (sized for the pack's largest block), the raw-byte scratch and
-//! the file handle, and the consumer sizes its own buffer at its first
+//! Blocks are claimed in index order from one counter, by whichever side
+//! gets there first; both decode through the serial reader's `load_block`
+//! with [`ChecksumPolicy::Full`], reading one shared file handle
+//! positionally.
+//! - The decode thread claims the next block whenever a buffer is free, at
+//!   most `prefetch` ahead.
+//! - The consumer takes its next block if it is decoded, handing back the
+//!   buffer it has drained. If nobody has claimed it, it decodes it itself
+//!   into its own buffer. If the decode thread holds it, the consumer
+//!   decodes the next unclaimed block into a free buffer and publishes it.
+//!
+//! A pass the consumer bounds (CLUGP's clustering and transform, HDRF)
+//! always finds its block decoded and never decodes; a pass the decode
+//! bounds (DBH, CLUGP's cluster graph, the placement replay) decodes on
+//! both CPUs. The thread that opens the stream allocates the `prefetch`
+//! buffers (sized for the pack's largest block), both raw-byte scratches
+//! and the file handle, and the consumer sizes its own buffer at its first
 //! take, so every pass after the first runs allocation-free
 //! (`tests/steady_state_alloc.rs`). Memory stays O(prefetch × block) however
 //! large the pack is (the Sanders/Schulz semi-external discipline).
@@ -30,38 +44,42 @@
 //!
 //! # Hand-off
 //!
-//! Both sides share one mutex-guarded state and one condvar. A wait looks
-//! at the state a fixed number of times, yielding the CPU in between, and
+//! Both sides share one mutex-guarded state (decoded blocks by index, free
+//! buffers, the claim counter, the epoch) and one condvar, and hold the
+//! lock only to claim, publish or take, never to decode. A wait looks at
+//! the state a fixed number of times, yielding the CPU in between, and
 //! only then sleeps: in steady state the other side publishes within the
 //! spin, and a wake-up across vCPUs can stall for milliseconds — a pipeline
 //! that sleeps on every hand-off loses to the serial reader on two vCPUs.
 //! The yield lets the other side run when the scheduler has put both on
-//! one CPU.
+//! one CPU; there the consumer finds most blocks unclaimed and the stream
+//! reads like the serial reader.
 //!
 //! # Ordering guarantee
 //!
-//! Blocks are published in index order, so the chunk sequence out of
-//! [`EdgeStream::next_chunk`] is byte-identical to the serial
-//! [`super::PackedEdgeStream`] at every ring depth — pinned by
+//! Blocks may finish in any order, but the consumer takes them by block
+//! index, so the chunk sequence out of [`EdgeStream::next_chunk`] is
+//! byte-identical to the serial [`super::PackedEdgeStream`] at every ring
+//! depth, whichever side decoded each block — pinned by
 //! `tests/pipelined_equivalence.rs`.
 //!
 //! # Failure contract
 //!
-//! A read, checksum or decode failure is published in place of the block
-//! that failed, in order (blocks before it still stream), and ends the
-//! decode thread's pass. The consumer parks the error, the stream ends
-//! early, and the next [`RestreamableStream::reset`] reports it — the same
-//! park-error/reset-reports contract as every other file-backed stream in
-//! this crate, held across threads. A reset cancels the pass in flight: the
-//! decode thread sees the new epoch at its next block boundary and restarts
-//! at the pack's first block.
+//! A read, checksum or decode failure, on either side, is published in
+//! place of the block that failed and stops all further claims. Blocks
+//! before it still stream in order; the consumer parks the error at that
+//! block, the stream ends early, and the next [`RestreamableStream::reset`]
+//! reports it — the same park-error/reset-reports contract as every other
+//! file-backed stream in this crate, held across threads. A reset bumps the
+//! epoch and sets the claim counter back to the pack's first block; a
+//! block the decode thread finishes for an older epoch goes back to the
+//! free buffers unread.
 
 use super::checksum::ChecksumPolicy;
 use super::{load_block, open_validated, PackHeader, PackIndex};
 use crate::error::{GraphError, Result};
 use crate::stream::{EdgeStream, RestreamableStream};
 use crate::types::Edge;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -111,19 +129,45 @@ struct Slot {
 /// What the decode thread and the consumer share.
 #[derive(Debug)]
 struct State {
-    /// Decoded blocks of the pass the consumer wants, in block order.
-    ready: VecDeque<Slot>,
-    /// Buffers for the decode thread to fill.
+    /// Decoded blocks of the pass the consumer wants, keyed by block index
+    /// in the order they finished.
+    ready: Vec<(usize, Slot)>,
+    /// Buffers for the next claimed block.
     free: Vec<Vec<Edge>>,
+    /// The pass's next unclaimed block: blocks are claimed in index order,
+    /// and a failed block sets it past the last one.
+    claim: usize,
     /// The pass the consumer wants: bumped by every reset.
     epoch: u64,
     shutdown: bool,
 }
 
+impl State {
+    fn holds(&self, block: usize) -> bool {
+        self.ready.iter().any(|&(b, _)| b == block)
+    }
+
+    fn can_claim(&self, blocks: usize) -> bool {
+        self.claim < blocks && !self.free.is_empty()
+    }
+
+    /// Claims the next unclaimed block along with a free buffer to decode it
+    /// into; the caller checked [`State::can_claim`].
+    fn claim_next(&mut self) -> (usize, Vec<Edge>) {
+        let block = self.claim;
+        self.claim += 1;
+        (block, self.free.pop().expect("checked for a free buffer"))
+    }
+}
+
+/// The pack and the state both sides share.
 #[derive(Debug)]
 struct Ring {
+    /// The stream's one file handle, read positionally by both sides.
+    file: File,
+    index: PackIndex,
     state: Mutex<State>,
-    /// Signalled after every change to `state`.
+    /// Signalled after every change to `state` that can unblock a wait.
     changed: Condvar,
 }
 
@@ -160,42 +204,50 @@ impl Ring {
         change(&mut self.lock());
         self.changed.notify_all();
     }
-}
 
-/// The decode thread: decodes the next block of the consumer's epoch into
-/// a free buffer, restarts on a new epoch, stops on shutdown. It reads
-/// through the file handle and raw-byte scratch it is handed.
-fn decode_ahead(ring: &Ring, mut file: File, mut raw: Vec<u8>, index: &PackIndex) {
-    let blocks = index.num_blocks();
-    let (mut epoch, mut next) = (0u64, 0);
-    loop {
-        let mut state =
-            ring.wait(|s| s.shutdown || s.epoch != epoch || (next < blocks && !s.free.is_empty()));
-        if state.shutdown {
-            return;
-        }
-        if state.epoch != epoch {
-            (epoch, next) = (state.epoch, 0);
-            continue;
-        }
-        let mut edges = state.free.pop().expect("waited for a free buffer");
-        drop(state);
-        let entry = &index.entries()[next];
-        let error = load_block(&mut file, &mut raw, entry, ChecksumPolicy::Full, &mut edges).err();
-        // A failed block ends the pass: the consumer parks its error.
-        next = if error.is_some() { blocks } else { next + 1 };
-        ring.publish(|s| {
-            if s.epoch == epoch {
-                s.ready.push_back(Slot { edges, error });
-            } else {
+    /// Reads, checks and decodes `block` into `edges` through the scratch
+    /// `raw`: the serial reader's [`load_block`], every CRC checked.
+    fn decode(&self, block: usize, raw: &mut Vec<u8>, edges: &mut Vec<Edge>) -> Option<GraphError> {
+        let entry = &self.index.entries()[block];
+        load_block(&self.file, raw, entry, ChecksumPolicy::Full, edges).err()
+    }
+
+    /// Publishes `block`, claimed in pass `epoch`, for the consumer. A failed
+    /// block stops all further claims: the consumer parks its error.
+    fn deliver(&self, epoch: u64, block: usize, edges: Vec<Edge>, error: Option<GraphError>) {
+        self.publish(|s| {
+            if s.epoch != epoch {
                 s.free.push(edges); // a reset overtook this block
+                return;
             }
+            if error.is_some() {
+                s.claim = self.index.num_blocks();
+            }
+            s.ready.push((block, Slot { edges, error }));
         });
     }
 }
 
+/// The decode thread: claims the next unclaimed block whenever a buffer is
+/// free, decodes it through the raw-byte scratch it is handed, and
+/// publishes it; stops on shutdown.
+fn decode_ahead(ring: &Ring, mut raw: Vec<u8>) {
+    let blocks = ring.index.num_blocks();
+    loop {
+        let mut state = ring.wait(|s| s.shutdown || s.can_claim(blocks));
+        if state.shutdown {
+            return;
+        }
+        let epoch = state.epoch;
+        let (block, mut edges) = state.claim_next();
+        drop(state);
+        let error = ring.decode(block, &mut raw, &mut edges);
+        ring.deliver(epoch, block, edges, error);
+    }
+}
+
 /// A resettable edge stream over a `CLUGPZ` pack whose blocks decode on one
-/// thread ahead of the consumer.
+/// thread ahead of the consumer, and on the consumer whenever it would wait.
 ///
 /// Drop-in equivalent of [`super::PackedEdgeStream`]: same chunk sequence,
 /// same hints, same park-error/reset contract — see the module docs for the
@@ -213,6 +265,8 @@ pub struct PipelinedPackStream {
     taken: usize,
     decoded: Vec<Edge>,
     pos: usize,
+    /// The consumer's raw-byte scratch, for the blocks it decodes itself.
+    raw: Vec<u8>,
     error: Option<GraphError>,
 }
 
@@ -235,11 +289,14 @@ impl PipelinedPackStream {
         let blocks = entries.len();
         let depth = opts.prefetch.max(1);
         let ring = Arc::new(Ring {
+            file,
+            index,
             state: Mutex::new(State {
-                ready: VecDeque::with_capacity(depth),
+                ready: Vec::with_capacity(depth),
                 free: (0..depth)
                     .map(|_| Vec::with_capacity(block_edges))
                     .collect(),
+                claim: 0,
                 epoch: 0,
                 shutdown: false,
             }),
@@ -250,7 +307,7 @@ impl PipelinedPackStream {
             let raw = Vec::with_capacity(block_bytes);
             std::thread::Builder::new()
                 .name("clugp-decode".into())
-                .spawn(move || decode_ahead(&ring, file, raw, &index))
+                .spawn(move || decode_ahead(&ring, raw))
                 .expect("spawn the decode thread")
         });
         Ok(PipelinedPackStream {
@@ -262,6 +319,7 @@ impl PipelinedPackStream {
             taken: 0,
             decoded: Vec::new(),
             pos: 0,
+            raw: Vec::with_capacity(block_bytes),
             error: None,
         })
     }
@@ -278,7 +336,9 @@ impl PipelinedPackStream {
         self.decoded.len() - self.pos
     }
 
-    /// Takes the next decoded block, handing back the drained buffer.
+    /// Loads the next block: takes it decoded, handing back the drained
+    /// buffer, or decodes it here if nobody has claimed it. While the decode
+    /// thread holds it, decodes the next unclaimed block for the ring.
     /// Returns `false` at the end of the pack or once an error has parked.
     fn load_next_block(&mut self) -> bool {
         if self.error.is_some() || self.taken == self.blocks {
@@ -292,12 +352,34 @@ impl PipelinedPackStream {
         // second pipeline peaked 3–5 MiB higher.
         self.decoded.clear();
         self.decoded.reserve(self.block_edges);
-        let ring = &*self.ring;
-        let mut state = ring.wait(|s| !s.ready.is_empty());
-        let Slot { edges, error } = state.ready.pop_front().expect("waited for a block");
-        state.free.push(std::mem::replace(&mut self.decoded, edges));
-        drop(state);
-        ring.changed.notify_all();
+        let (ring, want, blocks) = (&*self.ring, self.taken, self.blocks);
+        let error = loop {
+            let mut state = ring.wait(|s| s.holds(want) || s.claim == want || s.can_claim(blocks));
+            if let Some(at) = state.ready.iter().position(|&(b, _)| b == want) {
+                let (_, Slot { edges, error }) = state.ready.swap_remove(at);
+                state.free.push(std::mem::replace(&mut self.decoded, edges));
+                drop(state);
+                ring.changed.notify_all();
+                break error;
+            }
+            if state.claim == want {
+                // Nobody has claimed it: decode it here, into this buffer.
+                state.claim += 1;
+                drop(state);
+                let error = ring.decode(want, &mut self.raw, &mut self.decoded);
+                if error.is_some() {
+                    ring.lock().claim = blocks;
+                }
+                break error;
+            }
+            // The decode thread holds it: decode the next unclaimed block
+            // for the ring meanwhile, then look again.
+            let epoch = state.epoch;
+            let (block, mut edges) = state.claim_next();
+            drop(state);
+            let error = ring.decode(block, &mut self.raw, &mut edges);
+            ring.deliver(epoch, block, edges, error);
+        };
         self.taken += 1;
         self.pos = 0;
         match error {
@@ -334,8 +416,8 @@ impl EdgeStream for PipelinedPackStream {
 }
 
 impl RestreamableStream for PipelinedPackStream {
-    /// Rewinds to the pack's first block: the decode thread abandons the
-    /// pass in flight and starts over.
+    /// Rewinds to the pack's first block: the block in flight on the decode
+    /// thread is dropped, and claims start over at block 0.
     ///
     /// # Errors
     ///
@@ -348,8 +430,9 @@ impl RestreamableStream for PipelinedPackStream {
         self.pos = 0;
         self.ring.publish(|s| {
             s.epoch += 1;
+            s.claim = 0;
             let State { ready, free, .. } = s;
-            free.extend(ready.drain(..).map(|slot| slot.edges));
+            free.extend(ready.drain(..).map(|(_, slot)| slot.edges));
         });
         match parked {
             Some(e) => Err(e),

@@ -32,9 +32,10 @@
 //!
 //! Because only the *empty* chunk is semantic, a source is free to produce
 //! its chunks on other threads, as `crate::pack::PipelinedPackStream` does:
-//! pack blocks decode on workers ahead of the consumer while deliveries stay
-//! in block order, so the chunk sequence — and therefore every consumer's
-//! result — is bit-identical to the serial reader at any thread count
+//! pack blocks decode on a second thread ahead of the consumer, and on the
+//! consumer when it would wait, while deliveries stay in block order, so
+//! the chunk sequence — and therefore every consumer's result — is
+//! bit-identical to the serial reader at any thread count
 //! (`tests/pipelined_equivalence.rs`).
 
 use crate::error::Result;

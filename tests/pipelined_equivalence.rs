@@ -6,9 +6,9 @@
 //! Concurrency is allowed to change wall-clock time and nothing else.
 //!
 //! Also pins the failure contract across threads: a CRC mismatch hit by the
-//! decode thread parks on the consumer exactly like a serial mid-stream
-//! error — ordered prefix delivered, early end, error reported by the next
-//! `reset`.
+//! decode thread or by the consumer parks on the consumer exactly like a
+//! serial mid-stream error — ordered prefix delivered, early end, error
+//! reported by the next `reset`.
 
 use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
@@ -230,45 +230,62 @@ fn every_partitioner_is_bit_identical_on_the_pipelined_stream() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Corrupts the payload of the middle block and returns (pack path, edges
-/// of the blocks before it). Metadata stays valid, so the pack opens fine
-/// and dies mid-stream — on the decode thread in pipelined mode.
-fn corrupt_middle_block(name: &str) -> (PathBuf, usize) {
+/// Corrupts the payload of block `pick(blocks)` and returns (pack path,
+/// edges of the blocks before it). Metadata stays valid, so the pack opens
+/// fine and dies mid-stream — on whichever thread decodes that block.
+fn corrupt_block(name: &str, pick: impl Fn(usize) -> usize) -> (PathBuf, usize) {
     let path = write_test_pack(name, 900, 44);
     let reader = ShardedPackReader::open(&path).unwrap();
     let entries = reader.index().entries().to_vec();
     assert!(entries.len() >= 3, "need a multi-block pack");
-    let mid = &entries[entries.len() / 2];
+    let bad = &entries[pick(entries.len())];
     let mut data = std::fs::read(&path).unwrap();
-    data[mid.byte_offset as usize] ^= 0xFF;
+    data[bad.byte_offset as usize] ^= 0xFF;
     assert_ne!(
-        crc32(&data[mid.byte_offset as usize..][..mid.byte_len as usize]),
-        mid.crc,
+        crc32(&data[bad.byte_offset as usize..][..bad.byte_len as usize]),
+        bad.crc,
         "corruption must be CRC-visible"
     );
     std::fs::write(&path, &data).unwrap();
-    (path, mid.edge_offset as usize)
+    (path, bad.edge_offset as usize)
+}
+
+fn corrupt_middle_block(name: &str) -> (PathBuf, usize) {
+    corrupt_block(name, |blocks| blocks / 2)
 }
 
 #[test]
 fn worker_thread_crc_error_parks_exactly_like_the_serial_reader() {
-    let (path, good_prefix) = corrupt_middle_block("corrupt.clugpz");
-    for prefetch in [1usize, 4] {
-        let mut s = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
-        // Ordered prefix up to the damaged block, then clean early end.
-        let delivered = collect_stream(&mut s);
-        assert_eq!(
-            delivered.len(),
-            good_prefix,
-            "prefetch={prefetch}: prefix must end exactly at the damaged block"
-        );
-        let err = s.reset().unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        // The error is cleared by reporting; a restream repeats the prefix.
-        assert_eq!(collect_stream(&mut s).len(), good_prefix);
-        assert!(s.reset().is_err(), "second pass parks the same error");
+    // The consumer decodes a block itself whenever the decode thread has
+    // not claimed it, so over repeated drains each side meets the damaged
+    // block: wherever it is, and whoever decodes it, the error must park in
+    // the same place.
+    for which in ["first", "second", "middle", "last"] {
+        let pick = |blocks: usize| match which {
+            "first" => 0,
+            "second" => 1,
+            "middle" => blocks / 2,
+            _ => blocks - 1,
+        };
+        let (path, good_prefix) = corrupt_block(&format!("corrupt_{which}.clugpz"), pick);
+        for prefetch in [1usize, 4] {
+            let what = format!("{which} block damaged, prefetch={prefetch}");
+            let mut s = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
+            for drain in 0..20 {
+                // Ordered prefix up to the damaged block, then clean early end.
+                let delivered = collect_stream(&mut s);
+                assert_eq!(
+                    delivered.len(),
+                    good_prefix,
+                    "{what}, drain {drain}: prefix must end exactly at the damaged block"
+                );
+                // Reporting clears the error; the next drain repeats the prefix.
+                let err = s.reset().unwrap_err();
+                assert!(err.to_string().contains("checksum"), "{what}: {err}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
