@@ -83,3 +83,38 @@ pub fn run_all(ctx: &ExpContext) {
         run(ctx);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{cells_json, CellResult};
+
+    /// Every JSON writer on fixed values: well-formed, with its named keys.
+    #[test]
+    fn json_writers_name_their_fields() {
+        let phases = vec![("clustering".into(), 0.5), ("game".into(), 0.25)];
+        let cell = CellResult {
+            phases,
+            ..Default::default()
+        };
+        let model = clugp_engine::CostModel::default();
+        let got = [
+            cells_json(&[cell]),
+            scalability::fig10a_row_json("CLU8", 8, 0.25, 1.5),
+            tables::summary_json("uk-s", &Default::default()),
+            system::estimate_json("it-s", "DBH", &model, &model.estimate(&Default::default())),
+            orders::order_cell_json("HDRF", "BFS", 1.25, 1.5),
+        ];
+        let want = [
+            r#"[{"dataset":"","algorithm":"","k":0,"replication_factor":0.000000,"relative_balance":0.000000,"partition_secs":0.000000,"memory_bytes":0,"phases":{"clustering":0.500000,"game":0.250000}}]"#,
+            r#"{"label":"CLU8","threads":8,"io_secs":0.250000,"total_secs":1.500000}"#,
+            r#"{"dataset":"uk-s","num_vertices":0,"num_edges":0,"mean_degree":0.000000,"max_degree":0,"alpha":0.000000,"components":0}"#,
+            r#"{"dataset":"it-s","algorithm":"DBH","rtt_ms":10,"compute_secs":0.000000,"communication_secs":0.000000,"total_bytes":0,"total_messages":0,"supersteps":0}"#,
+            r#"{"algorithm":"HDRF","order":"BFS","replication_factor":1.250000,"relative_balance":1.500000}"#,
+        ];
+        for (json, want) in got.iter().zip(want) {
+            clugp_obs::json::validate(json).unwrap();
+            assert_eq!(json, want);
+        }
+    }
+}

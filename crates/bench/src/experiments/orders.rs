@@ -14,15 +14,7 @@ use crate::report::{results_dir, save_json, Table};
 use clugp::metrics::PartitionQuality;
 use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::InMemoryStream;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct OrderCell {
-    algorithm: &'static str,
-    order: &'static str,
-    replication_factor: f64,
-    relative_balance: f64,
-}
+use clugp_obs::json::{Arr, Obj};
 
 /// RF of every algorithm under every stream order (uk-s analogue, k = 32).
 pub fn orders(ctx: &ExpContext) {
@@ -39,7 +31,7 @@ pub fn orders(ctx: &ExpContext) {
         h.extend(orders.iter().map(|(n, _)| n.to_string()));
         h
     });
-    let mut json = Vec::new();
+    let mut json = Arr::new();
     for algo in Algorithm::COMPETITORS {
         let mut row = vec![algo.name().to_string()];
         for &(oname, order) in &orders {
@@ -48,21 +40,24 @@ pub fn orders(ctx: &ExpContext) {
             let mut partitioner = algo.build();
             let run = partitioner.partition(&mut stream, k).expect("partition");
             let q = PartitionQuality::compute(&edges, &run.partitioning);
-            row.push(format!(
-                "{:.3}/{:.2}",
-                q.replication_factor, q.relative_balance
-            ));
-            json.push(OrderCell {
-                algorithm: algo.name(),
-                order: oname,
-                replication_factor: q.replication_factor,
-                relative_balance: q.relative_balance,
-            });
+            let (rf, balance) = (q.replication_factor, q.relative_balance);
+            row.push(format!("{rf:.3}/{balance:.2}"));
+            json.raw(&order_cell_json(algo.name(), oname, rf, balance));
         }
         table.row(row);
     }
     println!("(cells are RF/balance; the paper's per-algorithm best orders are the diagonal of this study)");
     table.print();
     table.save_csv(&results_dir().join("extra_orders.csv"));
-    save_json("extra_orders", &json);
+    save_json("extra_orders", &json.finish());
+}
+
+/// One cell of the order study as JSON.
+pub(super) fn order_cell_json(algorithm: &str, order: &str, rf: f64, balance: f64) -> String {
+    Obj::new()
+        .str("algorithm", algorithm)
+        .str("order", order)
+        .f64("replication_factor", rf)
+        .f64("relative_balance", balance)
+        .finish()
 }

@@ -5,10 +5,11 @@ use super::ExpContext;
 use crate::algorithms::{Algorithm, BuildOptions};
 use crate::datasets::Dataset;
 use crate::report::{fmt_secs, results_dir, save_json, Table};
-use crate::runner::{run_cell, run_cell_with, PreparedDataset};
+use crate::runner::{cells_json, run_cell, run_cell_with, PreparedDataset};
 use clugp::clugp::{Clugp, ClugpConfig, MigrationPolicy};
 use clugp::metrics::PartitionQuality;
 use clugp::partitioner::Partitioner;
+use clugp_engine::CostModel;
 use clugp_graph::sampling::nested_edge_samples;
 use clugp_graph::stream::InMemoryStream;
 
@@ -34,7 +35,7 @@ pub fn fig3(ctx: &ExpContext) {
         table.print();
         table.save_csv(&results_dir().join(format!("fig3_{}.csv", ds.name())));
     }
-    save_json("fig3", &all);
+    save_json("fig3", &cells_json(&all));
 }
 
 /// Fig. 4 — the social-graph counterpoint: (a) RF of HDRF vs CLUGP on the
@@ -64,17 +65,18 @@ pub fn fig4(ctx: &ExpContext) {
         &["Algorithm", "Partition", "PageRank(sim)", "Total"],
     );
     for algo in [Algorithm::Clugp, Algorithm::Hdrf] {
-        let (cell, pagerank_secs) = super::system::pagerank_cost(&prep, algo, 32, None);
+        let (partition_secs, stats) = super::system::pagerank(&prep, algo, 32);
+        let pagerank_secs = CostModel::default().estimate(&stats).total_secs();
         table_b.row(vec![
             algo.name().to_string(),
-            fmt_secs(cell.partition_secs),
+            fmt_secs(partition_secs),
             fmt_secs(pagerank_secs),
-            fmt_secs(cell.partition_secs + pagerank_secs),
+            fmt_secs(partition_secs + pagerank_secs),
         ]);
     }
     table_b.print();
     table_b.save_csv(&results_dir().join("fig4b.csv"));
-    save_json("fig4", &all);
+    save_json("fig4", &cells_json(&all));
 }
 
 /// Fig. 5 — RF vs sampled graph size: nested edge samples of the uk-2002
@@ -107,7 +109,7 @@ pub fn fig5(ctx: &ExpContext) {
     }
     table.print();
     table.save_csv(&results_dir().join("fig5.csv"));
-    save_json("fig5", &all);
+    save_json("fig5", &cells_json(&all));
 }
 
 /// Fig. 9 — ablation study on the it-2004 analogue: CLUGP vs CLUGP-S (no
@@ -181,7 +183,7 @@ pub fn fig9(ctx: &ExpContext) {
     }
     table_v.print();
     table_v.save_csv(&results_dir().join("fig9_vmax.csv"));
-    save_json("fig9", &all);
+    save_json("fig9", &cells_json(&all));
 }
 
 /// Fig. 11 — (a) RF vs imbalance factor τ; (b) RF vs relative weight w.
@@ -241,7 +243,7 @@ pub fn fig11(ctx: &ExpContext) {
     }
     table_b.print();
     table_b.save_csv(&results_dir().join("fig11b.csv"));
-    save_json("fig11", &all);
+    save_json("fig11", &cells_json(&all));
 }
 
 fn header_with_ks(ks: &[u32]) -> Vec<String> {

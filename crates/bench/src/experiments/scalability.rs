@@ -5,9 +5,10 @@ use super::ExpContext;
 use crate::algorithms::{Algorithm, BuildOptions};
 use crate::datasets::Dataset;
 use crate::report::{fmt_secs, results_dir, save_json, Table};
-use crate::runner::{run_cell, run_cell_with, PreparedDataset};
+use crate::runner::{cells_json, run_cell, run_cell_with, PreparedDataset};
 use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
 use clugp_graph::stream::TimedStream;
+use clugp_obs::json::{Arr, Obj};
 
 /// Fig. 6 — working-state memory vs number of partitions on the it-2004
 /// analogue.
@@ -33,7 +34,7 @@ pub fn fig6(ctx: &ExpContext) {
     }
     table.print();
     table.save_csv(&results_dir().join("fig6.csv"));
-    save_json("fig6", &all);
+    save_json("fig6", &cells_json(&all));
 }
 
 /// Fig. 7 — partitioning runtime vs number of partitions on the uk-2002 and
@@ -62,7 +63,7 @@ pub fn fig7(ctx: &ExpContext) {
         table.print();
         table.save_csv(&results_dir().join(format!("fig7_{}.csv", ds.name())));
     }
-    save_json("fig7", &all);
+    save_json("fig7", &cells_json(&all));
 }
 
 /// Fig. 10 — parallelization: (a) runtime split into computation vs I/O for
@@ -95,7 +96,7 @@ pub fn fig10(ctx: &ExpContext) {
         "Fig 10(a) — runtime split, file-backed streams (it-s, k=32)",
         &["Algorithm", "Threads", "Passes", "I/O", "Compute", "Total"],
     );
-    let mut rows_json: Vec<(String, usize, f64, f64)> = Vec::new();
+    let mut rows_json = Arr::new();
     let mut run_one = |label: &str, algo: Algorithm, threads: usize, table: &mut Table| {
         let path = match algo.stream_order() {
             clugp_graph::order::StreamOrder::Bfs => &bfs_path,
@@ -132,7 +133,7 @@ pub fn fig10(ctx: &ExpContext) {
             fmt_secs(total - io),
             fmt_secs(total),
         ]);
-        rows_json.push((label.to_string(), threads, io, total));
+        rows_json.raw(&fig10a_row_json(label, threads, io, total));
     };
     run_one("HDRF", Algorithm::Hdrf, 0, &mut table);
     run_one("Greedy", Algorithm::Greedy, 0, &mut table);
@@ -147,7 +148,7 @@ pub fn fig10(ctx: &ExpContext) {
     }
     table.print();
     table.save_csv(&results_dir().join("fig10a.csv"));
-    save_json("fig10a", &rows_json);
+    save_json("fig10a", &rows_json.finish());
 
     // (b) batch size sweep: B = 640 × {1..10}.
     let mut table_b = Table::new(
@@ -175,5 +176,20 @@ pub fn fig10(ctx: &ExpContext) {
     }
     table_b.print();
     table_b.save_csv(&results_dir().join("fig10b.csv"));
-    save_json("fig10b", &json_b);
+    save_json("fig10b", &cells_json(&json_b));
+}
+
+/// One Fig. 10(a) row as JSON (`threads` 0 means all cores).
+pub(super) fn fig10a_row_json(
+    label: &str,
+    threads: usize,
+    io_secs: f64,
+    total_secs: f64,
+) -> String {
+    Obj::new()
+        .str("label", label)
+        .u64("threads", threads as u64)
+        .f64("io_secs", io_secs)
+        .f64("total_secs", total_secs)
+        .finish()
 }

@@ -5,33 +5,18 @@ use super::ExpContext;
 use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::report::{fmt_bytes, fmt_secs, results_dir, save_json, Table};
-use crate::runner::{run_cell, CellResult, PreparedDataset};
+use crate::runner::PreparedDataset;
 use clugp_engine::apps::PageRank;
-use clugp_engine::{CostModel, DistributedGraph, Engine};
+use clugp_engine::cost::CostEstimate;
+use clugp_engine::{CostModel, DistributedGraph, Engine, ExecutionStats};
 use clugp_graph::stream::InMemoryStream;
+use clugp_obs::json::{Arr, Obj};
 use std::time::Duration;
 
-/// Partitions `prep` with `algo`, runs 10 PageRank iterations on the GAS
-/// simulator, and returns the partitioning cell plus the estimated PageRank
-/// runtime in seconds (with optional RTT override).
-pub fn pagerank_cost(
-    prep: &PreparedDataset,
-    algo: Algorithm,
-    k: u32,
-    rtt: Option<Duration>,
-) -> (CellResult, f64) {
-    let (cell, est) = pagerank_estimate(prep, algo, k, rtt);
-    (cell, est.total_secs())
-}
-
-/// Full cost estimate variant of [`pagerank_cost`].
-pub fn pagerank_estimate(
-    prep: &PreparedDataset,
-    algo: Algorithm,
-    k: u32,
-    rtt: Option<Duration>,
-) -> (CellResult, clugp_engine::cost::CostEstimate) {
-    let cell = run_cell(prep, algo, k);
+/// Partitions `prep` with `algo` once, runs 10 PageRank iterations on the GAS
+/// simulator over that placement, and returns the partitioning seconds beside
+/// the PageRank run's statistics — price them with [`CostModel::estimate`].
+pub fn pagerank(prep: &PreparedDataset, algo: Algorithm, k: u32) -> (f64, ExecutionStats) {
     let edges = prep.edges_for(algo);
     let mut stream = InMemoryStream::new(prep.graph.num_vertices(), edges.to_vec());
     let mut partitioner = algo.build();
@@ -39,11 +24,7 @@ pub fn pagerank_estimate(
     let placed = DistributedGraph::place(edges, &run.partitioning);
     let engine = Engine::new(&placed);
     let (_, stats) = engine.run(&PageRank::default());
-    let model = CostModel {
-        rtt: rtt.unwrap_or(Duration::from_millis(10)),
-        ..Default::default()
-    };
-    (cell, model.estimate(&stats))
+    (run.timings.total.as_secs_f64(), stats)
 }
 
 /// Fig. 8 — (a) communication volume per dataset, (b) estimated PageRank
@@ -61,18 +42,24 @@ pub fn fig8(ctx: &ExpContext) {
         h.extend(Dataset::WEB.iter().map(|d| d.name().to_string()));
         h
     });
-    let mut json = Vec::new();
+    let mut json = Arr::new();
     let mut per_algo: Vec<(Algorithm, Vec<String>, Vec<String>)> = Algorithm::COMPETITORS
         .iter()
         .map(|&a| (a, vec![a.name().to_string()], vec![a.name().to_string()]))
         .collect();
+    let model = CostModel::default();
+    let (swept, mut swept_stats) = (Dataset::ItS, Vec::new());
     for ds in Dataset::WEB {
         let prep = PreparedDataset::load(ds, ctx.scale);
         for (algo, row_a, row_b) in per_algo.iter_mut() {
-            let (_, est) = pagerank_estimate(&prep, *algo, k, None);
+            let (_, stats) = pagerank(&prep, *algo, k);
+            let est = model.estimate(&stats);
             row_a.push(fmt_bytes(est.total_bytes));
             row_b.push(fmt_secs(est.total_secs()));
-            json.push((ds.name(), algo.name(), est));
+            json.raw(&estimate_json(ds.name(), algo.name(), &model, &est));
+            if ds == swept {
+                swept_stats.push(stats);
+            }
         }
     }
     for (_, row_a, row_b) in per_algo {
@@ -84,26 +71,48 @@ pub fn fig8(ctx: &ExpContext) {
     table_a.save_csv(&results_dir().join("fig8a.csv"));
     table_b.save_csv(&results_dir().join("fig8b.csv"));
 
-    // (c) latency sweep on it-s.
-    let prep = PreparedDataset::load(Dataset::ItS, ctx.scale);
+    // (c) latency sweep on it-s: the runs above, priced at each RTT.
     let rtts = [10u64, 50, 100];
     let mut table_c = Table::new_owned("Fig 8(c) — PageRank runtime vs RTT (it-s, k=32)", {
         let mut h = vec!["Algorithm".to_string()];
         h.extend(rtts.iter().map(|ms| format!("{ms}ms")));
         h
     });
-    for algo in Algorithm::COMPETITORS {
+    for (algo, stats) in Algorithm::COMPETITORS.iter().zip(&swept_stats) {
         let mut row = vec![algo.name().to_string()];
         for &ms in &rtts {
-            let (_, est) = pagerank_estimate(&prep, algo, k, Some(Duration::from_millis(ms)));
+            let model = CostModel {
+                rtt: Duration::from_millis(ms),
+                ..Default::default()
+            };
+            let est = model.estimate(stats);
             row.push(fmt_secs(est.total_secs()));
-            json.push((prep.name.as_str(), algo.name(), est));
+            json.raw(&estimate_json(swept.name(), algo.name(), &model, &est));
         }
         table_c.row(row);
     }
     table_c.print();
     table_c.save_csv(&results_dir().join("fig8c.csv"));
-    save_json("fig8", &json);
+    save_json("fig8", &json.finish());
+}
+
+/// One Fig. 8 estimate as JSON, with the RTT `model` priced it at.
+pub(super) fn estimate_json(
+    dataset: &str,
+    algorithm: &str,
+    model: &CostModel,
+    est: &CostEstimate,
+) -> String {
+    Obj::new()
+        .str("dataset", dataset)
+        .str("algorithm", algorithm)
+        .u64("rtt_ms", model.rtt.as_millis() as u64)
+        .f64("compute_secs", est.compute_secs)
+        .f64("communication_secs", est.communication_secs)
+        .u64("total_bytes", est.total_bytes)
+        .u64("total_messages", est.total_messages)
+        .u64("supersteps", est.supersteps as u64)
+        .finish()
 }
 
 #[cfg(test)]
@@ -115,8 +124,8 @@ mod tests {
         // Hashing's replication factor is several times CLUGP's, so its
         // simulated communication volume must be larger.
         let prep = PreparedDataset::load(Dataset::UkS, 0.02);
-        let (_, est_clugp) = pagerank_estimate(&prep, Algorithm::Clugp, 8, None);
-        let (_, est_hash) = pagerank_estimate(&prep, Algorithm::Hashing, 8, None);
+        let est = |algo| CostModel::default().estimate(&pagerank(&prep, algo, 8).1);
+        let (est_clugp, est_hash) = (est(Algorithm::Clugp), est(Algorithm::Hashing));
         assert!(
             est_hash.total_bytes > est_clugp.total_bytes,
             "hashing {} should move more bytes than CLUGP {}",

@@ -5,7 +5,8 @@ use super::ExpContext;
 use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::report::{fmt_bytes, fmt_secs, results_dir, save_json, Table};
-use crate::runner::{run_cell, PreparedDataset};
+use crate::runner::{cells_json, run_cell, PreparedDataset};
+use clugp_obs::json::{Arr, Obj};
 
 /// Table I — measured runtime and replication factor of every streaming
 /// partitioner at `k = 32` on the uk-2002 analogue, bucketed into the
@@ -52,7 +53,7 @@ pub fn table1(ctx: &ExpContext) {
     }
     table.print();
     table.save_csv(&results_dir().join("table1.csv"));
-    save_json("table1", &cells);
+    save_json("table1", &cells_json(&cells));
 }
 
 /// Table III — the synthetic dataset inventory, with the paper's original
@@ -70,7 +71,7 @@ pub fn table3(ctx: &ExpContext) {
             "MeanDeg",
         ],
     );
-    let mut summaries = Vec::new();
+    let mut summaries = Arr::new();
     for ds in Dataset::ALL {
         let g = crate::datasets::load(ds, ctx.scale);
         let summary = clugp_graph::analysis::summarize(&g);
@@ -90,11 +91,24 @@ pub fn table3(ctx: &ExpContext) {
             format!("{in_alpha:.2}"),
             format!("{:.1}", summary.mean_degree),
         ]);
-        summaries.push((ds.name(), summary));
+        summaries.raw(&summary_json(ds.name(), &summary));
     }
     table.print();
     table.save_csv(&results_dir().join("table3.csv"));
-    save_json("table3", &summaries);
+    save_json("table3", &summaries.finish());
+}
+
+/// One Table III dataset as JSON: its alias beside the summary's fields.
+pub(super) fn summary_json(dataset: &str, s: &clugp_graph::analysis::GraphSummary) -> String {
+    Obj::new()
+        .str("dataset", dataset)
+        .u64("num_vertices", s.num_vertices)
+        .u64("num_edges", s.num_edges)
+        .f64("mean_degree", s.mean_degree)
+        .u64("max_degree", s.max_degree)
+        .f64("alpha", s.alpha)
+        .u64("components", s.components as u64)
+        .finish()
 }
 
 fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {

@@ -1,8 +1,8 @@
 //! Table printing and result export.
 //!
 //! Every experiment prints an aligned table (the "same rows/series the
-//! paper reports") and writes a CSV plus a JSON provenance blob under
-//! `results/`.
+//! paper reports") and writes a CSV plus a JSON provenance blob, built with
+//! `clugp_obs::json`, under `results/`.
 
 use std::path::{Path, PathBuf};
 
@@ -113,15 +113,13 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Saves any serializable payload as pretty JSON under the results dir.
+/// Saves JSON text as `<name>.json` under the results dir.
 ///
 /// # Panics
 ///
 /// If the file cannot be written, naming the path and the I/O error.
-pub fn save_json<T: serde::Serialize>(name: &str, payload: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(payload).expect("serializable payload");
-    write_result(&path, json.as_bytes());
+pub fn save_json(name: &str, json: &str) {
+    write_result(&results_dir().join(format!("{name}.json")), json.as_bytes());
 }
 
 /// Formats seconds with adaptive precision.

@@ -8,7 +8,7 @@ use clugp_graph::csr::CsrGraph;
 use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::Edge;
-use serde::Serialize;
+use clugp_obs::json::{Arr, Obj};
 use std::sync::Arc;
 
 /// A dataset with both stream orders materialized once.
@@ -56,7 +56,7 @@ impl PreparedDataset {
 }
 
 /// Measurements from one experiment cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CellResult {
     /// Dataset name.
     pub dataset: String,
@@ -74,6 +74,26 @@ pub struct CellResult {
     pub memory_bytes: usize,
     /// Named phase durations in seconds (CLUGP's four passes).
     pub phases: Vec<(String, f64)>,
+}
+
+/// The cells as a JSON array of objects keyed by the field names above,
+/// `phases` an object of seconds keyed by phase name.
+pub fn cells_json(cells: &[CellResult]) -> String {
+    let mut arr = Arr::new();
+    for c in cells {
+        let phases = c.phases.iter().fold(Obj::new(), |o, (n, s)| o.f64(n, *s));
+        let cell = Obj::new()
+            .str("dataset", &c.dataset)
+            .str("algorithm", &c.algorithm)
+            .u64("k", c.k.into())
+            .f64("replication_factor", c.replication_factor)
+            .f64("relative_balance", c.relative_balance)
+            .f64("partition_secs", c.partition_secs)
+            .u64("memory_bytes", c.memory_bytes as u64)
+            .raw("phases", &phases.finish());
+        arr.raw(&cell.finish());
+    }
+    arr.finish()
 }
 
 /// Runs `algo` on `prep` with `k` partitions and default options.

@@ -1,11 +1,9 @@
 //! Little-endian binary wire codec for the coordinator/worker protocol.
 //!
-//! The vendored serde stand-in is serialize-only (no `Deserialize`
-//! machinery), so frames are encoded by hand in the same style as the
-//! repo's other on-disk formats (`CLUGPPA1`, `CLUGPZ`): fixed-width
-//! little-endian scalars, length-prefixed sequences. DESIGN.md §7 records
-//! this as the offline stand-in divergence from the issue's "serde-framed"
-//! wording.
+//! The message set is a couple dozen fixed shapes, so frames are encoded by
+//! hand in the same style as the repo's other on-disk formats (`CLUGPPA1`,
+//! `CLUGPZ`): fixed-width little-endian scalars, length-prefixed sequences,
+//! versioned explicitly (DESIGN.md §7).
 
 use crate::error::{PartitionError, Result};
 

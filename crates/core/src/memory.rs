@@ -7,10 +7,8 @@
 //! comparison; the paper likewise charges only the algorithm's working
 //! state, which is why Hashing reports ~0).
 
-use serde::Serialize;
-
 /// Itemized heap footprint of a partitioner's working state.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryReport {
     items: Vec<(String, usize)>,
 }

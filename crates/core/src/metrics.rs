@@ -8,10 +8,9 @@ use crate::partition::Partitioning;
 use crate::state::ReplicaTable;
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
-use serde::Serialize;
 
 /// Quality of a vertex-cut partitioning.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionQuality {
     /// `(1/|V_touched|) Σ_v |P(v)|` — the communication-cost proxy the paper
     /// minimizes (Eq. 1). Vertices that never appear in the stream are

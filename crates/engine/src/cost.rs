@@ -9,7 +9,6 @@
 //! absolute seconds are indicative, trends are the claim.
 
 use crate::stats::ExecutionStats;
-use serde::Serialize;
 use std::time::Duration;
 
 /// Tunable cost constants.
@@ -40,7 +39,7 @@ impl Default for CostModel {
 }
 
 /// A cost estimate for one execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostEstimate {
     /// Σ over supersteps of the slowest machine's gather+apply time.
     pub compute_secs: f64,

@@ -1,10 +1,8 @@
 //! Execution statistics: per-superstep and aggregate message/work counts,
 //! the raw material for the cost model.
 
-use serde::Serialize;
-
 /// Counters for one bulk-synchronous superstep.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SuperstepStats {
     /// Edges scanned during gather, per machine.
     pub gather_edges: Vec<u64>,
@@ -50,7 +48,7 @@ impl SuperstepStats {
 }
 
 /// Aggregate statistics of a full vertex-program execution.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionStats {
     /// One entry per executed superstep.
     pub supersteps: Vec<SuperstepStats>,

@@ -137,7 +137,7 @@ pub fn num_components(graph: &CsrGraph) -> usize {
 }
 
 /// Summary statistics printed by the dataset inventory (Table III analogue).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphSummary {
     /// Number of vertices.
     pub num_vertices: u64,

@@ -12,7 +12,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Configuration for the Barabási–Albert generator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaConfig {
     /// Number of vertices.
     pub vertices: u64,

@@ -16,7 +16,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Configuration of the copying-model generator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CopyingModelConfig {
     /// Number of pages (vertices) to create.
     pub vertices: u64,

@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Configuration for the Erdős–Rényi generator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErConfig {
     /// Number of vertices.
     pub vertices: u64,

@@ -23,7 +23,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Configuration for the site-structured web-crawl generator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WebCrawlConfig {
     /// Total number of pages.
     pub vertices: u64,

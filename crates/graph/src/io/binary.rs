@@ -15,7 +15,6 @@
 use crate::error::{GraphError, Result};
 use crate::stream::{EdgeStream, RestreamableStream};
 use crate::types::Edge;
-use bytes::{Buf, BufMut};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -46,19 +45,12 @@ fn check_payload_size(file: &std::fs::File, num_edges: u64) -> Result<()> {
 pub fn write_binary_graph(path: &Path, num_vertices: u64, edges: &[Edge]) -> Result<()> {
     let file = std::fs::File::create(path)?;
     let mut w = BufWriter::new(file);
-    let mut header = Vec::with_capacity(HEADER_LEN as usize);
-    header.put_slice(MAGIC);
-    header.put_u64_le(num_vertices);
-    header.put_u64_le(edges.len() as u64);
-    w.write_all(&header)?;
-    let mut buf = Vec::with_capacity(8 * 1024);
-    for chunk in edges.chunks(1024) {
-        buf.clear();
-        for e in chunk {
-            buf.put_u32_le(e.src);
-            buf.put_u32_le(e.dst);
-        }
-        w.write_all(&buf)?;
+    w.write_all(MAGIC)?;
+    w.write_all(&num_vertices.to_le_bytes())?;
+    w.write_all(&(edges.len() as u64).to_le_bytes())?;
+    for e in edges {
+        w.write_all(&e.src.to_le_bytes())?;
+        w.write_all(&e.dst.to_le_bytes())?;
     }
     w.flush()?;
     Ok(())
@@ -73,14 +65,15 @@ pub fn read_binary_graph(path: &Path) -> Result<(u64, Vec<Edge>)> {
     let mut raw = vec![0u8; (num_edges * 8) as usize];
     r.read_exact(&mut raw)
         .map_err(|_| GraphError::Format("edge payload truncated".into()))?;
-    let mut edges = Vec::with_capacity(num_edges as usize);
-    let mut cursor = &raw[..];
-    for _ in 0..num_edges {
-        let src = cursor.get_u32_le();
-        let dst = cursor.get_u32_le();
-        edges.push(Edge { src, dst });
-    }
+    let edges = raw.chunks_exact(8).map(decode_record).collect();
     Ok((num_vertices, edges))
+}
+
+/// Decodes one 8-byte `(u32 src, u32 dst)` record.
+fn decode_record(rec: &[u8]) -> Edge {
+    let src = u32::from_le_bytes(rec[..4].try_into().expect("4-byte field"));
+    let dst = u32::from_le_bytes(rec[4..8].try_into().expect("4-byte field"));
+    Edge { src, dst }
 }
 
 fn read_header<R: Read>(r: &mut R) -> Result<(u64, u64)> {
@@ -90,9 +83,8 @@ fn read_header<R: Read>(r: &mut R) -> Result<(u64, u64)> {
     if &header[..8] != MAGIC {
         return Err(GraphError::Format("bad magic bytes".into()));
     }
-    let mut rest = &header[8..];
-    let n = rest.get_u64_le();
-    let m = rest.get_u64_le();
+    let n = u64::from_le_bytes(header[8..16].try_into().expect("8-byte field"));
+    let m = u64::from_le_bytes(header[16..24].try_into().expect("8-byte field"));
     Ok((n, m))
 }
 
@@ -219,12 +211,8 @@ impl EdgeStream for FileEdgeStream {
         // A trailing partial record (truncated file) is dropped: the stream
         // ends early on whole edges.
         let complete = filled / 8;
-        self.buf.reserve(complete);
-        for rec in self.raw[..complete * 8].chunks_exact(8) {
-            let src = u32::from_le_bytes(rec[..4].try_into().expect("4-byte field"));
-            let dst = u32::from_le_bytes(rec[4..].try_into().expect("4-byte field"));
-            self.buf.push(Edge { src, dst });
-        }
+        self.buf
+            .extend(self.raw[..complete * 8].chunks_exact(8).map(decode_record));
         self.yielded += complete as u64;
         &self.buf
     }

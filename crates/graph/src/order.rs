@@ -20,7 +20,7 @@ pub const RANDOM_ORDER_SEED: u64 = 0x5EED;
 
 /// The stream orders evaluated in the paper's experiments (plus DFS, used
 /// by the stream-order sensitivity studies of Abbas et al., VLDB'18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamOrder {
     /// Breadth-first crawl order: for each vertex in BFS discovery order,
     /// emit all of its out-edges. Unreached vertices are appended as new BFS

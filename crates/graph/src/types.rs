@@ -5,8 +5,6 @@
 //! by value everywhere (see the perf-book guidance on small oft-instantiated
 //! types).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex. Dense, 0-based.
 ///
 /// This is the *internal* id space: every structure that keeps per-vertex
@@ -23,7 +21,7 @@ pub type ExternalId = u64;
 
 /// A directed edge over external 64-bit ids, as read from raw datasets
 /// before id compaction (16 bytes; the internal [`Edge`] is 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RawEdge {
     /// Source vertex (external id).
     pub src: ExternalId,
@@ -56,7 +54,7 @@ impl std::fmt::Display for RawEdge {
 }
 
 /// A directed edge `src -> dst` of the streamed graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,

@@ -1,11 +1,11 @@
 //! Hand-rolled JSON helpers.
 //!
-//! The workspace's serde stand-in is serialize-only and lives on the other
-//! side of the dependency graph, so the exporters build their JSON with a
-//! tiny writer ([`Obj`], [`Arr`], [`escape`]) and tests check artifacts
-//! with a minimal recursive-descent well-formedness validator
-//! ([`validate`]). The validator accepts exactly RFC 8259 JSON; it does
-//! not build a value tree, it only walks the text.
+//! The workspace's one JSON writer: the trace and metrics exporters and the
+//! `experiments` harness build their JSON with a tiny writer ([`Obj`],
+//! [`Arr`], [`escape`]) and tests check artifacts with a minimal
+//! recursive-descent well-formedness validator ([`validate`]). The validator
+//! accepts exactly RFC 8259 JSON; it does not build a value tree, it only
+//! walks the text.
 
 /// Escape a string for embedding inside JSON double quotes.
 pub fn escape(s: &str) -> String {
