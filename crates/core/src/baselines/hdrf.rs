@@ -23,36 +23,44 @@
 //! 1. **Four classes.** For one edge the partitions split by the replica
 //!    rows into `A(u)∩A(v)`, `A(u)∖A(v)`, `A(v)∖A(u)` and "neither". Inside
 //!    a class `C_REP` is one constant, so members differ in `load(p)` only.
-//! 2. **One representative per class.** `EdgeScore::of` is a composition
+//! 2. **One representative per class, picked in integers.** Each member
+//!    packs into one class key `load << 20 | p` (`p < MAX_PARTITIONS =
+//!    2^20`), so the lowest-index member of minimum load `l` is one
+//!    integer minimum over the set bits of the two rows
+//!    (`PartitionLoads::class_min`). The `f64` score only confirms that
+//!    this member speaks for the class: `EdgeScore::of` is a composition
 //!    of correctly rounded `f64` operations that are each monotone
 //!    (`u64 → f64`, `maxload − x`, `λ · x` for `λ ≥ 0`, `x / denom` for
 //!    `denom > 0`, `g + x`), so the score is *weakly* decreasing in the
-//!    load. If, for the class's minimum load `l`, the score at `l + 1` is
-//!    *strictly* below the score at `l`, every member above the minimum
-//!    scores strictly below it and the scan's pick inside the class is the
-//!    lowest-index member holding `l` — found by an integer walk over the
-//!    set bits of the two rows. When the strict step fails (`λ = 0`, or a
-//!    balance term too small or too large for `f64` to separate adjacent
-//!    loads) a higher-load member with a lower index can tie, so that one
-//!    edge is decided by the scan itself.
-//! 3. **Walk only the classes that can still win.** No partition loads
-//!    less than the global minimum `minload`, so by the same monotonicity
-//!    no member of a class scores above its bound
-//!    `EdgeScore::of(holds_u, holds_v, minload)`. The classes are visited
-//!    in descending order of bound — both endpoints, the lower-degree
-//!    endpoint alone (the larger `g`), the other alone, neither — and a
-//!    class is walked only if its bound is not *strictly* below the best
-//!    representative score found so far. That best is the score of a real
-//!    partition, so every member of a skipped class scores strictly below
-//!    some partition and is not the scan's pick. A skipped class therefore
-//!    needs no strict step either: the step only licenses a representative
-//!    to speak for its class, and a class none of whose members can win
-//!    has nothing to speak for. Each skip is its own strict comparison
-//!    against a best that only grows, so the order decides how much is
-//!    walked, never the answer; a `NaN` or infinite bound is never
-//!    skipped. On a web graph the shared class, which holds the few bits
-//!    of the low-degree endpoint, nearly always wins outright and a hub's
-//!    row is never walked.
+//!    load. If the score at `l + 1` is *strictly* below the score at `l`,
+//!    every member above the minimum scores strictly below it, and the
+//!    scan's pick inside the class is the key's member. When the strict
+//!    step fails (`λ = 0`, or a balance term too small or too large for
+//!    `f64` to separate adjacent loads) a higher-load member with a lower
+//!    index can tie, so that one edge is decided by the scan itself; so
+//!    is an edge whose loads reach 2^44 − 1, which no longer pack.
+//! 3. **Walk only the classes that can still win; the first skip ends
+//!    the walk.** No partition loads less than the global minimum
+//!    `minload`, so by the same monotonicity no member of a class scores
+//!    above its bound `EdgeScore::of(holds_u, holds_v, minload)`. The
+//!    classes are visited in descending order of bound — both endpoints,
+//!    the lower-degree endpoint alone (the larger `g`: `θ` and `g` are
+//!    monotone in the degrees, so `δ(u) ≤ δ(v)` gives `g_u ≥ g_v`), the
+//!    other alone, neither. Bounds never rise along that order, so once
+//!    the best representative score found so far is *strictly* above a
+//!    class's bound it is above every later bound too, and the walk ends
+//!    there. That best is the score of a real partition, so every member
+//!    of a skipped class scores strictly below some partition and is not
+//!    the scan's pick. A skipped class therefore needs no strict step
+//!    either: the step only licenses a representative to speak for its
+//!    class, and a class none of whose members can win has nothing to
+//!    speak for. A `NaN` or infinite bound is never skipped. On a web
+//!    graph the shared class, which holds the few bits of the low-degree
+//!    endpoint, nearly always wins outright and a hub's row is never
+//!    walked. The partition returned is the integer key's; the `f64`
+//!    comparisons only decide branches, and the one that ends the walk
+//!    after the shared class is nearly always taken, so the next edge
+//!    need not wait for the divisions.
 //! 4. **"Neither" needs no walk.** Its minimum-load member would be the
 //!    global first minimum-load partition `m` (`PartitionLoads::argmin`).
 //!    If `m` holds neither endpoint it *is* the representative. If it holds
@@ -85,10 +93,11 @@ use super::kernel::{run_local, EdgeKernel, SharedTable};
 use crate::error::{PartitionError, Result};
 use crate::partition::PartitionRun;
 use crate::partitioner::Partitioner;
-use crate::state::{PartitionLoads, ReplicaTable};
+use crate::state::{class_key, key_load, key_partition, PartitionLoads, ReplicaTable, NO_MEMBER};
 use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
 use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
+use std::hint::select_unpredictable;
 
 /// The HDRF kernel: two shared tables — replica masks (slot 0) and partial
 /// degrees (slot 1) — and the loads for the balance term.
@@ -131,12 +140,17 @@ impl HdrfKernel {
 }
 
 /// The per-edge constants of the HDRF score.
+#[derive(Clone, Copy)]
 struct EdgeScore {
     g_u: f64,
     g_v: f64,
     lambda: f64,
     maxload: f64,
     denom: f64,
+    /// `δ(u) ≤ δ(v)`, and so `g_u ≥ g_v` (`θ` and `g` are correctly
+    /// rounded, monotone functions of the degrees; equal degrees give
+    /// equal `g`), known without waiting for the division.
+    u_lower_degree: bool,
 }
 
 impl EdgeScore {
@@ -184,40 +198,85 @@ fn scan_all_partitions(
     best_p
 }
 
-/// Lowest-index minimum-load member of the replica class whose members
-/// hold `u` iff `holds_u` and `v` iff `holds_v`, as `(load, partition)`.
-/// Not for "neither": a complemented word has bits set at and past `k`.
-/// A hand-rolled walk on purpose: through `partitions_of`-style iterator
-/// chains and `argmin_among` this loop, the kernel's hottest, ran 1.4–1.6x
-/// slower.
-#[inline(always)]
-fn class_min(
-    row_u: &[u64],
-    row_v: &[u64],
-    (holds_u, holds_v): (bool, bool),
-    loads: &[u64],
-) -> Option<(u64, u32)> {
-    // XOR with `!0` complements an endpoint's row.
-    let flip = |holds: bool| if holds { 0 } else { !0 };
-    let (flip_u, flip_v) = (flip(holds_u), flip(holds_v));
-    let mut least: Option<(u64, u32)> = None;
-    for (word, (&a, &b)) in row_u.iter().zip(row_v).enumerate() {
-        let mut bits = (a ^ flip_u) & (b ^ flip_v);
-        while bits != 0 {
-            let p = word as u32 * 64 + bits.trailing_zeros();
-            bits &= bits - 1;
-            let load = loads[p as usize];
-            if least.is_none_or(|(l, _)| load < l) {
-                least = Some((load, p));
-            }
-        }
+/// The walk of `pick_by_class`: the best `(score, partition)` among the
+/// representatives of the classes walked so far.
+struct ClassWalk<'a> {
+    score: EdgeScore,
+    loads: &'a PartitionLoads,
+    minload: u64,
+    row_u: &'a [u64],
+    row_v: &'a [u64],
+    best: Option<(f64, u32)>,
+}
+
+impl ClassWalk<'_> {
+    /// The pick, once the best so far scores strictly above the bound of
+    /// class `(holds_u, holds_v)`: no member of it, or of a later class,
+    /// can win (module doc, step 3). Strict, so a tie, an infinity or NaN
+    /// is walked.
+    #[inline(always)]
+    fn decided_before(&self, (holds_u, holds_v): (bool, bool)) -> Option<u32> {
+        let (bs, bp) = self.best?;
+        (bs > self.score.of(holds_u, holds_v, self.minload)).then_some(bp)
     }
-    least
+
+    /// From here on walks the lower-degree endpoint (the larger `g`) as
+    /// `u`. `of` adds the two `g` in either order to the same sum, so the
+    /// swap moves no score. Selects on the integer degrees, not a branch on
+    /// `g`: no predictor knows which endpoint that is, and the partition
+    /// picked should not wait for a division.
+    #[inline(always)]
+    fn lower_degree_first(&mut self) {
+        let swap = !self.score.u_lower_degree;
+        let (row_u, row_v) = (self.row_u, self.row_v);
+        self.row_u = select_unpredictable(swap, row_v, row_u);
+        self.row_v = select_unpredictable(swap, row_u, row_v);
+        let EdgeScore { g_u, g_v, .. } = self.score;
+        self.score.g_u = select_unpredictable(swap, g_v, g_u);
+        self.score.g_v = select_unpredictable(swap, g_u, g_v);
+    }
+
+    /// Walks class `(holds_u, holds_v)`: its representative joins the best
+    /// if it beats it. `None` when the representative's score is not
+    /// strictly above the score one load higher (module doc, step 2).
+    #[inline(always)]
+    fn walk(&mut self, (holds_u, holds_v): (bool, bool)) -> Option<()> {
+        let key = if holds_u || holds_v {
+            self.loads
+                .class_min(self.row_u, self.row_v, (holds_u, holds_v))
+        } else {
+            // Module doc, step 4.
+            let m = self.loads.argmin();
+            let holds = |row: &[u64]| row[m as usize / 64] >> (m % 64) & 1 != 0;
+            if holds(self.row_u) || holds(self.row_v) {
+                NO_MEMBER
+            } else {
+                class_key(self.minload, m)
+            }
+        };
+        if key == NO_MEMBER {
+            return Some(());
+        }
+        let (load, p) = (key_load(key), key_partition(key));
+        let s = self.score.of(holds_u, holds_v, load);
+        // False for a tie, a pair of infinities and anything NaN.
+        let strict_step = self.score.of(holds_u, holds_v, load + 1) < s;
+        if !strict_step {
+            return None;
+        }
+        if self
+            .best
+            .is_none_or(|(bs, bp)| s > bs || (s == bs && p < bp))
+        {
+            self.best = Some((s, p));
+        }
+        Some(())
+    }
 }
 
 /// The scan's pick from one representative per class that can still win,
-/// or `None` when a walked representative's score is not strictly above
-/// the score one load higher (module doc, steps 2–5).
+/// or `None` when a load does not pack into a class key or a walked
+/// representative's strict step fails (module doc, steps 2–5).
 #[inline]
 fn pick_by_class(
     score: &EdgeScore,
@@ -225,43 +284,37 @@ fn pick_by_class(
     e: Edge,
     loads: &PartitionLoads,
 ) -> Option<u32> {
-    // `(holds_u, holds_v)` in descending order of bound: both endpoints,
-    // the lower-degree one (the larger `g`), the other, neither. Only the
-    // speed depends on the order (module doc, step 3).
-    let (u_first, v_first) = ((true, false), (false, true));
-    let (second, third) = if score.g_u >= score.g_v {
-        (u_first, v_first)
-    } else {
-        (v_first, u_first)
-    };
-    let minload = loads.min();
-    let (row_u, row_v) = (replicas.row(e.src), replicas.row(e.dst));
-    let mut best: Option<(f64, u32)> = None;
-    for (holds_u, holds_v) in [(true, true), second, third, (false, false)] {
-        // No member loads less than `minload`, so none scores above the
-        // bound; strict, so a tie, an infinity or NaN is walked.
-        let bound = score.of(holds_u, holds_v, minload);
-        if best.is_some_and(|(bs, _)| bound < bs) {
-            continue;
-        }
-        let rep = if holds_u || holds_v {
-            class_min(row_u, row_v, (holds_u, holds_v), loads.as_slice())
-        } else {
-            let m = loads.argmin();
-            (!replicas.contains(e.src, m) && !replicas.contains(e.dst, m)).then_some((minload, m))
-        };
-        let Some((load, p)) = rep else { continue };
-        let s = score.of(holds_u, holds_v, load);
-        // False for a tie, a pair of infinities and anything NaN.
-        let strict_step = score.of(holds_u, holds_v, load.saturating_add(1)) < s;
-        if !strict_step {
-            return None;
-        }
-        if best.is_none_or(|(bs, bp)| s > bs || (s == bs && p < bp)) {
-            best = Some((s, p));
-        }
+    if !loads.packs_class_keys() {
+        return None;
     }
-    best.map(|(_, p)| p)
+    let mut walk = ClassWalk {
+        score: *score,
+        loads,
+        minload: loads.min(),
+        row_u: replicas.row(e.src),
+        row_v: replicas.row(e.dst),
+        best: None,
+    };
+    // The classes in descending order of bound: both endpoints, the
+    // lower-degree one (the larger `g`), the other, neither. Bounds never
+    // rise along it, so the first class whose bound is below the best ends
+    // the walk. Both endpoints come first, on the rows in edge order: that
+    // class is the same whichever endpoint is `u`.
+    walk.walk((true, true))?;
+    walk.lower_degree_first();
+    if let Some(p) = walk.decided_before((true, false)) {
+        return Some(p);
+    }
+    walk.walk((true, false))?;
+    if let Some(p) = walk.decided_before((false, true)) {
+        return Some(p);
+    }
+    walk.walk((false, true))?;
+    if let Some(p) = walk.decided_before((false, false)) {
+        return Some(p);
+    }
+    walk.walk((false, false))?;
+    walk.best.map(|(_, p)| p)
 }
 
 impl EdgeKernel for HdrfKernel {
@@ -309,6 +362,7 @@ impl HdrfKernel {
         replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
         degree[e.src] += 1;
         degree[e.dst] += 1;
+        let u_lower_degree = degree[e.src] <= degree[e.dst];
         let du = f64::from(degree[e.src]);
         let dv = f64::from(degree[e.dst]);
         let theta_u = du / (du + dv);
@@ -320,6 +374,7 @@ impl HdrfKernel {
             lambda: self.config.lambda,
             maxload,
             denom: self.config.epsilon + maxload - minload,
+            u_lower_degree,
         };
         let best_p = pick(&score, replicas);
         replicas.insert(e.src, best_p);
@@ -377,6 +432,7 @@ impl Partitioner for Hdrf {
 mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
+    use crate::state::KEY_LOAD_LIMIT;
     use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::InMemoryStream;
@@ -426,14 +482,26 @@ mod tests {
         ordered_edges(&g, order)
     }
 
+    /// The web edges in canonical `(src, dst)` order, the order a pack
+    /// replays.
+    fn canonical_web_edges() -> Vec<Edge> {
+        let mut edges = web_edges(StreamOrder::AsIs);
+        edges.sort_unstable_by_key(|e| (e.src, e.dst));
+        edges
+    }
+
     #[test]
     fn step_equals_the_full_scan_over_lambda_k_and_order() {
         // Multi-word rows (k > 64), k not a multiple of 64, the single
         // partition, and lambdas from "every balance term ties" (0, 1e-300)
         // through the default to "the balance term swallows C_REP" (1e18,
         // 1e300): the scan is the reference everywhere.
-        for order in [StreamOrder::Random(9), StreamOrder::Bfs] {
-            let edges = web_edges(order);
+        let orders = [
+            ("random", web_edges(StreamOrder::Random(9))),
+            ("bfs", web_edges(StreamOrder::Bfs)),
+            ("canonical", canonical_web_edges()),
+        ];
+        for (order, edges) in orders {
             for lambda in [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, 1e6, 1e18, 1e300] {
                 let config = HdrfConfig {
                     lambda,
@@ -444,7 +512,7 @@ mod tests {
                     assert_eq!(
                         kernel_assignments(&edges, k, &config),
                         want,
-                        "lambda={lambda} k={k} {order:?}"
+                        "lambda={lambda} k={k} {order}"
                     );
                 }
             }
@@ -510,7 +578,8 @@ mod tests {
     fn pick_by_class_equals_the_scan_on_states_a_stream_never_reaches() {
         // HDRF keeps its own loads nearly balanced, so the streamed tests
         // never see the spreads the class bounds depend on: wide, all
-        // equal, one outlier. Degrees put θ_u near 0, at ½ and near 1.
+        // equal, one outlier, and loads at the largest a class key packs.
+        // Degrees put θ_u near 0, at ½ and near 1.
         let mut rng = SmallRng::seed_from_u64(31);
         let configs = [0.0, 1e-300, 1e-12, 1.0, 1e6, 1e300]
             .into_iter()
@@ -529,12 +598,26 @@ mod tests {
                 let mut outlier = vec![base; k as usize];
                 outlier[rng.gen_range(0..k) as usize] = rng.gen_range(0..1u64 << 41);
                 let wide = (0..k).map(|_| rng.gen_range(0..1u64 << 40)).collect();
-                for loads in [wide, vec![base; k as usize], outlier].map(PartitionLoads::from_vec) {
+                // The highest load just below, at and just above the limit:
+                // below it the walk answers, from it on the scan decides.
+                let near_limit =
+                    [KEY_LOAD_LIMIT - 1, KEY_LOAD_LIMIT, KEY_LOAD_LIMIT + 1].map(|top| {
+                        let mut loads: Vec<u64> =
+                            (0..k).map(|_| top - rng.gen_range(0..3u64)).collect();
+                        loads[rng.gen_range(0..k) as usize] = top;
+                        loads
+                    });
+                let drawn = [wide, vec![base; k as usize], outlier]
+                    .into_iter()
+                    .chain(near_limit);
+                for loads in drawn.map(PartitionLoads::from_vec) {
+                    let packs = loads.max() < KEY_LOAD_LIMIT;
                     for degrees in [(1, 1_000_000), (6, 6), (1_000_000, 1)] {
                         for config in &configs {
                             let ok = pick_matches_the_scan(config, &loads, degrees, &mut rng);
+                            assert!(packs || !ok, "k={k}: max load {} packed", loads.max());
                             // The default separates any spread below 2^48.
-                            assert!(ok || *config != HdrfConfig::default(), "k={k}");
+                            assert!(ok || !packs || *config != HdrfConfig::default(), "k={k}");
                             answered += u32::from(ok);
                         }
                     }

@@ -8,7 +8,7 @@
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::{Hashing, Hdrf, HdrfConfig, MintConfig};
+use clugp::baselines::{Greedy, Hashing, Hdrf, HdrfConfig, MintConfig};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
 use clugp::partitioner::Partitioner;
 use clugp::state::ReplicaTable;
@@ -795,6 +795,51 @@ fn hdrf_monolith_matches_its_recorded_golden_hashes() {
                 fnv1a(&assignments),
                 want,
                 "HDRF {order:?} k={k} lambda={lambda}: monolithic placement changed (got {:#018x})",
+                fnv1a(&assignments)
+            );
+        }
+    }
+}
+
+#[test]
+fn greedy_monolith_matches_its_recorded_golden_hashes() {
+    // As for HDRF above: the other Greedy checks compare the kernel with
+    // itself. These hashes were recorded at c5dd2a9 from the four-case rule
+    // over `argmin_among`, before its least-loaded members became integer
+    // class minima, and pin the monolith to that rule's placements. In CSR
+    // order at k = 130 only 45 partitions are ever used; the random order
+    // reaches every partition and every case.
+    let g = generate_web_crawl(&WebCrawlConfig {
+        vertices: 1_500,
+        seed: 46,
+        ..Default::default()
+    });
+    let golden: [(StreamOrder, [u64; 3]); 2] = [
+        (
+            StreamOrder::Random(46),
+            [
+                0x3779_afe8_b5ad_3e07,
+                0x0a14_de03_2dcd_3f12,
+                0x4132_f315_9be4_bda0,
+            ],
+        ),
+        (
+            StreamOrder::AsIs,
+            [
+                0x465e_acd4_04ed_70c5,
+                0x18f9_c760_d33d_09f0,
+                0x57c3_d737_9dda_2586,
+            ],
+        ),
+    ];
+    for (order, hashes) in golden {
+        let edges = ordered_edges(&g, order);
+        for (k, want) in [4u32, 32, 130].into_iter().zip(hashes) {
+            let (assignments, _, _) = monolith(&mut Greedy::new(), g.num_vertices(), &edges, k);
+            assert_eq!(
+                fnv1a(&assignments),
+                want,
+                "Greedy {order:?} k={k}: monolithic placement changed (got {:#018x})",
                 fnv1a(&assignments)
             );
         }

@@ -6,10 +6,15 @@
 //!   watches is HDRF's per-edge work creeping back towards one score per
 //!   partition (≈ 4.0 with the per-partition loop, ≈ 1.2–1.4 walking every
 //!   replica class, ≈ 1.05–1.15 walking only the classes whose bound can
-//!   still win).
+//!   still win). Since both kernels take each class's least-loaded member
+//!   as one integer minimum over packed `(load, index)` keys, with HDRF's
+//!   `f64` score only confirming it, it reads ≈ 1.65–1.75: Greedy, which has
+//!   no score to confirm, gained more.
 //! * HDRF at k = 256 against HDRF at k = 8. What grows with k is the walk
 //!   over the set bits of the two replica rows (≈ 2.8–3.4 walking every
-//!   class, ≈ 1.4–1.5 walking only the classes that can still win).
+//!   class, ≈ 1.4–1.5 walking only the classes that can still win, and
+//!   still ≈ 1.4–1.5 with the first skipped class ending the walk on every
+//!   row width).
 //!
 //! `#[ignore]`d because a timing is only meaningful in a release build:
 //! `cargo test --release --test hdrf_greedy_ratio -- --ignored`.
