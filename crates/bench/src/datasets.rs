@@ -128,15 +128,6 @@ impl Dataset {
     }
 }
 
-/// Opens an on-disk dataset file as a resettable edge stream, auto-detecting
-/// the format from its magic bytes (`CLUGPGR1` flat binary, `CLUGPZ01`
-/// compressed pack, anything else text) — extensions are never consulted.
-pub fn open_edge_stream(
-    path: &std::path::Path,
-) -> clugp_graph::Result<Box<dyn clugp_graph::stream::RestreamableStream>> {
-    clugp_graph::io::open_edge_stream(path)
-}
-
 /// Parses a dataset scale (the value of `CLUGP_SCALE`): a finite number
 /// above zero.
 pub fn parse_scale(value: &str) -> Result<f64, String> {
@@ -197,36 +188,6 @@ mod tests {
         for bad in ["0,1", "", "abc", "0", "-1", "inf", "NaN"] {
             let err = parse_scale(bad).unwrap_err();
             assert!(err.starts_with("CLUGP_SCALE="), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn open_edge_stream_detects_all_formats_by_magic() {
-        use clugp_graph::order::{ordered_edges, StreamOrder};
-        use clugp_graph::stream::collect_stream;
-        let g = load(Dataset::UkS, 0.02);
-        let edges = clugp_graph::pack::canonical_order(&ordered_edges(&g, StreamOrder::Bfs));
-        let dir = std::env::temp_dir().join("clugp_bench_sniff");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Extensions deliberately shuffled: only the magic matters.
-        let bin = dir.join("a.clugpz");
-        let packed = dir.join("a.txt");
-        let text = dir.join("a.bin");
-        clugp_graph::io::write_binary_graph(&bin, g.num_vertices(), &edges).unwrap();
-        clugp_graph::pack::write_pack(
-            &packed,
-            g.num_vertices(),
-            &edges,
-            &clugp_graph::pack::PackOptions::default(),
-        )
-        .unwrap();
-        clugp_graph::io::write_edge_list(&text, &edges).unwrap();
-        for p in [&bin, &packed, &text] {
-            let mut s = open_edge_stream(p).unwrap();
-            assert_eq!(collect_stream(s.as_mut()), edges, "{}", p.display());
-        }
-        for p in [bin, packed, text] {
-            std::fs::remove_file(p).ok();
         }
     }
 

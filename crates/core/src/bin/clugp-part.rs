@@ -104,9 +104,9 @@ use clugp::partition::MAX_PARTITIONS;
 use clugp::partition_io::write_placement_dir;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::idmap::RemappedStream;
-use clugp_graph::io::binary::read_binary_graph;
-use clugp_graph::io::edge_list::{read_edge_list, RawTextEdgeStream};
-use clugp_graph::io::{open_edge_stream, open_sparse_edge_stream, sniff_format, GraphFileFormat};
+use clugp_graph::io::{
+    open_edge_stream, open_sparse_edge_stream, sniff_format, GraphFileFormat, RawTextEdgeStream,
+};
 use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::{
     chunk_edges, collect_stream, EdgeStream, InMemoryStream, RestreamableStream,
@@ -449,32 +449,24 @@ fn open(opts: &Options) -> Result<Source, String> {
     }
     let order = parse_order(&opts.order)?;
     let err = |e: clugp_graph::GraphError| e.to_string();
-    // Format is sniffed from the magic bytes, never the extension.
-    let (n, raw_edges) = match sniff_format(path).map_err(err)? {
-        GraphFileFormat::Binary => read_binary_graph(path).map_err(err)?,
-        GraphFileFormat::Packed => {
-            // Serial or decoded ahead, as the CPU count picks; both deliver
-            // the same chunk sequence, so the partitions cannot differ.
-            let mut s = open_edge_stream(path).map_err(err)?;
-            if order == StreamOrder::AsIs && opts.ampc_mode == AmpcMode::Sequenced {
-                eprintln!(
-                    "opened {}: streamed from the pack (order: asis)",
-                    opts.input
-                );
-                return Ok(Source::Pack(s));
-            }
-            let n = s
-                .num_vertices_hint()
-                .ok_or_else(|| "pack header is missing its vertex count".to_string())?;
-            let edges = collect_stream(s.as_mut());
-            s.reset().map_err(err)?; // surface parked decode errors
-            (n, edges)
-        }
-        GraphFileFormat::Text => {
-            let edges = read_edge_list(path).map_err(err)?;
-            (clugp_graph::types::implied_num_vertices(&edges), edges)
-        }
-    };
+    // Format is sniffed from the magic bytes, never the extension. A pack
+    // reads serial or decoded ahead, as the CPU count picks; both deliver
+    // the same chunk sequence, so the partitions cannot differ.
+    let packed = sniff_format(path).map_err(err)? == GraphFileFormat::Packed;
+    let mut s = open_edge_stream(path).map_err(err)?;
+    if packed && order == StreamOrder::AsIs && opts.ampc_mode == AmpcMode::Sequenced {
+        eprintln!(
+            "opened {}: streamed from the pack (order: asis)",
+            opts.input
+        );
+        return Ok(Source::Pack(s));
+    }
+    let n = s
+        .num_vertices_hint()
+        .ok_or_else(|| format!("{}: no vertex count", opts.input))?;
+    let raw_edges = collect_stream(s.as_mut());
+    s.reset().map_err(err)?; // surface parked read errors
+    drop(s);
     let graph = CsrGraph::from_edges(n, &raw_edges).map_err(err)?;
     drop(raw_edges);
     let edges = ordered_edges(&graph, order);

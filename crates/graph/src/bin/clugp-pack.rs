@@ -34,8 +34,7 @@
 
 use clugp_graph::io::{open_edge_stream, open_sparse_edge_stream, sniff_format};
 use clugp_graph::pack::{
-    pack_edge_stream, read_pack_summary_with, verify_pack_report, ChecksumPolicy, PackOptions,
-    PackStats,
+    pack_edge_stream, read_pack_summary, verify_pack_report, ChecksumPolicy, PackOptions, PackStats,
 };
 use clugp_graph::stream::{EdgeStream, RestreamableStream};
 use clugp_obs as obs;
@@ -205,7 +204,7 @@ fn surface_stream_errors(stream: &mut dyn RestreamableStream, output: &Path) -> 
 }
 
 fn run_info(path: &str, policy: ChecksumPolicy) -> Result<(), String> {
-    let sum = read_pack_summary_with(Path::new(path), policy).map_err(|e| e.to_string())?;
+    let sum = read_pack_summary(Path::new(path), policy).map_err(|e| e.to_string())?;
     println!("format         = CLUGPZ v1");
     println!(
         "checksums      = {} ({})",
@@ -373,7 +372,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sum = clugp_graph::pack::read_pack_summary(&path).unwrap();
+        let sum = read_pack_summary(&path, ChecksumPolicy::Full).unwrap();
         assert!(sum.num_blocks >= 3, "need a multi-block pack");
         // Flip one payload byte in the first block and one in the last.
         let mut data = std::fs::read(&path).unwrap();
@@ -451,6 +450,44 @@ mod tests {
         );
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&output).ok();
+    }
+
+    #[test]
+    fn dense_text_holds_ids_to_u32_and_round_trips_u32_max() {
+        // Dense text admits every `u32` id, `u32::MAX` included, and the
+        // pack keeps it; the next id is a sparse one, which fails at open
+        // naming its line instead of reaching a dense table unremapped.
+        let (input, output) = (tmp("u32_max.txt"), tmp("u32_max.clugpz"));
+        let want = [Edge::new(0, u32::MAX), Edge::new(u32::MAX, 1)];
+        std::fs::write(&input, "0 4294967295\n4294967295 1\n").unwrap();
+        let mut s = open_edge_stream(&input).unwrap();
+        assert_eq!(s.num_vertices_hint(), Some(1 << 32));
+        assert_eq!(clugp_graph::stream::collect_stream(s.as_mut()), want);
+        let args = PackArgs {
+            input: input.to_string_lossy().into_owned(),
+            output: output.to_string_lossy().into_owned(),
+            block_bytes: 64,
+            spill_edges: 64,
+            sparse: false,
+            trace_out: None,
+        };
+        run_pack(&args).unwrap();
+        run_info(&args.output, ChecksumPolicy::Full).unwrap();
+        let sum = read_pack_summary(&output, ChecksumPolicy::Full).unwrap();
+        assert_eq!(sum.header.num_vertices, 1 << 32);
+        let mut packed = clugp_graph::pack::PackedEdgeStream::open(&output).unwrap();
+        assert_eq!(clugp_graph::stream::collect_stream(&mut packed), want);
+
+        std::fs::write(&input, "0 1\n# sparse\n2 4294967296\n").unwrap();
+        let Err(err) = open_edge_stream(&input) else {
+            panic!("u32::MAX + 1 opened as dense text")
+        };
+        assert!(err.to_string().contains("line 3"), "{err}");
+        let err = run_pack(&args).unwrap_err();
+        assert!(err.contains("line 3: vertex id 4294967296"), "{err}");
+        for p in [input, output] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]

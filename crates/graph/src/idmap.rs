@@ -5,32 +5,29 @@
 //! sparse values anywhere in `u64`. Per-vertex state in this workspace is
 //! array-backed (`VertexTable`, `ReplicaTable`, the clustering tables), so a
 //! single edge with id `2^40` would otherwise force a multi-terabyte dense
-//! allocation. [`IdMap`] closes that gap with two modes:
+//! allocation. [`IdMap`] closes that gap: external ids are interned in
+//! *first-appearance order*, so the internal id sequence is exactly the
+//! dense relabeling of the stream. A multi-pass consumer sees the same
+//! internal ids on every pass, and any partitioner's output over the
+//! remapped stream is bit-identical to a run over the pre-relabeled dense
+//! graph (pinned by `tests/chunked_equivalence.rs` and the proptest
+//! round-trip suite). Dense sources need no map: the text reader holds
+//! their ids to `u32` as it parses ([`crate::io::TextEdgeStream`]), and the
+//! binary and pack formats store `u32` ids by construction.
 //!
-//! * **Identity** — for sources that are already dense (generators, the
-//!   binary format): `intern` is a bounds check, no hashing, no extra
-//!   memory. Zero cost on the paths that don't need remapping.
-//! * **Remap** — for raw text/file streams: external ids are interned in
-//!   *first-appearance order*, so the internal id sequence is exactly the
-//!   dense relabeling of the stream. A multi-pass consumer sees the same
-//!   internal ids on every pass, and any partitioner's output over the
-//!   remapped stream is bit-identical to a run over the pre-relabeled dense
-//!   graph (pinned by `tests/chunked_equivalence.rs` and the proptest
-//!   round-trip suite).
-//!
-//! Both modes carry a configurable `max_vertices` cap: interning past it is
-//! a clean [`GraphError::TooManyVertices`] instead of an OOM abort — the
-//! first line of defense against adversarial id explosions (the second is
-//! the `VertexTable` cap inside the partitioners).
+//! The map carries a configurable `max_vertices` cap on the distinct-id
+//! count: interning past it is a clean [`GraphError::TooManyVertices`]
+//! instead of an OOM abort — the first line of defense against adversarial
+//! id explosions (the second is the `VertexTable` cap inside the
+//! partitioners).
 //!
 //! [`RemappedStream`] is the adapter that puts a map under any
-//! [`RawEdgeStream`]: it builds the map in one eager pass (remap mode),
-//! then lends internal [`Edge`]s through [`EdgeStream::next_chunk`] from a
-//! buffer it translates each raw chunk into, with
-//! `len_hint`/`num_vertices_hint` flowing through —
-//! `num_vertices_hint` becomes the *exact distinct-vertex count*, which is
-//! tighter than the `max id + 1` convention of dense sources. Partition
-//! output translates back through [`IdMap::external_of`].
+//! [`RawEdgeStream`]: it builds the map in one eager pass, then lends
+//! internal [`Edge`]s through [`EdgeStream::next_chunk`] from a buffer it
+//! translates each raw chunk into, with `len_hint` flowing through and
+//! `num_vertices_hint` the *exact distinct-vertex count*, which is tighter
+//! than the `max id + 1` convention of dense sources. Partition output
+//! translates back through [`IdMap::external_of`].
 
 use crate::error::{GraphError, Result};
 use crate::stream::{chunk_edges, EdgeStream, RestreamableStream};
@@ -42,59 +39,30 @@ use rustc_hash::FxHashMap;
 /// workspace). Configure a smaller cap to budget per-vertex state.
 pub const DEFAULT_MAX_VERTICES: u64 = u32::MAX as u64;
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Identity,
-    Remap {
-        /// Internal → external (push order = first appearance).
-        external_of: Vec<ExternalId>,
-        /// External → internal.
-        internal_of: FxHashMap<ExternalId, VertexId>,
-    },
-}
-
-/// A bijection between external 64-bit ids and dense internal [`VertexId`]s.
+/// A bijection between external 64-bit ids and dense internal [`VertexId`]s,
+/// built in first-appearance order.
 #[derive(Debug, Clone)]
 pub struct IdMap {
-    repr: Repr,
+    /// Internal → external (push order = first appearance).
+    external_of: Vec<ExternalId>,
+    /// External → internal.
+    internal_of: FxHashMap<ExternalId, VertexId>,
     max_vertices: u64,
 }
 
 impl IdMap {
-    /// Identity map with the [`DEFAULT_MAX_VERTICES`] cap: external ids are
-    /// already dense internal ids. `intern` is a bounds check.
-    pub fn identity() -> Self {
-        Self::identity_with_cap(DEFAULT_MAX_VERTICES)
-    }
-
-    /// Identity map accepting only ids `< max_vertices`.
-    pub fn identity_with_cap(max_vertices: u64) -> Self {
-        IdMap {
-            repr: Repr::Identity,
-            max_vertices: max_vertices.min(DEFAULT_MAX_VERTICES),
-        }
-    }
-
-    /// Empty remap with the [`DEFAULT_MAX_VERTICES`] cap: ids are interned
-    /// in first-appearance order.
+    /// Empty map with the [`DEFAULT_MAX_VERTICES`] cap.
     pub fn remap() -> Self {
         Self::remap_with_cap(DEFAULT_MAX_VERTICES)
     }
 
-    /// Empty remap admitting at most `max_vertices` distinct external ids.
+    /// Empty map admitting at most `max_vertices` distinct external ids.
     pub fn remap_with_cap(max_vertices: u64) -> Self {
         IdMap {
-            repr: Repr::Remap {
-                external_of: Vec::new(),
-                internal_of: FxHashMap::default(),
-            },
+            external_of: Vec::new(),
+            internal_of: FxHashMap::default(),
             max_vertices: max_vertices.min(DEFAULT_MAX_VERTICES),
         }
-    }
-
-    /// `true` for the zero-cost identity mode.
-    pub fn is_identity(&self) -> bool {
-        matches!(self.repr, Repr::Identity)
     }
 
     /// The configured cap on internal ids.
@@ -102,102 +70,60 @@ impl IdMap {
         self.max_vertices
     }
 
-    /// Number of interned ids (0 for identity maps, which intern nothing).
+    /// Number of interned ids.
     pub fn len(&self) -> u64 {
-        match &self.repr {
-            Repr::Identity => 0,
-            Repr::Remap { external_of, .. } => external_of.len() as u64,
-        }
+        self.external_of.len() as u64
     }
 
-    /// `true` if no id has been interned (always `true` for identity maps).
+    /// `true` if no id has been interned.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.external_of.is_empty()
     }
 
     /// Translates `ext` to its internal id, interning it if new.
     ///
     /// # Errors
     ///
-    /// [`GraphError::TooManyVertices`] if the id (identity mode) or the
-    /// distinct-id count (remap mode) would exceed the `max_vertices` cap.
+    /// [`GraphError::TooManyVertices`] if the distinct-id count would exceed
+    /// the `max_vertices` cap.
     #[inline]
     pub fn intern(&mut self, ext: ExternalId) -> Result<VertexId> {
-        let cap = self.max_vertices;
-        match &mut self.repr {
-            Repr::Identity => {
-                if ext >= cap {
-                    return Err(GraphError::TooManyVertices {
-                        external: ext,
-                        max_vertices: cap,
-                    });
-                }
-                Ok(ext as VertexId)
-            }
-            Repr::Remap {
-                external_of,
-                internal_of,
-            } => {
-                if let Some(&i) = internal_of.get(&ext) {
-                    return Ok(i);
-                }
-                let next = external_of.len() as u64;
-                if next >= cap {
-                    return Err(GraphError::TooManyVertices {
-                        external: ext,
-                        max_vertices: cap,
-                    });
-                }
-                external_of.push(ext);
-                internal_of.insert(ext, next as VertexId);
-                Ok(next as VertexId)
-            }
+        if let Some(&i) = self.internal_of.get(&ext) {
+            return Ok(i);
         }
+        let next = self.len();
+        if next >= self.max_vertices {
+            return Err(GraphError::TooManyVertices {
+                external: ext,
+                max_vertices: self.max_vertices,
+            });
+        }
+        self.external_of.push(ext);
+        self.internal_of.insert(ext, next as VertexId);
+        Ok(next as VertexId)
     }
 
-    /// Read-only lookup: the internal id of `ext`, if known (identity mode:
-    /// any in-cap id resolves to itself).
+    /// Read-only lookup: the internal id of `ext`, if known.
     #[inline]
     pub fn resolve(&self, ext: ExternalId) -> Option<VertexId> {
-        match &self.repr {
-            Repr::Identity => {
-                if ext < self.max_vertices {
-                    Some(ext as VertexId)
-                } else {
-                    None
-                }
-            }
-            Repr::Remap { internal_of, .. } => internal_of.get(&ext).copied(),
-        }
+        self.internal_of.get(&ext).copied()
     }
 
     /// Translates an internal id back to its external id.
     ///
     /// # Panics
     ///
-    /// Panics in remap mode if `internal` was never handed out by this map.
+    /// Panics if `internal` was never handed out by this map.
     #[inline]
     pub fn external_of(&self, internal: VertexId) -> ExternalId {
-        match &self.repr {
-            Repr::Identity => u64::from(internal),
-            Repr::Remap { external_of, .. } => external_of[internal as usize],
-        }
+        self.external_of[internal as usize]
     }
 
-    /// Heap bytes held by the map (0 in identity mode — the zero-cost
-    /// claim, honestly measured).
+    /// Heap bytes held by the map.
     pub fn memory_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Identity => 0,
-            Repr::Remap {
-                external_of,
-                internal_of,
-            } => {
-                external_of.capacity() * std::mem::size_of::<ExternalId>()
-                    + internal_of.capacity()
-                        * (std::mem::size_of::<ExternalId>() + std::mem::size_of::<VertexId>())
-            }
-        }
+        self.external_of.capacity() * std::mem::size_of::<ExternalId>()
+            + self.internal_of.capacity()
+                * (std::mem::size_of::<ExternalId>() + std::mem::size_of::<VertexId>())
     }
 }
 
@@ -276,17 +202,13 @@ impl RawEdgeStream for RawInMemoryStream {
 /// Adapts a [`RawEdgeStream`] into a resettable internal [`EdgeStream`]
 /// through an [`IdMap`].
 ///
-/// * [`RemappedStream::remap`] builds the map **eagerly in one extra pass**
-///   over the raw source (in stream order, so internal ids are the
-///   first-appearance dense relabeling), then every subsequent pull is a
-///   pure lookup that cannot fail. CLUGP's restreaming architecture pays
-///   this pass once and reuses the map across all three passes.
-/// * [`RemappedStream::identity`] skips the build pass entirely (zero cost)
-///   and validates ids lazily: an out-of-cap id ends the stream early with
-///   the error *parked*, and the next [`RestreamableStream::reset`] reports
-///   it — the same failure contract as the lazily-opened text and binary
-///   file streams, so a restreaming consumer cannot silently loop over a
-///   truncated stream.
+/// [`RemappedStream::remap`] builds the map **eagerly in one extra pass**
+/// over the raw source (in stream order, so internal ids are the
+/// first-appearance dense relabeling); every later pull is a lookup.
+/// CLUGP's restreaming architecture pays this pass once and reuses the map
+/// across all three passes. A lookup fails only if the raw source yields an
+/// id the build pass never saw; that error is *parked*, the stream ends
+/// early, and the next [`RestreamableStream::reset`] reports it.
 #[derive(Debug)]
 pub struct RemappedStream<S> {
     inner: S,
@@ -298,7 +220,7 @@ pub struct RemappedStream<S> {
 }
 
 impl<S: RawEdgeStream> RemappedStream<S> {
-    /// Builds a remap-mode stream with the [`DEFAULT_MAX_VERTICES`] cap.
+    /// Builds the stream and its map with the [`DEFAULT_MAX_VERTICES`] cap.
     ///
     /// # Errors
     ///
@@ -308,7 +230,7 @@ impl<S: RawEdgeStream> RemappedStream<S> {
         Self::remap_with_cap(inner, DEFAULT_MAX_VERTICES)
     }
 
-    /// Builds a remap-mode stream admitting at most `max_vertices` distinct
+    /// Builds the stream and a map admitting at most `max_vertices` distinct
     /// external ids (see [`RemappedStream::remap`]).
     pub fn remap_with_cap(mut inner: S, max_vertices: u64) -> Result<Self> {
         inner.reset()?;
@@ -332,23 +254,6 @@ impl<S: RawEdgeStream> RemappedStream<S> {
         })
     }
 
-    /// Wraps an already-dense raw source with a zero-cost identity map and
-    /// the [`DEFAULT_MAX_VERTICES`] cap (see the type docs for the lazy
-    /// failure contract).
-    pub fn identity(inner: S) -> Self {
-        Self::identity_with_cap(inner, DEFAULT_MAX_VERTICES)
-    }
-
-    /// Identity mode with an explicit cap.
-    pub fn identity_with_cap(inner: S, max_vertices: u64) -> Self {
-        RemappedStream {
-            inner,
-            map: IdMap::identity_with_cap(max_vertices),
-            buf: Vec::new(),
-            error: None,
-        }
-    }
-
     /// The id map (translate output back via [`IdMap::external_of`]).
     pub fn id_map(&self) -> &IdMap {
         &self.map
@@ -366,14 +271,11 @@ impl<S: RawEdgeStream> RemappedStream<S> {
     }
 }
 
-/// Translates one raw edge through `map`. A remap-mode lookup can only fail
-/// if the raw source yields different edges across passes, which the
-/// `Format` error makes loud instead of silently mispartitioning.
+/// Translates one raw edge through `map`. A lookup can only fail if the
+/// raw source yields different edges across passes, which the `Format`
+/// error makes loud instead of silently mispartitioning.
 #[inline]
-fn translate(map: &mut IdMap, e: RawEdge) -> Result<Edge> {
-    if map.is_identity() {
-        return Ok(Edge::new(map.intern(e.src)?, map.intern(e.dst)?));
-    }
+fn translate(map: &IdMap, e: RawEdge) -> Result<Edge> {
     match (map.resolve(e.src), map.resolve(e.dst)) {
         (Some(src), Some(dst)) => Ok(Edge::new(src, dst)),
         _ => Err(GraphError::Format(format!(
@@ -390,7 +292,7 @@ impl<S: RawEdgeStream> EdgeStream for RemappedStream<S> {
             return &self.buf;
         }
         for &r in self.inner.next_raw_chunk(cap) {
-            match translate(&mut self.map, r) {
+            match translate(&self.map, r) {
                 Ok(e) => self.buf.push(e),
                 // Park-and-truncate: the translated prefix is still valid.
                 Err(err) => {
@@ -406,15 +308,10 @@ impl<S: RawEdgeStream> EdgeStream for RemappedStream<S> {
         self.inner.len_hint()
     }
 
-    /// Remap mode: the exact distinct-vertex count (the map is complete
-    /// after the eager build). Identity mode: unknown — dense callers use
-    /// explicit counts.
+    /// The exact distinct-vertex count (the map is complete after the
+    /// eager build).
     fn num_vertices_hint(&self) -> Option<u64> {
-        if self.map.is_identity() {
-            None
-        } else {
-            Some(self.map.len())
-        }
+        Some(self.map.len())
     }
 }
 
@@ -506,43 +403,6 @@ mod tests {
         let raw: Vec<RawEdge> = (0..10u64).map(|i| RawEdge::new(i * 1_000, i)).collect();
         let err = RemappedStream::remap_with_cap(RawInMemoryStream::new(raw), 5).unwrap_err();
         assert!(matches!(err, GraphError::TooManyVertices { .. }));
-    }
-
-    #[test]
-    fn identity_rejects_u64_max_and_parks_the_error() {
-        let raw = vec![RawEdge::new(0, 1), RawEdge::new(u64::MAX, 0)];
-        let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
-        assert_eq!(s.next_chunk(1), [Edge::new(0, 1)]);
-        assert!(s.next_chunk(1).is_empty());
-        assert!(matches!(
-            s.error(),
-            Some(GraphError::TooManyVertices { .. })
-        ));
-        // The next reset surfaces the parked error...
-        assert!(s.reset().is_err());
-        // ...after which the stream replays the valid prefix, which a pull
-        // spanning the bad edge still delivers before it parks again.
-        assert_eq!(s.next_chunk(4096), [Edge::new(0, 1)]);
-        assert!(s.error().is_some());
-    }
-
-    #[test]
-    fn identity_is_zero_cost_and_transparent() {
-        let raw: Vec<RawEdge> = (0..100u64).map(|i| RawEdge::new(i, i + 1)).collect();
-        let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
-        assert_eq!(s.id_map().memory_bytes(), 0);
-        let edges = collect_stream(&mut s);
-        assert_eq!(edges.len(), 100);
-        assert_eq!(edges[5], Edge::new(5, 6));
-        assert_eq!(s.id_map().external_of(9), 9);
-    }
-
-    #[test]
-    fn identity_cap_is_configurable() {
-        let raw = vec![RawEdge::new(0, 500)];
-        let mut s = RemappedStream::identity_with_cap(RawInMemoryStream::new(raw), 100);
-        assert!(s.next_chunk(1).is_empty());
-        assert!(s.error().is_some());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! 8 bytes per edge — the same density the paper's Table III sizes imply
-//! (~12-16 B/edge for WebGraph-decompressed lists).
+//! (~12-16 B/edge for WebGraph-decompressed lists). [`FileEdgeStream`] is
+//! the format's one reader; a caller that wants the edges in memory
+//! collects it ([`crate::stream::collect_stream`]).
 
 use crate::error::{GraphError, Result};
 use crate::stream::{EdgeStream, RestreamableStream};
@@ -54,19 +56,6 @@ pub fn write_binary_graph(path: &Path, num_vertices: u64, edges: &[Edge]) -> Res
     }
     w.flush()?;
     Ok(())
-}
-
-/// Reads a whole binary graph into memory, returning `(num_vertices, edges)`.
-pub fn read_binary_graph(path: &Path) -> Result<(u64, Vec<Edge>)> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let (num_vertices, num_edges) = read_header(&mut r)?;
-    check_payload_size(r.get_ref(), num_edges)?;
-    let mut raw = vec![0u8; (num_edges * 8) as usize];
-    r.read_exact(&mut raw)
-        .map_err(|_| GraphError::Format("edge payload truncated".into()))?;
-    let edges = raw.chunks_exact(8).map(decode_record).collect();
-    Ok((num_vertices, edges))
 }
 
 /// Decodes one 8-byte `(u32 src, u32 dst)` record.
@@ -268,9 +257,10 @@ mod tests {
     fn round_trip_in_memory_read() {
         let path = tmp("rt.bin");
         write_binary_graph(&path, 3, &sample()).unwrap();
-        let (n, edges) = read_binary_graph(&path).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(edges, sample());
+        let mut s = FileEdgeStream::open(&path).unwrap();
+        assert_eq!(s.num_vertices_hint(), Some(3));
+        assert_eq!(collect_stream(&mut s), sample());
+        s.reset().unwrap();
     }
 
     #[test]
@@ -308,7 +298,7 @@ mod tests {
         let path = tmp("short.bin");
         std::fs::write(&path, b"CLU").unwrap();
         assert!(matches!(
-            read_binary_graph(&path).unwrap_err(),
+            FileEdgeStream::open(&path).unwrap_err(),
             GraphError::Format(_)
         ));
     }
@@ -318,26 +308,18 @@ mod tests {
         let path = tmp("trunc.bin");
         write_binary_graph(&path, 3, &sample()).unwrap();
         // Chop off the last 4 bytes: 4 edges promised (32 payload bytes),
-        // 28 on disk. Both open paths fail fast with the dedicated error
-        // carrying the exact byte accounting — no raw short-read I/O error
-        // can surface mid-stream.
+        // 28 on disk. Open fails fast with the dedicated error carrying
+        // the exact byte accounting — no raw short-read I/O error can
+        // surface mid-stream.
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 4]).unwrap();
-        for err in [
-            read_binary_graph(&path).unwrap_err(),
+        assert!(matches!(
             FileEdgeStream::open(&path).unwrap_err(),
-        ] {
-            match err {
-                GraphError::TruncatedPayload {
-                    expected_bytes,
-                    actual_bytes,
-                } => {
-                    assert_eq!(expected_bytes, 32);
-                    assert_eq!(actual_bytes, 28);
-                }
-                other => panic!("expected TruncatedPayload, got {other}"),
+            GraphError::TruncatedPayload {
+                expected_bytes: 32,
+                actual_bytes: 28,
             }
-        }
+        ));
     }
 
     #[test]
@@ -351,10 +333,6 @@ mod tests {
         data.extend_from_slice(&((1u64 << 61) + 1).to_le_bytes()); // m * 8 wraps
         data.extend_from_slice(&[0u8; 8]); // one fake record
         std::fs::write(&path, &data).unwrap();
-        assert!(matches!(
-            read_binary_graph(&path).unwrap_err(),
-            GraphError::Format(_)
-        ));
         assert!(matches!(
             FileEdgeStream::open(&path).unwrap_err(),
             GraphError::Format(_)
@@ -370,13 +348,12 @@ mod tests {
         data.extend_from_slice(&[0u8; 6]);
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(
-            read_binary_graph(&path).unwrap_err(),
+            FileEdgeStream::open(&path).unwrap_err(),
             GraphError::TruncatedPayload {
                 expected_bytes: 32,
                 actual_bytes: 38,
             }
         ));
-        assert!(FileEdgeStream::open(&path).is_err());
     }
 
     #[test]
@@ -476,8 +453,8 @@ mod tests {
     fn empty_graph_round_trip() {
         let path = tmp("empty.bin");
         write_binary_graph(&path, 0, &[]).unwrap();
-        let (n, edges) = read_binary_graph(&path).unwrap();
-        assert_eq!(n, 0);
-        assert!(edges.is_empty());
+        let mut s = FileEdgeStream::open(&path).unwrap();
+        assert_eq!((s.len_hint(), s.num_vertices_hint()), (Some(0), Some(0)));
+        assert!(s.next_chunk(16).is_empty());
     }
 }

@@ -1,19 +1,24 @@
-//! Graph I/O: a human-readable text edge list, a compact binary format
-//! with a file-backed resettable stream, and magic-based format detection
-//! over every on-disk representation (including the block-compressed
-//! [`crate::pack`] format).
+//! Graph I/O: a human-readable text edge list, a compact binary format,
+//! and magic-based format detection over every on-disk representation
+//! (including the block-compressed [`crate::pack`] format).
+//!
+//! Each format has one reader, and each reader is a resettable stream:
+//! [`TextEdgeStream`] (over [`RawTextEdgeStream`], the one text line
+//! parser), [`FileEdgeStream`] for flat binary, and the pack streams. A
+//! caller that wants the edges in memory collects the stream
+//! ([`crate::stream::collect_stream`]) and resets it, which reports any
+//! error the pass parked.
 //!
 //! The binary format is what the Figure 10(a) experiment streams from disk to
 //! charge I/O cost honestly (CLUGP makes three passes, one-pass baselines
 //! one). [`sniff_format`]/[`open_edge_stream`] are the single entry point
-//! CLIs and the bench dataset layer use, so a graph file works regardless of
-//! its extension.
+//! the CLIs use, so a graph file works regardless of its extension.
 
 pub mod binary;
 pub mod edge_list;
 
-pub use binary::{read_binary_graph, write_binary_graph, FileEdgeStream};
-pub use edge_list::{read_edge_list, write_edge_list, RawTextEdgeStream, TextEdgeStream};
+pub use binary::{write_binary_graph, FileEdgeStream};
+pub use edge_list::{write_edge_list, RawTextEdgeStream, TextEdgeStream};
 
 use crate::error::Result;
 use crate::stream::RestreamableStream;
@@ -74,8 +79,7 @@ pub fn sniff_format(path: &Path) -> Result<GraphFileFormat> {
 /// so every `for_each_chunk` consumer inherits decode-ahead without
 /// changing) and [`crate::pack::PackedEdgeStream`] elsewhere, both checking
 /// every CRC; everything else → [`TextEdgeStream`] (validated eagerly).
-/// This is the auto-detecting entry point of `clugp-part` and the bench
-/// dataset layer.
+/// This is the auto-detecting entry point of `clugp-part` and `clugp-pack`.
 pub fn open_edge_stream(path: &Path) -> Result<Box<dyn RestreamableStream>> {
     static CPUS: OnceLock<usize> = OnceLock::new();
     Ok(match sniff_format(path)? {
@@ -113,13 +117,13 @@ pub fn open_sparse_edge_stream(
             fmt.name()
         )));
     }
-    crate::idmap::RemappedStream::remap(RawTextEdgeStream::open(path)?)
+    crate::idmap::RemappedStream::remap(RawTextEdgeStream::open(path, u64::MAX)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::collect_stream;
+    use crate::stream::{collect_stream, EdgeStream};
     use crate::types::Edge;
     use std::path::PathBuf;
 
@@ -160,27 +164,30 @@ mod tests {
 
     #[test]
     fn open_edge_stream_yields_same_edges_for_every_format() {
+        // Detected by magic, never by extension: the last two names lie.
         let edges = sample(); // already in canonical (src, dst) order
-        let bin = tmp("auto.bin");
-        write_binary_graph(&bin, 3, &edges).unwrap();
-        let packed = tmp("auto.clugpz");
-        crate::pack::write_pack(&packed, 3, &edges, &crate::pack::PackOptions::default()).unwrap();
-        let text = tmp("auto.txt");
-        write_edge_list(&text, &edges).unwrap();
-        for p in [&bin, &packed, &text] {
+        let pack = |p: &Path| crate::pack::write_pack(p, 3, &edges, &Default::default());
+        let inputs = ["auto.bin", "auto.clugpz", "auto.txt", "a.clugpz", "a.txt"].map(tmp);
+        write_binary_graph(&inputs[0], 3, &edges).unwrap();
+        pack(&inputs[1]).unwrap();
+        write_edge_list(&inputs[2], &edges).unwrap();
+        write_edge_list(&inputs[3], &edges).unwrap();
+        pack(&inputs[4]).unwrap();
+        for p in &inputs {
             let mut s = open_edge_stream(p).unwrap();
+            let hints = (s.len_hint(), s.num_vertices_hint());
+            assert_eq!(hints, (Some(3), Some(3)), "{}", p.display());
             assert_eq!(collect_stream(s.as_mut()), edges, "{}", p.display());
             s.reset().unwrap();
             assert_eq!(collect_stream(s.as_mut()).len(), edges.len());
         }
-        for p in [bin, packed, text] {
+        for p in inputs {
             std::fs::remove_file(p).ok();
         }
     }
 
     #[test]
     fn sparse_open_remaps_text_and_rejects_dense_formats() {
-        use crate::stream::EdgeStream;
         let text = tmp("sparse_in.txt");
         std::fs::write(&text, "9000000000 7\n7 9000000000\n").unwrap();
         let s = open_sparse_edge_stream(&text).unwrap();

@@ -15,17 +15,16 @@
 //!   block of edges, not one per edge (see DESIGN.md §2).
 //! * [`idmap`] — the id-space layer: [`idmap::IdMap`] compacts sparse
 //!   64-bit external ids (hashed URLs, crawl ids) onto the dense internal
-//!   `u32` space, with a zero-cost identity mode for already-dense sources
-//!   and a first-appearance remap mode for raw text/file streams
-//!   ([`idmap::RemappedStream`]); both modes cap growth at a configurable
+//!   `u32` space in first-appearance order, under a raw stream through
+//!   [`idmap::RemappedStream`], and caps growth at a configurable
 //!   `max_vertices` (see DESIGN.md §5).
 //! * [`order`] — BFS crawl order (the paper's assumed web-graph stream
 //!   order), random order, and vertex relabeling.
 //! * [`gen`] — synthetic web/social graph generators substituting for the
 //!   WebGraph corpora of Table III (see DESIGN.md §4).
-//! * [`io`] — text edge-list and binary formats with file-backed streaming,
-//!   plus magic-based format detection ([`io::sniff_format`] /
-//!   [`io::open_edge_stream`]).
+//! * [`io`] — text edge-list and binary formats, each with one
+//!   file-backed stream as its reader, plus magic-based format detection
+//!   ([`io::sniff_format`] / [`io::open_edge_stream`]).
 //! * [`pack`] — `CLUGPZ`, the block-compressed on-disk graph storage layer:
 //!   varint + gap encoding in independently decodable checksummed blocks
 //!   with a trailing index, a bounded-memory external-sort writer, a

@@ -819,7 +819,8 @@ pub(crate) fn open_validated(
 
 /// Reads the block `entry` names from `file` through the scratch `raw`,
 /// holds it to its stored checksum when `policy` verifies, and
-/// decodes it into `out` — the one per-block read both pack readers share.
+/// decodes it into `out` — the one per-block read both pack streams and
+/// [`verify_pack_report`] share.
 /// A positional read moves no file cursor, so threads can share one handle.
 fn load_block(
     file: &File,
@@ -1097,20 +1098,6 @@ impl ShardedPackReader {
         specs
     }
 
-    /// Opens one shard as an independent stream (its own file handle, so
-    /// shards decode concurrently without contention).
-    pub fn open_shard(&self, spec: &ShardSpec) -> Result<PackedEdgeStream> {
-        let file = File::open(&self.path)?;
-        Ok(PackedEdgeStream::over_range(
-            file,
-            self.path.clone(),
-            self.header,
-            Arc::clone(&self.index),
-            spec.blocks.clone(),
-            ChecksumPolicy::Full,
-        ))
-    }
-
     /// Builds the [`ShardSpec`] for an explicit block range — the handle a
     /// distributed worker is assigned by its coordinator (as opposed to
     /// [`ShardedPackReader::shards`], which picks ranges itself). The range
@@ -1130,10 +1117,20 @@ impl ShardedPackReader {
         }
     }
 
-    /// Opens an explicit block range directly (see
-    /// [`ShardedPackReader::block_range`]).
+    /// Opens a block range as an independent stream, every CRC checked:
+    /// the range is clamped as [`ShardedPackReader::block_range`] clamps
+    /// it, and the stream has its own file handle, so shards decode
+    /// concurrently without contention.
     pub fn open_block_range(&self, blocks: Range<usize>) -> Result<PackedEdgeStream> {
-        self.open_shard(&self.block_range(blocks))
+        let file = File::open(&self.path)?;
+        Ok(PackedEdgeStream::over_range(
+            file,
+            self.path.clone(),
+            self.header,
+            Arc::clone(&self.index),
+            self.block_range(blocks).blocks,
+            ChecksumPolicy::Full,
+        ))
     }
 }
 
@@ -1171,16 +1168,11 @@ impl PackSummary {
     }
 }
 
-/// Reads and summarizes a pack without decoding its blocks.
-pub fn read_pack_summary(path: &Path) -> Result<PackSummary> {
-    read_pack_summary_with(path, ChecksumPolicy::Full)
-}
-
-/// [`read_pack_summary`] under an explicit [`ChecksumPolicy`]: `Off` skips
-/// the header/index CRC comparisons (magic and structural validation always
-/// run), letting `clugp-pack info` inspect a pack whose metadata checksums
-/// are damaged.
-pub fn read_pack_summary_with(path: &Path, policy: ChecksumPolicy) -> Result<PackSummary> {
+/// Reads and summarizes a pack without decoding its blocks, under
+/// `policy`: `Off` skips the header/index CRC comparisons (magic and
+/// structural validation always run), letting `clugp-pack info` inspect a
+/// pack whose metadata checksums are damaged.
+pub fn read_pack_summary(path: &Path, policy: ChecksumPolicy) -> Result<PackSummary> {
     let (file, header, index) = open_validated(path, policy)?;
     let file_bytes = file.metadata()?.len();
     let payload_bytes: u64 = index.entries().iter().map(|e| u64::from(e.byte_len)).sum();
@@ -1203,50 +1195,6 @@ pub fn read_pack_summary_with(path: &Path, policy: ChecksumPolicy) -> Result<Pac
             header.num_edges as f64 / num_blocks as f64
         },
     })
-}
-
-/// Fully decodes a pack, verifying every checksum, the canonical edge
-/// order, and that every id is below the header's vertex count. Returns the
-/// edge count on success, or the *first* failure — the streaming
-/// equivalent; [`verify_pack_report`] walks every block and reports all of
-/// them.
-pub fn verify_pack(path: &Path) -> Result<u64> {
-    let mut s = PackedEdgeStream::open(path)?;
-    let n = s.header().num_vertices;
-    let mut count = 0u64;
-    let mut prev: Option<Edge> = None;
-    let mut order_ok = true;
-    let mut max_id = 0u64;
-    crate::stream::for_each_chunk(&mut s, chunk_edges(), |chunk| {
-        for &e in chunk {
-            if let Some(p) = prev {
-                order_ok &= (p.src, p.dst) <= (e.src, e.dst);
-            }
-            max_id = max_id.max(u64::from(e.src.max(e.dst)));
-            prev = Some(e);
-        }
-        count += chunk.len() as u64;
-    });
-    // A parked decode error means the drain ended early; surface it.
-    s.reset()?;
-    if !order_ok {
-        return Err(GraphError::Format(
-            "pack violates canonical (src, dst) order".into(),
-        ));
-    }
-    if count != s.header().num_edges {
-        return Err(GraphError::Format(format!(
-            "pack decodes {count} edges, header promises {}",
-            s.header().num_edges
-        )));
-    }
-    if count > 0 && max_id >= n {
-        return Err(GraphError::VertexOutOfRange {
-            vertex: max_id,
-            num_vertices: n,
-        });
-    }
-    Ok(count)
 }
 
 /// One damaged block found by [`verify_pack_report`].
@@ -1283,17 +1231,18 @@ impl VerifyReport {
     }
 }
 
-/// Verifies every block of a pack, continuing past failures so the report
-/// names *all* damaged blocks with their index and byte offset — the
-/// `clugp-pack verify` surface.
+/// Fully decodes a pack, verifying every checksum, the canonical edge
+/// order, the edge count and that every id is below the header's vertex
+/// count. It continues past failures, so the report names *all* damaged
+/// blocks with their index and byte offset — the `clugp-pack verify`
+/// surface.
 ///
 /// # Errors
 ///
 /// Fails only when the metadata (header/index/footer) is too damaged to
 /// enumerate blocks at all; block-level damage lands in the report.
 pub fn verify_pack_report(path: &Path) -> Result<VerifyReport> {
-    let (mut file, header, index) = open_validated(path, ChecksumPolicy::Full)?;
-    let decoder = BlockDecoder;
+    let (file, header, index) = open_validated(path, ChecksumPolicy::Full)?;
     let mut raw: Vec<u8> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut report = VerifyReport {
@@ -1307,20 +1256,7 @@ pub fn verify_pack_report(path: &Path) -> Result<VerifyReport> {
     let mut order_ok = true;
     let mut max_id = 0u64;
     for (i, entry) in index.entries().iter().enumerate() {
-        let outcome = (|| -> Result<()> {
-            raw.resize(entry.byte_len as usize, 0);
-            file.seek(SeekFrom::Start(entry.byte_offset))?;
-            file.read_exact(&mut raw)?;
-            let computed = crc32(&raw);
-            if computed != entry.crc {
-                return Err(GraphError::Format(format!(
-                    "payload checksum mismatch: stored {:#010x}, computed {computed:#010x}",
-                    entry.crc
-                )));
-            }
-            decoder.decode(&raw, entry, &mut edges)
-        })();
-        match outcome {
+        match load_block(&file, &mut raw, entry, ChecksumPolicy::Full, &mut edges) {
             Ok(()) => {
                 for &e in &edges {
                     if let Some(p) = prev {
@@ -1753,7 +1689,7 @@ mod tests {
         assert_eq!(stats.num_vertices, 5, "explicit n preserved");
         let s = PackedEdgeStream::open(&path).unwrap();
         assert_eq!(s.num_vertices_hint(), Some(5));
-        assert_eq!(verify_pack(&path).unwrap(), 0);
+        assert!(verify_pack_report(&path).unwrap().is_ok());
         // Pipelined open over an empty pack streams empty too.
         let mut p = PipelinedPackStream::open(&path, DecodeOptions::default()).unwrap();
         assert!(collect_stream(&mut p).is_empty());
@@ -1872,7 +1808,7 @@ mod tests {
             }
             let mut all = Vec::new();
             for spec in &specs {
-                let mut s = reader.open_shard(spec).unwrap();
+                let mut s = reader.open_block_range(spec.blocks.clone()).unwrap();
                 assert_eq!(s.len_hint(), Some(spec.edges));
                 let part = collect_stream(&mut s);
                 assert_eq!(part.len() as u64, spec.edges);
@@ -1927,7 +1863,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sum = read_pack_summary(&path).unwrap();
+        let sum = read_pack_summary(&path, ChecksumPolicy::Full).unwrap();
         assert_eq!(sum.header.num_edges, edges.len() as u64);
         assert_eq!(sum.num_blocks, stats.num_blocks);
         // Every block but the trailing partial one reaches the target.
@@ -1938,7 +1874,6 @@ mod tests {
             .all(|e| e.byte_len >= 1024));
         assert!(sum.min_block_bytes >= 1);
         assert!(sum.bytes_per_edge() > 0.0);
-        assert_eq!(verify_pack(&path).unwrap(), edges.len() as u64);
         let report = verify_pack_report(&path).unwrap();
         assert!(report.is_ok());
         assert_eq!(report.decoded_edges, edges.len() as u64);
@@ -1975,7 +1910,7 @@ mod tests {
         // After reset the error is cleared; the stream re-reads up to the
         // damaged block again.
         assert!(s.error().is_none());
-        assert!(verify_pack(&path).is_err());
+        assert!(!verify_pack_report(&path).unwrap().is_ok());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2231,7 +2166,7 @@ mod tests {
         let errors = [
             PackedEdgeStream::open(&path).err(),
             PipelinedPackStream::open(&path, DecodeOptions::default()).err(),
-            read_pack_summary_with(&path, ChecksumPolicy::Off).err(),
+            read_pack_summary(&path, ChecksumPolicy::Off).err(),
             verify_pack_report(&path).err(),
         ];
         for (reader, err) in ["serial", "decode-ahead", "summary", "verify"]

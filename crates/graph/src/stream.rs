@@ -449,7 +449,7 @@ mod tests {
         // yields: the largest cap a caller can name drains it like any other
         // (a buffer of `cap` edges would be a "capacity overflow" panic).
         let (raw, edges) = dense_path(100);
-        let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
+        let mut s = RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap();
         let mut seen = Vec::new();
         for_each_chunk(&mut s, usize::MAX, |chunk| seen.extend_from_slice(chunk));
         assert_eq!(seen, edges);

@@ -247,31 +247,14 @@ fn sparse_remapped_stream_matches_dense_relabeled_run_bit_for_bit() {
 }
 
 #[test]
-fn sparse_ids_error_cleanly_without_the_remap_layer() {
-    // The same sparse stream in identity mode (the seed-equivalent path)
-    // must fail loudly on restream rather than silently truncating: the
-    // out-of-cap id parks an error that the next reset reports, so CLUGP's
-    // multi-pass pipeline surfaces it as a stream error.
-    use clugp_graph::idmap::{RawInMemoryStream, RemappedStream};
-    use clugp_graph::types::RawEdge;
-    let raw = vec![RawEdge::new(0, 1), RawEdge::new(u64::MAX, 1)];
-    let mut s = RemappedStream::identity(RawInMemoryStream::new(raw));
-    let err = Clugp::default().partition(&mut s, 4).unwrap_err();
-    assert!(
-        err.to_string().contains("max_vertices"),
-        "unexpected error: {err}"
-    );
-}
-
-#[test]
 fn every_source_delivers_one_sequence_at_any_cap() {
     // The pull contract, source by source: the same graph comes out as the
     // same edge sequence whatever `cap` the consumer names (0 reads as 1,
     // `usize::MAX` sizes nothing), no chunk is empty before the end or
     // longer than `cap`, and a `reset` replays it.
-    use clugp_graph::idmap::{RawInMemoryStream, RemappedStream};
+    use clugp_graph::idmap::{IdMap, RawInMemoryStream, RemappedStream};
     use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
-    use clugp_graph::io::edge_list::{write_edge_list, TextEdgeStream};
+    use clugp_graph::io::{open_edge_stream, write_edge_list};
     use clugp_graph::pack::{
         canonical_order, write_pack, DecodeOptions, PackOptions, PackedEdgeStream,
         PipelinedPackStream,
@@ -294,14 +277,20 @@ fn every_source_delivers_one_sequence_at_any_cap() {
         threads: 1,
         ..Default::default()
     };
-    let raw = want
+    let raw = want.iter().map(|&e| RawEdge::from(e)).collect();
+    // The remap layer yields the first-appearance relabeling.
+    let mut map = IdMap::remap();
+    let relabeled: Vec<Edge> = want
         .iter()
-        .map(|e| RawEdge::new(e.src.into(), e.dst.into()))
+        .map(|e| {
+            let mut id = |v: u32| map.intern(v.into()).unwrap();
+            Edge::new(id(e.src), id(e.dst))
+        })
         .collect();
     let sources: Vec<(&str, Box<dyn RestreamableStream>)> = vec![
         ("memory", Box::new(InMemoryStream::new(n, want.clone()))),
         ("binary", Box::new(FileEdgeStream::open(&flat).unwrap())),
-        ("text", Box::new(TextEdgeStream::open(&text).unwrap())),
+        ("text", open_edge_stream(&text).unwrap()),
         ("pack", Box::new(PackedEdgeStream::open(&pack).unwrap())),
         (
             "pipelined pack",
@@ -309,10 +298,15 @@ fn every_source_delivers_one_sequence_at_any_cap() {
         ),
         (
             "remapped",
-            Box::new(RemappedStream::identity(RawInMemoryStream::new(raw))),
+            Box::new(RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap()),
         ),
     ];
     for (name, mut s) in sources {
+        let want = if name == "remapped" {
+            &relabeled
+        } else {
+            &want
+        };
         for cap in [0usize, 1, 7, 4096, usize::MAX] {
             for pass in 0..2 {
                 let mut seen = Vec::with_capacity(want.len());
@@ -322,7 +316,7 @@ fn every_source_delivers_one_sequence_at_any_cap() {
                     assert!(chunk.len() <= cap.max(1), "{name} cap={cap}: over the cap");
                     seen.extend_from_slice(chunk);
                 }
-                assert_eq!(seen, want, "{name} cap={cap} pass={pass}");
+                assert_eq!(&seen, want, "{name} cap={cap} pass={pass}");
                 assert!(
                     s.next_chunk(cap).is_empty(),
                     "{name} cap={cap}: past the end"

@@ -336,7 +336,7 @@ proptest! {
     #[test]
     fn pack_round_trip_across_block_sizes(edges in arb_edges()) {
         use clugp_graph::pack::{
-            canonical_order, verify_pack, write_pack, PackOptions, PackedEdgeStream,
+            canonical_order, verify_pack_report, write_pack, PackOptions, PackedEdgeStream,
             DEFAULT_BLOCK_BYTES,
         };
         use clugp_graph::stream::collect_stream;
@@ -357,7 +357,9 @@ proptest! {
             prop_assert_eq!(&first, &want);
             s.reset().unwrap();
             prop_assert_eq!(&collect_stream(&mut s), &want);
-            prop_assert_eq!(verify_pack(&path).unwrap(), edges.len() as u64);
+            let report = verify_pack_report(&path).unwrap();
+            prop_assert!(report.is_ok());
+            prop_assert_eq!(report.decoded_edges, edges.len() as u64);
             std::fs::remove_file(&path).ok();
         }
     }
@@ -481,14 +483,15 @@ proptest! {
     /// Binary I/O round-trips arbitrary graphs.
     #[test]
     fn binary_io_round_trip(edges in arb_edges()) {
-        use clugp_graph::io::binary::{read_binary_graph, write_binary_graph};
+        use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
         let dir = std::env::temp_dir().join("clugp_prop_io");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("g{}.bin", edges.len()));
         write_binary_graph(&path, 64, &edges).unwrap();
-        let (n, back) = read_binary_graph(&path).unwrap();
+        let mut s = FileEdgeStream::open(&path).unwrap();
+        let back = clugp_graph::stream::collect_stream(&mut s);
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(n, 64);
+        prop_assert_eq!(s.num_vertices_hint(), Some(64));
         prop_assert_eq!(back, edges);
     }
 

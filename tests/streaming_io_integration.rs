@@ -4,9 +4,9 @@
 
 use clugp::clugp::Clugp;
 use clugp::partitioner::Partitioner;
-use clugp_graph::io::binary::{read_binary_graph, write_binary_graph, FileEdgeStream};
-use clugp_graph::io::edge_list::{read_edge_list, write_edge_list};
-use clugp_graph::stream::{collect_stream, InMemoryStream, TimedStream};
+use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
+use clugp_graph::io::edge_list::{write_edge_list, TextEdgeStream};
+use clugp_graph::stream::{collect_stream, EdgeStream, InMemoryStream, TimedStream};
 use clugp_repro::test_web_graph;
 use std::path::PathBuf;
 
@@ -40,9 +40,9 @@ fn binary_round_trip_at_scale() {
     let (n, edges) = test_web_graph(5_000, 22);
     let path = tmp("roundtrip.bin");
     write_binary_graph(&path, n, &edges).unwrap();
-    let (n2, edges2) = read_binary_graph(&path).unwrap();
-    assert_eq!(n, n2);
-    assert_eq!(edges, edges2);
+    let mut s = FileEdgeStream::open(&path).unwrap();
+    assert_eq!(s.num_vertices_hint(), Some(n));
+    assert_eq!(collect_stream(&mut s), edges);
     std::fs::remove_file(&path).ok();
 }
 
@@ -51,7 +51,7 @@ fn text_round_trip_preserves_multiset() {
     let (_, edges) = test_web_graph(500, 23);
     let path = tmp("roundtrip.txt");
     write_edge_list(&path, &edges).unwrap();
-    let edges2 = read_edge_list(&path).unwrap();
+    let edges2 = collect_stream(&mut TextEdgeStream::open(&path).unwrap());
     assert_eq!(edges, edges2);
     std::fs::remove_file(&path).ok();
 }
