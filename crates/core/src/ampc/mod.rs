@@ -10,9 +10,7 @@
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
 //!   forwards each turn's state to the next turn, casts read-only tables,
 //!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
-//!   game), and assembles the final [`crate::partition::Partitioning`]. At a
-//!   relaxed epoch barrier it folds each worker's rows under the merge the
-//!   baseline's kernel declares for that table.
+//!   game), and assembles the final [`crate::partition::Partitioning`].
 //! * [`transport`] / [`proto`] / [`wire`] — the exchange: in-process
 //!   bounded channels or length-prefixed Unix sockets carrying the same
 //!   hand-rolled little-endian frames.
@@ -24,12 +22,11 @@
 //! worker count, any chunk size, either transport) bit-identical to the
 //! monolithic partitioner, which is the correctness anchor
 //! `tests/distributed_equivalence.rs` pins. [`AmpcMode::Relaxed`] trades
-//! that anchor for concurrency: workers stream their ranges
-//! simultaneously against worker-local tables and reconcile at periodic
-//! epoch barriers with commutative merges, so score reads may be stale
-//! within an epoch but the output is still deterministic for a fixed
-//! worker count. See DESIGN.md §7 for the sequenced contract and §11 for
-//! the consistency dial.
+//! that anchor for concurrency in CLUGP's own passes, and runs nothing
+//! else: pass 1 clusters every range at once and the coordinator merges the
+//! frontiers, and the transform caps each worker at a slice of the load
+//! cap. The output is still deterministic for a fixed worker count. See
+//! DESIGN.md §7 for the sequenced contract and §11 for the relaxed one.
 
 pub mod algo;
 pub mod checkpoint;
@@ -59,11 +56,12 @@ pub enum AmpcMode {
     /// Bit-identical to the monolith at any worker count.
     #[default]
     Sequenced,
-    /// All workers stream concurrently against worker-local tables and
-    /// exchange commutative deltas at epoch barriers. Scores may be read
-    /// stale within an epoch; output is deterministic for a fixed worker
-    /// count but drifts from the monolith (measured by `experiments
-    /// ampc`).
+    /// CLUGP only: every worker runs pass 1 over its range at once against
+    /// its own tables, the coordinator merges the frontiers, and the
+    /// transform caps each worker at an even slice of the load cap. Output
+    /// is deterministic for a fixed worker count but drifts from the
+    /// monolith. Any other algorithm is refused with
+    /// [`PartitionError::InvalidParam`] before a worker is configured.
     Relaxed,
 }
 
@@ -167,20 +165,13 @@ pub struct DistConfig {
     /// Resume from the newest valid checkpoint in `checkpoint_dir`
     /// instead of starting from the first pass.
     pub resume: bool,
-    /// Progress model within a pass (sequenced token vs relaxed epochs).
+    /// Progress model within a pass (sequenced token, or relaxed CLUGP).
     pub mode: AmpcMode,
-    /// Relaxed mode only: chunks a worker streams between epoch barriers
-    /// (0 = the default of 8). Smaller epochs mean fresher scores and
-    /// more exchange; sequenced mode ignores this.
-    pub epoch_chunks: u32,
     /// Record observability spans/instants on the coordinator and every
     /// worker and merge them into [`DistOutcome::trace`] (DESIGN.md §12).
     /// Off by default; placement decisions are unaffected either way.
     pub trace: bool,
 }
-
-/// Default number of chunks per relaxed-mode epoch.
-pub const DEFAULT_EPOCH_CHUNKS: u32 = 8;
 
 impl Default for DistConfig {
     fn default() -> Self {
@@ -193,7 +184,6 @@ impl Default for DistConfig {
             checkpoint_dir: None,
             resume: false,
             mode: AmpcMode::Sequenced,
-            epoch_chunks: 0,
             trace: false,
         }
     }

@@ -7,10 +7,10 @@
 //!
 //! ```text
 //! coordinator → worker:  Configure, RunStage, TableCast, Pass1Frontier,
-//!                        TurnState, EpochSync, ResetTables, Shutdown
+//!                        TurnState, ResetTables, Shutdown
 //! worker → coordinator:  Hello, ConfigureOk, StageDone, ResetOk, Err, and —
-//!                        only while running a stage — EpochDone,
-//!                        Pass1Frontier, TurnState, Heartbeat, TraceEvents
+//!                        only while running a stage — Pass1Frontier,
+//!                        TurnState, Heartbeat, TraceEvents
 //! ```
 //!
 //! No table is paged: a stage holds every table it writes whole while the
@@ -23,13 +23,14 @@
 //! steps its range on top of it and sends its own ahead of `StageDone`; the
 //! coordinator forwards each frame as received, by its tag byte alone
 //! ([`Msg::hand_on_tag`]), and imports CLUGP's last one. A baseline's last
-//! turn sends none: nothing reads it. Relaxed, every worker starts empty and
-//! the coordinator merges CLUGP's frontiers. Whoever indexes with a turn's
-//! state holds it to the run first. (Tags 5 to 9 and 15 to 18 — `StateReq`
-//! and `StateResp`, the coordinator's own one-table `Upsert` and its ack, the
-//! one-op-per-frame `Route`, `Scan`/`ScanResp`, and the four-verb batched
-//! relay the baselines once paged their rows through — are retired and stay
-//! reserved, their names kept in [`Msg::verb_name`].)
+//! turn sends none: nothing reads it. Relaxed (CLUGP only), every worker
+//! starts empty and the coordinator merges the frontiers. Whoever indexes with
+//! a turn's state holds it to the run first. (Tags 5 to 9 and 15 to 20 —
+//! `StateReq` and `StateResp`, the coordinator's own one-table `Upsert` and
+//! its ack, the one-op-per-frame `Route`, `Scan`/`ScanResp`, the four-verb
+//! batched relay the baselines once paged their rows through, and the two
+//! epoch-barrier verbs relaxed baselines once reconciled through — are retired
+//! and stay reserved, their names kept in [`Msg::verb_name`].)
 //!
 //! From the end of pass 1 the coordinator owns the tables, and a stage that
 //! only *reads* one gets it whole, ahead of its `RunStage`, as a
@@ -38,9 +39,7 @@
 //! travel once for the pairs stage and the transform: keys as zigzag varint
 //! deltas (the sign keeps a non-monotone key order legal), rows as varints.
 //! A cast, a frontier or a turn state is one frame, so a table is bounded by
-//! the transport's frame cap (DESIGN.md §11). The `Epoch*` messages belong to
-//! the relaxed concurrent mode, where every worker streams at once and state
-//! is reconciled at epoch barriers instead of turn by turn.
+//! the transport's frame cap (DESIGN.md §11).
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
@@ -77,14 +76,8 @@ const TAG_PASS1_FRONTIER: u8 = 21;
 /// Tag byte of a [`Msg::TurnState`].
 const TAG_TURN_STATE: u8 = 24;
 
-/// One table's rows as a message carries them: the keys a relaxed worker
-/// touched this epoch and either its local contributions
-/// ([`Msg::EpochDone`], which the coordinator folds under the merge the
-/// kernel declares for the slot — deltas for degrees, current rows for
-/// replica masks) or the merged authoritative rows ([`Msg::EpochSync`],
-/// always overwritten); or a sequenced baseline's whole table
-/// ([`Msg::TurnState`], imported as it is). The frame names no merge: the
-/// slot alone decides how its rows combine.
+/// One table's rows as a [`Msg::TurnState`] carries them: a sequenced
+/// baseline's whole table, every non-zero row, imported as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTable {
     /// Table slot index.
@@ -368,11 +361,8 @@ pub enum Msg {
         /// Streaming state from the previous worker (sequenced mode) or
         /// the stage-start state (relaxed mode).
         token: Token,
-        /// Consistency mode for this stage.
+        /// Consistency mode for this stage (relaxed: CLUGP stages only).
         mode: AmpcMode,
-        /// Relaxed mode: chunks streamed between epoch barriers (unread in
-        /// sequenced mode and by stages that do not epoch-sync).
-        epoch: u32,
     },
     /// Stage finished.
     StageDone {
@@ -401,28 +391,6 @@ pub enum Msg {
     ResetTables,
     /// Worker ack for `ResetTables`.
     ResetOk,
-    /// Relaxed mode, worker → coordinator: this worker reached an epoch
-    /// barrier; here are its per-partition load deltas and per-table
-    /// local contributions since the last barrier.
-    EpochDone {
-        /// No more chunks after this barrier.
-        last: bool,
-        /// Per-partition load deltas.
-        loads: Vec<u64>,
-        /// Per-table touched keys + local deltas.
-        tables: Vec<EpochTable>,
-    },
-    /// Relaxed mode, coordinator → worker: the merged global state after
-    /// an epoch barrier (authoritative loads, merged rows for every key
-    /// any worker touched this epoch).
-    EpochSync {
-        /// Every worker is done; send `StageDone` next.
-        done: bool,
-        /// Merged per-partition loads.
-        loads: Vec<u64>,
-        /// Merged rows (applied as overwrites).
-        tables: Vec<EpochTable>,
-    },
     /// CLUGP pass 1's state, worker → coordinator just before `StageDone`:
     /// per touched vertex a width-3 row (raw cluster id + 1 or 0, degree,
     /// divided flag) plus the raw-cluster volume table. Relaxed, it is the
@@ -430,7 +398,7 @@ pub enum Msg {
     /// Sequenced, it is the whole state so far, and also travels
     /// coordinator → worker: the next turn's seed, ahead of its `RunStage`.
     Pass1Frontier {
-        /// Touched vertex ids, ascending.
+        /// The vertex ids the pass touched, ascending.
         keys: Vec<u64>,
         /// Flattened width-3 rows.
         rows: Vec<u64>,
@@ -734,7 +702,7 @@ fn get_trace_events(r: &mut Rd<'_>) -> Result<(u64, u64, Vec<Event>)> {
     Ok((now_us, dropped, events))
 }
 
-fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
+fn put_tables(w: &mut Wr, tables: &[EpochTable]) {
     w.vu64(tables.len() as u64);
     for t in tables {
         w.u8(t.table);
@@ -743,10 +711,10 @@ fn put_epoch_tables(w: &mut Wr, tables: &[EpochTable]) {
     }
 }
 
-fn get_epoch_tables(r: &mut Rd<'_>) -> Result<Vec<EpochTable>> {
+fn get_tables(r: &mut Rd<'_>) -> Result<Vec<EpochTable>> {
     let n = r.vu64()?;
     if n > 512 {
-        return Err(bad("epoch table count"));
+        return Err(bad("table count"));
     }
     let mut tables = Vec::with_capacity(n as usize);
     for _ in 0..n {
@@ -804,8 +772,6 @@ impl Msg {
             Msg::Heartbeat => "Heartbeat",
             Msg::ResetTables => "ResetTables",
             Msg::ResetOk => "ResetOk",
-            Msg::EpochDone { .. } => "EpochDone",
-            Msg::EpochSync { .. } => "EpochSync",
             Msg::Pass1Frontier { .. } => "Pass1Frontier",
             Msg::TableCast { .. } => "TableCast",
             Msg::TraceEvents { .. } => "TraceEvents",
@@ -875,17 +841,11 @@ impl Msg {
                 put_setup(w, setup);
             }
             Msg::ConfigureOk => w.u8(2),
-            Msg::RunStage {
-                stage,
-                token,
-                mode,
-                epoch,
-            } => {
+            Msg::RunStage { stage, token, mode } => {
                 w.u8(3);
                 put_stage(w, *stage);
                 put_token(w, token);
                 w.u8(mode.tag());
-                w.u32(*epoch);
             }
             Msg::StageDone {
                 token,
@@ -911,26 +871,6 @@ impl Msg {
             Msg::Heartbeat => w.u8(12),
             Msg::ResetTables => w.u8(13),
             Msg::ResetOk => w.u8(14),
-            Msg::EpochDone {
-                last,
-                loads,
-                tables,
-            } => {
-                w.u8(19);
-                w.bool(*last);
-                w.vu64s(loads);
-                put_epoch_tables(w, tables);
-            }
-            Msg::EpochSync {
-                done,
-                loads,
-                tables,
-            } => {
-                w.u8(20);
-                w.bool(*done);
-                w.vu64s(loads);
-                put_epoch_tables(w, tables);
-            }
             Msg::Pass1Frontier { keys, rows, vol } => {
                 w.u8(TAG_PASS1_FRONTIER);
                 w.delta_u64s(keys);
@@ -953,7 +893,7 @@ impl Msg {
             }
             Msg::TurnState { tables } => {
                 w.u8(TAG_TURN_STATE);
-                put_epoch_tables(w, tables);
+                put_tables(w, tables);
             }
         }
     }
@@ -981,12 +921,7 @@ impl Msg {
                 let stage = get_stage(&mut r)?;
                 let token = get_token(&mut r)?;
                 let mode = AmpcMode::from_tag(r.u8()?).ok_or_else(|| bad("mode tag"))?;
-                Msg::RunStage {
-                    stage,
-                    token,
-                    mode,
-                    epoch: r.u32()?,
-                }
+                Msg::RunStage { stage, token, mode }
             }
             4 => {
                 let token = get_token(&mut r)?;
@@ -1007,16 +942,6 @@ impl Msg {
             12 => Msg::Heartbeat,
             13 => Msg::ResetTables,
             14 => Msg::ResetOk,
-            19 => Msg::EpochDone {
-                last: r.bool()?,
-                loads: r.vu64s()?,
-                tables: get_epoch_tables(&mut r)?,
-            },
-            20 => Msg::EpochSync {
-                done: r.bool()?,
-                loads: r.vu64s()?,
-                tables: get_epoch_tables(&mut r)?,
-            },
             TAG_PASS1_FRONTIER => Msg::Pass1Frontier {
                 keys: r.delta_u64s()?,
                 rows: r.vu64s()?,
@@ -1038,7 +963,7 @@ impl Msg {
                 }
             }
             TAG_TURN_STATE => Msg::TurnState {
-                tables: get_epoch_tables(&mut r)?,
+                tables: get_tables(&mut r)?,
             },
             _ => return Err(bad("message tag")),
         };
@@ -1105,7 +1030,6 @@ mod tests {
                 carry: vec![Edge::new(7, 9)],
             },
             mode: AmpcMode::Relaxed,
-            epoch: 16,
         });
         round_trip(Msg::StageDone {
             token: Token::default(),
@@ -1250,42 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_mode_messages_round_trip() {
-        let tables = vec![
-            EpochTable {
-                table: 1,
-                keys: vec![2, 5, 6],
-                rows: vec![1, 1, 4],
-            },
-            EpochTable {
-                table: 0,
-                keys: vec![9],
-                rows: vec![0b1010],
-            },
-        ];
-        round_trip(Msg::EpochDone {
-            last: false,
-            loads: vec![1, 0, 7],
-            tables: tables.clone(),
-        });
-        round_trip(Msg::EpochSync {
-            done: true,
-            loads: vec![9, 9, 9],
-            tables,
-        });
-        round_trip(Msg::Pass1Frontier {
-            keys: vec![0, 3, 4],
-            rows: vec![1, 2, 0, 0, 1, 1, 2, 4, 0],
-            vol: vec![6, 4],
-        });
-        round_trip(Msg::TableCast {
-            table: 2,
-            keys: vec![0, 1, 2],
-            rows: vec![3, 1, 0],
-        });
-    }
-
-    #[test]
     fn encode_into_matches_encode_and_reuses_the_buffer() {
         let msg = turn_state();
         let mut buf = Msg::Heartbeat.encode();
@@ -1349,6 +1237,8 @@ mod tests {
         // empty shard it read back. And 15 to 18, the batched relay the
         // baselines paged through: a batch of one `Get` to worker 1, the
         // request it was relayed as, and the empty rows of the two replies.
+        // And 19 and 20, the epoch barrier relaxed baselines reconciled at: a
+        // last epoch with one load and no table, and the sync that closed it.
         for frame in [
             &upsert[..],
             &[6, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -1358,15 +1248,20 @@ mod tests {
             &[16, 1, 0, 1, 0, 0],
             &[17, 0],
             &[18, 0],
+            &[19, 1, 1, 3, 0],
+            &[20, 1, 1, 3, 0],
         ] {
             let err = Msg::decode(frame).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
             assert!(err.to_string().contains("message tag"), "{err}");
         }
-        // The names stay in the histogram, slot for slot with the tags.
+        // The names stay in the histogram, slot for slot with the tags, so a
+        // per-verb byte count keyed by a retired name still resolves.
         assert_eq!(Msg::verb_name(8), "Scan");
         assert_eq!(Msg::verb_name(9), "ScanResp");
         assert_eq!(Msg::verb_name(18), "RouteReply");
+        assert_eq!(Msg::verb_name(19), "EpochDone");
+        assert_eq!(Msg::verb_name(20), "EpochSync");
         assert_eq!(Msg::verb_name(21), "Pass1Frontier");
     }
 

@@ -22,20 +22,19 @@
 //! kept until `ResetTables` (`Casts`): the vertex rows cast for the pairs
 //! stage serve the transform too.
 //!
-//! In [`AmpcMode::Relaxed`] no turn hands anything on: every worker streams
-//! its whole range against worker-local tables and reconciles with the fleet at
-//! epoch barriers ([`Msg::EpochDone`] / [`Msg::EpochSync`]); CLUGP pass 1
-//! runs unseeded on every worker at once and the coordinator merges the
-//! frontiers, and the transform enforces a growing per-worker slice of the
-//! load cap where the sequenced token enforces the hard one. Those two are
-//! all that the mode changes about a CLUGP stage.
+//! [`AmpcMode::Relaxed`] runs CLUGP only, and no turn hands anything on:
+//! pass 1 runs unseeded on every worker at once and the coordinator merges
+//! the frontiers, and the transform enforces a growing per-worker slice of
+//! the load cap where the sequenced token enforces the hard one. Those two are
+//! all that the mode changes about a CLUGP stage; a baseline stage in it is
+//! refused.
 
 use super::proto::{
     AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
 };
 use super::transport::Transport;
-use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
-use crate::baselines::kernel::{EdgeKernel, MergeOp, SharedTable};
+use super::AmpcMode;
+use crate::baselines::kernel::{EdgeKernel, SharedTable};
 use crate::baselines::mint::{MintConfig, Waves};
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
@@ -48,8 +47,6 @@ use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
 use clugp_obs::{self as obs, Event, EventBuf};
-use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -176,13 +173,8 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.seed = None;
                 wk.send_msg(&Msg::ResetOk)?;
             }
-            Msg::RunStage {
-                stage,
-                token,
-                mode,
-                epoch,
-            } => {
-                let out = wk.run_stage(stage, token, mode, epoch);
+            Msg::RunStage { stage, token, mode } => {
+                let out = wk.run_stage(stage, token, mode);
                 let (token, assignments, pairs) = wk.reported(out)?;
                 wk.send_msg(&Msg::StageDone {
                     token,
@@ -309,7 +301,7 @@ struct Wk {
 
 impl Wk {
     /// Encodes and sends `msg`, reusing the worker's scratch buffer so
-    /// repeated sends (heartbeats, epoch frames) do not allocate.
+    /// repeated sends (heartbeats, turn states) do not allocate.
     fn send_msg(&mut self, msg: &Msg) -> Result<()> {
         let mut buf = std::mem::take(&mut self.scratch);
         msg.encode_into(&mut buf);
@@ -412,19 +404,13 @@ impl Wk {
         }
     }
 
-    fn run_stage(
-        &mut self,
-        stage: Stage,
-        token: Token,
-        mode: AmpcMode,
-        epoch: u32,
-    ) -> Result<StageOut> {
+    fn run_stage(&mut self, stage: Stage, token: Token, mode: AmpcMode) -> Result<StageOut> {
         let relaxed = mode == AmpcMode::Relaxed;
-        let epoch = if epoch == 0 {
-            DEFAULT_EPOCH_CHUNKS
-        } else {
-            epoch
-        } as usize;
+        if relaxed && stage == Stage::Baseline {
+            return Err(PartitionError::InvalidParam(
+                "relaxed mode runs CLUGP only, not a baseline stage".into(),
+            ));
+        }
         self.chunk_ts = 0;
         self.chunk_edges = 0;
         let t_stage = if self.setup.trace { obs::now_us() } else { 0 };
@@ -432,7 +418,7 @@ impl Wk {
         // The mirrors are lent to the stage, which sends through `self`.
         let casts = std::mem::take(&mut self.casts);
         let mut out = match stage {
-            Stage::Baseline => self.stage_baseline(token, &mut source, relaxed, epoch),
+            Stage::Baseline => self.stage_baseline(token, &mut source),
             Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source),
             Stage::ClugpPairs { num_clusters } => {
                 self.stage_clugp_pairs(num_clusters, token, &mut source, &casts)
@@ -472,24 +458,14 @@ impl Wk {
         })
     }
 
-    fn stage_baseline(
-        &mut self,
-        token: Token,
-        source: &mut Source,
-        relaxed: bool,
-        epoch: usize,
-    ) -> Result<StageOut> {
+    fn stage_baseline(&mut self, token: Token, source: &mut Source) -> Result<StageOut> {
         let algo = self.setup.algo.clone();
         let (token, assignments) = if let AlgoSpec::Mint(cfg) = &algo {
-            let (token, wide) = self.run_mint(cfg, token, source, relaxed)?;
+            let (token, wide) = self.run_mint(cfg, token, source)?;
             (token, PartIds::from_ids(self.setup.k, &wide))
         } else {
             with_edge_kernel!(&algo, self.setup.k, |kernel| {
-                if relaxed {
-                    self.run_relaxed(kernel, token, source, epoch)?
-                } else {
-                    self.run_sequenced(kernel, token, source)?
-                }
+                self.run_sequenced(kernel, token, source)?
             })
             .ok_or_else(|| {
                 PartitionError::InvalidParam("CLUGP algo cannot run the baseline stage".into())
@@ -549,15 +525,12 @@ impl Wk {
     /// every worker solves the full waves its range completes and carries
     /// the remainder to the next worker in the token. The last worker
     /// drains the tail (partial wave / partial batch), exactly where the
-    /// monolith's end-of-stream wave lands. In relaxed mode there is no
-    /// token to carry a remainder on, so every worker waves over its own
-    /// range and drains its own tail.
+    /// monolith's end-of-stream wave lands.
     fn run_mint(
         &mut self,
         cfg: &MintConfig,
         mut token: Token,
         source: &mut Source,
-        relaxed: bool,
     ) -> Result<(Token, Vec<u32>)> {
         let loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
         let carry = std::mem::take(&mut token.carry);
@@ -565,120 +538,12 @@ impl Wk {
         while let Some(chunk) = self.lend_chunk(source)? {
             waves.push(chunk);
         }
-        if relaxed || self.setup.worker + 1 == self.setup.workers {
+        if self.setup.worker + 1 == self.setup.workers {
             waves.drain();
         }
         token.carry = waves.pending;
         token.loads = waves.loads.into_vec();
         Ok((token, waves.assignments))
-    }
-
-    /// One relaxed-mode epoch barrier: ship this worker's deltas, block
-    /// until the coordinator broadcasts the merged committed state for the
-    /// round. Every worker contributes exactly one [`Msg::EpochDone`] per
-    /// round, so the committed state after round `r` is independent of
-    /// thread scheduling — that is what keeps relaxed runs deterministic.
-    fn epoch_exchange(
-        &mut self,
-        last: bool,
-        loads: Vec<u64>,
-        tables: Vec<EpochTable>,
-    ) -> Result<(bool, Vec<u64>, Vec<EpochTable>)> {
-        let t_barrier = if self.setup.trace { obs::now_us() } else { 0 };
-        self.send_msg(&Msg::EpochDone {
-            last,
-            loads,
-            tables,
-        })?;
-        match recv(self.conn.as_mut())? {
-            Msg::EpochSync {
-                done,
-                loads,
-                tables,
-            } => {
-                if self.setup.trace {
-                    self.obs
-                        .push(Event::span_since("epoch:barrier", t_barrier, 0));
-                }
-                Ok((done, loads, tables))
-            }
-            Msg::Err { msg } => Err(PartitionError::InvalidParam(msg)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Final relaxed-mode barrier sequence: ship the last deltas, then
-    /// keep answering rounds with empty deltas until every worker has
-    /// reported `last`. Returns the final committed loads.
-    fn epoch_drain(
-        &mut self,
-        loads: Vec<u64>,
-        tables: Vec<EpochTable>,
-        mut apply: impl FnMut(&EpochTable) -> Result<()>,
-    ) -> Result<Vec<u64>> {
-        let k = loads.len();
-        let (mut done, mut committed, merged) = self.epoch_exchange(true, loads, tables)?;
-        for t in &merged {
-            apply(t)?;
-        }
-        while !done {
-            let (d, l, merged) = self.epoch_exchange(true, vec![0; k], Vec::new())?;
-            done = d;
-            committed = l;
-            for t in &merged {
-                apply(t)?;
-            }
-        }
-        Ok(committed)
-    }
-
-    /// The relaxed driver: step the whole range against worker-local
-    /// tables, and every `epoch` chunks ship what changed — load deltas,
-    /// plus each shared table's rows for the keys touched since the last
-    /// barrier, merged fleet-wide under the table's [`MergeOp`] — and adopt
-    /// the committed state the coordinator broadcasts back.
-    fn run_relaxed<K: EdgeKernel>(
-        &mut self,
-        mut kernel: K,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, PartIds)> {
-        if !K::EPOCH_SYNCED {
-            // A kernel that shares nothing (Hashing) has nothing to relax:
-            // it streams to `StageDone` and the coordinator sums the loads.
-            return self.run_sequenced(kernel, token, source);
-        }
-        let mut assignments = Vec::new();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut touched = Touched::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        while let Some(chunk) = self.lend_chunk(source)? {
-            if K::TABLES > 0 {
-                distinct_endpoints(chunk, &mut keys);
-                touched.note(&mut kernel, &keys)?;
-            }
-            kernel.step_chunk(chunk, &mut loads, &mut assignments)?;
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = touched.flush(&mut kernel);
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, synced) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-                for t in &synced {
-                    apply_sync(&mut kernel, t)?;
-                }
-            }
-        }
-        let tables = touched.flush(&mut kernel);
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply_sync(&mut kernel, t))?;
-        token.table_len = token.table_len.max(table_len(&mut kernel));
-        Ok((token, PartIds::from_ids(self.setup.k, &assignments)))
     }
 
     /// The CLUGP parameters of this worker's `Configure`: `(splitting,
@@ -929,9 +794,9 @@ pub(crate) fn import_turn_state(
 /// hands on — the `tables` of a [`Msg::TurnState`] — holding it to the run
 /// before the kernel steps an edge with it: one table per kernel slot, in slot
 /// order; every row the table's width and every key below its cap
-/// ([`import_rows`]); and every `Add`-merged table — the partial degrees of
-/// DBH and HDRF, which each edge bumps at both ends — summing to twice the
-/// edges the token's `loads` count. An error names `worker`.
+/// ([`import_rows`]); and every table of partial degrees — DBH's and HDRF's,
+/// which each edge bumps at both ends — summing to twice the edges the token's
+/// `loads` count. An error names `worker`.
 pub(crate) fn import_kernel_state<K: EdgeKernel>(
     worker: usize,
     kernel: &mut K,
@@ -953,7 +818,7 @@ pub(crate) fn import_kernel_state<K: EdgeKernel>(
     for t in tables {
         let table = kernel.table(usize::from(t.table));
         import_rows(table, &t.keys, &t.rows).map_err(|e| named(e.to_string()))?;
-        if table.merge() == MergeOp::Add && sum(&t.rows) != 2 * edges {
+        if table.counts_degrees() && sum(&t.rows) != 2 * edges {
             return Err(named(format!(
                 "has degrees in table slot {} summing to {}, \
                  not twice the {edges} edges the loads count",
@@ -963,26 +828,6 @@ pub(crate) fn import_kernel_state<K: EdgeKernel>(
         }
     }
     Ok(())
-}
-
-/// Collects the distinct endpoint ids of a chunk, sorted ascending.
-fn distinct_endpoints(buf: &[Edge], keys: &mut Vec<u64>) {
-    keys.clear();
-    keys.extend(
-        buf.iter()
-            .flat_map(|e| [u64::from(e.src), u64::from(e.dst)]),
-    );
-    keys.sort_unstable();
-    keys.dedup();
-}
-
-/// Element-wise wrapping difference `cur - base`: the per-epoch load
-/// delta a relaxed worker ships at a barrier.
-fn loads_delta(cur: &[u64], base: &[u64]) -> Vec<u64> {
-    cur.iter()
-        .zip(base)
-        .map(|(&c, &b)| c.wrapping_sub(b))
-        .collect()
 }
 
 /// Vertex-table watermark of a kernel: one past the highest id any of its
@@ -995,8 +840,7 @@ fn table_len<K: EdgeKernel>(kernel: &mut K) -> u64 {
 }
 
 /// Overwrites `table`'s rows for `keys` with `rows` (flattened, key order):
-/// the one way rows off the wire — a turn state, an epoch sync — reach a
-/// kernel's tables. A key at or past the table's cap is refused before it is
+/// the one way rows off the wire — a turn state — reach a kernel's tables. A key at or past the table's cap is refused before it is
 /// narrowed to a vertex id.
 fn import_rows(table: &mut dyn SharedTable, keys: &[u64], rows: &[u64]) -> Result<()> {
     let width = table.width();
@@ -1034,88 +878,6 @@ fn nonzero_rows(table: &dyn SharedTable, slot: usize) -> EpochTable {
         table: slot as u8,
         keys,
         rows,
-    }
-}
-
-/// `table`'s current rows for `keys`, flattened in key order.
-fn export_rows(table: &dyn SharedTable, keys: &[u64]) -> Vec<u64> {
-    let width = table.width();
-    let mut rows = vec![0u64; keys.len() * width];
-    for (i, &key) in keys.iter().enumerate() {
-        table.export(key as u32, &mut rows[i * width..(i + 1) * width]);
-    }
-    rows
-}
-
-/// Adopts the committed rows of one epoch-sync table. For an OR-merged
-/// table the committed row is a superset of the local one (this worker
-/// contributed to it), so overwriting never loses local bits.
-fn apply_sync<K: EdgeKernel>(kernel: &mut K, t: &EpochTable) -> Result<()> {
-    if t.table as usize >= K::TABLES {
-        return Err(PartitionError::InvalidParam(format!(
-            "epoch sync for unknown table slot {}",
-            t.table
-        )));
-    }
-    import_rows(kernel.table(t.table as usize), &t.keys, &t.rows)
-}
-
-/// The keys a relaxed worker touched since the last epoch barrier, each
-/// with the rows its `Add`-merged tables held at first touch (slot order):
-/// sums ship `current − first`, the idempotent merges ship the current row.
-#[derive(Default)]
-struct Touched {
-    first: FxHashMap<u64, Vec<u64>>,
-}
-
-impl Touched {
-    fn note<K: EdgeKernel>(&mut self, kernel: &mut K, keys: &[u64]) -> Result<()> {
-        for &key in keys {
-            if let Entry::Vacant(first) = self.first.entry(key) {
-                let mut rows = Vec::new();
-                for slot in 0..K::TABLES {
-                    let table = kernel.table(slot);
-                    table.ensure(key as u32)?;
-                    if table.merge() == MergeOp::Add {
-                        let at = rows.len();
-                        rows.resize(at + table.width(), 0);
-                        table.export(key as u32, &mut rows[at..]);
-                    }
-                }
-                first.insert(rows);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains the touched set into one [`EpochTable`] per slot (keys
-    /// ascending) and starts the next epoch's set.
-    fn flush<K: EdgeKernel>(&mut self, kernel: &mut K) -> Vec<EpochTable> {
-        let mut keys: Vec<u64> = self.first.keys().copied().collect();
-        keys.sort_unstable();
-        // Offset of the current `Add` table within a first-touch record.
-        let mut at = 0;
-        let mut tables = Vec::with_capacity(K::TABLES);
-        for slot in 0..K::TABLES {
-            let table = kernel.table(slot);
-            let (width, merge) = (table.width(), table.merge());
-            let mut rows = export_rows(table, &keys);
-            if merge == MergeOp::Add {
-                for (row, key) in rows.chunks_mut(width).zip(&keys) {
-                    for (word, was) in row.iter_mut().zip(&self.first[key][at..]) {
-                        *word = word.wrapping_sub(*was);
-                    }
-                }
-                at += width;
-            }
-            tables.push(EpochTable {
-                table: slot as u8,
-                keys: keys.clone(),
-                rows,
-            });
-        }
-        self.first.clear();
-        tables
     }
 }
 
@@ -1167,7 +929,6 @@ pub(crate) mod tests {
             stage,
             token,
             mode: AmpcMode::Sequenced,
-            epoch: 0,
         }
     }
 
@@ -1204,6 +965,23 @@ pub(crate) mod tests {
             let msg = reported_error(setup(algo, edges), vec![run]);
             assert!(msg.contains("HDRF"), "{msg}");
         }
+    }
+
+    #[test]
+    fn a_relaxed_baseline_stage_is_a_typed_error() {
+        // Relaxed mode runs CLUGP only: a baseline stage in it is refused
+        // with an `Err` reply before an edge is streamed.
+        let run = Msg::RunStage {
+            stage: Stage::Baseline,
+            token: Token {
+                loads: vec![0; 4],
+                ..Default::default()
+            },
+            mode: AmpcMode::Relaxed,
+        };
+        let greedy = AlgoSpec::Greedy { max_vertices: 64 };
+        let msg = reported_error(setup(greedy, vec![Edge::new(0, 1)]), vec![run]);
+        assert!(msg.contains("relaxed mode runs CLUGP only"), "{msg}");
     }
 
     /// Vertices 0, 1, 2 at degree 2, one raw cluster each: the pass-1 state

@@ -3,20 +3,18 @@
 //! Hashing, DBH, Greedy and HDRF all have the same shape: per edge,
 //! read a little per-vertex state plus the load vector, pick a partition,
 //! update. An [`EdgeKernel`] states exactly that — which vertex tables it
-//! shares ([`SharedTable`]: row width, relaxed [`MergeOp`], row
-//! import/export), whether it reads the loads, and its per-edge `step` —
-//! and three generic drivers, monomorphised over the kernel, run it:
+//! shares ([`SharedTable`]: row width, cap, row import/export), whether it
+//! reads the loads, and its per-edge `step` — and two generic drivers,
+//! monomorphised over the kernel, run it:
 //!
 //! * [`run_local`] (here): tables in-process — the monolithic
 //!   `Partitioner::partition` of every baseline;
 //! * the *sequenced* AMPC driver (`ampc::worker`): tables lent by the turn
 //!   before — import every row it handed on, step, and hand every non-zero
-//!   row on to the next turn;
-//! * the *relaxed* AMPC driver (`ampc::worker`): step against local
-//!   tables, ship per-epoch deltas merged under each table's `MergeOp`.
+//!   row on to the next turn.
 //!
-//! Because all three call the same `step`, every configuration the
-//! sequenced driver runs is bit-identical to the monolith.
+//! Because both call the same `step`, every configuration the sequenced
+//! driver runs is bit-identical to the monolith.
 
 use crate::error::Result;
 use crate::memory::MemoryReport;
@@ -27,38 +25,16 @@ use crate::vertex_table::{check_cap, VertexTable};
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
 use clugp_graph::types::{Edge, VertexId};
 
-/// How relaxed workers' rows of one table combine at an epoch barrier, word
-/// by word. Both ops are commutative and associative, so the committed row
-/// does not depend on the order contributions fold in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MergeOp {
-    /// Wrapping per-word addition (partial degrees).
-    Add,
-    /// Per-word bitwise OR (replica masks).
-    BitOr,
-}
-
-impl MergeOp {
-    /// Folds `src` into `dst`.
-    pub(crate) fn apply(self, dst: &mut [u64], src: &[u64]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = match self {
-                MergeOp::Add => d.wrapping_add(s),
-                MergeOp::BitOr => *d | s,
-            };
-        }
-    }
-}
-
 /// A per-vertex table a kernel shares across workers: rows of `width`
 /// words keyed by vertex id.
 pub(crate) trait SharedTable {
     /// Words per row.
     fn width(&self) -> usize;
-    /// How relaxed workers' rows combine at an epoch barrier. `Add` tables
-    /// ship the delta since the last barrier; the idempotent ops ship the
-    /// current row.
-    fn merge(&self) -> MergeOp;
+    /// Whether the rows are partial degrees, which each edge bumps at both
+    /// ends: a turn state's rows of such a table sum to twice its edges.
+    fn counts_degrees(&self) -> bool {
+        false
+    }
     /// The sizing check the table's constructor applies to a vertex-count
     /// hint, for callers that size nothing (the AMPC coordinator).
     fn check_hint(&self, n: u64) -> Result<()>;
@@ -76,13 +52,13 @@ pub(crate) trait SharedTable {
     fn report(&self, memory: &mut MemoryReport);
 }
 
-/// Partial degrees: commutative sums.
+/// Partial degrees.
 impl SharedTable for VertexTable<u32> {
     fn width(&self) -> usize {
         1
     }
-    fn merge(&self) -> MergeOp {
-        MergeOp::Add
+    fn counts_degrees(&self) -> bool {
+        true
     }
     fn check_hint(&self, n: u64) -> Result<()> {
         check_cap("num_vertices hint", n, self.limit())
@@ -107,13 +83,10 @@ impl SharedTable for VertexTable<u32> {
     }
 }
 
-/// Replica masks: monotone under OR.
+/// Replica masks.
 impl SharedTable for ReplicaTable {
     fn width(&self) -> usize {
         self.words_per_row()
-    }
-    fn merge(&self) -> MergeOp {
-        MergeOp::BitOr
     }
     fn check_hint(&self, n: u64) -> Result<()> {
         check_cap("num_vertices", n, self.limit())
@@ -142,13 +115,8 @@ impl SharedTable for ReplicaTable {
 pub(crate) trait EdgeKernel {
     /// Number of shared vertex tables; their AMPC slots are `0..TABLES`.
     const TABLES: usize = 0;
-    /// Whether `step` reads `loads` (relaxed mode then has to reconcile the
-    /// load vector between chunks even for a kernel with no tables).
+    /// Whether `step` reads `loads` (the memory report then counts them).
     const READS_LOADS: bool;
-    /// Whether relaxed AMPC workers have anything to reconcile at epoch
-    /// barriers. A kernel that shares nothing runs relaxed exactly as it
-    /// runs sequenced.
-    const EPOCH_SYNCED: bool = Self::READS_LOADS || Self::TABLES > 0;
 
     /// The shared table in `slot`.
     fn table(&mut self, slot: usize) -> &mut dyn SharedTable {
@@ -216,32 +184,4 @@ pub(crate) fn run_local<K: EdgeKernel>(
             ..Default::default()
         },
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::MergeOp;
-
-    #[test]
-    fn merge_ops_apply_per_word_in_any_order() {
-        let mut row = [3, 1];
-        MergeOp::Add.apply(&mut row, &[4, u64::MAX]);
-        assert_eq!(row, [7, 0], "Add wraps per word");
-        MergeOp::BitOr.apply(&mut row, &[0b1000, 0b10]);
-        assert_eq!(row, [7 | 0b1000, 0b10]);
-        // The coordinator folds each worker's contribution as it arrives: a
-        // commutative op makes the committed row independent of that order.
-        let rows: [[u64; 2]; 4] = [[5, 1 << 63], [9, 3], [u64::MAX, 0b100], [2, 7]];
-        for op in [MergeOp::Add, MergeOp::BitOr] {
-            let fold = |order: [usize; 4]| {
-                let mut row = [0u64; 2];
-                order.iter().for_each(|&i| op.apply(&mut row, &rows[i]));
-                row
-            };
-            let forward = fold([0, 1, 2, 3]);
-            for order in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
-                assert_eq!(fold(order), forward, "{op:?} {order:?}");
-            }
-        }
-    }
 }

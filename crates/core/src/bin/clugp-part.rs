@@ -36,14 +36,11 @@
 //!                   temp directory); stale *.sock files there are removed
 //!                   at startup
 //! --ampc-mode <m>   sequenced (default: the streaming token makes results
-//!                   bit-identical to the monolith) | relaxed (workers
-//!                   stream concurrently against local tables and reconcile
-//!                   at epoch barriers; deterministic for a fixed worker
-//!                   count, but quality drifts from the monolith)
-//! --ampc-epoch-chunks <N>
-//!                   relaxed mode: chunks a worker streams between epoch
-//!                   barriers (default 8; smaller = fresher scores, more
-//!                   exchange)
+//!                   bit-identical to the monolith) | relaxed (CLUGP only:
+//!                   pass 1 clusters every worker's range at once and the
+//!                   transform caps each worker at a slice of the load cap;
+//!                   deterministic for a fixed worker count, but quality
+//!                   drifts from the monolith)
 //! --worker-timeout <secs>
 //!                   distributed runs: max silence from a worker before its
 //!                   link is declared dead (default 30; 0 disables the
@@ -68,8 +65,8 @@
 //!                   on stderr after the run
 //! --metrics-out <file>
 //!                   distributed runs: write the structured metrics
-//!                   snapshot (pass wall-clock, bytes per verb, epoch
-//!                   drift, checkpoint durations, retries) as JSON
+//!                   snapshot (pass wall-clock, bytes per verb,
+//!                   checkpoint durations, retries) as JSON
 //! --net-stats       distributed runs: print the per-verb frame/byte
 //!                   breakdown on stderr
 //! --emit-placement <dir>
@@ -131,7 +128,6 @@ struct Options {
     workers: u32,
     transport: String,
     ampc_mode: AmpcMode,
-    ampc_epoch_chunks: u32,
     socket_dir: Option<String>,
     worker_timeout: Option<f64>,
     max_retries: Option<u32>,
@@ -159,7 +155,6 @@ impl Default for Options {
             workers: 1,
             transport: "channel".into(),
             ampc_mode: AmpcMode::Sequenced,
-            ampc_epoch_chunks: 0,
             socket_dir: None,
             worker_timeout: None,
             max_retries: None,
@@ -239,14 +234,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     }
                 };
             }
-            "--ampc-epoch-chunks" => {
-                opts.ampc_epoch_chunks = value("--ampc-epoch-chunks")?
-                    .parse()
-                    .map_err(|e| format!("--ampc-epoch-chunks: {e}"))?;
-                if opts.ampc_epoch_chunks == 0 {
-                    return Err("--ampc-epoch-chunks must be >= 1".into());
-                }
-            }
             "--socket-dir" => opts.socket_dir = Some(value("--socket-dir")?),
             "--worker-timeout" => {
                 let secs: f64 = value("--worker-timeout")?
@@ -314,11 +301,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .into(),
         );
     }
-    let ampc_flags = opts.ampc_mode != AmpcMode::Sequenced || opts.ampc_epoch_chunks != 0;
-    if ampc_flags && !distributed(&opts) {
-        return Err("--ampc-mode/--ampc-epoch-chunks apply to distributed runs \
-             (--workers > 1 or --transport unix)"
-            .into());
+    if opts.ampc_mode == AmpcMode::Relaxed {
+        if !distributed(&opts) {
+            return Err("--ampc-mode applies to distributed runs \
+                 (--workers > 1 or --transport unix)"
+                .into());
+        }
+        if !matches!(algo, DistAlgo::Clugp(_)) {
+            return Err(format!(
+                "relaxed mode runs CLUGP only, not {} (--ampc-mode relaxed \
+                 parallelises CLUGP's own passes)",
+                opts.algo
+            ));
+        }
     }
     let obs_flags = opts.trace_out.is_some()
         || opts.trace_summary
@@ -357,7 +352,6 @@ fn dist_config(opts: &Options) -> DistConfig {
         checkpoint_dir: opts.checkpoint_dir.as_ref().map(PathBuf::from),
         resume: opts.resume,
         mode: opts.ampc_mode,
-        epoch_chunks: opts.ampc_epoch_chunks,
         // --net-stats reads NetStats, which every run collects anyway; only
         // the exporters that need the event record turn recording on.
         trace: opts.trace_out.is_some() || opts.trace_summary || opts.metrics_out.is_some(),
@@ -689,23 +683,12 @@ fn metrics_json(out: &clugp::ampc::DistOutcome, wall: Duration) -> String {
         .u64("restores", out.ckpt_restores)
         .u64("restoreUs", out.ckpt_restore_us)
         .finish();
-    // Epoch drift: one "epoch_sync" instant per relaxed reconcile round,
-    // arg = number of drifted table keys merged in that round.
-    let sync_rounds = rec.count("epoch_sync") as u64;
-    let drift_keys: u64 = rec
-        .events
-        .iter()
-        .filter(|(_, e)| e.name == "epoch_sync")
-        .map(|(_, e)| e.arg)
-        .sum();
     obs::json::Obj::new()
         .u64("wallUs", wall.as_micros() as u64)
         .u64("workers", u64::from(out.workers))
         .raw("passes", &passes)
         .raw("bytesByVerb", &verbs.finish())
         .raw("checkpoints", &checkpoints)
-        .u64("epochSyncRounds", sync_rounds)
-        .u64("epochDriftKeys", drift_keys)
         .u64("retries", u64::from(out.recoveries))
         .u64("respawns", rec.count("respawn") as u64)
         .u64("droppedEvents", rec.dropped)
@@ -1053,7 +1036,7 @@ fn main() -> ExitCode {
              [--tau F] [--threads N] [--chunk-size N] \
              [--sparse] \
              [--output file] [--workers N] [--transport channel|unix] [--socket-dir dir] \
-             [--ampc-mode sequenced|relaxed] [--ampc-epoch-chunks N] \
+             [--ampc-mode sequenced|relaxed] \
              [--worker-timeout S] [--max-retries N] [--checkpoint-dir dir] [--resume] \
              [--trace-out file] [--trace-summary] [--metrics-out file] [--net-stats] \
              [--emit-placement dir]"
@@ -1392,59 +1375,26 @@ mod tests {
 
     #[test]
     fn ampc_mode_flags_parse_and_validate() {
-        let o = parse_args(&strs(&[
-            "g.txt",
-            "--k",
-            "4",
-            "--workers",
-            "2",
-            "--ampc-mode",
-            "relaxed",
-        ]))
-        .unwrap();
+        let args = |extra: &[&str]| {
+            let base = ["g.txt", "--k", "4", "--workers", "2", "--ampc-mode"];
+            parse_args(&strs(&[&base[..], extra].concat()))
+        };
+        let o = args(&["relaxed"]).unwrap();
         assert_eq!(o.ampc_mode, AmpcMode::Relaxed);
-        assert_eq!(o.ampc_epoch_chunks, 0);
         assert_eq!(dist_config(&o).mode, AmpcMode::Relaxed);
+        let o = args(&["sequenced"]).unwrap();
+        assert_eq!(dist_config(&o).mode, AmpcMode::Sequenced);
 
-        let o = parse_args(&strs(&[
-            "g.txt",
-            "--k",
-            "4",
-            "--workers",
-            "2",
-            "--ampc-mode",
-            "sequenced",
-            "--ampc-epoch-chunks",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(o.ampc_mode, AmpcMode::Sequenced);
-        assert_eq!(o.ampc_epoch_chunks, 4);
-        assert_eq!(dist_config(&o).epoch_chunks, 4);
-
-        let err = parse_args(&strs(&[
-            "g.txt",
-            "--k",
-            "4",
-            "--workers",
-            "2",
-            "--ampc-mode",
-            "eventual",
-        ]))
-        .unwrap_err();
+        let err = args(&["eventual"]).unwrap_err();
         assert!(err.contains("--ampc-mode"), "{err}");
-        let err = parse_args(&strs(&[
-            "g.txt",
-            "--k",
-            "4",
-            "--workers",
-            "2",
-            "--ampc-epoch-chunks",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--ampc-epoch-chunks"), "{err}");
-        // Both knobs require a distributed run.
+        // Relaxed mode parallelises CLUGP's own passes and nothing else.
+        for algo in ["hdrf", "greedy", "hashing", "dbh", "mint"] {
+            let err = args(&["relaxed", "--algo", algo]).unwrap_err();
+            assert!(err.contains("relaxed mode runs CLUGP only"), "{err}");
+            assert!(err.contains(algo), "{err}");
+        }
+        assert!(args(&["sequenced", "--algo", "hdrf"]).is_ok());
+        // The mode requires a distributed run.
         let err = parse_args(&strs(&["g.txt", "--k", "4", "--ampc-mode", "relaxed"])).unwrap_err();
         assert!(err.contains("distributed"), "{err}");
     }

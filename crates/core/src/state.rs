@@ -212,10 +212,10 @@ impl ReplicaTable {
     }
 
     /// Overwrites `v`'s bitset row with `words`. This is the bulk ingress used
-    /// by the AMPC turn state and epoch sync and the placement snapshot
-    /// loader, which read rows off a wire or a file, so bits at positions `>= k`
-    /// are cleared on the way in: no reader of a row ever sees a partition
-    /// that does not exist.
+    /// by the AMPC turn state and the placement snapshot loader, which read
+    /// rows off a wire or a file, so bits at positions `>= k` are cleared on
+    /// the way in: no reader of a row ever sees a partition that does not
+    /// exist.
     ///
     /// # Panics
     ///

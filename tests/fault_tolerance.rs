@@ -471,90 +471,84 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
     // Relaxed mode is deterministic for a fixed worker count, so crash
     // recovery has a precise convergence target: the fault-free relaxed
     // run. A severed link mid-stage must replay the segment and land on
-    // those exact bits — for the epoch-synchronized baseline flow and for
-    // the multi-barrier CLUGP flow alike.
+    // those exact bits through the multi-barrier CLUGP flow.
     let (n, edges) = test_web_graph(900, 61);
     let k = 8;
-    let algos = [("HDRF", DistAlgo::hdrf()), ("CLUGP", DistAlgo::clugp())];
-    for (name, algo) in algos {
-        let cfg = |faults: FaultPlan| DistConfig {
-            workers: 3,
-            mode: AmpcMode::Relaxed,
-            chunk_edges: 64,
-            epoch_chunks: 2,
-            supervise: supervised(600, 3),
-            faults,
-            trace: true,
-            ..Default::default()
-        };
-        let reference = run_distributed(
+    let algo = DistAlgo::clugp();
+    let cfg = |faults: FaultPlan| DistConfig {
+        workers: 3,
+        mode: AmpcMode::Relaxed,
+        chunk_edges: 64,
+        supervise: supervised(600, 3),
+        faults,
+        trace: true,
+        ..Default::default()
+    };
+    let reference = run_distributed(
+        &algo,
+        DistInput::Edges {
+            num_vertices: n,
+            edges: &edges,
+        },
+        k,
+        &cfg(FaultPlan::none()),
+    )
+    .unwrap_or_else(|e| panic!("fault-free relaxed run: {e}"));
+    // CLUGP's first stage is two frames out (`Configure`, `RunStage`) and
+    // three back (`ConfigureOk`, the frontier, `StageDone`): the faults hit
+    // the second of each.
+    for (case, worker, script) in [
+        (
+            "link severed mid-send",
+            1,
+            FaultScript::disconnect_at_send(1),
+        ),
+        (
+            "inbound frame swallowed",
+            2,
+            FaultScript {
+                on_recv: vec![(2, FaultAction::DropFrame)],
+                on_send: Vec::new(),
+            },
+        ),
+    ] {
+        let mut faults = FaultPlan::none();
+        faults.push(worker, 0, script);
+        let out = run_distributed(
             &algo,
             DistInput::Edges {
                 num_vertices: n,
                 edges: &edges,
             },
             k,
-            &cfg(FaultPlan::none()),
+            &cfg(faults),
         )
-        .unwrap_or_else(|e| panic!("{name}: fault-free relaxed run: {e}"));
-        // HDRF's one stage is a run of epoch rounds; CLUGP's first is two
-        // frames out (`Configure`, `RunStage`) and three back (`ConfigureOk`,
-        // the frontier, `StageDone`).
-        let (sent, received) = if name == "HDRF" { (4, 3) } else { (1, 2) };
-        for (case, worker, script) in [
+        .unwrap_or_else(|e| panic!("{case}: relaxed run did not recover: {e}"));
+        assert!(
+            out.recoveries >= 1,
+            "{case}: the scripted fault never fired"
+        );
+        // Relaxed workers stream at once, so only the pass is named.
+        let pass = first_fault(&out).map(|(pass, _)| pass);
+        assert_eq!(
+            pass.as_deref(),
+            Some("pass1"),
+            "{case}: the fault must surface in the first pass"
+        );
+        assert_eq!(
             (
-                "link severed mid-send",
-                1,
-                FaultScript::disconnect_at_send(sent),
+                out.partitioning.assignments,
+                out.partitioning.loads,
+                out.partitioning.num_vertices
             ),
             (
-                "inbound frame swallowed",
-                2,
-                FaultScript {
-                    on_recv: vec![(received, FaultAction::DropFrame)],
-                    on_send: Vec::new(),
-                },
+                reference.partitioning.assignments.clone(),
+                reference.partitioning.loads.clone(),
+                reference.partitioning.num_vertices
             ),
-        ] {
-            let mut faults = FaultPlan::none();
-            faults.push(worker, 0, script);
-            let out = run_distributed(
-                &algo,
-                DistInput::Edges {
-                    num_vertices: n,
-                    edges: &edges,
-                },
-                k,
-                &cfg(faults),
-            )
-            .unwrap_or_else(|e| panic!("{name}/{case}: relaxed run did not recover: {e}"));
-            assert!(
-                out.recoveries >= 1,
-                "{name}/{case}: the scripted fault never fired"
-            );
-            // Relaxed workers stream at once, so only the pass is named.
-            let pass = first_fault(&out).map(|(pass, _)| pass);
-            let first_pass = if name == "HDRF" { "baseline" } else { "pass1" };
-            assert_eq!(
-                pass.as_deref(),
-                Some(first_pass),
-                "{name}/{case}: the fault must surface in the first pass"
-            );
-            assert_eq!(
-                (
-                    out.partitioning.assignments,
-                    out.partitioning.loads,
-                    out.partitioning.num_vertices
-                ),
-                (
-                    reference.partitioning.assignments.clone(),
-                    reference.partitioning.loads.clone(),
-                    reference.partitioning.num_vertices
-                ),
-                "{name}/{case}: recovered relaxed run diverged from the \
+            "{case}: recovered relaxed run diverged from the \
                  undisturbed relaxed run"
-            );
-        }
+        );
     }
 }
 
@@ -680,15 +674,15 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
         edges: &edges,
     };
     let reference = monolith(&mut Clugp::default(), n, &edges, k);
-    // (mode, chunk, epoch, faulted worker, ordinal of the transform's
+    // (mode, chunk, faulted worker, ordinal of the transform's
     // `RunStage` among the frames sent to it, the hash to land on). The
     // relaxed configuration and hash are `distributed_equivalence`'s golden
     // 2-worker CLUGP row; a relaxed worker, and the first sequenced one, is
     // sent `Configure`, then a cast and a `RunStage` per read-only stage
     // behind pass 1's `RunStage`.
-    for (mode, chunk_edges, epoch_chunks, worker, ordinal, want) in [
-        (AmpcMode::Sequenced, 0, 0, 0, 5, fnv1a(&reference.0)),
-        (AmpcMode::Relaxed, 173, 2, 1, 5, 0x784d_a5bd_8541_5212),
+    for (mode, chunk_edges, worker, ordinal, want) in [
+        (AmpcMode::Sequenced, 0, 0, 5, fnv1a(&reference.0)),
+        (AmpcMode::Relaxed, 173, 1, 5, 0x784d_a5bd_8541_5212),
     ] {
         let mut faults = FaultPlan::none();
         faults.push(worker, 0, FaultScript::disconnect_at_send(ordinal));
@@ -696,7 +690,6 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
             workers: 2,
             mode,
             chunk_edges,
-            epoch_chunks,
             supervise: supervised(600, 2),
             faults,
             trace: true,
