@@ -222,8 +222,8 @@ pub fn run_distributed(
             "worker count must be at least 1".into(),
         ));
     }
-    // Plain threads, not a rayon scope: worker serve loops block on recv,
-    // which would starve the shared pool the solvers run waves on.
+    // One scoped thread per worker for the whole run: each serve loop
+    // blocks on recv until the coordinator shuts it down.
     std::thread::scope(|scope| {
         // One link = one worker thread. The same constructor serves both
         // the initial fleet and supervisor respawns: a respawned worker is

@@ -5,8 +5,7 @@
 //!
 //! * [`channel_pair`] — in-process bounded channels (the default). Frames
 //!   are `Vec<u8>` handed over `std::sync::mpsc::sync_channel`, so
-//!   backpressure comes for free and the path composes with the rayon
-//!   pools the solvers already use.
+//!   backpressure comes for free.
 //! * [`UnixTransport`] — a Unix stream socket with a 4-byte little-endian
 //!   length prefix per frame, for multi-process `clugp-part --workers N`.
 //!

@@ -38,7 +38,8 @@ pub struct MintConfig {
     /// semantic knob — it changes the equilibria — so it is deliberately
     /// independent of `threads`.
     pub wave_width: usize,
-    /// Max worker threads solving a wave's batches (0 = rayon default).
+    /// Max worker threads solving a wave's batches (0 = every available
+    /// CPU, 1 = inline).
     /// Affects wall-clock only, never the result.
     pub threads: usize,
     /// Best-response round cap per batch.
@@ -120,7 +121,6 @@ pub(crate) struct Waves<'a> {
     cfg: &'a MintConfig,
     k: u32,
     wave_edges: usize,
-    pool: Option<rayon::ThreadPool>,
     /// Streamed edges no wave has solved yet: fewer than a wave's worth
     /// between calls.
     pub(crate) pending: Vec<Edge>,
@@ -155,7 +155,6 @@ impl<'a> Waves<'a> {
             cfg,
             k,
             wave_edges: wave_width.saturating_mul(cfg.batch_size),
-            pool: build_pool(cfg.threads)?,
             pending,
             loads,
             assignments: Vec::new(),
@@ -189,27 +188,16 @@ impl<'a> Waves<'a> {
         // parallel; results are merged in batch order, so the outcome is
         // deterministic regardless of thread scheduling.
         let snapshot: Vec<u64> = self.loads.as_slice().to_vec();
-        let solve = || -> Vec<BatchOutcome> {
-            use rayon::prelude::*;
-            wave.par_iter()
-                .map(|batch| solve_batch(batch, self.k, &snapshot, self.cfg))
-                .collect()
-        };
-        let outcomes = match &self.pool {
-            Some(pool) => pool.install(solve),
-            None => solve(),
-        };
+        let outcomes = crate::parallel::map(self.cfg.threads, &wave, |_, batch| {
+            solve_batch(batch, self.k, &snapshot, self.cfg)
+        });
         // At most `concurrency` batch games are live at once (each worker
         // solves its batches one after another), so the state charged to
         // this wave is the sum of its `concurrency` largest batch states — a
-        // final partial wave is charged only for the batches it held, and a
-        // narrow pool under a wide wave is not charged for games it never
+        // final partial wave is charged only for the batches it held, and
+        // few threads under a wide wave are not charged for games they never
         // ran concurrently.
-        let concurrency = match &self.pool {
-            Some(pool) => pool.current_num_threads(),
-            None => rayon::current_num_threads(),
-        }
-        .clamp(1, wave.len());
+        let concurrency = crate::parallel::width(self.cfg.threads).clamp(1, wave.len());
         let mut batch_states = Vec::with_capacity(wave.len());
         for (batch, outcome) in wave.iter().zip(outcomes) {
             debug_assert_eq!(batch.len(), outcome.assignments.len());
@@ -229,18 +217,6 @@ impl<'a> Waves<'a> {
 struct BatchOutcome {
     assignments: Vec<u32>,
     state_bytes: usize,
-}
-
-/// Builds the dedicated wave-solving pool (`None` = use the global pool).
-fn build_pool(threads: usize) -> Result<Option<rayon::ThreadPool>> {
-    if threads == 0 {
-        return Ok(None);
-    }
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map(Some)
-        .map_err(|e| crate::error::PartitionError::InvalidParam(format!("thread pool: {e}")))
 }
 
 /// Plays one batch game to (local) equilibrium.

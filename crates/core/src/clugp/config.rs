@@ -58,7 +58,8 @@ pub struct ClugpConfig {
     /// Clusters per game batch (paper default 6400). `0` means a single
     /// batch containing every cluster (the sequential full game).
     pub batch_size: usize,
-    /// Rayon threads for batch processing. `0` = use the global pool.
+    /// Max threads playing the game's batches (0 = every available CPU,
+    /// 1 = inline). Affects wall-clock only, never the result.
     pub threads: usize,
     /// Best-response round cap per batch (the bound of Theorem 6 is loose;
     /// convergence is typically < 10 rounds).
@@ -105,13 +106,13 @@ impl ClugpConfig {
 
     /// Checks parameter ranges.
     pub fn validate(&self) -> Result<()> {
-        if self.tau < 1.0 {
+        if self.tau.is_nan() || self.tau < 1.0 {
             return Err(PartitionError::InvalidParam(format!(
                 "imbalance factor tau must be >= 1.0, got {}",
                 self.tau
             )));
         }
-        if self.vmax_factor <= 0.0 {
+        if self.vmax_factor.is_nan() || self.vmax_factor <= 0.0 {
             return Err(PartitionError::InvalidParam(
                 "vmax_factor must be positive".into(),
             ));
@@ -124,7 +125,7 @@ impl ClugpConfig {
             }
         }
         if let LambdaMode::Fixed(l) = self.lambda {
-            if l < 0.0 {
+            if l.is_nan() || l < 0.0 {
                 return Err(PartitionError::InvalidParam(
                     "fixed lambda must be non-negative".into(),
                 ));
@@ -164,11 +165,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_tau() {
-        let c = ClugpConfig {
-            tau: 0.9,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        for tau in [0.9, f64::NAN] {
+            let c = ClugpConfig {
+                tau,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "tau {tau}");
+        }
     }
 
     #[test]
@@ -189,19 +192,23 @@ mod tests {
 
     #[test]
     fn rejects_negative_fixed_lambda() {
-        let c = ClugpConfig {
-            lambda: LambdaMode::Fixed(-1.0),
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        for l in [-1.0, f64::NAN] {
+            let c = ClugpConfig {
+                lambda: LambdaMode::Fixed(l),
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "lambda {l}");
+        }
     }
 
     #[test]
     fn rejects_nonpositive_vmax_factor() {
-        let c = ClugpConfig {
-            vmax_factor: 0.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        for vmax_factor in [0.0, f64::NAN] {
+            let c = ClugpConfig {
+                vmax_factor,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "vmax_factor {vmax_factor}");
+        }
     }
 }

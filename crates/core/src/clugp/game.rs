@@ -20,7 +20,7 @@
 
 use super::cluster_graph::ClusterGraph;
 use super::config::{ClugpConfig, LambdaMode};
-use crate::error::{PartitionError, Result};
+use crate::error::Result;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -101,14 +101,9 @@ pub fn solve_game(cg: &ClusterGraph, k: u32, cfg: &ClugpConfig) -> Result<GameOu
         .collect();
     let initial_potential = potential(cg, &initial, k, lambda);
 
-    let solve = |(bi, &(s, e)): (usize, &(usize, usize))| -> BatchResult {
+    let results = crate::parallel::map(cfg.threads, &ranges, |bi, &(s, e)| {
         solve_batch(cg, k, lambda, s, e, bi as u64, cfg.seed, cfg.max_rounds)
-    };
-    let results: Vec<BatchResult> = if cfg.threads == 1 {
-        ranges.iter().enumerate().map(solve).collect()
-    } else {
-        run_parallel(cfg.threads, &ranges, solve)?
-    };
+    });
 
     let mut partition_of = Vec::with_capacity(m);
     let mut max_rounds_used = 0usize;
@@ -128,23 +123,6 @@ pub fn solve_game(cg: &ClusterGraph, k: u32, cfg: &ClugpConfig) -> Result<GameOu
         initial_potential,
         final_potential,
     })
-}
-
-fn run_parallel<F>(threads: usize, ranges: &[(usize, usize)], solve: F) -> Result<Vec<BatchResult>>
-where
-    F: Fn((usize, &(usize, usize))) -> BatchResult + Sync,
-{
-    use rayon::prelude::*;
-    let work = || ranges.par_iter().enumerate().map(&solve).collect();
-    if threads == 0 {
-        Ok(work())
-    } else {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| PartitionError::InvalidParam(format!("thread pool: {e}")))?;
-        Ok(pool.install(work))
-    }
 }
 
 struct BatchResult {

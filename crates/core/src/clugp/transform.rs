@@ -56,7 +56,7 @@ pub fn transform(
     tau: f64,
     num_edges: u64,
 ) -> Result<TransformResult> {
-    if tau < 1.0 {
+    if tau.is_nan() || tau < 1.0 {
         return Err(PartitionError::InvalidParam(format!(
             "tau must be >= 1, got {tau}"
         )));
@@ -238,8 +238,10 @@ mod tests {
         let mut s = InMemoryStream::from_edges(edges);
         let clustering = stream_clustering(&mut s, 10, true).unwrap();
         s.reset().unwrap();
-        let err = transform(&mut s, &clustering, &[0], 2, 0.5, 1);
-        assert!(err.is_err());
+        for tau in [0.5, f64::NAN] {
+            let err = transform(&mut s, &clustering, &[0], 2, tau, 1).unwrap_err();
+            assert!(err.to_string().contains("tau must be >= 1"), "{err}");
+        }
     }
 
     #[test]

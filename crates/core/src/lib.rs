@@ -52,6 +52,7 @@ pub mod clugp;
 pub mod error;
 pub mod memory;
 pub mod metrics;
+mod parallel;
 pub mod partition;
 pub mod partition_io;
 pub mod partitioner;

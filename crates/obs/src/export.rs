@@ -1,6 +1,6 @@
 //! Exporters: Chrome trace-event JSON and a human summary table.
 
-use crate::json::{escape, Arr, Obj};
+use crate::json::{Arr, Obj};
 use crate::{EventKind, TraceRecord};
 
 fn lane_label(lane: u32) -> String {
@@ -135,11 +135,6 @@ pub fn summary_table(rec: &TraceRecord) -> String {
         ));
     }
     out
-}
-
-/// Escape helper re-exported for exporter callers building adjacent JSON.
-pub fn json_escape(s: &str) -> String {
-    escape(s)
 }
 
 #[cfg(test)]

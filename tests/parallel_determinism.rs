@@ -1,9 +1,9 @@
-//! Cross-thread determinism: with the vendored rayon running real worker
-//! threads, every parallel consumer must produce **bit-identical** results
-//! for any thread count. The guarantees under test: batch games are seeded
-//! by `(seed, batch_index)` (so no dependence on scheduling), the pool's
-//! `collect` preserves input order, and `ThreadPool::install` scopes the
-//! ambient pool without changing semantics.
+//! Cross-thread determinism: the game's batches and Mint's wave games run
+//! on real worker threads, and every parallel consumer must produce
+//! **bit-identical** results for any thread count. The guarantees under
+//! test: batch games are seeded by `(seed, batch_index)` (so no dependence
+//! on scheduling), results come back in input order, and `threads` bounds
+//! the worker count without changing semantics.
 //!
 //! A regression back to nondeterministic (or secretly sequential-but-
 //! reordered) execution fails these tests; CI runs them on every push.
@@ -45,8 +45,9 @@ fn solve_game_is_bit_identical_across_thread_counts() {
     for threads in THREAD_COUNTS {
         assert_eq!(solve(threads), baseline, "threads={threads}");
     }
-    // threads = 0 (ambient pool, machine-dependent width) must also agree.
-    assert_eq!(solve(0), baseline, "threads=0 (default pool)");
+    // threads = 0 (every available CPU, machine-dependent width) must also
+    // agree.
+    assert_eq!(solve(0), baseline, "threads=0 (every CPU)");
 }
 
 #[test]
