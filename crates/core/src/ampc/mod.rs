@@ -230,29 +230,24 @@ pub fn run_distributed(
         // simply a fresh thread on a fresh pipe (the replaced thread sees
         // its coordinator end drop, errors out, and exits).
         let spawn_link = |i: u32| -> Result<Box<dyn Transport>> {
-            match cfg.transport {
+            let (coord, worker): (Box<dyn Transport>, Box<dyn Transport>) = match cfg.transport {
                 TransportKind::Channel => {
                     let (c, w) = channel_pair(64);
-                    scope.spawn(move || {
-                        if let Err(e) = run_worker(Box::new(w)) {
-                            // The coordinator sees the matching hangup/Err
-                            // and surfaces its own error; this is just a
-                            // trace aid.
-                            eprintln!("ampc worker {i} failed: {e}");
-                        }
-                    });
-                    Ok(Box::new(c))
+                    (Box::new(c), Box::new(w))
                 }
                 TransportKind::Unix => {
                     let (c, w) = UnixTransport::pair()?;
-                    scope.spawn(move || {
-                        if let Err(e) = run_worker(Box::new(w)) {
-                            eprintln!("ampc worker {i} failed: {e}");
-                        }
-                    });
-                    Ok(Box::new(c))
+                    (Box::new(c), Box::new(w))
                 }
-            }
+            };
+            scope.spawn(move || {
+                if let Err(e) = run_worker(worker) {
+                    // The coordinator sees the matching hangup/Err and
+                    // surfaces its own error; this is just a trace aid.
+                    eprintln!("ampc worker {i} failed: {e}");
+                }
+            });
+            Ok(coord)
         };
         let mut coord_ends: Vec<Box<dyn Transport>> = Vec::with_capacity(cfg.workers as usize);
         for i in 0..cfg.workers {

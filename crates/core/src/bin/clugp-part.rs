@@ -129,7 +129,7 @@ struct Options {
     transport: String,
     ampc_mode: AmpcMode,
     socket_dir: Option<String>,
-    worker_timeout: Option<f64>,
+    worker_timeout: Option<Duration>,
     max_retries: Option<u32>,
     checkpoint_dir: Option<String>,
     resume: bool,
@@ -239,10 +239,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let secs: f64 = value("--worker-timeout")?
                     .parse()
                     .map_err(|e| format!("--worker-timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--worker-timeout must be a non-negative number of seconds".into());
-                }
-                opts.worker_timeout = Some(secs);
+                let timeout = Duration::try_from_secs_f64(secs).map_err(|e| {
+                    format!("--worker-timeout must be a non-negative number of seconds: {e}")
+                })?;
+                opts.worker_timeout = Some(timeout);
             }
             "--max-retries" => {
                 opts.max_retries = Some(
@@ -343,7 +343,7 @@ fn dist_config(opts: &Options) -> DistConfig {
         chunk_edges: opts.chunk_size.unwrap_or(0),
         supervise: SuperviseConfig {
             worker_timeout: match opts.worker_timeout {
-                Some(secs) => (secs != 0.0).then(|| Duration::from_secs_f64(secs)),
+                Some(timeout) => (!timeout.is_zero()).then_some(timeout),
                 None => Some(Duration::from_secs(30)),
             },
             max_retries: opts.max_retries.unwrap_or(2),
@@ -1371,6 +1371,31 @@ mod tests {
         let err =
             parse_args(&strs(&["g.txt", "--k", "4", "--sparse", "--workers", "2"])).unwrap_err();
         assert!(err.contains("--sparse"), "{err}");
+
+        // --worker-timeout is converted at the flag: 0 disables the
+        // deadline, and a value no `Duration` holds is a usage error.
+        let timeout = |secs: &str| {
+            parse_args(&strs(&[
+                "g.txt",
+                "--k",
+                "4",
+                "--workers",
+                "2",
+                "--worker-timeout",
+                secs,
+            ]))
+        };
+        let o = timeout("1.5").unwrap();
+        assert_eq!(o.worker_timeout, Some(Duration::from_millis(1500)));
+        assert_eq!(dist_config(&o).supervise.worker_timeout, o.worker_timeout);
+        assert_eq!(
+            dist_config(&timeout("0").unwrap()).supervise.worker_timeout,
+            None
+        );
+        for secs in ["-1", "NaN", "inf", "1e300"] {
+            let err = timeout(secs).unwrap_err();
+            assert!(err.contains("--worker-timeout"), "{secs}: {err}");
+        }
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub enum LambdaMode {
     /// (Fig. 11(b)): `λ(w) = λ_max · w / (1−w)`, so `w = 0.5` reproduces
     /// [`LambdaMode::Max`].
     Weight(f64),
-    /// A fixed explicit λ (for tests).
-    Fixed(f64),
 }
 
 /// Full CLUGP configuration.
@@ -124,13 +122,6 @@ impl ClugpConfig {
                 )));
             }
         }
-        if let LambdaMode::Fixed(l) = self.lambda {
-            if l.is_nan() || l < 0.0 {
-                return Err(PartitionError::InvalidParam(
-                    "fixed lambda must be non-negative".into(),
-                ));
-            }
-        }
         if self.max_vertices == 0 {
             return Err(PartitionError::InvalidParam(
                 "max_vertices must be at least 1".into(),
@@ -188,17 +179,6 @@ mod tests {
             ..Default::default()
         };
         assert!(ok.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_negative_fixed_lambda() {
-        for l in [-1.0, f64::NAN] {
-            let c = ClugpConfig {
-                lambda: LambdaMode::Fixed(l),
-                ..Default::default()
-            };
-            assert!(c.validate().is_err(), "lambda {l}");
-        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub fn resolve_lambda(cg: &ClusterGraph, k: u32, mode: LambdaMode) -> f64 {
     match mode {
         LambdaMode::Max => cg.lambda_max(k),
         LambdaMode::Weight(w) => cg.lambda_max(k) * w / (1.0 - w),
-        LambdaMode::Fixed(l) => l,
     }
 }
 
@@ -360,23 +359,6 @@ mod tests {
         .unwrap();
         let b = solve_game(&cg, 8, &ClugpConfig { threads: 4, ..base }).unwrap();
         assert_eq!(a.partition_of, b.partition_of);
-    }
-
-    #[test]
-    fn zero_lambda_minimizes_pure_cut() {
-        // With λ = 0 only the cut matters: a connected pair of clusters
-        // should co-locate.
-        let cg = web_cluster_graph(500, 50);
-        let cfg = ClugpConfig {
-            lambda: LambdaMode::Fixed(0.0),
-            batch_size: 0,
-            threads: 1,
-            ..Default::default()
-        };
-        let outcome = solve_game(&cg, 4, &cfg).unwrap();
-        // Pure cut minimization yields zero or near-zero final cut term:
-        // potential equals ½·cut, which must be ≤ initial.
-        assert!(outcome.final_potential <= outcome.initial_potential);
     }
 
     #[test]

@@ -119,7 +119,6 @@ impl Clugp {
         );
         let timings = Timings {
             total: total_start.elapsed(),
-            io: std::time::Duration::ZERO,
             phases: vec![
                 ("clustering", clustering_time),
                 ("cluster-graph", cluster_graph_time),

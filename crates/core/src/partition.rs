@@ -74,9 +74,6 @@ impl Partitioning {
 pub struct Timings {
     /// End-to-end duration.
     pub total: Duration,
-    /// Time spent pulling edges from the stream source (I/O cost); only
-    /// nonzero when the run instrumented its stream.
-    pub io: Duration,
     /// Named phases (e.g. CLUGP's `clustering` / `cluster-graph` / `game` /
     /// `transform`) in execution order.
     pub phases: Vec<(&'static str, Duration)>,
@@ -89,11 +86,6 @@ impl Timings {
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, d)| *d)
-    }
-
-    /// Total minus I/O: the computation cost the paper plots in Fig. 10(a).
-    pub fn compute(&self) -> Duration {
-        self.total.saturating_sub(self.io)
     }
 }
 
@@ -162,11 +154,9 @@ mod tests {
     fn timings_phase_lookup() {
         let t = Timings {
             total: Duration::from_secs(10),
-            io: Duration::from_secs(3),
             phases: vec![("clustering", Duration::from_secs(4))],
         };
         assert_eq!(t.phase("clustering"), Some(Duration::from_secs(4)));
         assert_eq!(t.phase("game"), None);
-        assert_eq!(t.compute(), Duration::from_secs(7));
     }
 }

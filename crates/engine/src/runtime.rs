@@ -16,8 +16,6 @@ use clugp_graph::types::VertexId;
 pub enum GatherDirection {
     /// Gather along in-edges (e.g. PageRank: contributions flow src → dst).
     In,
-    /// Gather along out-edges.
-    Out,
     /// Gather along both (undirected semantics, e.g. connected components).
     Both,
 }
@@ -147,14 +145,6 @@ impl<'g> Engine<'g> {
                                 &mut partial[dl as usize],
                                 &values[sg as usize],
                                 &self.ctx[sg as usize],
-                            );
-                        }
-                        GatherDirection::Out => {
-                            contribute::<P>(
-                                program,
-                                &mut partial[sl as usize],
-                                &values[dg as usize],
-                                &self.ctx[dg as usize],
                             );
                         }
                         GatherDirection::Both => {

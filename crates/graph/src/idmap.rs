@@ -264,11 +264,6 @@ impl<S: RawEdgeStream> RemappedStream<S> {
     pub fn error(&self) -> Option<&GraphError> {
         self.error.as_ref()
     }
-
-    /// Consumes the adapter, returning the raw source and the map.
-    pub fn into_parts(self) -> (S, IdMap) {
-        (self.inner, self.map)
-    }
 }
 
 /// Translates one raw edge through `map`. A lookup can only fail if the

@@ -305,8 +305,9 @@ impl PipelinedPackStream {
         let decoder = (blocks > 0).then(|| {
             let ring = Arc::clone(&ring);
             let raw = Vec::with_capacity(block_bytes);
+            // Unnamed: a named thread copies its name as it starts, which
+            // may fall in a later pass that must allocate nothing.
             std::thread::Builder::new()
-                .name("clugp-decode".into())
                 .spawn(move || decode_ahead(&ring, raw))
                 .expect("spawn the decode thread")
         });

@@ -203,11 +203,6 @@ impl InMemoryStream {
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
-
-    /// Consumes the stream, returning the backing vector.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
 }
 
 impl EdgeStream for InMemoryStream {
@@ -538,11 +533,5 @@ mod tests {
         assert_eq!(collect_stream(&mut s), edges);
         set_chunk_edges(DEFAULT_CHUNK_EDGES).unwrap();
         assert_eq!(chunk_edges(), DEFAULT_CHUNK_EDGES);
-    }
-
-    #[test]
-    fn into_edges_round_trips() {
-        let s = InMemoryStream::from_edges(sample_edges());
-        assert_eq!(s.into_edges(), sample_edges());
     }
 }

@@ -5,92 +5,59 @@
 //! in turn deliver one edge sequence whatever the consumer asks for. This is
 //! the contract behind "chunk boundaries are not semantic".
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
-use clugp::partitioner::Partitioner;
+use clugp::ampc::coordinator::DistAlgo;
+use clugp::baselines::MintConfig;
+use clugp_graph::pack::canonical_order;
 use clugp_graph::stream::{ChunkLimited, InMemoryStream, RestreamableStream};
 use clugp_graph::types::Edge;
-use clugp_repro::test_web_graph;
+use clugp_repro::{partition, roster, scratch_dir, test_web_graph, Case, Family, Input, Mode};
+use std::collections::BTreeSet;
 
-/// The roster under test: CLUGP (+ablations) and every vertex-cut baseline.
-fn roster() -> Vec<(&'static str, Box<dyn Partitioner>)> {
-    vec![
-        ("Hashing", Box::new(Hashing::default())),
-        ("DBH", Box::new(Dbh::default())),
-        ("Greedy", Box::new(Greedy::new())),
-        ("HDRF", Box::new(Hdrf::default())),
-        // Small batches so batch boundaries interleave with chunk limits.
-        (
-            "Mint",
-            Box::new(Mint::new(MintConfig {
-                batch_size: 97,
-                ..Default::default()
-            })),
-        ),
-        ("CLUGP", Box::new(Clugp::default())),
-        (
-            "CLUGP-S",
-            Box::new(Clugp::new(ClugpConfig {
-                splitting: false,
-                ..Default::default()
-            })),
-        ),
-        (
-            "CLUGP-G",
-            Box::new(Clugp::new(ClugpConfig {
-                assign_mode: ClusterAssignMode::Greedy,
-                ..Default::default()
-            })),
-        ),
-    ]
-}
+/// Arbitrary source chunk granularities; 1 is an edge per pull.
+const LIMITS: [usize; 3] = [1, 7, 4096];
 
-fn run(
-    p: &mut dyn Partitioner,
-    stream: &mut dyn RestreamableStream,
-    k: u32,
-) -> (Vec<u32>, Vec<u64>) {
-    let run = p.partition(stream, k).expect("partition");
-    (run.partitioning.assignments, run.partitioning.loads)
+/// `case` as the monolith over its source capped at each of `LIMITS`.
+fn check_limits(case: &Case) {
+    for chunk_limit in LIMITS {
+        let mode = Mode::Monolith { chunk_limit };
+        Case {
+            mode,
+            ..case.clone()
+        }
+        .check()
+        .unwrap();
+    }
 }
 
 #[test]
 fn per_edge_and_chunked_paths_are_bit_identical() {
-    let (n, edges) = test_web_graph(2_000, 31);
-    let k = 8;
-    for (name, mut p) in roster() {
-        // Reference: whole chunks lent by the native source.
-        let mut native = InMemoryStream::new(n, edges.clone());
-        let reference = run(p.as_mut(), &mut native, k);
-        assert_eq!(reference.0.len(), edges.len(), "{name}: wrong edge count");
-
-        // Arbitrary source chunk granularities; 1 is an edge per pull.
-        for limit in [1usize, 7, 4096] {
-            let mut limited = ChunkLimited::new(InMemoryStream::new(n, edges.clone()), limit);
-            assert_eq!(
-                run(p.as_mut(), &mut limited, k),
-                reference,
-                "{name}: chunk limit {limit} changed the partition"
-            );
-        }
+    let (_, edges) = test_web_graph(2_000, 31);
+    for (name, algo) in roster() {
+        let case = Case::new(algo, 2_000, 31);
+        assert_eq!(
+            case.reference().0.len(),
+            edges.len(),
+            "{name}: wrong edge count"
+        );
+        check_limits(&case);
     }
 }
 
 #[test]
 fn empty_stream_is_identical_on_every_path() {
-    for (name, mut p) in roster() {
-        let mut native = InMemoryStream::new(0, vec![]);
-        let reference = run(p.as_mut(), &mut native, 4);
+    for (name, algo) in roster() {
+        let case = Case {
+            family: Family::Empty,
+            k: 4,
+            ..Case::new(algo, 0, 0)
+        };
+        let (assignments, loads, _) = case.reference();
         assert!(
-            reference.0.is_empty(),
+            assignments.is_empty(),
             "{name}: empty stream assigned edges"
         );
-        assert_eq!(reference.1, vec![0; 4], "{name}: empty stream has load");
-
-        for limit in [1usize, 7, 4096] {
-            let mut limited = ChunkLimited::new(InMemoryStream::new(0, vec![]), limit);
-            assert_eq!(run(p.as_mut(), &mut limited, 4), reference, "{name}");
-        }
+        assert_eq!(loads, vec![0; 4], "{name}: empty stream has load");
+        check_limits(&case);
     }
 }
 
@@ -100,32 +67,12 @@ fn mint_batch_boundaries_survive_any_chunking() {
     // groups per batch: if chunk granularity leaked into batch boundaries,
     // equilibria would change. Exercise batch sizes that are coprime with
     // the chunk limits.
-    let (n, edges) = test_web_graph(1_500, 32);
     for batch_size in [37usize, 64, 1000] {
-        let mut reference_stream = InMemoryStream::new(n, edges.clone());
-        let reference = Mint::new(MintConfig {
+        let mint = DistAlgo::Mint(MintConfig {
             batch_size,
             ..Default::default()
-        })
-        .partition(&mut reference_stream, 8)
-        .unwrap()
-        .partitioning
-        .assignments;
-        for limit in [1usize, 7, 4096] {
-            let mut s = ChunkLimited::new(InMemoryStream::new(n, edges.clone()), limit);
-            let got = Mint::new(MintConfig {
-                batch_size,
-                ..Default::default()
-            })
-            .partition(&mut s, 8)
-            .unwrap()
-            .partitioning
-            .assignments;
-            assert_eq!(
-                got, reference,
-                "batch_size={batch_size} limit={limit} changed Mint's equilibria"
-            );
-        }
+        });
+        check_limits(&Case::new(mint, 1_500, 32));
     }
 }
 
@@ -133,73 +80,43 @@ fn mint_batch_boundaries_survive_any_chunking() {
 fn packed_input_partitions_bit_identical_to_flat_binary() {
     // The storage contract of the CLUGPZ pack: for the same logical edge
     // sequence (a pack stores the canonical (src, dst) order), every
-    // partitioner — CLUGP with ablations and all five baselines — must
-    // produce byte-identical partitions whether it streams the flat binary
-    // file or decodes the compressed pack, at any source chunk granularity.
-    use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
-    use clugp_graph::pack::{canonical_order, write_pack, PackOptions, PackedEdgeStream};
+    // partitioner must produce byte-identical partitions whether it streams
+    // the flat binary file or decodes the compressed pack, at any source
+    // chunk granularity. The pack is written from the original order, so
+    // the writer's external sort must land on the same canonical sequence;
+    // a small block size keeps many block boundaries in play.
     let (n, edges) = test_web_graph(1_500, 36);
-    let canonical = canonical_order(&edges);
-    let dir = std::env::temp_dir().join("clugp_packed_equiv");
-    std::fs::create_dir_all(&dir).unwrap();
-    let flat_path = dir.join("equiv.bin");
-    let pack_path = dir.join("equiv.clugpz");
-    write_binary_graph(&flat_path, n, &canonical).unwrap();
-    // Pack from the *original* order: the writer's external sort must land
-    // on the same canonical sequence. A small block size keeps many block
-    // boundaries in play.
-    write_pack(
-        &pack_path,
-        n,
-        &edges,
-        &PackOptions {
-            block_bytes: 2048,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    for (name, mut p) in roster() {
-        let mut flat = FileEdgeStream::open(&flat_path).unwrap();
-        let reference = run(p.as_mut(), &mut flat, 8);
+    let flat_path = scratch_dir("packed_equiv").join("equiv.bin");
+    Input::Binary.write(&flat_path, n, &canonical_order(&edges));
+    for (name, algo) in roster() {
+        let packed = Case {
+            input: Input::Pack {
+                block_bytes: 2048,
+                prefetch: 0,
+            },
+            ..Case::new(algo.clone(), 1_500, 36)
+        };
+        let reference = packed.reference();
         assert_eq!(reference.0.len(), edges.len(), "{name}: wrong edge count");
-
-        let mut packed = PackedEdgeStream::open(&pack_path).unwrap();
+        let mut flat = Input::Binary.open(&flat_path, n, &[]);
         assert_eq!(
-            run(p.as_mut(), &mut packed, 8),
+            partition(&algo, flat.as_mut(), 8),
             reference,
-            "{name}: packed stream diverged from flat binary"
+            "{name}: flat binary diverged from the monolith"
         );
-
-        for limit in [1usize, 7, 4096] {
-            let mut limited = ChunkLimited::new(PackedEdgeStream::open(&pack_path).unwrap(), limit);
-            assert_eq!(
-                run(p.as_mut(), &mut limited, 8),
-                reference,
-                "{name}: chunk limit {limit} over the pack diverged"
-            );
-        }
+        packed.check().unwrap();
+        check_limits(&packed);
     }
     std::fs::remove_file(&flat_path).ok();
-    std::fs::remove_file(&pack_path).ok();
 }
 
 #[test]
 fn file_backed_stream_matches_in_memory_chunked() {
-    use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
-    let (n, edges) = test_web_graph(1_200, 33);
-    let dir = std::env::temp_dir().join("clugp_chunked_equiv");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("equiv.bin");
-    write_binary_graph(&path, n, &edges).unwrap();
-
-    let mut mem = InMemoryStream::new(n, edges.clone());
-    let mut file = FileEdgeStream::open(&path).unwrap();
-    let mut clugp = Clugp::default();
-    let a = run(&mut clugp, &mut mem, 8);
-    let b = run(&mut clugp, &mut file, 8);
-    assert_eq!(a, b, "block-read file stream diverged from memory stream");
-    std::fs::remove_file(&path).ok();
+    let case = Case {
+        input: Input::Binary,
+        ..Case::new(DistAlgo::clugp(), 1_200, 33)
+    };
+    case.check().unwrap();
 }
 
 #[test]
@@ -226,19 +143,19 @@ fn sparse_remapped_stream_matches_dense_relabeled_run_bit_for_bit() {
     let distinct = map.len();
 
     let remap = || RemappedStream::remap(RawInMemoryStream::new(raw.clone())).unwrap();
-    for (name, mut p) in roster() {
+    for (name, algo) in roster() {
         let mut dense = InMemoryStream::new(distinct, relabeled.clone());
-        let reference = run(p.as_mut(), &mut dense, 8);
+        let reference = partition(&algo, &mut dense, 8);
         let mut sparse = remap();
         assert_eq!(
-            run(p.as_mut(), &mut sparse, 8),
+            partition(&algo, &mut sparse, 8),
             reference,
             "{name}: remapped sparse stream diverged from dense relabeling"
         );
-        for limit in [1usize, 7, 4096] {
+        for limit in LIMITS {
             let mut limited = ChunkLimited::new(remap(), limit);
             assert_eq!(
-                run(p.as_mut(), &mut limited, 8),
+                partition(&algo, &mut limited, 8),
                 reference,
                 "{name}: chunk limit {limit} over the remap layer diverged"
             );
@@ -253,31 +170,34 @@ fn every_source_delivers_one_sequence_at_any_cap() {
     // `usize::MAX` sizes nothing), no chunk is empty before the end or
     // longer than `cap`, and a `reset` replays it.
     use clugp_graph::idmap::{IdMap, RawInMemoryStream, RemappedStream};
-    use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
-    use clugp_graph::io::{open_edge_stream, write_edge_list};
-    use clugp_graph::pack::{
-        canonical_order, write_pack, DecodeOptions, PackOptions, PackedEdgeStream,
-        PipelinedPackStream,
-    };
+    use clugp_graph::pack::DecodeOptions;
     use clugp_graph::types::RawEdge;
     let (n, edges) = test_web_graph(1_000, 37);
     // A pack stores the canonical order, so every source gets that one.
     let want = canonical_order(&edges);
-    let dir = std::env::temp_dir().join("clugp_source_table");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (flat, text, pack) = (dir.join("g.bin"), dir.join("g.txt"), dir.join("g.clugpz"));
-    write_binary_graph(&flat, n, &want).unwrap();
-    write_edge_list(&text, &want).unwrap();
-    let small_blocks = PackOptions {
+    let dir = scratch_dir("source_table");
+    let pack = |prefetch| Input::Pack {
         block_bytes: 2048,
-        ..Default::default()
+        prefetch,
     };
-    write_pack(&pack, n, &want, &small_blocks).unwrap();
-    let decode_ahead = DecodeOptions {
-        threads: 1,
-        ..Default::default()
-    };
+    let inputs = [
+        Input::Memory,
+        Input::Binary,
+        Input::Text,
+        pack(0),
+        pack(DecodeOptions::default().prefetch),
+    ];
+    let mut sources: Vec<(String, Box<dyn RestreamableStream>)> = (0..)
+        .zip(inputs)
+        .map(|(i, input)| {
+            let path = dir.join(format!("g{i}"));
+            input.write(&path, n, &want);
+            (format!("{input:?}"), input.open(&path, n, &want))
+        })
+        .collect();
     let raw = want.iter().map(|&e| RawEdge::from(e)).collect();
+    let remapped = RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap();
+    sources.push(("remapped".into(), Box::new(remapped)));
     // The remap layer yields the first-appearance relabeling.
     let mut map = IdMap::remap();
     let relabeled: Vec<Edge> = want
@@ -287,20 +207,6 @@ fn every_source_delivers_one_sequence_at_any_cap() {
             Edge::new(id(e.src), id(e.dst))
         })
         .collect();
-    let sources: Vec<(&str, Box<dyn RestreamableStream>)> = vec![
-        ("memory", Box::new(InMemoryStream::new(n, want.clone()))),
-        ("binary", Box::new(FileEdgeStream::open(&flat).unwrap())),
-        ("text", open_edge_stream(&text).unwrap()),
-        ("pack", Box::new(PackedEdgeStream::open(&pack).unwrap())),
-        (
-            "pipelined pack",
-            Box::new(PipelinedPackStream::open(&pack, decode_ahead).unwrap()),
-        ),
-        (
-            "remapped",
-            Box::new(RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap()),
-        ),
-    ];
     for (name, mut s) in sources {
         let want = if name == "remapped" {
             &relabeled
@@ -326,4 +232,59 @@ fn every_source_delivers_one_sequence_at_any_cap() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn drawn_cases_match_the_monolith() {
+    // One drawn property over the whole matrix: graph family × algorithm ×
+    // input format × pack reader × mode × chunk size × fault plan. A failure
+    // names the case and the seed it was drawn from; `Case::draw(seed)`
+    // replays it. The seeds are fixed, and must reach every axis below.
+    let mut hit = BTreeSet::new();
+    for seed in 0..40 {
+        let case = Case::draw(seed);
+        hit.insert(format!("{:?}", case.algo));
+        let input = match case.input {
+            Input::Pack { prefetch: 0, .. } => "pack read serially".to_string(),
+            Input::Pack { .. } => "pack read ahead".to_string(),
+            input => format!("{input:?}"),
+        };
+        if case.faults.is_some() {
+            hit.insert(format!("faulted {}", &input[..4]));
+        }
+        hit.insert(input);
+        match case.mode {
+            Mode::Monolith { .. } => hit.insert("monolith".to_string()),
+            Mode::Sequenced {
+                workers, transport, ..
+            } => hit.insert(format!("{workers} workers")) | hit.insert(format!("{transport:?}")),
+        };
+        // `check` asserts; what it returns is a sequenced run's outcome or
+        // a faulted run's typed error.
+        let _ = case.check();
+    }
+    let mut want: Vec<String> = roster()
+        .into_iter()
+        .map(|(_, algo)| format!("{algo:?}"))
+        .collect();
+    want.extend(
+        [
+            "Memory",
+            "Text",
+            "Binary",
+            "pack read serially",
+            "pack read ahead",
+            "monolith",
+            "1 workers",
+            "2 workers",
+            "4 workers",
+            "Channel",
+            "Unix",
+            "faulted pack",
+            "faulted Memo",
+        ]
+        .map(String::from),
+    );
+    let missed: Vec<_> = want.iter().filter(|w| !hit.contains(*w)).collect();
+    assert!(missed.is_empty(), "no seed drew {missed:?}");
 }

@@ -19,13 +19,7 @@
 //! The fixture files stay behind in `target/tmp/cli_contract/` (CI's
 //! killed-worker and trace smokes run on `web.txt`).
 
-mod common;
-
-use clugp_graph::io::binary::write_binary_graph;
-use clugp_graph::io::edge_list::write_edge_list;
-use clugp_graph::pack::{write_pack, PackOptions};
-use clugp_repro::test_web_graph;
-use common::clugp_part_exe;
+use clugp_repro::{clugp_part_exe, fnv1a, test_web_graph, web_fixture, Input};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -133,31 +127,28 @@ fn cells() -> Vec<Cell> {
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+/// The hex [`fnv1a`] of `bytes`, as the golden file records it.
+fn hex_hash(bytes: Vec<u8>) -> String {
+    format!("{:016x}", fnv1a(bytes))
 }
 
 fn hash_file(path: &Path) -> String {
-    fnv1a(&std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
+    hex_hash(std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
 }
 
 /// Writes the one graph in every input format the CLI reads.
 fn write_fixtures(dir: &Path) {
-    let (n, edges) = test_web_graph(1500, 22);
-    write_edge_list(&dir.join("web.txt"), &edges).unwrap();
-    write_binary_graph(&dir.join("web.bin"), n, &edges).unwrap();
+    web_fixture(dir, Input::Text, 1500, 22);
+    web_fixture(dir, Input::Binary, 1500, 22);
     // Small blocks, so that a block-range split gives every worker edges.
-    let blocks = PackOptions {
+    let pack = Input::Pack {
         block_bytes: 4096,
-        ..Default::default()
+        prefetch: 0,
     };
-    write_pack(&dir.join("web.clugpz"), n, &edges, &blocks).unwrap();
+    web_fixture(dir, pack, 1500, 22);
     // The same edges under hashed-URL-style ids (an odd multiplier is a
     // bijection on u64).
+    let (_, edges) = test_web_graph(1500, 22);
     let ext = |v: u32| (u64::from(v) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let sparse: String = edges
         .iter()
@@ -211,7 +202,7 @@ fn run_cell(exe: &Path, dir: &Path, cell: &Cell) -> String {
         hash_file(&tsv),
         placement("assignments.clugppa"),
         placement("replicas.clugprt"),
-        fnv1a(quality.join("\n").as_bytes())
+        hex_hash(quality.join("\n").into_bytes())
     )
 }
 
@@ -355,12 +346,11 @@ fn default_order_is_the_algorithms_own() {
     };
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_contract_default_order");
     std::fs::create_dir_all(&dir).unwrap();
-    let (_, edges) = test_web_graph(1500, 22);
-    write_edge_list(&dir.join("web.txt"), &edges).unwrap();
+    let web = web_fixture(&dir, Input::Text, 1500, 22);
     // Exit code, stderr and relative balance of one run at k = 16.
     let run = |flags: &[&str]| {
         let out = Command::new(&exe)
-            .arg(dir.join("web.txt"))
+            .arg(&web)
             .args(["--k", "16"])
             .args(flags)
             .output()

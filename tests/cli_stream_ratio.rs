@@ -11,12 +11,10 @@
 //! build proves nothing: `cargo test --release --test cli_stream_ratio --
 //! --ignored --nocapture`.
 
-mod common;
-
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::io::binary::write_binary_graph;
 use clugp_graph::pack::{write_pack, PackOptions};
-use common::clugp_part_exe;
+use clugp_repro::clugp_part_exe;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

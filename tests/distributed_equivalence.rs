@@ -8,100 +8,36 @@
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::{Greedy, Hdrf, HdrfConfig, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
+use clugp::baselines::{HdrfConfig, MintConfig};
+use clugp::clugp::ClugpConfig;
 use clugp::error::PartitionError;
-use clugp::partitioner::Partitioner;
 use clugp::state::ReplicaTable;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
-use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::{Edge, VertexId};
-use clugp_repro::test_web_graph;
-
-/// Monolith/distributed pairs under test: every registered algorithm and
-/// its monolith, plus the CLUGP ablations and the non-default migration
-/// policy (so every `MigrationPolicy` wire tag crosses a `Configure`).
-fn roster() -> Vec<(&'static str, Box<dyn Partitioner>, DistAlgo)> {
-    let mut algos: Vec<DistAlgo> = ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"]
-        .iter()
-        .map(|name| DistAlgo::by_name(name).expect("registered algorithm"))
-        .collect();
-    for algo in &mut algos {
-        if let DistAlgo::Mint(cfg) = algo {
-            // Small batches so wave boundaries cross worker-range boundaries.
-            cfg.batch_size = 97;
-        }
-    }
-    algos.push(DistAlgo::Clugp(ClugpConfig {
-        splitting: false,
-        ..Default::default()
-    }));
-    algos.push(DistAlgo::Clugp(ClugpConfig {
-        assign_mode: ClusterAssignMode::Greedy,
-        ..Default::default()
-    }));
-    let mut named: Vec<(&'static str, DistAlgo)> =
-        algos.into_iter().map(|algo| (algo.name(), algo)).collect();
-    let paper = ClugpConfig {
-        migration: MigrationPolicy::Paper,
-        ..Default::default()
-    };
-    named.push(("CLUGP/paper", DistAlgo::Clugp(paper)));
-    named
-        .into_iter()
-        .map(|(name, algo)| (name, algo.monolith(), algo))
-        .collect()
-}
-
-fn monolith(p: &mut dyn Partitioner, n: u64, edges: &[Edge], k: u32) -> (Vec<u32>, Vec<u64>, u64) {
-    let mut s = InMemoryStream::new(n, edges.to_vec());
-    let run = p.partition(&mut s, k).expect("monolith partition");
-    (
-        run.partitioning.assignments,
-        run.partitioning.loads,
-        run.partitioning.num_vertices,
-    )
-}
+use clugp_repro::{
+    assignment_hash, monolith, outcome, roster, scratch_dir, test_web_graph, web_fixture, Case,
+    Family, Input, Mode,
+};
 
 #[test]
 fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
-    let (n, edges) = test_web_graph(1_500, 41);
-    let k = 8;
-    for (name, mut p, algo) in roster() {
-        let reference = monolith(p.as_mut(), n, &edges, k);
+    for (name, algo) in roster() {
+        let case = Case::new(algo.clone(), 1_500, 41);
         for workers in [1u32, 2, 4] {
             for transport in [TransportKind::Channel, TransportKind::Unix] {
                 for chunk_edges in [0usize, 173] {
-                    let cfg = DistConfig {
+                    let mode = Mode::Sequenced {
                         workers,
                         transport,
                         chunk_edges,
-                        ..Default::default()
                     };
-                    let out = run_distributed(
-                        &algo,
-                        DistInput::Edges {
-                            num_vertices: n,
-                            edges: &edges,
-                        },
-                        k,
-                        &cfg,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{name}: {workers}w/{transport:?}/chunk {chunk_edges}: {e}")
-                    });
-                    assert_eq!(out.workers, workers, "{name}: wrong worker count");
-                    assert_eq!(
-                        (
-                            out.partitioning.assignments,
-                            out.partitioning.loads,
-                            out.partitioning.num_vertices
-                        ),
-                        reference,
-                        "{name}: {workers} workers / {transport:?} / chunk {chunk_edges} \
-                         diverged from the monolith"
-                    );
+                    Case {
+                        mode,
+                        ..case.clone()
+                    }
+                    .check()
+                    .unwrap();
                 }
             }
         }
@@ -111,23 +47,16 @@ fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
         if !matches!(algo, DistAlgo::Clugp(_)) {
             continue;
         }
-        let out = run_distributed(
-            &algo,
-            DistInput::Edges {
-                num_vertices: n,
-                edges: &edges,
-            },
-            k,
-            &relaxed_cfg(1),
-        )
-        .unwrap_or_else(|e| panic!("{name}: relaxed, 1 worker: {e}"));
+        let (n, edges) = case.edges();
+        let input = DistInput::Edges {
+            num_vertices: n,
+            edges: &edges,
+        };
+        let out = run_distributed(&algo, input, 8, &relaxed_cfg(1))
+            .unwrap_or_else(|e| panic!("{name}: relaxed, 1 worker: {e}"));
         assert_eq!(
-            (
-                out.partitioning.assignments,
-                out.partitioning.loads,
-                out.partitioning.num_vertices
-            ),
-            reference,
+            outcome(out.partitioning),
+            case.reference(),
             "{name}: relaxed mode at 1 worker diverged from the monolith"
         );
     }
@@ -137,20 +66,12 @@ fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
 fn multi_worker_runs_actually_exchange_state() {
     // Sanity that the equivalence above is not vacuous: a 4-worker CLUGP run
     // must route real state traffic through the coordinator.
-    let (n, edges) = test_web_graph(1_000, 42);
-    let out = run_distributed(
-        &DistAlgo::clugp(),
-        DistInput::Edges {
-            num_vertices: n,
-            edges: &edges,
-        },
-        8,
-        &DistConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mode = Mode::sequenced(4);
+    let case = Case {
+        mode,
+        ..Case::new(DistAlgo::clugp(), 1_000, 42)
+    };
+    let out = case.check().unwrap().expect("a sequenced run");
     assert!(
         out.net.bytes_sent > 0 && out.net.frames_sent > 0,
         "4-worker run exchanged no state: {:?}",
@@ -270,7 +191,7 @@ fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
     };
     for name in ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"] {
         let algo = DistAlgo::by_name(name).expect("registered algorithm");
-        let reference = monolith(algo.monolith().as_mut(), n, &edges, k).0;
+        let reference = monolith(&algo, n, &edges, k).0;
         let run = |cfg: DistConfig| {
             let what = format!(
                 "{name}: {:?}, {}w/chunk {}",
@@ -327,38 +248,19 @@ fn clusters_minted_on_one_worker_are_read_on_the_next() {
     // mints most raw clusters and the volumes in the frontier it hands on are
     // what worker 1 splits and migrates against — those of clusters that did
     // not exist when the stage began included.
-    let (n, edges) = test_web_graph(1_500, 45);
-    let k = 8;
     for vmax_factor in [0.02, 0.2] {
-        let config = ClugpConfig {
+        let algo = DistAlgo::Clugp(ClugpConfig {
             vmax_factor,
             ..Default::default()
-        };
-        let reference = monolith(&mut Clugp::new(config.clone()), n, &edges, k);
+        });
         for (workers, chunk_edges) in [(2u32, 0usize), (2, 37), (3, 173)] {
-            let out = run_distributed(
-                &DistAlgo::Clugp(config.clone()),
-                DistInput::Edges {
-                    num_vertices: n,
-                    edges: &edges,
-                },
-                k,
-                &DistConfig {
-                    workers,
-                    chunk_edges,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("vmax x{vmax_factor}: {workers}w: {e}"));
-            assert_eq!(
-                (
-                    out.partitioning.assignments,
-                    out.partitioning.loads,
-                    out.partitioning.num_vertices
-                ),
-                reference,
-                "vmax x{vmax_factor}: {workers} workers / chunk {chunk_edges} diverged"
-            );
+            let mode = Mode::Sequenced {
+                workers,
+                transport: TransportKind::Channel,
+                chunk_edges,
+            };
+            let case = Case::new(algo.clone(), 1_500, 45);
+            Case { mode, ..case }.check().unwrap();
         }
     }
 }
@@ -366,49 +268,21 @@ fn clusters_minted_on_one_worker_are_read_on_the_next() {
 #[test]
 fn pack_input_matches_monolith_on_the_same_pack_stream() {
     // Pack streams replay the canonical (src, dst) order, so the monolith
-    // reference must run over the same pack stream.
-    use clugp_graph::pack::{write_pack, PackOptions, PackedEdgeStream};
-    let (n, edges) = test_web_graph(1_200, 43);
-    let dir = std::env::temp_dir().join("clugp_dist_equiv");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("dist.clugpz");
-    // Small blocks so 4 workers get non-trivial block ranges.
-    write_pack(
-        &path,
-        n,
-        &edges,
-        &PackOptions {
-            block_bytes: 2048,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    for (name, mut p, algo) in roster() {
-        let mut packed = PackedEdgeStream::open(&path).unwrap();
-        let run = p.partition(&mut packed, 8).expect("monolith over pack");
+    // reference runs over that sequence. Small blocks so 4 workers get
+    // non-trivial block ranges.
+    for (_, algo) in roster() {
         for workers in [1u32, 4] {
-            let out = run_distributed(
-                &algo,
-                DistInput::Pack(&path),
-                8,
-                &DistConfig {
-                    workers,
-                    ..Default::default()
+            let case = Case {
+                input: Input::Pack {
+                    block_bytes: 2048,
+                    prefetch: 0,
                 },
-            )
-            .unwrap_or_else(|e| panic!("{name}: {workers}w over pack: {e}"));
-            assert_eq!(
-                (out.partitioning.assignments, out.partitioning.loads),
-                (
-                    run.partitioning.assignments.clone(),
-                    run.partitioning.loads.clone()
-                ),
-                "{name}: {workers}-worker pack run diverged from the monolith"
-            );
+                mode: Mode::sequenced(workers),
+                ..Case::new(algo.clone(), 1_200, 43)
+            };
+            case.check().unwrap();
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -477,31 +351,15 @@ fn invalid_parameters_fail_like_the_monolith() {
 
 #[test]
 fn empty_stream_matches_monolith_at_any_worker_count() {
-    for (name, mut p, algo) in roster() {
-        let reference = monolith(p.as_mut(), 0, &[], 4);
+    for (_, algo) in roster() {
         for workers in [1u32, 3] {
-            let out = run_distributed(
-                &algo,
-                DistInput::Edges {
-                    num_vertices: 0,
-                    edges: &[],
-                },
-                4,
-                &DistConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{name}: empty stream, {workers} workers: {e}"));
-            assert_eq!(
-                (
-                    out.partitioning.assignments,
-                    out.partitioning.loads,
-                    out.partitioning.num_vertices
-                ),
-                reference,
-                "{name}: empty stream diverged at {workers} workers"
-            );
+            let case = Case {
+                family: Family::Empty,
+                k: 4,
+                mode: Mode::sequenced(workers),
+                ..Case::new(algo.clone(), 0, 0)
+            };
+            case.check().unwrap();
         }
     }
 }
@@ -513,22 +371,13 @@ fn corrupt_pack_is_a_fatal_park_error_not_a_retry() {
     // run with the same kind of error the monolith parks — never burn the
     // retry budget replaying a pass that can only fail again.
     use clugp::ampc::SuperviseConfig;
-    use clugp_graph::pack::{crc32, write_pack, PackOptions, PackedEdgeStream, ShardedPackReader};
+    use clugp_graph::pack::{crc32, PackedEdgeStream, ShardedPackReader};
 
-    let (n, edges) = test_web_graph(900, 45);
-    let dir = std::env::temp_dir().join("clugp_dist_corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("corrupt.clugpz");
-    write_pack(
-        &path,
-        n,
-        &edges,
-        &PackOptions {
-            block_bytes: 2048,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let pack = Input::Pack {
+        block_bytes: 2048,
+        prefetch: 0,
+    };
+    let path = web_fixture(&scratch_dir("dist_corrupt"), pack, 900, 45);
     // Flip a payload byte of the middle block; metadata stays valid so the
     // pack opens fine and dies mid-stream, on a worker.
     let reader = ShardedPackReader::open(&path).unwrap();
@@ -546,7 +395,10 @@ fn corrupt_pack_is_a_fatal_park_error_not_a_retry() {
     std::fs::write(&path, &data).unwrap();
 
     let mut s = PackedEdgeStream::open(&path).unwrap();
-    let monolith_err = Clugp::default().partition(&mut s, 8).unwrap_err();
+    let monolith_err = DistAlgo::clugp()
+        .monolith()
+        .partition(&mut s, 8)
+        .unwrap_err();
     assert!(
         monolith_err.to_string().contains("checksum"),
         "{monolith_err}"
@@ -594,10 +446,10 @@ fn relaxed_cfg(workers: u32) -> DistConfig {
 }
 
 /// The roster's CLUGP rows: the only ones relaxed mode runs.
-fn clugp_roster() -> impl Iterator<Item = (&'static str, Box<dyn Partitioner>, DistAlgo)> {
+fn clugp_roster() -> impl Iterator<Item = (&'static str, DistAlgo)> {
     roster()
         .into_iter()
-        .filter(|(_, _, algo)| matches!(algo, DistAlgo::Clugp(_)))
+        .filter(|(_, algo)| matches!(algo, DistAlgo::Clugp(_)))
 }
 
 #[test]
@@ -607,7 +459,7 @@ fn relaxed_mode_is_deterministic_and_transport_independent() {
     // repeated runs and both transports yield the same bits.
     let (n, edges) = test_web_graph(1_500, 46);
     let k = 8;
-    for (name, _, algo) in clugp_roster() {
+    for (name, algo) in clugp_roster() {
         let input = DistInput::Edges {
             num_vertices: n,
             edges: &edges,
@@ -646,54 +498,23 @@ fn relaxed_mode_is_deterministic_and_transport_independent() {
     }
 }
 
-/// FNV-1a over the little-endian bytes of an assignment vector.
-fn fnv1a(assignments: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in assignments.iter().flat_map(|p| p.to_le_bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn relaxed_baselines_match_their_recorded_golden_hashes() {
     // Relaxed runs are otherwise only compared with themselves, so a driver
     // rewrite could change their bits unnoticed. The CLUGP hashes were
     // recorded at 7b32848, before the read-only CLUGP stages were rewritten.
     let (n, edges) = test_web_graph(1_500, 46);
-    let clugp = |config: ClugpConfig| DistAlgo::Clugp(config);
-    let golden: [(&str, DistAlgo, [u64; 2]); 4] = [
-        (
-            "CLUGP",
-            DistAlgo::clugp(),
-            [0x784d_a5bd_8541_5212, 0xa3c5_cf6f_04cb_b0f1],
-        ),
-        (
-            "CLUGP-S",
-            clugp(ClugpConfig {
-                splitting: false,
-                ..Default::default()
-            }),
-            [0x55ea_f5bc_9058_4dd2, 0x2980_052f_9e99_43c2],
-        ),
-        (
-            "CLUGP-G",
-            clugp(ClugpConfig {
-                assign_mode: ClusterAssignMode::Greedy,
-                ..Default::default()
-            }),
-            [0x5b9e_4826_6592_41c2, 0x172f_7e4c_3148_2ea3],
-        ),
-        (
-            "CLUGP/paper",
-            clugp(ClugpConfig {
-                migration: MigrationPolicy::Paper,
-                ..Default::default()
-            }),
-            [0x0053_9d18_84bb_7182, 0xfb32_9b1d_48dd_c2d2],
-        ),
+    // Per CLUGP row of the roster (CLUGP, CLUGP-S, CLUGP-G, CLUGP/paper),
+    // at 2 and 4 workers.
+    let golden: [[u64; 2]; 4] = [
+        [0x784d_a5bd_8541_5212, 0xa3c5_cf6f_04cb_b0f1],
+        [0x55ea_f5bc_9058_4dd2, 0x2980_052f_9e99_43c2],
+        [0x5b9e_4826_6592_41c2, 0x172f_7e4c_3148_2ea3],
+        [0x0053_9d18_84bb_7182, 0xfb32_9b1d_48dd_c2d2],
     ];
-    for (name, algo, hashes) in golden {
+    let rows: Vec<_> = clugp_roster().map(|(name, _)| name).collect();
+    assert_eq!(rows, ["CLUGP", "CLUGP-S", "CLUGP-G", "CLUGP/paper"]);
+    for ((name, algo), hashes) in clugp_roster().zip(golden) {
         for (workers, want) in [2u32, 4].into_iter().zip(hashes) {
             let out = run_distributed(
                 &algo,
@@ -706,11 +527,11 @@ fn relaxed_baselines_match_their_recorded_golden_hashes() {
             )
             .unwrap_or_else(|e| panic!("{name}: relaxed, {workers} workers: {e}"));
             assert_eq!(
-                fnv1a(&out.partitioning.assignments),
+                assignment_hash(&out.partitioning.assignments),
                 want,
                 "{name}: relaxed {workers}-worker placement changed \
                  (got {:#018x})",
-                fnv1a(&out.partitioning.assignments)
+                assignment_hash(&out.partitioning.assignments)
             );
         }
     }
@@ -791,16 +612,16 @@ fn hdrf_monolith_matches_its_recorded_golden_hashes() {
     for (order, k, hashes) in golden {
         let edges = ordered_edges(&g, order);
         for (lambda, want) in [0.1, 1.0, 10.0].into_iter().zip(hashes) {
-            let mut hdrf = Hdrf::new(HdrfConfig {
+            let hdrf = DistAlgo::Hdrf(HdrfConfig {
                 lambda,
                 ..Default::default()
             });
-            let (assignments, _, _) = monolith(&mut hdrf, g.num_vertices(), &edges, k);
+            let (assignments, _, _) = monolith(&hdrf, g.num_vertices(), &edges, k);
             assert_eq!(
-                fnv1a(&assignments),
+                assignment_hash(&assignments),
                 want,
                 "HDRF {order:?} k={k} lambda={lambda}: monolithic placement changed (got {:#018x})",
-                fnv1a(&assignments)
+                assignment_hash(&assignments)
             );
         }
     }
@@ -840,12 +661,13 @@ fn greedy_monolith_matches_its_recorded_golden_hashes() {
     for (order, hashes) in golden {
         let edges = ordered_edges(&g, order);
         for (k, want) in [4u32, 32, 130].into_iter().zip(hashes) {
-            let (assignments, _, _) = monolith(&mut Greedy::new(), g.num_vertices(), &edges, k);
+            let greedy = DistAlgo::greedy();
+            let (assignments, _, _) = monolith(&greedy, g.num_vertices(), &edges, k);
             assert_eq!(
-                fnv1a(&assignments),
+                assignment_hash(&assignments),
                 want,
                 "Greedy {order:?} k={k}: monolithic placement changed (got {:#018x})",
-                fnv1a(&assignments)
+                assignment_hash(&assignments)
             );
         }
     }
@@ -859,8 +681,8 @@ fn relaxed_mode_drift_is_bounded_and_outputs_are_consistent() {
     use clugp::metrics::PartitionQuality;
     let (n, edges) = test_web_graph(1_500, 49);
     let k = 8;
-    for (name, mut p, algo) in clugp_roster() {
-        let (ref_assign, _, ref_vertices) = monolith(p.as_mut(), n, &edges, k);
+    for (name, algo) in clugp_roster() {
+        let (ref_assign, _, ref_vertices) = monolith(&algo, n, &edges, k);
         let ref_quality = PartitionQuality::compute(
             &edges,
             &clugp::partition::Partitioning {
@@ -924,21 +746,13 @@ fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
     // ranges, the larger share saturates its slice of the load cap, the
     // slice grows — and the monotone reroute cursor, already past the
     // partitions that just regained room, used to run off the load array.
-    use clugp_graph::pack::{write_pack, PackOptions, ShardedPackReader};
-    let (n, edges) = test_web_graph(1_500, 50);
-    let dir = std::env::temp_dir().join("clugp_dist_relaxed_pack");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("uneven.clugpz");
-    write_pack(
-        &path,
-        n,
-        &edges,
-        &PackOptions {
-            block_bytes: 8192,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    use clugp_graph::pack::ShardedPackReader;
+    let (_, edges) = test_web_graph(1_500, 50);
+    let pack = Input::Pack {
+        block_bytes: 8192,
+        prefetch: 0,
+    };
+    let path = web_fixture(&scratch_dir("dist_relaxed_pack"), pack, 1_500, 50);
     let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
     assert_eq!(blocks % 2, 1, "need an odd block count, got {blocks}");
 

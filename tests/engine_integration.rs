@@ -14,7 +14,7 @@ use clugp_engine::{CostModel, DistributedGraph, Engine, VertexProgram};
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::VertexId;
-use clugp_repro::test_web_graph;
+use clugp_repro::{fnv1a, test_web_graph};
 
 fn partitioners() -> Vec<Box<dyn Partitioner>> {
     vec![
@@ -199,22 +199,21 @@ fn placement_conserves_edges_and_replicas() {
 /// FNV-1a over a placement: `master_of`, then each machine's `vertices`,
 /// `is_master` and `edges`, as little-endian bytes.
 fn placement_hash(d: &DistributedGraph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    d.master_of.iter().for_each(|m| eat(&m.to_le_bytes()));
+    let mut bytes = Vec::new();
+    d.master_of
+        .iter()
+        .for_each(|m| bytes.extend(m.to_le_bytes()));
     for m in &d.machines {
-        m.vertices.iter().for_each(|v| eat(&v.to_le_bytes()));
-        m.is_master.iter().for_each(|&b| eat(&[u8::from(b)]));
+        m.vertices
+            .iter()
+            .for_each(|v| bytes.extend(v.to_le_bytes()));
+        bytes.extend(m.is_master.iter().map(|&b| u8::from(b)));
         for &(s, t) in &m.edges {
-            eat(&s.to_le_bytes());
-            eat(&t.to_le_bytes());
+            bytes.extend(s.to_le_bytes());
+            bytes.extend(t.to_le_bytes());
         }
     }
-    h
+    fnv1a(bytes)
 }
 
 /// The placement itself — masters, local vertex order and local edges — not

@@ -7,44 +7,19 @@
 //! with worker processes over Unix sockets, kill one mid-pass, and diff
 //! the recovered TSV byte-for-byte.
 
-mod common;
-
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{
     run_distributed, AmpcMode, DistConfig, DistInput, FaultAction, FaultPlan, FaultScript,
-    SuperviseConfig, TransportKind,
+    TransportKind,
 };
-use clugp::clugp::Clugp;
 use clugp::error::PartitionError;
-use clugp::partitioner::Partitioner;
-use clugp_graph::stream::InMemoryStream;
-use clugp_graph::types::Edge;
-use clugp_repro::test_web_graph;
-use common::clugp_part_exe;
+use clugp_repro::{
+    assignment_hash, clugp_part_exe, monolith, outcome, scratch_dir, supervised, test_web_graph,
+    web_fixture, Case, Input, Mode,
+};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
-
-type Reference = (Vec<u32>, Vec<u64>, u64);
-
-fn monolith(p: &mut dyn Partitioner, n: u64, edges: &[Edge], k: u32) -> Reference {
-    let mut s = InMemoryStream::new(n, edges.to_vec());
-    let run = p.partition(&mut s, k).expect("monolith partition");
-    (
-        run.partitioning.assignments,
-        run.partitioning.loads,
-        run.partitioning.num_vertices,
-    )
-}
-
-/// A tight supervision policy for tests: short deadline, fast back-off.
-fn supervised(timeout_ms: u64, retries: u32) -> SuperviseConfig {
-    SuperviseConfig {
-        worker_timeout: Some(Duration::from_millis(timeout_ms)),
-        max_retries: retries,
-        backoff: Duration::from_millis(10),
-    }
-}
 
 /// Where the first fault of a traced run surfaced, read off the merged
 /// trace instead of trusted to a frame ordinal: the pass the supervisor had
@@ -98,20 +73,11 @@ fn seeded_fault(plan: &FaultPlan) -> (u32, bool, u64, FaultAction) {
     fault
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("clugp_fault_tolerance")
-        .join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn scripted_faults_recover_bit_identically() {
     let (n, edges) = test_web_graph(800, 51);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
 
     // (case, faulted worker, script, where it must surface: the replayed
     // pass and the worker holding its token, `None` for no recovery at
@@ -227,11 +193,7 @@ fn scripted_faults_recover_bit_identically() {
             "{case}: the fault did not surface where the script aims"
         );
         assert_eq!(
-            (
-                out.partitioning.assignments,
-                out.partitioning.loads,
-                out.partitioning.num_vertices
-            ),
+            outcome(out.partitioning),
             reference,
             "{case}: recovered run diverged from the monolith"
         );
@@ -240,7 +202,6 @@ fn scripted_faults_recover_bit_identically() {
 
 #[test]
 fn every_incarnation_faulty_exhausts_retries_into_typed_error() {
-    let (n, edges) = test_web_graph(400, 52);
     // Worker 1's link dies on every incarnation — the one it starts with
     // and both respawns — so max_retries = 2 must exhaust into a typed
     // fault, not a hang and not a panic.
@@ -248,22 +209,15 @@ fn every_incarnation_faulty_exhausts_retries_into_typed_error() {
     for incarnation in 0..=2 {
         faults.push(1, incarnation, FaultScript::disconnect_at_send(1));
     }
-    let cfg = DistConfig {
-        workers: 3,
-        supervise: supervised(500, 2),
-        faults,
-        ..Default::default()
+    let mode = Mode::sequenced(3);
+    let case = Case {
+        mode,
+        faults: Some(faults),
+        ..Case::new(DistAlgo::clugp(), 400, 52)
     };
-    let err = run_distributed(
-        &DistAlgo::clugp(),
-        DistInput::Edges {
-            num_vertices: n,
-            edges: &edges,
-        },
-        8,
-        &cfg,
-    )
-    .expect_err("a permanently faulty link must fail the run");
+    let err = case
+        .check()
+        .expect_err("a permanently faulty link must fail the run");
     assert!(
         matches!(err, PartitionError::Fault { .. }),
         "retry exhaustion must surface the transport fault, got: {err}"
@@ -279,23 +233,20 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // Randomized-but-deterministic single-fault plans: whatever the fault
     // is (drop, delay, corrupt, disconnect — either direction, on an awaited
     // frame or on an unacknowledged one), the run either recovers
-    // bit-identically or terminates with a typed error.
-    // The deadline keeps "terminates" bounded; the test finishing at all
-    // is the no-hang assertion. A plan draws its ordinal from the frames a
-    // link of its algorithm carries behind the handshake, the same few
-    // whatever the chunk. CLUGP's: to worker 0 `RunStage`, a cast,
-    // `RunStage`, a cast, `RunStage` (1–5), to a later worker the pass-1 seed
-    // ahead of them (1–6), then `Shutdown`, whose fate nobody waits for; back,
-    // traced, the frontier, then a trace frame and `StageDone` per stage
-    // (1–7). HDRF's: to worker 0 `RunStage` (1), to a later worker the turn
-    // state ahead of it (1–2), then `Shutdown`; back, the turn state it hands
-    // on, a trace frame and `StageDone` (1–3), the last of the three workers
-    // handing nothing on (1–2).
-    use clugp::baselines::Hdrf;
-    let (n, edges) = test_web_graph(500, 53);
-    let k = 8;
-    // (algorithm, monolith, chunk, frames a plan draws from, whether the
-    // ordinal names a frame of the flow on that worker's link).
+    // bit-identically or terminates with a typed error (`Case::check`
+    // asserts both). The deadline keeps "terminates" bounded; the test
+    // finishing at all is the no-hang assertion. A plan draws its ordinal
+    // from the frames a link of its algorithm carries behind the handshake,
+    // the same few whatever the chunk. CLUGP's: to worker 0 `RunStage`, a
+    // cast, `RunStage`, a cast, `RunStage` (1–5), to a later worker the
+    // pass-1 seed ahead of them (1–6), then `Shutdown`, whose fate nobody
+    // waits for; back, traced, the frontier, then a trace frame and
+    // `StageDone` per stage (1–7). HDRF's: to worker 0 `RunStage` (1), to a
+    // later worker the turn state ahead of it (1–2), then `Shutdown`; back,
+    // the turn state it hands on, a trace frame and `StageDone` (1–3), the
+    // last of the three workers handing nothing on (1–2).
+    // (algorithm, chunk, frames a plan draws from, whether the ordinal names
+    // a frame of the flow on that worker's link).
     type Lands = fn(u32, bool, u64) -> bool;
     let clugp_lands: Lands = |worker, sent, at| match sent {
         true => at <= 5 + u64::from(worker > 0),
@@ -305,119 +256,97 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
         true => at <= 1 + u64::from(worker > 0),
         false => at <= 2 + u64::from(worker < 2),
     };
-    let algos: [(DistAlgo, Reference, usize, u64, Lands); 2] = [
-        (
-            DistAlgo::clugp(),
-            monolith(&mut Clugp::default(), n, &edges, k),
-            0,
-            7,
-            clugp_lands,
-        ),
-        (
-            DistAlgo::hdrf(),
-            monolith(&mut Hdrf::default(), n, &edges, k),
-            4,
-            3,
-            hdrf_lands,
-        ),
+    let algos: [(DistAlgo, usize, u64, Lands); 2] = [
+        (DistAlgo::clugp(), 0, 7, clugp_lands),
+        (DistAlgo::hdrf(), 4, 3, hdrf_lands),
     ];
-    for (algo, reference, chunk_edges, frames, lands) in algos {
-        let name = algo.name();
-        let mut surfaced = 0;
-        for seed in 1..=16u64 {
-            let cfg = DistConfig {
-                workers: 3,
-                chunk_edges,
-                supervise: supervised(600, 2),
-                faults: FaultPlan::seeded(seed, 3, frames),
-                trace: true,
-                ..Default::default()
-            };
-            let (worker, sent, at, action) = seeded_fault(&cfg.faults);
-            let input = DistInput::Edges {
-                num_vertices: n,
-                edges: &edges,
-            };
-            match run_distributed(&algo, input, k, &cfg) {
-                Ok(out) => {
-                    // Anything but a delay surfaces, on a frame of the flow.
-                    let fired = first_fault(&out);
-                    assert_eq!(
-                        fired.is_some(),
-                        lands(worker, sent, at) && !matches!(action, FaultAction::Delay(_)),
-                        "{name}, seed {seed}: {:?} surfaced at {fired:?}",
-                        cfg.faults,
-                    );
-                    surfaced += usize::from(fired.is_some());
-                    assert_eq!(
-                        (
-                            out.partitioning.assignments,
-                            out.partitioning.loads,
-                            out.partitioning.num_vertices
-                        ),
-                        reference,
-                        "{name}, seed {seed}: recovered run diverged from the monolith"
-                    )
+    // The two algorithms' plans run side by side: most of a plan's time is
+    // a deadline waited out.
+    std::thread::scope(|scope| {
+        for (algo, chunk_edges, frames, lands) in algos {
+            scope.spawn(move || {
+                let name = algo.name();
+                let mut surfaced = 0;
+                for seed in 1..=16u64 {
+                    let faults = FaultPlan::seeded(seed, 3, frames);
+                    let (worker, sent, at, action) = seeded_fault(&faults);
+                    let case = Case {
+                        mode: Mode::Sequenced {
+                            workers: 3,
+                            transport: TransportKind::Channel,
+                            chunk_edges,
+                        },
+                        faults: Some(faults),
+                        ..Case::new(algo.clone(), 500, 53)
+                    };
+                    match case.check() {
+                        Ok(out) => {
+                            // Anything but a delay surfaces, on a frame of the flow.
+                            let fired = first_fault(&out.expect("a sequenced run"));
+                            assert_eq!(
+                                fired.is_some(),
+                                lands(worker, sent, at) && !matches!(action, FaultAction::Delay(_)),
+                                "{name}, seed {seed}: {:?} surfaced at {fired:?}",
+                                case.faults,
+                            );
+                            surfaced += usize::from(fired.is_some());
+                        }
+                        // A typed error: a transport fault, or a corrupt
+                        // coordinator->worker frame, which the worker reports back
+                        // and which stays fatal (deterministic errors are not
+                        // retried).
+                        Err(_) => {
+                            assert!(
+                                lands(worker, sent, at),
+                                "{name}, seed {seed}: {:?}",
+                                case.faults
+                            );
+                            surfaced += 1;
+                        }
+                    }
                 }
-                // A corrupt coordinator->worker frame is reported back by the
-                // worker and stays fatal (deterministic errors are not
-                // retried); anything else must be a typed transport fault.
-                Err(PartitionError::Fault { .. }) | Err(PartitionError::InvalidParam(_)) => {
-                    assert!(
-                        lands(worker, sent, at),
-                        "{name}, seed {seed}: {:?}",
-                        cfg.faults
-                    );
-                    surfaced += 1;
-                }
-                Err(other) => panic!("{name}, seed {seed}: untyped failure: {other}"),
-            }
+                assert!(surfaced >= 8, "{name}: {surfaced} of 16 plans fired");
+            });
         }
-        assert!(surfaced >= 8, "{name}: {surfaced} of 16 plans fired");
-    }
+    });
+}
+
+/// `algo` over the web graph of `vertices` vertices drawn from `seed`, on
+/// `workers` sequenced workers over `transport` with `faults` armed: the
+/// recovered run, which must equal the monolith's.
+fn recovered(
+    algo: DistAlgo,
+    (vertices, seed): (u64, u64),
+    workers: u32,
+    transport: TransportKind,
+    faults: FaultPlan,
+) -> clugp::ampc::DistOutcome {
+    let case = Case {
+        mode: Mode::Sequenced {
+            workers,
+            transport,
+            chunk_edges: 0,
+        },
+        faults: Some(faults),
+        ..Case::new(algo, vertices, seed)
+    };
+    let out = case.check().unwrap_or_else(|e| panic!("{case:?}: {e}"));
+    let out = out.expect("a sequenced run");
+    assert!(out.recoveries >= 1, "{case:?}: no recovery");
+    out
 }
 
 #[test]
 fn faults_recover_over_unix_sockets_too() {
     // Same engine, socket framing instead of channels: severing a link
     // mid-pass recovers bit-identically there as well.
-    let (n, edges) = test_web_graph(600, 54);
-    let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
     let mut faults = FaultPlan::none();
     faults.push(0, 0, FaultScript::disconnect_at_send(1));
-    let cfg = DistConfig {
-        workers: 2,
-        transport: TransportKind::Unix,
-        supervise: supervised(600, 2),
-        faults,
-        trace: true,
-        ..Default::default()
-    };
-    let out = run_distributed(
-        &DistAlgo::clugp(),
-        DistInput::Edges {
-            num_vertices: n,
-            edges: &edges,
-        },
-        k,
-        &cfg,
-    )
-    .expect("unix-transport run must recover");
-    assert!(out.recoveries >= 1, "fault did not trigger a recovery");
+    let out = recovered(DistAlgo::clugp(), (600, 54), 2, TransportKind::Unix, faults);
     assert_eq!(
         first_fault(&out),
         Some(("pass1".to_string(), 0)),
         "the severed link must surface in pass 1, worker 0 holding the token"
-    );
-    assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
-        reference,
-        "unix-transport recovery diverged from the monolith"
     );
 }
 
@@ -426,43 +355,19 @@ fn baseline_algorithms_recover_too() {
     // The single-barrier baseline flow shares the recovery machinery. Worker
     // 1's link dies on the first frame sent behind the handshake: the turn
     // state worker 0 handed on, in flight between the two turns.
-    use clugp::baselines::Hdrf;
-    let (n, edges) = test_web_graph(500, 55);
-    let k = 8;
-    let reference = monolith(&mut Hdrf::default(), n, &edges, k);
     let mut faults = FaultPlan::none();
     faults.push(1, 0, FaultScript::disconnect_at_send(1));
-    let cfg = DistConfig {
-        workers: 3,
-        supervise: supervised(600, 2),
+    let out = recovered(
+        DistAlgo::hdrf(),
+        (500, 55),
+        3,
+        TransportKind::Channel,
         faults,
-        trace: true,
-        ..Default::default()
-    };
-    let out = run_distributed(
-        &DistAlgo::hdrf(),
-        DistInput::Edges {
-            num_vertices: n,
-            edges: &edges,
-        },
-        k,
-        &cfg,
-    )
-    .expect("HDRF run must recover");
-    assert!(out.recoveries >= 1);
+    );
     assert_eq!(
         first_fault(&out),
         Some(("baseline".to_string(), 1)),
         "the severed link must surface mid-pass, worker 0's turn done"
-    );
-    assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
-        reference,
-        "recovered HDRF run diverged from the monolith"
     );
 }
 
@@ -536,16 +441,8 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
             "{case}: the fault must surface in the first pass"
         );
         assert_eq!(
-            (
-                out.partitioning.assignments,
-                out.partitioning.loads,
-                out.partitioning.num_vertices
-            ),
-            (
-                reference.partitioning.assignments.clone(),
-                reference.partitioning.loads.clone(),
-                reference.partitioning.num_vertices
-            ),
+            outcome(out.partitioning),
+            outcome(reference.partitioning.clone()),
             "{case}: recovered relaxed run diverged from the \
                  undisturbed relaxed run"
         );
@@ -556,8 +453,8 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
 fn checkpoints_persist_and_resume_bit_identically() {
     let (n, edges) = test_web_graph(700, 56);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
-    let dir = tmp("resume");
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
+    let dir = scratch_dir("resume");
     let input = DistInput::Edges {
         num_vertices: n,
         edges: &edges,
@@ -570,14 +467,7 @@ fn checkpoints_persist_and_resume_bit_identically() {
         ..Default::default()
     };
     let out = run_distributed(&DistAlgo::clugp(), input, k, &cfg).expect("checkpointed run");
-    assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
-        reference
-    );
+    assert_eq!(outcome(out.partitioning), reference);
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -596,11 +486,7 @@ fn checkpoints_persist_and_resume_bit_identically() {
     let out = run_distributed(&DistAlgo::clugp(), input, k, &resume_cfg).expect("resumed run");
     assert_eq!(out.recoveries, 0);
     assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
+        outcome(out.partitioning),
         reference,
         "resumed run diverged from the monolith"
     );
@@ -615,17 +501,13 @@ fn checkpoints_persist_and_resume_bit_identically() {
     let out = run_distributed(&DistAlgo::clugp(), input, k, &resume_cfg)
         .expect("resume over a torn checkpoint");
     assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
+        outcome(out.partitioning),
         reference,
         "resume after checkpoint corruption diverged"
     );
 
     // Resume against an empty directory degrades to a fresh run.
-    let empty = tmp("resume_empty");
+    let empty = scratch_dir("resume_empty");
     let cfg = DistConfig {
         workers: 2,
         checkpoint_dir: Some(empty),
@@ -649,16 +531,6 @@ fn checkpoints_persist_and_resume_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// FNV-1a over the little-endian bytes of an assignment vector (the hash of
-/// `distributed_equivalence`'s golden table).
-fn fnv1a(assignments: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in assignments.iter().flat_map(|p| p.to_le_bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
     // The workers keep the vertex rows of the pairs stage for the transform,
@@ -673,7 +545,7 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
         num_vertices: n,
         edges: &edges,
     };
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
     // (mode, chunk, faulted worker, ordinal of the transform's
     // `RunStage` among the frames sent to it, the hash to land on). The
     // relaxed configuration and hash are `distributed_equivalence`'s golden
@@ -681,7 +553,7 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
     // sent `Configure`, then a cast and a `RunStage` per read-only stage
     // behind pass 1's `RunStage`.
     for (mode, chunk_edges, worker, ordinal, want) in [
-        (AmpcMode::Sequenced, 0, 0, 5, fnv1a(&reference.0)),
+        (AmpcMode::Sequenced, 0, 0, 5, assignment_hash(&reference.0)),
         (AmpcMode::Relaxed, 173, 1, 5, 0x784d_a5bd_8541_5212),
     ] {
         let mut faults = FaultPlan::none();
@@ -709,10 +581,10 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
             "{mode:?}: the replay must start at barrier 3"
         );
         assert_eq!(
-            fnv1a(&out.partitioning.assignments),
+            assignment_hash(&out.partitioning.assignments),
             want,
             "{mode:?}: recovered run diverged (got {:#018x})",
-            fnv1a(&out.partitioning.assignments)
+            assignment_hash(&out.partitioning.assignments)
         );
     }
 }
@@ -725,12 +597,12 @@ fn checkpoints_resume_under_another_worker_count() {
     // under 1 and under 3 workers, on the monolith's bits.
     let (n, edges) = test_web_graph(700, 63);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
     let input = DistInput::Edges {
         num_vertices: n,
         edges: &edges,
     };
-    let written = tmp("recount_written");
+    let written = scratch_dir("recount_written");
     let cfg = DistConfig {
         workers: 2,
         checkpoint_dir: Some(written.clone()),
@@ -741,7 +613,7 @@ fn checkpoints_resume_under_another_worker_count() {
         for workers in [1u32, 3] {
             // A resumed run commits the barriers it passes: each gets its
             // own copy of the files up to the one it resumes at.
-            let dir = tmp(&format!("recount_{barrier}_{workers}"));
+            let dir = scratch_dir(&format!("recount_{barrier}_{workers}"));
             for seq in 1..=barrier {
                 let name = format!("ckpt-{seq:05}.clugpck");
                 std::fs::copy(written.join(&name), dir.join(&name)).unwrap();
@@ -762,11 +634,7 @@ fn checkpoints_resume_under_another_worker_count() {
                 "barrier {barrier}, {workers} workers: finished passes must be skipped"
             );
             assert_eq!(
-                (
-                    out.partitioning.assignments,
-                    out.partitioning.loads,
-                    out.partitioning.num_vertices
-                ),
+                outcome(out.partitioning),
                 reference,
                 "barrier {barrier}, {workers} workers: resumed run diverged from the monolith"
             );
@@ -784,8 +652,8 @@ fn traced_faulted_run_records_recovery_events_and_stays_bit_identical() {
     // restore — in a Chrome trace that passes the JSON validator.
     let (n, edges) = test_web_graph(600, 62);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
-    let dir = tmp("traced_fault");
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
+    let dir = scratch_dir("traced_fault");
     let mut faults = FaultPlan::none();
     faults.push(0, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
@@ -813,11 +681,7 @@ fn traced_faulted_run_records_recovery_events_and_stays_bit_identical() {
         "the severed link must surface in pass 1, worker 0 holding the token"
     );
     assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
+        outcome(out.partitioning),
         reference,
         "traced recovery diverged from the monolith"
     );
@@ -867,8 +731,8 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
     // checkpoint directory configured recovers from the persisted barrier.
     let (n, edges) = test_web_graph(600, 57);
     let k = 8;
-    let reference = monolith(&mut Clugp::default(), n, &edges, k);
-    let dir = tmp("crash_ckpt");
+    let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
+    let dir = scratch_dir("crash_ckpt");
     let mut faults = FaultPlan::none();
     faults.push(0, 0, FaultScript::disconnect_at_send(1));
     let cfg = DistConfig {
@@ -896,11 +760,7 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
         "the severed link must surface in pass 1, worker 0 holding the token"
     );
     assert_eq!(
-        (
-            out.partitioning.assignments,
-            out.partitioning.loads,
-            out.partitioning.num_vertices
-        ),
+        outcome(out.partitioning),
         reference,
         "checkpoint-backed recovery diverged from the monolith"
     );
@@ -914,25 +774,14 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
 // tests skip with a note instead of failing.
 // ---------------------------------------------------------------------------
 
-fn write_edge_fixture(dir: &std::path::Path, vertices: u64, seed: u64) -> PathBuf {
-    let (_, edges) = test_web_graph(vertices, seed);
-    let mut text = String::with_capacity(edges.len() * 12);
-    for e in &edges {
-        text.push_str(&format!("{} {}\n", e.src, e.dst));
-    }
-    let path = dir.join("graph.txt");
-    std::fs::write(&path, text).unwrap();
-    path
-}
-
 #[test]
 fn killed_unix_worker_process_recovers_bit_identically() {
     let Some(exe) = clugp_part_exe() else {
         eprintln!("skipping: clugp-part binary not built");
         return;
     };
-    let dir = tmp("sigkill");
-    let graph = write_edge_fixture(&dir, 1_200, 58);
+    let dir = scratch_dir("sigkill");
+    let graph = web_fixture(&dir, Input::Text, 1_200, 58);
     let ref_tsv = dir.join("ref.tsv");
     let kill_tsv = dir.join("kill.tsv");
     let common = |out: &PathBuf| {
@@ -1011,7 +860,7 @@ fn damaged_pack_over_unix_workers_names_the_checksum() {
         eprintln!("skipping: clugp-part binary not built");
         return;
     };
-    let dir = tmp("damaged_pack");
+    let dir = scratch_dir("damaged_pack");
     let (n, edges) = test_web_graph(400, 61);
     let pack = dir.join("graph.clugpz");
     write_pack(&pack, n, &edges, &PackOptions::default()).unwrap();
@@ -1037,8 +886,8 @@ fn worker_spawn_failure_exits_nonzero_naming_the_worker() {
         eprintln!("skipping: clugp-part binary not built");
         return;
     };
-    let dir = tmp("spawnfail");
-    let graph = write_edge_fixture(&dir, 200, 59);
+    let dir = scratch_dir("spawnfail");
+    let graph = web_fixture(&dir, Input::Text, 200, 59);
     let out = Command::new(&exe)
         .arg(&graph)
         .args(["--k", "4", "--workers", "2", "--transport", "unix"])
@@ -1063,13 +912,34 @@ fn worker_spawn_failure_exits_nonzero_naming_the_worker() {
 }
 
 #[test]
+fn worker_timeout_beyond_a_duration_exits_two_naming_the_flag() {
+    // A deadline no `Duration` holds is refused while the flags are parsed,
+    // as a usage error, not by a panic when the run is configured.
+    let Some(exe) = clugp_part_exe() else {
+        eprintln!("skipping: clugp-part binary not built");
+        return;
+    };
+    let dir = scratch_dir("timeout_overflow");
+    let graph = web_fixture(&dir, Input::Text, 200, 59);
+    let out = Command::new(&exe)
+        .arg(&graph)
+        .args(["--k", "2", "--workers", "2", "--worker-timeout", "1e300"])
+        .output()
+        .expect("spawn clugp-part");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--worker-timeout"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_checkpoint_dir_and_resume_roundtrip() {
     let Some(exe) = clugp_part_exe() else {
         eprintln!("skipping: clugp-part binary not built");
         return;
     };
-    let dir = tmp("cli_resume");
-    let graph = write_edge_fixture(&dir, 600, 60);
+    let dir = scratch_dir("cli_resume");
+    let graph = web_fixture(&dir, Input::Text, 600, 60);
     let ckpt = dir.join("ckpts");
     let first = dir.join("first.tsv");
     let second = dir.join("second.tsv");

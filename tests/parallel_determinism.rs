@@ -8,11 +8,11 @@
 //! A regression back to nondeterministic (or secretly sequential-but-
 //! reordered) execution fails these tests; CI runs them on every push.
 
-use clugp::baselines::{Mint, MintConfig};
-use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGraph};
-use clugp::partitioner::Partitioner;
+use clugp::ampc::coordinator::DistAlgo;
+use clugp::baselines::MintConfig;
+use clugp::clugp::{solve_game, stream_clustering, ClugpConfig, ClusterGraph};
 use clugp_graph::stream::{InMemoryStream, RestreamableStream};
-use clugp_repro::test_web_graph;
+use clugp_repro::{test_web_graph, Case};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -50,46 +50,35 @@ fn solve_game_is_bit_identical_across_thread_counts() {
     assert_eq!(solve(0), baseline, "threads=0 (every CPU)");
 }
 
+/// `algo` over the web graph of 3 000 vertices drawn from `seed`, its game
+/// or wave games on each of `THREAD_COUNTS` threads against the reference
+/// on every CPU.
+fn check_thread_counts(algo: DistAlgo, seed: u64) {
+    for threads in THREAD_COUNTS {
+        let case = Case {
+            threads,
+            ..Case::new(algo.clone(), 3_000, seed)
+        };
+        case.check().unwrap();
+    }
+}
+
 #[test]
 fn full_clugp_pipeline_is_bit_identical_across_thread_counts() {
-    let (n, edges) = test_web_graph(3_000, 7);
-    let mut s = InMemoryStream::new(n, edges);
-    let run = |threads: usize, s: &mut InMemoryStream| {
-        Clugp::new(ClugpConfig {
-            batch_size: 64,
-            threads,
-            ..Default::default()
-        })
-        .partition(s, 8)
-        .unwrap()
-        .partitioning
-        .assignments
-    };
-    let baseline = run(1, &mut s);
-    for threads in THREAD_COUNTS {
-        assert_eq!(run(threads, &mut s), baseline, "threads={threads}");
-    }
+    let clugp = DistAlgo::Clugp(ClugpConfig {
+        batch_size: 64,
+        ..Default::default()
+    });
+    check_thread_counts(clugp, 7);
 }
 
 #[test]
 fn mint_is_bit_identical_across_thread_counts() {
     // Small batches force many multi-batch waves; `threads` bounds the
     // worker pool only (the wave width is a separate, fixed knob).
-    let (n, edges) = test_web_graph(3_000, 23);
-    let mut s = InMemoryStream::new(n, edges);
-    let run = |threads: usize, s: &mut InMemoryStream| {
-        Mint::new(MintConfig {
-            batch_size: 101,
-            threads,
-            ..Default::default()
-        })
-        .partition(s, 8)
-        .unwrap()
-        .partitioning
-        .assignments
-    };
-    let baseline = run(1, &mut s);
-    for threads in THREAD_COUNTS {
-        assert_eq!(run(threads, &mut s), baseline, "threads={threads}");
-    }
+    let mint = DistAlgo::Mint(MintConfig {
+        batch_size: 101,
+        ..Default::default()
+    });
+    check_thread_counts(mint, 23);
 }

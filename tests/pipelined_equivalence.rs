@@ -10,88 +10,19 @@
 //! serial mid-stream error — ordered prefix delivered, early end, error
 //! reported by the next `reset`.
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
-use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode};
-use clugp::partitioner::Partitioner;
-use clugp_graph::pack::{
-    crc32, write_pack, DecodeOptions, PackOptions, PackedEdgeStream, PipelinedPackStream,
-    ShardedPackReader,
-};
-use clugp_graph::stream::{collect_stream, ChunkLimited, EdgeStream, RestreamableStream};
-use clugp_repro::test_web_graph;
+use clugp::ampc::coordinator::DistAlgo;
+use clugp_graph::pack::{crc32, ShardedPackReader};
+use clugp_graph::stream::{collect_stream, EdgeStream, RestreamableStream};
+use clugp_repro::{roster, scratch_dir, web_fixture, Case, Input, Mode};
 use std::path::PathBuf;
 
-/// CLUGP (+ablations) and every vertex-cut baseline.
-fn roster() -> Vec<(&'static str, Box<dyn Partitioner>)> {
-    vec![
-        ("Hashing", Box::new(Hashing::default())),
-        ("DBH", Box::new(Dbh::default())),
-        ("Greedy", Box::new(Greedy::new())),
-        ("HDRF", Box::new(Hdrf::default())),
-        (
-            "Mint",
-            Box::new(Mint::new(MintConfig {
-                batch_size: 97,
-                ..Default::default()
-            })),
-        ),
-        ("CLUGP", Box::new(Clugp::default())),
-        (
-            "CLUGP-S",
-            Box::new(Clugp::new(ClugpConfig {
-                splitting: false,
-                ..Default::default()
-            })),
-        ),
-        (
-            "CLUGP-G",
-            Box::new(Clugp::new(ClugpConfig {
-                assign_mode: ClusterAssignMode::Greedy,
-                ..Default::default()
-            })),
-        ),
-    ]
-}
-
-/// Decode-ahead `prefetch` blocks deep.
-fn opts(prefetch: usize) -> DecodeOptions {
-    DecodeOptions {
-        threads: 1,
+/// Packs of 1 KiB blocks: small blocks keep block boundaries, and therefore
+/// pipeline hand-offs, in play.
+fn pack(prefetch: usize) -> Input {
+    Input::Pack {
+        block_bytes: 1024,
         prefetch,
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("clugp_pipelined_equiv");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-/// A many-block pack of a web-like graph (small blocks keep block
-/// boundaries — and therefore pipeline hand-offs — in play).
-fn write_test_pack(name: &str, vertices: u64, seed: u64) -> PathBuf {
-    let (n, edges) = test_web_graph(vertices, seed);
-    let path = tmp(name);
-    write_pack(
-        &path,
-        n,
-        &edges,
-        &PackOptions {
-            block_bytes: 1024,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    path
-}
-
-fn run(
-    p: &mut dyn Partitioner,
-    stream: &mut dyn RestreamableStream,
-    k: u32,
-) -> (Vec<u32>, Vec<u64>) {
-    let run = p.partition(stream, k).expect("partition");
-    (run.partitioning.assignments, run.partitioning.loads)
 }
 
 /// Pulls both streams to the end at `cap`, asserting every chunk equal.
@@ -112,25 +43,25 @@ fn assert_same_chunks(
 
 #[test]
 fn edge_and_chunk_sequences_match_serial_at_every_ring_depth() {
-    let path = write_test_pack("chunks.clugpz", 1_200, 41);
-    let mut serial = PackedEdgeStream::open(&path).unwrap();
-    let want = collect_stream(&mut serial);
+    let path = web_fixture(&scratch_dir("pipelined_chunks"), pack(0), 1_200, 41);
+    let mut serial = pack(0).open(&path, 0, &[]);
+    let want = collect_stream(serial.as_mut());
     assert!(!want.is_empty());
     for prefetch in [1usize, 2, 4] {
         // Whole-stream equality, twice (reset must restart the decode).
-        let mut s = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
-        assert_eq!(collect_stream(&mut s), want, "prefetch={prefetch}");
+        let mut s = pack(prefetch).open(&path, 0, &[]);
+        assert_eq!(collect_stream(s.as_mut()), want, "prefetch={prefetch}");
         s.reset().unwrap();
-        assert_eq!(collect_stream(&mut s), want, "second pass");
+        assert_eq!(collect_stream(s.as_mut()), want, "second pass");
 
         // Chunk-for-chunk equality against the serial reader at odd caps:
         // boundaries are part of the bit-identity contract.
         for cap in [1usize, 7, 333] {
-            let mut serial = PackedEdgeStream::open(&path).unwrap();
-            let mut piped = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
+            let mut serial = pack(0).open(&path, 0, &[]);
+            let mut piped = pack(prefetch).open(&path, 0, &[]);
             assert_same_chunks(
-                &mut serial,
-                &mut piped,
+                serial.as_mut(),
+                piped.as_mut(),
                 cap,
                 &format!("prefetch={prefetch}"),
             );
@@ -143,12 +74,12 @@ fn edge_and_chunk_sequences_match_serial_at_every_ring_depth() {
 fn a_reset_mid_pass_restarts_at_the_first_block() {
     // What every partitioner that fails mid-pass does to its stream: the
     // decode thread is abandoned somewhere in the ring and must start over.
-    let path = write_test_pack("reset.clugpz", 1_200, 45);
+    let path = web_fixture(&scratch_dir("pipelined_reset"), pack(0), 1_200, 45);
     let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
     assert!(blocks >= 8, "need a many-block pack, got {blocks}");
     for prefetch in [1usize, 4] {
         for taken in [1, blocks / 2] {
-            let mut piped = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
+            let mut piped = pack(prefetch).open(&path, 0, &[]);
             // A chunk never spans two blocks: an unbounded pull is one block.
             for _ in 0..taken {
                 assert!(!piped.next_chunk(usize::MAX).is_empty());
@@ -156,8 +87,8 @@ fn a_reset_mid_pass_restarts_at_the_first_block() {
             piped.reset().unwrap();
             let what = format!("prefetch={prefetch}, reset after {taken} of {blocks} blocks");
             for cap in [7usize, usize::MAX] {
-                let mut serial = PackedEdgeStream::open(&path).unwrap();
-                assert_same_chunks(&mut serial, &mut piped, cap, &what);
+                let mut serial = pack(0).open(&path, 0, &[]);
+                assert_same_chunks(serial.as_mut(), piped.as_mut(), cap, &what);
                 piped.reset().unwrap();
             }
         }
@@ -181,11 +112,11 @@ fn a_drop_mid_pass_joins_the_decode_thread() {
     // The decode thread owns the stream's one file handle: once `drop`
     // returns it must be closed, so the thread has exited, not been left
     // detached — whether it was decoding, spinning or parked on a full ring.
-    let path = write_test_pack("drop.clugpz", 1_200, 46);
+    let path = web_fixture(&scratch_dir("pipelined_drop"), pack(0), 1_200, 46);
     let path = path.canonicalize().unwrap();
     for prefetch in [1usize, 4] {
         for taken in [0usize, 1, 3] {
-            let mut piped = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
+            let mut piped = pack(prefetch).open(&path, 0, &[]);
             for _ in 0..taken {
                 assert!(!piped.next_chunk(usize::MAX).is_empty());
             }
@@ -203,38 +134,30 @@ fn a_drop_mid_pass_joins_the_decode_thread() {
 
 #[test]
 fn every_partitioner_is_bit_identical_on_the_pipelined_stream() {
-    let path = write_test_pack("partition.clugpz", 1_500, 42);
-    let k = 8;
-    for (name, mut p) in roster() {
-        let mut serial = PackedEdgeStream::open(&path).unwrap();
-        let reference = run(p.as_mut(), &mut serial, k);
+    // At every ring depth, and with source chunk granularity on top of the
+    // pipeline, a partition equals the monolith's over the pack's canonical
+    // sequence, which is what the serial reader replays
+    // (`chunked_equivalence::packed_input_partitions_bit_identical_to_flat_binary`).
+    for (_, algo) in roster() {
+        let case = |prefetch, chunk_limit| Case {
+            input: pack(prefetch),
+            mode: Mode::Monolith { chunk_limit },
+            ..Case::new(algo.clone(), 1_500, 42)
+        };
         for prefetch in [1usize, 2, 4] {
-            let mut piped = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
-            assert_eq!(
-                run(p.as_mut(), &mut piped, k),
-                reference,
-                "{name}: pipelined (prefetch={prefetch}) diverged from serial"
-            );
+            case(prefetch, usize::MAX).check().unwrap();
         }
-        // Source chunk granularity on top of the pipeline changes nothing.
         for limit in [1usize, 7, 4096] {
-            let mut limited =
-                ChunkLimited::new(PipelinedPackStream::open(&path, opts(4)).unwrap(), limit);
-            assert_eq!(
-                run(p.as_mut(), &mut limited, k),
-                reference,
-                "{name}: chunk limit {limit} over the pipeline diverged"
-            );
+            case(4, limit).check().unwrap();
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// Corrupts the payload of block `pick(blocks)` and returns (pack path,
 /// edges of the blocks before it). Metadata stays valid, so the pack opens
 /// fine and dies mid-stream — on whichever thread decodes that block.
 fn corrupt_block(name: &str, pick: impl Fn(usize) -> usize) -> (PathBuf, usize) {
-    let path = write_test_pack(name, 900, 44);
+    let path = web_fixture(&scratch_dir(name), pack(0), 900, 44);
     let reader = ShardedPackReader::open(&path).unwrap();
     let entries = reader.index().entries().to_vec();
     assert!(entries.len() >= 3, "need a multi-block pack");
@@ -267,13 +190,13 @@ fn worker_thread_crc_error_parks_exactly_like_the_serial_reader() {
             "middle" => blocks / 2,
             _ => blocks - 1,
         };
-        let (path, good_prefix) = corrupt_block(&format!("corrupt_{which}.clugpz"), pick);
+        let (path, good_prefix) = corrupt_block(&format!("pipelined_corrupt_{which}"), pick);
         for prefetch in [1usize, 4] {
             let what = format!("{which} block damaged, prefetch={prefetch}");
-            let mut s = PipelinedPackStream::open(&path, opts(prefetch)).unwrap();
+            let mut s = pack(prefetch).open(&path, 0, &[]);
             for drain in 0..20 {
                 // Ordered prefix up to the damaged block, then clean early end.
-                let delivered = collect_stream(&mut s);
+                let delivered = collect_stream(s.as_mut());
                 assert_eq!(
                     delivered.len(),
                     good_prefix,
@@ -292,9 +215,12 @@ fn worker_thread_crc_error_parks_exactly_like_the_serial_reader() {
 fn multi_pass_partitioner_surfaces_a_worker_thread_error() {
     // CLUGP resets its stream between passes, so a parked worker-thread
     // error turns into a partition error instead of a silent truncation.
-    let (path, _) = corrupt_middle_block("corrupt_clugp.clugpz");
-    let mut s = PipelinedPackStream::open(&path, opts(4)).unwrap();
-    let err = Clugp::default().partition(&mut s, 8).unwrap_err();
+    let (path, _) = corrupt_middle_block("pipelined_corrupt_clugp");
+    let mut s = pack(4).open(&path, 0, &[]);
+    let err = DistAlgo::clugp()
+        .monolith()
+        .partition(s.as_mut(), 8)
+        .unwrap_err();
     assert!(err.to_string().contains("checksum"), "{err}");
     std::fs::remove_file(&path).ok();
 }
@@ -304,13 +230,16 @@ fn no_partitioner_returns_a_short_ok_from_a_damaged_pack() {
     // A one-pass partitioner never resets after its only drain, a multi-pass
     // one never after its last: each must still surface the error the reader
     // parked, not hand back the assignments of the good prefix.
-    let (path, good_prefix) = corrupt_middle_block("corrupt_roster.clugpz");
+    let (path, good_prefix) = corrupt_middle_block("pipelined_corrupt_roster");
     assert!(good_prefix > 0, "a short Ok must have something to return");
-    let mut serial = PackedEdgeStream::open(&path).unwrap();
-    let mut pipelined = PipelinedPackStream::open(&path, opts(4)).unwrap();
-    for (name, mut p) in roster() {
-        let readers: [(&str, &mut dyn RestreamableStream); 2] =
-            [("serial", &mut serial), ("pipelined", &mut pipelined)];
+    let mut serial = pack(0).open(&path, 0, &[]);
+    let mut pipelined = pack(4).open(&path, 0, &[]);
+    for (name, algo) in roster() {
+        let mut p = algo.monolith();
+        let readers: [(&str, &mut dyn RestreamableStream); 2] = [
+            ("serial", serial.as_mut()),
+            ("pipelined", pipelined.as_mut()),
+        ];
         for (reader, stream) in readers {
             match p.partition(stream, 8) {
                 Ok(run) => panic!(

@@ -7,19 +7,12 @@ use clugp::partitioner::Partitioner;
 use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
 use clugp_graph::io::edge_list::{write_edge_list, TextEdgeStream};
 use clugp_graph::stream::{collect_stream, EdgeStream, InMemoryStream, TimedStream};
-use clugp_repro::test_web_graph;
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("clugp_io_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+use clugp_repro::{scratch_dir, test_web_graph};
 
 #[test]
 fn file_stream_partition_equals_memory_stream_partition() {
     let (n, edges) = test_web_graph(3_000, 21);
-    let path = tmp("equal.bin");
+    let path = scratch_dir("io_equal").join("g.bin");
     write_binary_graph(&path, n, &edges).unwrap();
 
     let mut mem = InMemoryStream::new(n, edges.clone());
@@ -38,7 +31,7 @@ fn file_stream_partition_equals_memory_stream_partition() {
 #[test]
 fn binary_round_trip_at_scale() {
     let (n, edges) = test_web_graph(5_000, 22);
-    let path = tmp("roundtrip.bin");
+    let path = scratch_dir("io_roundtrip_bin").join("g.bin");
     write_binary_graph(&path, n, &edges).unwrap();
     let mut s = FileEdgeStream::open(&path).unwrap();
     assert_eq!(s.num_vertices_hint(), Some(n));
@@ -49,7 +42,7 @@ fn binary_round_trip_at_scale() {
 #[test]
 fn text_round_trip_preserves_multiset() {
     let (_, edges) = test_web_graph(500, 23);
-    let path = tmp("roundtrip.txt");
+    let path = scratch_dir("io_roundtrip_txt").join("g.txt");
     write_edge_list(&path, &edges).unwrap();
     let edges2 = collect_stream(&mut TextEdgeStream::open(&path).unwrap());
     assert_eq!(edges, edges2);
@@ -59,7 +52,7 @@ fn text_round_trip_preserves_multiset() {
 #[test]
 fn timed_stream_measures_file_io() {
     let (n, edges) = test_web_graph(2_000, 24);
-    let path = tmp("timed.bin");
+    let path = scratch_dir("io_timed").join("g.bin");
     write_binary_graph(&path, n, &edges).unwrap();
     let file = FileEdgeStream::open(&path).unwrap();
     let mut timed = TimedStream::new(file);
@@ -72,7 +65,7 @@ fn timed_stream_measures_file_io() {
 #[test]
 fn three_pass_restreaming_reads_file_three_times() {
     let (n, edges) = test_web_graph(2_000, 25);
-    let path = tmp("threepass.bin");
+    let path = scratch_dir("io_threepass").join("g.bin");
     write_binary_graph(&path, n, &edges).unwrap();
     // One pass of plain collection for a baseline I/O time.
     let file = FileEdgeStream::open(&path).unwrap();
