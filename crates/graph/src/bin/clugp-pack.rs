@@ -13,9 +13,9 @@
 //!                   first-appearance order before packing (the pack stores
 //!                   the dense relabeling)
 //! --trace-out <f>   write a single-lane Chrome trace-event JSON of the
-//!                   pack run (pack:drain_spill and pack:merge_encode
-//!                   spans, spill counter); loads in Perfetto or
-//!                   chrome://tracing
+//!                   pack run (pack:drain_spill with a pack:sort span per
+//!                   sorted buffer inside it, pack:merge_encode, spill
+//!                   counter); loads in Perfetto or chrome://tracing
 //!
 //! clugp-pack info <file.clugpz> [--checksums full|off]
 //!                   header + block statistics, bytes/edge; echoes the
@@ -163,9 +163,9 @@ fn timed_pack(
 }
 
 /// Says on stderr what the `pack_edge_stream` call cost, and records the
-/// spill counter beside the `pack:drain_spill` / `pack:merge_encode` spans
-/// the call left in the process-wide sink (no-op unless `--trace-out`
-/// enabled recording).
+/// spill counter beside the `pack:drain_spill` / `pack:sort` /
+/// `pack:merge_encode` spans the call left in the process-wide sink (no-op
+/// unless `--trace-out` enabled recording).
 fn report_cost(stats: &PackStats, secs: f64) {
     eprintln!(
         "packed {} edges in {secs:.3} s ({:.0} edges/s), spill runs = {}",
@@ -588,7 +588,7 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&trace).unwrap();
         obs::json::validate(&json).unwrap_or_else(|e| panic!("trace not valid JSON: {e}"));
-        for span in ["pack:drain_spill", "pack:merge_encode"] {
+        for span in ["pack:drain_spill", "pack:sort", "pack:merge_encode"] {
             assert!(json.contains(&format!("\"{span}\"")), "{span} span missing");
         }
         assert!(json.contains("\"spill_runs\""), "spill counter missing");

@@ -10,8 +10,13 @@ use crate::types::{implied_num_vertices, Edge, VertexId};
 
 /// A directed graph in CSR (out-adjacency) form.
 ///
-/// Construction sorts edges by source, so `out_neighbors(v)` is a contiguous
-/// slice. Duplicate edges and self-loops are preserved (the streaming model
+/// [`CsrGraph::from_edges`] counting-sorts an edge list by source, so
+/// `out_neighbors(v)` is a contiguous slice. A generator that emits its
+/// edges source by source (web crawl, copying model, BA) skips that sort:
+/// it pushes each source's targets and closes its offset entry as it goes,
+/// and hands the two arrays to the crate's one in-place constructor,
+/// `from_adjacency`; the graph equals `from_edges` over the same edges.
+/// Duplicate edges and self-loops are preserved (the streaming model
 /// partitions every streamed edge, duplicates included).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
@@ -72,6 +77,29 @@ impl CsrGraph {
         Ok(CsrGraph { offsets, targets })
     }
 
+    /// Wraps adjacency a generator filled in place: `offsets[v]..offsets[v +
+    /// 1]` indexes `targets` for each vertex `v`, so there are
+    /// `offsets.len() - 1` vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is empty, does not start at 0, or does not end at
+    /// `targets.len()`; in debug builds also if it descends or a target is
+    /// out of range.
+    pub(crate) fn from_adjacency(offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets start at 0");
+        assert_eq!(
+            offsets.last().copied(),
+            Some(targets.len() as u64),
+            "offsets end at the target count"
+        );
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(targets
+            .iter()
+            .all(|&t| u64::from(t) < (offsets.len() - 1) as u64));
+        CsrGraph { offsets, targets }
+    }
+
     /// Builds a CSR graph, inferring the vertex count from the maximum
     /// endpoint id.
     pub fn from_edges_auto(edges: &[Edge]) -> Self {
@@ -116,10 +144,15 @@ impl CsrGraph {
         })
     }
 
-    /// Collects all edges into a vector (CSR order).
+    /// Collects all edges into a vector (CSR order), one target slice per
+    /// source.
     pub fn edge_vec(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.targets.len());
-        out.extend(self.edges());
+        for (src, w) in self.offsets.windows(2).enumerate() {
+            let src = src as VertexId;
+            let dsts = &self.targets[w[0] as usize..w[1] as usize];
+            out.extend(dsts.iter().map(|&dst| Edge { src, dst }));
+        }
         out
     }
 
@@ -244,6 +277,41 @@ mod tests {
         assert_eq!(t.num_edges(), g.num_edges());
         assert_eq!(t.out_neighbors(3), &[1, 2]);
         assert_eq!(t.out_degree(0), 0);
+    }
+
+    #[test]
+    fn edge_vec_is_the_edge_iterator_collected() {
+        // Vertices 0, 2 and 5 are isolated; 5 is the last.
+        let edges = vec![
+            Edge::new(4, 1),
+            Edge::new(1, 3),
+            Edge::new(3, 3),
+            Edge::new(1, 0),
+            Edge::new(4, 4),
+        ];
+        let g = CsrGraph::from_edges(6, &edges).unwrap();
+        assert_eq!(g.edge_vec(), g.edges().collect::<Vec<_>>());
+        assert_eq!(g.edge_vec().len(), edges.len());
+        let empty = CsrGraph::from_edges(3, &[]).unwrap();
+        assert_eq!(empty.edge_vec(), empty.edges().collect::<Vec<_>>());
+        let none = CsrGraph::from_edges(0, &[]).unwrap();
+        assert_eq!(none.edge_vec(), none.edges().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn from_adjacency_equals_from_edges() {
+        let g = CsrGraph::from_adjacency(vec![0, 2, 3, 4, 4], vec![1, 2, 3, 3]);
+        assert_eq!(g, CsrGraph::from_edges(4, &diamond()).unwrap());
+        assert_eq!(
+            CsrGraph::from_adjacency(vec![0], Vec::new()),
+            CsrGraph::from_edges(0, &[]).unwrap()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets end at the target count")]
+    fn from_adjacency_rejects_a_short_offset_table() {
+        let _ = CsrGraph::from_adjacency(vec![0, 1], vec![0, 0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! CLUGP's clustering wins less on Twitter than on web corpora (Figure 4).
 
 use crate::csr::CsrGraph;
-use crate::types::{Edge, VertexId};
+use crate::types::VertexId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -47,7 +47,11 @@ pub fn generate_ba(cfg: &BaConfig) -> CsrGraph {
     );
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let m = cfg.edges_per_vertex as usize;
-    let mut edges: Vec<Edge> = Vec::with_capacity(cfg.vertices as usize * m);
+    // Vertices arrive in id order, so the CSR fills in place; vertex 0
+    // attaches nothing.
+    let mut offsets: Vec<u64> = Vec::with_capacity(cfg.vertices as usize + 1);
+    offsets.extend([0, 0]);
+    let mut targets: Vec<VertexId> = Vec::with_capacity(cfg.vertices as usize * m);
     // Degree-proportional pool: each endpoint occurrence is one ticket.
     let mut pool: Vec<VertexId> = Vec::with_capacity(2 * cfg.vertices as usize * m);
     pool.push(0);
@@ -59,19 +63,17 @@ pub fn generate_ba(cfg: &BaConfig) -> CsrGraph {
             if target == v {
                 continue;
             }
-            edges.push(Edge {
-                src: v,
-                dst: target,
-            });
+            targets.push(target);
             pool.push(target);
             pool.push(v);
         }
+        offsets.push(targets.len() as u64);
         // Ensure every vertex has at least one pool ticket so isolated
         // vertices cannot occur.
         pool.push(v);
     }
 
-    CsrGraph::from_edges(cfg.vertices, &edges).expect("generator stays in range")
+    CsrGraph::from_adjacency(offsets, targets)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use super::degree::CalibratedPowerLaw;
 use crate::csr::CsrGraph;
-use crate::types::{Edge, VertexId};
+use crate::types::VertexId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -71,27 +71,29 @@ pub fn generate_copying_model(cfg: &CopyingModelConfig) -> CsrGraph {
         cfg.max_out_degree.max(2),
     );
 
-    let mut edges: Vec<Edge> =
+    // Out-adjacency, filled in place as pages arrive in id order; a
+    // prototype's links are its finished slice of `targets`.
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    let mut targets: Vec<VertexId> =
         Vec::with_capacity((cfg.vertices as f64 * cfg.mean_out_degree) as usize);
     // Preferential attachment pool: vertex ids repeated once per in-link,
     // plus one base entry per vertex so new pages are reachable targets.
-    let mut pa_pool: Vec<VertexId> = Vec::with_capacity(edges.capacity() + n);
-    // Out-adjacency built incrementally; prototypes copy from it.
-    let mut out_adj: Vec<Vec<VertexId>> = Vec::with_capacity(n);
+    let mut pa_pool: Vec<VertexId> = Vec::with_capacity(targets.capacity() + n);
 
     // Seed page.
-    out_adj.push(Vec::new());
+    offsets.extend([0, 0]);
     pa_pool.push(0);
 
     for v in 1..cfg.vertices as u32 {
         let prototype = rng.gen_range(0..v);
         let d = sampler.sample(&mut rng).min(u64::from(v)) as usize;
-        let mut links: Vec<VertexId> = Vec::with_capacity(d);
-        let proto_links = out_adj[prototype as usize].clone();
+        let first = targets.len();
+        let proto_lo = offsets[prototype as usize] as usize;
+        let proto_len = offsets[prototype as usize + 1] as usize - proto_lo;
         for i in 0..d {
-            let copied = !proto_links.is_empty() && rng.gen_bool(cfg.copy_probability);
+            let copied = proto_len > 0 && rng.gen_bool(cfg.copy_probability);
             let target = if copied {
-                proto_links[rng.gen_range(0..proto_links.len())]
+                targets[proto_lo + rng.gen_range(0..proto_len)]
             } else if rng.gen_bool(0.15) {
                 // Occasional uniform link keeps the graph connected-ish and
                 // mimics navigational cross-site links.
@@ -107,18 +109,16 @@ pub fn generate_copying_model(cfg: &CopyingModelConfig) -> CsrGraph {
                 target
             };
             if target != v {
-                links.push(target);
+                targets.push(target);
             }
         }
-        for &t in &links {
-            edges.push(Edge { src: v, dst: t });
-            pa_pool.push(t);
-        }
+        offsets.push(targets.len() as u64);
+        // The pool grows only once the page's links are all drawn.
+        pa_pool.extend_from_slice(&targets[first..]);
         pa_pool.push(v);
-        out_adj.push(links);
     }
 
-    CsrGraph::from_edges(cfg.vertices, &edges).expect("generator stays in vertex range")
+    CsrGraph::from_adjacency(offsets, targets)
 }
 
 #[cfg(test)]

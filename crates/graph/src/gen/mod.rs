@@ -24,3 +24,48 @@ pub use copying::{generate_copying_model, CopyingModelConfig};
 pub use degree::{CalibratedPowerLaw, PowerLawDegrees};
 pub use er::{generate_er, ErConfig};
 pub use web_crawl::{generate_web_crawl, site_boundaries, WebCrawlConfig};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::csr::CsrGraph;
+
+    /// A graph a generator filled in place is the graph `from_edges`
+    /// counting-sorts out of the same edges.
+    fn holds_from_edges(g: &CsrGraph, what: &str) {
+        let rebuilt = CsrGraph::from_edges(g.num_vertices(), &g.edge_vec()).unwrap();
+        assert_eq!(&rebuilt, g, "{what}");
+    }
+
+    #[test]
+    fn in_place_generators_equal_from_edges() {
+        for seed in [1u64, 2, 3, 0x3EB] {
+            for vertices in [1u64, 2, 3, 700] {
+                let web = generate_web_crawl(&WebCrawlConfig {
+                    vertices,
+                    min_site_size: 4,
+                    max_site_size: 64,
+                    seed,
+                    ..Default::default()
+                });
+                holds_from_edges(&web, &format!("web n={vertices} seed={seed}"));
+                let ba = generate_ba(&BaConfig {
+                    vertices,
+                    edges_per_vertex: 3,
+                    seed,
+                });
+                holds_from_edges(&ba, &format!("ba n={vertices} seed={seed}"));
+                let copying = generate_copying_model(&CopyingModelConfig {
+                    vertices,
+                    max_out_degree: 64,
+                    seed,
+                    ..Default::default()
+                });
+                holds_from_edges(&copying, &format!("copying n={vertices} seed={seed}"));
+                for g in [&web, &ba, &copying] {
+                    assert_eq!(g.num_vertices(), vertices);
+                }
+            }
+        }
+    }
+}

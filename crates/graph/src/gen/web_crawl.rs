@@ -17,7 +17,7 @@
 
 use super::degree::{CalibratedPowerLaw, PowerLawDegrees};
 use crate::csr::CsrGraph;
-use crate::types::{Edge, VertexId};
+use crate::types::VertexId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -91,10 +91,14 @@ pub fn generate_web_crawl(cfg: &WebCrawlConfig) -> CsrGraph {
     let num_sites = site_start.len() - 1;
 
     let out_sampler = out_degree_sampler(cfg);
-    let mut edges: Vec<Edge> =
+    // Pages are emitted in id order, so the CSR fills in place: each page
+    // pushes its targets and closes its offset entry.
+    let mut offsets: Vec<u64> = Vec::with_capacity(cfg.vertices as usize + 1);
+    offsets.push(0);
+    let mut targets: Vec<VertexId> =
         Vec::with_capacity((cfg.vertices as f64 * cfg.mean_out_degree) as usize);
     // Global preferential pool: popular pages accumulate in-links.
-    let mut global_pool: Vec<VertexId> = Vec::with_capacity(edges.capacity() / 4 + 16);
+    let mut global_pool: Vec<VertexId> = Vec::with_capacity(targets.capacity() / 4 + 16);
 
     for site in 0..num_sites {
         let (lo, hi) = (site_start[site], site_start[site + 1]);
@@ -127,16 +131,14 @@ pub fn generate_web_crawl(cfg: &WebCrawlConfig) -> CsrGraph {
                 if target == page {
                     continue;
                 }
-                edges.push(Edge {
-                    src: page,
-                    dst: target,
-                });
+                targets.push(target);
                 if intra {
                     site_pool.push(target);
                 } else {
                     global_pool.push(target);
                 }
             }
+            offsets.push(targets.len() as u64);
             // Every page is discoverable through both pools.
             site_pool.push(page);
             if rng.gen_bool(0.05) {
@@ -145,7 +147,7 @@ pub fn generate_web_crawl(cfg: &WebCrawlConfig) -> CsrGraph {
         }
     }
 
-    CsrGraph::from_edges(cfg.vertices, &edges).expect("generator stays in range")
+    CsrGraph::from_adjacency(offsets, targets)
 }
 
 /// Site boundaries implied by a config (for tests and ground-truth

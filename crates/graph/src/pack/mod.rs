@@ -60,11 +60,13 @@
 //! k-way merges the runs at write time — classic external sort, so packing
 //! never holds more than one spill buffer of edges in memory, plus one
 //! 64 KiB slab per run while they merge. A buffer whose sources already
-//! ascend only has each adjacency list sorted; the last buffer is merged
-//! from memory, never written out; and the merge lets the run with the
-//! least head emit until the runner-up's head overtakes it, so runs that do
-//! not interleave (a source-ascending input) concatenate at two heap
-//! operations apiece (`DESIGN.md` §6).
+//! ascend only has each adjacency list sorted; every buffer is cut into
+//! parts that sort apart, sorted in place on every CPU the process may use
+//! (small buffers inline), byte-identically at any width; the last buffer
+//! is merged from memory, never written out; and the merge lets the run
+//! with the least head emit until the runner-up's head overtakes it, so
+//! runs that do not interleave (a source-ascending input) concatenate at
+//! two heap operations apiece (`DESIGN.md` §6).
 //!
 //! # Readers
 //!
@@ -389,20 +391,78 @@ const SLAB_EDGES: usize = 8 * 1024;
 /// Bytes of one raw spill-run record (`src`, `dst`, little-endian).
 const RECORD_LEN: usize = 8;
 
-/// Sorts `edges` into canonical `(src, dst)` order — the one sort of the
-/// writer, spilled run or not.
+/// Buffers below this many edges sort inline on the calling thread: a
+/// thread would cost more than the sort it takes over.
+const INLINE_SORT_EDGES: usize = 1 << 15;
+
+/// Sorts `edges` into canonical `(src, dst)` order on up to `width`
+/// threads — the one sort of the writer, spilled run or not.
 ///
 /// One scan decides how. A buffer whose sources already ascend (a CSR dump,
 /// an adjacency-list file, a re-pack, a WebGraph-style corpus) only needs
-/// each source's run ordered by `dst`; anything else is one sort over the
-/// packed `src << 32 | dst` keys.
-fn sort_canonical(edges: &mut [Edge]) {
-    if edges.windows(2).all(|w| w[0].src <= w[1].src) {
+/// each source's run ordered by `dst`; anything else is sorted over the
+/// packed `src << 32 | dst` keys. Either way the buffer is cut into parts
+/// that sort apart — no key left of a cut above a key right of it — and
+/// each part is sorted in place on a scoped thread of its own. Equal keys
+/// are identical edges, so the sorted buffer, and every byte packed from
+/// it, is the same at any width.
+fn sort_canonical(edges: &mut [Edge], width: usize) {
+    let start = obs::now_us();
+    let ascending = edges.windows(2).all(|w| w[0].src <= w[1].src);
+    sort_parts(edges, ascending, width.max(1));
+    obs::record_span("pack:sort", start, edges.len() as u64);
+}
+
+/// Sorts `edges` on `width` threads by recursive halving: the calling
+/// thread takes one part, a scoped thread the other, each with its share of
+/// the width. A buffer below [`INLINE_SORT_EDGES`], a width of one, or a
+/// buffer that cannot be cut sorts inline.
+fn sort_parts(edges: &mut [Edge], ascending: bool, width: usize) {
+    if width >= 2 && edges.len() >= INLINE_SORT_EDGES {
+        let left_width = width / 2;
+        let target = edges.len() * left_width / width;
+        if let Some(at) = cut(edges, ascending, target) {
+            let (left, right) = edges.split_at_mut(at);
+            std::thread::scope(|scope| {
+                scope.spawn(|| sort_parts(left, ascending, left_width));
+                sort_parts(right, ascending, width - left_width);
+            });
+            return;
+        }
+    }
+    if ascending {
         for run in edges.chunk_by_mut(|a, b| a.src == b.src) {
             run.sort_unstable_by_key(|e| e.dst);
         }
     } else {
-        edges.sort_unstable_by_key(|e| u64::from(e.src) << 32 | u64::from(e.dst));
+        edges.sort_unstable_by_key(packed_key);
+    }
+}
+
+/// An edge's `(src, dst)` order as one integer.
+fn packed_key(e: &Edge) -> u64 {
+    u64::from(e.src) << 32 | u64::from(e.dst)
+}
+
+/// Where to cut `edges` near `target` into two parts that sort apart: every
+/// key left of the cut at or below every key right of it, both parts
+/// non-empty. Ascending sources are cut at the source boundary nearest
+/// `target`, so both parts stay ascending; there is none when one source
+/// holds the whole buffer. Otherwise the buffer is partitioned around the
+/// key of rank `target`.
+fn cut(edges: &mut [Edge], ascending: bool, target: usize) -> Option<usize> {
+    if !ascending {
+        edges.select_nth_unstable_by_key(target, packed_key);
+        return Some(target);
+    }
+    let src = edges[target].src;
+    let lo = edges[..target].partition_point(|e| e.src < src);
+    let hi = target + edges[target..].partition_point(|e| e.src == src);
+    match (lo > 0, hi < edges.len()) {
+        (true, true) if target - lo <= hi - target => Some(lo),
+        (_, true) => Some(hi),
+        (true, false) => Some(lo),
+        (false, false) => None,
     }
 }
 
@@ -551,9 +611,9 @@ impl SpillRuns {
         }
     }
 
-    /// Sorts `edges` and writes them out as the next run, a slab per write.
+    /// Writes the sorted `edges` out as the next run, a slab per write, and
+    /// empties the buffer.
     fn spill(&mut self, edges: &mut Vec<Edge>) -> Result<()> {
-        sort_canonical(edges);
         // Appended to the whole file name: `web.clugpz` and `web.bin` packed
         // side by side must not share `web.run0.tmp`.
         let mut name = self.output.file_name().unwrap_or_default().to_os_string();
@@ -586,8 +646,10 @@ impl Drop for SpillRuns {
 ///
 /// The stream may yield edges in any order; the writer external-sorts them
 /// into canonical `(src, dst)` order (duplicates preserved) in spill runs of
-/// at most [`PackOptions::spill_edges`] edges, merged at write time. The
-/// header's vertex count is `max(num_vertices_hint, max id + 1)`.
+/// at most [`PackOptions::spill_edges`] edges, merged at write time. Each
+/// buffer is sorted on every CPU the process may use, and the file is the
+/// same at any number of them. The header's vertex count is
+/// `max(num_vertices_hint, max id + 1)`.
 ///
 /// # Errors
 ///
@@ -598,6 +660,18 @@ pub fn pack_edge_stream(
     stream: &mut dyn EdgeStream,
     path: &Path,
     opts: &PackOptions,
+) -> Result<PackStats> {
+    // Every CPU the process may use sorts: `taskset -c 0` gives one.
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    pack_at_width(stream, path, opts, width)
+}
+
+/// [`pack_edge_stream`], sorting each buffer on `width` threads.
+fn pack_at_width(
+    stream: &mut dyn EdgeStream,
+    path: &Path,
+    opts: &PackOptions,
+    width: usize,
 ) -> Result<PackStats> {
     let spill_cap = opts.spill_edges.max(1);
     let mut runs = SpillRuns::new(path);
@@ -612,13 +686,14 @@ pub fn pack_edge_stream(
             buffer.extend_from_slice(head);
             chunk = rest;
             if buffer.len() >= spill_cap {
+                sort_canonical(&mut buffer, width);
                 runs.spill(&mut buffer)?;
             }
         }
         Ok(())
     })?;
     // The tail run stays in memory: it is merged from the buffer it sits in.
-    sort_canonical(&mut buffer);
+    sort_canonical(&mut buffer, width);
     obs::record_span("pack:drain_spill", t_drain, drained);
     let implied_n = if drained == 0 {
         0
@@ -1563,24 +1638,97 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Sources ascending, one of them holding over half the buffer: the
+    /// ascending cut must step off it to a boundary.
+    fn one_source_over_half(len: u32) -> Vec<Edge> {
+        (0..len)
+            .map(|i| match i * 5 / len {
+                0 => Edge::new(i / 3, i % 7),
+                1..=3 => Edge::new(len, (i * 7_919) % 1_000),
+                _ => Edge::new(len + 1 + i / 5, (i * 31) % 11),
+            })
+            .collect()
+    }
+
     #[test]
     fn sort_canonical_takes_both_legs_to_the_same_order() {
-        let sorted = canonical_order(&web_like(3_000));
+        // Small buffers sort inline; those above three times the inline
+        // threshold are cut at every width above one.
+        let mut buffers = Vec::new();
+        for len in [3_000, 3 * INLINE_SORT_EDGES as u32 + 17] {
+            let sorted = canonical_order(&web_like(len));
+            let mut ascending = sorted.clone();
+            for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
+                list.reverse();
+            }
+            assert_ne!(ascending, sorted);
+            let duplicates: Vec<Edge> = (0..len).map(|i| Edge::new(i % 3, i % 2)).collect();
+            buffers.extend([
+                ("sorted", sorted.clone()),
+                ("ascending", ascending),
+                ("shuffled", shuffled(sorted, 1)),
+                ("duplicates", shuffled(duplicates, 4)),
+                ("one source over half", one_source_over_half(len)),
+                (
+                    "one source",
+                    (0..len).map(|i| Edge::new(4, (i * 7_919) % len)).collect(),
+                ),
+            ]);
+        }
+        buffers.push(("empty", Vec::new()));
+        for (name, buffer) in &buffers {
+            let want = canonical_order(buffer);
+            for width in 1..=4 {
+                let mut got = buffer.clone();
+                sort_canonical(&mut got, width);
+                assert!(got == want, "{name} of {} at width {width}", buffer.len());
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_cut_steps_off_a_source_to_its_nearer_boundary() {
+        let mut edges: Vec<Edge> = [(0, 3), (1, 5), (2, 1), (3, 2)]
+            .iter()
+            .flat_map(|&(src, n)| (0..n).map(move |d| Edge::new(src, d)))
+            .collect();
+        // Source 1 spans 3..8: from 4 the boundary at 3 is nearer, from 7
+        // the one at 8.
+        assert_eq!(cut(&mut edges, true, 4), Some(3));
+        assert_eq!(cut(&mut edges, true, 7), Some(8));
+        assert_eq!(cut(&mut edges, true, 8), Some(8));
+        // Source 3 ends the buffer: only its lower boundary is left.
+        assert_eq!(cut(&mut edges, true, 10), Some(9));
+        let mut one: Vec<Edge> = (0..9).map(|d| Edge::new(7, d)).collect();
+        assert_eq!(cut(&mut one, true, 4), None);
+    }
+
+    #[test]
+    fn pack_bytes_are_the_same_at_width_one_and_two() {
+        let dir = tmp_dir("widths");
+        let spill_edges = INLINE_SORT_EDGES + 1_000;
+        let len = (spill_edges * 5 / 2) as u32;
+        let sorted = canonical_order(&web_like(len));
         let mut ascending = sorted.clone();
         for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
             list.reverse();
         }
-        assert_ne!(ascending, sorted);
-        for mut input in [
-            sorted.clone(),
-            ascending,
-            shuffled(sorted.clone(), 1),
-            Vec::new(),
-        ] {
-            let want = canonical_order(&input);
-            sort_canonical(&mut input);
-            assert_eq!(input, want);
+        let opts = PackOptions {
+            spill_edges,
+            ..Default::default()
+        };
+        for (name, edges) in [("ascending", ascending), ("shuffled", shuffled(sorted, 6))] {
+            let mut bytes = Vec::new();
+            for width in [1, 2] {
+                let path = dir.join(format!("{name}{width}.clugpz"));
+                let mut s = InMemoryStream::new(0, edges.clone());
+                let stats = pack_at_width(&mut s, &path, &opts, width).unwrap();
+                assert_eq!(stats.spill_runs, 3, "{name}: two spilled runs and a tail");
+                bytes.push(std::fs::read(&path).unwrap());
+            }
+            assert!(bytes[0] == bytes[1], "{name}: width 2 wrote other bytes");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! `benchmark/` times as `pack.encode_s`) the same two read ≈ 12.8–13.5
 //! and ≈ 5.8. The limit sits between them, half again above the change.
 //!
+//! With each buffer sorted on every CPU (two here), six alternating runs a
+//! side on a 2-vCPU Xeon shared with other work: 4.09–4.69 at the parent
+//! (pack 0.195–0.265 s / drain 0.042–0.058 s), 3.45–5.12, median 3.6, with
+//! the parallel sort (0.166–0.322 s / 0.045–0.063 s). Half again above the
+//! slowest change run is 7.7, so the limit stays where it was.
+//!
 //! `#[ignore]`d because a timing is only meaningful in a release build:
 //! `cargo test --release --test pack_encode_ratio -- --ignored`.
 
