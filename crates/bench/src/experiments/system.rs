@@ -119,6 +119,30 @@ pub(super) fn estimate_json(
 mod tests {
     use super::*;
 
+    /// Fig. 8's printed numbers, pinned: the `estimate_json` rows of every
+    /// competitor's PageRank run on uk-s at scale 0.02, k = 8, hashed with
+    /// FNV-1a. The hash was recorded while the engine still ran BFS,
+    /// Connected Components and label propagation beside PageRank.
+    #[test]
+    fn pagerank_estimates_match_their_recorded_hash() {
+        let prep = PreparedDataset::load(Dataset::UkS, 0.02);
+        let model = CostModel::default();
+        let rows: String = Algorithm::COMPETITORS
+            .iter()
+            .map(|&algo| {
+                let est = model.estimate(&pagerank(&prep, algo, 8).1);
+                estimate_json(Dataset::UkS.name(), algo.name(), &model, &est)
+            })
+            .collect();
+        let hash = rows.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            hash, 0x046b_c86c_3176_421e,
+            "Fig. 8 estimates moved: {rows}"
+        );
+    }
+
     #[test]
     fn pagerank_cost_orders_hashing_above_clugp() {
         // Hashing's replication factor is several times CLUGP's, so its

@@ -1,14 +1,7 @@
-//! Vertex programs: the paper's workloads (PageRank, Connected Components,
-//! and the label propagation its introduction names) plus BFS/SSSP for
-//! wider coverage. Each module ships a sequential reference implementation
-//! used by the correctness tests.
+//! Vertex programs: PageRank, the one workload the paper's system figures
+//! (Fig. 4(b), Fig. 8) run, with the sequential reference its correctness
+//! tests compare against.
 
-pub mod bfs;
-pub mod connected_components;
-pub mod label_propagation;
 pub mod pagerank;
 
-pub use bfs::{sequential_bfs_levels, Bfs};
-pub use connected_components::{sequential_components, ConnectedComponents};
-pub use label_propagation::{sequential_label_propagation, LabelPropagation};
 pub use pagerank::{sequential_pagerank, PageRank};

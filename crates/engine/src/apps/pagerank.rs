@@ -5,7 +5,7 @@
 //! of iterations (the paper runs PageRank to a fixed iteration budget).
 //! Dangling vertices contribute nothing, matching PowerGraph's default.
 
-use crate::runtime::{GatherDirection, VertexCtx, VertexProgram};
+use crate::runtime::{VertexCtx, VertexProgram};
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::types::VertexId;
 
@@ -31,10 +31,6 @@ impl VertexProgram for PageRank {
     type Value = f64;
     type Accum = f64;
 
-    fn direction(&self) -> GatherDirection {
-        GatherDirection::In
-    }
-
     fn init(&self, _v: VertexId, _ctx: &VertexCtx) -> f64 {
         1.0
     }
@@ -51,10 +47,6 @@ impl VertexProgram for PageRank {
 
     fn apply(&self, _v: VertexId, _old: &f64, acc: Option<f64>, _ctx: &VertexCtx) -> f64 {
         (1.0 - self.damping) + self.damping * acc.unwrap_or(0.0)
-    }
-
-    fn halt_on_fixpoint(&self) -> bool {
-        false // fixed iteration budget
     }
 
     fn max_supersteps(&self) -> usize {

@@ -1,10 +1,10 @@
 //! PowerGraph-style synchronous GAS (Gather–Apply–Scatter) execution
 //! simulator.
 //!
-//! The paper's system experiments (Fig. 4(b), Fig. 8) run PageRank and
-//! Connected Components on PowerGraph over 32 dockerized nodes, with PUMBA
-//! injecting network latency. This crate simulates that substrate faithfully
-//! at the level that matters for partition-quality comparisons:
+//! The paper's system experiments (Fig. 4(b), Fig. 8) run PageRank on
+//! PowerGraph over 32 dockerized nodes, with PUMBA injecting network
+//! latency. This crate simulates that substrate faithfully at the level that
+//! matters for partition-quality comparisons:
 //!
 //! * [`placement`] — builds the per-machine subgraphs from a real
 //!   vertex-cut [`clugp::Partitioning`]: each edge lives on exactly one
@@ -17,12 +17,11 @@
 //! * [`cost`] — converts the measured per-machine work and per-superstep
 //!   message volumes into wall-clock estimates under a configurable
 //!   compute/bandwidth/latency model (the PUMBA RTT sweep of Fig. 8(c)).
-//! * [`apps`] — PageRank, Connected Components, single-source BFS/SSSP and
-//!   label propagation, each verified against sequential references.
+//! * [`apps`] — PageRank, verified against a sequential reference.
 //!
 //! Computation results are *exact* (not approximated by the cost model):
 //! the engine really gathers along in-edges machine by machine, so tests can
-//! assert equality with single-threaded reference implementations.
+//! assert equality with a single-threaded reference implementation.
 
 #![warn(missing_docs)]
 

@@ -39,10 +39,6 @@ pub struct DistributedGraph {
     /// Master machine per global vertex (`NOT_LOCAL` for vertices absent
     /// from every partition, i.e. isolated vertices).
     pub master_of: Vec<u32>,
-    /// Local index of each global vertex on each machine
-    /// (`local_index[machine][global]`, `NOT_LOCAL` if absent). Dense but
-    /// simple; suitable for the simulator's scales.
-    local_index: Vec<Vec<u32>>,
 }
 
 impl DistributedGraph {
@@ -125,13 +121,7 @@ impl DistributedGraph {
             num_vertices: n as u64,
             machines,
             master_of,
-            local_index,
         }
-    }
-
-    /// Local index of `v` on `machine`, or `NOT_LOCAL`.
-    pub fn local_index(&self, machine: u32, v: VertexId) -> u32 {
-        self.local_index[machine as usize][v as usize]
     }
 
     /// Total number of replicas across machines (`Σ_v |P(v)|`).
@@ -188,10 +178,9 @@ mod tests {
         let masters: usize = d
             .machines
             .iter()
-            .enumerate()
-            .filter(|(mi, mach)| {
-                let li = d.local_index(*mi as u32, 1);
-                li != NOT_LOCAL && mach.is_master[li as usize]
+            .filter(|mach| {
+                let li = mach.vertices.binary_search(&1);
+                li.is_ok_and(|li| mach.is_master[li])
             })
             .count();
         assert_eq!(masters, 1);
@@ -204,9 +193,9 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(1, 2)];
         let p = partitioning(2, 3, vec![0, 1]);
         let d = DistributedGraph::place(&edges, &p);
-        for (mi, m) in d.machines.iter().enumerate() {
+        for m in &d.machines {
             for (li, &g) in m.vertices.iter().enumerate() {
-                assert_eq!(d.local_index(mi as u32, g), li as u32);
+                assert_eq!(m.vertices.binary_search(&g), Ok(li));
             }
         }
     }

@@ -11,38 +11,25 @@ use crate::placement::{DistributedGraph, NOT_LOCAL};
 use crate::stats::{ExecutionStats, SuperstepStats};
 use clugp_graph::types::VertexId;
 
-/// Which neighbor values a vertex gathers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherDirection {
-    /// Gather along in-edges (e.g. PageRank: contributions flow src → dst).
-    In,
-    /// Gather along both (undirected semantics, e.g. connected components).
-    Both,
-}
-
 /// Static per-vertex context available to programs.
 #[derive(Debug, Clone, Copy)]
 pub struct VertexCtx {
     /// Global out-degree.
     pub out_degree: u64,
-    /// Global in-degree.
-    pub in_degree: u64,
 }
 
-/// A GAS vertex program (PowerGraph's abstraction).
+/// A GAS vertex program (PowerGraph's abstraction). A vertex gathers along
+/// its in-edges: contributions flow src → dst, as PageRank's do.
 pub trait VertexProgram {
     /// Per-vertex state.
     type Value: Clone + PartialEq + Send + Sync;
     /// Gather accumulator (commutative-associative under [`Self::merge`]).
     type Accum: Clone + Send;
 
-    /// Gather direction.
-    fn direction(&self) -> GatherDirection;
-
     /// Initial value of vertex `v`.
     fn init(&self, v: VertexId, ctx: &VertexCtx) -> Self::Value;
 
-    /// Contribution of a neighbor's value along one edge.
+    /// Contribution of an in-neighbor's value along one edge.
     fn gather(&self, neighbor: &Self::Value, neighbor_ctx: &VertexCtx) -> Self::Accum;
 
     /// Folds `b` into `a`.
@@ -58,12 +45,7 @@ pub trait VertexProgram {
         ctx: &VertexCtx,
     ) -> Self::Value;
 
-    /// Whether to stop as soon as no vertex value changes.
-    fn halt_on_fixpoint(&self) -> bool {
-        true
-    }
-
-    /// Hard cap on supersteps.
+    /// Number of supersteps a run executes.
     fn max_supersteps(&self) -> usize;
 }
 
@@ -80,18 +62,11 @@ impl<'g> Engine<'g> {
     /// replica counts).
     pub fn new(graph: &'g DistributedGraph) -> Self {
         let n = graph.num_vertices as usize;
-        let mut ctx = vec![
-            VertexCtx {
-                out_degree: 0,
-                in_degree: 0
-            };
-            n
-        ];
+        let mut ctx = vec![VertexCtx { out_degree: 0 }; n];
         let mut replica_count = vec![0u32; n];
         for m in &graph.machines {
-            for &(sl, dl) in &m.edges {
+            for &(sl, _) in &m.edges {
                 ctx[m.vertices[sl as usize] as usize].out_degree += 1;
-                ctx[m.vertices[dl as usize] as usize].in_degree += 1;
             }
             for &v in &m.vertices {
                 replica_count[v as usize] += 1;
@@ -104,13 +79,8 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Per-vertex static context.
-    pub fn vertex_ctx(&self) -> &[VertexCtx] {
-        &self.ctx
-    }
-
-    /// Runs `program` to completion; returns final vertex values and the
-    /// per-superstep statistics.
+    /// Runs `program` for its `max_supersteps` supersteps; returns final
+    /// vertex values and the per-superstep statistics.
     pub fn run<P: VertexProgram>(&self, program: &P) -> (Vec<P::Value>, ExecutionStats) {
         let g = self.graph;
         let n = g.num_vertices as usize;
@@ -133,37 +103,15 @@ impl<'g> Engine<'g> {
             for (mi, m) in g.machines.iter().enumerate() {
                 // Local partials per local vertex.
                 let mut partial: Vec<Option<P::Accum>> = vec![None; m.vertices.len()];
-                let mut scanned = 0u64;
                 for &(sl, dl) in &m.edges {
-                    scanned += 1;
-                    let sg = m.vertices[sl as usize];
-                    let dg = m.vertices[dl as usize];
-                    match program.direction() {
-                        GatherDirection::In => {
-                            contribute::<P>(
-                                program,
-                                &mut partial[dl as usize],
-                                &values[sg as usize],
-                                &self.ctx[sg as usize],
-                            );
-                        }
-                        GatherDirection::Both => {
-                            contribute::<P>(
-                                program,
-                                &mut partial[dl as usize],
-                                &values[sg as usize],
-                                &self.ctx[sg as usize],
-                            );
-                            contribute::<P>(
-                                program,
-                                &mut partial[sl as usize],
-                                &values[dg as usize],
-                                &self.ctx[dg as usize],
-                            );
-                        }
+                    let sg = m.vertices[sl as usize] as usize;
+                    let c = program.gather(&values[sg], &self.ctx[sg]);
+                    match &mut partial[dl as usize] {
+                        Some(acc) => program.merge(acc, c),
+                        slot @ None => *slot = Some(c),
                     }
                 }
-                step.gather_edges[mi] = scanned;
+                step.gather_edges[mi] = m.edges.len() as u64;
 
                 // Ship partials: mirrors message their master, master-local
                 // partials merge free of charge.
@@ -199,29 +147,12 @@ impl<'g> Engine<'g> {
                     step.apply_vertices[master as usize] += 1;
                 }
             }
-            step.active_vertices = changed;
             if clugp_obs::enabled() {
                 clugp_obs::record_span("superstep", t_step, changed);
             }
             stats.supersteps.push(step);
-            if changed == 0 && program.halt_on_fixpoint() {
-                break;
-            }
         }
         (values, stats)
-    }
-}
-
-fn contribute<P: VertexProgram>(
-    program: &P,
-    slot: &mut Option<P::Accum>,
-    neighbor: &P::Value,
-    ctx: &VertexCtx,
-) {
-    let c = program.gather(neighbor, ctx);
-    match slot {
-        Some(acc) => program.merge(acc, c),
-        None => *slot = Some(c),
     }
 }
 
@@ -237,10 +168,6 @@ mod tests {
     impl VertexProgram for SumInIds {
         type Value = u64;
         type Accum = u64;
-
-        fn direction(&self) -> GatherDirection {
-            GatherDirection::In
-        }
 
         fn init(&self, v: VertexId, _ctx: &VertexCtx) -> u64 {
             u64::from(v)
@@ -297,41 +224,7 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(1, 2)];
         let d = placed(&edges, 2, vec![0, 1, 0]);
         let engine = Engine::new(&d);
-        assert_eq!(engine.vertex_ctx()[0].out_degree, 2);
-        assert_eq!(engine.vertex_ctx()[2].in_degree, 2);
-    }
-
-    #[test]
-    fn fixpoint_halts_early() {
-        // SumInIds with no edges: values become 0 after step 1, stay 0.
-        struct Stable;
-        impl VertexProgram for Stable {
-            type Value = u64;
-            type Accum = u64;
-            fn direction(&self) -> GatherDirection {
-                GatherDirection::In
-            }
-            fn init(&self, _v: VertexId, _c: &VertexCtx) -> u64 {
-                7
-            }
-            fn gather(&self, n: &u64, _c: &VertexCtx) -> u64 {
-                *n
-            }
-            fn merge(&self, a: &mut u64, b: u64) {
-                *a = (*a).max(b);
-            }
-            fn apply(&self, _v: VertexId, old: &u64, _acc: Option<u64>, _c: &VertexCtx) -> u64 {
-                *old
-            }
-            fn max_supersteps(&self) -> usize {
-                100
-            }
-        }
-        let edges = vec![Edge::new(0, 1)];
-        let d = placed(&edges, 1, vec![0]);
-        let engine = Engine::new(&d);
-        let (_, stats) = engine.run(&Stable);
-        assert_eq!(stats.num_supersteps(), 1, "should halt at first fixpoint");
+        assert_eq!(engine.ctx[0].out_degree, 2);
     }
 
     #[test]

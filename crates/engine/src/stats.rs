@@ -12,8 +12,6 @@ pub struct SuperstepStats {
     pub gather_messages: Vec<u64>,
     /// Value-sync messages sent master → mirror, per source machine.
     pub sync_messages: Vec<u64>,
-    /// Number of active vertices at the start of the step.
-    pub active_vertices: u64,
 }
 
 impl SuperstepStats {
@@ -24,7 +22,6 @@ impl SuperstepStats {
             apply_vertices: vec![0; k as usize],
             gather_messages: vec![0; k as usize],
             sync_messages: vec![0; k as usize],
-            active_vertices: 0,
         }
     }
 
@@ -64,14 +61,6 @@ impl ExecutionStats {
     pub fn total_messages(&self) -> u64 {
         self.supersteps.iter().map(|s| s.total_messages()).sum()
     }
-
-    /// Total edges scanned over the whole run.
-    pub fn total_gather_edges(&self) -> u64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.gather_edges.iter().sum::<u64>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -98,16 +87,13 @@ mod tests {
     fn aggregate_over_supersteps() {
         let mut a = SuperstepStats::new(1);
         a.gather_messages = vec![4];
-        a.gather_edges = vec![10];
         let mut b = SuperstepStats::new(1);
         b.sync_messages = vec![6];
-        b.gather_edges = vec![7];
         let stats = ExecutionStats {
             supersteps: vec![a, b],
         };
         assert_eq!(stats.num_supersteps(), 2);
         assert_eq!(stats.total_messages(), 10);
-        assert_eq!(stats.total_gather_edges(), 17);
     }
 
     #[test]

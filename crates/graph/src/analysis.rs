@@ -102,10 +102,8 @@ impl UnionFind {
 }
 
 /// Weakly connected component labels: `labels[v]` = smallest vertex id in
-/// `v`'s component (edges treated as undirected). This is exactly the fixed
-/// point label-propagation converges to, so it doubles as engine ground
-/// truth.
-pub fn connected_component_labels(graph: &CsrGraph) -> Vec<VertexId> {
+/// `v`'s component (edges treated as undirected).
+fn connected_component_labels(graph: &CsrGraph) -> Vec<VertexId> {
     let n = graph.num_vertices() as usize;
     let mut uf = UnionFind::new(n);
     for e in graph.edges() {

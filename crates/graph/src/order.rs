@@ -4,8 +4,8 @@
 //! (footnote 1, following Mint and Gemini), and gives each baseline its best
 //! order: random for Hashing/DBH/Greedy/HDRF, BFS for Mint/CLUGP (the core
 //! crate's `DistAlgo::stream_order` is that one table). This module
-//! produces both orders from a materialized graph, plus the BFS vertex
-//! relabeling a crawler would induce.
+//! produces both orders from a materialized graph, plus the BFS discovery
+//! ranks a crawler would label vertices by.
 
 use crate::csr::CsrGraph;
 use crate::types::{Edge, VertexId};
@@ -141,22 +141,6 @@ pub fn bfs_ranks(graph: &CsrGraph) -> Vec<VertexId> {
     rank
 }
 
-/// Relabels all vertices by BFS discovery rank, producing the graph a web
-/// crawler would have recorded. After relabeling, [`StreamOrder::AsIs`] on
-/// the result approximates a crawl stream.
-pub fn relabel_by_bfs(graph: &CsrGraph) -> CsrGraph {
-    let rank = bfs_ranks(graph);
-    let edges: Vec<Edge> = graph
-        .edges()
-        .map(|e| Edge {
-            src: rank[e.src as usize],
-            dst: rank[e.dst as usize],
-        })
-        .collect();
-    CsrGraph::from_edges(graph.num_vertices(), &edges)
-        .expect("relabeling is a bijection on the same vertex range")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,24 +224,6 @@ mod tests {
         }
         // Root keeps rank 0.
         assert_eq!(ranks[0], 0);
-    }
-
-    #[test]
-    fn relabel_preserves_structure() {
-        let g = chain_with_branch();
-        let r = relabel_by_bfs(&g);
-        assert_eq!(r.num_vertices(), g.num_vertices());
-        assert_eq!(r.num_edges(), g.num_edges());
-        // Degree multiset is preserved under relabeling.
-        let mut dg: Vec<u64> = (0..g.num_vertices() as u32)
-            .map(|v| g.out_degree(v))
-            .collect();
-        let mut dr: Vec<u64> = (0..r.num_vertices() as u32)
-            .map(|v| r.out_degree(v))
-            .collect();
-        dg.sort_unstable();
-        dr.sort_unstable();
-        assert_eq!(dg, dr);
     }
 
     #[test]
