@@ -10,10 +10,13 @@
 //! ids: table1 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //! orders all
 //!
-//! Environment: `CLUGP_SCALE` (dataset scale multiplier, default 1.0),
-//! `CLUGP_KS` (comma-separated partition counts), `CLUGP_RESULTS_DIR`
-//! (output directory, default `results/`). An unknown flag or id, or a
-//! variable that is set but cannot be used, exits 2 before anything runs.
+//! Environment: `CLUGP_SCALE` (dataset scale multiplier, default 1.0;
+//! 0.05 under `--quick`), `CLUGP_KS` (comma-separated partition counts,
+//! default the paper's sweep; 4,16 under `--quick`), `CLUGP_RESULTS_DIR`
+//! (output directory, default `results/`). `--quick` only changes the
+//! defaults: a variable that is set applies either way. An unknown flag or
+//! id, or a variable that is set but cannot be used, exits 2 before anything
+//! runs.
 
 use clugp_bench::experiments::{self, ExpContext, EXPERIMENTS};
 
@@ -57,8 +60,7 @@ fn main() {
         std::process::exit(2)
     };
     let args = parse_args(&args).unwrap_or_else(|e| usage_error(e));
-    let ctx = ExpContext::from_env().unwrap_or_else(|e| usage_error(e));
-    let ctx = if args.quick { ExpContext::quick() } else { ctx };
+    let ctx = ExpContext::from_env(args.quick).unwrap_or_else(|e| usage_error(e));
     println!(
         "# CLUGP reproduction experiments (scale={}, ks={:?})",
         ctx.scale, ctx.ks

@@ -31,30 +31,31 @@ pub struct ExpContext {
 }
 
 impl ExpContext {
-    /// The full-scale context: scale 1.0 and [`crate::runner::k_sweep`],
-    /// unless `CLUGP_SCALE` or `CLUGP_KS` says otherwise. A variable that is
-    /// set but cannot be used is an error naming it.
-    pub fn from_env() -> Result<Self, String> {
+    /// The context `experiments` runs under, read from `CLUGP_SCALE` and
+    /// `CLUGP_KS` (see [`ExpContext::with_vars`]).
+    pub fn from_env(quick: bool) -> Result<Self, String> {
         let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-        Ok(ExpContext {
-            scale: match var("CLUGP_SCALE") {
-                Some(value) => crate::datasets::parse_scale(&value)?,
-                None => 1.0,
-            },
-            ks: match var("CLUGP_KS") {
-                Some(value) => crate::runner::parse_ks(&value)?,
-                None => crate::runner::k_sweep(),
-            },
-        })
+        Self::with_vars(
+            quick,
+            var("CLUGP_SCALE").as_deref(),
+            var("CLUGP_KS").as_deref(),
+        )
     }
 
-    /// A reduced context for smoke tests: small
-    /// datasets, short k sweep.
-    pub fn quick() -> Self {
-        ExpContext {
-            scale: 0.05,
-            ks: vec![4, 16],
-        }
+    /// Scale 1.0 and [`crate::runner::k_sweep`], or with `quick` the smoke
+    /// defaults, scale 0.05 and ks [4, 16]; a variable that is set replaces
+    /// its own field either way. A set value that cannot be used is an error
+    /// naming its variable.
+    pub fn with_vars(quick: bool, scale: Option<&str>, ks: Option<&str>) -> Result<Self, String> {
+        let (default_scale, default_ks) = if quick {
+            (0.05, vec![4, 16])
+        } else {
+            (1.0, crate::runner::k_sweep())
+        };
+        Ok(ExpContext {
+            scale: scale.map_or(Ok(default_scale), crate::datasets::parse_scale)?,
+            ks: ks.map_or(Ok(default_ks), crate::runner::parse_ks)?,
+        })
     }
 }
 
@@ -88,6 +89,30 @@ pub fn run_all(ctx: &ExpContext) {
 mod tests {
     use super::*;
     use crate::runner::{cells_json, CellResult};
+
+    #[test]
+    fn quick_supplies_defaults_the_variables_override() {
+        let ctx = |quick, scale, ks| {
+            let ctx = ExpContext::with_vars(quick, scale, ks).unwrap();
+            (ctx.scale, ctx.ks)
+        };
+        let full_ks = crate::runner::k_sweep();
+        assert_eq!(ctx(false, None, None), (1.0, full_ks.clone()));
+        assert_eq!(ctx(true, None, None), (0.05, vec![4, 16]));
+        assert_eq!(ctx(false, Some("0.02"), Some("8")), (0.02, vec![8]));
+        assert_eq!(ctx(true, Some("0.02"), Some("8")), (0.02, vec![8]));
+        // Each variable replaces its own field only.
+        assert_eq!(ctx(true, Some("0.1"), None), (0.1, vec![4, 16]));
+        assert_eq!(ctx(true, None, Some("2,32")), (0.05, vec![2, 32]));
+        assert_eq!(ctx(false, None, Some("2")), (1.0, vec![2]));
+        // A malformed value is refused, quick or not.
+        for quick in [false, true] {
+            let err = ExpContext::with_vars(quick, Some("0,1"), None).unwrap_err();
+            assert!(err.starts_with("CLUGP_SCALE="), "{err}");
+            let err = ExpContext::with_vars(quick, None, Some("4,x")).unwrap_err();
+            assert!(err.starts_with("CLUGP_KS="), "{err}");
+        }
+    }
 
     /// Every JSON writer on fixed values: well-formed, with its named keys.
     #[test]

@@ -1,22 +1,20 @@
 //! The roster of the paper's algorithms: which partitioners exist, the
-//! monolith each one is built as, the stream order it is granted by
-//! default, and the wire spec a worker builds its kernel from. The CLI,
-//! the experiment harness and the coordinator/worker engine all read it;
-//! nothing else enumerates algorithms.
+//! monolith each one is built as, and the stream order it is granted by
+//! default. The CLI, the experiment harness and the coordinator/worker
+//! engine (which runs the CLUGP rows) all read it; nothing else enumerates
+//! algorithms.
 
-use super::proto::AlgoSpec;
-use super::worker::migration_tag;
 use crate::baselines::{dbh, hashing, Dbh, Greedy, Hashing, Hdrf, HdrfConfig, Mint, MintConfig};
 use crate::clugp::{Clugp, ClugpConfig};
 use crate::partitioner::Partitioner;
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
 use clugp_graph::order::{StreamOrder, RANDOM_ORDER_SEED};
 
-/// Which partitioner a distributed run executes.
+/// One of the paper's partitioners, at its parameters.
 ///
-/// Every variant is driven through the same per-edge kernel as its
-/// monolithic counterpart, so a single-worker run is bit-identical to
-/// the corresponding `Partitioner` implementation.
+/// Every variant builds its monolith ([`DistAlgo::monolith`]). The
+/// coordinator/worker engine runs [`DistAlgo::Clugp`], bit-identical to its
+/// monolith when sequenced, and refuses the others.
 #[derive(Debug, Clone)]
 pub enum DistAlgo {
     /// PowerGraph random vertex-cut.
@@ -96,8 +94,8 @@ impl DistAlgo {
         })
     }
 
-    /// The monolithic partitioner a sequenced run of this algorithm is
-    /// bit-identical to.
+    /// The monolithic partitioner of this algorithm (for CLUGP, the one a
+    /// sequenced engine run is bit-identical to).
     pub fn monolith(&self) -> Box<dyn Partitioner> {
         match self {
             DistAlgo::Hashing { seed } => Box::new(Hashing::new(*seed)),
@@ -129,27 +127,5 @@ impl DistAlgo {
     /// The display name: the monolith's `Partitioner::name`.
     pub fn name(&self) -> &'static str {
         self.monolith().name()
-    }
-
-    /// Lowers to the wire spec a worker builds its kernel from.
-    /// Coordinator-only parameters (the CLUGP game, tau) stay out.
-    pub(crate) fn spec(&self) -> AlgoSpec {
-        match self {
-            DistAlgo::Hashing { seed } => AlgoSpec::Hashing { seed: *seed },
-            DistAlgo::Dbh { seed, max_vertices } => AlgoSpec::Dbh {
-                seed: *seed,
-                max_vertices: *max_vertices,
-            },
-            DistAlgo::Greedy { max_vertices } => AlgoSpec::Greedy {
-                max_vertices: *max_vertices,
-            },
-            DistAlgo::Hdrf(cfg) => AlgoSpec::Hdrf(cfg.clone()),
-            DistAlgo::Mint(cfg) => AlgoSpec::Mint(cfg.clone()),
-            DistAlgo::Clugp(cfg) => AlgoSpec::Clugp {
-                splitting: cfg.splitting,
-                migration: migration_tag(cfg.migration),
-                max_vertices: cfg.max_vertices,
-            },
-        }
     }
 }

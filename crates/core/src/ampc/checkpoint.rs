@@ -229,7 +229,6 @@ mod tests {
                 migrations: 6,
                 reroutes: 5,
                 table_len: 35,
-                carry: Vec::new(),
             },
             algo: "clugp".into(),
             k: 3,

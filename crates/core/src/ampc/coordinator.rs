@@ -1,17 +1,20 @@
 //! The coordinator half of the coordinator/worker engine.
 //!
+//! The engine runs CLUGP, the one algorithm here whose passes it adapts; any
+//! other [`DistAlgo`] is refused with [`PartitionError::InvalidParam`] before
+//! a worker is configured (the one-pass baselines run as their monoliths).
+//!
 //! The coordinator owns no edge data. It splits the input into
 //! contiguous per-worker ranges, sequences the passes as barriers (the
 //! streaming token travels worker 0‥N−1 inside each pass that writes shared
 //! state), and runs the pass-2 work the monolith does between streams:
 //! cluster compaction, the cluster graph, and the game/greedy cluster
-//! assignment. No table is paged. A sequenced stage that writes hands its
-//! whole state from turn to turn — `Coord::run_stage` forwards one
-//! [`Msg::TurnState`] (a baseline) or [`Msg::Pass1Frontier`] (CLUGP pass 1)
-//! per hand-off, as received — and from the end of pass 1 the coordinator
-//! owns CLUGP's tables (`ClugpTables`): a stage that only reads one is cast
-//! the whole of it up front (`cast_table`, one [`Msg::TableCast`]) and a
-//! barrier dumps them, both from memory.
+//! assignment. No table is paged. Sequenced pass 1 hands its whole state
+//! from turn to turn — `Coord::run_stage` forwards one
+//! [`Msg::Pass1Frontier`] per hand-off, as received — and from the end of
+//! pass 1 the coordinator owns the tables (`ClugpTables`): a stage that only
+//! reads one is cast the whole of it up front (`cast_table`, one
+//! [`Msg::TableCast`]) and a barrier dumps them, both from memory.
 //!
 //! Whatever a worker reports is held against what the coordinator handed
 //! out before it is indexed with (`Coord::accept_part`, `merge_pairs`,
@@ -39,10 +42,9 @@ use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{AlgoSpec, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup};
 use super::transport::{NetStats, Transport};
 use super::worker::{
-    cluster_partition_map, import_turn_state, unexpected, with_edge_kernel, T_CPART, T_MAIN,
+    cluster_partition_map, import_turn_state, migration_tag, unexpected, T_CPART, T_MAIN,
 };
 use super::{pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig};
-use crate::baselines::kernel::EdgeKernel;
 use crate::clugp::cluster_graph::{merge_weighted, ClusterGraph};
 use crate::clugp::clustering::{compact_clusters, NO_CLUSTER};
 use crate::clugp::stage::{VertexState, ROW_WIDTH};
@@ -227,25 +229,22 @@ impl Coord {
 
     /// Holds worker `w`'s `StageDone` against what the coordinator handed
     /// out, then widens the part onto `assignments`: an assigning stage
-    /// accounts for every edge of the worker's range (plus the Mint carry it
-    /// was handed, less the one it passes on), any other stage for none, and
-    /// every id is below `k`.
+    /// accounts for every edge of the worker's range, any other stage for
+    /// none, and every id is below `k`.
     fn accept_part(
         &self,
         w: usize,
         stage: Stage,
-        carry_in: usize,
-        token: &Token,
         part: &PartIds,
         assignments: &mut Vec<u32>,
     ) -> Result<()> {
         let named = |what: String| PartitionError::InvalidParam(format!("worker {w}: {what}"));
         let expect = if stage.assigns() {
-            self.range_edges[w] + carry_in as u64
+            self.range_edges[w]
         } else {
             0
         };
-        let got = (part.len() + token.carry.len()) as u64;
+        let got = part.len() as u64;
         if got != expect {
             return Err(named(format!(
                 "StageDone accounts for {got} edges, its range holds {expect}"
@@ -258,11 +257,11 @@ impl Coord {
     /// Runs one stage as a barrier: the token travels worker 0‥N−1, and the
     /// state a stage writes rides the turn with it. The one frame worker `w`
     /// sends ahead of `StageDone` under the stage's [`Msg::hand_on_tag`] — a
-    /// [`Msg::Pass1Frontier`] in CLUGP pass 1, a [`Msg::TurnState`] in a
-    /// baseline — is forwarded to worker `w + 1` ahead of its `RunStage`, as
-    /// it was received: the worker that imports it holds it to the run. The
-    /// last one is returned, undecoded, beside the token. Out of any other
-    /// stage, or a second time in a turn, the verb is refused.
+    /// [`Msg::Pass1Frontier`] in pass 1 — is forwarded to worker `w + 1`
+    /// ahead of its `RunStage`, as it was received: the worker that imports
+    /// it holds it to the run. The last one is returned, undecoded, beside
+    /// the token. Out of any other stage, or a second time in a turn, the
+    /// verb is refused.
     fn run_stage(
         &mut self,
         stage: Stage,
@@ -276,7 +275,7 @@ impl Coord {
             if let Some(seed) = state.take() {
                 self.conns[w].send(&seed).map_err(|e| tag_worker(w, e))?;
             }
-            let (carry_in, handed) = (token.carry.len(), counters(&token));
+            let handed = counters(&token);
             let msg = Msg::RunStage {
                 stage,
                 token,
@@ -298,7 +297,7 @@ impl Coord {
                         assignments: part,
                         ..
                     }) => {
-                        self.accept_part(w, stage, carry_in, &token, &part, assignments)?;
+                        self.accept_part(w, stage, &part, assignments)?;
                         check_loads(format_args!("worker {w}"), &token, assignments.len())?;
                         break token;
                     }
@@ -350,7 +349,7 @@ impl Coord {
                         assignments: part,
                         pairs,
                     } => {
-                        self.accept_part(w, stage, 0, &token, &part, assignments)?;
+                        self.accept_part(w, stage, &part, assignments)?;
                         if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
                             out.push(p);
                         }
@@ -407,9 +406,6 @@ struct Supervisor<'a> {
     /// edge stream).
     setups: Vec<WorkerSetup>,
     incarnation: Vec<u32>,
-    /// Row width of each table slot, as a barrier lists them: a baseline
-    /// kernel's, or CLUGPCK1's three.
-    widths: Vec<u32>,
     /// Last committed checkpoint; recovery replays the flow from here.
     last: Option<Checkpoint>,
     ckpt_dir: Option<PathBuf>,
@@ -467,7 +463,6 @@ impl<'a> Supervisor<'a> {
             respawn,
             setups: Vec::new(),
             incarnation: vec![0; n],
-            widths: Vec::new(),
             last: None,
             ckpt_dir: cfg.checkpoint_dir.clone(),
             recoveries: 0,
@@ -583,9 +578,9 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Commits a checkpoint of the complete distributed state, from memory:
-    /// every declared table is factory-empty at a first barrier, and what
-    /// lives past CLUGP's pass 1 is in `tables` (the raw volumes do not:
-    /// `compact_clusters` recomputed them from the degrees).
+    /// every table is empty at a first barrier, and what lives past pass 1
+    /// is in `tables` (the raw volumes do not: `compact_clusters` recomputed
+    /// them from the degrees).
     fn barrier(
         &mut self,
         seq: u64,
@@ -600,7 +595,7 @@ impl<'a> Supervisor<'a> {
             width,
             ..Default::default()
         };
-        let mut dumps: Vec<TableDump> = self.widths.iter().map(empty).collect();
+        let mut dumps: Vec<TableDump> = CLUGPCK1_WIDTHS.iter().map(empty).collect();
         let (mut m_real, mut num_clusters) = (0, 0);
         if let Some(tables) = tables {
             (m_real, num_clusters) = (tables.m_real, tables.num_clusters);
@@ -634,7 +629,7 @@ impl<'a> Supervisor<'a> {
 
     /// Resets every worker: no row travels back, a first barrier has none and
     /// the later ones' are the coordinator's to reload and cast. A mid-pass
-    /// failure can leave any worker holding a forwarded turn state or a cast,
+    /// failure can leave any worker holding a forwarded frontier or a cast,
     /// so restore always resets the whole fleet, not just the respawned links.
     fn restore(&mut self, seq: u64) -> Result<()> {
         let t0 = self.coord.t0();
@@ -708,18 +703,17 @@ pub fn run_coordinator(
     })
 }
 
-/// What the coordinator needs to know of a baseline, read off its
-/// [`EdgeKernel`]: each table's row width, as a barrier lists it. Applies each
-/// table's own sizing check to `n_hint` — monolith parity: the monolith fails
-/// on an oversized hint before streaming an edge.
-fn describe_kernel<K: EdgeKernel>(mut kernel: K, n_hint: u64) -> Result<Vec<u32>> {
-    (0..K::TABLES)
-        .map(|slot| {
-            let table = kernel.table(slot);
-            table.check_hint(n_hint)?;
-            Ok(table.width() as u32)
-        })
-        .collect()
+/// The configuration of the one algorithm the engine runs, or the refusal
+/// of any other, before a worker is spawned or configured.
+pub(crate) fn engine_config(algo: &DistAlgo) -> Result<&ClugpConfig> {
+    match algo {
+        DistAlgo::Clugp(cfg) => Ok(cfg),
+        other => Err(PartitionError::InvalidParam(format!(
+            "the coordinator/worker engine runs CLUGP only, not {} \
+             (the one-pass baselines run as their monoliths)",
+            other.name()
+        ))),
+    }
 }
 
 fn drive(
@@ -730,26 +724,12 @@ fn drive(
     cfg: &DistConfig,
 ) -> Result<Partitioning> {
     let workers = sup.workers();
-    if sup.coord.mode == AmpcMode::Relaxed && !matches!(algo, DistAlgo::Clugp(_)) {
-        return Err(PartitionError::InvalidParam(format!(
-            "relaxed mode runs CLUGP only, not {}",
-            algo.name()
-        )));
-    }
-    // Same validation order as the monolith: config first, then k, then
-    // algorithm-specific parameter checks, then the table-cap check.
-    if let DistAlgo::Clugp(cfg) = algo {
-        cfg.validate()?;
-    }
+    // Same validation order as the monolith: config first, then k, then the
+    // table-cap check.
+    let clugp = engine_config(algo)?;
+    clugp.validate()?;
     if k == 0 {
         return Err(PartitionError::InvalidParam("k must be at least 1".into()));
-    }
-    if let DistAlgo::Mint(cfg) = algo {
-        if cfg.batch_size == 0 {
-            return Err(PartitionError::InvalidParam(
-                "batch_size must be positive".into(),
-            ));
-        }
     }
 
     let (n_hint, m_hint, inputs) = match input {
@@ -773,15 +753,11 @@ fn drive(
             (n, m, pack_input_specs(path, workers)?)
         }
     };
-
-    let algo_spec = algo.spec();
-    let widths = if let DistAlgo::Clugp(cfg) = algo {
-        check_cap("num_vertices hint", n_hint, cfg.max_vertices)?;
-        CLUGPCK1_WIDTHS.to_vec()
-    } else {
-        // Mint shares nothing.
-        with_edge_kernel!(&algo_spec, k, |kernel| describe_kernel(kernel, n_hint)?)
-            .unwrap_or_default()
+    check_cap("num_vertices hint", n_hint, clugp.max_vertices)?;
+    let algo_spec = AlgoSpec {
+        splitting: clugp.splitting,
+        migration: migration_tag(clugp.migration),
+        max_vertices: clugp.max_vertices,
     };
 
     let range_edges = inputs
@@ -816,7 +792,6 @@ fn drive(
         }
     }
 
-    sup.widths = widths;
     sup.coord.k = k;
     sup.coord.range_edges = range_edges;
     sup.m = m_hint;
@@ -841,11 +816,7 @@ fn drive(
     // until it finishes, a fault exhausts the retry budget, or a fatal
     // (deterministic) error surfaces.
     loop {
-        let attempt = match algo {
-            DistAlgo::Clugp(cfg) => clugp_flow(sup, cfg, n_hint, m_hint, k, resume.as_ref()),
-            _ => baseline_flow(sup, n_hint, k, resume.as_ref()),
-        };
-        match attempt {
+        match clugp_flow(sup, clugp, n_hint, m_hint, k, resume.as_ref()) {
             Ok(p) => return Ok(p),
             Err(e) if e.is_retryable() && sup.can_retry() => {
                 sup.recover()?;
@@ -854,35 +825,6 @@ fn drive(
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Single-stage baselines behind one barrier: a replay restarts the whole
-/// (only) pass from an empty-table state.
-fn baseline_flow(
-    sup: &mut Supervisor<'_>,
-    n_hint: u64,
-    k: u32,
-    resume: Option<&Checkpoint>,
-) -> Result<Partitioning> {
-    let stage = Stage::Baseline;
-    let fresh = Token {
-        loads: vec![0; k as usize],
-        ..Default::default()
-    };
-    let token0 = sup.enter_segment(1, stage, fresh, resume, None)?;
-    let t0 = sup.coord.t0();
-    let mut assignments = Vec::new();
-    let token = sup.coord.run_stage(stage, token0, &mut assignments)?.0;
-    sup.coord
-        .span("pass:baseline", t0, assignments.len() as u64);
-    Ok(Partitioning {
-        k,
-        // `table_len` is the kernel's vertex-table watermark (0 without
-        // tables), so this is the monolith's `n.max(table.len())`.
-        num_vertices: n_hint.max(token.table_len),
-        assignments,
-        loads: token.loads,
-    })
 }
 
 /// Folds per-worker relaxed tokens into one, in worker order: the loads sum,
@@ -1330,16 +1272,6 @@ mod tests {
         out
     }
 
-    fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
-        let algo = DistAlgo::by_name("hashing").expect("registered");
-        play(
-            algo,
-            AmpcMode::Sequenced,
-            1,
-            move |_, _| vec![reply.clone()],
-        )
-    }
-
     /// A pass-1 `StageDone` (no assignments) whose token carries `next_raw`.
     fn pass1_done(next_raw: u64, pairs: Option<PairsPayload>) -> Vec<u8> {
         let token = Token {
@@ -1353,6 +1285,28 @@ mod tests {
             pairs,
         }
         .encode()
+    }
+
+    /// Sequenced CLUGP on one hand-played worker that hands the triangle's
+    /// state on in pass 1, reports no cluster pair, and answers the
+    /// transform with `reply`.
+    fn run_against(reply: Vec<u8>) -> Result<DistOutcome> {
+        play(
+            DistAlgo::clugp(),
+            AmpcMode::Sequenced,
+            1,
+            move |_, stage| match stage {
+                Stage::ClugpPass1 { .. } => {
+                    let (keys, rows, vol) = triangle_frontier();
+                    vec![
+                        Msg::Pass1Frontier { keys, rows, vol }.encode(),
+                        pass1_done(3, None),
+                    ]
+                }
+                Stage::ClugpPairs { .. } => vec![pass1_done(0, Some(PairsPayload::default()))],
+                Stage::ClugpTransform { .. } => vec![reply.clone()],
+            },
+        )
     }
 
     /// The error of a CLUGP run over forged replies, which must be typed.
@@ -1462,18 +1416,9 @@ mod tests {
         };
         let msg = clugp_failure(AmpcMode::Sequenced, 2, twice);
         assert!(msg.contains("unexpected protocol message: Pass1F"), "{msg}");
-        let hashing = DistAlgo::by_name("hashing").expect("registered");
-        let err = play(hashing, AmpcMode::Sequenced, 2, move |w, stage| {
-            let mut frames = reply((1, 3))(w, stage);
-            frames[1] = stage_done(vec![1, 1, 0, 0], 1, 2, &[0, 1]);
-            frames
-        })
-        .expect_err("a frontier out of a baseline stage");
-        assert!(
-            matches!(&err, PartitionError::InvalidParam(msg)
-                if msg.contains("unexpected protocol message: Pass1F")),
-            "{err}"
-        );
+        // An honest pass 1, then the same frontier out of the pairs stage.
+        let msg = clugp_failure(AmpcMode::Sequenced, 1, reply((1, 3)));
+        assert!(msg.contains("unexpected protocol message: Pass1F"), "{msg}");
     }
 
     #[test]

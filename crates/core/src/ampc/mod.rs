@@ -1,12 +1,15 @@
 //! Coordinator/worker distributed partitioning (AMPC-style).
 //!
-//! This module shards the streaming placement pipeline across workers:
+//! This module shards CLUGP's three passes across workers — the paper adapts
+//! its own steps to a parallel mechanism, and the engine runs those and
+//! nothing else: any other [`coordinator::DistAlgo`] is refused with
+//! [`PartitionError::InvalidParam`] before a worker is spawned or
+//! configured, and the one-pass baselines run as their monoliths.
 //!
 //! * [`worker`] — owns a contiguous range of the edge stream and drives
-//!   the *same per-edge kernels as the monolith* against whole, dense
-//!   tables: a sequenced stage that writes them is lent them by the turn
-//!   before (a one-pass baseline's O(nk/64) rows and CLUGP pass 1's O(n)
-//!   ones alike), a stage that only reads them is cast them.
+//!   the *same per-edge steps as the monolith* against whole, dense
+//!   tables: pass 1, which writes them, is lent them by the turn before;
+//!   a stage that only reads them is cast them.
 //! * [`coordinator`] — splits the stream, sequences passes as barriers,
 //!   forwards each turn's state to the next turn, casts read-only tables,
 //!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
@@ -20,13 +23,13 @@
 //! exactly one worker streams edges at a time while the others wait for the
 //! state to come down the turns. That is what makes every configuration (any
 //! worker count, any chunk size, either transport) bit-identical to the
-//! monolithic partitioner, which is the correctness anchor
+//! monolithic CLUGP, which is the correctness anchor
 //! `tests/distributed_equivalence.rs` pins. [`AmpcMode::Relaxed`] trades
-//! that anchor for concurrency in CLUGP's own passes, and runs nothing
-//! else: pass 1 clusters every range at once and the coordinator merges the
-//! frontiers, and the transform caps each worker at a slice of the load
-//! cap. The output is still deterministic for a fixed worker count. See
-//! DESIGN.md §7 for the sequenced contract and §11 for the relaxed one.
+//! that anchor for concurrency: pass 1 clusters every range at once and the
+//! coordinator merges the frontiers, and the transform caps each worker at a
+//! slice of the load cap. The output is still deterministic for a fixed
+//! worker count. See DESIGN.md §7 for the sequenced contract and §11 for the
+//! relaxed one.
 
 pub mod algo;
 pub mod checkpoint;
@@ -56,12 +59,10 @@ pub enum AmpcMode {
     /// Bit-identical to the monolith at any worker count.
     #[default]
     Sequenced,
-    /// CLUGP only: every worker runs pass 1 over its range at once against
-    /// its own tables, the coordinator merges the frontiers, and the
-    /// transform caps each worker at an even slice of the load cap. Output
-    /// is deterministic for a fixed worker count but drifts from the
-    /// monolith. Any other algorithm is refused with
-    /// [`PartitionError::InvalidParam`] before a worker is configured.
+    /// Every worker runs pass 1 over its range at once against its own
+    /// tables, the coordinator merges the frontiers, and the transform caps
+    /// each worker at an even slice of the load cap. Output is deterministic
+    /// for a fixed worker count but drifts from the monolith.
     Relaxed,
 }
 
@@ -165,7 +166,7 @@ pub struct DistConfig {
     /// Resume from the newest valid checkpoint in `checkpoint_dir`
     /// instead of starting from the first pass.
     pub resume: bool,
-    /// Progress model within a pass (sequenced token, or relaxed CLUGP).
+    /// Progress model within a pass (sequenced token, or relaxed).
     pub mode: AmpcMode,
     /// Record observability spans/instants on the coordinator and every
     /// worker and merge them into [`DistOutcome::trace`] (DESIGN.md §12).
@@ -205,7 +206,8 @@ pub enum DistInput<'a> {
     Pack(&'a Path),
 }
 
-/// Runs `algo` over `input` with `cfg.workers` workers.
+/// Runs `algo` — CLUGP; any other algorithm is refused before a worker is
+/// spawned — over `input` with `cfg.workers` workers.
 ///
 /// Channel transport hosts workers on plain threads with bounded-channel
 /// pipes; Unix transport uses socketpairs with the same length-prefixed
@@ -222,6 +224,7 @@ pub fn run_distributed(
             "worker count must be at least 1".into(),
         ));
     }
+    coordinator::engine_config(algo)?;
     // One scoped thread per worker for the whole run: each serve loop
     // blocks on recv until the coordinator shuts it down.
     std::thread::scope(|scope| {

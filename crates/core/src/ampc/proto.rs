@@ -7,30 +7,35 @@
 //!
 //! ```text
 //! coordinator → worker:  Configure, RunStage, TableCast, Pass1Frontier,
-//!                        TurnState, ResetTables, Shutdown
+//!                        ResetTables, Shutdown
 //! worker → coordinator:  Hello, ConfigureOk, StageDone, ResetOk, Err, and —
 //!                        only while running a stage — Pass1Frontier,
-//!                        TurnState, Heartbeat, TraceEvents
+//!                        Heartbeat, TraceEvents
 //! ```
 //!
-//! No table is paged: a stage holds every table it writes whole while the
-//! edges stream by. A sequenced stage that writes hands its state on with
-//! the token — CLUGP pass 1 as a [`Msg::Pass1Frontier`] (every touched vertex
-//! row plus the raw-cluster volumes), a one-pass baseline as a
-//! [`Msg::TurnState`] (every non-zero row of each of its kernel's tables, one
-//! [`EpochTable`] per slot). The frame rides the turn: worker *w* receives the
-//! one worker *w − 1* sent (nothing for worker 0) ahead of its `RunStage`,
-//! steps its range on top of it and sends its own ahead of `StageDone`; the
+//! The engine runs CLUGP only, so a [`WorkerSetup`] names CLUGP's worker
+//! parameters ([`AlgoSpec`]) and nothing else. No table is paged: a stage
+//! holds every table it writes whole while the edges stream by. Pass 1, the
+//! one stage that writes, hands its state on with the token as a
+//! [`Msg::Pass1Frontier`] (every touched vertex row plus the raw-cluster
+//! volumes). Sequenced, the frame rides the turn: worker *w* receives the one
+//! worker *w − 1* sent (nothing for worker 0) ahead of its `RunStage`, steps
+//! its range on top of it and sends its own ahead of `StageDone`; the
 //! coordinator forwards each frame as received, by its tag byte alone
-//! ([`Msg::hand_on_tag`]), and imports CLUGP's last one. A baseline's last
-//! turn sends none: nothing reads it. Relaxed (CLUGP only), every worker
+//! ([`Msg::hand_on_tag`]), and imports the last one. Relaxed, every worker
 //! starts empty and the coordinator merges the frontiers. Whoever indexes with
-//! a turn's state holds it to the run first. (Tags 5 to 9 and 15 to 20 —
+//! a turn's state holds it to the run first.
+//!
+//! Retired tags stay reserved and keep their names in [`Msg::verb_name`]; a
+//! frame under one is a typed error. Message tags 5 to 9 and 15 to 20 —
 //! `StateReq` and `StateResp`, the coordinator's own one-table `Upsert` and
 //! its ack, the one-op-per-frame `Route`, `Scan`/`ScanResp`, the four-verb
 //! batched relay the baselines once paged their rows through, and the two
-//! epoch-barrier verbs relaxed baselines once reconciled through — are retired
-//! and stay reserved, their names kept in [`Msg::verb_name`].)
+//! epoch-barrier verbs relaxed baselines once reconciled through — and 24,
+//! `TurnState`, in which a sequenced one-pass baseline handed its tables from
+//! turn to turn. Algo tags 0 to 5 — Hashing, Grid, DBH, Greedy, HDRF and
+//! Mint: the one-pass baselines run as their monoliths. Stage tag 0, the
+//! baselines' one stage.
 //!
 //! From the end of pass 1 the coordinator owns the tables, and a stage that
 //! only *reads* one gets it whole, ahead of its `RunStage`, as a
@@ -38,8 +43,8 @@
 //! copy, and kept by the worker until `ResetTables`, so the vertex rows
 //! travel once for the pairs stage and the transform: keys as zigzag varint
 //! deltas (the sign keeps a non-monotone key order legal), rows as varints.
-//! A cast, a frontier or a turn state is one frame, so a table is bounded by
-//! the transport's frame cap (DESIGN.md §11).
+//! A cast or a frontier is one frame, so a table is bounded by the
+//! transport's frame cap (DESIGN.md §11).
 //!
 //! [`Msg::StageDone`] is laid out as: tag `4`, the [`Token`], the
 //! assignments as [`PartIds`] — a width byte (1, 2 or 4: the narrowest that
@@ -62,7 +67,6 @@
 
 use super::wire::{Rd, Wr};
 use super::AmpcMode;
-use crate::baselines::{HdrfConfig, MintConfig};
 use crate::error::{PartitionError, Result};
 use clugp_graph::types::Edge;
 use clugp_obs::{Event, EventKind};
@@ -73,26 +77,12 @@ fn bad(what: &str) -> PartitionError {
 
 /// Tag byte of a [`Msg::Pass1Frontier`].
 const TAG_PASS1_FRONTIER: u8 = 21;
-/// Tag byte of a [`Msg::TurnState`].
-const TAG_TURN_STATE: u8 = 24;
-
-/// One table's rows as a [`Msg::TurnState`] carries them: a sequenced
-/// baseline's whole table, every non-zero row, imported as it is.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochTable {
-    /// Table slot index.
-    pub table: u8,
-    /// Row keys, sorted ascending.
-    pub keys: Vec<u64>,
-    /// Flattened rows, `keys.len() * width` words.
-    pub rows: Vec<u64>,
-}
+/// Algo tag of [`AlgoSpec`], the one algorithm the engine runs.
+const TAG_CLUGP: u8 = 6;
 
 /// One barrier-delimited pass over a worker's edge range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stage {
-    /// Single-pass baselines (hashing/dbh/greedy/hdrf/mint).
-    Baseline,
     /// CLUGP streaming clustering (pass 1).
     ClugpPass1 {
         /// Maximum cluster volume.
@@ -114,7 +104,7 @@ impl Stage {
     /// Whether the stage assigns the edges it streams; the others send an
     /// empty [`PartIds`] with `StageDone`.
     pub fn assigns(self) -> bool {
-        matches!(self, Stage::Baseline | Stage::ClugpTransform { .. })
+        matches!(self, Stage::ClugpTransform { .. })
     }
 }
 
@@ -138,8 +128,6 @@ pub struct Token {
     pub reroutes: u64,
     /// Vertex-table watermark: `max(seen id)+1` across sequenced workers.
     pub table_len: u64,
-    /// Edges carried into the next worker's range (Mint partial waves).
-    pub carry: Vec<Edge>,
 }
 
 /// Where a worker's edge range comes from.
@@ -165,41 +153,16 @@ pub enum InputSpec {
     },
 }
 
-/// Which per-edge kernel the worker runs, plus the config it needs.
-/// Coordinator-only parameters (the CLUGP game, tau) stay out.
+/// The CLUGP parameters a worker's stages read (passes 1 and 3; pass 2 runs
+/// at the coordinator). Coordinator-only parameters (the game, tau) stay out.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AlgoSpec {
-    /// Stateless edge hashing.
-    Hashing {
-        /// Hash seed.
-        seed: u64,
-    },
-    /// Degree-based hashing.
-    Dbh {
-        /// Hash seed.
-        seed: u64,
-        /// Vertex-id cap.
-        max_vertices: u64,
-    },
-    /// PowerGraph greedy.
-    Greedy {
-        /// Vertex-id cap.
-        max_vertices: u64,
-    },
-    /// HDRF (on the wire: λ, ε, vertex-id cap).
-    Hdrf(HdrfConfig),
-    /// Mint game-theoretic batches (on the wire: batch size, wave width,
-    /// threads, round cap — as `u64` — then balance weight and seed).
-    Mint(MintConfig),
-    /// CLUGP passes 1 and 3 (pass 2 runs at the coordinator).
-    Clugp {
-        /// Splitting enabled.
-        splitting: bool,
-        /// `MigrationPolicy` as a wire tag (0 Anchored, 2 Paper).
-        migration: u8,
-        /// Vertex-id cap.
-        max_vertices: u64,
-    },
+pub struct AlgoSpec {
+    /// Splitting enabled.
+    pub splitting: bool,
+    /// `MigrationPolicy` as a wire tag (0 Anchored, 2 Paper).
+    pub migration: u8,
+    /// Vertex-id cap.
+    pub max_vertices: u64,
 }
 
 /// Everything a worker needs before the first stage.
@@ -217,7 +180,7 @@ pub struct WorkerSetup {
     /// worker emits at chunk boundaries while running a stage (0 = no
     /// heartbeats). Set by the coordinator from its supervision policy.
     pub heartbeat_ms: u32,
-    /// Kernel selection.
+    /// CLUGP's worker parameters.
     pub algo: AlgoSpec,
     /// Edge range source.
     pub input: InputSpec,
@@ -257,7 +220,8 @@ impl PartIds {
     }
 
     /// `ids` at the width of a `k`-way partition.
-    pub fn from_ids(k: u32, ids: &[u32]) -> PartIds {
+    #[cfg(test)]
+    pub(crate) fn from_ids(k: u32, ids: &[u32]) -> PartIds {
         let mut part = PartIds::for_k(k);
         part.extend_from_slice(ids);
         part
@@ -430,14 +394,6 @@ pub enum Msg {
         /// The buffered events, oldest first.
         events: Vec<Event>,
     },
-    /// A sequenced baseline's tables, worker → coordinator just before
-    /// `StageDone` and then coordinator → the next worker, ahead of its
-    /// `RunStage`: one [`EpochTable`] per kernel slot, in slot order, holding
-    /// every non-zero row. The last worker of a stage sends none.
-    TurnState {
-        /// The kernel's tables.
-        tables: Vec<EpochTable>,
-    },
 }
 
 fn put_edges(w: &mut Wr, edges: &[Edge]) {
@@ -467,11 +423,13 @@ pub(crate) fn put_token(w: &mut Wr, t: &Token) {
     w.u64(t.migrations);
     w.u64(t.reroutes);
     w.u64(t.table_len);
-    put_edges(w, &t.carry);
+    // The retired carry slot (Mint's partial wave): an empty edge list, so
+    // frames and `CLUGPCK1` files keep their layout.
+    w.u64(0);
 }
 
 pub(crate) fn get_token(r: &mut Rd<'_>) -> Result<Token> {
-    Ok(Token {
+    let token = Token {
         loads: r.u64s()?,
         cursor: r.u32()?,
         next_raw: r.u64()?,
@@ -479,13 +437,18 @@ pub(crate) fn get_token(r: &mut Rd<'_>) -> Result<Token> {
         migrations: r.u64()?,
         reroutes: r.u64()?,
         table_len: r.u64()?,
-        carry: get_edges(r)?,
-    })
+    };
+    match r.u64()? {
+        0 => Ok(token),
+        n => Err(bad(&format!(
+            "token carries {n} edges, no stage carries any"
+        ))),
+    }
 }
 
 pub(crate) fn put_stage(w: &mut Wr, stage: Stage) {
+    // Stage tag 0 is retired (it was the baselines' one stage).
     match stage {
-        Stage::Baseline => w.u8(0),
         Stage::ClugpPass1 { vmax } => {
             w.u8(1);
             w.u64(vmax);
@@ -503,7 +466,6 @@ pub(crate) fn put_stage(w: &mut Wr, stage: Stage) {
 
 pub(crate) fn get_stage(r: &mut Rd<'_>) -> Result<Stage> {
     Ok(match r.u8()? {
-        0 => Stage::Baseline,
         1 => Stage::ClugpPass1 { vmax: r.u64()? },
         2 => Stage::ClugpPairs {
             num_clusters: r.u64()?,
@@ -519,47 +481,10 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
     w.u32(s.k);
     w.u32(s.chunk);
     w.u32(s.heartbeat_ms);
-    // Algo tag 1 is retired (it was Grid): do not reuse it.
-    match &s.algo {
-        AlgoSpec::Hashing { seed } => {
-            w.u8(0);
-            w.u64(*seed);
-        }
-        AlgoSpec::Dbh { seed, max_vertices } => {
-            w.u8(2);
-            w.u64(*seed);
-            w.u64(*max_vertices);
-        }
-        AlgoSpec::Greedy { max_vertices } => {
-            w.u8(3);
-            w.u64(*max_vertices);
-        }
-        AlgoSpec::Hdrf(cfg) => {
-            w.u8(4);
-            w.f64(cfg.lambda);
-            w.f64(cfg.epsilon);
-            w.u64(cfg.max_vertices);
-        }
-        AlgoSpec::Mint(cfg) => {
-            w.u8(5);
-            w.u64(cfg.batch_size as u64);
-            w.u64(cfg.wave_width as u64);
-            w.u64(cfg.threads as u64);
-            w.u64(cfg.max_rounds as u64);
-            w.f64(cfg.balance_weight);
-            w.u64(cfg.seed);
-        }
-        AlgoSpec::Clugp {
-            splitting,
-            migration,
-            max_vertices,
-        } => {
-            w.u8(6);
-            w.bool(*splitting);
-            w.u8(*migration);
-            w.u64(*max_vertices);
-        }
-    }
+    w.u8(TAG_CLUGP);
+    w.bool(s.algo.splitting);
+    w.u8(s.algo.migration);
+    w.u64(s.algo.max_vertices);
     match &s.input {
         InputSpec::Inline { edges } => {
             w.u8(0);
@@ -587,34 +512,18 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
     let k = r.u32()?;
     let chunk = r.u32()?;
     let heartbeat_ms = r.u32()?;
-    // Algo tag 1 is retired (it was Grid): do not reuse it.
     let algo = match r.u8()? {
-        0 => AlgoSpec::Hashing { seed: r.u64()? },
-        2 => AlgoSpec::Dbh {
-            seed: r.u64()?,
-            max_vertices: r.u64()?,
-        },
-        3 => AlgoSpec::Greedy {
-            max_vertices: r.u64()?,
-        },
-        4 => AlgoSpec::Hdrf(HdrfConfig {
-            lambda: r.f64()?,
-            epsilon: r.f64()?,
-            max_vertices: r.u64()?,
-        }),
-        5 => AlgoSpec::Mint(MintConfig {
-            batch_size: r.u64()? as usize,
-            wave_width: r.u64()? as usize,
-            threads: r.u64()? as usize,
-            max_rounds: r.u64()? as usize,
-            balance_weight: r.f64()?,
-            seed: r.u64()?,
-        }),
-        6 => AlgoSpec::Clugp {
+        TAG_CLUGP => AlgoSpec {
             splitting: r.bool()?,
             migration: r.u8()?,
             max_vertices: r.u64()?,
         },
+        // The one-pass baselines (and Grid, tag 1) run as their monoliths.
+        tag @ 0..=5 => {
+            return Err(bad(&format!(
+                "retired algo tag {tag}: the engine runs CLUGP only"
+            )))
+        }
         _ => return Err(bad("algo tag")),
     };
     let input = match r.u8()? {
@@ -702,31 +611,6 @@ fn get_trace_events(r: &mut Rd<'_>) -> Result<(u64, u64, Vec<Event>)> {
     Ok((now_us, dropped, events))
 }
 
-fn put_tables(w: &mut Wr, tables: &[EpochTable]) {
-    w.vu64(tables.len() as u64);
-    for t in tables {
-        w.u8(t.table);
-        w.delta_u64s(&t.keys);
-        w.vu64s(&t.rows);
-    }
-}
-
-fn get_tables(r: &mut Rd<'_>) -> Result<Vec<EpochTable>> {
-    let n = r.vu64()?;
-    if n > 512 {
-        return Err(bad("table count"));
-    }
-    let mut tables = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        tables.push(EpochTable {
-            table: r.u8()?,
-            keys: r.delta_u64s()?,
-            rows: r.vu64s()?,
-        });
-    }
-    Ok(tables)
-}
-
 fn put_pairs(w: &mut Wr, p: &PairsPayload) {
     w.u64(p.intra.len() as u64);
     for &(c, n) in &p.intra {
@@ -775,7 +659,6 @@ impl Msg {
             Msg::Pass1Frontier { .. } => "Pass1Frontier",
             Msg::TableCast { .. } => "TableCast",
             Msg::TraceEvents { .. } => "TraceEvents",
-            Msg::TurnState { .. } => "TurnState",
         }
     }
 
@@ -891,20 +774,15 @@ impl Msg {
                 w.u8(23);
                 put_trace_events(w, *now_us, *dropped, events);
             }
-            Msg::TurnState { tables } => {
-                w.u8(TAG_TURN_STATE);
-                put_tables(w, tables);
-            }
         }
     }
 
     /// The tag byte of the frame in which a sequenced turn of `stage` hands
-    /// its state on — [`Msg::Pass1Frontier`] for CLUGP pass 1,
-    /// [`Msg::TurnState`] for a baseline — or `None` for a stage that hands
-    /// nothing on: the coordinator forwards the frame without decoding it.
+    /// its state on — [`Msg::Pass1Frontier`] for pass 1 — or `None` for a
+    /// stage that hands nothing on: the coordinator forwards the frame without
+    /// decoding it.
     pub fn hand_on_tag(stage: Stage) -> Option<u8> {
         match stage {
-            Stage::Baseline => Some(TAG_TURN_STATE),
             Stage::ClugpPass1 { .. } => Some(TAG_PASS1_FRONTIER),
             Stage::ClugpPairs { .. } | Stage::ClugpTransform { .. } => None,
         }
@@ -962,9 +840,6 @@ impl Msg {
                     events,
                 }
             }
-            TAG_TURN_STATE => Msg::TurnState {
-                tables: get_tables(&mut r)?,
-            },
             _ => return Err(bad("message tag")),
         };
         if !r.done() {
@@ -989,7 +864,7 @@ pub(crate) fn forged_stage_done(token: &Token, width: u8, count: u64, ids: &[u8]
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(msg: Msg) {
@@ -1006,11 +881,11 @@ mod tests {
             k: 8,
             chunk: 4096,
             heartbeat_ms: 250,
-            algo: AlgoSpec::Hdrf(HdrfConfig {
-                lambda: 1.0,
-                epsilon: 1.5,
+            algo: AlgoSpec {
+                splitting: false,
+                migration: 2,
                 max_vertices: 1 << 20,
-            }),
+            },
             input: InputSpec::Inline {
                 edges: vec![Edge::new(0, 1), Edge::new(2, 2)],
             },
@@ -1027,7 +902,6 @@ mod tests {
                 migrations: 5,
                 reroutes: 0,
                 table_len: 44,
-                carry: vec![Edge::new(7, 9)],
             },
             mode: AmpcMode::Relaxed,
         });
@@ -1046,30 +920,69 @@ mod tests {
         round_trip(Msg::ResetOk);
     }
 
-    #[test]
-    fn retired_algo_tag_is_a_typed_error() {
-        let frame = Msg::Configure(Box::new(WorkerSetup {
+    /// Where a `Configure` frame holds its algo tag: after the message tag
+    /// and five `u32`s.
+    pub(crate) const ALGO_TAG_AT: usize = 1 + 5 * 4;
+
+    /// A `Configure` of worker 0 of 2 over `edges`, k = 4, 64-edge chunks,
+    /// as its frame.
+    pub(crate) fn configure_frame(edges: Vec<Edge>) -> Vec<u8> {
+        Msg::Configure(Box::new(WorkerSetup {
             worker: 0,
             workers: 2,
             k: 4,
             chunk: 64,
             heartbeat_ms: 0,
-            algo: AlgoSpec::Hashing { seed: 7 },
-            input: InputSpec::Inline { edges: Vec::new() },
+            algo: AlgoSpec {
+                splitting: true,
+                migration: 0,
+                max_vertices: 64,
+            },
+            input: InputSpec::Inline { edges },
             trace: false,
         }))
-        .encode();
-        // Message tag, then five u32s, then the algo tag.
-        const ALGO_TAG_AT: usize = 1 + 5 * 4;
-        assert_eq!(frame[ALGO_TAG_AT], 0, "Hashing's tag");
-        // Tag 1 (Grid) is retired: it decodes as no algorithm at all.
-        for tag in [1u8, 7, 255] {
+        .encode()
+    }
+
+    #[test]
+    fn retired_algo_tag_is_a_typed_error() {
+        let frame = configure_frame(Vec::new());
+        assert_eq!(frame[ALGO_TAG_AT], TAG_CLUGP);
+        // Tags 0 and 2 to 5 named the one-pass baselines (Hashing, DBH,
+        // Greedy, HDRF, Mint) and 1 Grid: retired, each a typed error naming
+        // what the engine runs. Any other tag names no algorithm at all.
+        for tag in [0u8, 1, 2, 3, 4, 5, 7, 255] {
             let mut forged = frame.clone();
             forged[ALGO_TAG_AT] = tag;
             let err = Msg::decode(&forged).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
             assert!(err.to_string().contains("algo tag"), "tag {tag}: {err}");
+            let retired = err.to_string().contains("the engine runs CLUGP only");
+            assert_eq!(retired, tag <= 5, "tag {tag}: {err}");
         }
+    }
+
+    #[test]
+    fn the_retired_carry_slot_is_empty_on_the_wire_and_refused_full() {
+        // A token ends with the slot Mint's partial wave once rode in: an
+        // edge count, written 0, so frames and `CLUGPCK1` files keep their
+        // bytes. A frame that fills it is a typed error.
+        let token = Token {
+            loads: vec![2, 1],
+            next_raw: 3,
+            ..Default::default()
+        };
+        let mut w = Wr::new();
+        put_token(&mut w, &token);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[bytes.len() - 8..], [0; 8]);
+        assert_eq!(get_token(&mut Rd::new(&bytes)).unwrap(), token);
+        let mut carried = bytes[..bytes.len() - 8].to_vec();
+        carried.extend_from_slice(&1u64.to_le_bytes());
+        carried.extend_from_slice(&[7, 0, 0, 0, 9, 0, 0, 0]);
+        let err = get_token(&mut Rd::new(&carried)).unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        assert!(err.to_string().contains("token carries 1 edges"), "{err}");
     }
 
     #[test]
@@ -1133,39 +1046,23 @@ mod tests {
         }
     }
 
-    /// An HDRF turn's state at k = 4: replica masks in slot 0, degrees in 1.
-    fn turn_state() -> Msg {
-        let table = |table, rows: Vec<u64>| EpochTable {
-            table,
-            keys: vec![4, 9, 10, 4000],
-            rows,
-        };
-        Msg::TurnState {
-            tables: vec![
-                table(0, vec![0b1, 0b11, 0b1000, 0b10]),
-                table(1, vec![3, 1, u64::MAX, 17]),
-            ],
+    fn frontier() -> Msg {
+        Msg::Pass1Frontier {
+            keys: vec![0, 3, 4],
+            rows: vec![1, 2, 0, 0, 1, 1, 2, 4, 0],
+            vol: vec![6, 4],
         }
     }
 
     #[test]
     fn batched_relay_messages_round_trip() {
-        // The two frames the coordinator relays from one sequenced turn to
-        // the next, and each is told apart by its tag byte alone.
-        round_trip(turn_state());
-        round_trip(Msg::TurnState { tables: Vec::new() });
-        let frontier = Msg::Pass1Frontier {
-            keys: vec![0, 3, 4],
-            rows: vec![1, 2, 0, 0, 1, 1, 2, 4, 0],
-            vol: vec![6, 4],
-        };
-        round_trip(frontier.clone());
-        for (msg, stage) in [
-            (turn_state(), Stage::Baseline),
-            (frontier, Stage::ClugpPass1 { vmax: 9 }),
-        ] {
-            assert_eq!(msg.encode().first().copied(), Msg::hand_on_tag(stage));
-        }
+        // The frame the coordinator relays from one pass-1 turn to the next,
+        // told apart by its tag byte alone; no other stage hands one on.
+        round_trip(frontier());
+        assert_eq!(
+            frontier().encode().first().copied(),
+            Msg::hand_on_tag(Stage::ClugpPass1 { vmax: 9 })
+        );
         assert_eq!(
             Msg::hand_on_tag(Stage::ClugpPairs { num_clusters: 2 }),
             None
@@ -1175,7 +1072,7 @@ mod tests {
 
     #[test]
     fn encode_into_matches_encode_and_reuses_the_buffer() {
-        let msg = turn_state();
+        let msg = frontier();
         let mut buf = Msg::Heartbeat.encode();
         msg.encode_into(&mut buf);
         assert_eq!(buf, msg.encode());
@@ -1207,7 +1104,7 @@ mod tests {
             k: 4,
             chunk: 1024,
             heartbeat_ms: 0,
-            algo: AlgoSpec::Clugp {
+            algo: AlgoSpec {
                 splitting: true,
                 migration: 0,
                 max_vertices: 1 << 30,
@@ -1239,6 +1136,8 @@ mod tests {
         // request it was relayed as, and the empty rows of the two replies.
         // And 19 and 20, the epoch barrier relaxed baselines reconciled at: a
         // last epoch with one load and no table, and the sync that closed it.
+        // And 24, `TurnState`, the tables a sequenced baseline handed on: one
+        // empty table in slot 0, and none at all.
         for frame in [
             &upsert[..],
             &[6, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -1250,6 +1149,8 @@ mod tests {
             &[18, 0],
             &[19, 1, 1, 3, 0],
             &[20, 1, 1, 3, 0],
+            &[24, 1, 0, 0, 0],
+            &[24, 0],
         ] {
             let err = Msg::decode(frame).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
@@ -1263,6 +1164,10 @@ mod tests {
         assert_eq!(Msg::verb_name(19), "EpochDone");
         assert_eq!(Msg::verb_name(20), "EpochSync");
         assert_eq!(Msg::verb_name(21), "Pass1Frontier");
+        assert_eq!(Msg::verb_name(24), "TurnState");
+        // Stage tag 0, the baselines' one stage, is retired with them.
+        let err = Msg::decode(&[3, 0]).unwrap_err();
+        assert!(err.to_string().contains("stage tag"), "{err}");
     }
 
     #[test]

@@ -2,47 +2,41 @@
 //!
 //! A worker owns one contiguous range of the edge stream. After `Configure`
 //! it waits for stages, and on `RunStage` it streams its edge range through
-//! *the same per-edge kernels the monolithic partitioners use*, which is what
-//! keeps every distributed configuration bit-identical to the monolith.
+//! *the same per-edge steps the monolithic CLUGP uses* — pass 1's clustering,
+//! the pairs count and the transform's balancer — which is what keeps every
+//! sequenced configuration bit-identical to the monolith. The engine runs
+//! CLUGP only: a `Configure` naming a one-pass baseline does not decode, and
+//! the worker answers it with an `Err`.
 //!
 //! No stage pages a row. Every table a stage indexes is held whole, full-size
 //! and dense — same types, same indexing as the monolith — while the edges
 //! stream by (the semi-external pass), and each chunk is stepped as the
-//! source lends it. A sequenced stage that writes its tables is *lent* them:
-//! it starts from the state the coordinator forwarded ahead of `RunStage` (the
-//! previous turn's; none for worker 0, and none in relaxed mode), steps its
-//! range and ships the state on ahead of `StageDone` — CLUGP pass 1 as a
-//! [`Msg::Pass1Frontier`] (`Pass1::step` over the vertex rows and volumes),
-//! a one-pass baseline as a [`Msg::TurnState`] (its kernel's non-zero rows;
-//! the last turn of a stage sends none, nothing reads it). While a worker
+//! source lends it. Pass 1, the one stage that writes its tables, is *lent*
+//! them: it starts from the [`Msg::Pass1Frontier`] the coordinator forwarded
+//! ahead of `RunStage` (the previous turn's; none for worker 0, and none in
+//! relaxed mode), steps its range (`Pass1::step` over the vertex rows and
+//! volumes) and ships the whole state on ahead of `StageDone`. While a worker
 //! holds the token nobody else writes, so what it was lent is the whole truth
-//! for its turn. The CLUGP pairs and transform stages only read: the
-//! coordinator broadcasts the tables they index as [`Msg::TableCast`] mirrors
-//! ahead of `RunStage`. A mirror is built once, when its frame arrives, and
-//! kept until `ResetTables` (`Casts`): the vertex rows cast for the pairs
-//! stage serve the transform too.
+//! for its turn. The pairs and transform stages only read: the coordinator
+//! broadcasts the tables they index as [`Msg::TableCast`] mirrors ahead of
+//! `RunStage`. A mirror is built once, when its frame arrives, and kept until
+//! `ResetTables` (`Casts`): the vertex rows cast for the pairs stage serve the
+//! transform too.
 //!
-//! [`AmpcMode::Relaxed`] runs CLUGP only, and no turn hands anything on:
-//! pass 1 runs unseeded on every worker at once and the coordinator merges
-//! the frontiers, and the transform enforces a growing per-worker slice of
-//! the load cap where the sequenced token enforces the hard one. Those two are
-//! all that the mode changes about a CLUGP stage; a baseline stage in it is
-//! refused.
+//! In [`AmpcMode::Relaxed`] no turn hands anything on: pass 1 runs unseeded
+//! on every worker at once and the coordinator merges the frontiers, and the
+//! transform enforces a growing per-worker slice of the load cap where the
+//! sequenced token enforces the hard one. Those two are all that the mode
+//! changes about a stage.
 
-use super::proto::{
-    AlgoSpec, EpochTable, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup,
-};
+use super::proto::{InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup};
 use super::transport::Transport;
 use super::AmpcMode;
-use crate::baselines::kernel::{EdgeKernel, SharedTable};
-use crate::baselines::mint::{MintConfig, Waves};
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
 use crate::clugp::config::MigrationPolicy;
 use crate::clugp::stage::{Balancer, Pass1, VertexState, ROW_WIDTH};
 use crate::error::{PartitionError, Result};
-use crate::state::PartitionLoads;
-use crate::vertex_table::cap_error;
 use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
@@ -50,44 +44,11 @@ use clugp_obs::{self as obs, Event, EventBuf};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Table slot 0 for CLUGP, in a cast and in a checkpoint: the
-/// [`VertexState`] rows. (A baseline's slots are the indices of its
-/// [`EdgeKernel`] tables.)
+/// Table slot 0, in a cast and in a checkpoint: the [`VertexState`] rows.
 pub(crate) const T_MAIN: u8 = 0;
-/// Table slot 2 for CLUGP: dense cluster → partition. (Slot 1 held the raw
+/// Table slot 2: dense cluster → partition. (Slot 1 held the raw
 /// cluster volumes while pass 1 paged them; `CLUGPCK1` keeps it, empty.)
 pub(crate) const T_CPART: u8 = 2;
-
-/// The baseline registry: binds `$kernel` to the [`EdgeKernel`] the wire
-/// spec names — tables empty, as a worker's scratch starts — and
-/// evaluates `$body` once, monomorphised for that kernel. `None` for the
-/// algorithms that are not edge kernels (Mint, CLUGP). A new baseline is
-/// its kernel plus one arm here.
-macro_rules! with_edge_kernel {
-    ($spec:expr, $k:expr, |$kernel:ident| $body:expr) => {{
-        use $crate::baselines::{dbh, greedy, hashing, hdrf};
-        match *$spec {
-            AlgoSpec::Hashing { seed } => {
-                let $kernel = hashing::HashingKernel { seed, k: $k };
-                Some($body)
-            }
-            AlgoSpec::Dbh { seed, max_vertices } => {
-                let $kernel = dbh::DbhKernel::new(seed, $k, 0, max_vertices)?;
-                Some($body)
-            }
-            AlgoSpec::Greedy { max_vertices } => {
-                let $kernel = greedy::GreedyKernel::new($k, 0, max_vertices)?;
-                Some($body)
-            }
-            AlgoSpec::Hdrf(ref config) => {
-                let $kernel = hdrf::HdrfKernel::new(config, $k, 0)?;
-                Some($body)
-            }
-            AlgoSpec::Mint(_) | AlgoSpec::Clugp { .. } => None,
-        }
-    }};
-}
-pub(crate) use with_edge_kernel;
 
 pub(crate) fn unexpected(m: &Msg) -> PartitionError {
     PartitionError::InvalidParam(format!("unexpected protocol message: {}", m.kind()))
@@ -118,7 +79,6 @@ pub(crate) fn migration_tag(policy: MigrationPolicy) -> u8 {
 /// `pass:` prefix; the worker's view of the same work uses `stage:`).
 fn stage_name(stage: &Stage) -> &'static str {
     match stage {
-        Stage::Baseline => "stage:baseline",
         Stage::ClugpPass1 { .. } => "stage:pass1",
         Stage::ClugpPairs { .. } => "stage:pairs",
         Stage::ClugpTransform { .. } => "stage:transform",
@@ -135,10 +95,16 @@ fn recv(conn: &mut dyn Transport) -> Result<Msg> {
 /// demand. A fatal stage error is reported to the coordinator as
 /// [`Msg::Err`] before the function returns it.
 pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
-    let setup = match recv(conn.as_mut())? {
-        Msg::Configure(setup) => *setup,
-        Msg::Shutdown => return Ok(()),
-        other => return Err(unexpected(&other)),
+    let setup = match recv(conn.as_mut()) {
+        Ok(Msg::Configure(setup)) => *setup,
+        Ok(Msg::Shutdown) => return Ok(()),
+        Ok(other) => return Err(unexpected(&other)),
+        // A setup this build cannot run — one naming a retired algorithm —
+        // fails the run; the coordinator hears why (best effort).
+        Err(e) => {
+            let _ = conn.send(&Msg::Err { msg: e.to_string() }.encode());
+            return Err(e);
+        }
     };
     let hb_interval =
         (setup.heartbeat_ms > 0).then(|| Duration::from_millis(u64::from(setup.heartbeat_ms)));
@@ -159,7 +125,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         match recv(wk.conn.as_mut())? {
             // The previous sequenced turn's state, for the `RunStage` behind
             // it to hold to the run and start from.
-            seed @ (Msg::Pass1Frontier { .. } | Msg::TurnState { .. }) => wk.seed = Some(seed),
+            seed @ Msg::Pass1Frontier { .. } => wk.seed = Some(seed),
             Msg::TableCast { table, keys, rows } => {
                 // Read-only mirror for the stages that read it; no ack
                 // (ordered links deliver it before the RunStage behind it).
@@ -285,8 +251,8 @@ struct Wk {
     scratch: Vec<u8>,
     /// What the coordinator cast to this incarnation.
     casts: Casts,
-    /// The [`Msg::Pass1Frontier`] or [`Msg::TurnState`] the coordinator
-    /// forwarded: where this worker's sequenced turn starts from.
+    /// The [`Msg::Pass1Frontier`] the coordinator forwarded: where this
+    /// worker's sequenced pass-1 turn starts from.
     seed: Option<Msg>,
     /// Trace events recorded during the current stage, shipped to the
     /// coordinator as one [`Msg::TraceEvents`] frame right before
@@ -301,7 +267,7 @@ struct Wk {
 
 impl Wk {
     /// Encodes and sends `msg`, reusing the worker's scratch buffer so
-    /// repeated sends (heartbeats, turn states) do not allocate.
+    /// repeated sends (heartbeats, frontiers) do not allocate.
     fn send_msg(&mut self, msg: &Msg) -> Result<()> {
         let mut buf = std::mem::take(&mut self.scratch);
         msg.encode_into(&mut buf);
@@ -354,7 +320,7 @@ impl Wk {
 
     /// The next chunk of the stage's edge range as the source lends it, up to
     /// [`Wk::chunk_cap`] edges; `None` at the end of the range. The unit of
-    /// every driver: one heartbeat check, one `chunk` span.
+    /// every stage: one heartbeat check, one `chunk` span.
     fn lend_chunk<'s>(&mut self, source: &'s mut Source) -> Result<Option<&'s [Edge]>> {
         self.end_chunk_span();
         self.heartbeat()?;
@@ -406,11 +372,6 @@ impl Wk {
 
     fn run_stage(&mut self, stage: Stage, token: Token, mode: AmpcMode) -> Result<StageOut> {
         let relaxed = mode == AmpcMode::Relaxed;
-        if relaxed && stage == Stage::Baseline {
-            return Err(PartitionError::InvalidParam(
-                "relaxed mode runs CLUGP only, not a baseline stage".into(),
-            ));
-        }
         self.chunk_ts = 0;
         self.chunk_edges = 0;
         let t_stage = if self.setup.trace { obs::now_us() } else { 0 };
@@ -418,7 +379,6 @@ impl Wk {
         // The mirrors are lent to the stage, which sends through `self`.
         let casts = std::mem::take(&mut self.casts);
         let mut out = match stage {
-            Stage::Baseline => self.stage_baseline(token, &mut source),
             Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source),
             Stage::ClugpPairs { num_clusters } => {
                 self.stage_clugp_pairs(num_clusters, token, &mut source, &casts)
@@ -458,107 +418,12 @@ impl Wk {
         })
     }
 
-    fn stage_baseline(&mut self, token: Token, source: &mut Source) -> Result<StageOut> {
-        let algo = self.setup.algo.clone();
-        let (token, assignments) = if let AlgoSpec::Mint(cfg) = &algo {
-            let (token, wide) = self.run_mint(cfg, token, source)?;
-            (token, PartIds::from_ids(self.setup.k, &wide))
-        } else {
-            with_edge_kernel!(&algo, self.setup.k, |kernel| {
-                self.run_sequenced(kernel, token, source)?
-            })
-            .ok_or_else(|| {
-                PartitionError::InvalidParam("CLUGP algo cannot run the baseline stage".into())
-            })?
-        };
-        Ok((token, assignments, None))
-    }
-
-    /// The sequenced driver, shaped as CLUGP pass 1: the kernel starts from
-    /// the [`Msg::TurnState`] the coordinator forwarded (every turn but
-    /// worker 0's has one), held to the run first, steps each chunk the
-    /// source lends against its whole tables, and hands them on — every
-    /// non-zero row, keys ascending — ahead of `StageDone`. The stage's last
-    /// turn hands nothing on: a baseline has no barrier after its one stage.
-    /// The loads travel in the token.
-    fn run_sequenced<K: EdgeKernel>(
-        &mut self,
-        mut kernel: K,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, PartIds)> {
-        let (me, workers) = (self.setup.worker, self.setup.workers);
-        if K::TABLES > 0 {
-            match (self.seed.take(), me) {
-                (None, 0) => {}
-                (Some(Msg::TurnState { tables }), 1..) => {
-                    import_kernel_state(me as usize, &mut kernel, &tables, &token.loads)?;
-                }
-                (None, _) => {
-                    return Err(PartitionError::InvalidParam(format!(
-                        "worker {me}: turn started without the previous turn's state"
-                    )))
-                }
-                (Some(other), _) => return Err(unexpected(&other)),
-            }
-        }
-        let mut assignments = PartIds::for_k(self.setup.k);
-        let mut wide = Vec::new();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        while let Some(chunk) = self.lend_chunk(source)? {
-            wide.clear();
-            kernel.step_chunk(chunk, &mut loads, &mut wide)?;
-            assignments.extend_from_slice(&wide);
-        }
-        if K::TABLES > 0 && me + 1 < workers {
-            let tables = (0..K::TABLES)
-                .map(|slot| nonzero_rows(kernel.table(slot), slot))
-                .collect();
-            self.send_msg(&Msg::TurnState { tables })?;
-        }
-        token.loads = loads.into_vec();
-        token.table_len = token.table_len.max(table_len(&mut kernel));
-        Ok((token, assignments))
-    }
-
-    /// Mint: waves are global — `wave_width × batch_size` edges each — so
-    /// every worker solves the full waves its range completes and carries
-    /// the remainder to the next worker in the token. The last worker
-    /// drains the tail (partial wave / partial batch), exactly where the
-    /// monolith's end-of-stream wave lands.
-    fn run_mint(
-        &mut self,
-        cfg: &MintConfig,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let carry = std::mem::take(&mut token.carry);
-        let mut waves = Waves::new(cfg, self.setup.k, loads, carry)?;
-        while let Some(chunk) = self.lend_chunk(source)? {
-            waves.push(chunk);
-        }
-        if self.setup.worker + 1 == self.setup.workers {
-            waves.drain();
-        }
-        token.carry = waves.pending;
-        token.loads = waves.loads.into_vec();
-        Ok((token, waves.assignments))
-    }
-
     /// The CLUGP parameters of this worker's `Configure`: `(splitting,
     /// migration, max_vertices)`.
     fn clugp_spec(&self) -> Result<(bool, MigrationPolicy, u64)> {
-        match self.setup.algo {
-            AlgoSpec::Clugp {
-                splitting,
-                migration,
-                max_vertices,
-            } => Ok((splitting, migration_from_tag(migration)?, max_vertices)),
-            _ => Err(PartitionError::InvalidParam(
-                "a CLUGP stage requires the CLUGP algo".into(),
-            )),
-        }
+        let spec = &self.setup.algo;
+        let migration = migration_from_tag(spec.migration)?;
+        Ok((spec.splitting, migration, spec.max_vertices))
     }
 
     /// Builds the mirror a [`Msg::TableCast`] of `table` carries, replacing
@@ -790,113 +655,27 @@ pub(crate) fn import_turn_state(
     Ok(())
 }
 
-/// Builds onto `kernel`'s fresh tables the state a sequenced baseline turn
-/// hands on — the `tables` of a [`Msg::TurnState`] — holding it to the run
-/// before the kernel steps an edge with it: one table per kernel slot, in slot
-/// order; every row the table's width and every key below its cap
-/// ([`import_rows`]); and every table of partial degrees — DBH's and HDRF's,
-/// which each edge bumps at both ends — summing to twice the edges the token's
-/// `loads` count. An error names `worker`.
-pub(crate) fn import_kernel_state<K: EdgeKernel>(
-    worker: usize,
-    kernel: &mut K,
-    tables: &[EpochTable],
-    loads: &[u64],
-) -> Result<()> {
-    let named =
-        |what: String| PartitionError::InvalidParam(format!("worker {worker}: turn state {what}"));
-    let slots = tables.iter().map(|t| usize::from(t.table));
-    if !slots.eq(0..K::TABLES) {
-        return Err(named(format!(
-            "does not list the kernel's {} tables in slot order",
-            K::TABLES
-        )));
-    }
-    // Summed wide: a forged row cannot wrap its way to the expected total.
-    let sum = |words: &[u64]| words.iter().map(|&w| u128::from(w)).sum::<u128>();
-    let edges = sum(loads);
-    for t in tables {
-        let table = kernel.table(usize::from(t.table));
-        import_rows(table, &t.keys, &t.rows).map_err(|e| named(e.to_string()))?;
-        if table.counts_degrees() && sum(&t.rows) != 2 * edges {
-            return Err(named(format!(
-                "has degrees in table slot {} summing to {}, \
-                 not twice the {edges} edges the loads count",
-                t.table,
-                sum(&t.rows)
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Vertex-table watermark of a kernel: one past the highest id any of its
-/// tables covers (0 for a kernel without tables).
-fn table_len<K: EdgeKernel>(kernel: &mut K) -> u64 {
-    (0..K::TABLES)
-        .map(|slot| kernel.table(slot).len())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Overwrites `table`'s rows for `keys` with `rows` (flattened, key order):
-/// the one way rows off the wire — a turn state — reach a kernel's tables. A key at or past the table's cap is refused before it is
-/// narrowed to a vertex id.
-fn import_rows(table: &mut dyn SharedTable, keys: &[u64], rows: &[u64]) -> Result<()> {
-    let width = table.width();
-    if rows.len() != keys.len() * width {
-        return Err(PartitionError::InvalidParam(format!(
-            "rows of {} words do not match {} keys of width {width}",
-            rows.len(),
-            keys.len()
-        )));
-    }
-    for (&key, row) in keys.iter().zip(rows.chunks_exact(width)) {
-        if key >= table.limit() {
-            return Err(cap_error("vertex id", key, table.limit()));
-        }
-        table.ensure(key as u32)?;
-        table.import(key as u32, row);
-    }
-    Ok(())
-}
-
-/// Every non-zero row of `table`, keys ascending, as slot `slot` of a
-/// [`Msg::TurnState`]: a vertex the turns have not touched reads as zeros.
-fn nonzero_rows(table: &dyn SharedTable, slot: usize) -> EpochTable {
-    let width = table.width();
-    let (mut keys, mut rows) = (Vec::new(), Vec::new());
-    let mut row = vec![0u64; width];
-    for key in 0..table.len() {
-        table.export(key as u32, &mut row);
-        if row.iter().any(|&word| word != 0) {
-            keys.push(key);
-            rows.extend_from_slice(&row);
-        }
-    }
-    EpochTable {
-        table: slot as u8,
-        keys,
-        rows,
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::ampc::proto::tests::{configure_frame, ALGO_TAG_AT};
+    use crate::ampc::proto::AlgoSpec;
     use crate::ampc::transport::channel_pair;
-    use crate::baselines::hdrf::HdrfKernel;
-    use crate::baselines::HdrfConfig;
 
-    /// Worker 1 of 2 over `edges`, k = 4, 64-edge chunks.
-    fn setup(algo: AlgoSpec, edges: Vec<Edge>) -> WorkerSetup {
+    /// Worker 1 of 2 over `edges`, k = 4, 64-edge chunks, CLUGP at a
+    /// 64-vertex cap.
+    fn setup(edges: Vec<Edge>) -> WorkerSetup {
         WorkerSetup {
             worker: 1,
             workers: 2,
             k: 4,
             chunk: 64,
             heartbeat_ms: 0,
-            algo,
+            algo: AlgoSpec {
+                splitting: true,
+                migration: 0,
+                max_vertices: 64,
+            },
             input: InputSpec::Inline { edges },
             trace: false,
         }
@@ -946,42 +725,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_worker_handed_a_nan_hdrf_spec_reports_a_typed_error() {
-        // `Configure` carries lambda and epsilon as two raw f64s, so a
-        // corrupt frame reaches the worker unvalidated; the kernel's
-        // constructor is where it stops.
-        for (lambda, epsilon) in [(f64::NAN, 1.0), (-2.0, 1.0), (1.0, 0.0)] {
-            let algo = AlgoSpec::Hdrf(HdrfConfig {
-                lambda,
-                epsilon,
-                ..Default::default()
-            });
-            let edges = vec![Edge::new(0, 1), Edge::new(1, 2)];
-            let token = Token {
-                loads: vec![0; 4],
-                ..Default::default()
-            };
-            let run = run_stage(Stage::Baseline, token);
-            let msg = reported_error(setup(algo, edges), vec![run]);
-            assert!(msg.contains("HDRF"), "{msg}");
-        }
-    }
-
-    #[test]
     fn a_relaxed_baseline_stage_is_a_typed_error() {
-        // Relaxed mode runs CLUGP only: a baseline stage in it is refused
-        // with an `Err` reply before an edge is streamed.
-        let run = Msg::RunStage {
-            stage: Stage::Baseline,
-            token: Token {
-                loads: vec![0; 4],
-                ..Default::default()
-            },
-            mode: AmpcMode::Relaxed,
-        };
-        let greedy = AlgoSpec::Greedy { max_vertices: 64 };
-        let msg = reported_error(setup(greedy, vec![Edge::new(0, 1)]), vec![run]);
-        assert!(msg.contains("relaxed mode runs CLUGP only"), "{msg}");
+        // The engine runs CLUGP only, in either mode: a `Configure` naming a
+        // one-pass baseline (algo tags 0 and 2 to 5, retired) gets an `Err`
+        // reply and a typed error out of `run_worker`, never a panic, and no
+        // stage runs.
+        let frame = configure_frame(vec![Edge::new(0, 1)]);
+        for tag in [0u8, 2, 3, 4, 5] {
+            let mut forged = frame.clone();
+            forged[ALGO_TAG_AT] = tag;
+            let (mut coord, worker) = channel_pair(8);
+            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+            coord.send(&forged).unwrap();
+            let reply = recv(&mut coord).unwrap();
+            let err = handle.join().expect("worker thread").unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+            let needle = format!("retired algo tag {tag}: the engine runs CLUGP only");
+            match reply {
+                Msg::Err { msg } => assert!(msg.contains(&needle), "{msg}"),
+                other => panic!("tag {tag}: expected Err, got {}", other.kind()),
+            }
+        }
     }
 
     /// Vertices 0, 1, 2 at degree 2, one raw cluster each: the pass-1 state
@@ -994,72 +758,11 @@ pub(crate) mod tests {
         )
     }
 
-    /// An HDRF turn's state after the triangle 0-1-2, k = 4, all on
-    /// partition 0: replica masks in slot 0, degrees in slot 1, as the
-    /// `tables` of a [`Msg::TurnState`] and the token's loads.
-    fn triangle_turn_state() -> (Vec<EpochTable>, Vec<u64>) {
-        let table = |table, rows| EpochTable {
-            table,
-            keys: vec![0, 1, 2],
-            rows,
-        };
-        let tables = vec![table(0, vec![1, 1, 1]), table(1, vec![2, 2, 2])];
-        (tables, vec![3, 0, 0, 0])
-    }
-
-    fn hdrf_kernel() -> HdrfKernel {
-        let config = HdrfConfig {
-            max_vertices: 64,
-            ..Default::default()
-        };
-        HdrfKernel::new(&config, 4, 0).unwrap()
-    }
-
     #[test]
     fn a_forged_state_frame_is_a_typed_error_not_a_worker_panic() {
-        // A baseline turn after the first starts from the state the previous
-        // one handed on, held to the run where it is imported: a key that
-        // would narrow onto vertex 5, no state at all, and the wrong verb.
-        let hdrf = AlgoSpec::Hdrf(HdrfConfig {
-            max_vertices: 64,
-            ..Default::default()
-        });
-        let (mut tables, loads) = triangle_turn_state();
-        tables[0].keys[2] = (1 << 32) + 5;
-        let (keys, rows, vol) = triangle_frontier();
-        for (seed, needle) in [
-            (
-                Some(Msg::TurnState { tables }),
-                "vertex id 4294967301 exceeds the max_vertices cap 64",
-            ),
-            (
-                None,
-                "worker 1: turn started without the previous turn's state",
-            ),
-            (
-                Some(Msg::Pass1Frontier { keys, rows, vol }),
-                "unexpected protocol message: Pass1Frontier",
-            ),
-        ] {
-            let token = Token {
-                loads: loads.clone(),
-                ..Default::default()
-            };
-            let frames = seed.into_iter().chain([run_stage(Stage::Baseline, token)]);
-            let setup = setup(hdrf.clone(), vec![Edge::new(2, 3)]);
-            let msg = reported_error(setup, frames.collect());
-            assert!(msg.contains(needle), "{needle}: {msg}");
-            let named = msg.contains("worker 1: turn");
-            assert!(named || needle.starts_with("unexpected"), "{msg}");
-        }
         // The pass-1 state the coordinator forwards unread is held to the run
         // where it is imported: a seed one volume short of the token's three
         // raw clusters, and no seed at all.
-        let clugp = AlgoSpec::Clugp {
-            splitting: true,
-            migration: 0,
-            max_vertices: 64,
-        };
         let (keys, rows, mut vol) = triangle_frontier();
         vol.pop();
         for (seed, needle) in [
@@ -1075,8 +778,7 @@ pub(crate) mod tests {
             };
             let run = run_stage(Stage::ClugpPass1 { vmax: 100 }, token);
             let frames = seed.into_iter().chain([run]).collect();
-            let setup = setup(clugp.clone(), vec![Edge::new(2, 3)]);
-            let msg = reported_error(setup, frames);
+            let msg = reported_error(setup(vec![Edge::new(2, 3)]), frames);
             assert!(msg.contains("worker 1: pass-1 state"), "{msg}");
             assert!(msg.contains(needle), "{needle}: {msg}");
         }
@@ -1155,62 +857,5 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn baseline_turn_state_is_held_to_the_run_before_it_is_indexed_with() {
-        type Forge = fn(&mut Vec<EpochTable>, &mut Vec<u64>);
-        let cases: [(Forge, &str); 7] = [
-            (|_, _| {}, ""),
-            (
-                |tables, _| tables[0].rows.truncate(2),
-                "rows of 2 words do not match 3 keys of width 1",
-            ),
-            (
-                |tables, _| tables[1].keys[2] = 1 << 32,
-                "vertex id 4294967296 exceeds the max_vertices cap 64",
-            ),
-            (
-                |tables, _| tables[0].keys[2] = 64,
-                "vertex id 64 exceeds the max_vertices cap 64",
-            ),
-            (
-                |tables, _| tables[1].rows[2] = 3,
-                "degrees in table slot 1 summing to 7, not twice the 3 edges",
-            ),
-            (
-                |_, loads| loads[3] = u64::MAX,
-                "summing to 6, not twice the 18446744073709551618 edges",
-            ),
-            (
-                |tables, _| tables.swap(0, 1),
-                "does not list the kernel's 2 tables in slot order",
-            ),
-        ];
-        for (forge, needle) in cases {
-            let (mut tables, mut loads) = triangle_turn_state();
-            forge(&mut tables, &mut loads);
-            let mut kernel = hdrf_kernel();
-            match import_kernel_state(7, &mut kernel, &tables, &loads) {
-                Ok(()) => assert!(needle.is_empty(), "{needle}: accepted"),
-                Err(e) => {
-                    assert!(matches!(e, PartitionError::InvalidParam(_)), "{e}");
-                    let msg = e.to_string();
-                    assert!(msg.contains("worker 7: turn state"), "{msg}");
-                    assert!(
-                        !needle.is_empty() && msg.contains(needle),
-                        "{needle}: {msg}"
-                    );
-                }
-            }
-        }
-        // What an honest turn state imports is what the next turn reads back.
-        let (tables, loads) = triangle_turn_state();
-        let mut kernel = hdrf_kernel();
-        import_kernel_state(7, &mut kernel, &tables, &loads).unwrap();
-        let handed_on: Vec<EpochTable> = (0..HdrfKernel::TABLES)
-            .map(|slot| nonzero_rows(kernel.table(slot), slot))
-            .collect();
-        assert_eq!(handed_on, tables);
     }
 }

@@ -3,49 +3,23 @@
 //! Hashing, DBH, Greedy and HDRF all have the same shape: per edge,
 //! read a little per-vertex state plus the load vector, pick a partition,
 //! update. An [`EdgeKernel`] states exactly that — which vertex tables it
-//! shares ([`SharedTable`]: row width, cap, row import/export), whether it
-//! reads the loads, and its per-edge `step` — and two generic drivers,
-//! monomorphised over the kernel, run it:
-//!
-//! * [`run_local`] (here): tables in-process — the monolithic
-//!   `Partitioner::partition` of every baseline;
-//! * the *sequenced* AMPC driver (`ampc::worker`): tables lent by the turn
-//!   before — import every row it handed on, step, and hand every non-zero
-//!   row on to the next turn.
-//!
-//! Because both call the same `step`, every configuration the sequenced
-//! driver runs is bit-identical to the monolith.
+//! keeps ([`SharedTable`]: what the run reports of each), whether it reads
+//! the loads, and its per-edge `step` — and one generic driver,
+//! monomorphised over the kernel, runs it: [`run_local`], the monolithic
+//! `Partitioner::partition` of every baseline.
 
 use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{finish_run, start_run};
 use crate::state::{PartitionLoads, ReplicaTable};
-use crate::vertex_table::{check_cap, VertexTable};
+use crate::vertex_table::VertexTable;
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
-use clugp_graph::types::{Edge, VertexId};
+use clugp_graph::types::Edge;
 
-/// A per-vertex table a kernel shares across workers: rows of `width`
-/// words keyed by vertex id.
+/// A per-vertex table a kernel keeps, as [`run_local`] reads it at the end
+/// of a run.
 pub(crate) trait SharedTable {
-    /// Words per row.
-    fn width(&self) -> usize;
-    /// Whether the rows are partial degrees, which each edge bumps at both
-    /// ends: a turn state's rows of such a table sum to twice its edges.
-    fn counts_degrees(&self) -> bool {
-        false
-    }
-    /// The sizing check the table's constructor applies to a vertex-count
-    /// hint, for callers that size nothing (the AMPC coordinator).
-    fn check_hint(&self, n: u64) -> Result<()>;
-    /// The `max_vertices` cap: `ensure` fails for ids at or past it.
-    fn limit(&self) -> u64;
-    /// Grows the table to cover `v`.
-    fn ensure(&mut self, v: VertexId) -> Result<()>;
-    /// Overwrites `v`'s row (`v` must be ensured).
-    fn import(&mut self, v: VertexId, row: &[u64]);
-    /// Copies `v`'s row into `out` (`v` must be ensured).
-    fn export(&self, v: VertexId, out: &mut [u64]);
     /// One past the highest ensured vertex id.
     fn len(&self) -> u64;
     /// Adds the table's heap footprint to `memory` under its name.
@@ -54,27 +28,6 @@ pub(crate) trait SharedTable {
 
 /// Partial degrees.
 impl SharedTable for VertexTable<u32> {
-    fn width(&self) -> usize {
-        1
-    }
-    fn counts_degrees(&self) -> bool {
-        true
-    }
-    fn check_hint(&self, n: u64) -> Result<()> {
-        check_cap("num_vertices hint", n, self.limit())
-    }
-    fn limit(&self) -> u64 {
-        VertexTable::limit(self)
-    }
-    fn ensure(&mut self, v: VertexId) -> Result<()> {
-        VertexTable::ensure(self, v)
-    }
-    fn import(&mut self, v: VertexId, row: &[u64]) {
-        self[v] = row[0] as u32;
-    }
-    fn export(&self, v: VertexId, out: &mut [u64]) {
-        out[0] = u64::from(self[v]);
-    }
     fn len(&self) -> u64 {
         VertexTable::len(self)
     }
@@ -85,24 +38,6 @@ impl SharedTable for VertexTable<u32> {
 
 /// Replica masks.
 impl SharedTable for ReplicaTable {
-    fn width(&self) -> usize {
-        self.words_per_row()
-    }
-    fn check_hint(&self, n: u64) -> Result<()> {
-        check_cap("num_vertices", n, self.limit())
-    }
-    fn limit(&self) -> u64 {
-        ReplicaTable::limit(self)
-    }
-    fn ensure(&mut self, v: VertexId) -> Result<()> {
-        self.ensure_vertices(u64::from(v) + 1)
-    }
-    fn import(&mut self, v: VertexId, row: &[u64]) {
-        self.import_row(v, row);
-    }
-    fn export(&self, v: VertexId, out: &mut [u64]) {
-        self.export_row(v, out);
-    }
     fn len(&self) -> u64 {
         self.num_vertices()
     }
@@ -113,7 +48,7 @@ impl SharedTable for ReplicaTable {
 
 /// A one-pass streaming baseline, reduced to what differs between them.
 pub(crate) trait EdgeKernel {
-    /// Number of shared vertex tables; their AMPC slots are `0..TABLES`.
+    /// Number of vertex tables, in slots `0..TABLES`.
     const TABLES: usize = 0;
     /// Whether `step` reads `loads` (the memory report then counts them).
     const READS_LOADS: bool;

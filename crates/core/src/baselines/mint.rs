@@ -84,7 +84,7 @@ impl Partitioner for Mint {
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
         let start = std::time::Instant::now();
         let (n, m) = start_run(stream, k)?;
-        let mut waves = Waves::new(&self.config, k, PartitionLoads::new(k), Vec::new())?;
+        let mut waves = Waves::new(&self.config, k)?;
         waves.assignments.reserve(m as usize);
         for_each_chunk(stream, chunk_edges(), |chunk| waves.push(chunk));
         waves.drain();
@@ -114,33 +114,25 @@ impl Partitioner for Mint {
 /// games and commits them. Batch and wave boundaries depend only on the
 /// running edge count, never on how the stream was chunked into
 /// [`Waves::push`] calls, so the equilibria (and assignments) are
-/// bit-identical for any chunking of the same stream; the monolith and the
-/// distributed worker (which carries `pending` to the next worker in its
-/// token) both drive this.
-pub(crate) struct Waves<'a> {
+/// bit-identical for any chunking of the same stream.
+struct Waves<'a> {
     cfg: &'a MintConfig,
     k: u32,
     wave_edges: usize,
     /// Streamed edges no wave has solved yet: fewer than a wave's worth
     /// between calls.
-    pub(crate) pending: Vec<Edge>,
+    pending: Vec<Edge>,
     /// Committed loads.
-    pub(crate) loads: PartitionLoads,
+    loads: PartitionLoads,
     /// Committed assignments, in stream order.
-    pub(crate) assignments: Vec<u32>,
+    assignments: Vec<u32>,
     /// The largest solver state any wave held at once, in bytes.
-    pub(crate) peak_state: usize,
+    peak_state: usize,
 }
 
 impl<'a> Waves<'a> {
-    /// A wave loop continuing from `loads` with `pending` edges already
-    /// streamed (fewer than a wave's worth).
-    pub(crate) fn new(
-        cfg: &'a MintConfig,
-        k: u32,
-        loads: PartitionLoads,
-        pending: Vec<Edge>,
-    ) -> Result<Waves<'a>> {
+    /// A wave loop at the start of a `k`-way stream.
+    fn new(cfg: &'a MintConfig, k: u32) -> Result<Waves<'a>> {
         if cfg.batch_size == 0 {
             return Err(crate::error::PartitionError::InvalidParam(
                 "batch_size must be positive".into(),
@@ -155,15 +147,15 @@ impl<'a> Waves<'a> {
             cfg,
             k,
             wave_edges: wave_width.saturating_mul(cfg.batch_size),
-            pending,
-            loads,
+            pending: Vec::new(),
+            loads: PartitionLoads::new(k),
             assignments: Vec::new(),
             peak_state: 0,
         })
     }
 
     /// Streams `edges` in, solving every wave they complete.
-    pub(crate) fn push(&mut self, mut edges: &[Edge]) {
+    fn push(&mut self, mut edges: &[Edge]) {
         loop {
             let room = self.wave_edges.saturating_sub(self.pending.len());
             if edges.len() < room {
@@ -179,7 +171,7 @@ impl<'a> Waves<'a> {
 
     /// Solves whatever is pending as one (possibly partial) wave: the end of
     /// the stream.
-    pub(crate) fn drain(&mut self) {
+    fn drain(&mut self) {
         if self.pending.is_empty() {
             return;
         }

@@ -26,9 +26,11 @@
 //!                   external ids (a placement directory holds the internal
 //!                   ones). Streams in file order.
 //! --output <file>   write per-edge assignment as "src dst partition" TSV
-//! --workers <N>     shard the run across N workers through the
+//! --workers <N>     CLUGP only: shard the run across N workers through the
 //!                   coordinator/worker engine (default 1; results are
-//!                   bit-identical at any worker count)
+//!                   bit-identical at any worker count). Any other --algo
+//!                   with --workers > 1 or --transport unix exits 2: the
+//!                   baselines run as their monoliths
 //! --transport <t>   channel (default: in-process worker threads) | unix
 //!                   (spawn N worker *processes* talking length-prefixed
 //!                   frames over Unix sockets)
@@ -36,8 +38,8 @@
 //!                   temp directory); stale *.sock files there are removed
 //!                   at startup
 //! --ampc-mode <m>   sequenced (default: the streaming token makes results
-//!                   bit-identical to the monolith) | relaxed (CLUGP only:
-//!                   pass 1 clusters every worker's range at once and the
+//!                   bit-identical to the monolith) | relaxed (pass 1
+//!                   clusters every worker's range at once and the
 //!                   transform caps each worker at a slice of the load cap;
 //!                   deterministic for a fixed worker count, but quality
 //!                   drifts from the monolith)
@@ -314,6 +316,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.algo
             ));
         }
+    }
+    if distributed(&opts) && !matches!(algo, DistAlgo::Clugp(_)) {
+        return Err(format!(
+            "the coordinator/worker engine runs CLUGP only, not {} \
+             (--workers > 1 or --transport unix); without them it runs as its monolith",
+            opts.algo
+        ));
     }
     let obs_flags = opts.trace_out.is_some()
         || opts.trace_summary
@@ -661,7 +670,6 @@ fn net_stats_table(net: &clugp::ampc::NetStats) -> String {
 fn metrics_json(out: &clugp::ampc::DistOutcome, wall: Duration) -> String {
     let rec = &out.trace;
     let passes = obs::json::Obj::new()
-        .u64("baselineUs", rec.span_total_us("pass:baseline"))
         .u64("pass1Us", rec.span_total_us("pass:pass1"))
         .u64("pairsUs", rec.span_total_us("pass:pairs"))
         .u64("transformUs", rec.span_total_us("pass:transform"))
@@ -1035,7 +1043,8 @@ fn main() -> ExitCode {
              [--order bfs|dfs|random|asis (default: the algorithm's own)] \
              [--tau F] [--threads N] [--chunk-size N] \
              [--sparse] \
-             [--output file] [--workers N] [--transport channel|unix] [--socket-dir dir] \
+             [--output file] [--workers N (CLUGP only)] [--transport channel|unix] \
+             [--socket-dir dir] \
              [--ampc-mode sequenced|relaxed] \
              [--worker-timeout S] [--max-retries N] [--checkpoint-dir dir] [--resume] \
              [--trace-out file] [--trace-summary] [--metrics-out file] [--net-stats] \
@@ -1372,6 +1381,30 @@ mod tests {
             parse_args(&strs(&["g.txt", "--k", "4", "--sparse", "--workers", "2"])).unwrap_err();
         assert!(err.contains("--sparse"), "{err}");
 
+        // The engine runs CLUGP only: a baseline asking for it is a usage
+        // error (exit 2) before anything is spawned, and a baseline at one
+        // in-process worker still runs its monolith.
+        for extra in [["--workers", "2"], ["--transport", "unix"]] {
+            for algo in ["hdrf", "dbh", "greedy", "hashing", "mint"] {
+                let args = [&["g.txt", "--k", "4", "--algo", algo][..], &extra].concat();
+                let err = parse_args(&strs(&args)).unwrap_err();
+                assert!(
+                    err.contains(&format!("engine runs CLUGP only, not {algo}")),
+                    "{extra:?} {algo}: {err}"
+                );
+            }
+        }
+        let o = parse_args(&strs(&[
+            "g.txt",
+            "--k",
+            "4",
+            "--algo",
+            "hdrf",
+            "--workers",
+            "1",
+        ]));
+        assert!(!distributed(&o.unwrap()));
+
         // --worker-timeout is converted at the flag: 0 disables the
         // deadline, and a value no `Duration` holds is a usage error.
         let timeout = |secs: &str| {
@@ -1418,7 +1451,8 @@ mod tests {
             assert!(err.contains("relaxed mode runs CLUGP only"), "{err}");
             assert!(err.contains(algo), "{err}");
         }
-        assert!(args(&["sequenced", "--algo", "hdrf"]).is_ok());
+        let err = args(&["sequenced", "--algo", "hdrf"]).unwrap_err();
+        assert!(err.contains("engine runs CLUGP only, not hdrf"), "{err}");
         // The mode requires a distributed run.
         let err = parse_args(&strs(&["g.txt", "--k", "4", "--ampc-mode", "relaxed"])).unwrap_err();
         assert!(err.contains("distributed"), "{err}");
@@ -1486,7 +1520,7 @@ mod tests {
         let base = Options {
             input: input.to_string_lossy().into_owned(),
             k: 2,
-            algo: "hdrf".into(),
+            algo: "clugp".into(),
             order: "asis".into(),
             threads: 1,
             workers: 3,
@@ -1512,11 +1546,8 @@ mod tests {
         obs::json::validate(&json).unwrap_or_else(|e| panic!("trace not valid JSON: {e}"));
         // Coordinator pass span, worker stage spans, and per-chunk spans
         // all made it into the merged record.
-        assert!(
-            json.contains("\"pass:baseline\""),
-            "coordinator span missing"
-        );
-        assert!(json.contains("\"stage:baseline\""), "worker span missing");
+        assert!(json.contains("\"pass:pass1\""), "coordinator span missing");
+        assert!(json.contains("\"stage:pass1\""), "worker span missing");
         assert!(json.contains("\"chunk\""), "chunk span missing");
         assert!(
             json.contains("\"clugpMetrics\""),
@@ -1553,7 +1584,7 @@ mod tests {
         let base = Options {
             input: input.to_string_lossy().into_owned(),
             k: 2,
-            algo: "hdrf".into(),
+            algo: "clugp".into(),
             order: "asis".into(),
             threads: 1,
             output: Some(mono_out.to_string_lossy().into_owned()),
@@ -1575,13 +1606,13 @@ mod tests {
         let (p, replicas) = clugp::partition_io::read_placement_dir(&placement).unwrap();
         assert_eq!(p.k, 2);
         assert_eq!(p.assignments.len(), 7);
-        // Every edge endpoint must be replicated on its edge's partition.
-        let text = std::fs::read_to_string(&input).unwrap();
-        for (line, &part) in text.lines().zip(&p.assignments) {
-            let mut it = line.split_whitespace();
-            let s: u32 = it.next().unwrap().parse().unwrap();
-            let d: u32 = it.next().unwrap().parse().unwrap();
-            for v in [s, d] {
+        // Every edge endpoint must be replicated on its edge's partition, in
+        // the stream order the TSV lists (`asis` of text is CSR order).
+        let tsv = std::fs::read_to_string(&dist_out).unwrap();
+        for (line, &part) in tsv.lines().zip(&p.assignments) {
+            let ids: Vec<u32> = line.split('\t').map(|f| f.parse().unwrap()).collect();
+            assert_eq!(ids[2], part, "{line}");
+            for v in [ids[0], ids[1]] {
                 assert!(
                     replicas.partitions_of(v).any(|q| q == part),
                     "vertex {v} missing replica on partition {part}"

@@ -17,7 +17,7 @@
 //! * [`metrics`] — replication factor and relative load balance (paper
 //!   §II-B), computed from the edge assignment through the one replica
 //!   recorder, [`state::ReplicaTable::record`].
-//! * [`ampc`] — the coordinator/worker engine that runs the same kernels
+//! * [`ampc`] — the coordinator/worker engine that runs CLUGP's passes
 //!   over several workers, bit-identical to the monolith when sequenced.
 //!
 //! # Quickstart

@@ -79,11 +79,6 @@ impl ReplicaTable {
         (self.bits.len() / self.words_per_row) as u64
     }
 
-    /// The configured growth limit.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
     /// Grows the table to cover at least `num_vertices` vertices.
     ///
     /// # Errors

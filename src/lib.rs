@@ -257,10 +257,10 @@ pub enum Mode {
     /// The monolith over the input, its source capped at `chunk_limit`
     /// edges a pull (`usize::MAX` lends whole chunks).
     Monolith { chunk_limit: usize },
-    /// The sequenced coordinator/worker engine at `chunk_edges` edges a
-    /// chunk (0 = the stream default). A pack read serially is handed to
-    /// the workers as block ranges; any other input is read by the
-    /// coordinator and shipped inline.
+    /// The sequenced coordinator/worker engine, which runs CLUGP only, at
+    /// `chunk_edges` edges a chunk (0 = the stream default). A pack read
+    /// serially is handed to the workers as block ranges; any other input is
+    /// read by the coordinator and shipped inline.
     Sequenced {
         workers: u32,
         transport: TransportKind,
@@ -348,9 +348,10 @@ impl Case {
 
     /// Draws a case from `seed`: any graph family (the empty graph too),
     /// roster entry, k, order, thread count, input format and block size,
-    /// either pack reader, the monolith under any source cap or 1 to 4
-    /// sequenced workers over either transport at any chunk size, and for
-    /// a quarter of the sequenced cases a seeded fault plan.
+    /// either pack reader, the monolith under any source cap or — for the
+    /// CLUGP rows, the ones the engine runs — 1 to 4 sequenced workers over
+    /// either transport at any chunk size, and for half of the sequenced
+    /// cases a seeded fault plan.
     pub fn draw(seed: u64) -> Case {
         let mut state = seed;
         let mut pick = |n: usize| {
@@ -379,7 +380,7 @@ impl Case {
             },
         };
         let (mode, faults) = match pick(3) {
-            0 => {
+            n if n == 0 || !matches!(algo, DistAlgo::Clugp(_)) => {
                 let chunk_limit = [1, 7, 173, 4096, usize::MAX][pick(5)];
                 (Mode::Monolith { chunk_limit }, None)
             }
@@ -387,14 +388,8 @@ impl Case {
                 let workers = 1 + pick(4) as u32;
                 let transport = [TransportKind::Channel, TransportKind::Unix][pick(2)];
                 let chunk_edges = [0, 1, 37, 4096][pick(4)];
-                // The frames a link carries behind the handshake: seven for
-                // CLUGP, three for a one-pass algorithm.
-                let frames = if matches!(algo, DistAlgo::Clugp(_)) {
-                    7
-                } else {
-                    3
-                };
-                let faults = (pick(4) == 0).then(|| FaultPlan::seeded(seed, workers, frames));
+                // The seven frames a link carries behind the handshake.
+                let faults = (pick(2) == 0).then(|| FaultPlan::seeded(seed, workers, 7));
                 let mode = Mode::Sequenced {
                     workers,
                     transport,

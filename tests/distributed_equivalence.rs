@@ -1,7 +1,7 @@
 //! Distributed-vs-monolith equivalence: the coordinator/worker engine must
-//! produce byte-identical partitions to the monolithic partitioners — for
-//! CLUGP (and ablations) plus all five vertex-cut baselines, at every worker
-//! count, over either transport, at any streaming chunk size. This is the
+//! produce byte-identical partitions to the monolithic CLUGP — and its
+//! ablations — at every worker count, over either transport, at any
+//! streaming chunk size, and refuse every other algorithm. This is the
 //! correctness anchor of the AMPC engine: sharding the state tables and
 //! sequencing the stream across workers is a pure refactoring of the
 //! placement pipeline, never a semantic change.
@@ -22,7 +22,7 @@ use clugp_repro::{
 
 #[test]
 fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
-    for (name, algo) in roster() {
+    for (name, algo) in clugp_roster() {
         let case = Case::new(algo.clone(), 1_500, 41);
         for workers in [1u32, 2, 4] {
             for transport in [TransportKind::Channel, TransportKind::Unix] {
@@ -41,12 +41,8 @@ fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
                 }
             }
         }
-        // Relaxed mode (CLUGP only) at one worker has no frontier to merge
-        // and the whole load cap as its slice, so it too must equal the
-        // monolith.
-        if !matches!(algo, DistAlgo::Clugp(_)) {
-            continue;
-        }
+        // Relaxed mode at one worker has no frontier to merge and the whole
+        // load cap as its slice, so it too must equal the monolith.
         let (n, edges) = case.edges();
         let input = DistInput::Edges {
             num_vertices: n,
@@ -82,11 +78,11 @@ fn multi_worker_runs_actually_exchange_state() {
 #[test]
 fn sequenced_exchange_stays_under_a_third_of_the_old_relay() {
     // The one-op-per-frame relay the lent tables replaced moved, at 4
-    // workers and k = 32, 160.6 (HDRF) and 127.7 (CLUGP) bytes per edge on a
-    // web crawl and 193.3 and 180.6 on a BA graph, counting every byte sent
-    // and received over every coordinator link. The exchange must stay under
-    // a third of that. Density is per edge, so a small graph is comparable.
-    // Counts only — nothing here is timed.
+    // workers and k = 32, 127.7 bytes per edge for CLUGP on a web crawl and
+    // 180.6 on a BA graph, counting every byte sent and received over every
+    // coordinator link. The exchange must stay under a third of that.
+    // Density is per edge, so a small graph is comparable. Counts only —
+    // nothing here is timed.
     use clugp_graph::gen::{generate_ba, BaConfig};
     let (web_n, web) = test_web_graph(1_500, 47);
     let ba = generate_ba(&BaConfig {
@@ -96,36 +92,28 @@ fn sequenced_exchange_stays_under_a_third_of_the_old_relay() {
     });
     let social = ordered_edges(&ba, StreamOrder::Bfs);
     let cells = [
-        ("web", web_n, &web, [("hdrf", 53.5), ("clugp", 42.6)]),
-        (
-            "social",
-            ba.num_vertices(),
-            &social,
-            [("hdrf", 64.4), ("clugp", 60.2)],
-        ),
+        ("web", web_n, &web, 42.6),
+        ("social", ba.num_vertices(), &social, 60.2),
     ];
-    for (graph, n, edges, caps) in cells {
-        for (name, cap) in caps {
-            let algo = DistAlgo::by_name(name).expect("registered algorithm");
-            let input = DistInput::Edges {
-                num_vertices: n,
-                edges,
-            };
-            let cfg = DistConfig {
-                workers: 4,
-                ..Default::default()
-            };
-            let out = run_distributed(&algo, input, 32, &cfg)
-                .unwrap_or_else(|e| panic!("{graph}/{name}: {e}"));
-            let bytes = out.net.bytes_sent + out.net.bytes_received;
-            let density = bytes as f64 / edges.len() as f64;
-            eprintln!("{graph}/{name}: {density:.1} bytes/edge (cap {cap})");
-            assert!(
-                density <= cap,
-                "{graph}/{name}: {density:.1} bytes/edge at 4 workers, above a third \
-                 of the old relay's ({cap})"
-            );
-        }
+    for (graph, n, edges, cap) in cells {
+        let input = DistInput::Edges {
+            num_vertices: n,
+            edges,
+        };
+        let cfg = DistConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let out = run_distributed(&DistAlgo::clugp(), input, 32, &cfg)
+            .unwrap_or_else(|e| panic!("{graph}: {e}"));
+        let bytes = out.net.bytes_sent + out.net.bytes_received;
+        let density = bytes as f64 / edges.len() as f64;
+        eprintln!("{graph}: {density:.1} bytes/edge (cap {cap})");
+        assert!(
+            density <= cap,
+            "{graph}: {density:.1} bytes/edge at 4 workers, above a third \
+             of the old relay's ({cap})"
+        );
     }
 }
 
@@ -134,45 +122,31 @@ fn tracing_records_nothing_when_off_and_changes_no_bits_when_on() {
     // Tracing is off by default and inert (DESIGN.md §12): off, not one
     // event is recorded; on, events are, and the partition is the same.
     let (n, edges) = test_web_graph(1_000, 48);
-    for name in ["hdrf", "clugp"] {
-        let algo = DistAlgo::by_name(name).expect("registered algorithm");
-        let run = |trace: bool| {
-            let input = DistInput::Edges {
-                num_vertices: n,
-                edges: &edges,
-            };
-            let cfg = DistConfig {
-                workers: 4,
-                trace,
-                ..Default::default()
-            };
-            run_distributed(&algo, input, 8, &cfg)
-                .unwrap_or_else(|e| panic!("{name}, trace {trace}: {e}"))
+    let run = |trace: bool| {
+        let input = DistInput::Edges {
+            num_vertices: n,
+            edges: &edges,
         };
-        let (off, on) = (run(false), run(true));
-        assert!(
-            off.trace.events.is_empty(),
-            "{name}: tracing off recorded {} events",
-            off.trace.events.len()
-        );
-        assert!(
-            !on.trace.events.is_empty(),
-            "{name}: tracing on recorded nothing"
-        );
-        assert_eq!(
-            (on.partitioning.assignments, on.partitioning.loads),
-            (off.partitioning.assignments, off.partitioning.loads),
-            "{name}: tracing changed the partition"
-        );
-    }
-}
-
-/// Bytes and frames the coordinator links carried under protocol verb `name`.
-fn verb_traffic(out: &clugp::ampc::DistOutcome, name: &str) -> (u64, u64) {
-    let slot = (0..out.net.by_verb.len())
-        .find(|&tag| clugp::ampc::proto::Msg::verb_name(tag) == name)
-        .expect("known verb");
-    (out.net.by_verb[slot].bytes, out.net.by_verb[slot].frames)
+        let cfg = DistConfig {
+            workers: 4,
+            trace,
+            ..Default::default()
+        };
+        run_distributed(&DistAlgo::clugp(), input, 8, &cfg)
+            .unwrap_or_else(|e| panic!("trace {trace}: {e}"))
+    };
+    let (off, on) = (run(false), run(true));
+    assert!(
+        off.trace.events.is_empty(),
+        "tracing off recorded {} events",
+        off.trace.events.len()
+    );
+    assert!(!on.trace.events.is_empty(), "tracing on recorded nothing");
+    assert_eq!(
+        (on.partitioning.assignments, on.partitioning.loads),
+        (off.partitioning.assignments, off.partitioning.loads),
+        "tracing changed the partition"
+    );
 }
 
 #[test]
@@ -180,8 +154,9 @@ fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
     // Every sequenced stage is lent its tables (DESIGN.md §7): the state a
     // turn writes rides the token as one frame, so what the wire carries
     // follows the keys the ranges touch and never the chunking, and no row is
-    // paged — no run of any algorithm or mode sends a frame under the retired
-    // relay tags 15 to 18. Counts only — nothing here is timed.
+    // paged — no run in either mode sends a frame under the retired relay
+    // tags 15 to 18, or under 24, the retired `TurnState`. Counts only —
+    // nothing here is timed.
     use clugp::ampc::proto::Msg;
     let (n, edges) = test_web_graph(500, 41);
     let k = 8;
@@ -189,55 +164,42 @@ fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
         num_vertices: n,
         edges: &edges,
     };
-    for name in ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"] {
-        let algo = DistAlgo::by_name(name).expect("registered algorithm");
-        let reference = monolith(&algo, n, &edges, k).0;
-        let run = |cfg: DistConfig| {
-            let what = format!(
-                "{name}: {:?}, {}w/chunk {}",
-                cfg.mode, cfg.workers, cfg.chunk_edges
-            );
-            let out =
-                run_distributed(&algo, input, k, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
-            for tag in 15..=18 {
-                let verb = Msg::verb_name(tag);
-                assert_eq!(out.net.by_verb[tag].frames, 0, "{what} sent {verb}");
-            }
-            (what, out)
-        };
-        if name == "clugp" {
-            let (what, out) = run(relaxed_cfg(2));
-            assert!(!out.partitioning.assignments.is_empty(), "{what}");
+    let algo = DistAlgo::clugp();
+    let reference = monolith(&algo, n, &edges, k).0;
+    let run = |cfg: DistConfig| {
+        let what = format!("{:?}, {}w/chunk {}", cfg.mode, cfg.workers, cfg.chunk_edges);
+        let out = run_distributed(&algo, input, k, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+        for tag in (15..=18).chain([24]) {
+            let verb = Msg::verb_name(tag);
+            assert_eq!(out.net.by_verb[tag].frames, 0, "{what} sent {verb}");
         }
-        for workers in [1u32, 2, 4] {
-            let mut traffic = Vec::new();
-            for chunk_edges in [1usize, 64, 4096] {
-                let (what, out) = run(DistConfig {
-                    workers,
-                    chunk_edges,
-                    ..Default::default()
-                });
-                assert_eq!(out.partitioning.assignments, reference, "{what}: diverged");
-                // One hand-off per turn but the last, each received from one
-                // worker and sent on to the next.
-                let hands_on = matches!(name, "dbh" | "greedy" | "hdrf");
-                let turns = if hands_on { u64::from(workers - 1) } else { 0 };
-                assert_eq!(verb_traffic(&out, "TurnState").1, 2 * turns, "{what}");
-                let per_verb: Vec<_> = out
-                    .net
-                    .by_verb
-                    .iter()
-                    .map(|v| (v.bytes, v.frames))
-                    .collect();
-                traffic.push((what, per_verb));
-            }
-            for (what, per_verb) in &traffic[1..] {
-                assert_eq!(
-                    per_verb, &traffic[0].1,
-                    "{what}: bytes and frames per verb differ from {}",
-                    traffic[0].0
-                );
-            }
+        (what, out)
+    };
+    let (what, out) = run(relaxed_cfg(2));
+    assert!(!out.partitioning.assignments.is_empty(), "{what}");
+    for workers in [1u32, 2, 4] {
+        let mut traffic = Vec::new();
+        for chunk_edges in [1usize, 64, 4096] {
+            let (what, out) = run(DistConfig {
+                workers,
+                chunk_edges,
+                ..Default::default()
+            });
+            assert_eq!(out.partitioning.assignments, reference, "{what}: diverged");
+            let per_verb: Vec<_> = out
+                .net
+                .by_verb
+                .iter()
+                .map(|v| (v.bytes, v.frames))
+                .collect();
+            traffic.push((what, per_verb));
+        }
+        for (what, per_verb) in &traffic[1..] {
+            assert_eq!(
+                per_verb, &traffic[0].1,
+                "{what}: bytes and frames per verb differ from {}",
+                traffic[0].0
+            );
         }
     }
 }
@@ -270,7 +232,7 @@ fn pack_input_matches_monolith_on_the_same_pack_stream() {
     // Pack streams replay the canonical (src, dst) order, so the monolith
     // reference runs over that sequence. Small blocks so 4 workers get
     // non-trivial block ranges.
-    for (_, algo) in roster() {
+    for (_, algo) in clugp_roster() {
         for workers in [1u32, 4] {
             let case = Case {
                 input: Input::Pack {
@@ -307,17 +269,6 @@ fn invalid_parameters_fail_like_the_monolith() {
     .unwrap_err();
     assert!(err.to_string().contains("tau"), "{err}");
     let err = run_distributed(
-        &DistAlgo::Mint(MintConfig {
-            batch_size: 0,
-            ..Default::default()
-        }),
-        input,
-        4,
-        &cfg,
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("batch_size"), "{err}");
-    let err = run_distributed(
         &DistAlgo::clugp(),
         input,
         4,
@@ -328,30 +279,41 @@ fn invalid_parameters_fail_like_the_monolith() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("worker count"), "{err}");
-    // Relaxed mode runs CLUGP only: any other algorithm is refused before a
-    // worker is configured.
-    let err = run_distributed(
-        &DistAlgo::hdrf(),
-        input,
-        4,
-        &DistConfig {
-            workers: 2,
-            mode: AmpcMode::Relaxed,
+    // The engine runs CLUGP only: every other algorithm is refused, in either
+    // mode and at any worker count, before a worker is spawned — ahead of its
+    // own parameter checks (Mint's zero batch among them).
+    let baselines = [
+        DistAlgo::hashing(),
+        DistAlgo::dbh(),
+        DistAlgo::greedy(),
+        DistAlgo::hdrf(),
+        DistAlgo::Mint(MintConfig {
+            batch_size: 0,
             ..Default::default()
-        },
-    )
-    .unwrap_err();
-    assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
-    assert!(
-        err.to_string()
-            .contains("relaxed mode runs CLUGP only, not HDRF"),
-        "{err}"
-    );
+        }),
+    ];
+    for algo in &baselines {
+        for mode in [AmpcMode::Sequenced, AmpcMode::Relaxed] {
+            for workers in [1, 2] {
+                let cfg = DistConfig {
+                    workers,
+                    mode,
+                    ..Default::default()
+                };
+                let err = run_distributed(algo, input, 4, &cfg).unwrap_err();
+                let needle = format!("engine runs CLUGP only, not {}", algo.name());
+                assert!(
+                    matches!(&err, PartitionError::InvalidParam(msg) if msg.contains(&needle)),
+                    "{mode:?}, {workers} workers: {err}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn empty_stream_matches_monolith_at_any_worker_count() {
-    for (_, algo) in roster() {
+    for (_, algo) in clugp_roster() {
         for workers in [1u32, 3] {
             let case = Case {
                 family: Family::Empty,

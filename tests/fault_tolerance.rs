@@ -236,79 +236,51 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // bit-identically or terminates with a typed error (`Case::check`
     // asserts both). The deadline keeps "terminates" bounded; the test
     // finishing at all is the no-hang assertion. A plan draws its ordinal
-    // from the frames a link of its algorithm carries behind the handshake,
-    // the same few whatever the chunk. CLUGP's: to worker 0 `RunStage`, a
-    // cast, `RunStage`, a cast, `RunStage` (1–5), to a later worker the
-    // pass-1 seed ahead of them (1–6), then `Shutdown`, whose fate nobody
-    // waits for; back, traced, the frontier, then a trace frame and
-    // `StageDone` per stage (1–7). HDRF's: to worker 0 `RunStage` (1), to a
-    // later worker the turn state ahead of it (1–2), then `Shutdown`; back,
-    // the turn state it hands on, a trace frame and `StageDone` (1–3), the
-    // last of the three workers handing nothing on (1–2).
-    // (algorithm, chunk, frames a plan draws from, whether the ordinal names
-    // a frame of the flow on that worker's link).
-    type Lands = fn(u32, bool, u64) -> bool;
-    let clugp_lands: Lands = |worker, sent, at| match sent {
+    // from the seven frames a link carries behind the handshake, the same
+    // few whatever the chunk: to worker 0 `RunStage`, a cast, `RunStage`, a
+    // cast, `RunStage` (1–5), to a later worker the pass-1 seed ahead of them
+    // (1–6), then `Shutdown`, whose fate nobody waits for; back, traced, the
+    // frontier, then a trace frame and `StageDone` per stage (1–7). Whether
+    // the ordinal names a frame of the flow on that worker's link:
+    let lands = |worker: u32, sent: bool, at: u64| match sent {
         true => at <= 5 + u64::from(worker > 0),
         false => at <= 7,
     };
-    let hdrf_lands: Lands = |worker, sent, at| match sent {
-        true => at <= 1 + u64::from(worker > 0),
-        false => at <= 2 + u64::from(worker < 2),
-    };
-    let algos: [(DistAlgo, usize, u64, Lands); 2] = [
-        (DistAlgo::clugp(), 0, 7, clugp_lands),
-        (DistAlgo::hdrf(), 4, 3, hdrf_lands),
-    ];
-    // The two algorithms' plans run side by side: most of a plan's time is
-    // a deadline waited out.
-    std::thread::scope(|scope| {
-        for (algo, chunk_edges, frames, lands) in algos {
-            scope.spawn(move || {
-                let name = algo.name();
-                let mut surfaced = 0;
-                for seed in 1..=16u64 {
-                    let faults = FaultPlan::seeded(seed, 3, frames);
-                    let (worker, sent, at, action) = seeded_fault(&faults);
-                    let case = Case {
-                        mode: Mode::Sequenced {
-                            workers: 3,
-                            transport: TransportKind::Channel,
-                            chunk_edges,
-                        },
-                        faults: Some(faults),
-                        ..Case::new(algo.clone(), 500, 53)
-                    };
-                    match case.check() {
-                        Ok(out) => {
-                            // Anything but a delay surfaces, on a frame of the flow.
-                            let fired = first_fault(&out.expect("a sequenced run"));
-                            assert_eq!(
-                                fired.is_some(),
-                                lands(worker, sent, at) && !matches!(action, FaultAction::Delay(_)),
-                                "{name}, seed {seed}: {:?} surfaced at {fired:?}",
-                                case.faults,
-                            );
-                            surfaced += usize::from(fired.is_some());
-                        }
-                        // A typed error: a transport fault, or a corrupt
-                        // coordinator->worker frame, which the worker reports back
-                        // and which stays fatal (deterministic errors are not
-                        // retried).
-                        Err(_) => {
-                            assert!(
-                                lands(worker, sent, at),
-                                "{name}, seed {seed}: {:?}",
-                                case.faults
-                            );
-                            surfaced += 1;
-                        }
-                    }
-                }
-                assert!(surfaced >= 8, "{name}: {surfaced} of 16 plans fired");
-            });
+    let mut surfaced = 0;
+    for seed in 1..=16u64 {
+        let faults = FaultPlan::seeded(seed, 3, 7);
+        let (worker, sent, at, action) = seeded_fault(&faults);
+        let case = Case {
+            mode: Mode::Sequenced {
+                workers: 3,
+                transport: TransportKind::Channel,
+                chunk_edges: 0,
+            },
+            faults: Some(faults),
+            ..Case::new(DistAlgo::clugp(), 500, 53)
+        };
+        match case.check() {
+            Ok(out) => {
+                // Anything but a delay surfaces, on a frame of the flow.
+                let fired = first_fault(&out.expect("a sequenced run"));
+                assert_eq!(
+                    fired.is_some(),
+                    lands(worker, sent, at) && !matches!(action, FaultAction::Delay(_)),
+                    "seed {seed}: {:?} surfaced at {fired:?}",
+                    case.faults,
+                );
+                surfaced += usize::from(fired.is_some());
+            }
+            // A typed error: a transport fault, or a corrupt
+            // coordinator->worker frame, which the worker reports back and
+            // which stays fatal (deterministic errors are not retried).
+            Err(_) => {
+                assert!(lands(worker, sent, at), "seed {seed}: {:?}", case.faults);
+                surfaced += 1;
+            }
         }
-    });
+    }
+    assert!(surfaced >= 8, "{surfaced} of 16 plans fired");
 }
 
 /// `algo` over the web graph of `vertices` vertices drawn from `seed`, on
@@ -347,27 +319,6 @@ fn faults_recover_over_unix_sockets_too() {
         first_fault(&out),
         Some(("pass1".to_string(), 0)),
         "the severed link must surface in pass 1, worker 0 holding the token"
-    );
-}
-
-#[test]
-fn baseline_algorithms_recover_too() {
-    // The single-barrier baseline flow shares the recovery machinery. Worker
-    // 1's link dies on the first frame sent behind the handshake: the turn
-    // state worker 0 handed on, in flight between the two turns.
-    let mut faults = FaultPlan::none();
-    faults.push(1, 0, FaultScript::disconnect_at_send(1));
-    let out = recovered(
-        DistAlgo::hdrf(),
-        (500, 55),
-        3,
-        TransportKind::Channel,
-        faults,
-    );
-    assert_eq!(
-        first_fault(&out),
-        Some(("baseline".to_string(), 1)),
-        "the severed link must surface mid-pass, worker 0's turn done"
     );
 }
 
@@ -712,7 +663,7 @@ fn traced_faulted_run_records_recovery_events_and_stays_bit_identical() {
     // Worker-lane events survive the respawn: at least one stage span from
     // some worker incarnation must have been shipped and absorbed.
     assert!(
-        trace.count("stage:pass1") + trace.count("stage:baseline") >= 1,
+        trace.count("stage:pass1") >= 1,
         "no worker stage spans were absorbed"
     );
 
