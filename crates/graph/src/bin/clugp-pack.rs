@@ -7,15 +7,22 @@
 //! <in>              text edge list, flat binary (CLUGPGR1), or an existing
 //!                   pack — detected by magic, never by extension
 //! --block-bytes N   target payload bytes per block (default 65536)
-//! --spill-edges N   in-memory sort buffer before a run spills (default 4Mi)
+//! --spill-edges N   the most edges held (default 4Mi): the longest
+//!                   adjacency list streamed, and the sort buffer of the
+//!                   external sort before a run spills
 //! --sparse          input is a text edge list of arbitrary 64-bit ids;
 //!                   they are remapped onto the dense internal space in
 //!                   first-appearance order before packing (the pack stores
 //!                   the dense relabeling)
 //! --trace-out <f>   write a single-lane Chrome trace-event JSON of the
-//!                   pack run (pack:drain_spill with a pack:sort span per
-//!                   sorted buffer inside it, pack:merge_encode, spill
-//!                   counter); loads in Perfetto or chrome://tracing
+//!                   pack run: pack:stream (the streamed drain and list
+//!                   sorts) with pack:encode (the encoder thread, on two
+//!                   CPUs) inside it; on a hand-over to the external sort a
+//!                   pack:hand_over instant carrying the streamed edges,
+//!                   pack:drain_spill with a pack:sort span per sorted
+//!                   buffer, and pack:merge_encode; pack:finish (index,
+//!                   footer, header, fsync); the spill counter. Loads in
+//!                   Perfetto or chrome://tracing
 //!
 //! clugp-pack info <file.clugpz> [--checksums full|off]
 //!                   header + block statistics, bytes/edge; echoes the
@@ -163,9 +170,8 @@ fn timed_pack(
 }
 
 /// Says on stderr what the `pack_edge_stream` call cost, and records the
-/// spill counter beside the `pack:drain_spill` / `pack:sort` /
-/// `pack:merge_encode` spans the call left in the process-wide sink (no-op
-/// unless `--trace-out` enabled recording).
+/// spill counter beside the `pack:*` spans the call left in the
+/// process-wide sink (no-op unless `--trace-out` enabled recording).
 fn report_cost(stats: &PackStats, secs: f64) {
     eprintln!(
         "packed {} edges in {secs:.3} s ({:.0} edges/s), spill runs = {}",
@@ -428,7 +434,7 @@ mod tests {
             input: input.to_string_lossy().into_owned(),
             output: output.to_string_lossy().into_owned(),
             block_bytes: 64,
-            spill_edges: 2, // force the spill path
+            spill_edges: 2, // the last edge descends: a hand-over
             sparse: false,
             trace_out: None,
         };
@@ -588,10 +594,36 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&trace).unwrap();
         obs::json::validate(&json).unwrap_or_else(|e| panic!("trace not valid JSON: {e}"));
-        for span in ["pack:drain_spill", "pack:sort", "pack:merge_encode"] {
+        // The last edge descends: three stream, the fourth is sorted apart.
+        for span in [
+            "pack:stream",
+            "pack:hand_over",
+            "pack:drain_spill",
+            "pack:sort",
+            "pack:merge_encode",
+            "pack:finish",
+        ] {
             assert!(json.contains(&format!("\"{span}\"")), "{span} span missing");
         }
         assert!(json.contains("\"spill_runs\""), "spill counter missing");
+        // Sources that ascend stream whole, encoded on a thread of its own
+        // where there are two CPUs.
+        std::fs::write(&input, "0 1\n0 0\n1 2\n2 0\n").unwrap();
+        run_pack(&PackArgs {
+            input: input.to_string_lossy().into_owned(),
+            output: output.to_string_lossy().into_owned(),
+            block_bytes: 64,
+            spill_edges: 2,
+            sparse: false,
+            trace_out: Some(trace.to_string_lossy().into_owned()),
+        })
+        .unwrap();
+        let json = std::fs::read_to_string(&trace).unwrap();
+        assert!(json.contains("\"pack:stream\""), "{json}");
+        assert!(!json.contains("\"pack:hand_over\""), "{json}");
+        if std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2) {
+            assert!(json.contains("\"pack:encode\""), "{json}");
+        }
         for p in [input, output, trace] {
             std::fs::remove_file(p).ok();
         }

@@ -55,18 +55,19 @@
 //! # Bounded-memory writer
 //!
 //! [`pack_edge_stream`] accepts edges in *any* order from any
-//! [`EdgeStream`]: it buffers up to [`PackOptions::spill_edges`] edges,
-//! sorts each buffer, spills it as a raw run file next to the output, and
-//! k-way merges the runs at write time — classic external sort, so packing
-//! never holds more than one spill buffer of edges in memory, plus one
-//! 64 KiB slab per run while they merge. A buffer whose sources already
-//! ascend only has each adjacency list sorted; every buffer is cut into
-//! parts that sort apart, sorted in place on every CPU the process may use
-//! (small buffers inline), byte-identically at any width; the last buffer
-//! is merged from memory, never written out; and the merge lets the run
-//! with the least head emit until the runner-up's head overtakes it, so
-//! runs that do not interleave (a source-ascending input) concatenate at
-//! two heap operations apiece (`DESIGN.md` §6).
+//! [`EdgeStream`] and writes the same bytes for every order. While sources
+//! ascend (a CSR dump, an adjacency-list file, a re-pack) it streams: each
+//! adjacency list is sorted by `dst` once the next source starts and goes
+//! straight to the block encoder, which runs on a second thread where the
+//! process may use two CPUs — one pass, holding one list and two batches.
+//! The first descent, or a list longer than [`PackOptions::spill_edges`],
+//! hands the rest over to a classic external sort: buffers of at most
+//! `spill_edges` edges, each sorted on every CPU the process may use and
+//! spilled as a raw run next to the output, the last kept in memory, all
+//! merged through a tree of branch-free two-way merges together with the
+//! blocks already encoded, read back as the first run. The pack is
+//! written beside the output and renamed over it once synced; no
+//! temporary file survives, success or error (`DESIGN.md` §6).
 //!
 //! # Readers
 //!
@@ -108,7 +109,9 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Magic bytes opening a `CLUGPZ` file (version 1).
 pub const PACK_MAGIC: &[u8; 8] = b"CLUGPZ01";
@@ -252,8 +255,10 @@ pub struct PackOptions {
     /// Target payload bytes per block (clamped to ≥ 1; a tiny target gives
     /// one edge per block, the degenerate case the proptests sweep).
     pub block_bytes: usize,
-    /// In-memory sort buffer in edges before a run spills to disk
-    /// (clamped to ≥ 1): the packing memory bound.
+    /// The most edges the writer holds (clamped to ≥ 1): the longest
+    /// adjacency list it streams — a longer one hands the input over to the
+    /// external sort — and that sort's in-memory buffer before a run spills
+    /// to disk.
     pub spill_edges: usize,
 }
 
@@ -279,7 +284,11 @@ pub struct PackStats {
     pub payload_bytes: u64,
     /// Total file bytes.
     pub file_bytes: u64,
-    /// Spill runs the external sort used (0 = fit in one in-memory buffer).
+    /// Runs the external sort spilled to disk, plus its in-memory tail when
+    /// it spilled any: 0 when the input streamed in one pass, or when what
+    /// followed the hand-over fit one buffer. The streamed prefix, which the
+    /// merge reads back after a hand-over, is not one of them (the trace's
+    /// `pack:hand_over` instant carries its edge count).
     pub spill_runs: usize,
 }
 
@@ -378,12 +387,28 @@ impl<W: Write> BlockEncoder<W> {
         Ok(())
     }
 
+    /// Edges pushed so far.
+    fn encoded(&self) -> u64 {
+        self.edge_offset + u64::from(self.edges_in_block)
+    }
+
     /// Flushes the trailing partial block and returns `(index, edges,
     /// payload_end_offset, writer)`.
     fn finish(mut self) -> Result<(Vec<BlockEntry>, u64, u64, W)> {
         self.flush_block()?;
         Ok((self.index, self.edge_offset, self.byte_offset, self.out))
     }
+}
+
+/// The encoder of a pack being written to a file.
+type PackEncoder = BlockEncoder<BufWriter<File>>;
+
+/// A block encoder writing a new pack at `path`, its header left blank
+/// until [`finish_pack`] knows the counts.
+fn create_pack(path: &Path, opts: &PackOptions) -> Result<PackEncoder> {
+    let mut w = BufWriter::with_capacity(1 << 16, File::create(path)?);
+    w.write_all(&[0u8; HEADER_LEN as usize])?;
+    Ok(BlockEncoder::new(w, opts.block_bytes, HEADER_LEN))
 }
 
 /// Edges per spill-run slab: runs are written and read back 64 KiB at a time.
@@ -395,48 +420,36 @@ const RECORD_LEN: usize = 8;
 /// thread would cost more than the sort it takes over.
 const INLINE_SORT_EDGES: usize = 1 << 15;
 
-/// Sorts `edges` into canonical `(src, dst)` order on up to `width`
-/// threads — the one sort of the writer, spilled run or not.
+/// Sorts a buffer of the external sort into canonical `(src, dst)` order on
+/// up to `width` threads, over the packed `src << 32 | dst` keys.
 ///
-/// One scan decides how. A buffer whose sources already ascend (a CSR dump,
-/// an adjacency-list file, a re-pack, a WebGraph-style corpus) only needs
-/// each source's run ordered by `dst`; anything else is sorted over the
-/// packed `src << 32 | dst` keys. Either way the buffer is cut into parts
-/// that sort apart — no key left of a cut above a key right of it — and
-/// each part is sorted in place on a scoped thread of its own. Equal keys
-/// are identical edges, so the sorted buffer, and every byte packed from
-/// it, is the same at any width.
+/// The buffer is cut into parts that sort apart — no key left of a cut
+/// above a key right of it — and each part is sorted in place on a scoped
+/// thread of its own. Equal keys are identical edges, so the sorted buffer,
+/// and every byte packed from it, is the same at any width.
 fn sort_canonical(edges: &mut [Edge], width: usize) {
     let start = obs::now_us();
-    let ascending = edges.windows(2).all(|w| w[0].src <= w[1].src);
-    sort_parts(edges, ascending, width.max(1));
+    sort_parts(edges, width.max(1));
     obs::record_span("pack:sort", start, edges.len() as u64);
 }
 
-/// Sorts `edges` on `width` threads by recursive halving: the calling
-/// thread takes one part, a scoped thread the other, each with its share of
-/// the width. A buffer below [`INLINE_SORT_EDGES`], a width of one, or a
-/// buffer that cannot be cut sorts inline.
-fn sort_parts(edges: &mut [Edge], ascending: bool, width: usize) {
+/// Sorts `edges` on `width` threads by recursive halving around the key of
+/// the cut's rank: the calling thread takes one part, a scoped thread the
+/// other, each with its share of the width. A buffer below
+/// [`INLINE_SORT_EDGES`] or a width of one sorts inline.
+fn sort_parts(edges: &mut [Edge], width: usize) {
     if width >= 2 && edges.len() >= INLINE_SORT_EDGES {
         let left_width = width / 2;
-        let target = edges.len() * left_width / width;
-        if let Some(at) = cut(edges, ascending, target) {
-            let (left, right) = edges.split_at_mut(at);
-            std::thread::scope(|scope| {
-                scope.spawn(|| sort_parts(left, ascending, left_width));
-                sort_parts(right, ascending, width - left_width);
-            });
-            return;
-        }
+        let at = edges.len() * left_width / width;
+        edges.select_nth_unstable_by_key(at, packed_key);
+        let (left, right) = edges.split_at_mut(at);
+        std::thread::scope(|scope| {
+            scope.spawn(|| sort_parts(left, left_width));
+            sort_parts(right, width - left_width);
+        });
+        return;
     }
-    if ascending {
-        for run in edges.chunk_by_mut(|a, b| a.src == b.src) {
-            run.sort_unstable_by_key(|e| e.dst);
-        }
-    } else {
-        edges.sort_unstable_by_key(packed_key);
-    }
+    edges.sort_unstable_by_key(packed_key);
 }
 
 /// An edge's `(src, dst)` order as one integer.
@@ -444,51 +457,34 @@ fn packed_key(e: &Edge) -> u64 {
     u64::from(e.src) << 32 | u64::from(e.dst)
 }
 
-/// Where to cut `edges` near `target` into two parts that sort apart: every
-/// key left of the cut at or below every key right of it, both parts
-/// non-empty. Ascending sources are cut at the source boundary nearest
-/// `target`, so both parts stay ascending; there is none when one source
-/// holds the whole buffer. Otherwise the buffer is partitioned around the
-/// key of rank `target`.
-fn cut(edges: &mut [Edge], ascending: bool, target: usize) -> Option<usize> {
-    if !ascending {
-        edges.select_nth_unstable_by_key(target, packed_key);
-        return Some(target);
-    }
-    let src = edges[target].src;
-    let lo = edges[..target].partition_point(|e| e.src < src);
-    let hi = target + edges[target..].partition_point(|e| e.src == src);
-    match (lo > 0, hi < edges.len()) {
-        (true, true) if target - lo <= hi - target => Some(lo),
-        (_, true) => Some(hi),
-        (true, false) => Some(lo),
-        (false, false) => None,
-    }
+/// What a run file of the external sort holds.
+enum Spilled {
+    /// This many raw `src`/`dst` records.
+    Records(u64),
+    /// The streamed prefix: the blocks of this index, ending at this byte
+    /// offset.
+    Blocks(Vec<BlockEntry>, u64),
 }
 
-/// Length of the prefix of the sorted `slab` on which `le` holds, found by
-/// doubling probes and a binary search between the last two: O(log prefix)
-/// compares, so a short prefix (interleaved runs) and a whole slab (disjoint
-/// runs) are both cheap.
-fn gallop(slab: &[Edge], le: impl Fn(&Edge) -> bool) -> usize {
-    let (mut lo, mut step) = (0usize, 1usize);
-    while lo + step <= slab.len() && le(&slab[lo + step - 1]) {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step - 1).min(slab.len());
-    lo + slab[lo..hi].partition_point(le)
+/// A run file being read back, with what it has yet to hand over.
+enum RunFile {
+    Records {
+        file: File,
+        owed: u64,
+    },
+    Blocks {
+        file: File,
+        blocks: std::vec::IntoIter<BlockEntry>,
+    },
 }
 
-/// One sorted run of the external sort, held a slab at a time: a spill file
-/// of raw records, or the in-memory tail (no file — its slab is the whole
-/// buffer).
+/// One sorted run of the external sort, held a slab at a time: a run file
+/// — raw records, or the streamed prefix a block per slab — or the
+/// in-memory tail (no file — its slab is the whole buffer).
 struct Run {
     slab: Vec<Edge>,
     pos: usize,
-    file: Option<File>,
-    /// Edges the file has yet to hand over.
-    owed: u64,
+    file: Option<RunFile>,
 }
 
 impl Run {
@@ -497,28 +493,40 @@ impl Run {
             slab: sorted,
             pos: 0,
             file: None,
-            owed: 0,
         }
     }
 
-    /// Opens the spill file at `path` and loads its first slab. A file that
-    /// is not exactly the `edges` records spilled to it is an error: a
-    /// truncated run must never merge into a shorter graph.
-    fn open(path: &Path, edges: u64, scratch: &mut Vec<u8>) -> Result<Self> {
+    /// Opens the run file at `path` and loads its first slab. A file that is
+    /// not exactly what was `spilled` to it is an error: a truncated run
+    /// must never merge into a shorter graph.
+    fn open(path: &Path, spilled: &Spilled, scratch: &mut Vec<u8>) -> Result<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        if len != edges * RECORD_LEN as u64 {
+        let (want, what, file) = match spilled {
+            Spilled::Records(edges) => (
+                edges * RECORD_LEN as u64,
+                format!("the {edges} edges spilled to it"),
+                RunFile::Records { file, owed: *edges },
+            ),
+            Spilled::Blocks(index, end) => (
+                *end,
+                format!("the {} blocks streamed to it", index.len()),
+                RunFile::Blocks {
+                    file,
+                    blocks: index.clone().into_iter(),
+                },
+            ),
+        };
+        if len != want {
             return Err(GraphError::Format(format!(
-                "spill run {} is {len} bytes, the {edges} edges spilled to it are {}",
-                path.display(),
-                edges * RECORD_LEN as u64
+                "spill run {} is {len} bytes, {what} are {want}",
+                path.display()
             )));
         }
         let mut run = Run {
-            slab: Vec::with_capacity(edges.min(SLAB_EDGES as u64) as usize),
+            slab: Vec::new(),
             pos: 0,
             file: Some(file),
-            owed: edges,
         };
         run.refill(scratch)?;
         Ok(run)
@@ -529,222 +537,669 @@ impl Run {
     fn refill(&mut self, scratch: &mut Vec<u8>) -> Result<bool> {
         self.slab.clear();
         self.pos = 0;
-        if self.owed == 0 {
-            return Ok(false);
+        match &mut self.file {
+            None | Some(RunFile::Records { owed: 0, .. }) => Ok(false),
+            Some(RunFile::Records { file, owed }) => {
+                let want = (*owed).min(SLAB_EDGES as u64) as usize;
+                scratch.resize(want * RECORD_LEN, 0);
+                file.read_exact(scratch)?;
+                self.slab
+                    .extend(scratch.chunks_exact(RECORD_LEN).map(|rec| Edge {
+                        src: u32::from_le_bytes(rec[..4].try_into().expect("4-byte field")),
+                        dst: u32::from_le_bytes(rec[4..].try_into().expect("4-byte field")),
+                    }));
+                *owed -= want as u64;
+                Ok(true)
+            }
+            Some(RunFile::Blocks { file, blocks }) => match blocks.next() {
+                Some(entry) => {
+                    load_block(file, scratch, &entry, ChecksumPolicy::Full, &mut self.slab)?;
+                    Ok(true)
+                }
+                None => Ok(false),
+            },
         }
-        let file = self.file.as_mut().expect("only a spill file owes edges");
-        let want = self.owed.min(SLAB_EDGES as u64) as usize;
-        scratch.resize(want * RECORD_LEN, 0);
-        file.read_exact(scratch)?;
-        self.slab
-            .extend(scratch.chunks_exact(RECORD_LEN).map(|rec| Edge {
-                src: u32::from_le_bytes(rec[..4].try_into().expect("4-byte field")),
-                dst: u32::from_le_bytes(rec[4..].try_into().expect("4-byte field")),
-            }));
-        self.owed -= want as u64;
-        Ok(true)
-    }
-
-    /// Merge key of the run's next edge; ties between runs go to the lower
-    /// run index, which keeps the merge stable.
-    fn head_key(&self, index: usize) -> (u32, u32, usize) {
-        let e = self.slab[self.pos];
-        (e.src, e.dst, index)
     }
 }
 
-/// K-way merges `runs` into `enc`. The run with the least head keeps
-/// emitting while its head stays at or below the runner-up's key, so the
-/// heap is touched once per run *switch*, not per edge: disjoint runs (a
-/// source-ascending input) cost two heap operations each.
-fn merge_runs<W: Write>(
-    runs: &mut [Run],
-    scratch: &mut Vec<u8>,
-    enc: &mut BlockEncoder<W>,
-) -> Result<()> {
-    use std::cmp::Reverse;
-    let mut heap: std::collections::BinaryHeap<_> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.slab.is_empty())
-        .map(|(i, r)| Reverse(r.head_key(i)))
-        .collect();
-    while let Some(Reverse((_, _, i))) = heap.pop() {
-        let floor = heap.peek().map(|r| r.0);
-        let run = &mut runs[i];
-        loop {
-            let rest = &run.slab[run.pos..];
-            let n = match floor {
-                Some(floor) => gallop(rest, |e| (e.src, e.dst, i) <= floor),
-                None => rest.len(),
+/// Edges a merge node holds ready for its parent: enough to run its
+/// inner loop long, few enough that the nodes of a tree over hundreds of
+/// runs stay in cache.
+const MERGE_EDGES: usize = 4 * 1024;
+
+/// A sorted input of the k-way merge: a run, or a node merging two.
+enum Merge {
+    Run(Run),
+    Pair(Box<Pair>),
+}
+
+/// Two sorted inputs merged a buffer at a time.
+struct Pair {
+    left: Merge,
+    right: Merge,
+    out: Vec<Edge>,
+    pos: usize,
+}
+
+impl Merge {
+    /// The merge of `runs` as a balanced tree of pairs: every edge passes
+    /// ⌈log₂ k⌉ two-way merges. `None` without a run.
+    fn tree(runs: Vec<Run>) -> Option<Merge> {
+        let mut level: Vec<Merge> = runs.into_iter().map(Merge::Run).collect();
+        while level.len() > 1 {
+            let mut inputs = level.into_iter();
+            let mut next = Vec::new();
+            while let Some(left) = inputs.next() {
+                next.push(match inputs.next() {
+                    Some(right) => Merge::Pair(Box::new(Pair {
+                        left,
+                        right,
+                        out: Vec::with_capacity(MERGE_EDGES),
+                        pos: 0,
+                    })),
+                    None => left,
+                });
+            }
+            level = next;
+        }
+        level.pop()
+    }
+
+    /// The next edges in order, refilled when spent; empty once drained.
+    fn head(&mut self, scratch: &mut Vec<u8>) -> Result<&[Edge]> {
+        match self {
+            Merge::Run(run) => {
+                if run.pos == run.slab.len() {
+                    run.refill(scratch)?;
+                }
+                Ok(&run.slab[run.pos..])
+            }
+            Merge::Pair(pair) => {
+                if pair.pos == pair.out.len() {
+                    pair.fill(scratch)?;
+                }
+                Ok(&pair.out[pair.pos..])
+            }
+        }
+    }
+
+    /// Takes the first `n` edges of the head.
+    fn consume(&mut self, n: usize) {
+        match self {
+            Merge::Run(run) => run.pos += n,
+            Merge::Pair(pair) => pair.pos += n,
+        }
+    }
+}
+
+impl Pair {
+    /// Refills `out` with the next edges of both inputs. Where one input's
+    /// head lies wholly below the other's next edge (runs that do not
+    /// interleave) it moves as one slice; otherwise the two heads merge an
+    /// edge per step without a branch on which input wins. Equal keys are
+    /// identical edges, so which input gives up a tie changes no byte.
+    fn fill(&mut self, scratch: &mut Vec<u8>) -> Result<()> {
+        self.out.clear();
+        self.pos = 0;
+        while self.out.len() < MERGE_EDGES {
+            let room = MERGE_EDGES - self.out.len();
+            let (l, r) = (self.left.head(scratch)?, self.right.head(scratch)?);
+            let (took_l, took_r) = match (l, r) {
+                ([], []) => break,
+                (_, []) => (l.len().min(room), 0),
+                ([], _) => (0, r.len().min(room)),
+                ([.., last], [next, ..]) if packed_key(last) <= packed_key(next) => {
+                    (l.len().min(room), 0)
+                }
+                ([next, ..], [.., last]) if packed_key(last) < packed_key(next) => {
+                    (0, r.len().min(room))
+                }
+                _ => {
+                    let (mut i, mut j) = (0, 0);
+                    while i < l.len() && j < r.len() && i + j < room {
+                        let (a, b) = (l[i], r[j]);
+                        let right = packed_key(&b) < packed_key(&a);
+                        self.out.push(if right { b } else { a });
+                        i += usize::from(!right);
+                        j += usize::from(right);
+                    }
+                    self.left.consume(i);
+                    self.right.consume(j);
+                    continue;
+                }
             };
-            enc.push_run(&rest[..n])?;
-            run.pos += n;
-            if run.pos < run.slab.len() {
-                heap.push(Reverse(run.head_key(i)));
-                break;
-            }
-            if !run.refill(scratch)? {
-                break;
-            }
+            self.out.extend_from_slice(&l[..took_l]);
+            self.out.extend_from_slice(&r[..took_r]);
+            self.left.consume(took_l);
+            self.right.consume(took_r);
+        }
+        Ok(())
+    }
+}
+
+/// Merges `runs` into `emit`, a sorted slice at a time.
+fn merge_runs(
+    runs: Vec<Run>,
+    scratch: &mut Vec<u8>,
+    mut emit: impl FnMut(&[Edge]) -> Result<()>,
+) -> Result<()> {
+    let Some(mut root) = Merge::tree(runs) else {
+        return Ok(());
+    };
+    loop {
+        let head = root.head(scratch)?;
+        if head.is_empty() {
+            return Ok(());
+        }
+        emit(head)?;
+        let n = head.len();
+        root.consume(n);
+    }
+}
+
+/// The files the writer keeps beside the output: the pack being written,
+/// `<name>.tmp`, renamed over the output once it is synced, and the runs of
+/// the external sort, `<name>.runN.tmp`. Every one still there is removed
+/// when this is dropped, on success and on every error path.
+struct Scratch {
+    output: PathBuf,
+    /// Every run spilled so far, in merge order.
+    runs: Vec<(PathBuf, Spilled)>,
+    /// The bytes of the slab being written.
+    bytes: Vec<u8>,
+}
+
+impl Scratch {
+    fn new(output: &Path) -> Self {
+        Scratch {
+            output: output.to_path_buf(),
+            runs: Vec::new(),
+            bytes: Vec::new(),
         }
     }
-    Ok(())
-}
 
-/// Spill-run files beside the output; removed when packing completes or is
-/// dropped on an error path.
-struct SpillRuns {
-    output: PathBuf,
-    /// Path and edge count of every run spilled so far.
-    files: Vec<(PathBuf, u64)>,
-    /// The bytes of the slab being written.
-    scratch: Vec<u8>,
-}
+    /// The output's whole file name with `suffix` appended: `web.clugpz`
+    /// and `web.bin` packed side by side must not share `web.run0.tmp`.
+    fn beside(&self, suffix: &str) -> PathBuf {
+        let mut name = self.output.file_name().unwrap_or_default().to_os_string();
+        name.push(suffix);
+        self.output.with_file_name(name)
+    }
 
-impl SpillRuns {
-    fn new(output: &Path) -> Self {
-        SpillRuns {
-            output: output.to_path_buf(),
-            files: Vec::new(),
-            scratch: Vec::new(),
-        }
+    /// Where the pack is written until it is whole.
+    fn pack(&self) -> PathBuf {
+        self.beside(".tmp")
+    }
+
+    fn next_run(&self) -> PathBuf {
+        self.beside(&format!(".run{}.tmp", self.runs.len()))
     }
 
     /// Writes the sorted `edges` out as the next run, a slab per write, and
     /// empties the buffer.
     fn spill(&mut self, edges: &mut Vec<Edge>) -> Result<()> {
-        // Appended to the whole file name: `web.clugpz` and `web.bin` packed
-        // side by side must not share `web.run0.tmp`.
-        let mut name = self.output.file_name().unwrap_or_default().to_os_string();
-        name.push(format!(".run{}.tmp", self.files.len()));
-        let path = self.output.with_file_name(name);
+        let path = self.next_run();
         let mut file = File::create(&path)?;
-        self.files.push((path, edges.len() as u64));
+        self.runs.push((path, Spilled::Records(edges.len() as u64)));
         for slab in edges.chunks(SLAB_EDGES) {
-            self.scratch.clear();
+            self.bytes.clear();
             for e in slab {
-                self.scratch.extend_from_slice(&e.src.to_le_bytes());
-                self.scratch.extend_from_slice(&e.dst.to_le_bytes());
+                self.bytes.extend_from_slice(&e.src.to_le_bytes());
+                self.bytes.extend_from_slice(&e.dst.to_le_bytes());
             }
-            file.write_all(&self.scratch)?;
+            file.write_all(&self.bytes)?;
         }
         edges.clear();
         Ok(())
     }
+
+    /// Closes the streamed prefix `enc` wrote into the pack file and makes
+    /// it the first run, read back through its blocks; returns its edge
+    /// count. An empty prefix is no run: the merge rewrites the file.
+    fn keep_prefix(&mut self, enc: PackEncoder) -> Result<u64> {
+        let (index, edges, end, w) = enc.finish()?;
+        w.into_inner()
+            .map_err(|e| GraphError::from(e.into_error()))?;
+        if edges > 0 {
+            let run = self.next_run();
+            std::fs::rename(self.pack(), &run)?;
+            self.runs.push((run, Spilled::Blocks(index, end)));
+        }
+        Ok(edges)
+    }
+
+    /// Renames the synced pack over the output.
+    fn commit(&self) -> Result<()> {
+        Ok(std::fs::rename(self.pack(), &self.output)?)
+    }
 }
 
-impl Drop for SpillRuns {
+impl Drop for Scratch {
     fn drop(&mut self) {
-        for (p, _) in &self.files {
+        for (p, _) in &self.runs {
             std::fs::remove_file(p).ok();
         }
+        // Gone already once committed.
+        std::fs::remove_file(self.pack()).ok();
+    }
+}
+
+/// Edges the streamed prefix hands the encoder at a time: enough to keep a
+/// second CPU busy for a while, few enough to stay in its caches.
+const STREAM_BATCH: usize = 64 * 1024;
+
+/// The block encoder of a pack being written: inline at width one, else on
+/// a scoped thread beside the caller, which hands it one batch of sorted
+/// edges at a time and fills the next into the other of two buffers
+/// meanwhile.
+enum Encoder<'scope> {
+    Inline {
+        enc: PackEncoder,
+        spare: Vec<Edge>,
+    },
+    Thread {
+        to: SyncSender<Vec<Edge>>,
+        back: Receiver<Vec<Edge>>,
+        spare: Vec<Edge>,
+        /// Edges of the batch the thread holds, if it holds one.
+        in_flight: Option<usize>,
+        /// Taken only to report the error the thread stopped on.
+        thread: Option<ScopedJoinHandle<'scope, Result<PackEncoder>>>,
+    },
+}
+
+impl<'scope> Encoder<'scope> {
+    fn new(enc: PackEncoder, width: usize, scope: &'scope Scope<'scope, '_>) -> Self {
+        if width < 2 {
+            return Encoder::Inline {
+                enc,
+                spare: Vec::new(),
+            };
+        }
+        let (to, batches) = sync_channel::<Vec<Edge>>(1);
+        let (give_back, back) = channel();
+        let thread = scope.spawn(move || -> Result<PackEncoder> {
+            let (start, mut enc) = (obs::now_us(), enc);
+            for mut batch in batches {
+                enc.push_run(&batch)?;
+                batch.clear();
+                // Only a caller on its way out stops taking buffers back.
+                give_back.send(batch).ok();
+            }
+            obs::record_span("pack:encode", start, enc.encoded());
+            Ok(enc)
+        });
+        Encoder::Thread {
+            to,
+            back,
+            spare: Vec::new(),
+            in_flight: None,
+            thread: Some(thread),
+        }
+    }
+
+    /// Edges of the batch the thread holds.
+    fn in_flight(&self) -> usize {
+        match self {
+            Encoder::Inline { .. } => 0,
+            Encoder::Thread { in_flight, .. } => in_flight.unwrap_or(0),
+        }
+    }
+
+    /// Waits for the thread to give back the buffer of the batch it holds.
+    fn reclaim(&mut self) -> Result<()> {
+        if let Encoder::Thread {
+            back,
+            spare,
+            in_flight: in_flight @ Some(_),
+            ..
+        } = self
+        {
+            match back.recv() {
+                Ok(buffer) => {
+                    *spare = buffer;
+                    *in_flight = None;
+                }
+                Err(_) => return Err(self.failure()),
+            }
+        }
+        Ok(())
+    }
+
+    /// An empty buffer to fill.
+    fn spare(&mut self) -> Result<Vec<Edge>> {
+        self.reclaim()?;
+        let (Encoder::Inline { spare, .. } | Encoder::Thread { spare, .. }) = self;
+        Ok(std::mem::take(spare))
+    }
+
+    /// Encodes `batch`, sorted edges that follow every batch before it.
+    fn encode(&mut self, mut batch: Vec<Edge>) -> Result<()> {
+        self.reclaim()?;
+        match self {
+            Encoder::Inline { enc, spare } => {
+                enc.push_run(&batch)?;
+                batch.clear();
+                *spare = batch;
+            }
+            Encoder::Thread { to, in_flight, .. } => {
+                let edges = batch.len();
+                if to.send(batch).is_err() {
+                    return Err(self.failure());
+                }
+                *in_flight = Some(edges);
+            }
+        }
+        Ok(())
+    }
+
+    /// The error the encoder thread stopped on.
+    fn failure(&mut self) -> GraphError {
+        if let Encoder::Thread { thread, .. } = self {
+            match thread.take().map(ScopedJoinHandle::join) {
+                Some(Ok(Err(e))) => return e,
+                Some(Err(panic)) => std::panic::resume_unwind(panic),
+                _ => {}
+            }
+        }
+        GraphError::Io(std::io::Error::other("the pack encoder stopped early"))
+    }
+
+    /// The encoder, every batch handed to it encoded.
+    fn finish(self) -> Result<PackEncoder> {
+        match self {
+            Encoder::Inline { enc, .. } => Ok(enc),
+            Encoder::Thread { to, thread, .. } => {
+                drop(to);
+                match thread.expect("taken only on failure").join() {
+                    Ok(enc) => enc,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+        }
+    }
+}
+
+/// The source-ascending prefix of the input, gathered a list at a time:
+/// each adjacency list is sorted by `dst` once the next source starts.
+struct Gather {
+    /// Sorted lists not yet handed to the encoder, then the open list.
+    lists: Vec<Edge>,
+    /// Where the open list starts in `lists`.
+    open: usize,
+    /// The `dst`s of the list being sorted.
+    dsts: Vec<u32>,
+    last_src: Option<u32>,
+    /// [`PackOptions::spill_edges`]: the most edges held here and by the
+    /// encoder thread together.
+    cap: usize,
+}
+
+impl Gather {
+    fn new(cap: usize) -> Self {
+        Gather {
+            lists: Vec::new(),
+            open: 0,
+            dsts: Vec::new(),
+            last_src: None,
+            cap,
+        }
+    }
+
+    /// Takes the leading edges of `chunk` that keep the prefix streaming and
+    /// says how many. Fewer than all is the hand-over: an edge whose source
+    /// is below the last one's, or a list that would grow past the cap.
+    fn take(&mut self, chunk: &[Edge], enc: &mut Encoder) -> Result<usize> {
+        let mut taken = 0;
+        for run in chunk.chunk_by(|a, b| a.src == b.src) {
+            let src = run[0].src;
+            match self.last_src {
+                Some(last) if src < last => {
+                    self.close();
+                    return Ok(taken);
+                }
+                Some(last) if src > last => {
+                    self.close();
+                    if self.open >= STREAM_BATCH {
+                        self.send(enc)?;
+                    }
+                }
+                _ => {}
+            }
+            self.last_src = Some(src);
+            while self.lists.len() + enc.in_flight() + run.len() > self.cap {
+                if enc.in_flight() > 0 {
+                    enc.reclaim()?;
+                } else if self.open > 0 {
+                    self.send(enc)?;
+                } else {
+                    return Ok(taken);
+                }
+            }
+            self.lists.extend_from_slice(run);
+            taken += run.len();
+        }
+        Ok(taken)
+    }
+
+    /// Sorts the open list, which the next source closed. All its edges
+    /// share one source, so sorting their bare `dst`s orders it, and sorts
+    /// faster than the edges by key.
+    fn close(&mut self) {
+        let list = &mut self.lists[self.open..];
+        if list.len() > 1 {
+            self.dsts.clear();
+            self.dsts.extend(list.iter().map(|e| e.dst));
+            self.dsts.sort_unstable();
+            for (e, &dst) in list.iter_mut().zip(&self.dsts) {
+                e.dst = dst;
+            }
+        }
+        self.open = self.lists.len();
+    }
+
+    /// Hands the closed lists to the encoder and moves the open one to the
+    /// buffer the encoder gave back.
+    fn send(&mut self, enc: &mut Encoder) -> Result<()> {
+        let mut next = enc.spare()?;
+        next.extend_from_slice(&self.lists[self.open..]);
+        self.lists.truncate(self.open);
+        self.open = 0;
+        enc.encode(std::mem::replace(&mut self.lists, next))
+    }
+
+    /// Encodes every closed list; returns the encoder and the open list,
+    /// which is empty unless it outgrew the cap.
+    fn hand_over(mut self, mut enc: Encoder) -> Result<(PackEncoder, Vec<Edge>)> {
+        self.send(&mut enc)?;
+        Ok((enc.finish()?, self.lists))
+    }
+
+    /// At the end of the input the last list closes too.
+    fn finish(mut self, enc: Encoder) -> Result<PackEncoder> {
+        self.close();
+        Ok(self.hand_over(enc)?.0)
     }
 }
 
 /// Packs any edge stream into a `CLUGPZ` file at `path` in bounded memory.
 ///
-/// The stream may yield edges in any order; the writer external-sorts them
-/// into canonical `(src, dst)` order (duplicates preserved) in spill runs of
-/// at most [`PackOptions::spill_edges`] edges, merged at write time. Each
-/// buffer is sorted on every CPU the process may use, and the file is the
-/// same at any number of them. The header's vertex count is
+/// The stream may yield edges in any order. While sources ascend, each
+/// adjacency list is sorted by `dst` as the next source starts and goes
+/// straight to the block encoder, which runs on a second thread where the
+/// process may use two CPUs: a source-ascending input packs in one pass,
+/// holding one list and two batches. The first descent, or a list longer
+/// than [`PackOptions::spill_edges`], hands the rest over to an external
+/// sort — buffers of at most `spill_edges` edges, each sorted on every CPU
+/// and spilled as a run — which merges the blocks already encoded back in
+/// as its first run. The file is the same for any input order and any
+/// number of CPUs. The header's vertex count is
 /// `max(num_vertices_hint, max id + 1)`.
+///
+/// The pack is written to `<name>.tmp` beside `path` and renamed over it
+/// once synced; the spill runs are `<name>.runN.tmp`.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors writing the pack or its spill runs — a failed final
-/// `fsync` included — and with [`GraphError::Format`] when a spill run read
-/// back is not the run that was written. No output file is left behind.
+/// Fails on I/O errors writing the pack or its runs — a failed final
+/// `fsync` included — when `path` exists but is no regular file, and with
+/// [`GraphError::Format`] when a run read back is not the run that was
+/// written. No temporary file is left behind, and `path` is only ever
+/// replaced by a whole pack.
 pub fn pack_edge_stream(
     stream: &mut dyn EdgeStream,
     path: &Path,
     opts: &PackOptions,
 ) -> Result<PackStats> {
-    // Every CPU the process may use sorts: `taskset -c 0` gives one.
+    // Every CPU the process may use works: `taskset -c 0` gives one.
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     pack_at_width(stream, path, opts, width)
 }
 
-/// [`pack_edge_stream`], sorting each buffer on `width` threads.
+/// [`pack_edge_stream`] on `width` threads.
 fn pack_at_width(
     stream: &mut dyn EdgeStream,
     path: &Path,
     opts: &PackOptions,
     width: usize,
 ) -> Result<PackStats> {
+    // The rename at the end would replace a device or a directory there.
+    if path.metadata().is_ok_and(|m| !m.is_file()) {
+        return Err(GraphError::Io(std::io::Error::other(format!(
+            "{} exists and is not a regular file",
+            path.display()
+        ))));
+    }
     let spill_cap = opts.spill_edges.max(1);
-    let mut runs = SpillRuns::new(path);
-    let mut buffer: Vec<Edge> = Vec::with_capacity(spill_cap.min(DEFAULT_SPILL_EDGES));
+    let mut scratch = Scratch::new(path);
+    let mut buffer: Vec<Edge> = Vec::new();
     let (mut drained, mut max_id) = (0u64, 0u32);
-    let t_drain = obs::now_us();
-    crate::stream::try_for_each_chunk(stream, chunk_edges(), |mut chunk| -> Result<()> {
-        drained += chunk.len() as u64;
-        max_id = chunk.iter().fold(max_id, |m, e| m.max(e.src).max(e.dst));
-        while !chunk.is_empty() {
-            let (head, rest) = chunk.split_at(chunk.len().min(spill_cap - buffer.len()));
-            buffer.extend_from_slice(head);
-            chunk = rest;
-            if buffer.len() >= spill_cap {
+    let (enc, spill_runs) = std::thread::scope(|scope| -> Result<(PackEncoder, usize)> {
+        let (t_stream, mut t_drain) = (obs::now_us(), 0);
+        let enc = Encoder::new(create_pack(&scratch.pack(), opts)?, width, scope);
+        let mut streaming = Some((Gather::new(spill_cap), enc));
+        crate::stream::try_for_each_chunk(stream, chunk_edges(), |mut chunk| -> Result<()> {
+            drained += chunk.len() as u64;
+            max_id = chunk.iter().fold(max_id, |m, e| m.max(e.src).max(e.dst));
+            if let Some((gather, enc)) = &mut streaming {
+                let taken = gather.take(chunk, enc)?;
+                if taken == chunk.len() {
+                    return Ok(());
+                }
+                chunk = &chunk[taken..];
+                let (gather, enc) = streaming.take().expect("streaming");
+                let (enc, open) = gather.hand_over(enc)?;
+                obs::record_span("pack:stream", t_stream, drained - chunk.len() as u64);
+                obs::record_instant("pack:hand_over", scratch.keep_prefix(enc)?);
+                buffer = open;
+                buffer.reserve_exact(
+                    spill_cap
+                        .min(DEFAULT_SPILL_EDGES)
+                        .saturating_sub(buffer.len()),
+                );
+                t_drain = obs::now_us();
+                // An open list of exactly the cap fills the buffer.
+                if buffer.len() >= spill_cap {
+                    sort_canonical(&mut buffer, width);
+                    scratch.spill(&mut buffer)?;
+                }
+            }
+            while !chunk.is_empty() {
+                let (head, rest) = chunk.split_at(chunk.len().min(spill_cap - buffer.len()));
+                buffer.extend_from_slice(head);
+                chunk = rest;
+                if buffer.len() >= spill_cap {
+                    sort_canonical(&mut buffer, width);
+                    scratch.spill(&mut buffer)?;
+                }
+            }
+            Ok(())
+        })?;
+        match streaming {
+            Some((gather, enc)) => {
+                let enc = gather.finish(enc)?;
+                obs::record_span("pack:stream", t_stream, drained);
+                Ok((enc, 0))
+            }
+            None => {
+                // The tail run stays in memory: it is merged from the
+                // buffer it sits in.
                 sort_canonical(&mut buffer, width);
-                runs.spill(&mut buffer)?;
+                obs::record_span("pack:drain_spill", t_drain, drained);
+                let t_merge = obs::now_us();
+                let merged = merge_encode(&scratch, buffer, opts, width, scope)?;
+                obs::record_span("pack:merge_encode", t_merge, drained);
+                Ok(merged)
             }
         }
-        Ok(())
     })?;
-    // The tail run stays in memory: it is merged from the buffer it sits in.
-    sort_canonical(&mut buffer, width);
-    obs::record_span("pack:drain_spill", t_drain, drained);
     let implied_n = if drained == 0 {
         0
     } else {
         u64::from(max_id) + 1
     };
     let num_vertices = stream.num_vertices_hint().unwrap_or(0).max(implied_n);
-
-    let t_merge = obs::now_us();
-    let file = File::create(path)?;
-    let written = merge_encode(file, &runs.files, buffer, drained, num_vertices, opts);
-    match &written {
-        Ok(stats) => obs::record_span("pack:merge_encode", t_merge, stats.num_edges),
-        // Only ever a regular file: `/dev/null` refuses the final fsync.
-        Err(_) if path.metadata().is_ok_and(|m| m.is_file()) => {
-            std::fs::remove_file(path).ok();
-        }
-        Err(_) => {}
-    }
-    written
+    let stats = finish_pack(enc, drained, num_vertices, opts, spill_runs)?;
+    scratch.commit()?;
+    Ok(stats)
 }
 
-/// The second half of [`pack_edge_stream`]: merges the spilled `runs` and the
-/// sorted in-memory `tail` through the block encoder into `file`, holds the
-/// edges encoded to the `drained` the stream handed over, then writes index,
-/// footer and the real header, and syncs.
-fn merge_encode(
-    file: File,
-    runs: &[(PathBuf, u64)],
+/// The second half of a handed-over [`pack_edge_stream`]: merges the runs
+/// of `scratch` — the streamed prefix first — and the sorted in-memory
+/// `tail` into a new pack file, encoded beside the merge at `width` ≥ 2 as
+/// the streamed prefix was. Returns the encoder and the spill-run count.
+fn merge_encode<'scope>(
+    scratch: &Scratch,
     tail: Vec<Edge>,
+    opts: &PackOptions,
+    width: usize,
+    scope: &'scope Scope<'scope, '_>,
+) -> Result<(PackEncoder, usize)> {
+    let mut bytes = Vec::new();
+    let mut runs = scratch
+        .runs
+        .iter()
+        .map(|(p, spilled)| Run::open(p, spilled, &mut bytes))
+        .collect::<Result<Vec<Run>>>()?;
+    let spilled = scratch
+        .runs
+        .iter()
+        .filter(|(_, s)| matches!(s, Spilled::Records(_)))
+        .count();
+    let spill_runs = if spilled == 0 {
+        0
+    } else {
+        spilled + usize::from(!tail.is_empty())
+    };
+    if !tail.is_empty() {
+        runs.push(Run::in_memory(tail));
+    }
+    let mut enc = Encoder::new(create_pack(&scratch.pack(), opts)?, width, scope);
+    let batch_edges = STREAM_BATCH.min(opts.spill_edges.max(1));
+    let mut batch = Vec::new();
+    merge_runs(runs, &mut bytes, |edges| {
+        batch.extend_from_slice(edges);
+        if batch.len() >= batch_edges {
+            let next = enc.spare()?;
+            enc.encode(std::mem::replace(&mut batch, next))?;
+        }
+        Ok(())
+    })?;
+    enc.encode(batch)?;
+    Ok((enc.finish()?, spill_runs))
+}
+
+/// Closes the pack `enc` wrote: holds the edges encoded to the `drained`
+/// the stream handed over, then writes index, footer and the real header,
+/// and syncs.
+fn finish_pack(
+    enc: PackEncoder,
     drained: u64,
     num_vertices: u64,
     opts: &PackOptions,
+    spill_runs: usize,
 ) -> Result<PackStats> {
-    let mut scratch = Vec::new();
-    let mut w = BufWriter::with_capacity(1 << 16, file);
-    // Header is rewritten with real counts at the end (m is unknown for
-    // hint-less streams until the drain completes).
-    w.write_all(&[0u8; HEADER_LEN as usize])?;
-    let mut enc = BlockEncoder::new(w, opts.block_bytes, HEADER_LEN);
-
-    let mut sources = runs
-        .iter()
-        .map(|(p, edges)| Run::open(p, *edges, &mut scratch))
-        .collect::<Result<Vec<Run>>>()?;
-    if !tail.is_empty() {
-        sources.push(Run::in_memory(tail));
-    }
-    let spill_runs = if runs.is_empty() { 0 } else { sources.len() };
-    merge_runs(&mut sources, &mut scratch, &mut enc)?;
-
+    let start = obs::now_us();
     let (index, num_edges, payload_end, mut w) = enc.finish()?;
     if num_edges != drained {
         return Err(GraphError::Format(format!(
@@ -781,6 +1236,7 @@ fn merge_encode(
     file.write_all(&header.to_bytes())?;
     // A pack reported written is durable, or the caller hears why not.
     file.sync_data()?;
+    obs::record_span("pack:finish", start, num_edges);
     Ok(PackStats {
         num_vertices,
         num_edges,
@@ -1521,7 +1977,8 @@ mod tests {
             spill_edges: 777, // force many runs
             ..Default::default()
         };
-        let stats = write_pack(&path, 0, &edges, &opts).unwrap();
+        // Sources ascend in `web_like`: a shuffle takes the external sort.
+        let stats = write_pack(&path, 0, &shuffled(edges, 8), &opts).unwrap();
         assert!(
             stats.spill_runs >= 2,
             "expected spill runs, got {}",
@@ -1529,18 +1986,18 @@ mod tests {
         );
         let mut s = PackedEdgeStream::open(&path).unwrap();
         assert_eq!(collect_stream(&mut s), want);
-        // Spill runs are cleaned up.
+        // Spill runs and the unrenamed pack are cleaned up.
         let dir = path.parent().unwrap();
         assert!(std::fs::read_dir(dir).unwrap().all(|f| !f
             .unwrap()
             .file_name()
             .to_string_lossy()
-            .contains(".run")));
+            .contains(".tmp")));
         std::fs::remove_file(&path).ok();
     }
 
     /// A private directory per spilling test: `external_sort_spill_path_…`
-    /// asserts that the shared one holds no `.run` file.
+    /// asserts that the shared one holds no `.tmp` file.
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("clugp_pack_test_{name}"));
         std::fs::remove_dir_all(&dir).ok();
@@ -1583,30 +2040,111 @@ mod tests {
         std::fs::read(path).unwrap()
     }
 
-    #[test]
-    fn every_sort_and_merge_leg_writes_the_reference_bytes() {
-        let dir = tmp_dir("legs");
-        let canonical = canonical_order(&web_like(8_547)); // 11 × 777: an empty tail run
+    /// Inputs for every leg of the writer, built from `len` edges of
+    /// `web_like`: streamed whole, handed over at the first, a middle or
+    /// the last edge, handed over once and ascending again, handed over at
+    /// a long list, and never streamed past the first edge.
+    fn writer_legs(len: u32) -> Vec<(&'static str, Vec<Edge>)> {
+        let canonical = canonical_order(&web_like(len));
         let mut ascending = canonical.clone();
         for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
             list.reverse();
         }
+        let n = ascending.len();
+        let last_first: Vec<Edge> = std::iter::once(ascending[n - 1])
+            .chain(ascending[..n - 1].iter().copied())
+            .collect();
+        let mut middle = ascending.clone();
+        let first = middle.remove(0);
+        middle.insert(n / 2, first);
+        let mut last = ascending.clone();
+        last.rotate_left(1);
+        let mut again = ascending.clone();
+        again.rotate_left(n / 3);
+        // Source 1 000 000 gathers a list of half as many edges again in the
+        // middle of the input.
+        let long_list: Vec<Edge> = ascending[..n / 3]
+            .iter()
+            .copied()
+            .chain((0..len / 2).map(|i| Edge::new(1_000_000, (i * 7_919) % 1_000)))
+            .chain(
+                ascending[n / 3..]
+                    .iter()
+                    .map(|e| Edge::new(e.src + 1_000_001, e.dst)),
+            )
+            .collect();
+        // Self-loops and copies of one edge inside every list.
+        let loops: Vec<Edge> = ascending
+            .chunk_by(|a, b| a.src == b.src)
+            .flat_map(|list| {
+                let s = list[0].src;
+                list.iter()
+                    .copied()
+                    .chain([Edge::new(s, s), list[0], Edge::new(s, s), list[0]])
+            })
+            .collect();
         // Four distinct edges, thousands of copies: ties straddle every run
         // boundary at every spill size.
-        let duplicates: Vec<Edge> = (0..6_000u32).map(|i| Edge::new(i % 2, i % 4 / 2)).collect();
-        let one_source: Vec<Edge> = (0..5_000u32)
+        let duplicates: Vec<Edge> = (0..len.min(6_000))
+            .map(|i| Edge::new(i % 2, i % 4 / 2))
+            .collect();
+        let one_source: Vec<Edge> = (0..len.min(5_000))
             .map(|i| Edge::new(9, (i * 7_919) % 1_000))
             .collect();
-        let inputs: [(&str, Vec<Edge>); 7] = [
+        vec![
             ("canonical", canonical.clone()),
             ("ascending", ascending),
+            ("descends at the first edge", last_first),
+            ("descends at a middle edge", middle),
+            ("descends at the last edge", last),
+            ("descends once, ascends again", again),
+            ("one long list", long_list),
+            ("self-loops and duplicates in every list", loops),
             ("shuffled", shuffled(canonical.clone(), 3)),
             ("reversed", canonical.iter().rev().copied().collect()),
             ("duplicates", shuffled(duplicates, 5)),
             ("one_source", one_source),
+            ("single edge", vec![Edge::new(3, 4)]),
             ("empty", Vec::new()),
-        ];
-        for (name, edges) in &inputs {
+        ]
+    }
+
+    /// Where the writer hands `edges` over to the external sort under
+    /// `spill_edges`: at the first edge whose source is below the last one,
+    /// or at the start of the first list longer than `spill_edges` —
+    /// `edges.len()` when it streams them all.
+    fn hand_over_at(edges: &[Edge], spill_edges: usize) -> usize {
+        let mut list = 0;
+        for i in 0..edges.len() {
+            if i > 0 && edges[i].src != edges[i - 1].src {
+                if edges[i].src < edges[i - 1].src {
+                    return i;
+                }
+                list = i;
+            }
+            if i + 1 - list > spill_edges {
+                return list;
+            }
+        }
+        edges.len()
+    }
+
+    /// The writer's spill-run count: buffers of the edges after the
+    /// hand-over, plus a non-empty tail, 0 when none was full.
+    fn expected_spill_runs(edges: &[Edge], spill_edges: usize) -> usize {
+        let sorted = edges.len() - hand_over_at(edges, spill_edges);
+        let (full, tail) = (sorted / spill_edges, sorted % spill_edges);
+        if full == 0 {
+            0
+        } else {
+            full + usize::from(tail > 0)
+        }
+    }
+
+    #[test]
+    fn every_sort_and_merge_leg_writes_the_reference_bytes() {
+        let dir = tmp_dir("legs");
+        for (name, edges) in &writer_legs(8_547) {
             for spill_edges in [1usize, 7, 777, 4096, usize::MAX] {
                 // One file per run is open during the merge: a few hundred
                 // edges are plenty for the one- and seven-edge runs.
@@ -1617,29 +2155,30 @@ mod tests {
                         block_bytes,
                         spill_edges,
                     };
-                    let path = dir.join("got.clugpz");
-                    let stats = write_pack(&path, 0, edges, &opts).unwrap();
-                    let tag = format!("{name} spill={spill_edges} block={block_bytes}");
-                    assert_eq!(stats.num_edges, edges.len() as u64, "{tag}");
-                    // The parent's count: runs on disk plus a non-empty tail,
-                    // 0 when nothing was spilled.
-                    let (full, tail) = (edges.len() / spill_edges, edges.len() % spill_edges);
-                    let runs = if full == 0 {
-                        0
-                    } else {
-                        full + usize::from(tail > 0)
-                    };
-                    assert_eq!(stats.spill_runs, runs, "{tag}");
-                    assert!(std::fs::read(&path).unwrap() == want, "{tag}: bytes differ");
+                    for width in [1, 2] {
+                        let path = dir.join("got.clugpz");
+                        let mut s = InMemoryStream::new(0, edges.to_vec());
+                        let stats = pack_at_width(&mut s, &path, &opts, width).unwrap();
+                        let tag =
+                            format!("{name} spill={spill_edges} block={block_bytes} width={width}");
+                        assert_eq!(stats.num_edges, edges.len() as u64, "{tag}");
+                        assert_eq!(
+                            stats.spill_runs,
+                            expected_spill_runs(edges, spill_edges),
+                            "{tag}"
+                        );
+                        assert!(std::fs::read(&path).unwrap() == want, "{tag}: bytes differ");
+                        let mut names = dir_names(&dir);
+                        names.sort();
+                        assert_eq!(names, ["got.clugpz", "want.clugpz"], "{tag}");
+                    }
                 }
             }
         }
-        assert!(dir_names(&dir).iter().all(|f| !f.contains(".run")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Sources ascending, one of them holding over half the buffer: the
-    /// ascending cut must step off it to a boundary.
+    /// Sources ascending, one of them holding over half the buffer.
     fn one_source_over_half(len: u32) -> Vec<Edge> {
         (0..len)
             .map(|i| match i * 5 / len {
@@ -1652,8 +2191,9 @@ mod tests {
 
     #[test]
     fn sort_canonical_takes_both_legs_to_the_same_order() {
-        // Small buffers sort inline; those above three times the inline
-        // threshold are cut at every width above one.
+        // The two legs: small buffers, and every buffer at width one, sort
+        // inline; those above three times the inline threshold are cut at
+        // every width above one.
         let mut buffers = Vec::new();
         for len in [3_000, 3 * INLINE_SORT_EDGES as u32 + 17] {
             let sorted = canonical_order(&web_like(len));
@@ -1687,79 +2227,57 @@ mod tests {
     }
 
     #[test]
-    fn ascending_cut_steps_off_a_source_to_its_nearer_boundary() {
-        let mut edges: Vec<Edge> = [(0, 3), (1, 5), (2, 1), (3, 2)]
-            .iter()
-            .flat_map(|&(src, n)| (0..n).map(move |d| Edge::new(src, d)))
-            .collect();
-        // Source 1 spans 3..8: from 4 the boundary at 3 is nearer, from 7
-        // the one at 8.
-        assert_eq!(cut(&mut edges, true, 4), Some(3));
-        assert_eq!(cut(&mut edges, true, 7), Some(8));
-        assert_eq!(cut(&mut edges, true, 8), Some(8));
-        // Source 3 ends the buffer: only its lower boundary is left.
-        assert_eq!(cut(&mut edges, true, 10), Some(9));
-        let mut one: Vec<Edge> = (0..9).map(|d| Edge::new(7, d)).collect();
-        assert_eq!(cut(&mut one, true, 4), None);
-    }
-
-    #[test]
     fn pack_bytes_are_the_same_at_width_one_and_two() {
         let dir = tmp_dir("widths");
+        // Buffers above the inline threshold: the external sort cuts them
+        // at width two, and the streamed prefix is encoded on a thread.
         let spill_edges = INLINE_SORT_EDGES + 1_000;
-        let len = (spill_edges * 5 / 2) as u32;
-        let sorted = canonical_order(&web_like(len));
-        let mut ascending = sorted.clone();
-        for list in ascending.chunk_by_mut(|a, b| a.src == b.src) {
-            list.reverse();
-        }
         let opts = PackOptions {
             spill_edges,
             ..Default::default()
         };
-        for (name, edges) in [("ascending", ascending), ("shuffled", shuffled(sorted, 6))] {
-            let mut bytes = Vec::new();
+        for (name, edges) in writer_legs((spill_edges * 5 / 2) as u32) {
+            let want = reference_pack(&edges, DEFAULT_BLOCK_BYTES, &dir.join("want.clugpz"));
             for width in [1, 2] {
-                let path = dir.join(format!("{name}{width}.clugpz"));
+                let path = dir.join(format!("got{width}.clugpz"));
                 let mut s = InMemoryStream::new(0, edges.clone());
                 let stats = pack_at_width(&mut s, &path, &opts, width).unwrap();
-                assert_eq!(stats.spill_runs, 3, "{name}: two spilled runs and a tail");
-                bytes.push(std::fs::read(&path).unwrap());
+                assert_eq!(
+                    stats.spill_runs,
+                    expected_spill_runs(&edges, spill_edges),
+                    "{name} at width {width}"
+                );
+                assert!(
+                    std::fs::read(&path).unwrap() == want,
+                    "{name}: width {width} wrote other bytes"
+                );
             }
-            assert!(bytes[0] == bytes[1], "{name}: width 2 wrote other bytes");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn gallop_finds_the_prefix_a_linear_scan_finds() {
-        let slab: Vec<Edge> = (0..100u32).map(|i| Edge::new(i / 3, i % 3)).collect();
-        for len in [0usize, 1, 2, 3, 7, 64, 100] {
-            for bound in 0..=len + 1 {
-                let le = |e: &Edge| ((e.src * 3 + e.dst) as usize) < bound;
-                let want = slab[..len].iter().take_while(|e| le(e)).count();
-                assert_eq!(gallop(&slab[..len], le), want, "len={len} bound={bound}");
-            }
-        }
-    }
-
-    /// Hands out its edges, and cuts `victim` short just before it reports
-    /// exhaustion — between the spill and the merge.
+    /// Hands out its edges, and damages `victim` just before it reports
+    /// exhaustion — between the drain and the merge: cuts it to `cut_to`
+    /// bytes, or removes it.
     struct TruncatingStream {
         inner: InMemoryStream,
         victim: PathBuf,
-        cut_to: u64,
+        cut_to: Option<u64>,
     }
 
     impl EdgeStream for TruncatingStream {
         fn next_chunk(&mut self, cap: usize) -> &[Edge] {
             let chunk = self.inner.next_chunk(cap);
             if chunk.is_empty() {
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&self.victim)
-                    .unwrap();
-                f.set_len(self.cut_to).unwrap();
+                match self.cut_to {
+                    Some(len) => std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&self.victim)
+                        .unwrap()
+                        .set_len(len)
+                        .unwrap(),
+                    None => std::fs::remove_file(&self.victim).unwrap(),
+                }
             }
             chunk
         }
@@ -1776,38 +2294,69 @@ mod tests {
         let edges = web_like(2_000);
         let opts = PackOptions {
             spill_edges: 600,
-            ..Default::default()
+            block_bytes: 64,
         };
-        // Inside a record, and on a record boundary.
-        for cut_to in [8 * 100 + 3, 8 * 100] {
-            let dir = tmp_dir(&format!("truncated{cut_to}"));
+        // A shuffle streams a few edges into run 0 and spills run 1 raw:
+        // cut inside a record, and on a record boundary.
+        let raw = [(8 * 100 + 3), (8 * 100)].map(|cut| (shuffled(edges.clone(), 2), 1, cut));
+        // Half the graph streams into run 0 before it descends: cut inside
+        // a block, and at the end of its first block.
+        let mut descends = edges.clone();
+        descends[1_000..].reverse();
+        let prefix = tmp("prefix.clugpz");
+        write_pack(&prefix, 0, &descends[..1_000], &opts).unwrap();
+        let second_block =
+            PackedEdgeStream::open(&prefix).unwrap().index().entries()[1].byte_offset;
+        std::fs::remove_file(&prefix).ok();
+        let streamed = [second_block + 7, second_block].map(|cut| (descends.clone(), 0, cut));
+        for (input, run, cut_to) in raw.into_iter().chain(streamed) {
+            let dir = tmp_dir(&format!("truncated{run}_{cut_to}"));
             let path = dir.join("web.clugpz");
+            let victim = format!("web.clugpz.run{run}.tmp");
             let mut s = TruncatingStream {
-                inner: InMemoryStream::new(0, edges.clone()),
-                victim: dir.join("web.clugpz.run1.tmp"),
-                cut_to,
+                inner: InMemoryStream::new(0, input),
+                victim: dir.join(&victim),
+                cut_to: Some(cut_to),
             };
             let err = pack_edge_stream(&mut s, &path, &opts).unwrap_err();
             assert!(matches!(err, GraphError::Format(_)), "{err:?}");
             let msg = err.to_string();
-            assert!(msg.contains("web.clugpz.run1.tmp"), "{msg}");
+            assert!(msg.contains(&victim), "{msg}");
             assert!(msg.contains(&format!("{cut_to} bytes")), "{msg}");
-            assert_eq!(dir_names(&dir), Vec::<String>::new(), "cut_to={cut_to}");
+            assert_eq!(
+                dir_names(&dir),
+                Vec::<String>::new(),
+                "{victim} cut to {cut_to}"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
+        // A pack that streamed whole fails at the rename once its file is
+        // gone, and leaves nothing either.
+        let dir = tmp_dir("vanished");
+        let path = dir.join("web.clugpz");
+        let mut s = TruncatingStream {
+            inner: InMemoryStream::new(0, edges),
+            victim: dir.join("web.clugpz.tmp"),
+            cut_to: None,
+        };
+        let err = pack_edge_stream(&mut s, &path, &opts).unwrap_err();
+        assert!(matches!(err, GraphError::Io(_)), "{err:?}");
+        assert_eq!(dir_names(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn spill_runs_are_named_after_the_whole_output_file_name() {
         let dir = tmp_dir("names");
         let edges = web_like(100);
-        let mut runs: Vec<SpillRuns> = ["web.clugpz", "web.bin", "web"]
+        let mut files: Vec<Scratch> = ["web.clugpz", "web.bin", "web"]
             .iter()
-            .map(|name| SpillRuns::new(&dir.join(name)))
+            .map(|name| Scratch::new(&dir.join(name)))
             .collect();
-        for r in &mut runs {
-            r.spill(&mut edges.clone()).unwrap();
-            r.spill(&mut edges.clone()).unwrap();
+        for f in &mut files {
+            std::fs::write(f.pack(), b"").unwrap();
+            f.spill(&mut edges.clone()).unwrap();
+            f.spill(&mut edges.clone()).unwrap();
         }
         let mut names = dir_names(&dir);
         names.sort();
@@ -1816,14 +2365,26 @@ mod tests {
             [
                 "web.bin.run0.tmp",
                 "web.bin.run1.tmp",
+                "web.bin.tmp",
                 "web.clugpz.run0.tmp",
                 "web.clugpz.run1.tmp",
+                "web.clugpz.tmp",
                 "web.run0.tmp",
                 "web.run1.tmp",
+                "web.tmp",
             ]
         );
-        drop(runs);
-        assert!(dir_names(&dir).is_empty(), "runs outlive their owner");
+        drop(files);
+        assert!(dir_names(&dir).is_empty(), "files outlive their owner");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_device_at_the_output_is_refused_not_replaced() {
+        let dir = tmp_dir("not_a_file");
+        let err = write_pack(&dir, 0, &web_like(10), &PackOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("not a regular file"), "{err}");
+        assert!(dir.is_dir());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -461,7 +461,7 @@ fn relaxed_mode_is_deterministic_and_transport_independent() {
 }
 
 #[test]
-fn relaxed_baselines_match_their_recorded_golden_hashes() {
+fn relaxed_clugp_rows_match_their_recorded_golden_hashes() {
     // Relaxed runs are otherwise only compared with themselves, so a driver
     // rewrite could change their bits unnoticed. The CLUGP hashes were
     // recorded at 7b32848, before the read-only CLUGP stages were rewritten.

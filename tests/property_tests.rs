@@ -20,6 +20,24 @@ fn arb_edges() -> impl Strategy<Value = Vec<Edge>> {
         .prop_map(|pairs| pairs.into_iter().map(|(a, b)| Edge::new(a, b)).collect())
 }
 
+/// Arbitrary edges in adjacency order — sources ascending, each list as
+/// drawn — with up to three swaps of two drawn positions: inputs that stream
+/// a prefix into the pack and hand the rest over to the external sort.
+fn arb_mostly_ascending_edges() -> impl Strategy<Value = Vec<Edge>> {
+    (
+        arb_edges(),
+        prop::collection::vec((0usize..200, 0usize..200), 0..4),
+    )
+        .prop_map(|(mut edges, swaps)| {
+            edges.sort_by_key(|e| e.src);
+            let n = edges.len();
+            for (a, b) in swaps {
+                edges.swap(a % n, b % n);
+            }
+            edges
+        })
+}
+
 /// Arbitrary raw edge lists over sparse 64-bit external ids: a small pool of
 /// huge ids (so edges share endpoints, exercising the interning fast path)
 /// mixed with fully random ids.
@@ -401,24 +419,30 @@ proptest! {
     }
 
     /// The external-sort spill path produces byte-identical packs to the
-    /// in-memory path for any input order.
+    /// in-memory path for any input order, and for inputs that stream a
+    /// prefix before they descend.
     #[test]
-    fn pack_spill_path_equals_in_memory_path(edges in arb_edges()) {
+    fn pack_spill_path_equals_in_memory_path(
+        edges in arb_edges(),
+        mostly in arb_mostly_ascending_edges(),
+    ) {
         use clugp_graph::pack::{write_pack, PackOptions};
         let dir = std::env::temp_dir().join("clugp_prop_pack_spill");
         std::fs::create_dir_all(&dir).unwrap();
-        let a = dir.join(format!("mem{}.clugpz", edges.len()));
-        let b = dir.join(format!("spill{}.clugpz", edges.len()));
-        write_pack(&a, 64, &edges, &PackOptions::default()).unwrap();
-        write_pack(&b, 64, &edges, &PackOptions {
-            spill_edges: 3,
-            ..Default::default()
-        }).unwrap();
-        let fa = std::fs::read(&a).unwrap();
-        let fb = std::fs::read(&b).unwrap();
-        prop_assert_eq!(fa, fb);
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
+        for input in [&edges, &mostly] {
+            let a = dir.join(format!("mem{}.clugpz", input.len()));
+            let b = dir.join(format!("spill{}.clugpz", input.len()));
+            write_pack(&a, 64, input, &PackOptions::default()).unwrap();
+            write_pack(&b, 64, input, &PackOptions {
+                spill_edges: 3,
+                ..Default::default()
+            }).unwrap();
+            let fa = std::fs::read(&a).unwrap();
+            let fb = std::fs::read(&b).unwrap();
+            prop_assert_eq!(fa, fb);
+            std::fs::remove_file(&a).ok();
+            std::fs::remove_file(&b).ok();
+        }
     }
 
     /// Every leg of the writer — adjacency-list sort or packed-key sort, no
