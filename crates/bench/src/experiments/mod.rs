@@ -10,7 +10,7 @@
 //! | [`scalability::fig6`] | Fig. 6 | memory vs #partitions |
 //! | [`scalability::fig7`] | Fig. 7 | partitioning runtime vs #partitions |
 //! | [`system::fig8`] | Fig. 8 | PageRank on the GAS simulator: comm volume, runtime, latency sweep |
-//! | [`quality::fig9`] | Fig. 9 | ablations CLUGP / CLUGP-S / CLUGP-G (+ migration policies) |
+//! | [`quality::fig9`] | Fig. 9 | ablations CLUGP / CLUGP-S / CLUGP-G (+ migration policies, Vmax factors) |
 //! | [`scalability::fig10`] | Fig. 10 | parallelization: threads, compute-vs-I/O, batch size |
 //! | [`quality::fig11`] | Fig. 11 | imbalance factor τ and relative weight sweeps |
 //! | [`orders::orders`] | §VI-A footnote | every algorithm under every stream order |
@@ -119,6 +119,8 @@ mod tests {
     fn json_writers_name_their_fields() {
         let phases = vec![("clustering".into(), 0.5), ("game".into(), 0.25)];
         let cell = CellResult {
+            row: "CLUGP".into(),
+            column: "k=4".into(),
             phases,
             ..Default::default()
         };
@@ -128,14 +130,12 @@ mod tests {
             scalability::fig10a_row_json("CLU8", 8, 0.25, 1.5),
             tables::summary_json("uk-s", &Default::default()),
             system::estimate_json("it-s", "DBH", &model, &model.estimate(&Default::default())),
-            orders::order_cell_json("HDRF", "BFS", 1.25, 1.5),
         ];
         let want = [
-            r#"[{"dataset":"","algorithm":"","k":0,"replication_factor":0.000000,"relative_balance":0.000000,"partition_secs":0.000000,"memory_bytes":0,"phases":{"clustering":0.500000,"game":0.250000}}]"#,
+            r#"[{"row":"CLUGP","column":"k=4","dataset":"","algorithm":"","k":0,"replication_factor":0.000000,"relative_balance":0.000000,"partition_secs":0.000000,"memory_bytes":0,"phases":{"clustering":0.500000,"game":0.250000}}]"#,
             r#"{"label":"CLU8","threads":8,"io_secs":0.250000,"total_secs":1.500000}"#,
             r#"{"dataset":"uk-s","num_vertices":0,"num_edges":0,"mean_degree":0.000000,"max_degree":0,"alpha":0.000000,"components":0}"#,
             r#"{"dataset":"it-s","algorithm":"DBH","rtt_ms":10,"compute_secs":0.000000,"communication_secs":0.000000,"total_bytes":0,"total_messages":0,"supersteps":0}"#,
-            r#"{"algorithm":"HDRF","order":"BFS","replication_factor":1.250000,"relative_balance":1.500000}"#,
         ];
         for (json, want) in got.iter().zip(want) {
             clugp_obs::json::validate(json).unwrap();

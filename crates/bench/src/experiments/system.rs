@@ -2,10 +2,10 @@
 //! GAS simulator, driven by each algorithm's actual partitioning.
 
 use super::ExpContext;
-use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::report::{fmt_bytes, fmt_secs, results_dir, save_json, Table};
-use crate::runner::PreparedDataset;
+use crate::runner::{competitors, PreparedDataset};
+use clugp::ampc::coordinator::DistAlgo;
 use clugp_engine::apps::PageRank;
 use clugp_engine::cost::CostEstimate;
 use clugp_engine::{CostModel, DistributedGraph, Engine, ExecutionStats};
@@ -16,11 +16,13 @@ use std::time::Duration;
 /// Partitions `prep` with `algo` once, runs 10 PageRank iterations on the GAS
 /// simulator over that placement, and returns the partitioning seconds beside
 /// the PageRank run's statistics — price them with [`CostModel::estimate`].
-pub fn pagerank(prep: &PreparedDataset, algo: Algorithm, k: u32) -> (f64, ExecutionStats) {
+pub fn pagerank(prep: &PreparedDataset, algo: &DistAlgo, k: u32) -> (f64, ExecutionStats) {
     let edges = prep.edges_for(algo);
     let mut stream = InMemoryStream::new(prep.graph.num_vertices(), edges.to_vec());
-    let mut partitioner = algo.build();
-    let run = partitioner.partition(&mut stream, k).expect("partition");
+    let run = algo
+        .monolith()
+        .partition(&mut stream, k)
+        .expect("partition");
     let placed = DistributedGraph::place(edges, &run.partitioning);
     let engine = Engine::new(&placed);
     let (_, stats) = engine.run(&PageRank::default());
@@ -32,27 +34,26 @@ pub fn pagerank(prep: &PreparedDataset, algo: Algorithm, k: u32) -> (f64, Execut
 /// RTT on the it-2004 analogue. All at k = 32 with 10 PageRank iterations.
 pub fn fig8(ctx: &ExpContext) {
     let k = 32;
-    let mut table_a = Table::new_owned("Fig 8(a) — PageRank communication volume (k=32)", {
-        let mut h = vec!["Algorithm".to_string()];
-        h.extend(Dataset::WEB.iter().map(|d| d.name().to_string()));
-        h
-    });
-    let mut table_b = Table::new_owned("Fig 8(b) — PageRank estimated runtime (k=32)", {
-        let mut h = vec!["Algorithm".to_string()];
-        h.extend(Dataset::WEB.iter().map(|d| d.name().to_string()));
-        h
-    });
+    let header = std::iter::once("Algorithm").chain(Dataset::WEB.iter().map(|d| d.name()));
+    let mut table_a = Table::new(
+        "Fig 8(a) — PageRank communication volume (k=32)",
+        header.clone(),
+    );
+    let mut table_b = Table::new("Fig 8(b) — PageRank estimated runtime (k=32)", header);
     let mut json = Arr::new();
-    let mut per_algo: Vec<(Algorithm, Vec<String>, Vec<String>)> = Algorithm::COMPETITORS
-        .iter()
-        .map(|&a| (a, vec![a.name().to_string()], vec![a.name().to_string()]))
+    let mut per_algo: Vec<(DistAlgo, Vec<String>, Vec<String>)> = competitors()
+        .into_iter()
+        .map(|a| {
+            let row = vec![a.name().to_string()];
+            (a, row.clone(), row)
+        })
         .collect();
     let model = CostModel::default();
     let (swept, mut swept_stats) = (Dataset::ItS, Vec::new());
     for ds in Dataset::WEB {
         let prep = PreparedDataset::load(ds, ctx.scale);
         for (algo, row_a, row_b) in per_algo.iter_mut() {
-            let (_, stats) = pagerank(&prep, *algo, k);
+            let (_, stats) = pagerank(&prep, algo, k);
             let est = model.estimate(&stats);
             row_a.push(fmt_bytes(est.total_bytes));
             row_b.push(fmt_secs(est.total_secs()));
@@ -73,12 +74,9 @@ pub fn fig8(ctx: &ExpContext) {
 
     // (c) latency sweep on it-s: the runs above, priced at each RTT.
     let rtts = [10u64, 50, 100];
-    let mut table_c = Table::new_owned("Fig 8(c) — PageRank runtime vs RTT (it-s, k=32)", {
-        let mut h = vec!["Algorithm".to_string()];
-        h.extend(rtts.iter().map(|ms| format!("{ms}ms")));
-        h
-    });
-    for (algo, stats) in Algorithm::COMPETITORS.iter().zip(&swept_stats) {
+    let header = std::iter::once("Algorithm".into()).chain(rtts.map(|ms| format!("{ms}ms")));
+    let mut table_c = Table::new("Fig 8(c) — PageRank runtime vs RTT (it-s, k=32)", header);
+    for (algo, stats) in competitors().iter().zip(&swept_stats) {
         let mut row = vec![algo.name().to_string()];
         for &ms in &rtts {
             let model = CostModel {
@@ -127,9 +125,9 @@ mod tests {
     fn pagerank_estimates_match_their_recorded_hash() {
         let prep = PreparedDataset::load(Dataset::UkS, 0.02);
         let model = CostModel::default();
-        let rows: String = Algorithm::COMPETITORS
+        let rows: String = competitors()
             .iter()
-            .map(|&algo| {
+            .map(|algo| {
                 let est = model.estimate(&pagerank(&prep, algo, 8).1);
                 estimate_json(Dataset::UkS.name(), algo.name(), &model, &est)
             })
@@ -148,8 +146,8 @@ mod tests {
         // Hashing's replication factor is several times CLUGP's, so its
         // simulated communication volume must be larger.
         let prep = PreparedDataset::load(Dataset::UkS, 0.02);
-        let est = |algo| CostModel::default().estimate(&pagerank(&prep, algo, 8).1);
-        let (est_clugp, est_hash) = (est(Algorithm::Clugp), est(Algorithm::Hashing));
+        let est = |algo| CostModel::default().estimate(&pagerank(&prep, &algo, 8).1);
+        let (est_clugp, est_hash) = (est(DistAlgo::clugp()), est(DistAlgo::hashing()));
         assert!(
             est_hash.total_bytes > est_clugp.total_bytes,
             "hashing {} should move more bytes than CLUGP {}",

@@ -2,10 +2,9 @@
 //! inventory).
 
 use super::ExpContext;
-use crate::algorithms::Algorithm;
 use crate::datasets::Dataset;
 use crate::report::{fmt_bytes, fmt_secs, results_dir, save_json, Table};
-use crate::runner::{cells_json, run_cell, PreparedDataset};
+use crate::runner::{cells_json, competitors, run_cell, CellResult, PreparedDataset};
 use clugp_obs::json::{Arr, Obj};
 
 /// Table I — measured runtime and replication factor of every streaming
@@ -13,10 +12,14 @@ use clugp_obs::json::{Arr, Obj};
 /// paper's Low/Medium/High classes.
 pub fn table1(ctx: &ExpContext) {
     let prep = PreparedDataset::load(Dataset::UkS, ctx.scale);
-    let mut cells = Vec::new();
-    for algo in Algorithm::COMPETITORS {
-        cells.push(run_cell(&prep, algo, 32));
-    }
+    // Each cell fills the row printed under its algorithm's name.
+    let cells: Vec<CellResult> = competitors()
+        .iter()
+        .map(|algo| CellResult {
+            row: algo.name().to_string(),
+            ..run_cell(&prep, algo, 32)
+        })
+        .collect();
     // Bucket by tertiles of the measured range, mirroring the qualitative
     // classes of Table I.
     let class = |x: f64, lo: f64, hi: f64| -> &'static str {
@@ -34,7 +37,7 @@ pub fn table1(ctx: &ExpContext) {
 
     let mut table = Table::new(
         "Table I — vertex-cut streaming partitioners (measured, uk-s, k=32)",
-        &["Algorithm", "Time", "RF", "Time Cost", "Quality"],
+        ["Algorithm", "Time", "RF", "Time Cost", "Quality"],
     );
     for c in &cells {
         // Paper semantics: low RF = high quality.
@@ -61,7 +64,7 @@ pub fn table1(ctx: &ExpContext) {
 pub fn table3(ctx: &ExpContext) {
     let mut table = Table::new(
         "Table III — dataset analogues (synthetic; see DESIGN.md §4)",
-        &[
+        [
             "Alias",
             "Substitutes",
             "|V|",

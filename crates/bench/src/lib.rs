@@ -5,10 +5,12 @@
 //! * [`datasets`] — the synthetic analogues of the paper's Table III
 //!   corpora (see DESIGN.md §4 for the substitution rationale), with an
 //!   in-process cache and a global scale knob (`CLUGP_SCALE`).
-//! * [`algorithms`] — the roster of partitioners under test, each paired
-//!   with its best stream order exactly as the paper configures them.
-//! * [`runner`] — runs one `(dataset, algorithm, k)` cell and collects
-//!   quality/time/memory measurements.
+//! * [`runner`] — the rows under test (the core's `DistAlgo` roster: the
+//!   six competitors and CLUGP's ablations, each streaming in the order
+//!   the paper grants it), one `(dataset, algorithm, k)` cell with its
+//!   quality/time/memory measurements, and `grid`, which runs a figure's
+//!   rows × columns, prints and saves its table and returns every cell
+//!   stamped with the row and column it is printed under.
 //! * [`report`] — aligned-table printing and CSV/JSON export into
 //!   `results/`.
 //! * [`experiments`] — one entry point per paper table/figure
@@ -18,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algorithms;
 pub mod datasets;
 pub mod experiments;
 pub mod report;

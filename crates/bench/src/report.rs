@@ -16,15 +16,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
-        Self::new_owned(title, headers.iter().map(|s| s.to_string()).collect())
-    }
-
-    /// Creates a table with owned (computed) column headers.
-    pub fn new_owned(title: &str, headers: Vec<String>) -> Self {
+    pub fn new<S: ToString>(title: &str, headers: impl IntoIterator<Item = S>) -> Self {
         Table {
             title: title.to_string(),
-            headers,
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut t = Table::new("demo", &["algo", "rf"]);
+        let mut t = Table::new("demo", ["algo", "rf"]);
         t.row(vec!["CLUGP".into(), "1.50".into()]);
         t.row(vec!["H".into(), "10.25".into()]);
         let r = t.render();
@@ -164,13 +159,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn row_arity_checked() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", ["a", "b"]);
         t.row(vec!["only-one".into()]);
     }
 
     #[test]
     fn csv_round_trip() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", ["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         let dir = std::env::temp_dir().join("clugp_report_test");
         let path = dir.join("t.csv");
@@ -186,7 +181,7 @@ mod tests {
         let file = dir.join("regular-file");
         std::fs::write(&file, "not a directory").unwrap();
         let path = file.join("t.csv");
-        let t = Table::new("x", &["a"]);
+        let t = Table::new("x", ["a"]);
         let panic = std::panic::catch_unwind(|| t.save_csv(&path)).unwrap_err();
         let msg = panic.downcast_ref::<String>().expect("formatted message");
         assert!(
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn table_len() {
-        let mut t = Table::new("x", &["a"]);
+        let mut t = Table::new("x", ["a"]);
         assert!(t.is_empty());
         t.row(vec!["1".into()]);
         assert_eq!(t.len(), 1);

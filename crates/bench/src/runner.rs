@@ -1,8 +1,14 @@
-//! Runs one `(dataset, algorithm, k)` experiment cell and collects the
-//! measurements every figure consumes.
+//! Runs experiment cells — one `(dataset, algorithm, k)` each — and lays
+//! them out as a figure's grid of rows × columns.
+//!
+//! The algorithms are the core's roster ([`DistAlgo`]); a row is a printed
+//! label beside the roster entry it runs, with a sweep's overrides set on
+//! its config.
 
-use crate::algorithms::{Algorithm, BuildOptions};
 use crate::datasets::Dataset;
+use crate::report::{results_dir, Table};
+use clugp::ampc::coordinator::DistAlgo;
+use clugp::clugp::ClugpConfig;
 use clugp::metrics::PartitionQuality;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::order::{ordered_edges, StreamOrder, RANDOM_ORDER_SEED};
@@ -10,6 +16,39 @@ use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::Edge;
 use clugp_obs::json::{Arr, Obj};
 use std::sync::Arc;
+
+/// The six algorithms of the headline comparison, in the paper's legend
+/// order.
+pub(crate) fn competitors() -> Vec<DistAlgo> {
+    ["hdrf", "greedy", "hashing", "dbh", "mint", "clugp"]
+        .into_iter()
+        .map(|name| DistAlgo::by_name(name).expect("a roster name"))
+        .collect()
+}
+
+/// CLUGP at its defaults with `set` applied: a sweep's or an ablation's
+/// row.
+pub(crate) fn clugp_with(set: impl FnOnce(&mut ClugpConfig)) -> DistAlgo {
+    let mut cfg = ClugpConfig::default();
+    set(&mut cfg);
+    DistAlgo::Clugp(cfg)
+}
+
+/// Grid rows: each algorithm under the label it is printed as.
+pub(crate) type Rows = Vec<(String, DistAlgo)>;
+
+/// Grid rows printed under each algorithm's display name.
+pub(crate) fn named(algos: Vec<DistAlgo>) -> Rows {
+    algos
+        .into_iter()
+        .map(|a| (a.name().to_string(), a))
+        .collect()
+}
+
+/// Grid columns `k=4`, `k=8`, … for a k sweep.
+pub(crate) fn k_columns(ks: &[u32]) -> Vec<(String, u32)> {
+    ks.iter().map(|&k| (format!("k={k}"), k)).collect()
+}
 
 /// A dataset with both stream orders materialized once.
 pub struct PreparedDataset {
@@ -41,23 +80,22 @@ impl PreparedDataset {
         }
     }
 
-    /// The edge stream this algorithm gets (its best order, per the paper).
-    pub fn edges_for(&self, algo: Algorithm) -> &[Edge] {
+    /// The edge stream `algo` gets: its [`DistAlgo::stream_order`].
+    pub fn edges_for(&self, algo: &DistAlgo) -> &[Edge] {
         match algo.stream_order() {
             StreamOrder::Bfs => &self.bfs,
             _ => &self.random,
         }
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> u64 {
-        self.bfs.len() as u64
     }
 }
 
 /// Measurements from one experiment cell.
 #[derive(Debug, Clone, Default)]
 pub struct CellResult {
+    /// The label of the grid row the cell is printed in.
+    pub row: String,
+    /// The label of the grid column the cell is printed in.
+    pub column: String,
     /// Dataset name.
     pub dataset: String,
     /// Algorithm name.
@@ -83,6 +121,8 @@ pub fn cells_json(cells: &[CellResult]) -> String {
     for c in cells {
         let phases = c.phases.iter().fold(Obj::new(), |o, (n, s)| o.f64(n, *s));
         let cell = Obj::new()
+            .str("row", &c.row)
+            .str("column", &c.column)
             .str("dataset", &c.dataset)
             .str("algorithm", &c.algorithm)
             .u64("k", c.k.into())
@@ -96,27 +136,29 @@ pub fn cells_json(cells: &[CellResult]) -> String {
     arr.finish()
 }
 
-/// Runs `algo` on `prep` with `k` partitions and default options.
-pub fn run_cell(prep: &PreparedDataset, algo: Algorithm, k: u32) -> CellResult {
-    run_cell_with(prep, algo, k, &BuildOptions::default())
+/// Runs `algo` on `prep` with `k` partitions, over the stream order it is
+/// granted.
+pub fn run_cell(prep: &PreparedDataset, algo: &DistAlgo, k: u32) -> CellResult {
+    run_edges(&prep.name, &prep.graph, prep.edges_for(algo), algo, k)
 }
 
-/// Runs with explicit [`BuildOptions`] (parameter-sweep figures).
-pub fn run_cell_with(
-    prep: &PreparedDataset,
-    algo: Algorithm,
+/// Runs `algo` with `k` partitions over `edges`, a stream of `graph` (the
+/// dataset called `dataset`) in any order.
+pub(crate) fn run_edges(
+    dataset: &str,
+    graph: &CsrGraph,
+    edges: &[Edge],
+    algo: &DistAlgo,
     k: u32,
-    opts: &BuildOptions,
 ) -> CellResult {
-    let edges = prep.edges_for(algo);
-    let mut stream = InMemoryStream::new(prep.graph.num_vertices(), edges.to_vec());
-    let mut partitioner = algo.build_with(opts);
-    let run = partitioner
+    let mut stream = InMemoryStream::new(graph.num_vertices(), edges.to_vec());
+    let run = algo
+        .monolith()
         .partition(&mut stream, k)
         .expect("partitioning failed on a generated dataset");
     let quality = PartitionQuality::compute(edges, &run.partitioning);
     CellResult {
-        dataset: prep.name.clone(),
+        dataset: dataset.to_string(),
         algorithm: algo.name().to_string(),
         k,
         replication_factor: quality.replication_factor,
@@ -129,7 +171,47 @@ pub fn run_cell_with(
             .iter()
             .map(|(n, d)| (n.to_string(), d.as_secs_f64()))
             .collect(),
+        ..Default::default()
     }
+}
+
+/// Runs `cell` on every `(row, column)` pair, prints the table `title` with
+/// `corner` over the row labels and `show(column, cell)` in each entry,
+/// writes it as `<csv>.csv` under the results dir, and returns the cells
+/// in row-major order, each stamped with the labels it is printed under.
+pub(crate) fn grid<R, C>(
+    title: &str,
+    csv: &str,
+    corner: &str,
+    rows: &[(String, R)],
+    columns: &[(String, C)],
+    mut cell: impl FnMut(&R, &C) -> CellResult,
+    show: impl Fn(&C, &CellResult) -> String,
+) -> Vec<CellResult> {
+    let header = std::iter::once(corner).chain(columns.iter().map(|(label, _)| label.as_str()));
+    let mut table = Table::new(title, header);
+    let mut cells = Vec::with_capacity(rows.len() * columns.len());
+    for (row, r) in rows {
+        let mut printed = vec![row.clone()];
+        for (column, c) in columns {
+            let result = CellResult {
+                row: row.clone(),
+                column: column.clone(),
+                ..cell(r, c)
+            };
+            printed.push(show(c, &result));
+            cells.push(result);
+        }
+        table.row(printed);
+    }
+    table.print();
+    table.save_csv(&results_dir().join(format!("{csv}.csv")));
+    cells
+}
+
+/// A grid entry showing the replication factor.
+pub(crate) fn show_rf<C>(_: &C, cell: &CellResult) -> String {
+    format!("{:.3}", cell.replication_factor)
 }
 
 /// The k sweep of the paper's figures (`CLUGP_KS` replaces it, see
@@ -163,7 +245,7 @@ mod tests {
     #[test]
     fn cell_produces_sane_metrics() {
         let prep = tiny();
-        let cell = run_cell(&prep, Algorithm::Hashing, 4);
+        let cell = run_cell(&prep, &DistAlgo::hashing(), 4);
         assert_eq!(cell.k, 4);
         assert!(cell.replication_factor >= 1.0);
         assert!(cell.relative_balance >= 1.0);
@@ -173,7 +255,7 @@ mod tests {
     #[test]
     fn clugp_cell_has_phases() {
         let prep = tiny();
-        let cell = run_cell(&prep, Algorithm::Clugp, 4);
+        let cell = run_cell(&prep, &DistAlgo::clugp(), 4);
         assert_eq!(cell.phases.len(), 4);
         assert_eq!(cell.algorithm, "CLUGP");
     }
@@ -181,10 +263,46 @@ mod tests {
     #[test]
     fn orders_differ_between_algorithms() {
         let prep = tiny();
-        let a = prep.edges_for(Algorithm::Hdrf);
-        let b = prep.edges_for(Algorithm::Clugp);
+        let a = prep.edges_for(&DistAlgo::hdrf());
+        let b = prep.edges_for(&DistAlgo::clugp());
         assert_eq!(a.len(), b.len());
         assert_ne!(a[..10], b[..10]);
+    }
+
+    /// The competitors' and Fig. 9's rows.
+    fn row_lists() -> [Rows; 2] {
+        let fig9 = crate::experiments::quality::fig9_tables();
+        [
+            named(competitors()),
+            fig9.into_iter().flat_map(|t| t.2).collect(),
+        ]
+    }
+
+    #[test]
+    fn names_are_unique() {
+        for (rows, want) in row_lists().iter().zip([6, 8]) {
+            let mut labels: Vec<&str> = rows.iter().map(|(label, _)| label.as_str()).collect();
+            labels.sort_unstable();
+            labels.dedup();
+            assert_eq!(labels.len(), want, "{labels:?}");
+        }
+    }
+
+    #[test]
+    fn stream_orders_match_paper() {
+        for (label, algo) in row_lists().into_iter().flatten() {
+            let want = match label.as_str() {
+                "HDRF" | "Greedy" | "Hashing" | "DBH" => StreamOrder::Random(RANDOM_ORDER_SEED),
+                _ => StreamOrder::Bfs, // Mint and every CLUGP row
+            };
+            assert_eq!(algo.stream_order(), want, "{label}");
+        }
+    }
+
+    #[test]
+    fn headers_include_all_ks() {
+        let labels: Vec<String> = k_columns(&[4, 8]).into_iter().map(|c| c.0).collect();
+        assert_eq!(labels, ["k=4", "k=8"]);
     }
 
     #[test]

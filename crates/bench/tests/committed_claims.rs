@@ -1,0 +1,69 @@
+//! The paper's Fig. 9 and Fig. 11 claims, checked against the committed
+//! scale-1 cells in `results/` (`experiments fig9 fig11` with the default k
+//! sweep; EXPERIMENTS.md quotes them).
+
+use std::collections::BTreeMap;
+
+/// The header of every Fig. 9 table: the default k sweep.
+const FIG9: &str = "Algorithm,k=4,k=8,k=16,k=32,k=64,k=128,k=256";
+
+/// The rows of the committed `<name>.csv`, which must have `header`: each
+/// label beside its replication factors.
+fn rows(name: &str, header: &str) -> BTreeMap<String, Vec<f64>> {
+    let path = format!("{}/../../results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    let csv = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some(header), "{path}");
+    let parse = |rfs: &str| rfs.split(',').map(|rf| rf.parse().unwrap()).collect();
+    let row = |line: &str| {
+        line.split_once(',')
+            .map(|(l, rfs)| (l.to_string(), parse(rfs)))
+    };
+    lines.map(|line| row(line).unwrap()).collect()
+}
+
+#[test]
+fn clugp_beats_both_ablations_but_clugp_s_at_k_128() {
+    let rows = rows("fig9", FIG9);
+    let mut exceptions = Vec::new();
+    for ablation in ["CLUGP-S", "CLUGP-G"] {
+        let ks = [4, 8, 16, 32, 64, 128, 256].iter();
+        for ((k, clugp), other) in ks.zip(&rows["CLUGP"]).zip(&rows[ablation]) {
+            if clugp > other {
+                exceptions.push(format!("{ablation} at k={k}: {other} < CLUGP's {clugp}"));
+            }
+        }
+    }
+    assert_eq!(exceptions, ["CLUGP-S at k=128: 8.171 < CLUGP's 8.424"]);
+}
+
+#[test]
+fn anchored_migration_beats_the_papers_at_every_k() {
+    let rows = rows("fig9_migration", FIG9);
+    let paper = &rows["Paper(verbatim)"];
+    for (anchored, paper) in rows["Anchored(default)"].iter().zip(paper) {
+        assert!(anchored < paper, "{rows:?}");
+    }
+}
+
+#[test]
+fn rf_does_not_fall_as_k_grows_in_any_fig9_row() {
+    for name in ["fig9", "fig9_migration", "fig9_vmax"] {
+        for (label, rfs) in rows(name, FIG9) {
+            assert!(
+                rfs.windows(2).all(|w| w[0] <= w[1]),
+                "{name} {label}: {rfs:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn rf_does_not_grow_with_tau_in_any_fig11a_row() {
+    let header = "Dataset,tau=1.00,tau=1.02,tau=1.04,tau=1.06,tau=1.08,tau=1.10";
+    let rows = rows("fig11a", header);
+    assert_eq!(rows.len(), 4);
+    for (dataset, rfs) in rows {
+        assert!(rfs.windows(2).all(|w| w[0] >= w[1]), "{dataset}: {rfs:?}");
+    }
+}
