@@ -7,6 +7,12 @@ use std::collections::BTreeMap;
 /// The header of every Fig. 9 table: the default k sweep.
 const FIG9: &str = "Algorithm,k=4,k=8,k=16,k=32,k=64,k=128,k=256";
 
+/// The header of Fig. 11(a): the τ sweep at the default `w`.
+const FIG11A: &str = "Dataset,tau=1.00,tau=1.02,tau=1.04,tau=1.06,tau=1.08,tau=1.10";
+
+/// The header of Fig. 11(b): the `w` sweep at the default τ.
+const FIG11B: &str = "Dataset,w=0.1,w=0.3,w=0.5,w=0.7,w=0.9";
+
 /// The rows of the committed `<name>.csv`, which must have `header`: each
 /// label beside its replication factors.
 fn rows(name: &str, header: &str) -> BTreeMap<String, Vec<f64>> {
@@ -60,10 +66,32 @@ fn rf_does_not_fall_as_k_grows_in_any_fig9_row() {
 
 #[test]
 fn rf_does_not_grow_with_tau_in_any_fig11a_row() {
-    let header = "Dataset,tau=1.00,tau=1.02,tau=1.04,tau=1.06,tau=1.08,tau=1.10";
-    let rows = rows("fig11a", header);
+    let rows = rows("fig11a", FIG11A);
     assert_eq!(rows.len(), 4);
     for (dataset, rfs) in rows {
         assert!(rfs.windows(2).all(|w| w[0] >= w[1]), "{dataset}: {rfs:?}");
+    }
+}
+
+#[test]
+fn the_default_config_reads_the_same_in_every_table_that_runs_it() {
+    // Fig. 9's CLUGP row, its migration table's Anchored row and its Vmax
+    // table's 1x row are one configuration, and so are Fig. 11(a)'s τ = 1.00
+    // and Fig. 11(b)'s w = 0.5: a run reused across them prints these cells.
+    let fig9 = rows("fig9", FIG9);
+    let migration = rows("fig9_migration", FIG9);
+    let vmax = rows("fig9_vmax", FIG9);
+    assert_eq!(migration["Anchored(default)"], fig9["CLUGP"]);
+    assert_eq!(vmax["Vmax=1x|E|/k"], fig9["CLUGP"]);
+    let tau = rows("fig11a", FIG11A);
+    let w = rows("fig11b", FIG11B);
+    assert_eq!(tau.keys().collect::<Vec<_>>(), w.keys().collect::<Vec<_>>());
+    let half = FIG11B
+        .split(',')
+        .skip(1)
+        .position(|c| c == "w=0.5")
+        .unwrap();
+    for (dataset, rfs) in &tau {
+        assert_eq!(w[dataset][half], rfs[0], "{dataset}");
     }
 }

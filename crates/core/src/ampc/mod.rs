@@ -154,7 +154,10 @@ pub struct DistConfig {
     pub workers: u32,
     /// Exchange flavor.
     pub transport: TransportKind,
-    /// Streaming chunk size in edges (0 = the stream default).
+    /// Streaming chunk size in edges (0 = the stream's fixed
+    /// `chunk_edges()`). The test suites' lever on a worker's per-chunk
+    /// heartbeat and `chunk` span; nothing outside tests sets it, and no
+    /// partition depends on it.
     pub chunk_edges: usize,
     /// Worker supervision / recovery policy.
     pub supervise: SuperviseConfig,

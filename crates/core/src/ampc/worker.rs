@@ -519,7 +519,7 @@ impl Wk {
         let mut sink = PairSink::new(num_clusters as usize, source.len());
         while let Some(chunk) = self.lend_chunk(source)? {
             for &e in chunk {
-                sink.push(vertices.cluster_of[e.src], vertices.cluster_of[e.dst]);
+                sink.push(e, vertices)?;
             }
         }
         let (intra, agg) = sink.finish();

@@ -23,7 +23,8 @@ pub(crate) struct DbhKernel {
 }
 
 impl DbhKernel {
-    /// `n` pre-sizes the degree table (0 for an AMPC worker's scratch).
+    /// `n`, the stream's vertex hint, pre-sizes the degree table; it grows
+    /// past it as edges name higher ids.
     pub(crate) fn new(seed: u64, k: u32, n: u64, max_vertices: u64) -> Result<Self> {
         Ok(DbhKernel {
             seed,

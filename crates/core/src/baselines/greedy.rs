@@ -30,7 +30,8 @@ pub(crate) struct GreedyKernel {
 }
 
 impl GreedyKernel {
-    /// `n` pre-sizes the replica table (0 for an AMPC worker's scratch).
+    /// `n`, the stream's vertex hint, pre-sizes the replica table; it grows
+    /// past it as edges name higher ids.
     pub(crate) fn new(k: u32, n: u64, max_vertices: u64) -> Result<Self> {
         Ok(GreedyKernel {
             replicas: ReplicaTable::with_limit(n, k, max_vertices)?,

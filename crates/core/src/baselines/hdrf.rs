@@ -103,20 +103,20 @@ use std::hint::select_unpredictable;
 /// degrees (slot 1) — and the loads for the balance term.
 pub(crate) struct HdrfKernel {
     config: HdrfConfig,
-    k: u32,
     replicas: ReplicaTable,
     degree: VertexTable<u32>,
 }
 
 impl HdrfKernel {
-    /// `n` pre-sizes both tables (0 for an AMPC worker's scratch).
+    /// `n`, the stream's vertex hint, pre-sizes both tables; they grow
+    /// past it as edges name higher ids.
     ///
     /// # Errors
     ///
     /// [`PartitionError::InvalidParam`] for a `lambda` that is negative or
-    /// not finite or an `epsilon` that is not a positive finite number (the
-    /// configuration may come straight off an AMPC `Configure` frame), and
-    /// for table dimensions beyond `max_vertices`.
+    /// not finite or an `epsilon` that is not a positive finite number (a
+    /// caller's `HdrfConfig` is checked here and nowhere else), and for
+    /// table dimensions beyond `max_vertices`.
     pub(crate) fn new(config: &HdrfConfig, k: u32, n: u64) -> Result<Self> {
         if !(config.lambda >= 0.0 && config.lambda.is_finite()) {
             return Err(PartitionError::InvalidParam(format!(
@@ -132,7 +132,6 @@ impl HdrfKernel {
         }
         Ok(HdrfKernel {
             config: config.clone(),
-            k,
             replicas: ReplicaTable::with_limit(n, k, config.max_vertices)?,
             degree: VertexTable::with_limit(n, 0, config.max_vertices)?,
         })
@@ -350,13 +349,6 @@ impl HdrfKernel {
         loads: &PartitionLoads,
         pick: impl FnOnce(&EdgeScore, &ReplicaTable) -> u32,
     ) -> Result<u32> {
-        if loads.k() != self.k {
-            return Err(PartitionError::InvalidParam(format!(
-                "HDRF over k={} was handed {} partition loads",
-                self.k,
-                loads.k()
-            )));
-        }
         let (degree, replicas) = (&mut self.degree, &mut self.replicas);
         degree.ensure(e.src.max(e.dst))?;
         replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
@@ -669,18 +661,6 @@ mod tests {
                 matches!(err, PartitionError::InvalidParam(_)),
                 "lambda={lambda} epsilon={epsilon}: {err}"
             );
-        }
-    }
-
-    #[test]
-    fn a_load_vector_of_the_wrong_length_is_a_typed_error() {
-        // A worker takes the loads from a token off the wire.
-        let mut kernel = HdrfKernel::new(&HdrfConfig::default(), 4, 0).unwrap();
-        for wrong in [3, 5] {
-            let err = kernel
-                .step(Edge::new(0, 1), &PartitionLoads::new(wrong))
-                .unwrap_err();
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
         }
     }
 

@@ -17,8 +17,6 @@
 //!                   source — for text and flat binary
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
-//! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
-//!                   knob only — partitions are chunking-invariant
 //! --sparse          treat the input as a text edge list with arbitrary
 //!                   (sparse) 64-bit vertex ids — hashed URLs, crawl ids —
 //!                   remapped onto the dense internal space during the
@@ -124,7 +122,6 @@ struct Options {
     order: String,
     tau: f64,
     threads: usize,
-    chunk_size: Option<usize>,
     sparse: bool,
     output: Option<String>,
     workers: u32,
@@ -151,7 +148,6 @@ impl Default for Options {
             order: "bfs".into(),
             tau: 1.0,
             threads: 0,
-            chunk_size: None,
             sparse: false,
             output: None,
             workers: 1,
@@ -194,17 +190,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--chunk-size" => {
-                let n: usize = value("--chunk-size")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-size: {e}"))?;
-                if n == 0 {
-                    return Err(
-                        "--chunk-size must be >= 1 (a zero chunk would read as exhaustion)".into(),
-                    );
-                }
-                opts.chunk_size = Some(n);
             }
             "--sparse" => opts.sparse = true,
             "--output" => opts.output = Some(value("--output")?),
@@ -349,7 +334,6 @@ fn dist_config(opts: &Options) -> DistConfig {
         } else {
             TransportKind::Channel
         },
-        chunk_edges: opts.chunk_size.unwrap_or(0),
         supervise: SuperviseConfig {
             worker_timeout: match opts.worker_timeout {
                 Some(timeout) => (!timeout.is_zero()).then_some(timeout),
@@ -491,11 +475,6 @@ fn peak_rss_mib() -> Option<f64> {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    if let Some(n) = opts.chunk_size {
-        // Process-wide override of the chunk granularity every consumer
-        // pulls with; partitions are chunking-invariant.
-        clugp_graph::stream::set_chunk_edges(n).map_err(|e| e.to_string())?;
-    }
     let err = |e: PartitionError| e.to_string();
     let algo = build_algo(opts)?;
     let mut source = open(opts)?;
@@ -1041,7 +1020,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: clugp-part <edges-file> --k <K> [--algo clugp|hdrf|greedy|hashing|dbh|mint] \
              [--order bfs|dfs|random|asis (default: the algorithm's own)] \
-             [--tau F] [--threads N] [--chunk-size N] \
+             [--tau F] [--threads N] \
              [--sparse] \
              [--output file] [--workers N (CLUGP only)] [--transport channel|unix] \
              [--socket-dir dir] \
@@ -1280,17 +1259,22 @@ mod tests {
 
     #[test]
     fn chunk_size_flag_parses_and_rejects_zero() {
-        let o = parse_args(&strs(&["g.txt", "--k", "4", "--chunk-size", "512"])).unwrap();
-        assert_eq!(o.chunk_size, Some(512));
-        let err = parse_args(&strs(&["g.txt", "--k", "4", "--chunk-size", "0"])).unwrap_err();
-        assert!(err.contains("--chunk-size"), "{err}");
-        assert!(parse_args(&strs(&["g.txt", "--k", "4", "--chunk-size", "x"])).is_err());
+        // The pull size is the constant `chunk_edges()`: `--chunk-size` is
+        // refused as unknown for a valid size, a zero and a non-number alike,
+        // while the same invocation without it parses.
+        assert_eq!(clugp_graph::stream::chunk_edges(), 4096);
+        assert!(parse_args(&strs(&["g.txt", "--k", "4"])).is_ok());
+        for value in ["512", "0", "x"] {
+            let err = parse_args(&strs(&["g.txt", "--k", "4", "--chunk-size", value])).unwrap_err();
+            assert!(err.contains("unknown flag --chunk-size"), "{err}");
+        }
     }
 
     #[test]
     fn decode_pipeline_flags_parse_and_reject_zero() {
-        // Decode is no knob: the CPU count picks the reader and every read
-        // checks every CRC, so each former decode flag is refused as
+        // Decode is no knob: the CPU count picks the reader, every read
+        // checks every CRC and every consumer pulls the fixed
+        // `chunk_edges()`, so each former decode flag is refused as
         // unknown, a zero or a valid-looking value alike.
         for (flag, value) in [
             ("--decode-threads", "0"),
@@ -1299,6 +1283,8 @@ mod tests {
             ("--prefetch", "8"),
             ("--checksums", "full"),
             ("--checksums", "header"),
+            ("--chunk-size", "0"),
+            ("--chunk-size", "64"),
         ] {
             let err = parse_args(&strs(&["g.txt", "--k", "4", flag, value])).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
@@ -1327,14 +1313,10 @@ mod tests {
             algo: "hdrf".into(),
             order: "asis".into(),
             threads: 1,
-            chunk_size: Some(2), // exercise the override end to end
             output: Some(output.to_string_lossy().into_owned()),
             ..Options::default()
         };
         run(&opts).unwrap();
-        // Restore the default so concurrently running tests keep the
-        // standard granularity.
-        clugp_graph::stream::set_chunk_edges(clugp_graph::stream::DEFAULT_CHUNK_EDGES).unwrap();
         let written = std::fs::read_to_string(&output).unwrap();
         assert_eq!(written.lines().count(), 4);
         std::fs::remove_file(&input).ok();

@@ -12,8 +12,11 @@
 //! (the semi-external licence: the *contracted* graph may sit in internal
 //! memory), a sort of bounded pair buffers otherwise — same aggregate.
 
-use super::clustering::{ClusteringResult, NO_CLUSTER};
-use clugp_graph::stream::{chunk_edges, for_each_chunk, EdgeStream};
+use super::clustering::ClusteringResult;
+use super::stage::VertexState;
+use crate::error::Result;
+use clugp_graph::stream::{chunk_edges, try_for_each_chunk, EdgeStream};
+use clugp_graph::types::Edge;
 
 /// Weighted cluster adjacency plus per-cluster intra-edge counts.
 #[derive(Debug, Clone)]
@@ -42,20 +45,31 @@ pub struct ClusterGraph {
 impl ClusterGraph {
     /// Builds the cluster graph from one pass of `stream` using pass 1's
     /// vertex→cluster table.
+    ///
+    /// # Panics
+    ///
+    /// If `stream` yields a vertex pass 1 did not cluster (it changed
+    /// between the passes); [`super::Clugp`] returns that as an error.
     pub fn build(stream: &mut dyn EdgeStream, clustering: &ClusteringResult) -> Self {
+        Self::try_build(stream, clustering).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ClusterGraph::build`], with a vertex pass 1 did not cluster an
+    /// `InvalidParam` naming it.
+    pub(crate) fn try_build(
+        stream: &mut dyn EdgeStream,
+        clustering: &ClusteringResult,
+    ) -> Result<Self> {
         let edges = stream.len_hint().unwrap_or(0);
         let mut sink = PairSink::new(clustering.num_clusters as usize, edges);
-        for_each_chunk(stream, chunk_edges(), |chunk| {
+        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
             for &e in chunk {
-                let cu = clustering.cluster_of[e.src];
-                let cv = clustering.cluster_of[e.dst];
-                debug_assert_ne!(cu, NO_CLUSTER);
-                debug_assert_ne!(cv, NO_CLUSTER);
-                sink.push(cu, cv);
+                sink.push(e, clustering)?;
             }
-        });
+            Ok(())
+        })?;
         let (intra, agg) = sink.finish();
-        ClusterGraph::from_parts(clustering.num_clusters, intra, &agg)
+        Ok(Self::from_parts(clustering.num_clusters, intra, &agg))
     }
 
     /// Assembles the CSR structure from a per-cluster intra count and a
@@ -225,9 +239,17 @@ impl PairSink {
         }
     }
 
+    /// Records one streamed edge, its endpoints looked up in pass 1's
+    /// table ([`VertexState::cluster`]).
+    #[inline]
+    pub(crate) fn push(&mut self, e: Edge, vertices: &VertexState) -> Result<()> {
+        self.count(vertices.cluster(e.src)?, vertices.cluster(e.dst)?);
+        Ok(())
+    }
+
     /// Records one edge whose endpoints sit in clusters `cu` and `cv`.
     #[inline]
-    pub(crate) fn push(&mut self, cu: u32, cv: u32) {
+    fn count(&mut self, cu: u32, cv: u32) {
         if !self.dense.is_empty() {
             let m = self.intra.len();
             self.dense[cu as usize * m..][..m][cv as usize] += 1;
@@ -506,7 +528,7 @@ mod tests {
                     let mut sink = PairSink::new_with(m as usize, u64::from(u32::MAX), max_cells);
                     assert_eq!(sink.dense.is_empty(), max_cells == 0);
                     for &(cu, cv) in &pairs {
-                        sink.push(cu, cv);
+                        sink.count(cu, cv);
                     }
                     sink.finish()
                 };

@@ -88,7 +88,7 @@ impl Clugp {
         // Pass 2a: build the cluster graph by re-scanning the stream.
         let t = Instant::now();
         stream.reset()?;
-        let cg = ClusterGraph::build(stream, &clustering);
+        let cg = ClusterGraph::try_build(stream, &clustering)?;
         let cluster_graph_time = t.elapsed();
 
         // Pass 2b: map clusters to partitions.
@@ -337,5 +337,72 @@ mod tests {
         let run = Clugp::default().partition(&mut s, 1).unwrap();
         let q = PartitionQuality::compute(&edges, &run.partitioning);
         assert!((q.replication_factor - 1.0).abs() < 1e-12);
+    }
+
+    /// A file rewritten in place between passes: pass 1 and the passes
+    /// before reset number `from` read `first`; the later ones `later`.
+    struct Rewritten {
+        first: InMemoryStream,
+        later: InMemoryStream,
+        resets: usize,
+        from: usize,
+    }
+
+    impl Rewritten {
+        fn now(&mut self) -> &mut InMemoryStream {
+            if self.resets >= self.from {
+                &mut self.later
+            } else {
+                &mut self.first
+            }
+        }
+    }
+
+    impl clugp_graph::stream::EdgeStream for Rewritten {
+        fn next_chunk(&mut self, cap: usize) -> &[clugp_graph::types::Edge] {
+            self.now().next_chunk(cap)
+        }
+
+        fn len_hint(&self) -> Option<u64> {
+            self.first.len_hint()
+        }
+
+        fn num_vertices_hint(&self) -> Option<u64> {
+            self.first.num_vertices_hint()
+        }
+    }
+
+    impl RestreamableStream for Rewritten {
+        fn reset(&mut self) -> clugp_graph::error::Result<()> {
+            self.resets += 1;
+            self.now().reset()
+        }
+    }
+
+    #[test]
+    fn a_stream_that_changes_after_pass_1_is_a_typed_error_naming_the_vertex() {
+        // `start_run`'s reset is the first: from the second on, the cluster
+        // graph scan reads `later`; from the third, only the transform does.
+        // The stranger is an isolated vertex of the presized tables, or one
+        // past them; either is refused by name, never indexed with.
+        let (n, edges) = web(1_000, 10);
+        for stranger in [n as u32, n as u32 + 1_000] {
+            for from in [2, 3] {
+                let mut later = edges.clone();
+                later[edges.len() / 2].dst = stranger;
+                let mut s = Rewritten {
+                    first: InMemoryStream::new(n + 1, edges.clone()),
+                    later: InMemoryStream::new(n + 1, later),
+                    resets: 0,
+                    from,
+                };
+                let err = Clugp::default().partition(&mut s, 8).unwrap_err();
+                assert!(
+                    matches!(err, crate::error::PartitionError::InvalidParam(_))
+                        && err.to_string().contains(&format!("vertex {stranger}")),
+                    "vertex {stranger} from reset {from}: {err}"
+                );
+            }
+        }
     }
 }

@@ -74,6 +74,18 @@ impl VertexState {
         self.cluster_of.len()
     }
 
+    /// The cluster pass 1 put `v` in, for the passes that only read the
+    /// tables. A vertex pass 1 never clustered — one the stream did not
+    /// hold then, because it changed between the passes — is an error
+    /// naming it, never an index with `NO_CLUSTER` or past the tables.
+    #[inline]
+    pub(crate) fn cluster(&self, v: VertexId) -> Result<u32> {
+        match self.cluster_of.as_slice().get(v as usize) {
+            Some(&c) if c != NO_CLUSTER => Ok(c),
+            _ => Err(unclustered(v)),
+        }
+    }
+
     /// `v`'s row, `(cluster + 1, degree, divided)`. Word 0 is biased so that
     /// the all-zero row an empty shard reads back is a vertex nobody has
     /// touched.
@@ -228,6 +240,13 @@ impl Pass1 {
     }
 }
 
+#[cold]
+fn unclustered(v: VertexId) -> PartitionError {
+    PartitionError::InvalidParam(format!(
+        "vertex {v} was not in the stream's first pass: the stream changed between passes"
+    ))
+}
+
 /// Pass 3 in flight: Algorithm 1's running loads under the cap `lmax`, the
 /// monotone cursor of the overflow scan (loads only grow, so full partitions
 /// stay full and the scan is O(1) amortized) and the count of edges the
@@ -250,10 +269,7 @@ impl Balancer {
         cluster_partition: &[u32],
     ) -> Result<u32> {
         let (u, v) = (e.src, e.dst);
-        let cu = vertices.cluster_of[u];
-        let cv = vertices.cluster_of[v];
-        debug_assert_ne!(cu, NO_CLUSTER, "pass 3 saw a vertex pass 1 did not");
-        debug_assert_ne!(cv, NO_CLUSTER, "pass 3 saw a vertex pass 1 did not");
+        let (cu, cv) = (vertices.cluster(u)?, vertices.cluster(v)?);
         let pu = cluster_partition[cu as usize];
         let pv = cluster_partition[cv as usize];
         let (lmax, loads) = (self.lmax, &mut self.loads);

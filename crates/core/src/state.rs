@@ -206,11 +206,10 @@ impl ReplicaTable {
         out[..self.words_per_row].copy_from_slice(&self.bits[row..row + self.words_per_row]);
     }
 
-    /// Overwrites `v`'s bitset row with `words`. This is the bulk ingress used
-    /// by the AMPC turn state and the placement snapshot loader, which read
-    /// rows off a wire or a file, so bits at positions `>= k` are cleared on
-    /// the way in: no reader of a row ever sees a partition that does not
-    /// exist.
+    /// Overwrites `v`'s bitset row with `words`. This is the bulk ingress of
+    /// the placement snapshot loader, which reads rows off a file, so bits
+    /// at positions `>= k` are cleared on the way in: no reader of a row
+    /// ever sees a partition that does not exist.
     ///
     /// # Panics
     ///
@@ -313,8 +312,8 @@ impl PartitionLoads {
         Self::from_vec(vec![0; k as usize])
     }
 
-    /// Rebuilds the tracker from a load vector (one entry per partition),
-    /// e.g. when a distributed worker resumes from a token's loads.
+    /// The tracker over a load vector, one entry per partition: all zeros
+    /// for [`PartitionLoads::new`], any loads in tests.
     pub(crate) fn from_vec(loads: Vec<u64>) -> Self {
         PartitionLoads {
             total: loads.iter().sum(),

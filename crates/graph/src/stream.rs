@@ -13,8 +13,9 @@
 //! [`InMemoryStream`], the decoded block of a pack) or owns and fills (the
 //! record buffer of a file reader). Nothing is copied on the way to the
 //! consumer, and no buffer is sized by the number the consumer asks for.
-//! Consumers drive streams with [`for_each_chunk`] and iterate tight
-//! `&[Edge]` loops, paying one virtual dispatch per *chunk*.
+//! Consumers drive streams with [`for_each_chunk`], asking for the constant
+//! [`chunk_edges`] edges a pull, and iterate tight `&[Edge]` loops, paying
+//! one virtual dispatch per *chunk*.
 //!
 //! Chunk boundaries are **not semantic**: a source may lend fewer than the
 //! requested number of edges at any time (block boundaries, internal buffer
@@ -41,44 +42,19 @@
 use crate::error::Result;
 use crate::types::Edge;
 
-/// Default number of edges per chunk pull.
+/// The number of edges every in-tree consumer asks for per pull, passed to
+/// [`for_each_chunk`]/[`try_for_each_chunk`].
 ///
 /// 4096 edges = 32 KiB of `Edge` payload — large enough to amortize the
 /// virtual dispatch and buffer bookkeeping to noise, small enough to stay
 /// L1/L2-resident while the consumer's tables are hot (the committed sweep,
-/// `results/BENCH_throughput.json`, is flat from 64 edges per pull up).
-///
-/// Consumers read the effective size through [`chunk_edges`], which starts
-/// at this constant and can be overridden process-wide (the `clugp-part
-/// --chunk-size` flag).
-pub const DEFAULT_CHUNK_EDGES: usize = 4096;
-
-static CHUNK_EDGES: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(DEFAULT_CHUNK_EDGES);
-
-/// The effective edges-per-chunk every in-tree consumer passes to
-/// [`for_each_chunk`]/[`try_for_each_chunk`]: [`DEFAULT_CHUNK_EDGES`]
-/// unless overridden by [`set_chunk_edges`].
+/// `results/BENCH_throughput.json`, is flat from 64 edges per pull up). It
+/// is a request, not a block size: a source lends what it holds, up to it.
+/// Nothing overrides it; the equivalence suite varies the granularity
+/// through [`ChunkLimited`] instead.
 #[inline]
-pub fn chunk_edges() -> usize {
-    CHUNK_EDGES.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Overrides the process-wide chunk size ([`chunk_edges`]). A CLI-level
-/// tuning knob: chunk granularity never changes any partition (pinned by
-/// `tests/chunked_equivalence.rs`), only the dispatch/buffering amortization.
-///
-/// # Errors
-///
-/// Rejects `0` — a zero cap would read as an exhaustion signal.
-pub fn set_chunk_edges(edges: usize) -> Result<()> {
-    if edges == 0 {
-        return Err(crate::error::GraphError::InvalidConfig(
-            "chunk size must be >= 1 edge".into(),
-        ));
-    }
-    CHUNK_EDGES.store(edges, std::sync::atomic::Ordering::Relaxed);
-    Ok(())
+pub const fn chunk_edges() -> usize {
+    4096
 }
 
 /// A single-pass stream of directed edges.
@@ -508,30 +484,16 @@ mod tests {
     }
 
     #[test]
+    fn chunk_edges_is_a_constant() {
+        const PULL: usize = chunk_edges();
+        assert_eq!(PULL, 4096);
+    }
+
+    #[test]
     fn timed_stream_times_chunk_pulls() {
         let mut timed = TimedStream::new(InMemoryStream::from_edges(sample_edges()));
         assert_eq!(timed.next_chunk(2).len(), 2);
         assert_eq!(timed.next_chunk(10), &sample_edges()[2..]);
         let _ = timed.io_time();
-    }
-
-    #[test]
-    fn chunk_edges_override_rejects_zero_and_round_trips() {
-        assert!(set_chunk_edges(0).is_err());
-        // The default is live until someone overrides it.
-        assert!(chunk_edges() >= 1);
-        // Override and restore: results are chunking-invariant everywhere
-        // (the equivalence suite), so a transient override is safe even
-        // with concurrently running tests.
-        set_chunk_edges(777).unwrap();
-        assert_eq!(chunk_edges(), 777);
-        // `collect_stream` and the remap build pull at the process-wide
-        // size; no number typed there sizes a buffer either.
-        set_chunk_edges(usize::MAX).unwrap();
-        let (raw, edges) = dense_path(100);
-        let mut s = RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap();
-        assert_eq!(collect_stream(&mut s), edges);
-        set_chunk_edges(DEFAULT_CHUNK_EDGES).unwrap();
-        assert_eq!(chunk_edges(), DEFAULT_CHUNK_EDGES);
     }
 }

@@ -5,8 +5,8 @@
 //! orders × 3 formats as the monolith, CLUGP's 12 of them also under
 //! `--workers 2`, `--workers 2 --transport unix` and `--workers 2
 //! --ampc-mode relaxed` (the coordinator/worker engine runs CLUGP only),
-//! plus `--sparse`, two `--chunk-size` values and the 4-worker unix /
-//! relaxed runs CI used to diff by hand. Every cell's TSV, `assignments.clugppa`, `replicas.clugprt`
+//! plus `--sparse` and the 4-worker unix / relaxed runs CI used to diff by
+//! hand. Every cell's TSV, `assignments.clugppa`, `replicas.clugprt`
 //! and its `replication factor` / `relative balance` / `mirrors` stdout
 //! lines are FNV-1a hashed and compared with `tests/cli_contract.golden`.
 //!
@@ -89,23 +89,6 @@ fn cells() -> Vec<Cell> {
             &["--algo", algo, "--sparse"],
             false,
         ));
-    }
-    for algo in ["clugp", "hdrf"] {
-        for chunk in ["7", "1000000"] {
-            for (mode, mode_flags) in &MODES[..2] {
-                if *mode != "mono" && algo != "clugp" {
-                    continue;
-                }
-                let mut flags = vec!["--algo", algo, "--order", "asis", "--chunk-size", chunk];
-                flags.extend_from_slice(mode_flags);
-                out.push(cell(
-                    format!("{algo}-asis-pack-{mode}-chunk{chunk}"),
-                    "web.clugpz",
-                    &flags,
-                    true,
-                ));
-            }
-        }
     }
     // Default order, 4 workers: separate OS processes over Unix sockets,
     // and the relaxed mode whose only promise is determinism.

@@ -930,3 +930,60 @@ fn cli_checkpoint_dir_and_resume_roundtrip() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_pack_rewritten_after_pass_1_is_a_typed_error_naming_the_vertex() {
+    // A resumed run streams its later passes from the pack as it is now. One
+    // rewritten in place after pass 1, with the edge count kept (so the
+    // checkpoints still match the run), may yield a vertex pass 1 never
+    // clustered: an isolated vertex inside the presized tables, or one past
+    // them. The pairs stage (resumed at barrier 2) and the transform (at
+    // barrier 3) each refuse it by name instead of indexing with it.
+    use clugp_graph::pack::{write_pack, PackOptions};
+    let (n, edges) = test_web_graph(700, 57);
+    let k = 8;
+    let dir = scratch_dir("rewritten_pack");
+    let pack = dir.join("web.clugpz");
+    let written = dir.join("written");
+    std::fs::create_dir_all(&written).unwrap();
+    write_pack(&pack, n + 1, &edges, &PackOptions::default()).unwrap();
+    let cfg = DistConfig {
+        workers: 2,
+        checkpoint_dir: Some(written.clone()),
+        ..Default::default()
+    };
+    run_distributed(&DistAlgo::clugp(), DistInput::Pack(&pack), k, &cfg).expect("checkpointed run");
+    for stranger in [n as u32, n as u32 + 1_000] {
+        let mut rewritten = edges.clone();
+        rewritten[0].dst = stranger;
+        write_pack(
+            &pack,
+            u64::from(stranger) + 1,
+            &rewritten,
+            &PackOptions::default(),
+        )
+        .unwrap();
+        for barrier in [2u64, 3] {
+            let resumed = dir.join(format!("resume_{stranger}_{barrier}"));
+            std::fs::create_dir_all(&resumed).unwrap();
+            for seq in 1..=barrier {
+                let name = format!("ckpt-{seq:05}.clugpck");
+                std::fs::copy(written.join(&name), resumed.join(&name)).unwrap();
+            }
+            let cfg = DistConfig {
+                workers: 2,
+                checkpoint_dir: Some(resumed),
+                resume: true,
+                ..Default::default()
+            };
+            let err = run_distributed(&DistAlgo::clugp(), DistInput::Pack(&pack), k, &cfg)
+                .expect_err("a vertex pass 1 never clustered");
+            assert!(
+                matches!(err, PartitionError::InvalidParam(_))
+                    && err.to_string().contains(&format!("vertex {stranger}")),
+                "vertex {stranger}, barrier {barrier}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
