@@ -6,7 +6,7 @@ use crate::datasets::Dataset;
 use crate::report::{fmt_secs, results_dir, save_json, Table};
 use crate::runner::{
     cells_json, clugp_with, competitors, grid, k_columns, named, run_cell, show_rf,
-    PreparedDataset, Rows,
+    PreparedDataset, Rows, Runs,
 };
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::clugp::{ClusterAssignMode, LambdaMode, MigrationPolicy};
@@ -98,9 +98,11 @@ pub fn fig5(ctx: &ExpContext) {
 /// Fig. 9 — ablation study on the it-2004 analogue: CLUGP vs CLUGP-S (no
 /// splitting) vs CLUGP-G (greedy assignment), plus the migration-policy
 /// design ablation (paper-verbatim vs anchored migration) and the Vmax
-/// sensitivity sweep.
+/// sensitivity sweep. The default configuration's rows (`CLUGP`,
+/// `Anchored(default)`, `Vmax=1x|E|/k`) run once.
 pub fn fig9(ctx: &ExpContext) {
     let prep = PreparedDataset::load(Dataset::ItS, ctx.scale);
+    let mut runs = Runs::default();
     let mut all = Vec::new();
     for (title, csv, rows) in fig9_tables() {
         all.extend(grid(
@@ -109,7 +111,7 @@ pub fn fig9(ctx: &ExpContext) {
             "Algorithm",
             &rows,
             &k_columns(&ctx.ks),
-            |algo, &k| run_cell(&prep, algo, k),
+            |algo, &k| runs.cell(&prep, algo, k),
             show_rf,
         ));
     }
@@ -155,7 +157,8 @@ pub(crate) fn fig9_tables() -> [(&'static str, &'static str, Rows); 3] {
 }
 
 /// Fig. 11 — (a) RF vs imbalance factor τ; (b) RF vs relative weight w.
-/// Both CLUGP at k = 32 across the four web analogues.
+/// Both CLUGP at k = 32 across the four web analogues; (b)'s `w=0.5` is
+/// (a)'s `tau=1.00`, the default configuration, and runs once.
 pub fn fig11(ctx: &ExpContext) {
     let datasets: Vec<(String, PreparedDataset)> = Dataset::WEB
         .iter()
@@ -169,14 +172,14 @@ pub fn fig11(ctx: &ExpContext) {
             clugp_with(|c| c.lambda = LambdaMode::Weight(w)),
         )
     });
-    let run = |prep: &PreparedDataset, algo: &DistAlgo| run_cell(prep, algo, 32);
+    let mut runs = Runs::default();
     let mut all = grid(
         "Fig 11(a) — RF vs imbalance factor (k=32)",
         "fig11a",
         "Dataset",
         &datasets,
         &taus,
-        run,
+        |prep, algo| runs.cell(prep, algo, 32),
         show_rf,
     );
     all.extend(grid(
@@ -185,7 +188,7 @@ pub fn fig11(ctx: &ExpContext) {
         "Dataset",
         &datasets,
         &weights,
-        run,
+        |prep, algo| runs.cell(prep, algo, 32),
         show_rf,
     ));
     save_json("fig11", &cells_json(&all));

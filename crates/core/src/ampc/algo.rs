@@ -3,8 +3,12 @@
 //! default. The CLI, the experiment harness and the coordinator/worker
 //! engine (which runs the CLUGP rows) all read it; nothing else enumerates
 //! algorithms.
+//!
+//! The competitors run at their published defaults — HDRF at `λ = ε = 1`,
+//! Hashing and DBH with one fixed seed each — so their variants carry
+//! nothing but a vertex-id cap; only CLUGP and Mint carry a config.
 
-use crate::baselines::{dbh, hashing, Dbh, Greedy, Hashing, Hdrf, HdrfConfig, Mint, MintConfig};
+use crate::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
 use crate::clugp::{Clugp, ClugpConfig};
 use crate::partitioner::Partitioner;
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
@@ -15,17 +19,12 @@ use clugp_graph::order::{StreamOrder, RANDOM_ORDER_SEED};
 /// Every variant builds its monolith ([`DistAlgo::monolith`]). The
 /// coordinator/worker engine runs [`DistAlgo::Clugp`], bit-identical to its
 /// monolith when sequenced, and refuses the others.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DistAlgo {
     /// PowerGraph random vertex-cut.
-    Hashing {
-        /// Hash seed (monolith default when built via [`DistAlgo::hashing`]).
-        seed: u64,
-    },
+    Hashing,
     /// Degree-based hashing.
     Dbh {
-        /// Hash seed.
-        seed: u64,
         /// Vertex-id cap (see [`DEFAULT_MAX_VERTICES`]).
         max_vertices: u64,
     },
@@ -35,7 +34,10 @@ pub enum DistAlgo {
         max_vertices: u64,
     },
     /// High-Degree Replicated First.
-    Hdrf(HdrfConfig),
+    Hdrf {
+        /// Vertex-id cap.
+        max_vertices: u64,
+    },
     /// Quasi-streaming game partitioning.
     Mint(MintConfig),
     /// The paper's three-pass pipeline.
@@ -43,17 +45,14 @@ pub enum DistAlgo {
 }
 
 impl DistAlgo {
-    /// Hashing with the monolith's default seed.
+    /// Hashing.
     pub fn hashing() -> Self {
-        DistAlgo::Hashing {
-            seed: hashing::DEFAULT_SEED,
-        }
+        DistAlgo::Hashing
     }
 
     /// DBH with the monolith's defaults.
     pub fn dbh() -> Self {
         DistAlgo::Dbh {
-            seed: dbh::DEFAULT_SEED,
             max_vertices: DEFAULT_MAX_VERTICES,
         }
     }
@@ -67,7 +66,9 @@ impl DistAlgo {
 
     /// HDRF with the monolith's defaults.
     pub fn hdrf() -> Self {
-        DistAlgo::Hdrf(HdrfConfig::default())
+        DistAlgo::Hdrf {
+            max_vertices: DEFAULT_MAX_VERTICES,
+        }
     }
 
     /// Mint with the monolith's defaults.
@@ -98,12 +99,10 @@ impl DistAlgo {
     /// sequenced engine run is bit-identical to).
     pub fn monolith(&self) -> Box<dyn Partitioner> {
         match self {
-            DistAlgo::Hashing { seed } => Box::new(Hashing::new(*seed)),
-            DistAlgo::Dbh { seed, max_vertices } => {
-                Box::new(Dbh::with_max_vertices(*seed, *max_vertices))
-            }
+            DistAlgo::Hashing => Box::new(Hashing),
+            DistAlgo::Dbh { max_vertices } => Box::new(Dbh::with_max_vertices(*max_vertices)),
             DistAlgo::Greedy { max_vertices } => Box::new(Greedy::with_max_vertices(*max_vertices)),
-            DistAlgo::Hdrf(cfg) => Box::new(Hdrf::new(cfg.clone())),
+            DistAlgo::Hdrf { max_vertices } => Box::new(Hdrf::with_max_vertices(*max_vertices)),
             DistAlgo::Mint(cfg) => Box::new(Mint::new(cfg.clone())),
             DistAlgo::Clugp(cfg) => Box::new(Clugp::new(cfg.clone())),
         }
@@ -116,10 +115,10 @@ impl DistAlgo {
     /// Greedy follow the crawl's locality onto one partition.
     pub fn stream_order(&self) -> StreamOrder {
         match self {
-            DistAlgo::Hashing { .. }
+            DistAlgo::Hashing
             | DistAlgo::Dbh { .. }
             | DistAlgo::Greedy { .. }
-            | DistAlgo::Hdrf(_) => StreamOrder::Random(RANDOM_ORDER_SEED),
+            | DistAlgo::Hdrf { .. } => StreamOrder::Random(RANDOM_ORDER_SEED),
             DistAlgo::Mint(_) | DistAlgo::Clugp(_) => StreamOrder::Bfs,
         }
     }

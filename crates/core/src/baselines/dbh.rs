@@ -4,7 +4,8 @@
 //! edge lands in that endpoint's home partition, so high-degree vertices are
 //! the ones that get cut (replicated), which is provably good on power-law
 //! graphs. Degrees are the partial degrees observed so far in the stream
-//! (the streaming adaptation; the original assumes a degree oracle).
+//! (the streaming adaptation; the original assumes a degree oracle). One
+//! fixed seed, as the paper runs every competitor at its default settings.
 
 use super::kernel::{run_local, EdgeKernel, SharedTable};
 use crate::error::Result;
@@ -16,8 +17,7 @@ use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
 
 /// The DBH kernel: one shared table (partial degrees), never reads loads.
-pub(crate) struct DbhKernel {
-    seed: u64,
+struct DbhKernel {
     k: u32,
     degree: VertexTable<u32>,
 }
@@ -25,9 +25,8 @@ pub(crate) struct DbhKernel {
 impl DbhKernel {
     /// `n`, the stream's vertex hint, pre-sizes the degree table; it grows
     /// past it as edges name higher ids.
-    pub(crate) fn new(seed: u64, k: u32, n: u64, max_vertices: u64) -> Result<Self> {
+    fn new(k: u32, n: u64, max_vertices: u64) -> Result<Self> {
         Ok(DbhKernel {
-            seed,
             k,
             degree: VertexTable::with_limit(n, 0, max_vertices)?,
         })
@@ -55,39 +54,29 @@ impl EdgeKernel for DbhKernel {
         } else {
             e.dst
         };
-        Ok((mix64(u64::from(key) ^ self.seed) % u64::from(self.k)) as u32)
+        Ok((mix64(u64::from(key) ^ DEFAULT_SEED) % u64::from(self.k)) as u32)
     }
 }
 
-/// Default hash seed (shared with the distributed engine so
-/// `DistAlgo::dbh()` matches `Dbh::default()`).
-pub(crate) const DEFAULT_SEED: u64 = 0xDB4;
+/// The seed every hashed endpoint is mixed with.
+const DEFAULT_SEED: u64 = 0xDB4;
 
 /// The degree-based hashing partitioner.
 #[derive(Debug, Clone)]
 pub struct Dbh {
-    seed: u64,
     max_vertices: u64,
 }
 
 impl Dbh {
-    /// Creates a DBH partitioner with the given hash seed.
-    pub fn new(seed: u64) -> Self {
-        Dbh {
-            seed,
-            max_vertices: DEFAULT_MAX_VERTICES,
-        }
-    }
-
     /// Caps the internal vertex id space (see `crate::vertex_table`).
-    pub fn with_max_vertices(seed: u64, max_vertices: u64) -> Self {
-        Dbh { seed, max_vertices }
+    pub fn with_max_vertices(max_vertices: u64) -> Self {
+        Dbh { max_vertices }
     }
 }
 
 impl Default for Dbh {
     fn default() -> Self {
-        Dbh::new(DEFAULT_SEED)
+        Dbh::with_max_vertices(DEFAULT_MAX_VERTICES)
     }
 }
 
@@ -97,9 +86,7 @@ impl Partitioner for Dbh {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        run_local(stream, k, |n| {
-            DbhKernel::new(self.seed, k, n, self.max_vertices)
-        })
+        run_local(stream, k, |n| DbhKernel::new(k, n, self.max_vertices))
     }
 }
 
@@ -137,11 +124,10 @@ mod tests {
         // fresh spoke, so each edge is hashed by its spoke id.
         let edges = star(50);
         let mut s = InMemoryStream::from_edges(edges);
-        let seed = 0xDB4;
-        let run = Dbh::new(seed).partition(&mut s, 4).unwrap();
+        let run = Dbh::default().partition(&mut s, 4).unwrap();
         for (i, &p) in run.partitioning.assignments.iter().enumerate().skip(1) {
             let spoke = (i + 1) as u64;
-            assert_eq!(p, (mix64(spoke ^ seed) % 4) as u32);
+            assert_eq!(p, (mix64(spoke ^ DEFAULT_SEED) % 4) as u32);
         }
     }
 

@@ -276,9 +276,7 @@ mod tests {
         let edges = ordered_edges(&g, StreamOrder::Random(5));
         let mut s = InMemoryStream::new(g.num_vertices(), edges.clone());
         let greedy = Greedy::new().partition(&mut s, 16).unwrap();
-        let hashing = crate::baselines::Hashing::default()
-            .partition(&mut s, 16)
-            .unwrap();
+        let hashing = crate::baselines::Hashing.partition(&mut s, 16).unwrap();
         let qg = PartitionQuality::compute(&edges, &greedy.partitioning);
         let qh = PartitionQuality::compute(&edges, &hashing.partitioning);
         assert!(

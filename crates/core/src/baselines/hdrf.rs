@@ -1,10 +1,12 @@
 //! HDRF — High-Degree Replicated First (Petroni et al., CIKM 2015), the
-//! state-of-the-art one-pass baseline in the paper's comparison.
+//! state-of-the-art one-pass baseline in the paper's comparison, at the
+//! published defaults `λ_bal = ε = 1` (the paper runs every competitor at
+//! its default settings).
 //!
 //! For each edge `(u, v)` the partition maximizing
 //!
 //! ```text
-//! C(u,v,p) = C_REP(u,v,p) + λ_bal · (maxload − load(p)) / (ε + maxload − minload)
+//! C(u,v,p) = C_REP(u,v,p) + (maxload − load(p)) / (1 + maxload − minload)
 //! C_REP    = g(u,p) + g(v,p)
 //! g(w,p)   = [w ∈ A(p)] · (1 + (1 − θ_w))     θ_w = δ(w) / (δ(u) + δ(v))
 //! ```
@@ -25,42 +27,36 @@
 //!    a class `C_REP` is one constant, so members differ in `load(p)` only.
 //! 2. **One representative per class, picked in integers.** Each member
 //!    packs into one class key `load << 20 | p` (`p < MAX_PARTITIONS =
-//!    2^20`), so the lowest-index member of minimum load `l` is one
-//!    integer minimum over the set bits of the two rows
-//!    (`PartitionLoads::class_min`). The `f64` score only confirms that
-//!    this member speaks for the class: `EdgeScore::of` is a composition
-//!    of correctly rounded `f64` operations that are each monotone
-//!    (`u64 → f64`, `maxload − x`, `λ · x` for `λ ≥ 0`, `x / denom` for
-//!    `denom > 0`, `g + x`), so the score is *weakly* decreasing in the
-//!    load. If the score at `l + 1` is *strictly* below the score at `l`,
-//!    every member above the minimum scores strictly below it, and the
-//!    scan's pick inside the class is the key's member. When the strict
-//!    step fails (`λ = 0`, or a balance term too small or too large for
-//!    `f64` to separate adjacent loads) a higher-load member with a lower
-//!    index can tie, so that one edge is decided by the scan itself; so
-//!    is an edge whose loads reach 2^44 − 1, which no longer pack.
+//!    2^20`), so the lowest-index member of minimum load is one integer
+//!    minimum over the set bits of the two rows
+//!    (`PartitionLoads::class_min`). That member is the scan's pick inside
+//!    the class because the computed score falls *strictly* with the load
+//!    while every load is below the packing limit 2^44 − 1:
+//!    - the denominator `1 + maxload − minload` is under 2^44, so adjacent
+//!      loads score more than 2^-44 apart;
+//!    - every score lies in (−1, 4), where half an ulp is at most 2^-52,
+//!      so the two roundings that see the load (the division, the sum
+//!      with `C_REP`; `maxload − load` is exact) cannot close that gap;
+//!    - so the score is strictly decreasing in the load, and every member
+//!      above the minimum scores strictly below the key's member.
 //! 3. **Walk only the classes that can still win; the first skip ends
 //!    the walk.** No partition loads less than the global minimum
-//!    `minload`, so by the same monotonicity no member of a class scores
-//!    above its bound `EdgeScore::of(holds_u, holds_v, minload)`. The
-//!    classes are visited in descending order of bound — both endpoints,
-//!    the lower-degree endpoint alone (the larger `g`: `θ` and `g` are
-//!    monotone in the degrees, so `δ(u) ≤ δ(v)` gives `g_u ≥ g_v`), the
-//!    other alone, neither. Bounds never rise along that order, so once
-//!    the best representative score found so far is *strictly* above a
-//!    class's bound it is above every later bound too, and the walk ends
-//!    there. That best is the score of a real partition, so every member
-//!    of a skipped class scores strictly below some partition and is not
-//!    the scan's pick. A skipped class therefore needs no strict step
-//!    either: the step only licenses a representative to speak for its
-//!    class, and a class none of whose members can win has nothing to
-//!    speak for. A `NaN` or infinite bound is never skipped. On a web
-//!    graph the shared class, which holds the few bits of the low-degree
-//!    endpoint, nearly always wins outright and a hub's row is never
-//!    walked. The partition returned is the integer key's; the `f64`
-//!    comparisons only decide branches, and the one that ends the walk
-//!    after the shared class is nearly always taken, so the next edge
-//!    need not wait for the divisions.
+//!    `minload`, so no member of a class scores above its bound
+//!    `EdgeScore::of(holds_u, holds_v, minload)`. The classes are visited
+//!    in descending order of bound — both endpoints, the lower-degree
+//!    endpoint alone (the larger `g`: `θ` and `g` are monotone in the
+//!    degrees, so `δ(u) ≤ δ(v)` gives `g_u ≥ g_v`), the other alone,
+//!    neither. Bounds never rise along that order, so once the best
+//!    representative score found so far is *strictly* above a class's
+//!    bound it is above every later bound too, and the walk ends there.
+//!    That best is the score of a real partition, so every member of a
+//!    skipped class scores strictly below some partition and is not the
+//!    scan's pick. On a web graph the shared class, which holds the few
+//!    bits of the low-degree endpoint, nearly always wins outright and a
+//!    hub's row is never walked. The partition returned is the integer
+//!    key's; the `f64` comparisons only decide branches, and the one that
+//!    ends the walk after the shared class is nearly always taken, so the
+//!    next edge need not wait for the divisions.
 //! 4. **"Neither" needs no walk.** Its minimum-load member would be the
 //!    global first minimum-load partition `m` (`PartitionLoads::argmin`).
 //!    If `m` holds neither endpoint it *is* the representative. If it holds
@@ -68,29 +64,21 @@
 //!    with `g > 0` that class's constant and `bal` the balance term, a
 //!    "neither" partition `q` scores at most `bal(minload) ≤ g +
 //!    bal(minload)`, the bound of `m`'s class. If that class was skipped,
-//!    `q` is below the best. If it was walked, `m`'s strict step from (2)
-//!    rules `q` out: `q` at `minload` lies behind `m` and does not score
-//!    the strictly greater score a later index needs; `q` above `minload`
-//!    scores at most `bal(minload + 1) ≤ g + bal(minload + 1) <
-//!    g + bal(minload)`.
+//!    `q` is below the best. If it was walked, `q` at `minload` lies behind
+//!    `m` and does not score the strictly greater score a later index
+//!    needs; `q` above `minload` scores at most `bal(minload + 1) ≤ g +
+//!    bal(minload + 1) < g + bal(minload)` by (2).
 //! 5. **Best of the walked classes.** The scan picks the lowest index
 //!    among the partitions with the greatest score; that is the
 //!    greatest-scoring representative of a walked class, the lower index
 //!    on equal scores.
 //!
 //! Both paths evaluate one expression, `EdgeScore::of`, so they cannot
-//! drift apart in operation order, and the strict step is tested per edge
-//! on the edge's own numbers rather than assumed: a tie, an infinity or a
-//! `NaN` (a positive `ε` below half an ulp of `maxload` still rounds the
-//! denominator to zero while all loads are equal) fails it and sends that
-//! edge to the scan. `HdrfKernel::new` rejects what makes the rule itself
-//! meaningless and the monotonicity false — `λ < 0`, `ε ≤ 0`, non-finite
-//! values. At the default `λ = ε = 1` adjacent loads score `1/denom` apart
-//! under a score below 8, which `f64` separates for any load spread below
-//! 2^48, so the scan is never reached.
+//! drift apart in operation order. An edge met while a load is at or above
+//! 2^44 − 1, where the key no longer packs, is decided by the scan itself.
 
 use super::kernel::{run_local, EdgeKernel, SharedTable};
-use crate::error::{PartitionError, Result};
+use crate::error::Result;
 use crate::partition::PartitionRun;
 use crate::partitioner::Partitioner;
 use crate::state::{class_key, key_load, key_partition, PartitionLoads, ReplicaTable, NO_MEMBER};
@@ -102,38 +90,17 @@ use std::hint::select_unpredictable;
 /// The HDRF kernel: two shared tables — replica masks (slot 0) and partial
 /// degrees (slot 1) — and the loads for the balance term.
 pub(crate) struct HdrfKernel {
-    config: HdrfConfig,
     replicas: ReplicaTable,
     degree: VertexTable<u32>,
 }
 
 impl HdrfKernel {
     /// `n`, the stream's vertex hint, pre-sizes both tables; they grow
-    /// past it as edges name higher ids.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::InvalidParam`] for a `lambda` that is negative or
-    /// not finite or an `epsilon` that is not a positive finite number (a
-    /// caller's `HdrfConfig` is checked here and nowhere else), and for
-    /// table dimensions beyond `max_vertices`.
-    pub(crate) fn new(config: &HdrfConfig, k: u32, n: u64) -> Result<Self> {
-        if !(config.lambda >= 0.0 && config.lambda.is_finite()) {
-            return Err(PartitionError::InvalidParam(format!(
-                "HDRF lambda must be finite and non-negative, got {}",
-                config.lambda
-            )));
-        }
-        if !(config.epsilon > 0.0 && config.epsilon.is_finite()) {
-            return Err(PartitionError::InvalidParam(format!(
-                "HDRF epsilon must be finite and positive, got {}",
-                config.epsilon
-            )));
-        }
+    /// past it as edges name higher ids, up to `max_vertices`.
+    pub(crate) fn new(k: u32, n: u64, max_vertices: u64) -> Result<Self> {
         Ok(HdrfKernel {
-            config: config.clone(),
-            replicas: ReplicaTable::with_limit(n, k, config.max_vertices)?,
-            degree: VertexTable::with_limit(n, 0, config.max_vertices)?,
+            replicas: ReplicaTable::with_limit(n, k, max_vertices)?,
+            degree: VertexTable::with_limit(n, 0, max_vertices)?,
         })
     }
 }
@@ -143,7 +110,6 @@ impl HdrfKernel {
 struct EdgeScore {
     g_u: f64,
     g_v: f64,
-    lambda: f64,
     maxload: f64,
     denom: f64,
     /// `δ(u) ≤ δ(v)`, and so `g_u ≥ g_v` (`θ` and `g` are correctly
@@ -165,14 +131,14 @@ impl EdgeScore {
         if holds_v {
             score += self.g_v;
         }
-        score += self.lambda * (self.maxload - load as f64) / self.denom;
+        score += (self.maxload - load as f64) / self.denom;
         score
     }
 }
 
 /// The published rule: every partition scored in ascending order, the first
-/// strictly greatest score wins. `step` falls back to it for an edge whose
-/// scores `f64` cannot separate, and the tests use it as the oracle.
+/// strictly greatest score wins. `step` falls back to it for loads too
+/// large for a class key, and the tests use it as the oracle.
 #[cold]
 #[inline(never)]
 fn scan_all_partitions(
@@ -211,8 +177,7 @@ struct ClassWalk<'a> {
 impl ClassWalk<'_> {
     /// The pick, once the best so far scores strictly above the bound of
     /// class `(holds_u, holds_v)`: no member of it, or of a later class,
-    /// can win (module doc, step 3). Strict, so a tie, an infinity or NaN
-    /// is walked.
+    /// can win (module doc, step 3). Strict, so a tie is walked.
     #[inline(always)]
     fn decided_before(&self, (holds_u, holds_v): (bool, bool)) -> Option<u32> {
         let (bs, bp) = self.best?;
@@ -235,11 +200,10 @@ impl ClassWalk<'_> {
         self.score.g_v = select_unpredictable(swap, g_u, g_v);
     }
 
-    /// Walks class `(holds_u, holds_v)`: its representative joins the best
-    /// if it beats it. `None` when the representative's score is not
-    /// strictly above the score one load higher (module doc, step 2).
+    /// Walks class `(holds_u, holds_v)`: its representative (module doc,
+    /// step 2) joins the best if it beats it.
     #[inline(always)]
-    fn walk(&mut self, (holds_u, holds_v): (bool, bool)) -> Option<()> {
+    fn walk(&mut self, (holds_u, holds_v): (bool, bool)) {
         let key = if holds_u || holds_v {
             self.loads
                 .class_min(self.row_u, self.row_v, (holds_u, holds_v))
@@ -254,28 +218,22 @@ impl ClassWalk<'_> {
             }
         };
         if key == NO_MEMBER {
-            return Some(());
+            return;
         }
         let (load, p) = (key_load(key), key_partition(key));
         let s = self.score.of(holds_u, holds_v, load);
-        // False for a tie, a pair of infinities and anything NaN.
-        let strict_step = self.score.of(holds_u, holds_v, load + 1) < s;
-        if !strict_step {
-            return None;
-        }
         if self
             .best
             .is_none_or(|(bs, bp)| s > bs || (s == bs && p < bp))
         {
             self.best = Some((s, p));
         }
-        Some(())
     }
 }
 
 /// The scan's pick from one representative per class that can still win,
-/// or `None` when a load does not pack into a class key or a walked
-/// representative's strict step fails (module doc, steps 2–5).
+/// or `None` when a load does not pack into a class key (module doc,
+/// steps 2–5).
 #[inline]
 fn pick_by_class(
     score: &EdgeScore,
@@ -299,20 +257,20 @@ fn pick_by_class(
     // rise along it, so the first class whose bound is below the best ends
     // the walk. Both endpoints come first, on the rows in edge order: that
     // class is the same whichever endpoint is `u`.
-    walk.walk((true, true))?;
+    walk.walk((true, true));
     walk.lower_degree_first();
     if let Some(p) = walk.decided_before((true, false)) {
         return Some(p);
     }
-    walk.walk((true, false))?;
+    walk.walk((true, false));
     if let Some(p) = walk.decided_before((false, true)) {
         return Some(p);
     }
-    walk.walk((false, true))?;
+    walk.walk((false, true));
     if let Some(p) = walk.decided_before((false, false)) {
         return Some(p);
     }
-    walk.walk((false, false))?;
+    walk.walk((false, false));
     walk.best.map(|(_, p)| p)
 }
 
@@ -363,9 +321,8 @@ impl HdrfKernel {
         let score = EdgeScore {
             g_u: 1.0 + (1.0 - theta_u),
             g_v: 1.0 + (1.0 - theta_v),
-            lambda: self.config.lambda,
             maxload,
-            denom: self.config.epsilon + maxload - minload,
+            denom: 1.0 + maxload - minload,
             u_lower_degree,
         };
         let best_p = pick(&score, replicas);
@@ -375,38 +332,24 @@ impl HdrfKernel {
     }
 }
 
-/// Tunables of HDRF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HdrfConfig {
-    /// Balance weight `λ_bal`; the original paper's default is 1.0 (quality
-    /// close to optimal, balance enforced softly).
-    pub lambda: f64,
-    /// Balance denominator smoothing term.
-    pub epsilon: f64,
-    /// Cap on the internal vertex id space (see `crate::vertex_table`).
-    pub max_vertices: u64,
+/// The HDRF partitioner.
+#[derive(Debug, Clone)]
+pub struct Hdrf {
+    max_vertices: u64,
 }
 
-impl Default for HdrfConfig {
+impl Default for Hdrf {
     fn default() -> Self {
-        HdrfConfig {
-            lambda: 1.0,
-            epsilon: 1.0,
-            max_vertices: DEFAULT_MAX_VERTICES,
-        }
+        Hdrf::with_max_vertices(DEFAULT_MAX_VERTICES)
     }
 }
 
-/// The HDRF partitioner.
-#[derive(Debug, Clone, Default)]
-pub struct Hdrf {
-    config: HdrfConfig,
-}
-
 impl Hdrf {
-    /// Creates HDRF with the given configuration.
-    pub fn new(config: HdrfConfig) -> Self {
-        Hdrf { config }
+    /// Caps the internal vertex id space: a stream whose ids reach the cap
+    /// fails with `InvalidParam` instead of growing the tables without
+    /// bound (see `crate::vertex_table`).
+    pub fn with_max_vertices(max_vertices: u64) -> Self {
+        Hdrf { max_vertices }
     }
 }
 
@@ -416,7 +359,7 @@ impl Partitioner for Hdrf {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        run_local(stream, k, |n| HdrfKernel::new(&self.config, k, n))
+        run_local(stream, k, |n| HdrfKernel::new(k, n, self.max_vertices))
     }
 }
 
@@ -432,14 +375,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    fn kernel(k: u32, n: u64) -> HdrfKernel {
+        HdrfKernel::new(k, n, DEFAULT_MAX_VERTICES).unwrap()
+    }
+
     /// Streams `edges` through a fresh kernel, every edge decided by `pick`.
     fn assignments_by(
         edges: &[Edge],
         k: u32,
-        config: &HdrfConfig,
         pick: impl Fn(&EdgeScore, &ReplicaTable, Edge, &PartitionLoads) -> u32,
     ) -> Vec<u32> {
-        let mut kernel = HdrfKernel::new(config, k, 0).unwrap();
+        let mut kernel = kernel(k, 0);
         let mut loads = PartitionLoads::new(k);
         edges
             .iter()
@@ -456,11 +402,10 @@ mod tests {
     }
 
     /// What the kernel's own `step` assigns.
-    fn kernel_assignments(edges: &[Edge], k: u32, config: &HdrfConfig) -> Vec<u32> {
-        let mut kernel = HdrfKernel::new(config, k, 0).unwrap();
+    fn kernel_assignments(edges: &[Edge], k: u32) -> Vec<u32> {
         let mut loads = PartitionLoads::new(k);
         let mut assignments = Vec::new();
-        kernel
+        kernel(k, 0)
             .step_chunk(edges, &mut loads, &mut assignments)
             .unwrap();
         assignments
@@ -483,47 +428,19 @@ mod tests {
     }
 
     #[test]
-    fn step_equals_the_full_scan_over_lambda_k_and_order() {
-        // Multi-word rows (k > 64), k not a multiple of 64, the single
-        // partition, and lambdas from "every balance term ties" (0, 1e-300)
-        // through the default to "the balance term swallows C_REP" (1e18,
-        // 1e300): the scan is the reference everywhere.
+    fn step_equals_the_full_scan_over_k_and_order() {
+        // Multi-word rows (k > 64), k not a multiple of 64 and the single
+        // partition: the scan is the reference everywhere.
         let orders = [
             ("random", web_edges(StreamOrder::Random(9))),
             ("bfs", web_edges(StreamOrder::Bfs)),
             ("canonical", canonical_web_edges()),
         ];
         for (order, edges) in orders {
-            for lambda in [0.0, 1e-300, 1e-12, 0.1, 1.0, 10.0, 1e6, 1e18, 1e300] {
-                let config = HdrfConfig {
-                    lambda,
-                    ..Default::default()
-                };
-                for k in [1u32, 2, 3, 31, 32, 33, 64, 65, 130, 257] {
-                    let want = assignments_by(&edges, k, &config, scan_all_partitions);
-                    assert_eq!(
-                        kernel_assignments(&edges, k, &config),
-                        want,
-                        "lambda={lambda} k={k} {order}"
-                    );
-                }
+            for k in [1u32, 2, 3, 31, 32, 33, 64, 65, 130, 257] {
+                let want = assignments_by(&edges, k, scan_all_partitions);
+                assert_eq!(kernel_assignments(&edges, k), want, "k={k} {order}");
             }
-        }
-    }
-
-    #[test]
-    fn step_equals_the_full_scan_when_epsilon_vanishes_next_to_the_loads() {
-        // epsilon below half an ulp of maxload: the denominator rounds to
-        // zero whenever all loads are equal and the scores are NaN or
-        // infinite. No strict comparison holds then, so the scan decides.
-        let edges = web_edges(StreamOrder::Random(4));
-        let config = HdrfConfig {
-            epsilon: 1e-300,
-            ..Default::default()
-        };
-        for k in [2u32, 33] {
-            let want = assignments_by(&edges, k, &config, scan_all_partitions);
-            assert_eq!(kernel_assignments(&edges, k, &config), want, "k={k}");
         }
     }
 
@@ -531,13 +448,12 @@ mod tests {
     /// replica rows, with `(du, dv)` the partial degrees after the step and
     /// the score constants taken from `step_by`. Whether the pick answered.
     fn pick_matches_the_scan(
-        config: &HdrfConfig,
         loads: &PartitionLoads,
         (du, dv): (u32, u32),
         rng: &mut SmallRng,
     ) -> bool {
         let e = Edge::new(0, 1);
-        let mut kernel = HdrfKernel::new(config, loads.k(), 2).unwrap();
+        let mut kernel = kernel(loads.k(), 2);
         // Per endpoint: no replica, a few, about half, all.
         for v in [e.src, e.dst] {
             let density = [0u32, 1, 4, 8][rng.gen_range(0..4usize)];
@@ -552,12 +468,7 @@ mod tests {
             .step_by(e, loads, |score, replicas| {
                 let want = scan_all_partitions(score, replicas, e, loads);
                 if let Some(p) = pick_by_class(score, replicas, e, loads) {
-                    assert_eq!(
-                        p,
-                        want,
-                        "{config:?} degrees ({du}, {dv}) loads {:?}",
-                        loads.as_slice()
-                    );
+                    assert_eq!(p, want, "degrees ({du}, {dv}) loads {:?}", loads.as_slice());
                     answered = true;
                 }
                 want
@@ -573,17 +484,6 @@ mod tests {
         // equal, one outlier, and loads at the largest a class key packs.
         // Degrees put θ_u near 0, at ½ and near 1.
         let mut rng = SmallRng::seed_from_u64(31);
-        let configs = [0.0, 1e-300, 1e-12, 1.0, 1e6, 1e300]
-            .into_iter()
-            .flat_map(|lambda| {
-                [1.0, 1e-300].map(|epsilon| HdrfConfig {
-                    lambda,
-                    epsilon,
-                    ..Default::default()
-                })
-            })
-            .collect::<Vec<_>>();
-        let mut answered = 0;
         for k in [1u32, 2, 31, 64, 65, 130] {
             for _ in 0..8 {
                 let base = rng.gen_range(0..1u64 << 40);
@@ -605,18 +505,12 @@ mod tests {
                 for loads in drawn.map(PartitionLoads::from_vec) {
                     let packs = loads.max() < KEY_LOAD_LIMIT;
                     for degrees in [(1, 1_000_000), (6, 6), (1_000_000, 1)] {
-                        for config in &configs {
-                            let ok = pick_matches_the_scan(config, &loads, degrees, &mut rng);
-                            assert!(packs || !ok, "k={k}: max load {} packed", loads.max());
-                            // The default separates any spread below 2^48.
-                            assert!(ok || !packs || *config != HdrfConfig::default(), "k={k}");
-                            answered += u32::from(ok);
-                        }
+                        let answered = pick_matches_the_scan(&loads, degrees, &mut rng);
+                        assert_eq!(answered, packs, "k={k}: max load {}", loads.max());
                     }
                 }
             }
         }
-        assert!(answered > 0);
     }
 
     #[test]
@@ -624,43 +518,10 @@ mod tests {
         for order in [StreamOrder::Random(9), StreamOrder::Bfs, StreamOrder::AsIs] {
             let edges = web_edges(order);
             for k in [1u32, 8, 32, 130] {
-                assignments_by(
-                    &edges,
-                    k,
-                    &HdrfConfig::default(),
-                    |score, replicas, e, loads| {
-                        pick_by_class(score, replicas, e, loads)
-                            .expect("lambda = epsilon = 1 separates adjacent loads")
-                    },
-                );
+                assignments_by(&edges, k, |score, replicas, e, loads| {
+                    pick_by_class(score, replicas, e, loads).expect("every load packs")
+                });
             }
-        }
-    }
-
-    #[test]
-    fn meaningless_lambda_and_epsilon_are_typed_errors() {
-        let bad = [
-            (-1.0, 1.0),
-            (f64::NAN, 1.0),
-            (f64::INFINITY, 1.0),
-            (1.0, 0.0),
-            (1.0, -0.5),
-            (1.0, f64::NAN),
-            (1.0, f64::INFINITY),
-        ];
-        for (lambda, epsilon) in bad {
-            let mut s = InMemoryStream::from_edges(vec![Edge::new(0, 1)]);
-            let err = Hdrf::new(HdrfConfig {
-                lambda,
-                epsilon,
-                ..Default::default()
-            })
-            .partition(&mut s, 4)
-            .unwrap_err();
-            assert!(
-                matches!(err, PartitionError::InvalidParam(_)),
-                "lambda={lambda} epsilon={epsilon}: {err}"
-            );
         }
     }
 
@@ -718,36 +579,9 @@ mod tests {
         let edges = ordered_edges(&g, StreamOrder::Random(11));
         let mut s = InMemoryStream::new(g.num_vertices(), edges.clone());
         let hdrf = Hdrf::default().partition(&mut s, 16).unwrap();
-        let hashing = crate::baselines::Hashing::default()
-            .partition(&mut s, 16)
-            .unwrap();
+        let hashing = crate::baselines::Hashing.partition(&mut s, 16).unwrap();
         let qh = PartitionQuality::compute(&edges, &hdrf.partitioning);
         let qr = PartitionQuality::compute(&edges, &hashing.partitioning);
         assert!(qh.replication_factor < 0.7 * qr.replication_factor);
-    }
-
-    #[test]
-    fn higher_lambda_tightens_balance() {
-        let g = generate_copying_model(&CopyingModelConfig {
-            vertices: 2_000,
-            ..Default::default()
-        });
-        let edges = ordered_edges(&g, StreamOrder::Random(3));
-        let mut s = InMemoryStream::new(g.num_vertices(), edges.clone());
-        let soft = Hdrf::new(HdrfConfig {
-            lambda: 0.1,
-            ..Default::default()
-        })
-        .partition(&mut s, 8)
-        .unwrap();
-        let hard = Hdrf::new(HdrfConfig {
-            lambda: 10.0,
-            ..Default::default()
-        })
-        .partition(&mut s, 8)
-        .unwrap();
-        assert!(
-            hard.partitioning.relative_balance() <= soft.partitioning.relative_balance() + 0.05
-        );
     }
 }

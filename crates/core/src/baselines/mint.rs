@@ -337,9 +337,7 @@ mod tests {
         let (n, edges) = web_edges(3_000, 3);
         let mut s = InMemoryStream::new(n, edges.clone());
         let mint = Mint::default().partition(&mut s, 16).unwrap();
-        let hash = crate::baselines::Hashing::default()
-            .partition(&mut s, 16)
-            .unwrap();
+        let hash = crate::baselines::Hashing.partition(&mut s, 16).unwrap();
         let qm = PartitionQuality::compute(&edges, &mint.partitioning);
         let qh = PartitionQuality::compute(&edges, &hash.partitioning);
         assert!(

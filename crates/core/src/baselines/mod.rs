@@ -19,5 +19,5 @@ pub(crate) mod mint;
 pub use dbh::Dbh;
 pub use greedy::Greedy;
 pub use hashing::Hashing;
-pub use hdrf::{Hdrf, HdrfConfig};
+pub use hdrf::Hdrf;
 pub use mint::{Mint, MintConfig};

@@ -31,7 +31,10 @@ pub enum MigrationPolicy {
 /// The equal-importance balance point of Eq. 15 coincides with
 /// [`LambdaMode::Max`] under the even-assignment estimate the paper uses
 /// (`Σ|p_i|² ≈ (Σ|c_i|)²/k`), so `Max` covers both of the paper's settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Two modes are equal when they resolve to the same λ: `Weight(0.5)` is
+/// `Max`, since `λ_max · 0.5 / 0.5` is `λ_max` exactly.
+#[derive(Debug, Clone, Copy)]
 pub enum LambdaMode {
     /// λ at its maximum value `k²·Σe(c_i,V\c_i) / (Σ|c_i|)²` (Theorem 5) —
     /// the paper's experimental default.
@@ -42,8 +45,18 @@ pub enum LambdaMode {
     Weight(f64),
 }
 
+impl PartialEq for LambdaMode {
+    fn eq(&self, other: &Self) -> bool {
+        let weight = |mode: &LambdaMode| match *mode {
+            LambdaMode::Max => 0.5,
+            LambdaMode::Weight(w) => w,
+        };
+        weight(self) == weight(other)
+    }
+}
+
 /// Full CLUGP configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClugpConfig {
     /// Multiplier on the default maximum cluster volume: `Vmax =
     /// vmax_factor · |E| / k` (the paper uses `|E|/k`, i.e. factor 1.0,

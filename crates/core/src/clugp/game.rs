@@ -366,7 +366,7 @@ mod tests {
         let cg = web_cluster_graph(500, 50);
         let lmax = cg.lambda_max(8);
         let half = resolve_lambda(&cg, 8, LambdaMode::Weight(0.5));
-        assert!((half - lmax).abs() < 1e-9 * lmax.max(1.0));
+        assert_eq!(half, lmax); // λ_max · 0.5 / 0.5, exactly
         let low = resolve_lambda(&cg, 8, LambdaMode::Weight(0.1));
         let high = resolve_lambda(&cg, 8, LambdaMode::Weight(0.9));
         assert!(low < half && half < high);

@@ -222,9 +222,7 @@ mod tests {
         let (n, edges) = web(3_000, 3);
         let mut s = InMemoryStream::new(n, edges.clone());
         let clugp = Clugp::default().partition(&mut s, 16).unwrap();
-        let hash = crate::baselines::Hashing::default()
-            .partition(&mut s, 16)
-            .unwrap();
+        let hash = crate::baselines::Hashing.partition(&mut s, 16).unwrap();
         let qc = PartitionQuality::compute(&edges, &clugp.partitioning);
         let qh = PartitionQuality::compute(&edges, &hash.partitioning);
         assert!(

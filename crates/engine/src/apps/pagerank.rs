@@ -103,7 +103,7 @@ mod tests {
         let edges: Vec<Edge> = (0..6).map(|i| Edge::new(i, (i + 1) % 6)).collect();
         let g = CsrGraph::from_edges_auto(&edges);
         let mut s = InMemoryStream::new(g.num_vertices(), edges.clone());
-        let run = Hashing::default().partition(&mut s, 3).unwrap();
+        let run = Hashing.partition(&mut s, 3).unwrap();
         let d = DistributedGraph::place(&edges, &run.partitioning);
         let engine = Engine::new(&d);
         let (values, _) = engine.run(&PageRank::default());
@@ -136,7 +136,7 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(1, 0)];
         let g = CsrGraph::from_edges_auto(&edges);
         let mut s = InMemoryStream::new(g.num_vertices(), edges.clone());
-        let run = Hashing::default().partition(&mut s, 2).unwrap();
+        let run = Hashing.partition(&mut s, 2).unwrap();
         let d = DistributedGraph::place(&edges, &run.partitioning);
         let engine = Engine::new(&d);
         let (_, stats) = engine.run(&PageRank {

@@ -31,7 +31,7 @@ fn main() {
     );
 
     let mut contenders: Vec<Box<dyn Partitioner>> =
-        vec![Box::new(Clugp::default()), Box::new(Hashing::default())];
+        vec![Box::new(Clugp::default()), Box::new(Hashing)];
     for partitioner in contenders.iter_mut() {
         let mut stream = InMemoryStream::new(graph.num_vertices(), edges.clone());
         let run = partitioner.partition(&mut stream, k).expect("partition");

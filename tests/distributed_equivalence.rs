@@ -8,7 +8,7 @@
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::{HdrfConfig, MintConfig};
+use clugp::baselines::MintConfig;
 use clugp::clugp::ClugpConfig;
 use clugp::error::PartitionError;
 use clugp::state::ReplicaTable;
@@ -506,86 +506,32 @@ fn hdrf_monolith_matches_its_recorded_golden_hashes() {
     // them together. These hashes were recorded from the per-partition
     // scoring loop at c58322d, before the class-representative kernel
     // replaced it, and pin the monolith to that loop's placements. In BFS
-    // order every edge meets a placed endpoint, so at lambda <= 1 the
-    // replication term always wins and the whole stream lands on partition
-    // 0 (one hash for six cells); the random order is the one that
-    // exercises the balance term.
+    // order every edge meets a placed endpoint, so the replication term
+    // always wins and the whole stream lands on partition 0 (one hash for
+    // three cells); the random order is the one that exercises the balance
+    // term.
     let g = generate_web_crawl(&WebCrawlConfig {
         vertices: 1_500,
         seed: 46,
         ..Default::default()
     });
-    let golden: [(StreamOrder, u32, [u64; 3]); 6] = [
-        (
-            StreamOrder::Bfs,
-            4,
-            [
-                0x093a_c462_7974_7f55,
-                0x093a_c462_7974_7f55,
-                0xee18_f02a_6b9f_ca36,
-            ],
-        ),
-        (
-            StreamOrder::Bfs,
-            32,
-            [
-                0x093a_c462_7974_7f55,
-                0x093a_c462_7974_7f55,
-                0x4cd3_3603_0fa0_4dca,
-            ],
-        ),
-        (
-            StreamOrder::Bfs,
-            130,
-            [
-                0x093a_c462_7974_7f55,
-                0x093a_c462_7974_7f55,
-                0x6dcd_a58f_d57e_eb24,
-            ],
-        ),
-        (
-            StreamOrder::Random(46),
-            4,
-            [
-                0xc0a2_411f_06de_8a85,
-                0x7411_01fd_3aeb_e0b4,
-                0xd6f0_1e7b_7644_6496,
-            ],
-        ),
-        (
-            StreamOrder::Random(46),
-            32,
-            [
-                0xef74_9081_c50e_7e44,
-                0xa2d1_eb26_b859_3169,
-                0x06c5_ed0b_9347_e12b,
-            ],
-        ),
-        (
-            StreamOrder::Random(46),
-            130,
-            [
-                0x4189_3629_f5c1_726f,
-                0x2d2c_7b8d_a575_dbfa,
-                0xeb98_df50_669c_041a,
-            ],
-        ),
+    let golden: [(StreamOrder, u32, u64); 6] = [
+        (StreamOrder::Bfs, 4, 0x093a_c462_7974_7f55),
+        (StreamOrder::Bfs, 32, 0x093a_c462_7974_7f55),
+        (StreamOrder::Bfs, 130, 0x093a_c462_7974_7f55),
+        (StreamOrder::Random(46), 4, 0x7411_01fd_3aeb_e0b4),
+        (StreamOrder::Random(46), 32, 0xa2d1_eb26_b859_3169),
+        (StreamOrder::Random(46), 130, 0x2d2c_7b8d_a575_dbfa),
     ];
-    for (order, k, hashes) in golden {
+    for (order, k, want) in golden {
         let edges = ordered_edges(&g, order);
-        for (lambda, want) in [0.1, 1.0, 10.0].into_iter().zip(hashes) {
-            let hdrf = DistAlgo::Hdrf(HdrfConfig {
-                lambda,
-                ..Default::default()
-            });
-            let (assignments, _, _) = monolith(&hdrf, g.num_vertices(), &edges, k);
-            assert_eq!(
-                assignment_hash(&assignments),
-                want,
-                "HDRF {order:?} k={k} lambda={lambda}: monolithic placement changed (got {:#018x})",
-                assignment_hash(&assignments)
-            );
-        }
+        let (assignments, _, _) = monolith(&DistAlgo::hdrf(), g.num_vertices(), &edges, k);
+        assert_eq!(
+            assignment_hash(&assignments),
+            want,
+            "HDRF {order:?} k={k}: monolithic placement changed (got {:#018x})",
+            assignment_hash(&assignments)
+        );
     }
 }
 

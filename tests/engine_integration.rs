@@ -15,7 +15,7 @@ use clugp_repro::{fnv1a, test_web_graph};
 
 fn partitioners() -> Vec<Box<dyn Partitioner>> {
     vec![
-        Box::new(Hashing::default()),
+        Box::new(Hashing),
         Box::new(Dbh::default()),
         Box::new(Greedy::new()),
         Box::new(Hdrf::default()),
@@ -197,7 +197,7 @@ fn placement_matches_its_recorded_hashes() {
         (Box::new(Clugp::default()), 0xfb14_85af_87d3_1df7),
         (Box::new(Hdrf::default()), 0x864f_58a3_0849_890a),
         (Box::new(Dbh::default()), 0x628c_f112_f1f8_6e88),
-        (Box::new(Hashing::default()), 0x800d_69c0_cc4a_0131),
+        (Box::new(Hashing), 0x800d_69c0_cc4a_0131),
     ];
     let mut wrong = Vec::new();
     for (mut partitioner, want) in golden {

@@ -2,17 +2,19 @@
 //! substrate and all baselines, exercising the invariants the paper's
 //! problem statement demands (Problem 1, Eq. 1).
 
+use clugp::ampc::coordinator::DistAlgo;
 use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint};
 use clugp::clugp::{Clugp, ClugpConfig, ClusterAssignMode, MigrationPolicy};
 use clugp::metrics::PartitionQuality;
 use clugp::partitioner::Partitioner;
+use clugp_graph::order::{StreamOrder, RANDOM_ORDER_SEED};
 use clugp_graph::stream::InMemoryStream;
 use clugp_graph::types::Edge;
-use clugp_repro::test_web_graph;
+use clugp_repro::{fnv1a, monolith, test_web_graph, Family};
 
 fn all_partitioners() -> Vec<Box<dyn Partitioner>> {
     vec![
-        Box::new(Hashing::default()),
+        Box::new(Hashing),
         Box::new(Dbh::default()),
         Box::new(Greedy::new()),
         Box::new(Hdrf::default()),
@@ -112,7 +114,7 @@ fn clugp_quality_ordering_on_web_graph() {
     };
     let clugp = rf(&mut Clugp::default(), &bfs_edges);
     let mint = rf(&mut Mint::default(), &bfs_edges);
-    let hashing = rf(&mut Hashing::default(), &random_edges);
+    let hashing = rf(&mut Hashing, &random_edges);
     let dbh = rf(&mut Dbh::default(), &random_edges);
     let hdrf = rf(&mut Hdrf::default(), &random_edges);
     assert!(clugp < 0.6 * hashing, "CLUGP {clugp} vs Hashing {hashing}");
@@ -136,6 +138,45 @@ fn all_algorithms_are_deterministic() {
             "{} must be deterministic",
             partitioner.name()
         );
+    }
+}
+
+/// CLUGP at its defaults, HDRF and Greedy never read a vertex id's value:
+/// renaming the vertices of a stream, every edge in its place, moves no
+/// placement, in any order. Hashing, DBH and Mint hash ids (Mint for its
+/// initial placement), so their placements move and are not checked.
+#[test]
+fn clugp_hdrf_and_greedy_place_a_relabeled_stream_identically() {
+    let orders = [
+        StreamOrder::Bfs,
+        StreamOrder::Random(RANDOM_ORDER_SEED),
+        StreamOrder::AsIs,
+    ];
+    for order in orders {
+        let (n, mut edges) = Family::Web.edges(3_000, 5, order);
+        if order == StreamOrder::AsIs {
+            edges.sort_unstable_by_key(|e| (e.src, e.dst)); // canonical
+        }
+        for seed in 1..=3u64 {
+            // A drawn permutation of [0, n): the ids in the order of their
+            // seeded hashes.
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            perm.sort_by_key(|&v| fnv1a(seed.to_le_bytes().into_iter().chain(v.to_le_bytes())));
+            let relabeled: Vec<Edge> = edges
+                .iter()
+                .map(|e| Edge::new(perm[e.src as usize], perm[e.dst as usize]))
+                .collect();
+            for name in ["clugp", "hdrf", "greedy"] {
+                let algo = DistAlgo::by_name(name).unwrap();
+                for k in [4u32, 32] {
+                    assert_eq!(
+                        monolith(&algo, n, &relabeled, k).0,
+                        monolith(&algo, n, &edges, k).0,
+                        "{name} {order:?} k={k} permutation {seed}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants: arbitrary edge
 //! multisets through every layer of the stack.
 
-use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, HdrfConfig, Mint};
+use clugp::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint};
 use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGraph};
 use clugp::metrics::PartitionQuality;
 use clugp::partitioner::Partitioner;
@@ -102,10 +102,10 @@ fn assert_decoders_agree(edges: &[Edge], tag: &str) {
     }
 }
 
-/// HDRF exactly as published: every partition scored per edge in ascending
-/// order, the first strictly greatest score wins. Written against plain
-/// vectors so it shares nothing with the crate's kernel.
-fn reference_hdrf(edges: &[Edge], k: u32, lambda: f64, epsilon: f64) -> Vec<u32> {
+/// HDRF exactly as published, at `λ = ε = 1`: every partition scored per
+/// edge in ascending order, the first strictly greatest score wins. Written
+/// against plain vectors so it shares nothing with the crate's kernel.
+fn reference_hdrf(edges: &[Edge], k: u32) -> Vec<u32> {
     let n = edges
         .iter()
         .map(|e| e.src.max(e.dst) + 1)
@@ -125,7 +125,7 @@ fn reference_hdrf(edges: &[Edge], k: u32, lambda: f64, epsilon: f64) -> Vec<u32>
         let theta_v = 1.0 - theta_u;
         let maxload = *loads.iter().max().unwrap() as f64;
         let minload = *loads.iter().min().unwrap() as f64;
-        let denom = epsilon + maxload - minload;
+        let denom = 1.0 + maxload - minload;
         let (mut best_p, mut best_score) = (0usize, f64::NEG_INFINITY);
         for p in 0..k {
             let mut score = 0.0;
@@ -135,7 +135,7 @@ fn reference_hdrf(edges: &[Edge], k: u32, lambda: f64, epsilon: f64) -> Vec<u32>
             if holds[v][p] {
                 score += 1.0 + (1.0 - theta_v);
             }
-            score += lambda * (maxload - loads[p] as f64) / denom;
+            score += (maxload - loads[p] as f64) / denom;
             if score > best_score {
                 best_score = score;
                 best_p = p;
@@ -154,20 +154,12 @@ proptest! {
 
     /// HDRF's class-representative kernel places every edge where the
     /// published per-partition scan does, on multigraphs with self-loops
-    /// and duplicate edges, including lambdas at which balance terms tie.
+    /// and duplicate edges.
     #[test]
-    fn hdrf_equals_the_published_scan(
-        edges in arb_edges(),
-        k in 1u32..80,
-        lambda in (0usize..7).prop_map(|i| [0.0, 1e-300, 0.1, 1.0, 10.0, 1e18, 1e300][i]),
-    ) {
-        let config = HdrfConfig { lambda, ..Default::default() };
+    fn hdrf_equals_the_published_scan(edges in arb_edges(), k in 1u32..80) {
         let mut stream = InMemoryStream::from_edges(edges.clone());
-        let run = Hdrf::new(config.clone()).partition(&mut stream, k).unwrap();
-        prop_assert_eq!(
-            run.partitioning.assignments,
-            reference_hdrf(&edges, k, lambda, config.epsilon)
-        );
+        let run = Hdrf::default().partition(&mut stream, k).unwrap();
+        prop_assert_eq!(run.partitioning.assignments, reference_hdrf(&edges, k));
     }
 
     /// Every partitioner assigns every edge exactly once with in-range ids.
@@ -175,7 +167,7 @@ proptest! {
     fn partitioners_assign_all_edges(edges in arb_edges(), k in 1u32..12) {
         let mut stream = InMemoryStream::from_edges(edges.clone());
         let mut algos: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(Hashing::default()),
+            Box::new(Hashing),
             Box::new(Dbh::default()),
             Box::new(Greedy::new()),
             Box::new(Hdrf::default()),
@@ -290,7 +282,7 @@ proptest! {
         let mut sparse_stream = RemappedStream::remap(RawInMemoryStream::new(raw)).unwrap();
         prop_assert_eq!(sparse_stream.num_vertices_hint(), Some(map.len()));
         let mut algos: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(Hashing::default()),
+            Box::new(Hashing),
             Box::new(Hdrf::default()),
             Box::new(Clugp::default()),
         ];
@@ -526,7 +518,7 @@ proptest! {
         use clugp_engine::apps::PageRank;
         use clugp_engine::{DistributedGraph, Engine};
         let mut stream = InMemoryStream::from_edges(edges.clone());
-        let run = Hashing::default().partition(&mut stream, k).unwrap();
+        let run = Hashing.partition(&mut stream, k).unwrap();
         let placed = DistributedGraph::place(&edges, &run.partitioning);
         let (ranks, _) = Engine::new(&placed).run(&PageRank::default());
         for r in ranks {
@@ -540,7 +532,7 @@ proptest! {
     fn partitioning_snapshot_round_trip(edges in arb_edges(), k in 1u32..8) {
         use clugp::partition_io::{read_partitioning, write_partitioning};
         let mut stream = InMemoryStream::from_edges(edges.clone());
-        let run = Hashing::default().partition(&mut stream, k).unwrap();
+        let run = Hashing.partition(&mut stream, k).unwrap();
         let dir = std::env::temp_dir().join("clugp_prop_part_io");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("p{}_{}.part", edges.len(), k));
