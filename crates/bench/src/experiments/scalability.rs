@@ -9,7 +9,6 @@ use crate::runner::{
     PreparedDataset,
 };
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::baselines::MintConfig;
 use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
 use clugp_graph::order::StreamOrder;
 use clugp_graph::stream::TimedStream;
@@ -87,10 +86,7 @@ pub fn fig10(ctx: &ExpContext) {
     );
     let mut rows_json = Arr::new();
     let clugp_on = |t| (format!("CLU{t}"), clugp_with(|c| c.threads = t), t);
-    let mint = DistAlgo::Mint(MintConfig {
-        threads: 32,
-        ..Default::default()
-    });
+    let mint = DistAlgo::Mint { threads: 32 };
     let rows = [
         ("HDRF".to_string(), hdrf, 0),
         ("Greedy".to_string(), DistAlgo::greedy(), 0),

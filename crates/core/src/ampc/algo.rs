@@ -5,10 +5,11 @@
 //! algorithms.
 //!
 //! The competitors run at their published defaults — HDRF at `λ = ε = 1`,
-//! Hashing and DBH with one fixed seed each — so their variants carry
-//! nothing but a vertex-id cap; only CLUGP and Mint carry a config.
+//! Hashing and DBH with one fixed seed each, Mint at its batch, wave and
+//! round constants — so their variants carry nothing but a vertex-id cap
+//! or, for Mint, a thread count; only CLUGP carries a config.
 
-use crate::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint, MintConfig};
+use crate::baselines::{Dbh, Greedy, Hashing, Hdrf, Mint};
 use crate::clugp::{Clugp, ClugpConfig};
 use crate::partitioner::Partitioner;
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
@@ -39,7 +40,11 @@ pub enum DistAlgo {
         max_vertices: u64,
     },
     /// Quasi-streaming game partitioning.
-    Mint(MintConfig),
+    Mint {
+        /// Max threads solving a wave's batch games (0 = every available
+        /// CPU, 1 = inline). Affects wall-clock only, never the result.
+        threads: usize,
+    },
     /// The paper's three-pass pipeline.
     Clugp(ClugpConfig),
 }
@@ -73,7 +78,7 @@ impl DistAlgo {
 
     /// Mint with the monolith's defaults.
     pub fn mint() -> Self {
-        DistAlgo::Mint(MintConfig::default())
+        DistAlgo::Mint { threads: 0 }
     }
 
     /// CLUGP with the monolith's defaults.
@@ -103,7 +108,7 @@ impl DistAlgo {
             DistAlgo::Dbh { max_vertices } => Box::new(Dbh::with_max_vertices(*max_vertices)),
             DistAlgo::Greedy { max_vertices } => Box::new(Greedy::with_max_vertices(*max_vertices)),
             DistAlgo::Hdrf { max_vertices } => Box::new(Hdrf::with_max_vertices(*max_vertices)),
-            DistAlgo::Mint(cfg) => Box::new(Mint::new(cfg.clone())),
+            DistAlgo::Mint { threads } => Box::new(Mint::with_threads(*threads)),
             DistAlgo::Clugp(cfg) => Box::new(Clugp::new(cfg.clone())),
         }
     }
@@ -119,7 +124,7 @@ impl DistAlgo {
             | DistAlgo::Dbh { .. }
             | DistAlgo::Greedy { .. }
             | DistAlgo::Hdrf { .. } => StreamOrder::Random(RANDOM_ORDER_SEED),
-            DistAlgo::Mint(_) | DistAlgo::Clugp(_) => StreamOrder::Bfs,
+            DistAlgo::Mint { .. } | DistAlgo::Clugp(_) => StreamOrder::Bfs,
         }
     }
 

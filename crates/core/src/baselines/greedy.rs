@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
     use crate::state::KEY_LOAD_LIMIT;
-    use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
+    use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::InMemoryStream;
     use clugp_graph::types::Edge;
@@ -181,7 +181,7 @@ mod tests {
     fn step_equals_the_full_scan_over_k_and_order() {
         // Random order reaches all four cases; BFS and canonical (src, dst)
         // order, the one a pack replays, mostly meet a placed endpoint.
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: 600,
             ..Default::default()
         });
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn beats_hashing_on_communities() {
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: 2_000,
             ..Default::default()
         });

@@ -368,7 +368,7 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
     use crate::state::KEY_LOAD_LIMIT;
-    use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
+    use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::InMemoryStream;
     use clugp_graph::types::Edge;
@@ -412,7 +412,7 @@ mod tests {
     }
 
     fn web_edges(order: StreamOrder) -> Vec<Edge> {
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: 600,
             ..Default::default()
         });
@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn beats_hashing_on_web_graph() {
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: 3_000,
             ..Default::default()
         });

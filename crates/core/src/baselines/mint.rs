@@ -2,18 +2,22 @@
 //! TPDS 2019), reimplemented from its published description (the original
 //! code is closed-source; see DESIGN.md §4).
 //!
-//! Edges are ingested in batches; within a batch each edge is a player that
-//! best-responds by choosing the partition minimizing
+//! Edges are ingested in batches of 6400 edges; within a batch each
+//! edge is a player that best-responds by choosing the partition minimizing
 //! `new_replicas(e → p) + α · balance(p)`, iterating to a (batch-local) Nash
-//! equilibrium. Batches are grouped into *waves* of `wave_width`: every
+//! equilibrium. Batches are grouped into *waves* of 8 batches: every
 //! batch of a wave plays against the same snapshot of the committed loads,
 //! so the wave's games are independent and run in parallel (bounded by
 //! `threads`) — the trade that buys Mint its scalability at "medium"
 //! quality: unlike HDRF/Greedy there is **no global replica table** (state
-//! is `O(batch_size × min(threads, wave_width))`, which is what the paper's
-//! Fig. 6 shows). The wave width is a fixed semantic knob, deliberately decoupled
-//! from the thread count, so results are bit-identical whether a wave is
-//! solved by 1 or 8 worker threads.
+//! is `O(batch edges × min(threads, wave width))`, which is what the paper's
+//! Fig. 6 shows). The wave width is fixed and decoupled from the thread
+//! count, so results are bit-identical whether a wave is solved by 1 or 8
+//! worker threads.
+//!
+//! Mint runs at its published defaults, as every competitor of the paper
+//! does: the constants below are not configurable, and only the thread
+//! count — which never changes a placement — is.
 
 use crate::error::Result;
 use crate::memory::MemoryReport;
@@ -24,55 +28,32 @@ use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
 use rustc_hash::FxHashMap;
 
-/// Default [`MintConfig::wave_width`]: batches whose games share one load
-/// snapshot.
-pub const DEFAULT_WAVE_WIDTH: usize = 8;
-
-/// Tunables of Mint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MintConfig {
-    /// Edges per batch game.
-    pub batch_size: usize,
-    /// Batches ingested per wave; every batch of a wave plays against the
-    /// same committed-load snapshot (0 = `DEFAULT_WAVE_WIDTH`, 8). This is a
-    /// semantic knob — it changes the equilibria — so it is deliberately
-    /// independent of `threads`.
-    pub wave_width: usize,
-    /// Max worker threads solving a wave's batches (0 = every available
-    /// CPU, 1 = inline).
-    /// Affects wall-clock only, never the result.
-    pub threads: usize,
-    /// Best-response round cap per batch.
-    pub max_rounds: usize,
-    /// Balance weight α in the edge cost.
-    pub balance_weight: f64,
-    /// Seed for the hash-based initial placement.
-    pub seed: u64,
-}
-
-impl Default for MintConfig {
-    fn default() -> Self {
-        MintConfig {
-            batch_size: 6400,
-            wave_width: DEFAULT_WAVE_WIDTH,
-            threads: 0,
-            max_rounds: 5,
-            balance_weight: 1.0,
-            seed: 0x317,
-        }
-    }
-}
+/// Edges per batch game.
+const BATCH_EDGES: usize = 6400;
+/// Batches per wave: every batch of a wave plays against the same
+/// committed-load snapshot. It changes the equilibria, so it is independent
+/// of the thread count.
+const WAVE_WIDTH: usize = 8;
+/// Best-response round cap per batch.
+const MAX_ROUNDS: usize = 5;
+/// Balance weight α in the edge cost. At 1.0, `α · x` is `x` exactly.
+const BALANCE_WEIGHT: f64 = 1.0;
+/// Seed of the hash-based initial placement.
+const SEED: u64 = 0x317;
 
 /// The Mint partitioner.
 #[derive(Debug, Clone, Default)]
 pub struct Mint {
-    config: MintConfig,
+    /// Max worker threads solving a wave's batches (0 = every available
+    /// CPU, 1 = inline). Affects wall-clock only, never the result.
+    threads: usize,
 }
 
 impl Mint {
-    /// Creates Mint with the given configuration.
-    pub fn new(config: MintConfig) -> Self {
-        Mint { config }
+    /// Mint with a wave's batches on at most `threads` worker threads (0 =
+    /// every available CPU, 1 = inline).
+    pub fn with_threads(threads: usize) -> Self {
+        Mint { threads }
     }
 }
 
@@ -84,7 +65,7 @@ impl Partitioner for Mint {
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
         let start = std::time::Instant::now();
         let (n, m) = start_run(stream, k)?;
-        let mut waves = Waves::new(&self.config, k)?;
+        let mut waves = Waves::new(k, self.threads, BATCH_EDGES, WAVE_WIDTH);
         waves.assignments.reserve(m as usize);
         for_each_chunk(stream, chunk_edges(), |chunk| waves.push(chunk));
         waves.drain();
@@ -110,14 +91,15 @@ impl Partitioner for Mint {
 }
 
 /// Mint's wave loop: buffers streamed edges and, whenever a full wave —
-/// `wave_width` batches of `batch_size` edges — is pending, plays its batch
+/// `wave_width` batches of `batch_edges` edges — is pending, plays its batch
 /// games and commits them. Batch and wave boundaries depend only on the
 /// running edge count, never on how the stream was chunked into
 /// [`Waves::push`] calls, so the equilibria (and assignments) are
 /// bit-identical for any chunking of the same stream.
-struct Waves<'a> {
-    cfg: &'a MintConfig,
+struct Waves {
     k: u32,
+    threads: usize,
+    batch_edges: usize,
     wave_edges: usize,
     /// Streamed edges no wave has solved yet: fewer than a wave's worth
     /// between calls.
@@ -130,28 +112,22 @@ struct Waves<'a> {
     peak_state: usize,
 }
 
-impl<'a> Waves<'a> {
-    /// A wave loop at the start of a `k`-way stream.
-    fn new(cfg: &'a MintConfig, k: u32) -> Result<Waves<'a>> {
-        if cfg.batch_size == 0 {
-            return Err(crate::error::PartitionError::InvalidParam(
-                "batch_size must be positive".into(),
-            ));
-        }
-        let wave_width = if cfg.wave_width == 0 {
-            DEFAULT_WAVE_WIDTH
-        } else {
-            cfg.wave_width
-        };
-        Ok(Waves {
-            cfg,
+impl Waves {
+    /// A wave loop at the start of a `k`-way stream, solving waves of
+    /// `wave_width` batches of `batch_edges` edges (both positive) on at
+    /// most `threads` threads. [`Mint`] plays [`BATCH_EDGES`] and
+    /// [`WAVE_WIDTH`]; the unit tests shrink them.
+    fn new(k: u32, threads: usize, batch_edges: usize, wave_width: usize) -> Waves {
+        Waves {
             k,
-            wave_edges: wave_width.saturating_mul(cfg.batch_size),
+            threads,
+            batch_edges,
+            wave_edges: wave_width * batch_edges,
             pending: Vec::new(),
             loads: PartitionLoads::new(k),
             assignments: Vec::new(),
             peak_state: 0,
-        })
+        }
     }
 
     /// Streams `edges` in, solving every wave they complete.
@@ -175,13 +151,13 @@ impl<'a> Waves<'a> {
         if self.pending.is_empty() {
             return;
         }
-        let wave: Vec<&[Edge]> = self.pending.chunks(self.cfg.batch_size).collect();
+        let wave: Vec<&[Edge]> = self.pending.chunks(self.batch_edges).collect();
         // Each batch plays against a snapshot of the committed loads, in
         // parallel; results are merged in batch order, so the outcome is
         // deterministic regardless of thread scheduling.
         let snapshot: Vec<u64> = self.loads.as_slice().to_vec();
-        let outcomes = crate::parallel::map(self.cfg.threads, &wave, |_, batch| {
-            solve_batch(batch, self.k, &snapshot, self.cfg)
+        let outcomes = crate::parallel::map(self.threads, &wave, |_, batch| {
+            solve_batch(batch, self.k, &snapshot)
         });
         // At most `concurrency` batch games are live at once (each worker
         // solves its batches one after another), so the state charged to
@@ -189,7 +165,7 @@ impl<'a> Waves<'a> {
         // final partial wave is charged only for the batches it held, and
         // few threads under a wide wave are not charged for games they never
         // ran concurrently.
-        let concurrency = crate::parallel::width(self.cfg.threads).clamp(1, wave.len());
+        let concurrency = crate::parallel::width(self.threads).clamp(1, wave.len());
         let mut batch_states = Vec::with_capacity(wave.len());
         for (batch, outcome) in wave.iter().zip(outcomes) {
             debug_assert_eq!(batch.len(), outcome.assignments.len());
@@ -212,7 +188,7 @@ struct BatchOutcome {
 }
 
 /// Plays one batch game to (local) equilibrium.
-fn solve_batch(batch: &[Edge], k: u32, snapshot: &[u64], cfg: &MintConfig) -> BatchOutcome {
+fn solve_batch(batch: &[Edge], k: u32, snapshot: &[u64]) -> BatchOutcome {
     let ku = k as usize;
     // Vertex-partition presence counts *within the batch*. Key = v * k + p.
     let mut presence: FxHashMap<u64, u32> = FxHashMap::default();
@@ -222,7 +198,7 @@ fn solve_batch(batch: &[Edge], k: u32, snapshot: &[u64], cfg: &MintConfig) -> Ba
     // sharing a source start co-located.
     let mut assign: Vec<u32> = batch
         .iter()
-        .map(|e| (mix64(u64::from(e.src) ^ cfg.seed) % u64::from(k)) as u32)
+        .map(|e| (mix64(u64::from(e.src) ^ SEED) % u64::from(k)) as u32)
         .collect();
     let mut batch_loads = vec![0u64; ku];
     for (e, &p) in batch.iter().zip(&assign) {
@@ -231,7 +207,7 @@ fn solve_batch(batch: &[Edge], k: u32, snapshot: &[u64], cfg: &MintConfig) -> Ba
         batch_loads[p as usize] += 1;
     }
 
-    for _ in 0..cfg.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         // Per-round balance normalization (recomputing per move would be
         // O(k) per evaluation; the round granularity is Mint's published
         // design point).
@@ -263,7 +239,7 @@ fn solve_batch(batch: &[Edge], k: u32, snapshot: &[u64], cfg: &MintConfig) -> Ba
                     cost += 1.0;
                 }
                 let load = (snapshot[p as usize] + batch_loads[p as usize]) as f64;
-                cost += cfg.balance_weight * (load - minl) / denom;
+                cost += BALANCE_WEIGHT * (load - minl) / denom;
                 if cost < best_cost - 1e-12 {
                     best_cost = cost;
                     best_p = p;
@@ -302,17 +278,32 @@ fn decrement(map: &mut FxHashMap<u64, u32>, key: u64) {
 mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
-    use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
+    use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::InMemoryStream;
 
     fn web_edges(n: u64, seed: u64) -> (u64, Vec<Edge>) {
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: n,
             seed,
             ..Default::default()
         });
         (g.num_vertices(), ordered_edges(&g, StreamOrder::Bfs))
+    }
+
+    /// `edges` through a `k`-way wave loop of `wave_width` batches of
+    /// `batch_edges` edges on `threads` threads, drained.
+    fn waves(
+        edges: &[Edge],
+        k: u32,
+        threads: usize,
+        batch_edges: usize,
+        wave_width: usize,
+    ) -> Waves {
+        let mut waves = Waves::new(k, threads, batch_edges, wave_width);
+        waves.push(edges);
+        waves.drain();
+        waves
     }
 
     #[test]
@@ -351,28 +342,15 @@ mod tests {
     #[test]
     fn small_batches_still_cover_stream() {
         let (n, edges) = web_edges(500, 4);
-        let len = edges.len();
-        let mut s = InMemoryStream::new(n, edges);
-        let run = Mint::new(MintConfig {
-            batch_size: 37,
-            ..Default::default()
-        })
-        .partition(&mut s, 4)
-        .unwrap();
-        assert_eq!(run.partitioning.assignments.len(), len);
-        run.partitioning.validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_zero_batch() {
-        let (n, edges) = web_edges(100, 5);
-        let mut s = InMemoryStream::new(n, edges);
-        let err = Mint::new(MintConfig {
-            batch_size: 0,
-            ..Default::default()
-        })
-        .partition(&mut s, 4);
-        assert!(err.is_err());
+        let w = waves(&edges, 4, 0, 37, WAVE_WIDTH);
+        let partitioning = Partitioning {
+            k: 4,
+            num_vertices: n,
+            assignments: w.assignments,
+            loads: w.loads.into_vec(),
+        };
+        assert_eq!(partitioning.assignments.len(), edges.len());
+        partitioning.validate().unwrap();
     }
 
     #[test]
@@ -389,46 +367,16 @@ mod tests {
         // Small batches force many multi-batch waves; the thread count only
         // bounds the worker pool, so every count must yield bit-identical
         // assignments.
-        let (n, edges) = web_edges(2_000, 7);
-        let mut s = InMemoryStream::new(n, edges);
-        let run_with = |threads: usize, s: &mut InMemoryStream| {
-            Mint::new(MintConfig {
-                batch_size: 97,
-                threads,
-                ..Default::default()
-            })
-            .partition(s, 8)
-            .unwrap()
-            .partitioning
-            .assignments
-        };
-        let baseline = run_with(1, &mut s);
+        let (_, edges) = web_edges(2_000, 7);
+        let run_with = |threads: usize| waves(&edges, 8, threads, 97, WAVE_WIDTH).assignments;
+        let baseline = run_with(1);
         for threads in [2usize, 4, 8] {
             assert_eq!(
-                run_with(threads, &mut s),
+                run_with(threads),
                 baseline,
                 "threads={threads} changed the result"
             );
         }
-    }
-
-    #[test]
-    fn wave_width_is_a_semantic_knob_not_thread_count() {
-        // With one batch in total, the wave width cannot matter; before the
-        // wave/thread decoupling, `threads` doubled as the wave width.
-        let (n, edges) = web_edges(400, 8);
-        let mut s = InMemoryStream::new(n, edges);
-        let run_with = |wave_width: usize, s: &mut InMemoryStream| {
-            Mint::new(MintConfig {
-                wave_width,
-                ..Default::default()
-            })
-            .partition(s, 4)
-            .unwrap()
-        };
-        let a = run_with(1, &mut s);
-        let b = run_with(8, &mut s);
-        assert_eq!(a.partitioning.assignments, b.partitioning.assignments);
     }
 
     #[test]
@@ -437,21 +385,12 @@ mod tests {
         // one batch's state no matter how wide the wave is. The old report
         // multiplied the peak batch state by the full wave concurrency,
         // overcounting 8x here.
-        let (n, edges) = web_edges(400, 9);
-        let mut s = InMemoryStream::new(n, edges);
-        let batch_state = |wave_width: usize, s: &mut InMemoryStream| {
-            Mint::new(MintConfig {
-                wave_width,
-                ..Default::default()
-            })
-            .partition(s, 4)
-            .unwrap()
-            .memory
-            .get("batch-state")
-            .expect("batch-state item")
-        };
-        let narrow = batch_state(1, &mut s);
-        let wide = batch_state(8, &mut s);
+        let (_, edges) = web_edges(300, 9);
+        assert!(edges.len() <= BATCH_EDGES, "{} edges", edges.len());
+        let batch_state =
+            |wave_width: usize| waves(&edges, 4, 0, BATCH_EDGES, wave_width).peak_state;
+        let narrow = batch_state(1);
+        let wide = batch_state(WAVE_WIDTH);
         assert!(narrow > 0);
         assert_eq!(narrow, wide, "final partial wave must not be overcounted");
     }
@@ -463,33 +402,13 @@ mod tests {
         // below wave_width x peak for the last wave and never above full
         // waves' sum. Threads are pinned so the concurrency cap is
         // machine-independent.
-        let (n, edges) = web_edges(1_000, 10);
-        let len = edges.len();
-        let batch = len.div_ceil(10);
-        let mut s = InMemoryStream::new(n, edges);
-        let run = Mint::new(MintConfig {
-            batch_size: batch,
-            wave_width: 4,
-            threads: 4,
-            ..Default::default()
-        })
-        .partition(&mut s, 4)
-        .unwrap();
-        let charged = run.memory.get("batch-state").unwrap();
+        let (_, edges) = web_edges(1_000, 10);
+        let batch = edges.len().div_ceil(10);
+        let charged = waves(&edges, 4, 4, batch, 4).peak_state;
         // A single batch's state is a lower bound on the wave peak; 4x a
         // single batch's state (plus slack for per-batch hash-map capacity
         // jitter) is an upper bound.
-        let mut s2 = InMemoryStream::new(n, web_edges(1_000, 10).1);
-        let single_state = Mint::new(MintConfig {
-            batch_size: batch,
-            wave_width: 1,
-            ..Default::default()
-        })
-        .partition(&mut s2, 4)
-        .unwrap()
-        .memory
-        .get("batch-state")
-        .unwrap();
+        let single_state = waves(&edges, 4, 0, batch, 1).peak_state;
         assert!(charged >= single_state);
         assert!(
             charged <= single_state * 5,
@@ -502,23 +421,9 @@ mod tests {
         // One worker thread solves a wave's batches sequentially, so only
         // one batch's solver state is ever live; the report must not charge
         // the whole wave's sum.
-        let (n, edges) = web_edges(1_000, 12);
-        let len = edges.len();
-        let batch = len.div_ceil(8);
-        let charge_with = |threads: usize| {
-            let mut s = InMemoryStream::new(n, web_edges(1_000, 12).1);
-            Mint::new(MintConfig {
-                batch_size: batch,
-                wave_width: 8,
-                threads,
-                ..Default::default()
-            })
-            .partition(&mut s, 4)
-            .unwrap()
-            .memory
-            .get("batch-state")
-            .expect("batch-state item")
-        };
+        let (_, edges) = web_edges(1_000, 12);
+        let batch = edges.len().div_ceil(8);
+        let charge_with = |threads: usize| waves(&edges, 4, threads, batch, 8).peak_state;
         let narrow = charge_with(1);
         let wide = charge_with(8);
         assert!(narrow > 0);

@@ -20,4 +20,4 @@ pub use dbh::Dbh;
 pub use greedy::Greedy;
 pub use hashing::Hashing;
 pub use hdrf::Hdrf;
-pub use mint::{Mint, MintConfig};
+pub use mint::Mint;

@@ -368,7 +368,7 @@ fn build_algo(opts: &Options) -> Result<DistAlgo, String> {
             cfg.tau = opts.tau;
             cfg.threads = opts.threads;
         }
-        DistAlgo::Mint(cfg) => cfg.threads = opts.threads,
+        DistAlgo::Mint { threads } => *threads = opts.threads,
         _ => {}
     }
     Ok(algo)

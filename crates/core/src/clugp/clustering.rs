@@ -65,11 +65,6 @@ impl ClusteringResult {
             + self.divided.memory_bytes()
             + self.volumes.capacity() * 8
     }
-
-    /// Number of vertices that received a cluster.
-    pub fn clustered_vertices(&self) -> u64 {
-        self.cluster_of.iter().filter(|&&c| c != NO_CLUSTER).count() as u64
-    }
 }
 
 /// Runs Algorithm 2 over one pass of `stream` with the default (Anchored)
@@ -87,17 +82,13 @@ pub fn stream_clustering(
     vmax: u64,
     splitting: bool,
 ) -> Result<ClusteringResult> {
-    stream_clustering_with(stream, vmax, splitting, MigrationPolicy::Anchored)
-}
-
-/// Runs Algorithm 2 with an explicit [`MigrationPolicy`].
-pub fn stream_clustering_with(
-    stream: &mut dyn EdgeStream,
-    vmax: u64,
-    splitting: bool,
-    migration: MigrationPolicy,
-) -> Result<ClusteringResult> {
-    stream_clustering_capped(stream, vmax, splitting, migration, DEFAULT_MAX_VERTICES)
+    stream_clustering_capped(
+        stream,
+        vmax,
+        splitting,
+        MigrationPolicy::Anchored,
+        DEFAULT_MAX_VERTICES,
+    )
 }
 
 /// Runs Algorithm 2 with an explicit [`MigrationPolicy`] and `max_vertices`
@@ -302,7 +293,8 @@ mod tests {
         let mut s = InMemoryStream::new(10, vec![Edge::new(0, 1)]);
         let r = stream_clustering(&mut s, 100, true).unwrap();
         assert_eq!(r.cluster_of[5], NO_CLUSTER);
-        assert_eq!(r.clustered_vertices(), 2);
+        let clustered = r.cluster_of.iter().filter(|&&c| c != NO_CLUSTER).count();
+        assert_eq!(clustered, 2);
     }
 
     #[test]

@@ -72,11 +72,6 @@ pub struct ClugpConfig {
     /// Max threads playing the game's batches (0 = every available CPU,
     /// 1 = inline). Affects wall-clock only, never the result.
     pub threads: usize,
-    /// Best-response round cap per batch (the bound of Theorem 6 is loose;
-    /// convergence is typically < 10 rounds).
-    pub max_rounds: usize,
-    /// Seed for the game's random initial assignment.
-    pub seed: u64,
     /// Enable the splitting operation (off = Holl clustering; the CLUGP-S
     /// ablation).
     pub splitting: bool,
@@ -98,8 +93,6 @@ impl Default for ClugpConfig {
             lambda: LambdaMode::Max,
             batch_size: 6400,
             threads: 0,
-            max_rounds: 64,
-            seed: 0xC1_09_0F,
             splitting: true,
             migration: MigrationPolicy::Anchored,
             assign_mode: ClusterAssignMode::Game,

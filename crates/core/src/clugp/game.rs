@@ -16,7 +16,10 @@
 //! game over its own load vector and intra-batch adjacency — cross-batch
 //! edges are treated as unconditionally cut, which is the price of the
 //! "Independent Processing" design in Fig. 1(d). Batch seeds derive from
-//! `(seed, batch_index)`, so results do not depend on thread scheduling.
+//! `(SEED, batch_index)`, so results do not depend on thread scheduling.
+//!
+//! The seed and the round cap are constants: no experiment of the paper
+//! varies them.
 
 use super::cluster_graph::ClusterGraph;
 use super::config::{ClugpConfig, LambdaMode};
@@ -24,6 +27,12 @@ use crate::error::Result;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
+
+/// Seed of the game's random initial profile.
+const SEED: u64 = 0xC1_09_0F;
+/// Best-response round cap per batch (the bound of Theorem 6 is loose;
+/// convergence is typically < 10 rounds).
+const MAX_ROUNDS: usize = 64;
 
 /// Result of the cluster-partitioning game.
 #[derive(Debug, Clone)]
@@ -96,12 +105,12 @@ pub fn solve_game(cg: &ClusterGraph, k: u32, cfg: &ClugpConfig) -> Result<GameOu
     let initial: Vec<u32> = ranges
         .iter()
         .enumerate()
-        .flat_map(|(bi, &(s, e))| random_profile(bi as u64, cfg.seed, k, e - s))
+        .flat_map(|(bi, &(s, e))| random_profile(bi as u64, k, e - s))
         .collect();
     let initial_potential = potential(cg, &initial, k, lambda);
 
     let results = crate::parallel::map(cfg.threads, &ranges, |bi, &(s, e)| {
-        solve_batch(cg, k, lambda, s, e, bi as u64, cfg.seed, cfg.max_rounds)
+        solve_batch(cg, k, lambda, s, e, bi as u64, MAX_ROUNDS)
     });
 
     let mut partition_of = Vec::with_capacity(m);
@@ -130,13 +139,13 @@ struct BatchResult {
     moves: u64,
 }
 
-fn random_profile(batch_index: u64, seed: u64, k: u32, len: usize) -> Vec<u32> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ batch_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+fn random_profile(batch_index: u64, k: u32, len: usize) -> Vec<u32> {
+    let mut rng = SmallRng::seed_from_u64(SEED ^ batch_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (0..len).map(|_| rng.gen_range(0..k)).collect()
 }
 
-/// Round-robin best response over the clusters of `[start, end)`.
-#[allow(clippy::too_many_arguments)]
+/// Round-robin best response over the clusters of `[start, end)`, for at
+/// most `max_rounds` rounds.
 fn solve_batch(
     cg: &ClusterGraph,
     k: u32,
@@ -144,12 +153,11 @@ fn solve_batch(
     start: usize,
     end: usize,
     batch_index: u64,
-    seed: u64,
     max_rounds: usize,
 ) -> BatchResult {
     let len = end - start;
     let ku = k as usize;
-    let mut assign = random_profile(batch_index, seed, k, len);
+    let mut assign = random_profile(batch_index, k, len);
     // Batch-local partition loads (sum of member |c_i|).
     let mut load = vec![0u64; ku];
     for (i, &p) in assign.iter().enumerate() {
@@ -255,12 +263,12 @@ mod tests {
     use super::*;
     use crate::clugp::clustering::stream_clustering;
     use crate::clugp::config::ClusterAssignMode;
-    use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
+    use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
     use clugp_graph::order::{ordered_edges, StreamOrder};
     use clugp_graph::stream::{InMemoryStream, RestreamableStream};
 
     fn web_cluster_graph(n: u64, vmax: u64) -> ClusterGraph {
-        let g = generate_copying_model(&CopyingModelConfig {
+        let g = generate_web_crawl(&WebCrawlConfig {
             vertices: n,
             ..Default::default()
         });
@@ -389,15 +397,15 @@ mod tests {
 
     #[test]
     fn rounds_bounded_by_config() {
+        // One batch of every cluster: uncapped it needs more than 2 rounds,
+        // so a cap of 2 stops it early.
         let cg = web_cluster_graph(2_000, 100);
-        let cfg = ClugpConfig {
-            max_rounds: 2,
-            batch_size: 0,
-            threads: 1,
-            ..Default::default()
-        };
-        let outcome = solve_game(&cg, 16, &cfg).unwrap();
-        assert!(outcome.max_rounds_used <= 2);
+        let lambda = cg.lambda_max(16);
+        let m = cg.num_clusters as usize;
+        assert!(solve_batch(&cg, 16, lambda, 0, m, 0, MAX_ROUNDS).rounds > 2);
+        let capped = solve_batch(&cg, 16, lambda, 0, m, 0, 2);
+        assert_eq!(capped.assign.len(), m);
+        assert_eq!(capped.rounds, 2);
     }
 
     #[test]

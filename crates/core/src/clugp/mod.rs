@@ -26,7 +26,7 @@ pub(crate) mod stage;
 pub mod transform;
 
 pub use cluster_graph::ClusterGraph;
-pub use clustering::{stream_clustering, stream_clustering_with, ClusteringResult};
+pub use clustering::{stream_clustering, ClusteringResult};
 pub use config::{ClugpConfig, ClusterAssignMode, LambdaMode, MigrationPolicy};
 pub use game::{solve_game, GameOutcome};
 pub use stage::VertexState;
@@ -49,20 +49,19 @@ impl Clugp {
     pub fn new(config: ClugpConfig) -> Self {
         Clugp { config }
     }
+}
 
-    /// The active configuration.
-    pub fn config(&self) -> &ClugpConfig {
-        &self.config
+impl Partitioner for Clugp {
+    fn name(&self) -> &'static str {
+        match (self.config.splitting, self.config.assign_mode) {
+            (true, ClusterAssignMode::Game) => "CLUGP",
+            (false, ClusterAssignMode::Game) => "CLUGP-S",
+            (true, ClusterAssignMode::Greedy) => "CLUGP-G",
+            (false, ClusterAssignMode::Greedy) => "CLUGP-SG",
+        }
     }
 
-    /// Runs the full pipeline, returning rich per-pass artifacts for
-    /// inspection (used by the ablation/parallelization experiments and the
-    /// integration tests).
-    pub fn partition_detailed(
-        &self,
-        stream: &mut dyn RestreamableStream,
-        k: u32,
-    ) -> Result<DetailedRun> {
+    fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
         let cfg = &self.config;
         cfg.validate()?;
         let total_start = Instant::now();
@@ -93,12 +92,9 @@ impl Clugp {
 
         // Pass 2b: map clusters to partitions.
         let t = Instant::now();
-        let (cluster_partition, game) = match cfg.assign_mode {
-            ClusterAssignMode::Game => {
-                let outcome = solve_game(&cg, k, cfg)?;
-                (outcome.partition_of.clone(), Some(outcome))
-            }
-            ClusterAssignMode::Greedy => (greedy_assign::greedy_assign(&cg, k), None),
+        let cluster_partition = match cfg.assign_mode {
+            ClusterAssignMode::Game => solve_game(&cg, k, cfg)?.partition_of,
+            ClusterAssignMode::Greedy => greedy_assign::greedy_assign(&cg, k),
         };
         let game_time = t.elapsed();
 
@@ -126,52 +122,16 @@ impl Clugp {
                 ("transform", transform_time),
             ],
         };
-        Ok(DetailedRun {
-            run: PartitionRun {
-                partitioning: Partitioning {
-                    k,
-                    num_vertices: n.max(clustering.cluster_of.len()),
-                    assignments: transform.assignments,
-                    loads: transform.loads,
-                },
-                memory,
-                timings,
+        Ok(PartitionRun {
+            partitioning: Partitioning {
+                k,
+                num_vertices: n.max(clustering.cluster_of.len()),
+                assignments: transform.assignments,
+                loads: transform.loads,
             },
-            clustering,
-            cluster_graph: cg,
-            cluster_partition,
-            game,
+            memory,
+            timings,
         })
-    }
-}
-
-/// Full artifacts of a CLUGP run (every pass's output).
-#[derive(Debug)]
-pub struct DetailedRun {
-    /// The standard run output.
-    pub run: PartitionRun,
-    /// Pass 1 output.
-    pub clustering: ClusteringResult,
-    /// Pass 2 cluster-level graph.
-    pub cluster_graph: ClusterGraph,
-    /// Pass 2 output: cluster → partition.
-    pub cluster_partition: Vec<u32>,
-    /// Game diagnostics (None for CLUGP-G).
-    pub game: Option<GameOutcome>,
-}
-
-impl Partitioner for Clugp {
-    fn name(&self) -> &'static str {
-        match (self.config.splitting, self.config.assign_mode) {
-            (true, ClusterAssignMode::Game) => "CLUGP",
-            (false, ClusterAssignMode::Game) => "CLUGP-S",
-            (true, ClusterAssignMode::Greedy) => "CLUGP-G",
-            (false, ClusterAssignMode::Greedy) => "CLUGP-SG",
-        }
-    }
-
-    fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        Ok(self.partition_detailed(stream, k)?.run)
     }
 }
 
@@ -271,19 +231,6 @@ mod tests {
         for phase in ["clustering", "cluster-graph", "game", "transform"] {
             assert!(run.timings.phase(phase).is_some(), "missing phase {phase}");
         }
-    }
-
-    #[test]
-    fn detailed_run_exposes_artifacts() {
-        let (n, edges) = web(500, 6);
-        let mut s = InMemoryStream::new(n, edges);
-        let d = Clugp::default().partition_detailed(&mut s, 4).unwrap();
-        assert!(d.clustering.num_clusters > 0);
-        assert_eq!(
-            d.cluster_partition.len(),
-            d.clustering.num_clusters as usize
-        );
-        assert!(d.game.is_some());
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //! use clugp::clugp::{Clugp, ClugpConfig};
 //! use clugp::metrics::PartitionQuality;
 //! use clugp::partitioner::Partitioner;
-//! use clugp_graph::gen::{generate_copying_model, CopyingModelConfig};
+//! use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 //! use clugp_graph::order::{ordered_edges, StreamOrder};
 //! use clugp_graph::stream::InMemoryStream;
 //!
-//! let graph = generate_copying_model(&CopyingModelConfig {
+//! let graph = generate_web_crawl(&WebCrawlConfig {
 //!     vertices: 2_000,
 //!     ..Default::default()
 //! });

@@ -53,9 +53,10 @@ pub(crate) fn finish_run(
     Ok(())
 }
 
-/// 64-bit mix (splitmix64 finalizer) used by the hashing-based partitioners;
-/// seedable so that Hashing runs are reproducible but not trivially aligned
-/// with vertex ids.
+/// 64-bit mix (splitmix64 finalizer) used by the partitioners that hash a
+/// vertex id (Hashing, DBH, Mint's initial placement); each XORs its key
+/// with a fixed seed of its own first, so placements are reproducible but
+/// not trivially aligned with vertex ids.
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

@@ -12,7 +12,7 @@ use crate::types::{implied_num_vertices, Edge, VertexId};
 ///
 /// [`CsrGraph::from_edges`] counting-sorts an edge list by source, so
 /// `out_neighbors(v)` is a contiguous slice. A generator that emits its
-/// edges source by source (web crawl, copying model, BA) skips that sort:
+/// edges source by source (web crawl, BA) skips that sort:
 /// it pushes each source's targets and closes its offset entry as it goes,
 /// and hands the two arrays to the crate's one in-place constructor,
 /// `from_adjacency`; the graph equals `from_edges` over the same edges.
@@ -175,12 +175,6 @@ impl CsrGraph {
         deg
     }
 
-    /// Returns the transposed graph (all edges reversed).
-    pub fn transpose(&self) -> CsrGraph {
-        let edges: Vec<Edge> = self.edges().map(|e| e.reversed()).collect();
-        CsrGraph::from_edges(self.num_vertices(), &edges).expect("transpose preserves vertex range")
-    }
-
     /// Maximum out-degree over all vertices (0 for an empty graph).
     pub fn max_out_degree(&self) -> u64 {
         (0..self.num_vertices() as u32)
@@ -268,15 +262,6 @@ mod tests {
         let g = CsrGraph::from_edges(4, &diamond()).unwrap();
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
         assert_eq!(g.total_degrees(), vec![2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn transpose_reverses_all_edges() {
-        let g = CsrGraph::from_edges(4, &diamond()).unwrap();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), g.num_edges());
-        assert_eq!(t.out_neighbors(3), &[1, 2]);
-        assert_eq!(t.out_degree(0), 0);
     }
 
     #[test]

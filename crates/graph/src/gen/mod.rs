@@ -3,22 +3,19 @@
 //! The paper evaluates on WebGraph corpora (UK-2002, Arabic-2005,
 //! WebBase-2001, IT-2004) and the Twitter social graph — multi-billion-edge
 //! datasets we cannot ship. DESIGN.md §4 documents the substitution: the
-//! site-structured crawl generator ([`generate_web_crawl`]) and the Kumar
-//! copying model ([`generate_copying_model`]) stand in for the web corpora,
-//! and Barabási–Albert preferential attachment ([`generate_ba`]) stands in
-//! for Twitter.
+//! site-structured crawl generator ([`generate_web_crawl`]) stands in for
+//! the web corpora, and Barabási–Albert preferential attachment
+//! ([`generate_ba`]) stands in for Twitter.
 //!
 //! All generators are deterministic for a fixed seed and label vertices in
 //! creation (crawl) order, so `StreamOrder::AsIs` approximates the crawl
 //! stream and `StreamOrder::Bfs` re-derives a strict BFS order.
 
 mod ba;
-mod copying;
 mod degree;
 mod web_crawl;
 
 pub use ba::{generate_ba, BaConfig};
-pub use copying::{generate_copying_model, CopyingModelConfig};
 pub use degree::{CalibratedPowerLaw, PowerLawDegrees};
 pub use web_crawl::{generate_web_crawl, site_boundaries, WebCrawlConfig};
 
@@ -52,14 +49,7 @@ mod tests {
                     seed,
                 });
                 holds_from_edges(&ba, &format!("ba n={vertices} seed={seed}"));
-                let copying = generate_copying_model(&CopyingModelConfig {
-                    vertices,
-                    max_out_degree: 64,
-                    seed,
-                    ..Default::default()
-                });
-                holds_from_edges(&copying, &format!("copying n={vertices} seed={seed}"));
-                for g in [&web, &ba, &copying] {
+                for g in [&web, &ba] {
                     assert_eq!(g.num_vertices(), vertices);
                 }
             }

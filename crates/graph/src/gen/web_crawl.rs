@@ -5,9 +5,9 @@
 //! mostly within the site, sites have power-law sizes, and the WebGraph
 //! orderings used by the paper's datasets number pages of a host
 //! contiguously (URL-lexicographic order) — which is exactly the crawl/BFS
-//! locality CLUGP's clustering exploits. The plain copying model
-//! ([`super::copying`]) has power-law degrees but *no* locality (prototypes
-//! are global), so it cannot stand in for those corpora on its own.
+//! locality CLUGP's clustering exploits. A plain copying model (Kumar et
+//! al.) has power-law degrees but *no* locality (prototypes are global), so
+//! it cannot stand in for those corpora on its own.
 //!
 //! This generator builds: power-law site sizes; per-page power-law
 //! out-degrees; each link intra-site with probability `intra_site_fraction`

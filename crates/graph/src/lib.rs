@@ -38,13 +38,12 @@
 //! # Example
 //!
 //! ```
-//! use clugp_graph::gen::{CopyingModelConfig, generate_copying_model};
+//! use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 //! use clugp_graph::order::bfs_edge_order;
 //!
-//! let graph = generate_copying_model(&CopyingModelConfig {
+//! let graph = generate_web_crawl(&WebCrawlConfig {
 //!     vertices: 1_000,
 //!     mean_out_degree: 8.0,
-//!     copy_probability: 0.6,
 //!     seed: 42,
 //!     ..Default::default()
 //! });

@@ -40,18 +40,13 @@ pub fn test_web_graph(vertices: u64, seed: u64) -> (u64, Vec<Edge>) {
 }
 
 /// Every algorithm a bit-identity check runs: each `DistAlgo::by_name`
-/// entry (Mint in batches of 97, so that wave boundaries cross chunk and
-/// worker-range boundaries), the CLUGP ablations and the non-default
-/// migration policy, so that every `MigrationPolicy` wire tag crosses a
-/// `Configure`.
+/// entry at its defaults, the CLUGP ablations and the non-default migration
+/// policy, so that every `MigrationPolicy` wire tag crosses a `Configure`.
 pub fn roster() -> Vec<(&'static str, DistAlgo)> {
     let mut roster: Vec<_> = ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp"]
         .into_iter()
         .map(|name| {
-            let mut algo = DistAlgo::by_name(name).expect("registered algorithm");
-            if let DistAlgo::Mint(cfg) = &mut algo {
-                cfg.batch_size = 97;
-            }
+            let algo = DistAlgo::by_name(name).expect("registered algorithm");
             (algo.name(), algo)
         })
         .collect();
@@ -429,7 +424,7 @@ impl Case {
         let mut algo = self.algo.clone();
         match &mut algo {
             DistAlgo::Clugp(cfg) => cfg.threads = threads,
-            DistAlgo::Mint(cfg) => cfg.threads = threads,
+            DistAlgo::Mint { threads: t } => *t = threads,
             _ => {}
         }
         algo

@@ -6,7 +6,6 @@
 //! the contract behind "chunk boundaries are not semantic".
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::baselines::MintConfig;
 use clugp_graph::pack::canonical_order;
 use clugp_graph::stream::{ChunkLimited, InMemoryStream, RestreamableStream};
 use clugp_graph::types::Edge;
@@ -65,15 +64,15 @@ fn empty_stream_is_identical_on_every_path() {
 fn mint_batch_boundaries_survive_any_chunking() {
     // Mint is the one consumer whose *semantics* depend on how many edges it
     // groups per batch: if chunk granularity leaked into batch boundaries,
-    // equilibria would change. Exercise batch sizes that are coprime with
-    // the chunk limits.
-    for batch_size in [37usize, 64, 1000] {
-        let mint = DistAlgo::Mint(MintConfig {
-            batch_size,
-            ..Default::default()
-        });
-        check_limits(&Case::new(mint, 1_500, 32));
-    }
+    // equilibria would change. The graph holds more than one wave of 8
+    // batches of 6400 edges, and both boundaries (6400 and 51 200 edges)
+    // fall inside a pull of 7 and of 4096 edges.
+    let case = Case {
+        k: 4,
+        ..Case::new(DistAlgo::mint(), 5_000, 32)
+    };
+    assert!(case.edges().1.len() > 8 * 6400, "less than a wave");
+    check_limits(&case);
 }
 
 #[test]

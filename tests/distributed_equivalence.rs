@@ -8,7 +8,6 @@
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
-use clugp::baselines::MintConfig;
 use clugp::clugp::ClugpConfig;
 use clugp::error::PartitionError;
 use clugp::state::ReplicaTable;
@@ -280,17 +279,13 @@ fn invalid_parameters_fail_like_the_monolith() {
     .unwrap_err();
     assert!(err.to_string().contains("worker count"), "{err}");
     // The engine runs CLUGP only: every other algorithm is refused, in either
-    // mode and at any worker count, before a worker is spawned — ahead of its
-    // own parameter checks (Mint's zero batch among them).
+    // mode and at any worker count, before a worker is spawned.
     let baselines = [
         DistAlgo::hashing(),
         DistAlgo::dbh(),
         DistAlgo::greedy(),
         DistAlgo::hdrf(),
-        DistAlgo::Mint(MintConfig {
-            batch_size: 0,
-            ..Default::default()
-        }),
+        DistAlgo::mint(),
     ];
     for algo in &baselines {
         for mode in [AmpcMode::Sequenced, AmpcMode::Relaxed] {

@@ -9,7 +9,6 @@
 //! reordered) execution fails these tests; CI runs them on every push.
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::baselines::MintConfig;
 use clugp::clugp::{solve_game, stream_clustering, ClugpConfig, ClusterGraph};
 use clugp_graph::stream::{InMemoryStream, RestreamableStream};
 use clugp_repro::{test_web_graph, Case};
@@ -50,16 +49,16 @@ fn solve_game_is_bit_identical_across_thread_counts() {
     assert_eq!(solve(0), baseline, "threads=0 (every CPU)");
 }
 
-/// `algo` over the web graph of 3 000 vertices drawn from `seed`, its game
-/// or wave games on each of `THREAD_COUNTS` threads against the reference
-/// on every CPU.
-fn check_thread_counts(algo: DistAlgo, seed: u64) {
+/// `case` with its game or wave games on each of `THREAD_COUNTS` threads
+/// against the reference on every CPU.
+fn check_thread_counts(case: Case) {
     for threads in THREAD_COUNTS {
-        let case = Case {
+        Case {
             threads,
-            ..Case::new(algo.clone(), 3_000, seed)
-        };
-        case.check().unwrap();
+            ..case.clone()
+        }
+        .check()
+        .unwrap();
     }
 }
 
@@ -69,16 +68,18 @@ fn full_clugp_pipeline_is_bit_identical_across_thread_counts() {
         batch_size: 64,
         ..Default::default()
     });
-    check_thread_counts(clugp, 7);
+    check_thread_counts(Case::new(clugp, 3_000, 7));
 }
 
 #[test]
 fn mint_is_bit_identical_across_thread_counts() {
-    // Small batches force many multi-batch waves; `threads` bounds the
-    // worker pool only (the wave width is a separate, fixed knob).
-    let mint = DistAlgo::Mint(MintConfig {
-        batch_size: 101,
-        ..Default::default()
-    });
-    check_thread_counts(mint, 23);
+    // More than one wave of 8 batches of 6400 edges, so a full wave of
+    // batch games meets every pool width; `threads` bounds the worker pool
+    // only (the wave width is fixed).
+    let case = Case {
+        k: 4,
+        ..Case::new(DistAlgo::mint(), 5_000, 23)
+    };
+    assert!(case.edges().1.len() > 8 * 6400, "less than a wave");
+    check_thread_counts(case);
 }
