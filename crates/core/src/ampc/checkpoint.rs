@@ -59,9 +59,9 @@ pub struct Checkpoint {
     pub algo: String,
     /// Partition count (fingerprint).
     pub k: u32,
-    /// Total edge count of the input (fingerprint). Worker count and
-    /// chunk size are deliberately *not* part of the fingerprint: results
-    /// are bit-identical across both, so a resume may change them.
+    /// Total edge count of the input (fingerprint). Worker count and the
+    /// workers' ranges are deliberately *not* part of the fingerprint:
+    /// results are bit-identical across both, so a resume may change them.
     pub m: u64,
     /// Vertex-count hint of the input.
     pub n_hint: u64,

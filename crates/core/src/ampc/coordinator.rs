@@ -41,9 +41,7 @@ use super::checkpoint::{load_latest, write_checkpoint, Checkpoint, TableDump};
 use super::fault::{FaultInjectingTransport, FaultPlan};
 use super::proto::{AlgoSpec, InputSpec, Msg, PairsPayload, PartIds, Stage, Token, WorkerSetup};
 use super::transport::{NetStats, Transport};
-use super::worker::{
-    cluster_partition_map, import_turn_state, migration_tag, unexpected, T_CPART, T_MAIN,
-};
+use super::worker::{cluster_partition_map, import_turn_state, unexpected, T_CPART, T_MAIN};
 use super::{pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig};
 use crate::clugp::cluster_graph::{merge_weighted, ClusterGraph};
 use crate::clugp::clustering::{compact_clusters, NO_CLUSTER};
@@ -756,7 +754,7 @@ fn drive(
     check_cap("num_vertices hint", n_hint, clugp.max_vertices)?;
     let algo_spec = AlgoSpec {
         splitting: clugp.splitting,
-        migration: migration_tag(clugp.migration),
+        migration: clugp.migration,
         max_vertices: clugp.max_vertices,
     };
 
@@ -774,7 +772,6 @@ fn drive(
             worker: w as u32,
             workers,
             k,
-            chunk: cfg.chunk_edges.min(u32::MAX as usize) as u32,
             heartbeat_ms,
             algo: algo_spec.clone(),
             input,

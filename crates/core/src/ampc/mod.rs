@@ -15,14 +15,15 @@
 //!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
 //!   game), and assembles the final [`crate::partition::Partitioning`].
 //! * [`transport`] / [`proto`] / [`wire`] — the exchange: in-process
-//!   bounded channels or length-prefixed Unix sockets carrying the same
-//!   hand-rolled little-endian frames.
+//!   bounded channels ([`run_distributed`]'s worker threads) or
+//!   length-prefixed Unix sockets (`clugp-part --transport unix`'s worker
+//!   processes) carrying the same hand-rolled little-endian frames.
 //!
 //! Execution model: within each pass that writes shared state the workers
 //! run **sequenced** by default — a streaming token travels worker 0‥N−1, so
 //! exactly one worker streams edges at a time while the others wait for the
 //! state to come down the turns. That is what makes every configuration (any
-//! worker count, any chunk size, either transport) bit-identical to the
+//! worker count, any pack block size, either transport) bit-identical to the
 //! monolithic CLUGP, which is the correctness anchor
 //! `tests/distributed_equivalence.rs` pins. [`AmpcMode::Relaxed`] trades
 //! that anchor for concurrency: pass 1 clusters every range at once and the
@@ -93,17 +94,6 @@ impl AmpcMode {
     }
 }
 
-/// Which transport a distributed run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process bounded channels (default).
-    Channel,
-    /// Unix stream sockets (exercises the multi-process framing; workers
-    /// still run as threads here — `clugp-part --workers N` spawns real
-    /// processes).
-    Unix,
-}
-
 /// Worker supervision policy: how long a silent worker may stay silent,
 /// and how many times the coordinator will replay a pass from the last
 /// committed checkpoint before giving up.
@@ -152,13 +142,6 @@ impl SuperviseConfig {
 pub struct DistConfig {
     /// Worker count (≥ 1).
     pub workers: u32,
-    /// Exchange flavor.
-    pub transport: TransportKind,
-    /// Streaming chunk size in edges (0 = the stream's fixed
-    /// `chunk_edges()`). The test suites' lever on a worker's per-chunk
-    /// heartbeat and `chunk` span; nothing outside tests sets it, and no
-    /// partition depends on it.
-    pub chunk_edges: usize,
     /// Worker supervision / recovery policy.
     pub supervise: SuperviseConfig,
     /// Scripted transport faults (tests only).
@@ -181,8 +164,6 @@ impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
             workers: 1,
-            transport: TransportKind::Channel,
-            chunk_edges: 0,
             supervise: SuperviseConfig::default(),
             faults: FaultPlan::default(),
             checkpoint_dir: None,
@@ -212,10 +193,10 @@ pub enum DistInput<'a> {
 /// Runs `algo` — CLUGP; any other algorithm is refused before a worker is
 /// spawned — over `input` with `cfg.workers` workers.
 ///
-/// Channel transport hosts workers on plain threads with bounded-channel
-/// pipes; Unix transport uses socketpairs with the same length-prefixed
-/// framing as multi-process mode. Either way the coordinator runs on the
-/// calling thread.
+/// The workers run on plain threads, each linked to the coordinator, which
+/// runs on the calling thread, by a [`channel_pair`]. Worker processes over
+/// Unix sockets are `clugp-part --transport unix`'s, which drives
+/// [`run_coordinator`] itself.
 pub fn run_distributed(
     algo: &coordinator::DistAlgo,
     input: DistInput<'_>,
@@ -236,24 +217,15 @@ pub fn run_distributed(
         // simply a fresh thread on a fresh pipe (the replaced thread sees
         // its coordinator end drop, errors out, and exits).
         let spawn_link = |i: u32| -> Result<Box<dyn Transport>> {
-            let (coord, worker): (Box<dyn Transport>, Box<dyn Transport>) = match cfg.transport {
-                TransportKind::Channel => {
-                    let (c, w) = channel_pair(64);
-                    (Box::new(c), Box::new(w))
-                }
-                TransportKind::Unix => {
-                    let (c, w) = UnixTransport::pair()?;
-                    (Box::new(c), Box::new(w))
-                }
-            };
+            let (coord, worker) = channel_pair(64);
             scope.spawn(move || {
-                if let Err(e) = run_worker(worker) {
+                if let Err(e) = run_worker(Box::new(worker)) {
                     // The coordinator sees the matching hangup/Err and
                     // surfaces its own error; this is just a trace aid.
                     eprintln!("ampc worker {i} failed: {e}");
                 }
             });
-            Ok(coord)
+            Ok(Box::new(coord))
         };
         let mut coord_ends: Vec<Box<dyn Transport>> = Vec::with_capacity(cfg.workers as usize);
         for i in 0..cfg.workers {

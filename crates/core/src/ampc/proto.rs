@@ -13,8 +13,8 @@
 //!                        Heartbeat, TraceEvents
 //! ```
 //!
-//! The engine runs CLUGP only, so a [`WorkerSetup`] names CLUGP's worker
-//! parameters ([`AlgoSpec`]) and nothing else. No table is paged: a stage
+//! The engine runs CLUGP only, so a [`WorkerSetup`] names no algorithm, only
+//! CLUGP's worker parameters ([`AlgoSpec`]). No table is paged: a stage
 //! holds every table it writes whole while the edges stream by. Pass 1, the
 //! one stage that writes, hands its state on with the token as a
 //! [`Msg::Pass1Frontier`] (every touched vertex row plus the raw-cluster
@@ -26,16 +26,11 @@
 //! starts empty and the coordinator merges the frontiers. Whoever indexes with
 //! a turn's state holds it to the run first.
 //!
-//! Retired tags stay reserved and keep their names in [`Msg::verb_name`]; a
-//! frame under one is a typed error. Message tags 5 to 9 and 15 to 20 —
-//! `StateReq` and `StateResp`, the coordinator's own one-table `Upsert` and
-//! its ack, the one-op-per-frame `Route`, `Scan`/`ScanResp`, the four-verb
-//! batched relay the baselines once paged their rows through, and the two
-//! epoch-barrier verbs relaxed baselines once reconciled through — and 24,
-//! `TurnState`, in which a sequenced one-pass baseline handed its tables from
-//! turn to turn. Algo tags 0 to 5 — Hashing, Grid, DBH, Greedy, HDRF and
-//! Mint: the one-pass baselines run as their monoliths. Stage tag 0, the
-//! baselines' one stage.
+//! The tags are numbered densely by the verbs the protocol speaks, in the
+//! order of [`VERBS`]; both ends of every link are the same build, so no
+//! tag is reserved and a frame under any other tag is a typed error. Only
+//! the stage tags 1 to 3 are persisted (in `CLUGPCK1`, with the token), and
+//! they keep their numbers: stage tag 0 stays unused.
 //!
 //! From the end of pass 1 the coordinator owns the tables, and a stage that
 //! only *reads* one gets it whole, ahead of its `RunStage`, as a
@@ -67,6 +62,7 @@
 
 use super::wire::{Rd, Wr};
 use super::AmpcMode;
+use crate::clugp::MigrationPolicy;
 use crate::error::{PartitionError, Result};
 use clugp_graph::types::Edge;
 use clugp_obs::{Event, EventKind};
@@ -75,10 +71,37 @@ fn bad(what: &str) -> PartitionError {
     PartitionError::InvalidParam(format!("malformed protocol frame: {what}"))
 }
 
-/// Tag byte of a [`Msg::Pass1Frontier`].
-const TAG_PASS1_FRONTIER: u8 = 21;
-/// Algo tag of [`AlgoSpec`], the one algorithm the engine runs.
-const TAG_CLUGP: u8 = 6;
+/// The wire name of every message, indexed by its tag byte: the verbs the
+/// protocol speaks, numbered densely.
+pub const VERBS: [&str; 13] = [
+    "Hello",
+    "Configure",
+    "ConfigureOk",
+    "RunStage",
+    "StageDone",
+    "Shutdown",
+    "Err",
+    "Heartbeat",
+    "ResetTables",
+    "ResetOk",
+    "Pass1Frontier",
+    "TableCast",
+    "TraceEvents",
+];
+
+const TAG_HELLO: u8 = 0;
+const TAG_CONFIGURE: u8 = 1;
+const TAG_CONFIGURE_OK: u8 = 2;
+const TAG_RUN_STAGE: u8 = 3;
+const TAG_STAGE_DONE: u8 = 4;
+const TAG_SHUTDOWN: u8 = 5;
+const TAG_ERR: u8 = 6;
+const TAG_HEARTBEAT: u8 = 7;
+const TAG_RESET_TABLES: u8 = 8;
+const TAG_RESET_OK: u8 = 9;
+const TAG_PASS1_FRONTIER: u8 = 10;
+const TAG_TABLE_CAST: u8 = 11;
+const TAG_TRACE_EVENTS: u8 = 12;
 
 /// One barrier-delimited pass over a worker's edge range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,8 +182,8 @@ pub enum InputSpec {
 pub struct AlgoSpec {
     /// Splitting enabled.
     pub splitting: bool,
-    /// `MigrationPolicy` as a wire tag (0 Anchored, 2 Paper).
-    pub migration: u8,
+    /// Pass 1's migration rule (wire tag 0 Anchored, 1 Paper).
+    pub migration: MigrationPolicy,
     /// Vertex-id cap.
     pub max_vertices: u64,
 }
@@ -174,8 +197,6 @@ pub struct WorkerSetup {
     pub workers: u32,
     /// Partition count.
     pub k: u32,
-    /// Streaming chunk size in edges.
-    pub chunk: u32,
     /// Minimum interval between keep-alive [`Msg::Heartbeat`] frames the
     /// worker emits at chunk boundaries while running a stage (0 = no
     /// heartbeats). Set by the coordinator from its supervision policy.
@@ -479,11 +500,12 @@ fn put_setup(w: &mut Wr, s: &WorkerSetup) {
     w.u32(s.worker);
     w.u32(s.workers);
     w.u32(s.k);
-    w.u32(s.chunk);
     w.u32(s.heartbeat_ms);
-    w.u8(TAG_CLUGP);
     w.bool(s.algo.splitting);
-    w.u8(s.algo.migration);
+    w.u8(match s.algo.migration {
+        MigrationPolicy::Anchored => 0,
+        MigrationPolicy::Paper => 1,
+    });
     w.u64(s.algo.max_vertices);
     match &s.input {
         InputSpec::Inline { edges } => {
@@ -510,21 +532,17 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
     let worker = r.u32()?;
     let workers = r.u32()?;
     let k = r.u32()?;
-    let chunk = r.u32()?;
     let heartbeat_ms = r.u32()?;
-    let algo = match r.u8()? {
-        TAG_CLUGP => AlgoSpec {
-            splitting: r.bool()?,
-            migration: r.u8()?,
-            max_vertices: r.u64()?,
-        },
-        // The one-pass baselines (and Grid, tag 1) run as their monoliths.
-        tag @ 0..=5 => {
-            return Err(bad(&format!(
-                "retired algo tag {tag}: the engine runs CLUGP only"
-            )))
-        }
-        _ => return Err(bad("algo tag")),
+    let splitting = r.bool()?;
+    let migration = match r.u8()? {
+        0 => MigrationPolicy::Anchored,
+        1 => MigrationPolicy::Paper,
+        tag => return Err(bad(&format!("migration policy tag {tag}"))),
+    };
+    let algo = AlgoSpec {
+        splitting,
+        migration,
+        max_vertices: r.u64()?,
     };
     let input = match r.u8()? {
         0 => InputSpec::Inline {
@@ -543,7 +561,6 @@ fn get_setup(r: &mut Rd<'_>) -> Result<WorkerSetup> {
         worker,
         workers,
         k,
-        chunk,
         heartbeat_ms,
         algo,
         input,
@@ -643,59 +660,36 @@ fn get_pairs(r: &mut Rd<'_>) -> Result<PairsPayload> {
 }
 
 impl Msg {
-    /// The message's wire name, for protocol-error reporting.
-    pub fn kind(&self) -> &'static str {
+    /// The message's tag byte.
+    fn tag(&self) -> u8 {
         match self {
-            Msg::Hello { .. } => "Hello",
-            Msg::Configure(_) => "Configure",
-            Msg::ConfigureOk => "ConfigureOk",
-            Msg::RunStage { .. } => "RunStage",
-            Msg::StageDone { .. } => "StageDone",
-            Msg::Shutdown => "Shutdown",
-            Msg::Err { .. } => "Err",
-            Msg::Heartbeat => "Heartbeat",
-            Msg::ResetTables => "ResetTables",
-            Msg::ResetOk => "ResetOk",
-            Msg::Pass1Frontier { .. } => "Pass1Frontier",
-            Msg::TableCast { .. } => "TableCast",
-            Msg::TraceEvents { .. } => "TraceEvents",
+            Msg::Hello { .. } => TAG_HELLO,
+            Msg::Configure(_) => TAG_CONFIGURE,
+            Msg::ConfigureOk => TAG_CONFIGURE_OK,
+            Msg::RunStage { .. } => TAG_RUN_STAGE,
+            Msg::StageDone { .. } => TAG_STAGE_DONE,
+            Msg::Shutdown => TAG_SHUTDOWN,
+            Msg::Err { .. } => TAG_ERR,
+            Msg::Heartbeat => TAG_HEARTBEAT,
+            Msg::ResetTables => TAG_RESET_TABLES,
+            Msg::ResetOk => TAG_RESET_OK,
+            Msg::Pass1Frontier { .. } => TAG_PASS1_FRONTIER,
+            Msg::TableCast { .. } => TAG_TABLE_CAST,
+            Msg::TraceEvents { .. } => TAG_TRACE_EVENTS,
         }
     }
 
+    /// The message's wire name, for protocol-error reporting.
+    pub fn kind(&self) -> &'static str {
+        VERBS[self.tag() as usize]
+    }
+
     /// The wire name of tag byte `tag` (the [`NetStats`] per-verb
-    /// histogram slot), or `"unknown"` for out-of-protocol tags. Retired
-    /// tags keep their names.
+    /// histogram slot), or `"unknown"` for a tag outside the protocol.
     ///
     /// [`NetStats`]: super::transport::NetStats
     pub fn verb_name(tag: usize) -> &'static str {
-        const NAMES: [&str; 25] = [
-            "Hello",
-            "Configure",
-            "ConfigureOk",
-            "RunStage",
-            "StageDone",
-            "StateReq",
-            "StateResp",
-            "Route",
-            "Scan",
-            "ScanResp",
-            "Shutdown",
-            "Err",
-            "Heartbeat",
-            "ResetTables",
-            "ResetOk",
-            "RouteBatch",
-            "StateReqBatch",
-            "StateRespBatch",
-            "RouteReply",
-            "EpochDone",
-            "EpochSync",
-            "Pass1Frontier",
-            "TableCast",
-            "TraceEvents",
-            "TurnState",
-        ];
-        NAMES.get(tag).copied().unwrap_or("unknown")
+        VERBS.get(tag).copied().unwrap_or("unknown")
     }
 
     /// Encodes the message as one transport frame.
@@ -714,18 +708,11 @@ impl Msg {
     }
 
     fn put(&self, w: &mut Wr) {
+        w.u8(self.tag());
         match self {
-            Msg::Hello { worker } => {
-                w.u8(0);
-                w.u32(*worker);
-            }
-            Msg::Configure(setup) => {
-                w.u8(1);
-                put_setup(w, setup);
-            }
-            Msg::ConfigureOk => w.u8(2),
+            Msg::Hello { worker } => w.u32(*worker),
+            Msg::Configure(setup) => put_setup(w, setup),
             Msg::RunStage { stage, token, mode } => {
-                w.u8(3);
                 put_stage(w, *stage);
                 put_token(w, token);
                 w.u8(mode.tag());
@@ -735,7 +722,6 @@ impl Msg {
                 assignments,
                 pairs,
             } => {
-                w.u8(4);
                 put_token(w, token);
                 assignments.put(w);
                 match pairs {
@@ -746,22 +732,13 @@ impl Msg {
                     None => w.bool(false),
                 }
             }
-            Msg::Shutdown => w.u8(10),
-            Msg::Err { msg } => {
-                w.u8(11);
-                w.str(msg);
-            }
-            Msg::Heartbeat => w.u8(12),
-            Msg::ResetTables => w.u8(13),
-            Msg::ResetOk => w.u8(14),
+            Msg::Err { msg } => w.str(msg),
             Msg::Pass1Frontier { keys, rows, vol } => {
-                w.u8(TAG_PASS1_FRONTIER);
                 w.delta_u64s(keys);
                 w.vu64s(rows);
                 w.vu64s(vol);
             }
             Msg::TableCast { table, keys, rows } => {
-                w.u8(22);
                 w.u8(*table);
                 w.delta_u64s(keys);
                 w.vu64s(rows);
@@ -770,9 +747,8 @@ impl Msg {
                 now_us,
                 dropped,
                 events,
-            } => {
-                w.u8(23);
-                put_trace_events(w, *now_us, *dropped, events);
+            } => put_trace_events(w, *now_us, *dropped, events),
+            Msg::ConfigureOk | Msg::Shutdown | Msg::Heartbeat | Msg::ResetTables | Msg::ResetOk => {
             }
         }
     }
@@ -792,16 +768,16 @@ impl Msg {
     pub fn decode(buf: &[u8]) -> Result<Msg> {
         let mut r = Rd::new(buf);
         let msg = match r.u8()? {
-            0 => Msg::Hello { worker: r.u32()? },
-            1 => Msg::Configure(Box::new(get_setup(&mut r)?)),
-            2 => Msg::ConfigureOk,
-            3 => {
+            TAG_HELLO => Msg::Hello { worker: r.u32()? },
+            TAG_CONFIGURE => Msg::Configure(Box::new(get_setup(&mut r)?)),
+            TAG_CONFIGURE_OK => Msg::ConfigureOk,
+            TAG_RUN_STAGE => {
                 let stage = get_stage(&mut r)?;
                 let token = get_token(&mut r)?;
                 let mode = AmpcMode::from_tag(r.u8()?).ok_or_else(|| bad("mode tag"))?;
                 Msg::RunStage { stage, token, mode }
             }
-            4 => {
+            TAG_STAGE_DONE => {
                 let token = get_token(&mut r)?;
                 let assignments = PartIds::get(&mut r)?;
                 let pairs = if r.bool()? {
@@ -815,11 +791,11 @@ impl Msg {
                     pairs,
                 }
             }
-            10 => Msg::Shutdown,
-            11 => Msg::Err { msg: r.str()? },
-            12 => Msg::Heartbeat,
-            13 => Msg::ResetTables,
-            14 => Msg::ResetOk,
+            TAG_SHUTDOWN => Msg::Shutdown,
+            TAG_ERR => Msg::Err { msg: r.str()? },
+            TAG_HEARTBEAT => Msg::Heartbeat,
+            TAG_RESET_TABLES => Msg::ResetTables,
+            TAG_RESET_OK => Msg::ResetOk,
             TAG_PASS1_FRONTIER => Msg::Pass1Frontier {
                 keys: r.delta_u64s()?,
                 rows: r.vu64s()?,
@@ -827,12 +803,12 @@ impl Msg {
             },
             // Both counts of a table are held against what is left of the
             // frame before anything is allocated.
-            22 => Msg::TableCast {
+            TAG_TABLE_CAST => Msg::TableCast {
                 table: r.u8()?,
                 keys: r.delta_u64s()?,
                 rows: r.vu64s()?,
             },
-            23 => {
+            TAG_TRACE_EVENTS => {
                 let (now_us, dropped, events) = get_trace_events(&mut r)?;
                 Msg::TraceEvents {
                     now_us,
@@ -854,7 +830,7 @@ impl Msg {
 #[cfg(test)]
 pub(crate) fn forged_stage_done(token: &Token, width: u8, count: u64, ids: &[u8]) -> Vec<u8> {
     let mut w = Wr::new();
-    w.u8(4);
+    w.u8(TAG_STAGE_DONE);
     put_token(&mut w, token);
     w.u8(width);
     w.u64(count);
@@ -879,11 +855,10 @@ pub(crate) mod tests {
             worker: 1,
             workers: 4,
             k: 8,
-            chunk: 4096,
             heartbeat_ms: 250,
             algo: AlgoSpec {
                 splitting: false,
-                migration: 2,
+                migration: MigrationPolicy::Paper,
                 max_vertices: 1 << 20,
             },
             input: InputSpec::Inline {
@@ -920,22 +895,20 @@ pub(crate) mod tests {
         round_trip(Msg::ResetOk);
     }
 
-    /// Where a `Configure` frame holds its algo tag: after the message tag
-    /// and five `u32`s.
-    pub(crate) const ALGO_TAG_AT: usize = 1 + 5 * 4;
+    /// Where a `Configure` frame holds its migration tag: after the message
+    /// tag, four `u32`s and the splitting flag.
+    pub(crate) const MIGRATION_TAG_AT: usize = 1 + 4 * 4 + 1;
 
-    /// A `Configure` of worker 0 of 2 over `edges`, k = 4, 64-edge chunks,
-    /// as its frame.
+    /// A `Configure` of worker 0 of 2 over `edges`, k = 4, as its frame.
     pub(crate) fn configure_frame(edges: Vec<Edge>) -> Vec<u8> {
         Msg::Configure(Box::new(WorkerSetup {
             worker: 0,
             workers: 2,
             k: 4,
-            chunk: 64,
             heartbeat_ms: 0,
             algo: AlgoSpec {
                 splitting: true,
-                migration: 0,
+                migration: MigrationPolicy::Anchored,
                 max_vertices: 64,
             },
             input: InputSpec::Inline { edges },
@@ -945,20 +918,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retired_algo_tag_is_a_typed_error() {
+    fn an_unknown_migration_tag_is_a_typed_error() {
         let frame = configure_frame(Vec::new());
-        assert_eq!(frame[ALGO_TAG_AT], TAG_CLUGP);
-        // Tags 0 and 2 to 5 named the one-pass baselines (Hashing, DBH,
-        // Greedy, HDRF, Mint) and 1 Grid: retired, each a typed error naming
-        // what the engine runs. Any other tag names no algorithm at all.
-        for tag in [0u8, 1, 2, 3, 4, 5, 7, 255] {
+        assert_eq!(frame[MIGRATION_TAG_AT], 0);
+        for (tag, policy) in [
+            (0u8, MigrationPolicy::Anchored),
+            (1, MigrationPolicy::Paper),
+        ] {
+            let mut set = frame.clone();
+            set[MIGRATION_TAG_AT] = tag;
+            let Msg::Configure(setup) = Msg::decode(&set).unwrap() else {
+                panic!("tag {tag}: not a Configure");
+            };
+            assert_eq!(setup.algo.migration, policy);
+        }
+        for tag in [2u8, 3, 255] {
             let mut forged = frame.clone();
-            forged[ALGO_TAG_AT] = tag;
+            forged[MIGRATION_TAG_AT] = tag;
             let err = Msg::decode(&forged).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
-            assert!(err.to_string().contains("algo tag"), "tag {tag}: {err}");
-            let retired = err.to_string().contains("the engine runs CLUGP only");
-            assert_eq!(retired, tag <= 5, "tag {tag}: {err}");
+            let needle = format!("migration policy tag {tag}");
+            assert!(err.to_string().contains(&needle), "{err}");
         }
     }
 
@@ -1083,17 +1063,53 @@ pub(crate) mod tests {
 
     #[test]
     fn verb_names_cover_every_tag() {
-        // One histogram slot per tag, retired ones included, and the bucket
-        // for everything else behind them.
+        // One histogram slot per tag the protocol speaks, and the bucket for
+        // everything else behind them.
         use super::super::transport::VERB_SLOTS;
-        for tag in 0..VERB_SLOTS - 1 {
-            assert_ne!(Msg::verb_name(tag), "unknown", "tag {tag}");
-        }
+        assert_eq!(VERB_SLOTS, VERBS.len() + 1);
         assert_eq!(Msg::verb_name(VERB_SLOTS - 1), "unknown");
-        assert_eq!(Msg::verb_name(7), "Route");
-        assert_eq!(Msg::verb_name(15), "RouteBatch");
-        assert_eq!(Msg::verb_name(23), "TraceEvents");
-        assert_eq!(Msg::verb_name(24), "TurnState");
+        // Each message is named by its own variant under the tag it is sent
+        // with, and the messages take the tags one each.
+        let (keys, rows, vol) = (vec![1], vec![1, 1, 0], vec![1]);
+        let messages = [
+            Msg::Hello { worker: 0 },
+            Msg::decode(&configure_frame(Vec::new())).unwrap(),
+            Msg::ConfigureOk,
+            Msg::RunStage {
+                stage: Stage::ClugpPairs { num_clusters: 1 },
+                token: Token::default(),
+                mode: AmpcMode::Sequenced,
+            },
+            Msg::StageDone {
+                token: Token::default(),
+                assignments: PartIds::for_k(2),
+                pairs: None,
+            },
+            Msg::Shutdown,
+            Msg::Err { msg: "x".into() },
+            Msg::Heartbeat,
+            Msg::ResetTables,
+            Msg::ResetOk,
+            Msg::Pass1Frontier { keys, rows, vol },
+            Msg::TableCast {
+                table: 0,
+                keys: Vec::new(),
+                rows: Vec::new(),
+            },
+            Msg::TraceEvents {
+                now_us: 0,
+                dropped: 0,
+                events: Vec::new(),
+            },
+        ];
+        assert_eq!(messages.len(), VERBS.len());
+        for (tag, msg) in messages.iter().enumerate() {
+            let debug = format!("{msg:?}");
+            let variant = debug.split([' ', '(']).next().unwrap();
+            assert_eq!(msg.kind(), variant);
+            assert_eq!(msg.encode()[0] as usize, tag, "{variant}");
+            assert_eq!(Msg::verb_name(tag), variant);
+        }
     }
 
     #[test]
@@ -1102,11 +1118,10 @@ pub(crate) mod tests {
             worker: 0,
             workers: 2,
             k: 4,
-            chunk: 1024,
             heartbeat_ms: 0,
             algo: AlgoSpec {
                 splitting: true,
-                migration: 0,
+                migration: MigrationPolicy::Anchored,
                 max_vertices: 1 << 30,
             },
             input: InputSpec::Pack {
@@ -1124,49 +1139,15 @@ pub(crate) mod tests {
     fn rejects_unknown_tag() {
         assert!(Msg::decode(&[250]).is_err());
         assert!(Msg::decode(&[]).is_err());
-        // Tag 7 was `Route`: retired, reserved, and no longer a message.
-        let err = Msg::decode(&[7, 1, 0, 0, 0, 0]).unwrap_err();
-        assert!(err.to_string().contains("message tag"), "{err}");
-        // So are tags 5 and 6, `StateReq` and `StateResp`: an `Upsert` of no
-        // keys into table 0, and its empty ack.
-        let upsert = [&[5u8, 0, 1, 0][..], &[0; 16]].concat();
-        // And 8 and 9, `Scan` and `ScanResp`: a dump of table 0, and the
-        // empty shard it read back. And 15 to 18, the batched relay the
-        // baselines paged through: a batch of one `Get` to worker 1, the
-        // request it was relayed as, and the empty rows of the two replies.
-        // And 19 and 20, the epoch barrier relaxed baselines reconciled at: a
-        // last epoch with one load and no table, and the sync that closed it.
-        // And 24, `TurnState`, the tables a sequenced baseline handed on: one
-        // empty table in slot 0, and none at all.
-        for frame in [
-            &upsert[..],
-            &[6, 0, 0, 0, 0, 0, 0, 0, 0],
-            &[8, 0],
-            &[9, 0, 0],
-            &[15, 1, 0, 0, 0, 1, 0, 1, 0, 0],
-            &[16, 1, 0, 1, 0, 0],
-            &[17, 0],
-            &[18, 0],
-            &[19, 1, 1, 3, 0],
-            &[20, 1, 1, 3, 0],
-            &[24, 1, 0, 0, 0],
-            &[24, 0],
-        ] {
+        // The first tag past the verbs, bare and with a body.
+        let next = VERBS.len() as u8;
+        for frame in [&[next][..], &[next, 1, 0, 0, 0, 0]] {
             let err = Msg::decode(frame).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
             assert!(err.to_string().contains("message tag"), "{err}");
         }
-        // The names stay in the histogram, slot for slot with the tags, so a
-        // per-verb byte count keyed by a retired name still resolves.
-        assert_eq!(Msg::verb_name(8), "Scan");
-        assert_eq!(Msg::verb_name(9), "ScanResp");
-        assert_eq!(Msg::verb_name(18), "RouteReply");
-        assert_eq!(Msg::verb_name(19), "EpochDone");
-        assert_eq!(Msg::verb_name(20), "EpochSync");
-        assert_eq!(Msg::verb_name(21), "Pass1Frontier");
-        assert_eq!(Msg::verb_name(24), "TurnState");
-        // Stage tag 0, the baselines' one stage, is retired with them.
-        let err = Msg::decode(&[3, 0]).unwrap_err();
+        // Stage tag 0 is unused: `CLUGPCK1` files keep the stage tags 1 to 3.
+        let err = Msg::decode(&[TAG_RUN_STAGE, 0]).unwrap_err();
         assert!(err.to_string().contains("stage tag"), "{err}");
     }
 
@@ -1187,7 +1168,7 @@ pub(crate) mod tests {
         // A count the frame cannot back is refused before it sizes a vector.
         for claimed in [9u64, 1 << 40, u64::MAX] {
             let mut w = Wr::new();
-            w.u8(22);
+            w.u8(TAG_TABLE_CAST);
             w.u8(4);
             w.vu64(claimed);
             w.bytes(&[2; 8]);

@@ -3,11 +3,12 @@
 //! A [`Transport`] is one duplex, ordered, reliable frame pipe. Two
 //! implementations:
 //!
-//! * [`channel_pair`] — in-process bounded channels (the default). Frames
-//!   are `Vec<u8>` handed over `std::sync::mpsc::sync_channel`, so
-//!   backpressure comes for free.
+//! * [`channel_pair`] — in-process bounded channels, the link of every
+//!   worker thread `run_distributed` hosts. Frames are `Vec<u8>` handed
+//!   over `std::sync::mpsc::sync_channel`, so backpressure comes for free.
 //! * [`UnixTransport`] — a Unix stream socket with a 4-byte little-endian
-//!   length prefix per frame, for multi-process `clugp-part --workers N`.
+//!   length prefix per frame, the link of every worker process
+//!   `clugp-part --transport unix` spawns.
 //!
 //! Both count frames and payload bytes; the bench's bytes-exchanged
 //! numbers come straight from these counters. Both honor a recv/send
@@ -29,10 +30,11 @@ use std::time::{Duration, Instant};
 /// or corrupted stream.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// Message-tag slots tracked by the per-verb histogram: one per protocol
-/// tag byte (see [`super::proto::Msg`]) plus a trailing "unknown" bucket
-/// for tags outside the protocol (e.g. a fault-corrupted first byte).
-pub const VERB_SLOTS: usize = 26;
+/// Message-tag slots tracked by the per-verb histogram: one per verb the
+/// protocol speaks ([`super::proto::VERBS`], indexed by tag byte) plus a
+/// trailing "unknown" bucket for tags outside the protocol (e.g. a
+/// fault-corrupted first byte).
+pub const VERB_SLOTS: usize = super::proto::VERBS.len() + 1;
 
 /// Per-verb traffic tally (sent + received combined, per endpoint).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -235,13 +237,6 @@ impl UnixTransport {
             stats: NetStats::default(),
         }
     }
-
-    /// Builds a connected in-process socketpair (for tests exercising the
-    /// socket framing without a filesystem path).
-    pub fn pair() -> Result<(UnixTransport, UnixTransport)> {
-        let (a, b) = UnixStream::pair().map_err(|e| io_fault("socketpair", e))?;
-        Ok((UnixTransport::new(a), UnixTransport::new(b)))
-    }
 }
 
 impl Transport for UnixTransport {
@@ -310,6 +305,12 @@ impl Transport for UnixTransport {
 mod tests {
     use super::*;
 
+    /// A connected socketpair: the socket framing without a filesystem path.
+    fn unix_pair() -> (UnixTransport, UnixTransport) {
+        let (a, b) = UnixStream::pair().unwrap();
+        (UnixTransport::new(a), UnixTransport::new(b))
+    }
+
     fn exercise(mut a: impl Transport, mut b: impl Transport) {
         a.send(b"hello").unwrap();
         a.send(b"!").unwrap();
@@ -332,7 +333,7 @@ mod tests {
     #[test]
     fn per_verb_histogram_keys_on_the_tag_byte() {
         let (mut a, mut b) = channel_pair(4);
-        a.send(&[7, 1, 2, 3]).unwrap(); // tag 7 (Route), 4 bytes
+        a.send(&[7, 1, 2, 3]).unwrap(); // tag 7 (Heartbeat), 4 bytes
         a.send(&[7]).unwrap();
         a.send(&[200, 0]).unwrap(); // unknown tag → last bucket
         for _ in 0..3 {
@@ -351,7 +352,7 @@ mod tests {
 
     #[test]
     fn unix_frames_round_trip() {
-        let (a, b) = UnixTransport::pair().unwrap();
+        let (a, b) = unix_pair();
         exercise(a, b);
     }
 
@@ -399,7 +400,7 @@ mod tests {
 
     #[test]
     fn unix_deadline_bounds_recv() {
-        let (mut a, _b) = UnixTransport::pair().unwrap();
+        let (mut a, _b) = unix_pair();
         a.set_deadline(Some(Duration::from_millis(20)));
         let err = a.recv().unwrap_err();
         assert!(matches!(
@@ -413,7 +414,7 @@ mod tests {
 
     #[test]
     fn unix_eof_is_disconnected() {
-        let (mut a, b) = UnixTransport::pair().unwrap();
+        let (mut a, b) = unix_pair();
         drop(b);
         let err = a.recv().unwrap_err();
         assert!(matches!(
@@ -429,7 +430,7 @@ mod tests {
     fn unix_rejects_corrupt_length_prefix_without_allocating() {
         use std::io::Write as _;
         // Zero-length prefix: no protocol message encodes to zero bytes.
-        let (mut a, b) = UnixTransport::pair().unwrap();
+        let (mut a, b) = unix_pair();
         let mut raw = b.stream.try_clone().unwrap();
         raw.write_all(&0u32.to_le_bytes()).unwrap();
         let err = a.recv().unwrap_err();
@@ -443,7 +444,7 @@ mod tests {
         assert!(err.to_string().contains("length prefix"));
 
         // A hand-corrupted huge prefix must fail cleanly, not OOM.
-        let (mut a, b) = UnixTransport::pair().unwrap();
+        let (mut a, b) = unix_pair();
         let mut raw = b.stream.try_clone().unwrap();
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         let err = a.recv().unwrap_err();
@@ -456,7 +457,7 @@ mod tests {
         ));
 
         // And the cap is symmetric: empty frames cannot be sent either.
-        let (mut a, _b) = UnixTransport::pair().unwrap();
+        let (mut a, _b) = unix_pair();
         assert!(a.send(&[]).is_err());
     }
 }

@@ -5,21 +5,22 @@
 //! *the same per-edge steps the monolithic CLUGP uses* — pass 1's clustering,
 //! the pairs count and the transform's balancer — which is what keeps every
 //! sequenced configuration bit-identical to the monolith. The engine runs
-//! CLUGP only: a `Configure` naming a one-pass baseline does not decode, and
-//! the worker answers it with an `Err`.
+//! CLUGP only, so a `Configure` names no algorithm; one that does not decode
+//! is answered with an `Err`.
 //!
 //! No stage pages a row. Every table a stage indexes is held whole, full-size
 //! and dense — same types, same indexing as the monolith — while the edges
 //! stream by (the semi-external pass), and each chunk is stepped as the
-//! source lends it. Pass 1, the one stage that writes its tables, is *lent*
-//! them: it starts from the [`Msg::Pass1Frontier`] the coordinator forwarded
-//! ahead of `RunStage` (the previous turn's; none for worker 0, and none in
-//! relaxed mode), steps its range (`Pass1::step` over the vertex rows and
-//! volumes) and ships the whole state on ahead of `StageDone`. While a worker
-//! holds the token nobody else writes, so what it was lent is the whole truth
-//! for its turn. The pairs and transform stages only read: the coordinator
-//! broadcasts the tables they index as [`Msg::TableCast`] mirrors ahead of
-//! `RunStage`. A mirror is built once, when its frame arrives, and kept until
+//! source lends it: up to the stream's `chunk_edges()`, like every other
+//! consumer, and from a pack never across a block. Pass 1, the one stage
+//! that writes its tables, is *lent* them: it starts from the
+//! [`Msg::Pass1Frontier`] the coordinator forwarded ahead of `RunStage` (the
+//! previous turn's; none for worker 0, and none in relaxed mode), steps its
+//! range (`Pass1::step` over the vertex rows and volumes) and ships the
+//! whole state on ahead of `StageDone`. While a worker holds the token
+//! nobody else writes, so what it was lent is the whole truth for its turn.
+//! The pairs and transform stages only read: the coordinator broadcasts the
+//! tables they index as [`Msg::TableCast`] mirrors ahead of `RunStage`. A mirror is built once, when its frame arrives, and kept until
 //! `ResetTables` (`Casts`): the vertex rows cast for the pairs stage serve the
 //! transform too.
 //!
@@ -34,7 +35,6 @@ use super::transport::Transport;
 use super::AmpcMode;
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
-use crate::clugp::config::MigrationPolicy;
 use crate::clugp::stage::{Balancer, Pass1, VertexState, ROW_WIDTH};
 use crate::error::{PartitionError, Result};
 use clugp_graph::pack::ShardedPackReader;
@@ -52,27 +52,6 @@ pub(crate) const T_CPART: u8 = 2;
 
 pub(crate) fn unexpected(m: &Msg) -> PartitionError {
     PartitionError::InvalidParam(format!("unexpected protocol message: {}", m.kind()))
-}
-
-pub(crate) fn migration_from_tag(tag: u8) -> Result<MigrationPolicy> {
-    // Migration tag 1 is retired (it was Headroom): do not reuse it.
-    Ok(match tag {
-        0 => MigrationPolicy::Anchored,
-        2 => MigrationPolicy::Paper,
-        other => {
-            return Err(PartitionError::InvalidParam(format!(
-                "unknown migration policy tag {other}"
-            )))
-        }
-    })
-}
-
-pub(crate) fn migration_tag(policy: MigrationPolicy) -> u8 {
-    // Migration tag 1 is retired (it was Headroom): do not reuse it.
-    match policy {
-        MigrationPolicy::Anchored => 0,
-        MigrationPolicy::Paper => 2,
-    }
 }
 
 /// Worker-lane span name for a stage (coordinator-lane pass spans use the
@@ -99,8 +78,8 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         Ok(Msg::Configure(setup)) => *setup,
         Ok(Msg::Shutdown) => return Ok(()),
         Ok(other) => return Err(unexpected(&other)),
-        // A setup this build cannot run — one naming a retired algorithm —
-        // fails the run; the coordinator hears why (best effort).
+        // A setup that does not decode fails the run; the coordinator hears
+        // why (best effort).
         Err(e) => {
             let _ = conn.send(&Msg::Err { msg: e.to_string() }.encode());
             return Err(e);
@@ -165,13 +144,14 @@ enum Source {
 }
 
 impl Source {
-    /// Lends the next chunk of up to `cap` edges; empty at the end of the
-    /// range. A pack lends from its decoded block, so a chunk never spans
-    /// two blocks.
-    fn next_slice(&mut self, cap: usize) -> &[Edge] {
+    /// Lends the next chunk of up to `chunk_edges()` edges; empty at the end
+    /// of the range. A pack lends from its decoded block, so a chunk never
+    /// spans two blocks.
+    fn next_slice(&mut self) -> &[Edge] {
+        let cap = chunk_edges();
         match self {
             Source::Inline { edges, pos } => {
-                let take = cap.max(1).min(edges.len() - *pos);
+                let take = cap.min(edges.len() - *pos);
                 *pos += take;
                 &edges[*pos - take..*pos]
             }
@@ -318,23 +298,15 @@ impl Wk {
         Ok(())
     }
 
-    /// The next chunk of the stage's edge range as the source lends it, up to
-    /// [`Wk::chunk_cap`] edges; `None` at the end of the range. The unit of
-    /// every stage: one heartbeat check, one `chunk` span.
+    /// The next chunk of the stage's edge range as the source lends it; `None`
+    /// at the end of the range. The unit of every stage: one heartbeat check,
+    /// one `chunk` span.
     fn lend_chunk<'s>(&mut self, source: &'s mut Source) -> Result<Option<&'s [Edge]>> {
         self.end_chunk_span();
         self.heartbeat()?;
-        let chunk = source.next_slice(self.chunk_cap());
+        let chunk = source.next_slice();
         self.begin_chunk_span(chunk.len());
         Ok(Some(chunk).filter(|chunk| !chunk.is_empty()))
-    }
-
-    fn chunk_cap(&self) -> usize {
-        if self.setup.chunk == 0 {
-            chunk_edges()
-        } else {
-            self.setup.chunk as usize
-        }
     }
 
     fn open_source(&mut self) -> Result<Source> {
@@ -418,21 +390,12 @@ impl Wk {
         })
     }
 
-    /// The CLUGP parameters of this worker's `Configure`: `(splitting,
-    /// migration, max_vertices)`.
-    fn clugp_spec(&self) -> Result<(bool, MigrationPolicy, u64)> {
-        let spec = &self.setup.algo;
-        let migration = migration_from_tag(spec.migration)?;
-        Ok((spec.splitting, migration, spec.max_vertices))
-    }
-
     /// Builds the mirror a [`Msg::TableCast`] of `table` carries, replacing
     /// any earlier one.
     fn import_cast(&mut self, table: u8, keys: &[u64], rows: &[u64]) -> Result<()> {
-        let (_, _, max_vertices) = self.clugp_spec()?;
         match table {
             T_MAIN => {
-                let mut vertices = VertexState::new(0, max_vertices)?;
+                let mut vertices = VertexState::new(0, self.setup.algo.max_vertices)?;
                 vertices.import(keys, rows)?;
                 self.casts.vertices = Some(vertices);
             }
@@ -465,8 +428,9 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let (splitting, migration, max_vertices) = self.clugp_spec()?;
-        let mut vertices = VertexState::new(0, max_vertices)?;
+        let spec = &self.setup.algo;
+        let (splitting, migration) = (spec.splitting, spec.migration);
+        let mut vertices = VertexState::new(0, spec.max_vertices)?;
         let (keys, rows, vol) = match self.seed.take() {
             Some(Msg::Pass1Frontier { keys, rows, vol }) => (keys, rows, vol),
             None => Default::default(),
@@ -658,22 +622,21 @@ pub(crate) fn import_turn_state(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ampc::proto::tests::{configure_frame, ALGO_TAG_AT};
+    use crate::ampc::proto::tests::{configure_frame, MIGRATION_TAG_AT};
     use crate::ampc::proto::AlgoSpec;
     use crate::ampc::transport::channel_pair;
+    use crate::clugp::MigrationPolicy;
 
-    /// Worker 1 of 2 over `edges`, k = 4, 64-edge chunks, CLUGP at a
-    /// 64-vertex cap.
+    /// Worker 1 of 2 over `edges`, k = 4, CLUGP at a 64-vertex cap.
     fn setup(edges: Vec<Edge>) -> WorkerSetup {
         WorkerSetup {
             worker: 1,
             workers: 2,
             k: 4,
-            chunk: 64,
             heartbeat_ms: 0,
             algo: AlgoSpec {
                 splitting: true,
-                migration: 0,
+                migration: MigrationPolicy::Anchored,
                 max_vertices: 64,
             },
             input: InputSpec::Inline { edges },
@@ -712,39 +675,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retired_migration_tag_is_a_typed_error() {
-        for policy in [MigrationPolicy::Anchored, MigrationPolicy::Paper] {
-            assert_eq!(migration_from_tag(migration_tag(policy)).unwrap(), policy);
-        }
-        // Tag 1 (Headroom) maps to no policy, and neither does any unused tag.
-        for tag in [1u8, 3, 255] {
-            let err = migration_from_tag(tag).unwrap_err();
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
-            assert!(err.to_string().contains("migration policy tag"), "{err}");
-        }
-    }
-
-    #[test]
-    fn a_relaxed_baseline_stage_is_a_typed_error() {
-        // The engine runs CLUGP only, in either mode: a `Configure` naming a
-        // one-pass baseline (algo tags 0 and 2 to 5, retired) gets an `Err`
-        // reply and a typed error out of `run_worker`, never a panic, and no
-        // stage runs.
-        let frame = configure_frame(vec![Edge::new(0, 1)]);
-        for tag in [0u8, 2, 3, 4, 5] {
-            let mut forged = frame.clone();
-            forged[ALGO_TAG_AT] = tag;
-            let (mut coord, worker) = channel_pair(8);
-            let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
-            coord.send(&forged).unwrap();
-            let reply = recv(&mut coord).unwrap();
-            let err = handle.join().expect("worker thread").unwrap_err();
-            assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
-            let needle = format!("retired algo tag {tag}: the engine runs CLUGP only");
-            match reply {
-                Msg::Err { msg } => assert!(msg.contains(&needle), "{msg}"),
-                other => panic!("tag {tag}: expected Err, got {}", other.kind()),
-            }
+    fn an_undecodable_configure_is_answered_with_an_err() {
+        // A `Configure` this build cannot decode — here one naming no
+        // migration policy — gets an `Err` reply and a typed error out of
+        // `run_worker`, never a panic, and no stage runs.
+        let mut forged = configure_frame(vec![Edge::new(0, 1)]);
+        forged[MIGRATION_TAG_AT] = 2;
+        let (mut coord, worker) = channel_pair(8);
+        let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
+        coord.send(&forged).unwrap();
+        let reply = recv(&mut coord).unwrap();
+        let err = handle.join().expect("worker thread").unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");
+        match reply {
+            Msg::Err { msg } => assert!(msg.contains("migration policy tag 2"), "{msg}"),
+            other => panic!("expected Err, got {}", other.kind()),
         }
     }
 

@@ -92,7 +92,7 @@ use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::proto::{Msg, Stage};
 use clugp::ampc::{
     run_coordinator, run_distributed, run_worker, AmpcMode, DistConfig, DistInput, NetStats,
-    SuperviseConfig, Transport, TransportKind, UnixTransport,
+    SuperviseConfig, Transport, UnixTransport,
 };
 use clugp::error::{FaultKind, PartitionError};
 use clugp::metrics::{replay_replicas, PartitionQuality};
@@ -329,11 +329,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 fn dist_config(opts: &Options) -> DistConfig {
     DistConfig {
         workers: opts.workers,
-        transport: if opts.transport == "unix" {
-            TransportKind::Unix
-        } else {
-            TransportKind::Channel
-        },
         supervise: SuperviseConfig {
             worker_timeout: match opts.worker_timeout {
                 Some(timeout) => (!timeout.is_zero()).then_some(timeout),

@@ -75,15 +75,6 @@ impl Edge {
         self.src == self.dst
     }
 
-    /// Returns the edge with endpoints swapped.
-    #[inline]
-    pub fn reversed(&self) -> Edge {
-        Edge {
-            src: self.dst,
-            dst: self.src,
-        }
-    }
-
     /// Returns the endpoint pair in canonical (sorted) order; useful for
     /// treating the graph as undirected.
     #[inline]
@@ -132,11 +123,6 @@ mod tests {
     fn self_loop_detection() {
         assert!(Edge::new(3, 3).is_self_loop());
         assert!(!Edge::new(3, 4).is_self_loop());
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        assert_eq!(Edge::new(1, 2).reversed(), Edge::new(2, 1));
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub use clugp_graph;
 
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{
-    run_distributed, DistConfig, DistInput, DistOutcome, FaultPlan, SuperviseConfig, TransportKind,
+    run_distributed, DistConfig, DistInput, DistOutcome, FaultPlan, SuperviseConfig,
 };
 use clugp::clugp::{ClugpConfig, ClusterAssignMode, MigrationPolicy};
 use clugp::error::PartitionError;
@@ -252,27 +252,11 @@ pub enum Mode {
     /// The monolith over the input, its source capped at `chunk_limit`
     /// edges a pull (`usize::MAX` lends whole chunks).
     Monolith { chunk_limit: usize },
-    /// The sequenced coordinator/worker engine, which runs CLUGP only, at
-    /// `chunk_edges` edges a chunk (0 = the stream default). A pack read
-    /// serially is handed to the workers as block ranges; any other input is
-    /// read by the coordinator and shipped inline.
-    Sequenced {
-        workers: u32,
-        transport: TransportKind,
-        chunk_edges: usize,
-    },
-}
-
-impl Mode {
-    /// `workers` sequenced workers over channels at the default chunk size.
-    pub fn sequenced(workers: u32) -> Mode {
-        let (transport, chunk_edges) = (TransportKind::Channel, 0);
-        Mode::Sequenced {
-            workers,
-            transport,
-            chunk_edges,
-        }
-    }
+    /// The sequenced coordinator/worker engine, which runs CLUGP only, on
+    /// `workers` worker threads. A pack read serially is handed to the
+    /// workers as block ranges, so its block size sets the chunks a worker
+    /// pulls; any other input is read by the coordinator and shipped inline.
+    Sequenced { workers: u32 },
 }
 
 /// One point of the matrix every chunked, decode-ahead, distributed and
@@ -344,9 +328,8 @@ impl Case {
     /// Draws a case from `seed`: any graph family (the empty graph too),
     /// roster entry, k, order, thread count, input format and block size,
     /// either pack reader, the monolith under any source cap or — for the
-    /// CLUGP rows, the ones the engine runs — 1 to 4 sequenced workers over
-    /// either transport at any chunk size, and for half of the sequenced
-    /// cases a seeded fault plan.
+    /// CLUGP rows, the ones the engine runs — 1 to 4 sequenced workers, and
+    /// for half of the sequenced cases a seeded fault plan.
     pub fn draw(seed: u64) -> Case {
         let mut state = seed;
         let mut pick = |n: usize| {
@@ -381,16 +364,9 @@ impl Case {
             }
             _ => {
                 let workers = 1 + pick(4) as u32;
-                let transport = [TransportKind::Channel, TransportKind::Unix][pick(2)];
-                let chunk_edges = [0, 1, 37, 4096][pick(4)];
                 // The seven frames a link carries behind the handshake.
                 let faults = (pick(2) == 0).then(|| FaultPlan::seeded(seed, workers, 7));
-                let mode = Mode::Sequenced {
-                    workers,
-                    transport,
-                    chunk_edges,
-                };
-                (mode, faults)
+                (Mode::Sequenced { workers }, faults)
             }
         };
         Case {
@@ -485,11 +461,7 @@ impl Case {
                 self.assert_same(partition(&algo, &mut limited, self.k), &reference);
                 Ok(None)
             }
-            Mode::Sequenced {
-                workers,
-                transport,
-                chunk_edges,
-            } => {
+            Mode::Sequenced { workers } => {
                 let read;
                 let input = match self.input {
                     Input::Pack { prefetch: 0, .. } => DistInput::Pack(&path),
@@ -503,8 +475,6 @@ impl Case {
                 };
                 let cfg = DistConfig {
                     workers,
-                    transport,
-                    chunk_edges,
                     supervise: match self.faults {
                         Some(_) => supervised(600, 2),
                         None => SuperviseConfig::default(),

@@ -34,6 +34,7 @@ use clugp::partitioner::Partitioner;
 use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::stream::InMemoryStream;
+use clugp_repro::{scratch_dir, Input};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -161,9 +162,11 @@ fn tracing_costs_at_most_five_percent() {
 /// CLUGP run pages nothing. Its frames are the handshake, three stages'
 /// tokens, the pass-1 state handed from turn to turn and the casts between
 /// passes — a number the worker count sets, whatever the stream is cut into.
-/// Same graph, two workers, 64-edge chunks: some 3 700 chunks a range, which
-/// was sixty admission windows, each up to two fetch rounds of four frames,
-/// while pass 1 paged its rows.
+/// Same graph, two workers, inline ranges pulled `chunk_edges()` at a time
+/// and block ranges of a pack of 64-byte blocks, which a worker pulls a few
+/// dozen edges at a time: thousands of chunks a range, which was sixty
+/// admission windows, each up to two fetch rounds of four frames, while
+/// pass 1 paged its rows.
 #[test]
 fn sequenced_frames_follow_windows_not_chunks() {
     let g = generate_web_crawl(&WebCrawlConfig {
@@ -173,19 +176,17 @@ fn sequenced_frames_follow_windows_not_chunks() {
     });
     let edges = ordered_edges(&g, StreamOrder::Random(13));
     let workers = 2u64;
-    let run = |chunk_edges: usize| {
+    let run = |input: DistInput<'_>| {
         let cfg = DistConfig {
             workers: workers as u32,
-            chunk_edges,
             ..Default::default()
-        };
-        let input = DistInput::Edges {
-            num_vertices: g.num_vertices(),
-            edges: &edges,
         };
         run_distributed(&DistAlgo::clugp(), input, 32, &cfg).expect("AMPC-2")
     };
-    let out = run(64);
+    let out = run(DistInput::Edges {
+        num_vertices: g.num_vertices(),
+        edges: &edges,
+    });
     let tally = |verb: &str| {
         let slot = (0..out.net.by_verb.len())
             .find(|&tag| Msg::verb_name(tag) == verb)
@@ -193,18 +194,24 @@ fn sequenced_frames_follow_windows_not_chunks() {
         out.net.by_verb[slot]
     };
     let frames = |verb: &str| tally(verb).frames;
-    // No stage fetches a row or writes one back, and nothing is scanned: the
-    // retired verbs, tags 5 to 9 and 15 to 18, stay silent.
-    for tag in (5..=9).chain(15..=18) {
-        let verb = Msg::verb_name(tag);
-        assert_eq!(out.net.by_verb[tag].frames, 0, "a CLUGP run sent {verb}");
-    }
     // Per worker: Configure and its ack, three RunStage and three StageDone,
     // two casts, its own frontier, Shutdown — and, for every worker but the
     // first, the frontier before its own as its seed.
     let total = |out: &clugp::ampc::DistOutcome| out.net.frames_sent + out.net.frames_received;
     assert_eq!(total(&out), 12 * workers + (workers - 1), "frames in all");
-    assert_eq!(total(&out), total(&run(4096)), "frames at 4096-edge chunks");
+    let dir = scratch_dir("ampc_frames_by_block");
+    let pack = dir.join("web.clugpz");
+    let blocks = Input::Pack {
+        block_bytes: 64,
+        prefetch: 0,
+    };
+    blocks.write(&pack, g.num_vertices(), &edges);
+    assert_eq!(
+        total(&out),
+        total(&run(DistInput::Pack(&pack))),
+        "frames over 64-byte blocks"
+    );
+    std::fs::remove_dir_all(&dir).ok();
     // The vertex table makes one trip per turn while pass 1 writes it, the
     // last of them to the coordinator, which owns it from there on and casts
     // it to every worker once, for both read-only stages; the cluster →

@@ -236,7 +236,8 @@ fn every_source_delivers_one_sequence_at_any_cap() {
 #[test]
 fn drawn_cases_match_the_monolith() {
     // One drawn property over the whole matrix: graph family × algorithm ×
-    // input format × pack reader × mode × chunk size × fault plan. A failure
+    // input format × pack reader and block size × mode and source cap ×
+    // fault plan. A failure
     // names the case and the seed it was drawn from; `Case::draw(seed)`
     // replays it. The seeds are fixed, and must reach every axis below.
     let mut hit = BTreeSet::new();
@@ -254,9 +255,7 @@ fn drawn_cases_match_the_monolith() {
         hit.insert(input);
         match case.mode {
             Mode::Monolith { .. } => hit.insert("monolith".to_string()),
-            Mode::Sequenced {
-                workers, transport, ..
-            } => hit.insert(format!("{workers} workers")) | hit.insert(format!("{transport:?}")),
+            Mode::Sequenced { workers } => hit.insert(format!("{workers} workers")),
         };
         // `check` asserts; what it returns is a sequenced run's outcome or
         // a faulted run's typed error.
@@ -277,8 +276,6 @@ fn drawn_cases_match_the_monolith() {
             "1 workers",
             "2 workers",
             "4 workers",
-            "Channel",
-            "Unix",
             "faulted pack",
             "faulted Memo",
         ]

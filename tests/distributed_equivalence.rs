@@ -1,13 +1,14 @@
 //! Distributed-vs-monolith equivalence: the coordinator/worker engine must
 //! produce byte-identical partitions to the monolithic CLUGP — and its
-//! ablations — at every worker count, over either transport, at any
-//! streaming chunk size, and refuse every other algorithm. This is the
+//! ablations — at every worker count and at any pack block size (which sets
+//! the chunks a worker pulls), and refuse every other algorithm. Worker
+//! processes over Unix sockets are `cli_contract`'s `*unix` cells. This is the
 //! correctness anchor of the AMPC engine: sharding the state tables and
 //! sequencing the stream across workers is a pure refactoring of the
 //! placement pipeline, never a semantic change.
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput, TransportKind};
+use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput};
 use clugp::clugp::ClugpConfig;
 use clugp::error::PartitionError;
 use clugp::state::ReplicaTable;
@@ -15,29 +16,36 @@ use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::types::{Edge, VertexId};
 use clugp_repro::{
-    assignment_hash, monolith, outcome, roster, scratch_dir, test_web_graph, web_fixture, Case,
-    Family, Input, Mode,
+    assignment_hash, clugp_part_exe, monolith, outcome, roster, scratch_dir, test_web_graph,
+    web_fixture, Case, Family, Input, Mode,
 };
+use std::process::Command;
+
+/// A pack of `block_bytes`-byte blocks, read serially: the engine hands its
+/// workers block ranges, and a worker's pull never spans a block.
+fn pack(block_bytes: usize) -> Input {
+    Input::Pack {
+        block_bytes,
+        prefetch: 0,
+    }
+}
 
 #[test]
-fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
+fn every_clugp_row_is_bit_identical_across_workers_and_block_sizes() {
     for (name, algo) in clugp_roster() {
         let case = Case::new(algo.clone(), 1_500, 41);
         for workers in [1u32, 2, 4] {
-            for transport in [TransportKind::Channel, TransportKind::Unix] {
-                for chunk_edges in [0usize, 173] {
-                    let mode = Mode::Sequenced {
-                        workers,
-                        transport,
-                        chunk_edges,
-                    };
-                    Case {
-                        mode,
-                        ..case.clone()
-                    }
-                    .check()
-                    .unwrap();
+            // Inline ranges pulled `chunk_edges()` at a time, and block
+            // ranges pulled a few edges or a few thousand at a time.
+            for input in [Input::Memory, pack(64), pack(65_536)] {
+                let mode = Mode::Sequenced { workers };
+                Case {
+                    input,
+                    mode,
+                    ..case.clone()
                 }
+                .check()
+                .unwrap();
             }
         }
         // Relaxed mode at one worker has no frontier to merge and the whole
@@ -61,7 +69,7 @@ fn every_algorithm_is_bit_identical_across_workers_transports_and_chunks() {
 fn multi_worker_runs_actually_exchange_state() {
     // Sanity that the equivalence above is not vacuous: a 4-worker CLUGP run
     // must route real state traffic through the coordinator.
-    let mode = Mode::sequenced(4);
+    let mode = Mode::Sequenced { workers: 4 };
     let case = Case {
         mode,
         ..Case::new(DistAlgo::clugp(), 1_000, 42)
@@ -152,55 +160,47 @@ fn tracing_records_nothing_when_off_and_changes_no_bits_when_on() {
 fn sequenced_state_traffic_is_bounded_by_touched_keys_not_by_chunk_count() {
     // Every sequenced stage is lent its tables (DESIGN.md §7): the state a
     // turn writes rides the token as one frame, so what the wire carries
-    // follows the keys the ranges touch and never the chunking, and no row is
-    // paged — no run in either mode sends a frame under the retired relay
-    // tags 15 to 18, or under 24, the retired `TurnState`. Counts only —
-    // nothing here is timed.
-    use clugp::ampc::proto::Msg;
+    // follows the keys the ranges touch and never the chunking. A worker
+    // pulls a pack's blocks one at a time, so 64-byte blocks cut its range
+    // into a few edges a pull and 64 KiB ones into thousands. Every verb
+    // sends as many frames at either size. One worker is handed the whole
+    // pack whatever its blocks, so its bytes per verb are the same too;
+    // several workers are handed block ranges, cut where the blocks fall,
+    // and those carry the frontiers and pairs partials of their own ranges.
+    // Counts only — nothing here is timed.
     let (n, edges) = test_web_graph(500, 41);
     let k = 8;
-    let input = DistInput::Edges {
-        num_vertices: n,
-        edges: &edges,
-    };
     let algo = DistAlgo::clugp();
-    let reference = monolith(&algo, n, &edges, k).0;
-    let run = |cfg: DistConfig| {
-        let what = format!("{:?}, {}w/chunk {}", cfg.mode, cfg.workers, cfg.chunk_edges);
-        let out = run_distributed(&algo, input, k, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
-        for tag in (15..=18).chain([24]) {
-            let verb = Msg::verb_name(tag);
-            assert_eq!(out.net.by_verb[tag].frames, 0, "{what} sent {verb}");
-        }
-        (what, out)
-    };
-    let (what, out) = run(relaxed_cfg(2));
-    assert!(!out.partitioning.assignments.is_empty(), "{what}");
+    let canonical = clugp_graph::pack::canonical_order(&edges);
+    let reference = monolith(&algo, n, &canonical, k).0;
+    // One path for every block size, so every `Configure` has one length.
+    let dir = scratch_dir("dist_traffic_by_block");
     for workers in [1u32, 2, 4] {
         let mut traffic = Vec::new();
-        for chunk_edges in [1usize, 64, 4096] {
-            let (what, out) = run(DistConfig {
+        for block_bytes in [64usize, 2048, 65_536] {
+            let path = web_fixture(&dir, pack(block_bytes), 500, 41);
+            let what = format!("{workers}w/{block_bytes}-byte blocks");
+            let cfg = DistConfig {
                 workers,
-                chunk_edges,
                 ..Default::default()
-            });
+            };
+            let out = run_distributed(&algo, DistInput::Pack(&path), k, &cfg)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(out.partitioning.assignments, reference, "{what}: diverged");
-            let per_verb: Vec<_> = out
-                .net
-                .by_verb
-                .iter()
-                .map(|v| (v.bytes, v.frames))
-                .collect();
-            traffic.push((what, per_verb));
+            traffic.push((what, out.net.by_verb));
         }
-        for (what, per_verb) in &traffic[1..] {
-            assert_eq!(
-                per_verb, &traffic[0].1,
-                "{what}: bytes and frames per verb differ from {}",
-                traffic[0].0
-            );
+        for (what, by_verb) in &traffic[1..] {
+            let (first, want) = &traffic[0];
+            for (tag, (got, want)) in by_verb.iter().zip(want).enumerate() {
+                let verb = clugp::ampc::proto::Msg::verb_name(tag);
+                assert_eq!(got.frames, want.frames, "{what}: {verb} frames vs {first}");
+                if workers == 1 {
+                    assert_eq!(got.bytes, want.bytes, "{what}: {verb} bytes vs {first}");
+                }
+            }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -214,14 +214,16 @@ fn clusters_minted_on_one_worker_are_read_on_the_next() {
             vmax_factor,
             ..Default::default()
         });
-        for (workers, chunk_edges) in [(2u32, 0usize), (2, 37), (3, 173)] {
-            let mode = Mode::Sequenced {
-                workers,
-                transport: TransportKind::Channel,
-                chunk_edges,
-            };
+        for (workers, input) in [(2u32, Input::Memory), (2, pack(64)), (3, Input::Memory)] {
+            let mode = Mode::Sequenced { workers };
             let case = Case::new(algo.clone(), 1_500, 45);
-            Case { mode, ..case }.check().unwrap();
+            Case {
+                input,
+                mode,
+                ..case
+            }
+            .check()
+            .unwrap();
         }
     }
 }
@@ -234,11 +236,8 @@ fn pack_input_matches_monolith_on_the_same_pack_stream() {
     for (_, algo) in clugp_roster() {
         for workers in [1u32, 4] {
             let case = Case {
-                input: Input::Pack {
-                    block_bytes: 2048,
-                    prefetch: 0,
-                },
-                mode: Mode::sequenced(workers),
+                input: pack(2048),
+                mode: Mode::Sequenced { workers },
                 ..Case::new(algo.clone(), 1_200, 43)
             };
             case.check().unwrap();
@@ -313,7 +312,7 @@ fn empty_stream_matches_monolith_at_any_worker_count() {
             let case = Case {
                 family: Family::Empty,
                 k: 4,
-                mode: Mode::sequenced(workers),
+                mode: Mode::Sequenced { workers },
                 ..Case::new(algo.clone(), 0, 0)
             };
             case.check().unwrap();
@@ -330,11 +329,7 @@ fn corrupt_pack_is_a_fatal_park_error_not_a_retry() {
     use clugp::ampc::SuperviseConfig;
     use clugp_graph::pack::{crc32, PackedEdgeStream, ShardedPackReader};
 
-    let pack = Input::Pack {
-        block_bytes: 2048,
-        prefetch: 0,
-    };
-    let path = web_fixture(&scratch_dir("dist_corrupt"), pack, 900, 45);
+    let path = web_fixture(&scratch_dir("dist_corrupt"), pack(2048), 900, 45);
     // Flip a payload byte of the middle block; metadata stays valid so the
     // pack opens fine and dies mid-stream, on a worker.
     let reader = ShardedPackReader::open(&path).unwrap();
@@ -397,7 +392,6 @@ fn relaxed_cfg(workers: u32) -> DistConfig {
     DistConfig {
         workers,
         mode: AmpcMode::Relaxed,
-        chunk_edges: 173,
         ..Default::default()
     }
 }
@@ -413,7 +407,8 @@ fn clugp_roster() -> impl Iterator<Item = (&'static str, DistAlgo)> {
 fn relaxed_mode_is_deterministic_and_transport_independent() {
     // Relaxed mode trades bit-identity with the monolith for concurrency,
     // but it must stay a *function* of (algorithm, input, worker count):
-    // repeated runs and both transports yield the same bits.
+    // repeated runs yield the same bits, and so do worker threads over
+    // channels and worker processes over Unix sockets.
     let (n, edges) = test_web_graph(1_500, 46);
     let k = 8;
     for (name, algo) in clugp_roster() {
@@ -438,21 +433,40 @@ fn relaxed_mode_is_deterministic_and_transport_independent() {
             ),
             "{name}: relaxed mode is nondeterministic across identical runs"
         );
-        let unix = run_distributed(
-            &algo,
-            input,
-            k,
-            &DistConfig {
-                transport: TransportKind::Unix,
-                ..relaxed_cfg(4)
-            },
-        )
-        .unwrap_or_else(|e| panic!("{name}: relaxed unix run: {e}"));
-        assert_eq!(
-            first.partitioning.assignments, unix.partitioning.assignments,
-            "{name}: relaxed output depends on the transport"
-        );
     }
+    // The transports are the CLI's: `--transport unix` spawns worker
+    // processes, `channel` hosts worker threads.
+    let Some(exe) = clugp_part_exe() else {
+        eprintln!("skipping the transport leg: clugp-part binary not built");
+        return;
+    };
+    let dir = scratch_dir("dist_relaxed_transports");
+    let graph = web_fixture(&dir, Input::Text, 1_500, 46);
+    let tsv = |transport: &str| {
+        let out = dir.join(format!("{transport}.tsv"));
+        let run = Command::new(&exe)
+            .arg(&graph)
+            .args(["--k", "8", "--algo", "clugp", "--workers", "4"])
+            .args(["--ampc-mode", "relaxed", "--transport", transport])
+            .args(["--socket-dir", &dir.join("socks").to_string_lossy()])
+            .arg("--output")
+            .arg(&out)
+            .output()
+            .expect("spawn clugp-part");
+        assert!(
+            run.status.success(),
+            "{transport}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        std::fs::read(&out).unwrap()
+    };
+    let unix = tsv("unix");
+    assert!(!unix.is_empty(), "the relaxed unix run wrote no TSV");
+    assert!(
+        unix == tsv("channel"),
+        "relaxed output depends on the transport"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -651,11 +665,7 @@ fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
     // partitions that just regained room, used to run off the load array.
     use clugp_graph::pack::ShardedPackReader;
     let (_, edges) = test_web_graph(1_500, 50);
-    let pack = Input::Pack {
-        block_bytes: 8192,
-        prefetch: 0,
-    };
-    let path = web_fixture(&scratch_dir("dist_relaxed_pack"), pack, 1_500, 50);
+    let path = web_fixture(&scratch_dir("dist_relaxed_pack"), pack(8192), 1_500, 50);
     let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
     assert_eq!(blocks % 2, 1, "need an odd block count, got {blocks}");
 

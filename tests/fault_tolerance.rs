@@ -10,7 +10,6 @@
 use clugp::ampc::coordinator::DistAlgo;
 use clugp::ampc::{
     run_distributed, AmpcMode, DistConfig, DistInput, FaultAction, FaultPlan, FaultScript,
-    TransportKind,
 };
 use clugp::error::PartitionError;
 use clugp_repro::{
@@ -209,7 +208,7 @@ fn every_incarnation_faulty_exhausts_retries_into_typed_error() {
     for incarnation in 0..=2 {
         faults.push(1, incarnation, FaultScript::disconnect_at_send(1));
     }
-    let mode = Mode::sequenced(3);
+    let mode = Mode::Sequenced { workers: 3 };
     let case = Case {
         mode,
         faults: Some(faults),
@@ -237,11 +236,12 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     // asserts both). The deadline keeps "terminates" bounded; the test
     // finishing at all is the no-hang assertion. A plan draws its ordinal
     // from the seven frames a link carries behind the handshake, the same
-    // few whatever the chunk: to worker 0 `RunStage`, a cast, `RunStage`, a
-    // cast, `RunStage` (1–5), to a later worker the pass-1 seed ahead of them
-    // (1–6), then `Shutdown`, whose fate nobody waits for; back, traced, the
-    // frontier, then a trace frame and `StageDone` per stage (1–7). Whether
-    // the ordinal names a frame of the flow on that worker's link:
+    // few however a range is cut into chunks: to worker 0 `RunStage`, a
+    // cast, `RunStage`, a cast, `RunStage` (1–5), to a later worker the
+    // pass-1 seed ahead of them (1–6), then `Shutdown`, whose fate nobody
+    // waits for; back, traced, the frontier, then a trace frame and
+    // `StageDone` per stage (1–7). Whether the ordinal names a frame of the
+    // flow on that worker's link:
     let lands = |worker: u32, sent: bool, at: u64| match sent {
         true => at <= 5 + u64::from(worker > 0),
         false => at <= 7,
@@ -251,11 +251,7 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
         let faults = FaultPlan::seeded(seed, 3, 7);
         let (worker, sent, at, action) = seeded_fault(&faults);
         let case = Case {
-            mode: Mode::Sequenced {
-                workers: 3,
-                transport: TransportKind::Channel,
-                chunk_edges: 0,
-            },
+            mode: Mode::Sequenced { workers: 3 },
             faults: Some(faults),
             ..Case::new(DistAlgo::clugp(), 500, 53)
         };
@@ -283,45 +279,6 @@ fn seeded_fault_plans_recover_or_fail_typed_never_hang() {
     assert!(surfaced >= 8, "{surfaced} of 16 plans fired");
 }
 
-/// `algo` over the web graph of `vertices` vertices drawn from `seed`, on
-/// `workers` sequenced workers over `transport` with `faults` armed: the
-/// recovered run, which must equal the monolith's.
-fn recovered(
-    algo: DistAlgo,
-    (vertices, seed): (u64, u64),
-    workers: u32,
-    transport: TransportKind,
-    faults: FaultPlan,
-) -> clugp::ampc::DistOutcome {
-    let case = Case {
-        mode: Mode::Sequenced {
-            workers,
-            transport,
-            chunk_edges: 0,
-        },
-        faults: Some(faults),
-        ..Case::new(algo, vertices, seed)
-    };
-    let out = case.check().unwrap_or_else(|e| panic!("{case:?}: {e}"));
-    let out = out.expect("a sequenced run");
-    assert!(out.recoveries >= 1, "{case:?}: no recovery");
-    out
-}
-
-#[test]
-fn faults_recover_over_unix_sockets_too() {
-    // Same engine, socket framing instead of channels: severing a link
-    // mid-pass recovers bit-identically there as well.
-    let mut faults = FaultPlan::none();
-    faults.push(0, 0, FaultScript::disconnect_at_send(1));
-    let out = recovered(DistAlgo::clugp(), (600, 54), 2, TransportKind::Unix, faults);
-    assert_eq!(
-        first_fault(&out),
-        Some(("pass1".to_string(), 0)),
-        "the severed link must surface in pass 1, worker 0 holding the token"
-    );
-}
-
 #[test]
 fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
     // Relaxed mode is deterministic for a fixed worker count, so crash
@@ -334,7 +291,6 @@ fn relaxed_mode_recovers_to_the_undisturbed_relaxed_result() {
     let cfg = |faults: FaultPlan| DistConfig {
         workers: 3,
         mode: AmpcMode::Relaxed,
-        chunk_edges: 64,
         supervise: supervised(600, 3),
         faults,
         trace: true,
@@ -497,22 +453,20 @@ fn a_crash_in_the_transform_casts_the_vertex_rows_again() {
         edges: &edges,
     };
     let reference = monolith(&DistAlgo::clugp(), n, &edges, k);
-    // (mode, chunk, faulted worker, ordinal of the transform's
-    // `RunStage` among the frames sent to it, the hash to land on). The
-    // relaxed configuration and hash are `distributed_equivalence`'s golden
-    // 2-worker CLUGP row; a relaxed worker, and the first sequenced one, is
+    // (mode, faulted worker, ordinal of the transform's `RunStage` among the
+    // frames sent to it, the hash to land on). The relaxed configuration and
+    // hash are `distributed_equivalence`'s golden 2-worker CLUGP row; a relaxed worker, and the first sequenced one, is
     // sent `Configure`, then a cast and a `RunStage` per read-only stage
     // behind pass 1's `RunStage`.
-    for (mode, chunk_edges, worker, ordinal, want) in [
-        (AmpcMode::Sequenced, 0, 0, 5, assignment_hash(&reference.0)),
-        (AmpcMode::Relaxed, 173, 1, 5, 0x784d_a5bd_8541_5212),
+    for (mode, worker, ordinal, want) in [
+        (AmpcMode::Sequenced, 0, 5, assignment_hash(&reference.0)),
+        (AmpcMode::Relaxed, 1, 5, 0x784d_a5bd_8541_5212),
     ] {
         let mut faults = FaultPlan::none();
         faults.push(worker, 0, FaultScript::disconnect_at_send(ordinal));
         let cfg = DistConfig {
             workers: 2,
             mode,
-            chunk_edges,
             supervise: supervised(600, 2),
             faults,
             trace: true,
@@ -725,14 +679,18 @@ fn crash_recovery_works_with_a_checkpoint_directory() {
 // tests skip with a note instead of failing.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn killed_unix_worker_process_recovers_bit_identically() {
+/// Runs `clugp-part` over the web graph of `vertices` vertices drawn from
+/// `seed` with `workers` worker processes over Unix sockets, worker `w` armed
+/// to die abruptly on its `n`-th received frame (`kill_at` = "w:n"), and
+/// asserts that the run recovers onto the monolith's TSV byte for byte.
+/// Returns its stderr; `None` when the binary is not built.
+fn killed_unix_run(vertices: u64, seed: u64, workers: u32, kill_at: &str) -> Option<String> {
     let Some(exe) = clugp_part_exe() else {
         eprintln!("skipping: clugp-part binary not built");
-        return;
+        return None;
     };
-    let dir = scratch_dir("sigkill");
-    let graph = web_fixture(&dir, Input::Text, 1_200, 58);
+    let dir = scratch_dir(&format!("sigkill-{workers}-{kill_at}"));
+    let graph = web_fixture(&dir, Input::Text, vertices, seed);
     let ref_tsv = dir.join("ref.tsv");
     let kill_tsv = dir.join("kill.tsv");
     let common = |out: &PathBuf| {
@@ -758,21 +716,18 @@ fn killed_unix_worker_process_recovers_bit_identically() {
         String::from_utf8_lossy(&status.stderr)
     );
 
-    // 4 worker processes; worker 1 is armed to die abruptly (SIGABRT, no
-    // goodbye frame — indistinguishable from SIGKILL on the link) on its 3rd
-    // received frame: `Configure`, worker 0's frontier as its seed, and the
-    // `RunStage` that makes the pass-1 turn its own — the one frame it is
-    // sent while it holds it. It says where it died on stderr.
+    // The armed worker dies abruptly (SIGABRT, no goodbye frame —
+    // indistinguishable from SIGKILL on the link) and says where on stderr.
     let out = Command::new(&exe)
         .args(common(&kill_tsv))
-        .args(["--workers", "4", "--transport", "unix"])
+        .args(["--workers", &workers.to_string(), "--transport", "unix"])
         .args(["--socket-dir", &dir.join("socks").to_string_lossy()])
-        .env("CLUGP_AMPC_KILL_AT", "1:3")
+        .env("CLUGP_AMPC_KILL_AT", kill_at)
         .output()
         .expect("spawn clugp-part");
     assert!(
         out.status.success(),
-        "killed-worker run did not recover:\n{}",
+        "{kill_at}: killed-worker run did not recover:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -786,20 +741,48 @@ fn killed_unix_worker_process_recovers_bit_identically() {
                 .ok()
         })
         .unwrap_or_else(|| panic!("no recoveries line in:\n{stdout}"));
-    assert!(recoveries >= 1, "the armed kill never fired:\n{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("kill switch fired: holding the token of ClugpPass1"),
-        "the kill must land in pass 1 with worker 1 streaming:\n{stderr}"
+        recoveries >= 1,
+        "{kill_at}: the armed kill never fired:\n{stdout}"
     );
 
     let reference = std::fs::read(&ref_tsv).expect("reference TSV");
     let recovered = std::fs::read(&kill_tsv).expect("recovered TSV");
     assert_eq!(
         reference, recovered,
-        "recovered multi-process run is not byte-identical to the monolith"
+        "{kill_at}: recovered multi-process run is not byte-identical to the monolith"
     );
     std::fs::remove_dir_all(&dir).ok();
+    Some(String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn faults_recover_over_unix_sockets_too() {
+    // Socket framing instead of channels: worker 0's link dies on the first
+    // frame behind its handshake, the `RunStage` of its pass-1 turn, as
+    // `scripted_faults_recover_bit_identically` severs it over channels.
+    let Some(stderr) = killed_unix_run(600, 54, 2, "0:2") else {
+        return;
+    };
+    assert!(
+        stderr.contains("kill switch fired: holding the token of ClugpPass1"),
+        "the kill must land in pass 1 with worker 0 streaming:\n{stderr}"
+    );
+}
+
+#[test]
+fn killed_unix_worker_process_recovers_bit_identically() {
+    // 4 worker processes; worker 1 dies on its 3rd received frame:
+    // `Configure`, worker 0's frontier as its seed, and the `RunStage` that
+    // makes the pass-1 turn its own — the one frame it is sent while it
+    // holds it.
+    let Some(stderr) = killed_unix_run(1_200, 58, 4, "1:3") else {
+        return;
+    };
+    assert!(
+        stderr.contains("kill switch fired: holding the token of ClugpPass1"),
+        "the kill must land in pass 1 with worker 1 streaming:\n{stderr}"
+    );
 }
 
 /// A worker process reads its block range with every CRC checked: a

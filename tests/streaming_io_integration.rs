@@ -6,7 +6,10 @@ use clugp::clugp::Clugp;
 use clugp::partitioner::Partitioner;
 use clugp_graph::io::binary::{write_binary_graph, FileEdgeStream};
 use clugp_graph::io::edge_list::{write_edge_list, TextEdgeStream};
-use clugp_graph::stream::{collect_stream, EdgeStream, InMemoryStream, TimedStream};
+use clugp_graph::stream::{
+    collect_stream, EdgeStream, InMemoryStream, RestreamableStream, TimedStream,
+};
+use clugp_graph::types::Edge;
 use clugp_repro::{scratch_dir, test_web_graph};
 
 #[test]
@@ -62,27 +65,52 @@ fn timed_stream_measures_file_io() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A stream that counts the edges it lends, across resets.
+struct Counted<S> {
+    inner: S,
+    pulled: u64,
+}
+
+impl<S: EdgeStream> EdgeStream for Counted<S> {
+    fn next_chunk(&mut self, cap: usize) -> &[Edge] {
+        let chunk = self.inner.next_chunk(cap);
+        self.pulled += chunk.len() as u64;
+        chunk
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        self.inner.num_vertices_hint()
+    }
+}
+
+impl<S: RestreamableStream> RestreamableStream for Counted<S> {
+    fn reset(&mut self) -> clugp_graph::Result<()> {
+        self.inner.reset()
+    }
+}
+
 #[test]
 fn three_pass_restreaming_reads_file_three_times() {
     let (n, edges) = test_web_graph(2_000, 25);
     let path = scratch_dir("io_threepass").join("g.bin");
     write_binary_graph(&path, n, &edges).unwrap();
-    // One pass of plain collection for a baseline I/O time.
-    let file = FileEdgeStream::open(&path).unwrap();
-    let mut once = TimedStream::new(file);
-    let _ = collect_stream(&mut once);
-    let one_pass = once.io_time();
-
-    let file = FileEdgeStream::open(&path).unwrap();
-    let mut timed = TimedStream::new(file);
-    let _ = Clugp::default().partition(&mut timed, 8).unwrap();
-    // CLUGP must have consumed the stream three times: its I/O time should
-    // be well above a single pass (use 1.5x to stay robust to cache warmth).
-    assert!(
-        timed.io_time().as_secs_f64() > 1.5 * one_pass.as_secs_f64(),
-        "3-pass io {:?} vs 1-pass {:?}",
-        timed.io_time(),
-        one_pass
+    let mut file = Counted {
+        inner: FileEdgeStream::open(&path).unwrap(),
+        pulled: 0,
+    };
+    let file_run = Clugp::default().partition(&mut file, 8).unwrap();
+    // Clustering, the cluster graph and the transform each read the whole
+    // file once, and nothing else reads it.
+    assert_eq!(file.pulled, 3 * edges.len() as u64, "edges pulled");
+    let mut mem = InMemoryStream::new(n, edges);
+    let mem_run = Clugp::default().partition(&mut mem, 8).unwrap();
+    assert_eq!(
+        file_run.partitioning.assignments,
+        mem_run.partitioning.assignments
     );
     std::fs::remove_file(&path).ok();
 }
