@@ -51,7 +51,6 @@ use crate::clugp::{greedy_assign, solve_game, ClugpConfig, ClusterAssignMode};
 use crate::error::{FaultKind, PartitionError, Result};
 use crate::partition::Partitioning;
 use crate::vertex_table::check_cap;
-use clugp_graph::pack::ShardedPackReader;
 use clugp_obs::{self as obs, TraceRecord};
 use rustc_hash::FxHashMap;
 use std::path::PathBuf;
@@ -743,13 +742,7 @@ fn drive(
                 .collect();
             (num_vertices, edges.len() as u64, specs)
         }
-        DistInput::Pack(path) => {
-            let (n, m) = {
-                let reader = ShardedPackReader::open(path)?;
-                (reader.header().num_vertices, reader.header().num_edges)
-            };
-            (n, m, pack_input_specs(path, workers)?)
-        }
+        DistInput::Pack(path) => pack_input_specs(path, workers)?,
     };
     check_cap("num_vertices hint", n_hint, clugp.max_vertices)?;
     let algo_spec = AlgoSpec {

@@ -6,11 +6,12 @@
 //! [`PartitionError::InvalidParam`] before a worker is spawned or
 //! configured, and the one-pass baselines run as their monoliths.
 //!
-//! * [`worker`] — owns a contiguous range of the edge stream and drives
-//!   the *same per-edge steps as the monolith* against whole, dense
-//!   tables: pass 1, which writes them, is lent them by the turn before;
-//!   a stage that only reads them is cast them.
-//! * [`coordinator`] — splits the stream, sequences passes as barriers,
+//! * [`worker`] — streams a contiguous range of the edges, opened once,
+//!   through the *same per-edge steps as the monolith* against whole,
+//!   dense tables: pass 1, which writes them, is lent them by the turn
+//!   before; a stage that only reads them is cast them.
+//! * [`coordinator`] — splits the stream (a pack by an edge-balanced cut of
+//!   its block index), sequences passes as barriers,
 //!   forwards each turn's state to the next turn, casts read-only tables,
 //!   runs the coordinator-side CLUGP stages (compaction, cluster graph,
 //!   game), and assembles the final [`crate::partition::Partitioning`].
@@ -47,8 +48,9 @@ pub use transport::{channel_pair, NetStats, Transport, UnixTransport, MAX_FRAME_
 pub use worker::run_worker;
 
 use crate::error::{PartitionError, Result};
-use clugp_graph::pack::ShardedPackReader;
+use clugp_graph::pack::{PackIndex, PackedEdgeStream};
 use clugp_graph::types::Edge;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -253,39 +255,161 @@ pub fn split_ranges(total: u64, workers: u32) -> Vec<(u64, u64)> {
     out
 }
 
-/// Builds per-worker [`proto::InputSpec`]s for a pack file, handing each
-/// worker a contiguous block range (padding with empty ranges when the
-/// pack has fewer blocks than workers). Each worker reads its range
-/// serially: the coordinator's CPU count says nothing of a spare core per
-/// worker.
-pub fn pack_input_specs(path: &Path, workers: u32) -> Result<Vec<proto::InputSpec>> {
-    let reader = ShardedPackReader::open(path)?;
-    let shards = reader.shards(workers.max(1) as usize);
-    let spec = |blocks: std::ops::Range<usize>, edges| proto::InputSpec::Pack {
+/// Cuts a pack's blocks into at most `want` contiguous ranges balanced by
+/// edge count, as `(blocks, edges)` covering `total` edges: never an empty
+/// range, and fewer ranges when the pack has fewer blocks than `want`.
+fn block_cut(index: &PackIndex, total: u64, want: usize) -> Vec<(Range<usize>, u64)> {
+    let want = want.max(1);
+    let num_blocks = index.num_blocks();
+    let mut cut = Vec::new();
+    let mut start = 0usize;
+    let mut covered = 0u64;
+    for s in 0..want {
+        if start >= num_blocks {
+            break;
+        }
+        // Edge-count boundary this range should reach (cumulative), so
+        // imbalance never exceeds one block.
+        let boundary = total * (s as u64 + 1) / want as u64;
+        let mut end = start;
+        let mut edges = 0u64;
+        while end < num_blocks && (covered + edges < boundary || end == start) {
+            edges += u64::from(index.entries()[end].edge_count);
+            end += 1;
+        }
+        // The last range sweeps any remainder.
+        if s == want - 1 {
+            while end < num_blocks {
+                edges += u64::from(index.entries()[end].edge_count);
+                end += 1;
+            }
+        }
+        covered += edges;
+        cut.push((start..end, edges));
+        start = end;
+    }
+    cut
+}
+
+/// Opens the pack at `path` once and builds from it per-worker
+/// [`proto::InputSpec`]s, handing each worker a contiguous block range of
+/// [`block_cut`] (padding with empty ranges when the pack has fewer blocks
+/// than workers); returns them after the header's vertex and edge counts.
+/// Each worker reads its range serially: the coordinator's CPU count says
+/// nothing of a spare core per worker.
+fn pack_input_specs(path: &Path, workers: u32) -> Result<(u64, u64, Vec<proto::InputSpec>)> {
+    let pack = PackedEdgeStream::open(path)?;
+    let header = pack.header();
+    let spec = |blocks: Range<usize>, edges| proto::InputSpec::Pack {
         path: path.to_string_lossy().into_owned(),
         block_start: blocks.start as u64,
         block_end: blocks.end as u64,
         edges,
     };
-    let mut specs: Vec<proto::InputSpec> = shards
-        .iter()
-        .map(|s| spec(s.blocks.clone(), s.edges))
-        .collect();
-    let blocks = reader.index().num_blocks();
+    let mut specs: Vec<proto::InputSpec> =
+        block_cut(pack.index(), header.num_edges, workers as usize)
+            .into_iter()
+            .map(|(blocks, edges)| spec(blocks, edges))
+            .collect();
+    let blocks = pack.index().num_blocks();
     specs.resize_with(specs.len().max(workers as usize), || {
         spec(blocks..blocks, 0)
     });
-    Ok(specs)
+    Ok((header.num_vertices, header.num_edges, specs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clugp_graph::pack::{canonical_order, write_pack, PackOptions};
+    use clugp_graph::stream::{collect_stream, EdgeStream, RestreamableStream};
 
     #[test]
     fn ranges_cover_and_balance() {
         assert_eq!(split_ranges(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
         assert_eq!(split_ranges(2, 4), vec![(0, 1), (1, 2), (2, 2), (2, 2)]);
         assert_eq!(split_ranges(0, 2), vec![(0, 0), (0, 0)]);
+    }
+
+    /// Clustered dsts with duplicates and self-loops sprinkled in.
+    fn web_like(m: u32) -> Vec<Edge> {
+        (0..m)
+            .map(|i| {
+                let src = i / 7;
+                let dst = (src + (i * 31) % 17) % (m / 7 + 1);
+                Edge::new(src, dst)
+            })
+            .collect()
+    }
+
+    /// `edges` packed into blocks of `block_bytes`, at `name` under the
+    /// temporary directory, opened whole.
+    fn packed(edges: &[Edge], block_bytes: usize, name: &str) -> PackedEdgeStream {
+        let dir = std::env::temp_dir().join("clugp_ampc_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let opts = PackOptions {
+            block_bytes,
+            ..Default::default()
+        };
+        write_pack(&path, 0, edges, &opts).unwrap();
+        PackedEdgeStream::open(&path).unwrap()
+    }
+
+    #[test]
+    fn sharded_reader_covers_the_pack_exactly_once() {
+        let edges = web_like(5_000);
+        let pack = packed(&edges, 512, "shards.clugpz");
+        let (path, blocks) = (pack.path(), pack.index().num_blocks());
+        let want = canonical_order(&edges);
+        for want_shards in [1usize, 2, 3, 8, 1000] {
+            let cut = block_cut(pack.index(), pack.header().num_edges, want_shards);
+            assert!(!cut.is_empty());
+            assert!(cut.len() <= want_shards);
+            assert!(cut.iter().all(|(b, _)| !b.is_empty()), "no empty shards");
+            // Contiguous cover.
+            assert_eq!(cut[0].0.start, 0);
+            assert_eq!(cut.last().unwrap().0.end, blocks);
+            for w in cut.windows(2) {
+                assert_eq!(w[0].0.end, w[1].0.start);
+            }
+            let mut all = Vec::new();
+            for (range, edges) in &cut {
+                let mut s = PackedEdgeStream::open_blocks(path, range.clone()).unwrap();
+                assert_eq!(s.len_hint(), Some(*edges));
+                let part = collect_stream(&mut s);
+                assert_eq!(part.len() as u64, *edges);
+                all.extend(part);
+            }
+            assert_eq!(all, want, "want_shards={want_shards}");
+        }
+        // The padding ranges of a pack with fewer blocks than workers, and
+        // a range past the end, open as empty streams.
+        for range in [blocks..blocks, blocks..blocks + 3, blocks + 2..blocks + 1] {
+            let mut s = PackedEdgeStream::open_blocks(path, range.clone()).unwrap();
+            assert_eq!(s.len_hint(), Some(0), "{range:?}");
+            assert!(collect_stream(&mut s).is_empty(), "{range:?}");
+            s.reset().unwrap();
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn shards_are_balanced_by_edges() {
+        let edges = web_like(20_000);
+        let pack = packed(&edges, 256, "balance.clugpz");
+        let cut = block_cut(pack.index(), pack.header().num_edges, 4);
+        assert_eq!(cut.len(), 4);
+        let total: u64 = cut.iter().map(|(_, e)| e).sum();
+        assert_eq!(total, edges.len() as u64);
+        let target = total as f64 / 4.0;
+        for s in &cut {
+            // Imbalance bounded by one block (≤ ~128 edges at 256 B).
+            assert!(
+                (s.1 as f64 - target).abs() <= 300.0,
+                "shard {s:?} vs target {target}"
+            );
+        }
+        std::fs::remove_file(pack.path()).ok();
     }
 }

@@ -8,6 +8,10 @@
 //! CLUGP only, so a `Configure` names no algorithm; one that does not decode
 //! is answered with an `Err`.
 //!
+//! The range is one [`RestreamableStream`], opened when `Configure` arrives
+//! (a pack that does not open is answered with an `Err`) and rewound before
+//! and after every stage; a read error the closing `reset` reports fails it.
+//!
 //! No stage pages a row. Every table a stage indexes is held whole, full-size
 //! and dense — same types, same indexing as the monolith — while the edges
 //! stream by (the semi-external pass), and each chunk is stepped as the
@@ -37,8 +41,8 @@ use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::NO_CLUSTER;
 use crate::clugp::stage::{Balancer, Pass1, VertexState, ROW_WIDTH};
 use crate::error::{PartitionError, Result};
-use clugp_graph::pack::ShardedPackReader;
-use clugp_graph::stream::{chunk_edges, EdgeStream};
+use clugp_graph::pack::PackedEdgeStream;
+use clugp_graph::stream::{chunk_edges, InMemoryStream, RestreamableStream};
 use clugp_graph::types::Edge;
 use clugp_obs::{self as obs, Event, EventBuf};
 use std::path::Path;
@@ -74,12 +78,11 @@ fn recv(conn: &mut dyn Transport) -> Result<Msg> {
 /// demand. A fatal stage error is reported to the coordinator as
 /// [`Msg::Err`] before the function returns it.
 pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
-    let setup = match recv(conn.as_mut()) {
-        Ok(Msg::Configure(setup)) => *setup,
-        Ok(Msg::Shutdown) => return Ok(()),
-        Ok(other) => return Err(unexpected(&other)),
-        // A setup that does not decode fails the run; the coordinator hears
-        // why (best effort).
+    let (setup, mut range) = match recv(conn.as_mut()).and_then(configure) {
+        Ok(Some(configured)) => configured,
+        Ok(None) => return Ok(()),
+        // A setup that does not decode, or a range that does not open, fails
+        // the run; the coordinator hears why (best effort).
         Err(e) => {
             let _ = conn.send(&Msg::Err { msg: e.to_string() }.encode());
             return Err(e);
@@ -119,7 +122,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
                 wk.send_msg(&Msg::ResetOk)?;
             }
             Msg::RunStage { stage, token, mode } => {
-                let out = wk.run_stage(stage, token, mode);
+                let out = wk.run_stage(range.as_mut(), stage, token, mode);
                 let (token, assignments, pairs) = wk.reported(out)?;
                 wk.send_msg(&Msg::StageDone {
                     token,
@@ -137,44 +140,29 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
 /// and the CLUGP pairs partial (pairs stage only).
 type StageOut = (Token, PartIds, Option<PairsPayload>);
 
-/// The worker's edge range, reopened for every stage.
-enum Source {
-    Inline { edges: Vec<Edge>, pos: usize },
-    Pack(clugp_graph::pack::PackedEdgeStream),
-}
-
-impl Source {
-    /// Lends the next chunk of up to `chunk_edges()` edges; empty at the end
-    /// of the range. A pack lends from its decoded block, so a chunk never
-    /// spans two blocks.
-    fn next_slice(&mut self) -> &[Edge] {
-        let cap = chunk_edges();
-        match self {
-            Source::Inline { edges, pos } => {
-                let take = cap.min(edges.len() - *pos);
-                *pos += take;
-                &edges[*pos - take..*pos]
-            }
-            Source::Pack(stream) => stream.next_chunk(cap),
-        }
-    }
-
-    /// Edges in the range.
-    fn len(&self) -> u64 {
-        match self {
-            Source::Inline { edges, .. } => edges.len() as u64,
-            Source::Pack(stream) => stream.len_hint().unwrap_or(0),
-        }
-    }
-
-    /// A decode/IO error parked by a pack-backed stream, if any. Inline
-    /// sources cannot fail.
-    fn pack_error(&self) -> Option<&clugp_graph::error::GraphError> {
-        match self {
-            Source::Inline { .. } => None,
-            Source::Pack(stream) => stream.error(),
-        }
-    }
+/// The setup a `Configure` carries and its edge range, opened once for the
+/// incarnation: the inline edges, taken over as they are, or the pack's
+/// block range, validated here. `None` for a `Shutdown`.
+fn configure(msg: Msg) -> Result<Option<(WorkerSetup, Box<dyn RestreamableStream>)>> {
+    let mut setup = match msg {
+        Msg::Configure(setup) => *setup,
+        Msg::Shutdown => return Ok(None),
+        other => return Err(unexpected(&other)),
+    };
+    let empty = InputSpec::Inline { edges: Vec::new() };
+    let range: Box<dyn RestreamableStream> = match std::mem::replace(&mut setup.input, empty) {
+        InputSpec::Inline { edges } => Box::new(InMemoryStream::new(0, edges)),
+        InputSpec::Pack {
+            path,
+            block_start,
+            block_end,
+            ..
+        } => Box::new(PackedEdgeStream::open_blocks(
+            Path::new(&path),
+            block_start as usize..block_end as usize,
+        )?),
+    };
+    Ok(Some((setup, range)))
 }
 
 /// The read-only table mirrors received via [`Msg::TableCast`], as the
@@ -301,71 +289,48 @@ impl Wk {
     /// The next chunk of the stage's edge range as the source lends it; `None`
     /// at the end of the range. The unit of every stage: one heartbeat check,
     /// one `chunk` span.
-    fn lend_chunk<'s>(&mut self, source: &'s mut Source) -> Result<Option<&'s [Edge]>> {
+    fn lend_chunk<'s>(
+        &mut self,
+        range: &'s mut dyn RestreamableStream,
+    ) -> Result<Option<&'s [Edge]>> {
         self.end_chunk_span();
         self.heartbeat()?;
-        let chunk = source.next_slice();
+        let chunk = range.next_chunk(chunk_edges());
         self.begin_chunk_span(chunk.len());
         Ok(Some(chunk).filter(|chunk| !chunk.is_empty()))
     }
 
-    fn open_source(&mut self) -> Result<Source> {
-        let input = std::mem::replace(
-            &mut self.setup.input,
-            InputSpec::Inline { edges: Vec::new() },
-        );
-        match input {
-            InputSpec::Inline { edges } => Ok(Source::Inline { edges, pos: 0 }),
-            InputSpec::Pack {
-                path,
-                block_start,
-                block_end,
-                edges,
-            } => {
-                let reader = ShardedPackReader::open(Path::new(&path))?;
-                let range = block_start as usize..block_end as usize;
-                let source = Source::Pack(reader.open_block_range(range)?);
-                self.setup.input = InputSpec::Pack {
-                    path,
-                    block_start,
-                    block_end,
-                    edges,
-                };
-                Ok(source)
-            }
-        }
-    }
-
-    fn restore_source(&mut self, source: Source) {
-        if let Source::Inline { edges, .. } = source {
-            self.setup.input = InputSpec::Inline { edges };
-        }
-    }
-
-    fn run_stage(&mut self, stage: Stage, token: Token, mode: AmpcMode) -> Result<StageOut> {
+    fn run_stage(
+        &mut self,
+        range: &mut dyn RestreamableStream,
+        stage: Stage,
+        token: Token,
+        mode: AmpcMode,
+    ) -> Result<StageOut> {
         let relaxed = mode == AmpcMode::Relaxed;
         self.chunk_ts = 0;
         self.chunk_edges = 0;
         let t_stage = if self.setup.trace { obs::now_us() } else { 0 };
-        let mut source = self.open_source()?;
+        range.reset()?;
         // The mirrors are lent to the stage, which sends through `self`.
         let casts = std::mem::take(&mut self.casts);
-        let mut out = match stage {
-            Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, &mut source),
+        let out = match stage {
+            Stage::ClugpPass1 { vmax } => self.stage_clugp_pass1(vmax, token, range),
             Stage::ClugpPairs { num_clusters } => {
-                self.stage_clugp_pairs(num_clusters, token, &mut source, &casts)
+                self.stage_clugp_pairs(num_clusters, token, range, &casts)
             }
             Stage::ClugpTransform { lmax } => {
-                self.stage_clugp_transform(lmax, token, &mut source, relaxed, &casts)
+                self.stage_clugp_transform(lmax, token, range, relaxed, &casts)
             }
         };
         self.casts = casts;
-        if out.is_ok() {
-            if let Some(e) = source.pack_error() {
-                out = Err(PartitionError::InvalidParam(format!("pack stream: {e}")));
-            }
-        }
-        self.restore_source(source);
+        // Rewinds for the next stage, and reports a read error that ended
+        // this one's range early.
+        let closed = range.reset();
+        let out = out.and_then(|out| {
+            closed.map_err(|e| PartitionError::InvalidParam(format!("pack stream: {e}")))?;
+            Ok(out)
+        });
         if self.setup.trace && out.is_ok() {
             self.obs
                 .push(Event::span_since(stage_name(&stage), t_stage, 0));
@@ -426,7 +391,7 @@ impl Wk {
         &mut self,
         vmax: u64,
         mut token: Token,
-        source: &mut Source,
+        range: &mut dyn RestreamableStream,
     ) -> Result<StageOut> {
         let spec = &self.setup.algo;
         let (splitting, migration) = (spec.splitting, spec.migration);
@@ -449,7 +414,7 @@ impl Wk {
             splitting,
             migration,
         };
-        while let Some(chunk) = self.lend_chunk(source)? {
+        while let Some(chunk) = self.lend_chunk(range)? {
             for &e in chunk {
                 pass.step(e)?;
             }
@@ -476,12 +441,12 @@ impl Wk {
         &mut self,
         num_clusters: u64,
         token: Token,
-        source: &mut Source,
+        range: &mut dyn RestreamableStream,
         casts: &Casts,
     ) -> Result<StageOut> {
         let vertices = cast(&casts.vertices, T_MAIN)?;
-        let mut sink = PairSink::new(num_clusters as usize, source.len());
-        while let Some(chunk) = self.lend_chunk(source)? {
+        let mut sink = PairSink::new(num_clusters as usize, range.len_hint().unwrap_or(0));
+        while let Some(chunk) = self.lend_chunk(range)? {
             for &e in chunk {
                 sink.push(e, vertices)?;
             }
@@ -512,7 +477,7 @@ impl Wk {
         &mut self,
         lmax: u64,
         mut token: Token,
-        source: &mut Source,
+        range: &mut dyn RestreamableStream,
         relaxed: bool,
         casts: &Casts,
     ) -> Result<StageOut> {
@@ -532,7 +497,7 @@ impl Wk {
         let mut placed: u64 = balancer.loads.iter().sum();
         let mut assignments = PartIds::for_k(k);
         let mut wide = Vec::new();
-        while let Some(chunk) = self.lend_chunk(source)? {
+        while let Some(chunk) = self.lend_chunk(range)? {
             wide.clear();
             for &e in chunk {
                 if relaxed && placed == u64::from(k) * balancer.lmax {

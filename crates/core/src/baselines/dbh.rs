@@ -7,8 +7,9 @@
 //! (the streaming adaptation; the original assumes a degree oracle). One
 //! fixed seed, as the paper runs every competitor at its default settings.
 
-use super::kernel::{run_local, EdgeKernel, SharedTable};
+use super::kernel::{run_local, EdgeKernel};
 use crate::error::Result;
+use crate::memory::MemoryReport;
 use crate::partition::PartitionRun;
 use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
@@ -34,11 +35,11 @@ impl DbhKernel {
 }
 
 impl EdgeKernel for DbhKernel {
-    const TABLES: usize = 1;
     const READS_LOADS: bool = false;
 
-    fn table(&mut self, _slot: usize) -> &mut dyn SharedTable {
-        &mut self.degree
+    fn report_tables(&self, memory: &mut MemoryReport) -> u64 {
+        memory.add("degrees", self.degree.memory_bytes());
+        self.degree.len()
     }
 
     /// Bumps partial degrees and hashes the lower-degree endpoint (cutting

@@ -15,8 +15,9 @@
 //! uses), bit-identical to the published scan of `0..k`, which `step` keeps
 //! for loads too large to pack into a class key.
 
-use super::kernel::{run_local, EdgeKernel, SharedTable};
+use super::kernel::{run_local, EdgeKernel};
 use crate::error::Result;
+use crate::memory::MemoryReport;
 use crate::partition::PartitionRun;
 use crate::partitioner::Partitioner;
 use crate::state::{key_load, key_partition, PartitionLoads, ReplicaTable, NO_MEMBER};
@@ -40,11 +41,11 @@ impl GreedyKernel {
 }
 
 impl EdgeKernel for GreedyKernel {
-    const TABLES: usize = 1;
     const READS_LOADS: bool = true;
 
-    fn table(&mut self, _slot: usize) -> &mut dyn SharedTable {
-        &mut self.replicas
+    fn report_tables(&self, memory: &mut MemoryReport) -> u64 {
+        memory.add("replica-table", self.replicas.memory_bytes());
+        self.replicas.num_vertices()
     }
 
     /// The four-case PowerGraph rule over the replica table and loads,

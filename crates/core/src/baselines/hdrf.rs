@@ -77,8 +77,9 @@
 //! drift apart in operation order. An edge met while a load is at or above
 //! 2^44 − 1, where the key no longer packs, is decided by the scan itself.
 
-use super::kernel::{run_local, EdgeKernel, SharedTable};
+use super::kernel::{run_local, EdgeKernel};
 use crate::error::Result;
+use crate::memory::MemoryReport;
 use crate::partition::PartitionRun;
 use crate::partitioner::Partitioner;
 use crate::state::{class_key, key_load, key_partition, PartitionLoads, ReplicaTable, NO_MEMBER};
@@ -275,14 +276,12 @@ fn pick_by_class(
 }
 
 impl EdgeKernel for HdrfKernel {
-    const TABLES: usize = 2;
     const READS_LOADS: bool = true;
 
-    fn table(&mut self, slot: usize) -> &mut dyn SharedTable {
-        match slot {
-            0 => &mut self.replicas,
-            _ => &mut self.degree,
-        }
+    fn report_tables(&self, memory: &mut MemoryReport) -> u64 {
+        memory.add("replica-table", self.replicas.memory_bytes());
+        memory.add("degrees", self.degree.memory_bytes());
+        self.replicas.num_vertices().max(self.degree.len())
     }
 
     /// Picks the partition the full scan would pick and inserts both

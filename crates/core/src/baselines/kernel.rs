@@ -2,9 +2,9 @@
 //!
 //! Hashing, DBH, Greedy and HDRF all have the same shape: per edge,
 //! read a little per-vertex state plus the load vector, pick a partition,
-//! update. An [`EdgeKernel`] states exactly that — which vertex tables it
-//! keeps ([`SharedTable`]: what the run reports of each), whether it reads
-//! the loads, and its per-edge `step` — and one generic driver,
+//! update. An [`EdgeKernel`] states exactly that — what the run reports of
+//! the vertex tables it keeps, whether it reads the loads, and its
+//! per-edge `step` — and one generic driver,
 //! monomorphised over the kernel, runs it: [`run_local`], the monolithic
 //! `Partitioner::partition` of every baseline.
 
@@ -12,50 +12,20 @@ use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{finish_run, start_run};
-use crate::state::{PartitionLoads, ReplicaTable};
-use crate::vertex_table::VertexTable;
+use crate::state::PartitionLoads;
 use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
 use clugp_graph::types::Edge;
 
-/// A per-vertex table a kernel keeps, as [`run_local`] reads it at the end
-/// of a run.
-pub(crate) trait SharedTable {
-    /// One past the highest ensured vertex id.
-    fn len(&self) -> u64;
-    /// Adds the table's heap footprint to `memory` under its name.
-    fn report(&self, memory: &mut MemoryReport);
-}
-
-/// Partial degrees.
-impl SharedTable for VertexTable<u32> {
-    fn len(&self) -> u64 {
-        VertexTable::len(self)
-    }
-    fn report(&self, memory: &mut MemoryReport) {
-        memory.add("degrees", self.memory_bytes());
-    }
-}
-
-/// Replica masks.
-impl SharedTable for ReplicaTable {
-    fn len(&self) -> u64 {
-        self.num_vertices()
-    }
-    fn report(&self, memory: &mut MemoryReport) {
-        memory.add("replica-table", self.memory_bytes());
-    }
-}
-
 /// A one-pass streaming baseline, reduced to what differs between them.
 pub(crate) trait EdgeKernel {
-    /// Number of vertex tables, in slots `0..TABLES`.
-    const TABLES: usize = 0;
     /// Whether `step` reads `loads` (the memory report then counts them).
     const READS_LOADS: bool;
 
-    /// The shared table in `slot`.
-    fn table(&mut self, slot: usize) -> &mut dyn SharedTable {
-        unreachable!("kernel declares no table slot {slot}")
+    /// Adds the heap footprint of each vertex table the kernel keeps to
+    /// `memory`, under its name, and returns one past the highest vertex id
+    /// the tables cover (0 for a kernel without tables).
+    fn report_tables(&self, _memory: &mut MemoryReport) -> u64 {
+        0
     }
 
     /// Places one edge: grows the tables to cover it, updates them, and
@@ -97,12 +67,7 @@ pub(crate) fn run_local<K: EdgeKernel>(
     })?;
     finish_run(stream, m, assignments.len())?;
     let mut memory = MemoryReport::new();
-    let mut num_vertices = n;
-    for slot in 0..K::TABLES {
-        let table = kernel.table(slot);
-        table.report(&mut memory);
-        num_vertices = num_vertices.max(table.len());
-    }
+    let num_vertices = n.max(kernel.report_tables(&mut memory));
     if K::READS_LOADS {
         memory.add("loads", loads.memory_bytes());
     }

@@ -90,11 +90,6 @@ impl<'g> Engine<'g> {
         let mut stats = ExecutionStats::default();
 
         for _ in 0..program.max_supersteps() {
-            let t_step = if clugp_obs::enabled() {
-                clugp_obs::now_us()
-            } else {
-                0
-            };
             let mut step = SuperstepStats::new(g.k);
             // Merged accumulators per global vertex, in deterministic
             // machine order.
@@ -129,11 +124,9 @@ impl<'g> Engine<'g> {
             }
 
             // Apply at masters; sync changed values to mirrors.
-            let mut changed = 0u64;
             for v in 0..n {
                 let new = program.apply(v as u32, &values[v], accums[v].take(), &self.ctx[v]);
                 if new != values[v] {
-                    changed += 1;
                     let master = g.master_of[v];
                     if master != NOT_LOCAL {
                         // One sync message per mirror replica.
@@ -146,9 +139,6 @@ impl<'g> Engine<'g> {
                 if master != NOT_LOCAL {
                     step.apply_vertices[master as usize] += 1;
                 }
-            }
-            if clugp_obs::enabled() {
-                clugp_obs::record_span("superstep", t_step, changed);
             }
             stats.supersteps.push(step);
         }

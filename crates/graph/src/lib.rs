@@ -28,9 +28,8 @@
 //! * [`pack`] — `CLUGPZ`, the block-compressed on-disk graph storage layer:
 //!   varint + gap encoding in independently decodable checksummed blocks
 //!   with a trailing index, a bounded-memory external-sort writer, a
-//!   chunked [`pack::PackedEdgeStream`] reader, and
-//!   [`pack::ShardedPackReader`] for parallel shard streaming (see
-//!   DESIGN.md §6).
+//!   chunked [`pack::PackedEdgeStream`] reader over a whole pack or a block
+//!   range of one (see DESIGN.md §6).
 //! * [`analysis`] — degree distributions, power-law exponent estimation,
 //!   connected components.
 //! * [`sampling`] — nested edge samples (Figure 5's sampled UK graphs).
@@ -68,6 +67,6 @@ pub mod types;
 pub use csr::CsrGraph;
 pub use error::{GraphError, Result};
 pub use idmap::{IdMap, RawEdgeStream, RawInMemoryStream, RemappedStream};
-pub use pack::{PackedEdgeStream, ShardedPackReader};
+pub use pack::PackedEdgeStream;
 pub use stream::{EdgeStream, InMemoryStream, RestreamableStream};
 pub use types::{Edge, ExternalId, RawEdge, VertexId};

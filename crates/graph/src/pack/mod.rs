@@ -6,8 +6,8 @@
 //! representation ~20–50× larger than what production systems store. This
 //! module is the missing storage layer: a compressed, block-indexed edge
 //! pack that any chunked consumer streams through the standard
-//! [`EdgeStream`] ABI — bit-identically to the flat formats — and that a
-//! thread pool can read in parallel shards through the block index.
+//! [`EdgeStream`] ABI — bit-identically to the flat formats — whole or a
+//! block range at a time, through the block index.
 //!
 //! The module is layered:
 //!
@@ -47,7 +47,7 @@
 //! On the site-structured web analogues this lands at ~2–3 B/edge (the
 //! committed `results/BENCH_io.json` has the measured numbers) versus the
 //! flat format's fixed 8. Every block starts with absolute coordinates, so
-//! blocks decode independently — the property the sharded reader, the
+//! blocks decode independently — the property block-range streams, the
 //! decode pipeline, and `reset` all lean on. A source's destination list
 //! may span blocks; the continuation block simply re-encodes the source
 //! absolutely.
@@ -58,8 +58,8 @@
 //! [`EdgeStream`] and writes the same bytes for every order. While sources
 //! ascend (a CSR dump, an adjacency-list file, a re-pack) it streams: each
 //! adjacency list is sorted by `dst` once the next source starts and goes
-//! straight to the block encoder, which runs on a second thread where the
-//! process may use two CPUs — one pass, holding one list and two batches.
+//! straight to the block encoder, which runs on a second thread — one
+//! pass, holding one list and two batches.
 //! The first descent, or a list longer than [`PackOptions::spill_edges`],
 //! hands the rest over to a classic external sort: buffers of at most
 //! `spill_edges` edges, each sorted on every CPU the process may use and
@@ -78,9 +78,9 @@
 //! [`PipelinedPackStream`] is its decode-ahead twin: same chunk
 //! sequence, decode on one more thread, opened by
 //! [`crate::io::open_edge_stream`] wherever a second CPU is there.
-//! [`ShardedPackReader`] splits the block range into per-thread shards
-//! balanced by edge count; each shard is its own serial stream over a
-//! private file handle.
+//! [`PackedEdgeStream::open_blocks`] streams a block range alone, over a
+//! file handle of its own: each worker of the coordinator/worker engine
+//! reads its range so.
 //!
 //! Integrity: every reader that feeds a partitioner validates the header,
 //! index, and footer checksums at open and block payloads as they stream
@@ -110,7 +110,6 @@ use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// Magic bytes opening a `CLUGPZ` file (version 1).
@@ -124,7 +123,7 @@ const INDEX_ENTRY_LEN: usize = 32;
 
 /// Default target payload bytes per block: large enough to amortize the
 /// per-block seek + checksum to noise, small enough that a block's decoded
-/// edges stay cache-resident and shard boundaries stay fine-grained.
+/// edges stay cache-resident and block ranges stay fine-grained.
 pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Default in-memory sort buffer of the external-sort writer, in edges
@@ -219,7 +218,7 @@ impl BlockEntry {
     }
 }
 
-/// The validated block index of an open pack (shared by sharded readers).
+/// The validated block index of an open pack.
 #[derive(Debug, Clone, Default)]
 pub struct PackIndex {
     entries: Vec<BlockEntry>,
@@ -788,34 +787,21 @@ impl Drop for Scratch {
 /// second CPU busy for a while, few enough to stay in its caches.
 const STREAM_BATCH: usize = 64 * 1024;
 
-/// The block encoder of a pack being written: inline at width one, else on
-/// a scoped thread beside the caller, which hands it one batch of sorted
-/// edges at a time and fills the next into the other of two buffers
-/// meanwhile.
-enum Encoder<'scope> {
-    Inline {
-        enc: PackEncoder,
-        spare: Vec<Edge>,
-    },
-    Thread {
-        to: SyncSender<Vec<Edge>>,
-        back: Receiver<Vec<Edge>>,
-        spare: Vec<Edge>,
-        /// Edges of the batch the thread holds, if it holds one.
-        in_flight: Option<usize>,
-        /// Taken only to report the error the thread stopped on.
-        thread: Option<ScopedJoinHandle<'scope, Result<PackEncoder>>>,
-    },
+/// The block encoder of a pack being written, on a scoped thread beside
+/// the caller, which hands it one batch of sorted edges at a time and fills
+/// the next into the other of two buffers meanwhile.
+struct Encoder<'scope> {
+    to: SyncSender<Vec<Edge>>,
+    back: Receiver<Vec<Edge>>,
+    spare: Vec<Edge>,
+    /// Edges of the batch the thread holds, if it holds one.
+    in_flight: Option<usize>,
+    /// Taken only to report the error the thread stopped on.
+    thread: Option<ScopedJoinHandle<'scope, Result<PackEncoder>>>,
 }
 
 impl<'scope> Encoder<'scope> {
-    fn new(enc: PackEncoder, width: usize, scope: &'scope Scope<'scope, '_>) -> Self {
-        if width < 2 {
-            return Encoder::Inline {
-                enc,
-                spare: Vec::new(),
-            };
-        }
+    fn new(enc: PackEncoder, scope: &'scope Scope<'scope, '_>) -> Self {
         let (to, batches) = sync_channel::<Vec<Edge>>(1);
         let (give_back, back) = channel();
         let thread = scope.spawn(move || -> Result<PackEncoder> {
@@ -829,7 +815,7 @@ impl<'scope> Encoder<'scope> {
             obs::record_span("pack:encode", start, enc.encoded());
             Ok(enc)
         });
-        Encoder::Thread {
+        Encoder {
             to,
             back,
             spare: Vec::new(),
@@ -840,25 +826,16 @@ impl<'scope> Encoder<'scope> {
 
     /// Edges of the batch the thread holds.
     fn in_flight(&self) -> usize {
-        match self {
-            Encoder::Inline { .. } => 0,
-            Encoder::Thread { in_flight, .. } => in_flight.unwrap_or(0),
-        }
+        self.in_flight.unwrap_or(0)
     }
 
     /// Waits for the thread to give back the buffer of the batch it holds.
     fn reclaim(&mut self) -> Result<()> {
-        if let Encoder::Thread {
-            back,
-            spare,
-            in_flight: in_flight @ Some(_),
-            ..
-        } = self
-        {
-            match back.recv() {
+        if self.in_flight.is_some() {
+            match self.back.recv() {
                 Ok(buffer) => {
-                    *spare = buffer;
-                    *in_flight = None;
+                    self.spare = buffer;
+                    self.in_flight = None;
                 }
                 Err(_) => return Err(self.failure()),
             }
@@ -869,53 +846,35 @@ impl<'scope> Encoder<'scope> {
     /// An empty buffer to fill.
     fn spare(&mut self) -> Result<Vec<Edge>> {
         self.reclaim()?;
-        let (Encoder::Inline { spare, .. } | Encoder::Thread { spare, .. }) = self;
-        Ok(std::mem::take(spare))
+        Ok(std::mem::take(&mut self.spare))
     }
 
     /// Encodes `batch`, sorted edges that follow every batch before it.
-    fn encode(&mut self, mut batch: Vec<Edge>) -> Result<()> {
+    fn encode(&mut self, batch: Vec<Edge>) -> Result<()> {
         self.reclaim()?;
-        match self {
-            Encoder::Inline { enc, spare } => {
-                enc.push_run(&batch)?;
-                batch.clear();
-                *spare = batch;
-            }
-            Encoder::Thread { to, in_flight, .. } => {
-                let edges = batch.len();
-                if to.send(batch).is_err() {
-                    return Err(self.failure());
-                }
-                *in_flight = Some(edges);
-            }
+        let edges = batch.len();
+        if self.to.send(batch).is_err() {
+            return Err(self.failure());
         }
+        self.in_flight = Some(edges);
         Ok(())
     }
 
     /// The error the encoder thread stopped on.
     fn failure(&mut self) -> GraphError {
-        if let Encoder::Thread { thread, .. } = self {
-            match thread.take().map(ScopedJoinHandle::join) {
-                Some(Ok(Err(e))) => return e,
-                Some(Err(panic)) => std::panic::resume_unwind(panic),
-                _ => {}
-            }
+        match self.thread.take().map(ScopedJoinHandle::join) {
+            Some(Ok(Err(e))) => e,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            _ => GraphError::Io(std::io::Error::other("the pack encoder stopped early")),
         }
-        GraphError::Io(std::io::Error::other("the pack encoder stopped early"))
     }
 
     /// The encoder, every batch handed to it encoded.
     fn finish(self) -> Result<PackEncoder> {
-        match self {
-            Encoder::Inline { enc, .. } => Ok(enc),
-            Encoder::Thread { to, thread, .. } => {
-                drop(to);
-                match thread.expect("taken only on failure").join() {
-                    Ok(enc) => enc,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
+        drop(self.to);
+        match self.thread.expect("taken only on failure").join() {
+            Ok(enc) => enc,
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 }
@@ -1026,9 +985,9 @@ impl Gather {
 ///
 /// The stream may yield edges in any order. While sources ascend, each
 /// adjacency list is sorted by `dst` as the next source starts and goes
-/// straight to the block encoder, which runs on a second thread where the
-/// process may use two CPUs: a source-ascending input packs in one pass,
-/// holding one list and two batches. The first descent, or a list longer
+/// straight to the block encoder, which runs on a second thread: a
+/// source-ascending input packs in one pass, holding one list and two
+/// batches. The first descent, or a list longer
 /// than [`PackOptions::spill_edges`], hands the rest over to an external
 /// sort — buffers of at most `spill_edges` edges, each sorted on every CPU
 /// and spilled as a run — which merges the blocks already encoded back in
@@ -1051,18 +1010,6 @@ pub fn pack_edge_stream(
     path: &Path,
     opts: &PackOptions,
 ) -> Result<PackStats> {
-    // Every CPU the process may use works: `taskset -c 0` gives one.
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    pack_at_width(stream, path, opts, width)
-}
-
-/// [`pack_edge_stream`] on `width` threads.
-fn pack_at_width(
-    stream: &mut dyn EdgeStream,
-    path: &Path,
-    opts: &PackOptions,
-    width: usize,
-) -> Result<PackStats> {
     // The rename at the end would replace a device or a directory there.
     if path.metadata().is_ok_and(|m| !m.is_file()) {
         return Err(GraphError::Io(std::io::Error::other(format!(
@@ -1070,13 +1017,15 @@ fn pack_at_width(
             path.display()
         ))));
     }
+    // Every CPU the process may use sorts: `taskset -c 0` gives one.
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     let spill_cap = opts.spill_edges.max(1);
     let mut scratch = Scratch::new(path);
     let mut buffer: Vec<Edge> = Vec::new();
     let (mut drained, mut max_id) = (0u64, 0u32);
     let (enc, spill_runs) = std::thread::scope(|scope| -> Result<(PackEncoder, usize)> {
         let (t_stream, mut t_drain) = (obs::now_us(), 0);
-        let enc = Encoder::new(create_pack(&scratch.pack(), opts)?, width, scope);
+        let enc = Encoder::new(create_pack(&scratch.pack(), opts)?, scope);
         let mut streaming = Some((Gather::new(spill_cap), enc));
         crate::stream::try_for_each_chunk(stream, chunk_edges(), |mut chunk| -> Result<()> {
             drained += chunk.len() as u64;
@@ -1127,7 +1076,7 @@ fn pack_at_width(
                 sort_canonical(&mut buffer, width);
                 obs::record_span("pack:drain_spill", t_drain, drained);
                 let t_merge = obs::now_us();
-                let merged = merge_encode(&scratch, buffer, opts, width, scope)?;
+                let merged = merge_encode(&scratch, buffer, opts, scope)?;
                 obs::record_span("pack:merge_encode", t_merge, drained);
                 Ok(merged)
             }
@@ -1146,13 +1095,12 @@ fn pack_at_width(
 
 /// The second half of a handed-over [`pack_edge_stream`]: merges the runs
 /// of `scratch` — the streamed prefix first — and the sorted in-memory
-/// `tail` into a new pack file, encoded beside the merge at `width` ≥ 2 as
-/// the streamed prefix was. Returns the encoder and the spill-run count.
+/// `tail` into a new pack file, encoded beside the merge as the streamed
+/// prefix was. Returns the encoder and the spill-run count.
 fn merge_encode<'scope>(
     scratch: &Scratch,
     tail: Vec<Edge>,
     opts: &PackOptions,
-    width: usize,
     scope: &'scope Scope<'scope, '_>,
 ) -> Result<(PackEncoder, usize)> {
     let mut bytes = Vec::new();
@@ -1174,7 +1122,7 @@ fn merge_encode<'scope>(
     if !tail.is_empty() {
         runs.push(Run::in_memory(tail));
     }
-    let mut enc = Encoder::new(create_pack(&scratch.pack(), opts)?, width, scope);
+    let mut enc = Encoder::new(create_pack(&scratch.pack(), opts)?, scope);
     let batch_edges = STREAM_BATCH.min(opts.spill_edges.max(1));
     let mut batch = Vec::new();
     merge_runs(runs, &mut bytes, |edges| {
@@ -1392,11 +1340,11 @@ pub struct PackedEdgeStream {
     file: File,
     path: PathBuf,
     header: PackHeader,
-    index: Arc<PackIndex>,
+    index: PackIndex,
     policy: ChecksumPolicy,
     blocks: Range<usize>,
     next_block: usize,
-    shard_edges: u64,
+    range_edges: u64,
     decoded: Vec<Edge>,
     pos: usize,
     raw: Vec<u8>,
@@ -1412,41 +1360,36 @@ impl PackedEdgeStream {
 
     /// Opens `path` under an explicit checksum policy.
     pub fn open_with(path: &Path, policy: ChecksumPolicy) -> Result<Self> {
-        let (file, header, index) = open_validated(path, policy)?;
-        let blocks = 0..index.num_blocks();
-        Ok(Self::over_range(
-            file,
-            path.to_path_buf(),
-            header,
-            Arc::new(index),
-            blocks,
-            policy,
-        ))
+        Self::open_range(path, policy, 0..usize::MAX)
     }
 
-    fn over_range(
-        file: File,
-        path: PathBuf,
-        header: PackHeader,
-        index: Arc<PackIndex>,
-        blocks: Range<usize>,
-        policy: ChecksumPolicy,
-    ) -> Self {
-        let shard_edges = index.edges_in(blocks.clone());
-        PackedEdgeStream {
+    /// Opens the blocks `blocks` of `path` as a stream of their own,
+    /// validating the pack once and checking every CRC
+    /// ([`ChecksumPolicy::Full`]). The range is clamped to the pack's
+    /// blocks, so a range at or past the end streams nothing.
+    pub fn open_blocks(path: &Path, blocks: Range<usize>) -> Result<Self> {
+        Self::open_range(path, ChecksumPolicy::Full, blocks)
+    }
+
+    fn open_range(path: &Path, policy: ChecksumPolicy, blocks: Range<usize>) -> Result<Self> {
+        let (file, header, index) = open_validated(path, policy)?;
+        let num_blocks = index.num_blocks();
+        let start = blocks.start.min(num_blocks);
+        let blocks = start..blocks.end.min(num_blocks).max(start);
+        Ok(PackedEdgeStream {
             file,
-            path,
+            path: path.to_path_buf(),
             header,
+            range_edges: index.edges_in(blocks.clone()),
             index,
             policy,
             next_block: blocks.start,
             blocks,
-            shard_edges,
             decoded: Vec::new(),
             pos: 0,
             raw: Vec::new(),
             error: None,
-        }
+        })
     }
 
     /// The file this stream reads from.
@@ -1459,7 +1402,7 @@ impl PackedEdgeStream {
         &self.header
     }
 
-    /// The block index (shared across shards of the same pack).
+    /// The validated block index.
     pub fn index(&self) -> &PackIndex {
         &self.index
     }
@@ -1518,7 +1461,7 @@ impl EdgeStream for PackedEdgeStream {
     }
 
     fn len_hint(&self) -> Option<u64> {
-        Some(self.shard_edges)
+        Some(self.range_edges)
     }
 
     fn num_vertices_hint(&self) -> Option<u64> {
@@ -1542,126 +1485,6 @@ impl RestreamableStream for PackedEdgeStream {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedPackReader.
-// ---------------------------------------------------------------------------
-
-/// A contiguous block range of a pack, sized for one reader thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Block range of this shard.
-    pub blocks: Range<usize>,
-    /// Edges the range covers.
-    pub edges: u64,
-}
-
-/// Splits a pack into per-thread block ranges via the index, so a thread
-/// pool can stream shards in parallel — each shard is an independent
-/// [`PackedEdgeStream`] over its own file handle, every CRC checked.
-#[derive(Debug)]
-pub struct ShardedPackReader {
-    path: PathBuf,
-    header: PackHeader,
-    index: Arc<PackIndex>,
-}
-
-impl ShardedPackReader {
-    /// Opens and validates `path` once; shards share the parsed index.
-    pub fn open(path: &Path) -> Result<Self> {
-        let (_, header, index) = open_validated(path, ChecksumPolicy::Full)?;
-        Ok(ShardedPackReader {
-            path: path.to_path_buf(),
-            header,
-            index: Arc::new(index),
-        })
-    }
-
-    /// The validated header.
-    pub fn header(&self) -> &PackHeader {
-        &self.header
-    }
-
-    /// The block index.
-    pub fn index(&self) -> &PackIndex {
-        &self.index
-    }
-
-    /// Cuts the block range into at most `want` contiguous shards balanced
-    /// by edge count (never returns an empty shard; fewer shards come back
-    /// when the pack has fewer blocks than `want`).
-    pub fn shards(&self, want: usize) -> Vec<ShardSpec> {
-        let want = want.max(1);
-        let total = self.header.num_edges;
-        let num_blocks = self.index.num_blocks();
-        let mut specs = Vec::new();
-        let mut start = 0usize;
-        let mut covered = 0u64;
-        for s in 0..want {
-            if start >= num_blocks {
-                break;
-            }
-            // Edge-count boundary this shard should reach (cumulative), so
-            // imbalance never exceeds one block.
-            let boundary = total * (s as u64 + 1) / want as u64;
-            let mut end = start;
-            let mut edges = 0u64;
-            while end < num_blocks && (covered + edges < boundary || end == start) {
-                edges += u64::from(self.index.entries()[end].edge_count);
-                end += 1;
-            }
-            // The last shard sweeps any remainder.
-            if s == want - 1 {
-                while end < num_blocks {
-                    edges += u64::from(self.index.entries()[end].edge_count);
-                    end += 1;
-                }
-            }
-            covered += edges;
-            specs.push(ShardSpec {
-                blocks: start..end,
-                edges,
-            });
-            start = end;
-        }
-        specs
-    }
-
-    /// Builds the [`ShardSpec`] for an explicit block range — the handle a
-    /// distributed worker is assigned by its coordinator (as opposed to
-    /// [`ShardedPackReader::shards`], which picks ranges itself). The range
-    /// is clamped to the pack's block count; the edge count comes from the
-    /// index.
-    pub fn block_range(&self, blocks: Range<usize>) -> ShardSpec {
-        let num_blocks = self.index.num_blocks();
-        let start = blocks.start.min(num_blocks);
-        let end = blocks.end.min(num_blocks).max(start);
-        let edges = self.index.entries()[start..end]
-            .iter()
-            .map(|b| u64::from(b.edge_count))
-            .sum();
-        ShardSpec {
-            blocks: start..end,
-            edges,
-        }
-    }
-
-    /// Opens a block range as an independent stream, every CRC checked:
-    /// the range is clamped as [`ShardedPackReader::block_range`] clamps
-    /// it, and the stream has its own file handle, so shards decode
-    /// concurrently without contention.
-    pub fn open_block_range(&self, blocks: Range<usize>) -> Result<PackedEdgeStream> {
-        let file = File::open(&self.path)?;
-        Ok(PackedEdgeStream::over_range(
-            file,
-            self.path.clone(),
-            self.header,
-            Arc::clone(&self.index),
-            self.block_range(blocks).blocks,
-            ChecksumPolicy::Full,
-        ))
     }
 }
 
@@ -2155,23 +1978,20 @@ mod tests {
                         block_bytes,
                         spill_edges,
                     };
-                    for width in [1, 2] {
-                        let path = dir.join("got.clugpz");
-                        let mut s = InMemoryStream::new(0, edges.to_vec());
-                        let stats = pack_at_width(&mut s, &path, &opts, width).unwrap();
-                        let tag =
-                            format!("{name} spill={spill_edges} block={block_bytes} width={width}");
-                        assert_eq!(stats.num_edges, edges.len() as u64, "{tag}");
-                        assert_eq!(
-                            stats.spill_runs,
-                            expected_spill_runs(edges, spill_edges),
-                            "{tag}"
-                        );
-                        assert!(std::fs::read(&path).unwrap() == want, "{tag}: bytes differ");
-                        let mut names = dir_names(&dir);
-                        names.sort();
-                        assert_eq!(names, ["got.clugpz", "want.clugpz"], "{tag}");
-                    }
+                    let path = dir.join("got.clugpz");
+                    let mut s = InMemoryStream::new(0, edges.to_vec());
+                    let stats = pack_edge_stream(&mut s, &path, &opts).unwrap();
+                    let tag = format!("{name} spill={spill_edges} block={block_bytes}");
+                    assert_eq!(stats.num_edges, edges.len() as u64, "{tag}");
+                    assert_eq!(
+                        stats.spill_runs,
+                        expected_spill_runs(edges, spill_edges),
+                        "{tag}"
+                    );
+                    assert!(std::fs::read(&path).unwrap() == want, "{tag}: bytes differ");
+                    let mut names = dir_names(&dir);
+                    names.sort();
+                    assert_eq!(names, ["got.clugpz", "want.clugpz"], "{tag}");
                 }
             }
         }
@@ -2224,36 +2044,6 @@ mod tests {
                 assert!(got == want, "{name} of {} at width {width}", buffer.len());
             }
         }
-    }
-
-    #[test]
-    fn pack_bytes_are_the_same_at_width_one_and_two() {
-        let dir = tmp_dir("widths");
-        // Buffers above the inline threshold: the external sort cuts them
-        // at width two, and the streamed prefix is encoded on a thread.
-        let spill_edges = INLINE_SORT_EDGES + 1_000;
-        let opts = PackOptions {
-            spill_edges,
-            ..Default::default()
-        };
-        for (name, edges) in writer_legs((spill_edges * 5 / 2) as u32) {
-            let want = reference_pack(&edges, DEFAULT_BLOCK_BYTES, &dir.join("want.clugpz"));
-            for width in [1, 2] {
-                let path = dir.join(format!("got{width}.clugpz"));
-                let mut s = InMemoryStream::new(0, edges.clone());
-                let stats = pack_at_width(&mut s, &path, &opts, width).unwrap();
-                assert_eq!(
-                    stats.spill_runs,
-                    expected_spill_runs(&edges, spill_edges),
-                    "{name} at width {width}"
-                );
-                assert!(
-                    std::fs::read(&path).unwrap() == want,
-                    "{name}: width {width} wrote other bytes"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Hands out its edges, and damages `victim` just before it reports
@@ -2483,82 +2273,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_reader_covers_the_pack_exactly_once() {
-        let edges = web_like(5_000);
-        let path = tmp("shards.clugpz");
-        write_pack(
-            &path,
-            0,
-            &edges,
-            &PackOptions {
-                block_bytes: 512,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
-        let want = canonical_order(&edges);
-        for want_shards in [1usize, 2, 3, 8, 1000] {
-            let specs = reader.shards(want_shards);
-            assert!(!specs.is_empty());
-            assert!(specs.len() <= want_shards);
-            assert!(
-                specs.iter().all(|s| !s.blocks.is_empty()),
-                "no empty shards"
-            );
-            // Contiguous cover.
-            assert_eq!(specs[0].blocks.start, 0);
-            assert_eq!(
-                specs.last().unwrap().blocks.end,
-                reader.index().num_blocks()
-            );
-            for w in specs.windows(2) {
-                assert_eq!(w[0].blocks.end, w[1].blocks.start);
-            }
-            let mut all = Vec::new();
-            for spec in &specs {
-                let mut s = reader.open_block_range(spec.blocks.clone()).unwrap();
-                assert_eq!(s.len_hint(), Some(spec.edges));
-                let part = collect_stream(&mut s);
-                assert_eq!(part.len() as u64, spec.edges);
-                all.extend(part);
-            }
-            assert_eq!(all, want, "want_shards={want_shards}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shards_are_balanced_by_edges() {
-        let edges = web_like(20_000);
-        let path = tmp("balance.clugpz");
-        write_pack(
-            &path,
-            0,
-            &edges,
-            &PackOptions {
-                block_bytes: 256,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
-        let specs = reader.shards(4);
-        assert_eq!(specs.len(), 4);
-        let total: u64 = specs.iter().map(|s| s.edges).sum();
-        assert_eq!(total, edges.len() as u64);
-        let target = total as f64 / 4.0;
-        for s in &specs {
-            // Imbalance bounded by one block (≤ ~128 edges at 256 B).
-            assert!(
-                (s.edges as f64 - target).abs() <= 300.0,
-                "shard {s:?} vs target {target}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn summary_and_verify() {
         let edges = web_like(5_000);
         let path = tmp("info.clugpz");
@@ -2576,7 +2290,7 @@ mod tests {
         assert_eq!(sum.header.num_edges, edges.len() as u64);
         assert_eq!(sum.num_blocks, stats.num_blocks);
         // Every block but the trailing partial one reaches the target.
-        let reader = ShardedPackReader::open(&path).unwrap();
+        let reader = PackedEdgeStream::open(&path).unwrap();
         let entries = reader.index().entries();
         assert!(entries[..entries.len() - 1]
             .iter()
@@ -2637,10 +2351,12 @@ mod tests {
             },
         )
         .unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
-        let entries: Vec<BlockEntry> = reader.index().entries().to_vec();
+        let entries = PackedEdgeStream::open(&path)
+            .unwrap()
+            .index()
+            .entries()
+            .to_vec();
         assert!(entries.len() >= 5, "need several blocks for this test");
-        drop(reader);
         // Corrupt two non-adjacent blocks.
         let victims = [1usize, 3];
         let mut data = std::fs::read(&path).unwrap();
@@ -2689,7 +2405,7 @@ mod tests {
         // index + footer checksums so the metadata stays self-consistent:
         // Full must reject the payload, Off must stream it.
         let pristine = std::fs::read(&path).unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
+        let reader = PackedEdgeStream::open(&path).unwrap();
         let num_blocks = reader.index().num_blocks();
         let second = reader.index().entries()[1];
         drop(reader);
@@ -2777,9 +2493,11 @@ mod tests {
             },
         )
         .unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
-        let entries: Vec<BlockEntry> = reader.index().entries().to_vec();
-        drop(reader);
+        let entries = PackedEdgeStream::open(&path)
+            .unwrap()
+            .index()
+            .entries()
+            .to_vec();
         let victim = entries.len() / 2;
         let mut data = std::fs::read(&path).unwrap();
         data[entries[victim].byte_offset as usize] ^= 0xFF;

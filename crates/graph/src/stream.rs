@@ -280,7 +280,7 @@ impl<S: RestreamableStream> RestreamableStream for TimedStream<S> {
 /// Caps every pull at `limit` edges, regardless of what the consumer asks
 /// for.
 ///
-/// Simulates a source with its own block granularity (a sharded reader, a
+/// Simulates a source with its own block granularity (a pack's blocks, a
 /// small I/O buffer). Consumers must produce identical results under any
 /// `limit` — the chunk-size axis of the equivalence suite.
 #[derive(Debug, Clone)]

@@ -6,8 +6,9 @@
 # and benchmark/tests counts. A line is a test line when its file is the
 # root crate's `src/lib.rs` (the shared test harness) or lies under a
 # `tests/` directory, or when it sits at or after a `#[cfg(test)]` line
-# that is followed by `mod tests` (the unit-test tail of a file). Every
-# other line is non-test. `vendor/` is counted on its own, all `.rs` lines.
+# that is followed by `mod tests`, `pub mod tests` or `pub(crate) mod
+# tests` (the unit-test tail of a file). Every other line is non-test.
+# `vendor/` is counted on its own, all `.rs` lines.
 #
 # Usage: scripts/line_count.sh [repository root, default: this script's]
 set -euo pipefail
@@ -18,7 +19,7 @@ total=$(cat $files | wc -l)
 test_lines=$(for f in $files; do
     case "$f" in
     src/lib.rs | tests/* | */tests/*) wc -l <"$f" ;;
-    *) awk '!start && prev ~ /^#\[cfg\(test\)\]/ && /^mod tests/ { start = NR - 1 }
+    *) awk '!start && prev ~ /^#\[cfg\(test\)\]/ && /^(pub(\(crate\))? )?mod tests/ { start = NR - 1 }
             { prev = $0 } END { print start ? NR - start + 1 : 0 }' "$f" ;;
     esac
 done | awk '{ s += $1 } END { print s + 0 }')

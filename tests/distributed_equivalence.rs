@@ -327,14 +327,16 @@ fn corrupt_pack_is_a_fatal_park_error_not_a_retry() {
     // run with the same kind of error the monolith parks — never burn the
     // retry budget replaying a pass that can only fail again.
     use clugp::ampc::SuperviseConfig;
-    use clugp_graph::pack::{crc32, PackedEdgeStream, ShardedPackReader};
+    use clugp_graph::pack::{crc32, PackedEdgeStream};
 
     let path = web_fixture(&scratch_dir("dist_corrupt"), pack(2048), 900, 45);
     // Flip a payload byte of the middle block; metadata stays valid so the
     // pack opens fine and dies mid-stream, on a worker.
-    let reader = ShardedPackReader::open(&path).unwrap();
-    let entries = reader.index().entries().to_vec();
-    drop(reader);
+    let entries = PackedEdgeStream::open(&path)
+        .unwrap()
+        .index()
+        .entries()
+        .to_vec();
     assert!(entries.len() >= 3, "need a multi-block pack");
     let mid = &entries[entries.len() / 2];
     let mut data = std::fs::read(&path).unwrap();
@@ -663,10 +665,10 @@ fn relaxed_clugp_over_a_pack_with_uneven_block_shares_completes() {
     // ranges, the larger share saturates its slice of the load cap, the
     // slice grows — and the monotone reroute cursor, already past the
     // partitions that just regained room, used to run off the load array.
-    use clugp_graph::pack::ShardedPackReader;
+    use clugp_graph::pack::PackedEdgeStream;
     let (_, edges) = test_web_graph(1_500, 50);
     let path = web_fixture(&scratch_dir("dist_relaxed_pack"), pack(8192), 1_500, 50);
-    let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
+    let blocks = PackedEdgeStream::open(&path).unwrap().index().num_blocks();
     assert_eq!(blocks % 2, 1, "need an odd block count, got {blocks}");
 
     for workers in [2, 4] {

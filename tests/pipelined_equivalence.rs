@@ -11,7 +11,7 @@
 //! reported by the next `reset`.
 
 use clugp::ampc::coordinator::DistAlgo;
-use clugp_graph::pack::{crc32, ShardedPackReader};
+use clugp_graph::pack::{crc32, PackedEdgeStream};
 use clugp_graph::stream::{collect_stream, EdgeStream, RestreamableStream};
 use clugp_repro::{roster, scratch_dir, web_fixture, Case, Input, Mode};
 use std::path::PathBuf;
@@ -75,7 +75,7 @@ fn a_reset_mid_pass_restarts_at_the_first_block() {
     // What every partitioner that fails mid-pass does to its stream: the
     // decode thread is abandoned somewhere in the ring and must start over.
     let path = web_fixture(&scratch_dir("pipelined_reset"), pack(0), 1_200, 45);
-    let blocks = ShardedPackReader::open(&path).unwrap().index().num_blocks();
+    let blocks = PackedEdgeStream::open(&path).unwrap().index().num_blocks();
     assert!(blocks >= 8, "need a many-block pack, got {blocks}");
     for prefetch in [1usize, 4] {
         for taken in [1, blocks / 2] {
@@ -158,8 +158,11 @@ fn every_partitioner_is_bit_identical_on_the_pipelined_stream() {
 /// fine and dies mid-stream — on whichever thread decodes that block.
 fn corrupt_block(name: &str, pick: impl Fn(usize) -> usize) -> (PathBuf, usize) {
     let path = web_fixture(&scratch_dir(name), pack(0), 900, 44);
-    let reader = ShardedPackReader::open(&path).unwrap();
-    let entries = reader.index().entries().to_vec();
+    let entries = PackedEdgeStream::open(&path)
+        .unwrap()
+        .index()
+        .entries()
+        .to_vec();
     assert!(entries.len() >= 3, "need a multi-block pack");
     let bad = &entries[pick(entries.len())];
     let mut data = std::fs::read(&path).unwrap();

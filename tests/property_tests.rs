@@ -72,7 +72,7 @@ fn arb_extreme_edges() -> impl Strategy<Value = Vec<Edge>> {
 /// then decodes every raw block twice — batched production decoder vs the
 /// scalar reference — and asserts record-for-record equality.
 fn assert_decoders_agree(edges: &[Edge], tag: &str) {
-    use clugp_graph::pack::{write_pack, BlockDecoder, PackOptions, ShardedPackReader};
+    use clugp_graph::pack::{write_pack, BlockDecoder, PackOptions, PackedEdgeStream};
     let dir = std::env::temp_dir().join("clugp_prop_decoder");
     std::fs::create_dir_all(&dir).unwrap();
     let decoder = BlockDecoder;
@@ -88,7 +88,7 @@ fn assert_decoders_agree(edges: &[Edge], tag: &str) {
             },
         )
         .unwrap();
-        let reader = ShardedPackReader::open(&path).unwrap();
+        let reader = PackedEdgeStream::open(&path).unwrap();
         let data = std::fs::read(&path).unwrap();
         let (mut fast, mut slow) = (Vec::new(), Vec::new());
         for entry in reader.index().entries() {
