@@ -86,9 +86,14 @@ impl Checkpoint {
         format!("ckpt-{seq:05}.clugpck")
     }
 
-    /// Serializes the checkpoint (magic + body + CRC footer).
+    /// Serializes the checkpoint (magic + body + CRC footer) into one
+    /// buffer: once the fields before the tables are written, it makes room
+    /// for the tables (nearly all of its bytes) and the CRC in one step. The
+    /// body's length is set last.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Wr::new();
+        w.bytes(CHECKPOINT_MAGIC);
+        w.u64(0);
         w.u64(self.seq);
         put_stage(&mut w, self.stage);
         put_token(&mut w, &self.token);
@@ -99,17 +104,23 @@ impl Checkpoint {
         w.u64(self.m_real);
         w.u64(self.num_clusters);
         w.u64(self.tables.len() as u64);
+        let tables = self.tables.iter();
+        w.reserve(
+            tables
+                .map(|t| 20 + 8 * (t.keys.len() + t.rows.len()))
+                .sum::<usize>()
+                + 4,
+        );
         for t in &self.tables {
             w.u32(t.width);
             w.u64s(&t.keys);
             w.u64s(&t.rows);
         }
-        let body = w.into_bytes();
-        let mut out = Vec::with_capacity(8 + 8 + body.len() + 4);
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        let mut out = w.into_bytes();
+        let body_len = out.len() as u64 - 16;
+        out[8..16].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc32(&out[16..]);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -254,7 +265,10 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let ck = sample();
-        assert_eq!(Checkpoint::decode(&ck.encode()).unwrap(), ck);
+        let bytes = ck.encode();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), ck);
+        // Room for the tables and the CRC was made in one step.
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     /// Format pin, recorded with the byte-at-a-time `crc32` (commit

@@ -31,8 +31,9 @@
 //! `ResetTables`, respawns the dead ones through the host-provided
 //! [`Respawner`], reconfigures them) and replays the flow from the last
 //! committed barrier. Replay is exact because the pass kernels are
-//! deterministic, every worker restarts empty and the coordinator reloads its
-//! tables, so a recovered run stays bit-identical to an undisturbed one.
+//! deterministic, every worker restarts empty and the coordinator keeps its
+//! tables (dumped for a barrier's file only, never held twice), so a
+//! recovered run stays bit-identical to an undisturbed one.
 //! Worker-*reported* errors ([`Msg::Err`], e.g. a corrupt pack block) stay
 //! fatal: they are deterministic and would only recur. The coordinator itself
 //! is not survivable — it holds the only copy of the in-flight pass results.
@@ -114,8 +115,6 @@ struct Coord {
     mode: AmpcMode,
     /// Stats of links replaced by respawns (their traffic still counts).
     retired: NetStats,
-    /// Reused encode buffer for every outgoing frame.
-    scratch: Vec<u8>,
     /// Whether this run records observability events.
     trace_on: bool,
     /// The merged record: coordinator events land on lane 0 directly,
@@ -175,17 +174,17 @@ impl Coord {
     }
 
     fn send(&mut self, to: usize, msg: &Msg) -> Result<()> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        msg.encode_into(&mut buf);
-        let res = self.conns[to].send(&buf).map_err(|e| tag_worker(to, e));
-        self.scratch = buf;
-        res
+        self.send_frame(to, msg.encode())
+    }
+
+    fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<()> {
+        self.conns[to].send(frame).map_err(|e| tag_worker(to, e))
     }
 
     fn recv(&mut self, from: usize) -> Result<Msg> {
         loop {
             let frame = self.recv_frame(from)?;
-            if let Some(msg) = self.decode(from, &frame)? {
+            if let Some(msg) = self.decode(from, frame)? {
                 return Ok(msg);
             }
         }
@@ -197,7 +196,7 @@ impl Coord {
 
     /// Decodes a frame worker `from` sent; `None` for one that was absorbed
     /// here and is not what the caller is waiting for.
-    fn decode(&mut self, from: usize, frame: &[u8]) -> Result<Option<Msg>> {
+    fn decode(&mut self, from: usize, frame: Vec<u8>) -> Result<Option<Msg>> {
         match Msg::decode(frame) {
             // The observability side-channel piggybacks on every recv
             // path: absorb it and keep waiting for the frame this call
@@ -270,7 +269,7 @@ impl Coord {
         let mut state: Option<Vec<u8>> = None;
         for w in 0..self.conns.len() {
             if let Some(seed) = state.take() {
-                self.conns[w].send(&seed).map_err(|e| tag_worker(w, e))?;
+                self.send_frame(w, seed)?;
             }
             let handed = counters(&token);
             let msg = Msg::RunStage {
@@ -285,7 +284,7 @@ impl Coord {
                     state = Some(frame);
                     continue;
                 }
-                match self.decode(w, &frame)? {
+                match self.decode(w, frame)? {
                     // A trace frame, absorbed; or proof of life from a quiet
                     // worker, which resets the recv deadline by arriving.
                     None | Some(Msg::Heartbeat) => {}
@@ -376,17 +375,20 @@ fn check_loads(who: std::fmt::Arguments<'_>, token: &Token, placed: usize) -> Re
     Ok(())
 }
 
-/// Applies the scripted fault wrapper for `(worker, incarnation)`, if any.
-fn wrap_link(
-    faults: &FaultPlan,
+/// Arms link incarnation `incarnation` of `worker`: the scripted fault
+/// wrapper, if any, and the policy's deadline.
+fn arm_link(
+    (faults, policy): (&FaultPlan, &SuperviseConfig),
     worker: u32,
     incarnation: u32,
     link: Box<dyn Transport>,
 ) -> Box<dyn Transport> {
-    match faults.script(worker, incarnation) {
+    let mut link: Box<dyn Transport> = match faults.script(worker, incarnation) {
         Some(script) => Box::new(FaultInjectingTransport::new(link, script.clone())),
         None => link,
-    }
+    };
+    link.set_deadline(deadline_of(policy));
+    link
 }
 
 /// The coordinator's supervision state: the live links, the policy, the
@@ -403,7 +405,8 @@ struct Supervisor<'a> {
     /// edge stream).
     setups: Vec<WorkerSetup>,
     incarnation: Vec<u32>,
-    /// Last committed checkpoint; recovery replays the flow from here.
+    /// Last committed checkpoint, without its tables (a replay keeps the
+    /// coordinator's own); recovery replays the flow from here.
     last: Option<Checkpoint>,
     ckpt_dir: Option<PathBuf>,
     recoveries: u32,
@@ -430,20 +433,10 @@ impl<'a> Supervisor<'a> {
         respawn: Option<Respawner<'a>>,
     ) -> Supervisor<'a> {
         let n = conns.len();
-        let policy = cfg.supervise.clone();
-        let faults = cfg.faults.clone();
-        let deadline = deadline_of(&policy);
-        let conns: Vec<Box<dyn Transport>> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(w, link)| {
-                let mut link = wrap_link(&faults, w as u32, 0, link);
-                if deadline.is_some() {
-                    link.set_deadline(deadline);
-                }
-                link
-            })
-            .collect();
+        let (policy, faults) = (cfg.supervise.clone(), cfg.faults.clone());
+        let conns = conns.into_iter().enumerate();
+        let arm = |(w, link)| arm_link((&faults, &policy), w as u32, 0, link);
+        let conns = conns.map(arm).collect();
         Supervisor {
             coord: Coord {
                 conns,
@@ -451,7 +444,6 @@ impl<'a> Supervisor<'a> {
                 range_edges: Vec::new(),
                 mode: cfg.mode,
                 retired: NetStats::default(),
-                scratch: Vec::new(),
                 trace_on: cfg.trace,
                 trace: TraceRecord::default(),
             },
@@ -539,12 +531,8 @@ impl<'a> Supervisor<'a> {
         self.coord.instant("respawn", w as u64);
         let link = respawn(w as u32).map_err(|e| tag_worker(w, e))?;
         self.incarnation[w] += 1;
-        let mut link = wrap_link(&self.faults, w as u32, self.incarnation[w], link);
-        let deadline = deadline_of(&self.policy);
-        if deadline.is_some() {
-            link.set_deadline(deadline);
-        }
-        self.coord.conns[w] = link;
+        let armed = (&self.faults, &self.policy);
+        self.coord.conns[w] = arm_link(armed, w as u32, self.incarnation[w], link);
         self.coord
             .send(w, &Msg::Configure(Box::new(self.setups[w].clone())))?;
         match self.coord.recv(w)? {
@@ -577,7 +565,7 @@ impl<'a> Supervisor<'a> {
     /// Commits a checkpoint of the complete distributed state, from memory:
     /// every table is empty at a first barrier, and what lives past pass 1
     /// is in `tables` (the raw volumes do not: `compact_clusters` recomputed
-    /// them from the degrees).
+    /// them from the degrees). The tables are dumped for the file only.
     fn barrier(
         &mut self,
         seq: u64,
@@ -596,11 +584,13 @@ impl<'a> Supervisor<'a> {
         let (mut m_real, mut num_clusters) = (0, 0);
         if let Some(tables) = tables {
             (m_real, num_clusters) = (tables.m_real, tables.num_clusters);
-            let (main, map) = (T_MAIN as usize, T_CPART as usize);
-            (dumps[main].keys, dumps[main].rows) = tables.vertex_rows();
-            (dumps[map].keys, dumps[map].rows) = tables.cluster_partition_rows();
+            if self.ckpt_dir.is_some() {
+                let (main, map) = (T_MAIN as usize, T_CPART as usize);
+                (dumps[main].keys, dumps[main].rows) = tables.vertex_rows();
+                (dumps[map].keys, dumps[map].rows) = tables.cluster_partition_rows();
+            }
         }
-        let ck = Checkpoint {
+        let mut ck = Checkpoint {
             seq,
             stage,
             token: token.clone(),
@@ -620,6 +610,7 @@ impl<'a> Supervisor<'a> {
             self.ckpt_writes += 1;
             self.coord.span("checkpoint:write", t0, seq);
         }
+        ck.tables.clear();
         self.last = Some(ck);
         Ok(())
     }
@@ -804,9 +795,10 @@ fn drive(
 
     // The recovery loop: replay the flow from the last committed barrier
     // until it finishes, a fault exhausts the retry budget, or a fatal
-    // (deterministic) error surfaces.
+    // (deterministic) error surfaces. The tables outlive a failed attempt.
+    let mut kept = None;
     loop {
-        match clugp_flow(sup, clugp, n_hint, m_hint, k, resume.as_ref()) {
+        match clugp_flow(sup, clugp, n_hint, m_hint, k, resume.as_ref(), &mut kept) {
             Ok(p) => return Ok(p),
             Err(e) if e.is_retryable() && sup.can_retry() => {
                 sup.recover()?;
@@ -904,7 +896,7 @@ fn import_last_frontier(
 ) -> Result<u64> {
     let last = coord.conns.len().saturating_sub(1);
     let decoded = match frontier {
-        Some(frame) => coord.decode(last, &frame)?,
+        Some(frame) => coord.decode(last, frame)?,
         None => None,
     };
     let Some(Msg::Pass1Frontier { keys, rows, vol }) = decoded else {
@@ -1035,13 +1027,14 @@ impl ClugpTables {
 
 /// Broadcasts `table` to the whole fleet as a read-only [`Msg::TableCast`]
 /// mirror, which a worker keeps until it is reset. The frame is encoded once,
-/// whatever the worker count.
+/// whatever the worker count, and moved to the last worker; the others get
+/// a clone of it.
 fn cast_table(coord: &mut Coord, table: u8, (keys, rows): (Vec<u64>, Vec<u64>)) -> Result<()> {
     let frame = Msg::TableCast { table, keys, rows }.encode();
-    for (w, conn) in coord.conns.iter_mut().enumerate() {
-        conn.send(&frame).map_err(|e| tag_worker(w, e))?;
-    }
-    Ok(())
+    let frames = std::iter::repeat_n(frame, coord.conns.len());
+    frames
+        .enumerate()
+        .try_for_each(|(w, frame)| coord.send_frame(w, frame))
 }
 
 /// The CLUGP three-pass flow: pass 1 clusters each range against the whole
@@ -1061,8 +1054,10 @@ fn cast_table(coord: &mut Coord, table: u8, (keys, rows): (Vec<u64>, Vec<u64>)) 
 ///
 /// The flow is segmented at three barriers (before pass 1, pass 2a, and
 /// pass 3); `resume` — from crash recovery or `--resume` — skips segments
-/// the checkpoint already finished, reloading the tables from it instead of
-/// recomputing them.
+/// the checkpoint already finished. The tables live in `kept`, which
+/// outlives the attempt: a replay from barrier 2 or 3 reuses the failed
+/// attempt's (nothing writes them after compaction but pass 2b, which a
+/// replay from barrier 2 runs again), and a `--resume` loads its file's.
 fn clugp_flow(
     sup: &mut Supervisor<'_>,
     cfg: &ClugpConfig,
@@ -1070,11 +1065,15 @@ fn clugp_flow(
     m_hint: u64,
     k: u32,
     resume: Option<&Checkpoint>,
+    kept: &mut Option<ClugpTables>,
 ) -> Result<Partitioning> {
     let relaxed = sup.coord.mode == AmpcMode::Relaxed;
     let target = resume.map_or(0, |ck| ck.seq);
 
-    let mut tables = if target > 1 {
+    let reused = kept.take().filter(|_| target > 1);
+    let tables = kept.insert(if let Some(tables) = reused {
+        tables
+    } else if target > 1 {
         let ck = resume.expect("target > 1 implies a checkpoint");
         ClugpTables::from_checkpoint(ck, n_hint, cfg.max_vertices, k)?
     } else {
@@ -1124,7 +1123,7 @@ fn clugp_flow(
             vertices: state,
             cluster_partition: Vec::new(),
         }
-    };
+    });
 
     if target <= 2 {
         // Pass 2a: the cluster graph, from per-worker partials merged in
@@ -1133,7 +1132,7 @@ fn clugp_flow(
         // either mode.
         let num_clusters = tables.num_clusters;
         let stage = Stage::ClugpPairs { num_clusters };
-        let token0 = sup.enter_segment(2, stage, Token::default(), resume, Some(&tables))?;
+        let token0 = sup.enter_segment(2, stage, Token::default(), resume, Some(tables))?;
         let t0 = sup.coord.t0();
         let mut no_assign = Vec::new();
         let mut pairs: Vec<PairsPayload> = Vec::new();
@@ -1162,9 +1161,11 @@ fn clugp_flow(
         loads: vec![0; k as usize],
         ..Default::default()
     };
-    let token0 = sup.enter_segment(3, stage, fresh, resume, Some(&tables))?;
+    let token0 = sup.enter_segment(3, stage, fresh, resume, Some(tables))?;
     let t0 = sup.coord.t0();
-    let mut assignments = Vec::new();
+    // Sized once for the ranges' edges: each part is widened into it.
+    let edges: u64 = sup.coord.range_edges.iter().sum();
+    let mut assignments = Vec::with_capacity(edges as usize);
     // The workers keep the vertex rows of the pairs stage. A run resumed
     // here has not run one, and its fleet was just reset.
     if target == 3 {
@@ -1196,7 +1197,7 @@ fn clugp_flow(
 
 #[cfg(test)]
 mod tests {
-    use super::super::proto::forged_stage_done;
+    use super::super::proto::tests::forged_stage_done;
     use super::super::transport::channel_pair;
     use super::super::worker::tests::triangle_frontier;
     use super::*;
@@ -1228,7 +1229,7 @@ mod tests {
                 let (coord, mut worker) = channel_pair(8);
                 let reply = reply.clone();
                 let forger = std::thread::spawn(move || loop {
-                    let replies = match Msg::decode(&worker.recv().unwrap()).unwrap() {
+                    let replies = match Msg::decode(worker.recv().unwrap()).unwrap() {
                         Msg::Configure(_) => vec![Msg::ConfigureOk.encode()],
                         Msg::RunStage { stage, .. } => reply(w, stage),
                         Msg::TableCast { .. } | Msg::Pass1Frontier { .. } => Vec::new(),
@@ -1238,7 +1239,7 @@ mod tests {
                     for frame in replies {
                         // A coordinator that refused the first frame of a reply
                         // has hung up by the time the second is sent.
-                        if worker.send(&frame).is_err() {
+                        if worker.send(frame).is_err() {
                             return;
                         }
                     }

@@ -191,7 +191,7 @@ impl FaultInjectingTransport {
 }
 
 impl Transport for FaultInjectingTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
+    fn send(&mut self, mut frame: Vec<u8>) -> Result<()> {
         let ordinal = self.sent;
         self.sent += 1;
         if Self::silenced(&self.script.on_send, ordinal) {
@@ -203,11 +203,10 @@ impl Transport for FaultInjectingTransport {
                 self.link("send")?.send(frame)
             }
             Some(FaultAction::CorruptFrame) => {
-                let mut bad = frame.to_vec();
-                if let Some(b) = bad.first_mut() {
+                if let Some(b) = frame.first_mut() {
                     *b ^= 0xFF;
                 }
-                self.link("send")?.send(&bad)
+                self.link("send")?.send(frame)
             }
             Some(FaultAction::Disconnect) => Err(self.sever("send")),
             Some(FaultAction::DropFrame) | None => self.link("send")?.send(frame),
@@ -271,10 +270,10 @@ mod tests {
         script.on_send.push((1, FaultAction::CorruptFrame));
         script.on_send.push((2, FaultAction::DropFrame));
         let (mut a, mut b) = wrap(script);
-        a.send(b"one").unwrap();
-        a.send(b"two").unwrap(); // corrupted
-        a.send(b"three").unwrap(); // dropped: the direction goes silent
-        a.send(b"four").unwrap(); // swallowed behind it
+        a.send(b"one".to_vec()).unwrap();
+        a.send(b"two".to_vec()).unwrap(); // corrupted
+        a.send(b"three".to_vec()).unwrap(); // dropped: the direction goes silent
+        a.send(b"four".to_vec()).unwrap(); // swallowed behind it
         assert_eq!(b.recv().unwrap(), b"one");
         let corrupted = b.recv().unwrap();
         assert_eq!(corrupted[0], b't' ^ 0xFF);
@@ -288,7 +287,7 @@ mod tests {
             }
         ));
         // The other direction still works: the link is half-open.
-        b.send(b"back").unwrap();
+        b.send(b"back".to_vec()).unwrap();
         assert_eq!(a.recv().unwrap(), b"back");
     }
 
@@ -300,7 +299,7 @@ mod tests {
         let mut a = FaultInjectingTransport::new(Box::new(a), script);
         a.set_deadline(Some(Duration::from_millis(20)));
         for frame in [&b"kept"[..], b"lost", b"lost too"] {
-            b.send(frame).unwrap();
+            b.send(frame.to_vec()).unwrap();
         }
         assert_eq!(a.recv().unwrap(), b"kept");
         // Nothing skips ahead of a lost frame on an ordered pipe.
@@ -318,8 +317,8 @@ mod tests {
     fn disconnect_severs_both_directions_and_peer_sees_hangup() {
         let script = FaultScript::disconnect_at_send(1);
         let (mut a, mut b) = wrap(script);
-        a.send(b"ok").unwrap();
-        let err = a.send(b"boom").unwrap_err();
+        a.send(b"ok".to_vec()).unwrap();
+        let err = a.send(b"boom".to_vec()).unwrap_err();
         assert!(err.is_retryable());
         let err = a.recv().unwrap_err();
         assert!(matches!(
@@ -331,7 +330,7 @@ mod tests {
         ));
         assert_eq!(b.recv().unwrap(), b"ok");
         // Peer's next send fails: the wrapped end was dropped.
-        assert!(b.send(b"x").is_err());
+        assert!(b.send(b"x".to_vec()).is_err());
         // Stats survive the severed link.
         assert_eq!(a.stats().frames_sent, 1);
     }

@@ -4,8 +4,9 @@
 //! implementations:
 //!
 //! * [`channel_pair`] — in-process bounded channels, the link of every
-//!   worker thread `run_distributed` hosts. Frames are `Vec<u8>` handed
-//!   over `std::sync::mpsc::sync_channel`, so backpressure comes for free.
+//!   worker thread `run_distributed` hosts. Frames are `Vec<u8>` moved
+//!   through `std::sync::mpsc::sync_channel`, never copied, so
+//!   backpressure comes for free.
 //! * [`UnixTransport`] — a Unix stream socket with a 4-byte little-endian
 //!   length prefix per frame, the link of every worker process
 //!   `clugp-part --transport unix` spawns.
@@ -91,8 +92,9 @@ impl NetStats {
 
 /// One end of a duplex, ordered, reliable frame pipe.
 pub trait Transport: Send {
-    /// Sends one frame.
-    fn send(&mut self, frame: &[u8]) -> Result<()>;
+    /// Sends one frame, taking it over: a frame crosses a link without
+    /// being copied on the way.
+    fn send(&mut self, frame: Vec<u8>) -> Result<()>;
     /// Receives the next frame, blocking until one arrives or the
     /// deadline (if any) expires.
     fn recv(&mut self) -> Result<Vec<u8>>;
@@ -129,17 +131,23 @@ pub struct ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
+    fn send(&mut self, frame: Vec<u8>) -> Result<()> {
+        // Counted before the frame moves, kept once it is sent.
+        let mut stats = self.stats;
+        stats.bytes_sent += frame.len() as u64;
+        stats.frames_sent += 1;
+        stats.tally(&frame);
         match self.deadline {
             None => self
                 .tx
-                .send(frame.to_vec())
+                .send(frame)
                 .map_err(|_| fault(FaultKind::Disconnected, "send", "peer hung up"))?,
             Some(limit) => {
                 // `SyncSender` has no bounded-wait send, so poll `try_send`
-                // until the buffer drains or the deadline passes.
+                // until the buffer drains or the deadline passes; a full
+                // buffer hands the frame back.
                 let start = Instant::now();
-                let mut pending = frame.to_vec();
+                let mut pending = frame;
                 loop {
                     match self.tx.try_send(pending) {
                         Ok(()) => break,
@@ -161,9 +169,7 @@ impl Transport for ChannelTransport {
                 }
             }
         }
-        self.stats.bytes_sent += frame.len() as u64;
-        self.stats.frames_sent += 1;
-        self.stats.tally(frame);
+        self.stats = stats;
         Ok(())
     }
 
@@ -240,7 +246,7 @@ impl UnixTransport {
 }
 
 impl Transport for UnixTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
+    fn send(&mut self, frame: Vec<u8>) -> Result<()> {
         if frame.is_empty() || frame.len() > MAX_FRAME_BYTES {
             return Err(fault(
                 FaultKind::Corrupt,
@@ -248,18 +254,15 @@ impl Transport for UnixTransport {
                 format!("frame length {} outside 1..={MAX_FRAME_BYTES}", frame.len()),
             ));
         }
+        // The frame is written where it lies, behind its prefix: never
+        // copied into a buffer with room for both.
         let len = frame.len() as u32;
-        // One buffer, one write_all: avoids interleaving hazards and halves
-        // syscalls for the small control frames that dominate.
-        let mut buf = Vec::with_capacity(4 + frame.len());
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(frame);
-        self.stream
-            .write_all(&buf)
+        (self.stream.write_all(&len.to_le_bytes()))
+            .and_then(|()| self.stream.write_all(&frame))
             .map_err(|e| io_fault("send", e))?;
         self.stats.bytes_sent += frame.len() as u64;
         self.stats.frames_sent += 1;
-        self.stats.tally(frame);
+        self.stats.tally(&frame);
         Ok(())
     }
 
@@ -312,11 +315,11 @@ mod tests {
     }
 
     fn exercise(mut a: impl Transport, mut b: impl Transport) {
-        a.send(b"hello").unwrap();
-        a.send(b"!").unwrap();
+        a.send(b"hello".to_vec()).unwrap();
+        a.send(b"!".to_vec()).unwrap();
         assert_eq!(b.recv().unwrap(), b"hello");
         assert_eq!(b.recv().unwrap(), b"!");
-        b.send(&[9u8; 100_000]).unwrap();
+        b.send(vec![9u8; 100_000]).unwrap();
         assert_eq!(a.recv().unwrap().len(), 100_000);
         assert_eq!(a.stats().frames_sent, 2);
         assert_eq!(a.stats().bytes_sent, 6);
@@ -333,9 +336,9 @@ mod tests {
     #[test]
     fn per_verb_histogram_keys_on_the_tag_byte() {
         let (mut a, mut b) = channel_pair(4);
-        a.send(&[7, 1, 2, 3]).unwrap(); // tag 7 (Heartbeat), 4 bytes
-        a.send(&[7]).unwrap();
-        a.send(&[200, 0]).unwrap(); // unknown tag → last bucket
+        a.send(vec![7, 1, 2, 3]).unwrap(); // tag 7 (Heartbeat), 4 bytes
+        a.send(vec![7]).unwrap();
+        a.send(vec![200, 0]).unwrap(); // unknown tag → last bucket
         for _ in 0..3 {
             b.recv().unwrap();
         }
@@ -360,7 +363,7 @@ mod tests {
     fn channel_disconnect_is_a_typed_fault() {
         let (mut a, b) = channel_pair(1);
         drop(b);
-        let err = a.send(b"x").unwrap_err();
+        let err = a.send(b"x".to_vec()).unwrap_err();
         assert!(matches!(
             err,
             PartitionError::Fault {
@@ -385,8 +388,8 @@ mod tests {
         ));
         // Fill the one-frame buffer; the bounded-wait send must time out
         // rather than block forever on the undrained peer.
-        a.send(b"fill").unwrap();
-        let err = a.send(b"over").unwrap_err();
+        a.send(b"fill".to_vec()).unwrap();
+        let err = a.send(b"over".to_vec()).unwrap_err();
         assert!(matches!(
             err,
             PartitionError::Fault {
@@ -458,6 +461,6 @@ mod tests {
 
         // And the cap is symmetric: empty frames cannot be sent either.
         let (mut a, _b) = unix_pair();
-        assert!(a.send(&[]).is_err());
+        assert!(a.send(Vec::new()).is_err());
     }
 }

@@ -19,11 +19,10 @@ impl Wr {
         Wr { buf: Vec::new() }
     }
 
-    /// Reuses `buf`'s allocation for a new frame (hot paths encode into a
-    /// per-link scratch vector instead of allocating per frame).
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Wr { buf }
+    /// Makes room for `bytes` more, exactly (a payload of known length is
+    /// written without regrowing the frame).
+    pub fn reserve(&mut self, bytes: usize) {
+        self.buf.reserve_exact(bytes);
     }
 
     /// Consumes the writer, returning the encoded frame.
@@ -48,11 +47,6 @@ impl Wr {
 
     /// Appends a `u64` (LE).
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` (LE bit pattern).
-    pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -139,6 +133,11 @@ impl<'a> Rd<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes consumed so far: where the next read starts in the frame.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
     /// Reads `n` raw bytes, lent from the frame.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or_else(short)?;
@@ -155,9 +154,14 @@ impl<'a> Rd<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a bool byte.
+    /// Reads a bool byte: 0 or 1, as [`Wr::bool`] writes it.
     pub fn bool(&mut self) -> Result<bool> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            b @ (0 | 1) => Ok(b == 1),
+            b => Err(PartitionError::InvalidParam(format!(
+                "flag byte {b} in frame"
+            ))),
+        }
     }
 
     /// Reads a `u32`.
@@ -168,11 +172,6 @@ impl<'a> Rd<'a> {
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64`.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a length as usize, bounded by the remaining frame so a corrupt
@@ -204,14 +203,18 @@ impl<'a> Rd<'a> {
         Ok(v)
     }
 
-    /// Reads a LEB128 varint.
+    /// Reads a LEB128 varint, spelled as [`Wr::vu64`] spells it: a longer
+    /// spelling of the same value (a last byte of 0) and a tenth byte above
+    /// 1 (bits past the 64th) are refused.
     pub fn vu64(&mut self) -> Result<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
-            if shift >= 64 {
-                return Err(short());
+            if (shift > 0 && b == 0) || (shift == 63 && b > 1) {
+                return Err(PartitionError::InvalidParam(
+                    "overlong varint in protocol frame".into(),
+                ));
             }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
@@ -264,9 +267,9 @@ mod tests {
         let mut w = Wr::new();
         w.u8(7);
         w.bool(true);
+        w.bool(false);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.f64(2.5);
         w.str("shard");
         w.u64s(&[1, 2, 3]);
         w.bytes(&[4, 5]);
@@ -275,9 +278,9 @@ mod tests {
         let mut r = Rd::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert!(r.bool().unwrap());
+        assert!(!r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.str().unwrap(), "shard");
         assert_eq!(r.u64s().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.take(2).unwrap(), [4, 5]);
@@ -358,18 +361,16 @@ mod tests {
         w.vu64(u64::MAX);
         let bytes = w.into_bytes();
         assert!(Rd::new(&bytes).vu64s().is_err());
-    }
-
-    #[test]
-    fn from_vec_reuses_the_allocation() {
-        let mut w = Wr::new();
-        w.u64s(&[1, 2, 3]);
-        let buf = w.into_bytes();
-        let cap = buf.capacity();
-        let mut w = Wr::from_vec(buf);
-        w.u8(9);
-        let out = w.into_bytes();
-        assert_eq!(out, [9]);
-        assert_eq!(out.capacity(), cap);
+        // Only the encoder's spelling decodes: 0 and 1 padded with a zero
+        // byte, and a tenth byte carrying bits past the 64th, are refused,
+        // so every varint that decodes writes back to the same bytes.
+        for overlong in [&[0x80u8, 0x00][..], &[0x81, 0x80, 0x00]] {
+            assert!(Rd::new(overlong).vu64().is_err(), "{overlong:?}");
+        }
+        let mut past = [0xFFu8; 10];
+        past[9] = 0x02;
+        assert!(Rd::new(&past).vu64().is_err());
+        // A flag is 0 or 1.
+        assert!(Rd::new(&[2]).bool().is_err());
     }
 }

@@ -69,7 +69,7 @@ fn stage_name(stage: &Stage) -> &'static str {
 }
 
 fn recv(conn: &mut dyn Transport) -> Result<Msg> {
-    Msg::decode(&conn.recv()?)
+    Msg::decode(conn.recv()?)
 }
 
 /// Runs a worker over `conn` until `Shutdown`.
@@ -84,7 +84,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         // A setup that does not decode, or a range that does not open, fails
         // the run; the coordinator hears why (best effort).
         Err(e) => {
-            let _ = conn.send(&Msg::Err { msg: e.to_string() }.encode());
+            let _ = conn.send(Msg::Err { msg: e.to_string() }.encode());
             return Err(e);
         }
     };
@@ -95,7 +95,6 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
         setup,
         hb_interval,
         hb_last: Instant::now(),
-        scratch: Vec::new(),
         casts: Casts::default(),
         seed: None,
         obs: EventBuf::new(),
@@ -215,8 +214,6 @@ struct Wk {
     hb_interval: Option<Duration>,
     /// When the last heartbeat (or any stage start) was sent.
     hb_last: Instant,
-    /// Reused encode buffer for every outgoing frame.
-    scratch: Vec<u8>,
     /// What the coordinator cast to this incarnation.
     casts: Casts,
     /// The [`Msg::Pass1Frontier`] the coordinator forwarded: where this
@@ -234,14 +231,9 @@ struct Wk {
 }
 
 impl Wk {
-    /// Encodes and sends `msg`, reusing the worker's scratch buffer so
-    /// repeated sends (heartbeats, frontiers) do not allocate.
+    /// Encodes `msg` and hands the frame to the link.
     fn send_msg(&mut self, msg: &Msg) -> Result<()> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        msg.encode_into(&mut buf);
-        let res = self.conn.send(&buf);
-        self.scratch = buf;
-        res
+        self.conn.send(msg.encode())
     }
 
     /// Tells the coordinator about a failure (as [`Msg::Err`], best effort)
@@ -496,9 +488,8 @@ impl Wk {
         };
         let mut placed: u64 = balancer.loads.iter().sum();
         let mut assignments = PartIds::for_k(k);
-        let mut wide = Vec::new();
+        assignments.reserve(range.len_hint().unwrap_or(0) as usize);
         while let Some(chunk) = self.lend_chunk(range)? {
-            wide.clear();
             for &e in chunk {
                 if relaxed && placed == u64::from(k) * balancer.lmax {
                     // Every partition just regained a slot, including the
@@ -507,9 +498,8 @@ impl Wk {
                     balancer.cursor = 0;
                 }
                 placed += 1;
-                wide.push(balancer.step(e, vertices, cpart)?);
+                assignments.push(balancer.step(e, vertices, cpart)?);
             }
-            assignments.extend_from_slice(&wide);
         }
         token.loads = balancer.loads;
         token.cursor = balancer.cursor;
@@ -616,11 +606,11 @@ pub(crate) mod tests {
         let (mut coord, worker) = channel_pair(8);
         let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
         coord
-            .send(&Msg::Configure(Box::new(setup)).encode())
+            .send(Msg::Configure(Box::new(setup)).encode())
             .unwrap();
         assert_eq!(recv(&mut coord).unwrap(), Msg::ConfigureOk);
         for frame in frames {
-            coord.send(&frame.encode()).unwrap();
+            coord.send(frame.encode()).unwrap();
         }
         let reply = recv(&mut coord).unwrap();
         let err = handle.join().expect("worker thread").unwrap_err();
@@ -648,7 +638,7 @@ pub(crate) mod tests {
         forged[MIGRATION_TAG_AT] = 2;
         let (mut coord, worker) = channel_pair(8);
         let handle = std::thread::spawn(move || run_worker(Box::new(worker)));
-        coord.send(&forged).unwrap();
+        coord.send(forged).unwrap();
         let reply = recv(&mut coord).unwrap();
         let err = handle.join().expect("worker thread").unwrap_err();
         assert!(matches!(err, PartitionError::InvalidParam(_)), "{err}");

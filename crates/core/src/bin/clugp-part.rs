@@ -769,7 +769,7 @@ impl WorkerFleet {
                     t.set_deadline(Some(self.accept_timeout));
                     let hello = t
                         .recv()
-                        .and_then(|f| Msg::decode(&f))
+                        .and_then(Msg::decode)
                         .map_err(|e| format!("worker hello: {e}"))?;
                     // The supervisor owns deadlines from here on.
                     t.set_deadline(None);
@@ -934,8 +934,8 @@ struct KillAtTransport {
 }
 
 impl Transport for KillAtTransport {
-    fn send(&mut self, frame: &[u8]) -> clugp::error::Result<()> {
-        if Msg::verb_name(NetStats::verb_slot(frame)) == "StageDone" {
+    fn send(&mut self, frame: Vec<u8>) -> clugp::error::Result<()> {
+        if Msg::verb_name(NetStats::verb_slot(&frame)) == "StageDone" {
             self.holding = None;
         }
         self.inner.send(frame)
@@ -943,8 +943,10 @@ impl Transport for KillAtTransport {
 
     fn recv(&mut self) -> clugp::error::Result<Vec<u8>> {
         let frame = self.inner.recv()?;
-        if let Ok(Msg::RunStage { stage, .. }) = Msg::decode(&frame) {
-            self.holding = Some(stage);
+        if Msg::verb_name(NetStats::verb_slot(&frame)) == "RunStage" {
+            if let Ok(Msg::RunStage { stage, .. }) = Msg::decode(frame.clone()) {
+                self.holding = Some(stage);
+            }
         }
         self.remaining = self.remaining.saturating_sub(1);
         if self.remaining == 0 {
@@ -972,7 +974,7 @@ fn run_ampc_worker(socket: &str, index: u32, kill_at: Option<u64>) -> Result<(),
     let stream =
         std::os::unix::net::UnixStream::connect(socket).map_err(|e| format!("{socket}: {e}"))?;
     let mut t = UnixTransport::new(stream);
-    t.send(&Msg::Hello { worker: index }.encode())
+    t.send(Msg::Hello { worker: index }.encode())
         .map_err(|e| e.to_string())?;
     match kill_at {
         Some(frames) => run_worker(Box::new(KillAtTransport {

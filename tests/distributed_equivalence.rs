@@ -7,7 +7,9 @@
 //! sequencing the stream across workers is a pure refactoring of the
 //! placement pipeline, never a semantic change.
 
+use clugp::ampc::checkpoint::Checkpoint;
 use clugp::ampc::coordinator::DistAlgo;
+use clugp::ampc::proto::VERBS;
 use clugp::ampc::{run_distributed, AmpcMode, DistConfig, DistInput};
 use clugp::clugp::ClugpConfig;
 use clugp::error::PartitionError;
@@ -16,7 +18,7 @@ use clugp_graph::gen::{generate_web_crawl, WebCrawlConfig};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::types::{Edge, VertexId};
 use clugp_repro::{
-    assignment_hash, clugp_part_exe, monolith, outcome, roster, scratch_dir, test_web_graph,
+    assignment_hash, clugp_part_exe, fnv1a, monolith, outcome, roster, scratch_dir, test_web_graph,
     web_fixture, Case, Family, Input, Mode,
 };
 use std::process::Command;
@@ -769,4 +771,45 @@ fn commutative_upsert_batch_order_cannot_change_table_state() {
             "trial {trial}: record order changed the table"
         );
     }
+}
+
+/// Bytes a 2-worker CLUGP run writes, recorded before frames were moved
+/// rather than copied and before `Checkpoint::encode` sized its buffer up
+/// front: the barrier-3 `CLUGPCK1` file (length and FNV-1a) and the bytes
+/// and frames of every verb. A change to how frames travel or how a
+/// checkpoint is written must leave both as they are.
+#[test]
+fn checkpoint_and_wire_bytes_are_pinned() {
+    let (n, edges) = test_web_graph(400, 11);
+    let dir = scratch_dir("engine_bytes_pin");
+    let cfg = DistConfig {
+        workers: 2,
+        checkpoint_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let input = DistInput::Edges {
+        num_vertices: n,
+        edges: &edges,
+    };
+    let out = run_distributed(&DistAlgo::clugp(), input, 8, &cfg).unwrap();
+    let ck = std::fs::read(dir.join(Checkpoint::file_name(3))).unwrap();
+    let ck = (ck.len(), fnv1a(ck.iter().copied()));
+    assert_eq!(ck, (13_638, 0x93B2_445C_C7F7_65BE), "{:#018X}", ck.1);
+    let by_verb: Vec<(&str, u64, u64)> = VERBS
+        .iter()
+        .zip(&out.net.by_verb)
+        .filter(|(_, t)| t.frames > 0)
+        .map(|(&verb, t)| (verb, t.bytes, t.frames))
+        .collect();
+    let pinned = [
+        ("Configure", 37_626, 2),
+        ("ConfigureOk", 2, 2),
+        ("RunStage", 554, 6),
+        ("StageDone", 11_832, 6),
+        ("Shutdown", 2, 2),
+        ("Pass1Frontier", 6_363, 3),
+        ("TableCast", 3_380, 4),
+    ];
+    assert_eq!(by_verb, pinned);
+    std::fs::remove_dir_all(&dir).ok();
 }
